@@ -337,4 +337,41 @@ mod tests {
         assert_eq!(result.compiled_stage_allocs_after_warm, 0);
         assert!(result.json.contains("\"experiment\": \"compiled_hotpath\""));
     }
+
+    /// The pooled states of every kernel family — expression registers,
+    /// count-map tables, the generic unit's aggregators — are cleared, never
+    /// freed: a warm fold over a mixed-family window allocates nothing, and
+    /// with a `topn_frequency` exactly once (its output string).
+    #[test]
+    fn warm_mixed_family_fold_allocates_only_the_topn_output() {
+        // `with_scale` is the crate's test serializer: the allocation counter
+        // is process-global.
+        crate::harness::with_scale(1.0, || {
+            let rows = 2_000;
+            let db = crate::scenarios::micro_db(rows, 4, 0.0, 0);
+            let mixed = "sum(v) OVER w AS a, avg(v * 2.0 + 1.0) OVER w AS b, \
+                         min(quantity % 3) OVER w AS c, distinct_count(quantity) OVER w AS d, \
+                         distinct_count(category) OVER w AS e, \
+                         count_where(v, quantity > 1) OVER w AS f";
+            let window = "WINDOW w AS (PARTITION BY k ORDER BY ts \
+                          ROWS_RANGE BETWEEN 60000 PRECEDING AND CURRENT ROW)";
+            for (name, select, allowed) in [
+                ("mixed", mixed.to_string(), 0),
+                (
+                    "mixed_topn",
+                    format!("{mixed}, topn_frequency(category, 2) OVER w AS g"),
+                    1,
+                ),
+            ] {
+                db.deploy(&format!(
+                    "DEPLOY {name} AS SELECT id, {select} FROM t1 {window}"
+                ))
+                .unwrap();
+                let dep = db.deployment(name).unwrap();
+                assert_eq!(dep.program().fallback_windows(), 0);
+                let allocs = super::compiled_stage_pass(&db, &dep, rows as i64 * 10);
+                assert_eq!(allocs, allowed, "`{name}` warm fold stage");
+            }
+        });
+    }
 }

@@ -5,13 +5,25 @@
 //! At DEPLOY time [`specialize`] lowers a validated [`CompiledQuery`] into a
 //! [`Program`]:
 //!
-//! * **Window kernels** ([`WindowProgram`]) — per-aggregate update loops
-//!   monomorphized by column type at compile time. Column byte offsets into
-//!   the compact row encoding are pre-resolved ([`KernelSpec::at`]), the
-//!   NULL-bitmap probe is baked to a `(byte, mask)` pair, and the per-row
-//!   fold runs with no `Value` dispatch at all: `i64`/`f64` running sums and
-//!   extrema in plain machine types, strings as byte ranges into the scan
-//!   arena. Frame bounds (`ROWS n PRECEDING`, `MAXSIZE`) and the
+//! * **Window kernels** ([`WindowProgram`]) — every aggregate of a window
+//!   lowers to one of four kernel families, all folded in the same single
+//!   pass over the scan arena:
+//!   1. *column kernels* — `sum/count/avg/min/max/stddev` over a bare
+//!      column, monomorphized by column type. The byte offset into the
+//!      compact row encoding is pre-resolved ([`FieldRef::at`]), the
+//!      NULL-bitmap probe is baked to a `(byte, mask)` pair, and the fold
+//!      runs on `i64`/`f64` running sums and extrema in plain machine
+//!      types, strings as byte ranges into the scan arena;
+//!   2. *expression kernels* — the same functions over `+ - * / %` trees of
+//!      fixed-width numeric columns and literals, lowered to a small typed
+//!      register program ([`ArithOp`]) read straight from the encoded bytes;
+//!   3. *count-map kernels* — `distinct_count` / `topn_frequency` over a
+//!      bare column, keyed by canonical `KeyValue` bits (or an arena byte
+//!      range for strings) in a pooled open-addressing table;
+//!   4. *generic kernels* — everything else the function registry accepts,
+//!      run by the interpreter's own aggregate slots fed from the row view.
+//!
+//!   Frame bounds (`ROWS n PRECEDING`, `MAXSIZE`) and the
 //!   `EXCLUDE CURRENT_ROW` check are hoisted into precomputed guards
 //!   ([`WindowProgram::first_in_frame`]).
 //! * **Expression programs** ([`ExprProgram`]) — scalar select/WHERE
@@ -20,14 +32,14 @@
 //!   calls dispatched through [`ScalarFuncId`] (no per-row name lookup).
 //!
 //! The fold replicates the interpreted streaming path *bit for bit* —
-//! including `total_cmp`'s f64-promoted comparisons for integer extrema and
-//! the first-seen-wins tie rule — so the interpreted path stays the
-//! always-available fallback and correctness oracle. Any construct outside
-//! the specializable subset (non-projection aggregate functions, aggregate
-//! arguments that are not bare columns, BOOL columns, scalar calls outside
-//! the builtin dispatch table) makes that window or expression fall back
-//! cleanly to interpretation, with the reason recorded on the [`Program`]
-//! and counted by the `openmldb_exec_program_fallbacks_total` metric.
+//! including `total_cmp`'s f64-promoted comparisons for integer extrema, the
+//! first-seen-wins tie rule, [`binary`]'s integer-preserving arithmetic with
+//! its typed overflow error, and the count maps' `count desc, key asc`
+//! projection order — so [`WindowAggSet`] stays the correctness oracle. A
+//! window stays interpreted ([`Program::fallback_reason`]) only when the
+//! program is pinned with [`Program::interpreted_only`] or the plan holds an
+//! aggregate [`WindowAggSet::new`] itself rejects; scalar calls outside the
+//! builtin dispatch table keep the select/WHERE *expressions* interpreted.
 //!
 //! The program is cached on the plan itself via
 //! [`SpecializationSlot`](openmldb_sql::plan::SpecializationSlot), so every
@@ -39,12 +51,12 @@ use std::sync::Arc;
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, CompiledQuery, PhysExpr};
 use openmldb_sql::BinaryOp;
 use openmldb_types::codec::compact::HEADER_SIZE;
-use openmldb_types::{CompactCodec, DataType, Error, Result, Value, ValueRef};
+use openmldb_types::{CompactCodec, DataType, Error, Result, RowView, Value, ValueRef};
 
 use crate::eval::{binary, evaluate};
 use crate::scalar::{self, ScalarFuncId};
 use crate::scratch::ScanEntry;
-use crate::window::{projection_for, Projection};
+use crate::window::{projection_for, Projection, WindowAggSet};
 
 // ---------------------------------------------------------------------------
 // Expression programs (register machine over a reusable value stack)
@@ -266,6 +278,14 @@ fn underflow() -> Error {
     Error::Eval("expression program stack underflow".into())
 }
 
+/// Operand `i` of `pool` (constants, row columns or aggregate outputs).
+#[inline(always)]
+fn fetch(pool: &[Value], i: u16, what: &str) -> Result<Value> {
+    pool.get(i as usize)
+        .cloned()
+        .ok_or_else(|| Error::Eval(format!("{what} {i} out of bounds")))
+}
+
 impl ExprProgram {
     /// Lower one expression tree, or explain why it cannot be compiled.
     pub fn compile(e: &PhysExpr) -> std::result::Result<ExprProgram, String> {
@@ -299,6 +319,16 @@ impl ExprProgram {
     /// stack. Semantics (NULL propagation, short-circuit AND/OR, CASE
     /// fallthrough, error surfaces) match [`crate::evaluate`] exactly.
     pub fn eval(&self, row: &[Value], aggs: &[Value], stack: &mut Vec<Value>) -> Result<Value> {
+        // A bare operand (`Agg(i)` / `Col(i)` / `Const(i)` — most select
+        // columns of a feature script) is its own result: no stack traffic.
+        if let [only] = self.instrs.as_slice() {
+            match *only {
+                Instr::Const(i) => return fetch(&self.consts, i, "constant"),
+                Instr::Col(i) => return fetch(row, i, "column index"),
+                Instr::Agg(i) => return fetch(aggs, i, "aggregate index"),
+                _ => {}
+            }
+        }
         stack.clear();
         if stack.capacity() < self.max_stack {
             // Cold: first evaluation through a pooled stack grows it once.
@@ -308,22 +338,9 @@ impl ExprProgram {
         while let Some(instr) = self.instrs.get(pc) {
             pc += 1;
             match *instr {
-                Instr::Const(i) => stack.push(
-                    self.consts
-                        .get(i as usize)
-                        .cloned()
-                        .ok_or_else(|| Error::Eval(format!("constant {i} out of bounds")))?,
-                ),
-                Instr::Col(i) => stack.push(
-                    row.get(i as usize)
-                        .cloned()
-                        .ok_or_else(|| Error::Eval(format!("column index {i} out of bounds")))?,
-                ),
-                Instr::Agg(i) => stack.push(
-                    aggs.get(i as usize)
-                        .cloned()
-                        .ok_or_else(|| Error::Eval(format!("aggregate index {i} out of bounds")))?,
-                ),
+                Instr::Const(i) => stack.push(fetch(&self.consts, i, "constant")?),
+                Instr::Col(i) => stack.push(fetch(row, i, "column index")?),
+                Instr::Agg(i) => stack.push(fetch(aggs, i, "aggregate index")?),
                 Instr::PushNull => stack.push(Value::Null),
                 Instr::Bin(op) => {
                     let r = stack.pop().ok_or_else(underflow)?;
@@ -379,7 +396,7 @@ impl ExprProgram {
 }
 
 // ---------------------------------------------------------------------------
-// Window kernels (monomorphized per-type aggregate folds)
+// Window kernels (four families folded in one pass over the scan arena)
 // ---------------------------------------------------------------------------
 
 /// Column class a kernel is monomorphized for. Decides the byte-level read,
@@ -394,23 +411,218 @@ enum KernelClass {
     Str,
 }
 
-/// One compiled per-column fold: everything the per-row loop needs,
-/// resolved at deploy time.
-#[derive(Debug, Clone)]
-struct KernelSpec {
+impl KernelClass {
+    fn is_int(self) -> bool {
+        matches!(
+            self,
+            KernelClass::Int | KernelClass::Bigint | KernelClass::Timestamp
+        )
+    }
+}
+
+/// One fixed-width field, read from raw row bytes or from a decoded
+/// request-row value — the common currency of the column, expression and
+/// count-map families.
+#[derive(Debug, Clone, Copy)]
+enum Fixed {
+    Int(i64),
+    Float(f32),
+    Double(f64),
+}
+
+impl Fixed {
+    /// The canonical [`KeyValue`](openmldb_types::KeyValue) payload of this
+    /// field as a `u64`: integers by value, floats by their f64 bit pattern
+    /// (FLOAT promotes first, exactly like `KeyValue::from`).
+    #[inline(always)]
+    fn key_bits(self) -> u64 {
+        match self {
+            Fixed::Int(v) => v as u64,
+            Fixed::Float(v) => (v as f64).to_bits(),
+            Fixed::Double(v) => v.to_bits(),
+        }
+    }
+}
+
+/// Consumer of one decoded fixed-width field ([`FieldRef::visit_fixed`]).
+trait FixedSink {
+    fn int(self, v: i64);
+    fn float(self, v: f32);
+    fn double(self, v: f64);
+}
+
+impl FixedSink for &mut Fixed {
+    #[inline(always)]
+    fn int(self, v: i64) {
+        *self = Fixed::Int(v);
+    }
+
+    #[inline(always)]
+    fn float(self, v: f32) {
+        *self = Fixed::Float(v);
+    }
+
+    #[inline(always)]
+    fn double(self, v: f64) {
+        *self = Fixed::Double(v);
+    }
+}
+
+/// A column resolved against the compact encoding at deploy time: the byte
+/// offset of its fixed-width field and its NULL-bitmap probe baked to a
+/// `(byte, mask)` pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FieldRef {
     /// Base-schema column index (also the request-row slot).
     col: usize,
     class: KernelClass,
     /// Absolute byte offset of the fixed-width field in the compact
     /// encoding (header + NULL bitmap included). Unused for `Str`.
     at: usize,
-    /// NULL-bitmap probe, baked to a byte index + mask.
     null_byte: usize,
     null_mask: u8,
-    /// Maintain running sums (`sum`/`avg`/`stddev` bound to this column).
-    track_sums: bool,
-    /// Maintain running extrema (`min`/`max` bound to this column).
-    track_minmax: bool,
+}
+
+impl FieldRef {
+    /// Resolve column `col`, or `None` when it has no byte-level kernel
+    /// (BOOL columns, indices outside the schema).
+    fn resolve(codec: &CompactCodec, col: usize) -> Option<FieldRef> {
+        let class = match codec.schema().columns().get(col)?.data_type {
+            DataType::Int => KernelClass::Int,
+            DataType::Bigint => KernelClass::Bigint,
+            DataType::Timestamp => KernelClass::Timestamp,
+            DataType::Float => KernelClass::Float,
+            DataType::Double => KernelClass::Double,
+            DataType::String => KernelClass::Str,
+            DataType::Bool => return None,
+        };
+        let at = match class {
+            KernelClass::Str => 0,
+            _ => codec.fixed_field_offset(col)?,
+        };
+        Some(FieldRef {
+            col,
+            class,
+            at,
+            null_byte: HEADER_SIZE + col / 8,
+            null_mask: 1 << (col % 8),
+        })
+    }
+
+    // analysis:allow(panic-freedom): one checked `slice::get`.
+    #[inline(always)]
+    fn null_in(&self, buf: &[u8]) -> bool {
+        buf.get(self.null_byte)
+            .is_none_or(|b| b & self.null_mask != 0)
+    }
+
+    /// The one fixed-width read ladder every family shares: a bounds-checked
+    /// little-endian load at the baked offset, handed to `sink` —
+    /// monomorphized per consumer, so the column kernels' fold sits directly
+    /// in each arm.
+    // analysis:allow(panic-freedom): reads go through `read4`/`read8`
+    // (checked `slice::get`); a short row is a typed error.
+    #[inline(always)]
+    fn visit_fixed(&self, buf: &[u8], sink: impl FixedSink) -> Result<()> {
+        match self.class {
+            KernelClass::Int => match read4(buf, self.at) {
+                Some(b) => sink.int(i32::from_le_bytes(b) as i64),
+                None => return Err(truncated_row(buf.len(), self.at + 4)),
+            },
+            KernelClass::Bigint | KernelClass::Timestamp => match read8(buf, self.at) {
+                Some(b) => sink.int(i64::from_le_bytes(b)),
+                None => return Err(truncated_row(buf.len(), self.at + 8)),
+            },
+            KernelClass::Float => match read4(buf, self.at) {
+                Some(b) => sink.float(f32::from_le_bytes(b)),
+                None => return Err(truncated_row(buf.len(), self.at + 4)),
+            },
+            KernelClass::Double => match read8(buf, self.at) {
+                Some(b) => sink.double(f64::from_le_bytes(b)),
+                None => return Err(truncated_row(buf.len(), self.at + 8)),
+            },
+            // Unreachable: string fields are read through the row view.
+            KernelClass::Str => return Err(str_without_view()),
+        }
+        Ok(())
+    }
+
+    /// NULL-aware read out of a stored row's bytes.
+    #[inline(always)]
+    fn stored(&self, buf: &[u8]) -> Result<Option<Fixed>> {
+        if self.null_in(buf) {
+            return Ok(None);
+        }
+        let mut v = Fixed::Int(0);
+        self.visit_fixed(buf, &mut v)?;
+        Ok(Some(v))
+    }
+
+    /// This field's non-NULL value `v` out of the decoded request row, handed
+    /// to `sink` like [`visit_fixed`](Self::visit_fixed) does for stored rows.
+    #[inline(always)]
+    fn request_into(&self, v: &Value, sink: impl FixedSink) -> Result<()> {
+        match self.class {
+            KernelClass::Int | KernelClass::Bigint | KernelClass::Timestamp => {
+                sink.int(v.as_i64()?)
+            }
+            KernelClass::Float => sink.float(v.as_f64()? as f32),
+            KernelClass::Double => sink.double(v.as_f64()?),
+            KernelClass::Str => return Err(str_without_view()),
+        }
+        Ok(())
+    }
+
+    /// NULL-aware read out of the decoded request row.
+    fn requested(&self, row: &[Value]) -> Result<Option<Fixed>> {
+        match row.get(self.col) {
+            Some(Value::Null) => Ok(None),
+            Some(v) => {
+                let mut out = Fixed::Int(0);
+                self.request_into(v, &mut out)?;
+                Ok(Some(out))
+            }
+            None => Err(request_out_of_bounds(self.col)),
+        }
+    }
+}
+
+/// Which running statistics a kernel maintains — the union of what its
+/// bound projections need.
+#[derive(Debug, Clone, Copy, Default)]
+struct Track {
+    /// Running sums (`sum`/`avg`/`stddev`).
+    sums: bool,
+    /// Running extrema (`min`/`max`).
+    minmax: bool,
+}
+
+impl Track {
+    fn note(&mut self, proj: Projection) {
+        match proj {
+            Projection::Min | Projection::Max => self.minmax = true,
+            Projection::Sum | Projection::Avg | Projection::Stddev => self.sums = true,
+            Projection::Count => {}
+        }
+    }
+}
+
+/// Family 1 — one compiled per-column fold: everything the per-row loop
+/// needs, resolved at deploy time.
+#[derive(Debug, Clone)]
+struct KernelSpec {
+    field: FieldRef,
+    track: Track,
+}
+
+impl KernelSpec {
+    #[inline(always)]
+    fn feed<'a>(&self, st: &'a mut KernelState) -> Feed<'a> {
+        Feed {
+            st,
+            track: self.track,
+        }
+    }
 }
 
 /// Where a running string extremum lives. Stored rows borrow the scan arena
@@ -427,8 +639,8 @@ enum StrSlot {
     Request,
 }
 
-/// Running fold state for one kernel — plain machine words, reset per
-/// request, pooled in the request scratch.
+/// Running fold state for one column or expression kernel — plain machine
+/// words, reset per request, pooled in the request scratch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KernelState {
     count: u64,
@@ -443,21 +655,6 @@ pub struct KernelState {
     max_f32: f32,
     min_str: StrSlot,
     max_str: StrSlot,
-}
-
-/// Pooled per-window kernel states (lives in the request scratch so warm
-/// requests never allocate).
-#[derive(Debug, Default)]
-pub struct WindowState {
-    kernels: Vec<KernelState>,
-}
-
-impl WindowState {
-    pub fn reset(&mut self) {
-        for k in &mut self.kernels {
-            *k = KernelState::default();
-        }
-    }
 }
 
 /// Iteration order [`WindowProgram::run`] uses over the scan entries.
@@ -477,15 +674,15 @@ pub enum EntryOrder {
 // value kept on promotion ties (e.g. distinct i64s beyond 2^53).
 impl KernelState {
     #[inline(always)]
-    fn feed_int(&mut self, v: i64, spec: &KernelSpec) {
-        if spec.track_sums {
+    fn feed_int(&mut self, v: i64, track: Track) {
+        if track.sums {
             self.sum_i = self.sum_i.wrapping_add(v);
             let f = v as f64;
             self.sum_f += f;
             self.sum_sq += f * f;
         }
         self.count += 1;
-        if spec.track_minmax {
+        if track.minmax {
             if self.count == 1 {
                 self.min_i = v;
                 self.max_i = v;
@@ -502,13 +699,13 @@ impl KernelState {
     }
 
     #[inline(always)]
-    fn feed_double(&mut self, v: f64, spec: &KernelSpec) {
-        if spec.track_sums {
+    fn feed_double(&mut self, v: f64, track: Track) {
+        if track.sums {
             self.sum_f += v;
             self.sum_sq += v * v;
         }
         self.count += 1;
-        if spec.track_minmax {
+        if track.minmax {
             if self.count == 1 {
                 self.min_f = v;
                 self.max_f = v;
@@ -524,14 +721,14 @@ impl KernelState {
     }
 
     #[inline(always)]
-    fn feed_float(&mut self, v: f32, spec: &KernelSpec) {
-        if spec.track_sums {
+    fn feed_float(&mut self, v: f32, track: Track) {
+        if track.sums {
             let f = v as f64;
             self.sum_f += f;
             self.sum_sq += f * f;
         }
         self.count += 1;
-        if spec.track_minmax {
+        if track.minmax {
             if self.count == 1 {
                 self.min_f32 = v;
                 self.max_f32 = v;
@@ -551,9 +748,9 @@ impl KernelState {
     }
 
     #[inline(always)]
-    fn feed_str(&mut self, s: &str, arena: &[u8], spec: &KernelSpec) -> Result<()> {
+    fn feed_str(&mut self, s: &str, arena: &[u8], track: Track) -> Result<()> {
         self.count += 1;
-        if !spec.track_minmax {
+        if !track.minmax {
             return Ok(());
         }
         let bytes = s.as_bytes();
@@ -575,37 +772,56 @@ impl KernelState {
         Ok(())
     }
 
-    /// Feed one decoded request-row value (always the last row fed).
+    /// Feed the request row's value of a column kernel (always the last row
+    /// fed).
     fn feed_request(&mut self, v: &Value, arena: &[u8], spec: &KernelSpec) -> Result<()> {
         if v.is_null() {
             return Ok(());
         }
-        match spec.class {
-            KernelClass::Int | KernelClass::Bigint | KernelClass::Timestamp => {
-                self.feed_int(v.as_i64()?, spec);
-            }
-            KernelClass::Float => self.feed_float(v.as_f64()? as f32, spec),
-            KernelClass::Double => self.feed_double(v.as_f64()?, spec),
-            KernelClass::Str => {
-                let bytes = v.as_str()?.as_bytes();
-                self.count += 1;
-                if !spec.track_minmax {
-                    return Ok(());
-                }
-                if self.count == 1 {
-                    self.min_str = StrSlot::Request;
-                    self.max_str = StrSlot::Request;
-                    return Ok(());
-                }
-                if bytes < StrSlot::resolve(self.min_str, arena)? {
-                    self.min_str = StrSlot::Request;
-                }
-                if bytes > StrSlot::resolve(self.max_str, arena)? {
-                    self.max_str = StrSlot::Request;
-                }
-            }
+        if spec.field.class != KernelClass::Str {
+            return spec.field.request_into(v, spec.feed(self));
+        }
+        let bytes = v.as_str()?.as_bytes();
+        self.count += 1;
+        if !spec.track.minmax {
+            return Ok(());
+        }
+        if self.count == 1 {
+            self.min_str = StrSlot::Request;
+            self.max_str = StrSlot::Request;
+            return Ok(());
+        }
+        if bytes < StrSlot::resolve(self.min_str, arena)? {
+            self.min_str = StrSlot::Request;
+        }
+        if bytes > StrSlot::resolve(self.max_str, arena)? {
+            self.max_str = StrSlot::Request;
         }
         Ok(())
+    }
+}
+
+/// A column kernel as the sink of its field's read: the fold runs inside
+/// the read ladder's arm, with no intermediate value.
+struct Feed<'a> {
+    st: &'a mut KernelState,
+    track: Track,
+}
+
+impl FixedSink for Feed<'_> {
+    #[inline(always)]
+    fn int(self, v: i64) {
+        self.st.feed_int(v, self.track);
+    }
+
+    #[inline(always)]
+    fn float(self, v: f32) {
+        self.st.feed_float(v, self.track);
+    }
+
+    #[inline(always)]
+    fn double(self, v: f64) {
+        self.st.feed_double(v, self.track);
     }
 }
 
@@ -616,7 +832,7 @@ impl StrSlot {
         let start = (bytes.as_ptr() as usize)
             .checked_sub(arena.as_ptr() as usize)
             .filter(|s| s.checked_add(bytes.len()).is_some_and(|e| e <= arena.len()))
-            .ok_or_else(|| Error::Eval("string extremum source outside the scan arena".into()))?;
+            .ok_or_else(|| Error::Eval("string kernel source outside the scan arena".into()))?;
         Ok(StrSlot::Arena {
             start,
             len: bytes.len(),
@@ -638,16 +854,639 @@ impl StrSlot {
     }
 }
 
-/// A window's aggregates compiled to monomorphized kernels, plus the frame
-/// guards hoisted out of the per-request path.
+// -- family 2: expression kernels -------------------------------------------
+
+/// One typed register of an expression kernel: raw `i64`/`f64` bits plus
+/// the SQL NULL flag.
+#[derive(Debug, Clone, Copy, Default)]
+struct Reg {
+    bits: u64,
+    null: bool,
+}
+
+const NULL_REG: Reg = Reg {
+    bits: 0,
+    null: true,
+};
+
+impl Reg {
+    #[inline(always)]
+    fn int(v: i64) -> Reg {
+        Reg {
+            bits: v as u64,
+            null: false,
+        }
+    }
+
+    #[inline(always)]
+    fn float(v: f64) -> Reg {
+        Reg {
+            bits: v.to_bits(),
+            null: false,
+        }
+    }
+
+    #[inline(always)]
+    fn i(self) -> i64 {
+        self.bits as i64
+    }
+
+    #[inline(always)]
+    fn f(self) -> f64 {
+        f64::from_bits(self.bits)
+    }
+}
+
+/// One instruction of an expression kernel's register program. Instruction
+/// `i` writes register `i`; operands name earlier registers. The type of
+/// every register (integer or f64) is fixed at compile time from the column
+/// types, which is what lets the program replicate [`binary`]'s dynamic
+/// `Value` typing with no tag at run time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ArithOp {
+    /// Fixed-width column read: INT/BIGINT/TIMESTAMP as i64, FLOAT/DOUBLE as
+    /// f64 (`Value::as_f64` of the decoded field).
+    Load(FieldRef),
+    ConstI(i64),
+    ConstF(f64),
+    /// Promote an integer register to f64 (`Value::as_f64`).
+    ToF(u16),
+    /// Integer-preserving arithmetic: checked, erroring on overflow.
+    AddI(u16, u16),
+    SubI(u16, u16),
+    MulI(u16, u16),
+    /// NULL on a zero divisor.
+    ModI(u16, u16),
+    AddF(u16, u16),
+    SubF(u16, u16),
+    MulF(u16, u16),
+    ModF(u16, u16),
+    /// NULL on a zero divisor (either sign).
+    DivF(u16, u16),
+}
+
+#[inline(always)]
+fn int_op(a: Reg, b: Reg, op: BinaryOp, f: impl FnOnce(i64, i64) -> Option<i64>) -> Result<Reg> {
+    if a.null || b.null {
+        return Ok(NULL_REG);
+    }
+    match f(a.i(), b.i()) {
+        Some(v) => Ok(Reg::int(v)),
+        None => Err(integer_overflow(op)),
+    }
+}
+
+#[inline(always)]
+fn float_op(a: Reg, b: Reg, f: impl FnOnce(f64, f64) -> f64) -> Reg {
+    if a.null || b.null {
+        return NULL_REG;
+    }
+    Reg::float(f(a.f(), b.f()))
+}
+
+// HOT: per-row evaluation of one expression kernel — a straight run over a
+// handful of typed instructions, operands in pooled registers, column reads
+// straight from the encoded bytes. Replicates `eval::binary` exactly: NULL
+// propagation before any arithmetic, checked integer ops with the same
+// typed overflow error, NULL on `/0` and `%0`, f64 otherwise — evaluated in
+// the tree walk's left-to-right post-order, so the first error is the same.
+// analysis:allow(panic-freedom): registers are reached through checked
+// slice accessors only and integer arithmetic is `checked_*`; the `get`
+// callees the name-resolved graph lists here belong to other types.
+#[inline(always)]
+fn eval_ops(
+    ops: &[ArithOp],
+    regs: &mut [Reg],
+    load: impl Fn(&FieldRef) -> Result<Option<Fixed>>,
+) -> Result<Reg> {
+    let mut last = NULL_REG;
+    for (i, op) in ops.iter().enumerate() {
+        let reg = |r: u16| regs.get(r as usize).copied().unwrap_or(NULL_REG);
+        last = match op {
+            ArithOp::Load(field) => match load(field)? {
+                None => NULL_REG,
+                Some(Fixed::Int(v)) => Reg::int(v),
+                Some(Fixed::Float(v)) => Reg::float(v as f64),
+                Some(Fixed::Double(v)) => Reg::float(v),
+            },
+            ArithOp::ConstI(v) => Reg::int(*v),
+            ArithOp::ConstF(v) => Reg::float(*v),
+            ArithOp::ToF(a) => {
+                let a = reg(*a);
+                if a.null {
+                    NULL_REG
+                } else {
+                    Reg::float(a.i() as f64)
+                }
+            }
+            ArithOp::AddI(a, b) => int_op(reg(*a), reg(*b), BinaryOp::Add, i64::checked_add)?,
+            ArithOp::SubI(a, b) => int_op(reg(*a), reg(*b), BinaryOp::Sub, i64::checked_sub)?,
+            ArithOp::MulI(a, b) => int_op(reg(*a), reg(*b), BinaryOp::Mul, i64::checked_mul)?,
+            ArithOp::ModI(a, b) => {
+                let (a, b) = (reg(*a), reg(*b));
+                if b.null || b.i() == 0 {
+                    NULL_REG
+                } else {
+                    int_op(a, b, BinaryOp::Mod, i64::checked_rem)?
+                }
+            }
+            ArithOp::AddF(a, b) => float_op(reg(*a), reg(*b), |x, y| x + y),
+            ArithOp::SubF(a, b) => float_op(reg(*a), reg(*b), |x, y| x - y),
+            ArithOp::MulF(a, b) => float_op(reg(*a), reg(*b), |x, y| x * y),
+            ArithOp::ModF(a, b) => float_op(reg(*a), reg(*b), |x, y| x % y),
+            ArithOp::DivF(a, b) => {
+                let (a, b) = (reg(*a), reg(*b));
+                if b.null || b.f() == 0.0 {
+                    NULL_REG
+                } else {
+                    float_op(a, b, |x, y| x / y)
+                }
+            }
+        };
+        if let Some(slot) = regs.get_mut(i) {
+            *slot = last;
+        }
+    }
+    Ok(last)
+}
+
+/// Lowers one aggregate argument into a register program, or declines
+/// (`None`) when the tree leaves the `+ - * / %` over fixed-width numeric
+/// columns and numeric literals subset.
+struct ArithCompiler<'a> {
+    codec: &'a CompactCodec,
+    ops: Vec<ArithOp>,
+}
+
+impl ArithCompiler<'_> {
+    fn push(&mut self, op: ArithOp) -> Option<u16> {
+        let at = u16::try_from(self.ops.len()).ok()?;
+        self.ops.push(op);
+        Some(at)
+    }
+
+    fn promote(&mut self, (reg, int): (u16, bool)) -> Option<u16> {
+        if int {
+            self.push(ArithOp::ToF(reg))
+        } else {
+            Some(reg)
+        }
+    }
+
+    /// Returns the result register and whether it is integer-typed.
+    fn lower(&mut self, e: &PhysExpr) -> Option<(u16, bool)> {
+        match e {
+            PhysExpr::Column(c) => {
+                let field = FieldRef::resolve(self.codec, *c)?;
+                if field.class == KernelClass::Str {
+                    return None;
+                }
+                Some((self.push(ArithOp::Load(field))?, field.class.is_int()))
+            }
+            PhysExpr::Literal(v) => match v {
+                Value::Int(_) | Value::Bigint(_) | Value::Timestamp(_) => {
+                    Some((self.push(ArithOp::ConstI(v.as_i64().ok()?))?, true))
+                }
+                Value::Float(_) | Value::Double(_) => {
+                    Some((self.push(ArithOp::ConstF(v.as_f64().ok()?))?, false))
+                }
+                _ => None,
+            },
+            PhysExpr::Binary { op, left, right } => {
+                use BinaryOp::{Add, Div, Mod, Mul, Sub};
+                if !matches!(op, Add | Sub | Mul | Mod | Div) {
+                    return None;
+                }
+                let l = self.lower(left)?;
+                let r = self.lower(right)?;
+                if l.1 && r.1 && *op != Div {
+                    let (a, b) = (l.0, r.0);
+                    let op = match op {
+                        Add => ArithOp::AddI(a, b),
+                        Sub => ArithOp::SubI(a, b),
+                        Mul => ArithOp::MulI(a, b),
+                        _ => ArithOp::ModI(a, b),
+                    };
+                    return Some((self.push(op)?, true));
+                }
+                let a = self.promote(l)?;
+                let b = self.promote(r)?;
+                let op = match op {
+                    Add => ArithOp::AddF(a, b),
+                    Sub => ArithOp::SubF(a, b),
+                    Mul => ArithOp::MulF(a, b),
+                    Mod => ArithOp::ModF(a, b),
+                    _ => ArithOp::DivF(a, b),
+                };
+                Some((self.push(op)?, false))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Family 2 — an aggregate argument lowered to a register program whose
+/// result feeds the same [`KernelState`] fold the column kernels use.
+#[derive(Debug, Clone)]
+struct ExprKernel {
+    /// The argument expression: kernel identity, so aggregates over the
+    /// same expression share one evaluation per row (cyclic binding).
+    expr: PhysExpr,
+    ops: Vec<ArithOp>,
+    /// Result type: integer (the interpreter's `Value::Bigint`) or f64
+    /// (`Value::Double`).
+    int: bool,
+    track: Track,
+    /// Position, in the window's aggregate order, of the first aggregate
+    /// bound here — decides which error surfaces when one row trips several
+    /// fallible kernels (the interpreter reports the first slot's).
+    order: usize,
+}
+
+impl ExprKernel {
+    fn class(&self) -> KernelClass {
+        if self.int {
+            KernelClass::Bigint
+        } else {
+            KernelClass::Double
+        }
+    }
+
+    #[inline(always)]
+    fn feed(&self, st: &mut KernelState, r: Reg) {
+        if r.null {
+            return;
+        }
+        if self.int {
+            st.feed_int(r.i(), self.track);
+        } else {
+            st.feed_double(r.f(), self.track);
+        }
+    }
+}
+
+// -- family 3: count-map kernels --------------------------------------------
+
+/// `key` of the count-map entry holding the request row's string (which
+/// lives in the decoded request row, not the arena).
+const REQUEST_KEY: u64 = u64::MAX;
+
+/// One distinct key and its multiplicity. Fixed-width columns key by their
+/// canonical `KeyValue` bits; STRING columns by an arena byte range
+/// (`key` = start offset, `len` = byte length).
+#[derive(Debug, Clone, Copy)]
+struct CountEntry {
+    key: u64,
+    len: usize,
+    hash: u64,
+    count: u64,
+}
+
+/// Pooled open-addressing count map: cleared between requests, never freed.
+/// Output order never depends on slot order (projections sort explicitly),
+/// so the per-state random seed only defends probe lengths against keys
+/// crafted to collide.
+#[derive(Debug)]
+struct CountMap {
+    seed: u64,
+    /// Entry index + 1 per slot, 0 = empty. Length is zero or a power of
+    /// two, kept at least twice the entry count.
+    slots: Vec<u32>,
+    entries: Vec<CountEntry>,
+}
+
+impl CountMap {
+    fn new() -> CountMap {
+        use std::hash::BuildHasher;
+        CountMap {
+            seed: std::collections::hash_map::RandomState::new().hash_one(0u64),
+            slots: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        if !self.entries.is_empty() {
+            self.slots.fill(0);
+            self.entries.clear();
+        }
+    }
+
+    #[inline(always)]
+    fn mix(&self, x: u64) -> u64 {
+        let h = (x ^ self.seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 32)
+    }
+
+    #[inline(always)]
+    fn hash_bytes(&self, bytes: &[u8]) -> u64 {
+        // Seeded FNV-1a, finished through the same multiply-fold.
+        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.mix(h)
+    }
+
+    /// Double the slot table and re-seat every entry by its stored hash.
+    /// Cold: a warm state already holds the largest window it has seen.
+    #[cold]
+    fn grow(&mut self) {
+        let n = (self.slots.len() * 2).max(16);
+        self.slots.clear();
+        self.slots.resize(n, 0);
+        let mask = n - 1;
+        for (i, e) in self.entries.iter().enumerate() {
+            let mut at = e.hash as usize & mask;
+            for _ in 0..n {
+                match self.slots.get_mut(at) {
+                    Some(s) if *s == 0 => {
+                        *s = i as u32 + 1;
+                        break;
+                    }
+                    _ => at = (at + 1) & mask,
+                }
+            }
+        }
+    }
+
+    // HOT: one probe sequence per fed row and count-map kernel — linear
+    // probing over a pooled slot table; grows (cold) only past the largest
+    // window this state has seen.
+    // analysis:allow(panic-freedom): slots and entries are reached through
+    // checked slice accessors only; the `get`/`len` callees the
+    // name-resolved graph lists here belong to other types.
+    #[inline(always)]
+    fn bump(&mut self, hash: u64, key: u64, len: usize, same: impl Fn(&CountEntry) -> bool) {
+        if (self.entries.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        // The table is at most half full, so an empty slot ends every probe
+        // sequence well inside one lap.
+        for _ in 0..self.slots.len() {
+            let Some(slot) = self.slots.get_mut(at) else {
+                return;
+            };
+            if *slot == 0 {
+                *slot = self.entries.len() as u32 + 1;
+                self.entries.push(CountEntry {
+                    key,
+                    len,
+                    hash,
+                    count: 1,
+                });
+                return;
+            }
+            if let Some(e) = self.entries.get_mut(*slot as usize - 1) {
+                if e.hash == hash && same(e) {
+                    e.count += 1;
+                    return;
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    #[inline(always)]
+    fn bump_fixed(&mut self, v: Fixed) {
+        let key = v.key_bits();
+        self.bump(self.mix(key), key, 0, |e| e.key == key);
+    }
+
+    /// Count a string under entry key `key`: an arena start offset, or
+    /// [`REQUEST_KEY`]. Every entry it can collide with is an arena range
+    /// (the request row is fed last).
+    // analysis:allow(panic-freedom): checked slice accessors only (see
+    // `bump`).
+    #[inline(always)]
+    fn bump_bytes(&mut self, bytes: &[u8], arena: &[u8], key: u64) {
+        let hash = self.hash_bytes(bytes);
+        self.bump(hash, key, bytes.len(), |e| {
+            arena.get(e.key as usize..e.key as usize + e.len) == Some(bytes)
+        });
+    }
+
+    /// Count a stored row's string (a slice of `arena`).
+    // analysis:allow(panic-freedom): `arena_of` is checked offset
+    // arithmetic; the rest is `bump_bytes`.
+    #[inline(always)]
+    fn bump_str(&mut self, bytes: &[u8], arena: &[u8]) -> Result<()> {
+        if let StrSlot::Arena { start, .. } = StrSlot::arena_of(bytes, arena)? {
+            self.bump_bytes(bytes, arena, start as u64);
+        }
+        Ok(())
+    }
+}
+
+/// The bytes of a STRING count-map entry.
+fn entry_bytes<'a>(
+    e: &CountEntry,
+    col: usize,
+    arena: &'a [u8],
+    request: Option<&'a [Value]>,
+) -> &'a [u8] {
+    if e.key == REQUEST_KEY {
+        return request
+            .and_then(|r| r.get(col))
+            .and_then(|v| v.as_str().ok())
+            .map_or(&[], str::as_bytes);
+    }
+    arena
+        .get(e.key as usize..e.key as usize + e.len)
+        .unwrap_or(&[])
+}
+
+/// One `topn_frequency(col, n)` projection of a count map.
+#[derive(Debug, Clone, Copy)]
+struct TopnSpec {
+    map: usize,
+    n: usize,
+}
+
+/// Pooled projection scratch of one `topn_frequency`: the selected entry
+/// order and the rendered output, so producing the value is one `Arc<str>`
+/// allocation.
+#[derive(Debug, Default)]
+struct TopnState {
+    order: Vec<u32>,
+    rendered: String,
+}
+
+impl TopnState {
+    /// Select and render the `n` most frequent keys in the interpreter's
+    /// order: count descending, then key ascending by `KeyValue`'s ordering
+    /// (`Int` as i64, `Bits` as u64, `Str` byte-lexicographic), each key
+    /// rendered as `KeyValue::render` does.
+    fn render(
+        &mut self,
+        field: &FieldRef,
+        map: &CountMap,
+        n: usize,
+        arena: &[u8],
+        request: Option<&[Value]>,
+    ) -> Result<()> {
+        use std::cmp::Ordering;
+        use std::fmt::Write;
+        let cmp = |a: &u32, b: &u32| {
+            let (Some(x), Some(y)) = (map.entries.get(*a as usize), map.entries.get(*b as usize))
+            else {
+                return Ordering::Equal;
+            };
+            y.count.cmp(&x.count).then_with(|| match field.class {
+                KernelClass::Str => entry_bytes(x, field.col, arena, request)
+                    .cmp(entry_bytes(y, field.col, arena, request)),
+                c if c.is_int() => (x.key as i64).cmp(&(y.key as i64)),
+                _ => x.key.cmp(&y.key),
+            })
+        };
+        self.order.clear();
+        self.order.extend(0..map.entries.len() as u32);
+        if n < self.order.len() {
+            if n > 0 {
+                self.order.select_nth_unstable_by(n - 1, cmp);
+            }
+            self.order.truncate(n);
+        }
+        self.order.sort_unstable_by(cmp);
+        self.rendered.clear();
+        for (i, e) in self
+            .order
+            .iter()
+            .filter_map(|&e| map.entries.get(e as usize))
+            .enumerate()
+        {
+            if i > 0 {
+                self.rendered.push(',');
+            }
+            // Writing into a `String` cannot fail.
+            let _ = match field.class {
+                KernelClass::Str => {
+                    let s = std::str::from_utf8(entry_bytes(e, field.col, arena, request))
+                        .map_err(|e| Error::Eval(format!("non-UTF-8 count-map key: {e}")))?;
+                    self.rendered.write_str(s)
+                }
+                c if c.is_int() => write!(self.rendered, "{}", e.key as i64),
+                _ => write!(self.rendered, "f{:016x}", e.key),
+            };
+        }
+        Ok(())
+    }
+}
+
+// -- family 4: generic kernels ----------------------------------------------
+
+/// Family 4 — everything else the function registry accepts (`*_cate_where`,
+/// `drawdown`, `ew_avg`, `median`, `top`, BOOL columns, multi-argument and
+/// scalar-call arguments): one pooled [`WindowAggSet`] per unit, i.e. the
+/// interpreter's own slots (`SharedNumeric` for projection functions,
+/// `Box<dyn Aggregator>` otherwise) fed from the row view. Slow, but inside
+/// the program — sharing the scan, the sort skip, the frame guard and the
+/// deadline cadence with the other families.
+#[derive(Debug, Clone)]
+struct GenericUnit {
+    /// Projection functions over one identical argument list share a unit
+    /// (one argument evaluation per row); every other function gets its
+    /// own.
+    aggs: Vec<BoundAggregate>,
+    shared: bool,
+    /// See [`ExprKernel::order`].
+    order: usize,
+}
+
+impl GenericUnit {
+    fn build(&self) -> Result<WindowAggSet> {
+        let refs: Vec<&BoundAggregate> = self.aggs.iter().collect();
+        WindowAggSet::new(&refs)
+    }
+}
+
+// analysis:allow(panic-freedom): delegates to `WindowAggSet::update_view`,
+// itself a `// HOT:` root — the aggregators' panic sites are tracked once,
+// under that root.
+fn feed_generic(generic: &mut [WindowAggSet], view: Option<&RowView<'_>>) -> Result<()> {
+    for set in generic.iter_mut() {
+        set.update_view(view.ok_or_else(str_without_view)?)?;
+    }
+    Ok(())
+}
+
+/// Where one aggregate's output comes from, in aggregate order.
+#[derive(Debug, Clone, Copy)]
+enum Binding {
+    Column { k: usize, proj: Projection },
+    Expr { k: usize, proj: Projection },
+    Distinct { map: usize },
+    TopN { t: usize },
+    Generic { unit: usize, pos: usize },
+}
+
+/// Pooled per-window fold state of every family (lives in the request
+/// scratch so warm requests never allocate).
+#[derive(Default)]
+pub struct WindowState {
+    /// [`WindowProgram::id`] this state was built for — generic units hold
+    /// aggregators specific to their program.
+    owner: u64,
+    kernels: Vec<KernelState>,
+    exprs: Vec<KernelState>,
+    /// Register file shared by the expression kernels (sized to the longest
+    /// program).
+    regs: Vec<Reg>,
+    maps: Vec<CountMap>,
+    topn: Vec<TopnState>,
+    generic: Vec<WindowAggSet>,
+    /// Generic-unit outputs, unit-major, staged once per fold.
+    generic_out: Vec<Value>,
+}
+
+impl WindowState {
+    pub fn reset(&mut self) {
+        for k in self.kernels.iter_mut().chain(self.exprs.iter_mut()) {
+            *k = KernelState::default();
+        }
+        for m in &mut self.maps {
+            m.clear();
+        }
+        for g in &mut self.generic {
+            g.reset();
+        }
+        self.generic_out.clear();
+    }
+}
+
+static NEXT_PROGRAM_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+
+/// A window's aggregates compiled to kernels of four families, plus the
+/// frame guards hoisted out of the per-request path.
 #[derive(Debug)]
 pub struct WindowProgram {
+    /// Process-unique identity, matched against [`WindowState::owner`].
+    id: u64,
+    /// Family 1: bare-column kernels.
     kernels: Vec<KernelSpec>,
-    /// Output bindings in aggregate order: (kernel index, projection).
-    bindings: Vec<(usize, Projection)>,
-    /// Whether any kernel reads a var-width field (strings) — those rows go
-    /// through a validated [`RowView`](openmldb_types::RowView); fixed-only
-    /// programs read bytes directly after a 3-field header check.
+    /// Family 2: expression kernels.
+    exprs: Vec<ExprKernel>,
+    /// Family 3: count maps, one per distinct column.
+    maps: Vec<FieldRef>,
+    topn: Vec<TopnSpec>,
+    /// Family 4: generic units.
+    generic: Vec<GenericUnit>,
+    /// Start of each generic unit's outputs within
+    /// [`WindowState::generic_out`].
+    generic_offsets: Vec<usize>,
+    /// Output bindings in aggregate order.
+    bindings: Vec<Binding>,
+    /// Whether any of families 2–4 is present; column-only windows run a
+    /// copy of the row loop with them compiled out.
+    extended: bool,
+    /// Longest expression program (register-file size).
+    max_regs: usize,
+    /// Whether any kernel reads a var-width field or evaluates through a
+    /// [`RowView`](openmldb_types::RowView) (strings, generic units) — those
+    /// rows are validated once by the view; fixed-only programs read bytes
+    /// directly after a 3-field header check.
     needs_view: bool,
     /// Minimum valid encoded length (header + bitmap + fixed area),
     /// precomputed so fixed-only row validation is three compares.
@@ -662,95 +1501,177 @@ pub struct WindowProgram {
     pub include_request: bool,
 }
 
+/// Builder state while partitioning one window's aggregates into families.
+struct WindowCompiler<'a> {
+    codec: &'a CompactCodec,
+    kernels: Vec<KernelSpec>,
+    exprs: Vec<ExprKernel>,
+    maps: Vec<FieldRef>,
+    topn: Vec<TopnSpec>,
+    generic: Vec<GenericUnit>,
+}
+
+impl WindowCompiler<'_> {
+    /// Family 1: a projection function over a bare column with a byte-level
+    /// kernel (sums over STRING have none: the interpreter's type error must
+    /// surface, which the generic family reproduces).
+    fn column_kernel(&mut self, col: usize, proj: Projection) -> Option<Binding> {
+        let field = FieldRef::resolve(self.codec, col)?;
+        if field.class == KernelClass::Str
+            && matches!(proj, Projection::Sum | Projection::Avg | Projection::Stddev)
+        {
+            return None;
+        }
+        // Aggregates over the same column share one kernel — the same
+        // grouping the interpreted cyclic binding performs.
+        let k = match self.kernels.iter().position(|ks| ks.field.col == col) {
+            Some(k) => k,
+            None => {
+                self.kernels.push(KernelSpec {
+                    field,
+                    track: Track::default(),
+                });
+                self.kernels.len() - 1
+            }
+        };
+        self.kernels.get_mut(k)?.track.note(proj);
+        Some(Binding::Column { k, proj })
+    }
+
+    /// Family 2: a projection function over a lowerable arithmetic tree.
+    fn expr_kernel(&mut self, e: &PhysExpr, proj: Projection, order: usize) -> Option<Binding> {
+        let k = match self.exprs.iter().position(|k| &k.expr == e) {
+            Some(k) => k,
+            None => {
+                let mut c = ArithCompiler {
+                    codec: self.codec,
+                    ops: Vec::new(),
+                };
+                let (_, int) = c.lower(e)?;
+                self.exprs.push(ExprKernel {
+                    expr: e.clone(),
+                    ops: c.ops,
+                    int,
+                    track: Track::default(),
+                    order,
+                });
+                self.exprs.len() - 1
+            }
+        };
+        self.exprs.get_mut(k)?.track.note(proj);
+        Some(Binding::Expr { k, proj })
+    }
+
+    /// Family 3: the count map over `col`, shared by every `distinct_count`
+    /// and `topn_frequency` of that column.
+    fn count_map(&mut self, col: usize) -> Option<usize> {
+        let field = FieldRef::resolve(self.codec, col)?;
+        Some(match self.maps.iter().position(|f| f.col == col) {
+            Some(m) => m,
+            None => {
+                self.maps.push(field);
+                self.maps.len() - 1
+            }
+        })
+    }
+
+    /// Family 4.
+    fn generic_unit(&mut self, agg: &BoundAggregate, order: usize) -> Binding {
+        let shared = projection_for(agg.func.name).is_some();
+        let joined = self
+            .generic
+            .iter()
+            .position(|u| shared && u.shared && u.aggs.first().is_some_and(|a| a.args == agg.args));
+        let unit = match joined {
+            Some(u) => u,
+            None => {
+                self.generic.push(GenericUnit {
+                    aggs: Vec::new(),
+                    shared,
+                    order,
+                });
+                self.generic.len() - 1
+            }
+        };
+        let mut pos = 0;
+        if let Some(u) = self.generic.get_mut(unit) {
+            pos = u.aggs.len();
+            u.aggs.push(agg.clone());
+        }
+        Binding::Generic { unit, pos }
+    }
+
+    fn bind(&mut self, agg: &BoundAggregate, order: usize) -> Binding {
+        let lowered = match (projection_for(agg.func.name), agg.args.as_slice()) {
+            (Some(proj), [PhysExpr::Column(c)]) => self.column_kernel(*c, proj),
+            (Some(proj), [e @ PhysExpr::Binary { .. }]) => self.expr_kernel(e, proj, order),
+            (None, [PhysExpr::Column(c)]) if agg.func.name == "distinct_count" => {
+                self.count_map(*c).map(|map| Binding::Distinct { map })
+            }
+            (None, [PhysExpr::Column(c), PhysExpr::Literal(n)])
+                if agg.func.name == "topn_frequency" =>
+            {
+                // Same clamp as `create_aggregator`.
+                n.as_i64().ok().and_then(|n| {
+                    let map = self.count_map(*c)?;
+                    self.topn.push(TopnSpec {
+                        map,
+                        n: n.max(0) as usize,
+                    });
+                    Some(Binding::TopN {
+                        t: self.topn.len() - 1,
+                    })
+                })
+            }
+            _ => None,
+        };
+        lowered.unwrap_or_else(|| self.generic_unit(agg, order))
+    }
+}
+
 impl WindowProgram {
-    /// Compile one window's aggregates, or explain why they fall back.
+    /// Compile one window's aggregates. Every aggregate lowers to one of
+    /// the four kernel families; the only failure is a generic aggregate the
+    /// interpreter's own [`WindowAggSet::new`] rejects.
     fn compile(
         window: &BoundWindow,
         aggs: &[&BoundAggregate],
         codec: &CompactCodec,
     ) -> std::result::Result<WindowProgram, String> {
-        let schema = codec.schema();
-        let mut kernels: Vec<KernelSpec> = Vec::new();
-        let mut bindings = Vec::with_capacity(aggs.len());
-        for agg in aggs {
-            let Some(proj) = projection_for(agg.func.name) else {
-                return Err(format!(
-                    "aggregate `{}` has no specialized kernel",
-                    agg.func.name
-                ));
-            };
-            let col = match agg.args.as_slice() {
-                [PhysExpr::Column(c)] => *c,
-                _ => {
-                    return Err(format!(
-                        "aggregate `{}` argument is not a bare column",
-                        agg.func.name
-                    ))
-                }
-            };
-            let def = schema
-                .columns()
-                .get(col)
-                .ok_or_else(|| format!("aggregate column {col} out of schema range"))?;
-            let class = match def.data_type {
-                DataType::Int => KernelClass::Int,
-                DataType::Bigint => KernelClass::Bigint,
-                DataType::Timestamp => KernelClass::Timestamp,
-                DataType::Float => KernelClass::Float,
-                DataType::Double => KernelClass::Double,
-                DataType::String => KernelClass::Str,
-                DataType::Bool => {
-                    return Err(format!(
-                        "BOOL column `{}` has no specialized kernel",
-                        def.name
-                    ))
-                }
-            };
-            if class == KernelClass::Str
-                && matches!(proj, Projection::Sum | Projection::Avg | Projection::Stddev)
-            {
-                return Err(format!(
-                    "`{}` over STRING column `{}` has no specialized kernel",
-                    agg.func.name, def.name
-                ));
-            }
-            let at = if class == KernelClass::Str {
-                0
-            } else {
-                codec
-                    .fixed_field_offset(col)
-                    .ok_or_else(|| format!("column `{}` has no fixed offset", def.name))?
-            };
-            // Aggregates over the same column share one kernel — the same
-            // grouping the interpreted cyclic binding performs (identical
-            // single-column argument lists land in one shared slot).
-            let k = match kernels.iter().position(|ks| ks.col == col) {
-                Some(k) => k,
-                None => {
-                    kernels.push(KernelSpec {
-                        col,
-                        class,
-                        at,
-                        null_byte: HEADER_SIZE + col / 8,
-                        null_mask: 1 << (col % 8),
-                        track_sums: false,
-                        track_minmax: false,
-                    });
-                    kernels.len() - 1
-                }
-            };
-            if let Some(ks) = kernels.get_mut(k) {
-                match proj {
-                    Projection::Min | Projection::Max => ks.track_minmax = true,
-                    Projection::Sum | Projection::Avg | Projection::Stddev => ks.track_sums = true,
-                    Projection::Count => {}
-                }
-            }
-            bindings.push((k, proj));
+        let mut c = WindowCompiler {
+            codec,
+            kernels: Vec::new(),
+            exprs: Vec::new(),
+            maps: Vec::new(),
+            topn: Vec::new(),
+            generic: Vec::new(),
+        };
+        let bindings: Vec<Binding> = aggs
+            .iter()
+            .enumerate()
+            .map(|(order, agg)| c.bind(agg, order))
+            .collect();
+        let mut generic_offsets = Vec::with_capacity(c.generic.len());
+        let mut generic_outputs = 0usize;
+        for unit in &c.generic {
+            unit.build().map_err(|e| e.to_string())?;
+            generic_offsets.push(generic_outputs);
+            generic_outputs += unit.aggs.len();
         }
+        let is_str = |f: &FieldRef| f.class == KernelClass::Str;
         Ok(WindowProgram {
-            needs_view: kernels.iter().any(|k| k.class == KernelClass::Str),
-            kernels,
+            id: NEXT_PROGRAM_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            needs_view: c.kernels.iter().any(|k| is_str(&k.field))
+                || c.maps.iter().any(is_str)
+                || !c.generic.is_empty(),
+            extended: !(c.exprs.is_empty() && c.maps.is_empty() && c.generic.is_empty()),
+            max_regs: c.exprs.iter().map(|k| k.ops.len()).max().unwrap_or(0),
+            kernels: c.kernels,
+            exprs: c.exprs,
+            maps: c.maps,
+            topn: c.topn,
+            generic: c.generic,
+            generic_offsets,
             bindings,
             min_row_len: codec.min_encoded_len(),
             schema_version: codec.schema_version(),
@@ -766,7 +1687,16 @@ impl WindowProgram {
     /// Fresh (pool-able) fold state sized for this program.
     pub fn new_state(&self) -> WindowState {
         WindowState {
+            owner: self.id,
             kernels: vec![KernelState::default(); self.kernels.len()],
+            exprs: vec![KernelState::default(); self.exprs.len()],
+            regs: vec![NULL_REG; self.max_regs],
+            maps: self.maps.iter().map(|_| CountMap::new()).collect(),
+            topn: self.topn.iter().map(|_| TopnState::default()).collect(),
+            // Every unit built once at compile time, so `ok()` drops
+            // nothing; `run` re-checks the count regardless.
+            generic: self.generic.iter().filter_map(|u| u.build().ok()).collect(),
+            generic_out: Vec::with_capacity(self.generic.iter().map(|u| u.aggs.len()).sum()),
         }
     }
 
@@ -807,42 +1737,24 @@ impl WindowProgram {
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<()> {
-        if state.kernels.len() != self.kernels.len() {
-            state
-                .kernels
-                .resize(self.kernels.len(), KernelState::default());
+        if state.owner != self.id {
+            // Cold: a default-constructed state, or one pooled for another
+            // program.
+            *state = self.new_state();
+        }
+        if state.generic.len() != self.generic.len() {
+            return Err(generic_state_mismatch());
         }
         state.reset();
-        let n = entries.len();
-        let take = n.saturating_sub(first);
-        let mut fed = 0u32;
-        match order {
-            EntryOrder::Ascending => {
-                for e in &entries[n - take..] {
-                    self.feed_row(state, e.bytes(arena), arena, codec)?;
-                    fed += 1;
-                    if fed & 63 == 0 {
-                        probe()?;
-                    }
-                }
-            }
-            EntryOrder::ReversedScan => {
-                for e in entries[..take].iter().rev() {
-                    self.feed_row(state, e.bytes(arena), arena, codec)?;
-                    fed += 1;
-                    if fed & 63 == 0 {
-                        probe()?;
-                    }
-                }
-            }
-        }
+        // Column-only windows run a loop with the other families compiled
+        // out.
+        let mut fed = if self.extended {
+            self.feed_entries(true, state, entries, first, order, arena, codec, probe)?
+        } else {
+            self.feed_entries(false, state, entries, first, order, arena, codec, probe)?
+        };
         if let Some(req) = request {
-            for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
-                let v = req.get(spec.col).ok_or_else(|| {
-                    Error::Eval(format!("request column {} out of bounds", spec.col))
-                })?;
-                st.feed_request(v, arena, spec)?;
-            }
+            self.feed_request(state, req, arena)?;
             // The request row counts toward the probe cadence so the typed
             // timeout fires at the same fed-row count as the interpreted
             // path (which probes per entry, request marker included).
@@ -851,15 +1763,59 @@ impl WindowProgram {
                 probe()?;
             }
         }
-        Ok(())
+        self.finish(state, arena, request)
+    }
+
+    /// Feed the in-frame stored rows in ascending `(ts, seq)` order; returns
+    /// how many were fed. `ext` is [`Self::extended`] passed as a literal at
+    /// both call sites, so inlining folds it and each copy of the loop keeps
+    /// only its own families.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn feed_entries(
+        &self,
+        ext: bool,
+        state: &mut WindowState,
+        entries: &[ScanEntry],
+        first: usize,
+        order: EntryOrder,
+        arena: &[u8],
+        codec: &CompactCodec,
+        probe: &mut dyn FnMut() -> Result<()>,
+    ) -> Result<u32> {
+        let n = entries.len();
+        let take = n.saturating_sub(first);
+        let mut fed = 0u32;
+        match order {
+            EntryOrder::Ascending => {
+                for e in &entries[n - take..] {
+                    self.feed_row(ext, state, e.bytes(arena), arena, codec)?;
+                    fed += 1;
+                    if fed & 63 == 0 {
+                        probe()?;
+                    }
+                }
+            }
+            EntryOrder::ReversedScan => {
+                for e in entries[..take].iter().rev() {
+                    self.feed_row(ext, state, e.bytes(arena), arena, codec)?;
+                    fed += 1;
+                    if fed & 63 == 0 {
+                        probe()?;
+                    }
+                }
+            }
+        }
+        Ok(fed)
     }
 
     // HOT: the compiled per-row dispatch loop — one NULL-bit probe plus one
     // fixed-offset little-endian read per kernel, no `Value` construction,
     // no parse beyond the 3-field header check for fixed-only programs.
-    #[inline]
+    #[inline(always)]
     fn feed_row(
         &self,
+        ext: bool,
         state: &mut WindowState,
         buf: &[u8],
         arena: &[u8],
@@ -879,37 +1835,18 @@ impl WindowProgram {
             return Err(version_mismatch(buf[1], self.schema_version));
         }
         for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
-            if buf
-                .get(spec.null_byte)
-                .is_none_or(|b| b & spec.null_mask != 0)
-            {
+            if spec.field.null_in(buf) {
                 continue;
             }
-            match spec.class {
-                KernelClass::Int => match read4(buf, spec.at) {
-                    Some(b) => st.feed_int(i32::from_le_bytes(b) as i64, spec),
-                    None => return Err(truncated_row(buf.len(), spec.at + 4)),
-                },
-                KernelClass::Bigint | KernelClass::Timestamp => match read8(buf, spec.at) {
-                    Some(b) => st.feed_int(i64::from_le_bytes(b), spec),
-                    None => return Err(truncated_row(buf.len(), spec.at + 8)),
-                },
-                KernelClass::Float => match read4(buf, spec.at) {
-                    Some(b) => st.feed_float(f32::from_le_bytes(b), spec),
-                    None => return Err(truncated_row(buf.len(), spec.at + 4)),
-                },
-                KernelClass::Double => match read8(buf, spec.at) {
-                    Some(b) => st.feed_double(f64::from_le_bytes(b), spec),
-                    None => return Err(truncated_row(buf.len(), spec.at + 8)),
-                },
-                // Unreachable: `needs_view` routed string programs away.
-                KernelClass::Str => return Err(str_without_view()),
-            }
+            spec.field.visit_fixed(buf, spec.feed(st))?;
+        }
+        if ext {
+            self.feed_extended(state, buf, None, arena)?;
         }
         Ok(())
     }
 
-    // HOT: per-row loop of string-bearing programs — fixed fields still read
+    // HOT: per-row loop of view-bearing programs — fixed fields still read
     // at baked offsets; only string kernels go through the validated view,
     // borrowing the arena (no copy until output).
     fn feed_row_view(
@@ -921,35 +1858,159 @@ impl WindowProgram {
     ) -> Result<()> {
         let view = codec.view(buf)?;
         for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
-            if buf
-                .get(spec.null_byte)
-                .is_none_or(|b| b & spec.null_mask != 0)
-            {
+            if spec.field.null_in(buf) {
                 continue;
             }
-            match spec.class {
-                KernelClass::Int => match read4(buf, spec.at) {
-                    Some(b) => st.feed_int(i32::from_le_bytes(b) as i64, spec),
-                    None => return Err(truncated_row(buf.len(), spec.at + 4)),
-                },
-                KernelClass::Bigint | KernelClass::Timestamp => match read8(buf, spec.at) {
-                    Some(b) => st.feed_int(i64::from_le_bytes(b), spec),
-                    None => return Err(truncated_row(buf.len(), spec.at + 8)),
-                },
-                KernelClass::Float => match read4(buf, spec.at) {
-                    Some(b) => st.feed_float(f32::from_le_bytes(b), spec),
-                    None => return Err(truncated_row(buf.len(), spec.at + 4)),
-                },
-                KernelClass::Double => match read8(buf, spec.at) {
-                    Some(b) => st.feed_double(f64::from_le_bytes(b), spec),
-                    None => return Err(truncated_row(buf.len(), spec.at + 8)),
-                },
-                KernelClass::Str => match view.get(spec.col)? {
-                    ValueRef::Str(s) => st.feed_str(s, arena, spec)?,
-                    ValueRef::Null => {}
-                    _ => return Err(str_class_mismatch()),
-                },
+            if spec.field.class != KernelClass::Str {
+                spec.field.visit_fixed(buf, spec.feed(st))?;
+                continue;
             }
+            if let Some(s) = str_field(&view, spec.field.col)? {
+                st.feed_str(s, arena, spec.track)?;
+            }
+        }
+        if self.extended {
+            self.feed_extended(state, buf, Some(&view), arena)?;
+        }
+        Ok(())
+    }
+
+    // HOT: the per-row fold of the expression, count-map and generic
+    // families, in that order. Only expression and generic kernels can fail
+    // on well-formed rows; `first_error` restores the interpreter's
+    // slot-order error precedence between them.
+    fn feed_extended(
+        &self,
+        state: &mut WindowState,
+        buf: &[u8],
+        view: Option<&RowView<'_>>,
+        arena: &[u8],
+    ) -> Result<()> {
+        let WindowState {
+            exprs,
+            regs,
+            maps,
+            generic,
+            ..
+        } = state;
+        for (spec, st) in self.exprs.iter().zip(exprs.iter_mut()) {
+            match eval_ops(&spec.ops, regs, |f| f.stored(buf)) {
+                Ok(r) => spec.feed(st, r),
+                Err(e) => return Err(self.first_error(e, spec.order, generic, view, None)),
+            }
+        }
+        for (field, map) in self.maps.iter().zip(maps.iter_mut()) {
+            if field.class != KernelClass::Str {
+                if let Some(v) = field.stored(buf)? {
+                    map.bump_fixed(v);
+                }
+                continue;
+            }
+            if let Some(s) = str_field(view.ok_or_else(str_without_view)?, field.col)? {
+                map.bump_str(s.as_bytes(), arena)?;
+            }
+        }
+        feed_generic(generic, view)
+    }
+
+    /// Feed the request row (always last) to every family.
+    fn feed_request(&self, state: &mut WindowState, req: &[Value], arena: &[u8]) -> Result<()> {
+        let WindowState {
+            kernels,
+            exprs,
+            regs,
+            maps,
+            generic,
+            ..
+        } = state;
+        for (spec, st) in self.kernels.iter().zip(kernels.iter_mut()) {
+            let v = req
+                .get(spec.field.col)
+                .ok_or_else(|| request_out_of_bounds(spec.field.col))?;
+            st.feed_request(v, arena, spec)?;
+        }
+        for (spec, st) in self.exprs.iter().zip(exprs.iter_mut()) {
+            match eval_ops(&spec.ops, regs, |f| f.requested(req)) {
+                Ok(r) => spec.feed(st, r),
+                Err(e) => return Err(self.first_error(e, spec.order, generic, None, Some(req))),
+            }
+        }
+        for (field, map) in self.maps.iter().zip(maps.iter_mut()) {
+            if field.class != KernelClass::Str {
+                if let Some(v) = field.requested(req)? {
+                    map.bump_fixed(v);
+                }
+                continue;
+            }
+            match req.get(field.col) {
+                Some(Value::Null) => {}
+                Some(v) => map.bump_bytes(v.as_str()?.as_bytes(), arena, REQUEST_KEY),
+                None => return Err(binding_out_of_bounds()),
+            }
+        }
+        for set in generic.iter_mut() {
+            set.update(req)?;
+        }
+        Ok(())
+    }
+
+    /// An expression kernel failed on this row (a stored row's `view`, or
+    /// the request row). The interpreter walks slots in aggregate order, so a
+    /// generic unit bound *earlier* that also fails on this row owns the
+    /// error; expression kernels run first here, so replay those units now
+    /// (the fold is being abandoned either way).
+    // analysis:allow(panic-freedom): cold error path into the
+    // `WindowAggSet` feeds, whose panic sites are tracked under their own
+    // `// HOT:` root.
+    #[cold]
+    fn first_error(
+        &self,
+        err: Error,
+        order: usize,
+        generic: &mut [WindowAggSet],
+        view: Option<&RowView<'_>>,
+        request: Option<&[Value]>,
+    ) -> Error {
+        for (unit, set) in self.generic.iter().zip(generic.iter_mut()) {
+            if unit.order >= order {
+                continue;
+            }
+            let fed = match (view, request) {
+                (Some(v), _) => set.update_view(v),
+                (None, Some(r)) => set.update(r),
+                (None, None) => Ok(()),
+            };
+            if let Err(e) = fed {
+                return e;
+            }
+        }
+        err
+    }
+
+    /// Stage what the projections need once the last row is fed: each
+    /// `topn_frequency` selection rendered into its pooled buffer, and the
+    /// generic units' outputs.
+    fn finish(
+        &self,
+        state: &mut WindowState,
+        arena: &[u8],
+        request: Option<&[Value]>,
+    ) -> Result<()> {
+        let WindowState {
+            maps,
+            topn,
+            generic,
+            generic_out,
+            ..
+        } = state;
+        for (spec, out) in self.topn.iter().zip(topn.iter_mut()) {
+            match (self.maps.get(spec.map), maps.get(spec.map)) {
+                (Some(field), Some(map)) => out.render(field, map, spec.n, arena, request)?,
+                _ => return Err(binding_out_of_bounds()),
+            }
+        }
+        for set in generic.iter() {
+            set.outputs_into(generic_out);
         }
         Ok(())
     }
@@ -964,88 +2025,144 @@ impl WindowProgram {
         request: Option<&[Value]>,
         out: &mut Vec<Value>,
     ) -> Result<()> {
-        for &(k, proj) in &self.bindings {
-            let (spec, st) = match (self.kernels.get(k), state.kernels.get(k)) {
-                (Some(spec), Some(st)) => (spec, st),
-                _ => return Err(Error::Eval("kernel binding out of bounds".into())),
-            };
-            let v = match proj {
-                Projection::Count => Value::Bigint(st.count as i64),
-                Projection::Sum => {
-                    if st.count == 0 {
-                        Value::Null
-                    } else {
-                        match spec.class {
-                            // Integral columns keep the interpreter's
-                            // `all_int` wrapping i64 sum.
-                            KernelClass::Int | KernelClass::Bigint | KernelClass::Timestamp => {
-                                Value::Bigint(st.sum_i)
-                            }
-                            _ => Value::Double(st.sum_f),
-                        }
+        // Every arm pushes its own value: routing them through one merged
+        // `Value` temporary makes the code generator shuffle the enum's
+        // padding bytes through overlapping stack slots (store-forwarding
+        // stalls on every output).
+        for b in &self.bindings {
+            match *b {
+                Binding::Column { k, proj } => match (self.kernels.get(k), state.kernels.get(k)) {
+                    (Some(spec), Some(st)) => project(
+                        spec.field.class,
+                        spec.field.col,
+                        st,
+                        proj,
+                        arena,
+                        request,
+                        out,
+                    )?,
+                    _ => return Err(binding_out_of_bounds()),
+                },
+                Binding::Expr { k, proj } => match (self.exprs.get(k), state.exprs.get(k)) {
+                    (Some(spec), Some(st)) => {
+                        project(spec.class(), usize::MAX, st, proj, arena, request, out)?
+                    }
+                    _ => return Err(binding_out_of_bounds()),
+                },
+                Binding::Distinct { map } => match state.maps.get(map) {
+                    Some(m) => out.push(Value::Bigint(m.entries.len() as i64)),
+                    None => return Err(binding_out_of_bounds()),
+                },
+                Binding::TopN { t } => match state.topn.get(t) {
+                    Some(t) => out.push(Value::string(t.rendered.as_str())),
+                    None => return Err(binding_out_of_bounds()),
+                },
+                Binding::Generic { unit, pos } => {
+                    let staged = self
+                        .generic_offsets
+                        .get(unit)
+                        .and_then(|at| state.generic_out.get(at + pos));
+                    match staged {
+                        Some(v) => out.push(v.clone()),
+                        None => return Err(binding_out_of_bounds()),
                     }
                 }
-                Projection::Avg => {
-                    if st.count == 0 {
-                        Value::Null
-                    } else {
-                        Value::Double(st.sum_f / st.count as f64)
-                    }
-                }
-                Projection::Stddev => {
-                    if st.count < 2 {
-                        Value::Null
-                    } else {
-                        let n = st.count as f64;
-                        let var = ((st.sum_sq - st.sum_f * st.sum_f / n) / (n - 1.0)).max(0.0);
-                        Value::Double(var.sqrt())
-                    }
-                }
-                Projection::Min => self.extremum(spec, st, true, arena, request)?,
-                Projection::Max => self.extremum(spec, st, false, arena, request)?,
-            };
-            out.push(v);
+            }
         }
         Ok(())
     }
+}
 
-    fn extremum(
-        &self,
-        spec: &KernelSpec,
-        st: &KernelState,
-        min: bool,
-        arena: &[u8],
-        request: Option<&[Value]>,
-    ) -> Result<Value> {
-        if st.count == 0 {
-            return Ok(Value::Null);
+/// Push one projection of a column or expression kernel's running state
+/// (`SharedNumeric::project`, monomorphized by class).
+#[inline(always)]
+fn project(
+    class: KernelClass,
+    col: usize,
+    st: &KernelState,
+    proj: Projection,
+    arena: &[u8],
+    request: Option<&[Value]>,
+    out: &mut Vec<Value>,
+) -> Result<()> {
+    match proj {
+        Projection::Count => out.push(Value::Bigint(st.count as i64)),
+        Projection::Sum => {
+            if st.count == 0 {
+                out.push(Value::Null)
+            } else if class.is_int() {
+                // Integral inputs keep the interpreter's `all_int` wrapping
+                // i64 sum.
+                out.push(Value::Bigint(st.sum_i))
+            } else {
+                out.push(Value::Double(st.sum_f))
+            }
         }
-        Ok(match spec.class {
-            KernelClass::Int => Value::Int((if min { st.min_i } else { st.max_i }) as i32),
-            KernelClass::Bigint => Value::Bigint(if min { st.min_i } else { st.max_i }),
-            KernelClass::Timestamp => Value::Timestamp(if min { st.min_i } else { st.max_i }),
-            KernelClass::Float => Value::Float(if min { st.min_f32 } else { st.max_f32 }),
-            KernelClass::Double => Value::Double(if min { st.min_f } else { st.max_f }),
-            KernelClass::Str => match if min { st.min_str } else { st.max_str } {
-                StrSlot::None => Value::Null,
-                StrSlot::Arena { start, len } => {
-                    let bytes = arena.get(start..start + len).ok_or_else(|| {
-                        Error::Eval("string extremum range outside the scan arena".into())
-                    })?;
-                    let s = std::str::from_utf8(bytes)
-                        .map_err(|e| Error::Eval(format!("non-UTF-8 string extremum: {e}")))?;
-                    Value::string(s)
-                }
-                StrSlot::Request => {
-                    request
-                        .and_then(|r| r.get(spec.col))
-                        .cloned()
-                        .ok_or_else(|| {
-                            Error::Eval("request-row string extremum without request row".into())
-                        })?
-                }
-            },
-        })
+        Projection::Avg => {
+            if st.count == 0 {
+                out.push(Value::Null)
+            } else {
+                out.push(Value::Double(st.sum_f / st.count as f64))
+            }
+        }
+        Projection::Stddev => {
+            if st.count < 2 {
+                out.push(Value::Null)
+            } else {
+                let n = st.count as f64;
+                let var = ((st.sum_sq - st.sum_f * st.sum_f / n) / (n - 1.0)).max(0.0);
+                out.push(Value::Double(var.sqrt()))
+            }
+        }
+        Projection::Min => out.push(extremum(class, col, st, true, arena, request)?),
+        Projection::Max => out.push(extremum(class, col, st, false, arena, request)?),
+    }
+    Ok(())
+}
+
+fn extremum(
+    class: KernelClass,
+    col: usize,
+    st: &KernelState,
+    min: bool,
+    arena: &[u8],
+    request: Option<&[Value]>,
+) -> Result<Value> {
+    if st.count == 0 {
+        return Ok(Value::Null);
+    }
+    Ok(match class {
+        KernelClass::Int => Value::Int((if min { st.min_i } else { st.max_i }) as i32),
+        KernelClass::Bigint => Value::Bigint(if min { st.min_i } else { st.max_i }),
+        KernelClass::Timestamp => Value::Timestamp(if min { st.min_i } else { st.max_i }),
+        KernelClass::Float => Value::Float(if min { st.min_f32 } else { st.max_f32 }),
+        KernelClass::Double => Value::Double(if min { st.min_f } else { st.max_f }),
+        KernelClass::Str => match if min { st.min_str } else { st.max_str } {
+            StrSlot::None => Value::Null,
+            StrSlot::Arena { start, len } => {
+                let bytes = arena.get(start..start + len).ok_or_else(|| {
+                    Error::Eval("string extremum range outside the scan arena".into())
+                })?;
+                let s = std::str::from_utf8(bytes)
+                    .map_err(|e| Error::Eval(format!("non-UTF-8 string extremum: {e}")))?;
+                Value::string(s)
+            }
+            StrSlot::Request => request.and_then(|r| r.get(col)).cloned().ok_or_else(|| {
+                Error::Eval("request-row string extremum without request row".into())
+            })?,
+        },
+    })
+}
+
+/// The STRING field `col` of a validated row (`None` for NULL).
+// analysis:allow(panic-freedom): `RowView::get` is itself a `// HOT:` root;
+// its view-validated index sites are tracked once, under that root.
+#[inline(always)]
+fn str_field<'a>(view: &RowView<'a>, col: usize) -> Result<Option<&'a str>> {
+    match view.get(col)? {
+        ValueRef::Str(s) => Ok(Some(s)),
+        ValueRef::Null => Ok(None),
+        _ => Err(str_class_mismatch()),
     }
 }
 
@@ -1086,12 +2203,33 @@ fn version_mismatch(got: u8, want: u8) -> Error {
 
 #[cold]
 fn str_without_view() -> Error {
-    Error::Eval("string kernel dispatched without a row view".into())
+    Error::Eval("view-backed kernel dispatched without a row view".into())
 }
 
 #[cold]
 fn str_class_mismatch() -> Error {
     Error::Eval("string kernel read a non-string field".into())
+}
+
+/// The interpreter's overflow error ([`binary`]), verbatim.
+#[cold]
+fn integer_overflow(op: BinaryOp) -> Error {
+    Error::Eval(format!("integer overflow in {}", op.symbol()))
+}
+
+#[cold]
+fn request_out_of_bounds(col: usize) -> Error {
+    Error::Eval(format!("request column {col} out of bounds"))
+}
+
+#[cold]
+fn binding_out_of_bounds() -> Error {
+    Error::Eval("kernel binding out of bounds".into())
+}
+
+#[cold]
+fn generic_state_mismatch() -> Error {
+    Error::Eval("window state does not match its program's generic units".into())
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,17 +2239,20 @@ fn str_class_mismatch() -> Error {
 /// Per-window compilation outcome.
 #[derive(Debug)]
 enum WindowUnit {
-    Compiled(WindowProgram),
-    /// The window stays on the interpreted path; the reason is surfaced per
-    /// deployment (fallback attribution).
+    Compiled(Box<WindowProgram>),
+    /// The window stays on the interpreted path — the program is the
+    /// [`Program::interpreted_only`] oracle pin, or the plan holds an
+    /// aggregate `WindowAggSet::new` rejects (so the interpreted path reports
+    /// that error at request time). The reason is surfaced per deployment.
     Fallback(String),
     /// No aggregates bound to this window — nothing to run either way.
     NoAggs,
 }
 
 /// A deployed plan lowered to bytecode: per-window kernels plus flattened
-/// select/WHERE expression programs. Windows (and the select/WHERE programs)
-/// that use unsupported constructs fall back to interpretation individually.
+/// select/WHERE expression programs. Every window of a plan the interpreter
+/// accepts compiles; the select/WHERE programs fall back to interpretation
+/// individually.
 #[derive(Debug)]
 pub struct Program {
     windows: Vec<WindowUnit>,
@@ -1122,8 +2263,8 @@ pub struct Program {
 }
 
 impl Program {
-    /// Lower `query`. Infallible: anything that cannot be specialized is
-    /// recorded as a fallback, never an error.
+    /// Lower `query`. Infallible: a window the interpreter itself would
+    /// reject is recorded as a fallback, never an error.
     pub fn compile(query: &CompiledQuery) -> Program {
         let codec = CompactCodec::new(query.base_schema.clone());
         let by_window = query.aggregates_by_window();
@@ -1140,7 +2281,7 @@ impl Program {
                     return WindowUnit::NoAggs;
                 }
                 match WindowProgram::compile(w, &aggs, &codec) {
-                    Ok(wp) => WindowUnit::Compiled(wp),
+                    Ok(wp) => WindowUnit::Compiled(Box::new(wp)),
                     Err(reason) => WindowUnit::Fallback(reason),
                 }
             })
@@ -1314,34 +2455,42 @@ mod tests {
         ])
     }
 
-    fn fold_both(
+    /// Fold `rows` (+ `request`) through the interpreted oracle and through
+    /// the compiled program; either side may fail (typed errors must agree).
+    fn try_fold_both(
         aggs: &[BoundAggregate],
         rows: &[Row],
         request: Option<&Row>,
-    ) -> (Vec<Value>, Vec<Value>) {
+    ) -> (Result<Vec<Value>>, Result<Vec<Value>>) {
         let schema = schema();
         let codec = CompactCodec::new(schema.clone());
         let w = window();
         let refs: Vec<&BoundAggregate> = aggs.iter().collect();
         let wp = WindowProgram::compile(&w, &refs, &codec).expect("compiles");
 
-        // Interpreted oracle.
-        let mut set = WindowAggSet::new(&refs).expect("agg set");
-        for r in rows {
-            set.update(r.values()).expect("update");
-        }
-        if let Some(r) = request {
-            set.update(r.values()).expect("request update");
-        }
-        let expected = set.outputs();
+        // Interpreted oracle, fed the way the engine feeds it: stored rows
+        // through borrowed views, the request row decoded.
+        let encoded: Vec<Vec<u8>> = rows
+            .iter()
+            .map(|r| codec.encode(r).expect("encode"))
+            .collect();
+        let expected = (|| {
+            let mut set = WindowAggSet::new(&refs)?;
+            for bytes in &encoded {
+                set.update_view(&codec.view(bytes)?)?;
+            }
+            if let Some(r) = request {
+                set.update(r.values())?;
+            }
+            Ok(set.outputs())
+        })();
 
-        // Compiled: encode rows into an arena, feed through the kernels.
+        // Compiled: rows in an arena, fed through the kernels.
         let mut arena = Vec::new();
         let mut entries = Vec::new();
-        for (i, r) in rows.iter().enumerate() {
-            let bytes = codec.encode(r).expect("encode");
+        for (i, (r, bytes)) in rows.iter().zip(&encoded).enumerate() {
             let start = arena.len();
-            arena.extend_from_slice(&bytes);
+            arena.extend_from_slice(bytes);
             entries.push(ScanEntry {
                 ts: r.values()[1].as_i64().expect("ts"),
                 seq: i,
@@ -1352,33 +2501,102 @@ mod tests {
         let mut state = wp.new_state();
         let req_values = request.map(|r| r.values());
         let mut probe = || Ok(());
-        wp.run(
-            &mut state,
-            &entries,
-            0,
-            EntryOrder::Ascending,
-            &arena,
-            req_values,
-            &codec,
-            &mut probe,
-        )
-        .expect("run");
-        let mut got = Vec::new();
-        wp.outputs_into(&state, &arena, req_values, &mut got)
-            .expect("outputs");
+        let got = wp
+            .run(
+                &mut state,
+                &entries,
+                0,
+                EntryOrder::Ascending,
+                &arena,
+                req_values,
+                &codec,
+                &mut probe,
+            )
+            .and_then(|()| {
+                let mut got = Vec::new();
+                wp.outputs_into(&state, &arena, req_values, &mut got)?;
+                Ok(got)
+            });
         (expected, got)
+    }
+
+    fn fold_both(
+        aggs: &[BoundAggregate],
+        rows: &[Row],
+        request: Option<&Row>,
+    ) -> (Vec<Value>, Vec<Value>) {
+        let (expected, got) = try_fold_both(aggs, rows, request);
+        (
+            expected.expect("interpreted fold"),
+            got.expect("compiled fold"),
+        )
     }
 
     fn assert_bit_identical(expected: &[Value], got: &[Value]) {
         assert_eq!(expected.len(), got.len());
         for (e, g) in expected.iter().zip(got) {
-            // `Value: PartialEq` promotes numerics; compare the rendered
-            // forms too so Int(3) vs Bigint(3) or -0.0 vs 0.0 cannot slip
-            // through.
-            assert_eq!(e, g, "value mismatch: {e:?} vs {g:?}");
+            // `Value: PartialEq` promotes numerics and rejects NaN == NaN;
+            // the rendered form tells Int(3) from Bigint(3), -0.0 from 0.0,
+            // and accepts NaN.
             assert_eq!(e.data_type(), g.data_type(), "{e:?} vs {g:?}");
             assert_eq!(format!("{e:?}"), format!("{g:?}"));
         }
+    }
+
+    fn agg_of(name: &str, args: Vec<PhysExpr>) -> BoundAggregate {
+        BoundAggregate {
+            window_id: 0,
+            func: lookup(name).expect("builtin"),
+            args,
+            output_type: DataType::Double,
+        }
+    }
+
+    fn col(i: usize) -> PhysExpr {
+        PhysExpr::Column(i)
+    }
+
+    fn lit(v: Value) -> PhysExpr {
+        PhysExpr::Literal(v)
+    }
+
+    fn bin(op: BinaryOp, l: PhysExpr, r: PhysExpr) -> PhysExpr {
+        PhysExpr::Binary {
+            op,
+            left: Box::new(l),
+            right: Box::new(r),
+        }
+    }
+
+    /// Rows with the float edge cases: -0.0, NaN, infinities, a zero
+    /// divisor in every numeric column, NULLs.
+    fn edge_rows() -> Vec<Row> {
+        let doubles = [-0.0, 0.0, f64::NAN, f64::INFINITY, -1.5, 2.25, -0.0, 1e300];
+        (0..8i64)
+            .map(|i| {
+                Row::new(vec![
+                    Value::string("k1"),
+                    Value::Timestamp(1_000 + i),
+                    if i == 3 {
+                        Value::Null
+                    } else {
+                        Value::Int((i - 2) as i32)
+                    },
+                    Value::Bigint((i - 4) * 1_000_000_007),
+                    Value::Float(if i == 5 {
+                        f32::NAN
+                    } else {
+                        i as f32 * 0.5 - 1.0
+                    }),
+                    if i == 6 {
+                        Value::Null
+                    } else {
+                        Value::Double(doubles[i as usize])
+                    },
+                    Value::string(["b", "a", "b", "", "c", "a", "b", "d"][i as usize]),
+                ])
+            })
+            .collect()
     }
 
     #[test]
@@ -1525,35 +2743,269 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_constructs_fall_back_with_reasons() {
+    fn expression_kernels_replicate_binary_arithmetic() {
+        use BinaryOp::*;
+        let aggs = vec![
+            // Integer-preserving: Bigint results, wrapping sum, i64 extrema.
+            agg_of("sum", vec![bin(Add, col(2), col(3))]),
+            agg_of("min", vec![bin(Add, col(2), col(3))]),
+            agg_of("max", vec![bin(Sub, col(3), lit(Value::Bigint(7)))]),
+            // `% 0` and `/ 0` are NULL, not errors; division is always f64.
+            agg_of("count", vec![bin(Mod, col(3), col(2))]),
+            agg_of("sum", vec![bin(Mod, col(3), col(2))]),
+            agg_of("count", vec![bin(Div, col(3), col(2))]),
+            agg_of("avg", vec![bin(Div, col(3), col(2))]),
+            agg_of("count", vec![bin(Div, col(2), col(5))]),
+            agg_of("min", vec![bin(Div, col(2), col(5))]),
+            // Mixed int/float promotes through `as_f64`; FLOAT widens.
+            agg_of(
+                "avg",
+                vec![bin(
+                    Add,
+                    bin(Mul, col(5), lit(Value::Double(2.0))),
+                    lit(Value::Double(1.0)),
+                )],
+            ),
+            agg_of("stddev", vec![bin(Mul, col(4), col(4))]),
+            agg_of("max", vec![bin(Sub, col(2), col(4))]),
+            agg_of("min", vec![bin(Mod, col(5), lit(Value::Double(0.0)))]),
+            agg_of("sum", vec![bin(Mul, col(1), lit(Value::Bigint(2)))]),
+            // Sharing: same expression, different projection.
+            agg_of("count", vec![bin(Add, col(2), col(3))]),
+        ];
+        let mut rows = edge_rows();
+        rows.extend((8..40).map(row));
+        let request = row(41);
+        let (expected, got) = fold_both(&aggs, &rows, Some(&request));
+        assert_bit_identical(&expected, &got);
+
+        // The whole window is one expression family: three column reads
+        // shared across kernels, no generic unit.
+        let codec = CompactCodec::new(schema());
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
+        assert!(wp.generic.is_empty() && wp.kernels.is_empty() && wp.maps.is_empty());
+        assert_eq!(wp.exprs.len(), 10, "identical arguments share a kernel");
+        assert!(!wp.needs_view);
+    }
+
+    #[test]
+    fn expression_overflow_is_the_interpreters_typed_error() {
+        use BinaryOp::*;
+        let big = |b: i64| {
+            Row::new(vec![
+                Value::string("k1"),
+                Value::Timestamp(1_000),
+                Value::Int(2),
+                Value::Bigint(b),
+                Value::Float(0.0),
+                Value::Double(0.0),
+                Value::Null,
+            ])
+        };
+        for (op, rhs) in [
+            (Add, col(3)),
+            (Mul, col(2)),
+            (Sub, lit(Value::Bigint(i64::MIN))),
+        ] {
+            let aggs = vec![agg("sum", 3, 0), agg_of("sum", vec![bin(op, col(3), rhs)])];
+            // In a stored row, and in the request row.
+            for (rows, request) in [
+                (vec![row(1), big(i64::MAX), row(2)], None),
+                (vec![row(1)], Some(big(i64::MAX))),
+            ] {
+                let (expected, got) = try_fold_both(&aggs, &rows, request.as_ref());
+                let (e, g) = (
+                    expected.expect_err("overflows"),
+                    got.expect_err("overflows"),
+                );
+                assert_eq!(e, g);
+                assert!(e.to_string().contains("integer overflow in"), "{e}");
+            }
+        }
+        // i64::MIN % -1 overflows too; a zero divisor stays NULL.
+        let aggs = vec![agg_of(
+            "count",
+            vec![bin(Mod, col(3), lit(Value::Bigint(-1)))],
+        )];
+        let (expected, got) = try_fold_both(&aggs, &[big(i64::MIN)], None);
+        assert_eq!(
+            expected.expect_err("overflows"),
+            got.expect_err("overflows")
+        );
+    }
+
+    #[test]
+    fn count_map_kernels_match_interpreted_projection_order() {
+        let topn = |c: usize, n: i64| agg_of("topn_frequency", vec![col(c), lit(Value::Bigint(n))]);
+        let aggs = vec![
+            agg_of("distinct_count", vec![col(2)]),
+            agg_of("distinct_count", vec![col(3)]),
+            agg_of("distinct_count", vec![col(4)]),
+            agg_of("distinct_count", vec![col(5)]),
+            agg_of("distinct_count", vec![col(6)]),
+            agg_of("distinct_count", vec![col(1)]),
+            topn(6, 2),
+            topn(6, 100),
+            topn(6, 0),
+            topn(6, -3),
+            topn(2, 3),
+            topn(4, 2),
+            topn(5, 4),
+            topn(1, 1),
+        ];
+        let mut rows = edge_rows();
+        rows.extend((8..60).map(row));
+        // Request strings: one already in the arena, one only in the request.
+        for s in ["apple", "only-in-request"] {
+            let mut request = row(61).values().to_vec();
+            request[6] = Value::string(s);
+            let request = Row::new(request);
+            let (expected, got) = fold_both(&aggs, &rows, Some(&request));
+            assert_bit_identical(&expected, &got);
+        }
+        // Request row alone; empty window.
+        let (expected, got) = fold_both(&aggs, &[], Some(&row(4)));
+        assert_bit_identical(&expected, &got);
+        let (expected, got) = fold_both(&aggs, &[], None);
+        assert_bit_identical(&expected, &got);
+
+        // One map per column, shared by every projection of it.
+        let codec = CompactCodec::new(schema());
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
+        assert_eq!(wp.maps.len(), 6);
+        assert!(wp.generic.is_empty());
+    }
+
+    #[test]
+    fn generic_kernels_run_everything_else_inside_the_program() {
+        use BinaryOp::*;
+        let positive = bin(Gt, col(2), lit(Value::Bigint(0)));
+        let aggs = vec![
+            agg_of("count_where", vec![col(5), positive.clone()]),
+            agg_of("avg_cate_where", vec![col(5), positive.clone(), col(6)]),
+            agg_of("median", vec![col(5)]),
+            agg_of("top", vec![col(3), lit(Value::Bigint(3))]),
+            agg_of("drawdown", vec![col(5)]),
+            agg_of("ew_avg", vec![col(5), lit(Value::Double(0.5))]),
+            // Projection functions over non-lowerable arguments keep the
+            // interpreter's SharedNumeric semantics (and share one unit).
+            agg_of(
+                "sum",
+                vec![PhysExpr::ScalarCall {
+                    func: lookup("abs").expect("builtin"),
+                    args: vec![col(2)],
+                }],
+            ),
+            agg_of(
+                "max",
+                vec![PhysExpr::ScalarCall {
+                    func: lookup("abs").expect("builtin"),
+                    args: vec![col(2)],
+                }],
+            ),
+            agg_of("count", vec![lit(Value::Bigint(1))]),
+            agg_of(
+                "distinct_count",
+                vec![bin(Mul, col(2), lit(Value::Bigint(2)))],
+            ),
+            // Mixed in: one kernel of each other family.
+            agg("sum", 3, 0),
+            agg_of("avg", vec![bin(Mul, col(5), lit(Value::Double(2.0)))]),
+            agg_of("distinct_count", vec![col(6)]),
+        ];
+        let rows: Vec<Row> = (0..50).map(row).collect();
+        let (expected, got) = fold_both(&aggs, &rows, Some(&row(51)));
+        assert_bit_identical(&expected, &got);
+
+        let codec = CompactCodec::new(schema());
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
+        assert_eq!(wp.generic.len(), 9, "sum/max(abs(i)) share a unit");
+        assert_eq!((wp.kernels.len(), wp.exprs.len(), wp.maps.len()), (1, 1, 1));
+        assert!(wp.needs_view && wp.extended);
+    }
+
+    #[test]
+    fn first_failing_slot_owns_the_error_across_families() {
+        use BinaryOp::*;
+        // Both fail on the same row: `sum_where` trips on a STRING condition,
+        // the expression kernel overflows. The interpreter reports whichever
+        // aggregate is bound first.
+        let type_error = agg_of("sum_where", vec![col(3), col(6)]);
+        let overflow = agg_of("sum", vec![bin(Mul, col(3), col(3))]);
+        let rows = vec![Row::new(vec![
+            Value::string("k1"),
+            Value::Timestamp(1_000),
+            Value::Int(1),
+            Value::Bigint(i64::MAX),
+            Value::Float(0.0),
+            Value::Double(0.0),
+            Value::string("not-a-bool"),
+        ])];
+        for aggs in [
+            vec![type_error.clone(), overflow.clone()],
+            vec![overflow.clone(), type_error.clone()],
+        ] {
+            for (rows, request) in [(rows.clone(), None), (vec![], Some(rows[0].clone()))] {
+                let (expected, got) = try_fold_both(&aggs, &rows, request.as_ref());
+                assert_eq!(expected.expect_err("fails"), got.expect_err("fails"));
+            }
+        }
+    }
+
+    #[test]
+    fn only_plans_the_interpreter_rejects_fail_to_compile() {
         let codec = CompactCodec::new(schema());
         let w = window();
-        // Non-projection function.
-        let a = BoundAggregate {
-            window_id: 0,
-            func: lookup("distinct_count").expect("builtin"),
-            args: vec![PhysExpr::Column(2)],
-            output_type: DataType::Bigint,
-        };
-        let err = WindowProgram::compile(&w, &[&a], &codec).expect_err("fallback");
-        assert!(err.contains("no specialized kernel"), "{err}");
-        // Non-bare-column argument.
-        let a = BoundAggregate {
-            window_id: 0,
-            func: lookup("sum").expect("builtin"),
-            args: vec![PhysExpr::Binary {
-                op: BinaryOp::Add,
-                left: Box::new(PhysExpr::Column(2)),
-                right: Box::new(PhysExpr::Literal(Value::Bigint(1))),
-            }],
-            output_type: DataType::Bigint,
-        };
-        let err = WindowProgram::compile(&w, &[&a], &codec).expect_err("fallback");
-        assert!(err.contains("not a bare column"), "{err}");
-        // String sums.
+        // `topn_frequency`'s N must be a literal: `WindowAggSet::new` rejects
+        // it, so the window is left to the interpreted path to report.
+        let a = agg_of("topn_frequency", vec![col(6), col(2)]);
+        let err = WindowProgram::compile(&w, &[&a], &codec).expect_err("rejected");
+        assert!(err.contains("constant literal"), "{err}");
+        let refs = [&a];
+        assert!(WindowAggSet::new(&refs).is_err());
+        // String sums compile (generic family) and fail at run time with
+        // the interpreter's own type error.
         let a = agg("sum", 6, 0);
-        let err = WindowProgram::compile(&w, &[&a], &codec).expect_err("fallback");
-        assert!(err.contains("STRING"), "{err}");
+        let (expected, got) = try_fold_both(&[a], &[row(1)], None);
+        assert_eq!(
+            expected.expect_err("type error"),
+            got.expect_err("type error")
+        );
+    }
+
+    #[test]
+    fn pooled_state_is_rebuilt_for_a_different_program() {
+        let codec = CompactCodec::new(schema());
+        let w = window();
+        let a = [agg_of("median", vec![col(5)]), agg("sum", 3, 0)];
+        let b = [agg_of("top", vec![col(3), lit(Value::Bigint(2))])];
+        let wa = WindowProgram::compile(&w, &a.iter().collect::<Vec<_>>(), &codec).expect("a");
+        let wb = WindowProgram::compile(&w, &b.iter().collect::<Vec<_>>(), &codec).expect("b");
+        let request = row(3);
+        let mut probe = || Ok(());
+        // A state pooled for program A (same generic-unit count as B), and a
+        // default-constructed one, both serve B correctly.
+        for mut state in [wa.new_state(), WindowState::default()] {
+            wb.run(
+                &mut state,
+                &[],
+                0,
+                EntryOrder::Ascending,
+                &[],
+                Some(request.values()),
+                &codec,
+                &mut probe,
+            )
+            .expect("run");
+            let mut got = Vec::new();
+            wb.outputs_into(&state, &[], Some(request.values()), &mut got)
+                .expect("outputs");
+            let (expected, _) = fold_both(&b, &[], Some(&request));
+            assert_bit_identical(&expected, &got);
+        }
     }
 
     // -- expression programs ------------------------------------------------
@@ -1731,7 +3183,7 @@ mod tests {
     }
 
     #[test]
-    fn specialize_records_window_fallbacks() {
+    fn every_window_of_an_accepted_plan_compiles() {
         use openmldb_sql::{compile_select, parse_select, Catalog};
         struct Cat(Schema);
         impl Catalog for Cat {
@@ -1741,7 +3193,8 @@ mod tests {
         }
         let cat = Cat(schema());
         let stmt = parse_select(
-            "SELECT distinct_count(i) OVER w AS dc, sum(b) OVER w2 AS sb FROM t \
+            "SELECT distinct_count(i) OVER w AS dc, avg(d * 2.0 + 1.0) OVER w AS ae, \
+             avg_cate_where(d, i > 1, s) OVER w AS ac, sum(b) OVER w2 AS sb FROM t \
              WINDOW w AS (PARTITION BY k ORDER BY ts \
              ROWS BETWEEN 5 PRECEDING AND CURRENT ROW), \
              w2 AS (PARTITION BY k ORDER BY ts \
@@ -1750,15 +3203,17 @@ mod tests {
         .expect("parses");
         let q = compile_select(&stmt, &cat).expect("compiles");
         let p = Program::compile(&q);
-        // distinct_count falls back; the sibling window stays compiled.
-        assert_eq!(p.compiled_windows(), 1);
-        assert_eq!(p.fallback_windows(), 1);
-        let wid_fallback = (0..q.windows.len())
-            .find(|&w| p.fallback_reason(w).is_some())
-            .expect("one fallback");
-        assert!(p
-            .fallback_reason(wid_fallback)
-            .is_some_and(|r| r.contains("no specialized kernel")));
+        // Aggregate-granular: no construct sends its window back to the
+        // interpreter.
+        assert_eq!(p.compiled_windows(), 2);
+        assert_eq!(p.fallback_windows(), 0);
+        assert!((0..q.windows.len()).all(|w| p.fallback_reason(w).is_none()));
+
+        // The oracle pin is the one remaining source of fallbacks.
+        let pinned = Program::interpreted_only(q.windows.len());
+        assert_eq!(pinned.compiled_windows(), 0);
+        assert_eq!(pinned.fallback_windows(), 2);
+        assert_eq!(pinned.fallback_reason(0), Some("specialization disabled"));
     }
 
     #[test]

@@ -93,10 +93,9 @@ pub struct Deployment {
     /// deduped — the sentinel hashes these tables' replication offsets into
     /// a version signature to detect writes racing an audit replay.
     read_tables: Vec<String>,
-    /// The deploy-time specialized bytecode program — monomorphized window
+    /// The deploy-time specialized bytecode program — per-window aggregate
     /// kernels plus flattened select/WHERE expressions. Shared across
-    /// deployments of the same cached plan; windows it declined stay on the
-    /// interpreted path.
+    /// deployments of the same cached plan.
     program: Arc<Program>,
     /// Warm [`RequestScratch`] buffers — steady-state requests pop one,
     /// serve allocation-free, and push it back.
@@ -674,9 +673,10 @@ pub(crate) fn execute_streaming(
                     ctx.check("aggregate")?;
                     let budget_ms = ctx.opts.deadline.budget_ms();
 
-                    // Compiled fast path: deploy-time monomorphized kernels
-                    // fold raw encoded bytes — no per-row `Value` dispatch,
-                    // and no sort when the scan order is already usable.
+                    // Compiled path — every window of a deployed plan: the
+                    // deploy-time kernels (column, expression, count-map,
+                    // generic) fold raw encoded bytes in one pass, with no
+                    // sort when the scan order is already usable.
                     if let Some(wp) = dep.program.window(wid) {
                         crate::metrics::compiled_windows().inc();
                         flight::event(FlightEventKind::CompiledWindow, wid as u32, 0);
@@ -741,8 +741,9 @@ pub(crate) fn execute_streaming(
                         return Ok(());
                     }
                     if dep.program.fallback_reason(wid).is_some() {
-                        // Attribute every interpreted serve of a window the
-                        // specializer declined.
+                        // Interpreted serve: the oracle pin
+                        // (`with_interpreted_windows`), or a plan whose
+                        // aggregates `WindowAggSet::new` rejects below.
                         crate::metrics::compiled_fallback().inc();
                         flight::event(FlightEventKind::CompiledFallback, wid as u32, 0);
                     }

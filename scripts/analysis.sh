@@ -62,6 +62,13 @@ cargo test -q -p openmldb-storage -p openmldb-online --features chaos,obs-off
 if [ "$QUICK" -eq 0 ]; then
     step "hot-path allocation gate (reduced scale)"
     BENCH_SCALE=0.1 cargo run -q --release -p openmldb-bench --bin hotpath_allocs
+
+    # benchmark/ is a package of its own; its replay probes call the
+    # specializer's public API directly (see the CI step of the same name
+    # for the list, and for why one smoke test is skipped).
+    step "benchmark-api (omlbench builds and its tests pass against the engine API)"
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml \
+        -- --skip quick_set_reports_every_declared_metric_on_every_workload
 fi
 
 step "tail-latency attribution contract (tailtrace gate, chaos on)"

@@ -3,6 +3,7 @@
 //! exercised through real deployed SQL with hand-computed expected values,
 //! in both execution modes.
 
+use openmldb::online::execute_request_materialized;
 use openmldb::{Database, ExecResult, Row, Value};
 
 /// Events for one key, chronological, with easy-to-hand-compute values.
@@ -38,6 +39,29 @@ fn db() -> Database {
     db
 }
 
+/// Corpus gate: every deployable statement of this catalogue compiles end
+/// to end — no window left to the interpreter — and serves what the
+/// materializing reference computes.
+fn assert_fully_compiled(db: &Database, name: &str, probe: &Row) {
+    let dep = db.deployment(name).unwrap();
+    let program = dep.program();
+    assert_eq!(
+        program.fallback_windows(),
+        0,
+        "`{name}` left a window interpreted: {:?}",
+        (0..dep.query.windows.len())
+            .filter_map(|w| program.fallback_reason(w))
+            .collect::<Vec<_>>()
+    );
+    let served = db.request_readonly(name, probe).unwrap();
+    let oracle = execute_request_materialized(db, &dep, probe).unwrap();
+    assert_eq!(
+        format!("{:?}", served.values()),
+        format!("{:?}", oracle.values()),
+        "`{name}` compiled vs materialized"
+    );
+}
+
 /// Run one single-feature script in request mode for a probe at ts=6000
 /// (window covers all five stored rows + the probe) and return the feature.
 fn feature(db: &Database, name: &str, expr: &str) -> Value {
@@ -55,6 +79,7 @@ fn feature(db: &Database, name: &str, expr: &str) -> Value {
         Value::string("z:9"),
         Value::Timestamp(6_000),
     ]);
+    assert_fully_compiled(db, name, &probe);
     let online = db.request_readonly(name, &probe).unwrap();
     online[0].clone()
 }
@@ -208,6 +233,7 @@ fn offline_mode_agrees_on_the_catalogue() {
         Value::string("z:9"),
         Value::Timestamp(6_000),
     ]);
+    assert_fully_compiled(&db, "wide", &probe);
     let online = db.request("wide", &probe).unwrap();
     let ExecResult::Batch(batch) = db.execute(sql).unwrap() else {
         panic!()

@@ -22,20 +22,28 @@ use openmldb::{Database, Error, RequestOptions, Row, Value};
 use proptest::prelude::*;
 
 /// Payload column type by index: the mix covers every RowView read shape —
-/// fixed-width numerics, the null bitmap, and var-length string slices.
+/// fixed-width numerics of both widths, the null bitmap, and var-length
+/// string slices.
 fn type_name(t: u8) -> &'static str {
-    match t % 4 {
+    match t % 5 {
         0 => "DOUBLE",
         1 => "BIGINT",
         2 => "INT",
+        3 => "FLOAT",
         _ => "STRING",
     }
 }
 
+fn is_numeric(t: u8) -> bool {
+    t % 5 != 4
+}
+
 /// Deterministic column value from a per-row seed. Bit `j` of `nulls`
 /// blanks column `j` (null-bitmap edge cases, including all-null rows).
-/// Strings vary in length from empty up — the var-length offsets are where
-/// a borrowed decoder can go wrong.
+/// About one value in eight is an edge case — `-0.0`, NaN, zero divisors —
+/// and one BIGINT in 64 sits next to the i64 limits so integer expressions
+/// overflow. Strings vary in length from empty up — the var-length offsets
+/// are where a borrowed decoder can go wrong.
 fn col_value(t: u8, j: usize, seed: u64, nulls: u8) -> Value {
     if nulls & (1 << (j % 8)) != 0 {
         return Value::Null;
@@ -43,10 +51,21 @@ fn col_value(t: u8, j: usize, seed: u64, nulls: u8) -> Value {
     let s = seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .rotate_left(j as u32);
-    match t % 4 {
+    let edge = (s >> 40).is_multiple_of(8);
+    match t % 5 {
+        0 if edge => Value::Double([-0.0, f64::NAN, 0.0, f64::INFINITY][(s >> 50) as usize % 4]),
         0 => Value::Double((s % 2_000) as f64 / 8.0 - 125.0),
+        1 if (s >> 40) % 64 == 1 => Value::Bigint(if s.is_multiple_of(2) {
+            i64::MAX - (s % 5) as i64
+        } else {
+            i64::MIN + (s % 5) as i64
+        }),
+        1 if edge => Value::Bigint(0),
         1 => Value::Bigint(s as i64 % 500),
+        2 if edge => Value::Int([0, i32::MAX, i32::MIN, -1][(s >> 50) as usize % 4]),
         2 => Value::Int(s as i32 % 100),
+        3 if edge => Value::Float([-0.0, f32::NAN, 0.0, 1.0e30][(s >> 50) as usize % 4]),
+        3 => Value::Float((s % 64) as f32 / 4.0 - 8.0),
         _ => Value::string("ab".repeat((s % 7) as usize)),
     }
 }
@@ -62,26 +81,70 @@ fn make_row(id: i64, k: i64, ts: i64, cols: &[u8], seed: u64, nulls: u8) -> Row 
     Row::new(v)
 }
 
-/// Aggregates per column, chosen by type so every RowView accessor is
-/// exercised: numeric sum/min/max/count, string count/distinct_count.
-fn select_list(cols: &[u8]) -> String {
+/// One generated arithmetic argument: `(a op1 b) op2 literal` over numeric
+/// payload columns (`id` stands in when the schema has none), under one of
+/// the shareable projection functions.
+type ExprSpec = (u8, u8, u8, u8, u8, u8);
+
+fn expr_feature(n: usize, spec: ExprSpec, cols: &[u8]) -> String {
+    let (func, a, op1, b, op2, literal) = spec;
+    let numeric: Vec<String> = cols
+        .iter()
+        .enumerate()
+        .filter(|(_, &t)| is_numeric(t))
+        .map(|(j, _)| format!("c{j}"))
+        .chain(["id".to_string()])
+        .collect();
+    let pick = |i: u8| &numeric[i as usize % numeric.len()];
+    let op = |i: u8| ["+", "-", "*", "/", "%"][i as usize % 5];
+    let func = ["sum", "avg", "min", "max", "count", "stddev"][func as usize % 6];
+    let literal = ["2", "0", "2.5", "0.0", "1000000007"][literal as usize % 5];
+    format!(
+        ", {func}(({} {} {}) {} {literal}) OVER w AS e{n}",
+        pick(a),
+        op(op1),
+        pick(b),
+        op(op2)
+    )
+}
+
+/// Aggregates chosen so every kernel family lands in the one window: bare
+/// columns (sum/min/max/count by type), count maps (`distinct_count`,
+/// `topn_frequency` over every type), generated arithmetic arguments, and
+/// generic-family aggregates (`count_where`, `avg_cate_where`, `median`).
+fn select_list(cols: &[u8], exprs: &[ExprSpec]) -> String {
     let mut out = String::from("id");
     for (j, &t) in cols.iter().enumerate() {
-        match t % 4 {
-            0..=2 => {
-                out.push_str(&format!(
-                    ", sum(c{j}) OVER w AS s{j}, min(c{j}) OVER w AS mn{j}, \
-                     max(c{j}) OVER w AS mx{j}, count(c{j}) OVER w AS ct{j}"
-                ));
-            }
-            _ => {
-                out.push_str(&format!(
-                    ", count(c{j}) OVER w AS ct{j}, distinct_count(c{j}) OVER w AS dc{j}"
-                ));
-            }
+        if is_numeric(t) {
+            out.push_str(&format!(
+                ", sum(c{j}) OVER w AS s{j}, min(c{j}) OVER w AS mn{j}, \
+                 max(c{j}) OVER w AS mx{j}"
+            ));
         }
+        out.push_str(&format!(
+            ", count(c{j}) OVER w AS ct{j}, distinct_count(c{j}) OVER w AS dc{j}, \
+             topn_frequency(c{j}, 2) OVER w AS tf{j}"
+        ));
     }
+    for (n, spec) in exprs.iter().enumerate() {
+        out.push_str(&expr_feature(n, *spec, cols));
+    }
+    out.push_str(
+        ", count_where(c0, id > 3) OVER w AS gw, \
+         avg_cate_where(id, id > 3, c0) OVER w AS gc, median(k) OVER w AS gm",
+    );
     out
+}
+
+/// Bit-exact rendering of an answer. `Value: PartialEq` promotes numerics
+/// and has NaN != NaN; the typed `Debug` form tells `Int(3)` from
+/// `Bigint(3)` and `-0.0` from `0.0`, and round-trips every other float
+/// exactly. NaNs render alike whatever their sign and payload: which operand
+/// of `NaN + NaN` survives is the code generator's choice per call site, so
+/// no two folds can promise the same NaN bits. Errors render as themselves.
+fn bits(answer: &Result<Row, Error>) -> Result<Vec<String>, Error> {
+    let row = answer.as_ref().map_err(Clone::clone)?;
+    Ok(row.values().iter().map(|v| format!("{v:?}")).collect())
 }
 
 proptest! {
@@ -89,7 +152,11 @@ proptest! {
 
     #[test]
     fn streaming_pipeline_matches_materializing_path(
-        cols in proptest::collection::vec(0u8..4, 1..4),
+        cols in proptest::collection::vec(0u8..5, 1..4),
+        exprs in proptest::collection::vec(
+            (0u8..6, 0u8..8, 0u8..5, 0u8..8, 0u8..5, 0u8..5),
+            1..5,
+        ),
         rows in proptest::collection::vec((0i64..4, 0i64..300, 0u64..u64::MAX, 0u8..255), 10..80),
         probes in proptest::collection::vec((0i64..5, 0i64..350, 0u64..u64::MAX, 0u8..255), 1..4),
         frame in 1i64..200,
@@ -127,32 +194,39 @@ proptest! {
         let sql = format!(
             "SELECT {} FROM t WINDOW w AS (PARTITION BY k ORDER BY ts \
              {frame_clause}{maxsize_clause}{exclude_clause})",
-            select_list(&cols)
+            select_list(&cols, &exprs)
         );
         db.deploy(&format!("DEPLOY p AS {sql}")).unwrap();
         let dep = db.deployment("p").unwrap();
+        // Every family compiles: the three paths below are distinct code.
+        prop_assert_eq!(dep.program().fallback_windows(), 0, "{}", sql);
+        prop_assert!(dep.program().window(0).is_some());
         // Same plan, specialization pinned off: the interpreted streaming
         // path the compiled kernels must reproduce bit for bit.
         let interp =
             Deployment::new("p_interp", dep.query.clone()).with_interpreted_windows();
 
-        for (n, (k, ts, seed, nulls)) in probes.iter().enumerate() {
+        // Key 99 has no stored rows: the request row is the only row (or,
+        // under EXCLUDE CURRENT_ROW, the window is empty).
+        let lonely = (99, 100, probes[0].2, probes[0].3);
+        for (n, (k, ts, seed, nulls)) in probes.iter().chain([&lonely]).enumerate() {
             let probe = make_row(900_000 + n as i64, *k, *ts, &cols, *seed, *nulls);
-            let streaming = execute_request(&db, &dep, &probe).unwrap();
-            let interpreted = execute_request(&db, &interp, &probe).unwrap();
-            let materialized = execute_request_materialized(&db, &dep, &probe).unwrap();
+            let streaming = execute_request(&db, &dep, &probe);
+            let interpreted = execute_request(&db, &interp, &probe);
+            let materialized = execute_request_materialized(&db, &dep, &probe);
             // Bit-identical: all paths fold the same values in the same
-            // order, so even float aggregates must match exactly.
+            // order, so even float aggregates must match exactly — and an
+            // overflowing integer expression is the same typed error.
             prop_assert_eq!(
-                streaming.values(),
-                materialized.values(),
+                bits(&streaming),
+                bits(&materialized),
                 "probe {} diverged (compiled vs materialized) under {}",
                 n,
                 sql
             );
             prop_assert_eq!(
-                streaming.values(),
-                interpreted.values(),
+                bits(&streaming),
+                bits(&interpreted),
                 "probe {} diverged (compiled vs interpreted) under {}",
                 n,
                 sql
@@ -183,12 +257,7 @@ proptest! {
     }
 }
 
-/// A plan using an aggregate with no specialized kernel (`distinct_count`)
-/// must fall back per window: the deployment still serves correct answers
-/// through the interpreted path, and every such serve is attributed on the
-/// fallback counter.
-#[test]
-fn unsupported_plans_serve_interpreted_with_fallback_attribution() {
+fn counted_table() -> Database {
     let db = Database::new();
     db.execute(
         "CREATE TABLE t (id BIGINT, k BIGINT, v BIGINT, ts TIMESTAMP, \
@@ -207,48 +276,99 @@ fn unsupported_plans_serve_interpreted_with_fallback_attribution() {
         )
         .unwrap();
     }
+    db
+}
+
+/// Aggregates that used to send their whole window back to the interpreter
+/// (`distinct_count`, an arithmetic argument, a conditional aggregate)
+/// compile beside their column-kernel siblings; the one remaining fallback
+/// is the explicit oracle pin, which still serves correct answers and
+/// records why on the instance.
+#[test]
+fn every_aggregate_compiles_and_the_pin_still_serves_interpreted() {
+    let db = counted_table();
     db.deploy(
-        "DEPLOY pf AS SELECT id, distinct_count(v) OVER w AS dc, sum(v) OVER w AS sv \
+        "DEPLOY pf AS SELECT id, distinct_count(v) OVER w AS dc, sum(v) OVER w AS sv, \
+         avg(v * 2 + 1) OVER w AS av, count_where(v, v > 5) OVER w AS cw \
          FROM t WINDOW w AS (PARTITION BY k ORDER BY ts \
          ROWS BETWEEN 10 PRECEDING AND CURRENT ROW)",
     )
     .unwrap();
     let dep = db.deployment("pf").unwrap();
+    assert_eq!(dep.program().compiled_windows(), 1);
+    assert_eq!(dep.program().fallback_windows(), 0);
+    assert_eq!(dep.program().fallback_reason(0), None);
 
-    // The specializer recorded why the window stays interpreted.
-    assert!(
-        dep.program()
-            .fallback_reason(0)
-            .is_some_and(|r| r.contains("no specialized kernel")),
-        "distinct_count must decline specialization"
+    let pinned = Deployment::new("pf_interp", dep.query.clone()).with_interpreted_windows();
+    assert_eq!(pinned.program().compiled_windows(), 0);
+    assert_eq!(pinned.program().fallback_windows(), 1);
+    assert_eq!(
+        pinned.program().fallback_reason(0),
+        Some("specialization disabled")
     );
-    assert_eq!(dep.program().compiled_windows(), 0);
-    assert_eq!(dep.program().fallback_windows(), 1);
 
-    let before = openmldb::online::metrics::compiled_fallback().value();
     let probe = Row::new(vec![
         Value::Bigint(900_000),
         Value::Bigint(1),
         Value::Bigint(5),
         Value::Timestamp(2_000),
     ]);
-    let served = execute_request(&db, &dep, &probe).unwrap();
-    let oracle = execute_request_materialized(&db, &dep, &probe).unwrap();
-    assert_eq!(served.values(), oracle.values());
-    // Counter attribution is compiled out under obs-off; the serve-path
-    // equivalence above is the part that must hold everywhere.
-    if cfg!(not(feature = "obs-off")) {
-        assert_eq!(
-            openmldb::online::metrics::compiled_fallback().value(),
-            before + 1,
-            "each interpreted serve of a declined window increments the counter"
-        );
+    let served = execute_request(&db, &dep, &probe);
+    let interpreted = execute_request(&db, &pinned, &probe);
+    let oracle = execute_request_materialized(&db, &dep, &probe);
+    assert!(oracle.is_ok());
+    assert_eq!(bits(&served), bits(&oracle));
+    assert_eq!(bits(&interpreted), bits(&oracle));
+}
+
+/// An overflowing integer expression is the same typed error whichever
+/// path folds it — stored row or request row.
+#[test]
+fn integer_overflow_is_one_typed_error_on_all_three_paths() {
+    let db = counted_table();
+    db.insert_row(
+        "t",
+        &Row::new(vec![
+            Value::Bigint(77),
+            Value::Bigint(7),
+            Value::Bigint(i64::MAX),
+            Value::Timestamp(1_500),
+        ]),
+    )
+    .unwrap();
+    db.deploy(
+        "DEPLOY po AS SELECT id, sum(v) OVER w AS sv, max(v * 2) OVER w AS mv \
+         FROM t WINDOW w AS (PARTITION BY k ORDER BY ts \
+         ROWS BETWEEN 10 PRECEDING AND CURRENT ROW)",
+    )
+    .unwrap();
+    let dep = db.deployment("po").unwrap();
+    assert_eq!(dep.program().fallback_windows(), 0);
+    let pinned = Deployment::new("po_interp", dep.query.clone()).with_interpreted_windows();
+    let probe = |k: i64, v: i64| {
+        Row::new(vec![
+            Value::Bigint(900_000),
+            Value::Bigint(k),
+            Value::Bigint(v),
+            Value::Timestamp(2_000),
+        ])
+    };
+    // Key 7 holds the overflowing stored row; key 8 is empty, so the
+    // request row itself overflows.
+    for probe in [probe(7, 1), probe(8, i64::MIN)] {
+        let served = execute_request(&db, &dep, &probe);
+        let Err(Error::Eval(message)) = &served else {
+            panic!("expected an overflow error, got {served:?}");
+        };
+        assert_eq!(message, "integer overflow in *");
+        assert_eq!(served, execute_request(&db, &pinned, &probe));
+        assert_eq!(served, execute_request_materialized(&db, &dep, &probe));
     }
 }
 
-/// Plans inside the specializable subset compile end to end and serve
-/// through the kernels (sanity pin for the compiled-path counter, so the
-/// three-way proptest above is actually comparing distinct paths).
+/// Plans inside the column-kernel subset compile end to end and serve
+/// through the kernels (sanity pin that the three-way proptest above is
+/// comparing distinct paths: the engine dispatches on `program().window`).
 #[test]
 fn specialized_plans_serve_through_compiled_kernels() {
     let db = Database::new();
@@ -278,21 +398,16 @@ fn specialized_plans_serve_through_compiled_kernels() {
     let dep = db.deployment("pc").unwrap();
     assert_eq!(dep.program().compiled_windows(), 1);
     assert_eq!(dep.program().fallback_windows(), 0);
+    assert!(dep.program().window(0).is_some());
 
-    let before = openmldb::online::metrics::compiled_windows().value();
     let probe = Row::new(vec![
         Value::Bigint(900_000),
         Value::Bigint(1),
         Value::Double(3.5),
         Value::Timestamp(2_000),
     ]);
-    let served = execute_request(&db, &dep, &probe).unwrap();
-    let oracle = execute_request_materialized(&db, &dep, &probe).unwrap();
-    assert_eq!(served.values(), oracle.values());
-    if cfg!(not(feature = "obs-off")) {
-        assert_eq!(
-            openmldb::online::metrics::compiled_windows().value(),
-            before + 1
-        );
-    }
+    let served = execute_request(&db, &dep, &probe);
+    let oracle = execute_request_materialized(&db, &dep, &probe);
+    assert!(oracle.is_ok());
+    assert_eq!(bits(&served), bits(&oracle));
 }
