@@ -1097,10 +1097,10 @@ struct ExprKernel {
     /// (`Value::Double`).
     int: bool,
     track: Track,
-    /// Position, in the window's aggregate order, of the first aggregate
+    /// How many generic aggregates were bound before the first aggregate
     /// bound here — decides which error surfaces when one row trips several
     /// fallible kernels (the interpreter reports the first slot's).
-    order: usize,
+    generic_before: usize,
 }
 
 impl ExprKernel {
@@ -1379,37 +1379,50 @@ impl TopnState {
 
 /// Family 4 — everything else the function registry accepts (`*_cate_where`,
 /// `drawdown`, `ew_avg`, `median`, `top`, BOOL columns, multi-argument and
-/// scalar-call arguments): one pooled [`WindowAggSet`] per unit, i.e. the
-/// interpreter's own slots (`SharedNumeric` for projection functions,
+/// scalar-call arguments): one pooled [`WindowAggSet`] over all of them, i.e.
+/// the interpreter's own slots (`SharedNumeric` for projection functions,
 /// `Box<dyn Aggregator>` otherwise) fed from the row view. Slow, but inside
 /// the program — sharing the scan, the sort skip, the frame guard and the
 /// deadline cadence with the other families.
-#[derive(Debug, Clone)]
-struct GenericUnit {
-    /// Projection functions over one identical argument list share a unit
-    /// (one argument evaluation per row); every other function gets its
-    /// own.
-    aggs: Vec<BoundAggregate>,
-    shared: bool,
-    /// See [`ExprKernel::order`].
-    order: usize,
-}
-
-impl GenericUnit {
-    fn build(&self) -> Result<WindowAggSet> {
-        let refs: Vec<&BoundAggregate> = self.aggs.iter().collect();
-        WindowAggSet::new(&refs)
+fn build_generic(aggs: &[BoundAggregate]) -> Result<Option<WindowAggSet>> {
+    if aggs.is_empty() {
+        return Ok(None);
     }
+    let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+    WindowAggSet::new(&refs).map(Some)
 }
 
 // analysis:allow(panic-freedom): delegates to `WindowAggSet::update_view`,
 // itself a `// HOT:` root — the aggregators' panic sites are tracked once,
 // under that root.
-fn feed_generic(generic: &mut [WindowAggSet], view: Option<&RowView<'_>>) -> Result<()> {
-    for set in generic.iter_mut() {
-        set.update_view(view.ok_or_else(str_without_view)?)?;
+fn feed_generic(generic: &mut Option<WindowAggSet>, view: Option<&RowView<'_>>) -> Result<()> {
+    match generic {
+        Some(set) => set.update_view(view.ok_or_else(str_without_view)?),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// The expression kernel `spec` failed on this row (a stored row's `view`, or
+/// the request row). The interpreter walks slots in aggregate order, so a
+/// generic aggregate bound *earlier* that also fails on this row owns the
+/// error; expression kernels run first here, so feed those aggregates now
+/// (the fold is being abandoned either way).
+// analysis:allow(panic-freedom): cold error path into the `WindowAggSet`
+// feed, whose panic sites are tracked under its own `// HOT:` root.
+#[cold]
+fn first_error(
+    err: Error,
+    spec: &ExprKernel,
+    generic: &mut Option<WindowAggSet>,
+    view: Option<&RowView<'_>>,
+    request: Option<&[Value]>,
+) -> Error {
+    let fed = match (generic, view, request) {
+        (Some(set), Some(v), _) => set.update_first(spec.generic_before, v),
+        (Some(set), None, Some(r)) => set.update_first(spec.generic_before, r),
+        _ => Ok(()),
+    };
+    fed.err().unwrap_or(err)
 }
 
 /// Where one aggregate's output comes from, in aggregate order.
@@ -1419,16 +1432,12 @@ enum Binding {
     Expr { k: usize, proj: Projection },
     Distinct { map: usize },
     TopN { t: usize },
-    Generic { unit: usize, pos: usize },
+    Generic { pos: usize },
 }
 
 /// Pooled per-window fold state of every family (lives in the request
 /// scratch so warm requests never allocate).
-#[derive(Default)]
 pub struct WindowState {
-    /// [`WindowProgram::id`] this state was built for — generic units hold
-    /// aggregators specific to their program.
-    owner: u64,
     kernels: Vec<KernelState>,
     exprs: Vec<KernelState>,
     /// Register file shared by the expression kernels (sized to the longest
@@ -1436,8 +1445,8 @@ pub struct WindowState {
     regs: Vec<Reg>,
     maps: Vec<CountMap>,
     topn: Vec<TopnState>,
-    generic: Vec<WindowAggSet>,
-    /// Generic-unit outputs, unit-major, staged once per fold.
+    generic: Option<WindowAggSet>,
+    /// The generic aggregates' outputs, staged once per fold.
     generic_out: Vec<Value>,
 }
 
@@ -1449,21 +1458,17 @@ impl WindowState {
         for m in &mut self.maps {
             m.clear();
         }
-        for g in &mut self.generic {
+        if let Some(g) = &mut self.generic {
             g.reset();
         }
         self.generic_out.clear();
     }
 }
 
-static NEXT_PROGRAM_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
 /// A window's aggregates compiled to kernels of four families, plus the
 /// frame guards hoisted out of the per-request path.
 #[derive(Debug)]
 pub struct WindowProgram {
-    /// Process-unique identity, matched against [`WindowState::owner`].
-    id: u64,
     /// Family 1: bare-column kernels.
     kernels: Vec<KernelSpec>,
     /// Family 2: expression kernels.
@@ -1471,11 +1476,8 @@ pub struct WindowProgram {
     /// Family 3: count maps, one per distinct column.
     maps: Vec<FieldRef>,
     topn: Vec<TopnSpec>,
-    /// Family 4: generic units.
-    generic: Vec<GenericUnit>,
-    /// Start of each generic unit's outputs within
-    /// [`WindowState::generic_out`].
-    generic_offsets: Vec<usize>,
+    /// Family 4: the generic aggregates, in aggregate order.
+    generic: Vec<BoundAggregate>,
     /// Output bindings in aggregate order.
     bindings: Vec<Binding>,
     /// Whether any of families 2–4 is present; column-only windows run a
@@ -1484,7 +1486,7 @@ pub struct WindowProgram {
     /// Longest expression program (register-file size).
     max_regs: usize,
     /// Whether any kernel reads a var-width field or evaluates through a
-    /// [`RowView`](openmldb_types::RowView) (strings, generic units) — those
+    /// [`RowView`](openmldb_types::RowView) (strings, generic aggregates) — those
     /// rows are validated once by the view; fixed-only programs read bytes
     /// directly after a 3-field header check.
     needs_view: bool,
@@ -1508,7 +1510,7 @@ struct WindowCompiler<'a> {
     exprs: Vec<ExprKernel>,
     maps: Vec<FieldRef>,
     topn: Vec<TopnSpec>,
-    generic: Vec<GenericUnit>,
+    generic: Vec<BoundAggregate>,
 }
 
 impl WindowCompiler<'_> {
@@ -1539,7 +1541,7 @@ impl WindowCompiler<'_> {
     }
 
     /// Family 2: a projection function over a lowerable arithmetic tree.
-    fn expr_kernel(&mut self, e: &PhysExpr, proj: Projection, order: usize) -> Option<Binding> {
+    fn expr_kernel(&mut self, e: &PhysExpr, proj: Projection) -> Option<Binding> {
         let k = match self.exprs.iter().position(|k| &k.expr == e) {
             Some(k) => k,
             None => {
@@ -1553,7 +1555,7 @@ impl WindowCompiler<'_> {
                     ops: c.ops,
                     int,
                     track: Track::default(),
-                    order,
+                    generic_before: self.generic.len(),
                 });
                 self.exprs.len() - 1
             }
@@ -1576,35 +1578,17 @@ impl WindowCompiler<'_> {
     }
 
     /// Family 4.
-    fn generic_unit(&mut self, agg: &BoundAggregate, order: usize) -> Binding {
-        let shared = projection_for(agg.func.name).is_some();
-        let joined = self
-            .generic
-            .iter()
-            .position(|u| shared && u.shared && u.aggs.first().is_some_and(|a| a.args == agg.args));
-        let unit = match joined {
-            Some(u) => u,
-            None => {
-                self.generic.push(GenericUnit {
-                    aggs: Vec::new(),
-                    shared,
-                    order,
-                });
-                self.generic.len() - 1
-            }
-        };
-        let mut pos = 0;
-        if let Some(u) = self.generic.get_mut(unit) {
-            pos = u.aggs.len();
-            u.aggs.push(agg.clone());
+    fn generic(&mut self, agg: &BoundAggregate) -> Binding {
+        self.generic.push(agg.clone());
+        Binding::Generic {
+            pos: self.generic.len() - 1,
         }
-        Binding::Generic { unit, pos }
     }
 
-    fn bind(&mut self, agg: &BoundAggregate, order: usize) -> Binding {
+    fn bind(&mut self, agg: &BoundAggregate) -> Binding {
         let lowered = match (projection_for(agg.func.name), agg.args.as_slice()) {
             (Some(proj), [PhysExpr::Column(c)]) => self.column_kernel(*c, proj),
-            (Some(proj), [e @ PhysExpr::Binary { .. }]) => self.expr_kernel(e, proj, order),
+            (Some(proj), [e @ PhysExpr::Binary { .. }]) => self.expr_kernel(e, proj),
             (None, [PhysExpr::Column(c)]) if agg.func.name == "distinct_count" => {
                 self.count_map(*c).map(|map| Binding::Distinct { map })
             }
@@ -1625,7 +1609,7 @@ impl WindowCompiler<'_> {
             }
             _ => None,
         };
-        lowered.unwrap_or_else(|| self.generic_unit(agg, order))
+        lowered.unwrap_or_else(|| self.generic(agg))
     }
 }
 
@@ -1646,21 +1630,10 @@ impl WindowProgram {
             topn: Vec::new(),
             generic: Vec::new(),
         };
-        let bindings: Vec<Binding> = aggs
-            .iter()
-            .enumerate()
-            .map(|(order, agg)| c.bind(agg, order))
-            .collect();
-        let mut generic_offsets = Vec::with_capacity(c.generic.len());
-        let mut generic_outputs = 0usize;
-        for unit in &c.generic {
-            unit.build().map_err(|e| e.to_string())?;
-            generic_offsets.push(generic_outputs);
-            generic_outputs += unit.aggs.len();
-        }
+        let bindings: Vec<Binding> = aggs.iter().map(|agg| c.bind(agg)).collect();
+        build_generic(&c.generic).map_err(|e| e.to_string())?;
         let is_str = |f: &FieldRef| f.class == KernelClass::Str;
         Ok(WindowProgram {
-            id: NEXT_PROGRAM_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             needs_view: c.kernels.iter().any(|k| is_str(&k.field))
                 || c.maps.iter().any(is_str)
                 || !c.generic.is_empty(),
@@ -1671,7 +1644,6 @@ impl WindowProgram {
             maps: c.maps,
             topn: c.topn,
             generic: c.generic,
-            generic_offsets,
             bindings,
             min_row_len: codec.min_encoded_len(),
             schema_version: codec.schema_version(),
@@ -1687,16 +1659,15 @@ impl WindowProgram {
     /// Fresh (pool-able) fold state sized for this program.
     pub fn new_state(&self) -> WindowState {
         WindowState {
-            owner: self.id,
             kernels: vec![KernelState::default(); self.kernels.len()],
             exprs: vec![KernelState::default(); self.exprs.len()],
             regs: vec![NULL_REG; self.max_regs],
             maps: self.maps.iter().map(|_| CountMap::new()).collect(),
             topn: self.topn.iter().map(|_| TopnState::default()).collect(),
-            // Every unit built once at compile time, so `ok()` drops
-            // nothing; `run` re-checks the count regardless.
-            generic: self.generic.iter().filter_map(|u| u.build().ok()).collect(),
-            generic_out: Vec::with_capacity(self.generic.iter().map(|u| u.aggs.len()).sum()),
+            // Built once at compile time, so `ok()` drops nothing; `run`
+            // re-checks regardless.
+            generic: build_generic(&self.generic).ok().flatten(),
+            generic_out: Vec::with_capacity(self.generic.len()),
         }
     }
 
@@ -1737,12 +1708,7 @@ impl WindowProgram {
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<()> {
-        if state.owner != self.id {
-            // Cold: a default-constructed state, or one pooled for another
-            // program.
-            *state = self.new_state();
-        }
-        if state.generic.len() != self.generic.len() {
+        if state.generic.is_some() == self.generic.is_empty() {
             return Err(generic_state_mismatch());
         }
         state.reset();
@@ -1896,7 +1862,7 @@ impl WindowProgram {
         for (spec, st) in self.exprs.iter().zip(exprs.iter_mut()) {
             match eval_ops(&spec.ops, regs, |f| f.stored(buf)) {
                 Ok(r) => spec.feed(st, r),
-                Err(e) => return Err(self.first_error(e, spec.order, generic, view, None)),
+                Err(e) => return Err(first_error(e, spec, generic, view, None)),
             }
         }
         for (field, map) in self.maps.iter().zip(maps.iter_mut()) {
@@ -1932,7 +1898,7 @@ impl WindowProgram {
         for (spec, st) in self.exprs.iter().zip(exprs.iter_mut()) {
             match eval_ops(&spec.ops, regs, |f| f.requested(req)) {
                 Ok(r) => spec.feed(st, r),
-                Err(e) => return Err(self.first_error(e, spec.order, generic, None, Some(req))),
+                Err(e) => return Err(first_error(e, spec, generic, None, Some(req))),
             }
         }
         for (field, map) in self.maps.iter().zip(maps.iter_mut()) {
@@ -1948,48 +1914,15 @@ impl WindowProgram {
                 None => return Err(binding_out_of_bounds()),
             }
         }
-        for set in generic.iter_mut() {
+        if let Some(set) = generic {
             set.update(req)?;
         }
         Ok(())
     }
 
-    /// An expression kernel failed on this row (a stored row's `view`, or
-    /// the request row). The interpreter walks slots in aggregate order, so a
-    /// generic unit bound *earlier* that also fails on this row owns the
-    /// error; expression kernels run first here, so replay those units now
-    /// (the fold is being abandoned either way).
-    // analysis:allow(panic-freedom): cold error path into the
-    // `WindowAggSet` feeds, whose panic sites are tracked under their own
-    // `// HOT:` root.
-    #[cold]
-    fn first_error(
-        &self,
-        err: Error,
-        order: usize,
-        generic: &mut [WindowAggSet],
-        view: Option<&RowView<'_>>,
-        request: Option<&[Value]>,
-    ) -> Error {
-        for (unit, set) in self.generic.iter().zip(generic.iter_mut()) {
-            if unit.order >= order {
-                continue;
-            }
-            let fed = match (view, request) {
-                (Some(v), _) => set.update_view(v),
-                (None, Some(r)) => set.update(r),
-                (None, None) => Ok(()),
-            };
-            if let Err(e) = fed {
-                return e;
-            }
-        }
-        err
-    }
-
     /// Stage what the projections need once the last row is fed: each
     /// `topn_frequency` selection rendered into its pooled buffer, and the
-    /// generic units' outputs.
+    /// generic aggregates' outputs.
     fn finish(
         &self,
         state: &mut WindowState,
@@ -2009,7 +1942,7 @@ impl WindowProgram {
                 _ => return Err(binding_out_of_bounds()),
             }
         }
-        for set in generic.iter() {
+        if let Some(set) = generic {
             set.outputs_into(generic_out);
         }
         Ok(())
@@ -2025,10 +1958,10 @@ impl WindowProgram {
         request: Option<&[Value]>,
         out: &mut Vec<Value>,
     ) -> Result<()> {
-        // Every arm pushes its own value: routing them through one merged
-        // `Value` temporary makes the code generator shuffle the enum's
-        // padding bytes through overlapping stack slots (store-forwarding
-        // stalls on every output).
+        // Every arm pushes its own value instead of building one `Value`
+        // per binding and pushing it after the `match`: measured end to
+        // end, that form is 5.8% slower on a 211-output request
+        // (EXPERIMENTS.md, "Aggregate-granular compilation").
         for b in &self.bindings {
             match *b {
                 Binding::Column { k, proj } => match (self.kernels.get(k), state.kernels.get(k)) {
@@ -2057,16 +1990,10 @@ impl WindowProgram {
                     Some(t) => out.push(Value::string(t.rendered.as_str())),
                     None => return Err(binding_out_of_bounds()),
                 },
-                Binding::Generic { unit, pos } => {
-                    let staged = self
-                        .generic_offsets
-                        .get(unit)
-                        .and_then(|at| state.generic_out.get(at + pos));
-                    match staged {
-                        Some(v) => out.push(v.clone()),
-                        None => return Err(binding_out_of_bounds()),
-                    }
-                }
+                Binding::Generic { pos } => match state.generic_out.get(pos) {
+                    Some(v) => out.push(v.clone()),
+                    None => return Err(binding_out_of_bounds()),
+                },
             }
         }
         Ok(())
@@ -2229,7 +2156,7 @@ fn binding_out_of_bounds() -> Error {
 
 #[cold]
 fn generic_state_mismatch() -> Error {
-    Error::Eval("window state does not match its program's generic units".into())
+    Error::Eval("window state does not match its program's generic aggregates".into())
 }
 
 // ---------------------------------------------------------------------------
@@ -2780,7 +2707,7 @@ mod tests {
         assert_bit_identical(&expected, &got);
 
         // The whole window is one expression family: three column reads
-        // shared across kernels, no generic unit.
+        // shared across kernels, no generic aggregate.
         let codec = CompactCodec::new(schema());
         let refs: Vec<&BoundAggregate> = aggs.iter().collect();
         let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
@@ -2890,7 +2817,7 @@ mod tests {
             agg_of("drawdown", vec![col(5)]),
             agg_of("ew_avg", vec![col(5), lit(Value::Double(0.5))]),
             // Projection functions over non-lowerable arguments keep the
-            // interpreter's SharedNumeric semantics (and share one unit).
+            // interpreter's SharedNumeric semantics (and share one slot).
             agg_of(
                 "sum",
                 vec![PhysExpr::ScalarCall {
@@ -2922,7 +2849,7 @@ mod tests {
         let codec = CompactCodec::new(schema());
         let refs: Vec<&BoundAggregate> = aggs.iter().collect();
         let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
-        assert_eq!(wp.generic.len(), 9, "sum/max(abs(i)) share a unit");
+        assert_eq!(wp.generic.len(), 10);
         assert_eq!((wp.kernels.len(), wp.exprs.len(), wp.maps.len()), (1, 1, 1));
         assert!(wp.needs_view && wp.extended);
     }
@@ -2944,9 +2871,12 @@ mod tests {
             Value::Double(0.0),
             Value::string("not-a-bool"),
         ])];
+        // A generic aggregate that does not fail, bound before both.
+        let fine = agg_of("median", vec![col(5)]);
         for aggs in [
             vec![type_error.clone(), overflow.clone()],
             vec![overflow.clone(), type_error.clone()],
+            vec![fine, overflow.clone(), type_error.clone()],
         ] {
             for (rows, request) in [(rows.clone(), None), (vec![], Some(rows[0].clone()))] {
                 let (expected, got) = try_fold_both(&aggs, &rows, request.as_ref());
@@ -2977,35 +2907,27 @@ mod tests {
     }
 
     #[test]
-    fn pooled_state_is_rebuilt_for_a_different_program() {
+    fn a_state_of_another_program_is_refused() {
         let codec = CompactCodec::new(schema());
         let w = window();
-        let a = [agg_of("median", vec![col(5)]), agg("sum", 3, 0)];
-        let b = [agg_of("top", vec![col(3), lit(Value::Bigint(2))])];
+        let a = [agg_of("median", vec![col(5)])];
+        let b = [agg("sum", 3, 0)];
         let wa = WindowProgram::compile(&w, &a.iter().collect::<Vec<_>>(), &codec).expect("a");
         let wb = WindowProgram::compile(&w, &b.iter().collect::<Vec<_>>(), &codec).expect("b");
         let request = row(3);
-        let mut probe = || Ok(());
-        // A state pooled for program A (same generic-unit count as B), and a
-        // default-constructed one, both serve B correctly.
-        for mut state in [wa.new_state(), WindowState::default()] {
-            wb.run(
-                &mut state,
+        let err = wb
+            .run(
+                &mut wa.new_state(),
                 &[],
                 0,
                 EntryOrder::Ascending,
                 &[],
                 Some(request.values()),
                 &codec,
-                &mut probe,
+                &mut || Ok(()),
             )
-            .expect("run");
-            let mut got = Vec::new();
-            wb.outputs_into(&state, &[], Some(request.values()), &mut got)
-                .expect("outputs");
-            let (expected, _) = fold_both(&b, &[], Some(&request));
-            assert_bit_identical(&expected, &got);
-        }
+            .expect_err("mismatch");
+        assert_eq!(err, generic_state_mismatch());
     }
 
     // -- expression programs ------------------------------------------------

@@ -213,7 +213,7 @@ impl WindowAggSet {
 
     /// Feed one window row (oldest → newest).
     pub fn update(&mut self, row: &[Value]) -> Result<()> {
-        self.update_src(row)
+        self.update_src(self.slots.len(), row)
     }
 
     // HOT: per-scanned-row aggregate feed on the streaming request path —
@@ -221,16 +221,38 @@ impl WindowAggSet {
     /// Feed one window row directly from its compact encoding, without
     /// decoding the full row first.
     pub fn update_view(&mut self, row: &RowView<'_>) -> Result<()> {
-        self.update_src(row)
+        self.update_src(self.slots.len(), row)
     }
 
-    fn update_src<S: ColumnSource + ?Sized>(&mut self, row: &S) -> Result<()> {
+    /// Feed `row` to the slots of the first `aggs` aggregates only (slots are
+    /// created in aggregate order, so those form a prefix). The compiled
+    /// program's cold error path uses this to find the error the interpreter
+    /// would have reported first.
+    pub(crate) fn update_first<S: ColumnSource + ?Sized>(
+        &mut self,
+        aggs: usize,
+        row: &S,
+    ) -> Result<()> {
+        let slots = self
+            .bindings
+            .iter()
+            .take(aggs)
+            .map(|b| match b {
+                Binding::Shared { slot, .. } | Binding::Single { slot } => slot + 1,
+            })
+            .max()
+            .unwrap_or(0);
+        self.update_src(slots, row)
+    }
+
+    /// Feed `row` to the first `n` slots.
+    fn update_src<S: ColumnSource + ?Sized>(&mut self, n: usize, row: &S) -> Result<()> {
         let Self {
             slots,
             scratch_args,
             ..
         } = self;
-        for slot in slots {
+        for slot in slots.iter_mut().take(n) {
             match slot {
                 Slot::Shared { args, state } => {
                     let v = evaluate_with(&args[0], row, &[])?;

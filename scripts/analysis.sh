@@ -64,11 +64,10 @@ if [ "$QUICK" -eq 0 ]; then
     BENCH_SCALE=0.1 cargo run -q --release -p openmldb-bench --bin hotpath_allocs
 
     # benchmark/ is a package of its own; its replay probes call the
-    # specializer's public API directly (see the CI step of the same name
-    # for the list, and for why one smoke test is skipped).
+    # specializer's public API directly (the script lists the calls and the
+    # one stale pin it tolerates).
     step "benchmark-api (omlbench builds and its tests pass against the engine API)"
-    cargo test --release --offline --manifest-path benchmark/Cargo.toml \
-        -- --skip quick_set_reports_every_declared_metric_on_every_workload
+    ./scripts/benchmark_api.sh
 fi
 
 step "tail-latency attribution contract (tailtrace gate, chaos on)"
