@@ -8,7 +8,10 @@
 //! * a per-deployment attribution table (requests, rows scanned, staged
 //!   time) sliced from the labeled metric series;
 //! * an EXPLAIN ANALYZE-style cost profile per deployment;
-//! * the SpaceSaving top-K hot deployments and hot partition keys;
+//! * the hot deployments (exact, read off the per-deployment store) and the
+//!   SpaceSaving top-K hot partition keys (fed from sampled requests — the
+//!   report samples every request so the sketch is populated
+//!   deterministically);
 //! * request-rate trends from the labeled-metric sample rings;
 //! * the slow-query post-mortem log (threshold dropped to zero so it is
 //!   populated deterministically);
@@ -29,7 +32,7 @@
 use openmldb_bench::harness::scaled;
 use openmldb_bench::scenarios::{micro_db, micro_request, micro_sql};
 use openmldb_core::Database;
-use openmldb_obs::{flight, ProfileStore, Registry, SpaceSaving};
+use openmldb_obs::{flight, ProfileStore, Registry, SpaceSaving, Tracer};
 use openmldb_online::sentinel;
 
 /// A small durable write → crash → recover roundtrip so the durability
@@ -149,6 +152,8 @@ fn main() {
     // Threshold 0: every request (even a fast clean one) is "slow", so the
     // post-mortem report below is populated deterministically.
     flight::set_slow_query_threshold_ns(0);
+    // Sample every request: the hot-keys sketch is fed from sampled requests.
+    Tracer::global().set_sample_every(1);
 
     let rows = scaled(2_000);
     let keys = 10usize;
@@ -238,9 +243,9 @@ fn main() {
             println!();
         }
 
-        println!("=== hot deployments (SpaceSaving top-5) ===");
-        for e in SpaceSaving::hot_deployments().top(5) {
-            println!("  {:<24} count~{} (err<={})", e.key, e.count, e.err);
+        println!("=== hot deployments (top-5 by requests) ===");
+        for e in ProfileStore::global().hot_deployments(5) {
+            println!("  {:<24} count={}", e.key, e.count);
         }
         println!();
         println!("=== hot partition keys (SpaceSaving top-5) ===");

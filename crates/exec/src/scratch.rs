@@ -74,17 +74,14 @@ pub struct RequestScratch {
     /// Reusable value stack for compiled expression programs
     /// ([`crate::program::ExprProgram::eval`]) — grown once, reused per row.
     pub vm_stack: Vec<Value>,
-    /// Pooled flight-recorder ring for tail-latency post-mortems. The ring
-    /// allocation survives across requests; [`reset`](Self::reset) leaves it
-    /// alone so the warm path stays allocation-free.
+    /// The pooled per-request record: event ring, stage ledger and cost
+    /// counters (see `openmldb_obs::flight`). Its allocation survives across
+    /// requests; [`reset`](Self::reset) leaves it alone so the warm path
+    /// stays allocation-free.
     pub flight: openmldb_obs::Recorder,
-    /// Cost profile of the last request served through this scratch
-    /// (rows/bytes/seeks/stage-ns) — `Copy` and fixed-size, written once
-    /// per request by the engine after the flight scope closes.
-    pub profile: openmldb_obs::CostProfile,
     /// Reusable render buffer for the heavy-hitter partition-key string —
-    /// cleared and rewritten in place so offering a hot key to the top-K
-    /// sketch allocates nothing on the warm path.
+    /// cleared and rewritten in place so a sampled request's offer to the
+    /// top-K sketch allocates nothing once warm.
     pub key_repr: String,
     /// Consistency-sentinel scan digest: armed by the engine only for the
     /// 1-in-N sampled requests, so the unsampled warm path pays a single

@@ -1,33 +1,45 @@
-//! Always-on per-request flight recorder + slow-query post-mortems.
+//! The per-request record: one pooled ring + stage ledger + cost counters
+//! per served request, and the views published from it.
 //!
-//! The span tracer ([`crate::trace`]) samples 1 in 64 requests, so it almost
-//! never catches the exact request that landed in the slow bucket. The flight
-//! recorder closes that gap: **every** request carries a fixed-size binary
-//! event ring ([`RING_EVENTS`] entries, last-N semantics) recording stage
-//! enters/exits, storage seeks and scan lengths, pre-aggregation hits, fault
-//! injections, retries, and deadline probes. The ring lives in the pooled
-//! per-request scratch ([`Recorder`]), so the warm path performs **zero heap
-//! allocations**: recording one event is a thread-local check plus an array
-//! write.
+//! **Every** request carries one [`Recorder`] (pooled in the engine's request
+//! scratch, installed in one thread-local cell for the duration of a
+//! [`FlightScope`]): a fixed-size binary event ring ([`RING_EVENTS`] entries,
+//! last-N semantics), an exact per-stage self-time ledger, and the request's
+//! [`CostProfile`] counters. Recording one event is a thread-local check plus
+//! an array write, so the warm path performs **zero heap allocations**.
+//! [`FlightScope::finish`] closes the record into a fixed-size
+//! [`FlightSummary`]; everything else is a *view* over that one record:
 //!
-//! On fast success the ring is simply *dropped* (overwritten by the next
-//! request). When a request times out, degrades, fails over, errors, or
-//! exceeds the slow-query threshold, the engine *dumps* it as a structured
-//! [`PostMortem`] into a bounded process-wide slow-query log, queryable via
-//! [`slow_log`] / [`crate::Registry::slow_queries`] and rendered by
-//! [`render_report`] (the `obs_report` tool).
+//! * the sampled span trace ([`crate::trace::Tracer`], 1 request in N per
+//!   thread) is rebuilt from the ring's stage events;
+//! * a request that times out, degrades, fails over, errors, or exceeds the
+//!   slow-query threshold is *dumped* as a [`PostMortem`] into the bounded
+//!   slow-query log ([`slow_log`], [`render_report`]);
+//! * histogram exemplars, the per-deployment store
+//!   ([`crate::profile::ProfileStore`]) and the engine's global counters are
+//!   fed from the summary, once, when the request ends.
+//!
+//! # One clock
+//!
+//! The record reads the clock at request start, at request end, and at the
+//! events for which [`FlightEventKind::is_timed`] holds: stage boundaries and
+//! the rare anomaly events. Count-only events (seeks, scan lengths, pre-agg
+//! hits, compiled windows, plan-cache probes) carry the ledger's cursor — the
+//! timestamp of the timed event before them — and so does a stage boundary
+//! the caller declared adjacent to the previous one ([`abut`]).
 //!
 //! # Exact attribution
 //!
 //! Per-stage self-times are maintained *incrementally* as events arrive (a
 //! fixed stage stack plus a time cursor), not reconstructed from the ring —
 //! so attribution stays exact even after the ring wraps. The invariant every
-//! post-mortem upholds: `sum(stage_self_ns) + other_ns == total_ns`, where
-//! `other` is time outside any instrumented stage.
+//! summary and post-mortem upholds: `sum(stage_ns) + other_ns == total_ns`,
+//! where `other` is time outside any instrumented stage.
 //!
 //! Under the `obs-off` feature every record path in this module compiles to
 //! an inlined no-op and [`Recorder`] carries no state.
 
+use crate::profile::CostProfile;
 use crate::trace::Stage;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +71,7 @@ pub enum FlightEventKind {
     StageExit,
     /// A storage index seek (`a` = index id).
     StorageSeek,
-    /// One window scan completed (`b` = rows visited).
+    /// One storage scan completed (`a` = index id, `b` = rows visited).
     ScanRows,
     /// Pre-aggregation served the window (`a` = window id).
     PreaggHit,
@@ -80,10 +92,10 @@ pub enum FlightEventKind {
     /// Plan cache miss (full plan build).
     PlanCacheMiss,
     /// A window was served by its compiled bytecode program (`a` = window
-    /// id).
+    /// id, `b` = encoded bytes it folds).
     CompiledWindow,
     /// A window fell back to the interpreted path because its plan did not
-    /// specialize (`a` = window id).
+    /// specialize (`a` = window id, `b` = encoded bytes it folds).
     CompiledFallback,
 }
 
@@ -106,6 +118,24 @@ impl FlightEventKind {
             FlightEventKind::CompiledWindow => "compiled_window",
             FlightEventKind::CompiledFallback => "compiled_fallback",
         }
+    }
+
+    /// Whether recording this kind reads the clock: stage boundaries (the
+    /// ledger needs them) and the anomaly events a post-mortem is read for.
+    /// Every other kind is count-only and is stamped with the time of the
+    /// timed event before it.
+    #[inline]
+    pub fn is_timed(self) -> bool {
+        matches!(
+            self,
+            FlightEventKind::StageEnter
+                | FlightEventKind::StageExit
+                | FlightEventKind::FaultInjected
+                | FlightEventKind::Retry
+                | FlightEventKind::Failover
+                | FlightEventKind::DeadlineProbe
+                | FlightEventKind::Degraded
+        )
     }
 }
 
@@ -136,20 +166,27 @@ const STACK_DEPTH: usize = 8;
 struct Inner {
     t0: Instant,
     trace_id: u64,
+    /// The tracer's sampling interval when this request is the sampled one
+    /// in N, else 0.
+    sampled: u64,
     ring: [FlightEvent; RING_EVENTS],
     /// Events currently held (`<= RING_EVENTS`).
     len: usize,
     /// Next write slot (== oldest event once the ring has wrapped).
     next: usize,
     dropped: u64,
-    stage_self_ns: [u64; NUM_STAGES],
+    /// Counters and the stage ledger (`stage_ns`); `total_ns` is stamped by
+    /// [`FlightScope::finish`].
+    cost: CostProfile,
     stack: [u8; STACK_DEPTH],
     depth: usize,
     cursor_ns: u64,
-    retries: u32,
-    failovers: u32,
+    /// Set by [`abut`]: the next stage boundary reuses `cursor_ns`.
+    abut: bool,
     faults: u32,
-    degraded: u32,
+    /// Clock readings taken for this request, start and end included.
+    #[cfg(test)]
+    clock_reads: u32,
 }
 
 #[cfg(not(feature = "obs-off"))]
@@ -158,69 +195,96 @@ impl Inner {
         Box::new(Inner {
             t0: Instant::now(),
             trace_id: 0,
+            sampled: 0,
             ring: [EMPTY_EVENT; RING_EVENTS],
             len: 0,
             next: 0,
             dropped: 0,
-            stage_self_ns: [0; NUM_STAGES],
+            cost: CostProfile::default(),
             stack: [0; STACK_DEPTH],
             depth: 0,
             cursor_ns: 0,
-            retries: 0,
-            failovers: 0,
+            abut: false,
             faults: 0,
-            degraded: 0,
+            #[cfg(test)]
+            clock_reads: 0,
         })
     }
 
-    fn reset(&mut self, trace_id: u64) {
+    /// Start a new request: the one start-of-request clock reading.
+    fn reset(&mut self, trace_id: u64, sampled: u64) {
         self.t0 = Instant::now();
         self.trace_id = trace_id;
+        self.sampled = sampled;
         self.len = 0;
         self.next = 0;
         self.dropped = 0;
-        self.stage_self_ns = [0; NUM_STAGES];
+        self.cost = CostProfile::default();
         self.depth = 0;
         self.cursor_ns = 0;
-        self.retries = 0;
-        self.failovers = 0;
+        self.abut = false;
         self.faults = 0;
-        self.degraded = 0;
+        #[cfg(test)]
+        {
+            self.clock_reads = 1;
+        }
     }
 
-    /// Charge the interval since the cursor to the innermost open stage.
+    /// Read the clock and charge the interval since the cursor to the
+    /// innermost open stage.
     #[inline]
-    fn charge(&mut self, t_ns: u64) {
+    fn charge_now(&mut self) -> u64 {
+        let t_ns = self.t0.elapsed().as_nanos() as u64;
+        #[cfg(test)]
+        {
+            self.clock_reads += 1;
+        }
         if self.depth > 0 {
             let top = self.stack[(self.depth - 1).min(STACK_DEPTH - 1)] as usize;
             if top < NUM_STAGES {
-                self.stage_self_ns[top] += t_ns.saturating_sub(self.cursor_ns);
+                self.cost.stage_ns[top] += t_ns.saturating_sub(self.cursor_ns);
             }
         }
         self.cursor_ns = t_ns;
+        t_ns
     }
 
     // HOT: one event per scan/probe/stage transition — array writes only.
+    // (Named apart from every other `push`: the call-graph lint resolves
+    // methods by name.)
     #[inline]
-    fn push(&mut self, kind: FlightEventKind, a: u32, b: u64) {
-        let t_ns = self.t0.elapsed().as_nanos() as u64;
+    fn log_event(&mut self, kind: FlightEventKind, a: u32, b: u64) {
+        let boundary = matches!(
+            kind,
+            FlightEventKind::StageEnter | FlightEventKind::StageExit
+        );
+        let t_ns = if kind.is_timed() && !(boundary && std::mem::take(&mut self.abut)) {
+            self.charge_now()
+        } else {
+            self.cursor_ns
+        };
         match kind {
             FlightEventKind::StageEnter => {
-                self.charge(t_ns);
                 if self.depth < STACK_DEPTH {
                     self.stack[self.depth] = a as u8;
                 }
                 self.depth += 1;
             }
-            FlightEventKind::StageExit => {
-                self.charge(t_ns);
-                self.depth = self.depth.saturating_sub(1);
+            FlightEventKind::StageExit => self.depth = self.depth.saturating_sub(1),
+            FlightEventKind::StorageSeek => self.cost.storage_seeks += 1,
+            FlightEventKind::ScanRows => self.cost.rows_scanned += b,
+            FlightEventKind::PreaggHit => self.cost.preagg_hits += 1,
+            FlightEventKind::PreaggSkip => self.cost.preagg_skips += 1,
+            FlightEventKind::CompiledWindow | FlightEventKind::CompiledFallback => {
+                self.cost.bytes_decoded += b
             }
-            FlightEventKind::Retry => self.retries += 1,
-            FlightEventKind::Failover => self.failovers += 1,
+            FlightEventKind::Retry => self.cost.retries += 1,
+            FlightEventKind::Failover => self.cost.failovers += 1,
+            FlightEventKind::Degraded => self.cost.degraded = 1,
             FlightEventKind::FaultInjected => self.faults += 1,
-            FlightEventKind::Degraded => self.degraded += 1,
-            _ => {}
+            FlightEventKind::DeadlineProbe
+            | FlightEventKind::PlanCacheHit
+            | FlightEventKind::PlanCacheMiss => {}
         }
         self.ring[self.next] = FlightEvent { t_ns, kind, a, b };
         self.next = (self.next + 1) % RING_EVENTS;
@@ -232,36 +296,80 @@ impl Inner {
     }
 
     /// Retained events, oldest first.
-    fn events(&self) -> Vec<FlightEvent> {
+    fn events(&self) -> impl Iterator<Item = FlightEvent> + '_ {
         let start = if self.len == RING_EVENTS {
             self.next
         } else {
             0
         };
-        (0..self.len)
-            .map(|i| self.ring[(start + i) % RING_EVENTS])
-            .collect()
+        (0..self.len).map(move |i| self.ring[(start + i) % RING_EVENTS])
+    }
+
+    /// The sampled-trace view: stage spans rebuilt from the retained
+    /// enter/exit events, in completion order. A span whose enter event was
+    /// overwritten (more than [`RING_EVENTS`] events) is not reported.
+    fn spans(&self) -> Vec<crate::trace::SpanRecord> {
+        let mut open = [0u64; STACK_DEPTH];
+        let mut depth = 0usize;
+        let mut spans = Vec::with_capacity(self.len / 2);
+        for e in self.events() {
+            match e.kind {
+                FlightEventKind::StageEnter => {
+                    if depth < STACK_DEPTH {
+                        open[depth] = e.t_ns;
+                    }
+                    depth += 1;
+                }
+                FlightEventKind::StageExit if depth > 0 => {
+                    depth -= 1;
+                    if let (Some(&start_ns), Some(&stage)) =
+                        (open.get(depth), Stage::ALL.get(e.a as usize))
+                    {
+                        spans.push(crate::trace::SpanRecord {
+                            stage,
+                            start_ns,
+                            dur_ns: e.t_ns.saturating_sub(start_ns),
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+        spans
     }
 }
 
 #[cfg(not(feature = "obs-off"))]
 thread_local! {
+    /// The one per-request cell: the record of the request this thread is
+    /// serving, if any.
     static FLIGHT: std::cell::RefCell<Option<Box<Inner>>> =
         const { std::cell::RefCell::new(None) };
+    /// Requests this thread has started. Trace ids, the tracer's 1-in-N
+    /// sampling and the consistency sentinel's sampling all derive from this
+    /// one sequence, so no request touches a process-wide sequence atomic.
+    static THREAD_SEQ: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-#[cfg(not(feature = "obs-off"))]
-fn next_trace_id() -> u64 {
-    static SEQ: AtomicU64 = AtomicU64::new(1);
-    SEQ.fetch_add(1, Ordering::Relaxed)
+/// How many requests this thread has started a record for — the sequence
+/// number the *next* [`FlightScope::enter`] on this thread will take. Always
+/// 0 under `obs-off`.
+#[inline]
+pub fn thread_seq() -> u64 {
+    #[cfg(not(feature = "obs-off"))]
+    {
+        THREAD_SEQ.with(std::cell::Cell::get)
+    }
+    #[cfg(feature = "obs-off")]
+    0
 }
 
 // ---------------------------------------------------------------------------
 // Recorder + scope
 // ---------------------------------------------------------------------------
 
-/// The pooled per-request recorder handle. Lives inside the engine's request
-/// scratch so its one ring allocation happens when a pooled scratch is first
+/// The pooled per-request record handle. Lives inside the engine's request
+/// scratch so its one allocation happens when a pooled scratch is first
 /// used (warm-up), never on the steady-state path. Under `obs-off` this is a
 /// zero-sized no-op.
 #[derive(Default)]
@@ -299,14 +407,14 @@ impl Recorder {
                 trace_id: summary.trace_id,
                 outcome,
                 culprit: summary.culprit(),
-                total_ns: summary.total_ns,
-                stage_self_ns: summary.stage_self_ns,
-                other_ns: summary.other_ns,
-                retries: summary.retries,
-                failovers: summary.failovers,
+                total_ns: summary.cost.total_ns,
+                stage_self_ns: summary.cost.stage_ns,
+                other_ns: summary.other_ns(),
+                retries: summary.cost.retries as u32,
+                failovers: summary.cost.failovers as u32,
                 faults: summary.faults,
                 dropped_events: summary.dropped_events,
-                events: inner.events(),
+                events: inner.events().collect(),
                 note: String::new(),
             })
         }
@@ -318,49 +426,39 @@ impl Recorder {
     }
 }
 
-/// Per-request accounting produced by [`FlightScope::finish`]. Fixed-size
-/// (no heap) so the engine can inspect it on the warm path before deciding
-/// whether to dump.
-#[derive(Clone, Copy, Debug)]
+/// The closed record of one request, produced by [`FlightScope::finish`].
+/// Fixed-size (no heap) so the engine can publish it on the warm path.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FlightSummary {
     /// False when this scope was nested inside another (or under `obs-off`);
     /// all other fields are zero then.
     pub active: bool,
+    /// Request id, unique in the process: joins the response to histogram
+    /// exemplars, sampled traces and post-mortems.
     pub trace_id: u64,
-    pub total_ns: u64,
-    /// Exclusive (self) time per [`Stage`], indexed by `Stage::index()`.
-    pub stage_self_ns: [u64; NUM_STAGES],
-    /// `total_ns - sum(stage_self_ns)`: time outside every instrumented
-    /// stage. The three fields always sum exactly to `total_ns`.
-    pub other_ns: u64,
-    pub retries: u32,
-    pub failovers: u32,
+    /// How many requests this one stands for in sampled views: the tracer's
+    /// interval N when this was its thread's 1-in-N sampled request, else 0.
+    pub sampled: u64,
+    /// What the request did and where its time went: `cost.stage_ns` is the
+    /// exact per-stage self time, `cost.total_ns` the one end-of-request
+    /// clock reading.
+    pub cost: CostProfile,
     pub faults: u32,
-    pub degraded: u32,
     pub dropped_events: u64,
 }
 
 impl FlightSummary {
-    fn inactive() -> Self {
-        FlightSummary {
-            active: false,
-            trace_id: 0,
-            total_ns: 0,
-            stage_self_ns: [0; NUM_STAGES],
-            other_ns: 0,
-            retries: 0,
-            failovers: 0,
-            faults: 0,
-            degraded: 0,
-            dropped_events: 0,
-        }
+    /// Time outside every instrumented stage:
+    /// `cost.stage_sum_ns() + other_ns() == cost.total_ns`, exactly.
+    pub fn other_ns(&self) -> u64 {
+        self.cost.total_ns.saturating_sub(self.cost.stage_sum_ns())
     }
 
     /// The stage that consumed the most self-time, or `"other"` when
     /// un-instrumented time dominates.
     pub fn culprit(&self) -> &'static str {
-        let (mut best, mut best_ns) = ("other", self.other_ns);
-        for (i, &ns) in self.stage_self_ns.iter().enumerate() {
+        let (mut best, mut best_ns) = ("other", self.other_ns());
+        for (i, &ns) in self.cost.stage_ns.iter().enumerate() {
             if ns > best_ns {
                 best = Stage::ALL[i].name();
                 best_ns = ns;
@@ -370,12 +468,11 @@ impl FlightSummary {
     }
 }
 
-/// Installs a [`Recorder`] as the thread's active flight recorder for one
-/// request. Panic-safe: dropping the scope (normally via
-/// [`finish`](Self::finish), or by unwinding) uninstalls the recorder and
-/// returns its ring to the pooled handle. A scope entered while another is
-/// active on the same thread is passive — its events land in the outer
-/// request's ring.
+/// Installs a [`Recorder`] as the thread's active per-request record.
+/// Panic-safe: dropping the scope (normally via [`finish`](Self::finish), or
+/// by unwinding) uninstalls the record and returns it to the pooled handle. A
+/// scope entered while another is active on the same thread is passive — its
+/// events land in the outer request's record.
 pub struct FlightScope<'a> {
     #[cfg(not(feature = "obs-off"))]
     rec: &'a mut Recorder,
@@ -386,20 +483,33 @@ pub struct FlightScope<'a> {
 }
 
 impl<'a> FlightScope<'a> {
-    /// Begin recording into `rec`. Allocates the ring the first time a given
-    /// recorder is used; warm reuse is allocation-free.
+    /// Begin recording into `rec`: takes the thread's next sequence number
+    /// and the request's start-of-request clock reading. Allocates the record
+    /// the first time a given recorder is used; warm reuse is
+    /// allocation-free.
     #[inline]
     pub fn enter(rec: &'a mut Recorder) -> Self {
         #[cfg(not(feature = "obs-off"))]
         {
-            let already = FLIGHT.with(|f| f.borrow().is_some());
-            if already {
-                return FlightScope { rec, armed: false };
-            }
-            let mut inner = rec.inner.take().unwrap_or_else(Inner::new);
-            inner.reset(next_trace_id());
-            FLIGHT.with(|f| *f.borrow_mut() = Some(inner));
-            FlightScope { rec, armed: true }
+            let armed = FLIGHT.with(|f| {
+                let mut active = f.borrow_mut();
+                if active.is_some() {
+                    return false;
+                }
+                let seq = THREAD_SEQ.with(|s| s.replace(s.get() + 1));
+                let every = crate::trace::Tracer::global().sample_every();
+                let sampled = if seq.is_multiple_of(every) { every } else { 0 };
+                let mut inner = rec.inner.take().unwrap_or_else(Inner::new);
+                // Unique and non-zero: the thread's ordinal above a sequence
+                // that starts at 1.
+                inner.reset(
+                    ((crate::thread_ordinal() as u64) << 40) | (seq + 1),
+                    sampled,
+                );
+                *active = Some(inner);
+                true
+            });
+            FlightScope { rec, armed }
         }
         #[cfg(feature = "obs-off")]
         {
@@ -410,45 +520,53 @@ impl<'a> FlightScope<'a> {
         }
     }
 
-    /// Stop recording and return the request's accounting. The event ring
-    /// stays inside the recorder (for [`Recorder::post_mortem`]) until the
-    /// next [`enter`](Self::enter) resets it.
+    /// Stop recording: the one end-of-request clock reading closes the
+    /// ledger and becomes `cost.total_ns` (a request declared to end where
+    /// its last stage did — [`abut`] — reuses that stage's closing reading).
+    /// A sampled request also pushes its span trace into the tracer's ring.
+    /// The events stay inside the recorder (for [`Recorder::post_mortem`])
+    /// until the next [`enter`](Self::enter) resets it.
     #[inline]
     #[cfg_attr(feature = "obs-off", allow(unused_mut))]
     pub fn finish(mut self) -> FlightSummary {
         #[cfg(not(feature = "obs-off"))]
         {
             if !self.armed {
-                return FlightSummary::inactive();
+                return FlightSummary::default();
             }
             self.armed = false;
             let Some(mut inner) = FLIGHT.with(|f| f.borrow_mut().take()) else {
-                return FlightSummary::inactive();
+                return FlightSummary::default();
             };
-            let total_ns = inner.t0.elapsed().as_nanos() as u64;
-            // A stage left open (panic inside a span, or a timeout surfacing
-            // mid-stage) is charged through to the end of the request.
-            if inner.depth > 0 {
-                inner.charge(total_ns);
-            }
-            let stage_sum: u64 = inner.stage_self_ns.iter().sum();
+            // The end-of-request reading — or, when the caller declared the
+            // request over where its last stage ended ([`abut`]), that
+            // stage's own. A stage left open (panic inside a span, or a
+            // timeout surfacing mid-stage) is charged through to the end.
+            inner.cost.total_ns = if inner.abut && inner.depth == 0 {
+                inner.cursor_ns
+            } else {
+                inner.charge_now()
+            };
             let summary = FlightSummary {
                 active: true,
                 trace_id: inner.trace_id,
-                total_ns,
-                stage_self_ns: inner.stage_self_ns,
-                other_ns: total_ns.saturating_sub(stage_sum),
-                retries: inner.retries,
-                failovers: inner.failovers,
+                sampled: inner.sampled,
+                cost: inner.cost,
                 faults: inner.faults,
-                degraded: inner.degraded,
                 dropped_events: inner.dropped,
             };
+            if inner.sampled > 0 {
+                crate::trace::Tracer::global().push(crate::trace::Trace {
+                    trace_id: inner.trace_id,
+                    total_ns: inner.cost.total_ns,
+                    spans: inner.spans(),
+                });
+            }
             self.rec.inner = Some(inner);
             summary
         }
         #[cfg(feature = "obs-off")]
-        FlightSummary::inactive()
+        FlightSummary::default()
     }
 }
 
@@ -457,7 +575,7 @@ impl Drop for FlightScope<'_> {
         #[cfg(not(feature = "obs-off"))]
         if self.armed {
             // Unwound without finish(): uninstall so a later request on this
-            // thread cannot write into a dead ring, and keep the allocation.
+            // thread cannot write into a dead record, and keep the allocation.
             if let Some(inner) = FLIGHT.with(|f| f.borrow_mut().take()) {
                 self.rec.inner = Some(inner);
             }
@@ -465,7 +583,24 @@ impl Drop for FlightScope<'_> {
     }
 }
 
-/// Record one event into the thread's active flight recorder, if any.
+/// Declare that the next stage boundary on this thread — or the end of the
+/// request — happens where the last timed event did: it takes that event's
+/// timestamp instead of reading the clock (an exit directly followed by an
+/// enter, two nested stages ending together, a last stage that ends the
+/// request). Only for two boundaries with no work worth timing
+/// between them — whatever does run there is charged to the stage that is
+/// innermost *after* the second boundary, and the ledger stays exact.
+#[inline]
+pub fn abut() {
+    #[cfg(not(feature = "obs-off"))]
+    FLIGHT.with(|f| {
+        if let Some(inner) = f.borrow_mut().as_mut() {
+            inner.abut = true;
+        }
+    });
+}
+
+/// Record one event into the thread's active request record, if any.
 /// Outside a [`FlightScope`] this is a thread-local check and nothing else.
 // HOT: called per scan / per probe / per stage transition, never per row.
 #[inline]
@@ -473,25 +608,11 @@ pub fn event(kind: FlightEventKind, a: u32, b: u64) {
     #[cfg(not(feature = "obs-off"))]
     FLIGHT.with(|f| {
         if let Some(inner) = f.borrow_mut().as_mut() {
-            inner.push(kind, a, b);
+            inner.log_event(kind, a, b);
         }
     });
     #[cfg(feature = "obs-off")]
     let _ = (kind, a, b);
-}
-
-/// [`event`] shorthand used by [`crate::trace::span`].
-#[cfg(not(feature = "obs-off"))]
-#[inline]
-pub(crate) fn stage_enter(stage: Stage) {
-    event(FlightEventKind::StageEnter, stage.index() as u32, 0);
-}
-
-/// [`event`] shorthand used by [`crate::trace::span`].
-#[cfg(not(feature = "obs-off"))]
-#[inline]
-pub(crate) fn stage_exit(stage: Stage) {
-    event(FlightEventKind::StageExit, stage.index() as u32, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -762,6 +883,11 @@ mod tests {
         }
     }
 
+    #[cfg(not(feature = "obs-off"))]
+    fn clock_reads() -> u32 {
+        FLIGHT.with(|f| f.borrow().as_ref().map_or(0, |i| i.clock_reads))
+    }
+
     #[test]
     #[cfg(not(feature = "obs-off"))]
     fn attribution_sums_to_total_and_survives_ring_wrap() {
@@ -770,7 +896,7 @@ mod tests {
         crate::trace::span(Stage::Plan, || sleep_us(200));
         // Flood the ring well past capacity: attribution must stay exact.
         for i in 0..(RING_EVENTS as u64 * 3) {
-            event(FlightEventKind::DeadlineProbe, 0, i);
+            event(FlightEventKind::PlanCacheHit, 0, i);
         }
         crate::trace::span(Stage::StorageSeek, || {
             event(FlightEventKind::ScanRows, 0, 123);
@@ -779,10 +905,13 @@ mod tests {
         let summary = scope.finish();
         assert!(summary.active);
         assert!(summary.trace_id > 0);
-        let sum: u64 = summary.stage_self_ns.iter().sum();
-        assert_eq!(sum + summary.other_ns, summary.total_ns);
-        assert!(summary.stage_self_ns[Stage::Plan.index()] >= 200_000);
-        assert!(summary.stage_self_ns[Stage::StorageSeek.index()] >= 200_000);
+        assert_eq!(
+            summary.cost.stage_sum_ns() + summary.other_ns(),
+            summary.cost.total_ns
+        );
+        assert!(summary.cost.stage_ns[Stage::Plan.index()] >= 200_000);
+        assert!(summary.cost.stage_ns[Stage::StorageSeek.index()] >= 200_000);
+        assert_eq!(summary.cost.rows_scanned, 123);
         assert!(summary.dropped_events > 0);
 
         let pm = rec.post_mortem(Outcome::Slow, &summary).unwrap();
@@ -800,6 +929,74 @@ mod tests {
         assert!(json.contains("\"culprit\""));
     }
 
+    /// The one-clock contract: request start, request end and the timed
+    /// kinds read the clock; count-only events never do and carry the
+    /// timestamp of the timed event before them.
+    #[test]
+    #[cfg(not(feature = "obs-off"))]
+    fn count_only_events_take_no_clock_reading() {
+        use FlightEventKind::*;
+        let mut rec = Recorder::new();
+        let scope = FlightScope::enter(&mut rec);
+        assert_eq!(clock_reads(), 1, "request start");
+        for kind in [StorageSeek, ScanRows, PreaggHit, PreaggSkip] {
+            event(kind, 0, 1);
+        }
+        for kind in [
+            PlanCacheHit,
+            PlanCacheMiss,
+            CompiledWindow,
+            CompiledFallback,
+        ] {
+            event(kind, 0, 1);
+        }
+        assert_eq!(clock_reads(), 1, "count-only events are free of the clock");
+        crate::trace::span(Stage::StorageSeek, || {
+            sleep_us(20);
+            event(StorageSeek, 3, 0);
+            event(ScanRows, 3, 16);
+        });
+        assert_eq!(clock_reads(), 3, "one reading per stage boundary");
+        event(Retry, 0, 1);
+        assert_eq!(clock_reads(), 4, "anomaly events are timed");
+        // Two stages back to back, declared adjacent: exit and enter share
+        // one reading, and the declaration is spent on the first boundary.
+        crate::trace::span(Stage::Aggregate, || sleep_us(20));
+        abut();
+        crate::trace::span(Stage::Encode, || sleep_us(20));
+        assert_eq!(clock_reads(), 7, "an abutting boundary reuses the cursor");
+        abut();
+        let summary = scope.finish();
+        let reads = rec.inner.as_ref().map(|i| i.clock_reads);
+        assert_eq!(
+            reads,
+            Some(7),
+            "the request ends on its last stage's reading"
+        );
+        assert!(summary.cost.stage_ns[Stage::Aggregate.index()] >= 20_000);
+        assert!(summary.cost.stage_ns[Stage::Encode.index()] >= 20_000);
+        assert_eq!(
+            summary.cost.stage_sum_ns() + summary.other_ns(),
+            summary.cost.total_ns
+        );
+        assert_eq!(summary.cost.storage_seeks, 2);
+        assert_eq!(summary.cost.rows_scanned, 17);
+        assert_eq!(summary.cost.retries, 1);
+
+        let pm = rec.post_mortem(Outcome::Slow, &summary).unwrap();
+        let mut timed_ns = 0;
+        for e in &pm.events {
+            if e.kind.is_timed() {
+                assert!(e.t_ns >= timed_ns, "timestamps never go back: {pm:?}");
+                timed_ns = e.t_ns;
+            } else {
+                assert_eq!(e.t_ns, timed_ns, "count-only event off the cursor");
+            }
+        }
+        let enter = pm.events.iter().find(|e| e.kind == StageEnter).unwrap();
+        assert!(enter.t_ns > 0, "events before the first boundary read 0");
+    }
+
     #[test]
     #[cfg(not(feature = "obs-off"))]
     fn nested_stages_attribute_self_time_only() {
@@ -810,13 +1007,13 @@ mod tests {
             crate::trace::span(Stage::Aggregate, || sleep_us(150));
         });
         let summary = scope.finish();
-        let dispatch = summary.stage_self_ns[Stage::WindowDispatch.index()];
-        let agg = summary.stage_self_ns[Stage::Aggregate.index()];
+        let dispatch = summary.cost.stage_ns[Stage::WindowDispatch.index()];
+        let agg = summary.cost.stage_ns[Stage::Aggregate.index()];
         assert!(dispatch >= 150_000, "dispatch self {dispatch}");
         assert!(agg >= 150_000, "agg self {agg}");
         // exclusive times: the parent does not also absorb the child
         assert!(
-            summary.stage_self_ns.iter().sum::<u64>() <= summary.total_ns,
+            summary.cost.stage_sum_ns() <= summary.cost.total_ns,
             "self-times exceed total"
         );
     }
@@ -827,17 +1024,55 @@ mod tests {
         let mut outer = Recorder::new();
         let mut inner = Recorder::new();
         let scope = FlightScope::enter(&mut outer);
+        let seq = thread_seq();
         let nested = FlightScope::enter(&mut inner);
+        assert_eq!(
+            thread_seq(),
+            seq,
+            "a passive scope takes no sequence number"
+        );
         event(FlightEventKind::PreaggHit, 7, 0);
         let ns = nested.finish();
         assert!(!ns.active);
         let summary = scope.finish();
+        assert_eq!(summary.cost.preagg_hits, 1);
         let pm = outer.post_mortem(Outcome::Slow, &summary).unwrap();
         assert!(pm
             .events
             .iter()
             .any(|e| e.kind == FlightEventKind::PreaggHit && e.a == 7));
         assert!(inner.post_mortem(Outcome::Slow, &ns).is_none());
+    }
+
+    /// Trace ids and the 1-in-N sampling decision both come from the
+    /// per-thread sequence: ids are distinct and non-zero, and exactly one
+    /// request in every N consecutive ones on a thread is sampled.
+    #[test]
+    #[cfg(not(feature = "obs-off"))]
+    fn ids_and_sampling_derive_from_the_thread_sequence() {
+        let every = crate::trace::Tracer::global().sample_every();
+        let mut rec = Recorder::new();
+        let mut ids = Vec::new();
+        let mut sampled = 0;
+        for _ in 0..every * 2 {
+            let seq = thread_seq();
+            let summary = FlightScope::enter(&mut rec).finish();
+            assert_eq!(thread_seq(), seq + 1);
+            assert_eq!(summary.sampled > 0, seq.is_multiple_of(every));
+            sampled += u64::from(summary.sampled > 0);
+            ids.push(summary.trace_id);
+        }
+        assert_eq!(sampled, 2);
+        assert!(ids.iter().all(|&id| id > 0));
+        ids.dedup();
+        assert_eq!(ids.len() as u64, every * 2);
+        let other = std::thread::spawn(|| FlightScope::enter(&mut Recorder::new()).finish())
+            .join()
+            .unwrap();
+        assert!(
+            !ids.contains(&other.trace_id),
+            "ids are unique across threads"
+        );
     }
 
     #[test]
@@ -863,6 +1098,7 @@ mod tests {
         let summary = scope.finish();
         if crate::enabled() {
             assert!(summary.active);
+            assert_eq!(summary.cost.rows_scanned, 0);
             let pm = rec.post_mortem(Outcome::Slow, &summary).unwrap();
             assert!(pm.events.is_empty());
         } else {

@@ -8,10 +8,12 @@
 //! * [`Histogram`] — log-linear (HDR-style) latency histogram with mergeable
 //!   per-thread shards and exact percentile extraction (see [`hist`]).
 //!
-//! Plus a request-scoped span tracer ([`trace`]) that decomposes a request
-//! into pipeline stages (plan → cache lookup → window dispatch → storage seek
-//! → aggregate → encode) with nanosecond timestamps, retained in a bounded
-//! ring buffer.
+//! Plus one pooled per-request record ([`flight`]): an event ring, an exact
+//! per-stage ledger (plan → cache lookup → window dispatch → storage seek →
+//! aggregate → encode) and the request's cost counters, written once per
+//! request. The sampled span trace ([`trace`]), slow-query post-mortems,
+//! histogram exemplars and the per-deployment store ([`profile`]) are views
+//! published from it when the request ends.
 //!
 //! All metrics live in the process-wide [`Registry`] and are exposed through
 //! [`Registry::render`] (Prometheus text format) and
@@ -52,9 +54,9 @@ pub use labels::{
     LabelId, LabelRegistry, LabeledCounter, LabeledHistogram, MAX_LABEL_SLOTS, OVERFLOW_LABEL,
 };
 pub use ops::{OpsHandler, OpsResponse, OpsServer};
-pub use profile::{CostProfile, ProfileScope, ProfileStore};
+pub use profile::{CostProfile, ProfileStore};
 pub use topk::{SpaceSaving, TopEntry};
-pub use trace::{span, with_request_trace, SpanRecord, Stage, Trace, Tracer};
+pub use trace::{span, SpanRecord, Stage, Trace, Tracer};
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,19 +71,26 @@ pub const SHARDS: usize = 8;
 #[derive(Default)]
 pub(crate) struct PaddedU64(pub(crate) AtomicU64);
 
-/// Returns a stable per-thread shard index in `0..SHARDS`.
-///
-/// Threads are assigned round-robin on first use; the assignment is cached in
-/// a thread-local so the hot path is a single TLS read.
+/// Returns this thread's ordinal: threads are numbered in order of first
+/// use, and the number is cached in a thread-local so the hot path is a
+/// single TLS read.
 #[cfg(not(feature = "obs-off"))]
 #[inline]
-pub(crate) fn shard_idx() -> usize {
+pub(crate) fn thread_ordinal() -> usize {
     use std::sync::atomic::AtomicUsize;
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
-        static IDX: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+        static ORDINAL: usize = NEXT.fetch_add(1, Ordering::Relaxed);
     }
-    IDX.with(|i| *i)
+    ORDINAL.with(|i| *i)
+}
+
+/// Returns a stable per-thread shard index in `0..SHARDS` (threads are
+/// assigned round-robin).
+#[cfg(not(feature = "obs-off"))]
+#[inline]
+pub(crate) fn shard_idx() -> usize {
+    thread_ordinal() % SHARDS
 }
 
 // ---------------------------------------------------------------------------
@@ -292,31 +301,39 @@ pub const RING_SAMPLES: usize = 128;
 enum LabeledMetric {
     Counter(Arc<LabeledCounter>),
     Histogram(Arc<LabeledHistogram>),
+    /// A counter series computed at exposition time from another store
+    /// (`(slot index, value)` per occupied slot) — nothing is written for it
+    /// on the record path.
+    View(fn() -> Vec<(usize, u64)>),
 }
 
 impl LabeledMetric {
     fn kind(&self) -> &'static str {
         match self {
-            LabeledMetric::Counter(_) => "labeled_counter",
+            LabeledMetric::Counter(_) | LabeledMetric::View(_) => "labeled_counter",
             LabeledMetric::Histogram(_) => "labeled_histogram",
         }
     }
 
-    /// Per-slot instantaneous values: counter value, or histogram sample
-    /// count (the rate-able quantity for trends).
+    /// `(slot index, value)` per occupied slot: counter value, or histogram
+    /// sample count (the rate-able quantity for trends).
+    fn per_slot(&self) -> Vec<(usize, u64)> {
+        match self {
+            LabeledMetric::Counter(c) => c.per_slot(),
+            LabeledMetric::View(read) => read(),
+            LabeledMetric::Histogram(h) => h
+                .per_slot()
+                .into_iter()
+                .map(|(i, s)| (i, s.count()))
+                .collect(),
+        }
+    }
+
+    /// [`per_slot`](Self::per_slot) as a dense array, one cell per slot.
     fn sample(&self) -> Box<[u64]> {
         let mut out = vec![0u64; MAX_LABEL_SLOTS].into_boxed_slice();
-        match self {
-            LabeledMetric::Counter(c) => {
-                for (i, v) in c.per_slot() {
-                    out[i] = v;
-                }
-            }
-            LabeledMetric::Histogram(h) => {
-                for (i, snap) in h.per_slot() {
-                    out[i] = snap.count();
-                }
-            }
+        for (i, v) in self.per_slot() {
+            out[i] = v;
         }
         out
     }
@@ -349,6 +366,15 @@ fn registry_lock(
     m: &Mutex<BTreeMap<String, (String, Metric)>>,
 ) -> std::sync::MutexGuard<'_, BTreeMap<String, (String, Metric)>> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Labeled metrics register under a bare series name — the
+/// `{deployment="..."}` suffix is appended at render time.
+fn assert_labeled_name(name: &str) {
+    assert!(
+        validate_metric_name(name) && !name.contains('{'),
+        "invalid labeled metric name {name:?}: expected a bare openmldb_<crate>_<name>_<unit>"
+    );
 }
 
 fn labeled_lock(
@@ -425,10 +451,7 @@ impl Registry {
     /// render time from the process-wide label registry. Panics on an
     /// invalid name, an explicit label suffix, or a kind mismatch.
     pub fn labeled_counter(&self, name: &str, help: &str) -> Arc<LabeledCounter> {
-        assert!(
-            validate_metric_name(name) && !name.contains('{'),
-            "invalid labeled metric name {name:?}: expected a bare openmldb_<crate>_<name>_<unit>"
-        );
+        assert_labeled_name(name);
         let mut map = labeled_lock(&self.labeled);
         let entry = map.entry(name.to_string()).or_insert_with(|| LabeledEntry {
             help: help.to_string(),
@@ -441,13 +464,31 @@ impl Registry {
         }
     }
 
+    /// Register a labeled (per-deployment) counter series that is *read* from
+    /// another store at exposition time instead of being written on the
+    /// record path: `read` returns `(slot index, value)` per occupied slot.
+    /// Renders, ticks and trends exactly like a [`LabeledCounter`]. Same name
+    /// rules as [`Registry::labeled_counter`]; registering a name twice
+    /// keeps the first reader.
+    pub fn labeled_view(&self, name: &str, help: &str, read: fn() -> Vec<(usize, u64)>) {
+        assert_labeled_name(name);
+        let mut map = labeled_lock(&self.labeled);
+        let entry = map.entry(name.to_string()).or_insert_with(|| LabeledEntry {
+            help: help.to_string(),
+            metric: LabeledMetric::View(read),
+            ring: VecDeque::new(),
+        });
+        assert!(
+            matches!(entry.metric, LabeledMetric::View(_)),
+            "metric {name:?} already registered as {}",
+            entry.metric.kind()
+        );
+    }
+
     /// Get or register a labeled (per-deployment) histogram. Same rules as
     /// [`Registry::labeled_counter`].
     pub fn labeled_histogram(&self, name: &str, help: &str) -> Arc<LabeledHistogram> {
-        assert!(
-            validate_metric_name(name) && !name.contains('{'),
-            "invalid labeled metric name {name:?}: expected a bare openmldb_<crate>_<name>_<unit>"
-        );
+        assert_labeled_name(name);
         let mut map = labeled_lock(&self.labeled);
         let entry = map.entry(name.to_string()).or_insert_with(|| LabeledEntry {
             help: help.to_string(),
@@ -510,15 +551,9 @@ impl Registry {
             return Vec::new();
         };
         let reg = LabelRegistry::deployments();
-        let slots: Vec<(usize, u64)> = match &entry.metric {
-            LabeledMetric::Counter(c) => c.per_slot(),
-            LabeledMetric::Histogram(h) => h
-                .per_slot()
-                .into_iter()
-                .map(|(i, s)| (i, s.count()))
-                .collect(),
-        };
-        slots
+        entry
+            .metric
+            .per_slot()
             .into_iter()
             .map(|(i, v)| (reg.name_of(LabelId::from_index(i)), v))
             .collect()
@@ -595,7 +630,7 @@ impl Registry {
         let reg = LabelRegistry::deployments();
         for (name, entry) in labeled.iter() {
             match &entry.metric {
-                LabeledMetric::Counter(c) => {
+                LabeledMetric::Counter(_) | LabeledMetric::View(_) => {
                     let base = if name.ends_with("_total") {
                         name.clone()
                     } else {
@@ -605,7 +640,7 @@ impl Registry {
                         out.push_str(&format!("# HELP {base} {}\n", escape_help(&entry.help)));
                     }
                     out.push_str(&format!("# TYPE {base} counter\n"));
-                    for (i, v) in c.per_slot() {
+                    for (i, v) in entry.metric.per_slot() {
                         let label = escape_label_value(&reg.name_of(LabelId::from_index(i)));
                         out.push_str(&format!("{base}{{deployment=\"{label}\"}} {v}\n"));
                     }
@@ -675,7 +710,8 @@ impl Registry {
         let reg = LabelRegistry::deployments();
         for (name, entry) in labeled.iter() {
             let series: Vec<String> = match &entry.metric {
-                LabeledMetric::Counter(c) => c
+                LabeledMetric::Counter(_) | LabeledMetric::View(_) => entry
+                    .metric
                     .per_slot()
                     .into_iter()
                     .map(|(i, v)| {

@@ -1,40 +1,35 @@
-//! Per-request cost profiles and per-deployment aggregates.
+//! Per-request cost profiles and the per-deployment store.
 //!
-//! The flight recorder answers "where did *this* request's time go"; the
-//! cost profile answers "what did this request *do*" — rows scanned, bytes
-//! decoded, storage seeks, pre-aggregation hits — and, folded per
-//! deployment into the [`ProfileStore`], "what does this *deployment* cost
-//! on average", rendered in an `EXPLAIN ANALYZE` style.
-//!
-//! Attribution mirrors the flight recorder's thread-local active-scope
-//! pattern: the engine opens a [`ProfileScope`] per request, deeply nested
-//! code (the storage layer's seek/scan sites) calls the free `record_*`
-//! functions without threading a handle through every signature, and the
-//! engine closes the scope, stamps in the flight summary's exact stage
-//! times, and folds the finished [`CostProfile`] into the store under the
-//! deployment's label slot. [`CostProfile`] is `Copy` and fixed-size, so
-//! carrying it in the pooled request scratch keeps the warm path
-//! allocation-free. Under `obs-off` every record call is an inlined no-op
-//! and [`ProfileScope::finish`] returns `None`.
+//! The per-request record ([`crate::flight`]) answers "where did *this*
+//! request's time go" and "what did this request *do*" — its
+//! [`CostProfile`] counts rows scanned, bytes decoded, storage seeks and
+//! pre-aggregation hits next to the exact stage ledger. When the request
+//! ends the engine folds that one profile into the [`ProfileStore`] under
+//! the deployment's label slot, and every per-deployment surface is a read
+//! of the store: the `openmldb_online_deployment_*` series, the hot
+//! deployments ranking, and the `EXPLAIN ANALYZE`-style render.
+//! [`CostProfile`] is `Copy` and fixed-size, so carrying it in the pooled
+//! record keeps the warm path allocation-free. Under `obs-off`
+//! [`ProfileStore::fold`] is an inlined no-op.
 
-#[cfg(not(feature = "obs-off"))]
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::flight::NUM_STAGES;
 use crate::labels::{LabelId, LabelRegistry, MAX_LABEL_SLOTS};
+use crate::topk::TopEntry;
 use crate::trace::Stage;
+use crate::SHARDS;
 
 /// What one request did, in fixed-size counters. The `stage_ns` slots are
-/// indexed by [`Stage::index`] and copied verbatim from the flight
-/// recorder's exact self-time attribution.
+/// indexed by [`Stage::index`] and hold the record's exact self-time
+/// attribution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CostProfile {
     /// Rows visited by window scans and seeks (storage-layer attribution).
     pub rows_scanned: u64,
-    /// Encoded bytes copied into the scan arena.
+    /// Encoded bytes copied into the scan arena and folded by a window.
     pub bytes_decoded: u64,
     /// Storage index seeks.
     pub storage_seeks: u64,
@@ -50,7 +45,7 @@ pub struct CostProfile {
     pub degraded: u64,
     /// High-water mark of the request scratch arena, in bytes.
     pub scratch_high_water_bytes: u64,
-    /// Exclusive per-stage self time, `sum + other <= total_ns`.
+    /// Exclusive per-stage self time, `sum + other == total_ns`.
     pub stage_ns: [u64; NUM_STAGES],
     /// End-to-end request time.
     pub total_ns: u64,
@@ -82,125 +77,13 @@ impl CostProfile {
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
-thread_local! {
-    static ACTIVE: RefCell<Option<CostProfile>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh [`CostProfile`] as the thread's active accumulator for
-/// one request. A scope entered while another is active on the same thread
-/// is passive — records keep landing in the outer request's profile and
-/// [`finish`](Self::finish) returns `None`. Panic-safe: dropping the scope
-/// uninstalls the accumulator.
-#[must_use]
-pub struct ProfileScope {
-    #[cfg(not(feature = "obs-off"))]
-    armed: bool,
-}
-
-impl ProfileScope {
-    #[inline]
-    pub fn enter() -> Self {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let armed = ACTIVE.with(|a| {
-                let mut a = a.borrow_mut();
-                if a.is_some() {
-                    false
-                } else {
-                    *a = Some(CostProfile::default());
-                    true
-                }
-            });
-            ProfileScope { armed }
-        }
-        #[cfg(feature = "obs-off")]
-        ProfileScope {}
-    }
-
-    /// Stop accumulating and return the request's profile. `None` when this
-    /// scope was passive (nested) or under `obs-off`.
-    #[inline]
-    pub fn finish(self) -> Option<CostProfile> {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            if !self.armed {
-                return None;
-            }
-            let mut this = self;
-            this.armed = false;
-            ACTIVE.with(|a| a.borrow_mut().take())
-        }
-        #[cfg(feature = "obs-off")]
-        None
-    }
-}
-
-impl Drop for ProfileScope {
-    fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
-        if self.armed {
-            ACTIVE.with(|a| a.borrow_mut().take());
-        }
-    }
-}
-
-#[cfg(not(feature = "obs-off"))]
-#[inline]
-fn with_active(f: impl FnOnce(&mut CostProfile)) {
-    ACTIVE.with(|a| {
-        if let Some(p) = a.borrow_mut().as_mut() {
-            f(p);
-        }
-    });
-}
-
-/// Record one storage index seek against the active profile, if any.
-// HOT: one thread-local check per seek.
-#[inline]
-pub fn record_seek() {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.storage_seeks += 1);
-}
-
-/// Record `n` rows visited by a scan.
-#[inline]
-pub fn record_scan_rows(n: u64) {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.rows_scanned += n);
-    #[cfg(feature = "obs-off")]
-    let _ = n;
-}
-
-/// Record `n` encoded bytes copied/decoded for the request.
-#[inline]
-pub fn record_bytes(n: u64) {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.bytes_decoded += n);
-    #[cfg(feature = "obs-off")]
-    let _ = n;
-}
-
-/// Record a pre-aggregation fast-path hit.
-#[inline]
-pub fn record_preagg_hit() {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.preagg_hits += 1);
-}
-
-/// Record a pre-aggregation fallback to the raw scan.
-#[inline]
-pub fn record_preagg_skip() {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.preagg_skips += 1);
-}
-
 // ---------------------------------------------------------------------------
 // Per-deployment aggregates
 // ---------------------------------------------------------------------------
 
-/// One deployment's running totals. Cache-line aligned so two deployments
-/// folding concurrently never false-share.
+/// One thread shard of one deployment's running totals. Cache-line aligned
+/// so neither two deployments nor two threads folding concurrently
+/// false-share.
 #[repr(align(64))]
 #[derive(Default)]
 struct SlotAgg {
@@ -218,9 +101,20 @@ struct SlotAgg {
     total_ns: AtomicU64,
 }
 
-/// Fixed-size per-deployment profile aggregates, indexed by
-/// [`LabelId`] slot. Bounded memory by construction: `MAX_LABEL_SLOTS`
-/// cache-line-aligned slots, no maps.
+/// Add `v` to `cell`; most of a request's fields are zero (no retries, no
+/// pre-aggregation, two idle stages) and cost no atomic.
+#[cfg(not(feature = "obs-off"))]
+#[inline]
+fn add(cell: &AtomicU64, v: u64) {
+    if v != 0 {
+        cell.fetch_add(v, Ordering::Relaxed);
+    }
+}
+
+/// Fixed-size per-deployment profile aggregates, indexed by [`LabelId`]
+/// slot and sharded per thread like every other counter. Bounded memory by
+/// construction: `MAX_LABEL_SLOTS * SHARDS` cache-line-aligned cells, no
+/// maps.
 pub struct ProfileStore {
     slots: Box<[SlotAgg]>,
 }
@@ -234,7 +128,9 @@ impl Default for ProfileStore {
 impl ProfileStore {
     pub fn new() -> Self {
         ProfileStore {
-            slots: (0..MAX_LABEL_SLOTS).map(|_| SlotAgg::default()).collect(),
+            slots: (0..MAX_LABEL_SLOTS * SHARDS)
+                .map(|_| SlotAgg::default())
+                .collect(),
         }
     }
 
@@ -244,53 +140,66 @@ impl ProfileStore {
         GLOBAL.get_or_init(ProfileStore::new)
     }
 
-    /// Fold one finished request profile into `id`'s running totals.
+    /// Fold one finished request profile into `id`'s running totals, on the
+    /// calling thread's shard.
+    // HOT: once per request — one relaxed add per non-zero field.
     pub fn fold(&self, id: LabelId, p: &CostProfile) {
         #[cfg(not(feature = "obs-off"))]
         {
-            let s = &self.slots[id.index()];
+            // analysis:allow(panic-freedom): `index()` is clamped below
+            // `MAX_LABEL_SLOTS` and `shard_idx()` is taken modulo `SHARDS`,
+            // so the cell index is below the `MAX_LABEL_SLOTS * SHARDS` cells
+            // `new` allocates.
+            let s = &self.slots[id.index() * SHARDS + crate::shard_idx()];
             s.requests.fetch_add(1, Ordering::Relaxed);
-            s.rows_scanned.fetch_add(p.rows_scanned, Ordering::Relaxed);
-            s.bytes_decoded
-                .fetch_add(p.bytes_decoded, Ordering::Relaxed);
-            s.storage_seeks
-                .fetch_add(p.storage_seeks, Ordering::Relaxed);
-            s.preagg_hits.fetch_add(p.preagg_hits, Ordering::Relaxed);
-            s.preagg_skips.fetch_add(p.preagg_skips, Ordering::Relaxed);
-            s.retries.fetch_add(p.retries, Ordering::Relaxed);
-            s.failovers.fetch_add(p.failovers, Ordering::Relaxed);
-            s.degraded.fetch_add(p.degraded, Ordering::Relaxed);
-            s.scratch_high_water
-                .fetch_max(p.scratch_high_water_bytes, Ordering::Relaxed);
-            for (slot, v) in s.stage_ns.iter().zip(p.stage_ns.iter()) {
-                slot.fetch_add(*v, Ordering::Relaxed);
+            add(&s.rows_scanned, p.rows_scanned);
+            add(&s.bytes_decoded, p.bytes_decoded);
+            add(&s.storage_seeks, p.storage_seeks);
+            add(&s.preagg_hits, p.preagg_hits);
+            add(&s.preagg_skips, p.preagg_skips);
+            add(&s.retries, p.retries);
+            add(&s.failovers, p.failovers);
+            add(&s.degraded, p.degraded);
+            if p.scratch_high_water_bytes > s.scratch_high_water.load(Ordering::Relaxed) {
+                s.scratch_high_water
+                    .fetch_max(p.scratch_high_water_bytes, Ordering::Relaxed);
             }
-            s.total_ns.fetch_add(p.total_ns, Ordering::Relaxed);
+            for (slot, v) in s.stage_ns.iter().zip(p.stage_ns.iter()) {
+                add(slot, *v);
+            }
+            add(&s.total_ns, p.total_ns);
         }
         #[cfg(feature = "obs-off")]
         let _ = (id, p);
     }
 
-    /// `(request count, accumulated profile)` for `id`'s slot.
+    /// `(request count, accumulated profile)` for `id`'s slot, merged over
+    /// its shards.
     pub fn aggregate(&self, id: LabelId) -> (u64, CostProfile) {
-        let s = &self.slots[id.index()];
-        let mut p = CostProfile {
-            rows_scanned: s.rows_scanned.load(Ordering::Relaxed),
-            bytes_decoded: s.bytes_decoded.load(Ordering::Relaxed),
-            storage_seeks: s.storage_seeks.load(Ordering::Relaxed),
-            preagg_hits: s.preagg_hits.load(Ordering::Relaxed),
-            preagg_skips: s.preagg_skips.load(Ordering::Relaxed),
-            retries: s.retries.load(Ordering::Relaxed),
-            failovers: s.failovers.load(Ordering::Relaxed),
-            degraded: s.degraded.load(Ordering::Relaxed),
-            scratch_high_water_bytes: s.scratch_high_water.load(Ordering::Relaxed),
-            stage_ns: [0; NUM_STAGES],
-            total_ns: s.total_ns.load(Ordering::Relaxed),
-        };
-        for (i, slot) in s.stage_ns.iter().enumerate() {
-            p.stage_ns[i] = slot.load(Ordering::Relaxed);
+        let mut requests = 0u64;
+        let mut total = CostProfile::default();
+        let first = id.index() * SHARDS;
+        for s in &self.slots[first..first + SHARDS] {
+            let mut p = CostProfile {
+                rows_scanned: s.rows_scanned.load(Ordering::Relaxed),
+                bytes_decoded: s.bytes_decoded.load(Ordering::Relaxed),
+                storage_seeks: s.storage_seeks.load(Ordering::Relaxed),
+                preagg_hits: s.preagg_hits.load(Ordering::Relaxed),
+                preagg_skips: s.preagg_skips.load(Ordering::Relaxed),
+                retries: s.retries.load(Ordering::Relaxed),
+                failovers: s.failovers.load(Ordering::Relaxed),
+                degraded: s.degraded.load(Ordering::Relaxed),
+                scratch_high_water_bytes: s.scratch_high_water.load(Ordering::Relaxed),
+                stage_ns: [0; NUM_STAGES],
+                total_ns: s.total_ns.load(Ordering::Relaxed),
+            };
+            for (i, slot) in s.stage_ns.iter().enumerate() {
+                p.stage_ns[i] = slot.load(Ordering::Relaxed);
+            }
+            requests += s.requests.load(Ordering::Relaxed);
+            total.merge(&p);
         }
-        (s.requests.load(Ordering::Relaxed), p)
+        (requests, total)
     }
 
     /// Sum `aggregate` over every slot (the reconciliation side of the
@@ -306,6 +215,39 @@ impl ProfileStore {
         // merge() sums total_ns but maxes high-water; both are what the
         // reconciliation wants.
         (requests, total)
+    }
+
+    /// One per-deployment series read off the store: `(slot index,
+    /// value(requests, profile))` for every slot that has served a request —
+    /// what the labeled `openmldb_online_deployment_*` series render from at
+    /// exposition time.
+    pub fn per_slot(&self, value: impl Fn(u64, &CostProfile) -> u64) -> Vec<(usize, u64)> {
+        (0..MAX_LABEL_SLOTS)
+            .filter_map(|i| {
+                let (requests, p) = self.aggregate(LabelId::from_index(i));
+                (requests > 0).then(|| (i, value(requests, &p)))
+            })
+            .collect()
+    }
+
+    /// The `k` deployments that served the most requests, highest first
+    /// (ties broken by name), names resolved against the process-wide
+    /// deployment registry. Exact — the store has one slot per label, so
+    /// `err` is always 0.
+    pub fn hot_deployments(&self, k: usize) -> Vec<TopEntry> {
+        let reg = LabelRegistry::deployments();
+        let mut out: Vec<TopEntry> = self
+            .per_slot(|requests, _| requests)
+            .into_iter()
+            .map(|(i, count)| TopEntry {
+                key: reg.name_of(LabelId::from_index(i)),
+                count,
+                err: 0,
+            })
+            .collect();
+        out.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
+        out.truncate(k);
+        out
     }
 
     /// `EXPLAIN ANALYZE`-style render of one deployment's accumulated
@@ -394,45 +336,6 @@ mod tests {
     use crate::enabled;
 
     #[test]
-    fn scope_accumulates_and_uninstalls() {
-        let scope = ProfileScope::enter();
-        record_seek();
-        record_scan_rows(40);
-        record_bytes(512);
-        record_preagg_hit();
-        record_preagg_skip();
-        let p = scope.finish();
-        if enabled() {
-            let p = p.expect("outermost scope is armed");
-            assert_eq!(p.storage_seeks, 1);
-            assert_eq!(p.rows_scanned, 40);
-            assert_eq!(p.bytes_decoded, 512);
-            assert_eq!(p.preagg_hits, 1);
-            assert_eq!(p.preagg_skips, 1);
-        } else {
-            assert!(p.is_none());
-        }
-        // Records outside any scope are dropped, not crashed.
-        record_seek();
-    }
-
-    #[test]
-    fn nested_scope_is_passive() {
-        let outer = ProfileScope::enter();
-        record_scan_rows(1);
-        {
-            let inner = ProfileScope::enter();
-            record_scan_rows(10);
-            assert!(inner.finish().is_none(), "nested scope must be passive");
-        }
-        record_scan_rows(100);
-        if enabled() {
-            let p = outer.finish().unwrap();
-            assert_eq!(p.rows_scanned, 111, "all records land in the outer scope");
-        }
-    }
-
-    #[test]
     fn store_folds_and_renders() {
         let store = ProfileStore::new();
         let reg = LabelRegistry::new();
@@ -440,20 +343,85 @@ mod tests {
         let mut p = CostProfile {
             rows_scanned: 10,
             total_ns: 1_000_000,
+            scratch_high_water_bytes: 64,
             ..Default::default()
         };
         p.stage_ns[Stage::StorageSeek.index()] = 600_000;
         store.fold(id, &p);
+        p.scratch_high_water_bytes = 32;
         store.fold(id, &p);
         let (requests, agg) = store.aggregate(id);
         if enabled() {
             assert_eq!(requests, 2);
             assert_eq!(agg.rows_scanned, 20);
+            assert_eq!(agg.scratch_high_water_bytes, 64);
             assert_eq!(agg.stage_ns[Stage::StorageSeek.index()], 1_200_000);
             let (all_req, all) = store.aggregate_all();
             assert_eq!(all_req, 2);
             assert_eq!(all.total_ns, 2_000_000);
+            assert_eq!(
+                store.per_slot(|_, p| p.rows_scanned),
+                vec![(id.index(), 20)]
+            );
+        } else {
+            assert_eq!(requests, 0);
+            assert!(store.per_slot(|r, _| r).is_empty());
         }
+    }
+
+    /// Folds from several threads land on different shards and still merge
+    /// to exact totals.
+    #[test]
+    fn shards_merge_exactly() {
+        let store = std::sync::Arc::new(ProfileStore::new());
+        let id = LabelId::from_index(3);
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let store = std::sync::Arc::clone(&store);
+                std::thread::spawn(move || {
+                    for _ in 0..1_000 {
+                        store.fold(
+                            id,
+                            &CostProfile {
+                                rows_scanned: t,
+                                total_ns: 7,
+                                ..Default::default()
+                            },
+                        );
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        if enabled() {
+            let (requests, agg) = store.aggregate(id);
+            assert_eq!(requests, 4_000);
+            assert_eq!(agg.rows_scanned, 6_000);
+            assert_eq!(agg.total_ns, 28_000);
+        }
+    }
+
+    #[test]
+    fn hot_deployments_rank_by_exact_request_count() {
+        if !enabled() {
+            return;
+        }
+        let store = ProfileStore::new();
+        let reg = LabelRegistry::deployments();
+        let (a, b) = (reg.resolve("hot_unit_a"), reg.resolve("hot_unit_b"));
+        for _ in 0..3 {
+            store.fold(a, &CostProfile::default());
+        }
+        store.fold(b, &CostProfile::default());
+        let top = store.hot_deployments(5);
+        let rank: Vec<(&str, u64, u64)> = top
+            .iter()
+            .map(|e| (e.key.as_str(), e.count, e.err))
+            .collect();
+        assert_eq!(rank, vec![("hot_unit_a", 3, 0), ("hot_unit_b", 1, 0)]);
+        assert_eq!(store.hot_deployments(1).len(), 1);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Heavy-hitter tracking: the SpaceSaving top-K sketch.
 //!
-//! Hot deployments and hot partition keys must be identifiable without an
-//! unbounded map (a per-key HashMap over partition keys is exactly the
-//! cardinality bomb the labeled-metric registry avoids). SpaceSaving
+//! Hot partition keys must be identifiable without an unbounded map (a
+//! per-key HashMap over partition keys is exactly the cardinality bomb the
+//! labeled-metric registry avoids; hot *deployments* need no sketch — the
+//! per-deployment store has one exact slot per label, see
+//! [`crate::profile::ProfileStore::hot_deployments`]). SpaceSaving
 //! (Metwally et al., "Efficient computation of frequent and top-k elements
 //! in data streams") keeps a fixed set of `capacity` monitored keys; an
 //! unmonitored arrival evicts the current minimum and inherits its count as
@@ -12,11 +14,13 @@
 //! * `estimate - err <= true_count <= estimate` for every monitored key;
 //! * any key whose true count exceeds `observed / capacity` is monitored.
 //!
-//! The sketch takes one uncontended mutex per offer (requests are
-//! millisecond-scale; one ~20 ns lock is noise against the 0.5 % obs
-//! budget) and allocates only when a *new* key enters the monitored set —
-//! steady-state offers on monitored keys are a HashMap probe and a counter
-//! bump. Under `obs-off`, [`SpaceSaving::offer`] compiles to a no-op.
+//! An offer takes a mutex and a string-keyed HashMap probe; offering on
+//! every request (two sketches plus the key's format) measured 0.18 µs of a
+//! 3.4 µs short-window request (EXPERIMENTS.md, "Observability overhead"),
+//! so the serving path offers only its sampled requests (one in N per thread), each with weight N
+//! ([`SpaceSaving::offer_weighted`]); the estimates stay unbiased. The
+//! sketch allocates only when a *new* key enters the monitored set. Under
+//! `obs-off`, [`SpaceSaving::offer`] compiles to a no-op.
 
 #[cfg(not(feature = "obs-off"))]
 use std::collections::HashMap;
@@ -62,14 +66,8 @@ impl SpaceSaving {
         }
     }
 
-    /// The process-wide sketch over deployment names (one offer per
-    /// request).
-    pub fn hot_deployments() -> &'static SpaceSaving {
-        static GLOBAL: OnceLock<SpaceSaving> = OnceLock::new();
-        GLOBAL.get_or_init(|| SpaceSaving::new(32))
-    }
-
-    /// The process-wide sketch over `deployment:partition-key` strings.
+    /// The process-wide sketch over `deployment:partition-key` strings, fed
+    /// from the serving path's sampled requests.
     pub fn hot_keys() -> &'static SpaceSaving {
         static GLOBAL: OnceLock<SpaceSaving> = OnceLock::new();
         GLOBAL.get_or_init(|| SpaceSaving::new(64))

@@ -1,25 +1,21 @@
-//! Request-scoped span tracing.
+//! Pipeline stages and the sampled span-trace view.
 //!
 //! A trace decomposes one online request into pipeline stages
 //! (plan → cache lookup → window dispatch → storage seek → aggregate →
 //! encode) with nanosecond start/duration timestamps relative to the
-//! request's arrival. Traces are sampled (1 in [`DEFAULT_SAMPLE_EVERY`] by
-//! default) and retained in a bounded ring buffer of [`RING_CAPACITY`]
-//! entries, so tracing never grows memory and costs a single sequence-number
-//! `fetch_add` plus one thread-local check per span on unsampled requests.
-//!
-//! The active trace is propagated through a thread-local, so deeply nested
-//! code (the SQL cache, the storage layer) can call [`span`] without
-//! threading a context handle through every signature: outside a sampled
-//! [`with_request_trace`] scope, `span` runs the closure with zero recording.
+//! request's arrival. [`span`] only marks the stage boundary in the thread's
+//! per-request record ([`crate::flight`]); the record keeps the exact stage
+//! ledger for **every** request, and for one request in
+//! [`DEFAULT_SAMPLE_EVERY`] per thread its stage events are rebuilt into a
+//! [`Trace`] when the request ends and retained in a bounded ring of
+//! [`RING_CAPACITY`] entries. Deeply nested code (the SQL cache, the storage
+//! layer) calls [`span`] without threading a context handle through every
+//! signature: outside a request scope it runs the closure after one
+//! thread-local check.
 
-#[cfg(not(feature = "obs-off"))]
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-#[cfg(not(feature = "obs-off"))]
-use std::time::Instant;
 
 /// Default sampling interval: one traced request per this many.
 pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
@@ -87,30 +83,19 @@ pub struct SpanRecord {
 /// A completed request trace.
 #[derive(Clone, Debug)]
 pub struct Trace {
-    /// Request sequence number at sampling time.
-    pub seq: u64,
+    /// Id of the traced request — the same id its histogram exemplar and
+    /// post-mortem carry.
+    pub trace_id: u64,
     /// End-to-end request duration.
     pub total_ns: u64,
-    /// Spans in completion order.
+    /// Spans in completion order. A request with more events than the
+    /// record retains ([`crate::flight::RING_EVENTS`]) keeps its newest spans.
     pub spans: Vec<SpanRecord>,
 }
 
-#[cfg(not(feature = "obs-off"))]
-struct ActiveTrace {
-    t0: Instant,
-    seq: u64,
-    spans: Vec<SpanRecord>,
-}
-
-#[cfg(not(feature = "obs-off"))]
-thread_local! {
-    static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
-}
-
-/// Global trace collector: samples requests and retains completed traces in
-/// a bounded ring.
+/// Global trace collector: the per-thread 1-in-N sampling interval and the
+/// bounded ring of completed traces.
 pub struct Tracer {
-    seq: AtomicU64,
     sample_every: AtomicU64,
     ring: Mutex<VecDeque<Trace>>,
 }
@@ -124,73 +109,31 @@ impl Default for Tracer {
 impl Tracer {
     pub fn new() -> Self {
         Tracer {
-            seq: AtomicU64::new(0),
             sample_every: AtomicU64::new(DEFAULT_SAMPLE_EVERY),
             ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
         }
     }
 
-    /// The process-wide tracer used by [`with_request_trace`] / [`span`].
+    /// The process-wide tracer the per-request record samples into.
     pub fn global() -> &'static Tracer {
         static GLOBAL: OnceLock<Tracer> = OnceLock::new();
         GLOBAL.get_or_init(Tracer::new)
     }
 
     /// Change the sampling interval (`1` traces every request; `0` is
-    /// clamped to `1`). Intended for tests and bench runs.
+    /// clamped to `1`). Intended for tests, bench runs and report tooling.
     pub fn set_sample_every(&self, n: u64) {
         self.sample_every.store(n.max(1), Ordering::Relaxed);
     }
 
-    /// Run `f` as a request scope. If this request is sampled, spans opened
-    /// inside `f` on this thread are collected and the completed trace is
-    /// pushed into the ring buffer.
+    /// The sampling interval: each thread traces one request in this many.
     #[inline]
-    pub fn with_request_trace<R>(&self, f: impl FnOnce() -> R) -> R {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let every = self.sample_every.load(Ordering::Relaxed).max(1);
-            let sampled = seq.is_multiple_of(every);
-            // nested scopes (offline query inside a request) never re-enter
-            let already = ACTIVE.with(|a| a.borrow().is_some());
-            if !sampled || already {
-                return f();
-            }
-            ACTIVE.with(|a| {
-                *a.borrow_mut() = Some(ActiveTrace {
-                    t0: Instant::now(),
-                    seq,
-                    spans: Vec::with_capacity(8),
-                })
-            });
-            // drop guard so a panicking `f` cannot leak the active trace
-            // into an unrelated later request on this thread
-            struct Finish<'t> {
-                tracer: &'t Tracer,
-            }
-            impl Drop for Finish<'_> {
-                fn drop(&mut self) {
-                    if let Some(active) = ACTIVE.with(|a| a.borrow_mut().take()) {
-                        self.tracer.push(Trace {
-                            seq: active.seq,
-                            total_ns: active.t0.elapsed().as_nanos() as u64,
-                            spans: active.spans,
-                        });
-                    }
-                }
-            }
-            let guard = Finish { tracer: self };
-            let out = f();
-            drop(guard);
-            out
-        }
-        #[cfg(feature = "obs-off")]
-        f()
+    pub fn sample_every(&self) -> u64 {
+        self.sample_every.load(Ordering::Relaxed)
     }
 
-    #[cfg(not(feature = "obs-off"))]
-    fn push(&self, trace: Trace) {
+    /// Retain a completed trace, evicting the oldest past [`RING_CAPACITY`].
+    pub fn push(&self, trace: Trace) {
         let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
         if ring.len() == RING_CAPACITY {
             ring.pop_front();
@@ -204,13 +147,8 @@ impl Tracer {
         ring.iter().cloned().collect()
     }
 
-    /// Number of requests that have passed through `with_request_trace`.
-    pub fn requests_seen(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
     /// JSON array of retained traces:
-    /// `[{"seq":..,"total_ns":..,"spans":[{"stage":"plan",...}]}]`.
+    /// `[{"trace_id":..,"total_ns":..,"spans":[{"stage":"plan",...}]}]`.
     pub fn render_json(&self) -> String {
         let traces = self.recent();
         let mut items = Vec::with_capacity(traces.len());
@@ -228,8 +166,8 @@ impl Tracer {
                 })
                 .collect();
             items.push(format!(
-                "{{\"seq\":{},\"total_ns\":{},\"spans\":[{}]}}",
-                t.seq,
+                "{{\"trace_id\":{},\"total_ns\":{},\"spans\":[{}]}}",
+                t.trace_id,
                 t.total_ns,
                 spans.join(",")
             ));
@@ -238,54 +176,22 @@ impl Tracer {
     }
 }
 
-/// Time `f` as `stage` within the current thread's active trace, if any,
-/// and mark the stage boundary in the thread's active flight recorder
-/// ([`crate::flight`]) — the recorder is per-request (always on), so stage
-/// events flow even when the 1-in-N trace sampler skipped this request.
-/// Outside both scopes this is two thread-local `is_some` checks and nothing
-/// else.
+/// Run `f` as `stage`: mark the stage boundary on either side of it in the
+/// thread's per-request record ([`crate::flight`]). Outside a request scope
+/// this is two thread-local checks and nothing else.
 #[inline]
 pub fn span<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        crate::flight::stage_enter(stage);
-        let t0 = ACTIVE.with(|a| a.borrow().as_ref().map(|t| t.t0));
-        let Some(t0) = t0 else {
-            let out = f();
-            crate::flight::stage_exit(stage);
-            return out;
-        };
-        let start_ns = t0.elapsed().as_nanos() as u64;
-        let out = f();
-        let end_ns = t0.elapsed().as_nanos() as u64;
-        crate::flight::stage_exit(stage);
-        ACTIVE.with(|a| {
-            if let Some(active) = a.borrow_mut().as_mut() {
-                active.spans.push(SpanRecord {
-                    stage,
-                    start_ns,
-                    dur_ns: end_ns.saturating_sub(start_ns),
-                });
-            }
-        });
-        out
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = stage;
-        f()
-    }
-}
-
-/// Convenience wrapper over [`Tracer::global`].
-#[inline]
-pub fn with_request_trace<R>(f: impl FnOnce() -> R) -> R {
-    Tracer::global().with_request_trace(f)
+    use crate::flight::{event, FlightEventKind};
+    event(FlightEventKind::StageEnter, stage.index() as u32, 0);
+    let out = f();
+    event(FlightEventKind::StageExit, stage.index() as u32, 0);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::{FlightScope, Recorder};
 
     #[test]
     fn spans_outside_scope_are_noops() {
@@ -293,94 +199,79 @@ mod tests {
         assert_eq!(v, 7);
     }
 
-    #[test]
-    fn sampled_trace_collects_spans_in_order() {
-        let tracer = Tracer::new();
-        tracer.set_sample_every(1);
-        let out = tracer.with_request_trace(|| {
+    /// Serve `n` scoped requests of three spans each on this thread and
+    /// return the ids of the ones the record marked as sampled.
+    fn serve(n: u64) -> Vec<u64> {
+        let mut rec = Recorder::new();
+        let mut sampled = Vec::new();
+        for _ in 0..n {
+            let scope = FlightScope::enter(&mut rec);
             span(Stage::Plan, || {
                 std::thread::sleep(std::time::Duration::from_micros(50))
             });
-            span(Stage::StorageSeek, || ());
+            span(Stage::WindowDispatch, || span(Stage::StorageSeek, || ()));
             span(Stage::Encode, || ());
-            42
-        });
-        assert_eq!(out, 42);
-        let traces = tracer.recent();
-        if !crate::enabled() {
-            assert!(traces.is_empty());
-            return;
+            let summary = scope.finish();
+            if summary.sampled > 0 {
+                sampled.push(summary.trace_id);
+            }
         }
-        assert_eq!(traces.len(), 1);
-        let t = &traces[0];
-        assert_eq!(
-            t.spans.iter().map(|s| s.stage).collect::<Vec<_>>(),
-            vec![Stage::Plan, Stage::StorageSeek, Stage::Encode]
-        );
-        assert!(t.spans[0].dur_ns >= 50_000, "sleep span too short: {t:?}");
-        assert!(t.total_ns >= t.spans[0].dur_ns);
-        assert!(t.spans[1].start_ns >= t.spans[0].start_ns);
-        let json = tracer.render_json();
-        assert!(json.contains("\"stage\":\"storage_seek\""));
+        sampled
     }
 
     #[test]
-    fn sampling_interval_respected() {
-        let tracer = Tracer::new();
-        tracer.set_sample_every(4);
-        for _ in 0..8 {
-            tracer.with_request_trace(|| span(Stage::Aggregate, || ()));
+    fn sampled_request_becomes_a_trace_of_its_stage_events() {
+        let every = Tracer::global().sample_every();
+        let sampled = serve(every);
+        if !crate::enabled() {
+            assert!(sampled.is_empty() && Tracer::global().recent().is_empty());
+            return;
         }
-        if crate::enabled() {
-            assert_eq!(tracer.requests_seen(), 8);
-            assert_eq!(tracer.recent().len(), 2); // seq 0 and 4
-        }
+        assert_eq!(sampled.len(), 1, "one request in {every} per thread");
+        let traces = Tracer::global().recent();
+        let t = traces
+            .iter()
+            .find(|t| t.trace_id == sampled[0])
+            .expect("the sampled request's trace is retained");
+        // completion order: the nested seek closes before its dispatch
+        assert_eq!(
+            t.spans.iter().map(|s| s.stage).collect::<Vec<_>>(),
+            vec![
+                Stage::Plan,
+                Stage::StorageSeek,
+                Stage::WindowDispatch,
+                Stage::Encode
+            ]
+        );
+        assert!(t.spans[0].dur_ns >= 50_000, "sleep span too short: {t:?}");
+        assert!(t.total_ns >= t.spans[0].dur_ns);
+        assert!(t.spans[1].start_ns >= t.spans[2].start_ns);
+        assert!(t.spans[1].dur_ns <= t.spans[2].dur_ns);
+        let json = Tracer::global().render_json();
+        assert!(json.contains("\"stage\":\"storage_seek\""));
     }
 
     #[test]
     fn ring_is_bounded() {
         let tracer = Tracer::new();
-        tracer.set_sample_every(1);
-        for _ in 0..(RING_CAPACITY + 10) {
-            tracer.with_request_trace(|| ());
+        for i in 0..(RING_CAPACITY as u64 + 10) {
+            tracer.push(Trace {
+                trace_id: i,
+                total_ns: 1,
+                spans: Vec::new(),
+            });
         }
-        if crate::enabled() {
-            let traces = tracer.recent();
-            assert_eq!(traces.len(), RING_CAPACITY);
-            // oldest were evicted
-            assert_eq!(traces[0].seq, 10);
-        }
+        let traces = tracer.recent();
+        assert_eq!(traces.len(), RING_CAPACITY);
+        // oldest were evicted
+        assert_eq!(traces[0].trace_id, 10);
     }
 
     #[test]
-    fn nested_scopes_do_not_double_trace() {
+    fn sample_interval_is_clamped() {
         let tracer = Tracer::new();
-        tracer.set_sample_every(1);
-        tracer.with_request_trace(|| {
-            tracer.with_request_trace(|| span(Stage::Plan, || ()));
-        });
-        if crate::enabled() {
-            // the outer scope owns the trace; the inner one runs untraced
-            // (but still bumps the sequence number)
-            assert_eq!(tracer.recent().len(), 1);
-            assert_eq!(tracer.requests_seen(), 2);
-        }
-    }
-
-    #[test]
-    fn panic_does_not_leak_active_trace() {
-        let tracer = Tracer::new();
-        tracer.set_sample_every(1);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tracer.with_request_trace(|| panic!("boom"));
-        }));
-        assert!(result.is_err());
-        // a later span on this thread must not attach to the dead trace
-        span(Stage::Encode, || ());
-        if crate::enabled() {
-            let traces = tracer.recent();
-            assert_eq!(traces.len(), 1);
-            assert!(traces[0].spans.is_empty());
-        }
+        assert_eq!(tracer.sample_every(), DEFAULT_SAMPLE_EVERY);
+        tracer.set_sample_every(0);
+        assert_eq!(tracer.sample_every(), 1);
     }
 }

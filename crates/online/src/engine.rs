@@ -18,8 +18,8 @@ use openmldb_exec::{
 };
 use openmldb_obs::trace as obs;
 use openmldb_obs::{
-    flight, CostProfile, FlightEventKind, FlightScope, FlightSummary, LabelId, LabelRegistry,
-    Outcome, ProfileScope, ProfileStore, Recorder, SpaceSaving,
+    flight, FlightEventKind, FlightScope, FlightSummary, LabelId, LabelRegistry, Outcome,
+    ProfileStore, Recorder, SpaceSaving,
 };
 use openmldb_sql::ast::Frame;
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, CompiledQuery};
@@ -101,9 +101,9 @@ pub struct Deployment {
     /// serve allocation-free, and push it back.
     scratch_pool: Mutex<Vec<RequestScratch>>,
     /// Slot in the process-wide deployment label registry, resolved once at
-    /// deployment time. All per-deployment attribution (labeled counters,
-    /// the profile store) keys off this fixed-cardinality id; deployments
-    /// past the slot budget share the `__other` slot.
+    /// deployment time. All per-deployment attribution (the profile store
+    /// and the labeled series read from it) keys off this fixed-cardinality
+    /// id; deployments past the slot budget share the `__other` slot.
     label: LabelId,
 }
 
@@ -111,6 +111,7 @@ impl Deployment {
     pub fn new(name: impl Into<String>, query: Arc<CompiledQuery>) -> Self {
         let name = name.into();
         let label = LabelRegistry::deployments().resolve(&name);
+        crate::metrics::register_deployment_views();
         let preaggs = (0..query.windows.len()).map(|_| None).collect();
         let mut window_projections =
             vec![vec![false; query.base_schema.len()]; query.windows.len()];
@@ -205,11 +206,12 @@ impl Deployment {
 /// Execute one request tuple through a deployment, producing one feature
 /// row (online request mode).
 ///
-/// Each call is a request scope for the span tracer and records into the
-/// `openmldb_online_requests_total` / `openmldb_online_request_duration_ns`
-/// metrics. Runs with [`RequestOptions::default()`]: no deadline, default
-/// transient-fault retries — see [`execute_request_with`] for budgeted
-/// serving.
+/// Each call is one per-request record (`openmldb_obs::flight`), published
+/// into the `openmldb_online_requests_total` /
+/// `openmldb_online_request_duration_ns` metrics and the per-deployment
+/// store when the request ends. Runs with [`RequestOptions::default()`]: no
+/// deadline, default transient-fault retries — see [`execute_request_with`]
+/// for budgeted serving.
 pub fn execute_request(
     provider: &dyn TableProvider,
     dep: &Deployment,
@@ -236,71 +238,31 @@ pub fn execute_request_with(
     scratch.reset();
     // Consistency sentinel: 1-in-N sampling decision, taken before the
     // pipeline runs so the scan pass can fold per-window input digests.
-    // HOT: unsampled requests pay one atomic fetch_add and a branch.
+    // HOT: unsampled requests pay two loads and a branch.
     let audit_sig = crate::sentinel::should_sample().then(|| {
         scratch.audit.arm();
         crate::sentinel::version_signature(provider, dep)
     });
-    // The recorder moves out of the scratch for the duration of the scope so
+    // The record moves out of the scratch for the duration of the scope so
     // the pipeline below can borrow the scratch mutably. `Recorder` is a
     // pooled `Option<Box<_>>`; the take/put pair moves a pointer, it does
     // not allocate.
     let mut flight = std::mem::take(&mut scratch.flight);
-    let scope = FlightScope::enter(&mut flight);
-    let pscope = ProfileScope::enter();
-    let t0 = std::time::Instant::now();
     let ctx = Ctx::new(opts);
-    let out = obs::with_request_trace(|| {
-        let r = execute_streaming(provider, dep, request, &ctx, &mut scratch);
-        crate::metrics::requests().inc();
-        r
-    });
-    let summary = scope.finish();
-    // Attribution runs before the latency capture below so its cost —
-    // including first-request lazy init of the labeled metrics, the profile
-    // store and the heavy-hitter sketches — lands inside the recorded
-    // latency rather than as invisible post-measurement time (the
-    // obs-vs-harness divergence gate compares the two).
-    if let Some(mut prof) = pscope.finish() {
-        prof.stage_ns = summary.stage_self_ns;
-        prof.total_ns = t0.elapsed().as_nanos() as u64;
-        prof.retries = u64::from(ctx.retries());
-        prof.failovers = u64::from(ctx.failovers());
-        prof.degraded = u64::from(ctx.degraded());
-        prof.scratch_high_water_bytes = scratch.arena.capacity() as u64;
-        attribute_request(dep, &prof);
-        // Heavy-hitter partition keys: render `dep:key` into the pooled
-        // scratch string so the offer allocates nothing on the warm path.
-        if openmldb_obs::enabled() && !scratch.key.is_empty() {
-            use std::fmt::Write as _;
-            scratch.key_repr.clear();
-            let _ = write!(scratch.key_repr, "{}:{:?}", dep.name, scratch.key);
-            SpaceSaving::hot_keys().offer(&scratch.key_repr);
-        }
-        scratch.profile = prof;
+    let scope = FlightScope::enter(&mut flight);
+    let out = execute_streaming(provider, dep, request, &ctx, &mut scratch);
+    let mut summary = scope.finish();
+    summary.cost.scratch_high_water_bytes = scratch.arena.capacity() as u64;
+    let result = publish_request(dep, &flight, &summary, &ctx, out);
+    // Heavy-hitter partition keys, fed from the sampled requests only, each
+    // standing for `sampled` requests: render `dep:key` into the pooled
+    // scratch string so a warm offer allocates nothing.
+    if summary.sampled > 0 && !scratch.key.is_empty() {
+        use std::fmt::Write as _;
+        scratch.key_repr.clear();
+        let _ = write!(scratch.key_repr, "{}:{:?}", dep.name, scratch.key);
+        SpaceSaving::hot_keys().offer_weighted(&scratch.key_repr, summary.sampled);
     }
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    crate::metrics::request_duration().record_with_exemplar(
-        elapsed_ns,
-        summary.trace_id,
-        &summary.stage_self_ns,
-    );
-    let result = match out {
-        Ok(row) => Ok(RequestOutput {
-            row,
-            degraded: ctx.degraded(),
-            retries: ctx.retries(),
-            failovers: ctx.failovers(),
-            trace_id: summary.trace_id,
-        }),
-        Err(e) => {
-            if matches!(e, Error::Timeout { .. }) {
-                crate::metrics::timeouts().inc();
-            }
-            Err(e)
-        }
-    };
-    maybe_dump_post_mortem(&flight, &summary, &result);
     if let Some(pre_sig) = audit_sig {
         crate::sentinel::capture(provider, dep, request, &scratch, &result, pre_sig);
     }
@@ -309,26 +271,63 @@ pub fn execute_request_with(
     result
 }
 
-/// Fold one finished request's cost profile into every per-deployment
-/// surface at once: the exact global counters, the labeled per-deployment
-/// series (both fed from the same [`CostProfile`], so per-deployment sums —
-/// `__other` included — reconcile exactly with the globals), the labeled
-/// latency histogram, the heavy-hitter sketch, and the profile store the
-/// EXPLAIN ANALYZE render reads.
-fn attribute_request(dep: &Deployment, prof: &CostProfile) {
+/// Publish one closed request record — once, after its end-of-request clock
+/// reading — into every surface fed from it: the exact global counters, the
+/// latency histograms (`cost.total_ns` is the one value the duration
+/// histogram, `openmldb_online_request_time_ns` and the per-deployment
+/// totals all receive), the exemplar of a slow bucket, the per-deployment
+/// store the labeled series and EXPLAIN ANALYZE read (so per-deployment sums
+/// — `__other` included — reconcile exactly with the globals), and, for an
+/// anomalous or slow request, its post-mortem. A passive (nested) scope has
+/// no record of its own and publishes nothing.
+fn publish_request(
+    dep: &Deployment,
+    flight: &Recorder,
+    summary: &FlightSummary,
+    ctx: &Ctx,
+    out: Result<Row>,
+) -> Result<RequestOutput> {
     use crate::metrics as m;
-    let staged = prof.stage_sum_ns();
-    m::scan_rows().add(prof.rows_scanned);
-    m::request_time_ns().add(prof.total_ns);
-    m::stage_time_ns().add(staged);
-    let label = dep.label;
-    m::deployment_requests().inc(label);
-    m::deployment_scan_rows().add(label, prof.rows_scanned);
-    m::deployment_stage_time_ns().add(label, staged);
-    m::deployment_request_time_ns().add(label, prof.total_ns);
-    m::deployment_duration().record(label, prof.total_ns);
-    SpaceSaving::hot_deployments().offer(&dep.name);
-    ProfileStore::global().fold(label, prof);
+    let result = out.map(|row| RequestOutput {
+        row,
+        degraded: ctx.degraded(),
+        retries: ctx.retries(),
+        failovers: ctx.failovers(),
+        trace_id: summary.trace_id,
+    });
+    if matches!(result, Err(Error::Timeout { .. })) {
+        m::timeouts().inc();
+    }
+    // (Under `obs-off` every call below is a no-op that still registers its
+    // metric, so the exposition keeps its names.)
+    if openmldb_obs::enabled() && !summary.active {
+        return result;
+    }
+    let cost = &summary.cost;
+    m::requests().inc();
+    m::scan_rows().add(cost.rows_scanned);
+    m::request_time_ns().add(cost.total_ns);
+    m::stage_time_ns().add(cost.stage_sum_ns());
+    m::request_duration().record_with_exemplar(cost.total_ns, summary.trace_id, &cost.stage_ns);
+    m::deployment_duration().record(dep.label, cost.total_ns);
+    ProfileStore::global().fold(dep.label, cost);
+
+    // Post-mortem dump decision: anomalous outcomes (timeout, error,
+    // degraded answer, failover) always dump; clean successes dump only when
+    // they crossed the slow-query threshold. The fast path pays one branch
+    // and leaves the ring to be overwritten by the next request.
+    let outcome = match &result {
+        Err(Error::Timeout { .. }) => Some(Outcome::Timeout),
+        Err(_) => Some(Outcome::Failed),
+        Ok(o) if o.degraded => Some(Outcome::Degraded),
+        Ok(o) if o.failovers > 0 => Some(Outcome::Failover),
+        Ok(_) if cost.total_ns >= flight::slow_query_threshold_ns() => Some(Outcome::Slow),
+        Ok(_) => None,
+    };
+    if let Some(pm) = outcome.and_then(|o| flight.post_mortem(o, summary)) {
+        flight::publish(pm);
+    }
+    result
 }
 
 /// Perturb aggregate outputs in place for the `compiled_kernel` chaos
@@ -347,33 +346,6 @@ fn corrupt_values(out: &mut [Value]) {
             Value::Double(x) => *x += 1.0,
             Value::Bool(b) => *b = !*b,
             Value::Null | Value::Str(_) => {}
-        }
-    }
-}
-
-/// Post-mortem dump decision, taken once per request after the flight scope
-/// closes: anomalous outcomes (timeout, error, degraded answer, failover)
-/// always dump; clean successes dump only when they crossed the slow-query
-/// threshold. The fast path pays one branch and drops the ring in place.
-fn maybe_dump_post_mortem(
-    flight: &Recorder,
-    summary: &FlightSummary,
-    result: &Result<RequestOutput>,
-) {
-    if !summary.active {
-        return;
-    }
-    let outcome = match result {
-        Err(Error::Timeout { .. }) => Some(Outcome::Timeout),
-        Err(_) => Some(Outcome::Failed),
-        Ok(o) if o.degraded => Some(Outcome::Degraded),
-        Ok(o) if o.failovers > 0 => Some(Outcome::Failover),
-        Ok(_) if summary.total_ns >= flight::slow_query_threshold_ns() => Some(Outcome::Slow),
-        Ok(_) => None,
-    };
-    if let Some(outcome) = outcome {
-        if let Some(pm) = flight.post_mortem(outcome, summary) {
-            flight::publish(pm);
         }
     }
 }
@@ -405,58 +377,59 @@ pub(crate) fn execute_streaming(
         windows,
         compiled,
         vm_stack,
-        // The recorder was moved out by `execute_request_with` before this
+        // The record was moved out by `execute_request_with` before this
         // borrow; the field is empty here.
         flight: _,
-        // Written by `execute_request_with` after the scopes close.
-        profile: _,
         key_repr: _,
         audit,
     } = scratch;
 
     // 1. LAST JOINs: build the combined row in the warm scratch buffer.
     combined.extend_from_slice(request.values());
-    obs::span(obs::Stage::StorageSeek, || -> Result<()> {
-        for (ji, join) in q.joins.iter().enumerate() {
-            key.clear();
-            for &(l, _) in &join.eq_pairs {
-                key.push(KeyValue::from(&combined[l]));
-            }
-            let matched = resilient_read(ctx, provider, &join.table, |table| {
-                let index = table
-                    .find_index(&dep.join_right_keys[ji], join.order_col)
-                    .ok_or_else(|| {
-                        // analysis:allow(hot-path-alloc): cold branch — only
-                        // reached when a deployment references a missing index.
-                        Error::Storage(format!("no index on `{}` for join keys", join.table))
-                    })?;
-                match &join.residual {
-                    None => table.latest(index, key),
-                    Some(pred) => {
-                        // One probe buffer per request: truncate back to the
-                        // combined prefix and re-extend per candidate instead
-                        // of cloning `combined` for every row inspected.
-                        probe.clear();
-                        probe.extend_from_slice(combined);
-                        let base_len = probe.len();
-                        let mut check = |row: &Row| {
-                            probe.truncate(base_len);
-                            probe.extend(row.values().iter().cloned());
-                            evaluate(pred, probe, &[])
-                                .and_then(|v| v.as_bool())
-                                .unwrap_or(false)
-                        };
-                        table.latest_where(index, key, None, &mut check)
-                    }
+    // (A plan without joins has no seek stage here: nothing to time.)
+    if !q.joins.is_empty() {
+        obs::span(obs::Stage::StorageSeek, || -> Result<()> {
+            for (ji, join) in q.joins.iter().enumerate() {
+                key.clear();
+                for &(l, _) in &join.eq_pairs {
+                    key.push(KeyValue::from(&combined[l]));
                 }
-            })?;
-            match matched {
-                Some(row) => combined.extend(row.values().iter().cloned()),
-                None => combined.extend((0..join.schema.len()).map(|_| Value::Null)),
+                let matched = resilient_read(ctx, provider, &join.table, |table| {
+                    let index = table
+                        .find_index(&dep.join_right_keys[ji], join.order_col)
+                        .ok_or_else(|| {
+                            // analysis:allow(hot-path-alloc): cold branch — only
+                            // reached when a deployment references a missing index.
+                            Error::Storage(format!("no index on `{}` for join keys", join.table))
+                        })?;
+                    match &join.residual {
+                        None => table.latest(index, key),
+                        Some(pred) => {
+                            // One probe buffer per request: truncate back to the
+                            // combined prefix and re-extend per candidate instead
+                            // of cloning `combined` for every row inspected.
+                            probe.clear();
+                            probe.extend_from_slice(combined);
+                            let base_len = probe.len();
+                            let mut check = |row: &Row| {
+                                probe.truncate(base_len);
+                                probe.extend(row.values().iter().cloned());
+                                evaluate(pred, probe, &[])
+                                    .and_then(|v| v.as_bool())
+                                    .unwrap_or(false)
+                            };
+                            table.latest_where(index, key, None, &mut check)
+                        }
+                    }
+                })?;
+                match matched {
+                    Some(row) => combined.extend(row.values().iter().cloned()),
+                    None => combined.extend((0..join.schema.len()).map(|_| Value::Null)),
+                }
             }
-        }
-        Ok(())
-    })?;
+            Ok(())
+        })?;
+    }
 
     // 2. WHERE filter (a request failing the predicate yields an all-NULL
     // feature row rather than an error). Compiled plans run the flattened
@@ -526,7 +499,6 @@ pub(crate) fn execute_streaming(
                     match outs {
                         Ok(outs) => {
                             crate::metrics::preagg_hits().inc();
-                            openmldb_obs::profile::record_preagg_hit();
                             flight::event(FlightEventKind::PreaggHit, wid as u32, 0);
                             for (slot, v) in dep.by_window[wid].iter().zip(outs) {
                                 agg_values[*slot] = v;
@@ -538,14 +510,12 @@ pub(crate) fn execute_streaming(
                         // through the full resilience ladder.
                         Err(e) if e.is_transient() => {
                             crate::metrics::preagg_skips().inc();
-                            openmldb_obs::profile::record_preagg_skip();
                             flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
                         }
                         Err(e) => return Err(e),
                     }
                 } else if dep.preaggs[wid].is_some() {
                     crate::metrics::preagg_skips().inc();
-                    openmldb_obs::profile::record_preagg_skip();
                     flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
                 }
 
@@ -634,11 +604,6 @@ pub(crate) fn execute_streaming(
                                 },
                             )
                         })?;
-                        flight::event(
-                            FlightEventKind::ScanRows,
-                            wid as u32,
-                            (entries.len() - mark_entries) as u64,
-                        );
                         if deadline_hit {
                             // Typed timeout, never a partial aggregate.
                             return Err(Error::Timeout {
@@ -649,9 +614,6 @@ pub(crate) fn execute_streaming(
                     }
                     Ok(())
                 })?;
-                // Every arena byte is decoded through a borrowed view below.
-                openmldb_obs::profile::record_bytes(arena.len() as u64);
-
                 // Consistency-sentinel scan digest: fold the pre-sort scan
                 // order (deterministic for a fixed table state — retries
                 // rewind to a checkpoint, so the content is identical
@@ -667,6 +629,10 @@ pub(crate) fn execute_streaming(
                         f.write(e.bytes(arena));
                     }
                     openmldb_obs::ScanDigest::record(audit, wid, openmldb_obs::Fnv::finish(f));
+                } else {
+                    // Nothing ran since the scan stage closed: the
+                    // aggregate stage opens on the same clock reading.
+                    flight::abut();
                 }
 
                 obs::span(obs::Stage::Aggregate, || -> Result<()> {
@@ -678,8 +644,13 @@ pub(crate) fn execute_streaming(
                     // generic) fold raw encoded bytes in one pass, with no
                     // sort when the scan order is already usable.
                     if let Some(wp) = dep.program.window(wid) {
+                        // Every arena byte is folded through a borrowed view.
                         crate::metrics::compiled_windows().inc();
-                        flight::event(FlightEventKind::CompiledWindow, wid as u32, 0);
+                        flight::event(
+                            FlightEventKind::CompiledWindow,
+                            wid as u32,
+                            arena.len() as u64,
+                        );
                         let n = entries.len();
                         let total = n + usize::from(include_request);
                         let first = wp.first_in_frame(total);
@@ -745,7 +716,11 @@ pub(crate) fn execute_streaming(
                         // (`with_interpreted_windows`), or a plan whose
                         // aggregates `WindowAggSet::new` rejects below.
                         crate::metrics::compiled_fallback().inc();
-                        flight::event(FlightEventKind::CompiledFallback, wid as u32, 0);
+                        flight::event(
+                            FlightEventKind::CompiledFallback,
+                            wid as u32,
+                            arena.len() as u64,
+                        );
                     }
 
                     if include_request {
@@ -807,6 +782,8 @@ pub(crate) fn execute_streaming(
                     }
                     Ok(())
                 })?;
+                // The dispatch stage ends where its aggregate stage did.
+                flight::abut();
                 Ok(())
             })
         };
@@ -842,12 +819,15 @@ pub(crate) fn execute_streaming(
             }
             return Err(e);
         }
+        // The next stage — the next window's dispatch, or the projection —
+        // starts where this window's dispatch ended.
+        flight::abut();
     }
 
     // 4. Project the select list (the output row is the one owned
     // allocation a warm request makes — `Row` owns its values). Compiled
     // plans run the flattened expression programs over the pooled stack.
-    obs::span(obs::Stage::Encode, || -> Result<Row> {
+    let row = obs::span(obs::Stage::Encode, || -> Result<Row> {
         ctx.check("encode")?;
         let mut projected = Vec::with_capacity(q.select.len());
         match dep.program.select_programs() {
@@ -863,7 +843,10 @@ pub(crate) fn execute_streaming(
             }
         }
         Ok(Row::new(projected))
-    })
+    })?;
+    // The request ends where its projection stage did.
+    flight::abut();
+    Ok(row)
 }
 
 /// [`execute_request`] through the pre-streaming pipeline: every window row
@@ -887,52 +870,14 @@ pub fn execute_request_materialized_with(
     opts: &RequestOptions,
 ) -> Result<RequestOutput> {
     // The materializing path has no pooled scratch; it carries a transient
-    // recorder (the ring allocates once per request here, like every other
-    // buffer on this path).
+    // record (allocated once per request here, like every other buffer on
+    // this path).
     let mut flight = Recorder::default();
-    let scope = FlightScope::enter(&mut flight);
-    let pscope = ProfileScope::enter();
-    let t0 = std::time::Instant::now();
     let ctx = Ctx::new(opts);
-    let out = obs::with_request_trace(|| {
-        let r = execute_request_inner_materialized(provider, dep, request, &ctx);
-        crate::metrics::requests().inc();
-        r
-    });
+    let scope = FlightScope::enter(&mut flight);
+    let out = execute_request_inner_materialized(provider, dep, request, &ctx);
     let summary = scope.finish();
-    // As on the streaming path: attribute first so the recorded latency
-    // covers the attribution work too.
-    if let Some(mut prof) = pscope.finish() {
-        prof.stage_ns = summary.stage_self_ns;
-        prof.total_ns = t0.elapsed().as_nanos() as u64;
-        prof.retries = u64::from(ctx.retries());
-        prof.failovers = u64::from(ctx.failovers());
-        prof.degraded = u64::from(ctx.degraded());
-        attribute_request(dep, &prof);
-    }
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    crate::metrics::request_duration().record_with_exemplar(
-        elapsed_ns,
-        summary.trace_id,
-        &summary.stage_self_ns,
-    );
-    let result = match out {
-        Ok(row) => Ok(RequestOutput {
-            row,
-            degraded: ctx.degraded(),
-            retries: ctx.retries(),
-            failovers: ctx.failovers(),
-            trace_id: summary.trace_id,
-        }),
-        Err(e) => {
-            if matches!(e, Error::Timeout { .. }) {
-                crate::metrics::timeouts().inc();
-            }
-            Err(e)
-        }
-    };
-    maybe_dump_post_mortem(&flight, &summary, &result);
-    result
+    publish_request(dep, &flight, &summary, &ctx, out)
 }
 
 pub(crate) fn execute_request_inner_materialized(
@@ -1039,7 +984,6 @@ pub(crate) fn execute_request_inner_materialized(
                     match outs {
                         Ok(outs) => {
                             crate::metrics::preagg_hits().inc();
-                            openmldb_obs::profile::record_preagg_hit();
                             flight::event(FlightEventKind::PreaggHit, wid as u32, 0);
                             for (slot, v) in by_window[wid].iter().zip(outs) {
                                 agg_values[*slot] = v;
@@ -1051,14 +995,12 @@ pub(crate) fn execute_request_inner_materialized(
                         // through the full resilience ladder.
                         Err(e) if e.is_transient() => {
                             crate::metrics::preagg_skips().inc();
-                            openmldb_obs::profile::record_preagg_skip();
                             flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
                         }
                         Err(e) => return Err(e),
                     }
                 } else if dep.preaggs[wid].is_some() {
                     crate::metrics::preagg_skips().inc();
-                    openmldb_obs::profile::record_preagg_skip();
                     flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
                 }
 

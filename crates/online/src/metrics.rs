@@ -2,22 +2,16 @@
 //!
 //! Accessors lazily register in the process-wide
 //! [`Registry`](openmldb_obs::Registry) and cache the handle in a
-//! `OnceLock`; the request hot path costs a handful of sharded relaxed
-//! atomics per request.
+//! `OnceLock`; a request's numbers are published once, when its record
+//! closes, as a handful of sharded relaxed atomics.
 
-use openmldb_obs::{Counter, Gauge, Histogram, LabeledCounter, LabeledHistogram, Registry};
+use openmldb_obs::{
+    Counter, Gauge, Histogram, LabeledCounter, LabeledHistogram, ProfileStore, Registry,
+};
 use std::sync::{Arc, OnceLock};
 
 fn counter(cell: &'static OnceLock<Arc<Counter>>, name: &str, help: &str) -> &'static Counter {
     cell.get_or_init(|| Registry::global().counter(name, help))
-}
-
-fn labeled(
-    cell: &'static OnceLock<Arc<LabeledCounter>>,
-    name: &str,
-    help: &str,
-) -> &'static LabeledCounter {
-    cell.get_or_init(|| Registry::global().labeled_counter(name, help))
 }
 
 /// Requests executed through `execute_request`.
@@ -46,8 +40,8 @@ pub fn request_duration() -> &'static Histogram {
 }
 
 /// Rows scanned out of storage by request executions, summed across all
-/// deployments. The labeled [`deployment_scan_rows`] series slices this same
-/// number per deployment; both are incremented from the identical
+/// deployments. The labeled `openmldb_online_deployment_scan_rows` series
+/// slices this same number per deployment; both come from the identical
 /// [`CostProfile`](openmldb_obs::CostProfile), so the per-deployment sums
 /// (including `__other`) reconcile exactly with this global.
 pub fn scan_rows() -> &'static Counter {
@@ -80,44 +74,36 @@ pub fn stage_time_ns() -> &'static Counter {
     )
 }
 
-/// Per-deployment request count (labeled by deployment name).
-pub fn deployment_requests() -> &'static LabeledCounter {
-    static M: OnceLock<Arc<LabeledCounter>> = OnceLock::new();
-    labeled(
-        &M,
-        "openmldb_online_deployment_requests_total",
-        "Request-mode executions per deployment",
-    )
-}
-
-/// Per-deployment storage rows scanned.
-pub fn deployment_scan_rows() -> &'static LabeledCounter {
-    static M: OnceLock<Arc<LabeledCounter>> = OnceLock::new();
-    labeled(
-        &M,
-        "openmldb_online_deployment_scan_rows",
-        "Storage rows scanned per deployment",
-    )
-}
-
-/// Per-deployment staged pipeline time (sum of stage self-times).
-pub fn deployment_stage_time_ns() -> &'static LabeledCounter {
-    static M: OnceLock<Arc<LabeledCounter>> = OnceLock::new();
-    labeled(
-        &M,
-        "openmldb_online_deployment_stage_time_ns",
-        "Staged pipeline time per deployment",
-    )
-}
-
-/// Per-deployment wall-clock request time.
-pub fn deployment_request_time_ns() -> &'static LabeledCounter {
-    static M: OnceLock<Arc<LabeledCounter>> = OnceLock::new();
-    labeled(
-        &M,
-        "openmldb_online_deployment_request_time_ns",
-        "Total wall-clock request time per deployment",
-    )
+/// Register the per-deployment counter series. Nothing writes them on the
+/// request path: each is a read of the per-deployment
+/// [`ProfileStore`](openmldb_obs::ProfileStore) taken at exposition time, so
+/// a request's numbers are stored once and the series sum exactly to the
+/// globals above. Called at deployment time; idempotent.
+pub fn register_deployment_views() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let reg = Registry::global();
+        reg.labeled_view(
+            "openmldb_online_deployment_requests_total",
+            "Request-mode executions per deployment",
+            || ProfileStore::global().per_slot(|requests, _| requests),
+        );
+        reg.labeled_view(
+            "openmldb_online_deployment_scan_rows",
+            "Storage rows scanned per deployment",
+            || ProfileStore::global().per_slot(|_, p| p.rows_scanned),
+        );
+        reg.labeled_view(
+            "openmldb_online_deployment_stage_time_ns",
+            "Staged pipeline time per deployment",
+            || ProfileStore::global().per_slot(|_, p| p.stage_sum_ns()),
+        );
+        reg.labeled_view(
+            "openmldb_online_deployment_request_time_ns",
+            "Total wall-clock request time per deployment",
+            || ProfileStore::global().per_slot(|_, p| p.total_ns),
+        );
+    });
 }
 
 /// Per-deployment end-to-end latency distribution (mergeable histograms —
@@ -329,9 +315,10 @@ pub fn sentinel_lag() -> &'static Gauge {
 /// Per-deployment confirmed divergences (labeled by deployment name).
 pub fn deployment_divergences() -> &'static LabeledCounter {
     static M: OnceLock<Arc<LabeledCounter>> = OnceLock::new();
-    labeled(
-        &M,
-        "openmldb_online_deployment_divergences_total",
-        "Confirmed consistency divergences per deployment",
-    )
+    M.get_or_init(|| {
+        Registry::global().labeled_counter(
+            "openmldb_online_deployment_divergences_total",
+            "Confirmed consistency divergences per deployment",
+        )
+    })
 }

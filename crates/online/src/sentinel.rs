@@ -22,7 +22,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use openmldb_exec::RequestScratch;
@@ -65,8 +65,6 @@ struct AuditSample {
 struct Sentinel {
     /// Sample 1-in-N requests; 0 disables sampling entirely.
     every: AtomicU32,
-    /// Monotonic request counter driving the 1-in-N decision.
-    counter: AtomicU64,
     /// Captured samples awaiting audit, oldest first.
     queue: Mutex<VecDeque<AuditSample>>,
     /// Recycled sample shells (buffers keep their capacity).
@@ -80,15 +78,15 @@ fn sentinel() -> &'static Sentinel {
     static S: OnceLock<Sentinel> = OnceLock::new();
     S.get_or_init(|| Sentinel {
         every: AtomicU32::new(0),
-        counter: AtomicU64::new(0),
         queue: Mutex::new(VecDeque::new()),
         pool: Mutex::new(Vec::new()),
         twins: Mutex::new(HashMap::new()),
     })
 }
 
-/// Set the sampling rate: audit one in `n` served requests (`0` = off,
-/// the default — serving pays one atomic add and a branch per request).
+/// Set the sampling rate: each serving thread audits one in `n` of its
+/// requests (`0` = off, the default — serving pays one load and a branch
+/// per request).
 pub fn set_sample_every(n: u32) {
     sentinel().every.store(n, Ordering::Relaxed);
 }
@@ -103,12 +101,11 @@ pub fn queue_len() -> usize {
     sentinel().queue.lock().map(|q| q.len()).unwrap_or(0)
 }
 
-/// Drop all pending samples and cached oracle twins and restart the
-/// sampling counter. Cumulative metrics are left alone (they are
-/// process-wide monotonic counters); tests work with deltas.
+/// Drop all pending samples and cached oracle twins. Cumulative metrics are
+/// left alone (they are process-wide monotonic counters); tests work with
+/// deltas.
 pub fn reset() {
     let s = sentinel();
-    s.counter.store(0, Ordering::Relaxed);
     if let Ok(mut q) = s.queue.lock() {
         q.clear();
     }
@@ -118,21 +115,17 @@ pub fn reset() {
     crate::metrics::sentinel_lag().set(0.0);
 }
 
-/// Per-request sampling decision.
-// HOT: one relaxed fetch_add + modulo on the sampled path; a single load
-// and branch when sampling is off or observability is compiled out.
+/// Per-request sampling decision, taken just before the request's record is
+/// entered: the 1-in-N test reads the sequence number that record is about
+/// to take, so the sentinel keeps no request counter of its own.
+// HOT: a thread-local read + modulo when sampling is on; a single load and
+// branch when it is off or observability is compiled out.
 pub(crate) fn should_sample() -> bool {
     if !openmldb_obs::enabled() {
         return false;
     }
     let every = sentinel().every.load(Ordering::Relaxed);
-    if every == 0 {
-        return false;
-    }
-    sentinel()
-        .counter
-        .fetch_add(1, Ordering::Relaxed)
-        .is_multiple_of(u64::from(every))
+    every != 0 && openmldb_obs::flight::thread_seq().is_multiple_of(u64::from(every))
 }
 
 /// Hash every read table's replication offset into one signature. Two

@@ -281,7 +281,7 @@ impl DataTable for DiskTable {
 
     fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         match self.engine.latest(index_id as u32, key)? {
             Some((_, data)) => Ok(Some(self.codec.decode(&data)?)),
             None => Ok(None),
@@ -296,7 +296,7 @@ impl DataTable for DiskTable {
         pred: &mut dyn FnMut(&Row) -> bool,
     ) -> Result<Option<Row>> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         let upper = upper_ts.unwrap_or(i64::MAX);
         for (_ts, data) in self.engine.range(index_id as u32, key, i64::MIN, upper)? {
             let row = self.codec.decode(&data)?;
@@ -316,11 +316,11 @@ impl DataTable for DiskTable {
         wanted: Option<&[bool]>,
     ) -> Result<Vec<(i64, Row)>> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         let hits = self
             .engine
             .range(index_id as u32, key, lower_ts, upper_ts)?;
-        crate::metrics::note_scan(hits.len() as u64);
+        crate::metrics::note_scan(index_id, hits.len() as u64);
         hits.into_iter()
             .map(|(ts, data)| Ok((ts, self.codec.decode_projected(&data, wanted)?)))
             .collect()
@@ -335,12 +335,12 @@ impl DataTable for DiskTable {
         wanted: Option<&[bool]>,
     ) -> Result<Vec<(i64, Row)>> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         let mut hits = self
             .engine
             .range(index_id as u32, key, i64::MIN, upper_ts)?;
         hits.truncate(limit);
-        crate::metrics::note_scan(hits.len() as u64);
+        crate::metrics::note_scan(index_id, hits.len() as u64);
         hits.into_iter()
             .map(|(ts, data)| Ok((ts, self.codec.decode_projected(&data, wanted)?)))
             .collect()
@@ -356,7 +356,7 @@ impl DataTable for DiskTable {
         visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
     ) -> Result<()> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         let mut hits = self
             .engine
             .range(index_id as u32, key, lower_ts, upper_ts)?;
@@ -370,7 +370,7 @@ impl DataTable for DiskTable {
                 break;
             }
         }
-        crate::metrics::note_scan(visited);
+        crate::metrics::note_scan(index_id, visited);
         Ok(())
     }
 

@@ -26,21 +26,31 @@ pub fn seeks() -> &'static Counter {
     )
 }
 
-/// Record one index seek: the global seek counter plus, when a request's
-/// cost profile is active on this thread, its per-request seek attribution
-/// (the workload-attribution hook the online engine folds per deployment).
+/// Record one seek on index `index_id`: the global seek counter plus, when
+/// a request is being served on this thread, one count-only event in its
+/// record (the per-request seek count the online engine folds per
+/// deployment).
 #[inline]
-pub fn note_seek() {
+pub fn note_seek(index_id: usize) {
     seeks().inc();
-    openmldb_obs::profile::record_seek();
+    openmldb_obs::flight::event(
+        openmldb_obs::FlightEventKind::StorageSeek,
+        index_id as u32,
+        0,
+    );
 }
 
-/// Record one completed scan of `rows` rows: the global scan-length
-/// histogram plus the active request profile's row attribution.
+/// Record one completed scan of `rows` rows on index `index_id`: the global
+/// scan-length histogram plus one count-only event in the active request's
+/// record (its rows-scanned attribution).
 #[inline]
-pub fn note_scan(rows: u64) {
+pub fn note_scan(index_id: usize, rows: u64) {
     scan_len().record(rows);
-    openmldb_obs::profile::record_scan_rows(rows);
+    openmldb_obs::flight::event(
+        openmldb_obs::FlightEventKind::ScanRows,
+        index_id as u32,
+        rows,
+    );
 }
 
 /// Distribution of rows touched per window scan.

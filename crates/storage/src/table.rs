@@ -246,12 +246,7 @@ impl MemTable {
     pub fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         match index.map.get_by(key) {
             Some(list) => match list.latest() {
                 Some((_, data)) => Ok(Some(self.decode(&data)?)),
@@ -271,12 +266,7 @@ impl MemTable {
     ) -> Result<Option<Row>> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         let Some(list) = index.map.get_by(key) else {
             return Ok(None);
         };
@@ -334,14 +324,9 @@ impl MemTable {
     ) -> Result<Vec<(i64, Row)>> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         let Some(list) = index.map.get_by(key) else {
-            crate::metrics::note_scan(0);
+            crate::metrics::note_scan(index_id, 0);
             return Ok(Vec::new());
         };
         let out: Result<Vec<(i64, Row)>> = list
@@ -350,7 +335,7 @@ impl MemTable {
             .map(|(ts, data)| Ok((ts, self.codec.decode_projected(&data, wanted)?)))
             .collect();
         if let Ok(rows) = &out {
-            crate::metrics::note_scan(rows.len() as u64);
+            crate::metrics::note_scan(index_id, rows.len() as u64);
         }
         out
     }
@@ -377,14 +362,9 @@ impl MemTable {
     ) -> Result<Vec<(i64, Row)>> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         let Some(list) = index.map.get_by(key) else {
-            crate::metrics::note_scan(0);
+            crate::metrics::note_scan(index_id, 0);
             return Ok(Vec::new());
         };
         let mut out = Vec::with_capacity(limit);
@@ -407,7 +387,7 @@ impl MemTable {
                 }
             }
         });
-        crate::metrics::note_scan(out.len() as u64);
+        crate::metrics::note_scan(index_id, out.len() as u64);
         match err {
             Some(e) => Err(e),
             None => Ok(out),
@@ -432,14 +412,9 @@ impl MemTable {
     ) -> Result<()> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         let Some(list) = index.map.get_by(key) else {
-            crate::metrics::note_scan(0);
+            crate::metrics::note_scan(index_id, 0);
             return Ok(());
         };
         let mut visited = 0u64;
@@ -450,7 +425,7 @@ impl MemTable {
             visited += 1;
             visitor(ts, data)
         });
-        crate::metrics::note_scan(visited);
+        crate::metrics::note_scan(index_id, visited);
         Ok(())
     }
 

@@ -68,6 +68,9 @@ if [ "$QUICK" -eq 0 ]; then
     # one stale pin it tolerates).
     step "benchmark-api (omlbench builds and its tests pass against the engine API)"
     ./scripts/benchmark_api.sh
+
+    step "observability budget (serve_short, obs on / obs-off latency ratio <= 1.50)"
+    ./scripts/obs_overhead.sh
 fi
 
 step "tail-latency attribution contract (tailtrace gate, chaos on)"

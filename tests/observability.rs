@@ -1,7 +1,8 @@
 //! End-to-end observability: one process exercises the online engine, the
 //! plan cache, storage GC, the incremental executor and the memory manager,
 //! then checks that the global registry exposes the full metric surface and
-//! that the span tracer captured request breakdowns.
+//! that the views over the per-request record (sampled traces, per-deployment
+//! series, post-mortems, exemplars) carry what the requests did.
 
 use openmldb::obs::{Registry, Stage, Tracer};
 use openmldb::sql::ast::Frame;
@@ -132,8 +133,8 @@ fn registry_exposes_cross_crate_metric_surface() {
     assert!(json.contains("\"p999\""));
 
     if openmldb::obs::enabled() {
-        // The attribution globals register lazily from the per-request
-        // profile fold, so they only exist with obs compiled in.
+        // The attribution globals register lazily when the first request
+        // record is published, so they only exist with obs compiled in.
         for name in [
             "openmldb_online_scan_rows",
             "openmldb_online_request_time_ns",
@@ -224,9 +225,60 @@ fn per_deployment_attribution_is_exposed() {
     let empty = db.explain_analyze("nosuch");
     assert!(empty.contains("(no samples)"), "{empty}");
 
-    // The heavy-hitter sketch monitored the only active deployment.
-    let top = openmldb::obs::SpaceSaving::hot_deployments().top(5);
-    assert!(top.iter().any(|e| e.key == "f"), "hot deployments: {top:?}");
+    // The hot-deployments view ranks it by its exact request count.
+    let top = openmldb::obs::ProfileStore::global().hot_deployments(64);
+    let f = top.iter().find(|e| e.key == "f").expect("f is ranked");
+    assert!(f.count >= 128 && f.err == 0, "hot deployments: {top:?}");
+}
+
+/// One end-of-request clock reading feeds every latency surface: on a
+/// deployment only this test serves, the duration histogram's sum, the
+/// request-time series and the store's total are the same number.
+#[test]
+fn duration_histogram_sum_equals_request_time() {
+    if !openmldb::obs::enabled() {
+        return;
+    }
+    let db = serve_some_requests();
+    db.deploy(
+        "DEPLOY obs_sum_owned AS SELECT userid, count(price) OVER w AS n FROM actions \
+         WINDOW w AS (PARTITION BY userid ORDER BY ts \
+         ROWS_RANGE BETWEEN 5s PRECEDING AND CURRENT ROW)",
+    )
+    .unwrap();
+    for i in 0..200i64 {
+        let request = Row::new(vec![
+            Value::Bigint(i % 4),
+            Value::Double(1.0),
+            Value::Timestamp(20_000 + i),
+        ]);
+        db.request("obs_sum_owned", &request).unwrap();
+    }
+    let id = openmldb::obs::LabelRegistry::deployments()
+        .lookup("obs_sum_owned")
+        .expect("label resolved at deploy time");
+    let hist = openmldb::online::metrics::deployment_duration()
+        .snapshot(id)
+        .expect("the deployment recorded latencies");
+    let series = |name: &str| {
+        Registry::global()
+            .labeled_series(name)
+            .into_iter()
+            .find(|(label, _)| label == "obs_sum_owned")
+            .map(|(_, v)| v)
+    };
+    assert_eq!(hist.count(), 200);
+    assert_eq!(
+        series("openmldb_online_deployment_requests_total"),
+        Some(200)
+    );
+    assert_eq!(
+        Some(hist.sum()),
+        series("openmldb_online_deployment_request_time_ns"),
+        "histogram sum and request-time counter must be the same reading"
+    );
+    let (requests, total) = openmldb::obs::ProfileStore::global().aggregate(id);
+    assert_eq!((requests, total.total_ns), (200, hist.sum()));
 }
 
 /// A budget of zero forces a typed timeout; the flight recorder must dump a
