@@ -94,43 +94,6 @@ impl RequestScratch {
         Self::default()
     }
 
-    /// Record one scanned row: copy its bytes into the arena and push a sort
-    /// entry. `seq` is the arrival index used for stable tie-breaking.
-    // HOT: runs once per scanned row; extends pre-grown buffers only.
-    pub fn push_entry(&mut self, ts: i64, seq: usize, bytes: &[u8]) {
-        let start = self.arena.len();
-        self.arena.extend_from_slice(bytes);
-        self.entries.push(ScanEntry {
-            ts,
-            seq,
-            start,
-            len: bytes.len(),
-        });
-    }
-
-    /// Record the request row's position in the sort order without copying
-    /// it into the arena (it is already decoded).
-    pub fn push_request_marker(&mut self, ts: i64, seq: usize) {
-        self.entries.push(ScanEntry {
-            ts,
-            seq,
-            start: 0,
-            len: REQUEST_ROW,
-        });
-    }
-
-    /// The encoded bytes of `entry` within this scratch's arena.
-    pub fn entry_bytes(&self, entry: &ScanEntry) -> &[u8] {
-        entry.bytes(&self.arena)
-    }
-
-    /// Clear the scan buffers (arena + entries) for the next window, keeping
-    /// capacity.
-    pub fn reset_scan(&mut self) {
-        self.arena.clear();
-        self.entries.clear();
-    }
-
     /// Clear everything for the next request, keeping capacity and warm
     /// window aggregate sets (which are `reset`, not rebuilt).
     pub fn reset(&mut self) {
@@ -158,30 +121,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn entries_round_trip_bytes_and_markers() {
-        let mut s = RequestScratch::new();
-        s.push_entry(10, 0, &[1, 2, 3]);
-        s.push_request_marker(20, 1);
-        s.push_entry(5, 2, &[9]);
-
-        assert_eq!(s.entries.len(), 3);
-        assert!(!s.entries[0].is_request_row());
-        assert!(s.entries[1].is_request_row());
-        assert_eq!(s.entry_bytes(&s.entries[0]), &[1, 2, 3]);
-        assert_eq!(s.entry_bytes(&s.entries[2]), &[9]);
+    fn entries_address_arena_bytes_and_the_request_marker() {
+        let arena = [1u8, 2, 3, 9];
+        let row = |ts, seq, start, len| ScanEntry {
+            ts,
+            seq,
+            start,
+            len,
+        };
+        let mut entries = [
+            row(10, 0, 0, 3),
+            row(20, 1, 0, REQUEST_ROW),
+            row(5, 2, 3, 1),
+        ];
+        assert!(!entries[0].is_request_row());
+        assert!(entries[1].is_request_row());
+        assert_eq!(entries[0].bytes(&arena), &[1, 2, 3]);
+        assert_eq!(entries[2].bytes(&arena), &[9]);
 
         // Sorting by (ts, seq) reproduces the materializing path's stable
         // ascending-ts order.
-        let mut order: Vec<ScanEntry> = s.entries.clone();
-        order.sort_unstable_by_key(|e| (e.ts, e.seq));
-        assert_eq!(order[0].ts, 5);
-        assert!(order[2].is_request_row());
+        entries.sort_unstable_by_key(|e| (e.ts, e.seq));
+        assert_eq!(entries[0].ts, 5);
+        assert!(entries[2].is_request_row());
     }
 
     #[test]
     fn reset_keeps_capacity() {
         let mut s = RequestScratch::new();
-        s.push_entry(1, 0, &[0u8; 64]);
+        s.arena.extend_from_slice(&[0u8; 64]);
+        s.entries.push(ScanEntry {
+            ts: 1,
+            seq: 0,
+            start: 0,
+            len: 64,
+        });
         s.out.push(Value::Bigint(1));
         let arena_cap = s.arena.capacity();
         let entries_cap = s.entries.capacity();

@@ -545,6 +545,9 @@ pub(crate) fn execute_streaming(
                 entries.clear();
                 let mut seq = 0usize;
                 let mut deadline_hit = false;
+                // Whether every timestamp so far arrived strictly below the
+                // one before it, across tables — decides the fold order.
+                let mut descending = true;
                 obs::span(obs::Stage::StorageSeek, || -> Result<()> {
                     let base_iter = if window.instance_not_in_window {
                         None
@@ -560,10 +563,12 @@ pub(crate) fn execute_streaming(
                         // cannot duplicate entries.
                         let mark_entries = entries.len();
                         let mark_arena = arena.len();
+                        let mark_descending = descending;
                         resilient_read(ctx, provider, name, |table| {
                             entries.truncate(mark_entries);
                             arena.truncate(mark_arena);
                             seq = mark_entries;
+                            descending = mark_descending;
                             deadline_hit = false;
                             let index = table
                                 .find_index(&window.partition_cols, Some(window.order_col))
@@ -590,6 +595,9 @@ pub(crate) fn execute_streaming(
                                         deadline_hit = true;
                                         flight::event(FlightEventKind::DeadlineProbe, scanned, 0);
                                         return false;
+                                    }
+                                    if let Some(prev) = entries.last() {
+                                        descending &= prev.ts > ts;
                                     }
                                     let start = arena.len();
                                     arena.extend_from_slice(data);
@@ -658,7 +666,7 @@ pub(crate) fn execute_streaming(
                         // descending scan replays ascending order in reverse
                         // with no sort. Any ts tie or union interleave falls
                         // back to the stable `(ts, seq)` sort.
-                        let order = if entries.windows(2).all(|w| w[0].ts > w[1].ts) {
+                        let order = if descending {
                             EntryOrder::ReversedScan
                         } else {
                             entries.sort_unstable_by_key(|e| (e.ts, e.seq));

@@ -47,7 +47,7 @@ pub use disk_table::{Backend, DataTable, DiskTable};
 pub use hll::HyperLogLog;
 pub use replica::{replicate, ReplicaTable};
 pub use skiplist::{SkipMap, TimeList};
-pub use table::{IndexSpec, MemTable, Ttl, KEY_OVERHEAD, NODE_OVERHEAD};
+pub use table::{IndexSpec, MemTable, Ttl, KEY_OVERHEAD, NODE_OVERHEAD, ROW_OVERHEAD};
 
 #[cfg(test)]
 mod proptests {

@@ -3,10 +3,21 @@
 //! * **First level** — a lock-free, insert-only skiplist ordered by key
 //!   (e.g. user id). Key nodes are never removed, so readers can hold plain
 //!   references to their values for the lifetime of the map.
-//! * **Second level** — per key, a lock-free singly-linked [`TimeList`]
-//!   ordered by timestamp *descending* (newest first), so "the latest tuple
-//!   for this key" — the `LAST JOIN` accelerator — is a head read, and a
-//!   window scan is a prefix walk.
+//! * **Second level** — per key, a lock-free [`TimeList`] ordered by
+//!   timestamp *descending* (newest first), so "the latest tuple for this
+//!   key" — the `LAST JOIN` accelerator — is a head read, and a window scan
+//!   is a prefix walk.
+//!
+//! Both levels are built from one node shape ([`Node`]): a single
+//! allocation holding the entry, the height and, directly behind them, the
+//! node's forward links —
+//!
+//! ```text
+//!   | entry (key, value | ts, payload) | height | link[0] | … | link[height-1] |
+//! ```
+//!
+//! — so the successor of a node is read from the memory the walk has just
+//! loaded: one dependent load per step.
 //!
 //! Writes use compare-and-swap pointer updates (retrying on contention,
 //! exactly as the paper describes); expired-data removal exploits the
@@ -21,15 +32,21 @@
 //! thread interleavings at every edge access and screen every load against
 //! freed nodes. See `tests/schedule_explorer.rs`.
 
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::marker::PhantomData;
+use std::mem;
+use std::ptr::{self, NonNull};
 use std::sync::Arc;
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use crate::sync::epoch::{self, Atomic, Guard, Owned, Shared};
+use crate::sync::epoch::{self, Atomic, Guard, Owned, Reclaim, Shared};
 
 const MAX_HEIGHT: usize = 12;
 
 /// Cheap deterministic level generator (splitmix64 over an atomic counter):
-/// each level appears with probability 1/2, capped at [`MAX_HEIGHT`].
+/// a node reaches each further level with probability 1/4 (LevelDB's
+/// branching factor — the same expected comparisons per search as 1/2 with
+/// 1.33 links per node instead of 2), capped at [`MAX_HEIGHT`].
 fn random_height(seed: &AtomicU64) -> usize {
     // analysis:allow(relaxed-ordering): RNG seed counter, thread-private
     // value stream; no happens-before relationship is needed.
@@ -37,32 +54,247 @@ fn random_height(seed: &AtomicU64) -> usize {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    ((z.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
+    ((z.trailing_ones() as usize) / 2 + 1).min(MAX_HEIGHT)
+}
+
+/// What an allocation of `request` bytes takes from the heap under glibc
+/// malloc, the allocator the memory model is calibrated against: an 8-byte
+/// chunk header, 16-byte granularity, 32-byte minimum.
+pub(crate) const fn heap_bytes(request: usize) -> usize {
+    let chunk = (request + 8 + 15) & !15;
+    if chunk < 32 {
+        32
+    } else {
+        chunk
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The node shared by both levels: one allocation, header then tower.
+// ---------------------------------------------------------------------------
+
+type Link<E> = Atomic<Node<E>>;
+
+/// Header of a skiplist node. The allocation continues past this struct
+/// with `height` links starting at `tower` (see [`Node::layout`]), so a
+/// `&Node` covers the header only: the tower is reached through
+/// [`NodeRef`], which keeps the allocation's own pointer.
+#[repr(C)]
+struct Node<E> {
+    entry: E,
+    /// Number of links behind the header; fixed at allocation.
+    height: usize,
+    tower: [Link<E>; 0],
+}
+
+impl<E> Node<E> {
+    /// Bytes of a node with `height` links: header, tower, padding.
+    const fn size(height: usize) -> usize {
+        let align = mem::align_of::<Self>();
+        let size = mem::offset_of!(Self, tower) + height * mem::size_of::<Link<E>>();
+        (size + align - 1) & !(align - 1)
+    }
+
+    /// Layout of a node with `height` links.
+    fn layout(height: usize) -> Layout {
+        // analysis:allow(panic-path): sizes are bounded by MAX_HEIGHT links
+        // behind a fixed header; the layout cannot overflow `isize`.
+        Layout::from_size_align(Self::size(height), mem::align_of::<Self>()).expect("node layout")
+    }
+
+    /// Heap bytes a node costs on average, for the Section 8.1 memory
+    /// model: [`Node::size`] rounded as the allocator does, weighted by
+    /// [`random_height`]'s distribution (3/4 of nodes have one link, 3/16
+    /// two, …).
+    const MEAN_HEAP_BYTES: usize = {
+        // P(height = h) = 3 / 4^h below the cap; in units of 4^-(MAX-1):
+        let mut weight = 1usize; // the cap itself: 4^-(MAX-1)
+        let mut total = heap_bytes(Self::size(MAX_HEIGHT));
+        let mut height = MAX_HEIGHT - 1;
+        while height >= 1 {
+            total += 3 * weight * heap_bytes(Self::size(height));
+            weight *= 4;
+            height -= 1;
+        }
+        // `weight` is now 4^(MAX-1), the sum of all weights; round to nearest.
+        (total + weight / 2) / weight
+    };
+
+    /// Allocate an unpublished node with every link null.
+    fn alloc(entry: E, height: usize) -> Owned<Self> {
+        assert!(
+            (1..=MAX_HEIGHT).contains(&height),
+            "node height out of range"
+        );
+        let layout = Self::layout(height);
+        // SAFETY: the layout covers at least the header, so its size is
+        // non-zero.
+        let node = unsafe { alloc(layout) }.cast::<Self>();
+        if node.is_null() {
+            handle_alloc_error(layout);
+        }
+        // SAFETY: `node` is valid for writes of `layout`: the header fields
+        // and the `height` links behind `tower` all lie inside it, and
+        // nothing else can see the allocation yet. It is handed to `Owned`
+        // exactly as `reclaim` expects to get it back.
+        unsafe {
+            ptr::addr_of_mut!((*node).entry).write(entry);
+            ptr::addr_of_mut!((*node).height).write(height);
+            let tower = ptr::addr_of_mut!((*node).tower).cast::<Link<E>>();
+            for level in 0..height {
+                tower.add(level).write(Atomic::null());
+            }
+            Owned::from_raw(node)
+        }
+    }
+}
+
+impl<E> Reclaim for Node<E> {
+    // SAFETY: see the trait; every `Node` comes from `Node::alloc`.
+    unsafe fn reclaim(this: *mut Self) {
+        // SAFETY: per the contract `this` is a live, uniquely owned node
+        // from `Node::alloc`, so `height` names the layout it was allocated
+        // with and the entry is dropped exactly once. Links own nothing.
+        unsafe {
+            let layout = Self::layout((*this).height);
+            ptr::drop_in_place(ptr::addr_of_mut!((*this).entry));
+            dealloc(this.cast(), layout);
+        }
+    }
+}
+
+/// A node that stays allocated for `'g`: reached through an edge loaded
+/// under a pin, or still owned. Every accessor relies on that one
+/// guarantee, made when the `NodeRef` is built.
+struct NodeRef<'g, E> {
+    node: NonNull<Node<E>>,
+    _live: PhantomData<&'g Node<E>>,
+}
+
+impl<E> Clone for NodeRef<'_, E> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<E> Copy for NodeRef<'_, E> {}
+
+impl<'g, E> NodeRef<'g, E> {
+    /// The node behind a loaded edge (tag ignored), `None` for null.
+    ///
+    /// # Safety
+    ///
+    /// A non-null `edge` must point to a node from [`Node::alloc`] that is
+    /// not reclaimed while the pin `'g` borrows is held.
+    unsafe fn new(edge: Shared<'g, Node<E>>) -> Option<Self> {
+        NonNull::new(edge.as_raw() as *mut Node<E>).map(|node| NodeRef {
+            node,
+            _live: PhantomData,
+        })
+    }
+
+    /// A node not yet published.
+    fn of(owned: &'g Owned<Node<E>>) -> Self {
+        NodeRef {
+            // SAFETY: an `Owned` is never null.
+            node: unsafe { NonNull::new_unchecked(owned.as_raw()) },
+            _live: PhantomData,
+        }
+    }
+
+    fn entry(self) -> &'g E {
+        // SAFETY: the node is live for 'g (constructor guarantee) and its
+        // entry is immutable after `Node::alloc`.
+        unsafe { &(*self.node.as_ptr()).entry }
+    }
+
+    /// The level-0 link. Every node has one, so this reads no height.
+    fn next(self) -> &'g Link<E> {
+        // SAFETY: the node is live for 'g and was allocated with
+        // `height >= 1` links at `tower`; the pointer is derived from the
+        // allocation's own, not from a `&Node` (which ends at the header).
+        unsafe { &*ptr::addr_of!((*self.node.as_ptr()).tower).cast::<Link<E>>() }
+    }
+
+    /// All `height` links.
+    fn tower(self) -> &'g [Link<E>] {
+        // SAFETY: as in `next`; `height` is the link count the node was
+        // allocated with and never changes.
+        unsafe {
+            let node = self.node.as_ptr();
+            let tower = ptr::addr_of!((*node).tower).cast::<Link<E>>();
+            std::slice::from_raw_parts(tower, (*node).height)
+        }
+    }
+}
+
+/// Per-level predecessors (edges to retry CAS on) and successors found by a
+/// search.
+type SearchResult<'g, E> = ([&'g Link<E>; MAX_HEIGHT], [Shared<'g, Node<E>>; MAX_HEIGHT]);
+
+fn null_head<E>() -> [Link<E>; MAX_HEIGHT] {
+    std::array::from_fn(|_| Atomic::null())
+}
+
+/// Visit the level-0 chain from `curr` in list order while `f` returns
+/// `true`. On a [`TimeList`], a walk that entered a suffix just before its
+/// truncation keeps a consistent view: tags are ignored when following, and
+/// a detached suffix is immutable and still null-terminated.
+fn walk<'g, E: 'g>(
+    mut curr: Shared<'g, Node<E>>,
+    guard: &'g Guard,
+    mut f: impl FnMut(&'g E) -> bool,
+) {
+    // SAFETY: every pointer followed was loaded under `guard` from an edge
+    // of the list. Key nodes are never freed before their map drops; time
+    // nodes detached by a concurrent truncation are only freed after our
+    // pin is released. Either way the walk stays on valid memory.
+    while let Some(node) = unsafe { NodeRef::new(curr) } {
+        if !f(node.entry()) {
+            return;
+        }
+        curr = node.next().load(Ordering::Acquire, guard);
+    }
+}
+
+/// Free every node of a list being dropped; level 0 reaches each exactly
+/// once (tags on retired edges are ignored).
+fn drop_nodes<E>(head: &mut [Link<E>; MAX_HEIGHT]) {
+    // SAFETY: `&mut` on the head proves no other thread can touch the
+    // list, the contract `unprotected` requires.
+    let guard = unsafe { epoch::unprotected() };
+    // analysis:allow(relaxed-ordering): exclusive access in Drop; there is
+    // no concurrent writer to synchronize with.
+    let mut curr = head[0].load(Ordering::Relaxed, guard);
+    // SAFETY: exclusive access; nodes reachable from the head are live
+    // (detached suffixes were handed to epoch reclamation and are not).
+    while let Some(node) = unsafe { NodeRef::new(curr) } {
+        // analysis:allow(relaxed-ordering): exclusive access in Drop.
+        let next = node.next().load(Ordering::Relaxed, guard);
+        // SAFETY: exclusive access; each level-0 node is owned exactly once
+        // and freed exactly once by this walk, after its link was read.
+        drop(unsafe { curr.into_owned() });
+        curr = next;
+    }
 }
 
 // ---------------------------------------------------------------------------
 // First level: insert-only concurrent skiplist.
 // ---------------------------------------------------------------------------
 
-struct Node<K, V> {
-    key: K,
+/// Value first, so the key a search compares sits next to the links it
+/// follows.
+#[repr(C)]
+struct KeyEntry<K, V> {
     value: V,
-    /// One forward pointer per level; length == node height.
-    next: Vec<Atomic<Node<K, V>>>,
+    key: K,
 }
-
-/// Per-level predecessors (edges to retry CAS on) and successors found by
-/// [`SkipMap::search`].
-type SearchResult<'g, K, V> = (
-    [&'g Atomic<Node<K, V>>; MAX_HEIGHT],
-    [Shared<'g, Node<K, V>>; MAX_HEIGHT],
-);
 
 /// Lock-free insert-only skip map. `get_or_insert` is the only mutator;
 /// key nodes persist for the map's lifetime (streaming workloads accumulate
 /// keys — per-key data is evicted in the second level instead).
 pub struct SkipMap<K, V> {
-    head: Vec<Atomic<Node<K, V>>>,
+    head: [Link<KeyEntry<K, V>>; MAX_HEIGHT],
     len: AtomicUsize,
     seed: AtomicU64,
 }
@@ -73,10 +305,15 @@ impl<K: Ord, V> Default for SkipMap<K, V> {
     }
 }
 
+impl<K, V> SkipMap<K, V> {
+    /// Mean heap bytes of one key node, value inline (memory model).
+    pub const NODE_HEAP_BYTES: usize = Node::<KeyEntry<K, V>>::MEAN_HEAP_BYTES;
+}
+
 impl<K: Ord, V> SkipMap<K, V> {
     pub fn new() -> Self {
         SkipMap {
-            head: (0..MAX_HEIGHT).map(|_| Atomic::null()).collect(),
+            head: null_head(),
             len: AtomicUsize::new(0),
             seed: AtomicU64::new(0x853C_49E6_748F_EA9B),
         }
@@ -92,44 +329,60 @@ impl<K: Ord, V> SkipMap<K, V> {
         self.len() == 0
     }
 
-    /// Find `key`'s predecessors/successors at every level.
-    fn search<'g>(&'g self, key: &K, guard: &'g Guard) -> SearchResult<'g, K, V> {
-        self.search_by(key, guard)
-    }
-
-    /// [`SkipMap::search`] generalized over a borrowed form of the key, so
+    /// Find, per level, the last edge before `key` and the first node with
+    /// `node.key >= key`. Generic over a borrowed form of the key, so
     /// callers can seek with `&[KeyValue]` against `Vec<KeyValue>` keys
     /// without materializing an owned key first.
     // analysis:allow(panic-freedom): every index is `level < MAX_HEIGHT`
-    // against MAX_HEIGHT-sized arrays; node links are full-height (see the
-    // pred_links invariant below).
-    fn search_by<'g, Q>(&'g self, key: &Q, guard: &'g Guard) -> SearchResult<'g, K, V>
+    // against MAX_HEIGHT-sized arrays or the tower of a node reached at
+    // `level`, whose height is > level (see pred_links below).
+    fn search_by<'g, Q>(&'g self, key: &Q, guard: &'g Guard) -> SearchResult<'g, KeyEntry<K, V>>
     where
         K: std::borrow::Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let mut preds: [&Atomic<Node<K, V>>; MAX_HEIGHT] = std::array::from_fn(|i| &self.head[i]);
-        let mut succs: [Shared<Node<K, V>>; MAX_HEIGHT] = std::array::from_fn(|_| Shared::null());
-        // `pred_links` is the forward-pointer array we are walking from: the
-        // head sentinel's, then the next-pointer arrays of passed nodes. Any
-        // node reached at `level` has height > level, so indexing is safe.
-        let mut pred_links: &[Atomic<Node<K, V>>] = &self.head;
+        let mut preds: [&Link<KeyEntry<K, V>>; MAX_HEIGHT] = std::array::from_fn(|i| &self.head[i]);
+        let mut succs = [Shared::null(); MAX_HEIGHT];
+        // `pred_links` is the tower we are walking from: the head
+        // sentinel's, then those of passed nodes. A node is only ever
+        // linked at levels below its height, so one reached at `level` has
+        // a link there.
+        let mut pred_links: &[Link<KeyEntry<K, V>>] = &self.head;
         for level in (0..MAX_HEIGHT).rev() {
             let mut curr = pred_links[level].load(Ordering::Acquire, guard);
             // SAFETY: `curr` was loaded under `guard` from a reachable
-            // edge; key nodes are never freed before the map drops, so
-            // the reference is valid for the pin.
-            while let Some(node) = unsafe { curr.as_ref() } {
-                if node.key.borrow() >= key {
+            // edge; key nodes are never freed before the map drops.
+            while let Some(node) = unsafe { NodeRef::new(curr) } {
+                if node.entry().key.borrow() >= key {
                     break;
                 }
-                pred_links = &node.next;
+                pred_links = node.tower();
                 curr = pred_links[level].load(Ordering::Acquire, guard);
             }
             preds[level] = &pred_links[level];
             succs[level] = curr;
         }
         (preds, succs)
+    }
+
+    /// A node's value, borrowed for as long as the map.
+    fn value_of(&self, node: NodeRef<'_, KeyEntry<K, V>>) -> &V {
+        // SAFETY: `node` is one of this map's key nodes; they are
+        // insert-only and freed only on drop of the whole map, so extending
+        // the borrow from the pin to &self is sound.
+        unsafe { &*(&node.entry().value as *const V) }
+    }
+
+    /// The value behind `edge` when that node's key equals `key`.
+    fn value_if_equal<Q>(&self, edge: Shared<'_, Node<KeyEntry<K, V>>>, key: &Q) -> Option<&V>
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        // SAFETY: `edge` was loaded under a pin from a reachable edge; key
+        // nodes are never freed before the map drops.
+        let node = unsafe { NodeRef::new(edge) }?;
+        (node.entry().key.borrow() == key).then(|| self.value_of(node))
     }
 
     /// Look up `key`; the returned reference lives as long as the map
@@ -148,51 +401,39 @@ impl<K: Ord, V> SkipMap<K, V> {
     {
         let guard = epoch::pin();
         let (_, succs) = self.search_by(key, &guard);
-        // SAFETY: loaded under `guard`; key nodes are never freed before
-        // the map drops.
-        let node = unsafe { succs[0].as_ref() }?;
-        (node.key.borrow() == key).then(|| {
-            // SAFETY: key nodes are insert-only and freed only on drop of
-            // the whole map, so extending the lifetime to &self is sound.
-            unsafe { &*(&node.value as *const V) }
-        })
+        self.value_if_equal(succs[0], key)
     }
 
     /// Get `key`'s value, inserting `init()` if absent; the boolean reports
     /// whether this call created the entry (used for key-memory accounting).
     /// Lock-free: on CAS contention the losing thread retries and returns
-    /// the winner's value.
+    /// the winner's value (its own node, value included, is dropped).
     pub fn get_or_insert_with(&self, key: K, init: impl FnOnce() -> V) -> (&V, bool) {
-        let guard = epoch::pin();
         // Fast path.
         if let Some(v) = self.get(&key) {
             return (v, false);
         }
         let height = random_height(&self.seed);
-        let mut new = Owned::new(Node {
-            key,
-            value: init(),
-            next: (0..height).map(|_| Atomic::null()).collect(),
-        });
-        loop {
-            let (preds, succs) = self.search(&new.key, &guard);
-            // SAFETY: loaded under `guard`; key nodes are never freed
-            // before the map drops.
-            if let Some(existing) = unsafe { succs[0].as_ref() } {
-                if existing.key == new.key {
-                    // Lost the race (or key appeared): return existing.
-                    // SAFETY: key nodes live as long as the map; extending
-                    // the borrow from the pin to &self is sound.
-                    return (unsafe { &*(&existing.value as *const V) }, false);
-                }
+        self.insert_with_height(key, init(), height)
+    }
+
+    /// [`SkipMap::get_or_insert_with`] past its lookup, at a chosen height
+    /// (tests force the tall, rare towers).
+    #[doc(hidden)]
+    pub fn insert_with_height(&self, key: K, value: V, height: usize) -> (&V, bool) {
+        let guard = epoch::pin();
+        let mut new = Node::alloc(KeyEntry { value, key }, height);
+        let (shared, mut preds, mut succs) = loop {
+            let key = &NodeRef::of(&new).entry().key;
+            let (preds, succs) = self.search_by(key, &guard);
+            if let Some(existing) = self.value_if_equal(succs[0], key) {
+                // Lost the race (or key appeared): `new` drops here.
+                return (existing, false);
             }
-            // Point the new node at its successors before publishing.
-            for (level, succ) in succs.iter().enumerate().take(height) {
-                // analysis:allow(relaxed-ordering): pre-publication store
-                // into a node no other thread can see yet; the publishing
-                // CAS below is the Release edge.
-                new.next[level].store(*succ, Ordering::Relaxed);
-            }
+            // analysis:allow(relaxed-ordering): pre-publication store into
+            // a node no other thread can see yet; the publishing CAS below
+            // is the Release edge.
+            NodeRef::of(&new).next().store(succs[0], Ordering::Relaxed);
             match preds[0].compare_exchange(
                 succs[0],
                 new,
@@ -200,71 +441,58 @@ impl<K: Ord, V> SkipMap<K, V> {
                 Ordering::Acquire,
                 &guard,
             ) {
-                Ok(shared) => {
-                    // SAFETY: the successful CAS installed our non-null
-                    // node; it stays alive for the map's lifetime.
-                    // analysis:allow(panic-path): unreachable — a
-                    // just-installed node pointer cannot be null.
-                    let node = unsafe { shared.as_ref().expect("just inserted") };
-                    // Link the upper levels best-effort.
-                    for level in 1..height {
-                        loop {
-                            let (preds, succs) = self.search(&node.key, &guard);
-                            if succs[level].as_raw() == shared.as_raw() {
-                                break; // already linked by a helper
-                            }
-                            node.next[level].store(succs[level], Ordering::Release);
-                            if preds[level]
-                                .compare_exchange(
-                                    succs[level],
-                                    shared,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                    &guard,
-                                )
-                                .is_ok()
-                            {
-                                break;
-                            }
-                        }
-                    }
-                    // analysis:allow(relaxed-ordering): statistics counter.
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: as above — node lives as long as the map.
-                    return (unsafe { &*(&node.value as *const V) }, true);
+                Ok(shared) => break (shared, preds, succs),
+                Err(e) => new = e.new,
+            }
+        };
+        // SAFETY: the successful CAS installed our non-null node; it stays
+        // alive for the map's lifetime.
+        // analysis:allow(panic-path): unreachable — a just-installed node
+        // pointer cannot be null.
+        let node = unsafe { NodeRef::new(shared) }.expect("just inserted");
+        // Link the upper levels from the search already done; only a lost
+        // CAS pays for another one.
+        for (level, link) in node.tower().iter().enumerate().skip(1) {
+            loop {
+                // analysis:allow(relaxed-ordering): this level's link is
+                // not reachable until the CAS below publishes it.
+                link.store(succs[level], Ordering::Relaxed);
+                if preds[level]
+                    .compare_exchange(
+                        succs[level],
+                        shared,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                        &guard,
+                    )
+                    .is_ok()
+                {
+                    break;
                 }
-                Err(e) => {
-                    new = e.new;
-                }
+                (preds, succs) = self.search_by(&node.entry().key, &guard);
             }
         }
+        // analysis:allow(relaxed-ordering): statistics counter.
+        self.len.fetch_add(1, Ordering::Relaxed);
+        (self.value_of(node), true)
     }
 
     /// Visit entries with `key >= from` in ascending key order while `f`
     /// returns `true`.
     pub fn range_for_each(&self, from: &K, mut f: impl FnMut(&K, &V) -> bool) {
         let guard = epoch::pin();
-        let (_, succs) = self.search(from, &guard);
-        let mut curr = succs[0];
-        // SAFETY: every pointer followed was loaded under `guard` from a
-        // reachable edge; key nodes are never freed before the map drops.
-        while let Some(node) = unsafe { curr.as_ref() } {
-            if !f(&node.key, &node.value) {
-                return;
-            }
-            curr = node.next[0].load(Ordering::Acquire, &guard);
-        }
+        let (_, succs) = self.search_by(from, &guard);
+        walk(succs[0], &guard, |e| f(&e.key, &e.value));
     }
 
     /// Visit every `(key, value)` in ascending key order.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         let guard = epoch::pin();
-        let mut curr = self.head[0].load(Ordering::Acquire, &guard);
-        // SAFETY: as in `range_for_each` — nodes outlive the traversal.
-        while let Some(node) = unsafe { curr.as_ref() } {
-            f(&node.key, &node.value);
-            curr = node.next[0].load(Ordering::Acquire, &guard);
-        }
+        let first = self.head[0].load(Ordering::Acquire, &guard);
+        walk(first, &guard, |e| {
+            f(&e.key, &e.value);
+            true
+        });
     }
 
     /// Keys in ascending order (snapshot).
@@ -280,19 +508,7 @@ impl<K: Ord, V> SkipMap<K, V> {
 
 impl<K, V> Drop for SkipMap<K, V> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` proves no other thread can touch the map, the
-        // contract `unprotected` requires.
-        let guard = unsafe { epoch::unprotected() };
-        // analysis:allow(relaxed-ordering): exclusive access in Drop; there
-        // is no concurrent writer to synchronize with.
-        let mut curr = self.head[0].load(Ordering::Relaxed, guard);
-        while !curr.is_null() {
-            // SAFETY: exclusive access; each level-0 node is owned exactly
-            // once and freed exactly once by this walk.
-            let owned = unsafe { curr.into_owned() };
-            // analysis:allow(relaxed-ordering): exclusive access in Drop.
-            curr = owned.next[0].load(Ordering::Relaxed, guard);
-        }
+        drop_nodes(&mut self.head);
     }
 }
 
@@ -308,19 +524,38 @@ impl<K, V> Drop for SkipMap<K, V> {
 /// end-of-list (the retired region is always the oldest suffix).
 const RETIRED: usize = 1;
 
-const TIME_MAX_HEIGHT: usize = 12;
+/// [`TimeList::gate`] bit held by the one running truncation.
+const TRUNCATING: usize = 1;
+/// [`TimeList::gate`] unit counting inserts that are linking upper levels.
+const LINKING: usize = 2;
 
-struct TimeNode {
+struct TimeEntry {
     ts: i64,
     data: Arc<[u8]>,
-    /// One forward pointer per level, ordered by ts *descending*.
-    next: Vec<Atomic<TimeNode>>,
 }
 
-impl TimeNode {
-    /// A node is retired once its level-0 edge is tagged.
-    fn retired(&self, guard: &Guard) -> bool {
-        self.next[0].load(Ordering::Acquire, guard).tag() == RETIRED
+type TimeNode = Node<TimeEntry>;
+
+/// A node is retired once its level-0 edge is tagged.
+fn retired(node: NodeRef<'_, TimeEntry>, guard: &Guard) -> bool {
+    node.next().load(Ordering::Acquire, guard).tag() == RETIRED
+}
+
+/// Tag `link` RETIRED whatever it holds, absorbing concurrent CASes on it;
+/// returns the successor it was sealed with.
+fn seal<'g>(link: &Link<TimeEntry>, guard: &'g Guard) -> Shared<'g, TimeNode> {
+    let mut next = link.load(Ordering::Acquire, guard);
+    loop {
+        match link.compare_exchange(
+            next,
+            next.with_tag(RETIRED),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+            guard,
+        ) {
+            Ok(_) => return next.with_tag(0),
+            Err(e) => next = e.current, // a straggler linked in
+        }
     }
 }
 
@@ -334,11 +569,23 @@ impl TimeNode {
 /// * TTL eviction detaches the expired suffix at level 0 with one CAS,
 ///   seals every detached node, unlinks the upper levels, and defers the
 ///   frees to epoch reclamation.
+///
+/// A sealed node must never be linked into a level — it is on its way to
+/// being freed. At level 0 that cannot happen (a node is linked there once,
+/// before anything can seal it, and the seal makes inserts *behind* it fail
+/// their CAS). Its upper levels, though, are linked after it is visible, so
+/// truncation and upper-level linking exclude each other through `gate`,
+/// and neither side waits: an insert that meets a running truncation leaves
+/// its node at height 1, a truncation that meets a linking insert (or
+/// another truncation) removes nothing and leaves the suffix to the next
+/// TTL pass.
 pub struct TimeList {
-    head: Vec<Atomic<TimeNode>>,
+    head: [Link<TimeEntry>; MAX_HEIGHT],
     len: AtomicUsize,
     bytes: AtomicUsize,
     seed: AtomicU64,
+    /// [`TRUNCATING`] | [`LINKING`] × inserts linking upper levels.
+    gate: AtomicUsize,
 }
 
 impl Default for TimeList {
@@ -348,12 +595,17 @@ impl Default for TimeList {
 }
 
 impl TimeList {
+    /// Mean heap bytes of one entry's node, payload excluded (memory
+    /// model).
+    pub const NODE_HEAP_BYTES: usize = TimeNode::MEAN_HEAP_BYTES;
+
     pub fn new() -> Self {
         TimeList {
-            head: (0..TIME_MAX_HEIGHT).map(|_| Atomic::null()).collect(),
+            head: null_head(),
             len: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
             seed: AtomicU64::new(0x2545_F491_4F6C_DD1D),
+            gate: AtomicUsize::new(0),
         }
     }
 
@@ -376,21 +628,14 @@ impl TimeList {
     /// first node with `node.ts <= ts`. A successor that is retired (or an
     /// edge tagged mid-walk) is reported as the end of that level — the
     /// retired region is always the expired suffix.
-    #[allow(clippy::type_complexity)]
-    fn search<'g>(
-        &'g self,
-        ts: i64,
-        guard: &'g Guard,
-    ) -> (
-        [&'g Atomic<TimeNode>; TIME_MAX_HEIGHT],
-        [Shared<'g, TimeNode>; TIME_MAX_HEIGHT],
-    ) {
-        let mut preds: [&Atomic<TimeNode>; TIME_MAX_HEIGHT] =
-            std::array::from_fn(|i| &self.head[i]);
-        let mut succs: [Shared<TimeNode>; TIME_MAX_HEIGHT] =
-            std::array::from_fn(|_| Shared::null());
-        let mut pred_links: &[Atomic<TimeNode>] = &self.head;
-        for level in (0..TIME_MAX_HEIGHT).rev() {
+    // analysis:allow(panic-freedom): every index is `level < MAX_HEIGHT`
+    // against MAX_HEIGHT-sized arrays or the tower of a node reached at
+    // `level`, whose height is > level.
+    fn search<'g>(&'g self, ts: i64, guard: &'g Guard) -> SearchResult<'g, TimeEntry> {
+        let mut preds: [&Link<TimeEntry>; MAX_HEIGHT] = std::array::from_fn(|i| &self.head[i]);
+        let mut succs = [Shared::null(); MAX_HEIGHT];
+        let mut pred_links: &[Link<TimeEntry>] = &self.head;
+        for level in (0..MAX_HEIGHT).rev() {
             let mut curr = pred_links[level].load(Ordering::Acquire, guard);
             loop {
                 if curr.tag() == RETIRED {
@@ -403,15 +648,15 @@ impl TimeList {
                 // edge; a node only becomes freeable after it is sealed
                 // (tag observed above) *and* all pins from before the seal
                 // are released — ours is still held.
-                let Some(node) = (unsafe { curr.as_ref() }) else {
+                let Some(node) = (unsafe { NodeRef::new(curr) }) else {
                     break;
                 };
-                if node.retired(guard) {
+                if retired(node, guard) {
                     curr = Shared::null();
                     break;
                 }
-                if node.ts > ts {
-                    pred_links = &node.next;
+                if node.entry().ts > ts {
+                    pred_links = node.tower();
                     curr = pred_links[level].load(Ordering::Acquire, guard);
                 } else {
                     break;
@@ -427,22 +672,22 @@ impl TimeList {
     /// seek past newer entries; same-timestamp rows keep insertion order
     /// (newest insert closest to the head).
     pub fn insert(&self, ts: i64, data: Arc<[u8]>) {
+        self.insert_with_height(ts, data, random_height(&self.seed));
+    }
+
+    /// [`TimeList::insert`] at a chosen height (tests force the tall, rare
+    /// towers).
+    #[doc(hidden)]
+    pub fn insert_with_height(&self, ts: i64, data: Arc<[u8]>, height: usize) {
         let guard = epoch::pin();
         let size = data.len();
-        let height = (random_height(&self.seed)).min(TIME_MAX_HEIGHT);
-        let mut new = Owned::new(TimeNode {
-            ts,
-            data,
-            next: (0..height).map(|_| Atomic::null()).collect(),
-        });
-        loop {
+        let mut new = Node::alloc(TimeEntry { ts, data }, height);
+        let (shared, preds, succs) = loop {
             let (preds, succs) = self.search(ts, &guard);
-            for (level, succ) in succs.iter().enumerate().take(height) {
-                // analysis:allow(relaxed-ordering): pre-publication store
-                // into a node no other thread can see yet; the publishing
-                // CAS below is the Release edge.
-                new.next[level].store(*succ, Ordering::Relaxed);
-            }
+            // analysis:allow(relaxed-ordering): pre-publication store into
+            // a node no other thread can see yet; the publishing CAS below
+            // is the Release edge.
+            NodeRef::of(&new).next().store(succs[0], Ordering::Relaxed);
             match preds[0].compare_exchange(
                 succs[0],
                 new,
@@ -450,76 +695,79 @@ impl TimeList {
                 Ordering::Acquire,
                 &guard,
             ) {
-                Ok(shared) => {
-                    // SAFETY: the successful CAS installed our non-null
-                    // node; our pin keeps it alive even if a concurrent
-                    // truncation detaches it immediately.
-                    // analysis:allow(panic-path): unreachable — a
-                    // just-installed node pointer cannot be null.
-                    let node = unsafe { shared.as_ref().expect("just inserted") };
-                    // Link the upper levels best-effort with fresh searches;
-                    // a level that raced (or borders the retired suffix) is
-                    // skipped — the node stays reachable via level 0. The
-                    // node's own edges are updated with tag-checked CAS: if
-                    // a concurrent truncation sealed this node (tagged its
-                    // edges), linking stops, so a retired node can never be
-                    // re-published into a live level.
-                    'link: for level in 1..height {
-                        let (preds, succs) = self.search(ts, &guard);
-                        if succs[level].as_raw() == shared.as_raw() {
-                            continue;
-                        }
-                        let mut current = node.next[level].load(Ordering::Acquire, &guard);
-                        loop {
-                            if current.tag() == RETIRED {
-                                break 'link; // sealed mid-insert: stop
-                            }
-                            match node.next[level].compare_exchange(
-                                current,
-                                succs[level],
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                                &guard,
-                            ) {
-                                Ok(_) => break,
-                                Err(e) => current = e.current,
-                            }
-                        }
-                        let _ = preds[level].compare_exchange(
-                            succs[level],
-                            shared,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                            &guard,
-                        );
-                    }
-                    // analysis:allow(relaxed-ordering): statistics counters.
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    // analysis:allow(relaxed-ordering): statistics counters.
-                    self.bytes.fetch_add(size, Ordering::Relaxed);
-                    return;
-                }
+                Ok(shared) => break (shared, preds, succs),
                 Err(e) => new = e.new,
+            }
+        };
+        // analysis:allow(relaxed-ordering): statistics counters.
+        self.len.fetch_add(1, Ordering::Relaxed);
+        // analysis:allow(relaxed-ordering): statistics counters.
+        self.bytes.fetch_add(size, Ordering::Relaxed);
+        if height > 1 {
+            // Acquire pairs with the Release that ends a truncation: its
+            // seals are visible to the `retired` check in `link_upper`.
+            if self.gate.fetch_add(LINKING, Ordering::AcqRel) & TRUNCATING == 0 {
+                self.link_upper(shared, preds, succs, &guard);
+            }
+            self.gate.fetch_sub(LINKING, Ordering::Release);
+        }
+    }
+
+    /// Link a published node's upper levels, starting from the search its
+    /// level-0 insert already did; only a lost CAS pays for another one.
+    /// Runs with a `LINKING` unit on the gate, so no truncation is running
+    /// or can start: a node that is not retired now stays unretired until
+    /// the caller releases the unit, and a fresh search sees no retired
+    /// node at all.
+    fn link_upper<'g>(
+        &'g self,
+        shared: Shared<'g, TimeNode>,
+        mut preds: [&'g Link<TimeEntry>; MAX_HEIGHT],
+        mut succs: [Shared<'g, TimeNode>; MAX_HEIGHT],
+        guard: &'g Guard,
+    ) {
+        // SAFETY: the caller's CAS installed this non-null node and the
+        // caller's pin, taken before, keeps it allocated even if a
+        // truncation detached it since.
+        // analysis:allow(panic-path): unreachable — a just-installed node
+        // pointer cannot be null.
+        let node = unsafe { NodeRef::new(shared) }.expect("just inserted");
+        if retired(node, guard) {
+            // Truncated between the level-0 CAS and the gate: stays out.
+            return;
+        }
+        let ts = node.entry().ts;
+        for (level, link) in node.tower().iter().enumerate().skip(1) {
+            loop {
+                // analysis:allow(relaxed-ordering): this level's link is
+                // not reachable until the CAS below publishes it, and no
+                // truncation is sealing it (gate).
+                link.store(succs[level], Ordering::Relaxed);
+                // A predecessor retired since the search has a tagged edge
+                // and a successor retired since was cut out of it: the
+                // stale pair fails the CAS either way.
+                if preds[level]
+                    .compare_exchange(
+                        succs[level],
+                        shared,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                        guard,
+                    )
+                    .is_ok()
+                {
+                    break;
+                }
+                (preds, succs) = self.search(ts, guard);
             }
         }
     }
 
-    /// Visit entries newest → oldest while `f` returns `true`. A reader that
-    /// entered a suffix just before its truncation keeps a consistent view
-    /// (epoch reclamation defers frees; tags are stripped when following).
+    /// Visit entries newest → oldest while `f` returns `true`.
     pub fn scan(&self, mut f: impl FnMut(i64, &[u8]) -> bool) {
         let guard = epoch::pin();
-        let mut curr = self.head[0].load(Ordering::Acquire, &guard);
-        // SAFETY: every pointer followed was loaded under `guard`; nodes
-        // detached by a concurrent truncation are only freed after our pin
-        // is released, so the walk stays on valid memory (a detached suffix
-        // is immutable and still null-terminated).
-        while let Some(node) = unsafe { curr.with_tag(0).as_ref() } {
-            if !f(node.ts, &node.data) {
-                return;
-            }
-            curr = node.next[0].load(Ordering::Acquire, &guard);
-        }
+        let first = self.head[0].load(Ordering::Acquire, &guard);
+        walk(first, &guard, |e| f(e.ts, &e.data));
     }
 
     /// The newest entry — the `LAST JOIN` fast path.
@@ -528,7 +776,8 @@ impl TimeList {
         let head = self.head[0].load(Ordering::Acquire, &guard);
         // SAFETY: loaded under `guard`; a concurrently detached node is not
         // freed before the pin drops.
-        unsafe { head.with_tag(0).as_ref() }.map(|n| (n.ts, n.data.clone()))
+        let entry = unsafe { NodeRef::new(head) }?.entry();
+        Some((entry.ts, entry.data.clone()))
     }
 
     /// Entries with `lower_ts <= ts <= upper_ts`, newest first. Seeks to
@@ -537,16 +786,13 @@ impl TimeList {
         let guard = epoch::pin();
         let (_, succs) = self.search(upper_ts, &guard);
         let mut out = Vec::new();
-        let mut curr = succs[0];
-        // SAFETY: as in `scan` — pins outlive any concurrent reclamation of
-        // the nodes this walk can reach.
-        while let Some(node) = unsafe { curr.with_tag(0).as_ref() } {
-            if node.ts < lower_ts {
-                break;
+        walk(succs[0], &guard, |e| {
+            let inside = e.ts >= lower_ts;
+            if inside {
+                out.push((e.ts, e.data.clone()));
             }
-            out.push((node.ts, node.data.clone()));
-            curr = node.next[0].load(Ordering::Acquire, &guard);
-        }
+            inside
+        });
         out
     }
 
@@ -559,18 +805,7 @@ impl TimeList {
     pub fn range_visit(&self, lower_ts: i64, upper_ts: i64, mut f: impl FnMut(i64, &[u8]) -> bool) {
         let guard = epoch::pin();
         let (_, succs) = self.search(upper_ts, &guard);
-        let mut curr = succs[0];
-        // SAFETY: as in `scan` — pins outlive any concurrent reclamation of
-        // the nodes this walk can reach.
-        while let Some(node) = unsafe { curr.with_tag(0).as_ref() } {
-            if node.ts < lower_ts {
-                break;
-            }
-            if !f(node.ts, &node.data) {
-                return;
-            }
-            curr = node.next[0].load(Ordering::Acquire, &guard);
-        }
+        walk(succs[0], &guard, |e| e.ts >= lower_ts && f(e.ts, &e.data));
     }
 
     /// Truncate the expired suffix: drop every entry with `ts < cutoff_ts`
@@ -579,45 +814,62 @@ impl TimeList {
     /// `absandlat` TTL variant); otherwise violating either bound expires it
     /// (`absorlat` and the simple policies). Both predicates are monotone
     /// along the list (ts decreasing, rank increasing), so the expired
-    /// entries always form a suffix. Returns `(entries, bytes)` freed.
+    /// entries always form a suffix. Returns `(entries, bytes)` freed —
+    /// `(0, 0)` without looking when an insert is linking upper levels or
+    /// another truncation is running (see the type docs).
     pub fn truncate(
         &self,
         cutoff_ts: Option<i64>,
         keep_latest: Option<usize>,
         require_both: bool,
     ) -> (usize, usize) {
+        if self
+            .gate
+            .compare_exchange(0, TRUNCATING, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            return (0, 0);
+        }
+        let removed = self.truncate_gated(|ts, rank| {
+            let by_time = cutoff_ts.is_some_and(|c| ts < c);
+            let by_count = keep_latest.is_some_and(|k| rank >= k);
+            if require_both {
+                (cutoff_ts.is_none() || by_time)
+                    && (keep_latest.is_none() || by_count)
+                    && (cutoff_ts.is_some() || keep_latest.is_some())
+            } else {
+                by_time || by_count
+            }
+        });
+        // Release: an insert that takes the gate after this sees the seals.
+        self.gate.fetch_sub(TRUNCATING, Ordering::Release);
+        removed
+    }
+
+    /// [`TimeList::truncate`] proper, holding `TRUNCATING`: the only
+    /// concurrent writers are level-0 inserts. `expired(ts, rank)` must be
+    /// monotone along the list.
+    fn truncate_gated(&self, expired: impl Fn(i64, usize) -> bool) -> (usize, usize) {
         let guard = epoch::pin();
-        loop {
-            // Walk level 0 to the first node that must be dropped.
-            let mut pred: &Atomic<TimeNode> = &self.head[0];
+        // Detach the suffix at level 0 with one CAS on the edge into the
+        // first expired node.
+        let first = loop {
+            let mut pred: &Link<TimeEntry> = &self.head[0];
             let mut curr = pred.load(Ordering::Acquire, &guard);
             let mut kept = 0usize;
-            // SAFETY: loaded under `guard` from reachable edges; see `scan`.
-            while let Some(node) = unsafe { curr.with_tag(0).as_ref() } {
-                if curr.tag() == RETIRED {
-                    // Concurrent truncation already handled this region.
-                    return (0, 0);
-                }
-                let by_time = cutoff_ts.is_some_and(|c| node.ts < c);
-                let by_count = keep_latest.is_some_and(|k| kept >= k);
-                let expired = if require_both {
-                    (cutoff_ts.is_none() || by_time)
-                        && (keep_latest.is_none() || by_count)
-                        && (cutoff_ts.is_some() || keep_latest.is_some())
-                } else {
-                    by_time || by_count
-                };
-                if expired {
+            // SAFETY: loaded under `guard` from reachable edges of live
+            // nodes; nothing is reclaimed while the gate is ours.
+            while let Some(node) = unsafe { NodeRef::new(curr) } {
+                if expired(node.entry().ts, kept) {
                     break;
                 }
                 kept += 1;
-                pred = &node.next[0];
+                pred = node.next();
                 curr = pred.load(Ordering::Acquire, &guard);
             }
-            if curr.with_tag(0).is_null() {
+            if curr.is_null() {
                 return (0, 0);
             }
-            // Detach the suffix at level 0 with one CAS.
             if pred
                 .compare_exchange(
                     curr,
@@ -626,129 +878,107 @@ impl TimeList {
                     Ordering::Acquire,
                     &guard,
                 )
-                .is_err()
+                .is_ok()
             {
-                continue; // raced with an insert; retry the walk
+                break curr;
             }
+            // Raced with an insert; retry the walk.
+        };
 
-            // Seal the chain: tag every detached node's level-0 edge first
-            // (this marks the node retired and absorbs any straggler insert
-            // that CASed itself in before the seal reached it), then the
-            // upper edges.
-            let mut chain: Vec<Shared<TimeNode>> = Vec::new();
-            let mut freed = 0usize;
-            let mut node_ptr = curr.with_tag(0);
-            // SAFETY: the detached suffix is only reclaimed below via
-            // `defer_destroy` under this same pin, so every node in it is
-            // still valid while we seal it.
-            while let Some(node) = unsafe { node_ptr.as_ref() } {
-                let mut next = node.next[0].load(Ordering::Acquire, &guard);
-                loop {
-                    match node.next[0].compare_exchange(
-                        next,
-                        next.with_tag(RETIRED),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        &guard,
-                    ) {
-                        Ok(_) => break,
-                        Err(e) => next = e.current, // a straggler linked in
-                    }
-                }
-                for level in 1..node.next.len() {
-                    let mut up = node.next[level].load(Ordering::Acquire, &guard);
-                    loop {
-                        match node.next[level].compare_exchange(
-                            up,
-                            up.with_tag(RETIRED),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                            &guard,
-                        ) {
-                            Ok(_) => break,
-                            Err(e) => up = e.current,
-                        }
-                    }
-                }
-                freed += node.data.len();
-                chain.push(node_ptr);
-                node_ptr = next.with_tag(0);
+        // Seal the chain: tag every detached node's level-0 edge first
+        // (this marks the node retired and absorbs any straggler insert
+        // that CASed itself in before the seal reached it), then the upper
+        // edges.
+        let mut count = 0usize;
+        let mut freed = 0usize;
+        let mut curr = first;
+        // SAFETY: the detached suffix is only reclaimed below via
+        // `defer_destroy` under this same pin, so every node in it is still
+        // valid while we seal it.
+        while let Some(node) = unsafe { NodeRef::new(curr) } {
+            curr = seal(node.next(), &guard);
+            for link in node.tower().iter().skip(1) {
+                seal(link, &guard);
             }
-
-            // Repair the upper levels: cut each level's last live edge into
-            // the retired region so no live pointer survives into freed
-            // memory. Retried per level against concurrent inserts.
-            for level in 1..TIME_MAX_HEIGHT {
-                'repair: loop {
-                    let mut pred: &Atomic<TimeNode> = &self.head[level];
-                    let mut edge = pred.load(Ordering::Acquire, &guard);
-                    loop {
-                        if edge.tag() == RETIRED {
-                            // Standing inside the retired region (stale upper
-                            // pointer of a live node was already repaired by
-                            // a concurrent pass); restart.
-                            continue 'repair;
-                        }
-                        // SAFETY: untagged reachable edge loaded under
-                        // `guard`; retired nodes are freed only after all
-                        // current pins release.
-                        let Some(node) = (unsafe { edge.as_ref() }) else {
-                            break 'repair;
-                        };
-                        if node.retired(&guard) {
-                            // Cut here.
-                            if pred
-                                .compare_exchange(
-                                    edge,
-                                    Shared::null(),
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                    &guard,
-                                )
-                                .is_ok()
-                            {
-                                break 'repair;
-                            }
-                            continue 'repair;
-                        }
-                        pred = &node.next[level];
-                        edge = pred.load(Ordering::Acquire, &guard);
-                    }
-                }
-            }
-
-            // Now unreachable from every level: reclaim.
-            for ptr in &chain {
-                // SAFETY: the chain was unlinked from every level above and
-                // sealed against re-publication; each node is deferred
-                // exactly once, and readers that can still see it hold pins
-                // older than this epoch.
-                unsafe { guard.defer_destroy(*ptr) };
-            }
-            // analysis:allow(relaxed-ordering): statistics counters.
-            self.len.fetch_sub(chain.len(), Ordering::Relaxed);
-            // analysis:allow(relaxed-ordering): statistics counters.
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-            return (chain.len(), freed);
+            count += 1;
+            freed += node.entry().data.len();
         }
+
+        // Repair the upper levels: cut each level's last live edge into
+        // the retired region so no live pointer survives into freed memory.
+        // Nothing else writes upper-level edges while the gate is ours.
+        for level in 1..MAX_HEIGHT {
+            let mut pred: &Link<TimeEntry> = &self.head[level];
+            let mut edge = pred.load(Ordering::Acquire, &guard);
+            // SAFETY: reachable edge loaded under `guard`; retired nodes
+            // are freed only after all current pins release.
+            while let Some(node) = unsafe { NodeRef::new(edge) } {
+                if retired(node, &guard) {
+                    pred.store(Shared::null(), Ordering::Release);
+                    break;
+                }
+                // analysis:allow(panic-freedom): a node reached at `level`
+                // has a link there.
+                pred = &node.tower()[level];
+                edge = pred.load(Ordering::Acquire, &guard);
+            }
+        }
+
+        // Now unreachable from every level: reclaim. The sealed chain is
+        // immutable, so a second walk visits exactly the nodes counted
+        // above; each link is read before its node is retired.
+        let mut curr = first;
+        // SAFETY: as for the sealing walk.
+        while let Some(node) = unsafe { NodeRef::new(curr) } {
+            let next = node.next().load(Ordering::Acquire, &guard);
+            // SAFETY: the chain was unlinked from every level above and
+            // sealed against re-publication; each node is deferred exactly
+            // once, and readers that can still see it hold pins older than
+            // this epoch.
+            unsafe { guard.defer_destroy(curr) };
+            curr = next;
+        }
+        // analysis:allow(relaxed-ordering): statistics counters.
+        self.len.fetch_sub(count, Ordering::Relaxed);
+        // analysis:allow(relaxed-ordering): statistics counters.
+        self.bytes.fetch_sub(freed, Ordering::Relaxed);
+        (count, freed)
+    }
+}
+
+impl TimeList {
+    /// Walk every level from the head and panic unless each is ordered
+    /// newest-first and free of retired nodes (tests: a sealed node must
+    /// never be linked back in). Returns the number of nodes per level.
+    #[cfg(any(test, feature = "model-check"))]
+    pub fn check_levels(&self) -> [usize; MAX_HEIGHT] {
+        let guard = epoch::pin();
+        let mut counts = [0usize; MAX_HEIGHT];
+        for (level, count) in counts.iter_mut().enumerate() {
+            let mut prev = i64::MAX;
+            let mut curr = self.head[level].load(Ordering::Acquire, &guard);
+            assert_eq!(curr.tag(), 0, "head edge tagged at level {level}");
+            // SAFETY: loaded under `guard` from a reachable edge.
+            while let Some(node) = unsafe { NodeRef::new(curr) } {
+                let ts = node.entry().ts;
+                assert!(
+                    !retired(node, &guard),
+                    "retired node ts={ts} reachable at level {level}"
+                );
+                assert!(ts <= prev, "level {level} out of order at ts={ts}");
+                prev = ts;
+                *count += 1;
+                curr = node.tower()[level].load(Ordering::Acquire, &guard);
+                assert_eq!(curr.tag(), 0, "live node ts={ts} sealed at level {level}");
+            }
+        }
+        counts
     }
 }
 
 impl Drop for TimeList {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` proves exclusive access, as `unprotected`
-        // requires.
-        let guard = unsafe { epoch::unprotected() };
-        // analysis:allow(relaxed-ordering): exclusive access in Drop.
-        let mut curr = self.head[0].load(Ordering::Relaxed, guard).with_tag(0);
-        while !curr.is_null() {
-            // SAFETY: exclusive access; level-0 reaches every live node
-            // exactly once (detached suffixes were already handed to epoch
-            // reclamation and are not reachable from the head).
-            let owned = unsafe { curr.into_owned() };
-            // analysis:allow(relaxed-ordering): exclusive access in Drop.
-            curr = owned.next[0].load(Ordering::Relaxed, guard).with_tag(0);
-        }
+        drop_nodes(&mut self.head);
     }
 }
 
@@ -946,6 +1176,231 @@ mod tests {
             } else {
                 assert!(w.upgrade().is_some(), "live payload ts={ts} was freed");
             }
+        }
+    }
+
+    // -- the single-allocation node layout ---------------------------------
+
+    /// What a window walk reads per row — `ts`, the payload pointer and the
+    /// level-0 link — shares the node's first cache line.
+    #[test]
+    fn time_node_hot_fields_share_the_first_64_bytes() {
+        let link = mem::size_of::<Link<TimeEntry>>();
+        assert!(mem::offset_of!(TimeNode, entry.ts) + 8 <= 64);
+        assert!(mem::offset_of!(TimeNode, entry.data) + mem::size_of::<Arc<[u8]>>() <= 64);
+        assert!(mem::offset_of!(TimeNode, tower) + link <= 64);
+        // The tower really is behind the header, inside the one allocation.
+        for height in 1..=MAX_HEIGHT {
+            let node = Node::alloc(
+                TimeEntry {
+                    ts: 7,
+                    data: bytes(1),
+                },
+                height,
+            );
+            let tower = NodeRef::of(&node).tower();
+            assert_eq!(tower.len(), height);
+            let base = node.as_raw() as usize;
+            let first = tower.as_ptr() as usize;
+            assert_eq!(first - base, mem::offset_of!(TimeNode, tower));
+            assert_eq!(
+                NodeRef::of(&node).next() as *const _ as usize,
+                first,
+                "level-0 link is tower[0]"
+            );
+            assert!(first + height * link <= base + TimeNode::layout(height).size());
+        }
+    }
+
+    #[test]
+    fn random_height_branches_by_four() {
+        let seed = AtomicU64::new(42);
+        let n = 1 << 16;
+        let mut at_least = [0usize; MAX_HEIGHT + 1];
+        for _ in 0..n {
+            let h = random_height(&seed);
+            assert!((1..=MAX_HEIGHT).contains(&h));
+            for slot in &mut at_least[1..=h] {
+                *slot += 1;
+            }
+        }
+        // P(height >= 2) = 1/4, P(height >= 3) = 1/16.
+        assert!((n / 5..n / 3).contains(&at_least[2]), "{at_least:?}");
+        assert!((n / 20..n / 12).contains(&at_least[3]), "{at_least:?}");
+    }
+
+    // -- drop accounting: every payload comes back exactly once ------------
+
+    fn payloads(n: usize) -> Vec<Arc<[u8]>> {
+        (0..n).map(|i| bytes(i as u8)).collect()
+    }
+
+    fn all_released(payloads: &[Arc<[u8]>]) -> bool {
+        payloads.iter().all(|p| StdArc::strong_count(p) == 1)
+    }
+
+    #[test]
+    fn list_drop_releases_every_payload_at_every_height() {
+        let held = payloads(MAX_HEIGHT * 3);
+        let list = TimeList::new();
+        for (i, p) in held.iter().enumerate() {
+            list.insert_with_height(i as i64 % 7, p.clone(), i % MAX_HEIGHT + 1);
+        }
+        assert!(held.iter().all(|p| StdArc::strong_count(p) == 2));
+        list.check_levels();
+        drop(list);
+        assert!(all_released(&held));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "epoch collection retry loop; too slow under miri")]
+    fn truncate_releases_every_payload_at_every_height() {
+        let held = payloads(MAX_HEIGHT * 2);
+        let list = TimeList::new();
+        for (i, p) in held.iter().enumerate() {
+            list.insert_with_height(i as i64, p.clone(), i % MAX_HEIGHT + 1);
+        }
+        // Keep the newest MAX_HEIGHT entries: one of each height goes.
+        let (dropped, _) = list.truncate(None, Some(MAX_HEIGHT), false);
+        assert_eq!(dropped, MAX_HEIGHT);
+        let counts = list.check_levels();
+        assert_eq!(counts[0], MAX_HEIGHT);
+        assert_eq!(counts[MAX_HEIGHT - 1], 1);
+        // Other tests in this process may hold transient pins that block
+        // one epoch advance; keep collecting until the evicted nodes die.
+        for _ in 0..1_000 {
+            epoch::force_collect();
+            if all_released(&held[..MAX_HEIGHT]) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(all_released(&held[..MAX_HEIGHT]), "evicted payload kept");
+        assert!(held[MAX_HEIGHT..]
+            .iter()
+            .all(|p| StdArc::strong_count(p) == 2));
+        drop(list);
+        assert!(all_released(&held));
+    }
+
+    #[test]
+    fn losing_get_or_insert_drops_its_node_and_value() {
+        for height in 1..=MAX_HEIGHT {
+            let winner = bytes(1);
+            let loser = bytes(2);
+            let map: SkipMap<i64, Arc<[u8]>> = SkipMap::new();
+            let (_, created) = map.insert_with_height(5, winner.clone(), height);
+            assert!(created);
+            // Past the fast-path lookup the key already exists: the second
+            // node is allocated, loses, and must free its value with it.
+            let (v, created) = map.insert_with_height(5, loser.clone(), height);
+            assert!(!created);
+            assert_eq!(v[0], 1);
+            assert_eq!(StdArc::strong_count(&loser), 1, "height {height}");
+            assert_eq!(StdArc::strong_count(&winner), 2);
+            drop(map);
+            assert_eq!(StdArc::strong_count(&winner), 1, "height {height}");
+        }
+    }
+
+    // -- oracle proptests with forced heights ------------------------------
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Heights 1..=MAX_HEIGHT with the tallest over-represented.
+    fn forced_height() -> impl Strategy<Value = usize> {
+        (1usize..MAX_HEIGHT + 3).prop_map(|h| h.min(MAX_HEIGHT))
+    }
+
+    proptest! {
+        /// TimeList against a `(ts, arrival)` BTreeMap: newest first, the
+        /// latest insert of a same-`ts` run closest to the head, TTL drops a
+        /// suffix — whatever the towers look like.
+        #[test]
+        fn timelist_matches_btreemap_at_forced_heights(
+            inserts in proptest::collection::vec((0i64..12, forced_height()), 1..120),
+            cutoff in 0i64..16,
+            keep in 0usize..160,
+            bounds in (0i64..12, 0i64..12),
+        ) {
+            let list = TimeList::new();
+            let mut oracle: BTreeMap<(i64, usize), u8> = BTreeMap::new();
+            for (seq, (ts, height)) in inserts.iter().enumerate() {
+                list.insert_with_height(*ts, bytes(seq as u8), *height);
+                oracle.insert((*ts, seq), seq as u8);
+            }
+            let view = |list: &TimeList| {
+                let mut v = Vec::new();
+                list.scan(|ts, d| { v.push((ts, d[0])); true });
+                v
+            };
+            let expect = |oracle: &BTreeMap<(i64, usize), u8>| -> Vec<(i64, u8)> {
+                oracle.iter().rev().map(|((ts, _), v)| (*ts, *v)).collect()
+            };
+            prop_assert_eq!(view(&list), expect(&oracle));
+            list.check_levels();
+
+            let (lower, upper) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
+            let in_range: Vec<(i64, u8)> = expect(&oracle)
+                .into_iter()
+                .filter(|(ts, _)| (lower..=upper).contains(ts))
+                .collect();
+            let mut visited = Vec::new();
+            list.range_visit(lower, upper, |ts, d| { visited.push((ts, d[0])); true });
+            prop_assert_eq!(&visited, &in_range);
+            let ranged: Vec<(i64, u8)> =
+                list.range(lower, upper).iter().map(|(ts, d)| (*ts, d[0])).collect();
+            prop_assert_eq!(&ranged, &in_range);
+            prop_assert_eq!(
+                list.latest().map(|(ts, d)| (ts, d[0])),
+                expect(&oracle).first().copied()
+            );
+
+            // `absorlat`: past the cutoff or beyond the newest `keep`.
+            let survivors: Vec<(i64, u8)> = expect(&oracle)
+                .into_iter()
+                .enumerate()
+                .take_while(|(rank, (ts, _))| *ts >= cutoff && *rank < keep)
+                .map(|(_, e)| e)
+                .collect();
+            let (dropped, freed) = list.truncate(Some(cutoff), Some(keep), false);
+            prop_assert_eq!(dropped, inserts.len() - survivors.len());
+            prop_assert_eq!(freed, dropped);
+            prop_assert_eq!(view(&list), survivors.clone());
+            prop_assert_eq!(list.len(), survivors.len());
+            list.check_levels();
+
+            // The list keeps working after the cut, tall towers included.
+            list.insert_with_height(cutoff, bytes(255), MAX_HEIGHT);
+            let mut after = survivors;
+            let at = after.iter().position(|(ts, _)| *ts <= cutoff).unwrap_or(after.len());
+            after.insert(at, (cutoff, 255));
+            prop_assert_eq!(view(&list), after);
+            list.check_levels();
+        }
+
+        /// SkipMap against a BTreeMap under first-writer-wins inserts.
+        #[test]
+        fn skipmap_matches_btreemap_at_forced_heights(
+            inserts in proptest::collection::vec((0i64..40, forced_height()), 1..150),
+            from in 0i64..40,
+        ) {
+            let map: SkipMap<i64, usize> = SkipMap::new();
+            let mut oracle: BTreeMap<i64, usize> = BTreeMap::new();
+            for (seq, (key, height)) in inserts.iter().enumerate() {
+                let (v, created) = map.insert_with_height(*key, seq, *height);
+                prop_assert_eq!(created, !oracle.contains_key(key));
+                prop_assert_eq!(*v, *oracle.entry(*key).or_insert(seq));
+            }
+            prop_assert_eq!(map.len(), oracle.len());
+            prop_assert_eq!(map.keys(), oracle.keys().copied().collect::<Vec<_>>());
+            for key in 0..40 {
+                prop_assert_eq!(map.get(&key), oracle.get(&key));
+            }
+            let mut tail = Vec::new();
+            map.range_for_each(&from, |k, v| { tail.push((*k, *v)); true });
+            prop_assert_eq!(tail, oracle.range(from..).map(|(k, v)| (*k, *v)).collect::<Vec<_>>());
         }
     }
 }

@@ -15,6 +15,15 @@
 //!   that stamp — by then every thread that could have held a reference
 //!   has unpinned.
 //!
+//! Nodes free themselves: [`Owned`] and [`Guard::defer_destroy`] release an
+//! allocation through the node type's [`Reclaim`] impl, so a node may be any
+//! allocation shape (the skiplists use one block holding header and tower),
+//! not only a `Box`.
+//!
+//! The collector state is an ordinary value ([`Collector`]); the free
+//! functions ([`pin`], [`force_collect`], [`pending_garbage`]) use one
+//! process-wide default instance through a thread-local [`LocalHandle`].
+//!
 //! Link pointers ([`Atomic`]) are stored in
 //! [`crate::sync::atomic::AtomicUsize`], so under the `model-check`
 //! feature every load/store/CAS on a skiplist edge is a schedule point for
@@ -32,7 +41,7 @@
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::mem;
-use std::ops::{Deref, DerefMut};
+use std::rc::Rc;
 use std::sync::atomic::{fence, AtomicUsize as StdAtomicUsize, Ordering as StdOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -44,8 +53,20 @@ const INACTIVE: usize = usize::MAX;
 /// A full collection pass runs every this-many unpins per thread.
 const COLLECT_EVERY: usize = 8;
 
+/// A heap node that knows how to free itself.
+pub trait Reclaim {
+    /// Drop the node's contents and free its allocation.
+    ///
+    /// # Safety
+    ///
+    /// `this` must be the untagged address of a live allocation of the
+    /// implementing type, uniquely owned by the caller (unreachable for
+    /// every other thread), and must not be used afterwards.
+    unsafe fn reclaim(this: *mut Self);
+}
+
 // ---------------------------------------------------------------------------
-// Global collector state.
+// Collector state.
 // ---------------------------------------------------------------------------
 
 struct Participant {
@@ -81,7 +102,7 @@ impl Deferred {
     /// Run the deferred drop for real.
     pub(crate) fn run_now(self) {
         // SAFETY: `data`/`dropper` were built in `defer_destroy` from a
-        // `Box::into_raw` allocation of the matching type, and `self` is
+        // node pointer and its own type's `Reclaim::reclaim`, and `self` is
         // consumed, so the drop runs exactly once.
         unsafe { (self.dropper)(self.data) }
     }
@@ -103,19 +124,10 @@ impl Deferred {
     }
 }
 
-struct Collector {
+struct Global {
     epoch: StdAtomicUsize,
     registry: Mutex<Vec<Arc<Participant>>>,
     garbage: Mutex<Vec<Deferred>>,
-}
-
-fn collector() -> &'static Collector {
-    static COLLECTOR: OnceLock<Collector> = OnceLock::new();
-    COLLECTOR.get_or_init(|| Collector {
-        epoch: StdAtomicUsize::new(0),
-        registry: Mutex::new(Vec::new()),
-        garbage: Mutex::new(Vec::new()),
-    })
 }
 
 /// Lock a mutex, ignoring poisoning (a panicking test thread must not wedge
@@ -127,50 +139,25 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-struct Handle {
-    participant: Arc<Participant>,
-    /// Nested pin depth on this thread.
-    depth: Cell<usize>,
-    /// Unpin counter driving periodic collection.
-    unpins: Cell<usize>,
-}
-
-impl Drop for Handle {
-    fn drop(&mut self) {
-        self.participant.epoch.store(INACTIVE, StdOrdering::SeqCst);
-        let mut reg = lock_ignore_poison(&collector().registry);
-        reg.retain(|p| !Arc::ptr_eq(p, &self.participant));
-    }
-}
-
-thread_local! {
-    static HANDLE: Handle = {
-        let participant = Arc::new(Participant { epoch: StdAtomicUsize::new(INACTIVE) });
-        lock_ignore_poison(&collector().registry).push(participant.clone());
-        Handle { participant, depth: Cell::new(0), unpins: Cell::new(0) }
-    };
-}
-
-/// Try to advance the global epoch, then free garbage at least two epochs
+/// Try to advance `global`'s epoch, then free garbage at least two epochs
 /// old.
-fn collect() {
-    let c = collector();
-    let observed = c.epoch.load(StdOrdering::SeqCst);
-    let all_caught_up = lock_ignore_poison(&c.registry).iter().all(|p| {
+fn collect(global: &Global) {
+    let observed = global.epoch.load(StdOrdering::SeqCst);
+    let all_caught_up = lock_ignore_poison(&global.registry).iter().all(|p| {
         let e = p.epoch.load(StdOrdering::SeqCst);
         e == INACTIVE || e == observed
     });
     if all_caught_up {
-        let _ = c.epoch.compare_exchange(
+        let _ = global.epoch.compare_exchange(
             observed,
             observed.wrapping_add(1),
             StdOrdering::SeqCst,
             StdOrdering::SeqCst,
         );
     }
-    let now = c.epoch.load(StdOrdering::SeqCst);
+    let now = global.epoch.load(StdOrdering::SeqCst);
     let ready: Vec<Deferred> = {
-        let mut garbage = lock_ignore_poison(&c.garbage);
+        let mut garbage = lock_ignore_poison(&global.garbage);
         let mut ready = Vec::new();
         let mut i = 0;
         while i < garbage.len() {
@@ -188,39 +175,103 @@ fn collect() {
     }
 }
 
-/// Drive reclamation to quiescence: with no guard held anywhere, a few
-/// collection passes advance the epoch far enough to free *all* deferred
-/// garbage. Tests use this to assert that detached nodes really are
-/// released (e.g. via `Weak` handles on their payloads).
-pub fn force_collect() {
-    for _ in 0..4 {
-        collect();
+impl Drop for Global {
+    fn drop(&mut self) {
+        // Every handle (and so every guard) holds an `Arc` to this state:
+        // once it drops nobody is pinned and nothing can reach the garbage.
+        let garbage = mem::take(self.garbage.get_mut().unwrap_or_else(|p| p.into_inner()));
+        for d in garbage {
+            d.run_now();
+        }
     }
 }
 
-/// Number of deferred destructions not yet executed (diagnostics/tests).
-pub fn pending_garbage() -> usize {
-    lock_ignore_poison(&collector().garbage).len()
+/// One reclamation domain: an epoch counter, the participants pinning
+/// against it and the garbage deferred through their guards. Garbage still
+/// pending when the collector and its last handle go away is freed then.
+pub struct Collector {
+    global: Arc<Global>,
 }
 
-// ---------------------------------------------------------------------------
-// Guard / pin.
-// ---------------------------------------------------------------------------
-
-/// Keeps the current thread pinned; shared pointers loaded through it stay
-/// valid until the guard drops.
-pub struct Guard {
-    unprotected: bool,
-    /// `Guard` is `!Send`/`!Sync`: pinning is a per-thread state.
-    _not_send: PhantomData<*mut ()>,
+impl Default for Collector {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
-/// Pin the current thread, publishing the epoch it entered under.
-pub fn pin() -> Guard {
-    HANDLE.with(|h| {
-        let depth = h.depth.get();
+impl Collector {
+    pub fn new() -> Self {
+        Collector {
+            global: Arc::new(Global {
+                epoch: StdAtomicUsize::new(0),
+                registry: Mutex::new(Vec::new()),
+                garbage: Mutex::new(Vec::new()),
+            }),
+        }
+    }
+
+    /// Add a participant. The handle is thread-affine (`!Send`); a thread
+    /// may hold several.
+    pub fn register(&self) -> LocalHandle {
+        let participant = Arc::new(Participant {
+            epoch: StdAtomicUsize::new(INACTIVE),
+        });
+        lock_ignore_poison(&self.global.registry).push(participant.clone());
+        LocalHandle {
+            local: Rc::new(Local {
+                global: self.global.clone(),
+                participant,
+                depth: Cell::new(0),
+                unpins: Cell::new(0),
+            }),
+        }
+    }
+
+    /// Drive reclamation to quiescence: with no guard held on this
+    /// collector, a few passes advance the epoch far enough to free *all*
+    /// deferred garbage.
+    pub fn force_collect(&self) {
+        for _ in 0..4 {
+            collect(&self.global);
+        }
+    }
+
+    /// Number of deferred destructions not yet executed.
+    pub fn pending_garbage(&self) -> usize {
+        lock_ignore_poison(&self.global.garbage).len()
+    }
+}
+
+struct Local {
+    global: Arc<Global>,
+    participant: Arc<Participant>,
+    /// Nested pin depth on this handle.
+    depth: Cell<usize>,
+    /// Unpin counter driving periodic collection.
+    unpins: Cell<usize>,
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        self.participant.epoch.store(INACTIVE, StdOrdering::SeqCst);
+        let mut reg = lock_ignore_poison(&self.global.registry);
+        reg.retain(|p| !Arc::ptr_eq(p, &self.participant));
+    }
+}
+
+/// A participant of one [`Collector`]; pins through it publish its epoch.
+/// Deregisters when the handle and every guard it issued are gone.
+pub struct LocalHandle {
+    local: Rc<Local>,
+}
+
+impl LocalHandle {
+    /// Pin this participant, publishing the epoch it entered under.
+    pub fn pin(&self) -> Guard {
+        let local = &self.local;
+        let depth = local.depth.get();
         if depth == 0 {
-            let c = collector();
+            let g = &local.global;
             // Publish our epoch, then re-check: if the global epoch moved
             // between the load and the store we may have published a stale
             // value, which would let the collector advance past us. Re-run
@@ -228,32 +279,67 @@ pub fn pin() -> Guard {
             // epoch is conservative for *other* collectors — they simply
             // cannot advance — so the loop is safe at every step.)
             loop {
-                let e = c.epoch.load(StdOrdering::SeqCst);
-                h.participant.epoch.store(e, StdOrdering::SeqCst);
+                let e = g.epoch.load(StdOrdering::SeqCst);
+                local.participant.epoch.store(e, StdOrdering::SeqCst);
                 fence(StdOrdering::SeqCst);
-                if c.epoch.load(StdOrdering::SeqCst) == e {
+                if g.epoch.load(StdOrdering::SeqCst) == e {
                     break;
                 }
             }
         }
-        h.depth.set(depth + 1);
-    });
-    Guard {
-        unprotected: false,
-        _not_send: PhantomData,
+        local.depth.set(depth + 1);
+        Guard {
+            local: Some(local.clone()),
+        }
     }
 }
 
+fn default_collector() -> &'static Collector {
+    static COLLECTOR: OnceLock<Collector> = OnceLock::new();
+    COLLECTOR.get_or_init(Collector::new)
+}
+
+thread_local! {
+    static HANDLE: LocalHandle = default_collector().register();
+}
+
+/// [`Collector::force_collect`] on the default collector. Tests use this to
+/// assert that detached nodes really are released (e.g. via `Weak` handles
+/// on their payloads).
+pub fn force_collect() {
+    default_collector().force_collect();
+}
+
+/// [`Collector::pending_garbage`] of the default collector
+/// (diagnostics/tests).
+pub fn pending_garbage() -> usize {
+    default_collector().pending_garbage()
+}
+
+// ---------------------------------------------------------------------------
+// Guard / pin.
+// ---------------------------------------------------------------------------
+
+/// Keeps its participant pinned; shared pointers loaded through it stay
+/// valid until the guard drops.
+pub struct Guard {
+    /// The pinned participant; `None` for the [`unprotected`] guard. The
+    /// `Rc` also makes `Guard` `!Send`/`!Sync`: pinning is per-thread state.
+    local: Option<Rc<Local>>,
+}
+
+/// Pin the current thread on the default collector.
+pub fn pin() -> Guard {
+    HANDLE.with(LocalHandle::pin)
+}
+
 struct UnprotectedGuard(Guard);
-// SAFETY: the unprotected guard carries no per-thread state (every method
-// checks `unprotected` first); sharing the single static instance across
-// threads is fine.
+// SAFETY: the unprotected guard's only field is `None` — there is no `Rc`
+// behind it and every method checks for `None` first — so sharing the
+// single static instance across threads is fine.
 unsafe impl Sync for UnprotectedGuard {}
 
-static UNPROTECTED: UnprotectedGuard = UnprotectedGuard(Guard {
-    unprotected: true,
-    _not_send: PhantomData,
-});
+static UNPROTECTED: UnprotectedGuard = UnprotectedGuard(Guard { local: None });
 
 /// A dummy guard for code that has exclusive access to a structure (e.g.
 /// `Drop` with `&mut self`).
@@ -268,66 +354,61 @@ pub unsafe fn unprotected() -> &'static Guard {
 }
 
 impl Guard {
-    /// Defer destruction of the allocation behind `ptr` until no pinned
-    /// thread can still hold a reference to it.
+    /// Defer destruction of the node behind `ptr` until no pinned
+    /// participant can still hold a reference to it, then free it through
+    /// [`Reclaim::reclaim`].
     ///
     /// # Safety
     ///
-    /// `ptr` must have been created from `Owned::new` (a `Box` allocation),
-    /// must be unreachable for any thread that pins *after* this call, and
-    /// must not be destroyed twice.
-    pub unsafe fn defer_destroy<T>(&self, ptr: Shared<'_, T>) {
+    /// `ptr` must satisfy the contract of `T::reclaim` from the moment no
+    /// pin older than this call remains: unreachable for any thread that
+    /// pins *after* this call, and not destroyed twice.
+    pub unsafe fn defer_destroy<T: Reclaim>(&self, ptr: Shared<'_, T>) {
         let raw = ptr.as_raw() as *mut T;
         if raw.is_null() {
             return;
         }
-        if self.unprotected {
-            // SAFETY: per this function's contract the pointer is a unique
-            // Box allocation, and the unprotected guard's contract gives
-            // the caller exclusive access — free immediately.
-            drop(unsafe { Box::from_raw(raw) });
+        let Some(local) = &self.local else {
+            // SAFETY: the unprotected guard's contract gives the caller
+            // exclusive access, so `reclaim`'s contract holds already.
+            unsafe { T::reclaim(raw) };
             return;
-        }
-        let c = collector();
+        };
         let deferred = Deferred {
-            epoch: c.epoch.load(StdOrdering::SeqCst),
+            epoch: local.global.epoch.load(StdOrdering::SeqCst),
             addr: raw as usize,
             data: raw.cast(),
-            dropper: drop_box::<T>,
+            dropper: reclaim_erased::<T>,
         };
-        lock_ignore_poison(&c.garbage).push(deferred);
+        lock_ignore_poison(&local.global.garbage).push(deferred);
     }
 }
 
-/// Type-erased dropper for a `Box<T>` allocation.
+/// Type-erased [`Reclaim::reclaim`].
 ///
 /// # Safety
 ///
-/// `p` must be a pointer obtained from `Box::<T>::into_raw`, not yet freed.
-unsafe fn drop_box<T>(p: *mut u8) {
+/// `p` must satisfy the contract of `T::reclaim`.
+unsafe fn reclaim_erased<T: Reclaim>(p: *mut u8) {
     // SAFETY: guaranteed by this function's contract.
-    drop(unsafe { Box::from_raw(p.cast::<T>()) });
+    unsafe { T::reclaim(p.cast::<T>()) };
 }
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        if self.unprotected {
+        let Some(local) = &self.local else {
             return;
-        }
-        // try_with: a guard dropped during thread-local teardown (no handle
-        // left) has nothing to unpin.
-        let _ = HANDLE.try_with(|h| {
-            let depth = h.depth.get() - 1;
-            h.depth.set(depth);
-            if depth == 0 {
-                h.participant.epoch.store(INACTIVE, StdOrdering::SeqCst);
-                let n = h.unpins.get().wrapping_add(1);
-                h.unpins.set(n);
-                if n % COLLECT_EVERY == 0 {
-                    collect();
-                }
+        };
+        let depth = local.depth.get() - 1;
+        local.depth.set(depth);
+        if depth == 0 {
+            local.participant.epoch.store(INACTIVE, StdOrdering::SeqCst);
+            let n = local.unpins.get().wrapping_add(1);
+            local.unpins.set(n);
+            if n % COLLECT_EVERY == 0 {
+                collect(&local.global);
             }
-        });
+        }
     }
 }
 
@@ -432,52 +513,44 @@ pub struct CompareExchangeError<'g, T, P: Pointer<T>> {
     pub new: P,
 }
 
-/// An owned heap node not yet published to other threads.
-pub struct Owned<T> {
+/// An owned heap node not yet published to other threads; dropping it
+/// reclaims the node.
+pub struct Owned<T: Reclaim> {
     data: usize,
     _marker: PhantomData<Box<T>>,
 }
 
-impl<T> Owned<T> {
-    /// Allocate a node.
-    pub fn new(value: T) -> Self {
+impl<T: Reclaim> Owned<T> {
+    /// Take ownership of a freshly allocated node.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be non-null, aligned for `T` and satisfy the contract of
+    /// `T::reclaim`.
+    pub unsafe fn from_raw(ptr: *mut T) -> Self {
+        debug_assert!(!ptr.is_null() && ptr as usize & low_bits::<T>() == 0);
         Owned {
-            data: Box::into_raw(Box::new(value)) as usize,
+            data: ptr as usize,
             _marker: PhantomData,
         }
     }
-}
 
-impl<T> Deref for Owned<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: `data` is a live Box allocation uniquely owned by self;
-        // the tag bits (none are ever set on an Owned built by `new`) are
-        // stripped before the dereference.
-        unsafe { &*((self.data & !low_bits::<T>()) as *const T) }
+    /// The node's address, for wiring it up before publication.
+    pub fn as_raw(&self) -> *mut T {
+        (self.data & !low_bits::<T>()) as *mut T
     }
 }
 
-impl<T> DerefMut for Owned<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: as in Deref, plus &mut self gives exclusive access.
-        unsafe { &mut *((self.data & !low_bits::<T>()) as *mut T) }
-    }
-}
-
-impl<T> Drop for Owned<T> {
+impl<T: Reclaim> Drop for Owned<T> {
     fn drop(&mut self) {
-        let raw = (self.data & !low_bits::<T>()) as *mut T;
-        if !raw.is_null() {
-            // SAFETY: an Owned that was consumed (CAS success path) was
-            // `mem::forget`-ten in `into_usize`; reaching Drop means the
-            // allocation is still uniquely ours.
-            drop(unsafe { Box::from_raw(raw) });
-        }
+        // SAFETY: an Owned that was consumed (CAS success path) was
+        // `mem::forget`-ten in `into_usize`; reaching Drop means the node
+        // is still uniquely ours, which is `reclaim`'s contract.
+        unsafe { T::reclaim(self.as_raw()) };
     }
 }
 
-impl<T> Pointer<T> for Owned<T> {
+impl<T: Reclaim> Pointer<T> for Owned<T> {
     fn into_usize(self) -> usize {
         let data = self.data;
         mem::forget(self);
@@ -541,17 +614,6 @@ impl<'g, T> Shared<'g, T> {
         }
     }
 
-    /// Dereference to a node reference living as long as the pin.
-    ///
-    /// # Safety
-    ///
-    /// The pointer must be null or point to a node that is still reachable
-    /// under the pin this `Shared` was loaded with (i.e. not yet reclaimed).
-    pub unsafe fn as_ref(&self) -> Option<&'g T> {
-        // SAFETY: guaranteed by this function's contract.
-        unsafe { self.as_raw().as_ref() }
-    }
-
     /// Take ownership of the allocation.
     ///
     /// # Safety
@@ -559,7 +621,10 @@ impl<'g, T> Shared<'g, T> {
     /// The caller must have exclusive access to the node (no concurrent
     /// readers or writers) and the pointer must be non-null and not yet
     /// freed.
-    pub unsafe fn into_owned(self) -> Owned<T> {
+    pub unsafe fn into_owned(self) -> Owned<T>
+    where
+        T: Reclaim,
+    {
         debug_assert!(!self.is_null(), "into_owned on null");
         Owned {
             data: self.data & !low_bits::<T>(),
@@ -588,27 +653,60 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize as RawUsize, Ordering as RawOrdering};
 
+    /// A `Box`-allocated node that counts its reclamations.
+    struct Boxed {
+        value: u64,
+        reclaimed: Arc<RawUsize>,
+    }
+
+    impl Reclaim for Boxed {
+        // SAFETY: see the trait; `boxed` only hands out `Box::into_raw`
+        // pointers.
+        unsafe fn reclaim(this: *mut Self) {
+            // SAFETY: per the contract `this` is a unique live allocation
+            // made by `boxed`.
+            let node = unsafe { Box::from_raw(this) };
+            node.reclaimed.fetch_add(1, RawOrdering::SeqCst);
+        }
+    }
+
+    fn boxed(value: u64, reclaimed: &Arc<RawUsize>) -> Owned<Boxed> {
+        let node = Box::new(Boxed {
+            value,
+            reclaimed: reclaimed.clone(),
+        });
+        // SAFETY: a fresh `Box` allocation, owned by nobody else.
+        unsafe { Owned::from_raw(Box::into_raw(node)) }
+    }
+
+    fn value_of(s: Shared<'_, Boxed>) -> u64 {
+        // SAFETY: every caller passes a node it installed and has not yet
+        // retired past its own pin.
+        unsafe { (*s.as_raw()).value }
+    }
+
+    fn install<'g>(a: &Atomic<Boxed>, node: Owned<Boxed>, guard: &'g Guard) -> Shared<'g, Boxed> {
+        a.compare_exchange(
+            Shared::null(),
+            node,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+            guard,
+        )
+        .unwrap_or_else(|_| panic!("CAS on fresh edge"))
+    }
+
     #[test]
     fn owned_round_trip_and_tags() {
+        let reclaimed = Arc::new(RawUsize::new(0));
         let guard = pin();
-        let a: Atomic<u64> = Atomic::null();
+        let a: Atomic<Boxed> = Atomic::null();
         let shared = a.load(Ordering::Acquire, &guard);
         assert!(shared.is_null());
         assert_eq!(shared.tag(), 0);
 
-        let owned = Owned::new(7u64);
-        assert_eq!(*owned, 7);
-        let installed = a
-            .compare_exchange(
-                Shared::null(),
-                owned,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                &guard,
-            )
-            .unwrap_or_else(|_| panic!("CAS on fresh edge"));
-        // SAFETY: just installed, guard still pinned.
-        assert_eq!(unsafe { installed.as_ref() }, Some(&7));
+        let installed = install(&a, boxed(7, &reclaimed), &guard);
+        assert_eq!(value_of(installed), 7);
 
         let tagged = installed.with_tag(1);
         assert_eq!(tagged.tag(), 1);
@@ -616,73 +714,103 @@ mod tests {
 
         // SAFETY: single-threaded test — exclusive access.
         drop(unsafe { installed.into_owned() });
+        assert_eq!(reclaimed.load(RawOrdering::SeqCst), 1);
     }
 
     #[test]
     fn failed_cas_returns_ownership() {
+        let reclaimed = Arc::new(RawUsize::new(0));
         let guard = pin();
-        let a: Atomic<u64> = Atomic::null();
-        let first = Owned::new(1u64);
-        a.compare_exchange(
-            Shared::null(),
-            first,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-            &guard,
-        )
-        .unwrap_or_else(|_| panic!("first CAS"));
-        let second = Owned::new(2u64);
+        let a: Atomic<Boxed> = Atomic::null();
+        install(&a, boxed(1, &reclaimed), &guard);
         let err = a
             .compare_exchange(
                 Shared::null(),
-                second,
+                boxed(2, &reclaimed),
                 Ordering::AcqRel,
                 Ordering::Acquire,
                 &guard,
             )
             .err()
             .expect("CAS against non-null must fail");
-        // SAFETY: observed pointer is the live first node under our pin.
-        assert_eq!(unsafe { err.current.as_ref() }, Some(&1));
-        assert_eq!(*err.new, 2, "ownership of the new node came back");
+        assert_eq!(value_of(err.current), 1);
+        // SAFETY: the failed CAS handed the never-published node back.
+        assert_eq!(unsafe { (*err.new.as_raw()).value }, 2);
+        drop(err.new);
+        assert_eq!(
+            reclaimed.load(RawOrdering::SeqCst),
+            1,
+            "dropping an Owned reclaims through the node's destructor"
+        );
         let live = a.load(Ordering::Acquire, &guard);
         // SAFETY: single-threaded test — exclusive access.
         drop(unsafe { live.into_owned() });
+        assert_eq!(reclaimed.load(RawOrdering::SeqCst), 2);
+    }
+
+    /// On a collector of its own (no other test can hold a pin on it): a
+    /// retired node's destructor runs exactly once, and only after every
+    /// pin that predates the retirement is released.
+    #[test]
+    fn deferred_destruction_waits_for_every_older_pin() {
+        let collector = Collector::new();
+        let reader = collector.register();
+        let writer = collector.register();
+        let reclaimed = Arc::new(RawUsize::new(0));
+        let a: Atomic<Boxed> = Atomic::null();
+
+        let reader_pin = reader.pin();
+        {
+            let guard = writer.pin();
+            let node = install(&a, boxed(9, &reclaimed), &guard);
+            a.store(Shared::null(), Ordering::Release);
+            // SAFETY: unlinked above, never traversed again, retired once.
+            unsafe { guard.defer_destroy(node) };
+        }
+        assert_eq!(collector.pending_garbage(), 1);
+        collector.force_collect();
+        assert_eq!(
+            reclaimed.load(RawOrdering::SeqCst),
+            0,
+            "a pin older than the retirement is still held"
+        );
+
+        // A pin taken after the retirement must not hold the node back.
+        let late_pin = writer.pin();
+        drop(reader_pin);
+        collector.force_collect();
+        assert_eq!(reclaimed.load(RawOrdering::SeqCst), 1, "freed once");
+        assert_eq!(collector.pending_garbage(), 0);
+        drop(late_pin);
+        collector.force_collect();
+        assert_eq!(reclaimed.load(RawOrdering::SeqCst), 1, "never twice");
     }
 
     #[test]
-    fn deferred_destruction_runs_after_epochs_advance() {
-        struct NoteDrop(std::sync::Arc<RawUsize>);
-        impl Drop for NoteDrop {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, RawOrdering::SeqCst);
-            }
-        }
-
-        let drops = std::sync::Arc::new(RawUsize::new(0));
+    fn dropping_a_collector_frees_its_pending_garbage() {
+        let reclaimed = Arc::new(RawUsize::new(0));
         {
-            let guard = pin();
-            let a: Atomic<NoteDrop> = Atomic::null();
-            a.compare_exchange(
-                Shared::null(),
-                Owned::new(NoteDrop(drops.clone())),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                &guard,
-            )
-            .unwrap_or_else(|_| panic!("CAS on fresh edge"));
-            let node = a.load(Ordering::Acquire, &guard);
-            // SAFETY: node was just unlinked conceptually; it is never
-            // traversed again and destroyed exactly once.
+            let collector = Collector::new();
+            let handle = collector.register();
+            let guard = handle.pin();
+            let a: Atomic<Boxed> = Atomic::null();
+            let node = install(&a, boxed(3, &reclaimed), &guard);
+            // SAFETY: the edge dies with this block; retired once.
             unsafe { guard.defer_destroy(node) };
-            assert_eq!(
-                drops.load(RawOrdering::SeqCst),
-                0,
-                "still pinned: not freed"
-            );
         }
-        force_collect();
-        assert_eq!(drops.load(RawOrdering::SeqCst), 1, "freed after quiescence");
+        assert_eq!(reclaimed.load(RawOrdering::SeqCst), 1);
+    }
+
+    #[test]
+    fn unprotected_guard_reclaims_immediately() {
+        let reclaimed = Arc::new(RawUsize::new(0));
+        // SAFETY: nothing here is shared with another thread.
+        let guard = unsafe { unprotected() };
+        let a: Atomic<Boxed> = Atomic::null();
+        let node = install(&a, boxed(4, &reclaimed), guard);
+        // SAFETY: exclusive access; retired once.
+        unsafe { guard.defer_destroy(node) };
+        assert_eq!(reclaimed.load(RawOrdering::SeqCst), 1);
     }
 
     #[test]
@@ -690,7 +818,7 @@ mod tests {
         let g1 = pin();
         let g2 = pin();
         drop(g1);
-        let a: Atomic<u64> = Atomic::null();
+        let a: Atomic<Boxed> = Atomic::null();
         assert!(a.load(Ordering::Acquire, &g2).is_null());
     }
 }

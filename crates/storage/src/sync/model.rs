@@ -5,7 +5,8 @@
 //! every *schedule point* (each operation on the instrumented atomics of
 //! [`crate::sync::atomic`], i.e. each touch of a skiplist link pointer or
 //! shared counter) the scheduler picks the next thread to run from a
-//! seeded splitmix64 RNG. A run is fully determined by its seed: the
+//! seeded splitmix64 RNG, weighted by per-thread speeds that are redrawn
+//! every few picks. A run is fully determined by its seed: the
 //! sequence of chosen thread ids is the *trace*, returned to the caller so
 //! test suites can count distinct interleavings and replay failures.
 //!
@@ -42,11 +43,21 @@ use crate::sync::epoch::Deferred;
 /// fair RNG, so hitting the cap is a bug).
 const STEP_LIMIT: usize = 1_000_000;
 
+/// Picks between redraws of the per-thread speeds. Threads run at uneven,
+/// shifting speeds (weights 1, 2, 4 or 8): a thread that is 8x faster than
+/// a peer for a stretch completes a whole operation inside the peer's
+/// two-step window — the shape of check-then-act races — and the next
+/// stretch can reverse the roles. A uniform pick makes such schedules
+/// exponentially rare.
+const PHASE: usize = 16;
+
 /// Thread id meaning "nobody is scheduled" (all threads finished).
 const NOBODY: usize = usize::MAX;
 
 struct Sched {
     runnable: Vec<bool>,
+    /// Per-thread scheduling weight, redrawn every [`PHASE`] picks.
+    weight: Vec<u64>,
     current: usize,
     rng: u64,
     trace: Vec<u8>,
@@ -98,9 +109,22 @@ fn choose_next(s: &mut Sched) {
         s.current = NOBODY;
         return;
     }
+    if s.trace.len().is_multiple_of(PHASE) {
+        for w in s.weight.iter_mut() {
+            *w = 1 << (splitmix64(&mut s.rng) % 4);
+        }
+    }
+    let total: u64 = alive.iter().map(|&t| s.weight[t]).sum();
     let r = splitmix64(&mut s.rng);
-    let idx = ((r as u128 * alive.len() as u128) >> 64) as usize;
-    s.current = alive[idx];
+    let mut ticket = ((r as u128 * total as u128) >> 64) as u64;
+    s.current = alive[alive.len() - 1];
+    for &t in &alive {
+        if ticket < s.weight[t] {
+            s.current = t;
+            break;
+        }
+        ticket -= s.weight[t];
+    }
     s.trace.push(s.current as u8);
 }
 
@@ -173,6 +197,7 @@ pub fn explore(seed: u64, threads: Vec<Box<dyn FnOnce() + Send + 'static>>) -> V
     let model = Arc::new(Model {
         state: Mutex::new(Sched {
             runnable: vec![true; n],
+            weight: vec![1; n],
             current: 0,
             rng: seed ^ 0x6A09_E667_F3BC_C908,
             trace: Vec::new(),

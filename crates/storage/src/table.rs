@@ -18,7 +18,7 @@ use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, RowCodec, Schem
 use openmldb_types::Value;
 
 use crate::binlog::Replicator;
-use crate::skiplist::{SkipMap, TimeList};
+use crate::skiplist::{heap_bytes, SkipMap, TimeList};
 
 /// Per-index TTL policy (the paper's table types, Section 8.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,11 +44,20 @@ pub struct IndexSpec {
     pub ttl: Ttl,
 }
 
-/// Estimated fixed overhead per skiplist entry (node + pointers + Arc).
-pub const NODE_OVERHEAD: usize = 48;
-/// Estimated fixed overhead per unique key (key node + forward pointers),
-/// aligned with the `+156` constant of the paper's memory model.
-pub const KEY_OVERHEAD: usize = 156;
+/// Heap bytes the allocator adds to one more allocation: its chunk header
+/// plus the mean padding to its granularity.
+const ALLOC_SLACK: usize = heap_bytes(16) - 16;
+/// Fixed overhead per index entry: the time-list node (`ts`, payload
+/// pointer, height, mean tower — one allocation).
+pub const NODE_OVERHEAD: usize = TimeList::NODE_HEAP_BYTES;
+/// Fixed overhead per unique key of an index: the key node with its time
+/// list inline, plus the key vector's own allocation (its elements are
+/// counted by `KeyValue::mem_size`). The counterpart of the `+156` constant
+/// of the paper's memory model.
+pub const KEY_OVERHEAD: usize = SkipMap::<Vec<KeyValue>, TimeList>::NODE_HEAP_BYTES + ALLOC_SLACK;
+/// Fixed overhead per stored row, whatever the number of indexes: the
+/// reference counts in front of the shared payload and its allocation.
+pub const ROW_OVERHEAD: usize = 2 * std::mem::size_of::<usize>() + ALLOC_SLACK;
 
 struct Index {
     spec: IndexSpec,
@@ -486,9 +495,10 @@ impl MemTable {
         self.puts_rejected.load(Ordering::Relaxed)
     }
 
-    /// Estimated memory currently used: shared payload bytes once, plus
+    /// Estimated memory currently used: shared payloads once, plus
     /// per-index entry and key overheads (the measured analogue of the
-    /// Section 8.1 model).
+    /// Section 8.1 model; `tests/mem_model.rs` holds it within 10% of the
+    /// allocator's own count).
     pub fn mem_used(&self) -> usize {
         let mut total = 0usize;
         for index in &self.indexes {
@@ -500,12 +510,12 @@ impl MemTable {
                 // analysis:allow(relaxed-ordering): statistics read.
                 + index.key_bytes.load(Ordering::Relaxed);
         }
-        // Payload bytes are shared across indexes: count the live bytes of
-        // the first index (all indexes hold the same payloads).
+        // Payloads are shared across indexes: count the live rows of the
+        // first index (all indexes hold the same payloads).
         if let Some(first) = self.indexes.first() {
-            let mut live = 0usize;
-            first.map.for_each(|_k, list| live += list.bytes());
-            total += live;
+            first.map.for_each(|_k, list| {
+                total += list.bytes() + list.len() * ROW_OVERHEAD;
+            });
         }
         total
     }

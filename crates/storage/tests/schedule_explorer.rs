@@ -170,6 +170,94 @@ fn run_timelist_truncate_race(seed: u64) -> Vec<u8> {
     trace
 }
 
+/// A full-height insert of an already-expired timestamp races the
+/// truncation that seals it: the insert publishes at level 0, then links
+/// eleven upper levels from the search it did *before* the truncation ran —
+/// most of them `head → null` edges that no truncation ever touches, so the
+/// stale pair still passes its CAS. A second tall insert of a live
+/// timestamp and a seeking reader share the run. Invariant: a sealed node
+/// is never linked back into any level — checked structurally
+/// (`check_levels` walks every level; with `hold_pin` the main thread's pin
+/// keeps every retired node allocated so the walk can look at it) and, when
+/// no pin is held, by the use-after-evict detector on the reader's seeks.
+fn run_timelist_stale_link_vs_seal(seed: u64, hold_pin: bool) -> Vec<u8> {
+    const TALLEST: usize = 12;
+    let list = Arc::new(TimeList::new());
+    for (ts, height) in [(1i64, 1usize), (2, 2), (3, 1), (4, 2)] {
+        list.insert_with_height(ts, payload(ts as u8), height);
+    }
+    let pin = hold_pin.then(openmldb_storage::sync::epoch::pin);
+    let mut threads: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+    {
+        let list = list.clone();
+        threads.push(Box::new(move || {
+            list.truncate(Some(3), None, false);
+        }));
+    }
+    for (ts, height) in [(2i64, TALLEST), (4, 3)] {
+        let list = list.clone();
+        threads.push(Box::new(move || {
+            list.insert_with_height(ts, payload(ts as u8), height);
+        }));
+    }
+    {
+        let list = list.clone();
+        threads.push(Box::new(move || {
+            let mut prev = i64::MAX;
+            list.range_visit(0, 3, |ts, data| {
+                assert_eq!(data[0] as i64, ts, "payload torn from its timestamp");
+                assert!(ts <= prev, "torn walk");
+                prev = ts;
+                true
+            });
+        }));
+    }
+    let trace = explore(seed, threads);
+
+    let levels = list.check_levels();
+    assert_eq!(levels[0], list.len(), "len drifted (seed {seed})");
+    drop(pin);
+    // The racing truncation may have stood down for a linking insert (or
+    // run before the expired insert landed); a quiescent pass finishes it.
+    list.truncate(Some(3), None, false);
+    list.check_levels();
+    let mut final_view = Vec::new();
+    list.scan(|ts, _| {
+        final_view.push(ts);
+        true
+    });
+    assert_eq!(
+        final_view,
+        vec![4, 4, 3],
+        "lost or resurrected entries (seed {seed})"
+    );
+    trace
+}
+
+/// ≥1,000 distinct interleavings of the stale-link/seal race, every one
+/// leaving all levels free of sealed nodes.
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "schedule exploration spawns many OS threads; run natively"
+)]
+fn sealed_node_is_never_republished_by_a_stale_upper_level_link() {
+    let mut distinct: HashSet<Vec<u8>> = HashSet::new();
+    let mut seed = 0u64;
+    while distinct.len() < 1_000 {
+        assert!(
+            seed < 4_000,
+            "only {} distinct interleavings over {seed} runs",
+            distinct.len()
+        );
+        distinct.insert(run_timelist_stale_link_vs_seal(
+            seed,
+            seed.is_multiple_of(2),
+        ));
+        seed += 1;
+    }
+}
+
 /// The paper-motivated core: ≥1,000 *distinct* interleavings across the
 /// SkipMap/TimeList scenarios, every one passing its linearizability
 /// assertions and the use-after-evict screen.
@@ -343,8 +431,16 @@ fn ttl_eviction_reclaims_while_readers_race() {
         explore(seed, threads);
 
         // After the run the quarantined nodes were freed for real; drive
-        // the epoch collector and verify through the Weak handles.
-        openmldb_storage::sync::epoch::force_collect();
+        // the epoch collector and verify through the Weak handles. Other
+        // tests of this binary pin the same default collector, which can
+        // hold one advance back; keep collecting until the evicted go.
+        for _ in 0..1_000 {
+            openmldb_storage::sync::epoch::force_collect();
+            if weaks[..3].iter().all(|w| w.upgrade().is_none()) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         for (i, w) in weaks.iter().enumerate() {
             let ts = i as i64 + 1;
             if ts < 4 {

@@ -92,6 +92,9 @@ if rustup component list 2>/dev/null | grep -q "^miri.*(installed)"; then
     # Miri cannot run the OS-thread-heavy suites; the proptest shim caps
     # its case count under cfg(miri) and heavy tests are #[ignore]d there.
     cargo +nightly miri test -p openmldb-types
+    # The single-allocation skiplist nodes (header + inline tower behind a
+    # raw pointer) and the epoch reclamation that frees them.
+    cargo +nightly miri test -p openmldb-storage --lib -- skiplist:: sync::epoch::
 else
     echo "miri not installed; skipping (rustup +nightly component add miri)"
 fi
