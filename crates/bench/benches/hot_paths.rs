@@ -433,8 +433,9 @@ fn compiled_eval(c: &mut Criterion) {
         .unwrap();
     let dep = db.deployment("ce").unwrap();
     assert_eq!(dep.program().compiled_windows(), 1, "plan must specialize");
-    let interp =
-        openmldb_online::Deployment::new("ce_interp", dep.query.clone()).with_interpreted_windows();
+    let interp = openmldb_online::Deployment::new("ce_interp", dep.query.clone(), &db)
+        .unwrap()
+        .with_interpreted_windows();
     let codec = CompactCodec::new(dep.query.base_schema.clone());
 
     // Pre-scan one key's frame into an arena so the fold benches measure

@@ -83,7 +83,9 @@ pub fn run() -> CompiledHotpathResult {
         dep.program().fallback_reason(0)
     );
     // Same plan, specialization pinned off — the interpreted baseline.
-    let interp = Deployment::new("f_cmp_interp", dep.query.clone()).with_interpreted_windows();
+    let interp = Deployment::new("f_cmp_interp", dep.query.clone(), &db)
+        .unwrap()
+        .with_interpreted_windows();
 
     // Anchor requests just past the generated history (ts_step_ms = 10) so
     // every window scan covers real rows, like fig06.
@@ -110,7 +112,9 @@ pub fn run() -> CompiledHotpathResult {
     for row in &data {
         preagg.ingest(row).unwrap();
     }
-    let preagg_dep = Deployment::new("f_cmp_pre", q.clone()).with_preagg(0, preagg);
+    let preagg_dep = Deployment::new("f_cmp_pre", q.clone(), &db)
+        .unwrap()
+        .with_preagg(0, preagg);
 
     // The three paths agree before anything is measured. Compiled vs
     // interpreted must be bit-identical (same fold order); the preagg path

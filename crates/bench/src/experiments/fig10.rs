@@ -86,7 +86,9 @@ pub fn run() -> Vec<PreaggPoint> {
             preagg.ingest(row).unwrap();
         }
         preagg.attach(table.replicator(), CompactCodec::new(micro_schema()));
-        let fast_dep = openmldb_online::Deployment::new("fast", q.clone()).with_preagg(0, preagg);
+        let fast_dep = openmldb_online::Deployment::new("fast", q.clone(), &db)
+            .unwrap()
+            .with_preagg(0, preagg);
         let fast = LatencyStats::from_samples(time_each_budget(requests, 5_000.0, |j| {
             openmldb_online::execute_request(&db, &fast_dep, &micro_request(j as i64, 0, max_ts))
                 .unwrap()

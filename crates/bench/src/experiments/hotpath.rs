@@ -86,8 +86,9 @@ pub fn run() -> HotpathResult {
     for row in &data {
         preagg.ingest(row).unwrap();
     }
-    let preagg_dep =
-        openmldb_online::Deployment::new("f_hot_pre", q.clone()).with_preagg(0, preagg);
+    let preagg_dep = openmldb_online::Deployment::new("f_hot_pre", q.clone(), &db)
+        .unwrap()
+        .with_preagg(0, preagg);
 
     // The three paths agree before anything is measured.
     for i in 0..3 {

@@ -147,12 +147,43 @@ impl Database {
             )));
         }
         let (schema, indexes) = schema_and_indexes(stmt)?;
-        let table: Arc<dyn DataTable> =
-            Arc::new(MemTable::new(stmt.name.clone(), schema, indexes)?);
-        self.tables.write().insert(stmt.name.clone(), table);
+        let table = MemTable::new(stmt.name.clone(), schema, indexes)?;
+        self.install_table(&stmt.name, Arc::new(table))
+    }
+
+    /// Put `table` into the catalog under `name` — the one way a table
+    /// enters it or is replaced (CREATE TABLE, programmatic registration,
+    /// an index rebuild at DEPLOY, replica promotion). Every deployment that
+    /// reads `name` is swapped for one re-bound to the new table, under the
+    /// deployment map's write lock: the next request reads the new table,
+    /// requests already running finish on the one they started on. A
+    /// replacement some deployment cannot read (it lacks an index the plan
+    /// needs) is refused with the catalog unchanged. Cached plans are
+    /// dropped and, on a durable database, the table's WAL and snapshots are
+    /// rewritten from its log.
+    fn install_table(&self, name: &str, table: Arc<dyn DataTable>) -> Result<()> {
+        {
+            let mut deployments = self.deployments.write();
+            let previous = self.tables.write().insert(name.to_string(), table);
+            let rebound: Result<Vec<_>> = deployments
+                .values()
+                .filter(|dep| dep.read_tables().iter().any(|t| t == name))
+                .map(|dep| dep.rebind(self).map(Arc::new))
+                .collect();
+            match rebound {
+                Ok(rebound) => deployments.extend(rebound.into_iter().map(|d| (d.name.clone(), d))),
+                Err(e) => {
+                    let mut tables = self.tables.write();
+                    match previous {
+                        Some(previous) => tables.insert(name.to_string(), previous),
+                        None => tables.remove(name),
+                    };
+                    return Err(e);
+                }
+            }
+        }
         self.cache.invalidate_all();
-        self.rewire_durable_table(&stmt.name)?;
-        Ok(())
+        self.rewire_durable_table(name)
     }
 
     /// Create a table on the disk engine (Section 8.1 placement guidance:
@@ -169,12 +200,8 @@ impl Database {
             )));
         }
         let (schema, indexes) = schema_and_indexes(&stmt)?;
-        let table: Arc<dyn DataTable> =
-            Arc::new(DiskTable::new(stmt.name.clone(), schema, indexes)?);
-        self.tables.write().insert(stmt.name.clone(), table);
-        self.cache.invalidate_all();
-        self.rewire_durable_table(&stmt.name)?;
-        Ok(())
+        let table = DiskTable::new(stmt.name.clone(), schema, indexes)?;
+        self.install_table(&stmt.name, Arc::new(table))
     }
 
     /// Register a pre-built table of either backend (programmatic path used
@@ -182,9 +209,7 @@ impl Database {
     /// written out as a fresh WAL so it survives restarts like any other.
     pub fn register_table(&self, table: Arc<dyn DataTable>) -> Result<()> {
         let name = table.name().to_string();
-        self.tables.write().insert(name.clone(), table);
-        self.cache.invalidate_all();
-        self.rewire_durable_table(&name)
+        self.install_table(&name, table)
     }
 
     // ------------------------------------------------------------- DML ---
@@ -225,7 +250,7 @@ impl Database {
         // outcome is attributed to the deployment's label slot.
         let (query, cache_hit) = self.cache.compile_stmt_traced(&stmt.select, self)?;
         self.ensure_indexes(&query)?;
-        let mut deployment = Deployment::new(stmt.name.clone(), query.clone());
+        let mut deployment = Deployment::new(stmt.name.clone(), query.clone(), self)?;
         if cache_hit {
             crate::metrics::deploy_plan_hits().inc(deployment.label());
         } else {
@@ -364,11 +389,11 @@ impl Database {
                         .attach(rebuilt.replicator(), CompactCodec::new(schema.clone()));
                 }
             }
-            self.tables.write().insert(table_name.clone(), rebuilt);
             // The rebuilt replicator re-put rows in scan order, not binlog
             // order: the old WAL and snapshots no longer describe this
-            // table. Rewrite the durable state from the new log.
-            self.rewire_durable_table(&table_name)?;
+            // table, so the install rewrites the durable state from the new
+            // log — and re-binds the deployments already reading the table.
+            self.install_table(&table_name, rebuilt)?;
         }
         Ok(())
     }
@@ -547,13 +572,12 @@ impl Database {
     pub fn promote_replica(&self, table: &str) -> Result<()> {
         let replica = self
             .replicas
-            .write()
-            .remove(table)
+            .read()
+            .get(table)
+            .cloned()
             .ok_or_else(|| Error::Storage(format!("no failover replica for `{table}`")))?;
-        let promoted = replica.promote();
-        self.tables.write().insert(table.to_string(), promoted);
-        self.cache.invalidate_all();
-        self.rewire_durable_table(table)?;
+        self.install_table(table, replica.promote())?;
+        self.replicas.write().remove(table);
         Ok(())
     }
 
@@ -980,6 +1004,95 @@ mod explain_and_cache_tests {
         };
         assert_eq!(b.rows.len(), 12);
         assert!(db.promote_replica("t").is_err(), "no replica left");
+    }
+
+    /// A deployment reads the handles it was bound to, so replacing a table
+    /// it reads must re-bind it: after the swap, the first deployment sees
+    /// rows inserted into the *new* table.
+    #[test]
+    fn deployments_follow_a_replaced_table() {
+        let db = db();
+        db.deploy(
+            "DEPLOY first AS SELECT k, count(v) OVER w AS c FROM t \
+             WINDOW w AS (PARTITION BY k ORDER BY ts \
+             ROWS_RANGE BETWEEN 1000 PRECEDING AND CURRENT ROW)",
+        )
+        .unwrap();
+        let request = Row::new(vec![
+            Value::Bigint(1),
+            Value::Double(0.0),
+            Value::Timestamp(500),
+        ]);
+        let count = || db.request_readonly("first", &request).unwrap()[1].clone();
+        assert_eq!(count(), Value::Bigint(11));
+        let bound = |name: &str| db.deployment(name).unwrap();
+        let before = bound("first");
+
+        // A second DEPLOY partitions by `v`: `t` is rebuilt with the extra
+        // index and `first` is swapped for a deployment bound to the rebuild.
+        db.deploy(
+            "DEPLOY second AS SELECT count(k) OVER w AS c FROM t \
+             WINDOW w AS (PARTITION BY v ORDER BY ts \
+             ROWS_RANGE BETWEEN 1000 PRECEDING AND CURRENT ROW)",
+        )
+        .unwrap();
+        assert!(!Arc::ptr_eq(&before, &bound("first")), "re-bound");
+        assert!(Arc::ptr_eq(&before.query, &bound("first").query));
+        assert!(Arc::ptr_eq(before.program(), bound("first").program()));
+        db.execute("INSERT INTO t VALUES (1, 50.0, 50)").unwrap();
+        assert_eq!(count(), Value::Bigint(12), "insert after the rebuild");
+
+        // Replica promotion swaps the table again.
+        db.enable_failover("t").unwrap();
+        db.promote_replica("t").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 60.0, 60)").unwrap();
+        assert_eq!(count(), Value::Bigint(13), "insert after the promotion");
+
+        // So does registering a pre-built table under the same name; one
+        // the deployments cannot read is refused and changes nothing.
+        let schema = db.table("t").unwrap().schema().clone();
+        let index = |key_cols| IndexSpec {
+            name: "i".into(),
+            key_cols,
+            ts_col: Some(2),
+            ttl: Ttl::Unlimited,
+        };
+        let unreadable = MemTable::new("t", schema.clone(), vec![index(vec![1])]).unwrap();
+        let err = db.register_table(Arc::new(unreadable)).unwrap_err();
+        assert!(matches!(err, Error::Deployment(_)), "{err:?}");
+        assert_eq!(count(), Value::Bigint(13), "refused: still the old table");
+        let empty = MemTable::new("t", schema, vec![index(vec![0]), index(vec![1])]).unwrap();
+        db.register_table(Arc::new(empty)).unwrap();
+        assert_eq!(count(), Value::Bigint(1), "only the request row");
+    }
+
+    /// A plan the catalog cannot serve is refused when it is bound, with a
+    /// typed error, not when a request first reads through it.
+    #[test]
+    fn binding_refuses_a_missing_table_or_index() {
+        let db = db();
+        let query = db
+            .cache
+            .compile(
+                "SELECT count(k) OVER w AS c FROM t WINDOW w AS (PARTITION BY v ORDER BY ts \
+                 ROWS_RANGE BETWEEN 10 PRECEDING AND CURRENT ROW)",
+                &db,
+            )
+            .unwrap();
+        // No DEPLOY ran `ensure_indexes`: `t` has no index on `v`.
+        let err = Deployment::new("unbound", query.clone(), &db)
+            .err()
+            .unwrap();
+        assert!(
+            matches!(&err, Error::Deployment(m) if m.contains("no index on `t`")),
+            "{err:?}"
+        );
+        let nowhere = Database::new();
+        let err = Deployment::new("unbound", query, &nowhere).err().unwrap();
+        assert!(
+            matches!(&err, Error::Deployment(m) if m.contains("unknown table `t`")),
+            "{err:?}"
+        );
     }
 
     #[test]

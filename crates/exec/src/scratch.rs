@@ -63,6 +63,10 @@ pub struct RequestScratch {
     pub arena: Vec<u8>,
     /// Sort entries over `arena` (plus the request-row marker).
     pub entries: Vec<ScanEntry>,
+    /// Per member window of the scan group being folded: `(rows, window
+    /// id)` — how long a newest-first prefix of `entries` the window's
+    /// frame covers.
+    pub prefixes: Vec<(usize, usize)>,
     /// The projected output row.
     pub out: Vec<Value>,
     /// Warm per-window aggregate sets, indexed by window id. `None` until
@@ -103,6 +107,7 @@ impl RequestScratch {
         self.key.clear();
         self.arena.clear();
         self.entries.clear();
+        self.prefixes.clear();
         self.out.clear();
         self.key_repr.clear();
         self.vm_stack.clear();

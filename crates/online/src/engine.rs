@@ -5,16 +5,19 @@
 //! window anchor, and exactly one feature row comes back. The fast paths:
 //!
 //! * window scans read the pre-ranked two-level skiplist (Section 7.2) —
-//!   no sorting at request time;
+//!   no sorting at request time, one scan for all windows of a partition;
 //! * LAST JOINs are head reads on the join key's time list;
 //! * long windows route through the pre-aggregation hierarchy when one is
-//!   deployed (Section 5.1).
+//!   deployed (Section 5.1);
+//! * every table handle and index id is bound into the [`Deployment`] at
+//!   DEPLOY — the request path consults no name map.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use openmldb_exec::{
-    evaluate, EntryOrder, Program, RequestScratch, ScanEntry, WindowAggSet, REQUEST_ROW,
+    evaluate, EntryOrder, Program, RequestScratch, ScanEntry, WindowAggSet, WindowState,
+    REQUEST_ROW,
 };
 use openmldb_obs::trace as obs;
 use openmldb_obs::{
@@ -25,13 +28,16 @@ use openmldb_sql::ast::Frame;
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, CompiledQuery};
 use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, Value};
 
+use openmldb_storage::sync::epoch;
 use openmldb_storage::{DataTable, MemTable};
 
 use crate::preagg::PreAggregator;
+use crate::readplan::{BoundRead, ReadPlan};
 use crate::resilience::{resilient_read, retry_transient, Ctx, RequestOptions, RequestOutput};
 
 /// Resolves table names to live storage (either backend, Section 8.1).
-/// Implemented by the database facade.
+/// Implemented by the database facade. Consulted when a deployment is bound,
+/// on failover and by the materializing oracle — not by steady-state serving.
 pub trait TableProvider: Send + Sync {
     fn table(&self, name: &str) -> Option<Arc<dyn DataTable>>;
 
@@ -67,32 +73,29 @@ impl TableProvider for MapProvider {
     }
 }
 
-/// A deployed feature script: the compiled plan plus per-window
-/// pre-aggregators (None = scan path).
+/// A deployed feature script: the compiled plan, per-window pre-aggregators
+/// (None = scan path) and the read plan.
 ///
-/// Request-invariant plan state — the window → aggregate mapping, the join
-/// key columns, and the base-schema codec — is hoisted here at deployment
-/// time so the per-request path never rebuilds it.
+/// Request-invariant plan state — the window → aggregate mapping, the
+/// base-schema codec, the table handle and index id behind every read, and
+/// which windows share a scan — is hoisted here at deployment time so the
+/// per-request path never rebuilds or re-resolves it. A deployment reads
+/// the tables it was bound to ([`Deployment::rebind`] follows a replaced one).
 pub struct Deployment {
     pub name: String,
     pub query: Arc<CompiledQuery>,
     pub preaggs: Vec<Option<Arc<PreAggregator>>>,
-    /// Per window: which base-schema columns its aggregates read. Window
-    /// scans decode only these (the Section 7.1 offset fast path).
-    window_projections: Vec<Vec<bool>>,
     /// Aggregate indices per window (`aggregates_by_window`, hoisted).
     by_window: Vec<Vec<usize>>,
-    /// Right-side join key columns per join, hoisted.
-    join_right_keys: Vec<Vec<usize>>,
     /// Base-schema codec: the streaming scan reads stored rows in place
-    /// through [`RowView`](openmldb_types::RowView) instead of decoding.
-    /// `pub(crate)` so the consistency sentinel can re-encode request rows
-    /// into its pooled capture buffers.
+    /// through [`RowView`](openmldb_types::RowView) instead of decoding;
+    /// the sentinel re-encodes request rows into its capture buffers.
     pub(crate) codec: CompactCodec,
     /// Every table this deployment reads (base + joins + window unions),
-    /// deduped — the sentinel hashes these tables' replication offsets into
-    /// a version signature to detect writes racing an audit replay.
+    /// deduped — what the database matches a replaced table against.
     read_tables: Vec<String>,
+    /// The bound handles behind those names, and the scan groups.
+    pub(crate) reads: ReadPlan,
     /// The deploy-time specialized bytecode program — per-window aggregate
     /// kernels plus flattened select/WHERE expressions. Shared across
     /// deployments of the same cached plan.
@@ -108,54 +111,61 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    pub fn new(name: impl Into<String>, query: Arc<CompiledQuery>) -> Self {
-        let name = name.into();
+    /// Specialize `query` and bind every read of it through `provider`. A
+    /// table or index the plan needs and the provider lacks is refused here,
+    /// with a typed [`Error::Deployment`] — never at serve time.
+    pub fn new(
+        name: impl Into<String>,
+        query: Arc<CompiledQuery>,
+        provider: &dyn TableProvider,
+    ) -> Result<Self> {
+        let program = openmldb_exec::specialize(&query);
+        let preaggs = vec![None; query.windows.len()];
+        Self::bind(name.into(), query, program, preaggs, provider)
+    }
+
+    /// This deployment — same plan, program and pre-aggregators — bound to
+    /// the tables `provider` resolves now (one it reads was replaced).
+    pub fn rebind(&self, provider: &dyn TableProvider) -> Result<Self> {
+        Self::bind(
+            self.name.clone(),
+            self.query.clone(),
+            self.program.clone(),
+            self.preaggs.clone(),
+            provider,
+        )
+    }
+
+    fn bind(
+        name: String,
+        query: Arc<CompiledQuery>,
+        program: Arc<Program>,
+        preaggs: Vec<Option<Arc<PreAggregator>>>,
+        provider: &dyn TableProvider,
+    ) -> Result<Self> {
         let label = LabelRegistry::deployments().resolve(&name);
         crate::metrics::register_deployment_views();
-        let preaggs = (0..query.windows.len()).map(|_| None).collect();
-        let mut window_projections =
-            vec![vec![false; query.base_schema.len()]; query.windows.len()];
-        for agg in &query.aggregates {
-            let mut cols = Vec::new();
-            for arg in &agg.args {
-                arg.collect_columns(&mut cols);
-            }
-            for c in cols {
-                if let Some(slot) = window_projections[agg.window_id].get_mut(c) {
-                    *slot = true;
-                }
-            }
-        }
         let by_window = query.aggregates_by_window();
-        let join_right_keys = query
-            .joins
-            .iter()
-            .map(|j| j.eq_pairs.iter().map(|&(_, r)| r).collect())
+        let union_tables = query.windows.iter().flat_map(|w| &w.union_tables);
+        let mut read_tables: Vec<String> = std::iter::once(&query.base_table)
+            .chain(query.joins.iter().map(|j| &j.table))
+            .chain(union_tables)
+            .cloned()
             .collect();
-        let codec = CompactCodec::new(query.base_schema.clone());
-        let program = openmldb_exec::specialize(&query);
-        let mut read_tables = vec![query.base_table.clone()];
-        for join in &query.joins {
-            read_tables.push(join.table.clone());
-        }
-        for window in &query.windows {
-            read_tables.extend(window.union_tables.iter().cloned());
-        }
         read_tables.sort();
         read_tables.dedup();
-        Deployment {
+        Ok(Deployment {
+            reads: ReadPlan::bind(&query, &by_window, &program, &preaggs, provider)?,
+            codec: CompactCodec::new(query.base_schema.clone()),
             name,
             query,
             preaggs,
-            window_projections,
             by_window,
-            join_right_keys,
-            codec,
             read_tables,
             program,
             scratch_pool: Mutex::new(Vec::new()),
             label,
-        }
+        })
     }
 
     /// The specialized bytecode program this deployment executes with.
@@ -166,9 +176,10 @@ impl Deployment {
     /// Force every window and expression onto the interpreted path
     /// (benchmarks and differential tests — the interpreted route is the
     /// compiled path's correctness oracle and must stay reachable even for
-    /// plans that specialize).
+    /// plans that specialize). Interpreted windows share no scan.
     pub fn with_interpreted_windows(mut self) -> Self {
         self.program = Arc::new(Program::interpreted_only(self.query.windows.len()));
+        self.regroup();
         self
     }
 
@@ -184,19 +195,31 @@ impl Deployment {
         &self.read_tables
     }
 
+    /// The scan groups: window ids that are folded off one scan per request
+    /// (a request seeks once per group and once per LAST JOIN).
+    pub fn scan_groups(&self) -> &[Vec<usize>] {
+        &self.reads.groups
+    }
+
     pub fn with_preagg(mut self, window_id: usize, preagg: Arc<PreAggregator>) -> Self {
         self.preaggs[window_id] = Some(preagg);
+        self.regroup();
         self
     }
 
-    fn take_scratch(&self) -> RequestScratch {
+    fn regroup(&mut self) {
+        self.reads
+            .regroup(&self.query, &self.by_window, &self.program, &self.preaggs);
+    }
+
+    pub(crate) fn take_scratch(&self) -> RequestScratch {
         self.scratch_pool
             .lock()
             .map(|mut pool| pool.pop().unwrap_or_default())
             .unwrap_or_default()
     }
 
-    fn put_scratch(&self, scratch: RequestScratch) {
+    pub(crate) fn put_scratch(&self, scratch: RequestScratch) {
         if let Ok(mut pool) = self.scratch_pool.lock() {
             pool.push(scratch);
         }
@@ -234,6 +257,9 @@ pub fn execute_request_with(
     request: &Row,
     opts: &RequestOptions,
 ) -> Result<RequestOutput> {
+    // One epoch pin for the whole request: the seeks and scans below pin
+    // again, but nested pins are counter bumps — the fences run once, here.
+    let _pin = epoch::pin();
     let mut scratch = dep.take_scratch();
     scratch.reset();
     // Consistency sentinel: 1-in-N sampling decision, taken before the
@@ -241,7 +267,7 @@ pub fn execute_request_with(
     // HOT: unsampled requests pay two loads and a branch.
     let audit_sig = crate::sentinel::should_sample().then(|| {
         scratch.audit.arm();
-        crate::sentinel::version_signature(provider, dep)
+        crate::sentinel::version_signature(dep)
     });
     // The record moves out of the scratch for the duration of the scope so
     // the pipeline below can borrow the scratch mutably. `Recorder` is a
@@ -264,7 +290,7 @@ pub fn execute_request_with(
         SpaceSaving::hot_keys().offer_weighted(&scratch.key_repr, summary.sampled);
     }
     if let Some(pre_sig) = audit_sig {
-        crate::sentinel::capture(provider, dep, request, &scratch, &result, pre_sig);
+        crate::sentinel::capture(dep, request, &scratch, &result, pre_sig);
     }
     scratch.flight = flight;
     dep.put_scratch(scratch);
@@ -350,11 +376,131 @@ fn corrupt_values(out: &mut [Value]) {
     }
 }
 
+/// The typed error of a scan or fold the deadline cut short.
+fn timed_out(ctx: &Ctx, stage: &'static str) -> Error {
+    Error::Timeout {
+        stage,
+        budget_ms: ctx.opts.deadline.budget_ms(),
+    }
+}
+
+/// What a window's frame asks of a newest-first scan anchored at
+/// `anchor_ts`: every row down to a timestamp, or a number of rows (one
+/// more when the request row takes no slot of a `ROWS` frame).
+fn frame_reach(window: &BoundWindow, anchor_ts: i64) -> (i64, Option<usize>) {
+    match window.frame {
+        Frame::Rows { preceding } => (
+            i64::MAX,
+            Some(preceding as usize + usize::from(window.exclude_current_row)),
+        ),
+        Frame::RowsRange { preceding_ms } => (anchor_ts - preceding_ms, None),
+        Frame::Unbounded => (i64::MIN, None),
+    }
+}
+
+/// One window of a request, as the pre-aggregation tiers see it. Shared by
+/// the streaming path and the oracle, which read raw frame edges their way.
+struct BucketTier<'a> {
+    wid: usize,
+    window: &'a BoundWindow,
+    preagg: Option<&'a PreAggregator>,
+    /// Where the window's aggregate values go in the request's.
+    slots: &'a [usize],
+    request: &'a Row,
+    key: &'a [KeyValue],
+    ctx: &'a Ctx<'a>,
+}
+
+impl BucketTier<'_> {
+    /// The window's pre-aggregator and the frame length it covers, when it
+    /// can answer: only pure range frames merge buckets, and not under
+    /// INSTANCE_NOT_IN_WINDOW (buckets cannot exclude the base rows).
+    fn buckets(&self) -> Option<(&PreAggregator, i64)> {
+        match (self.preagg, self.window.frame) {
+            (Some(preagg), Frame::RowsRange { preceding_ms })
+                if !self.window.instance_not_in_window =>
+            {
+                Some((preagg, preceding_ms))
+            }
+            _ => None,
+        }
+    }
+
+    /// Merge the buckets of the request's frame, reading its raw edges
+    /// through `edges`. The request row, not yet in storage, is folded in
+    /// after the merge unless the window excludes it.
+    fn answer(
+        &self,
+        (preagg, preceding_ms): (&PreAggregator, i64),
+        edges: impl FnMut(i64, i64) -> Result<Vec<Row>>,
+    ) -> Result<Vec<Value>> {
+        let anchor_ts = self.request.ts_at(self.window.order_col);
+        let extra = (!self.window.exclude_current_row).then_some(self.request);
+        preagg.query_with_extra_row(self.key, anchor_ts - preceding_ms, anchor_ts, extra, edges)
+    }
+
+    /// Put the window's aggregate values into their slots of the request's.
+    fn store(&self, outs: impl IntoIterator<Item = Value>, agg_values: &mut [Value]) {
+        for (slot, v) in self.slots.iter().zip(outs) {
+            if let Some(value) = agg_values.get_mut(*slot) {
+                *value = v;
+            }
+        }
+    }
+
+    /// Pre-aggregation fast path: whether the window was answered from its
+    /// buckets. `Ok(false)` sends the caller to its raw scan — no buckets for
+    /// this frame, or a lookup that kept faulting past its retry budget.
+    fn serve(
+        &self,
+        agg_values: &mut [Value],
+        mut edges: impl FnMut(i64, i64) -> Result<Vec<Row>>,
+    ) -> Result<bool> {
+        if self.preagg.is_none() {
+            return Ok(false);
+        }
+        let served = self.buckets().map(|buckets| {
+            obs::span(obs::Stage::Aggregate, || {
+                retry_transient(self.ctx, || self.answer(buckets, &mut edges))
+            })
+        });
+        let hit = match served {
+            Some(Ok(outs)) => {
+                self.store(outs, agg_values);
+                true
+            }
+            Some(Err(e)) if !e.is_transient() => return Err(e),
+            _ => false,
+        };
+        let (counter, kind) = if hit {
+            (crate::metrics::preagg_hits(), FlightEventKind::PreaggHit)
+        } else {
+            (crate::metrics::preagg_skips(), FlightEventKind::PreaggSkip)
+        };
+        counter.inc();
+        flight::event(kind, self.wid as u32, 0);
+        Ok(hit)
+    }
+
+    /// Degradation tier: the full path failed with `e`. If that was the
+    /// budget running out, a pre-aggregated window can still answer from
+    /// buckets alone — raw edge reads skipped, result flagged `degraded`.
+    fn degrade(&self, e: Error, agg_values: &mut [Value]) -> Result<()> {
+        let out_of_budget = self.ctx.opts.allow_degraded && matches!(e, Error::Timeout { .. });
+        let Some(buckets) = self.buckets().filter(|_| out_of_budget) else {
+            return Err(e);
+        };
+        let outs = self.answer(buckets, |_, _| Ok(Vec::new()))?;
+        self.store(outs, agg_values);
+        self.ctx.note_degraded();
+        Ok(())
+    }
+}
+
 // HOT: the steady-state request path — every buffer comes from `scratch`
 // and is reused across requests; a warm request must not allocate before
 // the final output row. `pub(crate)` so the consistency sentinel can replay
-// captured requests through the interpreted oracle without re-entering the
-// metric-recording wrapper.
+// captured requests without re-entering the metric-recording wrapper.
 pub(crate) fn execute_streaming(
     provider: &dyn TableProvider,
     dep: &Deployment,
@@ -373,6 +519,7 @@ pub(crate) fn execute_streaming(
         key,
         arena,
         entries,
+        prefixes,
         out,
         windows,
         compiled,
@@ -389,42 +536,43 @@ pub(crate) fn execute_streaming(
     // (A plan without joins has no seek stage here: nothing to time.)
     if !q.joins.is_empty() {
         obs::span(obs::Stage::StorageSeek, || -> Result<()> {
-            for (ji, join) in q.joins.iter().enumerate() {
+            for (join, bound) in q.joins.iter().zip(&dep.reads.joins) {
                 key.clear();
                 for &(l, _) in &join.eq_pairs {
                     key.push(KeyValue::from(&combined[l]));
                 }
-                let matched = resilient_read(ctx, provider, &join.table, |table| {
-                    let index = table
-                        .find_index(&dep.join_right_keys[ji], join.order_col)
-                        .ok_or_else(|| {
-                            // analysis:allow(hot-path-alloc): cold branch — only
-                            // reached when a deployment references a missing index.
-                            Error::Storage(format!("no index on `{}` for join keys", join.table))
-                        })?;
-                    match &join.residual {
-                        None => table.latest(index, key),
-                        Some(pred) => {
-                            // One probe buffer per request: truncate back to the
-                            // combined prefix and re-extend per candidate instead
-                            // of cloning `combined` for every row inspected.
-                            probe.clear();
-                            probe.extend_from_slice(combined);
-                            let base_len = probe.len();
-                            let mut check = |row: &Row| {
-                                probe.truncate(base_len);
-                                probe.extend(row.values().iter().cloned());
-                                evaluate(pred, probe, &[])
-                                    .and_then(|v| v.as_bool())
-                                    .unwrap_or(false)
-                            };
-                            table.latest_where(index, key, None, &mut check)
-                        }
-                    }
+                let base_len = combined.len();
+                let matched = resilient_read(ctx, provider, &bound.read, |table, index| {
+                    // A retry re-runs the read from the top.
+                    combined.truncate(base_len);
+                    let Some(pred) = &join.residual else {
+                        // The head row, decoded from its stored bytes
+                        // straight into the combined row.
+                        return table.latest_visit(index, key, &mut |data| {
+                            let view = bound.codec.view(data)?;
+                            for col in 0..view.len() {
+                                combined.push(view.get_value(col)?);
+                            }
+                            Ok(())
+                        });
+                    };
+                    // One probe buffer per request, truncated and re-extended
+                    // per candidate instead of a `combined` clone for each.
+                    probe.clear();
+                    probe.extend_from_slice(combined);
+                    let mut check = |row: &Row| {
+                        probe.truncate(base_len);
+                        probe.extend(row.values().iter().cloned());
+                        evaluate(pred, probe, &[])
+                            .and_then(|v| v.as_bool())
+                            .unwrap_or(false)
+                    };
+                    let row = table.latest_where(index, key, None, &mut check)?;
+                    combined.extend(row.iter().flat_map(|r| r.values().iter().cloned()));
+                    Ok(row.is_some())
                 })?;
-                match matched {
-                    Some(row) => combined.extend(row.values().iter().cloned()),
-                    None => combined.extend((0..join.schema.len()).map(|_| Value::Null)),
+                if !matched {
+                    combined.extend((0..join.schema.len()).map(|_| Value::Null));
                 }
             }
             Ok(())
@@ -433,8 +581,7 @@ pub(crate) fn execute_streaming(
 
     // 2. WHERE filter (a request failing the predicate yields an all-NULL
     // feature row rather than an error). Compiled plans run the flattened
-    // register-machine program over the pooled stack; uncompiled predicates
-    // take the interpreted tree walk.
+    // program over the pooled stack, others the interpreted tree walk.
     if let Some(pred) = &q.where_clause {
         let pass = match dep.program.where_program() {
             Some(p) => p.eval(combined, &[], vm_stack)?.as_bool()?,
@@ -448,98 +595,61 @@ pub(crate) fn execute_streaming(
         }
     }
 
-    // 3. Windows: compute every aggregate in one streaming pass per window.
+    // 3. Windows: one scan per group, one streaming fold per member.
     agg_values.resize(q.aggregates.len(), Value::Null);
     if windows.len() < q.windows.len() {
         windows.resize_with(q.windows.len(), || None);
     }
-    for (wid, window) in q.windows.iter().enumerate() {
-        if dep.by_window[wid].is_empty() {
-            continue;
+    if compiled.len() < q.windows.len() {
+        compiled.resize_with(q.windows.len(), || None);
+    }
+    for members in &dep.reads.groups {
+        // What a group shares — partition key, anchor, sources — is read
+        // off its first member; a pre-aggregated window is a group of one.
+        let lead = members[0];
+        let window = &q.windows[lead];
+        let anchor_ts = request.ts_at(window.order_col);
+        key.clear();
+        for &c in &window.partition_cols {
+            key.push(KeyValue::from(&request.values()[c]));
         }
+        let tier = BucketTier {
+            wid: lead,
+            window,
+            preagg: dep.preaggs[lead].as_deref(),
+            slots: &dep.by_window[lead],
+            request,
+            key,
+            ctx,
+        };
         // After an earlier window degraded, `ctx.check` is lenient so the
         // request can still finish — but later windows must not start an
         // unbudgeted full scan. Send them straight to their own degraded
         // path (or a plain Timeout if they have no pre-aggregation).
         let full = if ctx.degraded() && ctx.deadline_expired() {
-            Err(Error::Timeout {
-                stage: "window_dispatch",
-                budget_ms: ctx.opts.deadline.budget_ms(),
-            })
+            Err(timed_out(ctx, "window_dispatch"))
         } else {
             obs::span(obs::Stage::WindowDispatch, || -> Result<()> {
                 ctx.check("window_dispatch")?;
-                let anchor_ts = request.ts_at(window.order_col);
-
-                // Pre-aggregation fast path: only for pure range frames, and not
-                // for INSTANCE_NOT_IN_WINDOW (buckets mix base and union rows and
-                // cannot exclude the base table per query).
-                if let (Some(preagg), Frame::RowsRange { preceding_ms }, false) = (
-                    &dep.preaggs[wid],
-                    window.frame,
-                    window.instance_not_in_window,
-                ) {
-                    key.clear();
-                    for &c in &window.partition_cols {
-                        key.push(KeyValue::from(&request.values()[c]));
-                    }
-                    let lower = anchor_ts - preceding_ms;
-                    // The request row is part of the window unless excluded — it
-                    // is not yet in storage, so it is folded in after the bucket
-                    // merge.
-                    let include_request = !window.exclude_current_row;
-                    let extra = include_request.then_some(request);
-                    let outs = obs::span(obs::Stage::Aggregate, || {
-                        retry_transient(ctx, || {
-                            preagg.query_with_extra_row(key, lower, anchor_ts, extra, |lo, hi| {
-                                raw_window_rows(provider, q, window, key, lo, hi, ctx)
-                            })
-                        })
-                    });
-                    match outs {
-                        Ok(outs) => {
-                            crate::metrics::preagg_hits().inc();
-                            flight::event(FlightEventKind::PreaggHit, wid as u32, 0);
-                            for (slot, v) in dep.by_window[wid].iter().zip(outs) {
-                                agg_values[*slot] = v;
-                            }
-                            return Ok(());
-                        }
-                        // The lookup itself kept faulting past its retry
-                        // budget: fall through to the raw scan, which reads
-                        // through the full resilience ladder.
-                        Err(e) if e.is_transient() => {
-                            crate::metrics::preagg_skips().inc();
-                            flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                } else if dep.preaggs[wid].is_some() {
-                    crate::metrics::preagg_skips().inc();
-                    flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
+                let edges =
+                    |lo, hi| raw_window_rows(provider, &dep.reads.windows[lead], key, lo, hi, ctx);
+                if tier.serve(agg_values, edges)? {
+                    return Ok(());
                 }
 
-                // Scan path (streaming): copy the window's encoded rows into
-                // the scratch arena, sort lightweight entries, then feed
-                // borrowed views straight into the aggregates — no per-row
-                // `Vec<Value>` materialization.
-                key.clear();
-                for &c in &window.partition_cols {
-                    key.push(KeyValue::from(&request.values()[c]));
+                // Scan path (streaming): copy the encoded rows into the
+                // scratch arena, newest first — down to the oldest timestamp
+                // any member's range frame reaches *and* as many rows as
+                // its longest ROWS frame counts.
+                let (mut reach_ts, mut reach_rows) = (i64::MAX, 0usize);
+                for &wid in members {
+                    let (lower, rows) = frame_reach(&q.windows[wid], anchor_ts);
+                    reach_ts = reach_ts.min(lower);
+                    reach_rows = reach_rows.max(rows.unwrap_or(0));
                 }
-                let include_request = !window.exclude_current_row;
-                let per_table_limit = match window.frame {
-                    // +1 row budget: the request row occupies one slot if
-                    // included.
-                    Frame::Rows { preceding } => {
-                        Some(preceding as usize + usize::from(!include_request))
-                    }
-                    _ => None,
-                };
-                let lower = match window.frame {
-                    Frame::RowsRange { preceding_ms } => anchor_ts - preceding_ms,
-                    _ => i64::MIN,
-                };
+                // Storage itself stops a scan only one kind of frame bounds.
+                let lower = if reach_rows == 0 { reach_ts } else { i64::MIN };
+                let limit = (reach_ts == i64::MAX).then_some(reach_rows);
 
                 arena.clear();
                 entries.clear();
@@ -549,94 +659,101 @@ pub(crate) fn execute_streaming(
                 // one before it, across tables — decides the fold order.
                 let mut descending = true;
                 obs::span(obs::Stage::StorageSeek, || -> Result<()> {
-                    let base_iter = if window.instance_not_in_window {
-                        None
-                    } else {
-                        Some(q.base_table.as_str())
-                    };
-                    for name in base_iter
-                        .into_iter()
-                        .chain(window.union_tables.iter().map(String::as_str))
-                    {
-                        // Retries re-run this table's scan from the top:
-                        // rewind to the checkpoint so a fault mid-scan
-                        // cannot duplicate entries.
+                    for read in &dep.reads.windows[lead] {
+                        // Retries re-run this table's scan from the top: rewind
+                        // so a fault mid-scan cannot duplicate entries.
                         let mark_entries = entries.len();
                         let mark_arena = arena.len();
                         let mark_descending = descending;
-                        resilient_read(ctx, provider, name, |table| {
+                        resilient_read(ctx, provider, read, |table, index| {
                             entries.truncate(mark_entries);
                             arena.truncate(mark_arena);
                             seq = mark_entries;
                             descending = mark_descending;
                             deadline_hit = false;
-                            let index = table
-                                .find_index(&window.partition_cols, Some(window.order_col))
-                                .ok_or_else(|| {
-                                    // analysis:allow(hot-path-alloc): cold
-                                    // branch — missing-index config error.
-                                    Error::Storage(format!("no window index on `{name}`"))
-                                })?;
                             let mut scanned = 0u32;
+                            let mut take = |ts: i64, data: &[u8]| {
+                                // Deadline probe every 64 rows so a long
+                                // scan cannot blow the budget unnoticed.
+                                scanned += 1;
+                                if scanned & 63 == 0 && !ctx.degraded() && ctx.deadline_expired() {
+                                    deadline_hit = true;
+                                    flight::event(FlightEventKind::DeadlineProbe, scanned, 0);
+                                    return false;
+                                }
+                                if let Some(prev) = entries.last() {
+                                    descending &= prev.ts > ts;
+                                }
+                                let start = arena.len();
+                                arena.extend_from_slice(data);
+                                entries.push(ScanEntry {
+                                    ts,
+                                    seq,
+                                    start,
+                                    len: data.len(),
+                                });
+                                seq += 1;
+                                true
+                            };
+                            if limit.is_some() || reach_rows == 0 {
+                                return table
+                                    .scan_window(index, key, lower, anchor_ts, limit, &mut take);
+                            }
+                            // Range and ROWS frames mixed: stop past both.
+                            let mut taken = 0usize;
                             table.scan_window(
                                 index,
                                 key,
                                 lower,
                                 anchor_ts,
-                                per_table_limit,
+                                None,
                                 &mut |ts, data| {
-                                    // Deadline probe every 64 rows so a long
-                                    // scan cannot blow the budget unnoticed.
-                                    scanned += 1;
-                                    if scanned & 63 == 0
-                                        && !ctx.degraded()
-                                        && ctx.deadline_expired()
-                                    {
-                                        deadline_hit = true;
-                                        flight::event(FlightEventKind::DeadlineProbe, scanned, 0);
-                                        return false;
-                                    }
-                                    if let Some(prev) = entries.last() {
-                                        descending &= prev.ts > ts;
-                                    }
-                                    let start = arena.len();
-                                    arena.extend_from_slice(data);
-                                    entries.push(ScanEntry {
-                                        ts,
-                                        seq,
-                                        start,
-                                        len: data.len(),
-                                    });
-                                    seq += 1;
-                                    true
+                                    let wanted = ts >= reach_ts || taken < reach_rows;
+                                    taken += 1;
+                                    wanted && take(ts, data)
                                 },
                             )
                         })?;
                         if deadline_hit {
                             // Typed timeout, never a partial aggregate.
-                            return Err(Error::Timeout {
-                                stage: "window_scan",
-                                budget_ms: ctx.opts.deadline.budget_ms(),
-                            });
+                            return Err(timed_out(ctx, "window_scan"));
                         }
                     }
                     Ok(())
                 })?;
-                // Consistency-sentinel scan digest: fold the pre-sort scan
-                // order (deterministic for a fixed table state — retries
-                // rewind to a checkpoint, so the content is identical
-                // across re-runs) so the audit replay can verify the oracle
-                // saw the same window inputs. Preagg-served windows return
-                // earlier and leave their slot unset; the auditor skips
-                // them.
-                // HOT: a single bool test per window when sampling is off.
+
+                // Each member folds a newest-first prefix of the scan: all of
+                // it for a group of one, else the rows its own frame reaches.
+                prefixes.clear();
+                for &wid in members {
+                    let rows = match frame_reach(&q.windows[wid], anchor_ts) {
+                        _ if members.len() == 1 => entries.len(),
+                        (_, Some(rows)) => rows.min(entries.len()),
+                        (lower, None) => entries.partition_point(|e| e.ts >= lower),
+                    };
+                    prefixes.push((rows, wid));
+                }
+                if !descending {
+                    // A ts tie or union interleave: members sort their
+                    // prefix in place, so the shortest goes first — sorted,
+                    // it is still the same rows to every longer one.
+                    prefixes.sort_unstable();
+                }
+                // Consistency-sentinel scan digest: fold each member's
+                // rows in pre-sort scan order (deterministic for a fixed
+                // table state — retries rewind to a checkpoint) so the audit
+                // replay can verify the oracle saw the same window inputs.
+                // Preagg-served windows leave their slot unset.
+                // HOT: a single bool test per group when sampling is off.
                 if audit.armed() {
-                    let mut f = openmldb_obs::Fnv::new();
-                    for e in entries.iter() {
-                        f.write_u64(e.ts as u64);
-                        f.write(e.bytes(arena));
+                    for &(rows, wid) in prefixes.iter() {
+                        let mut f = openmldb_obs::Fnv::new();
+                        for e in &entries[..rows] {
+                            f.write_u64(e.ts as u64);
+                            f.write(e.bytes(arena));
+                        }
+                        openmldb_obs::ScanDigest::record(audit, wid, openmldb_obs::Fnv::finish(f));
                     }
-                    openmldb_obs::ScanDigest::record(audit, wid, openmldb_obs::Fnv::finish(f));
                 } else {
                     // Nothing ran since the scan stage closed: the
                     // aggregate stage opens on the same clock reading.
@@ -645,148 +762,24 @@ pub(crate) fn execute_streaming(
 
                 obs::span(obs::Stage::Aggregate, || -> Result<()> {
                     ctx.check("aggregate")?;
-                    let budget_ms = ctx.opts.deadline.budget_ms();
-
-                    // Compiled path — every window of a deployed plan: the
-                    // deploy-time kernels (column, expression, count-map,
-                    // generic) fold raw encoded bytes in one pass, with no
-                    // sort when the scan order is already usable.
-                    if let Some(wp) = dep.program.window(wid) {
-                        // Every arena byte is folded through a borrowed view.
-                        crate::metrics::compiled_windows().inc();
-                        flight::event(
-                            FlightEventKind::CompiledWindow,
-                            wid as u32,
-                            arena.len() as u64,
-                        );
-                        let n = entries.len();
-                        let total = n + usize::from(include_request);
-                        let first = wp.first_in_frame(total);
-                        // Storage yields newest-first per table: a strictly
-                        // descending scan replays ascending order in reverse
-                        // with no sort. Any ts tie or union interleave falls
-                        // back to the stable `(ts, seq)` sort.
-                        let order = if descending {
-                            EntryOrder::ReversedScan
-                        } else {
-                            entries.sort_unstable_by_key(|e| (e.ts, e.seq));
-                            EntryOrder::Ascending
-                        };
-                        if compiled.len() < q.windows.len() {
-                            compiled.resize_with(q.windows.len(), || None);
-                        }
-                        if compiled[wid].is_none() {
-                            compiled[wid] = Some(wp.new_state());
-                        }
-                        // analysis:allow(panic-path): slot filled two lines up.
-                        let state = compiled[wid].as_mut().expect("state built above");
-                        // The request row sorts last (anchor ts, max seq);
-                        // it joins the fold only when the frame reaches it.
-                        let req = (include_request && first < total).then(|| request.values());
-                        let mut probe = || -> Result<()> {
-                            if !ctx.degraded() && ctx.deadline_expired() {
-                                flight::event(FlightEventKind::DeadlineProbe, 0, 0);
-                                return Err(Error::Timeout {
-                                    stage: "window_agg",
-                                    budget_ms,
-                                });
-                            }
-                            Ok(())
-                        };
-                        wp.run(
-                            state,
-                            entries,
-                            first.min(n),
-                            order,
-                            arena,
-                            req,
-                            &dep.codec,
-                            &mut probe,
-                        )?;
-                        out.clear();
-                        wp.outputs_into(state, arena, req, out)?;
-                        // Chaos: a kill at `compiled_kernel` models a
-                        // miscompiled specialized program — aggregate values
-                        // silently perturbed (types and nulls preserved) so
-                        // the consistency sentinel has a real fault to catch.
-                        if openmldb_chaos::inject_kill(
-                            openmldb_chaos::InjectionPoint::CompiledKernel,
-                        ) {
-                            corrupt_values(out);
-                        }
-                        for (slot, v) in dep.by_window[wid].iter().zip(out.drain(..)) {
+                    let fold = GroupFold {
+                        dep,
+                        request,
+                        ctx,
+                        arena,
+                        anchor_ts,
+                        descending,
+                    };
+                    for &(rows, wid) in prefixes.iter() {
+                        // The bytes of a prefix end where the next scanned
+                        // row starts (no sort has reached past `rows` yet).
+                        let bytes = entries.get(rows).map_or(arena.len(), |e| e.start);
+                        let member = (wid, &q.windows[wid], dep.by_window[wid].as_slice());
+                        let states = (&mut windows[wid], &mut compiled[wid]);
+                        fold.window(member, &mut entries[..rows], bytes as u64, states, out)?;
+                        for (slot, v) in member.2.iter().zip(out.drain(..)) {
                             agg_values[*slot] = v;
                         }
-                        return Ok(());
-                    }
-                    if dep.program.fallback_reason(wid).is_some() {
-                        // Interpreted serve: the oracle pin
-                        // (`with_interpreted_windows`), or a plan whose
-                        // aggregates `WindowAggSet::new` rejects below.
-                        crate::metrics::compiled_fallback().inc();
-                        flight::event(
-                            FlightEventKind::CompiledFallback,
-                            wid as u32,
-                            arena.len() as u64,
-                        );
-                    }
-
-                    if include_request {
-                        // The request row is already decoded; a sentinel
-                        // entry places it in the sort order.
-                        entries.push(ScanEntry {
-                            ts: anchor_ts,
-                            seq,
-                            start: 0,
-                            len: REQUEST_ROW,
-                        });
-                    }
-                    // `(ts, seq)` reproduces the stable ascending-ts order of
-                    // the materializing path: storage yields newest-first per
-                    // table with the request row arriving last.
-                    entries.sort_unstable_by_key(|e| (e.ts, e.seq));
-                    // Newest entries win the per-frame caps; rows they evict
-                    // are never decoded.
-                    let mut first = 0usize;
-                    if let Frame::Rows { preceding } = window.frame {
-                        first = entries.len().saturating_sub(preceding as usize + 1);
-                    }
-                    if let Some(maxsize) = window.maxsize {
-                        first = first.max(entries.len().saturating_sub(maxsize));
-                    }
-                    if windows[wid].is_none() {
-                        let refs: Vec<&BoundAggregate> = dep.by_window[wid]
-                            .iter()
-                            .map(|&i| &q.aggregates[i])
-                            .collect();
-                        windows[wid] = Some(WindowAggSet::new(&refs)?);
-                    }
-                    // analysis:allow(panic-path): slot filled two lines up.
-                    let set = windows[wid].as_mut().expect("window set built above");
-                    let mut fed = 0u32;
-                    for e in &entries[first..] {
-                        if e.is_request_row() {
-                            set.update(request.values())?;
-                        } else {
-                            let view = dep.codec.view(e.bytes(arena))?;
-                            set.update_view(&view)?;
-                        }
-                        // Mirror the compiled path's every-64-rows deadline
-                        // probe so timeout behavior is identical across
-                        // paths.
-                        fed += 1;
-                        if fed & 63 == 0 && !ctx.degraded() && ctx.deadline_expired() {
-                            flight::event(FlightEventKind::DeadlineProbe, fed, 0);
-                            return Err(Error::Timeout {
-                                stage: "window_agg",
-                                budget_ms,
-                            });
-                        }
-                    }
-                    out.clear();
-                    set.outputs_into(out);
-                    for (slot, v) in dep.by_window[wid].iter().zip(out.drain(..)) {
-                        agg_values[*slot] = v;
                     }
                     Ok(())
                 })?;
@@ -796,39 +789,11 @@ pub(crate) fn execute_streaming(
             })
         };
         if let Err(e) = full {
-            // Degradation tier: the full path ran out of budget, but a
-            // pre-aggregated window can still answer from buckets alone —
-            // raw edge reads skipped, result flagged `degraded`.
-            if ctx.opts.allow_degraded && matches!(e, Error::Timeout { .. }) {
-                if let (Some(preagg), Frame::RowsRange { preceding_ms }, false) = (
-                    &dep.preaggs[wid],
-                    window.frame,
-                    window.instance_not_in_window,
-                ) {
-                    let anchor_ts = request.ts_at(window.order_col);
-                    key.clear();
-                    for &c in &window.partition_cols {
-                        key.push(KeyValue::from(&request.values()[c]));
-                    }
-                    let lower = anchor_ts - preceding_ms;
-                    let extra = (!window.exclude_current_row).then_some(request);
-                    let outs =
-                        preagg.query_with_extra_row(key, lower, anchor_ts, extra, |_, _| {
-                            // analysis:allow(hot-path-alloc): degraded tier only —
-                            // runs at most once per timed-out request.
-                            Ok(Vec::new())
-                        })?;
-                    for (slot, v) in dep.by_window[wid].iter().zip(outs) {
-                        agg_values[*slot] = v;
-                    }
-                    ctx.note_degraded();
-                    continue;
-                }
-            }
-            return Err(e);
+            tier.degrade(e, agg_values)?;
+            continue;
         }
-        // The next stage — the next window's dispatch, or the projection —
-        // starts where this window's dispatch ended.
+        // The next stage — the next group's dispatch, or the projection —
+        // starts where this group's dispatch ended.
         flight::abut();
     }
 
@@ -857,10 +822,147 @@ pub(crate) fn execute_streaming(
     Ok(row)
 }
 
+/// What every member of a scan group folds against.
+struct GroupFold<'a> {
+    dep: &'a Deployment,
+    request: &'a Row,
+    ctx: &'a Ctx<'a>,
+    arena: &'a [u8],
+    anchor_ts: i64,
+    /// The scan arrived strictly newest-first: members replay it in
+    /// reverse instead of sorting.
+    descending: bool,
+}
+
+impl GroupFold<'_> {
+    /// One member's fold — window `wid`, whose aggregates are `slots` of the
+    /// plan's — over its rows of the scan (`entries`, in scan order on
+    /// entry, `bytes` of the arena), leaving its aggregate values in `out`.
+    fn window(
+        &self,
+        (wid, window, slots): (usize, &BoundWindow, &[usize]),
+        entries: &mut [ScanEntry],
+        bytes: u64,
+        (set, state): (&mut Option<WindowAggSet>, &mut Option<WindowState>),
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        let GroupFold {
+            dep,
+            request,
+            ctx,
+            arena,
+            anchor_ts,
+            descending,
+        } = *self;
+        let include_request = !window.exclude_current_row;
+        let mut probe = || -> Result<()> {
+            if !ctx.degraded() && ctx.deadline_expired() {
+                flight::event(FlightEventKind::DeadlineProbe, 0, 0);
+                return Err(timed_out(ctx, "window_agg"));
+            }
+            Ok(())
+        };
+        out.clear();
+
+        // Compiled path — every window of a deployed plan: the deploy-time
+        // kernels fold raw encoded bytes in one pass, unsorted when they can.
+        if let Some(wp) = dep.program.window(wid) {
+            crate::metrics::compiled_windows().inc();
+            flight::event(FlightEventKind::CompiledWindow, wid as u32, bytes);
+            let n = entries.len();
+            let total = n + usize::from(include_request);
+            let first = wp.first_in_frame(total);
+            // Storage yields newest-first per table: a strictly descending
+            // scan replays ascending order in reverse with no sort. Any ts tie
+            // or union interleave falls back to the stable `(ts, seq)` sort.
+            let order = if descending {
+                EntryOrder::ReversedScan
+            } else {
+                entries.sort_unstable_by_key(|e| (e.ts, e.seq));
+                EntryOrder::Ascending
+            };
+            let state = state.get_or_insert_with(|| wp.new_state());
+            // The request row sorts last (anchor ts, max seq); it joins the
+            // fold only when the frame reaches it.
+            let req = (include_request && first < total).then(|| request.values());
+            wp.run(
+                state,
+                entries,
+                first.min(n),
+                order,
+                arena,
+                req,
+                &dep.codec,
+                &mut probe,
+            )?;
+            wp.outputs_into(state, arena, req, out)?;
+            // Chaos: a kill at `compiled_kernel` models a miscompiled program
+            // — aggregate values silently perturbed (types and nulls kept) so
+            // the consistency sentinel has a real fault to catch.
+            if openmldb_chaos::inject_kill(openmldb_chaos::InjectionPoint::CompiledKernel) {
+                corrupt_values(out);
+            }
+            return Ok(());
+        }
+        if dep.program.fallback_reason(wid).is_some() {
+            // Interpreted serve: the oracle pin (`with_interpreted_windows`),
+            // or a plan whose aggregates `WindowAggSet::new` rejects below.
+            crate::metrics::compiled_fallback().inc();
+            flight::event(FlightEventKind::CompiledFallback, wid as u32, bytes);
+        }
+
+        // `(ts, seq)` reproduces the stable ascending-ts order of the
+        // materializing path; the request row, already decoded, comes last.
+        entries.sort_unstable_by_key(|e| (e.ts, e.seq));
+        let request_entry = include_request.then_some(ScanEntry {
+            ts: anchor_ts,
+            seq: entries.len(),
+            start: 0,
+            len: REQUEST_ROW,
+        });
+        // Newest entries win the per-frame caps; rows they evict are never
+        // decoded.
+        let total = entries.len() + usize::from(include_request);
+        let mut first = 0usize;
+        if let Frame::Rows { preceding } = window.frame {
+            first = total.saturating_sub(preceding as usize + 1);
+        }
+        if let Some(maxsize) = window.maxsize {
+            first = first.max(total.saturating_sub(maxsize));
+        }
+        if set.is_none() {
+            let aggregates = &dep.query.aggregates;
+            let refs: Vec<&BoundAggregate> =
+                slots.iter().filter_map(|&i| aggregates.get(i)).collect();
+            *set = Some(WindowAggSet::new(&refs)?);
+        }
+        // analysis:allow(panic-path): slot filled two lines up.
+        let set = set.as_mut().expect("window set built above");
+        let mut fed = 0u32;
+        for e in entries.iter().chain(&request_entry).skip(first) {
+            if e.is_request_row() {
+                set.update(request.values())?;
+            } else {
+                let view = dep.codec.view(e.bytes(arena))?;
+                set.update_view(&view)?;
+            }
+            // Mirror the compiled path's every-64-rows deadline probe so
+            // timeout behavior is identical across paths.
+            fed += 1;
+            if fed & 63 == 0 {
+                probe()?;
+            }
+        }
+        set.outputs_into(out);
+        Ok(())
+    }
+}
+
 /// [`execute_request`] through the pre-streaming pipeline: every window row
-/// is materialized as decoded `Value`s before aggregating, and joins clone
-/// the combined row per probed candidate. Kept as the differential-testing
-/// oracle for the streaming path and as the bench baseline.
+/// is materialized as decoded `Value`s before aggregating, joins clone the
+/// combined row per probed candidate, and every read resolves its table and
+/// index by name — one scan per window, nothing shared with the read plan.
+/// Kept as the differential-testing oracle and as the bench baseline.
 pub fn execute_request_materialized(
     provider: &dyn TableProvider,
     dep: &Deployment,
@@ -877,9 +979,8 @@ pub fn execute_request_materialized_with(
     request: &Row,
     opts: &RequestOptions,
 ) -> Result<RequestOutput> {
-    // The materializing path has no pooled scratch; it carries a transient
-    // record (allocated once per request here, like every other buffer on
-    // this path).
+    // No pooled scratch on this path: the record is allocated per request,
+    // like every other buffer here.
     let mut flight = Recorder::default();
     let ctx = Ctx::new(opts);
     let scope = FlightScope::enter(&mut flight);
@@ -908,13 +1009,9 @@ pub(crate) fn execute_request_inner_materialized(
                 .map(|&(l, _)| KeyValue::from(&combined[l]))
                 .collect();
             let right_keys: Vec<usize> = join.eq_pairs.iter().map(|&(_, r)| r).collect();
-            let matched = resilient_read(ctx, provider, &join.table, |table| {
-                let index = table
-                    .find_index(&right_keys, join.order_col)
-                    .ok_or_else(|| {
-                        Error::Storage(format!("no index on `{}` for join keys", join.table))
-                    })?;
-                match &join.residual {
+            let read = BoundRead::resolve(provider, &join.table, &right_keys, join.order_col)?;
+            let matched =
+                resilient_read(ctx, provider, &read, |table, index| match &join.residual {
                     None => table.latest(index, &key),
                     Some(pred) => {
                         let mut check = |row: &Row| {
@@ -926,8 +1023,7 @@ pub(crate) fn execute_request_inner_materialized(
                         };
                         table.latest_where(index, &key, None, &mut check)
                     }
-                }
-            })?;
+                })?;
             match matched {
                 Some(row) => combined.extend(row.values().iter().cloned()),
                 None => combined.extend((0..join.schema.len()).map(|_| Value::Null)),
@@ -952,112 +1048,51 @@ pub(crate) fn execute_request_inner_materialized(
         if by_window[wid].is_empty() {
             continue;
         }
-        // After an earlier window degraded, `ctx.check` is lenient so the
-        // request can still finish — but later windows must not start an
-        // unbudgeted full scan. Send them straight to their own degraded
-        // path (or a plain Timeout if they have no pre-aggregation).
+        let anchor_ts = request.ts_at(window.order_col);
+        let key = request.key_for(&window.partition_cols);
+        let tier = BucketTier {
+            wid,
+            window,
+            preagg: dep.preaggs[wid].as_deref(),
+            slots: &by_window[wid],
+            request,
+            key: &key,
+            ctx,
+        };
+        // (As on the streaming path: once degraded, no unbudgeted scan.)
         let full = if ctx.degraded() && ctx.deadline_expired() {
-            Err(Error::Timeout {
-                stage: "window_dispatch",
-                budget_ms: ctx.opts.deadline.budget_ms(),
-            })
+            Err(timed_out(ctx, "window_dispatch"))
         } else {
             obs::span(obs::Stage::WindowDispatch, || -> Result<()> {
                 ctx.check("window_dispatch")?;
-                let anchor_ts = request.ts_at(window.order_col);
-                let agg_refs: Vec<_> = by_window[wid].iter().map(|&i| &q.aggregates[i]).collect();
-
-                // Pre-aggregation fast path: only for pure range frames, and not
-                // for INSTANCE_NOT_IN_WINDOW (buckets mix base and union rows and
-                // cannot exclude the base table per query).
-                if let (Some(preagg), Frame::RowsRange { preceding_ms }, false) = (
-                    &dep.preaggs[wid],
-                    window.frame,
-                    window.instance_not_in_window,
-                ) {
-                    let key = request.key_for(&window.partition_cols);
-                    let lower = anchor_ts - preceding_ms;
-                    // The request row is part of the window unless excluded — it
-                    // is not yet in storage, so it is folded in after the bucket
-                    // merge.
-                    let include_request = !window.exclude_current_row;
-                    let extra = include_request.then_some(request);
-                    let outs = obs::span(obs::Stage::Aggregate, || {
-                        retry_transient(ctx, || {
-                            preagg.query_with_extra_row(&key, lower, anchor_ts, extra, |lo, hi| {
-                                raw_window_rows(provider, q, window, &key, lo, hi, ctx)
-                            })
-                        })
-                    });
-                    match outs {
-                        Ok(outs) => {
-                            crate::metrics::preagg_hits().inc();
-                            flight::event(FlightEventKind::PreaggHit, wid as u32, 0);
-                            for (slot, v) in by_window[wid].iter().zip(outs) {
-                                agg_values[*slot] = v;
-                            }
-                            return Ok(());
-                        }
-                        // The lookup itself kept faulting past its retry
-                        // budget: fall through to the raw scan, which reads
-                        // through the full resilience ladder.
-                        Err(e) if e.is_transient() => {
-                            crate::metrics::preagg_skips().inc();
-                            flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                } else if dep.preaggs[wid].is_some() {
-                    crate::metrics::preagg_skips().inc();
-                    flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
+                let edges = |lo, hi| {
+                    let reads = window_reads_by_name(provider, q, window, true)?;
+                    raw_window_rows(provider, &reads, &key, lo, hi, ctx)
+                };
+                if tier.serve(&mut agg_values, edges)? {
+                    return Ok(());
                 }
 
-                // Scan path: gather window rows (request row is the anchor),
-                // decoding only the columns this window's aggregates read.
-                let wanted = Some(dep.window_projections[wid].as_slice());
+                // Scan path: gather window rows (request row is the anchor).
                 let rows = obs::span(obs::Stage::StorageSeek, || {
-                    collect_window_rows_ctx(provider, q, window, request, anchor_ts, wanted, ctx)
+                    collect_window_rows(provider, q, window, request, anchor_ts, ctx)
                 })?;
                 obs::span(obs::Stage::Aggregate, || -> Result<()> {
                     ctx.check("aggregate")?;
+                    let agg_refs: Vec<_> =
+                        by_window[wid].iter().map(|&i| &q.aggregates[i]).collect();
                     let mut set = WindowAggSet::new(&agg_refs)?;
                     for r in &rows {
                         set.update(r.values())?;
                     }
-                    for (slot, v) in by_window[wid].iter().zip(set.outputs()) {
-                        agg_values[*slot] = v;
-                    }
+                    tier.store(set.outputs(), &mut agg_values);
                     Ok(())
                 })?;
                 Ok(())
             })
         };
         if let Err(e) = full {
-            // Degradation tier: the full path ran out of budget, but a
-            // pre-aggregated window can still answer from buckets alone —
-            // raw edge reads skipped, result flagged `degraded`.
-            if ctx.opts.allow_degraded && matches!(e, Error::Timeout { .. }) {
-                if let (Some(preagg), Frame::RowsRange { preceding_ms }, false) = (
-                    &dep.preaggs[wid],
-                    window.frame,
-                    window.instance_not_in_window,
-                ) {
-                    let anchor_ts = request.ts_at(window.order_col);
-                    let key = request.key_for(&window.partition_cols);
-                    let lower = anchor_ts - preceding_ms;
-                    let extra = (!window.exclude_current_row).then_some(request);
-                    let outs =
-                        preagg.query_with_extra_row(&key, lower, anchor_ts, extra, |_, _| {
-                            Ok(Vec::new())
-                        })?;
-                    for (slot, v) in by_window[wid].iter().zip(outs) {
-                        agg_values[*slot] = v;
-                    }
-                    ctx.note_degraded();
-                    continue;
-                }
-            }
-            return Err(e);
+            tier.degrade(e, &mut agg_values)?;
         }
     }
 
@@ -1072,72 +1107,52 @@ pub(crate) fn execute_request_inner_materialized(
     })
 }
 
-/// Raw rows for a window's key within `[lo, hi]`, from the base table and
-/// every union table (chronological order not required — pre-agg aggregates
-/// are order-free).
+/// Raw rows for a window's key within `[lo, hi]` from every source of the
+/// window (in no particular order — pre-agg aggregates are order-free).
 fn raw_window_rows(
     provider: &dyn TableProvider,
-    q: &CompiledQuery,
-    window: &BoundWindow,
+    reads: &[BoundRead],
     key: &[KeyValue],
     lo: i64,
     hi: i64,
     ctx: &Ctx,
 ) -> Result<Vec<Row>> {
     let mut out = Vec::new();
-    for name in
-        std::iter::once(q.base_table.as_str()).chain(window.union_tables.iter().map(String::as_str))
-    {
-        let rows = resilient_read(ctx, provider, name, |table| {
-            let index = table
-                .find_index(&window.partition_cols, Some(window.order_col))
-                .ok_or_else(|| Error::Storage(format!("no window index on `{name}`")))?;
+    for read in reads {
+        let rows = resilient_read(ctx, provider, read, |table, index| {
             table.range_projected(index, key, lo, hi, None)
         })?;
-        for (_ts, row) in rows {
-            out.push(row);
-        }
+        out.extend(rows.into_iter().map(|(_ts, row)| row));
     }
     Ok(out)
 }
 
+/// A window's sources resolved by name — the materializing oracle's way;
+/// the streaming path reads the handles its deployment bound at DEPLOY.
+fn window_reads_by_name(
+    provider: &dyn TableProvider,
+    q: &CompiledQuery,
+    window: &BoundWindow,
+    with_base: bool,
+) -> Result<Vec<BoundRead>> {
+    with_base
+        .then_some(&q.base_table)
+        .into_iter()
+        .chain(&window.union_tables)
+        .map(|t| BoundRead::resolve(provider, t, &window.partition_cols, Some(window.order_col)))
+        .collect()
+}
+
 /// Collect the window's rows for a request: stored rows from the base table
 /// and union tables, plus the request row itself (subject to the window
-/// attributes), in chronological order, capped by MAXSIZE.
-pub fn collect_window_rows(
+/// attributes), fully decoded, in chronological order, capped by MAXSIZE —
+/// every table read under the resilience ladder.
+fn collect_window_rows(
     provider: &dyn TableProvider,
     q: &CompiledQuery,
     window: &BoundWindow,
     request: &Row,
     anchor_ts: i64,
-) -> Result<Vec<Row>> {
-    collect_window_rows_projected(provider, q, window, request, anchor_ts, None)
-}
-
-/// [`collect_window_rows`] decoding only the columns marked in `wanted`.
-pub fn collect_window_rows_projected(
-    provider: &dyn TableProvider,
-    q: &CompiledQuery,
-    window: &BoundWindow,
-    request: &Row,
-    anchor_ts: i64,
-    wanted: Option<&[bool]>,
-) -> Result<Vec<Row>> {
-    let opts = RequestOptions::default();
-    let ctx = Ctx::new(&opts);
-    collect_window_rows_ctx(provider, q, window, request, anchor_ts, wanted, &ctx)
-}
-
-/// [`collect_window_rows_projected`] threading the per-request resilience
-/// context: deadline checks, retries, and failover around every table read.
-#[allow(clippy::too_many_arguments)]
-fn collect_window_rows_ctx(
-    provider: &dyn TableProvider,
-    q: &CompiledQuery,
-    window: &BoundWindow,
-    request: &Row,
-    anchor_ts: i64,
-    wanted: Option<&[bool]>,
     ctx: &Ctx,
 ) -> Result<Vec<Row>> {
     let key = request.key_for(&window.partition_cols);
@@ -1157,24 +1172,10 @@ fn collect_window_rows_ctx(
         Frame::RowsRange { preceding_ms } => anchor_ts - preceding_ms,
         _ => i64::MIN,
     };
-
-    let base_iter = if window.instance_not_in_window {
-        None
-    } else {
-        Some(q.base_table.as_str())
-    };
-    for name in base_iter
-        .into_iter()
-        .chain(window.union_tables.iter().map(String::as_str))
-    {
-        let rows = resilient_read(ctx, provider, name, |table| {
-            let index = table
-                .find_index(&window.partition_cols, Some(window.order_col))
-                .ok_or_else(|| Error::Storage(format!("no window index on `{name}`")))?;
-            match per_table_limit {
-                Some(n) => table.latest_n_projected(index, &key, anchor_ts, n, wanted),
-                None => table.range_projected(index, &key, lower, anchor_ts, wanted),
-            }
+    for read in window_reads_by_name(provider, q, window, !window.instance_not_in_window)? {
+        let rows = resilient_read(ctx, provider, &read, |table, index| match per_table_limit {
+            Some(n) => table.latest_n_projected(index, &key, anchor_ts, n, None),
+            None => table.range_projected(index, &key, lower, anchor_ts, None),
         })?;
         stamped.extend(rows);
     }
@@ -1182,8 +1183,7 @@ fn collect_window_rows_ctx(
         stamped.push((anchor_ts, request.clone()));
     }
 
-    // Chronological order (time-series aggregates depend on it); newest
-    // entries win the per-frame caps.
+    // Chronological order; newest entries win the per-frame caps.
     stamped.sort_by_key(|(ts, _)| *ts);
     if let Frame::Rows { preceding } = window.frame {
         let keep = preceding as usize + 1;
@@ -1302,7 +1302,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         // Request at ts=1450 for user 1: stored rows in [1200, 1450] are
         // ts 1200(2.0), 1300(3.0), 1400(4.0) + request row 7.0.
         let out = execute_request(&provider, &dep, &action(1, "a", 7.0, 1, 1_450)).unwrap();
@@ -1329,7 +1329,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         let out = execute_request(&provider, &dep, &action(1, "a", 1.0, 1, 2_000)).unwrap();
         assert_eq!(out[0], Value::Bigint(3), "2 preceding + current");
     }
@@ -1364,7 +1364,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         let out = execute_request(&provider, &dep, &action(1, "a", 5.0, 1, 200)).unwrap();
         assert_eq!(
             out[0],
@@ -1403,7 +1403,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         let out = execute_request(&provider, &dep, &action(1, "a", 0.0, 1, 500)).unwrap();
         assert_eq!(out[1], Value::Int(21), "latest profile row wins");
         // No match → NULL-padded.
@@ -1441,7 +1441,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         let out = execute_request(&provider, &dep, &action(1, "a", 0.0, 1, 500)).unwrap();
         assert_eq!(
             out[0],
@@ -1460,7 +1460,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         let hit = execute_request(&provider, &dep, &action(1, "a", 0.0, 9, 1)).unwrap();
         assert_eq!(hit[0], Value::Bigint(1));
         let miss = execute_request(&provider, &dep, &action(1, "a", 0.0, 1, 1)).unwrap();
@@ -1484,7 +1484,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         let out = execute_request(&provider, &dep, &action(1, "a", 99.0, 1, 200)).unwrap();
         assert_eq!(out[0], Value::Double(10.0), "request row excluded");
     }
@@ -1517,8 +1517,10 @@ mod tests {
         }
         actions.replicator().flush();
 
-        let scan_dep = Deployment::new("scan", q.clone());
-        let preagg_dep = Deployment::new("fast", q).with_preagg(0, preagg.clone());
+        let scan_dep = Deployment::new("scan", q.clone(), &provider).unwrap();
+        let preagg_dep = Deployment::new("fast", q, &provider)
+            .unwrap()
+            .with_preagg(0, preagg.clone());
         let request = action(1, "a", 3.0, 1, 500 * 37);
         let a = execute_request(&provider, &scan_dep, &request).unwrap();
         let b = execute_request(&provider, &preagg_dep, &request).unwrap();
@@ -1598,7 +1600,7 @@ mod instance_window_tests {
             )
             .unwrap(),
         );
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         let out = execute_request(&provider, &dep, &row(1, 1.0, 100)).unwrap();
         assert_eq!(
             out[0],
@@ -1632,7 +1634,7 @@ mod instance_window_tests {
             )
             .unwrap(),
         );
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         let out = execute_request(&provider, &dep, &row(1, 1.0, 100)).unwrap();
         assert_eq!(out[0], Value::Double(10.0), "only the union row");
     }

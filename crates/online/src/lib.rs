@@ -5,6 +5,9 @@
 //! * [`engine`] — request-mode execution: a request tuple is virtually
 //!   inserted, the deployed plan runs against the pre-ranked stores, and one
 //!   feature row returns;
+//! * `readplan` — what a deployment reads, bound once at DEPLOY: a table
+//!   handle and index id per LAST JOIN and window source, and the scan
+//!   groups of windows folded off one scan;
 //! * [`preagg`] — long-window pre-aggregation with a multi-level bucket
 //!   hierarchy maintained asynchronously through the binlog (Section 5.1);
 //! * [`window_union`] — the self-adjusted multi-table window union with
@@ -22,15 +25,15 @@
 pub mod engine;
 pub mod metrics;
 pub mod preagg;
+mod readplan;
 pub mod resilience;
 pub mod segtree;
 pub mod sentinel;
 pub mod window_union;
 
 pub use engine::{
-    collect_window_rows, execute_request, execute_request_materialized,
-    execute_request_materialized_with, execute_request_with, Deployment, MapProvider,
-    TableProvider,
+    execute_request, execute_request_materialized, execute_request_materialized_with,
+    execute_request_with, Deployment, MapProvider, TableProvider,
 };
 pub use preagg::PreAggregator;
 pub use resilience::{RequestOptions, RequestOutput, RetryPolicy};

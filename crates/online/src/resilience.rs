@@ -20,13 +20,13 @@
 //!    alone, flagged `degraded: true` in [`RequestOutput`].
 
 use std::cell::Cell;
-use std::sync::Arc;
 use std::time::Duration;
 
 use openmldb_storage::DataTable;
-use openmldb_types::{Deadline, Error, Result, Row};
+use openmldb_types::{Deadline, Result, Row};
 
 use crate::engine::TableProvider;
+use crate::readplan::BoundRead;
 
 /// Bounded exponential backoff for transient storage faults.
 #[derive(Clone, Copy, Debug)]
@@ -222,29 +222,29 @@ pub(crate) fn retry_transient<T>(ctx: &Ctx, mut op: impl FnMut() -> Result<T>) -
     }
 }
 
-/// Resolve `name` through the provider and run `op` against it with the
-/// full resilience ladder: deadline check → bounded retries on the primary
-/// → failover to `fallback_table` (a caught-up replica) with its own retry
-/// round. Non-transient errors and timeouts propagate immediately.
+/// Run `op` against a bound table and its index id with the full resilience
+/// ladder: deadline check → bounded retries on the primary → failover to
+/// `fallback_table` (a caught-up replica, looked up by name and re-resolved
+/// by index columns — the one place the request path consults the catalog)
+/// with its own retry round. Non-transient errors and timeouts propagate
+/// immediately.
 pub(crate) fn resilient_read<T>(
     ctx: &Ctx,
     provider: &dyn TableProvider,
-    name: &str,
-    mut op: impl FnMut(&dyn DataTable) -> Result<T>,
+    read: &BoundRead,
+    mut op: impl FnMut(&dyn DataTable, usize) -> Result<T>,
 ) -> Result<T> {
     ctx.check("storage_seek")?;
-    let table: Arc<dyn DataTable> = provider
-        .table(name)
-        .ok_or_else(|| Error::Storage(format!("unknown table `{name}`")))?;
-    match retry_transient(ctx, || op(&*table)) {
+    match retry_transient(ctx, || op(&*read.table, read.index)) {
         Ok(v) => Ok(v),
         Err(e) if e.is_transient() => {
             // The primary is persistently faulting: try its replica.
-            let Some(fallback) = provider.fallback_table(name) else {
+            let Some(fallback) = provider.fallback_table(&read.name) else {
                 return Err(e);
             };
+            let index = read.index_on(&*fallback)?;
             ctx.note_failover();
-            retry_transient(ctx, || op(&*fallback))
+            retry_transient(ctx, || op(&*fallback, index))
         }
         Err(e) => Err(e),
     }
@@ -253,6 +253,7 @@ pub(crate) fn resilient_read<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openmldb_types::Error;
 
     #[test]
     fn backoff_is_exponential_and_capped() {

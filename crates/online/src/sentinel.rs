@@ -23,7 +23,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use openmldb_exec::RequestScratch;
 use openmldb_obs::audit::{publish_divergence, DivergenceKind, DivergenceReport};
@@ -69,10 +69,13 @@ struct Sentinel {
     queue: Mutex<VecDeque<AuditSample>>,
     /// Recycled sample shells (buffers keep their capacity).
     pool: Mutex<Vec<AuditSample>>,
-    /// Interpreted oracle twins, keyed by deployment name. Invalidated
-    /// when the live deployment's compiled query is replaced.
-    twins: Mutex<HashMap<String, Arc<Deployment>>>,
+    /// Interpreted oracle twins, keyed by deployment name.
+    twins: Mutex<HashMap<String, Twin>>,
 }
+
+/// An oracle twin beside the live deployment it was built for (the held
+/// `Weak` keeps that address from being reused while the entry stands).
+type Twin = (Weak<Deployment>, Arc<Deployment>);
 
 fn sentinel() -> &'static Sentinel {
     static S: OnceLock<Sentinel> = OnceLock::new();
@@ -128,18 +131,15 @@ pub(crate) fn should_sample() -> bool {
     every != 0 && openmldb_obs::flight::thread_seq().is_multiple_of(u64::from(every))
 }
 
-/// Hash every read table's replication offset into one signature. Two
-/// equal signatures mean no write landed in any table the deployment reads
-/// between the two observations, so a replay must reproduce the serve
-/// bit-for-bit.
-pub(crate) fn version_signature(provider: &dyn TableProvider, dep: &Deployment) -> u64 {
+/// Hash the replication offset of every table the deployment is bound to
+/// into one signature. Two equal signatures mean no write landed in any
+/// table the deployment reads between the two observations, so a replay
+/// must reproduce the serve bit-for-bit.
+pub(crate) fn version_signature(dep: &Deployment) -> u64 {
     let mut f = Fnv::new();
-    for name in dep.read_tables() {
-        f.write(name.as_bytes());
-        match provider.table(name) {
-            Some(table) => f.write_u64(table.replicator().len()),
-            None => f.write_u64(u64::MAX),
-        }
+    for read in dep.reads.all() {
+        f.write(read.name.as_bytes());
+        f.write_u64(read.table.replicator().len());
     }
     f.finish()
 }
@@ -189,7 +189,6 @@ fn digest_row(values: &[Value]) -> u64 {
 /// after the request finished, outside the latency measurement; only
 /// clean (non-degraded, non-error) serves are auditable.
 pub(crate) fn capture(
-    provider: &dyn TableProvider,
     dep: &Deployment,
     request: &Row,
     scratch: &RequestScratch,
@@ -204,7 +203,7 @@ pub(crate) fn capture(
     };
     // A write landed mid-serve: the scan digests describe a state no
     // replay can reproduce. Skip, counted.
-    if version_signature(provider, dep) != pre_sig {
+    if version_signature(dep) != pre_sig {
         crate::metrics::sentinel_stale_skips().inc();
         return;
     }
@@ -263,29 +262,25 @@ fn recycle(mut sample: AuditSample) {
     }
 }
 
-/// The oracle twin for a live deployment: same compiled query, every
-/// window and expression forced onto the interpreted path, no
-/// pre-aggregators — so the twin always raw-scans and its scan digests are
-/// comparable to a raw-scanned serve. Cached per name; invalidated when
-/// the live deployment's query is replaced.
-fn twin_for(dep: &Arc<Deployment>) -> Arc<Deployment> {
-    let s = sentinel();
-    if let Ok(mut twins) = s.twins.lock() {
-        if let Some(twin) = twins.get(&dep.name) {
-            if Arc::ptr_eq(&twin.query, &dep.query) {
-                return Arc::clone(twin);
-            }
+/// The oracle twin for a live deployment: same compiled query bound to the
+/// same catalog, every window and expression forced onto the interpreted
+/// path, no pre-aggregators — so the twin always raw-scans, one scan per
+/// window, and its scan digests are comparable to a raw-scanned serve.
+/// Cached per name for as long as that very deployment is the live one: a
+/// redeploy or a rebind (a table it reads was replaced) builds a new twin.
+fn twin_for(provider: &dyn TableProvider, dep: &Arc<Deployment>) -> Result<Arc<Deployment>> {
+    let mut twins = sentinel().twins.lock().ok();
+    if let Some((live, twin)) = twins.as_ref().and_then(|t| t.get(&dep.name)) {
+        if std::ptr::eq(live.as_ptr(), Arc::as_ptr(dep)) {
+            return Ok(Arc::clone(twin));
         }
-        let twin = Arc::new(
-            Deployment::new(dep.name.clone(), Arc::clone(&dep.query)).with_interpreted_windows(),
-        );
-        twins.insert(dep.name.clone(), Arc::clone(&twin));
-        twin
-    } else {
-        Arc::new(
-            Deployment::new(dep.name.clone(), Arc::clone(&dep.query)).with_interpreted_windows(),
-        )
     }
+    let twin = Deployment::new(dep.name.clone(), Arc::clone(&dep.query), provider)?;
+    let twin = Arc::new(twin.with_interpreted_windows());
+    if let Some(twins) = twins.as_mut() {
+        twins.insert(dep.name.clone(), (Arc::downgrade(dep), Arc::clone(&twin)));
+    }
+    Ok(twin)
 }
 
 /// Outcome of one [`drain`] call.
@@ -340,12 +335,11 @@ pub fn drain(
 ) -> AuditStats {
     let s = sentinel();
     let mut stats = AuditStats::default();
-    let mut scratch = RequestScratch::new();
     for _ in 0..max {
         let Some(sample) = s.queue.lock().ok().and_then(|mut q| q.pop_front()) else {
             break;
         };
-        audit_one(provider, lookup, &sample, &mut scratch, &mut stats);
+        audit_one(provider, lookup, &sample, &mut stats);
         recycle(sample);
     }
     stats.remaining = queue_len();
@@ -357,7 +351,6 @@ fn audit_one(
     provider: &dyn TableProvider,
     lookup: &dyn Fn(&str) -> Option<Arc<Deployment>>,
     sample: &AuditSample,
-    scratch: &mut RequestScratch,
     stats: &mut AuditStats,
 ) {
     let Some(dep) = lookup(&sample.deployment) else {
@@ -366,7 +359,7 @@ fn audit_one(
         return;
     };
     // The table moved since capture: replays would legitimately differ.
-    if version_signature(provider, &dep) != sample.version_sig {
+    if version_signature(&dep) != sample.version_sig {
         crate::metrics::sentinel_stale_skips().inc();
         stats.stale_skips += 1;
         return;
@@ -379,35 +372,38 @@ fn audit_one(
             return;
         }
     };
-    let twin = twin_for(&dep);
-
-    // Oracle 1: interpreted streaming replay, scan digests armed.
-    scratch.reset();
-    scratch.audit.arm();
-    let opts = RequestOptions::default();
-    let ctx = Ctx::new(&opts);
-    let interpreted = execute_streaming(provider, &twin, &request, &ctx, scratch);
+    // Oracle 1: interpreted streaming replay, scan digests armed — on a
+    // scratch from the twin's own pool: warm window state is shaped by the
+    // deployment that built it and must never meet another's windows.
     // Oracle 2: the materializing reference pipeline.
-    let ctx2 = Ctx::new(&opts);
-    let materialized = execute_request_inner_materialized(provider, &twin, &request, &ctx2);
-    let (interpreted, materialized) = match (interpreted, materialized) {
-        (Ok(a), Ok(b)) => (a, b),
-        _ => {
-            crate::metrics::sentinel_errors().inc();
-            stats.errors += 1;
-            return;
-        }
+    let opts = RequestOptions::default();
+    let replay = twin_for(provider, &dep).and_then(|twin| {
+        let mut scratch = twin.take_scratch();
+        scratch.reset();
+        scratch.audit.arm();
+        let interpreted =
+            execute_streaming(provider, &twin, &request, &Ctx::new(&opts), &mut scratch);
+        let scan = scratch.audit;
+        twin.put_scratch(scratch);
+        let materialized =
+            execute_request_inner_materialized(provider, &twin, &request, &Ctx::new(&opts))?;
+        Ok((interpreted?, materialized, scan))
+    });
+    let Ok((interpreted, materialized, replay_scan)) = replay else {
+        crate::metrics::sentinel_errors().inc();
+        stats.errors += 1;
+        return;
     };
     crate::metrics::sentinel_audits().inc();
     stats.audited += 1;
 
-    let mismatch = first_mismatch(sample, &interpreted, &materialized, &scratch.audit);
+    let mismatch = first_mismatch(sample, &interpreted, &materialized, &replay_scan);
     let Some((kind, window, oracle)) = mismatch else {
         return;
     };
     // Confirm before reporting: a write that landed during the replay
     // makes the disagreement stale, not wrong.
-    if version_signature(provider, &dep) != sample.version_sig {
+    if version_signature(&dep) != sample.version_sig {
         crate::metrics::sentinel_stale_skips().inc();
         stats.stale_skips += 1;
         return;

@@ -40,6 +40,15 @@ pub trait DataTable: Send + Sync {
     fn find_index(&self, key_cols: &[usize], ts_col: Option<usize>) -> Option<usize>;
     fn put(&self, row: &Row) -> Result<u64>;
     fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>>;
+    /// [`DataTable::latest`] without the decode: hand the newest entry's
+    /// encoded bytes for `key` to `visitor` and report whether there was
+    /// one. The LAST JOIN head read of the streaming request path.
+    fn latest_visit(
+        &self,
+        index_id: usize,
+        key: &[KeyValue],
+        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<bool>;
     fn latest_where(
         &self,
         index_id: usize,
@@ -111,6 +120,14 @@ impl DataTable for MemTable {
     }
     fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
         MemTable::latest(self, index_id, key)
+    }
+    fn latest_visit(
+        &self,
+        index_id: usize,
+        key: &[KeyValue],
+        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<bool> {
+        MemTable::latest_visit(self, index_id, key, visitor)
     }
     fn latest_where(
         &self,
@@ -280,11 +297,25 @@ impl DataTable for DiskTable {
     }
 
     fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
+        let mut row = None;
+        self.latest_visit(index_id, key, &mut |data| {
+            row = Some(self.codec.decode(data)?);
+            Ok(())
+        })?;
+        Ok(row)
+    }
+
+    fn latest_visit(
+        &self,
+        index_id: usize,
+        key: &[KeyValue],
+        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<bool> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
         crate::metrics::note_seek(index_id);
         match self.engine.latest(index_id as u32, key)? {
-            Some((_, data)) => Ok(Some(self.codec.decode(&data)?)),
-            None => Ok(None),
+            Some((_, data)) => visitor(&data).map(|()| true),
+            None => Ok(false),
         }
     }
 

@@ -329,27 +329,33 @@ impl<K: Ord, V> SkipMap<K, V> {
         self.len() == 0
     }
 
-    /// Find, per level, the last edge before `key` and the first node with
-    /// `node.key >= key`. Generic over a borrowed form of the key, so
-    /// callers can seek with `&[KeyValue]` against `Vec<KeyValue>` keys
-    /// without materializing an owned key first.
+    /// Descend to the first node with `node.key >= key`, reporting each
+    /// level's last edge before `key` and first node at or past it to
+    /// `level_done` on the way down. Generic over a borrowed form of the
+    /// key, so callers can seek with `&[KeyValue]` against `Vec<KeyValue>`
+    /// keys without materializing an owned key first.
     // analysis:allow(panic-freedom): every index is `level < MAX_HEIGHT`
-    // against MAX_HEIGHT-sized arrays or the tower of a node reached at
+    // against the MAX_HEIGHT-sized head or the tower of a node reached at
     // `level`, whose height is > level (see pred_links below).
-    fn search_by<'g, Q>(&'g self, key: &Q, guard: &'g Guard) -> SearchResult<'g, KeyEntry<K, V>>
+    #[inline(always)]
+    fn descend_by<'g, Q>(
+        &'g self,
+        key: &Q,
+        guard: &'g Guard,
+        mut level_done: impl FnMut(usize, &'g Link<KeyEntry<K, V>>, Shared<'g, Node<KeyEntry<K, V>>>),
+    ) -> Shared<'g, Node<KeyEntry<K, V>>>
     where
         K: std::borrow::Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let mut preds: [&Link<KeyEntry<K, V>>; MAX_HEIGHT] = std::array::from_fn(|i| &self.head[i]);
-        let mut succs = [Shared::null(); MAX_HEIGHT];
         // `pred_links` is the tower we are walking from: the head
         // sentinel's, then those of passed nodes. A node is only ever
         // linked at levels below its height, so one reached at `level` has
         // a link there.
         let mut pred_links: &[Link<KeyEntry<K, V>>] = &self.head;
+        let mut curr = Shared::null();
         for level in (0..MAX_HEIGHT).rev() {
-            let mut curr = pred_links[level].load(Ordering::Acquire, guard);
+            curr = pred_links[level].load(Ordering::Acquire, guard);
             // SAFETY: `curr` was loaded under `guard` from a reachable
             // edge; key nodes are never freed before the map drops.
             while let Some(node) = unsafe { NodeRef::new(curr) } {
@@ -359,10 +365,35 @@ impl<K: Ord, V> SkipMap<K, V> {
                 pred_links = node.tower();
                 curr = pred_links[level].load(Ordering::Acquire, guard);
             }
-            preds[level] = &pred_links[level];
-            succs[level] = curr;
+            level_done(level, &pred_links[level], curr);
         }
+        curr
+    }
+
+    /// The writers' search: per level, the edge to CAS on and the successor
+    /// it is expected to hold.
+    fn search_by<'g, Q>(&'g self, key: &Q, guard: &'g Guard) -> SearchResult<'g, KeyEntry<K, V>>
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let mut preds: [&Link<KeyEntry<K, V>>; MAX_HEIGHT] = std::array::from_fn(|i| &self.head[i]);
+        let mut succs = [Shared::null(); MAX_HEIGHT];
+        self.descend_by(key, guard, |level, pred, succ| {
+            preds[level] = pred;
+            succs[level] = succ;
+        });
         (preds, succs)
+    }
+
+    /// The readers' search: the first node with `node.key >= key`, without
+    /// the per-level arrays only an insert needs.
+    fn seek_by<'g, Q>(&'g self, key: &Q, guard: &'g Guard) -> Shared<'g, Node<KeyEntry<K, V>>>
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.descend_by(key, guard, |_, _, _| {})
     }
 
     /// A node's value, borrowed for as long as the map.
@@ -400,8 +431,7 @@ impl<K: Ord, V> SkipMap<K, V> {
         Q: Ord + ?Sized,
     {
         let guard = epoch::pin();
-        let (_, succs) = self.search_by(key, &guard);
-        self.value_if_equal(succs[0], key)
+        self.value_if_equal(self.seek_by(key, &guard), key)
     }
 
     /// Get `key`'s value, inserting `init()` if absent; the boolean reports
@@ -481,8 +511,7 @@ impl<K: Ord, V> SkipMap<K, V> {
     /// returns `true`.
     pub fn range_for_each(&self, from: &K, mut f: impl FnMut(&K, &V) -> bool) {
         let guard = epoch::pin();
-        let (_, succs) = self.search_by(from, &guard);
-        walk(succs[0], &guard, |e| f(&e.key, &e.value));
+        walk(self.seek_by(from, &guard), &guard, |e| f(&e.key, &e.value));
     }
 
     /// Visit every `(key, value)` in ascending key order.
@@ -624,19 +653,25 @@ impl TimeList {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Find, per level, the last position strictly newer than `ts` and the
-    /// first node with `node.ts <= ts`. A successor that is retired (or an
-    /// edge tagged mid-walk) is reported as the end of that level — the
-    /// retired region is always the expired suffix.
+    /// Descend to the first node with `node.ts <= ts`, reporting each
+    /// level's last position strictly newer than `ts` and first node at or
+    /// past it to `level_done` on the way down. A successor that is retired
+    /// (or an edge tagged mid-walk) is reported as the end of that level —
+    /// the retired region is always the expired suffix.
     // analysis:allow(panic-freedom): every index is `level < MAX_HEIGHT`
-    // against MAX_HEIGHT-sized arrays or the tower of a node reached at
+    // against the MAX_HEIGHT-sized head or the tower of a node reached at
     // `level`, whose height is > level.
-    fn search<'g>(&'g self, ts: i64, guard: &'g Guard) -> SearchResult<'g, TimeEntry> {
-        let mut preds: [&Link<TimeEntry>; MAX_HEIGHT] = std::array::from_fn(|i| &self.head[i]);
-        let mut succs = [Shared::null(); MAX_HEIGHT];
+    #[inline(always)]
+    fn descend<'g>(
+        &'g self,
+        ts: i64,
+        guard: &'g Guard,
+        mut level_done: impl FnMut(usize, &'g Link<TimeEntry>, Shared<'g, TimeNode>),
+    ) -> Shared<'g, TimeNode> {
         let mut pred_links: &[Link<TimeEntry>] = &self.head;
+        let mut curr = Shared::null();
         for level in (0..MAX_HEIGHT).rev() {
-            let mut curr = pred_links[level].load(Ordering::Acquire, guard);
+            curr = pred_links[level].load(Ordering::Acquire, guard);
             loop {
                 if curr.tag() == RETIRED {
                     // The edge we are standing on was sealed: everything
@@ -662,10 +697,27 @@ impl TimeList {
                     break;
                 }
             }
-            preds[level] = &pred_links[level];
-            succs[level] = curr;
+            level_done(level, &pred_links[level], curr);
         }
+        curr
+    }
+
+    /// The writers' search: per level, the edge to CAS on and the successor
+    /// it is expected to hold.
+    fn search<'g>(&'g self, ts: i64, guard: &'g Guard) -> SearchResult<'g, TimeEntry> {
+        let mut preds: [&Link<TimeEntry>; MAX_HEIGHT] = std::array::from_fn(|i| &self.head[i]);
+        let mut succs = [Shared::null(); MAX_HEIGHT];
+        self.descend(ts, guard, |level, pred, succ| {
+            preds[level] = pred;
+            succs[level] = succ;
+        });
         (preds, succs)
+    }
+
+    /// The readers' search: the first live node with `node.ts <= ts`,
+    /// without the per-level arrays only an insert needs.
+    fn seek<'g>(&'g self, ts: i64, guard: &'g Guard) -> Shared<'g, TimeNode> {
+        self.descend(ts, guard, |_, _, _| {})
     }
 
     /// Insert an encoded row at its timestamp position. Out-of-order inserts
@@ -784,9 +836,8 @@ impl TimeList {
     /// `upper_ts` through the skip levels instead of scanning from the head.
     pub fn range(&self, lower_ts: i64, upper_ts: i64) -> Vec<(i64, Arc<[u8]>)> {
         let guard = epoch::pin();
-        let (_, succs) = self.search(upper_ts, &guard);
         let mut out = Vec::new();
-        walk(succs[0], &guard, |e| {
+        walk(self.seek(upper_ts, &guard), &guard, |e| {
             let inside = e.ts >= lower_ts;
             if inside {
                 out.push((e.ts, e.data.clone()));
@@ -804,8 +855,9 @@ impl TimeList {
     /// no heap at all.
     pub fn range_visit(&self, lower_ts: i64, upper_ts: i64, mut f: impl FnMut(i64, &[u8]) -> bool) {
         let guard = epoch::pin();
-        let (_, succs) = self.search(upper_ts, &guard);
-        walk(succs[0], &guard, |e| e.ts >= lower_ts && f(e.ts, &e.data));
+        walk(self.seek(upper_ts, &guard), &guard, |e| {
+            e.ts >= lower_ts && f(e.ts, &e.data)
+        });
     }
 
     /// Truncate the expired suffix: drop every entry with `ts < cutoff_ts`
@@ -1340,6 +1392,12 @@ mod tests {
             };
             prop_assert_eq!(view(&list), expect(&oracle));
             list.check_levels();
+            let seek_agrees = |list: &TimeList| {
+                let guard = epoch::pin();
+                (-1i64..17)
+                    .all(|ts| list.seek(ts, &guard).as_raw() == list.search(ts, &guard).1[0].as_raw())
+            };
+            prop_assert!(seek_agrees(&list));
 
             let (lower, upper) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
             let in_range: Vec<(i64, u8)> = expect(&oracle)
@@ -1370,6 +1428,7 @@ mod tests {
             prop_assert_eq!(view(&list), survivors.clone());
             prop_assert_eq!(list.len(), survivors.len());
             list.check_levels();
+            prop_assert!(seek_agrees(&list));
 
             // The list keeps working after the cut, tall towers included.
             list.insert_with_height(cutoff, bytes(255), MAX_HEIGHT);
@@ -1395,8 +1454,15 @@ mod tests {
             }
             prop_assert_eq!(map.len(), oracle.len());
             prop_assert_eq!(map.keys(), oracle.keys().copied().collect::<Vec<_>>());
+            // The readers' walk lands where the writers' search does, for
+            // present and absent keys alike.
+            let guard = epoch::pin();
             for key in 0..40 {
                 prop_assert_eq!(map.get(&key), oracle.get(&key));
+                prop_assert_eq!(
+                    map.seek_by(&key, &guard).as_raw(),
+                    map.search_by(&key, &guard).1[0].as_raw()
+                );
             }
             let mut tail = Vec::new();
             map.range_for_each(&from, |k, v| { tail.push((*k, *v)); true });

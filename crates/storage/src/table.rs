@@ -253,16 +253,35 @@ impl MemTable {
     /// The newest row for `key` — the LAST JOIN accelerator (head read on
     /// the pre-ranked time list).
     pub fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
+        let mut row = None;
+        self.latest_visit(index_id, key, &mut |data| {
+            row = Some(self.decode(data)?);
+            Ok(())
+        })?;
+        Ok(row)
+    }
+
+    /// The LAST JOIN head read without the `Row`: hand the newest entry's
+    /// encoded bytes for `key` to `visitor` and report whether there was
+    /// one; decoding is the caller's choice.
+    pub fn latest_visit(
+        &self,
+        index_id: usize,
+        key: &[KeyValue],
+        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<bool> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
         crate::metrics::note_seek(index_id);
-        match index.map.get_by(key) {
-            Some(list) => match list.latest() {
-                Some((_, data)) => Ok(Some(self.decode(&data)?)),
-                None => Ok(None),
-            },
-            None => Ok(None),
-        }
+        let Some(list) = index.map.get_by(key) else {
+            return Ok(false);
+        };
+        let mut visited = None;
+        list.scan(|_, data| {
+            visited = Some(visitor(data));
+            false
+        });
+        visited.transpose().map(|v| v.is_some())
     }
 
     /// Newest row for `key` whose ts ≤ `upper_ts`, satisfying `pred`.

@@ -44,6 +44,7 @@ cargo test -q -p openmldb-storage --features model-check
 step "fault injection armed (chaos build + seeded resilience suite)"
 cargo build -q -p openmldb --features chaos
 cargo test -q --test resilience --features chaos
+cargo test -q --test scan_groups --features chaos
 cargo test -q -p openmldb-storage -p openmldb-online -p openmldb-core --features chaos
 
 step "fault injection compiled out (resilience suite, clean path)"
@@ -62,6 +63,9 @@ cargo test -q -p openmldb-storage -p openmldb-online --features chaos,obs-off
 if [ "$QUICK" -eq 0 ]; then
     step "hot-path allocation gate (reduced scale)"
     BENCH_SCALE=0.1 cargo run -q --release -p openmldb-bench --bin hotpath_allocs
+
+    step "scan groups + warm allocations of the serve_short shape (release)"
+    cargo test -q --release --test scan_groups --test warm_allocs
 
     # benchmark/ is a package of its own; its replay probes call the
     # specializer's public API directly (the script lists the calls and the

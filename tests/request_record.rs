@@ -77,6 +77,14 @@ impl DataTable for Shim {
     fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
         DataTable::latest(&*self.inner, index_id, key)
     }
+    fn latest_visit(
+        &self,
+        index_id: usize,
+        key: &[KeyValue],
+        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<bool> {
+        DataTable::latest_visit(&*self.inner, index_id, key, visitor)
+    }
     fn latest_where(
         &self,
         index_id: usize,
@@ -232,11 +240,19 @@ fn mixed_loop() {
     preagg.attach(events.replicator(), openmldb::CompactCodec::new(schema()));
     events.replicator().flush();
 
-    let scan_dep = Deployment::new("rec_scan", q.clone());
-    let preagg_dep = Deployment::new("rec_preagg", q).with_preagg(0, preagg);
     let healthy = provider(&events, false, Duration::ZERO);
     let flaky = provider(&events, true, Duration::ZERO);
     let slow = provider(&events, false, Duration::from_millis(40));
+    // A deployment reads the tables it was bound to at DEPLOY: one per
+    // storage behaviour (equal names share a label slot).
+    let scan_on = |p: &Provider| Deployment::new("rec_scan", q.clone(), p).unwrap();
+    let preagg_on = |p: &Provider| {
+        Deployment::new("rec_preagg", q.clone(), p)
+            .unwrap()
+            .with_preagg(0, preagg.clone())
+    };
+    let (scan_dep, flaky_dep) = (scan_on(&healthy), scan_on(&flaky));
+    let (preagg_dep, slow_dep) = (preagg_on(&healthy), preagg_on(&slow));
     let request = row(1, 7.0, 5_250);
     let unbounded = RequestOptions::default();
 
@@ -273,11 +289,11 @@ fn mixed_loop() {
             deadline: Deadline::within(Duration::from_millis(10)),
             ..RequestOptions::default()
         };
-        let out = execute_request_with(&slow, &preagg_dep, &request, &tight).unwrap();
+        let out = execute_request_with(&slow, &slow_dep, &request, &tight).unwrap();
         assert!(out.degraded);
         expected.push(Outcome::Degraded);
         // the primary's scans keep faulting: the replica answers
-        let out = execute_request_with(&flaky, &scan_dep, &request, &unbounded).unwrap();
+        let out = execute_request_with(&flaky, &flaky_dep, &request, &unbounded).unwrap();
         assert!(out.failovers > 0 && out.retries > 0);
         expected.push(Outcome::Failover);
     }

@@ -8,6 +8,7 @@
 //! behaviour (no retries, no faults, identical results).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,6 +68,8 @@ impl Catalog for Cat {
 struct SlowProvider {
     tables: HashMap<String, Arc<dyn DataTable>>,
     delay: Duration,
+    /// Entries the window scans of every table handed to their visitors.
+    visited: Arc<AtomicUsize>,
 }
 
 impl SlowProvider {
@@ -74,6 +77,7 @@ impl SlowProvider {
         SlowProvider {
             tables: HashMap::new(),
             delay,
+            visited: Arc::default(),
         }
     }
 
@@ -85,6 +89,7 @@ impl SlowProvider {
             Arc::new(SlowTable {
                 inner: table,
                 delay,
+                visited: self.visited.clone(),
             }),
         );
     }
@@ -99,6 +104,7 @@ impl TableProvider for SlowProvider {
 struct SlowTable {
     inner: Arc<MemTable>,
     delay: Duration,
+    visited: Arc<AtomicUsize>,
 }
 
 impl DataTable for SlowTable {
@@ -129,6 +135,15 @@ impl DataTable for SlowTable {
     fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
         std::thread::sleep(self.delay);
         DataTable::latest(&*self.inner, index_id, key)
+    }
+    fn latest_visit(
+        &self,
+        index_id: usize,
+        key: &[KeyValue],
+        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<bool> {
+        std::thread::sleep(self.delay);
+        DataTable::latest_visit(&*self.inner, index_id, key, visitor)
     }
     fn latest_where(
         &self,
@@ -183,6 +198,7 @@ impl DataTable for SlowTable {
             limit,
             &mut |ts, data| {
                 std::thread::sleep(delay);
+                self.visited.fetch_add(1, Ordering::SeqCst);
                 visitor(ts, data)
             },
         )
@@ -397,7 +413,9 @@ fn degraded_answer_matches_buckets_only_oracle() {
     // window — which is exactly the degradation trigger.
     let mut provider = SlowProvider::new(Duration::from_millis(80));
     provider.insert(events);
-    let dep = Deployment::new("d", q).with_preagg(0, preagg.clone());
+    let dep = Deployment::new("d", q, &provider)
+        .unwrap()
+        .with_preagg(0, preagg.clone());
 
     // Anchor past the last complete bucket and misaligned lower bound →
     // two uncovered edges.
@@ -461,7 +479,7 @@ fn mid_stream_deadline_yields_typed_timeout_not_partial_aggregate() {
     // so a 30 ms budget expires mid-stream, not before the scan starts.
     let mut provider = SlowProvider::new(Duration::from_millis(2));
     provider.insert(events);
-    let dep = Deployment::new("d", q);
+    let dep = Deployment::new("d", q, &provider).unwrap();
     let request = row(1, 1.0, 10_000);
 
     // Unbudgeted reference: all 400 stored rows plus the request row.
@@ -490,6 +508,66 @@ fn mid_stream_deadline_yields_typed_timeout_not_partial_aggregate() {
     // a later unbudgeted request must see clean buffers, not stale entries.
     let again = execute_request_with(&provider, &dep, &request, &relaxed).unwrap();
     assert_eq!(again.row, full.row);
+}
+
+/// Two windows folded off one scan keep the single-window deadline contract:
+/// the budget is probed every 64 scanned rows, and a scan cut short is the
+/// typed `Timeout { stage: "window_scan" }` — the same error, at the same
+/// row, as the interpreted deployment that scans each window on its own.
+#[test]
+fn grouped_scan_times_out_at_the_same_row_as_a_scan_per_window() {
+    let events = mk_table("events");
+    for i in 0..400i64 {
+        events.put(&row(1, 1.0, i * 10)).unwrap();
+    }
+    let q = Arc::new(
+        compile_select(
+            &parse_select(
+                "SELECT sum(v) OVER w0 AS s, count(v) OVER w1 AS c FROM events WINDOW \
+                 w0 AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 10s PRECEDING AND CURRENT ROW), \
+                 w1 AS (PARTITION BY k ORDER BY ts ROWS BETWEEN 300 PRECEDING AND CURRENT ROW)",
+            )
+            .unwrap(),
+            &Cat,
+        )
+        .unwrap(),
+    );
+    // 2 ms per visited entry against a 30 ms budget: the deadline is long
+    // gone when the scan reaches its first probe, at row 64.
+    let mut provider = SlowProvider::new(Duration::from_millis(2));
+    provider.insert(events);
+    let grouped = Deployment::new("d", q.clone(), &provider).unwrap();
+    let per_window = Deployment::new("d", q, &provider)
+        .unwrap()
+        .with_interpreted_windows();
+    assert_eq!(grouped.scan_groups(), [vec![0, 1]]);
+    assert_eq!(per_window.scan_groups(), [vec![0], vec![1]]);
+
+    let request = row(1, 1.0, 10_000);
+    for dep in [&grouped, &per_window] {
+        // (A deadline anchors when it is built.)
+        let strict = RequestOptions {
+            deadline: Deadline::within(Duration::from_millis(30)),
+            allow_degraded: false,
+            ..RequestOptions::default()
+        };
+        provider.visited.store(0, Ordering::SeqCst);
+        let err = execute_request_with(&provider, dep, &request, &strict).unwrap_err();
+        assert_eq!(
+            err,
+            Error::Timeout {
+                stage: "window_scan",
+                budget_ms: 30
+            }
+        );
+        assert_eq!(provider.visited.load(Ordering::SeqCst), 64);
+    }
+    // Unbudgeted, the grouped scan reads what its widest member needs once:
+    // 400 rows for the range frame, which covers the 300 of the ROWS frame.
+    provider.visited.store(0, Ordering::SeqCst);
+    let out = execute_request_with(&provider, &grouped, &request, &RequestOptions::default());
+    assert_eq!(out.unwrap().row[1], Value::Bigint(301));
+    assert_eq!(provider.visited.load(Ordering::SeqCst), 400);
 }
 
 proptest! {
@@ -523,7 +601,7 @@ proptest! {
         );
         let mut provider = SlowProvider::new(Duration::from_millis(delay_ms));
         provider.insert(events);
-        let dep = Deployment::new("d", q);
+        let dep = Deployment::new("d", q, &provider).unwrap();
         let opts = RequestOptions {
             deadline: Deadline::within_ms(budget_ms),
             ..RequestOptions::default()

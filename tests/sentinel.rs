@@ -119,6 +119,96 @@ fn clean_serving_audits_with_zero_divergences() {
     sentinel::reset();
 }
 
+/// One drain replays samples of deployments whose windows have nothing in
+/// common: each replay runs on a scratch of its own twin, so the warm
+/// aggregate state one deployment's window 0 leaves behind never meets
+/// another's.
+#[test]
+fn one_drain_audits_deployments_of_different_shapes() {
+    if !openmldb::obs::enabled() {
+        return;
+    }
+    let _g = lock();
+    sentinel::reset();
+    let db = sentinel_db();
+    db.deploy(
+        "DEPLOY fsent_other AS SELECT userid, max(ts) OVER w AS newest, \
+         distinct_count(price) OVER w AS prices, min(price) OVER w AS low \
+         FROM actions WINDOW w AS (PARTITION BY userid ORDER BY ts \
+         ROWS BETWEEN 4 PRECEDING AND CURRENT ROW)",
+    )
+    .unwrap();
+    sentinel::set_sample_every(1);
+    for i in 0..12i64 {
+        let request = Row::new(vec![
+            Value::Bigint(i % 5),
+            Value::Double(1.0),
+            Value::Timestamp(3_000 + i),
+        ]);
+        for name in ["fsent", "fsent_other"] {
+            db.request_readonly(name, &request).unwrap();
+        }
+    }
+    sentinel::set_sample_every(0);
+    let stats = db.sentinel_drain(4096);
+    assert_eq!(stats.audited, 24, "both deployments audit: {stats:?}");
+    assert_eq!((stats.divergences, stats.errors), (0, 0), "{stats:?}");
+    sentinel::reset();
+}
+
+/// Windows folded off one scan are audited window by window: the served
+/// per-window scan digests must equal those of the twin, which scans each
+/// window on its own — over duplicate timestamps, so the grouped scan takes
+/// its sort path.
+#[test]
+fn grouped_windows_audit_clean_against_a_scan_per_window() {
+    if !openmldb::obs::enabled() {
+        return;
+    }
+    let _g = lock();
+    sentinel::reset();
+    let db = sentinel_db();
+    for i in 0..60i64 {
+        // A second and third row on timestamps the table already holds.
+        db.execute(&format!(
+            "INSERT INTO actions VALUES ({}, {}.5, {})",
+            i % 5,
+            i % 7,
+            1_000 + (i % 40) * 35
+        ))
+        .unwrap();
+    }
+    db.deploy(
+        "DEPLOY fsent_grouped AS SELECT userid, sum(price) OVER w0 AS spend, \
+         count(price) OVER w1 AS hits, max(price) OVER w2 AS top FROM actions WINDOW \
+         w0 AS (PARTITION BY userid ORDER BY ts ROWS_RANGE BETWEEN 2s PRECEDING AND CURRENT ROW), \
+         w1 AS (PARTITION BY userid ORDER BY ts ROWS BETWEEN 9 PRECEDING AND CURRENT ROW), \
+         w2 AS (PARTITION BY userid ORDER BY ts ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW \
+         MAXSIZE 25 EXCLUDE CURRENT_ROW)",
+    )
+    .unwrap();
+    let dep = db.deployment("fsent_grouped").unwrap();
+    assert_eq!(dep.scan_groups(), [vec![0, 1, 2]]);
+    sentinel::set_sample_every(1);
+    for i in 0..40i64 {
+        let request = Row::new(vec![
+            Value::Bigint(i % 5),
+            Value::Double(2.0),
+            Value::Timestamp(1_500 + i * 40),
+        ]);
+        db.request_readonly("fsent_grouped", &request).unwrap();
+    }
+    sentinel::set_sample_every(0);
+    let stats = db.sentinel_drain(4096);
+    assert_eq!(stats.audited, 40, "{stats:?}");
+    assert_eq!(
+        (stats.divergences, stats.stale_skips, stats.errors),
+        (0, 0, 0),
+        "{stats:?}"
+    );
+    sentinel::reset();
+}
+
 /// A write landing between capture and audit moves the version signature:
 /// the audit is skipped as stale, never reported as a divergence.
 #[test]

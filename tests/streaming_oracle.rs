@@ -203,8 +203,9 @@ proptest! {
         prop_assert!(dep.program().window(0).is_some());
         // Same plan, specialization pinned off: the interpreted streaming
         // path the compiled kernels must reproduce bit for bit.
-        let interp =
-            Deployment::new("p_interp", dep.query.clone()).with_interpreted_windows();
+        let interp = Deployment::new("p_interp", dep.query.clone(), &db)
+            .unwrap()
+            .with_interpreted_windows();
 
         // Key 99 has no stored rows: the request row is the only row (or,
         // under EXCLUDE CURRENT_ROW, the window is empty).
@@ -299,7 +300,9 @@ fn every_aggregate_compiles_and_the_pin_still_serves_interpreted() {
     assert_eq!(dep.program().fallback_windows(), 0);
     assert_eq!(dep.program().fallback_reason(0), None);
 
-    let pinned = Deployment::new("pf_interp", dep.query.clone()).with_interpreted_windows();
+    let pinned = Deployment::new("pf_interp", dep.query.clone(), &db)
+        .unwrap()
+        .with_interpreted_windows();
     assert_eq!(pinned.program().compiled_windows(), 0);
     assert_eq!(pinned.program().fallback_windows(), 1);
     assert_eq!(
@@ -344,7 +347,9 @@ fn integer_overflow_is_one_typed_error_on_all_three_paths() {
     .unwrap();
     let dep = db.deployment("po").unwrap();
     assert_eq!(dep.program().fallback_windows(), 0);
-    let pinned = Deployment::new("po_interp", dep.query.clone()).with_interpreted_windows();
+    let pinned = Deployment::new("po_interp", dep.query.clone(), &db)
+        .unwrap()
+        .with_interpreted_windows();
     let probe = |k: i64, v: i64| {
         Row::new(vec![
             Value::Bigint(900_000),
