@@ -829,12 +829,10 @@ mod tests {
             "openmldb_core_recovered_rows_total",
             "openmldb_core_recovery_duration_ms",
             // Compiled-program names: deploy-time specialization in exec,
-            // per-request compiled/fallback serving attribution in online.
+            // per-request compiled-window attribution in online.
             "openmldb_exec_program_plans_total",
             "openmldb_exec_program_windows_total",
-            "openmldb_exec_program_fallbacks_total",
             "openmldb_online_compiled_windows_total",
-            "openmldb_online_compiled_fallback_total",
             // Consistency-sentinel names: warm-path sampling and the
             // background audit live in online; the HTTP exposition counter
             // in obs.
@@ -866,9 +864,7 @@ mod tests {
             "openmldb_core_recovery_duration_ms",
             "openmldb_exec_program_plans_total",
             "openmldb_exec_program_windows_total",
-            "openmldb_exec_program_fallbacks_total",
             "openmldb_online_compiled_windows_total",
-            "openmldb_online_compiled_fallback_total",
             "openmldb_online_sentinel_samples_total",
             "openmldb_online_sentinel_audits_total",
             "openmldb_online_sentinel_divergences_total",

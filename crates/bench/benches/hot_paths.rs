@@ -417,12 +417,10 @@ fn chaos_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// The deploy-time specialization payoff, isolated and end to end: one warm
-/// window fold over the same pre-scanned, pre-sorted entries through the
-/// compiled kernels (raw-byte reads, monomorphized accumulators, hoisted
-/// frame guards) versus the interpreted `WindowAggSet` (`RowView` reads +
-/// per-row `Value` dispatch), then the same contrast through the full
-/// request path with specialization on versus pinned off.
+/// The deploy-time program, isolated and end to end: one warm window fold
+/// over pre-scanned, pre-sorted entries through the compiled kernels
+/// (raw-byte reads, monomorphized accumulators, hoisted frame guards), then
+/// the full request path.
 fn compiled_eval(c: &mut Criterion) {
     use openmldb_bench::scenarios::{micro_db, micro_request, micro_sql};
     use openmldb_exec::{EntryOrder, ScanEntry};
@@ -433,9 +431,6 @@ fn compiled_eval(c: &mut Criterion) {
         .unwrap();
     let dep = db.deployment("ce").unwrap();
     assert_eq!(dep.program().compiled_windows(), 1, "plan must specialize");
-    let interp = openmldb_online::Deployment::new("ce_interp", dep.query.clone(), &db)
-        .unwrap()
-        .with_interpreted_windows();
     let codec = CompactCodec::new(dep.query.base_schema.clone());
 
     // Pre-scan one key's frame into an arena so the fold benches measure
@@ -494,22 +489,6 @@ fn compiled_eval(c: &mut Criterion) {
         })
     });
 
-    let refs: Vec<_> = dep.query.aggregates.iter().collect();
-    let mut set = WindowAggSet::new(&refs).unwrap();
-    let mut out_i: Vec<Value> = Vec::new();
-    g.bench_function("window_fold_interpreted", |b| {
-        b.iter(|| {
-            set.reset();
-            for e in &entries[first..] {
-                let view = codec.view(e.bytes(&arena)).unwrap();
-                set.update_view(&view).unwrap();
-            }
-            out_i.clear();
-            set.outputs_into(&mut out_i);
-            out_i.len()
-        })
-    });
-
     let mut i = 0i64;
     g.bench_function("request_compiled", |b| {
         b.iter(|| {
@@ -518,17 +497,6 @@ fn compiled_eval(c: &mut Criterion) {
                 &db,
                 &dep,
                 &micro_request(5_000_000 + i, i % 20, max_ts + i % 100),
-            )
-            .unwrap()
-        })
-    });
-    g.bench_function("request_interpreted", |b| {
-        b.iter(|| {
-            i += 1;
-            openmldb_online::execute_request(
-                &db,
-                &interp,
-                &micro_request(6_000_000 + i, i % 20, max_ts + i % 100),
             )
             .unwrap()
         })

@@ -27,26 +27,6 @@ fn main() {
     e::backend::run();
     e::ablations::run_bucket_granularity();
     e::ablations::run_rebalance_period();
-    let hot = e::hotpath::run();
-    if hot.gate_failed {
-        eprintln!(
-            "hotpath gate failed: alloc reduction {:.2}x (need >= {:.1}), stage allocs {}",
-            hot.alloc_reduction,
-            e::hotpath::MIN_ALLOC_REDUCTION,
-            hot.stage_allocs_after_warm
-        );
-        std::process::exit(1);
-    }
-    let compiled = e::compiled_hotpath::run();
-    if compiled.gate_failed {
-        eprintln!(
-            "compiled hotpath gate failed: p50 speedup {:.2}x (need >= {:.2}), stage allocs {}",
-            compiled.p50_speedup,
-            compiled.min_p50_speedup,
-            compiled.compiled_stage_allocs_after_warm
-        );
-        std::process::exit(1);
-    }
     let obs = e::obs_snapshot::run();
     if obs.diverged {
         eprintln!("obs snapshot diverged from harness measurements beyond tolerance");

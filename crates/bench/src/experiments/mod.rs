@@ -5,7 +5,6 @@ pub mod ablations;
 pub mod audit_sentinel;
 pub mod backend;
 pub mod chaos_serving;
-pub mod compiled_hotpath;
 pub mod fig06;
 pub mod fig07;
 pub mod fig08;
@@ -16,7 +15,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig_union;
-pub mod hotpath;
 pub mod obs_snapshot;
 pub mod recovery;
 pub mod sweeps;

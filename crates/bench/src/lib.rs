@@ -6,7 +6,6 @@
 //! or everything via `--bin run_all`. Scale row counts with `BENCH_SCALE`
 //! (default 1.0 finishes in minutes; larger values approach paper scale).
 
-pub mod alloc_counter;
 pub mod experiments;
 pub mod harness;
 pub mod metrics;

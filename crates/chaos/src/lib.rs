@@ -78,8 +78,8 @@ pub enum InjectionPoint {
     /// Compiled window kernel outputs (kill = the specialized bytecode
     /// silently corrupts its aggregate outputs — types and nulls preserved,
     /// values perturbed). Exercises the consistency sentinel: only the
-    /// compiled serving path is affected, so the interpreted and
-    /// materialized oracle replays must detect the divergence.
+    /// compiled serving path is affected, so the materializing oracle
+    /// replay must detect the divergence.
     CompiledKernel,
 }
 

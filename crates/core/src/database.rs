@@ -249,6 +249,9 @@ impl Database {
         // script (same AST) reuses the compiled plan, and the hit/miss
         // outcome is attributed to the deployment's label slot.
         let (query, cache_hit) = self.cache.compile_stmt_traced(&stmt.select, self)?;
+        // A plan that does not compile is refused before an index is built
+        // for it: a refused DEPLOY leaves the catalog as it found it.
+        Deployment::compile(&stmt.name, &query)?;
         self.ensure_indexes(&query)?;
         let mut deployment = Deployment::new(stmt.name.clone(), query.clone(), self)?;
         if cache_hit {

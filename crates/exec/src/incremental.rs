@@ -110,7 +110,9 @@ impl SlidingWindow {
                     break;
                 };
                 match self.frame {
-                    Frame::RowsRange { preceding_ms } => anchor - front.ts > preceding_ms,
+                    Frame::RowsRange { preceding_ms } => {
+                        front.ts < anchor.saturating_sub(preceding_ms)
+                    }
                     Frame::Rows { preceding } => self.buffer.len() as u64 > preceding + 1,
                     Frame::Unbounded => false,
                 }

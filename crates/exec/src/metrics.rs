@@ -56,13 +56,3 @@ pub fn program_windows() -> &'static Counter {
         "Windows compiled to specialized aggregate kernels",
     )
 }
-
-/// Windows that could not be specialized and stay interpreted.
-pub fn program_fallbacks() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_exec_program_fallbacks_total",
-        "Windows kept on the interpreted fallback path at specialization",
-    )
-}

@@ -31,15 +31,17 @@
 //!   value stack, with constant subtrees folded at compile time and scalar
 //!   calls dispatched through [`ScalarFuncId`] (no per-row name lookup).
 //!
-//! The fold replicates the interpreted streaming path *bit for bit* —
-//! including `total_cmp`'s f64-promoted comparisons for integer extrema, the
+//! The fold replicates [`WindowAggSet`]'s *bit for bit* — including
+//! `total_cmp`'s f64-promoted comparisons for integer extrema, the
 //! first-seen-wins tie rule, [`binary`]'s integer-preserving arithmetic with
 //! its typed overflow error, and the count maps' `count desc, key asc`
-//! projection order — so [`WindowAggSet`] stays the correctness oracle. A
-//! window stays interpreted ([`Program::fallback_reason`]) only when the
-//! program is pinned with [`Program::interpreted_only`] or the plan holds an
-//! aggregate [`WindowAggSet::new`] itself rejects; scalar calls outside the
-//! builtin dispatch table keep the select/WHERE *expressions* interpreted.
+//! projection order — so [`WindowAggSet`] stays the correctness oracle (the
+//! materializing reference executor folds with it). The program is the only
+//! thing that serves: a window whose aggregates [`WindowAggSet::new`] itself
+//! rejects ([`Program::fallback_reason`]), or a select/WHERE expression that
+//! does not lower (a scalar call outside the builtin dispatch table, a
+//! program past the 16-bit jump range), is a refusal DEPLOY reports
+//! ([`Program::refusal`]) — nothing is left to interpret at serve time.
 //!
 //! The program is cached on the plan itself via
 //! [`SpecializationSlot`](openmldb_sql::plan::SpecializationSlot), so every
@@ -1525,7 +1527,7 @@ impl WindowCompiler<'_> {
             return None;
         }
         // Aggregates over the same column share one kernel — the same
-        // grouping the interpreted cyclic binding performs.
+        // grouping `WindowAggSet`'s cyclic binding performs.
         let k = match self.kernels.iter().position(|ks| ks.field.col == col) {
             Some(k) => k,
             None => {
@@ -1674,7 +1676,7 @@ impl WindowProgram {
     /// The hoisted frame guard: index of the first in-frame row among
     /// `total` candidate rows in ascending `(ts, seq)` order (request row
     /// included in `total` when it joins the frame). Replicates the
-    /// interpreted path's `ROWS n PRECEDING` + `MAXSIZE` cap arithmetic.
+    /// materializing reference's `ROWS n PRECEDING` + `MAXSIZE` caps.
     pub fn first_in_frame(&self, total: usize) -> usize {
         let mut first = 0usize;
         if let Some(p) = self.rows_preceding {
@@ -1690,8 +1692,8 @@ impl WindowProgram {
     /// from [`first_in_frame`](Self::first_in_frame) (over stored rows +
     /// request), `request` is the decoded request row iff it joins the frame
     /// at or past `first` — it is always fed last, matching its position in
-    /// the interpreted sort order (its `ts` is the anchor, `>=` every stored
-    /// row, and its `seq` is the largest). `probe` runs every 64 fed rows so
+    /// the reference's stable ts sort (its `ts` is the anchor, `>=` every
+    /// stored row, and it is pushed last). `probe` runs every 64 fed rows so
     /// a deadline can interrupt long folds.
     // One flat call per window per request: the executor hands over its
     // borrowed scan state piecewise, and bundling it into a struct would
@@ -1721,9 +1723,7 @@ impl WindowProgram {
         };
         if let Some(req) = request {
             self.feed_request(state, req, arena)?;
-            // The request row counts toward the probe cadence so the typed
-            // timeout fires at the same fed-row count as the interpreted
-            // path (which probes per entry, request marker included).
+            // The request row counts toward the probe cadence.
             fed += 1;
             if fed & 63 == 0 {
                 probe()?;
@@ -2167,31 +2167,31 @@ fn generic_state_mismatch() -> Error {
 #[derive(Debug)]
 enum WindowUnit {
     Compiled(Box<WindowProgram>),
-    /// The window stays on the interpreted path — the program is the
-    /// [`Program::interpreted_only`] oracle pin, or the plan holds an
-    /// aggregate `WindowAggSet::new` rejects (so the interpreted path reports
-    /// that error at request time). The reason is surfaced per deployment.
-    Fallback(String),
-    /// No aggregates bound to this window — nothing to run either way.
+    /// The window did not lower — its plan holds an aggregate
+    /// [`WindowAggSet::new`] rejects. DEPLOY refuses the plan with this
+    /// reason (which names the window).
+    Refused(String),
+    /// No aggregates bound to this window — nothing to run.
     NoAggs,
 }
 
 /// A deployed plan lowered to bytecode: per-window kernels plus flattened
-/// select/WHERE expression programs. Every window of a plan the interpreter
-/// accepts compiles; the select/WHERE programs fall back to interpretation
-/// individually.
+/// select/WHERE expression programs. A window or expression that does not
+/// lower is recorded as a refusal ([`Program::refusal`]); a deployment is
+/// only ever built from a program without one, so serving never meets an
+/// uncompiled window or expression.
 #[derive(Debug)]
 pub struct Program {
     windows: Vec<WindowUnit>,
-    /// Select-list programs (all-or-nothing: one uncompilable output column
-    /// keeps the whole projection interpreted so output stays one code path).
-    select: Option<Vec<ExprProgram>>,
-    where_program: Option<ExprProgram>,
+    /// Select-list programs, one per output column, or why one did not lower.
+    select: std::result::Result<Vec<ExprProgram>, String>,
+    /// The WHERE program (`None`: the plan has no WHERE clause).
+    where_program: std::result::Result<Option<ExprProgram>, String>,
 }
 
 impl Program {
-    /// Lower `query`. Infallible: a window the interpreter itself would
-    /// reject is recorded as a fallback, never an error.
+    /// Lower `query`. Infallible: whatever does not lower is recorded as a
+    /// refusal for DEPLOY to report, never an error here.
     pub fn compile(query: &CompiledQuery) -> Program {
         let codec = CompactCodec::new(query.base_schema.clone());
         let by_window = query.aggregates_by_window();
@@ -2209,20 +2209,23 @@ impl Program {
                 }
                 match WindowProgram::compile(w, &aggs, &codec) {
                     Ok(wp) => WindowUnit::Compiled(Box::new(wp)),
-                    Err(reason) => WindowUnit::Fallback(reason),
+                    Err(reason) => WindowUnit::Refused(format!("window `{}`: {reason}", w.name)),
                 }
             })
             .collect();
         let select = query
             .select
             .iter()
-            .map(|c| ExprProgram::compile(&c.expr))
-            .collect::<std::result::Result<Vec<_>, String>>()
-            .ok();
+            .map(|c| {
+                ExprProgram::compile(&c.expr)
+                    .map_err(|reason| format!("select column `{}`: {reason}", c.name))
+            })
+            .collect();
         let where_program = query
             .where_clause
             .as_ref()
-            .and_then(|p| ExprProgram::compile(p).ok());
+            .map(|p| ExprProgram::compile(p).map_err(|reason| format!("WHERE clause: {reason}")))
+            .transpose();
         Program {
             windows,
             select,
@@ -2230,20 +2233,8 @@ impl Program {
         }
     }
 
-    /// A program that compiled nothing: every window and expression takes
-    /// the interpreted path. Benchmarks and differential tests use this to
-    /// pin the fallback route for plans that would otherwise specialize.
-    pub fn interpreted_only(windows: usize) -> Program {
-        Program {
-            windows: (0..windows)
-                .map(|_| WindowUnit::Fallback("specialization disabled".into()))
-                .collect(),
-            select: None,
-            where_program: None,
-        }
-    }
-
-    /// The compiled kernels for window `wid`, if it specialized.
+    /// The compiled kernels for window `wid` (`None`: refused or
+    /// aggregate-free).
     pub fn window(&self, wid: usize) -> Option<&WindowProgram> {
         match self.windows.get(wid) {
             Some(WindowUnit::Compiled(wp)) => Some(wp),
@@ -2251,13 +2242,23 @@ impl Program {
         }
     }
 
-    /// Why window `wid` fell back to interpretation (None when compiled or
+    /// Why window `wid` was refused (`None` when compiled or
     /// aggregate-free).
     pub fn fallback_reason(&self, wid: usize) -> Option<&str> {
         match self.windows.get(wid) {
-            Some(WindowUnit::Fallback(r)) => Some(r),
+            Some(WindowUnit::Refused(r)) => Some(r),
             _ => None,
         }
+    }
+
+    /// The first construct that did not lower — a window, a select column
+    /// or the WHERE clause — named, with the reason. DEPLOY refuses a plan
+    /// whose program has one.
+    pub fn refusal(&self) -> Option<&str> {
+        (0..self.windows.len())
+            .find_map(|wid| self.fallback_reason(wid))
+            .or(self.select.as_ref().err().map(String::as_str))
+            .or(self.where_program.as_ref().err().map(String::as_str))
     }
 
     pub fn compiled_windows(&self) -> usize {
@@ -2267,23 +2268,15 @@ impl Program {
             .count()
     }
 
-    pub fn fallback_windows(&self) -> usize {
-        self.windows
-            .iter()
-            .filter(|w| matches!(w, WindowUnit::Fallback(_)))
-            .count()
-    }
-
-    /// Compiled select-list programs, one per output column (None: the
-    /// projection runs interpreted).
+    /// Compiled select-list programs, one per output column (`None`: one
+    /// was refused).
     pub fn select_programs(&self) -> Option<&[ExprProgram]> {
-        self.select.as_deref()
+        self.select.as_deref().ok()
     }
 
-    /// Compiled WHERE program (None: no WHERE clause, or it runs
-    /// interpreted).
+    /// Compiled WHERE program (`None`: no WHERE clause, or it was refused).
     pub fn where_program(&self) -> Option<&ExprProgram> {
-        self.where_program.as_ref()
+        self.where_program.as_ref().ok()?.as_ref()
     }
 }
 
@@ -2292,13 +2285,13 @@ impl Program {
 /// [`SpecializationSlot`](openmldb_sql::plan::SpecializationSlot), so every
 /// deployment of a plan-cache hit shares one artifact and compilation
 /// happens once per distinct plan, at deploy time — never on the request
-/// path.
+/// path. The counters cover refused plans too: a plan counts once, with the
+/// windows of it that lowered.
 pub fn specialize(query: &CompiledQuery) -> Arc<Program> {
     let cached = query.specialized.get_or_init(|| {
         let p = Program::compile(query);
         crate::metrics::program_plans().inc();
         crate::metrics::program_windows().add(p.compiled_windows() as u64);
-        crate::metrics::program_fallbacks().add(p.fallback_windows() as u64);
         Arc::new(p) as Arc<dyn Any + Send + Sync>
     });
     // The slot is shared with nothing else; a foreign type can only appear
@@ -2890,7 +2883,7 @@ mod tests {
         let codec = CompactCodec::new(schema());
         let w = window();
         // `topn_frequency`'s N must be a literal: `WindowAggSet::new` rejects
-        // it, so the window is left to the interpreted path to report.
+        // it, so the window is refused with that reason.
         let a = agg_of("topn_frequency", vec![col(6), col(2)]);
         let err = WindowProgram::compile(&w, &[&a], &codec).expect_err("rejected");
         assert!(err.contains("constant literal"), "{err}");
@@ -2904,6 +2897,83 @@ mod tests {
             expected.expect_err("type error"),
             got.expect_err("type error")
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 96 })]
+
+        /// Hostile stored bytes through the only reader a served window has:
+        /// a truncated, bit-flipped or length-patched encoded row, sitting in
+        /// the arena between two intact ones (an over-read would land in a
+        /// neighbour), through one program per kernel family. `run` answers
+        /// with a value or a typed error — a truncated or mis-declared
+        /// length always with the error — and never panics.
+        #[test]
+        fn hostile_row_bytes_are_a_typed_error_or_a_value(
+            seed in 0i64..40,
+            mutation in 0u8..3,
+            at in 0usize..4096,
+            bit in 0u8..8,
+            patch in 1u32..u32::MAX,
+        ) {
+            use BinaryOp::*;
+            let codec = CompactCodec::new(schema());
+            let good = codec.encode(&row(seed)).expect("encode");
+            let mut bad = good.clone();
+            match mutation {
+                0 => bad.truncate(at % good.len()),
+                1 => bad[at % good.len()] ^= 1 << bit,
+                _ => {
+                    let declared = (good.len() as u32).wrapping_add(patch);
+                    bad[2..6].copy_from_slice(&declared.to_le_bytes());
+                }
+            }
+            let mut arena = Vec::new();
+            let mut entries = Vec::new();
+            for (seq, bytes) in [&good, &bad, &good].into_iter().enumerate() {
+                entries.push(ScanEntry {
+                    ts: 1_000 + seq as i64,
+                    seq,
+                    start: arena.len(),
+                    len: bytes.len(),
+                });
+                arena.extend_from_slice(bytes);
+            }
+            let newest_first: Vec<ScanEntry> = entries.iter().rev().copied().collect();
+            let families = [
+                vec![agg("sum", 3, 0), agg("min", 2, 0), agg("avg", 5, 0), agg("max", 4, 0)],
+                vec![agg_of("sum", vec![bin(Mul, col(3), col(2))]), agg_of("avg", vec![bin(Div, col(5), col(4))])],
+                vec![agg("distinct_count", 6, 0), agg_of("topn_frequency", vec![col(3), lit(Value::Int(2))])],
+                vec![agg_of("median", vec![col(5)]), agg_of("count_where", vec![col(6), bin(Gt, col(2), lit(Value::Int(0)))])],
+                vec![agg("min", 6, 0), agg("max", 6, 0)],
+            ];
+            let w = window();
+            for aggs in &families {
+                let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+                let wp = WindowProgram::compile(&w, &refs, &codec).expect("compiles");
+                let orders = [
+                    (EntryOrder::Ascending, &entries),
+                    (EntryOrder::ReversedScan, &newest_first),
+                ];
+                for (order, entries) in orders {
+                    let mut state = wp.new_state();
+                    let mut out = Vec::new();
+                    let answer = wp
+                        .run(&mut state, entries, 0, order, &arena, None, &codec, &mut || Ok(()))
+                        .and_then(|()| wp.outputs_into(&state, &arena, None, &mut out));
+                    match answer {
+                        Ok(()) => {
+                            proptest::prop_assert_eq!(out.len(), aggs.len());
+                            proptest::prop_assert!(mutation == 1, "accepted {:?}", bad);
+                        }
+                        Err(e) => proptest::prop_assert!(
+                            matches!(e, Error::Codec(_) | Error::Eval(_) | Error::Type { .. }),
+                            "{e:?}"
+                        ),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -3094,7 +3164,7 @@ mod tests {
         let p2 = specialize(&q);
         assert!(Arc::ptr_eq(&p1, &p2), "one compiled artifact per plan");
         assert_eq!(p1.compiled_windows(), 1);
-        assert_eq!(p1.fallback_windows(), 0);
+        assert_eq!(p1.refusal(), None);
         assert!(p1.window(0).is_some());
         assert!(p1.select_programs().is_some());
 
@@ -3125,17 +3195,10 @@ mod tests {
         .expect("parses");
         let q = compile_select(&stmt, &cat).expect("compiles");
         let p = Program::compile(&q);
-        // Aggregate-granular: no construct sends its window back to the
-        // interpreter.
+        // Aggregate-granular: no construct gets its window refused.
         assert_eq!(p.compiled_windows(), 2);
-        assert_eq!(p.fallback_windows(), 0);
+        assert_eq!(p.refusal(), None);
         assert!((0..q.windows.len()).all(|w| p.fallback_reason(w).is_none()));
-
-        // The oracle pin is the one remaining source of fallbacks.
-        let pinned = Program::interpreted_only(q.windows.len());
-        assert_eq!(pinned.compiled_windows(), 0);
-        assert_eq!(pinned.fallback_windows(), 2);
-        assert_eq!(pinned.fallback_reason(0), Some("specialization disabled"));
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! A warm [`RequestScratch`] owns every buffer the online engine touches
 //! while serving one request — the scan arena, the sort entries, the join
 //! probe row, the aggregate argument/output vectors, and the per-window
-//! [`WindowAggSet`]s — so a steady-state request performs zero heap
+//! kernel states — so a steady-state request performs zero heap
 //! allocations: everything is `clear()`ed between requests, never dropped.
 
 use openmldb_types::{KeyValue, Value};
 
 use crate::program::WindowState;
-use crate::window::WindowAggSet;
 
 /// Length sentinel marking the request row itself inside the entry list —
 /// the request row lives as decoded `Value`s, not in the byte arena.
@@ -69,9 +68,6 @@ pub struct RequestScratch {
     pub prefixes: Vec<(usize, usize)>,
     /// The projected output row.
     pub out: Vec<Value>,
-    /// Warm per-window aggregate sets, indexed by window id. `None` until
-    /// first use (windows are built lazily from the deployment plan).
-    pub windows: Vec<Option<WindowAggSet>>,
     /// Warm per-window compiled-kernel states, indexed by window id. `None`
     /// until the window first runs through its compiled program.
     pub compiled: Vec<Option<WindowState>>,
@@ -99,7 +95,7 @@ impl RequestScratch {
     }
 
     /// Clear everything for the next request, keeping capacity and warm
-    /// window aggregate sets (which are `reset`, not rebuilt).
+    /// window kernel states (which are `reset`, not rebuilt).
     pub fn reset(&mut self) {
         self.combined.clear();
         self.probe.clear();
@@ -112,9 +108,6 @@ impl RequestScratch {
         self.key_repr.clear();
         self.vm_stack.clear();
         self.audit.clear();
-        for w in self.windows.iter_mut().flatten() {
-            w.reset();
-        }
         for w in self.compiled.iter_mut().flatten() {
             w.reset();
         }

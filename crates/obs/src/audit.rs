@@ -63,8 +63,8 @@ pub const DIGEST_WINDOWS: usize = 8;
 /// per window. The engine folds each window's arena bytes + entry
 /// timestamps right after the scan completes (before any sort), so the
 /// digest is a pure function of the stored rows the scan visited — the
-/// background auditor replays the request through the interpreted oracle
-/// and compares slot for slot.
+/// background auditor replays the request through the materializing oracle,
+/// which digests the rows it reads itself, and compares slot for slot.
 ///
 /// A window served from the pre-aggregation fast path performs no raw scan
 /// and leaves its slot unset (`mask` bit clear); the auditor skips it.
@@ -125,8 +125,6 @@ impl ScanDigest {
 /// How a confirmed divergence was detected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DivergenceKind {
-    /// The served output row differs from the interpreted-oracle replay.
-    OutputInterpreted,
     /// The served output row differs from the materialized-oracle replay.
     OutputMaterialized,
     /// Outputs agree but a window's scanned-input digest differs between
@@ -138,7 +136,6 @@ pub enum DivergenceKind {
 impl DivergenceKind {
     pub fn name(self) -> &'static str {
         match self {
-            DivergenceKind::OutputInterpreted => "output_interpreted",
             DivergenceKind::OutputMaterialized => "output_materialized",
             DivergenceKind::ScanInput => "scan_input",
         }
@@ -289,7 +286,7 @@ mod tests {
             publish_divergence(DivergenceReport {
                 deployment: "d".into(),
                 trace_id: i,
-                kind: DivergenceKind::OutputInterpreted,
+                kind: DivergenceKind::OutputMaterialized,
                 window: None,
                 served: "[1]".into(),
                 oracle: "[2]".into(),
@@ -301,7 +298,7 @@ mod tests {
             assert_eq!(divergences_total(), DIVERGENCE_LOG_CAPACITY as u64 + 5);
             // Oldest evicted first.
             assert_eq!(log[0].trace_id, 5);
-            assert!(log[0].render_text().contains("output_interpreted"));
+            assert!(log[0].render_text().contains("output_materialized"));
         } else {
             assert!(log.is_empty());
         }

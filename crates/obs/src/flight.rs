@@ -94,9 +94,6 @@ pub enum FlightEventKind {
     /// A window was served by its compiled bytecode program (`a` = window
     /// id, `b` = encoded bytes it folds).
     CompiledWindow,
-    /// A window fell back to the interpreted path because its plan did not
-    /// specialize (`a` = window id, `b` = encoded bytes it folds).
-    CompiledFallback,
 }
 
 impl FlightEventKind {
@@ -116,7 +113,6 @@ impl FlightEventKind {
             FlightEventKind::PlanCacheHit => "plan_cache_hit",
             FlightEventKind::PlanCacheMiss => "plan_cache_miss",
             FlightEventKind::CompiledWindow => "compiled_window",
-            FlightEventKind::CompiledFallback => "compiled_fallback",
         }
     }
 
@@ -275,9 +271,7 @@ impl Inner {
             FlightEventKind::ScanRows => self.cost.rows_scanned += b,
             FlightEventKind::PreaggHit => self.cost.preagg_hits += 1,
             FlightEventKind::PreaggSkip => self.cost.preagg_skips += 1,
-            FlightEventKind::CompiledWindow | FlightEventKind::CompiledFallback => {
-                self.cost.bytes_decoded += b
-            }
+            FlightEventKind::CompiledWindow => self.cost.bytes_decoded += b,
             FlightEventKind::Retry => self.cost.retries += 1,
             FlightEventKind::Failover => self.cost.failovers += 1,
             FlightEventKind::Degraded => self.cost.degraded = 1,
@@ -942,12 +936,7 @@ mod tests {
         for kind in [StorageSeek, ScanRows, PreaggHit, PreaggSkip] {
             event(kind, 0, 1);
         }
-        for kind in [
-            PlanCacheHit,
-            PlanCacheMiss,
-            CompiledWindow,
-            CompiledFallback,
-        ] {
+        for kind in [PlanCacheHit, PlanCacheMiss, CompiledWindow] {
             event(kind, 0, 1);
         }
         assert_eq!(clock_reads(), 1, "count-only events are free of the clock");

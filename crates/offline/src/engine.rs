@@ -320,8 +320,8 @@ fn frame_start(group: &[(i64, &Row, Option<usize>)], pos: usize, frame: Frame) -
         Frame::Unbounded => 0,
         Frame::Rows { preceding } => pos.saturating_sub(preceding as usize),
         Frame::RowsRange { preceding_ms } => {
-            let anchor = group[pos].0;
-            group.partition_point(|(ts, _, _)| anchor - ts > preceding_ms)
+            let lower = group[pos].0.saturating_sub(preceding_ms);
+            group.partition_point(|(ts, _, _)| *ts < lower)
         }
     }
 }

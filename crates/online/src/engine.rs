@@ -17,15 +17,14 @@ use std::sync::{Arc, Mutex};
 
 use openmldb_exec::{
     evaluate, EntryOrder, Program, RequestScratch, ScanEntry, WindowAggSet, WindowState,
-    REQUEST_ROW,
 };
 use openmldb_obs::trace as obs;
 use openmldb_obs::{
-    flight, FlightEventKind, FlightScope, FlightSummary, LabelId, LabelRegistry, Outcome,
-    ProfileStore, Recorder, SpaceSaving,
+    flight, FlightEventKind, FlightScope, FlightSummary, Fnv, LabelId, LabelRegistry, Outcome,
+    ProfileStore, Recorder, ScanDigest, SpaceSaving,
 };
 use openmldb_sql::ast::Frame;
-use openmldb_sql::plan::{BoundAggregate, BoundWindow, CompiledQuery};
+use openmldb_sql::plan::{BoundWindow, CompiledQuery};
 use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, Value};
 
 use openmldb_storage::sync::epoch;
@@ -111,21 +110,38 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Specialize `query` and bind every read of it through `provider`. A
-    /// table or index the plan needs and the provider lacks is refused here,
-    /// with a typed [`Error::Deployment`] — never at serve time.
+    /// Compile `query` and bind every read of it through `provider`. A
+    /// window or expression that does not compile, or a table or index the
+    /// plan needs and the provider lacks, is refused here with a typed
+    /// [`Error::Deployment`] — never at serve time.
     pub fn new(
         name: impl Into<String>,
         query: Arc<CompiledQuery>,
         provider: &dyn TableProvider,
     ) -> Result<Self> {
-        let program = openmldb_exec::specialize(&query);
+        let name = name.into();
+        let program = Self::compile(&name, &query)?;
         let preaggs = vec![None; query.windows.len()];
-        Self::bind(name.into(), query, program, preaggs, provider)
+        Self::bind(name, query, program, preaggs, provider)
     }
 
-    /// This deployment — same plan, program and pre-aggregators — bound to
-    /// the tables `provider` resolves now (one it reads was replaced).
+    /// The program deployment `name` would serve `query` with (compiled once
+    /// per plan, cached on it) — or the refusal, naming the window, select
+    /// column or WHERE clause that does not lower and why. Needs no catalog:
+    /// the database asks before it builds an index for the plan.
+    pub fn compile(name: &str, query: &CompiledQuery) -> Result<Arc<Program>> {
+        let program = openmldb_exec::specialize(query);
+        match program.refusal() {
+            Some(refusal) => Err(Error::Deployment(format!(
+                "`{name}` does not compile: {refusal}"
+            ))),
+            None => Ok(program),
+        }
+    }
+
+    /// This deployment — same plan, (accepted) program and pre-aggregators —
+    /// bound to the tables `provider` resolves now (one it reads was
+    /// replaced).
     pub fn rebind(&self, provider: &dyn TableProvider) -> Result<Self> {
         Self::bind(
             self.name.clone(),
@@ -155,7 +171,7 @@ impl Deployment {
         read_tables.sort();
         read_tables.dedup();
         Ok(Deployment {
-            reads: ReadPlan::bind(&query, &by_window, &program, &preaggs, provider)?,
+            reads: ReadPlan::bind(&query, &by_window, &preaggs, provider)?,
             codec: CompactCodec::new(query.base_schema.clone()),
             name,
             query,
@@ -171,16 +187,6 @@ impl Deployment {
     /// The specialized bytecode program this deployment executes with.
     pub fn program(&self) -> &Arc<Program> {
         &self.program
-    }
-
-    /// Force every window and expression onto the interpreted path
-    /// (benchmarks and differential tests — the interpreted route is the
-    /// compiled path's correctness oracle and must stay reachable even for
-    /// plans that specialize). Interpreted windows share no scan.
-    pub fn with_interpreted_windows(mut self) -> Self {
-        self.program = Arc::new(Program::interpreted_only(self.query.windows.len()));
-        self.regroup();
-        self
     }
 
     /// This deployment's slot in the global label registry (the key under
@@ -203,23 +209,19 @@ impl Deployment {
 
     pub fn with_preagg(mut self, window_id: usize, preagg: Arc<PreAggregator>) -> Self {
         self.preaggs[window_id] = Some(preagg);
-        self.regroup();
+        self.reads
+            .regroup(&self.query, &self.by_window, &self.preaggs);
         self
     }
 
-    fn regroup(&mut self) {
-        self.reads
-            .regroup(&self.query, &self.by_window, &self.program, &self.preaggs);
-    }
-
-    pub(crate) fn take_scratch(&self) -> RequestScratch {
+    fn take_scratch(&self) -> RequestScratch {
         self.scratch_pool
             .lock()
             .map(|mut pool| pool.pop().unwrap_or_default())
             .unwrap_or_default()
     }
 
-    pub(crate) fn put_scratch(&self, scratch: RequestScratch) {
+    fn put_scratch(&self, scratch: RequestScratch) {
         if let Ok(mut pool) = self.scratch_pool.lock() {
             pool.push(scratch);
         }
@@ -376,6 +378,13 @@ fn corrupt_values(out: &mut [Value]) {
     }
 }
 
+/// Serving found `what` of the deployment's program missing. DEPLOY refuses
+/// a program with a refusal, so this names a broken invariant, not a plan.
+#[cold]
+fn not_compiled(dep: &Deployment, what: &str) -> Error {
+    Error::Deployment(format!("`{}`: {what} was not compiled at DEPLOY", dep.name))
+}
+
 /// The typed error of a scan or fold the deadline cut short.
 fn timed_out(ctx: &Ctx, stage: &'static str) -> Error {
     Error::Timeout {
@@ -393,7 +402,7 @@ fn frame_reach(window: &BoundWindow, anchor_ts: i64) -> (i64, Option<usize>) {
             i64::MAX,
             Some(preceding as usize + usize::from(window.exclude_current_row)),
         ),
-        Frame::RowsRange { preceding_ms } => (anchor_ts - preceding_ms, None),
+        Frame::RowsRange { preceding_ms } => (anchor_ts.saturating_sub(preceding_ms), None),
         Frame::Unbounded => (i64::MIN, None),
     }
 }
@@ -436,7 +445,8 @@ impl BucketTier<'_> {
     ) -> Result<Vec<Value>> {
         let anchor_ts = self.request.ts_at(self.window.order_col);
         let extra = (!self.window.exclude_current_row).then_some(self.request);
-        preagg.query_with_extra_row(self.key, anchor_ts - preceding_ms, anchor_ts, extra, edges)
+        let lower = anchor_ts.saturating_sub(preceding_ms);
+        preagg.query_with_extra_row(self.key, lower, anchor_ts, extra, edges)
     }
 
     /// Put the window's aggregate values into their slots of the request's.
@@ -499,9 +509,8 @@ impl BucketTier<'_> {
 
 // HOT: the steady-state request path — every buffer comes from `scratch`
 // and is reused across requests; a warm request must not allocate before
-// the final output row. `pub(crate)` so the consistency sentinel can replay
-// captured requests without re-entering the metric-recording wrapper.
-pub(crate) fn execute_streaming(
+// the final output row.
+fn execute_streaming(
     provider: &dyn TableProvider,
     dep: &Deployment,
     request: &Row,
@@ -521,7 +530,6 @@ pub(crate) fn execute_streaming(
         entries,
         prefixes,
         out,
-        windows,
         compiled,
         vm_stack,
         // The record was moved out by `execute_request_with` before this
@@ -580,14 +588,10 @@ pub(crate) fn execute_streaming(
     }
 
     // 2. WHERE filter (a request failing the predicate yields an all-NULL
-    // feature row rather than an error). Compiled plans run the flattened
-    // program over the pooled stack, others the interpreted tree walk.
-    if let Some(pred) = &q.where_clause {
-        let pass = match dep.program.where_program() {
-            Some(p) => p.eval(combined, &[], vm_stack)?.as_bool()?,
-            None => evaluate(pred, combined, &[])?.as_bool()?,
-        };
-        if !pass {
+    // feature row rather than an error): the flattened program over the
+    // pooled stack.
+    if let Some(pred) = dep.program.where_program() {
+        if !pred.eval(combined, &[], vm_stack)?.as_bool()? {
             // analysis:allow(hot-path-alloc): this *is* the final output
             // row — the one allocation the zero-alloc contract permits.
             let nulls = vec![Value::Null; q.output_schema.len()];
@@ -597,9 +601,6 @@ pub(crate) fn execute_streaming(
 
     // 3. Windows: one scan per group, one streaming fold per member.
     agg_values.resize(q.aggregates.len(), Value::Null);
-    if windows.len() < q.windows.len() {
-        windows.resize_with(q.windows.len(), || None);
-    }
     if compiled.len() < q.windows.len() {
         compiled.resize_with(q.windows.len(), || None);
     }
@@ -747,12 +748,14 @@ pub(crate) fn execute_streaming(
                 // HOT: a single bool test per group when sampling is off.
                 if audit.armed() {
                     for &(rows, wid) in prefixes.iter() {
-                        let mut f = openmldb_obs::Fnv::new();
+                        let mut f = Fnv::new();
                         for e in &entries[..rows] {
                             f.write_u64(e.ts as u64);
                             f.write(e.bytes(arena));
                         }
-                        openmldb_obs::ScanDigest::record(audit, wid, openmldb_obs::Fnv::finish(f));
+                        // (Path form: the lint resolves a `.record(..)` call
+                        // by name, to every `record` there is.)
+                        ScanDigest::record(audit, wid, f.finish());
                     }
                 } else {
                     // Nothing ran since the scan stage closed: the
@@ -767,17 +770,15 @@ pub(crate) fn execute_streaming(
                         request,
                         ctx,
                         arena,
-                        anchor_ts,
                         descending,
                     };
                     for &(rows, wid) in prefixes.iter() {
                         // The bytes of a prefix end where the next scanned
                         // row starts (no sort has reached past `rows` yet).
                         let bytes = entries.get(rows).map_or(arena.len(), |e| e.start);
-                        let member = (wid, &q.windows[wid], dep.by_window[wid].as_slice());
-                        let states = (&mut windows[wid], &mut compiled[wid]);
-                        fold.window(member, &mut entries[..rows], bytes as u64, states, out)?;
-                        for (slot, v) in member.2.iter().zip(out.drain(..)) {
+                        let state = &mut compiled[wid];
+                        fold.window(wid, &mut entries[..rows], bytes as u64, state, out)?;
+                        for (slot, v) in dep.by_window[wid].iter().zip(out.drain(..)) {
                             agg_values[*slot] = v;
                         }
                     }
@@ -798,22 +799,15 @@ pub(crate) fn execute_streaming(
     }
 
     // 4. Project the select list (the output row is the one owned
-    // allocation a warm request makes — `Row` owns its values). Compiled
-    // plans run the flattened expression programs over the pooled stack.
+    // allocation a warm request makes — `Row` owns its values): the
+    // flattened expression programs over the pooled stack.
     let row = obs::span(obs::Stage::Encode, || -> Result<Row> {
         ctx.check("encode")?;
-        let mut projected = Vec::with_capacity(q.select.len());
-        match dep.program.select_programs() {
-            Some(programs) => {
-                for p in programs {
-                    projected.push(p.eval(combined, agg_values, vm_stack)?);
-                }
-            }
-            None => {
-                for col in &q.select {
-                    projected.push(evaluate(&col.expr, combined, agg_values)?);
-                }
-            }
+        let programs = dep.program.select_programs();
+        let programs = programs.ok_or_else(|| not_compiled(dep, "select list"))?;
+        let mut projected = Vec::with_capacity(programs.len());
+        for p in programs {
+            projected.push(p.eval(combined, agg_values, vm_stack)?);
         }
         Ok(Row::new(projected))
     })?;
@@ -828,22 +822,22 @@ struct GroupFold<'a> {
     request: &'a Row,
     ctx: &'a Ctx<'a>,
     arena: &'a [u8],
-    anchor_ts: i64,
     /// The scan arrived strictly newest-first: members replay it in
     /// reverse instead of sorting.
     descending: bool,
 }
 
 impl GroupFold<'_> {
-    /// One member's fold — window `wid`, whose aggregates are `slots` of the
-    /// plan's — over its rows of the scan (`entries`, in scan order on
-    /// entry, `bytes` of the arena), leaving its aggregate values in `out`.
+    /// One member's fold — window `wid` — over its rows of the scan
+    /// (`entries`, in scan order on entry, `bytes` of the arena), leaving
+    /// its aggregate values in `out`: the deploy-time kernels fold raw
+    /// encoded bytes in one pass, unsorted when they can.
     fn window(
         &self,
-        (wid, window, slots): (usize, &BoundWindow, &[usize]),
+        wid: usize,
         entries: &mut [ScanEntry],
         bytes: u64,
-        (set, state): (&mut Option<WindowAggSet>, &mut Option<WindowState>),
+        state: &mut Option<WindowState>,
         out: &mut Vec<Value>,
     ) -> Result<()> {
         let GroupFold {
@@ -851,10 +845,10 @@ impl GroupFold<'_> {
             request,
             ctx,
             arena,
-            anchor_ts,
             descending,
         } = *self;
-        let include_request = !window.exclude_current_row;
+        let wp = dep.program.window(wid);
+        let wp = wp.ok_or_else(|| not_compiled(dep, "window"))?;
         let mut probe = || -> Result<()> {
             if !ctx.degraded() && ctx.deadline_expired() {
                 flight::event(FlightEventKind::DeadlineProbe, 0, 0);
@@ -863,106 +857,53 @@ impl GroupFold<'_> {
             Ok(())
         };
         out.clear();
-
-        // Compiled path — every window of a deployed plan: the deploy-time
-        // kernels fold raw encoded bytes in one pass, unsorted when they can.
-        if let Some(wp) = dep.program.window(wid) {
-            crate::metrics::compiled_windows().inc();
-            flight::event(FlightEventKind::CompiledWindow, wid as u32, bytes);
-            let n = entries.len();
-            let total = n + usize::from(include_request);
-            let first = wp.first_in_frame(total);
-            // Storage yields newest-first per table: a strictly descending
-            // scan replays ascending order in reverse with no sort. Any ts tie
-            // or union interleave falls back to the stable `(ts, seq)` sort.
-            let order = if descending {
-                EntryOrder::ReversedScan
-            } else {
-                entries.sort_unstable_by_key(|e| (e.ts, e.seq));
-                EntryOrder::Ascending
-            };
-            let state = state.get_or_insert_with(|| wp.new_state());
-            // The request row sorts last (anchor ts, max seq); it joins the
-            // fold only when the frame reaches it.
-            let req = (include_request && first < total).then(|| request.values());
-            wp.run(
-                state,
-                entries,
-                first.min(n),
-                order,
-                arena,
-                req,
-                &dep.codec,
-                &mut probe,
-            )?;
-            wp.outputs_into(state, arena, req, out)?;
-            // Chaos: a kill at `compiled_kernel` models a miscompiled program
-            // — aggregate values silently perturbed (types and nulls kept) so
-            // the consistency sentinel has a real fault to catch.
-            if openmldb_chaos::inject_kill(openmldb_chaos::InjectionPoint::CompiledKernel) {
-                corrupt_values(out);
-            }
-            return Ok(());
+        crate::metrics::compiled_windows().inc();
+        flight::event(FlightEventKind::CompiledWindow, wid as u32, bytes);
+        let n = entries.len();
+        let total = n + usize::from(wp.include_request);
+        let first = wp.first_in_frame(total);
+        // Storage yields newest-first per table: a strictly descending
+        // scan replays ascending order in reverse with no sort. Any ts tie
+        // or union interleave takes the stable `(ts, seq)` sort — the
+        // ascending-ts order of the materializing reference.
+        let order = if descending {
+            EntryOrder::ReversedScan
+        } else {
+            entries.sort_unstable_by_key(|e| (e.ts, e.seq));
+            EntryOrder::Ascending
+        };
+        let state = state.get_or_insert_with(|| wp.new_state());
+        // The request row sorts last (anchor ts, max seq); it joins the
+        // fold only when the frame reaches it.
+        let req = (wp.include_request && first < total).then(|| request.values());
+        wp.run(
+            state,
+            entries,
+            first.min(n),
+            order,
+            arena,
+            req,
+            &dep.codec,
+            &mut probe,
+        )?;
+        wp.outputs_into(state, arena, req, out)?;
+        // Chaos: a kill at `compiled_kernel` models a miscompiled program
+        // — aggregate values silently perturbed (types and nulls kept) so
+        // the consistency sentinel has a real fault to catch.
+        if openmldb_chaos::inject_kill(openmldb_chaos::InjectionPoint::CompiledKernel) {
+            corrupt_values(out);
         }
-        if dep.program.fallback_reason(wid).is_some() {
-            // Interpreted serve: the oracle pin (`with_interpreted_windows`),
-            // or a plan whose aggregates `WindowAggSet::new` rejects below.
-            crate::metrics::compiled_fallback().inc();
-            flight::event(FlightEventKind::CompiledFallback, wid as u32, bytes);
-        }
-
-        // `(ts, seq)` reproduces the stable ascending-ts order of the
-        // materializing path; the request row, already decoded, comes last.
-        entries.sort_unstable_by_key(|e| (e.ts, e.seq));
-        let request_entry = include_request.then_some(ScanEntry {
-            ts: anchor_ts,
-            seq: entries.len(),
-            start: 0,
-            len: REQUEST_ROW,
-        });
-        // Newest entries win the per-frame caps; rows they evict are never
-        // decoded.
-        let total = entries.len() + usize::from(include_request);
-        let mut first = 0usize;
-        if let Frame::Rows { preceding } = window.frame {
-            first = total.saturating_sub(preceding as usize + 1);
-        }
-        if let Some(maxsize) = window.maxsize {
-            first = first.max(total.saturating_sub(maxsize));
-        }
-        if set.is_none() {
-            let aggregates = &dep.query.aggregates;
-            let refs: Vec<&BoundAggregate> =
-                slots.iter().filter_map(|&i| aggregates.get(i)).collect();
-            *set = Some(WindowAggSet::new(&refs)?);
-        }
-        // analysis:allow(panic-path): slot filled two lines up.
-        let set = set.as_mut().expect("window set built above");
-        let mut fed = 0u32;
-        for e in entries.iter().chain(&request_entry).skip(first) {
-            if e.is_request_row() {
-                set.update(request.values())?;
-            } else {
-                let view = dep.codec.view(e.bytes(arena))?;
-                set.update_view(&view)?;
-            }
-            // Mirror the compiled path's every-64-rows deadline probe so
-            // timeout behavior is identical across paths.
-            fed += 1;
-            if fed & 63 == 0 {
-                probe()?;
-            }
-        }
-        set.outputs_into(out);
         Ok(())
     }
 }
 
-/// [`execute_request`] through the pre-streaming pipeline: every window row
-/// is materialized as decoded `Value`s before aggregating, joins clone the
-/// combined row per probed candidate, and every read resolves its table and
-/// index by name — one scan per window, nothing shared with the read plan.
-/// Kept as the differential-testing oracle and as the bench baseline.
+/// [`execute_request`] through the reference pipeline, deliberately naive:
+/// every window row is materialized as decoded `Value`s and folded by
+/// [`WindowAggSet`], expressions are tree-walked by [`evaluate`], joins clone
+/// the combined row per probed candidate, and every read resolves its table
+/// and index by name — one scan per window, nothing shared with the read
+/// plan or the compiled program. The one oracle the differential tests, the
+/// sentinel and the benchmark check the served answer against.
 pub fn execute_request_materialized(
     provider: &dyn TableProvider,
     dep: &Deployment,
@@ -984,18 +925,23 @@ pub fn execute_request_materialized_with(
     let mut flight = Recorder::default();
     let ctx = Ctx::new(opts);
     let scope = FlightScope::enter(&mut flight);
-    let out = execute_request_inner_materialized(provider, dep, request, &ctx);
+    let out = materialized(provider, &dep.query, &dep.preaggs, request, &ctx, None);
     let summary = scope.finish();
     publish_request(dep, &flight, &summary, &ctx, out)
 }
 
-pub(crate) fn execute_request_inner_materialized(
+/// The reference pipeline over plan `q`. `preaggs` is indexed by window id
+/// (a missing entry is a raw scan); `audit`, when given, receives a digest
+/// per raw-scanned window of the `(ts, bytes)` this pipeline read for it —
+/// what the sentinel compares with the digests the served scan took.
+pub(crate) fn materialized(
     provider: &dyn TableProvider,
-    dep: &Deployment,
+    q: &CompiledQuery,
+    preaggs: &[Option<Arc<PreAggregator>>],
     request: &Row,
     ctx: &Ctx,
+    mut audit: Option<&mut ScanDigest>,
 ) -> Result<Row> {
-    let q = &dep.query;
     ctx.check("validate")?;
     q.base_schema.validate_row(request.values())?;
 
@@ -1048,12 +994,11 @@ pub(crate) fn execute_request_inner_materialized(
         if by_window[wid].is_empty() {
             continue;
         }
-        let anchor_ts = request.ts_at(window.order_col);
         let key = request.key_for(&window.partition_cols);
         let tier = BucketTier {
             wid,
             window,
-            preagg: dep.preaggs[wid].as_deref(),
+            preagg: preaggs.get(wid).and_then(|p| p.as_deref()),
             slots: &by_window[wid],
             request,
             key: &key,
@@ -1075,7 +1020,8 @@ pub(crate) fn execute_request_inner_materialized(
 
                 // Scan path: gather window rows (request row is the anchor).
                 let rows = obs::span(obs::Stage::StorageSeek, || {
-                    collect_window_rows(provider, q, window, request, anchor_ts, ctx)
+                    let audit = audit.as_deref_mut();
+                    collect_window_rows(provider, q, wid, request, ctx, audit)
                 })?;
                 obs::span(obs::Stage::Aggregate, || -> Result<()> {
                     ctx.check("aggregate")?;
@@ -1146,15 +1092,22 @@ fn window_reads_by_name(
 /// Collect the window's rows for a request: stored rows from the base table
 /// and union tables, plus the request row itself (subject to the window
 /// attributes), fully decoded, in chronological order, capped by MAXSIZE —
-/// every table read under the resilience ladder.
+/// every table read under the resilience ladder. `audit` receives window
+/// `wid`'s digest of each stored row as read — per source newest first,
+/// before the sort — as `(ts, row re-encoded from its decoded values)`: the
+/// bytes the served scan digests, reached by name-resolved reads and a
+/// decode/encode round trip.
 fn collect_window_rows(
     provider: &dyn TableProvider,
     q: &CompiledQuery,
-    window: &BoundWindow,
+    wid: usize,
     request: &Row,
-    anchor_ts: i64,
     ctx: &Ctx,
+    audit: Option<&mut ScanDigest>,
 ) -> Result<Vec<Row>> {
+    let window = &q.windows[wid];
+    let mut digest = Fnv::new();
+    let anchor_ts = request.ts_at(window.order_col);
     let key = request.key_for(&window.partition_cols);
     let mut stamped: Vec<(i64, Row)> = Vec::new();
 
@@ -1169,7 +1122,7 @@ fn collect_window_rows(
         _ => None,
     };
     let lower = match window.frame {
-        Frame::RowsRange { preceding_ms } => anchor_ts - preceding_ms,
+        Frame::RowsRange { preceding_ms } => anchor_ts.saturating_sub(preceding_ms),
         _ => i64::MIN,
     };
     for read in window_reads_by_name(provider, q, window, !window.instance_not_in_window)? {
@@ -1177,7 +1130,19 @@ fn collect_window_rows(
             Some(n) => table.latest_n_projected(index, &key, anchor_ts, n, None),
             None => table.range_projected(index, &key, lower, anchor_ts, None),
         })?;
+        if audit.is_some() {
+            let codec = CompactCodec::new(read.table.schema().clone());
+            let mut bytes = Vec::new();
+            for (ts, row) in &rows {
+                codec.encode_into(row, &mut bytes)?;
+                digest.write_u64(*ts as u64);
+                digest.write(&bytes);
+            }
+        }
         stamped.extend(rows);
+    }
+    if let Some(audit) = audit {
+        audit.record(wid, digest.finish());
     }
     if include_request {
         stamped.push((anchor_ts, request.clone()));

@@ -18,9 +18,9 @@
 //! * [`resilience`] — deadline budgets, bounded retries, replica failover,
 //!   and the buckets-only degradation tier for the request path;
 //! * [`sentinel`] — the consistency sentinel: 1-in-N sampled serves are
-//!   re-executed through the interpreted and materialized oracle paths and
-//!   compared bit-for-bit, turning the differential-test oracles into a
-//!   continuous production audit.
+//!   re-executed through the materializing reference pipeline and compared
+//!   bit-for-bit, turning the differential-test oracle into a continuous
+//!   production audit.
 
 pub mod engine;
 pub mod metrics;

@@ -159,16 +159,6 @@ pub fn compiled_windows() -> &'static Counter {
     )
 }
 
-/// Windows that ran interpreted because their plan did not specialize.
-pub fn compiled_fallback() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_compiled_fallback_total",
-        "Windows served by the interpreted fallback after specialization declined",
-    )
-}
-
 /// Transient-fault retries performed by the resilient request path.
 pub fn retries() -> &'static Counter {
     static M: OnceLock<Arc<Counter>> = OnceLock::new();
@@ -249,13 +239,13 @@ pub fn sentinel_samples() -> &'static Counter {
     )
 }
 
-/// Sampled requests the auditor actually replayed through the oracles.
+/// Sampled requests the auditor actually replayed through the oracle.
 pub fn sentinel_audits() -> &'static Counter {
     static M: OnceLock<Arc<Counter>> = OnceLock::new();
     counter(
         &M,
         "openmldb_online_sentinel_audits_total",
-        "Sampled requests re-executed through the interpreted and materialized oracles",
+        "Sampled requests re-executed through the materializing oracle",
     )
 }
 

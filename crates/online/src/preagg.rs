@@ -197,17 +197,20 @@ impl PreAggregator {
                 if lo > hi {
                     continue;
                 }
-                // First aligned bucket fully inside [lo, hi].
-                let first = lo.div_euclid(level.bucket_ms) * level.bucket_ms;
-                let first = if first < lo {
-                    first + level.bucket_ms
-                } else {
-                    first
-                };
+                // The aligned buckets fully inside [lo, hi], walked without
+                // computing a bucket edge outside it: next to either end of
+                // `i64` (a request whose order column is NULL anchors at
+                // `i64::MIN`) such an edge would wrap.
+                let width = level.bucket_ms;
+                let pad = (width - lo.rem_euclid(width)) % width;
+                let mut cursor = lo.checked_add(pad);
                 let mut covered_any = false;
-                let mut cursor = first;
-                while cursor + level.bucket_ms - 1 <= hi {
-                    if let Some(bucket) = per_key.and_then(|m| m.get(&cursor)) {
+                while let Some(end) = cursor
+                    .and_then(|start| start.checked_add(width - 1))
+                    .filter(|end| *end <= hi)
+                {
+                    let start = end - (width - 1);
+                    if let Some(bucket) = per_key.and_then(|m| m.get(&start)) {
                         for (out, src) in outputs.iter_mut().zip(&bucket.aggs) {
                             if let Some(state) = src.partial_state() {
                                 out.merge_state(&state)?;
@@ -219,14 +222,14 @@ impl PreAggregator {
                     // Empty buckets contribute nothing but still count as
                     // covered — there is no raw data there either.
                     covered_any = true;
-                    cursor += level.bucket_ms;
+                    cursor = end.checked_add(1);
                 }
                 if covered_any {
-                    if lo < first {
-                        next_segments.push((lo, first - 1));
+                    if pad > 0 {
+                        next_segments.push((lo, lo + (pad - 1)));
                     }
-                    if cursor <= hi {
-                        next_segments.push((cursor, hi));
+                    if let Some(rest) = cursor.filter(|rest| *rest <= hi) {
+                        next_segments.push((rest, hi));
                     }
                 } else {
                     next_segments.push((lo, hi));

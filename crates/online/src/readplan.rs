@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use openmldb_exec::Program;
 use openmldb_sql::plan::{BoundWindow, CompiledQuery};
 use openmldb_storage::DataTable;
 use openmldb_types::{CompactCodec, Error, Result};
@@ -92,12 +91,11 @@ pub(crate) struct ReadPlan {
 
 impl ReadPlan {
     /// Bind every read of `query` through `provider`. `by_window` lists the
-    /// aggregates of each window; `program` and `preaggs` decide the
-    /// grouping (see [`ReadPlan::regroup`]).
+    /// aggregates of each window; `preaggs` decides the grouping (see
+    /// [`ReadPlan::regroup`]).
     pub(crate) fn bind(
         query: &CompiledQuery,
         by_window: &[Vec<usize>],
-        program: &Program,
         preaggs: &[Option<Arc<PreAggregator>>],
         provider: &dyn TableProvider,
     ) -> Result<Self> {
@@ -131,31 +129,27 @@ impl ReadPlan {
             windows,
             groups: Vec::new(),
         };
-        plan.regroup(query, by_window, program, preaggs);
+        plan.regroup(query, by_window, preaggs);
         Ok(plan)
     }
 
     /// Partition the windows that have aggregates into scan groups. Windows
     /// share a group when they read the same time list for a request — same
-    /// partition columns and order column, base table only — and each runs
-    /// a compiled [`WindowProgram`](openmldb_exec::WindowProgram) over raw
-    /// scan entries, so one scan bounded by the widest frame serves them
-    /// all. A window that reads union tables (or excludes the base table),
-    /// is served from pre-aggregated buckets, or folds interpreted is a
-    /// group of one.
+    /// partition columns and order column, base table only — so one scan
+    /// bounded by the widest frame serves them all: each member's
+    /// [`WindowProgram`](openmldb_exec::WindowProgram) folds its own prefix
+    /// of the raw scan entries. A window that reads union tables (or
+    /// excludes the base table) or is served from pre-aggregated buckets is
+    /// a group of one.
     pub(crate) fn regroup(
         &mut self,
         query: &CompiledQuery,
         by_window: &[Vec<usize>],
-        program: &Program,
         preaggs: &[Option<Arc<PreAggregator>>],
     ) {
         let shareable = |wid: usize| {
             let w = &query.windows[wid];
-            program.window(wid).is_some()
-                && preaggs[wid].is_none()
-                && w.union_tables.is_empty()
-                && !w.instance_not_in_window
+            preaggs[wid].is_none() && w.union_tables.is_empty() && !w.instance_not_in_window
         };
         let same_list = |a: &BoundWindow, b: &BoundWindow| {
             (&a.partition_cols, a.order_col, a.order_desc)

@@ -9,21 +9,23 @@
 //! from a pool and the encoded request row reuses the pooled buffer — and
 //! strictly off the unsampled warm path.
 //!
-//! A background auditor ([`drain`]) re-executes each sample through two
-//! independent oracles — the interpreted streaming path (compiled kernels
-//! forced off) and the materializing reference pipeline — and compares
-//! bit-for-bit: output value digests and per-window scan-input digests.
-//! Divergences at an unchanged table version are confirmed faults: they
-//! increment per-deployment labeled counters, publish a
-//! `consistency_divergence` flight-recorder post-mortem carrying both row
+//! A background auditor ([`drain`]) re-executes each sample once, through
+//! the materializing reference pipeline — name-resolved reads, decoded rows,
+//! tree-walked expressions, no pre-aggregators, nothing shared with the
+//! compiled program or the bound read plan — and compares bit-for-bit: the
+//! output value digest, and per window the digest of the `(ts, bytes)` the
+//! reference read against the one the served scan took. Compiled serves,
+//! materialized checks. Divergences at an unchanged table version are
+//! confirmed faults: they increment per-deployment labeled counters, publish
+//! a `consistency_divergence` flight-recorder post-mortem carrying both row
 //! encodings, and land in the bounded divergence log
 //! ([`openmldb_obs::audit`]). Audits whose table version moved between
 //! capture and replay are counted as stale skips, never as divergences.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use openmldb_exec::RequestScratch;
 use openmldb_obs::audit::{publish_divergence, DivergenceKind, DivergenceReport};
@@ -32,9 +34,7 @@ use openmldb_obs::{Fnv, Outcome, ScanDigest};
 use openmldb_types::codec::RowCodec;
 use openmldb_types::{Result, Row, Value};
 
-use crate::engine::{
-    execute_request_inner_materialized, execute_streaming, Deployment, TableProvider,
-};
+use crate::engine::{materialized, Deployment, TableProvider};
 use crate::resilience::{Ctx, RequestOptions, RequestOutput};
 
 /// Bound on captured-but-unaudited samples. A full queue drops new samples
@@ -69,13 +69,7 @@ struct Sentinel {
     queue: Mutex<VecDeque<AuditSample>>,
     /// Recycled sample shells (buffers keep their capacity).
     pool: Mutex<Vec<AuditSample>>,
-    /// Interpreted oracle twins, keyed by deployment name.
-    twins: Mutex<HashMap<String, Twin>>,
 }
-
-/// An oracle twin beside the live deployment it was built for (the held
-/// `Weak` keeps that address from being reused while the entry stands).
-type Twin = (Weak<Deployment>, Arc<Deployment>);
 
 fn sentinel() -> &'static Sentinel {
     static S: OnceLock<Sentinel> = OnceLock::new();
@@ -83,7 +77,6 @@ fn sentinel() -> &'static Sentinel {
         every: AtomicU32::new(0),
         queue: Mutex::new(VecDeque::new()),
         pool: Mutex::new(Vec::new()),
-        twins: Mutex::new(HashMap::new()),
     })
 }
 
@@ -104,16 +97,11 @@ pub fn queue_len() -> usize {
     sentinel().queue.lock().map(|q| q.len()).unwrap_or(0)
 }
 
-/// Drop all pending samples and cached oracle twins. Cumulative metrics are
-/// left alone (they are process-wide monotonic counters); tests work with
-/// deltas.
+/// Drop all pending samples. Cumulative metrics are left alone (they are
+/// process-wide monotonic counters); tests work with deltas.
 pub fn reset() {
-    let s = sentinel();
-    if let Ok(mut q) = s.queue.lock() {
+    if let Ok(mut q) = sentinel().queue.lock() {
         q.clear();
-    }
-    if let Ok(mut t) = s.twins.lock() {
-        t.clear();
     }
     crate::metrics::sentinel_lag().set(0.0);
 }
@@ -262,31 +250,10 @@ fn recycle(mut sample: AuditSample) {
     }
 }
 
-/// The oracle twin for a live deployment: same compiled query bound to the
-/// same catalog, every window and expression forced onto the interpreted
-/// path, no pre-aggregators — so the twin always raw-scans, one scan per
-/// window, and its scan digests are comparable to a raw-scanned serve.
-/// Cached per name for as long as that very deployment is the live one: a
-/// redeploy or a rebind (a table it reads was replaced) builds a new twin.
-fn twin_for(provider: &dyn TableProvider, dep: &Arc<Deployment>) -> Result<Arc<Deployment>> {
-    let mut twins = sentinel().twins.lock().ok();
-    if let Some((live, twin)) = twins.as_ref().and_then(|t| t.get(&dep.name)) {
-        if std::ptr::eq(live.as_ptr(), Arc::as_ptr(dep)) {
-            return Ok(Arc::clone(twin));
-        }
-    }
-    let twin = Deployment::new(dep.name.clone(), Arc::clone(&dep.query), provider)?;
-    let twin = Arc::new(twin.with_interpreted_windows());
-    if let Some(twins) = twins.as_mut() {
-        twins.insert(dep.name.clone(), (Arc::downgrade(dep), Arc::clone(&twin)));
-    }
-    Ok(twin)
-}
-
 /// Outcome of one [`drain`] call.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AuditStats {
-    /// Samples replayed through both oracles.
+    /// Samples replayed through the oracle.
     pub audited: u64,
     /// Confirmed divergences among them.
     pub divergences: u64,
@@ -324,10 +291,9 @@ pub fn stats() -> SentinelStats {
     }
 }
 
-/// Audit up to `max` queued samples: replay each through the interpreted
-/// and materialized oracles and compare digests. `lookup` resolves a
-/// deployment name to its live deployment (samples for dropped
-/// deployments count as errors).
+/// Audit up to `max` queued samples: replay each through the materializing
+/// oracle and compare digests. `lookup` resolves a deployment name to its
+/// live deployment (samples for dropped deployments count as errors).
 pub fn drain(
     provider: &dyn TableProvider,
     lookup: &dyn Fn(&str) -> Option<Arc<Deployment>>,
@@ -372,24 +338,21 @@ fn audit_one(
             return;
         }
     };
-    // Oracle 1: interpreted streaming replay, scan digests armed — on a
-    // scratch from the twin's own pool: warm window state is shaped by the
-    // deployment that built it and must never meet another's windows.
-    // Oracle 2: the materializing reference pipeline.
+    // One replay: the plan through the reference pipeline with no
+    // pre-aggregators, so every window is raw-scanned and digests what it
+    // read — comparable to a raw-scanned serve, independent of a bucketed one.
     let opts = RequestOptions::default();
-    let replay = twin_for(provider, &dep).and_then(|twin| {
-        let mut scratch = twin.take_scratch();
-        scratch.reset();
-        scratch.audit.arm();
-        let interpreted =
-            execute_streaming(provider, &twin, &request, &Ctx::new(&opts), &mut scratch);
-        let scan = scratch.audit;
-        twin.put_scratch(scratch);
-        let materialized =
-            execute_request_inner_materialized(provider, &twin, &request, &Ctx::new(&opts))?;
-        Ok((interpreted?, materialized, scan))
-    });
-    let Ok((interpreted, materialized, replay_scan)) = replay else {
+    let mut replay_scan = ScanDigest::default();
+    let ctx = Ctx::new(&opts);
+    let replay = materialized(
+        provider,
+        &dep.query,
+        &[],
+        &request,
+        &ctx,
+        Some(&mut replay_scan),
+    );
+    let Ok(oracle) = replay else {
         crate::metrics::sentinel_errors().inc();
         stats.errors += 1;
         return;
@@ -397,7 +360,7 @@ fn audit_one(
     crate::metrics::sentinel_audits().inc();
     stats.audited += 1;
 
-    let mismatch = first_mismatch(sample, &interpreted, &materialized, &replay_scan);
+    let mismatch = first_mismatch(sample, &oracle, &replay_scan);
     let Some((kind, window, oracle)) = mismatch else {
         return;
     };
@@ -444,27 +407,18 @@ fn audit_one(
     publish_divergence(report);
 }
 
-/// Compare the served sample against both oracle replays; the first
-/// disagreement wins (output mismatches before scan-input mismatches, the
-/// interpreted oracle before the materialized one).
+/// Compare the served sample against the oracle replay; the first
+/// disagreement wins (the output mismatch before a scan-input mismatch).
 fn first_mismatch(
     sample: &AuditSample,
-    interpreted: &Row,
-    materialized: &Row,
+    oracle: &Row,
     replay_scan: &ScanDigest,
 ) -> Option<(DivergenceKind, Option<usize>, String)> {
-    if digest_row(interpreted.values()) != sample.row_digest {
-        return Some((
-            DivergenceKind::OutputInterpreted,
-            None,
-            format!("{:?}", interpreted.values()),
-        ));
-    }
-    if digest_row(materialized.values()) != sample.row_digest {
+    if digest_row(oracle.values()) != sample.row_digest {
         return Some((
             DivergenceKind::OutputMaterialized,
             None,
-            format!("{:?}", materialized.values()),
+            format!("{:?}", oracle.values()),
         ));
     }
     for wid in 0..openmldb_obs::audit::DIGEST_WINDOWS {

@@ -307,7 +307,8 @@ fn step(state: &mut WindowState, frame: Frame, ts: i64, row: Row) -> Result<Vec<
             let anchor = buffer.last().map(|(t, _)| *t).unwrap_or(ts);
             match frame {
                 Frame::RowsRange { preceding_ms } => {
-                    let cut = buffer.partition_point(|(t, _)| anchor - t > preceding_ms);
+                    let lower = anchor.saturating_sub(preceding_ms);
+                    let cut = buffer.partition_point(|(t, _)| *t < lower);
                     buffer.drain(..cut);
                 }
                 Frame::Rows { preceding } => {

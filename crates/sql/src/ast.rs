@@ -112,7 +112,9 @@ impl Frame {
     pub fn contains(&self, anchor_ts: i64, ts: i64, rank: u64) -> bool {
         match self {
             Frame::Rows { preceding } => rank <= *preceding,
-            Frame::RowsRange { preceding_ms } => ts <= anchor_ts && anchor_ts - ts <= *preceding_ms,
+            Frame::RowsRange { preceding_ms } => {
+                anchor_ts.saturating_sub(*preceding_ms) <= ts && ts <= anchor_ts
+            }
             Frame::Unbounded => true,
         }
     }

@@ -61,9 +61,6 @@ step "scan path under chaos + obs-off (feature-matrix corner)"
 cargo test -q -p openmldb-storage -p openmldb-online --features chaos,obs-off
 
 if [ "$QUICK" -eq 0 ]; then
-    step "hot-path allocation gate (reduced scale)"
-    BENCH_SCALE=0.1 cargo run -q --release -p openmldb-bench --bin hotpath_allocs
-
     step "scan groups + warm allocations of the serve_short shape (release)"
     cargo test -q --release --test scan_groups --test warm_allocs
 
@@ -99,6 +96,9 @@ if rustup component list 2>/dev/null | grep -q "^miri.*(installed)"; then
     # The single-allocation skiplist nodes (header + inline tower behind a
     # raw pointer) and the epoch reclamation that frees them.
     cargo +nightly miri test -p openmldb-storage --lib -- skiplist:: sync::epoch::
+    # Hostile row bytes through the compiled kernels, the only reader a
+    # served window has.
+    cargo +nightly miri test -p openmldb-exec --lib -- hostile_row_bytes
 else
     echo "miri not installed; skipping (rustup +nightly component add miri)"
 fi

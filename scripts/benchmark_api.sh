@@ -6,7 +6,12 @@
 # outputs_into}`, `WindowAggSet::{new, reset, update, update_view,
 # outputs_into}`, `Deployment::program().fallback_reason` and
 # `select_programs` directly: a signature change must fail here, not at
-# bench time.
+# bench time. The engine has one serving route — compiled serves, the
+# materializing reference checks, DEPLOY refuses — so the probes' other
+# arms (`window(..)` is `None`, `select_programs()` is `None`,
+# `fallback_reason(..)` is `Some`) describe a plan DEPLOY would have
+# refused and are never taken on a deployed one; `WindowAggSet` is the
+# reference fold, called as a library.
 #
 # Runs the package's whole suite, unfiltered. One failure is tolerated, and
 # only in this exact shape: `tests/smoke.rs` still pins `serve_wide`'s

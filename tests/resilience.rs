@@ -13,7 +13,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use openmldb::chaos::{InjectionPoint, Plan};
-use openmldb::online::{execute_request_with, Deployment, PreAggregator, TableProvider};
+use openmldb::online::{
+    execute_request_materialized, execute_request_with, Deployment, PreAggregator, TableProvider,
+};
 use openmldb::sql::{compile_select, parse_select, Catalog};
 use openmldb::storage::{DataTable, IndexSpec, MemTable, ReplicaTable, Ttl};
 use openmldb::{Database, Deadline, Error, KeyValue, RequestOptions, Result, Row, Schema, Value};
@@ -513,38 +515,39 @@ fn mid_stream_deadline_yields_typed_timeout_not_partial_aggregate() {
 /// Two windows folded off one scan keep the single-window deadline contract:
 /// the budget is probed every 64 scanned rows, and a scan cut short is the
 /// typed `Timeout { stage: "window_scan" }` — the same error, at the same
-/// row, as the interpreted deployment that scans each window on its own.
+/// row, as each window deployed on its own; unbudgeted, the grouped answer is
+/// the materializing oracle's.
 #[test]
 fn grouped_scan_times_out_at_the_same_row_as_a_scan_per_window() {
     let events = mk_table("events");
     for i in 0..400i64 {
         events.put(&row(1, 1.0, i * 10)).unwrap();
     }
-    let q = Arc::new(
-        compile_select(
-            &parse_select(
-                "SELECT sum(v) OVER w0 AS s, count(v) OVER w1 AS c FROM events WINDOW \
-                 w0 AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 10s PRECEDING AND CURRENT ROW), \
-                 w1 AS (PARTITION BY k ORDER BY ts ROWS BETWEEN 300 PRECEDING AND CURRENT ROW)",
-            )
-            .unwrap(),
-            &Cat,
-        )
-        .unwrap(),
-    );
+    const W0: &str =
+        "(PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 10s PRECEDING AND CURRENT ROW)";
+    const W1: &str = "(PARTITION BY k ORDER BY ts ROWS BETWEEN 300 PRECEDING AND CURRENT ROW)";
+    let plan = |sql: String| Arc::new(compile_select(&parse_select(&sql).unwrap(), &Cat).unwrap());
     // 2 ms per visited entry against a 30 ms budget: the deadline is long
     // gone when the scan reaches its first probe, at row 64.
     let mut provider = SlowProvider::new(Duration::from_millis(2));
     provider.insert(events);
-    let grouped = Deployment::new("d", q.clone(), &provider).unwrap();
-    let per_window = Deployment::new("d", q, &provider)
-        .unwrap()
-        .with_interpreted_windows();
+    let grouped = plan(format!(
+        "SELECT sum(v) OVER w0 AS s, count(v) OVER w1 AS c FROM events WINDOW w0 AS {W0}, w1 AS {W1}"
+    ));
+    let grouped = Deployment::new("d", grouped, &provider).unwrap();
     assert_eq!(grouped.scan_groups(), [vec![0, 1]]);
-    assert_eq!(per_window.scan_groups(), [vec![0], vec![1]]);
+    let alone = [
+        plan(format!(
+            "SELECT sum(v) OVER w0 AS s FROM events WINDOW w0 AS {W0}"
+        )),
+        plan(format!(
+            "SELECT count(v) OVER w1 AS c FROM events WINDOW w1 AS {W1}"
+        )),
+    ]
+    .map(|q| Deployment::new("d", q, &provider).unwrap());
 
     let request = row(1, 1.0, 10_000);
-    for dep in [&grouped, &per_window] {
+    for dep in std::iter::once(&grouped).chain(&alone) {
         // (A deadline anchors when it is built.)
         let strict = RequestOptions {
             deadline: Deadline::within(Duration::from_millis(30)),
@@ -566,8 +569,13 @@ fn grouped_scan_times_out_at_the_same_row_as_a_scan_per_window() {
     // 400 rows for the range frame, which covers the 300 of the ROWS frame.
     provider.visited.store(0, Ordering::SeqCst);
     let out = execute_request_with(&provider, &grouped, &request, &RequestOptions::default());
-    assert_eq!(out.unwrap().row[1], Value::Bigint(301));
+    let out = out.unwrap().row;
+    assert_eq!(out[1], Value::Bigint(301));
     assert_eq!(provider.visited.load(Ordering::SeqCst), 400);
+    assert_eq!(
+        out,
+        execute_request_materialized(&provider, &grouped, &request).unwrap()
+    );
 }
 
 proptest! {

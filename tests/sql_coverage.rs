@@ -39,20 +39,22 @@ fn db() -> Database {
     db
 }
 
-/// Corpus gate: every deployable statement of this catalogue compiles end
-/// to end — no window left to the interpreter — and serves what the
+/// Corpus gate: every statement of this catalogue DEPLOYed — so every
+/// window of it that has aggregates holds a compiled program, nothing is
+/// left for serve time to find uncompiled — and serves what the
 /// materializing reference computes.
 fn assert_fully_compiled(db: &Database, name: &str, probe: &Row) {
     let dep = db.deployment(name).unwrap();
-    let program = dep.program();
-    assert_eq!(
-        program.fallback_windows(),
-        0,
-        "`{name}` left a window interpreted: {:?}",
-        (0..dep.query.windows.len())
-            .filter_map(|w| program.fallback_reason(w))
-            .collect::<Vec<_>>()
-    );
+    let by_window = dep.query.aggregates_by_window();
+    for (wid, aggs) in by_window.iter().enumerate() {
+        assert_eq!(
+            dep.program().window(wid).is_some(),
+            !aggs.is_empty(),
+            "`{name}` window {wid}: {:?}",
+            dep.program().fallback_reason(wid)
+        );
+    }
+    assert!(dep.program().select_programs().is_some(), "`{name}`");
     let served = db.request_readonly(name, probe).unwrap();
     let oracle = execute_request_materialized(db, &dep, probe).unwrap();
     assert_eq!(
@@ -251,4 +253,58 @@ fn offline_mode_agrees_on_the_catalogue() {
             _ => assert_eq!(x, y, "col {i}"),
         }
     }
+}
+
+/// DEPLOY is the only place a plan is refused: a construct that does not
+/// lower is a typed `Error::Deployment` naming it and why — from
+/// `Deployment::new` and from `Database::deploy`, which leaves the
+/// deployment map and the catalog as it found them. (That no *accepted*
+/// plan holds an uncompiled window is `assert_fully_compiled`, run on every
+/// statement of this file.)
+#[test]
+fn a_plan_that_does_not_compile_is_refused_at_deploy() {
+    use openmldb::online::{Deployment, TableProvider};
+    use openmldb::sql::plan::PhysExpr;
+    use openmldb::sql::{compile_select, parse_select, BinaryOp};
+    use openmldb::Error;
+
+    let db = db();
+    // Hand-built: a CASE wide enough to leave the 16-bit jump range (six
+    // instructions a branch; flat, so nothing recurses deeply).
+    let stmt = parse_select("SELECT v AS wide FROM e").unwrap();
+    let mut query = compile_select(&stmt, &db).unwrap();
+    let branch = (
+        PhysExpr::Binary {
+            op: BinaryOp::Gt,
+            left: Box::new(PhysExpr::Column(2)),
+            right: Box::new(PhysExpr::Literal(Value::Double(0.0))),
+        },
+        PhysExpr::Literal(Value::Double(0.0)),
+    );
+    query.select[0].expr = PhysExpr::Case {
+        branches: vec![branch; 12_000],
+        else_expr: None,
+    };
+    let refused = Deployment::new("too_wide", query.into(), &db).err();
+    let Some(Error::Deployment(reason)) = refused else {
+        panic!("expected a deployment error, got {refused:?}");
+    };
+    assert!(reason.contains("select column `wide`"), "{reason}");
+    assert!(reason.contains("expression program too long"), "{reason}");
+
+    // Through SQL: `topn_frequency`'s N must be a literal. The plan wants an
+    // index on `cat` the table lacks; a refused DEPLOY must not build it.
+    let indexes = db.table("e").unwrap().index_specs().len();
+    let refused = db.deploy(
+        "DEPLOY bad_topn AS SELECT topn_frequency(tags, q) OVER w AS f FROM e WINDOW w AS \
+         (PARTITION BY cat ORDER BY ts ROWS BETWEEN 3 PRECEDING AND CURRENT ROW)",
+    );
+    let Err(Error::Deployment(reason)) = refused else {
+        panic!("expected a deployment error, got {refused:?}");
+    };
+    assert!(reason.contains("window `w`"), "{reason}");
+    assert!(reason.contains("constant literal"), "{reason}");
+    assert!(db.deployment("bad_topn").is_none());
+    assert!(db.deployment_names().is_empty());
+    assert_eq!(db.table("e").unwrap().index_specs().len(), indexes);
 }

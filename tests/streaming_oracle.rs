@@ -6,17 +6,17 @@
 //! string columns, random null bitmaps), ROWS / ROWS_RANGE frames,
 //! MAXSIZE caps and EXCLUDE CURRENT_ROW.
 //!
-//! Since plans now specialize into bytecode programs at deploy time, the
-//! oracle runs **three-way**: the compiled streaming path (the deployment's
-//! default when the plan specializes), the interpreted streaming path
-//! (pinned via [`Deployment::with_interpreted_windows`]), and the
-//! materializing reference — all bit-identical, including typed deadline
-//! timeouts.
+//! Plans compile into bytecode programs at deploy time and nothing else
+//! serves, so the oracle runs **two-way**: the compiled streaming path
+//! against the materializing reference (`WindowAggSet` folds over decoded
+//! rows, tree-walked expressions) — bit-identical, typed errors and typed
+//! deadline timeouts included.
 
 use std::time::Duration;
 
 use openmldb::online::{
-    execute_request, execute_request_materialized, execute_request_with, Deployment,
+    execute_request, execute_request_materialized, execute_request_materialized_with,
+    execute_request_with,
 };
 use openmldb::{Database, Error, RequestOptions, Row, Value};
 use proptest::prelude::*;
@@ -198,14 +198,8 @@ proptest! {
         );
         db.deploy(&format!("DEPLOY p AS {sql}")).unwrap();
         let dep = db.deployment("p").unwrap();
-        // Every family compiles: the three paths below are distinct code.
-        prop_assert_eq!(dep.program().fallback_windows(), 0, "{}", sql);
+        // Every family compiled: the two paths below share no fold code.
         prop_assert!(dep.program().window(0).is_some());
-        // Same plan, specialization pinned off: the interpreted streaming
-        // path the compiled kernels must reproduce bit for bit.
-        let interp = Deployment::new("p_interp", dep.query.clone(), &db)
-            .unwrap()
-            .with_interpreted_windows();
 
         // Key 99 has no stored rows: the request row is the only row (or,
         // under EXCLUDE CURRENT_ROW, the window is empty).
@@ -213,9 +207,8 @@ proptest! {
         for (n, (k, ts, seed, nulls)) in probes.iter().chain([&lonely]).enumerate() {
             let probe = make_row(900_000 + n as i64, *k, *ts, &cols, *seed, *nulls);
             let streaming = execute_request(&db, &dep, &probe);
-            let interpreted = execute_request(&db, &interp, &probe);
             let materialized = execute_request_materialized(&db, &dep, &probe);
-            // Bit-identical: all paths fold the same values in the same
+            // Bit-identical: both paths fold the same values in the same
             // order, so even float aggregates must match exactly — and an
             // overflowing integer expression is the same typed error.
             prop_assert_eq!(
@@ -225,17 +218,10 @@ proptest! {
                 n,
                 sql
             );
-            prop_assert_eq!(
-                bits(&streaming),
-                bits(&interpreted),
-                "probe {} diverged (compiled vs interpreted) under {}",
-                n,
-                sql
-            );
         }
 
         // Typed timeout parity: an exhausted deadline must surface the same
-        // `Error::Timeout` on the compiled and interpreted streaming paths
+        // `Error::Timeout` on the compiled path and the reference
         // (degradation off so the timeout cannot be absorbed).
         let (k, ts, seed, nulls) = probes[0];
         let probe = make_row(990_000, k, ts, &cols, seed, nulls);
@@ -244,8 +230,8 @@ proptest! {
             ..RequestOptions::with_deadline(Duration::ZERO)
         };
         let compiled_timeout = execute_request_with(&db, &dep, &probe, &opts);
-        let interp_timeout = execute_request_with(&db, &interp, &probe, &opts);
-        match (&compiled_timeout, &interp_timeout) {
+        let reference_timeout = execute_request_materialized_with(&db, &dep, &probe, &opts);
+        match (&compiled_timeout, &reference_timeout) {
             (
                 Err(Error::Timeout { stage: s1, budget_ms: b1 }),
                 Err(Error::Timeout { stage: s2, budget_ms: b2 }),
@@ -280,13 +266,11 @@ fn counted_table() -> Database {
     db
 }
 
-/// Aggregates that used to send their whole window back to the interpreter
-/// (`distinct_count`, an arithmetic argument, a conditional aggregate)
-/// compile beside their column-kernel siblings; the one remaining fallback
-/// is the explicit oracle pin, which still serves correct answers and
-/// records why on the instance.
+/// `distinct_count`, an arithmetic argument and a conditional aggregate
+/// compile beside their column-kernel siblings (one window, four kernel
+/// families) and serve the reference's answer.
 #[test]
-fn every_aggregate_compiles_and_the_pin_still_serves_interpreted() {
+fn every_kernel_family_compiles_into_one_window_and_serves_the_reference() {
     let db = counted_table();
     db.deploy(
         "DEPLOY pf AS SELECT id, distinct_count(v) OVER w AS dc, sum(v) OVER w AS sv, \
@@ -297,18 +281,7 @@ fn every_aggregate_compiles_and_the_pin_still_serves_interpreted() {
     .unwrap();
     let dep = db.deployment("pf").unwrap();
     assert_eq!(dep.program().compiled_windows(), 1);
-    assert_eq!(dep.program().fallback_windows(), 0);
     assert_eq!(dep.program().fallback_reason(0), None);
-
-    let pinned = Deployment::new("pf_interp", dep.query.clone(), &db)
-        .unwrap()
-        .with_interpreted_windows();
-    assert_eq!(pinned.program().compiled_windows(), 0);
-    assert_eq!(pinned.program().fallback_windows(), 1);
-    assert_eq!(
-        pinned.program().fallback_reason(0),
-        Some("specialization disabled")
-    );
 
     let probe = Row::new(vec![
         Value::Bigint(900_000),
@@ -317,17 +290,15 @@ fn every_aggregate_compiles_and_the_pin_still_serves_interpreted() {
         Value::Timestamp(2_000),
     ]);
     let served = execute_request(&db, &dep, &probe);
-    let interpreted = execute_request(&db, &pinned, &probe);
     let oracle = execute_request_materialized(&db, &dep, &probe);
     assert!(oracle.is_ok());
     assert_eq!(bits(&served), bits(&oracle));
-    assert_eq!(bits(&interpreted), bits(&oracle));
 }
 
 /// An overflowing integer expression is the same typed error whichever
 /// path folds it — stored row or request row.
 #[test]
-fn integer_overflow_is_one_typed_error_on_all_three_paths() {
+fn integer_overflow_is_one_typed_error_on_both_paths() {
     let db = counted_table();
     db.insert_row(
         "t",
@@ -346,10 +317,6 @@ fn integer_overflow_is_one_typed_error_on_all_three_paths() {
     )
     .unwrap();
     let dep = db.deployment("po").unwrap();
-    assert_eq!(dep.program().fallback_windows(), 0);
-    let pinned = Deployment::new("po_interp", dep.query.clone(), &db)
-        .unwrap()
-        .with_interpreted_windows();
     let probe = |k: i64, v: i64| {
         Row::new(vec![
             Value::Bigint(900_000),
@@ -366,14 +333,12 @@ fn integer_overflow_is_one_typed_error_on_all_three_paths() {
             panic!("expected an overflow error, got {served:?}");
         };
         assert_eq!(message, "integer overflow in *");
-        assert_eq!(served, execute_request(&db, &pinned, &probe));
         assert_eq!(served, execute_request_materialized(&db, &dep, &probe));
     }
 }
 
 /// Plans inside the column-kernel subset compile end to end and serve
-/// through the kernels (sanity pin that the three-way proptest above is
-/// comparing distinct paths: the engine dispatches on `program().window`).
+/// through the kernels.
 #[test]
 fn specialized_plans_serve_through_compiled_kernels() {
     let db = Database::new();
@@ -402,7 +367,6 @@ fn specialized_plans_serve_through_compiled_kernels() {
     .unwrap();
     let dep = db.deployment("pc").unwrap();
     assert_eq!(dep.program().compiled_windows(), 1);
-    assert_eq!(dep.program().fallback_windows(), 0);
     assert!(dep.program().window(0).is_some());
 
     let probe = Row::new(vec![

@@ -3,7 +3,9 @@
 //! request may touch is its output row — the joined row is decoded from its
 //! stored bytes straight into the pooled combined row, the two windows fold
 //! off one pooled scan. (One request in 64 is the span tracer's sample, and
-//! hands it one retained `Vec` more.)
+//! hands it one retained `Vec` more.) The same holds for a window mixing every
+//! kernel family: expression registers, count-map tables and the generic
+//! unit's aggregators are pooled state, cleared and never freed.
 //!
 //! A binary of its own with a single test: the counting allocator is
 //! process-wide, and only the serving thread's allocations are counted.
@@ -64,7 +66,7 @@ fn t1_row(id: i64, k: i64, v: f64, ts: i64) -> Row {
 }
 
 #[test]
-fn a_warm_two_window_join_request_allocates_only_its_output_row() {
+fn a_warm_request_allocates_only_its_output_row() {
     let db = Database::new();
     db.execute(
         "CREATE TABLE t1 (id BIGINT, k BIGINT, v DOUBLE, ts TIMESTAMP, INDEX(KEY=k, TS=ts))",
@@ -99,20 +101,38 @@ fn a_warm_two_window_join_request_allocates_only_its_output_row() {
     let dep = db.deployment("short").unwrap();
     assert_eq!(dep.scan_groups(), [vec![0, 1]], "one scan for both windows");
     drop(dep);
+    // Column, expression, count-map and generic kernels in one window.
+    db.deploy(
+        "DEPLOY mixed AS SELECT t1.id, sum(v) OVER w AS a, avg(v * 2.0 + 1.0) OVER w AS b, \
+         min(id % 3) OVER w AS c, distinct_count(id) OVER w AS d, \
+         count_where(v, id > 1) OVER w AS e FROM t1 \
+         WINDOW w AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 10s PRECEDING AND CURRENT ROW)",
+    )
+    .unwrap();
     // A latency spike must not dump a (heap-allocated) post-mortem mid-count.
     openmldb::obs::flight::set_slow_query_threshold_ns(u64::MAX);
+    for name in ["short", "mixed"] {
+        assert_warm_requests_allocate_only_their_output_row(&db, name);
+    }
+}
 
+fn assert_warm_requests_allocate_only_their_output_row(db: &Database, name: &str) {
     let requests: Vec<Row> = (0..512i64)
         .map(|i| t1_row(900_000 + i, i % 9, 1.5, 30_000 + i * 17))
         .collect();
     // Warm-up: the scratch pool, the scan arena, the sampled-key sketch.
-    for request in &requests {
-        db.request_readonly("short", request).unwrap();
+    // Every 64th request offers its key to the sketch; a round one request
+    // longer than a multiple of 64 shifts which ones, so nine rounds offer
+    // each of the nine keys before the count starts.
+    for _ in 0..9 {
+        for request in requests.iter().chain(&requests[..1]) {
+            db.request_readonly(name, request).unwrap();
+        }
     }
 
     // What building the answer costs on its own: the projected `Vec` and
     // the `Row` that takes it over.
-    let answer = db.request_readonly("short", &requests[0]).unwrap();
+    let answer = db.request_readonly(name, &requests[0]).unwrap();
     assert!(answer.values().iter().all(|v| !matches!(v, Value::Str(_))));
     let (_, output_row) = allocations(|| {
         let mut projected = Vec::with_capacity(answer.len());
@@ -126,7 +146,7 @@ fn a_warm_two_window_join_request_allocates_only_its_output_row() {
     let counts: Vec<u64> = requests
         .iter()
         .map(|request| {
-            let (out, n) = allocations(|| db.request_readonly("short", request));
+            let (out, n) = allocations(|| db.request_readonly(name, request));
             out.unwrap();
             n
         })
@@ -136,6 +156,6 @@ fn a_warm_two_window_join_request_allocates_only_its_output_row() {
     assert_eq!(counts.iter().min(), Some(&output_row));
     assert!(
         counts.iter().all(|&n| n <= output_row + 1) && above <= traced,
-        "a warm request allocates its output row ({output_row}) and nothing else: {counts:?}"
+        "a warm `{name}` request allocates its output row ({output_row}) and nothing else: {counts:?}"
     );
 }
