@@ -113,7 +113,9 @@ impl SparkLikeEngine {
                         pos.saturating_sub(preceding as usize)
                     }
                     openmldb_sql::Frame::RowsRange { preceding_ms } => {
-                        rows.partition_point(|(t, _, _)| ts - t > preceding_ms)
+                        // Saturating: a NULL order column reads as
+                        // `i64::MIN`, whose distance to `ts` is no `i64`.
+                        rows.partition_point(|(t, _, _)| ts.saturating_sub(*t) > preceding_ms)
                     }
                 };
                 let mut set = WindowAggSet::new(agg_refs)?;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use openmldb_offline::{execute_batch, OfflineOptions, Tables};
+use openmldb_offline::{OfflineOptions, Snapshot};
 use openmldb_online::{
     execute_request, execute_request_with, Deployment, PreAggregator, RequestOptions,
     RequestOutput, TableProvider,
@@ -451,8 +451,7 @@ impl Database {
     /// to toggle parallel windows / skew handling / execution mode).
     pub fn offline_query_with(&self, sql: &str, opts: &OfflineOptions) -> Result<RowBatch> {
         let query = self.cache.compile(sql, self)?;
-        let tables = self.snapshot(&query)?;
-        execute_batch(&query, &tables, opts)
+        openmldb_offline::execute(&query, &self.snapshot(&query)?, opts)
     }
 
     /// Online preview mode: bounded evaluation over current online data.
@@ -484,8 +483,9 @@ impl Database {
                 .truncate(max_rows.min(query.limit.unwrap_or(usize::MAX)));
             return Ok(batch);
         }
-        let tables = self.snapshot(&query)?;
-        let full = Arc::new(execute_batch(&query, &tables, &OfflineOptions::default())?);
+        let snapshot = self.snapshot(&query)?;
+        let full = openmldb_offline::execute(&query, &snapshot, &OfflineOptions::default())?;
+        let full = Arc::new(full);
         self.preview_cache.write().insert(key, full.clone());
         let mut batch = (*full).clone();
         batch
@@ -519,26 +519,13 @@ impl Database {
         h.finish()
     }
 
-    /// Snapshot the tables a query reads into batch inputs.
-    fn snapshot(&self, query: &CompiledQuery) -> Result<Tables> {
-        let mut names = vec![query.base_table.clone()];
-        for j in &query.joins {
-            names.push(j.table.clone());
-        }
-        for w in &query.windows {
-            names.extend(w.union_tables.iter().cloned());
-        }
-        let mut tables = Tables::new();
-        for name in names {
-            if tables.contains_key(&name) {
-                continue;
-            }
-            let table = self
-                .table(&name)
-                .ok_or_else(|| Error::Storage(format!("unknown table `{name}`")))?;
-            tables.insert(name, table.scan_all(0)?);
-        }
-        Ok(tables)
+    /// Snapshot the tables a query reads as the batch engine's encoded
+    /// input. A plan DEPLOY would refuse is refused before any is read.
+    fn snapshot(&self, query: &CompiledQuery) -> Result<Snapshot> {
+        Snapshot::capture(query, |name| {
+            self.table(name)
+                .ok_or_else(|| Error::Storage(format!("unknown table `{name}`")))
+        })
     }
 
     /// Run TTL garbage collection across all tables.

@@ -24,7 +24,9 @@ pub use agg::{create_aggregator, supports_preagg, AggState, Aggregator};
 pub use eval::{evaluate, evaluate_with, ColumnSource};
 pub use export::{infer_feature_kinds, to_csv, to_libsvm, FeatureKind};
 pub use incremental::SlidingWindow;
-pub use program::{specialize, EntryOrder, ExprProgram, Program, WindowProgram, WindowState};
+pub use program::{
+    specialize, EntryOrder, ExprProgram, Program, Sweep, SweepState, WindowProgram, WindowState,
+};
 pub use scratch::{RequestScratch, ScanEntry, REQUEST_ROW};
 pub use window::WindowAggSet;
 

@@ -60,6 +60,9 @@ use crate::scalar::{self, ScalarFuncId};
 use crate::scratch::ScanEntry;
 use crate::window::{projection_for, Projection, WindowAggSet};
 
+mod sweep;
+pub use sweep::{Sweep, SweepState};
+
 // ---------------------------------------------------------------------------
 // Expression programs (register machine over a reusable value stack)
 // ---------------------------------------------------------------------------
@@ -2259,6 +2262,17 @@ impl Program {
             .find_map(|wid| self.fallback_reason(wid))
             .or(self.select.as_ref().err().map(String::as_str))
             .or(self.where_program.as_ref().err().map(String::as_str))
+    }
+
+    /// [`Program::refusal`] as the typed error every engine raises for it:
+    /// `name` (a deployment, or the offline query) does not compile.
+    pub fn accept(&self, name: &str) -> Result<()> {
+        match self.refusal() {
+            Some(refusal) => Err(Error::Deployment(format!(
+                "`{name}` does not compile: {refusal}"
+            ))),
+            None => Ok(()),
+        }
     }
 
     pub fn compiled_windows(&self) -> usize {

@@ -1,0 +1,811 @@
+//! The offline sweep of a [`WindowProgram`]: one partition's rows pass
+//! through the window in the order a request folds them, and every base row
+//! gets the values the online request for that row returns, bit for bit.
+//!
+//! A row's frame is what a request for it scans: the partition's other rows
+//! (its base table's unless `INSTANCE_NOT_IN_WINDOW`, and its union
+//! tables') with a timestamp up to its own, ties included, cut by the frame
+//! and `MAXSIZE`; the row itself is fed last unless `EXCLUDE CURRENT_ROW`.
+//! Where every frame is a contiguous run of the fold order — range and
+//! unbounded frames, `ROWS` frames over distinct timestamps — two pointers
+//! walk the partition. A kernel whose fold is exactly invertible *slides*:
+//! a row is added when it enters the frame and retracted when it leaves.
+//! That is `count`, the wrapping `i64` sum of an integer column, and the
+//! count map behind `distinct_count` / `topn_frequency`. Every other kernel
+//! — f64 sums, averages and deviations, extrema, expression and generic
+//! kernels — *re-folds* the frame through [`WindowProgram::run`], ascending
+//! with the anchor row last, as a request folds (a frame whose start did
+//! not move continues the previous fold instead: the same left fold). The
+//! re-fold runs a program holding only the kernels that do not slide, so a
+//! string count map is viewed once when a row enters and once when it
+//! leaves, not once per frame visit. Otherwise — `MAXSIZE`, `ROWS` over
+//! ties, and the naive oracle — each frame is gathered per source the way a
+//! request scans it (newest first, the `ROWS` count per source), cut by the
+//! program's frame guard and re-folded whole, every kernel included.
+//!
+//! The sliding state lives here, beside the serve loop's
+//! [`WindowState`](super::WindowState), which this module never changes.
+
+use std::cmp::Reverse;
+
+use openmldb_sql::ast::Frame;
+use openmldb_sql::plan::BoundWindow;
+use openmldb_types::{CompactCodec, Result, Value};
+
+use super::{
+    binding_out_of_bounds, project, str_field, Binding, CountEntry, CountMap, EntryOrder, FieldRef,
+    Fixed, KernelClass, KernelSpec, KernelState, TopnSpec, TopnState, WindowProgram, WindowState,
+};
+use crate::scratch::ScanEntry;
+use crate::window::Projection;
+
+/// Where one aggregate's offline value comes from, in aggregate order.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The next output of the re-fold program.
+    Refold,
+    Column {
+        k: usize,
+        proj: Projection,
+    },
+    Distinct {
+        map: usize,
+    },
+    TopN {
+        t: usize,
+    },
+}
+
+/// A window program split into sliding kernels and the re-fold program of
+/// the rest.
+#[derive(Debug)]
+struct Split {
+    /// The kernels that do not slide, as a program of their own (`None`:
+    /// every aggregate slides).
+    refold: Option<WindowProgram>,
+    sources: Vec<Source>,
+    /// Sliding column kernels: `count`, and `sum` over integer columns.
+    kernels: Vec<KernelSpec>,
+    /// Sliding count maps, one per distinct column.
+    maps: Vec<FieldRef>,
+    topn: Vec<TopnSpec>,
+    /// Whether a sliding kernel reads a string (and so needs a row view).
+    needs_view: bool,
+}
+
+/// A [`Split`]'s running state: the sliding kernels' values and the re-fold
+/// program's pooled [`WindowState`].
+struct SplitState {
+    kernels: Vec<KernelState>,
+    maps: Vec<CountMap>,
+    topn: Vec<TopnState>,
+    refold: Option<WindowState>,
+    staged: Vec<Value>,
+}
+
+/// A window program as the offline sweep of its window.
+#[derive(Debug)]
+pub struct Sweep {
+    /// Slides the exact kernels and re-folds the rest over runs of the fold
+    /// order (`None`: every frame is gathered — `MAXSIZE`, the naive oracle).
+    slide: Option<Split>,
+    /// Re-folds every kernel over gathered frames; its program carries the
+    /// frame guards (`None`: no frame is gathered — a range or unbounded
+    /// frame without `MAXSIZE`, swept incrementally).
+    gather: Option<Split>,
+    frame: Frame,
+    /// The anchor row joins its frame (no `EXCLUDE CURRENT_ROW`).
+    include: bool,
+    /// `INSTANCE_NOT_IN_WINDOW`: only union rows fill the frame.
+    union_only: bool,
+}
+
+/// One sweeping worker's pooled state.
+pub struct SweepState {
+    slide: Option<SplitState>,
+    gather: Option<SplitState>,
+    eligible: Vec<ScanEntry>,
+    frame: Vec<ScanEntry>,
+    cands: Vec<usize>,
+    sources: Vec<Vec<usize>>,
+    out: Vec<Value>,
+}
+
+impl WindowProgram {
+    /// This program as the offline sweep of `window`. With `recompute`
+    /// nothing slides and every frame is gathered and re-folded whole: the
+    /// naive oracle.
+    pub fn sweep(&self, window: &BoundWindow, recompute: bool) -> Sweep {
+        let slide = !recompute && window.maxsize.is_none();
+        // A `ROWS` frame over tied timestamps is gathered too.
+        let gather = !slide || matches!(window.frame, Frame::Rows { .. });
+        Sweep {
+            slide: slide.then(|| self.split(false)),
+            gather: gather.then(|| self.split(true)),
+            frame: window.frame,
+            include: !window.exclude_current_row,
+            union_only: window.instance_not_in_window,
+        }
+    }
+
+    fn split(&self, recompute: bool) -> Split {
+        let exact = |class: KernelClass, proj| {
+            proj == Projection::Count || (proj == Projection::Sum && class.is_int())
+        };
+        let slides: Vec<bool> = (0..self.kernels.len())
+            .map(|k| {
+                let class = self.kernels.get(k).map(|s| s.field.class);
+                !recompute
+                    && self.bindings.iter().all(|b| match *b {
+                        Binding::Column { k: at, proj } if at == k => {
+                            class.is_some_and(|c| exact(c, proj))
+                        }
+                        _ => true,
+                    })
+            })
+            .collect();
+        let mut kept = Vec::new();
+        let mut remap = Vec::new();
+        let mut kernels = Vec::new();
+        for (spec, slide) in self.kernels.iter().zip(&slides) {
+            let list = if *slide { &mut kernels } else { &mut kept };
+            remap.push(list.len());
+            list.push(spec.clone());
+        }
+        let mut bindings = Vec::new();
+        let sources = self
+            .bindings
+            .iter()
+            .map(|b| match *b {
+                Binding::Column { k, proj } if slides.get(k) == Some(&true) => Source::Column {
+                    k: remap.get(k).copied().unwrap_or(usize::MAX),
+                    proj,
+                },
+                Binding::Column { k, proj } => {
+                    bindings.push(Binding::Column {
+                        k: remap.get(k).copied().unwrap_or(usize::MAX),
+                        proj,
+                    });
+                    Source::Refold
+                }
+                Binding::Distinct { map } if !recompute => Source::Distinct { map },
+                Binding::TopN { t } if !recompute => Source::TopN { t },
+                other => {
+                    bindings.push(other);
+                    Source::Refold
+                }
+            })
+            .collect();
+        let (maps, topn) = if recompute {
+            (Vec::new(), Vec::new())
+        } else {
+            (self.maps.clone(), self.topn.clone())
+        };
+        let is_str = |f: &FieldRef| f.class == KernelClass::Str;
+        let refold = (!bindings.is_empty()).then(|| {
+            let (rmaps, rtopn) = if recompute {
+                (self.maps.clone(), self.topn.clone())
+            } else {
+                (Vec::new(), Vec::new())
+            };
+            WindowProgram {
+                needs_view: kept.iter().any(|k| is_str(&k.field))
+                    || rmaps.iter().any(is_str)
+                    || !self.generic.is_empty(),
+                extended: !(self.exprs.is_empty() && rmaps.is_empty() && self.generic.is_empty()),
+                kernels: kept,
+                exprs: self.exprs.clone(),
+                maps: rmaps,
+                topn: rtopn,
+                generic: self.generic.clone(),
+                bindings,
+                max_regs: self.max_regs,
+                min_row_len: self.min_row_len,
+                schema_version: self.schema_version,
+                // Kept for the naive sweep's frame guard; `run` ignores them.
+                rows_preceding: self.rows_preceding,
+                maxsize: self.maxsize,
+                include_request: true,
+            }
+        });
+        Split {
+            needs_view: kernels.iter().any(|k| is_str(&k.field)) || maps.iter().any(is_str),
+            refold,
+            sources,
+            kernels,
+            maps,
+            topn,
+        }
+    }
+}
+
+impl Split {
+    fn new_state(&self) -> SplitState {
+        SplitState {
+            kernels: vec![KernelState::default(); self.kernels.len()],
+            maps: self.maps.iter().map(|_| CountMap::new()).collect(),
+            topn: self.topn.iter().map(|_| TopnState::default()).collect(),
+            refold: self.refold.as_ref().map(WindowProgram::new_state),
+            staged: Vec::new(),
+        }
+    }
+
+    /// Whether any kernel slides ([`Split::step`] is a no-op otherwise).
+    fn slides(&self) -> bool {
+        !(self.kernels.is_empty() && self.maps.is_empty())
+    }
+
+    /// Whether any kernel re-folds (the frame passed to [`Split::output`]
+    /// is read only then).
+    fn refolds(&self) -> bool {
+        self.refold.is_some()
+    }
+
+    /// Empty the sliding state for the next partition.
+    fn clear(&self, st: &mut SplitState) {
+        st.kernels.fill(KernelState::default());
+        for m in &mut st.maps {
+            m.clear();
+        }
+    }
+
+    /// Add the encoded row `buf` (a slice of `arena`) to the sliding
+    /// state, or retract it (`add` false).
+    fn step(
+        &self,
+        st: &mut SplitState,
+        buf: &[u8],
+        arena: &[u8],
+        codec: &CompactCodec,
+        add: bool,
+    ) -> Result<()> {
+        let view = if self.needs_view {
+            Some(codec.view(buf)?)
+        } else {
+            None
+        };
+        for (spec, ks) in self.kernels.iter().zip(st.kernels.iter_mut()) {
+            if spec.field.null_in(buf) {
+                continue;
+            }
+            let v = match spec.field.class {
+                KernelClass::Str => 0,
+                _ => match spec.field.stored(buf)? {
+                    Some(Fixed::Int(v)) => v,
+                    _ => 0,
+                },
+            };
+            if add {
+                ks.count = ks.count.wrapping_add(1);
+                ks.sum_i = ks.sum_i.wrapping_add(v);
+            } else {
+                ks.count = ks.count.wrapping_sub(1);
+                ks.sum_i = ks.sum_i.wrapping_sub(v);
+            }
+        }
+        for (field, map) in self.maps.iter().zip(st.maps.iter_mut()) {
+            if field.class != KernelClass::Str {
+                match field.stored(buf)? {
+                    Some(v) if add => map.bump_fixed(v),
+                    Some(v) => {
+                        let key = v.key_bits();
+                        map.retract(map.mix(key), |e| e.key == key);
+                    }
+                    None => {}
+                }
+                continue;
+            }
+            let Some(view) = &view else { continue };
+            let Some(s) = str_field(view, field.col)? else {
+                continue;
+            };
+            let bytes = s.as_bytes();
+            if add {
+                map.bump_str(bytes, arena)?;
+            } else {
+                map.retract(map.hash_bytes(bytes), |e| {
+                    arena.get(e.key as usize..e.key as usize + e.len) == Some(bytes)
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// One output row: re-fold the kernels that do not slide over `frame`
+    /// (ascending, the anchor row last when it joins), then push one value
+    /// per aggregate, in aggregate order, into `out`. When the first
+    /// `folded` rows of `frame` are exactly the frame of the previous output
+    /// (its start did not move), the fold continues from there instead —
+    /// the same left fold, so the same bits.
+    fn output(
+        &self,
+        st: &mut SplitState,
+        frame: &[ScanEntry],
+        folded: usize,
+        arena: &[u8],
+        codec: &CompactCodec,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        let SplitState {
+            kernels,
+            maps,
+            topn,
+            refold,
+            staged,
+        } = st;
+        staged.clear();
+        if let (Some(program), Some(state)) = (&self.refold, refold.as_mut()) {
+            let order = EntryOrder::Ascending;
+            let mut probe = || -> Result<()> { Ok(()) };
+            match frame.get(folded..) {
+                Some(fresh) if folded > 0 => {
+                    let ext = program.extended;
+                    program.feed_entries(ext, state, fresh, 0, order, arena, codec, &mut probe)?;
+                    state.generic_out.clear();
+                    program.finish(state, arena, None)?;
+                }
+                _ => program.run(state, frame, 0, order, arena, None, codec, &mut probe)?,
+            }
+            program.outputs_into(state, arena, None, staged)?;
+        }
+        for (spec, rendered) in self.topn.iter().zip(topn.iter_mut()) {
+            match (self.maps.get(spec.map), maps.get(spec.map)) {
+                (Some(field), Some(map)) => rendered.render(field, map, spec.n, arena, None)?,
+                _ => return Err(binding_out_of_bounds()),
+            }
+        }
+        let mut refolded = staged.drain(..);
+        for source in &self.sources {
+            match *source {
+                Source::Refold => out.push(refolded.next().ok_or_else(binding_out_of_bounds)?),
+                Source::Column { k, proj } => match (self.kernels.get(k), kernels.get(k)) {
+                    (Some(spec), Some(ks)) => {
+                        let (class, col) = (spec.field.class, spec.field.col);
+                        project(class, col, ks, proj, arena, None, out)?
+                    }
+                    _ => return Err(binding_out_of_bounds()),
+                },
+                Source::Distinct { map } => match maps.get(map) {
+                    Some(m) => out.push(Value::Bigint(m.entries.len() as i64)),
+                    None => return Err(binding_out_of_bounds()),
+                },
+                Source::TopN { t } => match topn.get(t) {
+                    Some(t) => out.push(Value::string(t.rendered.as_str())),
+                    None => return Err(binding_out_of_bounds()),
+                },
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Sweep {
+    pub fn new_state(&self) -> SweepState {
+        SweepState {
+            slide: self.slide.as_ref().map(Split::new_state),
+            gather: self.gather.as_ref().map(Split::new_state),
+            eligible: Vec::new(),
+            frame: Vec::new(),
+            cands: Vec::new(),
+            sources: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Sweep one partition. `entries` are its rows in the order a request
+    /// folds them — ascending `(ts, seq)` with `seq = source << 32 | scan
+    /// position`, source 0 the base table — as byte ranges of `arena`;
+    /// `anchors` are the base rows to answer, `(position in entries, row
+    /// id)` in fold order. Each one's values, in aggregate order, go to
+    /// `emit` with its row id.
+    pub fn fold_partition(
+        &self,
+        st: &mut SweepState,
+        entries: &[ScanEntry],
+        anchors: &[(usize, u32)],
+        arena: &[u8],
+        codec: &CompactCodec,
+        emit: &mut dyn FnMut(u32, &mut Vec<Value>),
+    ) -> Result<()> {
+        let io = Io { arena, codec, emit };
+        let mut eligible = std::mem::take(&mut st.eligible);
+        eligible.clear();
+        if self.union_only {
+            eligible.extend(entries.iter().filter(|e| e.seq >> 32 != 0));
+        }
+        let e = if self.union_only {
+            &eligible[..]
+        } else {
+            entries
+        };
+        // A `ROWS` frame over tied timestamps is not a run of the fold order.
+        let ties = || {
+            e.windows(2)
+                .any(|p| p.first().map(|a| a.ts) == p.get(1).map(|b| b.ts))
+        };
+        let rows_over_ties = matches!(self.frame, Frame::Rows { .. }) && ties();
+        let swept = match &self.slide {
+            Some(sweep) if !rows_over_ties => self.slide_frames(sweep, st, e, entries, anchors, io),
+            _ => self.gather_frames(st, entries, anchors, io),
+        };
+        st.eligible = eligible;
+        swept
+    }
+
+    /// Two pointers over the eligible rows `e`: the sliding kernels hold
+    /// `e[x..y)`, the anchor moves to the end of its frame.
+    fn slide_frames(
+        &self,
+        sweep: &Split,
+        st: &mut SweepState,
+        e: &[ScanEntry],
+        entries: &[ScanEntry],
+        anchors: &[(usize, u32)],
+        io: Io,
+    ) -> Result<()> {
+        let Io { arena, codec, emit } = io;
+        let SweepState {
+            slide, frame, out, ..
+        } = st;
+        let fast = slide.as_mut().ok_or_else(binding_out_of_bounds)?;
+        let include = self.include;
+        sweep.clear(fast);
+        let mut span: Option<(usize, usize)> = None;
+        // The slice of `e` the re-fold state holds, when it holds one.
+        let mut held: Option<(usize, usize)> = None;
+        for &(g, row) in anchors {
+            let Some(&r) = entries.get(g) else {
+                continue;
+            };
+            // The anchor's position among the eligible rows, if it is one.
+            let own = (!self.union_only).then_some(g);
+            // Both frame edges only move forward: walk them from the last.
+            let (px, py) = span.unwrap_or_default();
+            let mut hi = py;
+            while e.get(hi).is_some_and(|v| v.ts <= r.ts) {
+                hi += 1;
+            }
+            let lo = match self.frame {
+                Frame::Unbounded => 0,
+                Frame::RowsRange { preceding_ms } => {
+                    let from = r.ts.saturating_sub(preceding_ms);
+                    let mut lo = px;
+                    while lo < hi && e.get(lo).is_some_and(|v| v.ts < from) {
+                        lo += 1;
+                    }
+                    lo
+                }
+                Frame::Rows { preceding } => {
+                    let rows =
+                        preceding as usize + usize::from(!include) + usize::from(own.is_some());
+                    hi.saturating_sub(rows)
+                }
+            };
+            let (mut x, mut y) = span.unwrap_or((lo, lo));
+            if sweep.slides() {
+                for v in e.get(y..hi).unwrap_or_default() {
+                    sweep.step(fast, v.bytes(arena), arena, codec, true)?;
+                }
+                for v in e.get(x..lo).unwrap_or_default() {
+                    sweep.step(fast, v.bytes(arena), arena, codec, false)?;
+                }
+            }
+            (x, y) = (x.max(lo), y.max(hi));
+            span = Some((x, y));
+            // The request folds the anchor last, if at all: the sliding
+            // state holds it exactly when the frame does.
+            let adjust = match (own.is_some(), include) {
+                (true, false) => Some(false),
+                (false, true) => Some(true),
+                _ => None,
+            };
+            let adjust = adjust.filter(|_| sweep.slides());
+            if let Some(add) = adjust {
+                sweep.step(fast, r.bytes(arena), arena, codec, add)?;
+            }
+            let (rows, direct) = match own {
+                _ if !sweep.refolds() => (&[][..], None),
+                Some(k) if k + 1 == y => {
+                    let end = if include { y } else { k };
+                    (e.get(x..end).unwrap_or_default(), Some((x, end)))
+                }
+                _ => {
+                    frame.clear();
+                    let others = e.get(x..y).unwrap_or_default().iter().enumerate();
+                    frame.extend(others.filter(|&(i, _)| Some(x + i) != own).map(|(_, v)| *v));
+                    if include {
+                        frame.push(r);
+                    }
+                    (&frame[..], None)
+                }
+            };
+            // A frame whose start did not move extends the one folded last.
+            let folded = match (held, direct) {
+                (Some((a, b)), Some((a2, b2))) if a == a2 && b <= b2 => b - a,
+                _ => 0,
+            };
+            held = direct;
+            sweep.output(fast, rows, folded, arena, codec, out)?;
+            if let Some(add) = adjust {
+                sweep.step(fast, r.bytes(arena), arena, codec, !add)?;
+            }
+            emit(row, out);
+        }
+        Ok(())
+    }
+
+    /// Each anchor's frame gathered per source as a request scans it —
+    /// newest first, the `ROWS` count per source — then cut by the
+    /// program's frame guard, and re-folded whole.
+    fn gather_frames(
+        &self,
+        st: &mut SweepState,
+        entries: &[ScanEntry],
+        anchors: &[(usize, u32)],
+        io: Io,
+    ) -> Result<()> {
+        let Io { arena, codec, emit } = io;
+        let SweepState {
+            gather,
+            frame,
+            cands,
+            sources,
+            out,
+            ..
+        } = st;
+        let (Some(naive), Some(state)) = (&self.gather, gather.as_mut()) else {
+            return Err(binding_out_of_bounds());
+        };
+        let include = self.include;
+        let ts = |i: usize| entries.get(i).map_or(i64::MIN, |e| e.ts);
+        sources.iter_mut().for_each(Vec::clear);
+        for (i, e) in entries.iter().enumerate() {
+            let src = e.seq >> 32;
+            if self.union_only && src == 0 {
+                continue;
+            }
+            sources.resize_with(sources.len().max(src + 1), Vec::new);
+            if let Some(list) = sources.get_mut(src) {
+                list.push(i);
+            }
+        }
+        for list in sources.iter_mut() {
+            list.sort_unstable_by_key(|&i| (Reverse(ts(i)), entries.get(i).map(|e| e.seq)));
+        }
+        let guard = naive.refold.as_ref();
+        for &(g, row) in anchors {
+            let Some(&r) = entries.get(g) else {
+                continue;
+            };
+            cands.clear();
+            for list in sources.iter() {
+                let from = list.partition_point(|&i| ts(i) > r.ts);
+                let mut taken = 0;
+                for &i in list.get(from..).unwrap_or_default() {
+                    let stop = match self.frame {
+                        Frame::RowsRange { preceding_ms } => {
+                            ts(i) < r.ts.saturating_sub(preceding_ms)
+                        }
+                        Frame::Rows { preceding } => {
+                            taken == preceding as usize + usize::from(!include)
+                        }
+                        Frame::Unbounded => false,
+                    };
+                    if stop {
+                        break;
+                    }
+                    if i != g {
+                        cands.push(i);
+                        taken += 1;
+                    }
+                }
+            }
+            cands.sort_unstable();
+            let n = cands.len();
+            let total = n + usize::from(include);
+            let first = guard.map_or(0, |p| p.first_in_frame(total));
+            frame.clear();
+            let kept = cands.get(first.min(n)..).unwrap_or_default();
+            frame.extend(kept.iter().filter_map(|&i| entries.get(i)));
+            if include && first < total {
+                frame.push(r);
+            }
+            naive.output(state, frame, 0, arena, codec, out)?;
+            emit(row, out);
+        }
+        Ok(())
+    }
+}
+
+/// What a partition's sweep reads from and writes to.
+struct Io<'a, 'e> {
+    arena: &'a [u8],
+    codec: &'a CompactCodec,
+    emit: &'e mut dyn FnMut(u32, &mut Vec<Value>),
+}
+
+impl CountMap {
+    /// Take one occurrence of the key hashed to `hash` (and matching `same`)
+    /// out of the map; its entry goes when the count reaches zero, so the
+    /// entries are exactly the keys of the frame.
+    fn retract(&mut self, hash: u64, same: impl Fn(&CountEntry) -> bool) {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = hash as usize & mask;
+        for _ in 0..self.slots.len() {
+            let Some(&slot) = self.slots.get(at) else {
+                return;
+            };
+            let idx = (slot as usize).wrapping_sub(1);
+            match self.entries.get_mut(idx) {
+                None => return,
+                Some(e) if e.hash == hash && same(e) => {
+                    e.count -= 1;
+                    if e.count == 0 {
+                        self.remove(at, idx);
+                    }
+                    return;
+                }
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Drop entry `idx`, held by slot `hole`: backward-shift the probe run
+    /// behind it, then move the last entry into its place.
+    fn remove(&mut self, mut hole: usize, idx: usize) {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut next = (hole + 1) & mask;
+        while let Some(&slot) = self.slots.get(next).filter(|s| **s != 0) {
+            let home = self
+                .entries
+                .get(slot as usize - 1)
+                .map_or(next, |e| e.hash as usize & mask);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                if let Some(h) = self.slots.get_mut(hole) {
+                    *h = slot;
+                }
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        if let Some(h) = self.slots.get_mut(hole) {
+            *h = 0;
+        }
+        let last = self.entries.len().wrapping_sub(1);
+        if idx != last {
+            if let Some(moved) = self.entries.get(last) {
+                let mut at = moved.hash as usize & mask;
+                while let Some(slot) = self.slots.get_mut(at) {
+                    if *slot as usize == last + 1 {
+                        *slot = idx as u32 + 1;
+                        break;
+                    }
+                    at = (at + 1) & mask;
+                }
+            }
+        }
+        self.entries.swap_remove(idx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use openmldb_sql::functions::lookup;
+    use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
+    use openmldb_types::codec::RowCodec;
+    use openmldb_types::{ColumnDef, DataType, Row, Schema};
+
+    fn schema() -> Schema {
+        Schema::new(vec![
+            ColumnDef::new("ts", DataType::Timestamp),
+            ColumnDef::new("i", DataType::Int),
+            ColumnDef::new("d", DataType::Double),
+            ColumnDef::new("s", DataType::String),
+        ])
+        .expect("valid schema")
+    }
+
+    fn agg(name: &str, args: Vec<PhysExpr>) -> BoundAggregate {
+        BoundAggregate {
+            window_id: 0,
+            func: lookup(name).expect("builtin"),
+            args,
+            output_type: DataType::Double,
+        }
+    }
+
+    fn program(aggs: &[BoundAggregate]) -> WindowProgram {
+        let window = BoundWindow {
+            name: "w".into(),
+            merged_names: vec!["w".into()],
+            partition_cols: Vec::new(),
+            order_col: 0,
+            order_desc: false,
+            frame: openmldb_sql::ast::Frame::Unbounded,
+            maxsize: None,
+            exclude_current_row: false,
+            instance_not_in_window: false,
+            union_tables: Vec::new(),
+        };
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let codec = CompactCodec::new(schema());
+        WindowProgram::compile(&window, &refs, &codec).expect("compiles")
+    }
+
+    /// Frames sliding over a row stream give what re-folding each frame
+    /// gives, for every family: sliding counts, integer sums and count maps
+    /// (string and fixed), re-folded f64 sums, extrema, expressions and a
+    /// generic aggregate.
+    #[test]
+    fn sliding_frames_equal_refolded_frames() {
+        let col = PhysExpr::Column;
+        let aggs = vec![
+            agg("count", vec![col(1)]),
+            agg("sum", vec![col(1)]),
+            agg("sum", vec![col(2)]),
+            agg("min", vec![col(3)]),
+            agg("distinct_count", vec![col(3)]),
+            agg(
+                "topn_frequency",
+                vec![col(3), PhysExpr::Literal(Value::Int(2))],
+            ),
+            agg("distinct_count", vec![col(1)]),
+            agg("count", vec![col(3)]),
+            agg("drawdown", vec![col(2)]),
+        ];
+        let wp = program(&aggs);
+        let codec = CompactCodec::new(schema());
+        let words = ["a", "bb", "a", "c", "bb", "a", "dd"];
+        let mut arena = Vec::new();
+        let mut entries = Vec::new();
+        for i in 0..240i64 {
+            let row = Row::new(vec![
+                Value::Timestamp(i),
+                if i % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int((i * 37 % 97) as i32 - 40)
+                },
+                Value::Double((i as f64 * 0.37).sin() * 100.0),
+                if i % 6 == 0 {
+                    Value::Null
+                } else {
+                    Value::string(words[(i * 5 % 7) as usize])
+                },
+            ]);
+            let bytes = codec.encode(&row).expect("encode");
+            entries.push(ScanEntry {
+                ts: i,
+                seq: 0,
+                start: arena.len(),
+                len: bytes.len(),
+            });
+            arena.extend_from_slice(&bytes);
+        }
+        let (fast, naive) = (wp.split(false), wp.split(true));
+        assert!(fast.slides() && fast.refolds() && !naive.slides());
+        let (mut fs, mut ns) = (fast.new_state(), naive.new_state());
+        let (mut lo, mut hi) = (0usize, 0usize);
+        for (end, width) in (1..=240).zip([3usize, 9, 1, 14, 6, 60].into_iter().cycle()) {
+            while hi < end {
+                fast.step(&mut fs, entries[hi].bytes(&arena), &arena, &codec, true)
+                    .unwrap();
+                hi += 1;
+            }
+            while lo < end.saturating_sub(width) {
+                fast.step(&mut fs, entries[lo].bytes(&arena), &arena, &codec, false)
+                    .unwrap();
+                lo += 1;
+            }
+            let frame = &entries[lo..hi];
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            fast.output(&mut fs, frame, 0, &arena, &codec, &mut a)
+                .unwrap();
+            naive
+                .output(&mut ns, frame, 0, &arena, &codec, &mut b)
+                .unwrap();
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "frame {lo}..{hi}");
+        }
+    }
+}

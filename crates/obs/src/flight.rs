@@ -869,6 +869,10 @@ pub fn render_report(json: bool) -> String {
 mod tests {
     use super::*;
 
+    /// The slow log is process-global: the tests that clear and fill it
+    /// take turns.
+    static SLOW_LOG_TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[cfg(not(feature = "obs-off"))]
     fn sleep_us(us: u64) {
         let t = std::time::Instant::now();
@@ -1098,6 +1102,7 @@ mod tests {
 
     #[test]
     fn slow_log_publish_retain_and_render() {
+        let _turn = SLOW_LOG_TURN.lock().unwrap_or_else(|e| e.into_inner());
         clear_slow_log();
         let before = published_total();
         let pm = PostMortem {
@@ -1135,6 +1140,7 @@ mod tests {
         if !crate::enabled() {
             return;
         }
+        let _turn = SLOW_LOG_TURN.lock().unwrap_or_else(|e| e.into_inner());
         clear_slow_log();
         for i in 0..(SLOW_LOG_CAPACITY + 5) {
             publish(PostMortem {

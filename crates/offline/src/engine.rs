@@ -1,36 +1,36 @@
-//! Offline batch execution engine (paper Section 6).
+//! Offline batch execution (paper Section 6): every row of the base table
+//! gets the feature row the online engine returns when that row is the
+//! request — the program a deployment serves with, run over an encoded
+//! [`Snapshot`], so the two answers are equal bit for bit (the consistency
+//! guarantee of Section 4).
 //!
-//! Offline mode computes, for *every* historical row of the base table, the
-//! same feature vector the online engine would produce had that row been the
-//! request — one compiled plan, two engines, identical results (the
-//! consistency guarantee of Section 4).
-//!
-//! Per window the engine groups rows by partition key, sorts each group by
-//! the order column once, and sweeps it with the subtract-and-evict
-//! incremental state. A `RecomputePerRow` mode re-aggregates each row's
-//! frame from scratch — both the Spark-like baseline for the benchmarks and
-//! the fallback for `EXCLUDE CURRENT_ROW`.
+//! [`execute`] sweeps every window per partition ([`crate::parallel`],
+//! [`crate::skew`]) into one row-major buffer of aggregates, then runs each
+//! base row's LAST JOINs, WHERE and select list — the online scalar VM's
+//! programs — over just the columns they read, decoded straight from the
+//! snapshot's bytes. The LAST JOIN residual is the one tree-walk
+//! `evaluate` left, the same call a request makes. The entry points over
+//! decoded [`Tables`] ([`execute_batch`], [`sweep_window`],
+//! [`crate::compute_windows`]) encode their input once and run the same
+//! path.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use openmldb_exec::{evaluate, SlidingWindow, WindowAggSet};
-use openmldb_sql::ast::Frame;
+use openmldb_exec::{evaluate, specialize, Program};
 use openmldb_sql::plan::{BoundWindow, CompiledQuery};
 use openmldb_types::{Error, KeyValue, Result, Row, RowBatch, Value};
 
-use crate::parallel;
+use crate::parallel::compute;
 use crate::skew::SkewConfig;
-
-/// Rows of each window partition, tagged with (order ts, row, base-row index).
-/// Union-table rows carry `None` — they feed state but emit no output.
-pub(crate) type GroupedRows<'a> = HashMap<Vec<KeyValue>, Vec<(i64, &'a Row, Option<usize>)>>;
+use crate::snapshot::{missing, Snapshot};
 
 /// How each window's aggregates are computed along a sorted partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowExecMode {
-    /// Subtract-and-evict sweep: O(n) state updates per partition.
+    /// Invertible kernels slide, the rest re-fold each frame.
     Incremental,
-    /// Per-row frame re-aggregation: O(n × frame) — the naive baseline.
+    /// Every kernel re-folds every frame: O(n × frame) — the naive oracle.
     RecomputePerRow,
 }
 
@@ -50,20 +50,100 @@ impl Default for OfflineOptions {
     fn default() -> Self {
         OfflineOptions {
             parallel_windows: true,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             skew: None,
             mode: WindowExecMode::Incremental,
         }
     }
 }
 
-/// The input relation set: table name → rows.
+/// The decoded input relation set: table name → rows.
 pub type Tables = HashMap<String, Vec<Row>>;
 
-/// Execute a compiled feature query in batch over `tables`, producing one
-/// output row per base-table row (in input order).
+/// The program a deployment of `query` serves with — or DEPLOY's refusal.
+pub(crate) fn program(query: &CompiledQuery) -> Result<Arc<Program>> {
+    let program = specialize(query);
+    program.accept("offline query")?;
+    Ok(program)
+}
+
+/// Execute a compiled feature query over `snap`: one output row per base
+/// row, in the snapshot's row order (WHERE drops rows, LIMIT stops).
+pub fn execute(query: &CompiledQuery, snap: &Snapshot, opts: &OfflineOptions) -> Result<RowBatch> {
+    let program = program(query)?;
+    let wids: Vec<usize> = (0..query.windows.len()).collect();
+    let aggs = compute(query, &program, snap, opts, &wids)?;
+    let joins: Vec<_> = query
+        .joins
+        .iter()
+        .map(|j| snap.lookup(j))
+        .collect::<Result<_>>()?;
+    // Decode only the columns the select list, WHERE and the joins read.
+    let mut cols = Vec::new();
+    let select = query.select.iter().map(|c| &c.expr);
+    let residuals = query.joins.iter().flat_map(|j| &j.residual);
+    for e in select.chain(&query.where_clause).chain(residuals) {
+        e.collect_columns(&mut cols);
+    }
+    for j in &query.joins {
+        cols.extend(j.eq_pairs.iter().map(|p| p.0));
+    }
+    let mut wanted = vec![false; query.combined_schema.len()];
+    cols.into_iter().for_each(|c| wanted[c] = true);
+
+    let base = snap.table(&query.base_table)?;
+    let selects = program.select_programs().unwrap_or_default();
+    let (mut combined, mut stack, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    for id in 0..base.rows.len() as u32 {
+        combined.clear();
+        combined.resize(wanted.len(), Value::Null);
+        snap.decode(base, id, &wanted, &mut combined[..query.base_schema.len()])?;
+        for (join, (table, lookup)) in query.joins.iter().zip(&joins) {
+            let key: Vec<KeyValue> = join
+                .eq_pairs
+                .iter()
+                .map(|p| (&combined[p.0]).into())
+                .collect();
+            let span = join.offset..join.offset + join.schema.len();
+            // The newest candidate the residual accepts — tried on the row
+            // so far, its errors counting as no match, as a request does.
+            let mut hit = false;
+            for &(cand, _) in lookup.get(&key).into_iter().flatten() {
+                let (want, dest) = (&wanted[span.clone()], &mut combined[span.clone()]);
+                snap.decode(table, cand, want, dest)?;
+                let probe = &combined[..span.end];
+                let accepts =
+                    |p| matches!(evaluate(p, probe, &[]).and_then(|v| v.as_bool()), Ok(true));
+                hit = join.residual.as_ref().is_none_or(accepts);
+                if hit {
+                    break;
+                }
+            }
+            if !hit {
+                combined[span].fill(Value::Null);
+            }
+        }
+        if let Some(pred) = program.where_program() {
+            if !pred.eval(&combined, &[], &mut stack)?.as_bool()? {
+                continue;
+            }
+        }
+        let aggs = aggs
+            .get(id as usize * query.aggregates.len()..)
+            .unwrap_or_default();
+        let mut row = Vec::with_capacity(selects.len());
+        for p in selects {
+            row.push(p.eval(&combined, aggs, &mut stack)?);
+        }
+        out.push(Row::new(row));
+        if query.limit.is_some_and(|l| out.len() >= l) {
+            break;
+        }
+    }
+    Ok(RowBatch::new(query.output_schema.clone(), out))
+}
+
+/// [`execute`] over decoded `tables`, encoded once with the base codec.
 pub fn execute_batch(
     query: &CompiledQuery,
     tables: &Tables,
@@ -71,115 +151,13 @@ pub fn execute_batch(
 ) -> Result<RowBatch> {
     let base = tables
         .get(&query.base_table)
-        .ok_or_else(|| Error::Storage(format!("missing table `{}`", query.base_table)))?;
-
-    // 1. Per-window aggregate values per base row index (the synthetic index
-    //    column of Section 6.1 is the row's position here).
-    let window_results = parallel::compute_windows(query, tables, base, opts)?;
-
-    // 2. LAST JOIN lookup structures: right-table rows keyed by join key,
-    //    keeping only the "last" row per key (max order column).
-    let join_lookups: Vec<HashMap<Vec<KeyValue>, Vec<Row>>> = query
-        .joins
-        .iter()
-        .map(|join| {
-            let rows = tables
-                .get(&join.table)
-                .ok_or_else(|| Error::Storage(format!("missing table `{}`", join.table)))?;
-            let right_keys: Vec<usize> = join.eq_pairs.iter().map(|&(_, r)| r).collect();
-            let mut lookup: HashMap<Vec<KeyValue>, Vec<Row>> = HashMap::new();
-            for row in rows {
-                lookup
-                    .entry(row.key_for(&right_keys))
-                    .or_default()
-                    .push(row.clone());
-            }
-            // Order candidates newest-first by the join's order column so a
-            // residual predicate scans in LAST JOIN order.
-            for candidates in lookup.values_mut() {
-                if let Some(oc) = join.order_col {
-                    candidates.sort_by_key(|r| std::cmp::Reverse(r.ts_at(oc)));
-                }
-            }
-            Ok(lookup)
-        })
-        .collect::<Result<Vec<_>>>()?;
-
-    // 3. Assemble output rows.
-    let by_window = query.aggregates_by_window();
-    let mut out_rows = Vec::with_capacity(base.len());
-    for (idx, row) in base.iter().enumerate() {
-        // Combined row: base columns, then each join's matched columns.
-        let mut combined: Vec<Value> = row.values().to_vec();
-        for (join, lookup) in query.joins.iter().zip(&join_lookups) {
-            let key: Vec<KeyValue> = join
-                .eq_pairs
-                .iter()
-                .map(|&(l, _)| KeyValue::from(&combined[l]))
-                .collect();
-            let matched = match lookup.get(&key) {
-                None => None,
-                Some(candidates) => {
-                    let mut hit = None;
-                    for cand in candidates {
-                        let passes = match &join.residual {
-                            None => true,
-                            Some(pred) => {
-                                let mut probe = combined.clone();
-                                probe.extend(cand.values().iter().cloned());
-                                evaluate(pred, &probe, &[])?.as_bool()?
-                            }
-                        };
-                        if passes {
-                            hit = Some(cand);
-                            break;
-                        }
-                    }
-                    hit
-                }
-            };
-            match matched {
-                Some(r) => combined.extend(r.values().iter().cloned()),
-                None => combined.extend((0..join.schema.len()).map(|_| Value::Null)),
-            }
-        }
-
-        // WHERE filter drops the row from the batch output.
-        if let Some(pred) = &query.where_clause {
-            if !evaluate(pred, &combined, &[])?.as_bool()? {
-                continue;
-            }
-        }
-
-        // Gather aggregate values for this row from each window result.
-        let mut agg_values = vec![Value::Null; query.aggregates.len()];
-        for (wid, slots) in by_window.iter().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let per_row = &window_results[wid][idx];
-            for (slot, v) in slots.iter().zip(per_row.iter()) {
-                agg_values[*slot] = v.clone();
-            }
-        }
-
-        let mut out = Vec::with_capacity(query.select.len());
-        for col in &query.select {
-            out.push(evaluate(&col.expr, &combined, &agg_values)?);
-        }
-        out_rows.push(Row::new(out));
-        if let Some(limit) = query.limit {
-            if out_rows.len() >= limit {
-                break;
-            }
-        }
-    }
-    Ok(RowBatch::new(query.output_schema.clone(), out_rows))
+        .ok_or_else(|| missing(&query.base_table))?;
+    execute(query, &Snapshot::from_rows(query, base, tables)?, opts)
 }
 
-/// Compute one window's aggregates for every base row. Returns, per base row
-/// index, the aggregate values in `aggs` order. Union-table rows participate
-/// in windows without producing outputs.
+/// Compute one window's aggregates (`agg_ids`, of `window`'s) for every
+/// `base` row, union tables from `tables`: per base row, the values in
+/// `agg_ids` order.
 pub fn sweep_window(
     query: &CompiledQuery,
     window: &BoundWindow,
@@ -188,149 +166,48 @@ pub fn sweep_window(
     agg_ids: &[usize],
     mode: WindowExecMode,
 ) -> Result<Vec<Vec<Value>>> {
-    let agg_refs: Vec<_> = agg_ids.iter().map(|&i| &query.aggregates[i]).collect();
-
-    // Tag rows: (key, ts, row, base_index or None for union rows).
-    let mut tagged: Vec<(Vec<KeyValue>, i64, &Row, Option<usize>)> = Vec::new();
-    for (i, row) in base.iter().enumerate() {
-        tagged.push((
-            row.key_for(&window.partition_cols),
-            row.ts_at(window.order_col),
-            row,
-            Some(i),
-        ));
-    }
-    for name in &window.union_tables {
-        let rows = tables
-            .get(name)
-            .ok_or_else(|| Error::Storage(format!("missing union table `{name}`")))?;
-        for row in rows {
-            tagged.push((
-                row.key_for(&window.partition_cols),
-                row.ts_at(window.order_col),
-                row,
-                None,
-            ));
-        }
-    }
-
-    // Group by key, sort each group chronologically (union rows with equal
-    // ts sort before the base row is irrelevant to set aggregates; keep the
-    // base row last for equal ts so it anchors).
-    let mut groups: GroupedRows = HashMap::new();
-    for (key, ts, row, idx) in tagged {
-        groups.entry(key).or_default().push((ts, row, idx));
-    }
-
-    let mut results: Vec<Vec<Value>> = vec![Vec::new(); base.len()];
-    for (_key, mut group) in groups {
-        group.sort_by_key(|(ts, _, idx)| (*ts, idx.is_some()));
-        for (i, outs) in sweep_group(&group, window, &agg_refs, mode)? {
-            results[i] = outs;
-        }
-        // MAXSIZE is a memory cap on the online path; the batch sweep keeps
-        // exact semantics (results identical when under the cap).
-    }
-    Ok(results)
+    let wid = query.windows.iter().position(|w| w.name == window.name);
+    let wid =
+        wid.ok_or_else(|| Error::Storage(format!("window `{}` is not in the plan", window.name)))?;
+    let opts = OfflineOptions {
+        parallel_windows: false,
+        threads: 1,
+        skew: None,
+        mode,
+    };
+    let mut rows = decoded(query, tables, base, &opts, &[(wid, agg_ids)])?;
+    Ok(rows.pop().unwrap_or_default())
 }
 
-/// Whether the window's attributes force the per-row recompute path (the
-/// incremental sweep cannot exclude rows per output row).
-fn needs_recompute(window: &BoundWindow) -> bool {
-    window.exclude_current_row || window.instance_not_in_window
-}
-
-/// Sweep one time-sorted partition group, returning `(base_index, values)`
-/// for every output-producing row. Shared by the plain sweep and the
-/// skew-repartitioned sweep of Section 6.2 (where expanded context rows
-/// carry `idx = None` and produce no output).
-pub fn sweep_group(
-    group: &[(i64, &Row, Option<usize>)],
-    window: &BoundWindow,
-    agg_refs: &[&openmldb_sql::plan::BoundAggregate],
-    mode: WindowExecMode,
-) -> Result<Vec<(usize, Vec<Value>)>> {
-    let mut out = Vec::new();
-    match mode {
-        WindowExecMode::Incremental if !needs_recompute(window) => {
-            // Emit after each run of equal timestamps so every output row
-            // sees all of its ts-peers — exactly what online request mode
-            // sees (the request anchors after every stored tuple with
-            // ts <= its own).
-            let mut sliding = SlidingWindow::new(window.frame, agg_refs)?;
-            let mut start = 0usize;
-            while start < group.len() {
-                let run_ts = group[start].0;
-                let mut end = start;
-                while end < group.len() && group[end].0 == run_ts {
-                    end += 1;
-                }
-                for (ts, row, _) in &group[start..end] {
-                    sliding.push(*ts, row.values())?;
-                }
-                let outs = sliding.outputs();
-                for (_, _, idx) in &group[start..end] {
-                    if let Some(i) = idx {
-                        out.push((*i, outs.clone()));
-                    }
-                }
-                start = end;
-            }
-        }
-        _ => {
-            // Recompute the frame slice for each output row. Range frames
-            // are peer-inclusive (all rows with ts == anchor participate,
-            // matching online request mode); count frames take the
-            // `preceding` rows before the anchor position.
-            for (pos, (ts, _row, idx)) in group.iter().enumerate() {
-                let Some(i) = idx else { continue };
-                let lo = frame_start(group, pos, window.frame);
-                let hi = match window.frame {
-                    Frame::Rows { .. } => pos + 1,
-                    _ => group.partition_point(|(gts, _, _)| gts <= ts),
-                };
-                let mut set = WindowAggSet::new(agg_refs)?;
-                for (gpos, (gts, grow, gidx)) in group.iter().enumerate().take(hi).skip(lo) {
-                    if let Frame::RowsRange { preceding_ms } = window.frame {
-                        if ts - gts > preceding_ms {
-                            continue;
-                        }
-                    }
-                    // EXCLUDE CURRENT_ROW drops only the anchor row itself.
-                    if window.exclude_current_row && gpos == pos {
-                        continue;
-                    }
-                    // INSTANCE_NOT_IN_WINDOW: the instance table's other
-                    // rows stay out — only union rows and the current row.
-                    if window.instance_not_in_window && gidx.is_some() && gpos != pos {
-                        continue;
-                    }
-                    set.update(grow.values())?;
-                }
-                out.push((*i, set.outputs()));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// First group position inside the frame anchored at `group[pos]`.
-fn frame_start(group: &[(i64, &Row, Option<usize>)], pos: usize, frame: Frame) -> usize {
-    match frame {
-        Frame::Unbounded => 0,
-        Frame::Rows { preceding } => pos.saturating_sub(preceding as usize),
-        Frame::RowsRange { preceding_ms } => {
-            let lower = group[pos].0.saturating_sub(preceding_ms);
-            group.partition_point(|(ts, _, _)| *ts < lower)
-        }
-    }
+/// Sweep windows over decoded rows (`base`, the other tables from
+/// `tables`), encoded once: per `(window, aggregate ids)`, those
+/// aggregates' values for every base row.
+pub(crate) fn decoded(
+    query: &CompiledQuery,
+    tables: &Tables,
+    base: &[Row],
+    opts: &OfflineOptions,
+    windows: &[(usize, &[usize])],
+) -> Result<Vec<Vec<Vec<Value>>>> {
+    let snap = Snapshot::from_rows(query, base, tables)?;
+    let wids: Vec<usize> = windows.iter().map(|w| w.0).collect();
+    let aggs = compute(query, &*program(query)?, &snap, opts, &wids)?;
+    let rows = aggs.chunks(query.aggregates.len().max(1));
+    let pick = |ids: &[usize]| -> Vec<Vec<Value>> {
+        let row = |r: &[Value]| ids.iter().filter_map(|&a| r.get(a).cloned()).collect();
+        rows.clone().map(row).collect()
+    };
+    Ok(windows.iter().map(|(_, ids)| pick(ids)).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use openmldb_sql::{compile_select, parse_select, Catalog};
+    use openmldb_storage::{DataTable, IndexSpec, MemTable, Ttl};
     use openmldb_types::{DataType, Schema};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     struct Cat(HashMap<String, Schema>);
     impl Catalog for Cat {
@@ -386,6 +263,12 @@ mod tests {
         }
     }
 
+    /// Bit-level equality: `Value`'s `PartialEq` promotes numerics and
+    /// rejects NaN; the debug form tells them all apart.
+    fn bits(batch: &RowBatch) -> Vec<String> {
+        batch.rows.iter().map(|r| format!("{r:?}")).collect()
+    }
+
     #[test]
     fn batch_window_per_row() {
         let q = compile(
@@ -410,22 +293,108 @@ mod tests {
         assert_eq!(out.rows[3][1], Value::Double(8.0), "separate key");
     }
 
+    /// The sliding sweep and the naive oracle are one program: equal bit for
+    /// bit on random doubles (f64 sums re-fold in request order), over every
+    /// frame kind, ties, NULLs, union and window attributes.
     #[test]
-    fn incremental_and_recompute_agree() {
-        let q = compile(
-            "SELECT k, sum(v) OVER w AS s, count(v) OVER w AS c, max(v) OVER w AS m FROM t \
-             WINDOW w AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 70 PRECEDING AND CURRENT ROW)",
-        );
-        let rows: Vec<Row> = (0..200)
-            .map(|i| row(i % 5, (i % 17) as f64, (i * 13) % 400))
-            .collect();
+    fn incremental_and_recompute_agree_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut gen = |n: usize| -> Vec<Row> {
+            (0..n)
+                .map(|_| {
+                    let v = match rng.gen_range(0..8) {
+                        0 => Value::Null,
+                        _ => Value::Double(rng.gen_range(-1e3..1e3)),
+                    };
+                    let ts = rng.gen_range(0..60i64) * 7;
+                    Row::new(vec![
+                        Value::Bigint(rng.gen_range(0..4)),
+                        v,
+                        Value::Timestamp(ts),
+                    ])
+                })
+                .collect()
+        };
         let mut tables = HashMap::new();
-        tables.insert("t".to_string(), rows);
-        let a = execute_batch(&q, &tables, &opts(WindowExecMode::Incremental)).unwrap();
-        let b = execute_batch(&q, &tables, &opts(WindowExecMode::RecomputePerRow)).unwrap();
-        for (x, y) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(x, y);
+        tables.insert("t".to_string(), gen(300));
+        tables.insert("u".to_string(), gen(120));
+        let aggs = "sum(v) OVER w AS s, count(v) OVER w AS c, max(v) OVER w AS m, \
+                    avg(v * 2.0 + 1.0) OVER w AS a, distinct_count(k) OVER w AS d, \
+                    drawdown(v) OVER w AS dd, stddev(v) OVER w AS sd";
+        for frame in [
+            "ROWS_RANGE BETWEEN 70 PRECEDING AND CURRENT ROW",
+            "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW",
+            "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW",
+            "ROWS_RANGE BETWEEN 90 PRECEDING AND CURRENT ROW MAXSIZE 4",
+            "ROWS_RANGE BETWEEN 70 PRECEDING AND CURRENT ROW EXCLUDE CURRENT_ROW",
+            "ROWS BETWEEN 3 PRECEDING AND CURRENT ROW EXCLUDE CURRENT_ROW",
+        ] {
+            for union in ["", "UNION u "] {
+                for inw in ["", " INSTANCE_NOT_IN_WINDOW"] {
+                    if union.is_empty() && !inw.is_empty() {
+                        continue;
+                    }
+                    let q = compile(&format!(
+                        "SELECT k, {aggs} FROM t WINDOW w AS \
+                         ({union}PARTITION BY k ORDER BY ts {frame}{inw})"
+                    ));
+                    let a = execute_batch(&q, &tables, &opts(WindowExecMode::Incremental));
+                    let b = execute_batch(&q, &tables, &opts(WindowExecMode::RecomputePerRow));
+                    assert_eq!(bits(&a.unwrap()), bits(&b.unwrap()), "{union}{frame}{inw}");
+                }
+            }
         }
+    }
+
+    /// The decoded-rows adapter and a snapshot captured from tables give the
+    /// same batch — ties included, since both order a key's rows as its
+    /// index does.
+    #[test]
+    fn adapter_and_captured_snapshot_agree() {
+        let q = compile(
+            "SELECT t.k, t.v, sum(v) OVER w AS s, count(v) OVER w2 AS c, p.age FROM t \
+             LAST JOIN p ORDER BY p.updated ON t.k = p.k \
+             WINDOW w AS (UNION u PARTITION BY k ORDER BY ts ROWS BETWEEN 3 PRECEDING AND CURRENT ROW), \
+                    w2 AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 20 PRECEDING AND CURRENT ROW)",
+        );
+        let table = |name: &str, schema: Schema, ts: usize| {
+            let index = IndexSpec {
+                name: "i".into(),
+                key_cols: vec![0],
+                ts_col: Some(ts),
+                ttl: Ttl::Unlimited,
+            };
+            Arc::new(MemTable::new(name, schema, vec![index]).unwrap())
+        };
+        let (t, u, p) = (
+            table("t", schema(), 2),
+            table("u", schema(), 2),
+            table("p", profile_schema(), 2),
+        );
+        let mut rng = StdRng::seed_from_u64(7);
+        for i in 0..200 {
+            let r = row(rng.gen_range(0..3), rng.gen_range(-9.0..9.0), (i % 40) * 3);
+            (if i % 3 == 0 { &u } else { &t }).put(&r).unwrap();
+        }
+        for k in 0..3 {
+            for age in 0..2 {
+                let r = Row::new(vec![Value::Bigint(k), Value::Int(age), Value::Timestamp(5)]);
+                p.put(&r).unwrap();
+            }
+        }
+        let handles: HashMap<&str, Arc<dyn DataTable>> = [("t", t), ("u", u), ("p", p)]
+            .map(|(n, t)| (n, t as Arc<dyn DataTable>))
+            .into();
+        let resolve = |name: &str| handles.get(name).cloned().ok_or_else(|| missing(name));
+        let options = opts(WindowExecMode::Incremental);
+        let captured = execute(&q, &Snapshot::capture(&q, resolve).unwrap(), &options).unwrap();
+        let tables: Tables = handles
+            .iter()
+            .map(|(n, t)| (n.to_string(), t.scan_all(0).unwrap()))
+            .collect();
+        let adapted = execute_batch(&q, &tables, &options).unwrap();
+        assert_eq!(captured.rows.len(), 133);
+        assert_eq!(bits(&captured), bits(&adapted));
     }
 
     #[test]

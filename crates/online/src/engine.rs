@@ -131,12 +131,8 @@ impl Deployment {
     /// the database asks before it builds an index for the plan.
     pub fn compile(name: &str, query: &CompiledQuery) -> Result<Arc<Program>> {
         let program = openmldb_exec::specialize(query);
-        match program.refusal() {
-            Some(refusal) => Err(Error::Deployment(format!(
-                "`{name}` does not compile: {refusal}"
-            ))),
-            None => Ok(program),
-        }
+        program.accept(name)?;
+        Ok(program)
     }
 
     /// This deployment — same plan, (accepted) program and pre-aggregators —

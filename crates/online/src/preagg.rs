@@ -129,7 +129,12 @@ impl PreAggregator {
         let key = row.key_for(&self.partition_cols);
         let ts = row.ts_at(self.order_col);
         for level in &self.levels {
-            let start = ts.div_euclid(level.bucket_ms) * level.bucket_ms;
+            // A bucket whose start is not an `i64` (a NULL order column
+            // reads as `i64::MIN`) is one no query can cover: its rows are
+            // always read raw, so the level keeps none.
+            let Some(start) = ts.div_euclid(level.bucket_ms).checked_mul(level.bucket_ms) else {
+                continue;
+            };
             let mut buckets = level.buckets.write();
             let per_key = buckets.entry(key.clone()).or_default();
             let bucket = match per_key.entry(start) {

@@ -24,6 +24,9 @@ pub enum Backend {
     Disk,
 }
 
+/// The visitor of [`DataTable::scan_rows`]: `(key, ts, encoded row)`.
+pub type RowVisitor<'a> = dyn FnMut(&[KeyValue], i64, &[u8]) -> Result<()> + 'a;
+
 /// The storage interface both execution engines read through — implemented
 /// by the in-memory [`MemTable`] and the disk-backed [`DiskTable`], so a
 /// deployment works unchanged whichever engine a table was assigned to
@@ -87,7 +90,21 @@ pub trait DataTable: Send + Sync {
         limit: Option<usize>,
         visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
     ) -> Result<()>;
-    fn scan_all(&self, index_id: usize) -> Result<Vec<Row>>;
+    /// Every stored row of index `index_id`: per key, newest first, as
+    /// `(key, ts, encoded bytes)` — in the order [`DataTable::scan_window`]
+    /// yields that key's rows. The offline snapshot reads tables through
+    /// this; the first error stops the walk and is returned.
+    fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()>;
+    /// [`DataTable::scan_rows`], decoded.
+    fn scan_all(&self, index_id: usize) -> Result<Vec<Row>> {
+        let codec = CompactCodec::new(self.schema().clone());
+        let mut rows = Vec::with_capacity(self.row_count());
+        self.scan_rows(index_id, &mut |_, _, data| {
+            rows.push(codec.decode(data)?);
+            Ok(())
+        })?;
+        Ok(rows)
+    }
     fn gc(&self, now_ms: i64) -> usize;
     fn mem_used(&self) -> usize;
     fn row_count(&self) -> usize;
@@ -169,8 +186,8 @@ impl DataTable for MemTable {
     ) -> Result<()> {
         MemTable::scan_window(self, index_id, key, lower_ts, upper_ts, limit, visitor)
     }
-    fn scan_all(&self, index_id: usize) -> Result<Vec<Row>> {
-        MemTable::scan_all(self, index_id)
+    fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
+        MemTable::scan_rows(self, index_id, visitor)
     }
     fn gc(&self, now_ms: i64) -> usize {
         MemTable::gc(self, now_ms)
@@ -405,29 +422,33 @@ impl DataTable for DiskTable {
         Ok(())
     }
 
-    fn scan_all(&self, index_id: usize) -> Result<Vec<Row>> {
-        // Collect distinct keys via the binlog (the engine's iteration is
-        // key-ordered per CF; replay gives us the key set cheaply).
+    fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
+        // The key set comes from the binlog (the engine's iteration is
+        // key-ordered per CF; replay gives the keys cheaply), in first-write
+        // order.
+        let spec = self
+            .specs
+            .get(index_id)
+            .ok_or_else(|| Error::Storage(format!("index {index_id} does not exist")))?;
         let mut keys: Vec<Vec<KeyValue>> = Vec::new();
-        let spec = &self.specs[index_id];
+        let mut seen = std::collections::HashSet::new();
         self.replicator.replay(0, |entry| {
             if let Ok(row) = self.codec.decode(&entry.data) {
                 let key = row.key_for(&spec.key_cols);
-                if !keys.contains(&key) {
+                if seen.insert(key.clone()) {
                     keys.push(key);
                 }
             }
         });
-        let mut out = Vec::new();
         for key in keys {
-            for (_ts, data) in self
+            for (ts, data) in self
                 .engine
                 .range(index_id as u32, &key, i64::MIN, i64::MAX)?
             {
-                out.push(self.codec.decode(&data)?);
+                visitor(&key, ts, &data)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn gc(&self, now_ms: i64) -> usize {

@@ -15,12 +15,10 @@
 //!   torn-tail detection (the durable form of the binlog);
 //! * [`snapshot`] — atomically-published per-table snapshots of the compact
 //!   row encoding plus the binlog offset they cover;
-//! * [`hll`] — HyperLogLog used by the offline skew resolver.
 
 pub mod binlog;
 pub mod disk;
 pub mod disk_table;
-pub mod hll;
 pub mod metrics;
 pub mod replica;
 pub mod skiplist;
@@ -43,8 +41,7 @@ pub(crate) fn chaos_inject(point: openmldb_chaos::InjectionPoint) -> openmldb_ty
     })
 }
 pub use disk::{ColumnFamilySpec, CompositeKey, DiskEngine, FlushTrigger};
-pub use disk_table::{Backend, DataTable, DiskTable};
-pub use hll::HyperLogLog;
+pub use disk_table::{Backend, DataTable, DiskTable, RowVisitor};
 pub use replica::{replicate, ReplicaTable};
 pub use skiplist::{SkipMap, TimeList};
 pub use table::{IndexSpec, MemTable, Ttl, KEY_OVERHEAD, NODE_OVERHEAD, ROW_OVERHEAD};

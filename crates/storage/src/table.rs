@@ -18,6 +18,7 @@ use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, RowCodec, Schem
 use openmldb_types::Value;
 
 use crate::binlog::Replicator;
+use crate::disk_table::RowVisitor;
 use crate::skiplist::{heap_bytes, SkipMap, TimeList};
 
 /// Per-index TTL policy (the paper's table types, Section 8.1).
@@ -457,29 +458,21 @@ impl MemTable {
         Ok(())
     }
 
-    /// Full scan of one index (all keys, newest first per key) — used by the
-    /// offline engine to snapshot a table.
-    pub fn scan_all(&self, index_id: usize) -> Result<Vec<Row>> {
+    /// Full scan of one index: every row's encoded bytes with its key and
+    /// ts, keys in index order, each key's rows newest first — what the
+    /// offline engine snapshots a table through.
+    pub fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
         let index = self.index(index_id)?;
-        // analysis:allow(relaxed-ordering): capacity hint from a counter.
-        let mut out = Vec::with_capacity(self.rows.load(Ordering::Relaxed));
-        let mut err = None;
-        index.map.for_each(|_k, list| {
-            list.scan(|_ts, data| match self.decode(data) {
-                Ok(row) => {
-                    out.push(row);
-                    true
-                }
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            });
+        let mut result = Ok(());
+        index.map.for_each(|key, list| {
+            if result.is_ok() {
+                list.scan(|ts, data| {
+                    result = visitor(key, ts, data);
+                    result.is_ok()
+                });
+            }
         });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        result
     }
 
     /// Run TTL garbage collection on every index, relative to `now_ms`.

@@ -64,6 +64,10 @@ if [ "$QUICK" -eq 0 ]; then
     step "scan groups + warm allocations of the serve_short shape (release)"
     cargo test -q --release --test scan_groups --test warm_allocs
 
+    step "offline oracle: online == offline and sweep == re-fold, bit for bit (release)"
+    cargo test -q --release --test consistency --test proptest_consistency
+    cargo test -q --release -p openmldb-offline
+
     # benchmark/ is a package of its own; its replay probes call the
     # specializer's public API directly (the script lists the calls and the
     # one stale pin it tolerates).

@@ -1,7 +1,8 @@
 //! The paper's headline guarantee, tested differentially: a feature script
 //! compiled once produces **identical values** in offline batch mode and
 //! online request mode, across function mixes, frame types, joins and
-//! window unions.
+//! window unions — equal bit for bit (rows compare by their debug form,
+//! which tells `Int(3)` from `Bigint(3)` and `-0.0` from `0.0`).
 
 use openmldb::{Database, ExecResult, Row, Value};
 use rand::rngs::StdRng;
@@ -48,26 +49,6 @@ fn setup(seed: u64, rows: usize) -> Database {
     db
 }
 
-/// Row equality up to floating-point association error: the offline engine's
-/// subtract-and-evict accumulators sum in a different order than the online
-/// engine's fresh window scan, so Double features may differ by ~1 ULP-scale
-/// noise while every set/count/string feature must match exactly.
-fn assert_rows_close(a: &Row, b: &Row, context: &str) {
-    assert_eq!(a.len(), b.len(), "{context}: arity");
-    for (i, (x, y)) in a.values().iter().zip(b.values()).enumerate() {
-        match (x, y) {
-            (Value::Double(p), Value::Double(q)) => {
-                let scale = p.abs().max(q.abs()).max(1.0);
-                assert!(
-                    (p - q).abs() / scale < 1e-9,
-                    "{context}: column {i}: {p} vs {q}"
-                );
-            }
-            _ => assert_eq!(x, y, "{context}: column {i}"),
-        }
-    }
-}
-
 /// Compare online request-mode output against the offline batch row for the
 /// same tuple: insert the probe, batch everything, find the probe by id.
 fn assert_consistent(db: &Database, name: &str, sql: &str, probe: Row) {
@@ -82,7 +63,11 @@ fn assert_consistent(db: &Database, name: &str, sql: &str, probe: Row) {
         .iter()
         .find(|r| r[0] == id)
         .unwrap_or_else(|| panic!("probe id {id:?} missing from batch output"));
-    assert_rows_close(&online, offline, &format!("online vs offline for `{name}`"));
+    assert_eq!(
+        format!("{online:?}"),
+        format!("{offline:?}"),
+        "online vs offline for `{name}`"
+    );
 }
 
 fn probe(id: i64, k: i64, ts: i64) -> Row {
@@ -179,13 +164,30 @@ fn multi_window_consistency() {
     );
 }
 
+/// A pre-aggregated deployment's row against the plain one's: the f64
+/// `sum(v)` (column 1) within a relative 1e-9 — bucket merges add partial
+/// sums in another order than one fold — and every other column exactly.
+fn assert_preagg_agrees(plain: &Row, fast: &Row, context: &str) {
+    let (Value::Double(x), Value::Double(y)) = (&plain[1], &fast[1]) else {
+        panic!("{context}: sum(v) is {:?} / {:?}", plain[1], fast[1])
+    };
+    let bound = 1e-9 * x.abs().max(y.abs()).max(1.0);
+    assert!((x - y).abs() <= bound, "{context}: sum(v) {x} vs {y}");
+    let exact = |r: &Row| format!("{:?} {:?}", r[0], &r.values()[2..]);
+    assert_eq!(exact(plain), exact(fast), "{context}");
+}
+
+/// The query both pre-aggregation tests deploy plain and pre-aggregated.
+const PREAGG_SQL: &str = "SELECT id, sum(v) OVER w AS s, sum(q) OVER w AS sq, \
+                          count(v) OVER w AS c, max(v) OVER w AS m \
+                          FROM events WINDOW w AS (PARTITION BY k ORDER BY ts \
+                          ROWS_RANGE BETWEEN 8s PRECEDING AND CURRENT ROW)";
+
 #[test]
 fn preagg_deployment_consistency() {
     // The long_windows option must not change any feature value.
     let db = setup(7, 500);
-    let sql = "SELECT id, sum(v) OVER w AS s, count(v) OVER w AS c, max(v) OVER w AS m \
-               FROM events WINDOW w AS (PARTITION BY k ORDER BY ts \
-               ROWS_RANGE BETWEEN 8s PRECEDING AND CURRENT ROW)";
+    let sql = PREAGG_SQL;
     db.deploy(&format!("DEPLOY plain AS {sql}")).unwrap();
     db.deploy(&format!(
         "DEPLOY fast OPTIONS(long_windows=\"w:500\") AS {sql}"
@@ -200,7 +202,7 @@ fn preagg_deployment_consistency() {
         );
         let a = db.request_readonly("plain", &p).unwrap();
         let b = db.request_readonly("fast", &p).unwrap();
-        assert_rows_close(&a, &b, &format!("preagg probe {i}"));
+        assert_preagg_agrees(&a, &b, &format!("preagg probe {i}"));
     }
     let dep = db.deployment("fast").unwrap();
     assert!(dep.preaggs[0].as_ref().unwrap().queries() >= 50);
@@ -226,7 +228,7 @@ fn many_random_probes_agree() {
             .iter()
             .find(|r| r[0] == p[0])
             .expect("probe present");
-        assert_rows_close(&online, offline, &format!("probe {i}"));
+        assert_eq!(format!("{online:?}"), format!("{offline:?}"), "probe {i}");
     }
 }
 
@@ -306,6 +308,89 @@ fn tie_heavy_streams_stay_consistent() {
             .iter()
             .find(|r| r[0] == p[0])
             .expect("probe present");
-        assert_rows_close(&online, offline, &format!("tie probe {i}"));
+        assert_eq!(
+            format!("{online:?}"),
+            format!("{offline:?}"),
+            "tie probe {i}"
+        );
     }
+}
+
+/// A stored row whose order column is NULL anchors at `i64::MIN`, where a
+/// bucket start is not an `i64`: pre-aggregation ingests it (the bucket
+/// walk leaves it raw), and the pre-aggregated deployment still answers
+/// what the plain one does — probes at a NULL order column included.
+#[test]
+fn null_order_column_through_preaggregated_ingest() {
+    let db = setup(13, 300);
+    let null_ts = |id: i64, k: i64| {
+        Row::new(vec![
+            Value::Bigint(id),
+            Value::Bigint(k),
+            Value::Double(2.5),
+            Value::Int(3),
+            Value::string("a"),
+            Value::Null,
+        ])
+    };
+    for k in 0..3 {
+        db.insert_row("events", &null_ts(50_000 + k, k)).unwrap();
+    }
+    let sql = PREAGG_SQL;
+    db.deploy(&format!("DEPLOY plain_n AS {sql}")).unwrap();
+    db.deploy(&format!(
+        "DEPLOY fast_n OPTIONS(long_windows=\"w:500\") AS {sql}"
+    ))
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(14);
+    for i in 0..30 {
+        let p = match i % 5 {
+            0 => null_ts(600_000 + i, rng.gen_range(0..5)),
+            _ => probe(600_000 + i, rng.gen_range(0..5), rng.gen_range(0..12_000)),
+        };
+        let a = db.request_readonly("plain_n", &p).unwrap();
+        let b = db.request_readonly("fast_n", &p).unwrap();
+        assert_preagg_agrees(&a, &b, &format!("probe {i}"));
+    }
+}
+
+/// A window index's TTL does not narrow the offline snapshot: every row of
+/// the first index is a base row and gets the features its request got.
+/// Each row is requested (computed, then persisted) in ts order; then `gc`
+/// truncates the window's index to the newest two rows per key, while the
+/// first index keeps every row.
+#[test]
+fn rows_expired_from_the_window_index_keep_their_features() {
+    let db = Database::new();
+    db.execute(
+        "CREATE TABLE ev (id BIGINT, k BIGINT, v DOUBLE, ts TIMESTAMP,
+         INDEX(KEY=id, TS=ts), INDEX(KEY=k, TS=ts, TTL=2, TTL_TYPE=latest))",
+    )
+    .unwrap();
+    let sql = "SELECT id, count(v) OVER w AS c, sum(v) OVER w AS s, min(v) OVER w AS lo \
+               FROM ev WINDOW w AS (PARTITION BY k ORDER BY ts \
+               ROWS_RANGE BETWEEN 1h PRECEDING AND CURRENT ROW)";
+    db.deploy(&format!("DEPLOY ttl AS {sql}")).unwrap();
+    let mut rng = StdRng::seed_from_u64(15);
+    let mut online = Vec::new();
+    for i in 0..60 {
+        let row = Row::new(vec![
+            Value::Bigint(i),
+            Value::Bigint(rng.gen_range(0..3)),
+            Value::Double(rng.gen_range(-10.0..10.0)),
+            Value::Timestamp(i * 1_000),
+        ]);
+        online.push(format!("{:?}", db.request("ttl", &row).unwrap()));
+    }
+    assert!(
+        db.gc(60_000) >= 50,
+        "the window index keeps two rows per key"
+    );
+    let ExecResult::Batch(batch) = db.execute(sql).unwrap() else {
+        panic!()
+    };
+    let mut offline: Vec<&Row> = batch.rows.iter().collect();
+    offline.sort_by_key(|r| r[0].as_i64().unwrap());
+    let offline: Vec<String> = offline.iter().map(|r| format!("{r:?}")).collect();
+    assert_eq!(online, offline);
 }

@@ -13,7 +13,7 @@ use openmldb::obs::flight::{self, PostMortem};
 use openmldb::obs::{LabelRegistry, Outcome, ProfileStore, Registry, OVERFLOW_LABEL};
 use openmldb::online::{execute_request_with, Deployment, PreAggregator, TableProvider};
 use openmldb::sql::{compile_select, parse_select, Catalog};
-use openmldb::storage::{Backend, DataTable, IndexSpec, MemTable, Replicator, Ttl};
+use openmldb::storage::{Backend, DataTable, IndexSpec, MemTable, Replicator, RowVisitor, Ttl};
 use openmldb::{Database, Deadline, Error, KeyValue, RequestOptions, Result, Row, Schema, Value};
 
 fn schema() -> Schema {
@@ -139,8 +139,8 @@ impl DataTable for Shim {
             visitor,
         )
     }
-    fn scan_all(&self, index_id: usize) -> Result<Vec<Row>> {
-        DataTable::scan_all(&*self.inner, index_id)
+    fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
+        DataTable::scan_rows(&*self.inner, index_id, visitor)
     }
     fn gc(&self, now_ms: i64) -> usize {
         DataTable::gc(&*self.inner, now_ms)

@@ -17,7 +17,7 @@ use openmldb::online::{
     execute_request_materialized, execute_request_with, Deployment, PreAggregator, TableProvider,
 };
 use openmldb::sql::{compile_select, parse_select, Catalog};
-use openmldb::storage::{DataTable, IndexSpec, MemTable, ReplicaTable, Ttl};
+use openmldb::storage::{DataTable, IndexSpec, MemTable, ReplicaTable, RowVisitor, Ttl};
 use openmldb::{Database, Deadline, Error, KeyValue, RequestOptions, Result, Row, Schema, Value};
 use proptest::prelude::*;
 
@@ -205,8 +205,8 @@ impl DataTable for SlowTable {
             },
         )
     }
-    fn scan_all(&self, index_id: usize) -> Result<Vec<Row>> {
-        DataTable::scan_all(&*self.inner, index_id)
+    fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
+        DataTable::scan_rows(&*self.inner, index_id, visitor)
     }
     fn gc(&self, now_ms: i64) -> usize {
         DataTable::gc(&*self.inner, now_ms)

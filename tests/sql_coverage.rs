@@ -245,14 +245,8 @@ fn offline_mode_agrees_on_the_catalogue() {
         .iter()
         .find(|r| r[0] == Value::Bigint(99))
         .unwrap();
-    for (i, (x, y)) in online.values().iter().zip(offline.values()).enumerate() {
-        match (x, y) {
-            (Value::Double(p), Value::Double(q)) => {
-                assert!((p - q).abs() < 1e-9, "col {i}: {p} vs {q}")
-            }
-            _ => assert_eq!(x, y, "col {i}"),
-        }
-    }
+    // Both modes run the deployed program: equal bit for bit.
+    assert_eq!(format!("{online:?}"), format!("{offline:?}"));
 }
 
 /// DEPLOY is the only place a plan is refused: a construct that does not
@@ -305,6 +299,34 @@ fn a_plan_that_does_not_compile_is_refused_at_deploy() {
     assert!(reason.contains("window `w`"), "{reason}");
     assert!(reason.contains("constant literal"), "{reason}");
     assert!(db.deployment("bad_topn").is_none());
+    assert!(db.deployment_names().is_empty());
+    assert_eq!(db.table("e").unwrap().index_specs().len(), indexes);
+}
+
+/// The offline engine runs the program a deployment serves with, so a plan
+/// DEPLOY refuses is refused offline (and in preview) with the same typed
+/// error and reason — before any table is read, nothing built.
+#[test]
+fn offline_refuses_what_deploy_refuses() {
+    use openmldb::online::TableProvider;
+    use openmldb::Error;
+
+    let db = db();
+    let sql = "SELECT topn_frequency(tags, q) OVER w AS f FROM e WINDOW w AS \
+               (PARTITION BY cat ORDER BY ts ROWS BETWEEN 3 PRECEDING AND CURRENT ROW)";
+    let indexes = db.table("e").unwrap().index_specs().len();
+    let reason = |e: Result<_, Error>| match e {
+        Err(Error::Deployment(text)) => text
+            .split_once(" does not compile: ")
+            .map(|(_, reason)| reason.to_string()),
+        other => panic!("expected a deployment error, got {other:?}"),
+    };
+    let deployed = reason(db.deploy(&format!("DEPLOY bad_topn AS {sql}")).map(|_| ()));
+    assert!(deployed
+        .as_deref()
+        .is_some_and(|r| r.contains("window `w`")));
+    assert_eq!(reason(db.offline_query(sql).map(|_| ())), deployed);
+    assert_eq!(reason(db.preview(sql, 3).map(|_| ())), deployed);
     assert!(db.deployment_names().is_empty());
     assert_eq!(db.table("e").unwrap().index_specs().len(), indexes);
 }
