@@ -160,8 +160,8 @@ fn has_lossy_cast(code: &str) -> bool {
 const METRIC_CRATES: [&str; 8] = [
     "online", "core", "storage", "exec", "sql", "bench", "obs", "chaos",
 ];
-const METRIC_UNITS: [&str; 8] = [
-    "total", "bytes", "ns", "ms", "seconds", "ratio", "rows", "count",
+const METRIC_UNITS: [&str; 9] = [
+    "total", "bytes", "ns", "ms", "seconds", "ratio", "rows", "count", "records",
 ];
 const METRIC_LABEL_KEYS: [&str; 5] = ["deployment", "worker", "key", "quantile", "stage"];
 
@@ -822,6 +822,8 @@ mod tests {
             "openmldb_storage_wal_bytes_total",
             "openmldb_storage_wal_fsyncs_total",
             "openmldb_storage_wal_torn_tails_total",
+            "openmldb_storage_wal_fsync_ns",
+            "openmldb_storage_wal_group_records",
             "openmldb_storage_snapshots_total",
             "openmldb_storage_snapshot_bytes_total",
             "openmldb_storage_snapshots_invalid_total",
@@ -856,6 +858,8 @@ mod tests {
             "openmldb_storage_wal_bytes_total",
             "openmldb_storage_wal_fsyncs_total",
             "openmldb_storage_wal_torn_tails_total",
+            "openmldb_storage_wal_fsync_ns",
+            "openmldb_storage_wal_group_records",
             "openmldb_storage_snapshots_total",
             "openmldb_storage_snapshot_bytes_total",
             "openmldb_storage_snapshots_invalid_total",

@@ -88,6 +88,22 @@ fn print_durability_section() {
         "  wal appends/fsyncs      {appends} / {}",
         counter("openmldb_storage_wal_fsyncs_total")
     );
+    let fsync = reg
+        .histogram("openmldb_storage_wal_fsync_ns", "")
+        .snapshot();
+    let group = reg
+        .histogram("openmldb_storage_wal_group_records", "")
+        .snapshot();
+    println!(
+        "  wal fsync p50/p99 us    {} / {}",
+        fsync.percentile(0.50) / 1_000,
+        fsync.percentile(0.99) / 1_000
+    );
+    println!(
+        "  wal groups (mean recs)  {} ({})",
+        group.count(),
+        group.sum() / group.count().max(1)
+    );
     println!(
         "  wal bytes               {}",
         counter("openmldb_storage_wal_bytes_total")

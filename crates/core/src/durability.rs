@@ -381,7 +381,9 @@ impl Database {
     }
 
     /// Force every table's WAL group-commit buffer to disk. After this
-    /// returns, every accepted write survives a crash.
+    /// returns `Ok`, every accepted write survives a crash. A WAL that
+    /// failed once (I/O error or out-of-order append) makes every later
+    /// call return that failure.
     pub fn sync_durable(&self) -> Result<()> {
         let tables: Vec<Arc<dyn DataTable>> = self.tables.read().values().cloned().collect();
         for t in tables {

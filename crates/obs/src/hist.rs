@@ -245,9 +245,15 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         #[cfg(not(feature = "obs-off"))]
         {
-            let shard = &self.shards[crate::shard_idx()];
-            shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            shard.sum.0.fetch_add(v, Ordering::Relaxed);
+            // Both lookups always hit (`shard_idx` is taken modulo the shard
+            // count, `bucket_index` maps every `u64` below `NUM_BUCKETS`);
+            // `get` keeps a panic site off every path that records.
+            if let Some(shard) = self.shards.get(crate::shard_idx()) {
+                if let Some(bucket) = shard.buckets.get(bucket_index(v)) {
+                    bucket.fetch_add(1, Ordering::Relaxed);
+                }
+                shard.sum.0.fetch_add(v, Ordering::Relaxed);
+            }
         }
         #[cfg(feature = "obs-off")]
         let _ = v;

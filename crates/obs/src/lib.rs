@@ -212,7 +212,7 @@ pub const METRIC_CRATES: &[&str] = &[
 
 /// Unit suffixes accepted in metric names.
 pub const METRIC_UNITS: &[&str] = &[
-    "total", "bytes", "ns", "ms", "seconds", "ratio", "rows", "count",
+    "total", "bytes", "ns", "ms", "seconds", "ratio", "rows", "count", "records",
 ];
 
 /// Label keys accepted in a metric's `{key="value",...}` suffix. A fixed

@@ -2,11 +2,21 @@
 //!
 //! Every write is appended to a binlog whose `binlog_offset` increases
 //! monotonically — appends happen under the replicator lock, so no
-//! concurrent `Put` can interleave a conflicting offset. Each append also
-//! triggers *asynchronous* execution of subscribed update closures (the
-//! pre-aggregation maintainers) on a background worker, decoupling them from
-//! the data-insertion fast path. `replay` re-applies entries from an offset
-//! for failure recovery.
+//! concurrent `Put` can interleave a conflicting offset. Subscribed update
+//! closures (the pre-aggregation maintainers) run *asynchronously* on a
+//! background worker, decoupling them from the data-insertion fast path.
+//! `replay` re-applies entries from an offset for failure recovery.
+//!
+//! ## Batched delivery
+//!
+//! An append with a subscriber queues a wake-up, not a unit of work. The
+//! worker drains every queued wake-up, then hands each listener the whole
+//! range `[cursor, len)`: it copies the range out of the log one bounded
+//! chunk per lock hold and applies the chunk with the lock released, so
+//! appenders wait on a chunk copy, never on a closure. An append with no
+//! subscriber queues nothing: that is decided under the log lock, where
+//! `subscribe` fixes its boundary, so no listener is ever owed such an
+//! entry.
 //!
 //! ## Delivery invariant
 //!
@@ -35,12 +45,14 @@
 //! ## Durability
 //!
 //! The log itself is process memory; [`Replicator::attach_wal`] mirrors it
-//! into a checksummed on-disk [`Wal`](crate::wal::Wal). The mirror write
+//! into a checksummed on-disk [`Wal`](crate::wal::Wal). The mirror append
+//! (a record framed into the WAL's group-commit buffer, no syscall)
 //! happens inside the same critical section that assigns the offset, so
 //! WAL order is exactly binlog order and the on-disk log is always a dense
-//! prefix of the in-memory one.
+//! prefix of the in-memory one. A WAL failure sticks in the WAL and is
+//! returned by every later [`Replicator::sync_wal`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -72,42 +84,87 @@ pub type UpdateClosure = Arc<dyn Fn(&LogEntry) + Send + Sync>;
 /// delivery covers only entries appended *after* subscription; catch-up
 /// replay covers the prefix) and only moves forward after the closure ran.
 struct Listener {
-    next_offset: Mutex<u64>,
+    /// The cursor. Only the holder of `delivery` advances it, one entry
+    /// at a time after the closure ran; readers load it without waiting
+    /// on a delivery in progress.
+    next_offset: AtomicU64,
+    /// Serializes deliveries to this listener: a worker round and a
+    /// `flush` heal never apply entries concurrently.
+    delivery: Mutex<()>,
     f: UpdateClosure,
 }
 
+/// Entries one delivery copies out of the log per lock hold: bounds how
+/// long an appender can wait on the log lock behind a delivery, and the
+/// copy a delivery holds.
+const DELIVERY_CHUNK: usize = 256;
+
 impl Listener {
     /// Deliver log entries `[next_offset, upto)` in order, advancing the
-    /// cursor after each successful application. An injected delivery kill
-    /// drops the current attempt: with `retry_kills` the same entry is
-    /// retried (flush-path healing must converge), without it the loop
-    /// exits and the gap persists until the next round (worker path).
+    /// cursor after each successful application. The log lock is taken
+    /// once per chunk of at most [`DELIVERY_CHUNK`] entries, which are
+    /// cloned out and applied after the lock is released. An injected
+    /// delivery kill drops the current attempt: with `retry_kills` the same
+    /// entry is retried (flush-path healing must converge), without it the
+    /// delivery ends with the cursor on the killed entry and the gap
+    /// persists until the next round (worker path).
     fn deliver_up_to(&self, log: &Mutex<Vec<LogEntry>>, upto: u64, retry_kills: bool) {
-        let mut next = self.next_offset.lock();
-        while *next < upto {
-            let entry = {
+        let _delivering = self.delivery.lock();
+        let mut next = self.next_offset.load(Ordering::Acquire);
+        let mut chunk: Vec<LogEntry> = Vec::new();
+        while next < upto {
+            chunk.clear();
+            {
                 let log = log.lock();
-                match log.get(*next as usize) {
-                    Some(e) => e.clone(),
-                    None => break,
+                let from = next as usize;
+                let to = log.len().min(upto as usize).min(from + DELIVERY_CHUNK);
+                match log.get(from..to) {
+                    Some(entries) if !entries.is_empty() => chunk.extend_from_slice(entries),
+                    _ => break,
                 }
-            };
-            if openmldb_chaos::inject_kill(InjectionPoint::BinlogDelivery) {
-                crate::metrics::faults_injected().inc();
-                if retry_kills {
-                    continue;
-                }
-                break;
             }
-            (self.f)(&entry);
-            *next += 1;
+            for entry in &chunk {
+                while openmldb_chaos::inject_kill(InjectionPoint::BinlogDelivery) {
+                    crate::metrics::faults_injected().inc();
+                    if !retry_kills {
+                        return;
+                    }
+                }
+                (self.f)(entry);
+                next += 1;
+                self.next_offset.store(next, Ordering::Release);
+            }
         }
     }
 }
 
 enum WorkerMsg {
-    Apply(u64),
+    /// Entries were appended for at least one listener.
+    Wake,
     Stop,
+}
+
+/// Take `first` and every wake-up queued behind it: the number of
+/// wake-ups, and whether a `Stop` ended the drain (nothing is queued
+/// behind a `Stop`).
+fn drain_wakes(first: WorkerMsg, rx: &Receiver<WorkerMsg>) -> (u64, bool) {
+    let mut wakes = 0;
+    let mut msg = Some(first);
+    while let Some(m) = msg {
+        match m {
+            WorkerMsg::Wake => wakes += 1,
+            WorkerMsg::Stop => return (wakes, true),
+        }
+        msg = rx.try_recv().ok();
+    }
+    (wakes, false)
+}
+
+/// Count `n` appends as handled and wake `flush` waiters.
+fn mark_processed(processed: &(Mutex<u64>, Condvar), n: u64) {
+    let (lock, cv) = processed;
+    *lock.lock() += n;
+    cv.notify_all();
 }
 
 /// Append-only replicated log with asynchronous subscriber execution.
@@ -121,8 +178,15 @@ pub struct Replicator {
     /// Kept so post-shutdown drains can observe what the worker never saw.
     rx: Receiver<WorkerMsg>,
     worker: Mutex<Option<JoinHandle<()>>>,
-    appended: AtomicU64,
+    /// Entries appended (== log length once each append completes). Shared
+    /// with the worker, which delivers up to it each round.
+    appended: Arc<AtomicU64>,
+    /// Appends handled: delivered by a worker round, owed to no listener,
+    /// or accounted after shutdown. `flush` waits for it to reach `len`.
     processed: Arc<(Mutex<u64>, Condvar)>,
+    /// Whether any listener is registered. Written by `subscribe` and read
+    /// by `append_entry`, both under the log lock.
+    subscribed: AtomicBool,
     /// Appends that arrived after shutdown while no listener was registered:
     /// acknowledged to nobody, and with no cursor to witness the lag.
     disowned: AtomicU64,
@@ -147,27 +211,40 @@ impl Replicator {
         let log: Arc<Mutex<Vec<LogEntry>>> = Arc::default();
         let listeners: Arc<RwLock<Vec<Arc<Listener>>>> = Arc::default();
         let processed: Arc<(Mutex<u64>, Condvar)> = Arc::new((Mutex::new(0), Condvar::new()));
+        let appended: Arc<AtomicU64> = Arc::default();
         let worker = {
             let log = log.clone();
             let listeners = listeners.clone();
             let processed = processed.clone();
+            let appended = appended.clone();
             let rx = rx.clone();
             std::thread::spawn(move || {
-                while let Ok(WorkerMsg::Apply(offset)) = rx.recv() {
-                    // Snapshot the listener set first, then deliver without
-                    // holding the registry lock: delivery takes listener →
-                    // log locks, subscription takes log → registry, and
-                    // keeping the registry out of the delivery section
-                    // breaks any cycle between the two orders.
-                    // analysis:allow(lock-order): the registry read guard is a
-                    // temporary dropped at this statement, before delivery.
-                    let snapshot: Vec<Arc<Listener>> = listeners.read().iter().cloned().collect();
-                    for l in snapshot {
-                        l.deliver_up_to(&log, offset + 1, false);
+                while let Ok(first) = rx.recv() {
+                    // One round: take every queued wake-up, deliver the
+                    // whole log to every listener, count the drained
+                    // appends handled at once.
+                    let (wakes, stop) = drain_wakes(first, &rx);
+                    if wakes > 0 {
+                        // Each drained wake-up was sent after its append was
+                        // counted, so `[cursor, upto)` covers them all.
+                        let upto = appended.load(Ordering::Acquire);
+                        // Snapshot the listener set first, then deliver
+                        // without holding the registry lock: delivery takes
+                        // listener → log locks, subscription takes log →
+                        // registry, and keeping the registry out of the
+                        // delivery section breaks any cycle between the two
+                        // orders.
+                        // analysis:allow(lock-order): the registry read guard is a
+                        // temporary dropped at this statement, before delivery.
+                        let snapshot: Vec<_> = listeners.read().iter().cloned().collect();
+                        for l in snapshot {
+                            l.deliver_up_to(&log, upto, false);
+                        }
+                        mark_processed(&processed, wakes);
                     }
-                    let (lock, cv) = &*processed;
-                    *lock.lock() += 1;
-                    cv.notify_all();
+                    if stop {
+                        break;
+                    }
                 }
             })
         };
@@ -177,16 +254,18 @@ impl Replicator {
             tx,
             rx,
             worker: Mutex::new(Some(worker)),
-            appended: AtomicU64::new(0),
+            appended,
             processed,
+            subscribed: AtomicBool::new(false),
             disowned: AtomicU64::new(0),
             wal: Mutex::new(None),
             stopped: RwLock::new(false),
         }
     }
 
-    /// Append an entry; the assigned offset is returned. The entry is also
-    /// queued for asynchronous listener execution (`update_aggr` closures).
+    /// Append an entry; the assigned offset is returned. When a listener is
+    /// subscribed the worker is woken to deliver it asynchronously
+    /// (`update_aggr` closures); otherwise nothing is queued.
     pub fn append_entry(
         &self,
         table: Arc<str>,
@@ -200,7 +279,7 @@ impl Replicator {
         let _ = openmldb_chaos::inject(InjectionPoint::BinlogAppend);
         // Offset assignment and the append are one critical section —
         // the monotonic `binlog_offset` invariant of Section 5.1.
-        let offset = {
+        let (offset, subscribed) = {
             let mut log = self.log.lock();
             let offset = log.len() as u64;
             let entry = LogEntry {
@@ -212,31 +291,39 @@ impl Replicator {
             };
             if let Some(wal) = self.wal.lock().as_ref() {
                 // Durable mirror under the same critical section that
-                // assigned the offset: WAL order == binlog order. A write
-                // failure is not surfaced here (the in-memory append is
-                // already accepted); it shows up as a stalled durable
-                // watermark at the next `sync_wal`.
+                // assigned the offset: WAL order == binlog order. A failure
+                // is not surfaced here (the in-memory append is already
+                // accepted): the WAL keeps it and returns it from every
+                // later sync, so the next `sync_wal` reports it.
                 let _ = wal.append(&entry);
             }
             log.push(entry);
-            offset
+            // Read where `subscribe` fixes its boundary: an entry appended
+            // while nobody listens is owed to no listener, ever.
+            (offset, self.subscribed.load(Ordering::Acquire))
         };
+        if !subscribed {
+            // Handled before it is counted appended, so a `flush` that sees
+            // it in `len` never waits on it: no wake-up needed.
+            *self.processed.0.lock() += 1;
+            self.appended.fetch_add(1, Ordering::Release);
+            if *self.stopped.read() {
+                self.disowned.fetch_add(1, Ordering::Release);
+                crate::metrics::binlog_undelivered().inc();
+            }
+            return offset;
+        }
         self.appended.fetch_add(1, Ordering::Release);
         let stopped = self.stopped.read();
         if *stopped {
             // The worker is gone: the entry is durable in the log but will
             // not be acknowledged to any listener until a flush/replay.
-            if self.listeners.read().is_empty() {
-                self.disowned.fetch_add(1, Ordering::Release);
-            }
             crate::metrics::binlog_undelivered().inc();
-            let (lock, cv) = &*self.processed;
-            *lock.lock() += 1;
-            cv.notify_all();
+            mark_processed(&self.processed, 1);
         } else {
-            // Queue for asynchronous execution while holding the read lock:
-            // `shutdown` cannot interleave its `Stop` before this send.
-            let _ = self.tx.send(WorkerMsg::Apply(offset));
+            // Wake the worker while holding the read lock: `shutdown`
+            // cannot interleave its `Stop` before this send.
+            let _ = self.tx.send(WorkerMsg::Wake);
         }
         offset
     }
@@ -249,9 +336,11 @@ impl Replicator {
         // read — the subscription point is exact.
         let log = self.log.lock();
         self.listeners.write().push(Arc::new(Listener {
-            next_offset: Mutex::new(log.len() as u64),
+            next_offset: AtomicU64::new(log.len() as u64),
+            delivery: Mutex::new(()),
             f,
         }));
+        self.subscribed.store(true, Ordering::Release);
     }
 
     /// Subscribe with catch-up: entries already in the log are replayed
@@ -264,9 +353,11 @@ impl Replicator {
             f(entry);
         }
         self.listeners.write().push(Arc::new(Listener {
-            next_offset: Mutex::new(log.len() as u64),
+            next_offset: AtomicU64::new(log.len() as u64),
+            delivery: Mutex::new(()),
             f,
         }));
+        self.subscribed.store(true, Ordering::Release);
     }
 
     /// Number of appended entries (== next offset).
@@ -294,7 +385,7 @@ impl Replicator {
         }
         snapshot
             .iter()
-            .map(|l| len.saturating_sub(*l.next_offset.lock()))
+            .map(|l| len.saturating_sub(l.next_offset.load(Ordering::Acquire)))
             .max()
             .unwrap_or(0)
     }
@@ -325,7 +416,8 @@ impl Replicator {
     }
 
     /// Force the attached WAL's group-commit buffer to disk. No-op without
-    /// an attached WAL.
+    /// an attached WAL. Once the WAL has failed (an append or a sync), this
+    /// returns that failure every time.
     pub fn sync_wal(&self) -> Result<()> {
         // analysis:allow(lock-order): the wal guard is a temporary dropped
         // at the clone statement, before the sync call — and `w.sync()` is
@@ -385,14 +477,9 @@ impl Replicator {
         // Safety net: anything still queued (cannot normally happen given
         // the lock ordering above) is accounted rather than lost silently.
         while let Ok(msg) = self.rx.try_recv() {
-            if let WorkerMsg::Apply(_) = msg {
-                if self.listeners.read().is_empty() {
-                    self.disowned.fetch_add(1, Ordering::Release);
-                }
+            if let WorkerMsg::Wake = msg {
                 crate::metrics::binlog_undelivered().inc();
-                let (lock, cv) = &*self.processed;
-                *lock.lock() += 1;
-                cv.notify_all();
+                mark_processed(&self.processed, 1);
             }
         }
     }
@@ -650,6 +737,75 @@ mod tests {
         }
         assert!(!on_disk.torn_tail);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Batched delivery: a listener held on a gate while 10k appends land
+    /// gets every entry once released — in order, exactly once — and its
+    /// applied state is a contiguous prefix at every step, as seen from the
+    /// closure and from `undelivered` sampled while the batch drains.
+    #[test]
+    fn gated_listener_catches_up_in_order_exactly_once() {
+        const N: u64 = 10_000;
+        let r = Replicator::new();
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let out_of_order = Arc::new(AtomicU64::new(0));
+        {
+            let (gate, seen, out_of_order) = (gate.clone(), seen.clone(), out_of_order.clone());
+            r.subscribe(Arc::new(move |e: &LogEntry| {
+                let (open, cv) = &*gate;
+                let mut open = open.lock();
+                while !*open {
+                    cv.wait(&mut open);
+                }
+                drop(open);
+                let mut seen = seen.lock();
+                if e.offset != seen.len() as u64 {
+                    out_of_order.fetch_add(1, Ordering::SeqCst);
+                }
+                seen.push(e.offset);
+            }));
+        }
+        for i in 0..N {
+            r.append_entry("t".into(), entry_key(), i as i64, data());
+        }
+        assert!(seen.lock().is_empty(), "the gate holds every delivery");
+        assert_eq!(r.undelivered(), N, "the cursor reads without waiting");
+
+        *gate.0.lock() = true;
+        gate.1.notify_all();
+        let mut last = N;
+        loop {
+            let owed = r.undelivered();
+            assert!(owed <= last, "the cursor never moves back");
+            assert!(
+                seen.lock().len() as u64 >= N - owed,
+                "the cursor never passes an entry the closure has not applied"
+            );
+            last = owed;
+            if owed == 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        r.flush();
+        assert_eq!(*seen.lock(), (0..N).collect::<Vec<u64>>());
+        assert_eq!(out_of_order.load(Ordering::SeqCst), 0);
+        assert_eq!(r.undelivered(), 0);
+    }
+
+    /// With no listener an append is owed to nobody: it queues nothing and
+    /// is counted handled inline, so `flush` has nothing to wait for.
+    #[test]
+    fn unsubscribed_appends_queue_nothing() {
+        let r = Replicator::new();
+        for i in 0..10_000 {
+            r.append_entry("t".into(), entry_key(), i, data());
+        }
+        assert_eq!(r.undelivered(), 0);
+        assert_eq!(*r.processed.0.lock(), 10_000, "handled without the worker");
+        r.flush();
+        assert_eq!(r.len(), 10_000);
     }
 
     #[test]

@@ -157,6 +157,28 @@ pub fn wal_fsyncs() -> &'static Counter {
     )
 }
 
+/// Time one group commit spent in its `write` plus `fdatasync`.
+pub fn wal_fsync_ns() -> &'static Histogram {
+    static M: OnceLock<Arc<Histogram>> = OnceLock::new();
+    M.get_or_init(|| {
+        Registry::global().histogram(
+            "openmldb_storage_wal_fsync_ns",
+            "Nanoseconds one WAL group commit spent in write + fdatasync",
+        )
+    })
+}
+
+/// Records made durable by one group commit.
+pub fn wal_group_records() -> &'static Histogram {
+    static M: OnceLock<Arc<Histogram>> = OnceLock::new();
+    M.get_or_init(|| {
+        Registry::global().histogram(
+            "openmldb_storage_wal_group_records",
+            "WAL records made durable per group-commit fdatasync",
+        )
+    })
+}
+
 /// Torn or corrupt WAL tails detected (and dropped) on open.
 pub fn wal_torn_tails() -> &'static Counter {
     static M: OnceLock<Arc<Counter>> = OnceLock::new();

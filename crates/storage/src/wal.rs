@@ -18,11 +18,26 @@
 //!
 //! Records append to segment files `seg-<first-offset>.wal`; a segment
 //! rotates once it exceeds [`WalOptions::segment_bytes`] (always at a
-//! record boundary, after an fsync). Appends are buffered by the OS;
-//! [`Wal::sync`] flushes *all* pending appends with a single
-//! `fdatasync` — the group-commit batch. The automatic policy syncs every
-//! [`WalOptions::group_commit`] records; callers needing a hard durability
-//! point (snapshots, clean shutdown) call `sync` explicitly.
+//! record boundary, after the old segment is sealed by a sync).
+//! [`Wal::append`] frames a record straight into the group-commit buffer
+//! in process memory and makes no syscall. A sync hands the whole buffer
+//! to the OS with one `write` and then makes it durable with one
+//! `fdatasync`: that is the group-commit batch. The automatic policy syncs
+//! every [`WalOptions::group_commit`] records; rotation and `Drop` sync
+//! too, and callers needing a hard durability point (snapshots, clean
+//! shutdown) call [`Wal::sync`] explicitly. `group_commit` and
+//! `segment_bytes` (which counts buffered bytes) bound the buffer.
+//!
+//! Unsynced records live in that buffer, so a process kill loses exactly
+//! the records appended since the last sync — the bound the log always
+//! promised: only records covered by an `fdatasync` survive a crash.
+//!
+//! ## Sticky failures
+//!
+//! The first I/O error (or out-of-order append) is kept: every later
+//! [`Wal::append`] and [`Wal::sync`] returns it. A log that lost a record
+//! never reports a sync as successful again, so a caller's durability
+//! barrier cannot claim records the disk does not hold.
 //!
 //! ## Torn-tail detection
 //!
@@ -36,6 +51,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -110,6 +126,21 @@ pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Append `e` to `out` as one framed record, encoded in place: a header
+/// placeholder, the payload, then the length and CRC patched over the
+/// placeholder. The bytes equal `frame(&encode_entry(e))`. Returns the
+/// record's framed length.
+fn frame_entry_into(e: &LogEntry, out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    encode_entry_into(e, out);
+    let (header, payload) = out.split_at_mut(start + 8);
+    let header = &mut header[start..];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    out.len() - start
+}
+
 /// Parse one frame at `pos`; `Some((payload, next_pos))` only when the
 /// length is in bounds, the buffer holds the whole record, and the CRC
 /// matches — anything else is a torn or corrupt tail.
@@ -137,6 +168,13 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 /// Serialize a [`LogEntry`] into a WAL record payload.
 pub fn encode_entry(e: &LogEntry) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + e.table.len() + e.data.len());
+    encode_entry_into(e, &mut out);
+    out
+}
+
+/// Append the record payload of `e` to `out`: the bytes [`encode_entry`]
+/// returns, without an allocation of their own.
+pub fn encode_entry_into(e: &LogEntry, out: &mut Vec<u8>) {
     out.extend_from_slice(&e.offset.to_le_bytes());
     out.extend_from_slice(&e.ts.to_le_bytes());
     out.extend_from_slice(&(e.table.len() as u16).to_le_bytes());
@@ -159,12 +197,11 @@ pub fn encode_entry(e: &LogEntry) -> Vec<u8> {
             }
             KeyValue::Str(s) => {
                 out.push(4);
-                put_bytes(&mut out, s.as_bytes());
+                put_bytes(out, s.as_bytes());
             }
         }
     }
-    put_bytes(&mut out, &e.data);
-    out
+    put_bytes(out, &e.data);
 }
 
 struct Cursor<'a> {
@@ -416,10 +453,11 @@ pub fn truncate_to(dir: &Path, target_bytes: u64) -> Result<()> {
 struct WalState {
     file: File,
     seg_path: PathBuf,
+    /// Bytes of the current segment, the group-commit buffer included.
     seg_bytes: u64,
     /// Next offset the log expects to append.
     next_offset: u64,
-    /// Logical bytes written across all segments.
+    /// Logical bytes appended across all segments, the buffer included.
     written_bytes: u64,
     /// Logical bytes covered by the last successful fsync.
     durable_bytes: u64,
@@ -427,6 +465,27 @@ struct WalState {
     durable_offset: u64,
     /// Records appended since the last successful sync.
     pending: u64,
+    /// The group-commit buffer: framed records not yet handed to the OS.
+    /// Only `sync_locked` writes it to the segment file.
+    buf: Vec<u8>,
+    /// The first I/O or ordering error; once set, every `append` and
+    /// `sync` returns it.
+    failed: Option<Error>,
+}
+
+impl WalState {
+    /// Keep `e` as the log's sticky failure (the first one wins) and
+    /// return the kept error.
+    fn fail(&mut self, e: Error) -> Error {
+        self.failed.get_or_insert(e).clone()
+    }
+
+    fn check(&self) -> Result<()> {
+        match &self.failed {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The durable log: one per table, owned by the table's `Replicator`.
@@ -485,6 +544,8 @@ impl Wal {
             durable_bytes: scan.valid_bytes,
             durable_offset: next_offset,
             pending: 0,
+            buf: Vec::new(),
+            failed: None,
         };
         Ok((
             Wal {
@@ -511,71 +572,93 @@ impl Wal {
         self.state.lock().durable_offset
     }
 
-    /// Logical bytes written (durable or still in the OS cache).
+    /// Logical bytes appended: durable, in the OS cache, or still in the
+    /// group-commit buffer.
     pub fn written_bytes(&self) -> u64 {
         self.state.lock().written_bytes
     }
 
     /// Append one record. Offsets must arrive dense and in order (the
     /// replicator's log lock guarantees this). Group commit: the record is
-    /// buffered by the OS and fsynced together with its batch.
+    /// framed into the in-memory group buffer and reaches the file with its
+    /// batch at the next sync. Returns the log's sticky failure, if any.
     pub fn append(&self, entry: &LogEntry) -> Result<()> {
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        st.check()?;
         if entry.offset != st.next_offset {
-            return Err(Error::Storage(format!(
+            let e = Error::Storage(format!(
                 "wal append out of order: got offset {}, expected {}",
                 entry.offset, st.next_offset
-            )));
+            ));
+            return Err(st.fail(e));
         }
         if st.seg_bytes >= self.opts.segment_bytes {
-            // Rotate at a record boundary: seal the current segment with an
-            // fsync so a crash cannot tear across segment files.
-            Self::sync_locked(&mut st)?;
+            // Rotate at a record boundary: seal the current segment with its
+            // buffered records and an fsync, so a crash cannot tear across
+            // segment files.
+            Self::sync_locked(st)?;
             let path = segment_path(&self.dir, entry.offset);
-            st.file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| io_err("open segment", &path, e))?;
+            st.file = match OpenOptions::new().create(true).append(true).open(&path) {
+                Ok(f) => f,
+                Err(e) => return Err(st.fail(io_err("open segment", &path, e))),
+            };
             st.seg_path = path;
             st.seg_bytes = 0;
         }
-        let record = frame(&encode_entry(entry));
-        st.file
-            .write_all(&record)
-            .map_err(|e| io_err("append", &self.dir, e))?;
-        st.seg_bytes += record.len() as u64;
-        st.written_bytes += record.len() as u64;
+        let len = frame_entry_into(entry, &mut st.buf) as u64;
+        st.seg_bytes += len;
+        st.written_bytes += len;
         st.next_offset += 1;
         st.pending += 1;
         crate::metrics::wal_appends().inc();
-        crate::metrics::wal_bytes().add(record.len() as u64);
+        crate::metrics::wal_bytes().add(len);
         if st.pending >= self.opts.group_commit.max(1) {
-            Self::sync_locked(&mut st)?;
+            Self::sync_locked(st)?;
         }
         Ok(())
     }
 
-    /// Flush every pending append with one fsync (the group commit point).
-    /// A [`WalFsync`](openmldb_chaos::InjectionPoint::WalFsync) kill models
-    /// a crash window: the call returns cleanly but the durable watermark
-    /// does not advance, so the crash harness treats the batch as lost.
+    /// Write the group-commit buffer and flush every pending append with
+    /// one fsync (the group commit point). A
+    /// [`WalFsync`](openmldb_chaos::InjectionPoint::WalFsync) kill models a
+    /// crash window: the buffer reaches the file, the call returns cleanly,
+    /// but the durable watermark does not advance, so the crash harness
+    /// treats the batch as lost. An injected error is a failed group write:
+    /// nothing of the batch reaches the file and the error sticks.
     pub fn sync(&self) -> Result<()> {
         let mut st = self.state.lock();
         Self::sync_locked(&mut st)
     }
 
+    /// The only place the log writes its buffer or fsyncs, and so the only
+    /// place the group-commit metrics are recorded: the put path reads no
+    /// clock.
     fn sync_locked(st: &mut WalState) -> Result<()> {
+        st.check()?;
         if st.pending == 0 && st.durable_bytes == st.written_bytes {
             return Ok(());
         }
+        let started = Instant::now();
+        if let Err(e) = openmldb_chaos::inject(InjectionPoint::WalFsync) {
+            crate::metrics::faults_injected().inc();
+            return Err(st.fail(e));
+        }
+        if let Err(e) = st.file.write_all(&st.buf) {
+            let e = io_err("append", &st.seg_path, e);
+            return Err(st.fail(e));
+        }
+        st.buf.clear();
         if openmldb_chaos::inject_kill(InjectionPoint::WalFsync) {
             crate::metrics::faults_injected().inc();
             return Ok(());
         }
-        st.file
-            .sync_data()
-            .map_err(|e| io_err("fsync", &st.seg_path, e))?;
+        if let Err(e) = st.file.sync_data() {
+            let e = io_err("fsync", &st.seg_path, e);
+            return Err(st.fail(e));
+        }
+        crate::metrics::wal_fsync_ns().record(started.elapsed().as_nanos() as u64);
+        crate::metrics::wal_group_records().record(st.pending);
         st.durable_bytes = st.written_bytes;
         st.durable_offset = st.next_offset;
         st.pending = 0;
@@ -586,8 +669,8 @@ impl Wal {
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        // Best-effort durability on clean shutdown; a real crash is exactly
-        // the case where this never runs.
+        // Best-effort durability on clean shutdown: write the buffer and
+        // fsync it. A real crash is exactly the case where this never runs.
         let mut st = self.state.lock();
         let _ = Self::sync_locked(&mut st);
     }
@@ -774,11 +857,94 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_append_is_rejected() {
+    fn out_of_order_append_is_rejected_and_sticks() {
         let dir = tmp_dir("order");
         let (wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
         wal.append(&entry(0)).unwrap();
-        assert!(wal.append(&entry(5)).is_err());
+        let err = wal.append(&entry(5)).unwrap_err();
+        assert_eq!(
+            wal.append(&entry(1)),
+            Err(err.clone()),
+            "the first error sticks"
+        );
+        assert_eq!(wal.sync(), Err(err), "no sync succeeds after a failure");
+        assert_eq!(wal.durable_offset(), 0);
+        drop(wal);
+        assert!(read_dir(&dir).unwrap().records.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Bytes a segment must hold for `offsets`: the framed records back to
+    /// back, framed by the allocating codec path.
+    fn expected_bytes(offsets: std::ops::Range<u64>) -> Vec<u8> {
+        offsets
+            .flat_map(|o| frame(&encode_entry(&entry(o))))
+            .collect()
+    }
+
+    #[test]
+    fn unsynced_records_are_absent_from_disk() {
+        let dir = tmp_dir("unsynced");
+        let opts = WalOptions {
+            segment_bytes: 1 << 20,
+            group_commit: 1_000,
+        };
+        let (wal, _) = Wal::open(&dir, opts).unwrap();
+        for i in 0..10 {
+            wal.append(&entry(i)).unwrap();
+        }
+        assert!(read_dir(&dir).unwrap().records.is_empty());
+        assert_eq!(total_bytes(&dir).unwrap(), 0, "buffered, not written");
+        wal.sync().unwrap();
+        assert_eq!(read_dir(&dir).unwrap().records.len(), 10);
+        drop(wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drop_writes_and_syncs_the_buffer() {
+        let dir = tmp_dir("drop");
+        let opts = WalOptions {
+            segment_bytes: 1 << 20,
+            group_commit: 1_000,
+        };
+        let (wal, _) = Wal::open(&dir, opts).unwrap();
+        for i in 0..10 {
+            wal.append(&entry(i)).unwrap();
+        }
+        drop(wal);
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        assert_eq!(fs::read(path).unwrap(), expected_bytes(0..10));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rotation_seals_buffered_records_into_the_old_segment() {
+        let dir = tmp_dir("seal");
+        let opts = WalOptions {
+            segment_bytes: 256,
+            group_commit: 1_000,
+        };
+        let (wal, _) = Wal::open(&dir, opts).unwrap();
+        for i in 0..20 {
+            wal.append(&entry(i)).unwrap();
+        }
+        let segments = list_segments(&dir).unwrap();
+        assert!(segments.len() > 1, "256-byte segments must rotate");
+        let firsts: Vec<u64> = segments.iter().map(|(first, _)| *first).collect();
+        for (i, (first, path)) in segments.iter().enumerate() {
+            let bytes = fs::read(path).unwrap();
+            match firsts.get(i + 1) {
+                // Sealed: exactly its records, written before the rotation.
+                Some(&next) => assert_eq!(bytes, expected_bytes(*first..next)),
+                // Current: its records are still in the group buffer.
+                None => assert!(bytes.is_empty()),
+            }
+        }
+        assert_eq!(wal.durable_offset(), *firsts.last().unwrap());
+        wal.sync().unwrap();
+        let (last, path) = list_segments(&dir).unwrap().pop().unwrap();
+        assert_eq!(fs::read(path).unwrap(), expected_bytes(last..20));
         drop(wal);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -54,6 +54,12 @@ step "crash recovery suite (clean path, then WalFsync/SnapshotWrite kills armed)
 cargo test -q --test recovery
 cargo test -q --test recovery --features chaos
 
+step "sticky WAL failures, WAL bytes and batched delivery (clean path, then chaos armed)"
+cargo test -q --test wal_failures
+cargo test -q --test wal_failures --features chaos
+cargo test -q -p openmldb-storage --features chaos --test binlog_kills --test wal_format
+cargo test -q -p openmldb-storage --features chaos --lib binlog::
+
 step "recovery experiment gate (reduced-scale seeded crash sweep)"
 cargo test -q -p openmldb-bench --features chaos seeded_crash_cycles
 
