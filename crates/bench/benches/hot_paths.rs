@@ -3,7 +3,8 @@
 //!
 //! * compact vs UnsafeRow codec (encode/decode) — §7.1;
 //! * skiplist insert/scan/latest — §7.2;
-//! * incremental (subtract-and-evict) vs recompute sliding windows — §5.2;
+//! * the window union's per-key fold: a sliding vs a recomputing sweep, and
+//!   the per-tuple re-fold of f64 `sum` / `max` — §5.2;
 //! * cyclic binding (shared state) vs independent aggregates — §4.2;
 //! * pre-aggregated vs raw long-window queries — §5.1;
 //! * SQL parse + plan, with and without the compilation cache — §4.2;
@@ -18,7 +19,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use openmldb_exec::{SlidingWindow, WindowAggSet};
+use openmldb_exec::{WindowAggSet, WindowProgram};
 use openmldb_online::PreAggregator;
 use openmldb_sql::ast::Frame;
 use openmldb_sql::functions::lookup;
@@ -149,38 +150,54 @@ fn skiplist(c: &mut Criterion) {
     g.finish();
 }
 
+/// One key of the window union: a 2k-tuple stream pushed through the
+/// window's sweep, 200 ms frame. The union's aggregates slide (`count`,
+/// BIGINT `sum`, INT `distinct_count`) or re-fold every frame
+/// (`recompute`); f64 `sum` and `max` re-fold per tuple even when sliding.
 fn sliding_windows(c: &mut Criterion) {
-    let specs = [spec("sum", 2), spec("count", 2), spec("max", 2)];
-    let refs: Vec<&BoundAggregate> = specs.iter().collect();
-    let rows: Vec<Row> = (0..2_000).map(bench_row).collect();
+    let codec = CompactCodec::new(bench_schema());
+    let rows: Vec<Vec<u8>> = (0..2_000)
+        .map(|i| codec.encode(&bench_row(i)).unwrap())
+        .collect();
+    let window = BoundWindow {
+        name: "w".into(),
+        merged_names: vec!["w".into()],
+        partition_cols: vec![],
+        order_col: 5,
+        order_desc: false,
+        frame: Frame::RowsRange { preceding_ms: 200 },
+        maxsize: None,
+        exclude_current_row: false,
+        instance_not_in_window: false,
+        union_tables: vec![],
+    };
+    let exact = [spec("count", 0), spec("sum", 0), spec("distinct_count", 4)];
+    let refolded = [spec("sum", 2), spec("count", 2), spec("max", 2)];
+    let runs = [
+        ("slide_2k_rows", &exact, false),
+        ("recompute_2k_rows", &exact, true),
+        ("slide_f64_sum_max_2k_rows", &refolded, false),
+    ];
 
     let mut g = c.benchmark_group("sliding_window");
-    g.bench_function("incremental_2k_rows", |b| {
-        b.iter(|| {
-            let mut w = SlidingWindow::new(Frame::RowsRange { preceding_ms: 200 }, &refs).unwrap();
-            for (i, row) in rows.iter().enumerate() {
-                w.push(i as i64, row.values()).unwrap();
-            }
-            w.len()
-        })
-    });
-    g.bench_function("recompute_2k_rows", |b| {
-        b.iter(|| {
-            // The baseline: rebuild the aggregate set per tuple.
-            let mut buffer: Vec<(i64, &Row)> = Vec::new();
-            for (i, row) in rows.iter().enumerate() {
-                let ts = i as i64;
-                buffer.push((ts, row));
-                let cut = buffer.partition_point(|(t, _)| ts - t > 200);
-                buffer.drain(..cut);
-                let mut set = WindowAggSet::new(&refs).unwrap();
-                for (_, r) in &buffer {
-                    set.update(r.values()).unwrap();
+    for (name, specs, recompute) in runs {
+        let refs: Vec<&BoundAggregate> = specs.iter().collect();
+        let sweep = WindowProgram::compile(&window, &refs, &codec)
+            .unwrap()
+            .sweep(&window, recompute);
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let (mut st, mut out) = (sweep.new_state(), Vec::new());
+                for (i, row) in rows.iter().enumerate() {
+                    out.clear();
+                    sweep
+                        .push(&mut st, i as i64, row, &codec, &mut out)
+                        .unwrap();
                 }
-                std::hint::black_box(set.outputs());
-            }
-        })
-    });
+                out.len()
+            })
+        });
+    }
     g.finish();
 }
 

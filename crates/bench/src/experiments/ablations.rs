@@ -11,12 +11,12 @@ use openmldb_sql::ast::Frame;
 use openmldb_sql::functions::lookup;
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
 use openmldb_types::{DataType, KeyValue, Row, Value};
-use openmldb_workload::Zipf;
+use openmldb_workload::{micro_schema, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::harness::{fmt, print_table, scaled, time_each, time_once, LatencyStats};
-use crate::scenarios::micro_specs;
+use crate::scenarios::union_specs;
 
 pub struct BucketPoint {
     pub label: String,
@@ -151,7 +151,8 @@ pub fn run_rebalance_period() -> Vec<RebalancePoint> {
                 },
                 incremental: true,
             },
-            micro_specs(),
+            micro_schema(),
+            union_specs(),
         )
         .unwrap();
         let zipf = Zipf::new(64, 1.2);
@@ -166,12 +167,12 @@ pub fn run_rebalance_period() -> Vec<RebalancePoint> {
                         Value::Bigint(0),
                         Value::Double(1.0),
                         Value::string("c"),
-                        Value::Int(1),
+                        Value::Int((i % 16) as i32),
                         Value::Timestamp(i as i64),
                     ]),
                 );
             }
-            union.flush();
+            union.flush().expect("union folds");
         });
         out.push(RebalancePoint {
             period,

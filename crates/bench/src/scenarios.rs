@@ -123,6 +123,24 @@ pub fn micro_specs() -> Vec<openmldb_sql::plan::BoundAggregate> {
         .collect()
 }
 
+/// The window-union aggregates: the ones whose fold slides exactly —
+/// `count` and `sum` over the BIGINT `id` (column 0), `distinct_count`
+/// over the INT `q` (column 4) of [`micro_schema`]. An f64 `sum` or a `max`
+/// would re-fold the frame on every tuple.
+pub fn union_specs() -> Vec<openmldb_sql::plan::BoundAggregate> {
+    use openmldb_sql::functions::lookup;
+    use openmldb_sql::plan::{BoundAggregate, PhysExpr};
+    [("count", 0), ("sum", 0), ("distinct_count", 4)]
+        .into_iter()
+        .map(|(f, col)| BoundAggregate {
+            window_id: 0,
+            func: lookup(f).expect("builtin"),
+            args: vec![PhysExpr::Column(col)],
+            output_type: openmldb_types::DataType::Bigint,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,9 +2,8 @@
 //! 1 and 2): `distinct_count`, `topn_frequency`, `top`, and the
 //! `*_cate_where` family, plus the GLQ geo-grid aggregate.
 //!
-//! All of these keep count-maps, which makes them retractable (decrement)
-//! and mergeable (add count-maps) — so they work with both the
-//! subtract-and-evict incremental scheme and long-window pre-aggregation.
+//! All of these keep count-maps, which makes them mergeable (add
+//! count-maps) — so they work with long-window pre-aggregation.
 
 use std::collections::HashMap;
 
@@ -26,24 +25,6 @@ impl Aggregator for DistinctCountAgg {
             *self.counts.entry(KeyValue::from(&args[0])).or_insert(0) += 1;
         }
         Ok(())
-    }
-
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        if args[0].is_null() {
-            return Ok(());
-        }
-        let k = KeyValue::from(&args[0]);
-        if let Some(c) = self.counts.get_mut(&k) {
-            *c -= 1;
-            if *c == 0 {
-                self.counts.remove(&k);
-            }
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        true
     }
 
     fn output(&self) -> Value {
@@ -94,24 +75,6 @@ impl Aggregator for TopNFrequencyAgg {
             *self.counts.entry(KeyValue::from(&args[0])).or_insert(0) += 1;
         }
         Ok(())
-    }
-
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        if args[0].is_null() {
-            return Ok(());
-        }
-        let k = KeyValue::from(&args[0]);
-        if let Some(c) = self.counts.get_mut(&k) {
-            *c -= 1;
-            if *c == 0 {
-                self.counts.remove(&k);
-            }
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        true
     }
 
     fn output(&self) -> Value {
@@ -169,24 +132,6 @@ impl Aggregator for TopAgg {
             *self.values.entry(OrdVal(args[0].clone())).or_insert(0) += 1;
         }
         Ok(())
-    }
-
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        if args[0].is_null() {
-            return Ok(());
-        }
-        let k = OrdVal(args[0].clone());
-        if let Some(c) = self.values.get_mut(&k) {
-            *c -= 1;
-            if *c == 0 {
-                self.values.remove(&k);
-            }
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        true
     }
 
     fn output(&self) -> Value {
@@ -286,26 +231,6 @@ impl Aggregator for AvgCateAgg {
         Ok(())
     }
 
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        let (value, cond, cate) = self.split(args)?;
-        if !cond || cate.is_null() || value.is_null() {
-            return Ok(());
-        }
-        let k = KeyValue::from(cate);
-        if let Some(entry) = self.sums.get_mut(&k) {
-            entry.0 -= value.as_f64()?;
-            entry.1 -= 1;
-            if entry.1 <= 0 {
-                self.sums.remove(&k);
-            }
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        true
-    }
-
     fn output(&self) -> Value {
         let mut entries: Vec<(&KeyValue, &(f64, i64))> = self.sums.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
@@ -375,28 +300,6 @@ impl Aggregator for GeoGridCountAgg {
         Ok(())
     }
 
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        if args[0].is_null() || args[1].is_null() {
-            return Ok(());
-        }
-        let cell = KeyValue::Int(geo_hash(
-            args[0].as_f64()?,
-            args[1].as_f64()?,
-            self.precision,
-        ));
-        if let Some(c) = self.cells.get_mut(&cell) {
-            *c -= 1;
-            if *c == 0 {
-                self.cells.remove(&cell);
-            }
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        true
-    }
-
     fn output(&self) -> Value {
         Value::Bigint(self.cells.len() as i64)
     }
@@ -427,16 +330,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn distinct_count_with_retraction() {
+    fn distinct_count_counts_keys_once() {
         let mut d = DistinctCountAgg::default();
         for v in ["a", "b", "a"] {
             d.update(&[Value::string(v)]).unwrap();
         }
         assert_eq!(d.output(), Value::Bigint(2));
-        d.retract(&[Value::string("a")]).unwrap();
-        assert_eq!(d.output(), Value::Bigint(2), "one `a` still present");
-        d.retract(&[Value::string("a")]).unwrap();
-        assert_eq!(d.output(), Value::Bigint(1));
     }
 
     #[test]
@@ -470,8 +369,6 @@ mod tests {
             t.update(&[Value::Int(v)]).unwrap();
         }
         assert_eq!(t.output(), Value::string("9,9,5"));
-        t.retract(&[Value::Int(9)]).unwrap();
-        assert_eq!(t.output(), Value::string("9,5,3"));
     }
 
     #[test]
@@ -490,13 +387,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(a.output(), Value::string("bags:10,shoes:30"));
-        a.retract(&[
-            Value::Double(40.0),
-            Value::Bool(true),
-            Value::string("shoes"),
-        ])
-        .unwrap();
-        assert_eq!(a.output(), Value::string("bags:10,shoes:20"));
     }
 
     #[test]

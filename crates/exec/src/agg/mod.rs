@@ -6,8 +6,6 @@
 //!   `drawdown` and `ew_avg` depend on this order — the storage layer
 //!   pre-ranks tuples by timestamp exactly so this contract is cheap to
 //!   satisfy, paper Section 7.2);
-//! * `retract` removes a row for the subtract-and-evict incremental scheme
-//!   of Section 5.2 — only invertible aggregates support it;
 //! * `partial_state` / `merge_state` expose mergeable partial aggregates for
 //!   the long-window pre-aggregation of Section 5.1 — only decomposable
 //!   aggregates support them.
@@ -31,17 +29,6 @@ use openmldb_types::{Error, KeyValue, Result, Value};
 pub trait Aggregator: Send + Sync {
     /// Feed one row's evaluated arguments (oldest → newest).
     fn update(&mut self, args: &[Value]) -> Result<()>;
-
-    /// Remove a previously fed row (subtract-and-evict). Errors unless
-    /// [`Aggregator::invertible`] is true.
-    fn retract(&mut self, _args: &[Value]) -> Result<()> {
-        Err(Error::Eval("aggregate does not support retraction".into()))
-    }
-
-    /// Whether `retract` is supported.
-    fn invertible(&self) -> bool {
-        false
-    }
 
     /// The current aggregate value.
     fn output(&self) -> Value;

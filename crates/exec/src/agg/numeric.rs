@@ -1,8 +1,7 @@
 //! Numeric aggregates: sum / count / avg / min / max / stddev / median and
 //! the conditional `*_where` wrappers (paper Section 4.1, category 2).
 //!
-//! All of these are invertible (support subtract-and-evict) and mergeable
-//! (support pre-aggregation partial states).
+//! All of these are mergeable (support pre-aggregation partial states).
 
 use std::collections::BTreeMap;
 
@@ -19,44 +18,27 @@ pub struct SumAgg {
     all_int: bool,
 }
 
-impl SumAgg {
-    fn add(&mut self, v: &Value, sign: i64) -> Result<()> {
+impl Aggregator for SumAgg {
+    fn update(&mut self, args: &[Value]) -> Result<()> {
+        let v = &args[0];
         if v.is_null() {
             return Ok(());
         }
-        if self.count == 0 && sign > 0 {
+        if self.count == 0 {
             self.all_int = true;
         }
         let integral = v.as_i64().is_ok() && !matches!(v, Value::Float(_) | Value::Double(_));
         if integral {
             self.sum_i = self
                 .sum_i
-                .checked_add(sign * v.as_i64()?)
+                .checked_add(v.as_i64()?)
                 .ok_or_else(|| Error::Eval("sum overflow".into()))?;
         } else {
             self.all_int = false;
         }
-        self.sum_f += sign as f64 * v.as_f64()?;
-        self.count = if sign > 0 {
-            self.count + 1
-        } else {
-            self.count.saturating_sub(1)
-        };
+        self.sum_f += v.as_f64()?;
+        self.count += 1;
         Ok(())
-    }
-}
-
-impl Aggregator for SumAgg {
-    fn update(&mut self, args: &[Value]) -> Result<()> {
-        self.add(&args[0], 1)
-    }
-
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        self.add(&args[0], -1)
-    }
-
-    fn invertible(&self) -> bool {
-        true
     }
 
     fn output(&self) -> Value {
@@ -125,17 +107,6 @@ impl Aggregator for CountAgg {
         Ok(())
     }
 
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        if !args[0].is_null() {
-            self.count = self.count.saturating_sub(1);
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        true
-    }
-
     fn output(&self) -> Value {
         Value::Bigint(self.count as i64)
     }
@@ -175,14 +146,6 @@ impl Aggregator for AvgAgg {
         self.inner.update(args)
     }
 
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        self.inner.retract(args)
-    }
-
-    fn invertible(&self) -> bool {
-        true
-    }
-
     fn output(&self) -> Value {
         if self.inner.count == 0 {
             Value::Null
@@ -204,79 +167,59 @@ impl Aggregator for AvgAgg {
     }
 }
 
-/// Min or max over an ordered multiset — retractable because the full value
-/// distribution is retained.
+/// Min or max as a running extreme under [`Value::total_cmp`]. Comparisons
+/// are strict, so the first-seen instance wins a tie, as in the shared
+/// numeric slot of [`crate::WindowAggSet`].
 #[derive(Debug, Clone)]
 pub struct MinMaxAgg {
-    values: BTreeMap<OrdVal, u64>,
+    best: Option<Value>,
     is_min: bool,
 }
 
 impl MinMaxAgg {
     pub fn min() -> Self {
         MinMaxAgg {
-            values: BTreeMap::new(),
+            best: None,
             is_min: true,
         }
     }
 
     pub fn max() -> Self {
         MinMaxAgg {
-            values: BTreeMap::new(),
+            best: None,
             is_min: false,
+        }
+    }
+
+    fn keep_extreme(&mut self, v: &Value) {
+        let wanted = if self.is_min {
+            std::cmp::Ordering::Less
+        } else {
+            std::cmp::Ordering::Greater
+        };
+        if !v.is_null() && self.best.as_ref().is_none_or(|b| v.total_cmp(b) == wanted) {
+            self.best = Some(v.clone());
         }
     }
 }
 
 impl Aggregator for MinMaxAgg {
     fn update(&mut self, args: &[Value]) -> Result<()> {
-        if !args[0].is_null() {
-            *self.values.entry(OrdVal(args[0].clone())).or_insert(0) += 1;
-        }
+        self.keep_extreme(&args[0]);
         Ok(())
-    }
-
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        if args[0].is_null() {
-            return Ok(());
-        }
-        let key = OrdVal(args[0].clone());
-        if let Some(c) = self.values.get_mut(&key) {
-            *c -= 1;
-            if *c == 0 {
-                self.values.remove(&key);
-            }
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        true
     }
 
     fn output(&self) -> Value {
-        let entry = if self.is_min {
-            self.values.keys().next()
-        } else {
-            self.values.keys().next_back()
-        };
-        entry.map(|o| o.0.clone()).unwrap_or(Value::Null)
+        self.best.clone().unwrap_or(Value::Null)
     }
 
-    /// Only the extremes: min/max is decomposable as min-of-mins /
+    /// Only the extreme: min/max is decomposable as min-of-mins /
     /// max-of-maxes, so pre-aggregation buckets stay O(1) regardless of
-    /// bucket size (the full multiset exists only for window retraction).
+    /// bucket size.
     fn partial_state(&self) -> Option<AggState> {
-        let mut extremes = Vec::with_capacity(2);
-        if let Some(first) = self.values.keys().next() {
-            extremes.push((first.0.clone(), 1));
-        }
-        if let Some(last) = self.values.keys().next_back() {
-            if self.values.len() > 1 {
-                extremes.push((last.0.clone(), 1));
-            }
-        }
-        Some(AggState::ValueCounts(extremes))
+        Some(AggState::ValueCounts(
+            self.best.iter().map(|v| (v.clone(), 1)).collect(),
+        ))
     }
 
     fn merge_state(&mut self, state: &AggState) -> Result<()> {
@@ -285,14 +228,14 @@ impl Aggregator for MinMaxAgg {
                 "min/max expects a ValueCounts partial state".into(),
             ));
         };
-        for (v, c) in vals {
-            *self.values.entry(OrdVal(v.clone())).or_insert(0) += c;
+        for (v, _) in vals {
+            self.keep_extreme(v);
         }
         Ok(())
     }
 
     fn reset(&mut self) {
-        self.values.clear();
+        self.best = None;
     }
 }
 
@@ -313,20 +256,6 @@ impl Aggregator for StddevAgg {
             self.sum_sq += v * v;
         }
         Ok(())
-    }
-
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        if !args[0].is_null() {
-            let v = args[0].as_f64()?;
-            self.count = self.count.saturating_sub(1);
-            self.sum -= v;
-            self.sum_sq -= v * v;
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        true
     }
 
     fn output(&self) -> Value {
@@ -383,25 +312,6 @@ impl Aggregator for MedianAgg {
             self.count += 1;
         }
         Ok(())
-    }
-
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        if args[0].is_null() {
-            return Ok(());
-        }
-        let key = OrdVal(args[0].clone());
-        if let Some(c) = self.values.get_mut(&key) {
-            *c -= 1;
-            if *c == 0 {
-                self.values.remove(&key);
-            }
-            self.count = self.count.saturating_sub(1);
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        true
     }
 
     fn output(&self) -> Value {
@@ -491,17 +401,6 @@ impl Aggregator for WhereAgg {
         Ok(())
     }
 
-    fn retract(&mut self, args: &[Value]) -> Result<()> {
-        if Self::passes(args)? {
-            self.inner.retract(&args[..1])?;
-        }
-        Ok(())
-    }
-
-    fn invertible(&self) -> bool {
-        self.inner.invertible()
-    }
-
     fn output(&self) -> Value {
         self.inner.output()
     }
@@ -531,13 +430,8 @@ mod tests {
     }
 
     #[test]
-    fn sum_retract_roundtrip() {
-        let mut s = SumAgg::default();
-        feed(&mut s, &[Value::Int(5), Value::Int(7)]);
-        s.retract(&[Value::Int(5)]).unwrap();
-        assert_eq!(s.output(), Value::Bigint(7));
-        s.retract(&[Value::Int(7)]).unwrap();
-        assert_eq!(s.output(), Value::Null, "empty window sums to NULL");
+    fn empty_sum_is_null() {
+        assert_eq!(SumAgg::default().output(), Value::Null);
     }
 
     #[test]
@@ -555,8 +449,6 @@ mod tests {
         let mut c = CountAgg::default();
         feed(&mut c, &[Value::Int(1), Value::Null, Value::Int(2)]);
         assert_eq!(c.output(), Value::Bigint(2));
-        c.retract(&[Value::Int(1)]).unwrap();
-        assert_eq!(c.output(), Value::Bigint(1));
     }
 
     #[test]
@@ -568,12 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn minmax_with_retraction() {
+    fn minmax_keeps_the_first_seen_extreme() {
         let mut mx = MinMaxAgg::max();
-        feed(&mut mx, &[Value::Int(3), Value::Int(9), Value::Int(5)]);
-        assert_eq!(mx.output(), Value::Int(9));
-        mx.retract(&[Value::Int(9)]).unwrap();
-        assert_eq!(mx.output(), Value::Int(5));
+        feed(&mut mx, &[Value::Int(3), Value::Int(9), Value::Bigint(9)]);
+        assert_eq!(format!("{:?}", mx.output()), "Int(9)");
 
         let mut mn = MinMaxAgg::min();
         feed(&mut mn, &[Value::string("b"), Value::string("a")]);
@@ -620,8 +510,6 @@ mod tests {
         assert_eq!(m.output(), Value::Double(2.0));
         m.update(&[Value::Int(10)]).unwrap();
         assert_eq!(m.output(), Value::Double(2.5));
-        m.retract(&[Value::Int(10)]).unwrap();
-        assert_eq!(m.output(), Value::Double(2.0));
     }
 
     #[test]
@@ -630,8 +518,5 @@ mod tests {
         s.update(&[Value::Int(10), Value::Bool(true)]).unwrap();
         s.update(&[Value::Int(99), Value::Bool(false)]).unwrap();
         assert_eq!(s.output(), Value::Bigint(10));
-        assert!(s.invertible());
-        s.retract(&[Value::Int(10), Value::Bool(true)]).unwrap();
-        assert_eq!(s.output(), Value::Null);
     }
 }

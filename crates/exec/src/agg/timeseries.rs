@@ -1,10 +1,9 @@
 //! Order-dependent time-series aggregates (paper Section 4.1, category 3):
 //! `drawdown`, `ew_avg`, `lag`, `first_value`.
 //!
-//! These depend on chronological feed order, so they are neither retractable
-//! nor mergeable — queries using them fall back to window scans (which the
-//! pre-ranked skiplist of Section 7.2 keeps cheap) instead of
-//! pre-aggregation.
+//! These depend on chronological feed order, so they are not mergeable —
+//! queries using them fall back to window scans (which the pre-ranked
+//! skiplist of Section 7.2 keeps cheap) instead of pre-aggregation.
 
 use std::collections::VecDeque;
 
@@ -222,12 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_aggs_not_invertible_or_mergeable() {
-        let d = DrawdownAgg::default();
-        assert!(!d.invertible());
-        assert!(d.partial_state().is_none());
-        let e = EwAvgAgg::new(0.5);
-        assert!(!e.invertible());
-        assert!(e.partial_state().is_none());
+    fn timeseries_aggs_not_mergeable() {
+        assert!(DrawdownAgg::default().partial_state().is_none());
+        assert!(EwAvgAgg::new(0.5).partial_state().is_none());
     }
 }

@@ -1619,14 +1619,16 @@ impl WindowCompiler<'_> {
 }
 
 impl WindowProgram {
-    /// Compile one window's aggregates. Every aggregate lowers to one of
-    /// the four kernel families; the only failure is a generic aggregate the
-    /// interpreter's own [`WindowAggSet::new`] rejects.
-    fn compile(
+    /// Compile one window's aggregates over `codec`'s rows. Every aggregate
+    /// lowers to one of the four kernel families; the only failure is a
+    /// generic aggregate the interpreter's own [`WindowAggSet::new`] rejects,
+    /// with its error. A deployed plan's windows compile through
+    /// [`Program::compile`]; the window union compiles its own.
+    pub fn compile(
         window: &BoundWindow,
         aggs: &[&BoundAggregate],
         codec: &CompactCodec,
-    ) -> std::result::Result<WindowProgram, String> {
+    ) -> Result<WindowProgram> {
         let mut c = WindowCompiler {
             codec,
             kernels: Vec::new(),
@@ -1636,7 +1638,7 @@ impl WindowProgram {
             generic: Vec::new(),
         };
         let bindings: Vec<Binding> = aggs.iter().map(|agg| c.bind(agg)).collect();
-        build_generic(&c.generic).map_err(|e| e.to_string())?;
+        build_generic(&c.generic)?;
         let is_str = |f: &FieldRef| f.class == KernelClass::Str;
         Ok(WindowProgram {
             needs_view: c.kernels.iter().any(|k| is_str(&k.field))
@@ -2900,7 +2902,7 @@ mod tests {
         // it, so the window is refused with that reason.
         let a = agg_of("topn_frequency", vec![col(6), col(2)]);
         let err = WindowProgram::compile(&w, &[&a], &codec).expect_err("rejected");
-        assert!(err.contains("constant literal"), "{err}");
+        assert!(err.to_string().contains("constant literal"), "{err}");
         let refs = [&a];
         assert!(WindowAggSet::new(&refs).is_err());
         // String sums compile (generic family) and fail at run time with

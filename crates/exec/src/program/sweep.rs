@@ -23,6 +23,10 @@
 //! request scans it (newest first, the `ROWS` count per source), cut by the
 //! program's frame guard and re-folded whole, every kernel included.
 //!
+//! [`Sweep::push`] runs the same split over a stream, one row at a time:
+//! the window union's per-key state is a [`SweepState`] holding the rows a
+//! frame can still reach, and each push answers for the key's newest row.
+//!
 //! The sliding state lives here, beside the serve loop's
 //! [`WindowState`](super::WindowState), which this module never changes.
 
@@ -91,7 +95,7 @@ pub struct Sweep {
     slide: Option<Split>,
     /// Re-folds every kernel over gathered frames; its program carries the
     /// frame guards (`None`: no frame is gathered — a range or unbounded
-    /// frame without `MAXSIZE`, swept incrementally).
+    /// frame without `MAXSIZE` whose anchor joins it, swept incrementally).
     gather: Option<Split>,
     frame: Frame,
     /// The anchor row joins its frame (no `EXCLUDE CURRENT_ROW`).
@@ -100,7 +104,7 @@ pub struct Sweep {
     union_only: bool,
 }
 
-/// One sweeping worker's pooled state.
+/// One sweeping worker's pooled state, or one streamed key's.
 pub struct SweepState {
     slide: Option<SplitState>,
     gather: Option<SplitState>,
@@ -109,6 +113,24 @@ pub struct SweepState {
     cands: Vec<usize>,
     sources: Vec<Vec<usize>>,
     out: Vec<Value>,
+    kept: Retained,
+}
+
+/// A streamed key's rows that a frame can still reach, ascending
+/// `(ts, seq)`, over an arena of their encoded bytes. A row's `seq` is its
+/// arena offset: arrival order, which compaction keeps, so tied rows fold
+/// in the order they arrived.
+#[derive(Default)]
+struct Retained {
+    arena: Vec<u8>,
+    /// `rows[first..]` are retained; the rows before left every frame.
+    rows: Vec<ScanEntry>,
+    first: usize,
+    /// Bytes of `arena` the retained rows hold.
+    live: usize,
+    /// How many leading retained rows the re-fold state holds, unchanged
+    /// since it folded them (0: re-fold the frame whole).
+    held: usize,
 }
 
 impl WindowProgram {
@@ -117,8 +139,12 @@ impl WindowProgram {
     /// naive oracle.
     pub fn sweep(&self, window: &BoundWindow, recompute: bool) -> Sweep {
         let slide = !recompute && window.maxsize.is_none();
-        // A `ROWS` frame over tied timestamps is gathered too.
-        let gather = !slide || matches!(window.frame, Frame::Rows { .. });
+        // A `ROWS` frame over tied timestamps is gathered too, and so is a
+        // streamed frame that is not every row `push` retains.
+        let gather = !slide
+            || matches!(window.frame, Frame::Rows { .. })
+            || window.exclude_current_row
+            || window.instance_not_in_window;
         Sweep {
             slide: slide.then(|| self.split(false)),
             gather: gather.then(|| self.split(true)),
@@ -389,7 +415,158 @@ impl Sweep {
             cands: Vec::new(),
             sources: Vec::new(),
             out: Vec::new(),
+            kept: Retained::default(),
         }
+    }
+
+    /// Stream one encoded row of a key and append the values its newest
+    /// row — the last in `(ts, arrival)` order — gets as the one anchor:
+    /// exactly what [`Sweep::fold_partition`] gives over the rows `st`
+    /// retains. A row arriving out of order takes its place among them; one
+    /// already below the frame is dropped. Sliding kernels take the row
+    /// and retract the rows that leave; the others re-fold the frame. A row
+    /// `codec` refuses leaves `st` untouched.
+    pub fn push(
+        &self,
+        st: &mut SweepState,
+        ts: i64,
+        row: &[u8],
+        codec: &CompactCodec,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        codec.view(row)?;
+        let mut kept = std::mem::take(&mut st.kept);
+        let pushed = self.stream(st, &mut kept, ts, row, codec, out);
+        st.kept = kept;
+        pushed
+    }
+
+    fn stream(
+        &self,
+        st: &mut SweepState,
+        kept: &mut Retained,
+        ts: i64,
+        row: &[u8],
+        codec: &CompactCodec,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        let Retained {
+            arena,
+            rows,
+            first,
+            live,
+            held,
+        } = kept;
+        let start = arena.len();
+        arena.extend_from_slice(row);
+        *live += row.len();
+        let entry = ScanEntry {
+            ts,
+            seq: start,
+            start,
+            len: row.len(),
+        };
+        let at = rows.get(*first..).unwrap_or_default();
+        let at = at.partition_point(|e| e.ts <= ts);
+        rows.insert(*first + at, entry);
+        let slide = self.slide.as_ref().zip(st.slide.as_mut());
+        if let Some((sweep, fast)) = slide {
+            sweep.step(fast, entry.bytes(arena), arena, codec, true)?;
+        }
+        // Drop what no frame from this anchor on reaches.
+        let gone = self.below_frame(rows.get(*first..).unwrap_or_default());
+        for e in rows.get(*first..*first + gone).unwrap_or_default() {
+            if let Some((sweep, fast)) = self.slide.as_ref().zip(st.slide.as_mut()) {
+                sweep.step(fast, e.bytes(arena), arena, codec, false)?;
+            }
+            *live -= e.len;
+        }
+        *first += gone;
+        if gone > 0 || at < *held {
+            *held = 0;
+        }
+        let frame = rows.get(*first..).unwrap_or_default();
+        // Whether the frame is every retained row.
+        let whole = self.include
+            && !self.union_only
+            && match self.frame {
+                Frame::Rows { preceding } => frame.len() <= self.rows_kept(preceding),
+                _ => true,
+            };
+        let folded = std::mem::take(held);
+        match self.slide.as_ref().zip(st.slide.as_mut()) {
+            Some((sweep, fast)) if whole => {
+                sweep.output(fast, frame, folded, arena, codec, out)?;
+                *held = frame.len();
+            }
+            _ => {
+                let anchor = [(frame.len().saturating_sub(1), 0)];
+                let emit = &mut |_: u32, values: &mut Vec<Value>| out.append(values);
+                let io = Io {
+                    arena: arena.as_slice(),
+                    codec,
+                    emit,
+                };
+                self.gather_frames(st, frame, &anchor, io)?;
+            }
+        }
+        if arena.len() - *live > *live {
+            self.compact(st.slide.as_mut(), kept, codec)?;
+        }
+        Ok(())
+    }
+
+    /// How many leading `rows` (ascending, the anchor last) neither the
+    /// anchor's frame nor a later anchor's can reach.
+    fn below_frame(&self, rows: &[ScanEntry]) -> usize {
+        let Some(anchor) = rows.last() else {
+            return 0;
+        };
+        let from = match self.frame {
+            Frame::Unbounded => return 0,
+            Frame::RowsRange { preceding_ms } => anchor.ts.saturating_sub(preceding_ms),
+            // A frame takes its `ROWS` newest first, the earliest arrival
+            // first among ties: every row tied with the oldest it can take
+            // stays.
+            Frame::Rows { preceding } => match rows.len().checked_sub(self.rows_kept(preceding)) {
+                Some(cut) => rows.get(cut).map_or(i64::MIN, |e| e.ts),
+                None => return 0,
+            },
+        };
+        rows.partition_point(|e| e.ts < from)
+    }
+
+    /// The most rows a `ROWS` frame and the anchor after it can hold.
+    fn rows_kept(&self, preceding: u64) -> usize {
+        usize::try_from(preceding)
+            .unwrap_or(usize::MAX)
+            .saturating_add(1 + usize::from(!self.include))
+    }
+
+    /// Copy the retained rows into a fresh arena in fold order and re-step
+    /// them into fresh sliding state: count-map string keys, and the
+    /// re-fold state's string extrema, are offsets into the old arena.
+    fn compact(
+        &self,
+        fast: Option<&mut SplitState>,
+        kept: &mut Retained,
+        codec: &CompactCodec,
+    ) -> Result<()> {
+        let mut arena = Vec::with_capacity(kept.live);
+        kept.rows.drain(..kept.first);
+        for e in &mut kept.rows {
+            let start = arena.len();
+            arena.extend_from_slice(e.bytes(&kept.arena));
+            (e.start, e.seq) = (start, start);
+        }
+        (kept.arena, kept.first, kept.held) = (arena, 0, 0);
+        if let Some((sweep, fast)) = self.slide.as_ref().zip(fast) {
+            sweep.clear(fast);
+            for e in &kept.rows {
+                sweep.step(fast, e.bytes(&kept.arena), &kept.arena, codec, true)?;
+            }
+        }
+        Ok(())
     }
 
     /// Sweep one partition. `entries` are its rows in the order a request
@@ -695,6 +872,7 @@ mod tests {
     use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
     use openmldb_types::codec::RowCodec;
     use openmldb_types::{ColumnDef, DataType, Row, Schema};
+    use proptest::prelude::{Just, Strategy};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -715,22 +893,25 @@ mod tests {
         }
     }
 
-    fn program(aggs: &[BoundAggregate]) -> WindowProgram {
-        let window = BoundWindow {
+    fn window(frame: Frame) -> BoundWindow {
+        BoundWindow {
             name: "w".into(),
             merged_names: vec!["w".into()],
             partition_cols: Vec::new(),
             order_col: 0,
             order_desc: false,
-            frame: openmldb_sql::ast::Frame::Unbounded,
+            frame,
             maxsize: None,
             exclude_current_row: false,
             instance_not_in_window: false,
             union_tables: Vec::new(),
-        };
+        }
+    }
+
+    fn program(aggs: &[BoundAggregate]) -> WindowProgram {
         let refs: Vec<&BoundAggregate> = aggs.iter().collect();
         let codec = CompactCodec::new(schema());
-        WindowProgram::compile(&window, &refs, &codec).expect("compiles")
+        WindowProgram::compile(&window(Frame::Unbounded), &refs, &codec).expect("compiles")
     }
 
     /// Frames sliding over a row stream give what re-folding each frame
@@ -807,5 +988,183 @@ mod tests {
                 .unwrap();
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "frame {lo}..{hi}");
         }
+    }
+
+    /// One aggregate per kernel family: a sliding count, integer sum and
+    /// string count map (behind both `distinct_count` and
+    /// `topn_frequency`), and a re-folded f64 sum, extremum, expression and
+    /// generic aggregate.
+    fn families() -> Vec<BoundAggregate> {
+        let col = PhysExpr::Column;
+        let twice = PhysExpr::Binary {
+            op: openmldb_sql::BinaryOp::Mul,
+            left: Box::new(col(1)),
+            right: Box::new(PhysExpr::Literal(Value::Int(2))),
+        };
+        vec![
+            agg("count", vec![col(1)]),
+            agg("sum", vec![col(1)]),
+            agg("sum", vec![col(2)]),
+            agg("max", vec![col(2)]),
+            agg("distinct_count", vec![col(3)]),
+            agg(
+                "topn_frequency",
+                vec![col(3), PhysExpr::Literal(Value::Int(2))],
+            ),
+            agg("sum", vec![twice]),
+            agg("drawdown", vec![col(2)]),
+        ]
+    }
+
+    /// `(ts, i, d, s)`, NULL as `None`.
+    type StreamRow<'a> = (i64, Option<i32>, Option<f64>, Option<&'a str>);
+
+    /// Stream `(ts, i, d, s)` rows through `push` and hold every answer
+    /// against `fold_partition` anchored at the newest row, over the rows
+    /// the state retains and over every row pushed so far (what it dropped
+    /// is out of every frame); returns how often the arena was compacted.
+    fn stream_equals_fold(frame: Frame, recompute: bool, rows: &[StreamRow]) -> usize {
+        let aggs = families();
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let codec = CompactCodec::new(schema());
+        let w = window(frame);
+        let sweep = WindowProgram::compile(&w, &refs, &codec)
+            .expect("compiles")
+            .sweep(&w, recompute);
+        let fold = |entries: &[ScanEntry], arena: &[u8]| {
+            let mut folded = Vec::new();
+            let emit = &mut |_: u32, values: &mut Vec<Value>| folded.append(values);
+            let anchor = [(entries.len() - 1, 0)];
+            let mut fresh = sweep.new_state();
+            sweep
+                .fold_partition(&mut fresh, entries, &anchor, arena, &codec, emit)
+                .expect("fold");
+            format!("{folded:?}")
+        };
+        let mut st = sweep.new_state();
+        let (mut pushed, mut compactions) = (Vec::new(), 0);
+        let (mut all, mut all_arena) = (Vec::<ScanEntry>::new(), Vec::new());
+        for (n, &(ts, i, d, s)) in rows.iter().enumerate() {
+            let row = Row::new(vec![
+                Value::Timestamp(ts),
+                i.map_or(Value::Null, Value::Int),
+                d.map_or(Value::Null, Value::Double),
+                s.map_or(Value::Null, Value::string),
+            ]);
+            let bytes = codec.encode(&row).expect("encode");
+            let before = st.kept.arena.len();
+            pushed.clear();
+            sweep
+                .push(&mut st, ts, &bytes, &codec, &mut pushed)
+                .expect("push");
+            compactions += usize::from(st.kept.arena.len() < before + bytes.len());
+            let at = all.partition_point(|e| e.ts <= ts);
+            let entry = ScanEntry {
+                ts,
+                seq: n,
+                start: all_arena.len(),
+                len: bytes.len(),
+            };
+            all.insert(at, entry);
+            all_arena.extend_from_slice(&bytes);
+            let kept = &st.kept.rows[st.kept.first..];
+            let pushed = format!("{pushed:?}");
+            let at = format!("{frame:?} recompute={recompute} after row {n}");
+            assert_eq!(pushed, fold(kept, &st.kept.arena), "retained rows: {at}");
+            assert_eq!(pushed, fold(&all, &all_arena), "every row: {at}");
+        }
+        compactions
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 48 })]
+
+        /// `push` over a stream answers what `fold_partition` answers over
+        /// the retained rows anchored at the newest, bit for bit, for every
+        /// kernel family, with rows out of order and tied, NULLs and random
+        /// doubles, sliding or recomputing; a stream long enough to leave
+        /// rows behind compacts the arena on the way.
+        #[test]
+        fn push_equals_fold_partition_over_retained_rows(
+            raw in proptest::collection::vec(
+                (-5i64..5, -60i32..50, -1e6f64..1e6, 0u8..6, 0usize..6),
+                100..180,
+            ),
+            frame in proptest::prop_oneof![
+                (1i64..30).prop_map(|preceding_ms| Frame::RowsRange { preceding_ms }),
+                (0u64..6).prop_map(|preceding| Frame::Rows { preceding }),
+                Just(Frame::Unbounded),
+            ],
+        ) {
+            // Out-of-range draws stand for NULL.
+            let words = ["a", "bb", "a", "ccc", "d"];
+            let rows: Vec<_> = raw
+                .iter()
+                .enumerate()
+                .map(|(n, &(jitter, i, d, null_d, s))| {
+                    let ts = n as i64 * 2 + jitter;
+                    (ts, (i >= -50).then_some(i), (null_d > 0).then_some(d), words.get(s).copied())
+                })
+                .collect();
+            for recompute in [false, true] {
+                let compactions = stream_equals_fold(frame, recompute, &rows);
+                proptest::prop_assert!(
+                    compactions > 0 || frame == Frame::Unbounded,
+                    "{:?} never compacted", frame
+                );
+            }
+        }
+    }
+
+    /// A late row below the frame is dropped; one inside it joins in its
+    /// place; a tie folds after the rows it ties with.
+    #[test]
+    fn late_rows_join_their_place_or_drop() {
+        let rows = [
+            (100, Some(1), Some(1.5), Some("a")),
+            (110, Some(2), Some(-0.0), Some("bb")),
+            (40, Some(4), Some(0.0), Some("a")),
+            (105, Some(8), None, None),
+            (110, Some(16), Some(f64::NAN), Some("a")),
+            (111, None, Some(2.25), Some("bb")),
+        ];
+        for recompute in [false, true] {
+            stream_equals_fold(Frame::RowsRange { preceding_ms: 10 }, recompute, &rows);
+            stream_equals_fold(Frame::Rows { preceding: 1 }, recompute, &rows);
+        }
+        let aggs = [agg("count", vec![PhysExpr::Column(1)])];
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let codec = CompactCodec::new(schema());
+        let w = window(Frame::RowsRange { preceding_ms: 10 });
+        let sweep = WindowProgram::compile(&w, &refs, &codec)
+            .expect("compiles")
+            .sweep(&w, false);
+        let mut st = sweep.new_state();
+        let counts: Vec<String> = rows
+            .iter()
+            .map(|&(ts, i, ..)| {
+                let row = Row::new(vec![
+                    Value::Timestamp(ts),
+                    i.map_or(Value::Null, Value::Int),
+                    Value::Null,
+                    Value::Null,
+                ]);
+                let bytes = codec.encode(&row).expect("encode");
+                let mut out = Vec::new();
+                sweep
+                    .push(&mut st, ts, &bytes, &codec, &mut out)
+                    .expect("push");
+                format!("{out:?}")
+            })
+            .collect();
+        // 40 is below [100, 110] and dropped; 111 moves the frame past 100.
+        let want = ["1", "2", "2", "3", "4", "3"].map(|n| format!("[Bigint({n})]"));
+        assert_eq!(counts, want);
+        // A row the codec refuses never reaches the state.
+        let mut out = Vec::new();
+        assert!(sweep
+            .push(&mut st, 112, &[1, 2, 3], &codec, &mut out)
+            .is_err());
+        assert_eq!(st.kept.rows.len() - st.kept.first, 4);
     }
 }

@@ -26,9 +26,7 @@ struct SharedNumeric {
     /// `count`, `min` and `max` are defined over strings too.
     track_sums: bool,
     /// Running extrema, maintained only when min/max projections exist.
-    /// Windows never retract here (requests rebuild from a fresh scan), so a
-    /// running pair replaces the ordered multiset the retracting
-    /// [`SlidingWindow`](crate::SlidingWindow) still needs.
+    /// Windows never retract here (requests rebuild from a fresh scan).
     track_minmax: bool,
     min: Option<Value>,
     max: Option<Value>,
@@ -55,8 +53,7 @@ impl SharedNumeric {
         }
         self.count += 1;
         if self.track_minmax {
-            // Strict comparisons keep the first-seen instance on ties,
-            // matching the ordered-multiset semantics this replaces.
+            // Strict comparisons keep the first-seen instance on ties.
             if self.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
                 self.min = Some(v.clone());
             }

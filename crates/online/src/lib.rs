@@ -11,10 +11,10 @@
 //! * [`preagg`] — long-window pre-aggregation with a multi-level bucket
 //!   hierarchy maintained asynchronously through the binlog (Section 5.1);
 //! * [`window_union`] — the self-adjusted multi-table window union with
-//!   dynamic key→worker load balancing and incremental computation
-//!   (Section 5.2), plus the static/recompute baselines for ablation;
-//! * [`segtree`] — segment-tree range-merge structure and the query
-//!   frequency tracker behind hierarchy adaptation;
+//!   dynamic key→worker load balancing (Section 5.2); each key streams
+//!   through the compiled window program's sweep, sliding the exactly
+//!   invertible kernels, with static hashing and per-tuple recomputation
+//!   as the baselines for ablation;
 //! * [`resilience`] — deadline budgets, bounded retries, replica failover,
 //!   and the buckets-only degradation tier for the request path;
 //! * [`sentinel`] — the consistency sentinel: 1-in-N sampled serves are
@@ -27,7 +27,6 @@ pub mod metrics;
 pub mod preagg;
 mod readplan;
 pub mod resilience;
-pub mod segtree;
 pub mod sentinel;
 pub mod window_union;
 
@@ -37,6 +36,5 @@ pub use engine::{
 };
 pub use preagg::PreAggregator;
 pub use resilience::{RequestOptions, RequestOutput, RetryPolicy};
-pub use segtree::{FrequencyTracker, Mergeable, SegmentTree};
 pub use sentinel::{AuditStats, SentinelStats};
 pub use window_union::{Scheduling, UnionConfig, WindowUnion};

@@ -9,11 +9,15 @@
 //!   counts and periodically remaps the hottest keys from the most-loaded
 //!   worker to the least-loaded one ("on-the-fly load balancing").
 //!
-//! Orthogonally, per-key window state either uses the **incremental**
-//! subtract-and-evict [`SlidingWindow`] or a **recompute** baseline that
-//! re-sorts and re-aggregates the buffer on every tuple (the paper's
-//! description of Flink's eviction behaviour). Both knobs exist so the
-//! Section 9.3.2 ablation can isolate each effect.
+//! Orthogonally, a key's window is the aggregates' compiled
+//! [`WindowProgram`] run as a [`Sweep`] fed one tuple at a time
+//! ([`Sweep::push`]). With `incremental` the kernels whose fold is exactly
+//! invertible (`count`, integer `sum`, the count maps behind
+//! `distinct_count`) subtract and evict while the rest re-fold the frame;
+//! without it every tuple re-folds its whole frame (the paper's description
+//! of Flink's eviction behaviour). Either way a key's answer is the one a
+//! request anchored at its newest tuple gets, bit for bit. Both knobs exist
+//! so the Section 9.3.2 ablation can isolate each effect.
 //!
 //! Per-key state lives in a shared concurrent map (the two-level skiplist),
 //! guarded per key — so remapping a key to another worker migrates no state,
@@ -27,11 +31,11 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
-use openmldb_exec::SlidingWindow;
+use openmldb_exec::{Sweep, SweepState, WindowProgram};
 use openmldb_sql::ast::Frame;
-use openmldb_sql::plan::BoundAggregate;
+use openmldb_sql::plan::{BoundAggregate, BoundWindow};
 use openmldb_storage::SkipMap;
-use openmldb_types::{KeyValue, Result, Row, Value};
+use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, Schema, Value};
 
 /// Worker scheduling strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +52,7 @@ pub struct UnionConfig {
     pub workers: usize,
     pub frame: Frame,
     pub scheduling: Scheduling,
-    /// true = subtract-and-evict; false = re-sort + recompute per tuple.
+    /// true = subtract-and-evict where exact; false = re-fold every frame.
     pub incremental: bool,
 }
 
@@ -58,22 +62,22 @@ enum Task {
     Stop,
 }
 
+/// One key's window: the sweep's retained rows and fold state, and the
+/// answer of its newest tuple.
 struct KeyState {
-    window: Mutex<WindowState>,
+    window: SweepState,
+    latest: Vec<Value>,
 }
 
-enum WindowState {
-    Incremental(SlidingWindow),
-    Recompute {
-        buffer: Vec<(i64, Row)>,
-        specs: Arc<Vec<BoundAggregate>>,
-    },
-}
+type States = SkipMap<KeyValue, Mutex<KeyState>>;
 
 /// The union executor: N workers over a shared per-key state map.
 pub struct WindowUnion {
     senders: Vec<Sender<Task>>,
     workers: Vec<JoinHandle<()>>,
+    states: Arc<States>,
+    /// The first error a tuple's fold met, kept for [`WindowUnion::flush`].
+    error: Arc<Mutex<Option<Error>>>,
     /// Per-worker tuples processed (load metric).
     loads: Arc<Vec<AtomicU64>>,
     /// Dynamic routing table (None for static hashing).
@@ -93,48 +97,58 @@ fn hash_key(key: &KeyValue) -> u64 {
 }
 
 impl WindowUnion {
-    pub fn new(config: UnionConfig, specs: Vec<BoundAggregate>) -> Result<Self> {
+    /// A union folding `specs` over tuples of `schema`. A spec that does
+    /// not compile is the typed error here, before any worker starts.
+    pub fn new(config: UnionConfig, schema: Schema, specs: Vec<BoundAggregate>) -> Result<Self> {
         let workers_n = config.workers.max(1);
-        let states: Arc<SkipMap<KeyValue, KeyState>> = Arc::new(SkipMap::new());
-        // Validate the aggregate specs before spawning workers: per-key
-        // windows are built from these specs inside worker threads, which
-        // have no way to surface an error mid-stream.
-        SlidingWindow::new(config.frame, &specs.iter().collect::<Vec<_>>())?;
-        let specs = Arc::new(specs);
+        let codec = Arc::new(CompactCodec::new(schema));
+        // A tuple's timestamp rides beside its row, so no column orders it.
+        let window = BoundWindow {
+            name: "union".into(),
+            merged_names: vec!["union".into()],
+            partition_cols: Vec::new(),
+            order_col: 0,
+            order_desc: false,
+            frame: config.frame,
+            maxsize: None,
+            exclude_current_row: false,
+            instance_not_in_window: false,
+            union_tables: Vec::new(),
+        };
+        let refs: Vec<&BoundAggregate> = specs.iter().collect();
+        let program = WindowProgram::compile(&window, &refs, &codec)?;
+        let sweep: Arc<Sweep> = Arc::new(program.sweep(&window, !config.incremental));
+        let states: Arc<States> = Arc::new(SkipMap::new());
+        let error = Arc::new(Mutex::new(None));
         let loads: Arc<Vec<AtomicU64>> =
             Arc::new((0..workers_n).map(|_| AtomicU64::new(0)).collect());
         let mut senders = Vec::with_capacity(workers_n);
         let mut workers = Vec::with_capacity(workers_n);
         for worker_id in 0..workers_n {
             let (tx, rx) = bounded::<Task>(4_096);
-            let states = states.clone();
-            let specs = specs.clone();
-            let loads = loads.clone();
-            let frame = config.frame;
-            let incremental = config.incremental;
+            let (states, error, loads) = (states.clone(), error.clone(), loads.clone());
+            let (sweep, codec) = (sweep.clone(), codec.clone());
             workers.push(std::thread::spawn(move || {
+                let mut bytes = Vec::new();
                 while let Ok(task) = rx.recv() {
                     match task {
                         Task::Tuple { key, ts, row } => {
-                            let (state, _) = states.get_or_insert_with(key, || KeyState {
-                                window: Mutex::new(if incremental {
-                                    let refs: Vec<&BoundAggregate> = specs.iter().collect();
-                                    WindowState::Incremental(
-                                        SlidingWindow::new(frame, &refs)
-                                            // analysis:allow(panic-path):
-                                            // specs were validated in
-                                            // WindowUnion::new.
-                                            .expect("valid union aggregates"),
-                                    )
-                                } else {
-                                    WindowState::Recompute {
-                                        buffer: Vec::new(),
-                                        specs: specs.clone(),
-                                    }
-                                }),
+                            let (state, _) = states.get_or_insert_with(key, || {
+                                Mutex::new(KeyState {
+                                    window: sweep.new_state(),
+                                    latest: Vec::new(),
+                                })
                             });
-                            let mut window = state.window.lock();
-                            let _ = step(&mut window, frame, ts, row);
+                            let mut guard = state.lock();
+                            let KeyState { window, latest } = &mut *guard;
+                            latest.clear();
+                            let folded = codec
+                                .encode_into(&row, &mut bytes)
+                                .and_then(|()| sweep.push(window, ts, &bytes, &codec, latest));
+                            if let Err(e) = folded {
+                                latest.clear();
+                                error.lock().get_or_insert(e);
+                            }
                             loads[worker_id].fetch_add(1, Ordering::Relaxed);
                         }
                         Task::Barrier(ack) => {
@@ -153,6 +167,8 @@ impl WindowUnion {
         Ok(WindowUnion {
             senders,
             workers,
+            states,
+            error,
             loads,
             routes,
             key_traffic: Arc::new(Mutex::new(HashMap::new())),
@@ -244,8 +260,9 @@ impl WindowUnion {
     /// Wait until every worker has drained its queue, then publish this
     /// union's per-worker loads and imbalance ratio to the global registry
     /// (last flushed union wins — the gauges describe the most recent
-    /// quiescent state).
-    pub fn flush(&self) {
+    /// quiescent state). Returns the first error a tuple's fold met, on
+    /// this flush and every later one.
+    pub fn flush(&self) -> Result<()> {
         let (ack_tx, ack_rx) = bounded(self.senders.len());
         for s in &self.senders {
             let _ = s.send(Task::Barrier(ack_tx.clone()));
@@ -257,6 +274,19 @@ impl WindowUnion {
             crate::metrics::union_worker_load(worker).set(load as f64);
         }
         crate::metrics::union_imbalance().set(self.imbalance());
+        match self.error.lock().clone() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    /// The aggregates of `key`'s newest tuple, in spec order — as a request
+    /// anchored there answers (`None`: no tuple of `key` folded yet, or its
+    /// last fold failed with the error [`flush`](Self::flush) returns).
+    /// After a flush every pushed tuple is folded.
+    pub fn latest(&self, key: &KeyValue) -> Option<Vec<Value>> {
+        let state = self.states.get(key)?.lock();
+        (!state.latest.is_empty()).then(|| state.latest.clone())
     }
 
     /// Per-worker tuples processed — the imbalance diagnostic.
@@ -295,59 +325,32 @@ impl Drop for WindowUnion {
     }
 }
 
-/// Process one tuple against a key's window state; returns aggregate values.
-fn step(state: &mut WindowState, frame: Frame, ts: i64, row: Row) -> Result<Vec<Value>> {
-    match state {
-        WindowState::Incremental(w) => w.push(ts, row.values()),
-        WindowState::Recompute { buffer, specs } => {
-            // Flink-like baseline: append, re-sort the whole buffer to find
-            // evictions, then recompute all aggregates from scratch.
-            buffer.push((ts, row));
-            buffer.sort_by_key(|(t, _)| *t);
-            let anchor = buffer.last().map(|(t, _)| *t).unwrap_or(ts);
-            match frame {
-                Frame::RowsRange { preceding_ms } => {
-                    let lower = anchor.saturating_sub(preceding_ms);
-                    let cut = buffer.partition_point(|(t, _)| *t < lower);
-                    buffer.drain(..cut);
-                }
-                Frame::Rows { preceding } => {
-                    let keep = preceding as usize + 1;
-                    if buffer.len() > keep {
-                        let n = buffer.len() - keep;
-                        buffer.drain(..n);
-                    }
-                }
-                Frame::Unbounded => {}
-            }
-            let refs: Vec<&BoundAggregate> = specs.iter().collect();
-            let mut set = openmldb_exec::WindowAggSet::new(&refs)?;
-            for (_, r) in buffer.iter() {
-                set.update(r.values())?;
-            }
-            Ok(set.outputs())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use openmldb_sql::functions::lookup;
     use openmldb_sql::plan::PhysExpr;
-    use openmldb_types::DataType;
+    use openmldb_types::{ColumnDef, DataType};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn sum_spec() -> Vec<BoundAggregate> {
-        vec![BoundAggregate {
+    fn spec(func: &str, arg: PhysExpr) -> BoundAggregate {
+        BoundAggregate {
             window_id: 0,
-            func: lookup("sum").unwrap(),
-            args: vec![PhysExpr::Column(0)],
+            func: lookup(func).unwrap(),
+            args: vec![arg],
             output_type: DataType::Bigint,
-        }]
+        }
+    }
+
+    fn schema(cols: &[(&str, DataType)]) -> Schema {
+        Schema::new(cols.iter().map(|&(n, t)| ColumnDef::new(n, t)).collect()).unwrap()
     }
 
     fn run(config: UnionConfig, tuples: usize, distinct_keys: u64) -> WindowUnion {
-        let mut u = WindowUnion::new(config, sum_spec()).unwrap();
+        let schema = schema(&[("v", DataType::Bigint)]);
+        let sum = vec![spec("sum", PhysExpr::Column(0))];
+        let mut u = WindowUnion::new(config, schema, sum).unwrap();
         for i in 0..tuples {
             // Zipf-ish: key 0 gets half the traffic.
             let key = if i % 2 == 0 {
@@ -361,7 +364,7 @@ mod tests {
                 Row::new(vec![Value::Bigint(1)]),
             );
         }
-        u.flush();
+        u.flush().unwrap();
         u
     }
 
@@ -384,6 +387,8 @@ mod tests {
                 8,
             );
             assert_eq!(u.worker_loads().iter().sum::<u64>(), 4_000);
+            // Key 1 gets every eighth tuple: 13 of them in the last 100 ms.
+            assert_eq!(u.latest(&KeyValue::Int(1)), Some(vec![Value::Bigint(13)]));
         }
     }
 
@@ -404,33 +409,87 @@ mod tests {
         assert!(u.rebalances() > 0);
     }
 
+    /// Subtract-and-evict and per-tuple recomputation answer every tuple
+    /// alike, bit for bit, over random doubles arriving out of order and
+    /// tied, on every frame shape.
     #[test]
-    fn recompute_baseline_still_correct() {
-        // Single worker, single key → deterministic output check via state.
-        let specs = sum_spec();
-        let mut inc = WindowState::Incremental(
-            SlidingWindow::new(
-                Frame::RowsRange { preceding_ms: 50 },
-                &specs.iter().collect::<Vec<_>>(),
-            )
-            .unwrap(),
-        );
-        let mut rec = WindowState::Recompute {
-            buffer: Vec::new(),
-            specs: Arc::new(sum_spec()),
+    fn incremental_equals_recompute() {
+        let schema = schema(&[("v", DataType::Double), ("n", DataType::Bigint)]);
+        let (v, n) = (PhysExpr::Column(0), PhysExpr::Column(1));
+        let specs = vec![
+            spec("count", v.clone()),
+            spec("sum", v.clone()),
+            spec("max", v),
+            spec("sum", n.clone()),
+            spec("distinct_count", n),
+        ];
+        let frames = [
+            Frame::RowsRange { preceding_ms: 40 },
+            Frame::Rows { preceding: 6 },
+            Frame::Unbounded,
+        ];
+        for frame in frames {
+            let union = |incremental| {
+                let config = UnionConfig {
+                    workers: 2,
+                    frame,
+                    scheduling: Scheduling::StaticHash,
+                    incremental,
+                };
+                WindowUnion::new(config, schema.clone(), specs.clone()).unwrap()
+            };
+            let (mut slide, mut refold) = (union(true), union(false));
+            let mut rng = StdRng::seed_from_u64(11);
+            for i in 0..400i64 {
+                let key = KeyValue::Int(rng.gen_range(0i64..3));
+                let ts = i * 3 + rng.gen_range(-12i64..4);
+                let row = Row::new(vec![
+                    Value::Double(rng.gen_range(-1e6..1e6)),
+                    Value::Bigint(rng.gen_range(-5i64..5)),
+                ]);
+                slide.push(key.clone(), ts, row.clone());
+                refold.push(key.clone(), ts, row);
+                slide.flush().unwrap();
+                refold.flush().unwrap();
+                let (a, b) = (slide.latest(&key), refold.latest(&key));
+                assert!(a.is_some(), "{frame:?}: tuple {i} has an answer");
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{frame:?}: tuple {i}");
+            }
+        }
+    }
+
+    /// A fold error is no longer dropped by the worker: `flush` returns the
+    /// expression kernel's typed overflow error.
+    #[test]
+    fn fold_errors_surface_at_flush() {
+        let overflow = PhysExpr::Binary {
+            op: openmldb_sql::BinaryOp::Mul,
+            left: Box::new(PhysExpr::Column(0)),
+            right: Box::new(PhysExpr::Literal(Value::Bigint(i64::MAX))),
         };
-        for i in 0..100i64 {
-            let ts = (i * 13) % 200;
-            let row = Row::new(vec![Value::Bigint(i)]);
-            let a = step(
-                &mut inc,
-                Frame::RowsRange { preceding_ms: 50 },
-                ts,
-                row.clone(),
-            )
-            .unwrap();
-            let b = step(&mut rec, Frame::RowsRange { preceding_ms: 50 }, ts, row).unwrap();
-            assert_eq!(a, b, "incremental and recompute agree at step {i}");
+        for incremental in [true, false] {
+            let config = UnionConfig {
+                workers: 2,
+                frame: Frame::RowsRange { preceding_ms: 10 },
+                scheduling: Scheduling::StaticHash,
+                incremental,
+            };
+            let schema = schema(&[("c", DataType::Bigint)]);
+            let sum = vec![spec("sum", overflow.clone())];
+            let mut u = WindowUnion::new(config, schema, sum).unwrap();
+            u.push(KeyValue::Int(1), 1, Row::new(vec![Value::Bigint(1)]));
+            u.flush().unwrap();
+            assert_eq!(
+                u.latest(&KeyValue::Int(1)),
+                Some(vec![Value::Bigint(i64::MAX)])
+            );
+            u.push(KeyValue::Int(1), 2, Row::new(vec![Value::Bigint(2)]));
+            let want = Error::Eval("integer overflow in *".into());
+            assert_eq!(u.flush(), Err(want.clone()));
+            assert_eq!(u.latest(&KeyValue::Int(1)), None);
+            // The error stays for every later flush.
+            u.push(KeyValue::Int(2), 30, Row::new(vec![Value::Bigint(1)]));
+            assert_eq!(u.flush(), Err(want));
         }
     }
 

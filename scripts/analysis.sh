@@ -74,6 +74,10 @@ if [ "$QUICK" -eq 0 ]; then
     cargo test -q --release --test consistency --test proptest_consistency
     cargo test -q --release -p openmldb-offline
 
+    step "streamed sweep: every push == fold_partition, union slide == re-fold (release)"
+    cargo test -q --release -p openmldb-exec sweep
+    cargo test -q --release -p openmldb-online window_union
+
     # benchmark/ is a package of its own; its replay probes call the
     # specializer's public API directly (the script lists the calls and the
     # one stale pin it tolerates).

@@ -1,11 +1,10 @@
 //! End-to-end observability: one process exercises the online engine, the
-//! plan cache, storage GC, the incremental executor and the memory manager,
+//! plan cache, the deploy-time compiler, storage GC and the memory manager,
 //! then checks that the global registry exposes the full metric surface and
 //! that the views over the per-request record (sampled traces, per-deployment
 //! series, post-mortems, exemplars) carry what the requests did.
 
 use openmldb::obs::{Registry, Stage, Tracer};
-use openmldb::sql::ast::Frame;
 use openmldb::{recommend_engine, Row, Value};
 
 fn serve_some_requests() -> openmldb::Database {
@@ -58,25 +57,6 @@ fn registry_exposes_cross_crate_metric_surface() {
 
     let db = serve_some_requests();
 
-    // exec: drive a sliding window directly (subtract-and-evict + eviction)
-    {
-        use openmldb::sql::functions::lookup;
-        use openmldb::sql::plan::{BoundAggregate, PhysExpr};
-        let aggs = [BoundAggregate {
-            window_id: 0,
-            func: lookup("sum").unwrap(),
-            args: vec![PhysExpr::Column(0)],
-            output_type: openmldb::DataType::Double,
-        }];
-        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
-        let mut w =
-            openmldb::exec::SlidingWindow::new(Frame::RowsRange { preceding_ms: 10 }, &refs)
-                .unwrap();
-        for i in 0..50i64 {
-            w.push(i * 5, &[Value::Bigint(1)]).unwrap();
-        }
-    }
-
     // storage: TTL GC far in the future evicts everything inserted above
     db.gc(10_000_000);
 
@@ -100,9 +80,9 @@ fn registry_exposes_cross_crate_metric_surface() {
         "openmldb_storage_seeks_total",
         "openmldb_storage_scan_len_rows",
         "openmldb_storage_ttl_evictions_total",
-        // exec
-        "openmldb_exec_incremental_steps_total",
-        "openmldb_exec_window_evictions_total",
+        // exec: the DEPLOY above specialized one plan with one window
+        "openmldb_exec_program_plans_total",
+        "openmldb_exec_program_windows_total",
         // core
         "openmldb_core_tier_inmemory_total",
         "openmldb_core_tier_ondisk_total",
