@@ -27,7 +27,7 @@ pub use export::{infer_feature_kinds, to_csv, to_libsvm, FeatureKind};
 pub use program::{
     specialize, EntryOrder, ExprProgram, Program, Sweep, SweepState, WindowProgram, WindowState,
 };
-pub use scratch::{RequestScratch, ScanEntry, REQUEST_ROW};
+pub use scratch::{RequestScratch, RowSource, ScanEntry, REQUEST_ROW};
 pub use window::WindowAggSet;
 
 #[cfg(test)]

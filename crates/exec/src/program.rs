@@ -7,18 +7,19 @@
 //!
 //! * **Window kernels** ([`WindowProgram`]) — every aggregate of a window
 //!   lowers to one of four kernel families, all folded in the same single
-//!   pass over the scan arena:
+//!   pass over the scanned rows, read where they lie ([`RowSource`]: a
+//!   request's rows lent by the skiplist under its pin, or an arena):
 //!   1. *column kernels* — `sum/count/avg/min/max/stddev` over a bare
 //!      column, monomorphized by column type. The byte offset into the
 //!      compact row encoding is pre-resolved ([`FieldRef::at`]), the
 //!      NULL-bitmap probe is baked to a `(byte, mask)` pair, and the fold
 //!      runs on `i64`/`f64` running sums and extrema in plain machine
-//!      types, strings as byte ranges into the scan arena;
+//!      types, strings as byte ranges of the row they were read from;
 //!   2. *expression kernels* — the same functions over `+ - * / %` trees of
 //!      fixed-width numeric columns and literals, lowered to a small typed
 //!      register program ([`ArithOp`]) read straight from the encoded bytes;
 //!   3. *count-map kernels* — `distinct_count` / `topn_frequency` over a
-//!      bare column, keyed by canonical `KeyValue` bits (or an arena byte
+//!      bare column, keyed by canonical `KeyValue` bits (or a row's byte
 //!      range for strings) in a pooled open-addressing table;
 //!   4. *generic kernels* — everything else the function registry accepts,
 //!      run by the interpreter's own aggregate slots fed from the row view.
@@ -57,7 +58,7 @@ use openmldb_types::{CompactCodec, DataType, Error, Result, RowView, Value, Valu
 
 use crate::eval::{binary, evaluate};
 use crate::scalar::{self, ScalarFuncId};
-use crate::scratch::ScanEntry;
+use crate::scratch::{RowSource, ScanEntry};
 use crate::window::{projection_for, Projection, WindowAggSet};
 
 mod sweep;
@@ -401,7 +402,7 @@ impl ExprProgram {
 }
 
 // ---------------------------------------------------------------------------
-// Window kernels (four families folded in one pass over the scan arena)
+// Window kernels (four families folded in one pass over the scanned rows)
 // ---------------------------------------------------------------------------
 
 /// Column class a kernel is monomorphized for. Decides the byte-level read,
@@ -630,16 +631,19 @@ impl KernelSpec {
     }
 }
 
-/// Where a running string extremum lives. Stored rows borrow the scan arena
-/// (a byte range — no copy until output); the request row is fed last, so a
-/// `Request` slot can only be set after every arena candidate was compared.
+/// Where a running string extremum lives. A stored row's is a byte range of
+/// that row, addressed by its index in the fold's [`RowSource`] (no copy
+/// until the fold finishes); the request row is fed last, so a `Request`
+/// slot can only be set after every stored candidate was compared.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum StrSlot {
     #[default]
     None,
-    Arena {
-        start: usize,
-        len: usize,
+    // 32-bit fields keep the slot, and so every `KernelState`, small.
+    Row {
+        row: u32,
+        off: u32,
+        len: u32,
     },
     Request,
 }
@@ -752,15 +756,22 @@ impl KernelState {
         }
     }
 
+    /// Feed `s`, a field of row `row` (`buf`) of `rows`.
     #[inline(always)]
-    fn feed_str(&mut self, s: &str, arena: &[u8], track: Track) -> Result<()> {
+    fn feed_str(
+        &mut self,
+        s: &str,
+        (row, buf): (usize, &[u8]),
+        rows: &dyn RowSource,
+        track: Track,
+    ) -> Result<()> {
         self.count += 1;
         if !track.minmax {
             return Ok(());
         }
         let bytes = s.as_bytes();
         if self.count == 1 {
-            let slot = StrSlot::arena_of(bytes, arena)?;
+            let slot = StrSlot::of(row, bytes, buf)?;
             self.min_str = slot;
             self.max_str = slot;
             return Ok(());
@@ -768,18 +779,18 @@ impl KernelState {
         // `&str` ordering is byte-lexicographic, so comparing raw bytes
         // reproduces `Value::total_cmp` on strings; strict comparisons keep
         // the first-seen instance on ties.
-        if bytes < StrSlot::resolve(self.min_str, arena)? {
-            self.min_str = StrSlot::arena_of(bytes, arena)?;
+        if bytes < StrSlot::resolve(self.min_str, rows)? {
+            self.min_str = StrSlot::of(row, bytes, buf)?;
         }
-        if bytes > StrSlot::resolve(self.max_str, arena)? {
-            self.max_str = StrSlot::arena_of(bytes, arena)?;
+        if bytes > StrSlot::resolve(self.max_str, rows)? {
+            self.max_str = StrSlot::of(row, bytes, buf)?;
         }
         Ok(())
     }
 
     /// Feed the request row's value of a column kernel (always the last row
     /// fed).
-    fn feed_request(&mut self, v: &Value, arena: &[u8], spec: &KernelSpec) -> Result<()> {
+    fn feed_request(&mut self, v: &Value, rows: &dyn RowSource, spec: &KernelSpec) -> Result<()> {
         if v.is_null() {
             return Ok(());
         }
@@ -796,10 +807,10 @@ impl KernelState {
             self.max_str = StrSlot::Request;
             return Ok(());
         }
-        if bytes < StrSlot::resolve(self.min_str, arena)? {
+        if bytes < StrSlot::resolve(self.min_str, rows)? {
             self.min_str = StrSlot::Request;
         }
-        if bytes > StrSlot::resolve(self.max_str, arena)? {
+        if bytes > StrSlot::resolve(self.max_str, rows)? {
             self.max_str = StrSlot::Request;
         }
         Ok(())
@@ -831,27 +842,30 @@ impl FixedSink for Feed<'_> {
 }
 
 impl StrSlot {
-    /// Record `bytes` (a slice borrowed from `arena`) as an offset range.
+    /// Record `bytes`, a slice of row `row` (whose bytes are `buf`), as an
+    /// offset range of that row.
     #[inline(always)]
-    fn arena_of(bytes: &[u8], arena: &[u8]) -> Result<StrSlot> {
-        let start = (bytes.as_ptr() as usize)
-            .checked_sub(arena.as_ptr() as usize)
-            .filter(|s| s.checked_add(bytes.len()).is_some_and(|e| e <= arena.len()))
-            .ok_or_else(|| Error::Eval("string kernel source outside the scan arena".into()))?;
-        Ok(StrSlot::Arena {
-            start,
-            len: bytes.len(),
-        })
+    fn of(row: usize, bytes: &[u8], buf: &[u8]) -> Result<StrSlot> {
+        let off = (bytes.as_ptr() as usize)
+            .checked_sub(buf.as_ptr() as usize)
+            .filter(|s| s.checked_add(bytes.len()).is_some_and(|e| e <= buf.len()))
+            .ok_or_else(|| Error::Eval("string kernel source outside its row".into()))?;
+        let narrow = |v: usize| u32::try_from(v).map_err(|_| row_out_of_range());
+        let (row, off, len) = (narrow(row)?, narrow(off)?, narrow(bytes.len())?);
+        Ok(StrSlot::Row { row, off, len })
     }
 
-    /// The bytes a slot refers to. Only called while stored rows are being
-    /// fed, so `Request` (set last) and `None` (count >= 1) cannot occur.
+    /// The bytes a slot refers to, among `rows`. `Request` (set last) and
+    /// `None` (count >= 1) cannot occur while stored rows are being fed;
+    /// the fold's finish resolves `Request` itself.
     #[inline(always)]
-    fn resolve(slot: StrSlot, arena: &[u8]) -> Result<&[u8]> {
-        match slot {
-            StrSlot::Arena { start, len } => arena
-                .get(start..start + len)
-                .ok_or_else(|| Error::Eval("string extremum range outside the scan arena".into())),
+    fn resolve(self, rows: &dyn RowSource) -> Result<&[u8]> {
+        match self {
+            StrSlot::Row { row, off, len } => {
+                let (off, end) = (off as usize, off as usize + len as usize);
+                let bytes = rows.row_at(row as usize).ok().and_then(|r| r.get(off..end));
+                bytes.ok_or_else(|| Error::Eval("string extremum range outside its row".into()))
+            }
             StrSlot::None | StrSlot::Request => Err(Error::Eval(
                 "string extremum slot resolved out of order".into(),
             )),
@@ -1133,18 +1147,20 @@ impl ExprKernel {
 // -- family 3: count-map kernels --------------------------------------------
 
 /// `key` of the count-map entry holding the request row's string (which
-/// lives in the decoded request row, not the arena).
+/// lives in the decoded request row, not in a stored one).
 const REQUEST_KEY: u64 = u64::MAX;
 
 /// One distinct key and its multiplicity. Fixed-width columns key by their
-/// canonical `KeyValue` bits; STRING columns by an arena byte range
-/// (`key` = start offset, `len` = byte length).
+/// canonical `KeyValue` bits; STRING columns by a byte range of a stored
+/// row (`row` = its index in the fold's [`RowSource`], `key` = the offset
+/// in it, `len` = byte length).
 #[derive(Debug, Clone, Copy)]
 struct CountEntry {
     key: u64,
-    len: usize,
     hash: u64,
     count: u64,
+    row: u32,
+    len: u32,
 }
 
 /// Pooled open-addressing count map: cleared between requests, never freed.
@@ -1222,7 +1238,12 @@ impl CountMap {
     // checked slice accessors only; the `get`/`len` callees the
     // name-resolved graph lists here belong to other types.
     #[inline(always)]
-    fn bump(&mut self, hash: u64, key: u64, len: usize, same: impl Fn(&CountEntry) -> bool) {
+    fn bump(
+        &mut self,
+        hash: u64,
+        (key, row, len): (u64, u32, u32),
+        same: impl Fn(&CountEntry) -> bool,
+    ) {
         if (self.entries.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -1238,9 +1259,10 @@ impl CountMap {
                 *slot = self.entries.len() as u32 + 1;
                 self.entries.push(CountEntry {
                     key,
-                    len,
                     hash,
                     count: 1,
+                    row,
+                    len,
                 });
                 return;
             }
@@ -1257,39 +1279,51 @@ impl CountMap {
     #[inline(always)]
     fn bump_fixed(&mut self, v: Fixed) {
         let key = v.key_bits();
-        self.bump(self.mix(key), key, 0, |e| e.key == key);
+        self.bump(self.mix(key), (key, 0, 0), |e| e.key == key);
     }
 
-    /// Count a string under entry key `key`: an arena start offset, or
-    /// [`REQUEST_KEY`]. Every entry it can collide with is an arena range
-    /// (the request row is fed last).
+    /// Count a string under entry key `at` (`(offset, row, len)` of a
+    /// stored row among `rows`, or [`REQUEST_KEY`]). Every entry it can
+    /// collide with is a stored row's (the request row is fed last).
     // analysis:allow(panic-freedom): checked slice accessors only (see
     // `bump`).
     #[inline(always)]
-    fn bump_bytes(&mut self, bytes: &[u8], arena: &[u8], key: u64) {
+    fn bump_bytes(&mut self, bytes: &[u8], rows: &dyn RowSource, at: (u64, u32, u32)) {
         let hash = self.hash_bytes(bytes);
-        self.bump(hash, key, bytes.len(), |e| {
-            arena.get(e.key as usize..e.key as usize + e.len) == Some(bytes)
-        });
+        self.bump(hash, at, |e| stored_key(e, rows) == Some(bytes));
     }
 
-    /// Count a stored row's string (a slice of `arena`).
-    // analysis:allow(panic-freedom): `arena_of` is checked offset
+    /// Count `bytes`, a field of row `row` (whose bytes are `buf`) of
+    /// `rows`.
+    // analysis:allow(panic-freedom): `StrSlot::of` is checked offset
     // arithmetic; the rest is `bump_bytes`.
     #[inline(always)]
-    fn bump_str(&mut self, bytes: &[u8], arena: &[u8]) -> Result<()> {
-        if let StrSlot::Arena { start, .. } = StrSlot::arena_of(bytes, arena)? {
-            self.bump_bytes(bytes, arena, start as u64);
+    fn bump_str(
+        &mut self,
+        bytes: &[u8],
+        (row, buf): (usize, &[u8]),
+        rows: &dyn RowSource,
+    ) -> Result<()> {
+        if let StrSlot::Row { row, off, len } = StrSlot::of(row, bytes, buf)? {
+            self.bump_bytes(bytes, rows, (u64::from(off), row, len));
         }
         Ok(())
     }
+}
+
+/// The bytes of a stored row's STRING count-map entry (`None` for the
+/// request row's).
+fn stored_key<'a>(e: &CountEntry, rows: &'a dyn RowSource) -> Option<&'a [u8]> {
+    let off = usize::try_from(e.key).ok()?;
+    let end = off.checked_add(e.len as usize)?;
+    rows.row_at(e.row as usize).ok()?.get(off..end)
 }
 
 /// The bytes of a STRING count-map entry.
 fn entry_bytes<'a>(
     e: &CountEntry,
     col: usize,
-    arena: &'a [u8],
+    rows: &'a dyn RowSource,
     request: Option<&'a [Value]>,
 ) -> &'a [u8] {
     if e.key == REQUEST_KEY {
@@ -1298,9 +1332,7 @@ fn entry_bytes<'a>(
             .and_then(|v| v.as_str().ok())
             .map_or(&[], str::as_bytes);
     }
-    arena
-        .get(e.key as usize..e.key as usize + e.len)
-        .unwrap_or(&[])
+    stored_key(e, rows).unwrap_or(&[])
 }
 
 /// One `topn_frequency(col, n)` projection of a count map.
@@ -1329,7 +1361,7 @@ impl TopnState {
         field: &FieldRef,
         map: &CountMap,
         n: usize,
-        arena: &[u8],
+        rows: &dyn RowSource,
         request: Option<&[Value]>,
     ) -> Result<()> {
         use std::cmp::Ordering;
@@ -1340,8 +1372,8 @@ impl TopnState {
                 return Ordering::Equal;
             };
             y.count.cmp(&x.count).then_with(|| match field.class {
-                KernelClass::Str => entry_bytes(x, field.col, arena, request)
-                    .cmp(entry_bytes(y, field.col, arena, request)),
+                KernelClass::Str => entry_bytes(x, field.col, rows, request)
+                    .cmp(entry_bytes(y, field.col, rows, request)),
                 c if c.is_int() => (x.key as i64).cmp(&(y.key as i64)),
                 _ => x.key.cmp(&y.key),
             })
@@ -1368,7 +1400,7 @@ impl TopnState {
             // Writing into a `String` cannot fail.
             let _ = match field.class {
                 KernelClass::Str => {
-                    let s = std::str::from_utf8(entry_bytes(e, field.col, arena, request))
+                    let s = std::str::from_utf8(entry_bytes(e, field.col, rows, request))
                         .map_err(|e| Error::Eval(format!("non-UTF-8 count-map key: {e}")))?;
                     self.rendered.write_str(s)
                 }
@@ -1453,6 +1485,9 @@ pub struct WindowState {
     generic: Option<WindowAggSet>,
     /// The generic aggregates' outputs, staged once per fold.
     generic_out: Vec<Value>,
+    /// Per column kernel, its STRING `[min, max]`, resolved from the rows
+    /// once per fold (the rows need not outlive it).
+    strs: Vec<[Value; 2]>,
 }
 
 impl WindowState {
@@ -1675,6 +1710,7 @@ impl WindowProgram {
             // re-checks regardless.
             generic: build_generic(&self.generic).ok().flatten(),
             generic_out: Vec::with_capacity(self.generic.len()),
+            strs: vec![[Value::Null, Value::Null]; self.kernels.len()],
         }
     }
 
@@ -1693,13 +1729,8 @@ impl WindowProgram {
         first
     }
 
-    /// Run the fold over the scanned entries. `first` is the in-frame start
-    /// from [`first_in_frame`](Self::first_in_frame) (over stored rows +
-    /// request), `request` is the decoded request row iff it joins the frame
-    /// at or past `first` — it is always fed last, matching its position in
-    /// the reference's stable ts sort (its `ts` is the anchor, `>=` every
-    /// stored row, and it is pushed last). `probe` runs every 64 fed rows so
-    /// a deadline can interrupt long folds.
+    /// Run the fold over the scanned entries, rows of `arena`: the fold of
+    /// [`fold_rows`](Self::fold_rows) over that source.
     // One flat call per window per request: the executor hands over its
     // borrowed scan state piecewise, and bundling it into a struct would
     // just add a construction step on the hot path.
@@ -1715,6 +1746,29 @@ impl WindowProgram {
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<()> {
+        let rows = (entries, arena);
+        self.fold_rows(state, &rows, first, order, request, codec, probe)
+    }
+
+    /// Run the fold over `rows`, wherever they lie. `first` is the in-frame
+    /// start from [`first_in_frame`](Self::first_in_frame) (over stored
+    /// rows + request), `request` is the decoded request row iff it joins
+    /// the frame at or past `first` — it is always fed last, matching its
+    /// position in the reference's stable ts sort (its `ts` is the anchor,
+    /// `>=` every stored row, and it is pushed last). `probe` runs every 64
+    /// fed rows so a deadline can interrupt long folds. Every value the
+    /// fold returns is resolved before it ends: `rows` need not outlive it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn fold_rows<R: RowSource>(
+        &self,
+        state: &mut WindowState,
+        rows: &R,
+        first: usize,
+        order: EntryOrder,
+        request: Option<&[Value]>,
+        codec: &CompactCodec,
+        probe: &mut dyn FnMut() -> Result<()>,
+    ) -> Result<()> {
         if state.generic.is_some() == self.generic.is_empty() {
             return Err(generic_state_mismatch());
         }
@@ -1722,45 +1776,46 @@ impl WindowProgram {
         // Column-only windows run a loop with the other families compiled
         // out.
         let mut fed = if self.extended {
-            self.feed_entries(true, state, entries, first, order, arena, codec, probe)?
+            self.feed_entries(true, state, rows, first, order, codec, probe)?
         } else {
-            self.feed_entries(false, state, entries, first, order, arena, codec, probe)?
+            self.feed_entries(false, state, rows, first, order, codec, probe)?
         };
         if let Some(req) = request {
-            self.feed_request(state, req, arena)?;
+            self.feed_request(state, req, rows)?;
             // The request row counts toward the probe cadence.
             fed += 1;
             if fed & 63 == 0 {
                 probe()?;
             }
         }
-        self.finish(state, arena, request)
+        self.finish(state, rows, request)
     }
 
     /// Feed the in-frame stored rows in ascending `(ts, seq)` order; returns
     /// how many were fed. `ext` is [`Self::extended`] passed as a literal at
     /// both call sites, so inlining folds it and each copy of the loop keeps
-    /// only its own families.
+    /// only its own families. Row indices are positions in `rows`: an
+    /// ascending source feeds `first..`, a reversed scan its newest rows
+    /// backwards.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn feed_entries(
+    fn feed_entries<R: RowSource>(
         &self,
         ext: bool,
         state: &mut WindowState,
-        entries: &[ScanEntry],
+        rows: &R,
         first: usize,
         order: EntryOrder,
-        arena: &[u8],
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<u32> {
-        let n = entries.len();
+        let n = rows.n_rows();
         let take = n.saturating_sub(first);
         let mut fed = 0u32;
         match order {
             EntryOrder::Ascending => {
-                for e in &entries[n - take..] {
-                    self.feed_row(ext, state, e.bytes(arena), arena, codec)?;
+                for i in n - take..n {
+                    self.feed_row(ext, state, (i, rows.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -1768,8 +1823,8 @@ impl WindowProgram {
                 }
             }
             EntryOrder::ReversedScan => {
-                for e in entries[..take].iter().rev() {
-                    self.feed_row(ext, state, e.bytes(arena), arena, codec)?;
+                for i in (0..take).rev() {
+                    self.feed_row(ext, state, (i, rows.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -1788,22 +1843,23 @@ impl WindowProgram {
         &self,
         ext: bool,
         state: &mut WindowState,
-        buf: &[u8],
-        arena: &[u8],
+        (i, buf): (usize, &[u8]),
+        rows: &dyn RowSource,
         codec: &CompactCodec,
     ) -> Result<()> {
         if self.needs_view {
-            return self.feed_row_view(state, buf, arena, codec);
+            return self.feed_row_view(state, (i, buf), rows, codec);
         }
-        if buf.len() < self.min_row_len {
+        let header = buf.first_chunk().filter(|_| buf.len() >= self.min_row_len);
+        let Some(&[_, version, l0, l1, l2, l3]) = header else {
             return Err(truncated_row(buf.len(), self.min_row_len));
-        }
-        let declared = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
+        };
+        let declared = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         if declared != buf.len() {
             return Err(length_mismatch(declared, buf.len()));
         }
-        if buf[1] != self.schema_version {
-            return Err(version_mismatch(buf[1], self.schema_version));
+        if version != self.schema_version {
+            return Err(version_mismatch(version, self.schema_version));
         }
         for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
             if spec.field.null_in(buf) {
@@ -1812,19 +1868,19 @@ impl WindowProgram {
             spec.field.visit_fixed(buf, spec.feed(st))?;
         }
         if ext {
-            self.feed_extended(state, buf, None, arena)?;
+            self.feed_extended(state, (i, buf), None, rows)?;
         }
         Ok(())
     }
 
     // HOT: per-row loop of view-bearing programs — fixed fields still read
     // at baked offsets; only string kernels go through the validated view,
-    // borrowing the arena (no copy until output).
+    // borrowing the row (no copy until the fold finishes).
     fn feed_row_view(
         &self,
         state: &mut WindowState,
-        buf: &[u8],
-        arena: &[u8],
+        (i, buf): (usize, &[u8]),
+        rows: &dyn RowSource,
         codec: &CompactCodec,
     ) -> Result<()> {
         let view = codec.view(buf)?;
@@ -1837,11 +1893,11 @@ impl WindowProgram {
                 continue;
             }
             if let Some(s) = str_field(&view, spec.field.col)? {
-                st.feed_str(s, arena, spec.track)?;
+                st.feed_str(s, (i, buf), rows, spec.track)?;
             }
         }
         if self.extended {
-            self.feed_extended(state, buf, Some(&view), arena)?;
+            self.feed_extended(state, (i, buf), Some(&view), rows)?;
         }
         Ok(())
     }
@@ -1853,9 +1909,9 @@ impl WindowProgram {
     fn feed_extended(
         &self,
         state: &mut WindowState,
-        buf: &[u8],
+        (i, buf): (usize, &[u8]),
         view: Option<&RowView<'_>>,
-        arena: &[u8],
+        rows: &dyn RowSource,
     ) -> Result<()> {
         let WindowState {
             exprs,
@@ -1878,14 +1934,19 @@ impl WindowProgram {
                 continue;
             }
             if let Some(s) = str_field(view.ok_or_else(str_without_view)?, field.col)? {
-                map.bump_str(s.as_bytes(), arena)?;
+                map.bump_str(s.as_bytes(), (i, buf), rows)?;
             }
         }
         feed_generic(generic, view)
     }
 
     /// Feed the request row (always last) to every family.
-    fn feed_request(&self, state: &mut WindowState, req: &[Value], arena: &[u8]) -> Result<()> {
+    fn feed_request(
+        &self,
+        state: &mut WindowState,
+        req: &[Value],
+        rows: &dyn RowSource,
+    ) -> Result<()> {
         let WindowState {
             kernels,
             exprs,
@@ -1898,7 +1959,7 @@ impl WindowProgram {
             let v = req
                 .get(spec.field.col)
                 .ok_or_else(|| request_out_of_bounds(spec.field.col))?;
-            st.feed_request(v, arena, spec)?;
+            st.feed_request(v, rows, spec)?;
         }
         for (spec, st) in self.exprs.iter().zip(exprs.iter_mut()) {
             match eval_ops(&spec.ops, regs, |f| f.requested(req)) {
@@ -1915,7 +1976,7 @@ impl WindowProgram {
             }
             match req.get(field.col) {
                 Some(Value::Null) => {}
-                Some(v) => map.bump_bytes(v.as_str()?.as_bytes(), arena, REQUEST_KEY),
+                Some(v) => map.bump_bytes(v.as_str()?.as_bytes(), rows, (REQUEST_KEY, 0, 0)),
                 None => return Err(binding_out_of_bounds()),
             }
         }
@@ -1926,24 +1987,53 @@ impl WindowProgram {
     }
 
     /// Stage what the projections need once the last row is fed: each
-    /// `topn_frequency` selection rendered into its pooled buffer, and the
-    /// generic aggregates' outputs.
+    /// string extremum and `topn_frequency` selection resolved from `rows`
+    /// (the rendered selection into its pooled buffer), and the generic
+    /// aggregates' outputs.
     fn finish(
         &self,
         state: &mut WindowState,
-        arena: &[u8],
+        rows: &dyn RowSource,
         request: Option<&[Value]>,
     ) -> Result<()> {
         let WindowState {
+            kernels,
             maps,
             topn,
             generic,
             generic_out,
+            strs,
             ..
         } = state;
+        // Only the extrema a binding projects: one string each, as before.
+        for b in &self.bindings {
+            let Binding::Column { k, proj } = *b else {
+                continue;
+            };
+            let (Some(spec), Some(st), Some([min, max])) =
+                (self.kernels.get(k), kernels.get(k), strs.get_mut(k))
+            else {
+                return Err(binding_out_of_bounds());
+            };
+            let (slot, v) = match proj {
+                _ if spec.field.class != KernelClass::Str || st.count == 0 => continue,
+                Projection::Min => (st.min_str, min),
+                Projection::Max => (st.max_str, max),
+                _ => continue,
+            };
+            *v = match slot {
+                StrSlot::Request => request.and_then(|r| r.get(spec.field.col)).cloned(),
+                slot => std::str::from_utf8(StrSlot::resolve(slot, rows)?)
+                    .ok()
+                    .map(Value::string),
+            }
+            .ok_or_else(|| {
+                Error::Eval("string extremum is not a request or UTF-8 string".into())
+            })?;
+        }
         for (spec, out) in self.topn.iter().zip(topn.iter_mut()) {
             match (self.maps.get(spec.map), maps.get(spec.map)) {
-                (Some(field), Some(map)) => out.render(field, map, spec.n, arena, request)?,
+                (Some(field), Some(map)) => out.render(field, map, spec.n, rows, request)?,
                 _ => return Err(binding_out_of_bounds()),
             }
         }
@@ -1954,13 +2044,13 @@ impl WindowProgram {
     }
 
     /// Project the fold state into output values, one per bound aggregate,
-    /// in aggregate order. Must be called with the same `arena`/`request`
-    /// the fold ran over (string extrema borrow them until this point).
+    /// in aggregate order. The fold resolved every value it returns, so
+    /// `arena` and `request` are not read again.
     pub fn outputs_into(
         &self,
         state: &WindowState,
-        arena: &[u8],
-        request: Option<&[Value]>,
+        _arena: &[u8],
+        _request: Option<&[Value]>,
         out: &mut Vec<Value>,
     ) -> Result<()> {
         // Every arm pushes its own value instead of building one `Value`
@@ -1970,21 +2060,13 @@ impl WindowProgram {
         for b in &self.bindings {
             match *b {
                 Binding::Column { k, proj } => match (self.kernels.get(k), state.kernels.get(k)) {
-                    (Some(spec), Some(st)) => project(
-                        spec.field.class,
-                        spec.field.col,
-                        st,
-                        proj,
-                        arena,
-                        request,
-                        out,
-                    )?,
+                    (Some(spec), Some(st)) => {
+                        project(spec.field.class, st, proj, state.strs.get(k), out)?
+                    }
                     _ => return Err(binding_out_of_bounds()),
                 },
                 Binding::Expr { k, proj } => match (self.exprs.get(k), state.exprs.get(k)) {
-                    (Some(spec), Some(st)) => {
-                        project(spec.class(), usize::MAX, st, proj, arena, request, out)?
-                    }
+                    (Some(spec), Some(st)) => project(spec.class(), st, proj, None, out)?,
                     _ => return Err(binding_out_of_bounds()),
                 },
                 Binding::Distinct { map } => match state.maps.get(map) {
@@ -2006,15 +2088,14 @@ impl WindowProgram {
 }
 
 /// Push one projection of a column or expression kernel's running state
-/// (`SharedNumeric::project`, monomorphized by class).
+/// (`SharedNumeric::project`, monomorphized by class). `strs` is a STRING
+/// kernel's resolved `[min, max]`.
 #[inline(always)]
 fn project(
     class: KernelClass,
-    col: usize,
     st: &KernelState,
     proj: Projection,
-    arena: &[u8],
-    request: Option<&[Value]>,
+    strs: Option<&[Value; 2]>,
     out: &mut Vec<Value>,
 ) -> Result<()> {
     match proj {
@@ -2046,19 +2127,17 @@ fn project(
                 out.push(Value::Double(var.sqrt()))
             }
         }
-        Projection::Min => out.push(extremum(class, col, st, true, arena, request)?),
-        Projection::Max => out.push(extremum(class, col, st, false, arena, request)?),
+        Projection::Min => out.push(extremum(class, st, true, strs)?),
+        Projection::Max => out.push(extremum(class, st, false, strs)?),
     }
     Ok(())
 }
 
 fn extremum(
     class: KernelClass,
-    col: usize,
     st: &KernelState,
     min: bool,
-    arena: &[u8],
-    request: Option<&[Value]>,
+    strs: Option<&[Value; 2]>,
 ) -> Result<Value> {
     if st.count == 0 {
         return Ok(Value::Null);
@@ -2069,20 +2148,10 @@ fn extremum(
         KernelClass::Timestamp => Value::Timestamp(if min { st.min_i } else { st.max_i }),
         KernelClass::Float => Value::Float(if min { st.min_f32 } else { st.max_f32 }),
         KernelClass::Double => Value::Double(if min { st.min_f } else { st.max_f }),
-        KernelClass::Str => match if min { st.min_str } else { st.max_str } {
-            StrSlot::None => Value::Null,
-            StrSlot::Arena { start, len } => {
-                let bytes = arena.get(start..start + len).ok_or_else(|| {
-                    Error::Eval("string extremum range outside the scan arena".into())
-                })?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|e| Error::Eval(format!("non-UTF-8 string extremum: {e}")))?;
-                Value::string(s)
-            }
-            StrSlot::Request => request.and_then(|r| r.get(col)).cloned().ok_or_else(|| {
-                Error::Eval("request-row string extremum without request row".into())
-            })?,
-        },
+        KernelClass::Str => strs
+            .and_then(|s| s.get(usize::from(!min)))
+            .cloned()
+            .ok_or_else(|| Error::Eval("string extremum was not resolved by its fold".into()))?,
     })
 }
 
@@ -2155,6 +2224,11 @@ fn request_out_of_bounds(col: usize) -> Error {
 }
 
 #[cold]
+fn row_out_of_range() -> Error {
+    Error::Eval("string kernel row or length past 32 bits".into())
+}
+
+#[cold]
 fn binding_out_of_bounds() -> Error {
     Error::Eval("kernel binding out of bounds".into())
 }
@@ -2192,6 +2266,9 @@ pub struct Program {
     select: std::result::Result<Vec<ExprProgram>, String>,
     /// The WHERE program (`None`: the plan has no WHERE clause).
     where_program: std::result::Result<Option<ExprProgram>, String>,
+    /// Per LAST JOIN, its residual predicate's program (`None`: an
+    /// equality-only join), or why one did not lower.
+    joins: std::result::Result<Vec<Option<ExprProgram>>, String>,
 }
 
 impl Program {
@@ -2231,10 +2308,19 @@ impl Program {
             .as_ref()
             .map(|p| ExprProgram::compile(p).map_err(|reason| format!("WHERE clause: {reason}")))
             .transpose();
+        let joins = query
+            .joins
+            .iter()
+            .map(|j| {
+                let residual = j.residual.as_ref().map(ExprProgram::compile).transpose();
+                residual.map_err(|reason| format!("LAST JOIN `{}` condition: {reason}", j.table))
+            })
+            .collect();
         Program {
             windows,
             select,
             where_program,
+            joins,
         }
     }
 
@@ -2256,14 +2342,15 @@ impl Program {
         }
     }
 
-    /// The first construct that did not lower — a window, a select column
-    /// or the WHERE clause — named, with the reason. DEPLOY refuses a plan
-    /// whose program has one.
+    /// The first construct that did not lower — a window, a select column,
+    /// the WHERE clause or a LAST JOIN's residual condition — named, with
+    /// the reason. DEPLOY refuses a plan whose program has one.
     pub fn refusal(&self) -> Option<&str> {
         (0..self.windows.len())
             .find_map(|wid| self.fallback_reason(wid))
             .or(self.select.as_ref().err().map(String::as_str))
             .or(self.where_program.as_ref().err().map(String::as_str))
+            .or(self.joins.as_ref().err().map(String::as_str))
     }
 
     /// [`Program::refusal`] as the typed error every engine raises for it:
@@ -2293,6 +2380,12 @@ impl Program {
     /// Compiled WHERE program (`None`: no WHERE clause, or it was refused).
     pub fn where_program(&self) -> Option<&ExprProgram> {
         self.where_program.as_ref().ok()?.as_ref()
+    }
+
+    /// Compiled residual condition of LAST JOIN `join` (`None`: an
+    /// equality-only join, or a refused one).
+    pub fn join_residual(&self, join: usize) -> Option<&ExprProgram> {
+        self.joins.as_ref().ok()?.get(join)?.as_ref()
     }
 }
 
@@ -2987,6 +3080,193 @@ mod tests {
                             "{e:?}"
                         ),
                     }
+                }
+            }
+        }
+    }
+
+    /// A row of `schema()` at `ts`, its columns drawn from `bits` and `d`:
+    /// NULLs, repeated values, any double (NaN, infinities), and strings of every length up to 4 (some a
+    /// prefix of another).
+    fn random_row(ts: i64, bits: u64, d: f64) -> Row {
+        let pick = |shift: u32, n: u64| (bits >> shift) % n;
+        let s = match pick(0, 6) {
+            0 => Value::Null,
+            len => Value::string(
+                (0..len - 1)
+                    .map(|j| char::from(b'a' + pick(8 + 2 * j as u32, 4) as u8))
+                    .collect::<String>(),
+            ),
+        };
+        Row::new(vec![
+            Value::string("k1"),
+            Value::Timestamp(ts),
+            match pick(20, 5) {
+                0 => Value::Null,
+                _ => Value::Int(pick(24, 2001) as i32 - 1000),
+            },
+            Value::Bigint(pick(36, 2_000_001) as i64 - 1_000_000),
+            Value::Float(pick(40, 64) as f32 * 0.25 - 8.0),
+            match pick(50, 5) {
+                0 => Value::Null,
+                1 => Value::Double(pick(56, 4) as f64),
+                2 => Value::Double(d),
+                _ => Value::Double(pick(44, 4001) as f64 * 0.125 - 250.0),
+            },
+            s,
+        ])
+    }
+
+    /// The window program's answer over `rows` and `request`, or its error,
+    /// in the form the equality checks compare.
+    fn answer(
+        wp: &WindowProgram,
+        fold: impl FnOnce(&mut WindowState) -> Result<()>,
+        project: impl FnOnce(&WindowState, &mut Vec<Value>) -> Result<()>,
+    ) -> String {
+        let mut state = wp.new_state();
+        let mut out = Vec::new();
+        let got = fold(&mut state).and_then(|()| project(&state, &mut out));
+        format!("{:?}", got.map(|()| out))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 64 })]
+
+        /// The engine's zero-copy fold: rows scanned under one epoch pin —
+        /// borrowed from two in-memory tables, copied from a disk table's
+        /// block reads — and folded through `fold_rows` where they lie give
+        /// the answer `run` gives over an arena copy of the same rows, and
+        /// the interpreter's over the decoded rows, bit for bit: every kernel
+        /// family, a random newest-first prefix, both fold orders, ts ties
+        /// and union interleaves.
+        #[test]
+        fn pinned_fold_equals_arena_fold(
+            stored in proptest::collection::vec(
+                (0i64..12, 0usize..3, proptest::prelude::any::<i64>(), proptest::prelude::any::<f64>()),
+                0..40,
+            ),
+            prefix in 0usize..101,
+            skip in 0usize..41,
+            request in (proptest::prelude::any::<bool>(), proptest::prelude::any::<i64>(), proptest::prelude::any::<f64>()),
+        ) {
+            use openmldb_storage::sync::epoch;
+            use openmldb_storage::{DataTable, DiskTable, IndexSpec, MemTable, Ttl};
+            use openmldb_types::KeyValue;
+            use openmldb_storage::ScanBuffers;
+            use BinaryOp::*;
+
+            let codec = CompactCodec::new(schema());
+            let index = || vec![IndexSpec {
+                name: "by_k".into(),
+                key_cols: vec![0],
+                ts_col: Some(1),
+                ttl: Ttl::Unlimited,
+            }];
+            let tables: [Box<dyn DataTable>; 3] = [
+                Box::new(MemTable::new("a", schema(), index()).expect("table")),
+                Box::new(MemTable::new("b", schema(), index()).expect("table")),
+                Box::new(DiskTable::new("c", schema(), index()).expect("table")),
+            ];
+            for &(ts, table, bits, d) in &stored {
+                tables[table].put(&random_row(ts, bits as u64, d)).expect("put");
+            }
+            let request = match request {
+                (true, bits, d) => Some(random_row(12, bits as u64, d)),
+                (false, ..) => None,
+            };
+            let key = [KeyValue::from(&Value::string("k1"))];
+
+            // One scan of every table under one pin, as the engine scans a
+            // union: kept as pinned entries, and copied into an arena.
+            let guard = epoch::pin();
+            let mut buffers = ScanBuffers::default();
+            let mut scan = buffers.pin_scan(&guard);
+            let (mut arena, mut entries) = (Vec::new(), Vec::new());
+            for t in &tables {
+                t.scan_window_pinned(&guard, 0, &key, i64::MIN, i64::MAX, None, &mut |ts, row| {
+                    let bytes = row.bytes();
+                    let (seq, start) = (entries.len(), arena.len());
+                    entries.push(ScanEntry { ts, seq, start, len: bytes.len() });
+                    arena.extend_from_slice(bytes);
+                    scan.keep(ts, row);
+                    true
+                }).expect("scan");
+            }
+            let descending = entries.windows(2).all(|w| w[0].ts > w[1].ts);
+            // A member folds a newest-first prefix of the scan, from `first`.
+            let n = entries.len() * prefix / 100;
+            let entries = &mut entries[..n];
+            let first = skip.min(n);
+            let req = request.as_ref().map(|r| r.values());
+
+            let topn = |c: usize, n: i64| agg_of("topn_frequency", vec![col(c), lit(Value::Bigint(n))]);
+            let positive = bin(Gt, col(2), lit(Value::Int(0)));
+            let column = vec![
+                agg("sum", 5, 0), agg("sum", 2, 0), agg("sum", 3, 0), agg("min", 2, 0),
+                agg("max", 5, 0), agg("avg", 4, 0), agg("stddev", 5, 0), agg("count", 2, 0),
+            ];
+            let strings = vec![agg("min", 6, 0), agg("max", 6, 0), agg("count", 6, 0), agg("max", 3, 0)];
+            let exprs = vec![
+                agg_of("sum", vec![bin(Mul, col(3), col(2))]),
+                agg_of("avg", vec![bin(Div, col(5), col(4))]),
+            ];
+            let maps = vec![
+                agg("distinct_count", 6, 0), topn(6, 3),
+                agg("distinct_count", 5, 0), topn(5, 2),
+            ];
+            let generic = vec![
+                agg_of("median", vec![col(5)]),
+                agg_of("count_where", vec![col(6), positive]),
+            ];
+            let mixed: Vec<BoundAggregate> =
+                [&column, &strings, &exprs, &maps, &generic].into_iter().flatten().cloned().collect();
+
+            let w = window();
+            let programs: Vec<WindowProgram> = [&column, &strings, &exprs, &maps, &generic, &mixed]
+                .into_iter()
+                .map(|aggs| WindowProgram::compile(&w, &aggs.iter().collect::<Vec<_>>(), &codec))
+                .collect::<Result<_>>()
+                .expect("compiles");
+            // A strictly descending scan replays unsorted; then (like any
+            // scan) it is sorted by `(ts, seq)` in place.
+            let orders: &[EntryOrder] = if descending {
+                &[EntryOrder::ReversedScan, EntryOrder::Ascending]
+            } else {
+                &[EntryOrder::Ascending]
+            };
+            for &order in orders {
+                if order == EntryOrder::Ascending {
+                    scan.sort_prefix(n);
+                    entries.sort_unstable_by_key(|e| (e.ts, e.seq));
+                }
+                // The interpreter's input: the in-frame rows, ascending.
+                let mut sorted = entries.to_vec();
+                sorted.sort_unstable_by_key(|e| (e.ts, e.seq));
+                for (wp, aggs) in programs.iter().zip([&column, &strings, &exprs, &maps, &generic, &mixed]) {
+                    let probe = &mut || Ok(());
+                    let pinned = answer(
+                        wp,
+                        |st| wp.fold_rows(st, &scan.prefix(n), first, order, req, &codec, probe),
+                        |st, out| wp.outputs_into(st, &[], None, out),
+                    );
+                    let copied = answer(
+                        wp,
+                        |st| wp.run(st, entries, first, order, &arena, req, &codec, &mut || Ok(())),
+                        |st, out| wp.outputs_into(st, &arena, req, out),
+                    );
+                    proptest::prop_assert_eq!(&pinned, &copied);
+                    let oracle = (|| -> Result<Vec<Value>> {
+                        let mut set = WindowAggSet::new(&aggs.iter().collect::<Vec<_>>())?;
+                        for e in &sorted[first..] {
+                            set.update_view(&codec.view(e.bytes(&arena))?)?;
+                        }
+                        if let Some(r) = req {
+                            set.update(r)?;
+                        }
+                        Ok(set.outputs())
+                    })();
+                    proptest::prop_assert_eq!(&pinned, &format!("{:?}", oracle));
                 }
             }
         }

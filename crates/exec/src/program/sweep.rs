@@ -37,8 +37,9 @@ use openmldb_sql::plan::BoundWindow;
 use openmldb_types::{CompactCodec, Result, Value};
 
 use super::{
-    binding_out_of_bounds, project, str_field, Binding, CountEntry, CountMap, EntryOrder, FieldRef,
-    Fixed, KernelClass, KernelSpec, KernelState, TopnSpec, TopnState, WindowProgram, WindowState,
+    binding_out_of_bounds, project, stored_key, str_field, Binding, CountEntry, CountMap,
+    EntryOrder, FieldRef, Fixed, KernelClass, KernelSpec, KernelState, TopnSpec, TopnState,
+    WindowProgram, WindowState,
 };
 use crate::scratch::ScanEntry;
 use crate::window::Projection;
@@ -325,13 +326,13 @@ impl Split {
             let Some(s) = str_field(view, field.col)? else {
                 continue;
             };
+            // Keys over the whole arena, as one row: arena offsets.
             let bytes = s.as_bytes();
             if add {
-                map.bump_str(bytes, arena)?;
+                map.bump_str(bytes, (0, arena), &arena)?;
             } else {
-                map.retract(map.hash_bytes(bytes), |e| {
-                    arena.get(e.key as usize..e.key as usize + e.len) == Some(bytes)
-                });
+                let hash = map.hash_bytes(bytes);
+                map.retract(hash, |e| stored_key(e, &arena) == Some(bytes));
             }
         }
         Ok(())
@@ -363,20 +364,23 @@ impl Split {
         if let (Some(program), Some(state)) = (&self.refold, refold.as_mut()) {
             let order = EntryOrder::Ascending;
             let mut probe = || -> Result<()> { Ok(()) };
-            match frame.get(folded..) {
-                Some(fresh) if folded > 0 => {
-                    let ext = program.extended;
-                    program.feed_entries(ext, state, fresh, 0, order, arena, codec, &mut probe)?;
-                    state.generic_out.clear();
-                    program.finish(state, arena, None)?;
+            let rows = (frame, arena);
+            match folded {
+                f if f == 0 || f > frame.len() => {
+                    program.run(state, frame, 0, order, arena, None, codec, &mut probe)?
                 }
-                _ => program.run(state, frame, 0, order, arena, None, codec, &mut probe)?,
+                _ => {
+                    let ext = program.extended;
+                    program.feed_entries(ext, state, &rows, folded, order, codec, &mut probe)?;
+                    state.generic_out.clear();
+                    program.finish(state, &rows, None)?;
+                }
             }
             program.outputs_into(state, arena, None, staged)?;
         }
         for (spec, rendered) in self.topn.iter().zip(topn.iter_mut()) {
             match (self.maps.get(spec.map), maps.get(spec.map)) {
-                (Some(field), Some(map)) => rendered.render(field, map, spec.n, arena, None)?,
+                (Some(field), Some(map)) => rendered.render(field, map, spec.n, &arena, None)?,
                 _ => return Err(binding_out_of_bounds()),
             }
         }
@@ -385,10 +389,7 @@ impl Split {
             match *source {
                 Source::Refold => out.push(refolded.next().ok_or_else(binding_out_of_bounds)?),
                 Source::Column { k, proj } => match (self.kernels.get(k), kernels.get(k)) {
-                    (Some(spec), Some(ks)) => {
-                        let (class, col) = (spec.field.class, spec.field.col);
-                        project(class, col, ks, proj, arena, None, out)?
-                    }
+                    (Some(spec), Some(ks)) => project(spec.field.class, ks, proj, None, out)?,
                     _ => return Err(binding_out_of_bounds()),
                 },
                 Source::Distinct { map } => match maps.get(map) {

@@ -1,12 +1,24 @@
 //! Per-request reusable scratch state for the streaming request path.
 //!
 //! A warm [`RequestScratch`] owns every buffer the online engine touches
-//! while serving one request — the scan arena, the sort entries, the join
-//! probe row, the aggregate argument/output vectors, and the per-window
-//! kernel states — so a steady-state request performs zero heap
-//! allocations: everything is `clear()`ed between requests, never dropped.
+//! while serving one request — the scan entries, the join probe row, the
+//! aggregate argument/output vectors, and the per-window kernel states — so
+//! a steady-state request performs zero heap allocations: everything is
+//! `clear()`ed between requests, never dropped.
+//!
+//! A window scan copies no row an in-memory table holds: its entries
+//! ([`ScanBuffers`], `(ts, seq, address, length)` each) point at the
+//! skiplist nodes' own bytes, lent for the request's one epoch pin, and are
+//! readable only through the scan opened under that pin — which empties
+//! them when it drops, before the pin does (`openmldb_storage::scan`). The
+//! scan arena holds only what has no node to borrow from: rows a backend
+//! lends for one visit (a disk table's block reads, a failover replica's
+//! rows). The fold reads either kind through [`RowSource`]; string extrema
+//! and count-map keys address a row by its index there, so nothing they
+//! point at outlives the fold.
 
-use openmldb_types::{KeyValue, Value};
+use openmldb_storage::{PinnedRows, ScanBuffers};
+use openmldb_types::{Error, KeyValue, Result, Value};
 
 use crate::program::WindowState;
 
@@ -15,7 +27,7 @@ use crate::program::WindowState;
 pub const REQUEST_ROW: usize = usize::MAX;
 
 /// One scanned window row: a `(ts, arrival index)` sort key plus a byte
-/// range into the owning [`RequestScratch`] arena.
+/// range into an arena the caller owns (the offline sweep's rows).
 #[derive(Debug, Clone, Copy)]
 pub struct ScanEntry {
     /// Row timestamp (the primary sort key).
@@ -44,6 +56,62 @@ impl ScanEntry {
     }
 }
 
+/// The stored rows a window fold reads, by position: the entries over an
+/// arena, or a pinned scan's borrows.
+pub trait RowSource {
+    /// How many rows there are.
+    fn n_rows(&self) -> usize;
+    /// The encoded bytes of row `i`.
+    fn row_at(&self, i: usize) -> Result<&[u8]>;
+}
+
+#[cold]
+fn row_outside_source(i: usize) -> Error {
+    Error::Eval(format!("scanned row {i} outside its source"))
+}
+
+impl RowSource for (&[ScanEntry], &[u8]) {
+    #[inline(always)]
+    fn n_rows(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline(always)]
+    fn row_at(&self, i: usize) -> Result<&[u8]> {
+        let e = self.0.get(i).ok_or_else(|| row_outside_source(i))?;
+        let end = e.start.checked_add(e.len);
+        end.and_then(|end| self.1.get(e.start..end))
+            .ok_or_else(|| row_outside_source(i))
+    }
+}
+
+/// A byte arena as a single row: count-map keys over it are arena offsets
+/// (the offline sweep's sliding maps).
+impl RowSource for &[u8] {
+    fn n_rows(&self) -> usize {
+        1
+    }
+
+    fn row_at(&self, i: usize) -> Result<&[u8]> {
+        (i == 0)
+            .then_some(*self)
+            .ok_or_else(|| row_outside_source(i))
+    }
+}
+
+/// A prefix of a window scan's rows, lent under the request's pin.
+impl RowSource for PinnedRows<'_> {
+    #[inline(always)]
+    fn n_rows(&self) -> usize {
+        self.len()
+    }
+
+    #[inline(always)]
+    fn row_at(&self, i: usize) -> Result<&[u8]> {
+        self.get(i).ok_or_else(|| row_outside_source(i))
+    }
+}
+
 /// Reusable buffers for one in-flight request. Obtain from a pool, call
 /// [`reset`](Self::reset) before use; all buffers keep their capacity across
 /// requests so the warm path never allocates.
@@ -58,10 +126,8 @@ pub struct RequestScratch {
     pub agg_values: Vec<Value>,
     /// Partition key under evaluation.
     pub key: Vec<KeyValue>,
-    /// Raw encoded rows copied out of storage during the scan pass.
-    pub arena: Vec<u8>,
-    /// Sort entries over `arena` (plus the request-row marker).
-    pub entries: Vec<ScanEntry>,
+    /// The window scan's entries and arena ([`ScanBuffers::pin_scan`]).
+    pub scan: ScanBuffers,
     /// Per member window of the scan group being folded: `(rows, window
     /// id)` — how long a newest-first prefix of `entries` the window's
     /// frame covers.
@@ -101,8 +167,6 @@ impl RequestScratch {
         self.probe.clear();
         self.agg_values.clear();
         self.key.clear();
-        self.arena.clear();
-        self.entries.clear();
         self.prefixes.clear();
         self.out.clear();
         self.key_repr.clear();
@@ -147,19 +211,12 @@ mod tests {
     #[test]
     fn reset_keeps_capacity() {
         let mut s = RequestScratch::new();
-        s.arena.extend_from_slice(&[0u8; 64]);
-        s.entries.push(ScanEntry {
-            ts: 1,
-            seq: 0,
-            start: 0,
-            len: 64,
-        });
+        s.prefixes.push((64, 0));
         s.out.push(Value::Bigint(1));
-        let arena_cap = s.arena.capacity();
-        let entries_cap = s.entries.capacity();
+        let (prefixes_cap, out_cap) = (s.prefixes.capacity(), s.out.capacity());
         s.reset();
-        assert!(s.arena.is_empty() && s.entries.is_empty() && s.out.is_empty());
-        assert_eq!(s.arena.capacity(), arena_cap);
-        assert_eq!(s.entries.capacity(), entries_cap);
+        assert!(s.prefixes.is_empty() && s.out.is_empty());
+        assert_eq!(s.prefixes.capacity(), prefixes_cap);
+        assert_eq!(s.out.capacity(), out_cap);
     }
 }

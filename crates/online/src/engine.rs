@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use openmldb_exec::{
-    evaluate, EntryOrder, Program, RequestScratch, ScanEntry, WindowAggSet, WindowState,
+    evaluate, EntryOrder, Program, RequestScratch, RowSource, WindowAggSet, WindowState,
 };
 use openmldb_obs::trace as obs;
 use openmldb_obs::{
@@ -27,8 +27,8 @@ use openmldb_sql::ast::Frame;
 use openmldb_sql::plan::{BoundWindow, CompiledQuery};
 use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, Value};
 
-use openmldb_storage::sync::epoch;
-use openmldb_storage::{DataTable, MemTable};
+use openmldb_storage::sync::epoch::{self, Guard};
+use openmldb_storage::{DataTable, MemTable, PinnedScan, ScanRow};
 
 use crate::preagg::PreAggregator;
 use crate::readplan::{BoundRead, ReadPlan};
@@ -257,7 +257,8 @@ pub fn execute_request_with(
 ) -> Result<RequestOutput> {
     // One epoch pin for the whole request: the seeks and scans below pin
     // again, but nested pins are counter bumps — the fences run once, here.
-    let _pin = epoch::pin();
+    // The window scans borrow the rows they fold under it.
+    let pin = epoch::pin();
     let mut scratch = dep.take_scratch();
     scratch.reset();
     // Consistency sentinel: 1-in-N sampling decision, taken before the
@@ -274,9 +275,9 @@ pub fn execute_request_with(
     let mut flight = std::mem::take(&mut scratch.flight);
     let ctx = Ctx::new(opts);
     let scope = FlightScope::enter(&mut flight);
-    let out = execute_streaming(provider, dep, request, &ctx, &mut scratch);
+    let out = execute_streaming(provider, dep, request, &ctx, &pin, &mut scratch);
     let mut summary = scope.finish();
-    summary.cost.scratch_high_water_bytes = scratch.arena.capacity() as u64;
+    summary.cost.scratch_high_water_bytes = scratch.scan.retained_bytes() as u64;
     let result = publish_request(dep, &flight, &summary, &ctx, out);
     // Heavy-hitter partition keys, fed from the sampled requests only, each
     // standing for `sampled` requests: render `dep:key` into the pooled
@@ -511,6 +512,7 @@ fn execute_streaming(
     dep: &Deployment,
     request: &Row,
     ctx: &Ctx,
+    pin: &Guard,
     scratch: &mut RequestScratch,
 ) -> Result<Row> {
     let q = &dep.query;
@@ -522,8 +524,7 @@ fn execute_streaming(
         probe,
         agg_values,
         key,
-        arena,
-        entries,
+        scan,
         prefixes,
         out,
         compiled,
@@ -540,7 +541,7 @@ fn execute_streaming(
     // (A plan without joins has no seek stage here: nothing to time.)
     if !q.joins.is_empty() {
         obs::span(obs::Stage::StorageSeek, || -> Result<()> {
-            for (join, bound) in q.joins.iter().zip(&dep.reads.joins) {
+            for (j, (join, bound)) in q.joins.iter().zip(&dep.reads.joins).enumerate() {
                 key.clear();
                 for &(l, _) in &join.eq_pairs {
                     key.push(KeyValue::from(&combined[l]));
@@ -549,7 +550,7 @@ fn execute_streaming(
                 let matched = resilient_read(ctx, provider, &bound.read, |table, index| {
                     // A retry re-runs the read from the top.
                     combined.truncate(base_len);
-                    let Some(pred) = &join.residual else {
+                    if join.residual.is_none() {
                         // The head row, decoded from its stored bytes
                         // straight into the combined row.
                         return table.latest_visit(index, key, &mut |data| {
@@ -559,15 +560,18 @@ fn execute_streaming(
                             }
                             Ok(())
                         });
-                    };
+                    }
+                    let pred = dep.program.join_residual(j);
+                    let pred = pred.ok_or_else(|| not_compiled(dep, "LAST JOIN residual"))?;
                     // One probe buffer per request, truncated and re-extended
-                    // per candidate instead of a `combined` clone for each.
+                    // per candidate instead of a `combined` clone for each;
+                    // a candidate the predicate errors on is rejected.
                     probe.clear();
                     probe.extend_from_slice(combined);
                     let mut check = |row: &Row| {
                         probe.truncate(base_len);
                         probe.extend(row.values().iter().cloned());
-                        evaluate(pred, probe, &[])
+                        pred.eval(probe, &[], vm_stack)
                             .and_then(|v| v.as_bool())
                             .unwrap_or(false)
                     };
@@ -634,23 +638,23 @@ fn execute_streaming(
                     return Ok(());
                 }
 
-                // Scan path (streaming): copy the encoded rows into the
-                // scratch arena, newest first — down to the oldest timestamp
-                // any member's range frame reaches *and* as many rows as
-                // its longest ROWS frame counts.
+                // Scan path (streaming): keep the group's rows where the
+                // skiplist holds them, newest first — down to the oldest
+                // timestamp any member's range frame reaches *and* as many
+                // rows as its longest ROWS frame counts.
                 let (mut reach_ts, mut reach_rows) = (i64::MAX, 0usize);
                 for &wid in members {
                     let (lower, rows) = frame_reach(&q.windows[wid], anchor_ts);
                     reach_ts = reach_ts.min(lower);
                     reach_rows = reach_rows.max(rows.unwrap_or(0));
                 }
-                // Storage itself stops a scan only one kind of frame bounds.
+                // Storage itself stops a scan only one kind of frame bounds;
+                // a mixed group's visitor stops past both reaches.
                 let lower = if reach_rows == 0 { reach_ts } else { i64::MIN };
                 let limit = (reach_ts == i64::MAX).then_some(reach_rows);
+                let mixed = limit.is_none() && reach_rows > 0;
 
-                arena.clear();
-                entries.clear();
-                let mut seq = 0usize;
+                let mut scan = scan.pin_scan(pin);
                 let mut deadline_hit = false;
                 // Whether every timestamp so far arrived strictly below the
                 // one before it, across tables — decides the fold order.
@@ -659,17 +663,20 @@ fn execute_streaming(
                     for read in &dep.reads.windows[lead] {
                         // Retries re-run this table's scan from the top: rewind
                         // so a fault mid-scan cannot duplicate entries.
-                        let mark_entries = entries.len();
-                        let mark_arena = arena.len();
+                        let mark = scan.mark();
                         let mark_descending = descending;
                         resilient_read(ctx, provider, read, |table, index| {
-                            entries.truncate(mark_entries);
-                            arena.truncate(mark_arena);
-                            seq = mark_entries;
+                            scan.rewind(mark);
                             descending = mark_descending;
                             deadline_hit = false;
-                            let mut scanned = 0u32;
-                            let mut take = |ts: i64, data: &[u8]| {
+                            let (mut scanned, mut taken) = (0u32, 0usize);
+                            let mut take = scan_visitor(|ts, row| {
+                                if mixed {
+                                    if ts < reach_ts && taken >= reach_rows {
+                                        return false;
+                                    }
+                                    taken += 1;
+                                }
                                 // Deadline probe every 64 rows so a long
                                 // scan cannot blow the budget unnoticed.
                                 scanned += 1;
@@ -678,38 +685,30 @@ fn execute_streaming(
                                     flight::event(FlightEventKind::DeadlineProbe, scanned, 0);
                                     return false;
                                 }
-                                if let Some(prev) = entries.last() {
+                                if let Some(prev) = scan.entries().last() {
                                     descending &= prev.ts > ts;
                                 }
-                                let start = arena.len();
-                                arena.extend_from_slice(data);
-                                entries.push(ScanEntry {
-                                    ts,
-                                    seq,
-                                    start,
-                                    len: data.len(),
-                                });
-                                seq += 1;
+                                scan.keep(ts, row);
                                 true
-                            };
-                            if limit.is_some() || reach_rows == 0 {
-                                return table
-                                    .scan_window(index, key, lower, anchor_ts, limit, &mut take);
+                            });
+                            // The bound table lends its rows for the pin; a
+                            // failover replica is held for this read only,
+                            // so its rows are copied.
+                            if std::ptr::addr_eq(table, &*read.table) {
+                                let t = &*read.table;
+                                t.scan_window_pinned(
+                                    pin, index, key, lower, anchor_ts, limit, &mut take,
+                                )
+                            } else {
+                                table.scan_window(
+                                    index,
+                                    key,
+                                    lower,
+                                    anchor_ts,
+                                    limit,
+                                    &mut |ts, data| take(ts, ScanRow::Transient(data)),
+                                )
                             }
-                            // Range and ROWS frames mixed: stop past both.
-                            let mut taken = 0usize;
-                            table.scan_window(
-                                index,
-                                key,
-                                lower,
-                                anchor_ts,
-                                None,
-                                &mut |ts, data| {
-                                    let wanted = ts >= reach_ts || taken < reach_rows;
-                                    taken += 1;
-                                    wanted && take(ts, data)
-                                },
-                            )
                         })?;
                         if deadline_hit {
                             // Typed timeout, never a partial aggregate.
@@ -721,6 +720,7 @@ fn execute_streaming(
 
                 // Each member folds a newest-first prefix of the scan: all of
                 // it for a group of one, else the rows its own frame reaches.
+                let entries = scan.entries();
                 prefixes.clear();
                 for &wid in members {
                     let rows = match frame_reach(&q.windows[wid], anchor_ts) {
@@ -745,9 +745,10 @@ fn execute_streaming(
                 if audit.armed() {
                     for &(rows, wid) in prefixes.iter() {
                         let mut f = Fnv::new();
-                        for e in &entries[..rows] {
+                        let lent = scan.prefix(rows);
+                        for (i, e) in entries.iter().take(rows).enumerate() {
                             f.write_u64(e.ts as u64);
-                            f.write(e.bytes(arena));
+                            f.write(lent.row_at(i)?);
                         }
                         // (Path form: the lint resolves a `.record(..)` call
                         // by name, to every `record` there is.)
@@ -765,15 +766,11 @@ fn execute_streaming(
                         dep,
                         request,
                         ctx,
-                        arena,
                         descending,
                     };
                     for &(rows, wid) in prefixes.iter() {
-                        // The bytes of a prefix end where the next scanned
-                        // row starts (no sort has reached past `rows` yet).
-                        let bytes = entries.get(rows).map_or(arena.len(), |e| e.start);
                         let state = &mut compiled[wid];
-                        fold.window(wid, &mut entries[..rows], bytes as u64, state, out)?;
+                        fold.window(wid, &mut scan, rows, state, out)?;
                         for (slot, v) in dep.by_window[wid].iter().zip(out.drain(..)) {
                             agg_values[*slot] = v;
                         }
@@ -812,27 +809,32 @@ fn execute_streaming(
     Ok(row)
 }
 
+/// Pins down a scan visitor's signature: rows lent for the pin `'g`, or
+/// for one visit.
+fn scan_visitor<'g, F: FnMut(i64, ScanRow<'g, '_>) -> bool>(f: F) -> F {
+    f
+}
+
 /// What every member of a scan group folds against.
 struct GroupFold<'a> {
     dep: &'a Deployment,
     request: &'a Row,
     ctx: &'a Ctx<'a>,
-    arena: &'a [u8],
     /// The scan arrived strictly newest-first: members replay it in
     /// reverse instead of sorting.
     descending: bool,
 }
 
 impl GroupFold<'_> {
-    /// One member's fold — window `wid` — over its rows of the scan
-    /// (`entries`, in scan order on entry, `bytes` of the arena), leaving
-    /// its aggregate values in `out`: the deploy-time kernels fold raw
-    /// encoded bytes in one pass, unsorted when they can.
+    /// One member's fold — window `wid` — over the first `n` rows of the
+    /// scan (in scan order on entry), leaving its aggregate values in
+    /// `out`: the deploy-time kernels fold the encoded bytes where the
+    /// scan holds them, in one pass, unsorted when they can.
     fn window(
         &self,
         wid: usize,
-        entries: &mut [ScanEntry],
-        bytes: u64,
+        scan: &mut PinnedScan<'_>,
+        n: usize,
         state: &mut Option<WindowState>,
         out: &mut Vec<Value>,
     ) -> Result<()> {
@@ -840,7 +842,6 @@ impl GroupFold<'_> {
             dep,
             request,
             ctx,
-            arena,
             descending,
         } = *self;
         let wp = dep.program.window(wid);
@@ -853,11 +854,6 @@ impl GroupFold<'_> {
             Ok(())
         };
         out.clear();
-        crate::metrics::compiled_windows().inc();
-        flight::event(FlightEventKind::CompiledWindow, wid as u32, bytes);
-        let n = entries.len();
-        let total = n + usize::from(wp.include_request);
-        let first = wp.first_in_frame(total);
         // Storage yields newest-first per table: a strictly descending
         // scan replays ascending order in reverse with no sort. Any ts tie
         // or union interleave takes the stable `(ts, seq)` sort — the
@@ -865,24 +861,23 @@ impl GroupFold<'_> {
         let order = if descending {
             EntryOrder::ReversedScan
         } else {
-            entries.sort_unstable_by_key(|e| (e.ts, e.seq));
+            scan.sort_prefix(n);
             EntryOrder::Ascending
         };
+        crate::metrics::compiled_windows().inc();
+        let bytes = scan.prefix_bytes(n);
+        flight::event(FlightEventKind::CompiledWindow, wid as u32, bytes);
+        let rows = scan.prefix(n);
+        let n = rows.n_rows();
+        let total = n + usize::from(wp.include_request);
+        let first = wp.first_in_frame(total);
         let state = state.get_or_insert_with(|| wp.new_state());
         // The request row sorts last (anchor ts, max seq); it joins the
         // fold only when the frame reaches it.
         let req = (wp.include_request && first < total).then(|| request.values());
-        wp.run(
-            state,
-            entries,
-            first.min(n),
-            order,
-            arena,
-            req,
-            &dep.codec,
-            &mut probe,
-        )?;
-        wp.outputs_into(state, arena, req, out)?;
+        let codec = &dep.codec;
+        wp.fold_rows(state, &rows, first.min(n), order, req, codec, &mut probe)?;
+        wp.outputs_into(state, &[], req, out)?;
         // Chaos: a kill at `compiled_kernel` models a miscompiled program
         // — aggregate values silently perturbed (types and nulls kept) so
         // the consistency sentinel has a real fault to catch.
@@ -1408,6 +1403,87 @@ mod tests {
             out[0],
             Value::Int(30),
             "newest row failing the predicate is skipped"
+        );
+    }
+
+    #[test]
+    fn a_join_residual_that_does_not_lower_is_refused_at_deploy() {
+        use openmldb_sql::plan::PhysExpr;
+        use openmldb_sql::BinaryOp;
+        let (provider, cat) = setup();
+        let stmt = parse_select(
+            "SELECT profiles.age FROM actions \
+             LAST JOIN profiles ON actions.userid = profiles.userid AND profiles.age > 18",
+        )
+        .unwrap();
+        let mut q = compile_select(&stmt, &cat).unwrap();
+        // A CASE wide enough to leave the 16-bit jump range.
+        let branch = (
+            PhysExpr::Binary {
+                op: BinaryOp::Gt,
+                left: Box::new(PhysExpr::Column(6)),
+                right: Box::new(PhysExpr::Literal(Value::Int(18))),
+            },
+            PhysExpr::Literal(Value::Bool(true)),
+        );
+        q.joins[0].residual = Some(PhysExpr::Case {
+            branches: vec![branch; 12_000],
+            else_expr: None,
+        });
+        let refused = Deployment::new("wide_residual", Arc::new(q), &provider).err();
+        let Some(Error::Deployment(reason)) = refused else {
+            panic!("expected a deployment error, got {refused:?}");
+        };
+        assert!(
+            reason.contains("LAST JOIN `profiles` condition"),
+            "{reason}"
+        );
+        assert!(reason.contains("expression program too long"), "{reason}");
+    }
+
+    /// The cost ledger's `bytes_decoded` is the encoded length of every row
+    /// a compiled fold reads — per member of a shared scan, sorted or not.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn bytes_decoded_is_the_sum_of_folded_row_lengths() {
+        use openmldb_types::RowCodec;
+        let (provider, cat) = setup();
+        let actions = provider.table("actions").unwrap();
+        let stored = [
+            action(1, "a", 1.0, 1, 100),
+            action(1, "bbbbbbbb", 2.0, 1, 900),
+            action(1, "cc", 3.0, 1, 1_000),
+            // A ts tie: the scan is not strictly descending, so each
+            // member sorts its prefix.
+            action(1, "dddd", 4.0, 1, 1_000),
+        ];
+        for r in &stored {
+            actions.put(r).unwrap();
+        }
+        let codec = CompactCodec::new(action_schema());
+        let len = |i: usize| codec.encode(&stored[i]).unwrap().len() as u64;
+        let q = compile_select(
+            &parse_select(
+                "SELECT count(price) OVER w1 AS a, max(category) OVER w2 AS b FROM actions \
+                 WINDOW w1 AS (PARTITION BY userid ORDER BY ts \
+                 ROWS BETWEEN 2 PRECEDING AND CURRENT ROW), \
+                 w2 AS (PARTITION BY userid ORDER BY ts \
+                 ROWS_RANGE BETWEEN 500 PRECEDING AND CURRENT ROW)",
+            )
+            .unwrap(),
+            &cat,
+        )
+        .unwrap();
+        let dep = Deployment::new("bytes_decoded_ledger", Arc::new(q), &provider).unwrap();
+        assert_eq!(dep.scan_groups(), [vec![0, 1]], "one shared scan");
+        let out = execute_request(&provider, &dep, &action(1, "r", 0.0, 1, 1_200)).unwrap();
+        assert_eq!(out.values(), &[Value::Bigint(3), Value::string("r")]);
+        let (requests, cost) = ProfileStore::global().aggregate(dep.label());
+        assert_eq!(requests, 1);
+        // w1: the two newest stored rows; w2: every row at ts >= 700.
+        assert_eq!(
+            cost.bytes_decoded,
+            (len(2) + len(3)) + (len(1) + len(2) + len(3))
         );
     }
 

@@ -15,6 +15,8 @@ use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, RowCodec, Schem
 
 use crate::binlog::Replicator;
 use crate::disk::{ColumnFamilySpec, DiskEngine};
+use crate::scan::ScanRow;
+use crate::sync::epoch::{self, Guard};
 use crate::table::{IndexSpec, MemTable, Ttl};
 
 /// Which storage engine backs a table (Section 8.1 placement).
@@ -90,6 +92,29 @@ pub trait DataTable: Send + Sync {
         limit: Option<usize>,
         visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
     ) -> Result<()>;
+    /// [`DataTable::scan_window`] under the caller's epoch pin `guard`. A
+    /// backend that holds its rows in memory lends them for the pin
+    /// ([`ScanRow::Pinned`]: borrows of the stored bytes, valid while the
+    /// table and the pin are), so the caller folds them in place after the
+    /// scan. The default — a backend with no in-memory row to lend, like
+    /// [`DiskTable`]'s block reads — lends each row for its visit only
+    /// ([`ScanRow::Transient`]); the caller copies what it keeps.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_window_pinned<'g>(
+        &'g self,
+        guard: &'g Guard,
+        index_id: usize,
+        key: &[KeyValue],
+        lower_ts: i64,
+        upper_ts: i64,
+        limit: Option<usize>,
+        visitor: &mut dyn FnMut(i64, ScanRow<'g, '_>) -> bool,
+    ) -> Result<()> {
+        let _ = guard;
+        self.scan_window(index_id, key, lower_ts, upper_ts, limit, &mut |ts, data| {
+            visitor(ts, ScanRow::Transient(data))
+        })
+    }
     /// Every stored row of index `index_id`: per key, newest first, as
     /// `(key, ts, encoded bytes)` — in the order [`DataTable::scan_window`]
     /// yields that key's rows. The offline snapshot reads tables through
@@ -184,7 +209,22 @@ impl DataTable for MemTable {
         limit: Option<usize>,
         visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
     ) -> Result<()> {
-        MemTable::scan_window(self, index_id, key, lower_ts, upper_ts, limit, visitor)
+        let (lower, upper, pin) = (lower_ts, upper_ts, epoch::pin());
+        MemTable::scan_window(self, &pin, index_id, key, lower, upper, limit, visitor)
+    }
+    fn scan_window_pinned<'g>(
+        &'g self,
+        guard: &'g Guard,
+        index_id: usize,
+        key: &[KeyValue],
+        lower_ts: i64,
+        upper_ts: i64,
+        limit: Option<usize>,
+        visitor: &mut dyn FnMut(i64, ScanRow<'g, '_>) -> bool,
+    ) -> Result<()> {
+        let (lower, upper) = (lower_ts, upper_ts);
+        let visit = |ts, data| visitor(ts, ScanRow::Pinned(data));
+        MemTable::scan_window(self, guard, index_id, key, lower, upper, limit, visit)
     }
     fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
         MemTable::scan_rows(self, index_id, visitor)

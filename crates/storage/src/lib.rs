@@ -7,6 +7,8 @@
 //!   per-key newest-first time lists, suffix-truncation TTL removal;
 //! * [`table`] — multi-index in-memory tables with the paper's TTL table
 //!   types and memory isolation (writes fail, reads continue);
+//! * [`scan`] — window scans that keep rows where the skiplist holds them,
+//!   lent for the caller's epoch pin;
 //! * [`binlog`] — monotone-offset replicator with asynchronous update
 //!   closures (the pre-aggregation update channel);
 //! * [`disk`] — the RocksDB-substitute on-disk engine: column families over
@@ -21,6 +23,7 @@ pub mod disk;
 pub mod disk_table;
 pub mod metrics;
 pub mod replica;
+pub mod scan;
 pub mod skiplist;
 pub mod snapshot;
 pub mod sync;
@@ -43,6 +46,7 @@ pub(crate) fn chaos_inject(point: openmldb_chaos::InjectionPoint) -> openmldb_ty
 pub use disk::{ColumnFamilySpec, CompositeKey, DiskEngine, FlushTrigger};
 pub use disk_table::{Backend, DataTable, DiskTable, RowVisitor};
 pub use replica::{replicate, ReplicaTable};
+pub use scan::{PinnedEntry, PinnedRows, PinnedScan, ScanBuffers, ScanMark, ScanRow};
 pub use skiplist::{SkipMap, TimeList};
 pub use table::{IndexSpec, MemTable, Ttl, KEY_OVERHEAD, NODE_OVERHEAD, ROW_OVERHEAD};
 
@@ -131,7 +135,7 @@ mod proptests {
             let materialized: Vec<(i64, u8)> =
                 list.range(lower, upper).iter().map(|(t, d)| (*t, d[0])).collect();
             let mut streamed = Vec::new();
-            list.range_visit(lower, upper, |ts, data| {
+            list.range_visit(lower, upper, &sync::epoch::pin(), |ts, data| {
                 streamed.push((ts, data[0]));
                 true
             });

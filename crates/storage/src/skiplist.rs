@@ -850,12 +850,19 @@ impl TimeList {
     // HOT: online window scan — borrowed payloads, no per-entry clones.
     /// Visit entries with `lower_ts <= ts <= upper_ts`, newest first, while
     /// `f` returns `true`. The seek-then-iterate sibling of
-    /// [`TimeList::range`]: payloads are yielded as `&[u8]` borrows valid
-    /// for the duration of the callback, so a scan→aggregate pass touches
-    /// no heap at all.
-    pub fn range_visit(&self, lower_ts: i64, upper_ts: i64, mut f: impl FnMut(i64, &[u8]) -> bool) {
-        let guard = epoch::pin();
-        walk(self.seek(upper_ts, &guard), &guard, |e| {
+    /// [`TimeList::range`]: payloads are lent as `&'g [u8]` borrows of the
+    /// nodes' own bytes, valid for as long as the caller's pin `guard` (a
+    /// node a concurrent truncation detaches is freed only after the pins
+    /// that could reach it drop), so a scan→aggregate pass copies nothing
+    /// and touches no heap.
+    pub fn range_visit<'g>(
+        &'g self,
+        lower_ts: i64,
+        upper_ts: i64,
+        guard: &'g Guard,
+        mut f: impl FnMut(i64, &'g [u8]) -> bool,
+    ) {
+        walk(self.seek(upper_ts, guard), guard, |e| {
             e.ts >= lower_ts && f(e.ts, &e.data)
         });
     }
@@ -1405,7 +1412,7 @@ mod tests {
                 .filter(|(ts, _)| (lower..=upper).contains(ts))
                 .collect();
             let mut visited = Vec::new();
-            list.range_visit(lower, upper, |ts, d| { visited.push((ts, d[0])); true });
+            list.range_visit(lower, upper, &epoch::pin(), |ts, d| { visited.push((ts, d[0])); true });
             prop_assert_eq!(&visited, &in_range);
             let ranged: Vec<(i64, u8)> =
                 list.range(lower, upper).iter().map(|(ts, d)| (*ts, d[0])).collect();

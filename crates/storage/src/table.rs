@@ -20,6 +20,7 @@ use openmldb_types::Value;
 use crate::binlog::Replicator;
 use crate::disk_table::RowVisitor;
 use crate::skiplist::{heap_bytes, SkipMap, TimeList};
+use crate::sync::epoch::Guard;
 
 /// Per-index TTL policy (the paper's table types, Section 8.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -427,17 +428,21 @@ impl MemTable {
     /// Seek `key` on `index_id` and stream encoded entries with
     /// `lower_ts <= ts <= upper_ts` to `visitor`, newest first, stopping
     /// after `limit` entries (when given) or when the visitor returns
-    /// `false`. Yields `(ts, &[u8])` borrows — decoding is the caller's
-    /// choice — while firing the same chaos/obs hooks as the
-    /// materializing scans.
-    pub fn scan_window(
-        &self,
+    /// `false`. Yields `(ts, &'g [u8])` borrows of the stored rows, valid
+    /// while both the table and the caller's pin `guard` are — decoding,
+    /// or keeping the borrow for a fold after the scan, is the caller's
+    /// choice — while firing the same chaos/obs hooks as the materializing
+    /// scans.
+    #[allow(clippy::too_many_arguments)]
+    pub fn scan_window<'g>(
+        &'g self,
+        guard: &'g Guard,
         index_id: usize,
         key: &[KeyValue],
         lower_ts: i64,
         upper_ts: i64,
         limit: Option<usize>,
-        visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
+        mut visitor: impl FnMut(i64, &'g [u8]) -> bool,
     ) -> Result<()> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
@@ -447,7 +452,7 @@ impl MemTable {
             return Ok(());
         };
         let mut visited = 0u64;
-        list.range_visit(lower_ts, upper_ts, |ts, data| {
+        list.range_visit(lower_ts, upper_ts, guard, |ts, data| {
             if limit.is_some_and(|l| visited >= l as u64) {
                 return false;
             }

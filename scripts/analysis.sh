@@ -40,6 +40,9 @@ cargo test -q -p openmldb --features obs-off --test observability
 
 step "schedule explorer (model-check feature)"
 cargo test -q -p openmldb-storage --features model-check
+# Rows a pinned scan lends outlive a racing TTL truncation, freed after the pin.
+cargo test -q -p openmldb-storage --features model-check --test schedule_explorer \
+    pinned_scan_borrows_outlive_a_concurrent_truncation
 
 step "fault injection armed (chaos build + seeded resilience suite)"
 cargo build -q -p openmldb --features chaos
@@ -77,6 +80,9 @@ if [ "$QUICK" -eq 0 ]; then
     step "streamed sweep: every push == fold_partition, union slide == re-fold (release)"
     cargo test -q --release -p openmldb-exec sweep
     cargo test -q --release -p openmldb-online window_union
+
+    step "zero-copy window scan: pinned fold == arena fold == interpreter (release)"
+    cargo test -q --release -p openmldb-exec pinned_fold
 
     # benchmark/ is a package of its own; its replay probes call the
     # specializer's public API directly (the script lists the calls and the
