@@ -842,6 +842,7 @@ mod tests {
             "openmldb_online_sentinel_audits_total",
             "openmldb_online_sentinel_divergences_total",
             "openmldb_online_sentinel_stale_skips_total",
+            "openmldb_online_sentinel_bucket_skips_total",
             "openmldb_online_sentinel_dropped_total",
             "openmldb_online_sentinel_errors_total",
             "openmldb_online_sentinel_lag_count",
@@ -873,6 +874,7 @@ mod tests {
             "openmldb_online_sentinel_audits_total",
             "openmldb_online_sentinel_divergences_total",
             "openmldb_online_sentinel_stale_skips_total",
+            "openmldb_online_sentinel_bucket_skips_total",
             "openmldb_online_sentinel_dropped_total",
             "openmldb_online_sentinel_errors_total",
             "openmldb_online_sentinel_lag_count",

@@ -135,6 +135,7 @@ fn print_sentinel_section(deployments: &[String]) {
         "  stale skips / dropped   {} / {}",
         s.stale_skips, s.dropped
     );
+    println!("  bucket-served skips     {}", s.bucket_skips);
     println!("  replay errors           {}", s.errors);
     println!("  queue lag               {}", s.queue);
     let reg = Registry::global();

@@ -180,13 +180,14 @@ impl Database {
         let degraded = openmldb_online::metrics::degraded().value();
         format!(
             "{{\"ok\":{},\"divergences\":{},\"samples\":{},\"audits\":{},\
-             \"stale_skips\":{},\"dropped\":{},\"errors\":{},\"queue_lag\":{},\
-             \"sample_every\":{},\"timeouts\":{},\"degraded\":{}}}",
+             \"stale_skips\":{},\"bucket_skips\":{},\"dropped\":{},\"errors\":{},\
+             \"queue_lag\":{},\"sample_every\":{},\"timeouts\":{},\"degraded\":{}}}",
             s.divergences == 0,
             s.divergences,
             s.samples,
             s.audits,
             s.stale_skips,
+            s.bucket_skips,
             s.dropped,
             s.errors,
             s.queue,

@@ -13,63 +13,26 @@ use crate::scalar::geo_hash;
 
 use super::{AggState, Aggregator, OrdVal};
 
-/// Number of distinct non-null values.
+/// Value multiplicities behind `distinct_count` (the number of distinct
+/// non-null values) and, with `top`, `topn_frequency(col, n)`: the `n` most
+/// frequent values, joined by commas, ordered by descending frequency then
+/// ascending key for determinism.
 #[derive(Debug, Default, Clone)]
-pub struct DistinctCountAgg {
+pub struct FrequencyAgg {
     counts: HashMap<KeyValue, u64>,
+    top: Option<usize>,
 }
 
-impl Aggregator for DistinctCountAgg {
-    fn update(&mut self, args: &[Value]) -> Result<()> {
-        if !args[0].is_null() {
-            *self.counts.entry(KeyValue::from(&args[0])).or_insert(0) += 1;
-        }
-        Ok(())
-    }
-
-    fn output(&self) -> Value {
-        Value::Bigint(self.counts.len() as i64)
-    }
-
-    fn partial_state(&self) -> Option<AggState> {
-        Some(AggState::Counts(self.counts.clone()))
-    }
-
-    fn merge_state(&mut self, state: &AggState) -> Result<()> {
-        let AggState::Counts(m) = state else {
-            return Err(Error::Eval(
-                "distinct_count expects a Counts partial state".into(),
-            ));
-        };
-        for (k, c) in m {
-            *self.counts.entry(k.clone()).or_insert(0) += c;
-        }
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.counts.clear();
-    }
-}
-
-/// `topn_frequency(col, n)`: the `n` most frequent values, joined by commas,
-/// ordered by descending frequency then ascending key for determinism.
-#[derive(Debug, Clone)]
-pub struct TopNFrequencyAgg {
-    counts: HashMap<KeyValue, u64>,
-    n: usize,
-}
-
-impl TopNFrequencyAgg {
-    pub fn new(n: usize) -> Self {
-        TopNFrequencyAgg {
+impl FrequencyAgg {
+    pub fn top(n: usize) -> Self {
+        FrequencyAgg {
             counts: HashMap::new(),
-            n,
+            top: Some(n),
         }
     }
 }
 
-impl Aggregator for TopNFrequencyAgg {
+impl Aggregator for FrequencyAgg {
     fn update(&mut self, args: &[Value]) -> Result<()> {
         if !args[0].is_null() {
             *self.counts.entry(KeyValue::from(&args[0])).or_insert(0) += 1;
@@ -78,11 +41,14 @@ impl Aggregator for TopNFrequencyAgg {
     }
 
     fn output(&self) -> Value {
+        let Some(n) = self.top else {
+            return Value::Bigint(self.counts.len() as i64);
+        };
         let mut entries: Vec<(&KeyValue, &u64)> = self.counts.iter().collect();
         entries.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
         let joined = entries
             .into_iter()
-            .take(self.n)
+            .take(n)
             .map(|(k, _)| k.render())
             .collect::<Vec<_>>()
             .join(",");
@@ -96,7 +62,7 @@ impl Aggregator for TopNFrequencyAgg {
     fn merge_state(&mut self, state: &AggState) -> Result<()> {
         let AggState::Counts(m) = state else {
             return Err(Error::Eval(
-                "topn_frequency expects a Counts partial state".into(),
+                "frequency aggregate expects a Counts partial state".into(),
             ));
         };
         for (k, c) in m {
@@ -331,7 +297,7 @@ mod tests {
 
     #[test]
     fn distinct_count_counts_keys_once() {
-        let mut d = DistinctCountAgg::default();
+        let mut d = FrequencyAgg::default();
         for v in ["a", "b", "a"] {
             d.update(&[Value::string(v)]).unwrap();
         }
@@ -340,7 +306,7 @@ mod tests {
 
     #[test]
     fn topn_frequency_orders_by_freq_then_key() {
-        let mut t = TopNFrequencyAgg::new(2);
+        let mut t = FrequencyAgg::top(2);
         for v in ["x", "y", "y", "z", "z"] {
             t.update(&[Value::string(v)]).unwrap();
         }
@@ -352,9 +318,9 @@ mod tests {
 
     #[test]
     fn topn_merge_states() {
-        let mut a = TopNFrequencyAgg::new(1);
+        let mut a = FrequencyAgg::top(1);
         a.update(&[Value::string("p")]).unwrap();
-        let mut b = TopNFrequencyAgg::new(1);
+        let mut b = FrequencyAgg::top(1);
         for _ in 0..3 {
             b.update(&[Value::string("q")]).unwrap();
         }
@@ -423,11 +389,11 @@ mod tests {
 
     #[test]
     fn empty_outputs() {
-        assert_eq!(TopNFrequencyAgg::new(3).output(), Value::string(""));
+        assert_eq!(FrequencyAgg::top(3).output(), Value::string(""));
         assert_eq!(
             AvgCateAgg::new(CateVariant::Avg, true).output(),
             Value::string("")
         );
-        assert_eq!(DistinctCountAgg::default().output(), Value::Bigint(0));
+        assert_eq!(FrequencyAgg::default().output(), Value::Bigint(0));
     }
 }

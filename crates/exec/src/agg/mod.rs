@@ -14,7 +14,7 @@ mod categorical;
 mod numeric;
 mod timeseries;
 
-pub use categorical::{AvgCateAgg, CateVariant, DistinctCountAgg, TopAgg, TopNFrequencyAgg};
+pub use categorical::{AvgCateAgg, CateVariant, FrequencyAgg, TopAgg};
 pub use numeric::{AvgAgg, CountAgg, MedianAgg, MinMaxAgg, StddevAgg, SumAgg, WhereAgg};
 pub use timeseries::{DrawdownAgg, EwAvgAgg, FirstValueAgg, LagAgg};
 
@@ -121,10 +121,10 @@ pub fn create_aggregator(
         "avg_where" => Box::new(WhereAgg::new(Box::new(AvgAgg::default()))),
         "min_where" => Box::new(WhereAgg::new(Box::new(MinMaxAgg::min()))),
         "max_where" => Box::new(WhereAgg::new(Box::new(MinMaxAgg::max()))),
-        "distinct_count" => Box::new(DistinctCountAgg::default()),
+        "distinct_count" => Box::new(FrequencyAgg::default()),
         "topn_frequency" => {
             let n = const_arg(args, 1, func.name)?.as_i64()?.max(0) as usize;
-            Box::new(TopNFrequencyAgg::new(n))
+            Box::new(FrequencyAgg::top(n))
         }
         "top" => {
             let n = const_arg(args, 1, func.name)?.as_i64()?.max(0) as usize;

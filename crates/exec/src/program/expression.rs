@@ -1,0 +1,456 @@
+//! Family 2 — expression kernels: the column kernels' functions over
+//! `+ - * / %` trees of fixed-width numeric columns and literals, lowered to
+//! a small typed register program ([`ArithOp`]) read straight from the
+//! encoded bytes. Its result feeds the same [`KernelState`] fold a column
+//! kernel keeps.
+//!
+//! The contract: [`ExprKernel::eval_row`] a stored row,
+//! [`ExprKernel::eval_request`] the request row, and
+//! [`ExprKernel::project_into`] the bound projections. There is no retract:
+//! an argument can fail on a row with the interpreter's typed overflow
+//! error, and the sweep re-folds every expression kernel.
+
+use openmldb_sql::plan::PhysExpr;
+use openmldb_sql::BinaryOp;
+use openmldb_types::{CompactCodec, Result, Value};
+
+use super::column::{KernelState, Track};
+use super::field::{integer_overflow, FieldRef, Fixed, KernelClass};
+use crate::window::Projection;
+
+/// One typed register of an expression kernel: raw `i64`/`f64` bits plus
+/// the SQL NULL flag.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Reg {
+    bits: u64,
+    null: bool,
+}
+
+pub(super) const NULL_REG: Reg = Reg {
+    bits: 0,
+    null: true,
+};
+
+impl Reg {
+    #[inline(always)]
+    fn int(v: i64) -> Reg {
+        Reg {
+            bits: v as u64,
+            null: false,
+        }
+    }
+
+    #[inline(always)]
+    fn float(v: f64) -> Reg {
+        Reg {
+            bits: v.to_bits(),
+            null: false,
+        }
+    }
+
+    #[inline(always)]
+    fn i(self) -> i64 {
+        self.bits as i64
+    }
+
+    #[inline(always)]
+    fn f(self) -> f64 {
+        f64::from_bits(self.bits)
+    }
+}
+
+/// One instruction of an expression kernel's register program. Instruction
+/// `i` writes register `i`; operands name earlier registers. The type of
+/// every register (integer or f64) is fixed at compile time from the column
+/// types, which is what lets the program replicate [`binary`]'s dynamic
+/// `Value` typing with no tag at run time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum ArithOp {
+    /// Fixed-width column read: INT/BIGINT/TIMESTAMP as i64, FLOAT/DOUBLE as
+    /// f64 (`Value::as_f64` of the decoded field).
+    Load(FieldRef),
+    ConstI(i64),
+    ConstF(f64),
+    /// Promote an integer register to f64 (`Value::as_f64`).
+    ToF(u16),
+    /// Integer-preserving arithmetic: checked, erroring on overflow.
+    AddI(u16, u16),
+    SubI(u16, u16),
+    MulI(u16, u16),
+    /// NULL on a zero divisor.
+    ModI(u16, u16),
+    AddF(u16, u16),
+    SubF(u16, u16),
+    MulF(u16, u16),
+    ModF(u16, u16),
+    /// NULL on a zero divisor (either sign).
+    DivF(u16, u16),
+}
+
+#[inline(always)]
+fn int_op(a: Reg, b: Reg, op: BinaryOp, f: impl FnOnce(i64, i64) -> Option<i64>) -> Result<Reg> {
+    if a.null || b.null {
+        return Ok(NULL_REG);
+    }
+    match f(a.i(), b.i()) {
+        Some(v) => Ok(Reg::int(v)),
+        None => Err(integer_overflow(op)),
+    }
+}
+
+#[inline(always)]
+fn float_op(a: Reg, b: Reg, f: impl FnOnce(f64, f64) -> f64) -> Reg {
+    if a.null || b.null {
+        return NULL_REG;
+    }
+    Reg::float(f(a.f(), b.f()))
+}
+
+// HOT: per-row evaluation of one expression kernel — a straight run over a
+// handful of typed instructions, operands in pooled registers, column reads
+// straight from the encoded bytes. Replicates `eval::binary` exactly: NULL
+// propagation before any arithmetic, checked integer ops with the same
+// typed overflow error, NULL on `/0` and `%0`, f64 otherwise — evaluated in
+// the tree walk's left-to-right post-order, so the first error is the same.
+// analysis:allow(panic-freedom): registers are reached through checked
+// slice accessors only and integer arithmetic is `checked_*`; the `get`
+// callees the name-resolved graph lists here belong to other types.
+#[inline(always)]
+fn eval_ops(
+    ops: &[ArithOp],
+    regs: &mut [Reg],
+    load: impl Fn(&FieldRef) -> Result<Option<Fixed>>,
+) -> Result<Reg> {
+    let mut last = NULL_REG;
+    for (i, op) in ops.iter().enumerate() {
+        let reg = |r: u16| regs.get(r as usize).copied().unwrap_or(NULL_REG);
+        last = match op {
+            ArithOp::Load(field) => match load(field)? {
+                None => NULL_REG,
+                Some(Fixed::Int(v)) => Reg::int(v),
+                Some(Fixed::Float(v)) => Reg::float(v as f64),
+                Some(Fixed::Double(v)) => Reg::float(v),
+            },
+            ArithOp::ConstI(v) => Reg::int(*v),
+            ArithOp::ConstF(v) => Reg::float(*v),
+            ArithOp::ToF(a) => {
+                let a = reg(*a);
+                if a.null {
+                    NULL_REG
+                } else {
+                    Reg::float(a.i() as f64)
+                }
+            }
+            ArithOp::AddI(a, b) => int_op(reg(*a), reg(*b), BinaryOp::Add, i64::checked_add)?,
+            ArithOp::SubI(a, b) => int_op(reg(*a), reg(*b), BinaryOp::Sub, i64::checked_sub)?,
+            ArithOp::MulI(a, b) => int_op(reg(*a), reg(*b), BinaryOp::Mul, i64::checked_mul)?,
+            ArithOp::ModI(a, b) => {
+                let (a, b) = (reg(*a), reg(*b));
+                if b.null || b.i() == 0 {
+                    NULL_REG
+                } else {
+                    int_op(a, b, BinaryOp::Mod, i64::checked_rem)?
+                }
+            }
+            ArithOp::AddF(a, b) => float_op(reg(*a), reg(*b), |x, y| x + y),
+            ArithOp::SubF(a, b) => float_op(reg(*a), reg(*b), |x, y| x - y),
+            ArithOp::MulF(a, b) => float_op(reg(*a), reg(*b), |x, y| x * y),
+            ArithOp::ModF(a, b) => float_op(reg(*a), reg(*b), |x, y| x % y),
+            ArithOp::DivF(a, b) => {
+                let (a, b) = (reg(*a), reg(*b));
+                if b.null || b.f() == 0.0 {
+                    NULL_REG
+                } else {
+                    float_op(a, b, |x, y| x / y)
+                }
+            }
+        };
+        if let Some(slot) = regs.get_mut(i) {
+            *slot = last;
+        }
+    }
+    Ok(last)
+}
+
+/// Lowers one aggregate argument into a register program, or declines
+/// (`None`) when the tree leaves the `+ - * / %` over fixed-width numeric
+/// columns and numeric literals subset.
+struct ArithCompiler<'a> {
+    codec: &'a CompactCodec,
+    ops: Vec<ArithOp>,
+}
+
+impl ArithCompiler<'_> {
+    fn push(&mut self, op: ArithOp) -> Option<u16> {
+        let at = u16::try_from(self.ops.len()).ok()?;
+        self.ops.push(op);
+        Some(at)
+    }
+
+    fn promote(&mut self, (reg, int): (u16, bool)) -> Option<u16> {
+        if int {
+            self.push(ArithOp::ToF(reg))
+        } else {
+            Some(reg)
+        }
+    }
+
+    /// Returns the result register and whether it is integer-typed.
+    fn lower(&mut self, e: &PhysExpr) -> Option<(u16, bool)> {
+        match e {
+            PhysExpr::Column(c) => {
+                let field = FieldRef::resolve(self.codec, *c)?;
+                if field.class == KernelClass::Str {
+                    return None;
+                }
+                Some((self.push(ArithOp::Load(field))?, field.class.is_int()))
+            }
+            PhysExpr::Literal(v) => match v {
+                Value::Int(_) | Value::Bigint(_) | Value::Timestamp(_) => {
+                    Some((self.push(ArithOp::ConstI(v.as_i64().ok()?))?, true))
+                }
+                Value::Float(_) | Value::Double(_) => {
+                    Some((self.push(ArithOp::ConstF(v.as_f64().ok()?))?, false))
+                }
+                _ => None,
+            },
+            PhysExpr::Binary { op, left, right } => {
+                use BinaryOp::{Add, Div, Mod, Mul, Sub};
+                if !matches!(op, Add | Sub | Mul | Mod | Div) {
+                    return None;
+                }
+                let l = self.lower(left)?;
+                let r = self.lower(right)?;
+                if l.1 && r.1 && *op != Div {
+                    let (a, b) = (l.0, r.0);
+                    let op = match op {
+                        Add => ArithOp::AddI(a, b),
+                        Sub => ArithOp::SubI(a, b),
+                        Mul => ArithOp::MulI(a, b),
+                        _ => ArithOp::ModI(a, b),
+                    };
+                    return Some((self.push(op)?, true));
+                }
+                let a = self.promote(l)?;
+                let b = self.promote(r)?;
+                let op = match op {
+                    Add => ArithOp::AddF(a, b),
+                    Sub => ArithOp::SubF(a, b),
+                    Mul => ArithOp::MulF(a, b),
+                    Mod => ArithOp::ModF(a, b),
+                    _ => ArithOp::DivF(a, b),
+                };
+                Some((self.push(op)?, false))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// One expression kernel: an aggregate argument lowered to a register
+/// program whose result feeds the same [`KernelState`] fold the column
+/// kernels use.
+#[derive(Debug, Clone)]
+pub(super) struct ExprKernel {
+    /// The argument expression: kernel identity, so aggregates over the
+    /// same expression share one evaluation per row (cyclic binding).
+    pub(super) expr: PhysExpr,
+    pub(super) ops: Vec<ArithOp>,
+    /// Result type: integer (the interpreter's `Value::Bigint`) or f64
+    /// (`Value::Double`).
+    int: bool,
+    track: Track,
+    /// How many generic aggregates were bound before the first aggregate
+    /// bound here — decides which error surfaces when one row trips several
+    /// fallible kernels (the interpreter reports the first slot's).
+    pub(super) generic_before: usize,
+}
+
+impl ExprKernel {
+    /// Lower `e` over `codec`'s rows, or decline (`None`) when it leaves the
+    /// `+ - * / %` over fixed-width numeric columns and literals subset.
+    pub(super) fn lower(
+        codec: &CompactCodec,
+        e: &PhysExpr,
+        generic_before: usize,
+    ) -> Option<ExprKernel> {
+        let mut c = ArithCompiler {
+            codec,
+            ops: Vec::new(),
+        };
+        let (_, int) = c.lower(e)?;
+        Some(ExprKernel {
+            expr: e.clone(),
+            ops: c.ops,
+            int,
+            track: Track::default(),
+            generic_before,
+        })
+    }
+
+    /// Bind one more projection of this expression to the kernel.
+    pub(super) fn note(&mut self, proj: Projection) {
+        self.track.note(self.class(), proj);
+    }
+
+    #[inline]
+    fn class(&self) -> KernelClass {
+        if self.int {
+            KernelClass::Bigint
+        } else {
+            KernelClass::Double
+        }
+    }
+
+    #[inline(always)]
+    fn feed(&self, st: &mut KernelState, r: Reg) {
+        if r.null {
+            return;
+        }
+        if self.int {
+            st.feed_int(r.i(), self.track);
+        } else {
+            st.feed_double(r.f(), self.track);
+        }
+    }
+
+    /// Step stored row `buf` into `st`, evaluating over the shared register
+    /// file `regs`.
+    #[inline(always)]
+    pub(super) fn eval_row(
+        &self,
+        st: &mut KernelState,
+        regs: &mut [Reg],
+        buf: &[u8],
+    ) -> Result<()> {
+        let r = eval_ops(&self.ops, regs, |f| f.stored(buf))?;
+        self.feed(st, r);
+        Ok(())
+    }
+
+    /// Step the decoded request row (always the last row stepped).
+    #[inline]
+    pub(super) fn eval_request(
+        &self,
+        st: &mut KernelState,
+        regs: &mut [Reg],
+        req: &[Value],
+    ) -> Result<()> {
+        let r = eval_ops(&self.ops, regs, |f| f.requested(req))?;
+        self.feed(st, r);
+        Ok(())
+    }
+
+    /// Push projection `proj` of `st`.
+    #[inline(always)]
+    pub(super) fn project_into(
+        &self,
+        st: &KernelState,
+        proj: Projection,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        st.project(self.class(), proj, None, out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program::testkit::*;
+    use crate::program::WindowProgram;
+    use openmldb_sql::plan::BoundAggregate;
+    use openmldb_types::Row;
+
+    #[test]
+    fn expression_kernels_replicate_binary_arithmetic() {
+        use BinaryOp::*;
+        let aggs = vec![
+            // Integer-preserving: Bigint results, wrapping sum, i64 extrema.
+            agg_of("sum", vec![bin(Add, col(2), col(3))]),
+            agg_of("min", vec![bin(Add, col(2), col(3))]),
+            agg_of("max", vec![bin(Sub, col(3), lit(Value::Bigint(7)))]),
+            // `% 0` and `/ 0` are NULL, not errors; division is always f64.
+            agg_of("count", vec![bin(Mod, col(3), col(2))]),
+            agg_of("sum", vec![bin(Mod, col(3), col(2))]),
+            agg_of("count", vec![bin(Div, col(3), col(2))]),
+            agg_of("avg", vec![bin(Div, col(3), col(2))]),
+            agg_of("count", vec![bin(Div, col(2), col(5))]),
+            agg_of("min", vec![bin(Div, col(2), col(5))]),
+            // Mixed int/float promotes through `as_f64`; FLOAT widens.
+            agg_of(
+                "avg",
+                vec![bin(
+                    Add,
+                    bin(Mul, col(5), lit(Value::Double(2.0))),
+                    lit(Value::Double(1.0)),
+                )],
+            ),
+            agg_of("stddev", vec![bin(Mul, col(4), col(4))]),
+            agg_of("max", vec![bin(Sub, col(2), col(4))]),
+            agg_of("min", vec![bin(Mod, col(5), lit(Value::Double(0.0)))]),
+            agg_of("sum", vec![bin(Mul, col(1), lit(Value::Bigint(2)))]),
+            // Sharing: same expression, different projection.
+            agg_of("count", vec![bin(Add, col(2), col(3))]),
+        ];
+        let mut rows = edge_rows();
+        rows.extend((8..40).map(row));
+        let request = row(41);
+        let (expected, got) = fold_both(&aggs, &rows, Some(&request));
+        assert_bit_identical(&expected, &got);
+
+        // The whole window is one expression family: three column reads
+        // shared across kernels, no generic aggregate.
+        let codec = CompactCodec::new(schema());
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
+        assert!(wp.generic.is_empty() && wp.kernels.is_empty() && wp.maps.is_empty());
+        assert_eq!(wp.exprs.len(), 10, "identical arguments share a kernel");
+        assert!(!wp.needs_view);
+    }
+
+    #[test]
+    fn expression_overflow_is_the_interpreters_typed_error() {
+        use BinaryOp::*;
+        let big = |b: i64| {
+            Row::new(vec![
+                Value::string("k1"),
+                Value::Timestamp(1_000),
+                Value::Int(2),
+                Value::Bigint(b),
+                Value::Float(0.0),
+                Value::Double(0.0),
+                Value::Null,
+            ])
+        };
+        for (op, rhs) in [
+            (Add, col(3)),
+            (Mul, col(2)),
+            (Sub, lit(Value::Bigint(i64::MIN))),
+        ] {
+            let aggs = vec![agg("sum", 3, 0), agg_of("sum", vec![bin(op, col(3), rhs)])];
+            // In a stored row, and in the request row.
+            for (rows, request) in [
+                (vec![row(1), big(i64::MAX), row(2)], None),
+                (vec![row(1)], Some(big(i64::MAX))),
+            ] {
+                let (expected, got) = try_fold_both(&aggs, &rows, request.as_ref());
+                let (e, g) = (
+                    expected.expect_err("overflows"),
+                    got.expect_err("overflows"),
+                );
+                assert_eq!(e, g);
+                assert!(e.to_string().contains("integer overflow in"), "{e}");
+            }
+        }
+        // i64::MIN % -1 overflows too; a zero divisor stays NULL.
+        let aggs = vec![agg_of(
+            "count",
+            vec![bin(Mod, col(3), lit(Value::Bigint(-1)))],
+        )];
+        let (expected, got) = try_fold_both(&aggs, &[big(i64::MIN)], None);
+        assert_eq!(
+            expected.expect_err("overflows"),
+            got.expect_err("overflows")
+        );
+    }
+}

@@ -10,8 +10,9 @@
 //! unbounded frames, `ROWS` frames over distinct timestamps — two pointers
 //! walk the partition. A kernel whose fold is exactly invertible *slides*:
 //! a row is added when it enters the frame and retracted when it leaves.
-//! That is `count`, the wrapping `i64` sum of an integer column, and the
-//! count map behind `distinct_count` / `topn_frequency`. Every other kernel
+//! Each family module decides which of its kernels retract: `count` and the
+//! wrapping `i64` sum of an integer column (`column`), and the count map
+//! behind `distinct_count` / `topn_frequency` (`countmap`). Every other kernel
 //! — f64 sums, averages and deviations, extrema, expression and generic
 //! kernels — *re-folds* the frame through [`WindowProgram::run`], ascending
 //! with the anchor row last, as a request folds (a frame whose start did
@@ -27,8 +28,10 @@
 //! the window union's per-key state is a [`SweepState`] holding the rows a
 //! frame can still reach, and each push answers for the key's newest row.
 //!
-//! The sliding state lives here, beside the serve loop's
-//! [`WindowState`](super::WindowState), which this module never changes.
+//! Both halves of the split are [`WindowProgram`]s of their own, and both
+//! run their families' contract: the sliding half steps and retracts rows
+//! ([`WindowProgram::slide_row`]), the re-fold half folds through the serve
+//! loop. This module holds no kernel code.
 
 use std::cmp::Reverse;
 
@@ -36,56 +39,31 @@ use openmldb_sql::ast::Frame;
 use openmldb_sql::plan::BoundWindow;
 use openmldb_types::{CompactCodec, Result, Value};
 
-use super::{
-    binding_out_of_bounds, project, stored_key, str_field, Binding, CountEntry, CountMap,
-    EntryOrder, FieldRef, Fixed, KernelClass, KernelSpec, KernelState, TopnSpec, TopnState,
-    WindowProgram, WindowState,
-};
+use super::field::binding_out_of_bounds;
+use super::fold::{EntryOrder, WindowProgram, WindowState};
 use crate::scratch::ScanEntry;
-use crate::window::Projection;
 
-/// Where one aggregate's offline value comes from, in aggregate order.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    /// The next output of the re-fold program.
-    Refold,
-    Column {
-        k: usize,
-        proj: Projection,
-    },
-    Distinct {
-        map: usize,
-    },
-    TopN {
-        t: usize,
-    },
-}
-
-/// A window program split into sliding kernels and the re-fold program of
-/// the rest.
+/// A window program split into the kernels that slide and a re-fold program
+/// of the rest, each a program of its own.
 #[derive(Debug)]
-struct Split {
-    /// The kernels that do not slide, as a program of their own (`None`:
-    /// every aggregate slides).
-    refold: Option<WindowProgram>,
-    sources: Vec<Source>,
-    /// Sliding column kernels: `count`, and `sum` over integer columns.
-    kernels: Vec<KernelSpec>,
-    /// Sliding count maps, one per distinct column.
-    maps: Vec<FieldRef>,
-    topn: Vec<TopnSpec>,
-    /// Whether a sliding kernel reads a string (and so needs a row view).
-    needs_view: bool,
+pub(super) struct Split {
+    /// The kernels whose fold retracts exactly, stepped into and out of one
+    /// running state as frames move (`None`: nothing slides).
+    pub(super) slide: Option<WindowProgram>,
+    /// The kernels that do not slide (`None`: every aggregate slides).
+    pub(super) refold: Option<WindowProgram>,
+    /// Per aggregate, in aggregate order, whether its value comes from
+    /// `slide`.
+    pub(super) slid: Vec<bool>,
 }
 
-/// A [`Split`]'s running state: the sliding kernels' values and the re-fold
-/// program's pooled [`WindowState`].
+/// A [`Split`]'s running state: each program's pooled [`WindowState`], and
+/// their values staged for one output row.
 struct SplitState {
-    kernels: Vec<KernelState>,
-    maps: Vec<CountMap>,
-    topn: Vec<TopnState>,
+    slide: Option<WindowState>,
     refold: Option<WindowState>,
-    staged: Vec<Value>,
+    slid: Vec<Value>,
+    refolded: Vec<Value>,
 }
 
 /// A window program as the offline sweep of its window.
@@ -154,112 +132,21 @@ impl WindowProgram {
             union_only: window.instance_not_in_window,
         }
     }
-
-    fn split(&self, recompute: bool) -> Split {
-        let exact = |class: KernelClass, proj| {
-            proj == Projection::Count || (proj == Projection::Sum && class.is_int())
-        };
-        let slides: Vec<bool> = (0..self.kernels.len())
-            .map(|k| {
-                let class = self.kernels.get(k).map(|s| s.field.class);
-                !recompute
-                    && self.bindings.iter().all(|b| match *b {
-                        Binding::Column { k: at, proj } if at == k => {
-                            class.is_some_and(|c| exact(c, proj))
-                        }
-                        _ => true,
-                    })
-            })
-            .collect();
-        let mut kept = Vec::new();
-        let mut remap = Vec::new();
-        let mut kernels = Vec::new();
-        for (spec, slide) in self.kernels.iter().zip(&slides) {
-            let list = if *slide { &mut kernels } else { &mut kept };
-            remap.push(list.len());
-            list.push(spec.clone());
-        }
-        let mut bindings = Vec::new();
-        let sources = self
-            .bindings
-            .iter()
-            .map(|b| match *b {
-                Binding::Column { k, proj } if slides.get(k) == Some(&true) => Source::Column {
-                    k: remap.get(k).copied().unwrap_or(usize::MAX),
-                    proj,
-                },
-                Binding::Column { k, proj } => {
-                    bindings.push(Binding::Column {
-                        k: remap.get(k).copied().unwrap_or(usize::MAX),
-                        proj,
-                    });
-                    Source::Refold
-                }
-                Binding::Distinct { map } if !recompute => Source::Distinct { map },
-                Binding::TopN { t } if !recompute => Source::TopN { t },
-                other => {
-                    bindings.push(other);
-                    Source::Refold
-                }
-            })
-            .collect();
-        let (maps, topn) = if recompute {
-            (Vec::new(), Vec::new())
-        } else {
-            (self.maps.clone(), self.topn.clone())
-        };
-        let is_str = |f: &FieldRef| f.class == KernelClass::Str;
-        let refold = (!bindings.is_empty()).then(|| {
-            let (rmaps, rtopn) = if recompute {
-                (self.maps.clone(), self.topn.clone())
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            WindowProgram {
-                needs_view: kept.iter().any(|k| is_str(&k.field))
-                    || rmaps.iter().any(is_str)
-                    || !self.generic.is_empty(),
-                extended: !(self.exprs.is_empty() && rmaps.is_empty() && self.generic.is_empty()),
-                kernels: kept,
-                exprs: self.exprs.clone(),
-                maps: rmaps,
-                topn: rtopn,
-                generic: self.generic.clone(),
-                bindings,
-                max_regs: self.max_regs,
-                min_row_len: self.min_row_len,
-                schema_version: self.schema_version,
-                // Kept for the naive sweep's frame guard; `run` ignores them.
-                rows_preceding: self.rows_preceding,
-                maxsize: self.maxsize,
-                include_request: true,
-            }
-        });
-        Split {
-            needs_view: kernels.iter().any(|k| is_str(&k.field)) || maps.iter().any(is_str),
-            refold,
-            sources,
-            kernels,
-            maps,
-            topn,
-        }
-    }
 }
 
 impl Split {
     fn new_state(&self) -> SplitState {
         SplitState {
-            kernels: vec![KernelState::default(); self.kernels.len()],
-            maps: self.maps.iter().map(|_| CountMap::new()).collect(),
-            topn: self.topn.iter().map(|_| TopnState::default()).collect(),
+            slide: self.slide.as_ref().map(WindowProgram::new_state),
             refold: self.refold.as_ref().map(WindowProgram::new_state),
-            staged: Vec::new(),
+            slid: Vec::new(),
+            refolded: Vec::new(),
         }
     }
 
     /// Whether any kernel slides ([`Split::step`] is a no-op otherwise).
     fn slides(&self) -> bool {
-        !(self.kernels.is_empty() && self.maps.is_empty())
+        self.slide.is_some()
     }
 
     /// Whether any kernel re-folds (the frame passed to [`Split::output`]
@@ -270,9 +157,8 @@ impl Split {
 
     /// Empty the sliding state for the next partition.
     fn clear(&self, st: &mut SplitState) {
-        st.kernels.fill(KernelState::default());
-        for m in &mut st.maps {
-            m.clear();
+        if let Some(state) = &mut st.slide {
+            state.reset();
         }
     }
 
@@ -286,56 +172,10 @@ impl Split {
         codec: &CompactCodec,
         add: bool,
     ) -> Result<()> {
-        let view = if self.needs_view {
-            Some(codec.view(buf)?)
-        } else {
-            None
-        };
-        for (spec, ks) in self.kernels.iter().zip(st.kernels.iter_mut()) {
-            if spec.field.null_in(buf) {
-                continue;
-            }
-            let v = match spec.field.class {
-                KernelClass::Str => 0,
-                _ => match spec.field.stored(buf)? {
-                    Some(Fixed::Int(v)) => v,
-                    _ => 0,
-                },
-            };
-            if add {
-                ks.count = ks.count.wrapping_add(1);
-                ks.sum_i = ks.sum_i.wrapping_add(v);
-            } else {
-                ks.count = ks.count.wrapping_sub(1);
-                ks.sum_i = ks.sum_i.wrapping_sub(v);
-            }
+        match (&self.slide, st.slide.as_mut()) {
+            (Some(program), Some(state)) => program.slide_row(state, buf, arena, codec, add),
+            _ => Ok(()),
         }
-        for (field, map) in self.maps.iter().zip(st.maps.iter_mut()) {
-            if field.class != KernelClass::Str {
-                match field.stored(buf)? {
-                    Some(v) if add => map.bump_fixed(v),
-                    Some(v) => {
-                        let key = v.key_bits();
-                        map.retract(map.mix(key), |e| e.key == key);
-                    }
-                    None => {}
-                }
-                continue;
-            }
-            let Some(view) = &view else { continue };
-            let Some(s) = str_field(view, field.col)? else {
-                continue;
-            };
-            // Keys over the whole arena, as one row: arena offsets.
-            let bytes = s.as_bytes();
-            if add {
-                map.bump_str(bytes, (0, arena), &arena)?;
-            } else {
-                let hash = map.hash_bytes(bytes);
-                map.retract(hash, |e| stored_key(e, &arena) == Some(bytes));
-            }
-        }
-        Ok(())
     }
 
     /// One output row: re-fold the kernels that do not slide over `frame`
@@ -354,53 +194,34 @@ impl Split {
         out: &mut Vec<Value>,
     ) -> Result<()> {
         let SplitState {
-            kernels,
-            maps,
-            topn,
+            slide,
             refold,
-            staged,
+            slid,
+            refolded,
         } = st;
-        staged.clear();
         if let (Some(program), Some(state)) = (&self.refold, refold.as_mut()) {
             let order = EntryOrder::Ascending;
-            let mut probe = || -> Result<()> { Ok(()) };
-            let rows = (frame, arena);
             match folded {
                 f if f == 0 || f > frame.len() => {
-                    program.run(state, frame, 0, order, arena, None, codec, &mut probe)?
+                    program.run(state, frame, 0, order, arena, None, codec, &mut || Ok(()))?
                 }
+                // `state` holds the fold of `frame[..folded]`: go on.
                 _ => {
-                    let ext = program.extended;
-                    program.feed_entries(ext, state, &rows, folded, order, codec, &mut probe)?;
-                    state.generic_out.clear();
-                    program.finish(state, &rows, None)?;
+                    let (rows, ext) = (&(frame, arena), program.extended);
+                    program.feed_entries(ext, state, rows, folded, order, codec, &mut || Ok(()))?;
+                    program.finish(state, rows, None)?;
                 }
             }
-            program.outputs_into(state, arena, None, staged)?;
+            program.outputs_into(state, arena, None, refolded)?;
         }
-        for (spec, rendered) in self.topn.iter().zip(topn.iter_mut()) {
-            match (self.maps.get(spec.map), maps.get(spec.map)) {
-                (Some(field), Some(map)) => rendered.render(field, map, spec.n, &arena, None)?,
-                _ => return Err(binding_out_of_bounds()),
-            }
+        if let (Some(program), Some(state)) = (&self.slide, slide.as_mut()) {
+            program.finish(state, &arena, None)?;
+            program.outputs_into(state, arena, None, slid)?;
         }
-        let mut refolded = staged.drain(..);
-        for source in &self.sources {
-            match *source {
-                Source::Refold => out.push(refolded.next().ok_or_else(binding_out_of_bounds)?),
-                Source::Column { k, proj } => match (self.kernels.get(k), kernels.get(k)) {
-                    (Some(spec), Some(ks)) => project(spec.field.class, ks, proj, None, out)?,
-                    _ => return Err(binding_out_of_bounds()),
-                },
-                Source::Distinct { map } => match maps.get(map) {
-                    Some(m) => out.push(Value::Bigint(m.entries.len() as i64)),
-                    None => return Err(binding_out_of_bounds()),
-                },
-                Source::TopN { t } => match topn.get(t) {
-                    Some(t) => out.push(Value::string(t.rendered.as_str())),
-                    None => return Err(binding_out_of_bounds()),
-                },
-            }
+        let (mut slid, mut refold) = (slid.drain(..), refolded.drain(..));
+        for &slides in &self.slid {
+            let v = if slides { slid.next() } else { refold.next() };
+            out.push(v.ok_or_else(binding_out_of_bounds)?);
         }
         Ok(())
     }
@@ -800,70 +621,6 @@ struct Io<'a, 'e> {
     arena: &'a [u8],
     codec: &'a CompactCodec,
     emit: &'e mut dyn FnMut(u32, &mut Vec<Value>),
-}
-
-impl CountMap {
-    /// Take one occurrence of the key hashed to `hash` (and matching `same`)
-    /// out of the map; its entry goes when the count reaches zero, so the
-    /// entries are exactly the keys of the frame.
-    fn retract(&mut self, hash: u64, same: impl Fn(&CountEntry) -> bool) {
-        let mask = self.slots.len().wrapping_sub(1);
-        let mut at = hash as usize & mask;
-        for _ in 0..self.slots.len() {
-            let Some(&slot) = self.slots.get(at) else {
-                return;
-            };
-            let idx = (slot as usize).wrapping_sub(1);
-            match self.entries.get_mut(idx) {
-                None => return,
-                Some(e) if e.hash == hash && same(e) => {
-                    e.count -= 1;
-                    if e.count == 0 {
-                        self.remove(at, idx);
-                    }
-                    return;
-                }
-                Some(_) => at = (at + 1) & mask,
-            }
-        }
-    }
-
-    /// Drop entry `idx`, held by slot `hole`: backward-shift the probe run
-    /// behind it, then move the last entry into its place.
-    fn remove(&mut self, mut hole: usize, idx: usize) {
-        let mask = self.slots.len().wrapping_sub(1);
-        let mut next = (hole + 1) & mask;
-        while let Some(&slot) = self.slots.get(next).filter(|s| **s != 0) {
-            let home = self
-                .entries
-                .get(slot as usize - 1)
-                .map_or(next, |e| e.hash as usize & mask);
-            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
-                if let Some(h) = self.slots.get_mut(hole) {
-                    *h = slot;
-                }
-                hole = next;
-            }
-            next = (next + 1) & mask;
-        }
-        if let Some(h) = self.slots.get_mut(hole) {
-            *h = 0;
-        }
-        let last = self.entries.len().wrapping_sub(1);
-        if idx != last {
-            if let Some(moved) = self.entries.get(last) {
-                let mut at = moved.hash as usize & mask;
-                while let Some(slot) = self.slots.get_mut(at) {
-                    if *slot as usize == last + 1 {
-                        *slot = idx as u32 + 1;
-                        break;
-                    }
-                    at = (at + 1) & mask;
-                }
-            }
-        }
-        self.entries.swap_remove(idx);
-    }
 }
 
 #[cfg(test)]

@@ -219,4 +219,32 @@ mod tests {
         assert_eq!(s.prefixes.capacity(), prefixes_cap);
         assert_eq!(s.out.capacity(), out_cap);
     }
+
+    #[test]
+    fn request_row_marker_sorts_last_invariant() {
+        // The sort-skip relies on the request marker (ts == anchor >= all
+        // stored ts, max seq) sorting last; pin that ordering here.
+        let mut entries = [
+            ScanEntry {
+                ts: 10,
+                seq: 0,
+                start: 0,
+                len: 4,
+            },
+            ScanEntry {
+                ts: 10,
+                seq: 2,
+                start: 0,
+                len: REQUEST_ROW,
+            },
+            ScanEntry {
+                ts: 9,
+                seq: 1,
+                start: 4,
+                len: 4,
+            },
+        ];
+        entries.sort_unstable_by_key(|e| (e.ts, e.seq));
+        assert!(entries[2].is_request_row());
+    }
 }

@@ -305,11 +305,6 @@ impl WindowAggSet {
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
-
-    /// Number of bound aggregate outputs.
-    pub fn output_count(&self) -> usize {
-        self.bindings.len()
-    }
 }
 
 #[cfg(test)]
@@ -338,7 +333,7 @@ mod tests {
         ];
         let refs: Vec<&BoundAggregate> = aggs.iter().collect();
         let mut set = WindowAggSet::new(&refs).unwrap();
-        assert_eq!(set.output_count(), 5);
+        assert_eq!(set.outputs().len(), 5);
         assert_eq!(set.slot_count(), 2, "4 calls over col0 share one state");
 
         for (a, b) in [(1i64, 10i64), (2, 20), (3, 30)] {

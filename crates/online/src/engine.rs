@@ -289,7 +289,8 @@ pub fn execute_request_with(
         SpaceSaving::hot_keys().offer_weighted(&scratch.key_repr, summary.sampled);
     }
     if let Some(pre_sig) = audit_sig {
-        crate::sentinel::capture(dep, request, &scratch, &result, pre_sig);
+        let bucketed = summary.cost.preagg_hits > 0;
+        crate::sentinel::capture(dep, request, &scratch, &result, pre_sig, bucketed);
     }
     scratch.flight = flight;
     dep.put_scratch(scratch);

@@ -271,6 +271,18 @@ pub fn sentinel_stale_skips() -> &'static Counter {
     )
 }
 
+/// Audits whose output compare was skipped because the serve answered a
+/// window from pre-aggregated buckets (bucket merges add f64 partials in
+/// another order than the raw replay folds them).
+pub fn sentinel_bucket_skips() -> &'static Counter {
+    static M: OnceLock<Arc<Counter>> = OnceLock::new();
+    counter(
+        &M,
+        "openmldb_online_sentinel_bucket_skips_total",
+        "Audits whose output compare was skipped for a bucket-served window",
+    )
+}
+
 /// Samples dropped because the bounded audit queue was full.
 pub fn sentinel_dropped() -> &'static Counter {
     static M: OnceLock<Arc<Counter>> = OnceLock::new();

@@ -60,6 +60,10 @@ struct AuditSample {
     version_sig: u64,
     /// Trace id of the served request (links the post-mortem back).
     trace_id: u64,
+    /// Whether the serve answered a window from pre-aggregated buckets.
+    /// Bucket merges add f64 partial sums in another order than one fold,
+    /// so its output cannot be held bit for bit against the raw replay.
+    bucketed: bool,
 }
 
 struct Sentinel {
@@ -175,13 +179,15 @@ fn digest_row(values: &[Value]) -> u64 {
 
 /// Capture one sampled serve onto the audit queue. Called by the engine
 /// after the request finished, outside the latency measurement; only
-/// clean (non-degraded, non-error) serves are auditable.
+/// clean (non-degraded, non-error) serves are auditable. `bucketed`: the
+/// serve answered some window from pre-aggregated buckets.
 pub(crate) fn capture(
     dep: &Deployment,
     request: &Row,
     scratch: &RequestScratch,
     result: &Result<RequestOutput>,
     pre_sig: u64,
+    bucketed: bool,
 ) {
     let out = match result {
         Ok(out) if !out.degraded => out,
@@ -217,6 +223,7 @@ pub(crate) fn capture(
     sample.scan = scratch.audit;
     sample.version_sig = pre_sig;
     sample.trace_id = out.trace_id;
+    sample.bucketed = bucketed;
 
     crate::metrics::sentinel_samples().inc();
     let mut overflow = None;
@@ -259,6 +266,10 @@ pub struct AuditStats {
     pub divergences: u64,
     /// Samples skipped because the table version moved.
     pub stale_skips: u64,
+    /// Audited samples whose output compare was skipped because the serve
+    /// answered a window from pre-aggregated buckets (their scan digests
+    /// are still compared).
+    pub bucket_skips: u64,
     /// Replays that errored (deployment gone, oracle failure).
     pub errors: u64,
     /// Samples still queued after this drain.
@@ -272,6 +283,7 @@ pub struct SentinelStats {
     pub audits: u64,
     pub divergences: u64,
     pub stale_skips: u64,
+    pub bucket_skips: u64,
     pub dropped: u64,
     pub errors: u64,
     pub queue: usize,
@@ -285,6 +297,7 @@ pub fn stats() -> SentinelStats {
         audits: m::sentinel_audits().value(),
         divergences: m::sentinel_divergences().value(),
         stale_skips: m::sentinel_stale_skips().value(),
+        bucket_skips: m::sentinel_bucket_skips().value(),
         dropped: m::sentinel_dropped().value(),
         errors: m::sentinel_errors().value(),
         queue: queue_len(),
@@ -359,6 +372,10 @@ fn audit_one(
     };
     crate::metrics::sentinel_audits().inc();
     stats.audited += 1;
+    if sample.bucketed {
+        crate::metrics::sentinel_bucket_skips().inc();
+        stats.bucket_skips += 1;
+    }
 
     let mismatch = first_mismatch(sample, &oracle, &replay_scan);
     let Some((kind, window, oracle)) = mismatch else {
@@ -408,13 +425,15 @@ fn audit_one(
 }
 
 /// Compare the served sample against the oracle replay; the first
-/// disagreement wins (the output mismatch before a scan-input mismatch).
+/// disagreement wins (the output mismatch before a scan-input mismatch). A
+/// bucket-served sample skips the output compare only: its raw-scanned
+/// windows' digests still compare.
 fn first_mismatch(
     sample: &AuditSample,
     oracle: &Row,
     replay_scan: &ScanDigest,
 ) -> Option<(DivergenceKind, Option<usize>, String)> {
-    if digest_row(oracle.values()) != sample.row_digest {
+    if !sample.bucketed && digest_row(oracle.values()) != sample.row_digest {
         return Some((
             DivergenceKind::OutputMaterialized,
             None,

@@ -20,6 +20,12 @@ use crate::ast::*;
 use crate::interval;
 use crate::token::{tokenize, Token, TokenKind};
 
+/// How deep expressions may nest — parentheses, `NOT`s, unary minuses,
+/// `CASE`s and call arguments, each one level. The parser recurses once per
+/// level; past the bound a statement is a typed [`Error::Parse`], never a
+/// stack overflow.
+const MAX_EXPR_DEPTH: usize = 128;
+
 /// Parse a single SQL statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
     let mut p = Parser::new(sql)?;
@@ -43,6 +49,8 @@ pub fn parse_select(sql: &str) -> Result<SelectStatement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expression levels entered and not yet left.
+    depth: usize,
 }
 
 impl Parser {
@@ -50,6 +58,7 @@ impl Parser {
         Ok(Parser {
             tokens: tokenize(sql)?,
             pos: 0,
+            depth: 0,
         })
     }
 
@@ -399,7 +408,21 @@ impl Parser {
     // ------------------------------------------------------ EXPRESSIONS ---
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
+    }
+
+    /// Run `level` one expression level deeper, refusing past
+    /// [`MAX_EXPR_DEPTH`].
+    fn nested(&mut self, level: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return Err(self.err(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let e = level(self);
+        self.depth -= 1;
+        e
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
@@ -430,7 +453,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::not_expr)?)))
         } else {
             self.comparison()
         }
@@ -504,7 +527,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(match inner {
                 Expr::Literal(Literal::Int(n)) => Expr::Literal(Literal::Int(-n)),
                 Expr::Literal(Literal::Float(f)) => Expr::Literal(Literal::Float(-f)),
@@ -974,5 +997,33 @@ mod tests {
         let s = parse_select("SELECT a FROM t WHERE a >= 3 AND b != 'x' LIMIT 10").unwrap();
         assert!(s.where_clause.is_some());
         assert_eq!(s.limit, Some(10));
+    }
+
+    /// Depth past the bound is a typed error at the token that crossed it,
+    /// whichever construct nests: parentheses, `NOT`, unary minus, call
+    /// arguments, `CASE`. At the bound the statement still parses.
+    #[test]
+    fn nesting_past_the_depth_bound_is_a_typed_error() {
+        let deep = |open: &str, close: &str, n: usize| {
+            format!("SELECT {}1{} FROM t", open.repeat(n), close.repeat(n))
+        };
+        for sql in [
+            deep("(", ")", 100_000),
+            format!("SELECT a FROM t WHERE {}a", "NOT ".repeat(100_000)),
+            deep("- ", "", 100_000),
+            deep("abs(", ")", 100_000),
+            deep("CASE WHEN a THEN ", " END", 100_000),
+        ] {
+            match parse_statement(&sql) {
+                Err(Error::Parse { message, position }) => {
+                    assert!(message.contains("nested deeper"), "{message}");
+                    assert!(position > 0 && position < sql.len());
+                }
+                other => panic!("expected a depth error, got {other:?}"),
+            }
+        }
+        // The select item is one level, each parenthesis one more.
+        assert!(parse_statement(&deep("(", ")", MAX_EXPR_DEPTH - 1)).is_ok());
+        assert!(parse_statement(&deep("(", ")", MAX_EXPR_DEPTH)).is_err());
     }
 }

@@ -79,6 +79,7 @@ if [ "$QUICK" -eq 0 ]; then
 
     step "streamed sweep: every push == fold_partition, union slide == re-fold (release)"
     cargo test -q --release -p openmldb-exec sweep
+    cargo test -q --release -p openmldb-exec retract_contract
     cargo test -q --release -p openmldb-online window_union
 
     step "zero-copy window scan: pinned fold == arena fold == interpreter (release)"
