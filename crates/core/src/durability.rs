@@ -758,4 +758,121 @@ mod tests {
         );
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// Every file under `dir`, by path relative to `root`.
+    fn files_of(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, Vec<u8>)>) {
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                files_of(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).unwrap().to_path_buf();
+                out.push((rel, fs::read(&path).unwrap()));
+            }
+        }
+    }
+
+    /// The files of a durable directory with a memory table, a disk table,
+    /// rows in both WALs, a snapshot and a deployment; built once, written
+    /// out again per case.
+    fn hostile_base() -> &'static [(PathBuf, Vec<u8>)] {
+        static BASE: std::sync::OnceLock<Vec<(PathBuf, Vec<u8>)>> = std::sync::OnceLock::new();
+        BASE.get_or_init(|| {
+            let dir = tmp_dir("hostile_base");
+            {
+                let db = Database::recover(&dir).unwrap();
+                seed(&db, 20);
+                db.snapshot_now().unwrap();
+                for i in 20..30 {
+                    let row = format!("INSERT INTO actions VALUES (1, 'c', {i}.5, 1, {i}000)");
+                    db.execute(&row).unwrap();
+                }
+                db.create_disk_table(
+                    "CREATE TABLE cold (k BIGINT, v DOUBLE, ts TIMESTAMP, \
+                     INDEX(KEY=k, TS=ts, TTL=100, TTL_TYPE=latest))",
+                )
+                .unwrap();
+                db.execute("INSERT INTO cold VALUES (7, 1.5, 123)").unwrap();
+                db.deploy(
+                    "DEPLOY demo SELECT userid, sum(price) OVER w AS s FROM actions \
+                     WINDOW w AS (PARTITION BY userid ORDER BY ts \
+                     ROWS_RANGE BETWEEN 10s PRECEDING AND CURRENT ROW)",
+                )
+                .unwrap();
+                db.sync_durable().unwrap();
+            }
+            let mut files = Vec::new();
+            files_of(&dir, &dir, &mut files);
+            let _ = fs::remove_dir_all(&dir);
+            files
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 64 })]
+
+        /// Hostile MANIFEST bytes over a real directory (snapshot, WAL
+        /// rows, a deployment): truncated or bit-flipped anywhere, or with
+        /// an `index` line naming columns outside its table (or ordering by
+        /// a DOUBLE), or a malformed `col` line. Recovery answers with a
+        /// database or a typed error — never a panic — and always with the
+        /// error when a column reference is out of range or malformed.
+        #[test]
+        fn hostile_manifest_bytes_are_a_typed_error(
+            mutation in 0u8..4,
+            at in 0usize..4096,
+            bit in 0u8..8,
+            pick in 0usize..64,
+        ) {
+            let base = hostile_base();
+            let good = base.iter().find(|(p, _)| p == Path::new("MANIFEST")).unwrap().1.clone();
+            let text = String::from_utf8(good.clone()).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            // Replace the `pick`-th line with `tag`'s prefix by `line`.
+            let replace = |tag: &str, line: &str| {
+                let hits: Vec<usize> = (0..lines.len()).filter(|&i| lines[i].starts_with(tag)).collect();
+                let mut out: Vec<&str> = lines.clone();
+                out[hits[pick % hits.len()]] = line;
+                out.join("\n").into_bytes()
+            };
+            // Out of range or malformed; the last one is in range but orders
+            // by a column that is not a timestamp, which SQL's `CREATE
+            // TABLE` accepts too: recovered, its rows keyed at `i64::MIN`.
+            let bad_index = [
+                ("index by_x 5 4 unlimited", true),
+                ("index by_x 0 99 unlimited", true),
+                ("index by_x 0,18446744073709551615 - unlimited", true),
+                ("index by_x 99999999999999999999999 - unlimited", true),
+                ("index by_x  4 unlimited", true),
+                ("index by_x 0 4", true),
+                ("index by_x 0 1 unlimited", false),
+            ];
+            let bad_col = ["col x BOGUS null", "col x INT", "col", "col x INT null extra"];
+            let (bytes, must_fail) = match mutation {
+                0 => (good[..at % good.len()].to_vec(), false),
+                1 => {
+                    let mut b = good.clone();
+                    b[at % good.len()] ^= 1 << bit;
+                    (b, false)
+                }
+                2 => {
+                    let (line, must_fail) = bad_index[pick % bad_index.len()];
+                    (replace("index ", line), must_fail)
+                }
+                _ => (replace("col ", bad_col[pick % bad_col.len()]), true),
+            };
+            let dir = tmp_dir("hostile");
+            for (path, data) in base {
+                let path = dir.join(path);
+                fs::create_dir_all(path.parent().unwrap()).unwrap();
+                fs::write(path, data).unwrap();
+            }
+            fs::write(dir.join("MANIFEST"), &bytes).unwrap();
+            let recovered = Database::recover(&dir);
+            let _ = fs::remove_dir_all(&dir);
+            if must_fail {
+                proptest::prop_assert!(recovered.is_err(), "accepted {:?}", String::from_utf8_lossy(&bytes));
+            }
+        }
+    }
 }

@@ -65,15 +65,22 @@ impl CountMap {
         }
     }
 
+    /// The seeded key hash: murmur3's `fmix64` finisher, so every key bit
+    /// reaches the low bits a slot index keeps. (A single multiply-fold
+    /// leaves those bits equal for DOUBLE keys whose low mantissa bits are
+    /// zero — `k * 0.25`, integral doubles — and sends them all to one home
+    /// slot.)
     #[inline(always)]
     fn mix(&self, x: u64) -> u64 {
-        let h = (x ^ self.seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        h ^ (h >> 32)
+        let mut h = x ^ self.seed;
+        h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 
     #[inline(always)]
     fn hash_bytes(&self, bytes: &[u8]) -> u64 {
-        // Seeded FNV-1a, finished through the same multiply-fold.
+        // Seeded FNV-1a, finished through the same mixer.
         let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
         for &b in bytes {
             h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
@@ -543,6 +550,43 @@ mod tests {
             }
             let projected = format!("{:?}", Ok::<_, openmldb_types::Error>(out));
             proptest::prop_assert_eq!(projected, folded(&wp, &source, &codec));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// Round keys spread over the slots for any seed: 64 DOUBLE keys
+        /// `k * 0.25`, 64 FLOAT keys `k * 0.5` and 64 BIGINT keys
+        /// `k * 1000` — DOUBLE and FLOAT ones with zero low mantissa bits,
+        /// which a hash that leaves its low bits unmixed sends to one home
+        /// slot — each fill a map half full with at most 8 keys on one home
+        /// slot, sitting on average under 4 slots from home.
+        #[test]
+        fn count_map_spreads_round_keys(seed in any::<i64>()) {
+            let sets: [Vec<Fixed>; 3] = [
+                (0..64).map(|k| Fixed::Double(k as f64 * 0.25)).collect(),
+                (0..64).map(|k| Fixed::Float(k as f32 * 0.5)).collect(),
+                (0..64).map(|k| Fixed::Int(k * 1_000)).collect(),
+            ];
+            for keys in sets {
+                let mut map = CountMap::new();
+                map.seed = seed as u64;
+                keys.iter().for_each(|&k| map.bump_fixed(k));
+                contents(&map);
+                let mask = map.slots.len() - 1;
+                proptest::prop_assert_eq!((map.entries.len(), map.slots.len()), (64, 128));
+                let mut homes = vec![0usize; map.slots.len()];
+                let mut displaced = 0;
+                for (at, &slot) in map.slots.iter().enumerate().filter(|(_, s)| **s != 0) {
+                    let home = map.entries[slot as usize - 1].hash as usize & mask;
+                    homes[home] += 1;
+                    displaced += at.wrapping_sub(home) & mask;
+                }
+                let crowded = homes.iter().max().copied().unwrap_or(0);
+                proptest::prop_assert!(crowded <= 8, "{} keys on one home slot", crowded);
+                proptest::prop_assert!(displaced < 4 * 64, "{} slots of displacement", displaced);
+            }
         }
     }
 

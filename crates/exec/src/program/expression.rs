@@ -4,18 +4,19 @@
 //! encoded bytes. Its result feeds the same [`KernelState`] fold a column
 //! kernel keeps.
 //!
-//! The contract: [`ExprKernel::eval_row`] a stored row,
-//! [`ExprKernel::eval_request`] the request row, and
-//! [`ExprKernel::project_into`] the bound projections. There is no retract:
+//! The contract: [`ExprKernel::eval_block`] a block of stored rows, op by
+//! op (the request row is a block of one), and [`ExprKernel::project_into`]
+//! the bound projections. There is no retract:
 //! an argument can fail on a row with the interpreter's typed overflow
 //! error, and the sweep re-folds every expression kernel.
 
 use openmldb_sql::plan::PhysExpr;
 use openmldb_sql::BinaryOp;
-use openmldb_types::{CompactCodec, Result, Value};
+use openmldb_types::{CompactCodec, Error, Result, Value};
 
 use super::column::{KernelState, Track};
 use super::field::{integer_overflow, FieldRef, Fixed, KernelClass};
+use super::fold::BLOCK;
 use crate::window::Projection;
 
 /// One typed register of an expression kernel: raw `i64`/`f64` bits plus
@@ -98,20 +99,72 @@ fn int_op(a: Reg, b: Reg, op: BinaryOp, f: impl FnOnce(i64, i64) -> Option<i64>)
     }
 }
 
+/// `f` over two f64 registers, NULL if either is. Branch-free, so a block
+/// of rows runs as one straight loop: a NULL register's bits are never read
+/// (every reader tests the flag first), so computing through them is
+/// harmless.
 #[inline(always)]
 fn float_op(a: Reg, b: Reg, f: impl FnOnce(f64, f64) -> f64) -> Reg {
-    if a.null || b.null {
-        return NULL_REG;
+    Reg {
+        bits: f(a.f(), b.f()).to_bits(),
+        null: a.null | b.null,
     }
-    Reg::float(f(a.f(), b.f()))
 }
 
-// HOT: per-row evaluation of one expression kernel — a straight run over a
-// handful of typed instructions, operands in pooled registers, column reads
-// straight from the encoded bytes. Replicates `eval::binary` exactly: NULL
-// propagation before any arithmetic, checked integer ops with the same
-// typed overflow error, NULL on `/0` and `%0`, f64 otherwise — evaluated in
-// the tree walk's left-to-right post-order, so the first error is the same.
+/// A register's rows as the evaluator reads an operand it does not hold:
+/// all NULL.
+static NULL_BLOCK: [Reg; BLOCK] = [NULL_REG; BLOCK];
+
+/// Rows `..n` of register `r` in the op-major register file.
+#[inline(always)]
+fn rows_of(regs: &[Reg], r: u16, n: usize) -> &[Reg] {
+    let at = r as usize * BLOCK;
+    (regs.get(at..).and_then(|rows| rows.get(..n)))
+        .or_else(|| NULL_BLOCK.get(..n))
+        .unwrap_or(&[])
+}
+
+/// `out[j] = f(j)` over the rows, stopping at the first row `f` fails on.
+#[inline(always)]
+fn fill(out: &mut [Reg], mut f: impl FnMut(usize) -> Result<Reg>) -> Option<(usize, Error)> {
+    for (j, o) in out.iter_mut().enumerate() {
+        match f(j) {
+            Ok(r) => *o = r,
+            Err(e) => return Some((j, e)),
+        }
+    }
+    None
+}
+
+/// `out[j] = f(a[j], b[j])` over the rows, stopping at the first row `f`
+/// fails on.
+#[inline(always)]
+fn zip_rows(
+    out: &mut [Reg],
+    a: &[Reg],
+    b: &[Reg],
+    f: impl Fn(Reg, Reg) -> Result<Reg>,
+) -> Option<(usize, Error)> {
+    for (j, (o, (&x, &y))) in out.iter_mut().zip(a.iter().zip(b)).enumerate() {
+        match f(x, y) {
+            Ok(r) => *o = r,
+            Err(e) => return Some((j, e)),
+        }
+    }
+    None
+}
+
+// HOT: the expression kernels' evaluator — one block of up to `BLOCK` rows,
+// op by op: each instruction's match is paid once per block and its rows
+// run as one straight loop over op-major registers (register `i`'s rows at
+// `regs[i * BLOCK..]`), column reads straight from the encoded bytes.
+// Replicates `eval::binary` exactly: NULL propagation before any
+// arithmetic, checked integer ops with the same typed overflow error, NULL
+// on `/0` and `%0`, f64 otherwise. A row's error is the one the tree walk's
+// left-to-right post-order meets first: once an op fails on row `j`, later
+// ops run only the rows before it, so an earlier row's error — from any op —
+// still wins. Returns how many leading rows evaluated, and the error of the
+// next.
 // analysis:allow(panic-freedom): registers are reached through checked
 // slice accessors only and integer arithmetic is `checked_*`; the `get`
 // callees the name-resolved graph lists here belong to other types.
@@ -119,57 +172,83 @@ fn float_op(a: Reg, b: Reg, f: impl FnOnce(f64, f64) -> f64) -> Reg {
 fn eval_ops(
     ops: &[ArithOp],
     regs: &mut [Reg],
-    load: impl Fn(&FieldRef) -> Result<Option<Fixed>>,
-) -> Result<Reg> {
-    let mut last = NULL_REG;
+    n: usize,
+    load: impl Fn(&FieldRef, usize) -> Result<Option<Fixed>>,
+) -> (usize, Option<Error>) {
+    let (mut end, mut err) = (n.min(BLOCK), None);
     for (i, op) in ops.iter().enumerate() {
-        let reg = |r: u16| regs.get(r as usize).copied().unwrap_or(NULL_REG);
-        last = match op {
-            ArithOp::Load(field) => match load(field)? {
-                None => NULL_REG,
-                Some(Fixed::Int(v)) => Reg::int(v),
-                Some(Fixed::Float(v)) => Reg::float(v as f64),
-                Some(Fixed::Double(v)) => Reg::float(v),
-            },
-            ArithOp::ConstI(v) => Reg::int(*v),
-            ArithOp::ConstF(v) => Reg::float(*v),
-            ArithOp::ToF(a) => {
-                let a = reg(*a);
-                if a.null {
+        let Some((done, rest)) = regs.split_at_mut_checked(i * BLOCK) else {
+            break;
+        };
+        let Some(out) = rest.get_mut(..end) else {
+            break;
+        };
+        let rows = |r: u16| rows_of(done, r, end);
+        let failed = match *op {
+            ArithOp::Load(ref field) => fill(out, |j| {
+                Ok(match load(field, j)? {
+                    None => NULL_REG,
+                    Some(Fixed::Int(v)) => Reg::int(v),
+                    Some(Fixed::Float(v)) => Reg::float(v as f64),
+                    Some(Fixed::Double(v)) => Reg::float(v),
+                })
+            }),
+            ArithOp::ConstI(v) => {
+                out.fill(Reg::int(v));
+                None
+            }
+            ArithOp::ConstF(v) => {
+                out.fill(Reg::float(v));
+                None
+            }
+            ArithOp::ToF(a) => zip_rows(out, rows(a), rows(a), |a, _| {
+                Ok(if a.null {
                     NULL_REG
                 } else {
                     Reg::float(a.i() as f64)
-                }
-            }
-            ArithOp::AddI(a, b) => int_op(reg(*a), reg(*b), BinaryOp::Add, i64::checked_add)?,
-            ArithOp::SubI(a, b) => int_op(reg(*a), reg(*b), BinaryOp::Sub, i64::checked_sub)?,
-            ArithOp::MulI(a, b) => int_op(reg(*a), reg(*b), BinaryOp::Mul, i64::checked_mul)?,
-            ArithOp::ModI(a, b) => {
-                let (a, b) = (reg(*a), reg(*b));
+                })
+            }),
+            ArithOp::AddI(a, b) => zip_rows(out, rows(a), rows(b), |a, b| {
+                int_op(a, b, BinaryOp::Add, i64::checked_add)
+            }),
+            ArithOp::SubI(a, b) => zip_rows(out, rows(a), rows(b), |a, b| {
+                int_op(a, b, BinaryOp::Sub, i64::checked_sub)
+            }),
+            ArithOp::MulI(a, b) => zip_rows(out, rows(a), rows(b), |a, b| {
+                int_op(a, b, BinaryOp::Mul, i64::checked_mul)
+            }),
+            ArithOp::ModI(a, b) => zip_rows(out, rows(a), rows(b), |a, b| {
                 if b.null || b.i() == 0 {
-                    NULL_REG
+                    Ok(NULL_REG)
                 } else {
-                    int_op(a, b, BinaryOp::Mod, i64::checked_rem)?
+                    int_op(a, b, BinaryOp::Mod, i64::checked_rem)
                 }
-            }
-            ArithOp::AddF(a, b) => float_op(reg(*a), reg(*b), |x, y| x + y),
-            ArithOp::SubF(a, b) => float_op(reg(*a), reg(*b), |x, y| x - y),
-            ArithOp::MulF(a, b) => float_op(reg(*a), reg(*b), |x, y| x * y),
-            ArithOp::ModF(a, b) => float_op(reg(*a), reg(*b), |x, y| x % y),
-            ArithOp::DivF(a, b) => {
-                let (a, b) = (reg(*a), reg(*b));
-                if b.null || b.f() == 0.0 {
-                    NULL_REG
-                } else {
-                    float_op(a, b, |x, y| x / y)
-                }
-            }
+            }),
+            ArithOp::AddF(a, b) => zip_rows(out, rows(a), rows(b), |a, b| {
+                Ok(float_op(a, b, |x, y| x + y))
+            }),
+            ArithOp::SubF(a, b) => zip_rows(out, rows(a), rows(b), |a, b| {
+                Ok(float_op(a, b, |x, y| x - y))
+            }),
+            ArithOp::MulF(a, b) => zip_rows(out, rows(a), rows(b), |a, b| {
+                Ok(float_op(a, b, |x, y| x * y))
+            }),
+            ArithOp::ModF(a, b) => zip_rows(out, rows(a), rows(b), |a, b| {
+                Ok(float_op(a, b, |x, y| x % y))
+            }),
+            ArithOp::DivF(a, b) => zip_rows(out, rows(a), rows(b), |a, b| {
+                let r = float_op(a, b, |x, y| x / y);
+                Ok(Reg {
+                    null: r.null | (b.f() == 0.0),
+                    ..r
+                })
+            }),
         };
-        if let Some(slot) = regs.get_mut(i) {
-            *slot = last;
+        if let Some((j, e)) = failed {
+            (end, err) = (j, Some(e));
         }
     }
-    Ok(last)
+    (end, err)
 }
 
 /// Lowers one aggregate argument into a register program, or declines
@@ -256,6 +335,8 @@ pub(super) struct ExprKernel {
     /// same expression share one evaluation per row (cyclic binding).
     pub(super) expr: PhysExpr,
     pub(super) ops: Vec<ArithOp>,
+    /// The register holding the argument's value.
+    result: u16,
     /// Result type: integer (the interpreter's `Value::Bigint`) or f64
     /// (`Value::Double`).
     int: bool,
@@ -278,10 +359,11 @@ impl ExprKernel {
             codec,
             ops: Vec::new(),
         };
-        let (_, int) = c.lower(e)?;
+        let (result, int) = c.lower(e)?;
         Some(ExprKernel {
             expr: e.clone(),
             ops: c.ops,
+            result,
             int,
             track: Track::default(),
             generic_before,
@@ -314,31 +396,26 @@ impl ExprKernel {
         }
     }
 
-    /// Step stored row `buf` into `st`, evaluating over the shared register
-    /// file `regs`.
+    /// Step `n` rows (at most [`BLOCK`]) into `st`: evaluate the program
+    /// op by op over the op-major register file `regs`, `load(field, j)`
+    /// reading row `j`'s field, then fold the results in row order. A
+    /// failing row is `Err` with its index; the rows before it are folded.
     #[inline(always)]
-    pub(super) fn eval_row(
+    pub(super) fn eval_block(
         &self,
         st: &mut KernelState,
         regs: &mut [Reg],
-        buf: &[u8],
-    ) -> Result<()> {
-        let r = eval_ops(&self.ops, regs, |f| f.stored(buf))?;
-        self.feed(st, r);
-        Ok(())
-    }
-
-    /// Step the decoded request row (always the last row stepped).
-    #[inline]
-    pub(super) fn eval_request(
-        &self,
-        st: &mut KernelState,
-        regs: &mut [Reg],
-        req: &[Value],
-    ) -> Result<()> {
-        let r = eval_ops(&self.ops, regs, |f| f.requested(req))?;
-        self.feed(st, r);
-        Ok(())
+        n: usize,
+        load: impl Fn(&FieldRef, usize) -> Result<Option<Fixed>>,
+    ) -> std::result::Result<(), (usize, Error)> {
+        let (end, err) = eval_ops(&self.ops, regs, n, load);
+        for &v in rows_of(regs, self.result, end) {
+            self.feed(st, v);
+        }
+        match err {
+            Some(e) => Err((end, e)),
+            None => Ok(()),
+        }
     }
 
     /// Push projection `proj` of `st`.

@@ -6,8 +6,10 @@
 //! Each aggregate binds to a kernel of one family — column, expression,
 //! count map, generic — and the fold calls each family's contract: step a
 //! stored row, step the request row (always last), project the values. The
-//! per-row loop (`feed_entries` → `feed_row` → `feed_row_view` /
-//! `feed_extended`) is the serve loop; the offline sweep calls the same
+//! serve loop is `feed_entries`: a column-only window runs it row by row
+//! (`feed_row` / `feed_row_view`); any other window gathers up to [`BLOCK`]
+//! validated rows and steps each family over the whole block
+//! (`feed_blocks` → `step_block`). The offline sweep calls the same
 //! contract through [`WindowProgram::slide_row`] for the kernels whose fold
 //! retracts exactly, and re-folds the rest through this loop.
 
@@ -18,13 +20,17 @@ use super::column::{KernelSpec, KernelState};
 use super::countmap::{CountMap, TopnSpec, TopnState};
 use super::expression::{ExprKernel, Reg, NULL_REG};
 use super::field::{
-    binding_out_of_bounds, generic_state_mismatch, length_mismatch, truncated_row,
-    version_mismatch, FieldRef, KernelClass,
+    binding_out_of_bounds, generic_state_mismatch, length_mismatch, row_out_of_range,
+    truncated_row, version_mismatch, FieldRef, KernelClass,
 };
 use super::generic;
 use super::sweep::Split;
 use crate::scratch::{RowSource, ScanEntry};
 use crate::window::{projection_for, Projection, WindowAggSet};
+
+/// Rows an extended window's fold gathers and steps at a time — also the
+/// deadline-probe cadence, so a block ends where a probe is due.
+pub(super) const BLOCK: usize = 64;
 
 /// Where one aggregate's output comes from, in aggregate order.
 #[derive(Debug, Clone, Copy)]
@@ -41,8 +47,8 @@ pub(super) enum Binding {
 pub struct WindowState {
     kernels: Vec<KernelState>,
     exprs: Vec<KernelState>,
-    /// Register file shared by the expression kernels (sized to the longest
-    /// program).
+    /// Register file shared by the expression kernels, op-major: register
+    /// `r`'s [`BLOCK`] rows at `r * BLOCK` (sized to the longest program).
     regs: Vec<Reg>,
     maps: Vec<CountMap>,
     topn: Vec<TopnState>,
@@ -66,6 +72,30 @@ impl WindowState {
             g.reset();
         }
         self.generic_out.clear();
+    }
+}
+
+/// One block of an extended window's fold: up to [`BLOCK`] in-frame rows,
+/// each validated once — its index in the fold's [`RowSource`], its bytes,
+/// and its view when the program reads through one.
+struct Block<'a> {
+    len: usize,
+    at: [usize; BLOCK],
+    bufs: [&'a [u8]; BLOCK],
+    views: [Option<RowView<'a>>; BLOCK],
+}
+
+impl<'a> Block<'a> {
+    /// The first `end` rows as `(j, (index, bytes, view))`.
+    #[inline(always)]
+    fn rows(
+        &self,
+        end: usize,
+    ) -> impl Iterator<Item = (usize, (usize, &'a [u8], Option<&RowView<'a>>))> + '_ {
+        (self.at.iter().zip(&self.bufs).zip(&self.views))
+            .take(end.min(self.len))
+            .map(|((&i, &buf), view)| (i, buf, view.as_ref()))
+            .enumerate()
     }
 }
 
@@ -94,8 +124,8 @@ pub struct WindowProgram {
     pub(super) generic: Vec<BoundAggregate>,
     /// Output bindings in aggregate order.
     pub(super) bindings: Vec<Binding>,
-    /// Whether any of families 2–4 is present; column-only windows run a
-    /// copy of the row loop with them compiled out.
+    /// Whether any of families 2–4 is present: such a window folds a block
+    /// at a time; a column-only window runs the row loop.
     pub(super) extended: bool,
     /// Longest expression program (register-file size).
     max_regs: usize,
@@ -306,7 +336,7 @@ impl WindowProgram {
         WindowState {
             kernels: vec![KernelState::default(); self.kernels.len()],
             exprs: vec![KernelState::default(); self.exprs.len()],
-            regs: vec![NULL_REG; self.max_regs],
+            regs: vec![NULL_REG; self.max_regs * BLOCK],
             maps: self.maps.iter().map(|_| CountMap::new()).collect(),
             topn: self.topn.iter().map(|_| TopnState::default()).collect(),
             // Built once at compile time, so `ok()` drops nothing; `run`
@@ -424,8 +454,9 @@ impl WindowProgram {
 
     /// Feed the in-frame stored rows in ascending `(ts, seq)` order; returns
     /// how many were fed. `ext` is [`Self::extended`] passed as a literal at
-    /// both call sites, so inlining folds it and each copy of the loop keeps
-    /// only its own families. Row indices are positions in `rows`: an
+    /// both call sites, so inlining folds it: an extended window folds a
+    /// block at a time ([`feed_blocks`](Self::feed_blocks)), a column-only
+    /// one runs the row loop below. Row indices are positions in `rows`: an
     /// ascending source feeds `first..`, a reversed scan its newest rows
     /// backwards.
     #[allow(clippy::too_many_arguments)]
@@ -440,13 +471,16 @@ impl WindowProgram {
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<u32> {
+        if ext {
+            return self.feed_blocks(state, rows, first, order, codec, probe);
+        }
         let n = rows.n_rows();
         let take = n.saturating_sub(first);
         let mut fed = 0u32;
         match order {
             EntryOrder::Ascending => {
                 for i in n - take..n {
-                    self.feed_row(ext, state, (i, rows.row_at(i)?), rows, codec)?;
+                    self.feed_row(state, (i, rows.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -455,7 +489,7 @@ impl WindowProgram {
             }
             EntryOrder::ReversedScan => {
                 for i in (0..take).rev() {
-                    self.feed_row(ext, state, (i, rows.row_at(i)?), rows, codec)?;
+                    self.feed_row(state, (i, rows.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -466,21 +500,11 @@ impl WindowProgram {
         Ok(fed)
     }
 
-    // HOT: the compiled per-row dispatch loop — one NULL-bit probe plus one
-    // fixed-offset little-endian read per kernel, no `Value` construction,
-    // no parse beyond the 3-field header check for fixed-only programs.
+    /// The 3-field header check that validates a row for a fixed-only
+    /// program: long enough for every fixed field, its declared length its
+    /// real one, this schema's version.
     #[inline(always)]
-    fn feed_row(
-        &self,
-        ext: bool,
-        state: &mut WindowState,
-        (i, buf): (usize, &[u8]),
-        rows: &dyn RowSource,
-        codec: &CompactCodec,
-    ) -> Result<()> {
-        if self.needs_view {
-            return self.feed_row_view(state, (i, buf), rows, codec);
-        }
+    fn check_header(&self, buf: &[u8]) -> Result<()> {
         let header = buf.first_chunk().filter(|_| buf.len() >= self.min_row_len);
         let Some(&[_, version, l0, l1, l2, l3]) = header else {
             return Err(truncated_row(buf.len(), self.min_row_len));
@@ -492,18 +516,34 @@ impl WindowProgram {
         if version != self.schema_version {
             return Err(version_mismatch(version, self.schema_version));
         }
+        Ok(())
+    }
+
+    // HOT: the compiled per-row dispatch loop of column-only windows — one
+    // NULL-bit probe plus one fixed-offset little-endian read per kernel, no
+    // `Value` construction, no parse beyond the 3-field header check for
+    // fixed-only programs.
+    #[inline(always)]
+    fn feed_row(
+        &self,
+        state: &mut WindowState,
+        (i, buf): (usize, &[u8]),
+        rows: &dyn RowSource,
+        codec: &CompactCodec,
+    ) -> Result<()> {
+        if self.needs_view {
+            return self.feed_row_view(state, (i, buf), rows, codec);
+        }
+        self.check_header(buf)?;
         for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
             spec.step_row(st, buf, None, (i, buf), rows)?;
-        }
-        if ext {
-            self.feed_extended(state, (i, buf), None, rows)?;
         }
         Ok(())
     }
 
-    // HOT: per-row loop of view-bearing programs — fixed fields still read
-    // at baked offsets; only string kernels go through the validated view,
-    // borrowing the row (no copy until the fold finishes).
+    // HOT: per-row loop of view-bearing column-only programs — fixed fields
+    // still read at baked offsets; only string kernels go through the
+    // validated view, borrowing the row (no copy until the fold finishes).
     fn feed_row_view(
         &self,
         state: &mut WindowState,
@@ -515,42 +555,142 @@ impl WindowProgram {
         for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
             spec.step_row(st, buf, Some(&view), (i, buf), rows)?;
         }
-        if self.extended {
-            self.feed_extended(state, (i, buf), Some(&view), rows)?;
-        }
         Ok(())
     }
 
-    // HOT: the per-row fold of the expression, count-map and generic
-    // families, in that order. Only expression and generic kernels can fail
-    // on well-formed rows; `first_error` restores the interpreter's
-    // slot-order error precedence between them.
-    fn feed_extended(
+    /// The fold of an extended window: the in-frame rows, in the order
+    /// [`feed_entries`](Self::feed_entries) feeds them, gathered [`BLOCK`]
+    /// at a time — each validated once (one [`RowView`] when the program
+    /// reads through one) — and stepped by [`step_block`](Self::step_block).
+    /// A row that fails validation ends its block: the rows before it are
+    /// stepped first, so an error they raise still wins. `probe` runs after
+    /// every full block, i.e. every [`BLOCK`] fed rows, as the row loop's.
+    #[allow(clippy::too_many_arguments)]
+    fn feed_blocks<R: RowSource>(
         &self,
         state: &mut WindowState,
-        (i, buf): (usize, &[u8]),
-        view: Option<&RowView<'_>>,
+        rows: &R,
+        first: usize,
+        order: EntryOrder,
+        codec: &CompactCodec,
+        probe: &mut dyn FnMut() -> Result<()>,
+    ) -> Result<u32> {
+        let n = rows.n_rows();
+        let take = n.saturating_sub(first);
+        let mut block = Block {
+            len: 0,
+            at: [0; BLOCK],
+            bufs: [&[]; BLOCK],
+            views: [const { None }; BLOCK],
+        };
+        let mut fed = 0;
+        while fed < take {
+            let mut gathered = Ok(());
+            block.len = 0;
+            for (j, ((at, buf), view)) in (block.at.iter_mut())
+                .zip(block.bufs.iter_mut())
+                .zip(block.views.iter_mut())
+                .take(take - fed)
+                .enumerate()
+            {
+                *at = match order {
+                    EntryOrder::Ascending => n - take + fed + j,
+                    EntryOrder::ReversedScan => take - 1 - fed - j,
+                };
+                let checked = rows.row_at(*at).and_then(|row| match self.needs_view {
+                    true => Ok((row, Some(codec.view(row)?))),
+                    false => self.check_header(row).map(|()| (row, None)),
+                });
+                match checked {
+                    Ok((row, v)) => (*buf, *view, block.len) = (row, v, j + 1),
+                    Err(e) => {
+                        gathered = Err(e);
+                        break;
+                    }
+                }
+            }
+            self.step_block(state, &block, rows)?;
+            gathered?;
+            fed += block.len;
+            if fed % BLOCK == 0 {
+                probe()?;
+            }
+        }
+        Ok(fed as u32)
+    }
+
+    // HOT: one block of an extended window, family by family, each in the
+    // loop order that suits it: column kernels row by row (their float
+    // chains interleave), expression kernels op by op
+    // ([`ExprKernel::eval_block`]), count maps map by map, generic
+    // aggregates row by row over the views. The error reported is the one
+    // the row-at-a-time fold meets first — the earliest row, then family
+    // order, then kernel order: once a kernel fails on row `end`, every
+    // later one steps only the rows before it. An expression kernel's error
+    // still yields to a generic aggregate bound before it that fails on the
+    // same row (`generic::first_error`), after the generic family has
+    // stepped exactly the rows before it.
+    fn step_block(
+        &self,
+        state: &mut WindowState,
+        block: &Block<'_>,
         rows: &dyn RowSource,
     ) -> Result<()> {
         let WindowState {
+            kernels,
             exprs,
             regs,
             maps,
             generic,
             ..
         } = state;
+        let (mut end, mut failed) = (block.len, None);
+        'rows: for (j, (i, buf, view)) in block.rows(end) {
+            for (spec, st) in self.kernels.iter().zip(kernels.iter_mut()) {
+                if let Err(e) = spec.step_row(st, buf, view, (i, buf), rows) {
+                    (end, failed) = (j, Some((e, None)));
+                    break 'rows;
+                }
+            }
+        }
+        let bufs = &block.bufs;
         for (spec, st) in self.exprs.iter().zip(exprs.iter_mut()) {
-            if let Err(e) = spec.eval_row(st, regs, buf) {
-                return Err(generic::first_error(e, spec, generic, view, None));
+            let load = |f: &FieldRef, j: usize| match bufs.get(j) {
+                Some(buf) => f.stored(buf),
+                None => Err(row_out_of_range()),
+            };
+            if let Err((j, e)) = spec.eval_block(st, regs, end, load) {
+                (end, failed) = (j, Some((e, Some(spec))));
             }
         }
         for (field, map) in self.maps.iter().zip(maps.iter_mut()) {
-            map.tally_row(field, buf, view, (i, buf), rows)?;
+            for (j, (i, buf, view)) in block.rows(end) {
+                if let Err(e) = map.tally_row(field, buf, view, (i, buf), rows) {
+                    (end, failed) = (j, Some((e, None)));
+                    break;
+                }
+            }
         }
-        generic::step_view(generic, view)
+        if generic.is_some() {
+            for (j, (_, _, view)) in block.rows(end) {
+                if let Err(e) = generic::step_view(generic, view) {
+                    (end, failed) = (j, Some((e, None)));
+                    break;
+                }
+            }
+        }
+        match failed {
+            None => Ok(()),
+            Some((e, None)) => Err(e),
+            Some((e, Some(spec))) => {
+                let view = block.views.get(end).and_then(Option::as_ref);
+                Err(generic::first_error(e, spec, generic, view, None))
+            }
+        }
     }
 
-    /// Feed the request row (always last) to every family.
+    /// Feed the request row (always last) to every family; the expression
+    /// kernels evaluate it as a block of one.
     fn feed_request(
         &self,
         state: &mut WindowState,
@@ -569,7 +709,7 @@ impl WindowProgram {
             spec.step_request(st, req, rows)?;
         }
         for (spec, st) in self.exprs.iter().zip(exprs.iter_mut()) {
-            if let Err(e) = spec.eval_request(st, regs, req) {
+            if let Err((_, e)) = spec.eval_block(st, regs, 1, |f, _| f.requested(req)) {
                 return Err(generic::first_error(e, spec, generic, None, Some(req)));
             }
         }
@@ -1081,6 +1221,151 @@ mod tests {
                     })();
                     proptest::prop_assert_eq!(&pinned, &format!("{:?}", oracle));
                 }
+            }
+        }
+    }
+
+    /// A row of `schema()` at `ts` for the multi-block fold: NULLs, round
+    /// doubles (count-map keys), repeated strings — and, picked by `fail`,
+    /// a BIGINT whose `* 3` overflows (an expression kernel's error), an
+    /// INT whose `+ (i64::MAX - 1000)` overflows (a generic aggregate's), or
+    /// both on the same row.
+    fn block_row(ts: i64, bits: u64, fail: u8) -> Row {
+        let pick = |shift: u32, n: u64| (bits >> shift) % n;
+        let (expr_fails, generic_fails) = (fail & 1 != 0, fail & 2 != 0);
+        let i = match pick(0, 6) {
+            0 => Value::Null,
+            _ if generic_fails => Value::Int(1_001 + pick(4, 1_000) as i32),
+            _ => Value::Int(pick(8, 2_001) as i32 - 1_000),
+        };
+        let b = match expr_fails {
+            true => i64::MAX / 3 + 1 + pick(20, 1_000) as i64,
+            false => pick(20, 2_000_001) as i64 - 1_000_000,
+        };
+        let words = ["a", "bb", "a", "ccc"];
+        Row::new(vec![
+            Value::string("k1"),
+            Value::Timestamp(ts),
+            i,
+            Value::Bigint(b),
+            Value::Float(pick(44, 64) as f32 * 0.5),
+            match pick(50, 5) {
+                0 => Value::Null,
+                d => Value::Double(pick(53, 64) as f64 * 0.25 + d as f64),
+            },
+            match pick(60, 5) {
+                4 => Value::Null,
+                w => Value::string(words[w as usize]),
+            },
+        ])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 128 })]
+
+        /// Extended windows fold a block at a time: windows of 0–300 rows
+        /// cross several blocks (and the request row may open a new one),
+        /// in both entry orders, with every family in one window and
+        /// expression and generic errors at random rows, in random
+        /// aggregate order. The answer — or the error — equals the
+        /// interpreter's fold of the same rows, in Debug form, and `probe`
+        /// runs once per 64 rows fed before the first failing row, the
+        /// request row included: as often as the row-at-a-time fold ran it.
+        #[test]
+        fn block_fold_equals_interpreter_across_blocks(
+            stored in proptest::collection::vec(
+                (proptest::prelude::any::<i64>(), 0u16..1_000),
+                0..301,
+            ),
+            rate in 0u16..30,
+            keep in 0usize..150,
+            request in (proptest::prelude::any::<bool>(), proptest::prelude::any::<i64>(), 0u16..1_000),
+            rotate in 0usize..64,
+        ) {
+            use openmldb_sql::functions::lookup;
+            use openmldb_sql::plan::PhysExpr;
+            use BinaryOp::*;
+
+            let codec = CompactCodec::new(schema());
+            // A row fails with probability `rate - 10` per mille (none for a
+            // third of the cases), in one of three ways.
+            let fail = |roll: u16| match roll < rate.saturating_sub(10) {
+                true => 1 + (roll % 3) as u8,
+                false => 0,
+            };
+            let rows: Vec<Row> = (stored.iter().enumerate())
+                .map(|(ts, &(bits, roll))| block_row(ts as i64, bits as u64, fail(roll)))
+                .collect();
+            let request = match request {
+                (true, bits, roll) => Some(block_row(rows.len() as i64, bits as u64, fail(roll))),
+                (false, ..) => None,
+            };
+            let req = request.as_ref().map(|r| r.values());
+            let (entries, arena) = arena_of(&rows, &codec);
+            let newest_first: Vec<ScanEntry> = entries.iter().rev().copied().collect();
+            // The newest `keep`% of the rows are in frame (all of them in a
+            // third of the cases).
+            let first = rows.len() - rows.len() * keep.min(100) / 100;
+
+            let abs_of = |e: PhysExpr| PhysExpr::ScalarCall {
+                func: lookup("abs").expect("builtin"),
+                args: vec![e],
+            };
+            let big = lit(Value::Bigint(i64::MAX - 1_000));
+            let mut aggs = vec![
+                agg("sum", 5, 0), agg("min", 2, 0), agg("max", 3, 0), agg("avg", 4, 0),
+                agg("stddev", 5, 0), agg("count", 2, 0), agg("sum", 3, 0),
+                agg("min", 6, 0), agg("max", 6, 0),
+                agg_of("sum", vec![bin(Mul, col(3), lit(Value::Bigint(3)))]),
+                agg_of("avg", vec![bin(Add, bin(Mul, col(5), lit(Value::Double(2.0))), lit(Value::Double(1.0)))]),
+                agg_of("max", vec![bin(Div, col(2), col(4))]),
+                agg("distinct_count", 5, 0), agg("distinct_count", 3, 0),
+                agg_of("topn_frequency", vec![col(6), lit(Value::Bigint(3))]),
+                agg_of("median", vec![col(5)]),
+                agg_of("sum", vec![abs_of(bin(Add, col(2), big))]),
+                agg_of("count_where", vec![col(6), bin(Gt, col(2), lit(Value::Int(0)))]),
+            ];
+            let turn = rotate % aggs.len();
+            aggs.rotate_left(turn);
+            let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+            let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
+            proptest::prop_assert!(wp.extended && wp.needs_view);
+
+            // The interpreter over the in-frame rows, ascending, then the
+            // request row; `clean` counts the rows it took before the first
+            // failing one.
+            let mut clean = 0usize;
+            let oracle = (|| -> Result<Vec<Value>> {
+                let mut set = WindowAggSet::new(&refs)?;
+                for e in &entries[first..] {
+                    set.update_view(&codec.view(e.bytes(&arena))?)?;
+                    clean += 1;
+                }
+                if let Some(r) = req {
+                    set.update(r)?;
+                    clean += 1;
+                }
+                Ok(set.outputs())
+            })();
+            let oracle = format!("{:?}", oracle);
+            for (order, entries) in [
+                (EntryOrder::Ascending, &entries),
+                (EntryOrder::ReversedScan, &newest_first),
+            ] {
+                let mut probes = 0usize;
+                let got = answer(
+                    &wp,
+                    |st| {
+                        let mut probe = || {
+                            probes += 1;
+                            Ok(())
+                        };
+                        wp.run(st, entries, first, order, &arena, req, &codec, &mut probe)
+                    },
+                    |st, out| wp.outputs_into(st, &arena, req, out),
+                );
+                proptest::prop_assert_eq!(&got, &oracle);
+                proptest::prop_assert_eq!(probes, clean / BLOCK, "{:?} over {} rows", order, clean);
             }
         }
     }

@@ -12,6 +12,12 @@
 //! `/explain/<deployment>` there, so this crate stays free of engine
 //! dependencies. Unknown paths 404; non-GET methods 405.
 //!
+//! One thread serves every connection, so a client gets one total
+//! deadline (`HEAD_DEADLINE`, 500 ms) to send its request head, however it
+//! trickles the bytes: a head longer than `MAX_HEAD` (2,048 bytes) is
+//! answered 431, a request line that is not `METHOD /path HTTP/x` 400, and
+//! a client still sending at the deadline 408.
+//!
 //! Under `obs-off` the listener is compiled out: [`serve`] returns
 //! `ErrorKind::Unsupported` and no socket is ever bound.
 
@@ -23,7 +29,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 #[cfg(not(feature = "obs-off"))]
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The longest request head (request line + headers) the responder reads.
+#[cfg(not(feature = "obs-off"))]
+const MAX_HEAD: usize = 2048;
+
+/// The total time one client gets to send its request head.
+#[cfg(not(feature = "obs-off"))]
+const HEAD_DEADLINE: Duration = Duration::from_millis(500);
 
 /// Route handler: maps a request path to a response, or `None` to 404.
 /// Consulted for every path without a built-in route.
@@ -51,8 +65,11 @@ impl OpsResponse {
     fn status_text(&self) -> &'static str {
         match self.status {
             200 => "OK",
+            400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
+            431 => "Request Header Fields Too Large",
             _ => "Error",
         }
     }
@@ -168,32 +185,76 @@ pub fn serve(addr: &str, handler: OpsHandler) -> io::Result<OpsServer> {
     ))
 }
 
+/// A plain-text error response.
+#[cfg(not(feature = "obs-off"))]
+fn refusal(status: u16, body: &str) -> OpsResponse {
+    OpsResponse {
+        status,
+        content_type: "text/plain",
+        body: format!("{body}\n"),
+    }
+}
+
+/// The method and path of a request line `METHOD /path HTTP/x`, or `None`
+/// when it is not one.
+#[cfg(not(feature = "obs-off"))]
+fn request_line(head: &[u8]) -> Option<(&str, &str)> {
+    let line = head.split(|&b| b == b'\n').next()?;
+    let line = std::str::from_utf8(line).ok()?.trim_end_matches('\r');
+    let mut parts = line.split(' ');
+    let (method, path, version) = (parts.next()?, parts.next()?, parts.next()?);
+    let well_formed = parts.next().is_none()
+        && !method.is_empty()
+        && method.bytes().all(|b| b.is_ascii_uppercase())
+        && path.starts_with('/')
+        && version.starts_with("HTTP/");
+    well_formed.then_some((method, path))
+}
+
+/// Read one request head into `head` within [`HEAD_DEADLINE`] in total,
+/// and answer it: routed, or refused (400 malformed, 408 too slow, 431 too
+/// long). A head ends at its blank line, or where the client stops sending.
+#[cfg(not(feature = "obs-off"))]
+fn answer(stream: &mut std::net::TcpStream, handler: &OpsHandler) -> io::Result<OpsResponse> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let mut head = [0u8; MAX_HEAD];
+    let mut len = 0usize;
+    while !head[..len].windows(4).any(|w| w == b"\r\n\r\n") {
+        if len == head.len() {
+            return Ok(refusal(431, "request head too large"));
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(refusal(408, "request head timed out"));
+        }
+        stream.set_read_timeout(Some(left))?;
+        match stream.read(&mut head[len..]) {
+            Ok(0) => break,
+            Ok(n) => len += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Ok(refusal(408, "request head timed out"));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(match request_line(&head[..len]) {
+        Some((method, path)) => route(method, path, handler),
+        None => refusal(400, "malformed request line"),
+    })
+}
+
 #[cfg(not(feature = "obs-off"))]
 fn handle_connection(mut stream: std::net::TcpStream, handler: &OpsHandler) -> io::Result<()> {
     // The accepted socket inherits the listener's non-blocking mode on some
     // platforms; serve the one request with bounded blocking reads instead.
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut head = [0u8; 2048];
-    let mut len = 0usize;
-    loop {
-        if len == head.len() {
-            break;
-        }
-        let n = stream.read(&mut head[len..])?;
-        if n == 0 {
-            break;
-        }
-        len += n;
-        if head[..len].windows(4).any(|w| w == b"\r\n\r\n") {
-            break;
-        }
-    }
-    let text = String::from_utf8_lossy(&head[..len]);
-    let mut parts = text.lines().next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("/");
-    let resp = route(method, path, handler);
+    stream.set_write_timeout(Some(HEAD_DEADLINE))?;
+    let resp = answer(&mut stream, handler)?;
     let headers = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         resp.status,
@@ -232,6 +293,97 @@ mod tests {
         let r = route("GET", "/healthz", &handler);
         assert_eq!(r.status, 200);
         assert_eq!(r.body, "{\"ok\":true}");
+    }
+
+    /// Send `bytes` to `addr` and read the answer's status code (0: the
+    /// connection closed without one).
+    #[cfg(not(feature = "obs-off"))]
+    fn status_of(addr: SocketAddr, bytes: &[u8]) -> u16 {
+        use std::io::{Read as _, Write as _};
+        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+        conn.write_all(bytes).expect("write");
+        let mut raw = String::new();
+        let _ = conn.read_to_string(&mut raw);
+        raw.split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0)
+    }
+
+    #[test]
+    #[cfg(not(feature = "obs-off"))]
+    fn request_lines_parse_or_are_malformed() {
+        assert_eq!(
+            request_line(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"),
+            Some(("GET", "/healthz"))
+        );
+        for bad in [
+            &b""[..],
+            b"\r\n\r\n",
+            b"GET\r\n\r\n",
+            b"GET /healthz\r\n\r\n",
+            b"GET healthz HTTP/1.1\r\n\r\n",
+            b"get /healthz HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1 extra\r\n\r\n",
+            b"GET /healthz FTP/1.1\r\n\r\n",
+            b"GET /\xff\xfe HTTP/1.1\r\n\r\n",
+        ] {
+            assert_eq!(
+                request_line(bad),
+                None,
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+    }
+
+    /// Hostile clients of the one-thread responder: an over-long head is
+    /// 431, a garbage request line 400, and a client trickling one byte
+    /// every 100 ms holds the responder for at most [`HEAD_DEADLINE`] in
+    /// total, so a second client's `/healthz` is answered within it.
+    #[test]
+    #[cfg(not(feature = "obs-off"))]
+    #[cfg_attr(miri, ignore)]
+    fn hostile_heads_are_refused_and_a_trickle_cannot_hold_the_responder() {
+        use std::io::Write as _;
+        use std::time::{Duration, Instant};
+        let handler: OpsHandler = Arc::new(|path| {
+            (path == "/healthz").then(|| OpsResponse::ok("application/json", "{}".into()))
+        });
+        let mut server = serve("127.0.0.1:0", handler).expect("bind");
+        let addr = server.addr();
+
+        let mut long = b"GET /healthz HTTP/1.1\r\nX: ".to_vec();
+        long.resize(MAX_HEAD + 100, b'a');
+        assert_eq!(status_of(addr, &long), 431);
+        assert_eq!(status_of(addr, b"\x16\x03\x01garbage\r\n\r\n"), 400);
+        assert_eq!(status_of(addr, b"GET /healthz HTTP/1.1\r\n\r\n"), 200);
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+                for b in b"GET /healthz HTTP/1.1\r\nX: ".iter().cycle().take(50) {
+                    if stop.load(Ordering::Relaxed) || conn.write_all(&[*b]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        };
+        // Let the responder pick the trickling connection up first.
+        std::thread::sleep(Duration::from_millis(150));
+        let started = Instant::now();
+        assert_eq!(status_of(addr, b"GET /healthz HTTP/1.1\r\n\r\n"), 200);
+        let waited = started.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        trickle.join().expect("trickle");
+        server.shutdown();
+        assert!(
+            waited < HEAD_DEADLINE * 2,
+            "second client waited {waited:?}"
+        );
     }
 
     #[test]

@@ -100,7 +100,9 @@ impl FlushTrigger {
 pub struct CompositeKey {
     pub cf: u32,
     pub key: String,
-    /// Stored negated so the natural ascending order is newest-first.
+    /// Stored bit-inverted (`!ts`, which reverses the order of every
+    /// `i64`, `i64::MIN` included) so the natural ascending order is
+    /// newest-first.
     neg_ts: i64,
     pub seq: u64,
 }
@@ -110,13 +112,13 @@ impl CompositeKey {
         CompositeKey {
             cf,
             key,
-            neg_ts: -ts,
+            neg_ts: !ts,
             seq,
         }
     }
 
     pub fn ts(&self) -> i64 {
-        -self.neg_ts
+        !self.neg_ts
     }
 }
 
@@ -265,7 +267,7 @@ impl DiskEngine {
         // Runs: binary-search each run for the key's slice.
         for run in self.cfs[cf as usize].runs.read().iter() {
             let start = run.partition_point(|(k, _)| {
-                (k.cf, k.key.as_str(), k.neg_ts) < (cf, rendered.as_str(), -upper_ts)
+                (k.cf, k.key.as_str(), k.neg_ts) < (cf, rendered.as_str(), !upper_ts)
             });
             for (k, v) in &run[start..] {
                 if k.cf != cf || k.key != rendered || k.ts() < lower_ts {

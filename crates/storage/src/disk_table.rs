@@ -257,9 +257,7 @@ impl DiskTable {
     pub const DEFAULT_FLUSH_THRESHOLD: usize = 64 * 1024;
 
     pub fn new(name: impl Into<Arc<str>>, schema: Schema, indexes: Vec<IndexSpec>) -> Result<Self> {
-        if indexes.is_empty() {
-            return Err(Error::Storage("a table needs at least one index".into()));
-        }
+        IndexSpec::check_all(&indexes, &schema)?;
         let cfs = indexes
             .iter()
             .map(|spec| ColumnFamilySpec {

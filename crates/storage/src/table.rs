@@ -46,6 +46,35 @@ pub struct IndexSpec {
     pub ttl: Ttl,
 }
 
+impl IndexSpec {
+    /// Refuse a table's indexes unless there is at least one and every
+    /// column each names lies inside `schema`.
+    pub(crate) fn check_all(indexes: &[IndexSpec], schema: &Schema) -> Result<()> {
+        if indexes.is_empty() {
+            return Err(Error::Storage("a table needs at least one index".into()));
+        }
+        for idx in indexes {
+            for &c in &idx.key_cols {
+                if c >= schema.len() {
+                    return Err(Error::Storage(format!(
+                        "index `{}` key column {c} out of range",
+                        idx.name
+                    )));
+                }
+            }
+            if let Some(ts) = idx.ts_col {
+                if ts >= schema.len() {
+                    return Err(Error::Storage(format!(
+                        "index `{}` ts column {ts} out of range",
+                        idx.name
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Heap bytes the allocator adds to one more allocation: its chunk header
 /// plus the mean padding to its granularity.
 const ALLOC_SLACK: usize = heap_bytes(16) - 16;
@@ -102,27 +131,7 @@ impl MemTable {
     /// Create a table. At least one index is required; an index without a
     /// ts column orders entries by insertion (ts = watermark).
     pub fn new(name: impl Into<Arc<str>>, schema: Schema, indexes: Vec<IndexSpec>) -> Result<Self> {
-        if indexes.is_empty() {
-            return Err(Error::Storage("a table needs at least one index".into()));
-        }
-        for idx in &indexes {
-            for &c in &idx.key_cols {
-                if c >= schema.len() {
-                    return Err(Error::Storage(format!(
-                        "index `{}` key column {c} out of range",
-                        idx.name
-                    )));
-                }
-            }
-            if let Some(ts) = idx.ts_col {
-                if ts >= schema.len() {
-                    return Err(Error::Storage(format!(
-                        "index `{}` ts column {ts} out of range",
-                        idx.name
-                    )));
-                }
-            }
-        }
+        IndexSpec::check_all(&indexes, &schema)?;
         Ok(MemTable {
             name: name.into(),
             codec: CompactCodec::new(schema.clone()),

@@ -481,39 +481,34 @@ impl<'a> RowView<'a> {
         if self.is_null(i) {
             return Ok(ValueRef::Null);
         }
-        let buf = self.buf;
+        let (buf, layout) = (self.buf, &self.layout);
+        let outside = || Error::Codec(format!("column {i} outside the row"));
         if col.data_type == DataType::String {
-            let vi = self.codec.var_pos[i];
-            let end = self.layout.read_offset(buf, vi);
-            let start = if vi == 0 {
-                0
-            } else {
-                self.layout.read_offset(buf, vi - 1)
+            let vi = *self.codec.var_pos.get(i).ok_or_else(outside)?;
+            let end = layout.read_offset(buf, vi);
+            let start = match vi.checked_sub(1) {
+                Some(prev) => layout.read_offset(buf, prev),
+                None => 0,
             };
             let bytes = buf
-                .get(self.layout.data_start + start..self.layout.data_start + end)
+                .get(layout.data_start + start..layout.data_start + end)
                 .ok_or_else(|| Error::Codec("string offset out of bounds".into()))?;
             let s = std::str::from_utf8(bytes)
                 .map_err(|e| Error::Codec(format!("invalid UTF-8: {e}")))?;
             return Ok(ValueRef::Str(s));
         }
-        let at = self.layout.fixed_start + self.codec.fixed_offsets[i];
+        let at = layout.fixed_start + self.codec.fixed_offsets.get(i).ok_or_else(outside)?;
+        let field = buf.get(at..).ok_or_else(outside)?;
+        let b4 = || field.first_chunk::<4>().copied().ok_or_else(outside);
+        let b8 = || field.first_chunk::<8>().copied().ok_or_else(outside);
         Ok(match col.data_type {
-            DataType::Bool => ValueRef::Bool(buf[at] != 0),
-            DataType::Int => ValueRef::Int(i32::from_le_bytes(buf[at..at + 4].try_into().unwrap())),
-            DataType::Float => {
-                ValueRef::Float(f32::from_le_bytes(buf[at..at + 4].try_into().unwrap()))
-            }
-            DataType::Bigint => {
-                ValueRef::Bigint(i64::from_le_bytes(buf[at..at + 8].try_into().unwrap()))
-            }
-            DataType::Timestamp => {
-                ValueRef::Timestamp(i64::from_le_bytes(buf[at..at + 8].try_into().unwrap()))
-            }
-            DataType::Double => {
-                ValueRef::Double(f64::from_le_bytes(buf[at..at + 8].try_into().unwrap()))
-            }
-            DataType::String => unreachable!("handled above"),
+            DataType::Bool => ValueRef::Bool(*field.first().ok_or_else(outside)? != 0),
+            DataType::Int => ValueRef::Int(i32::from_le_bytes(b4()?)),
+            DataType::Float => ValueRef::Float(f32::from_le_bytes(b4()?)),
+            DataType::Bigint => ValueRef::Bigint(i64::from_le_bytes(b8()?)),
+            DataType::Timestamp => ValueRef::Timestamp(i64::from_le_bytes(b8()?)),
+            DataType::Double => ValueRef::Double(f64::from_le_bytes(b8()?)),
+            DataType::String => return Err(outside()),
         })
     }
 
