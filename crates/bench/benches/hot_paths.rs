@@ -25,6 +25,7 @@ use openmldb_sql::ast::Frame;
 use openmldb_sql::functions::lookup;
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
 use openmldb_sql::{Catalog, PlanCache};
+use openmldb_storage::sync::epoch;
 use openmldb_storage::TimeList;
 use openmldb_types::{
     CompactCodec, DataType, KeyValue, Row, RowCodec, Schema, UnsafeRowCodec, Value,
@@ -145,7 +146,14 @@ fn skiplist(c: &mut Criterion) {
     }
     g.bench_function("timelist_latest", |b| b.iter(|| list.latest().unwrap()));
     g.bench_function("timelist_range_1000", |b| {
-        b.iter(|| list.range(9_000, 9_999))
+        b.iter(|| {
+            let mut bytes = 0;
+            list.range_visit(9_000, 9_999, &epoch::pin(), |_, data| {
+                bytes += data.len();
+                true
+            });
+            bytes
+        })
     });
     g.finish();
 }

@@ -215,24 +215,6 @@ impl Aggregator for AvgCateAgg {
         Value::string(joined)
     }
 
-    fn partial_state(&self) -> Option<AggState> {
-        Some(AggState::CateSums(self.sums.clone()))
-    }
-
-    fn merge_state(&mut self, state: &AggState) -> Result<()> {
-        let AggState::CateSums(m) = state else {
-            return Err(Error::Eval(
-                "cate aggregate expects a CateSums partial state".into(),
-            ));
-        };
-        for (k, (s, c)) in m {
-            let entry = self.sums.entry(k.clone()).or_insert((0.0, 0));
-            entry.0 += s;
-            entry.1 += c;
-        }
-        Ok(())
-    }
-
     fn reset(&mut self) {
         self.sums.clear();
     }
@@ -268,22 +250,6 @@ impl Aggregator for GeoGridCountAgg {
 
     fn output(&self) -> Value {
         Value::Bigint(self.cells.len() as i64)
-    }
-
-    fn partial_state(&self) -> Option<AggState> {
-        Some(AggState::Counts(self.cells.clone()))
-    }
-
-    fn merge_state(&mut self, state: &AggState) -> Result<()> {
-        let AggState::Counts(m) = state else {
-            return Err(Error::Eval(
-                "geo_grid_count expects a Counts partial state".into(),
-            ));
-        };
-        for (k, c) in m {
-            *self.cells.entry(k.clone()).or_insert(0) += c;
-        }
-        Ok(())
     }
 
     fn reset(&mut self) {

@@ -65,8 +65,6 @@ pub enum AggState {
     Counts(HashMap<KeyValue, u64>),
     /// Ordered value multiset (min/max/median keep real values).
     ValueCounts(Vec<(Value, u64)>),
-    /// Category → (sum, count).
-    CateSums(HashMap<KeyValue, (f64, i64)>),
 }
 
 /// `Value` wrapper ordered by [`Value::total_cmp`], for multiset-backed

@@ -8,16 +8,16 @@
 //! [`crate::skew`]) into one row-major buffer of aggregates, then runs each
 //! base row's LAST JOINs, WHERE and select list — the online scalar VM's
 //! programs — over just the columns they read, decoded straight from the
-//! snapshot's bytes. The LAST JOIN residual is the one tree-walk
-//! `evaluate` left, the same call a request makes. The entry points over
-//! decoded [`Tables`] ([`execute_batch`], [`sweep_window`],
+//! snapshot's bytes; a LAST JOIN residual runs as the compiled
+//! [`Program::join_residual`], the same program a request runs. The entry
+//! points over decoded [`Tables`] ([`execute_batch`], [`sweep_window`],
 //! [`crate::compute_windows`]) encode their input once and run the same
 //! path.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use openmldb_exec::{evaluate, specialize, Program};
+use openmldb_exec::{specialize, ExprProgram, Program};
 use openmldb_sql::plan::{BoundWindow, CompiledQuery};
 use openmldb_types::{Error, KeyValue, Result, Row, RowBatch, Value};
 
@@ -98,13 +98,14 @@ pub fn execute(query: &CompiledQuery, snap: &Snapshot, opts: &OfflineOptions) ->
         combined.clear();
         combined.resize(wanted.len(), Value::Null);
         snap.decode(base, id, &wanted, &mut combined[..query.base_schema.len()])?;
-        for (join, (table, lookup)) in query.joins.iter().zip(&joins) {
+        for (j, (join, (table, lookup))) in query.joins.iter().zip(&joins).enumerate() {
             let key: Vec<KeyValue> = join
                 .eq_pairs
                 .iter()
                 .map(|p| (&combined[p.0]).into())
                 .collect();
             let span = join.offset..join.offset + join.schema.len();
+            let residual = program.join_residual(j);
             // The newest candidate the residual accepts — tried on the row
             // so far, its errors counting as no match, as a request does.
             let mut hit = false;
@@ -112,9 +113,8 @@ pub fn execute(query: &CompiledQuery, snap: &Snapshot, opts: &OfflineOptions) ->
                 let (want, dest) = (&wanted[span.clone()], &mut combined[span.clone()]);
                 snap.decode(table, cand, want, dest)?;
                 let probe = &combined[..span.end];
-                let accepts =
-                    |p| matches!(evaluate(p, probe, &[]).and_then(|v| v.as_bool()), Ok(true));
-                hit = join.residual.as_ref().is_none_or(accepts);
+                let accepts = |p: &ExprProgram| p.eval(probe, &[], &mut stack)?.as_bool();
+                hit = residual.map_or(Ok(true), accepts).unwrap_or(false);
                 if hit {
                     break;
                 }

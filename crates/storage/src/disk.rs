@@ -93,9 +93,10 @@ impl FlushTrigger {
 }
 
 /// Composite key: column family, rendered partition key, timestamp
-/// (descending), and a uniquifier. Ordering groups a CF's keys together and
-/// each key's entries newest-first — exactly the RocksDB key layout the
-/// paper describes.
+/// (descending), and the write sequence number (descending). Ordering
+/// groups a CF's keys together and each key's entries newest-first — the
+/// RocksDB key layout the paper describes — with equal timestamps newest
+/// insert first, the order a [`TimeList`](crate::TimeList) keeps.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CompositeKey {
     pub cf: u32,
@@ -104,7 +105,8 @@ pub struct CompositeKey {
     /// `i64`, `i64::MIN` included) so the natural ascending order is
     /// newest-first.
     neg_ts: i64,
-    pub seq: u64,
+    /// `!seq`, inverted for the same reason: a later write sorts first.
+    neg_seq: u64,
 }
 
 impl CompositeKey {
@@ -113,7 +115,7 @@ impl CompositeKey {
             cf,
             key,
             neg_ts: !ts,
-            seq,
+            neg_seq: !seq,
         }
     }
 
@@ -239,7 +241,8 @@ impl DiskEngine {
     }
 
     /// Entries for `key` in `cf` with `lower_ts <= ts <= upper_ts`, newest
-    /// first — merging memtable and all runs.
+    /// first (equal timestamps: latest write first) — merging memtable and
+    /// all runs.
     pub fn range(
         &self,
         cf: u32,
@@ -247,29 +250,28 @@ impl DiskEngine {
         lower_ts: i64,
         upper_ts: i64,
     ) -> Result<Vec<(i64, Arc<[u8]>)>> {
-        self.check_cf(cf)?;
+        let family = self.check_cf(cf)?;
         let rendered = render_key(key);
         let mut hits: Vec<(CompositeKey, Arc<[u8]>)> = Vec::new();
 
-        // Memtable: walk from (cf, key, upper_ts, 0) while matching.
-        let from = CompositeKey::new(cf, rendered.clone(), upper_ts, 0);
+        // Memtable: walk from (cf, key, upper_ts, newest write) while
+        // matching.
+        let from = CompositeKey::new(cf, rendered.clone(), upper_ts, u64::MAX);
         let memtable = self.memtable.read().clone();
         memtable.range_for_each(&from, |k, v| {
             if k.cf != cf || k.key != rendered || k.ts() < lower_ts {
                 return false;
             }
-            if k.ts() <= upper_ts {
-                hits.push((k.clone(), v.clone()));
-            }
+            hits.push((k.clone(), v.clone()));
             true
         });
 
         // Runs: binary-search each run for the key's slice.
-        for run in self.cfs[cf as usize].runs.read().iter() {
+        for run in family.runs.read().iter() {
             let start = run.partition_point(|(k, _)| {
                 (k.cf, k.key.as_str(), k.neg_ts) < (cf, rendered.as_str(), !upper_ts)
             });
-            for (k, v) in &run[start..] {
+            for (k, v) in run.iter().skip(start) {
                 if k.cf != cf || k.key != rendered || k.ts() < lower_ts {
                     break;
                 }
@@ -280,11 +282,6 @@ impl DiskEngine {
         // Merge newest-first across sources.
         hits.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(hits.into_iter().map(|(k, v)| (k.ts(), v)).collect())
-    }
-
-    /// The newest entry for `key` in `cf`.
-    pub fn latest(&self, cf: u32, key: &[KeyValue]) -> Result<Option<(i64, Arc<[u8]>)>> {
-        Ok(self.range(cf, key, i64::MIN, i64::MAX)?.into_iter().next())
     }
 
     /// Evict out-of-date entries from every CF per its TTL, relative to
@@ -386,7 +383,7 @@ mod tests {
         e.put(1, &key(1), 20, val(2)).unwrap();
         assert_eq!(e.range(0, &key(1), 0, 100).unwrap().len(), 1);
         assert_eq!(e.range(1, &key(1), 0, 100).unwrap().len(), 1);
-        assert_eq!(e.latest(1, &key(1)).unwrap().unwrap().0, 20);
+        assert_eq!(e.range(1, &key(1), i64::MIN, i64::MAX).unwrap()[0].0, 20);
         assert!(e.put(7, &key(1), 0, val(0)).is_err());
     }
 
@@ -412,6 +409,21 @@ mod tests {
         let d = CompositeKey::new(0, "b".into(), 100, 0);
         assert!(c < d, "grouped by key before ts");
         assert_eq!(a.ts(), 100);
+        let later = CompositeKey::new(0, "k".into(), 100, 7);
+        assert!(later < a, "equal ts: the later write sorts first");
+    }
+
+    /// Equal timestamps come back latest write first, whether the rows sit
+    /// in the memtable, in runs, or straddle a flush.
+    #[test]
+    fn equal_timestamps_read_latest_write_first() {
+        let e = engine(3); // flushes after the third entry
+        for v in 0..5 {
+            e.put(0, &key(1), 100, val(v)).unwrap();
+        }
+        let hits = e.range(0, &key(1), 100, 100).unwrap();
+        let order: Vec<u8> = hits.iter().map(|(_, v)| v[0]).collect();
+        assert_eq!(order, [4, 3, 2, 1, 0]);
     }
 
     /// Regression for the flush-trigger check-then-act race: many writers

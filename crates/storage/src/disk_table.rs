@@ -1,12 +1,14 @@
-//! Disk-backed table (paper Sections 7.3 and 8.1).
+//! The storage access surface and the disk-backed table (paper Sections
+//! 7.3 and 8.1).
 //!
+//! [`DataTable`] is what both execution engines read through: a backend
+//! implements one row walk, and every keyed read is written once above it.
 //! When a table's estimated memory exceeds what is available — or a
 //! 20–30 ms latency budget makes the ~80% hardware saving attractive — the
 //! table is assigned to the disk engine instead of the in-memory skiplist.
-//! [`DiskTable`] offers the same access paths as [`MemTable`]
-//! (via the [`DataTable`] trait) on top of [`DiskEngine`]: one column family
-//! per index, a shared skiplist memtable, composite `key+ts` ordering, and
-//! time-based eviction.
+//! [`DiskTable`] offers the same access paths as [`MemTable`](crate::MemTable)
+//! on top of [`DiskEngine`]: one column family per index, a shared skiplist
+//! memtable, composite `key+ts` ordering, and time-based eviction.
 
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -17,7 +19,7 @@ use crate::binlog::Replicator;
 use crate::disk::{ColumnFamilySpec, DiskEngine};
 use crate::scan::ScanRow;
 use crate::sync::epoch::{self, Guard};
-use crate::table::{IndexSpec, MemTable, Ttl};
+use crate::table::{IndexSpec, Ttl};
 
 /// Which storage engine backs a table (Section 8.1 placement).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,9 +32,16 @@ pub enum Backend {
 pub type RowVisitor<'a> = dyn FnMut(&[KeyValue], i64, &[u8]) -> Result<()> + 'a;
 
 /// The storage interface both execution engines read through — implemented
-/// by the in-memory [`MemTable`] and the disk-backed [`DiskTable`], so a
+/// by the in-memory [`MemTable`](crate::MemTable) and the disk-backed [`DiskTable`], so a
 /// deployment works unchanged whichever engine a table was assigned to
 /// (Section 8.1's estimation-guided placement).
+///
+/// A backend implements one row walk ([`DataTable::walk_rows`]), its full
+/// scan ([`DataTable::scan_rows`]) and [`DataTable::codec`]; every keyed
+/// read is written once over the walk, so both backends answer each of
+/// them alike — equal timestamps included, newest insert first — and
+/// record the same events: a head read (`latest*`) one seek, a ranged read
+/// one seek and one scan of the rows it visited.
 pub trait DataTable: Send + Sync {
     fn name(&self) -> &str;
     fn backend(&self) -> Backend;
@@ -40,11 +49,50 @@ pub trait DataTable: Send + Sync {
     /// working set is bounded by the shared memtable.
     fn set_max_memory_bytes(&self, limit: usize);
     fn schema(&self) -> &Schema;
+    /// The codec the stored rows are encoded with.
+    fn codec(&self) -> &CompactCodec;
     fn replicator(&self) -> &Arc<Replicator>;
     fn index_specs(&self) -> Vec<IndexSpec>;
     fn find_index(&self, key_cols: &[usize], ts_col: Option<usize>) -> Option<usize>;
     fn put(&self, row: &Row) -> Result<u64>;
-    fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>>;
+    /// The row walk: seek `key` on index `index_id` — the backend's chaos
+    /// hook and one seek event — then visit its rows with
+    /// `lower_ts <= ts <= upper_ts` newest first (equal timestamps: newest
+    /// insert first), at most `limit` of them, while `visitor` returns
+    /// `true`. Returns the rows visited, the one `visitor` stopped on
+    /// included; records no scan. A backend that holds its rows in memory
+    /// lends them for the caller's pin `guard` ([`ScanRow::Pinned`]); one
+    /// that reads them for the visit ([`DiskTable`]'s block reads) lends
+    /// [`ScanRow::Transient`].
+    #[allow(clippy::too_many_arguments)]
+    fn walk_rows<'g>(
+        &'g self,
+        guard: &'g Guard,
+        index_id: usize,
+        key: &[KeyValue],
+        lower_ts: i64,
+        upper_ts: i64,
+        limit: Option<usize>,
+        visitor: &mut dyn FnMut(i64, ScanRow<'g, '_>) -> bool,
+    ) -> Result<u64>;
+    /// Every stored row of index `index_id`: per key, newest first, as
+    /// `(key, ts, encoded bytes)` — in the order [`DataTable::walk_rows`]
+    /// visits that key's rows. The offline snapshot reads tables through
+    /// this; the first error stops the walk and is returned.
+    fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()>;
+    fn gc(&self, now_ms: i64) -> usize;
+    fn mem_used(&self) -> usize;
+    fn row_count(&self) -> usize;
+
+    /// The newest row for `key`, decoded.
+    fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
+        let mut row = None;
+        self.latest_visit(index_id, key, &mut |data| {
+            row = Some(self.codec().decode(data)?);
+            Ok(())
+        })?;
+        Ok(row)
+    }
     /// [`DataTable::latest`] without the decode: hand the newest entry's
     /// encoded bytes for `key` to `visitor` and report whether there was
     /// one. The LAST JOIN head read of the streaming request path.
@@ -53,14 +101,38 @@ pub trait DataTable: Send + Sync {
         index_id: usize,
         key: &[KeyValue],
         visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<bool>;
+    ) -> Result<bool> {
+        let mut visited = Ok(());
+        let mut head = |_, row: ScanRow<'_, '_>| {
+            visited = visitor(row.bytes());
+            false
+        };
+        let pin = epoch::pin();
+        let found = self.walk_rows(&pin, index_id, key, i64::MIN, i64::MAX, None, &mut head)?;
+        visited.map(|()| found > 0)
+    }
+    /// The newest row for `key` with ts ≤ `upper_ts` (when given) that
+    /// satisfies `pred`.
     fn latest_where(
         &self,
         index_id: usize,
         key: &[KeyValue],
         upper_ts: Option<i64>,
         pred: &mut dyn FnMut(&Row) -> bool,
-    ) -> Result<Option<Row>>;
+    ) -> Result<Option<Row>> {
+        let mut found = Ok(None);
+        let mut matching = |_, row: ScanRow<'_, '_>| {
+            let decoded = self.codec().decode(row.bytes());
+            found = decoded.map(|r| pred(&r).then_some(r));
+            matches!(found, Ok(None))
+        };
+        let (pin, upper) = (epoch::pin(), upper_ts.unwrap_or(i64::MAX));
+        self.walk_rows(&pin, index_id, key, i64::MIN, upper, None, &mut matching)?;
+        found
+    }
+    /// Rows for `key` with `lower_ts <= ts <= upper_ts`, newest first,
+    /// decoding only the columns marked in `wanted` (all when `None`) —
+    /// the Section 7.1 offset fast path.
     fn range_projected(
         &self,
         index_id: usize,
@@ -68,7 +140,11 @@ pub trait DataTable: Send + Sync {
         lower_ts: i64,
         upper_ts: i64,
         wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>>;
+    ) -> Result<Vec<(i64, Row)>> {
+        decode_window(self, index_id, key, (lower_ts, upper_ts), None, wanted)
+    }
+    /// The newest `limit` rows for `key` with ts ≤ `upper_ts`, newest first,
+    /// projected as [`DataTable::range_projected`].
     fn latest_n_projected(
         &self,
         index_id: usize,
@@ -76,13 +152,12 @@ pub trait DataTable: Send + Sync {
         upper_ts: i64,
         limit: usize,
         wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>>;
-    /// Seek-then-iterate window scan: stream encoded entries with
-    /// `lower_ts <= ts <= upper_ts` to `visitor` newest first, stopping
-    /// after `limit` entries (when given) or when the visitor returns
-    /// `false`. The zero-materialization path under the streaming
-    /// scan→aggregate pipeline; chaos/obs hooks fire as on the
-    /// materializing scans.
+    ) -> Result<Vec<(i64, Row)>> {
+        let bounds = (i64::MIN, upper_ts);
+        decode_window(self, index_id, key, bounds, Some(limit), wanted)
+    }
+    /// [`DataTable::scan_window_pinned`] under a pin of its own, each row's
+    /// bytes lent for its visit.
     fn scan_window(
         &self,
         index_id: usize,
@@ -91,14 +166,15 @@ pub trait DataTable: Send + Sync {
         upper_ts: i64,
         limit: Option<usize>,
         visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
-    ) -> Result<()>;
-    /// [`DataTable::scan_window`] under the caller's epoch pin `guard`. A
-    /// backend that holds its rows in memory lends them for the pin
-    /// ([`ScanRow::Pinned`]: borrows of the stored bytes, valid while the
-    /// table and the pin are), so the caller folds them in place after the
-    /// scan. The default — a backend with no in-memory row to lend, like
-    /// [`DiskTable`]'s block reads — lends each row for its visit only
-    /// ([`ScanRow::Transient`]); the caller copies what it keeps.
+    ) -> Result<()> {
+        let mut visit = |ts, row: ScanRow<'_, '_>| visitor(ts, row.bytes());
+        let pin = epoch::pin();
+        self.scan_window_pinned(&pin, index_id, key, lower_ts, upper_ts, limit, &mut visit)
+    }
+    /// Seek-then-iterate window scan under the caller's epoch pin `guard`:
+    /// [`DataTable::walk_rows`] plus one scan event of the rows it visited.
+    /// The zero-materialization path under the streaming scan→aggregate
+    /// pipeline — pinned rows are folded in place after the scan.
     #[allow(clippy::too_many_arguments)]
     fn scan_window_pinned<'g>(
         &'g self,
@@ -110,134 +186,42 @@ pub trait DataTable: Send + Sync {
         limit: Option<usize>,
         visitor: &mut dyn FnMut(i64, ScanRow<'g, '_>) -> bool,
     ) -> Result<()> {
-        let _ = guard;
-        self.scan_window(index_id, key, lower_ts, upper_ts, limit, &mut |ts, data| {
-            visitor(ts, ScanRow::Transient(data))
-        })
+        let visited = self.walk_rows(guard, index_id, key, lower_ts, upper_ts, limit, visitor)?;
+        crate::metrics::note_scan(index_id, visited);
+        Ok(())
     }
-    /// Every stored row of index `index_id`: per key, newest first, as
-    /// `(key, ts, encoded bytes)` — in the order [`DataTable::scan_window`]
-    /// yields that key's rows. The offline snapshot reads tables through
-    /// this; the first error stops the walk and is returned.
-    fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()>;
     /// [`DataTable::scan_rows`], decoded.
     fn scan_all(&self, index_id: usize) -> Result<Vec<Row>> {
-        let codec = CompactCodec::new(self.schema().clone());
         let mut rows = Vec::with_capacity(self.row_count());
         self.scan_rows(index_id, &mut |_, _, data| {
-            rows.push(codec.decode(data)?);
+            rows.push(self.codec().decode(data)?);
             Ok(())
         })?;
         Ok(rows)
     }
-    fn gc(&self, now_ms: i64) -> usize;
-    fn mem_used(&self) -> usize;
-    fn row_count(&self) -> usize;
 }
 
-impl DataTable for MemTable {
-    fn name(&self) -> &str {
-        MemTable::name(self)
-    }
-    fn backend(&self) -> Backend {
-        Backend::Memory
-    }
-    fn set_max_memory_bytes(&self, limit: usize) {
-        MemTable::set_max_memory_bytes(self, limit)
-    }
-    fn schema(&self) -> &Schema {
-        MemTable::schema(self)
-    }
-    fn replicator(&self) -> &Arc<Replicator> {
-        MemTable::replicator(self)
-    }
-    fn index_specs(&self) -> Vec<IndexSpec> {
-        MemTable::index_specs(self)
-    }
-    fn find_index(&self, key_cols: &[usize], ts_col: Option<usize>) -> Option<usize> {
-        MemTable::find_index(self, key_cols, ts_col)
-    }
-    fn put(&self, row: &Row) -> Result<u64> {
-        MemTable::put(self, row)
-    }
-    fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
-        MemTable::latest(self, index_id, key)
-    }
-    fn latest_visit(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<bool> {
-        MemTable::latest_visit(self, index_id, key, visitor)
-    }
-    fn latest_where(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: Option<i64>,
-        pred: &mut dyn FnMut(&Row) -> bool,
-    ) -> Result<Option<Row>> {
-        MemTable::latest_where(self, index_id, key, upper_ts, pred)
-    }
-    fn range_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        lower_ts: i64,
-        upper_ts: i64,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        MemTable::range_projected(self, index_id, key, lower_ts, upper_ts, wanted)
-    }
-    fn latest_n_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: i64,
-        limit: usize,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        MemTable::latest_n_projected(self, index_id, key, upper_ts, limit, wanted)
-    }
-    fn scan_window(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        lower_ts: i64,
-        upper_ts: i64,
-        limit: Option<usize>,
-        visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
-    ) -> Result<()> {
-        let (lower, upper, pin) = (lower_ts, upper_ts, epoch::pin());
-        MemTable::scan_window(self, &pin, index_id, key, lower, upper, limit, visitor)
-    }
-    fn scan_window_pinned<'g>(
-        &'g self,
-        guard: &'g Guard,
-        index_id: usize,
-        key: &[KeyValue],
-        lower_ts: i64,
-        upper_ts: i64,
-        limit: Option<usize>,
-        visitor: &mut dyn FnMut(i64, ScanRow<'g, '_>) -> bool,
-    ) -> Result<()> {
-        let (lower, upper) = (lower_ts, upper_ts);
-        let visit = |ts, data| visitor(ts, ScanRow::Pinned(data));
-        MemTable::scan_window(self, guard, index_id, key, lower, upper, limit, visit)
-    }
-    fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
-        MemTable::scan_rows(self, index_id, visitor)
-    }
-    fn gc(&self, now_ms: i64) -> usize {
-        MemTable::gc(self, now_ms)
-    }
-    fn mem_used(&self) -> usize {
-        MemTable::mem_used(self)
-    }
-    fn row_count(&self) -> usize {
-        MemTable::row_count(self)
-    }
+/// The ranged reads' body: the rows of one window scan over `table`,
+/// `(lower_ts, upper_ts)`, decoded; the first decode error stops the scan.
+fn decode_window<T: DataTable + ?Sized>(
+    table: &T,
+    index_id: usize,
+    key: &[KeyValue],
+    (lower_ts, upper_ts): (i64, i64),
+    limit: Option<usize>,
+    wanted: Option<&[bool]>,
+) -> Result<Vec<(i64, Row)>> {
+    let (mut rows, mut failed) = (Vec::new(), Ok(()));
+    let mut decode = |ts, row: ScanRow<'_, '_>| {
+        match table.codec().decode_projected(row.bytes(), wanted) {
+            Ok(row) => rows.push((ts, row)),
+            Err(e) => failed = Err(e),
+        }
+        failed.is_ok()
+    };
+    let pin = epoch::pin();
+    table.scan_window_pinned(&pin, index_id, key, lower_ts, upper_ts, limit, &mut decode)?;
+    failed.map(|()| rows)
 }
 
 /// A disk-engine-backed table with the MemTable access surface.
@@ -310,6 +294,10 @@ impl DataTable for DiskTable {
         &self.schema
     }
 
+    fn codec(&self) -> &CompactCodec {
+        &self.codec
+    }
+
     fn replicator(&self) -> &Arc<Replicator> {
         &self.replicator
     }
@@ -351,113 +339,31 @@ impl DataTable for DiskTable {
         ))
     }
 
-    fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
-        let mut row = None;
-        self.latest_visit(index_id, key, &mut |data| {
-            row = Some(self.codec.decode(data)?);
-            Ok(())
-        })?;
-        Ok(row)
-    }
-
-    fn latest_visit(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<bool> {
-        crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek(index_id);
-        match self.engine.latest(index_id as u32, key)? {
-            Some((_, data)) => visitor(&data).map(|()| true),
-            None => Ok(false),
-        }
-    }
-
-    fn latest_where(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: Option<i64>,
-        pred: &mut dyn FnMut(&Row) -> bool,
-    ) -> Result<Option<Row>> {
-        crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek(index_id);
-        let upper = upper_ts.unwrap_or(i64::MAX);
-        for (_ts, data) in self.engine.range(index_id as u32, key, i64::MIN, upper)? {
-            let row = self.codec.decode(&data)?;
-            if pred(&row) {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
-    fn range_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        lower_ts: i64,
-        upper_ts: i64,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek(index_id);
-        let hits = self
-            .engine
-            .range(index_id as u32, key, lower_ts, upper_ts)?;
-        crate::metrics::note_scan(index_id, hits.len() as u64);
-        hits.into_iter()
-            .map(|(ts, data)| Ok((ts, self.codec.decode_projected(&data, wanted)?)))
-            .collect()
-    }
-
-    fn latest_n_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: i64,
-        limit: usize,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek(index_id);
-        let mut hits = self
-            .engine
-            .range(index_id as u32, key, i64::MIN, upper_ts)?;
-        hits.truncate(limit);
-        crate::metrics::note_scan(index_id, hits.len() as u64);
-        hits.into_iter()
-            .map(|(ts, data)| Ok((ts, self.codec.decode_projected(&data, wanted)?)))
-            .collect()
-    }
-
-    fn scan_window(
-        &self,
+    /// The engine walk: the key's merged entries from the memtable and
+    /// every run, each lent for its visit.
+    fn walk_rows<'g>(
+        &'g self,
+        _guard: &'g Guard,
         index_id: usize,
         key: &[KeyValue],
         lower_ts: i64,
         upper_ts: i64,
         limit: Option<usize>,
-        visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
-    ) -> Result<()> {
+        visitor: &mut dyn FnMut(i64, ScanRow<'g, '_>) -> bool,
+    ) -> Result<u64> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
         crate::metrics::note_seek(index_id);
-        let mut hits = self
+        let hits = self
             .engine
             .range(index_id as u32, key, lower_ts, upper_ts)?;
-        if let Some(l) = limit {
-            hits.truncate(l);
-        }
         let mut visited = 0u64;
-        for (ts, data) in hits {
+        for (ts, data) in hits.iter().take(limit.unwrap_or(usize::MAX)) {
             visited += 1;
-            if !visitor(ts, &data) {
+            if !visitor(*ts, ScanRow::Transient(data)) {
                 break;
             }
         }
-        crate::metrics::note_scan(index_id, visited);
-        Ok(())
+        Ok(visited)
     }
 
     fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
@@ -507,7 +413,10 @@ impl DataTable for DiskTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::MemTable;
+    use openmldb_obs::{FlightEventKind, FlightScope, Outcome, Recorder};
     use openmldb_types::{DataType, Value};
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         Schema::from_pairs(&[
@@ -540,36 +449,161 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn same_access_surface_as_memtable() {
-        let disk = table();
-        let mem = MemTable::new(
-            "m",
-            schema(),
-            vec![IndexSpec {
+    /// `(kind, index, payload)` of the seek/scan events `read` records,
+    /// read off its own request record.
+    type Events = Vec<(FlightEventKind, u32, u64)>;
+
+    fn recorded<T>(read: impl FnOnce() -> T) -> (T, Events) {
+        let mut rec = Recorder::new();
+        let scope = FlightScope::enter(&mut rec);
+        let out = read();
+        let summary = scope.finish();
+        let pm = rec.post_mortem(Outcome::Slow, &summary);
+        let events = pm.map(|pm| pm.events.iter().map(|e| (e.kind, e.a, e.b)).collect());
+        (out, events.unwrap_or_default())
+    }
+
+    /// One read on both backends: equal answers (by debug form, errors
+    /// included), equal events, and the events its shape promises — a seek,
+    /// then for a ranged read one scan of `scanned(answer)` rows.
+    fn same_on_both<T: std::fmt::Debug>(
+        tables: &[&dyn DataTable; 2],
+        read: impl Fn(&dyn DataTable) -> T,
+        scanned: Option<&dyn Fn(&T) -> u64>,
+    ) {
+        let (mem, mem_events) = recorded(|| read(tables[0]));
+        let (disk, disk_events) = recorded(|| read(tables[1]));
+        let answer = format!("{mem:?}");
+        assert_eq!(answer, format!("{disk:?}"), "memory vs disk answer");
+        assert_eq!(
+            mem_events, disk_events,
+            "memory vs disk events for {answer}"
+        );
+        if cfg!(not(feature = "obs-off")) {
+            let mut shape = vec![(FlightEventKind::StorageSeek, 0, 0)];
+            shape.extend(scanned.map(|n| (FlightEventKind::ScanRows, 0, n(&mem))));
+            assert_eq!(mem_events, shape, "events of {answer}");
+        }
+    }
+
+    /// Encoded rows a scan handed over, as `(ts, v)`.
+    fn ts_v(codec: &CompactCodec, ts: i64, data: &[u8]) -> (i64, Value) {
+        (ts, codec.decode(data).unwrap()[1].clone())
+    }
+
+    fn bound() -> impl Strategy<Value = i64> {
+        prop_oneof![Just(i64::MIN), Just(i64::MAX), -1i64..7]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 })]
+
+        /// Both backends answer every keyed read alike on tie-heavy data,
+        /// with rows in the disk engine's memtable, in its sorted runs, or
+        /// both: the same rows in the same order (equal timestamps newest
+        /// insert first), the same errors, the same seek/scan events.
+        #[test]
+        fn backends_answer_every_read_alike(
+            rows in proptest::collection::vec((0i64..3, 0i64..6), 0..32),
+            flushed in 0usize..32,
+            bounds in proptest::collection::vec((bound(), bound()), 1..4),
+            residue in 0i64..3,
+        ) {
+            let unlimited = vec![IndexSpec {
                 name: "by_k".into(),
                 key_cols: vec![0],
                 ts_col: Some(2),
                 ttl: Ttl::Unlimited,
-            }],
-        )
-        .unwrap();
-        for i in 0..200 {
-            let r = row(i % 5, i as f64, i * 10);
-            DataTable::put(&disk, &r).unwrap();
-            DataTable::put(&mem, &r).unwrap();
+            }];
+            let mem = MemTable::new("m", schema(), unlimited.clone()).unwrap();
+            let disk = DiskTable::new("d", schema(), unlimited).unwrap();
+            for (i, &(k, ts)) in rows.iter().enumerate() {
+                let r = row(k, i as f64, ts);
+                DataTable::put(&mem, &r).unwrap();
+                DataTable::put(&disk, &r).unwrap();
+                if i + 1 == flushed {
+                    // Moves the rows so far into a sorted run, drops none.
+                    prop_assert_eq!(DataTable::gc(&disk, i64::MAX), 0);
+                }
+            }
+            let tables: [&dyn DataTable; 2] = [&mem, &disk];
+            let codec = CompactCodec::new(schema());
+            let n = rows.len();
+            let v_only = [false, true, false];
+            let len = |r: &Result<Vec<(i64, Row)>>| r.as_ref().map_or(0, |v| v.len() as u64);
+            let visited = |r: &(Result<()>, Vec<(i64, Value)>)| r.1.len() as u64;
+            for k in 0..4 {
+                let key = [KeyValue::Int(k)];
+                same_on_both(&tables, |t| t.latest(0, &key), None);
+                same_on_both(&tables, |t| {
+                    let mut seen = None;
+                    let hit = t.latest_visit(0, &key, &mut |data| {
+                        seen = Some(data.to_vec());
+                        Ok(())
+                    });
+                    (hit, seen)
+                }, None);
+                let refuse = |_: &[u8]| Err(Error::Storage("refused".into()));
+                same_on_both(&tables, |t| t.latest_visit(0, &key, &mut { refuse }), None);
+                for &(lo, hi) in &bounds {
+                    for upper in [None, Some(hi)] {
+                        same_on_both(&tables, |t| {
+                            let mut pred = |r: &Row| r[1].as_f64().unwrap() as i64 % 3 == residue;
+                            t.latest_where(0, &key, upper, &mut pred)
+                        }, None);
+                    }
+                    for wanted in [None, Some(&v_only[..])] {
+                        let range = |t: &dyn DataTable| t.range_projected(0, &key, lo, hi, wanted);
+                        same_on_both(&tables, range, Some(&len));
+                        for limit in 0..=n + 1 {
+                            let read = |t: &dyn DataTable| {
+                                t.latest_n_projected(0, &key, hi, limit, wanted)
+                            };
+                            same_on_both(&tables, read, Some(&len));
+                        }
+                    }
+                    for limit in (0..=n + 1).map(Some).chain([None]) {
+                        for stop in 1..=n + 1 {
+                            same_on_both(&tables, |t| {
+                                let mut seen = Vec::new();
+                                let out = t.scan_window(0, &key, lo, hi, limit, &mut |ts, data| {
+                                    seen.push(ts_v(&codec, ts, data));
+                                    seen.len() < stop
+                                });
+                                (out, seen)
+                            }, Some(&visited));
+                            same_on_both(&tables, |t| {
+                                let (pin, mut seen) = (epoch::pin(), Vec::new());
+                                let mut keep = |ts, row: ScanRow<'_, '_>| {
+                                    seen.push(ts_v(&codec, ts, row.bytes()));
+                                    seen.len() < stop
+                                };
+                                let out =
+                                    t.scan_window_pinned(&pin, 0, &key, lo, hi, limit, &mut keep);
+                                (out, seen)
+                            }, Some(&visited));
+                        }
+                    }
+                }
+            }
+            // The full scans order keys per backend; each key's rows alike.
+            let by_key = |t: &dyn DataTable| {
+                let mut keys = std::collections::BTreeMap::<String, Vec<(i64, Value)>>::new();
+                t.scan_rows(0, &mut |key, ts, data| {
+                    keys.entry(format!("{key:?}")).or_default().push(ts_v(&codec, ts, data));
+                    Ok(())
+                }).unwrap();
+                keys
+            };
+            prop_assert_eq!(by_key(&mem), by_key(&disk));
+            let all = |t: &dyn DataTable| {
+                let mut rows = t.scan_all(0).unwrap();
+                // Stable: keeps each key's rows in scan order.
+                rows.sort_by_key(|r| format!("{:?}", r[0]));
+                format!("{rows:?}")
+            };
+            prop_assert_eq!(all(&mem), all(&disk));
         }
-        let key = [KeyValue::Int(2)];
-        let a = DataTable::range_projected(&disk, 0, &key, 300, 900, None).unwrap();
-        let b = DataTable::range_projected(&mem, 0, &key, 300, 900, None).unwrap();
-        assert_eq!(a, b, "disk and memory backends agree");
-        assert_eq!(
-            DataTable::latest(&disk, 0, &key).unwrap(),
-            DataTable::latest(&mem, 0, &key).unwrap()
-        );
-        let an = DataTable::latest_n_projected(&disk, 0, &key, 1_200, 3, None).unwrap();
-        let bn = DataTable::latest_n_projected(&mem, 0, &key, 1_200, 3, None).unwrap();
-        assert_eq!(an, bn);
     }
 
     #[test]

@@ -16,13 +16,13 @@ fn gauge(cell: &'static OnceLock<Arc<Gauge>>, name: &str, help: &str) -> &'stati
     cell.get_or_init(|| Registry::global().gauge(name, help))
 }
 
-/// Point lookups / range probes against a skiplist index (one per key seek).
+/// Key seeks against a table index, either backend (one per keyed read).
 pub fn seeks() -> &'static Counter {
     static M: OnceLock<Arc<Counter>> = OnceLock::new();
     counter(
         &M,
         "openmldb_storage_seeks_total",
-        "Skiplist key seeks (latest / range / latest_n probes)",
+        "Index key seeks (one per keyed read, head or ranged)",
     )
 }
 
@@ -53,13 +53,14 @@ pub fn note_scan(index_id: usize, rows: u64) {
     );
 }
 
-/// Distribution of rows touched per window scan.
+/// Distribution of rows visited per ranged read (window scan, range,
+/// latest_n).
 pub fn scan_len() -> &'static Histogram {
     static M: OnceLock<Arc<Histogram>> = OnceLock::new();
     M.get_or_init(|| {
         Registry::global().histogram(
             "openmldb_storage_scan_len_rows",
-            "Rows returned per skiplist range/latest_n scan",
+            "Rows visited per ranged read (window scan, range, latest_n)",
         )
     })
 }

@@ -183,8 +183,11 @@ mod tests {
         // Reads on the replica match the leader.
         let key = [KeyValue::Int(1)];
         assert_eq!(
-            leader.range(0, &key, 0, 10_000).unwrap(),
-            replica.table().range(0, &key, 0, 10_000).unwrap()
+            leader.range_projected(0, &key, 0, 10_000, None).unwrap(),
+            replica
+                .table()
+                .range_projected(0, &key, 0, 10_000, None)
+                .unwrap()
         );
     }
 
@@ -214,9 +217,15 @@ mod tests {
             assert_eq!(r.applied_rows(), 200);
         }
         let key = [KeyValue::Int(2)];
-        let reference = replicas[0].table().range(0, &key, 0, 10_000).unwrap();
+        let reference = replicas[0]
+            .table()
+            .range_projected(0, &key, 0, 10_000, None)
+            .unwrap();
         for r in &replicas[1..] {
-            assert_eq!(r.table().range(0, &key, 0, 10_000).unwrap(), reference);
+            assert_eq!(
+                r.table().range_projected(0, &key, 0, 10_000, None).unwrap(),
+                reference
+            );
         }
     }
 

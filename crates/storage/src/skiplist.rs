@@ -832,8 +832,9 @@ impl TimeList {
         Some((entry.ts, entry.data.clone()))
     }
 
-    /// Entries with `lower_ts <= ts <= upper_ts`, newest first. Seeks to
-    /// `upper_ts` through the skip levels instead of scanning from the head.
+    /// Entries with `lower_ts <= ts <= upper_ts`, newest first, cloned out
+    /// — the reference [`TimeList::range_visit`] is checked against.
+    #[cfg(test)]
     pub fn range(&self, lower_ts: i64, upper_ts: i64) -> Vec<(i64, Arc<[u8]>)> {
         let guard = epoch::pin();
         let mut out = Vec::new();
@@ -849,12 +850,12 @@ impl TimeList {
 
     // HOT: online window scan — borrowed payloads, no per-entry clones.
     /// Visit entries with `lower_ts <= ts <= upper_ts`, newest first, while
-    /// `f` returns `true`. The seek-then-iterate sibling of
-    /// [`TimeList::range`]: payloads are lent as `&'g [u8]` borrows of the
-    /// nodes' own bytes, valid for as long as the caller's pin `guard` (a
-    /// node a concurrent truncation detaches is freed only after the pins
-    /// that could reach it drop), so a scan→aggregate pass copies nothing
-    /// and touches no heap.
+    /// `f` returns `true`, seeking `upper_ts` through the skip levels
+    /// instead of scanning from the head. Payloads are lent as `&'g [u8]`
+    /// borrows of the nodes' own bytes, valid for as long as the caller's
+    /// pin `guard` (a node a concurrent truncation detaches is freed only
+    /// after the pins that could reach it drop), so a scan→aggregate pass
+    /// copies nothing and touches no heap.
     pub fn range_visit<'g>(
         &'g self,
         lower_ts: i64,

@@ -18,7 +18,8 @@ use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, RowCodec, Schem
 use openmldb_types::Value;
 
 use crate::binlog::Replicator;
-use crate::disk_table::RowVisitor;
+use crate::disk_table::{Backend, DataTable, RowVisitor};
+use crate::scan::ScanRow;
 use crate::skiplist::{heap_bytes, SkipMap, TimeList};
 use crate::sync::epoch::Guard;
 
@@ -256,239 +257,6 @@ impl MemTable {
             .ok_or_else(|| Error::Storage(format!("index {index_id} does not exist")))
     }
 
-    /// Decode an encoded payload with this table's codec.
-    pub fn decode(&self, data: &[u8]) -> Result<Row> {
-        self.codec.decode(data)
-    }
-
-    /// The newest row for `key` — the LAST JOIN accelerator (head read on
-    /// the pre-ranked time list).
-    pub fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
-        let mut row = None;
-        self.latest_visit(index_id, key, &mut |data| {
-            row = Some(self.decode(data)?);
-            Ok(())
-        })?;
-        Ok(row)
-    }
-
-    /// The LAST JOIN head read without the `Row`: hand the newest entry's
-    /// encoded bytes for `key` to `visitor` and report whether there was
-    /// one; decoding is the caller's choice.
-    pub fn latest_visit(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<bool> {
-        let index = self.index(index_id)?;
-        crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek(index_id);
-        let Some(list) = index.map.get_by(key) else {
-            return Ok(false);
-        };
-        let mut visited = None;
-        list.scan(|_, data| {
-            visited = Some(visitor(data));
-            false
-        });
-        visited.transpose().map(|v| v.is_some())
-    }
-
-    /// Newest row for `key` whose ts ≤ `upper_ts`, satisfying `pred`.
-    pub fn latest_where(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: Option<i64>,
-        mut pred: impl FnMut(&Row) -> bool,
-    ) -> Result<Option<Row>> {
-        let index = self.index(index_id)?;
-        crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek(index_id);
-        let Some(list) = index.map.get_by(key) else {
-            return Ok(None);
-        };
-        let mut found = None;
-        let mut err = None;
-        list.scan(|ts, data| {
-            if let Some(u) = upper_ts {
-                if ts > u {
-                    return true;
-                }
-            }
-            match self.decode(data) {
-                Ok(row) => {
-                    if pred(&row) {
-                        found = Some(row);
-                        false
-                    } else {
-                        true
-                    }
-                }
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(found),
-        }
-    }
-
-    /// Rows for `key` with `lower_ts <= ts <= upper_ts`, newest first
-    /// (decoded).
-    pub fn range(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        lower_ts: i64,
-        upper_ts: i64,
-    ) -> Result<Vec<(i64, Row)>> {
-        self.range_projected(index_id, key, lower_ts, upper_ts, None)
-    }
-
-    /// [`MemTable::range`] decoding only the columns marked in `wanted` —
-    /// the Section 7.1 offset fast path used by window scans that touch a
-    /// few columns of wide rows.
-    pub fn range_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        lower_ts: i64,
-        upper_ts: i64,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        let index = self.index(index_id)?;
-        crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek(index_id);
-        let Some(list) = index.map.get_by(key) else {
-            crate::metrics::note_scan(index_id, 0);
-            return Ok(Vec::new());
-        };
-        let out: Result<Vec<(i64, Row)>> = list
-            .range(lower_ts, upper_ts)
-            .into_iter()
-            .map(|(ts, data)| Ok((ts, self.codec.decode_projected(&data, wanted)?)))
-            .collect();
-        if let Ok(rows) = &out {
-            crate::metrics::note_scan(index_id, rows.len() as u64);
-        }
-        out
-    }
-
-    /// The newest `limit` rows for `key` with ts ≤ `upper_ts`, newest first.
-    pub fn latest_n(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: i64,
-        limit: usize,
-    ) -> Result<Vec<(i64, Row)>> {
-        self.latest_n_projected(index_id, key, upper_ts, limit, None)
-    }
-
-    /// [`MemTable::latest_n`] decoding only the columns marked in `wanted`.
-    pub fn latest_n_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: i64,
-        limit: usize,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        let index = self.index(index_id)?;
-        crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek(index_id);
-        let Some(list) = index.map.get_by(key) else {
-            crate::metrics::note_scan(index_id, 0);
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::with_capacity(limit);
-        let mut err = None;
-        list.scan(|ts, data| {
-            if ts > upper_ts {
-                return true;
-            }
-            if out.len() >= limit {
-                return false;
-            }
-            match self.codec.decode_projected(data, wanted) {
-                Ok(row) => {
-                    out.push((ts, row));
-                    true
-                }
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            }
-        });
-        crate::metrics::note_scan(index_id, out.len() as u64);
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    // HOT: online request scan — seek-then-visit, no materialized Vec<Row>.
-    /// Seek `key` on `index_id` and stream encoded entries with
-    /// `lower_ts <= ts <= upper_ts` to `visitor`, newest first, stopping
-    /// after `limit` entries (when given) or when the visitor returns
-    /// `false`. Yields `(ts, &'g [u8])` borrows of the stored rows, valid
-    /// while both the table and the caller's pin `guard` are — decoding,
-    /// or keeping the borrow for a fold after the scan, is the caller's
-    /// choice — while firing the same chaos/obs hooks as the materializing
-    /// scans.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_window<'g>(
-        &'g self,
-        guard: &'g Guard,
-        index_id: usize,
-        key: &[KeyValue],
-        lower_ts: i64,
-        upper_ts: i64,
-        limit: Option<usize>,
-        mut visitor: impl FnMut(i64, &'g [u8]) -> bool,
-    ) -> Result<()> {
-        let index = self.index(index_id)?;
-        crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek(index_id);
-        let Some(list) = index.map.get_by(key) else {
-            crate::metrics::note_scan(index_id, 0);
-            return Ok(());
-        };
-        let mut visited = 0u64;
-        list.range_visit(lower_ts, upper_ts, guard, |ts, data| {
-            if limit.is_some_and(|l| visited >= l as u64) {
-                return false;
-            }
-            visited += 1;
-            visitor(ts, data)
-        });
-        crate::metrics::note_scan(index_id, visited);
-        Ok(())
-    }
-
-    /// Full scan of one index: every row's encoded bytes with its key and
-    /// ts, keys in index order, each key's rows newest first — what the
-    /// offline engine snapshots a table through.
-    pub fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
-        let index = self.index(index_id)?;
-        let mut result = Ok(());
-        index.map.for_each(|key, list| {
-            if result.is_ok() {
-                list.scan(|ts, data| {
-                    result = visitor(key, ts, data);
-                    result.is_ok()
-                });
-            }
-        });
-        result
-    }
-
     /// Run TTL garbage collection on every index, relative to `now_ms`.
     /// Returns the number of entries removed (batch deletion of the expired
     /// suffix, Section 7.2).
@@ -553,6 +321,90 @@ impl MemTable {
     }
 }
 
+impl DataTable for MemTable {
+    fn name(&self) -> &str {
+        MemTable::name(self)
+    }
+    fn backend(&self) -> Backend {
+        Backend::Memory
+    }
+    fn set_max_memory_bytes(&self, limit: usize) {
+        MemTable::set_max_memory_bytes(self, limit)
+    }
+    fn schema(&self) -> &Schema {
+        MemTable::schema(self)
+    }
+    fn codec(&self) -> &CompactCodec {
+        &self.codec
+    }
+    fn replicator(&self) -> &Arc<Replicator> {
+        MemTable::replicator(self)
+    }
+    fn index_specs(&self) -> Vec<IndexSpec> {
+        MemTable::index_specs(self)
+    }
+    fn find_index(&self, key_cols: &[usize], ts_col: Option<usize>) -> Option<usize> {
+        MemTable::find_index(self, key_cols, ts_col)
+    }
+    fn put(&self, row: &Row) -> Result<u64> {
+        MemTable::put(self, row)
+    }
+
+    /// The skiplist walk: seek the key node, then seek `upper_ts` in its
+    /// time list through the skip levels and lend each node's payload for
+    /// the pin.
+    fn walk_rows<'g>(
+        &'g self,
+        guard: &'g Guard,
+        index_id: usize,
+        key: &[KeyValue],
+        lower_ts: i64,
+        upper_ts: i64,
+        limit: Option<usize>,
+        visitor: &mut dyn FnMut(i64, ScanRow<'g, '_>) -> bool,
+    ) -> Result<u64> {
+        let index = self.index(index_id)?;
+        crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
+        crate::metrics::note_seek(index_id);
+        let Some(list) = index.map.get_by(key) else {
+            return Ok(0);
+        };
+        let mut visited = 0u64;
+        list.range_visit(lower_ts, upper_ts, guard, |ts, data| {
+            if limit.is_some_and(|l| visited >= l as u64) {
+                return false;
+            }
+            visited += 1;
+            visitor(ts, ScanRow::Pinned(data))
+        });
+        Ok(visited)
+    }
+
+    /// Keys in index order, each key's rows newest first.
+    fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
+        let index = self.index(index_id)?;
+        let mut result = Ok(());
+        index.map.for_each(|key, list| {
+            if result.is_ok() {
+                list.scan(|ts, data| {
+                    result = visitor(key, ts, data);
+                    result.is_ok()
+                });
+            }
+        });
+        result
+    }
+    fn gc(&self, now_ms: i64) -> usize {
+        MemTable::gc(self, now_ms)
+    }
+    fn mem_used(&self) -> usize {
+        MemTable::mem_used(self)
+    }
+    fn row_count(&self) -> usize {
+        MemTable::row_count(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,7 +450,9 @@ mod tests {
             t.put(&row(1, "a", i as f64, i * 100)).unwrap();
         }
         t.put(&row(2, "b", 99.0, 500)).unwrap();
-        let hits = t.range(0, &[KeyValue::Int(1)], 200, 600).unwrap();
+        let hits = t
+            .range_projected(0, &[KeyValue::Int(1)], 200, 600, None)
+            .unwrap();
         let tss: Vec<i64> = hits.iter().map(|(ts, _)| *ts).collect();
         assert_eq!(tss, vec![600, 500, 400, 300, 200]);
         assert_eq!(t.row_count(), 11);
@@ -621,13 +475,15 @@ mod tests {
         for i in 0..5 {
             t.put(&row(1, "a", i as f64, i * 10)).unwrap();
         }
-        let top2 = t.latest_n(0, &[KeyValue::Int(1)], 35, 2).unwrap();
+        let top2 = t
+            .latest_n_projected(0, &[KeyValue::Int(1)], 35, 2, None)
+            .unwrap();
         assert_eq!(
             top2.iter().map(|(ts, _)| *ts).collect::<Vec<_>>(),
             vec![30, 20]
         );
         let found = t
-            .latest_where(0, &[KeyValue::Int(1)], None, |r| {
+            .latest_where(0, &[KeyValue::Int(1)], None, &mut |r| {
                 r[2].as_f64().unwrap() < 2.5
             })
             .unwrap()
@@ -658,7 +514,9 @@ mod tests {
         .unwrap();
         t.put(&row(1, "x", 1.0, 10)).unwrap();
         t.put(&row(2, "x", 2.0, 20)).unwrap();
-        let by_cat = t.range(1, &[KeyValue::Str("x".into())], 0, 100).unwrap();
+        let by_cat = t
+            .range_projected(1, &[KeyValue::Str("x".into())], 0, 100, None)
+            .unwrap();
         assert_eq!(by_cat.len(), 2);
         assert_eq!(t.find_index(&[1], Some(3)), Some(1));
         assert_eq!(t.find_index(&[0], None), Some(0));
@@ -692,9 +550,16 @@ mod tests {
         let removed = t.gc(260);
         assert!(removed > 0);
         // latest(2): only 2 newest rows per key remain on index 0.
-        assert_eq!(t.range(0, &[KeyValue::Int(1)], 0, 1_000).unwrap().len(), 2);
+        assert_eq!(
+            t.range_projected(0, &[KeyValue::Int(1)], 0, 1_000, None)
+                .unwrap()
+                .len(),
+            2
+        );
         // absolute(100ms at now=260): ts >= 160 → ts in {200}.
-        let abs = t.range(1, &[KeyValue::Str("c".into())], 0, 1_000).unwrap();
+        let abs = t
+            .range_projected(1, &[KeyValue::Str("c".into())], 0, 1_000, None)
+            .unwrap();
         assert_eq!(abs.iter().map(|(ts, _)| *ts).collect::<Vec<_>>(), vec![200]);
     }
 
@@ -717,7 +582,9 @@ mod tests {
         // now=350 → time cutoff 250; count keeps the 3 newest. AND policy:
         // expire only entries BOTH older than 250 AND beyond the 3 newest.
         t.gc(350);
-        let left = t.range(0, &[KeyValue::Int(1)], 0, 10_000).unwrap();
+        let left = t
+            .range_projected(0, &[KeyValue::Int(1)], 0, 10_000, None)
+            .unwrap();
         let tss: Vec<i64> = left.iter().map(|(ts, _)| *ts).collect();
         assert_eq!(tss, vec![250, 200, 150]);
 
@@ -738,7 +605,9 @@ mod tests {
             t2.put(&row(1, "c", 0.0, i * 50)).unwrap();
         }
         t2.gc(350);
-        let left2 = t2.range(0, &[KeyValue::Int(1)], 0, 10_000).unwrap();
+        let left2 = t2
+            .range_projected(0, &[KeyValue::Int(1)], 0, 10_000, None)
+            .unwrap();
         // OR policy at now=350: cutoff 250 drops ts<250; keep-2 would allow
         // 250 and 200, but 200 violates the time bound → only 250 survives.
         assert_eq!(

@@ -151,6 +151,49 @@ fn last_join_consistency() {
     );
 }
 
+/// A LAST JOIN residual that errors on a candidate (an integer overflow)
+/// rejects that candidate on both paths: the join falls through to the next
+/// older candidate, or to NULLs when none is left.
+#[test]
+fn last_join_residual_errors_are_no_match() {
+    let db = setup(8, 100);
+    db.execute(
+        "CREATE TABLE big (k BIGINT, w BIGINT, updated TIMESTAMP, INDEX(KEY=k, TS=updated))",
+    )
+    .unwrap();
+    // `w * 5` overflows; wrapped, it would be positive and match.
+    let overflows = i64::MAX / 2;
+    // Per key, oldest first: key 0 overflows on its newest candidate only,
+    // key 1 on its one candidate, key 2 on its oldest only.
+    for (k, w, updated) in [
+        (0, 7, 100),
+        (0, 5, 200),
+        (0, overflows, 300),
+        (1, overflows, 100),
+        (2, overflows, 100),
+        (2, 9, 200),
+    ] {
+        let row = vec![
+            Value::Bigint(k),
+            Value::Bigint(w),
+            Value::Timestamp(updated),
+        ];
+        db.insert_row("big", &Row::new(row)).unwrap();
+    }
+    let sql = "SELECT events.id, big.w FROM events \
+               LAST JOIN big ORDER BY big.updated ON events.k = big.k AND big.w * 5 > 0";
+    for (k, w) in [
+        (0, Value::Bigint(5)),
+        (1, Value::Null),
+        (2, Value::Bigint(9)),
+    ] {
+        let name = format!("residual_{k}");
+        assert_consistent(&db, &name, sql, probe(300_000 + k, k, 5_000));
+        let again = db.request(&name, &probe(300_010 + k, k, 5_000)).unwrap();
+        assert_eq!(again[1], w, "key {k}");
+    }
+}
+
 #[test]
 fn multi_window_consistency() {
     let db = setup(6, 300);

@@ -13,8 +13,13 @@ use openmldb::obs::flight::{self, PostMortem};
 use openmldb::obs::{LabelRegistry, Outcome, ProfileStore, Registry, OVERFLOW_LABEL};
 use openmldb::online::{execute_request_with, Deployment, PreAggregator, TableProvider};
 use openmldb::sql::{compile_select, parse_select, Catalog};
-use openmldb::storage::{Backend, DataTable, IndexSpec, MemTable, Replicator, RowVisitor, Ttl};
-use openmldb::{Database, Deadline, Error, KeyValue, RequestOptions, Result, Row, Schema, Value};
+use openmldb::storage::sync::epoch::Guard;
+use openmldb::storage::{
+    Backend, DataTable, IndexSpec, MemTable, Replicator, RowVisitor, ScanRow, Ttl,
+};
+use openmldb::{
+    CompactCodec, Database, Deadline, Error, KeyValue, RequestOptions, Result, Row, Schema, Value,
+};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -40,9 +45,10 @@ impl Catalog for Cat {
     }
 }
 
-/// A table whose streaming scans always fault transiently and whose ranged
-/// reads sleep — storage that forces failover, timeouts and degraded answers
-/// without the `chaos` feature.
+/// A table whose row walks always fault transiently or sleep first —
+/// storage that forces failover, timeouts and degraded answers without the
+/// `chaos` feature. Every keyed read is a walk: the window scans fault and
+/// the pre-aggregator's raw-edge reads (`range_projected`) sleep.
 struct Shim {
     inner: Arc<MemTable>,
     fail_scans: bool,
@@ -62,6 +68,9 @@ impl DataTable for Shim {
     fn schema(&self) -> &Schema {
         DataTable::schema(&*self.inner)
     }
+    fn codec(&self) -> &CompactCodec {
+        self.inner.codec()
+    }
     fn replicator(&self) -> &Arc<Replicator> {
         DataTable::replicator(&*self.inner)
     }
@@ -74,70 +83,24 @@ impl DataTable for Shim {
     fn put(&self, row: &Row) -> Result<u64> {
         DataTable::put(&*self.inner, row)
     }
-    fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
-        DataTable::latest(&*self.inner, index_id, key)
-    }
-    fn latest_visit(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<bool> {
-        DataTable::latest_visit(&*self.inner, index_id, key, visitor)
-    }
-    fn latest_where(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: Option<i64>,
-        pred: &mut dyn FnMut(&Row) -> bool,
-    ) -> Result<Option<Row>> {
-        DataTable::latest_where(&*self.inner, index_id, key, upper_ts, pred)
-    }
-    fn range_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        lower_ts: i64,
-        upper_ts: i64,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        std::thread::sleep(self.read_delay);
-        DataTable::range_projected(&*self.inner, index_id, key, lower_ts, upper_ts, wanted)
-    }
-    fn latest_n_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: i64,
-        limit: usize,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        DataTable::latest_n_projected(&*self.inner, index_id, key, upper_ts, limit, wanted)
-    }
-    fn scan_window(
-        &self,
+    fn walk_rows<'g>(
+        &'g self,
+        guard: &'g Guard,
         index_id: usize,
         key: &[KeyValue],
         lower_ts: i64,
         upper_ts: i64,
         limit: Option<usize>,
-        visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
-    ) -> Result<()> {
+        visitor: &mut dyn FnMut(i64, ScanRow<'g, '_>) -> bool,
+    ) -> Result<u64> {
         if self.fail_scans {
             return Err(Error::Storage(
                 "transient fault injected by the shim".into(),
             ));
         }
-        DataTable::scan_window(
-            &*self.inner,
-            index_id,
-            key,
-            lower_ts,
-            upper_ts,
-            limit,
-            visitor,
-        )
+        std::thread::sleep(self.read_delay);
+        let inner = &*self.inner;
+        inner.walk_rows(guard, index_id, key, lower_ts, upper_ts, limit, visitor)
     }
     fn scan_rows(&self, index_id: usize, visitor: &mut RowVisitor<'_>) -> Result<()> {
         DataTable::scan_rows(&*self.inner, index_id, visitor)

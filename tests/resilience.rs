@@ -17,7 +17,8 @@ use openmldb::online::{
     execute_request_materialized, execute_request_with, Deployment, PreAggregator, TableProvider,
 };
 use openmldb::sql::{compile_select, parse_select, Catalog};
-use openmldb::storage::{DataTable, IndexSpec, MemTable, ReplicaTable, RowVisitor, Ttl};
+use openmldb::storage::sync::epoch::Guard;
+use openmldb::storage::{DataTable, IndexSpec, MemTable, ReplicaTable, RowVisitor, ScanRow, Ttl};
 use openmldb::{Database, Deadline, Error, KeyValue, RequestOptions, Result, Row, Schema, Value};
 use proptest::prelude::*;
 
@@ -65,7 +66,7 @@ impl Catalog for Cat {
     }
 }
 
-/// A provider that injects a fixed latency into every ranged read —
+/// A provider that injects a fixed latency into every row a read walks —
 /// feature-independent slow storage for the deadline tests.
 struct SlowProvider {
     tables: HashMap<String, Arc<dyn DataTable>>,
@@ -122,6 +123,9 @@ impl DataTable for SlowTable {
     fn schema(&self) -> &Schema {
         DataTable::schema(&*self.inner)
     }
+    fn codec(&self) -> &openmldb::CompactCodec {
+        self.inner.codec()
+    }
     fn replicator(&self) -> &Arc<openmldb::storage::Replicator> {
         DataTable::replicator(&*self.inner)
     }
@@ -134,74 +138,30 @@ impl DataTable for SlowTable {
     fn put(&self, row: &Row) -> Result<u64> {
         DataTable::put(&*self.inner, row)
     }
-    fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
-        std::thread::sleep(self.delay);
-        DataTable::latest(&*self.inner, index_id, key)
-    }
-    fn latest_visit(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<bool> {
-        std::thread::sleep(self.delay);
-        DataTable::latest_visit(&*self.inner, index_id, key, visitor)
-    }
-    fn latest_where(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: Option<i64>,
-        pred: &mut dyn FnMut(&Row) -> bool,
-    ) -> Result<Option<Row>> {
-        std::thread::sleep(self.delay);
-        DataTable::latest_where(&*self.inner, index_id, key, upper_ts, pred)
-    }
-    fn range_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        lower_ts: i64,
-        upper_ts: i64,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        std::thread::sleep(self.delay);
-        DataTable::range_projected(&*self.inner, index_id, key, lower_ts, upper_ts, wanted)
-    }
-    fn latest_n_projected(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: i64,
-        limit: usize,
-        wanted: Option<&[bool]>,
-    ) -> Result<Vec<(i64, Row)>> {
-        std::thread::sleep(self.delay);
-        DataTable::latest_n_projected(&*self.inner, index_id, key, upper_ts, limit, wanted)
-    }
-    fn scan_window(
-        &self,
+    fn walk_rows<'g>(
+        &'g self,
+        guard: &'g Guard,
         index_id: usize,
         key: &[KeyValue],
         lower_ts: i64,
         upper_ts: i64,
         limit: Option<usize>,
-        visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
-    ) -> Result<()> {
+        visitor: &mut dyn FnMut(i64, ScanRow<'g, '_>) -> bool,
+    ) -> Result<u64> {
         // Delay *per visited entry* (not per call) so a deadline can expire
         // in the middle of a streaming scan, between rows.
-        let delay = self.delay;
-        DataTable::scan_window(
-            &*self.inner,
+        let inner = &*self.inner;
+        inner.walk_rows(
+            guard,
             index_id,
             key,
             lower_ts,
             upper_ts,
             limit,
-            &mut |ts, data| {
-                std::thread::sleep(delay);
+            &mut |ts, row| {
+                std::thread::sleep(self.delay);
                 self.visited.fetch_add(1, Ordering::SeqCst);
-                visitor(ts, data)
+                visitor(ts, row)
             },
         )
     }
@@ -338,8 +298,11 @@ fn exactly_once_delivery_under_kills() {
         // Values survived the kills byte-for-byte.
         let key = [KeyValue::Int(3)];
         assert_eq!(
-            leader.range(0, &key, 0, i64::MAX).unwrap(),
-            replica.table().range(0, &key, 0, i64::MAX).unwrap(),
+            leader.range_projected(0, &key, 0, i64::MAX, None).unwrap(),
+            replica
+                .table()
+                .range_projected(0, &key, 0, i64::MAX, None)
+                .unwrap(),
             "seed {seed:#x}"
         );
     }
