@@ -514,6 +514,65 @@ fn compiled_eval(c: &mut Criterion) {
         })
     });
 
+    // 100 DOUBLE sums over 40 rows, serve_wide's first window: one float
+    // sum lane of 100 members, one straight loop per row.
+    let names: Vec<String> = (0..100).map(|c| format!("v{c}")).collect();
+    let mut pairs = vec![("k", DataType::Bigint), ("ts", DataType::Timestamp)];
+    pairs.extend(names.iter().map(|n| (n.as_str(), DataType::Double)));
+    let wide = CompactCodec::new(Schema::from_pairs(&pairs).unwrap());
+    let (mut wide_arena, mut wide_entries) = (Vec::new(), Vec::new());
+    for r in 0..40i64 {
+        let mut values = vec![Value::Bigint(0), Value::Timestamp(r)];
+        values.extend((0..100).map(|c| Value::Double(((r * 7 + c) % 64) as f64 * 0.25)));
+        let bytes = wide.encode(&Row::new(values)).unwrap();
+        let (start, len) = (wide_arena.len(), bytes.len());
+        wide_entries.push(ScanEntry {
+            ts: r,
+            seq: r as usize,
+            start,
+            len,
+        });
+        wide_arena.extend_from_slice(&bytes);
+    }
+    let sums: Vec<BoundAggregate> = (2..102).map(|c| spec("sum", c)).collect();
+    let window = BoundWindow {
+        name: "w".into(),
+        merged_names: vec!["w".into()],
+        partition_cols: vec![0],
+        order_col: 1,
+        order_desc: false,
+        frame: Frame::Unbounded,
+        maxsize: None,
+        exclude_current_row: false,
+        instance_not_in_window: false,
+        union_tables: vec![],
+    };
+    let wide_wp = WindowProgram::compile(&window, &sums.iter().collect::<Vec<_>>(), &wide).unwrap();
+    let mut wide_state = wide_wp.new_state();
+    g.bench_function("window_fold_wide", |b| {
+        b.iter(|| {
+            let order = EntryOrder::Ascending;
+            let (entries, arena) = (&wide_entries, &wide_arena);
+            wide_wp
+                .run(
+                    &mut wide_state,
+                    entries,
+                    0,
+                    order,
+                    arena,
+                    None,
+                    &wide,
+                    &mut || Ok(()),
+                )
+                .unwrap();
+            out.clear();
+            wide_wp
+                .outputs_into(&wide_state, arena, None, &mut out)
+                .unwrap();
+            out.len()
+        })
+    });
+
     let mut i = 0i64;
     g.bench_function("request_compiled", |b| {
         b.iter(|| {

@@ -13,12 +13,21 @@
 //! out lands on exactly the state that never saw it. f64 sums, averages and
 //! deviations depend on the order of addition, and extrema cannot forget a
 //! row; those kernels re-fold.
+//!
+//! The float sum-family kernels — `sum`/`avg`/`stddev` (with any `count`)
+//! over a FLOAT or DOUBLE column that carries no `min`/`max` — leave
+//! [`KernelSpec`] at compile time ([`carve_lanes`]) for one [`Lane`] per
+//! class: their running sums as arrays in the pooled state, stepped by one
+//! straight loop per row ([`Lane::sum_row`]). Each member still adds its rows
+//! in order, so every answer is the one its own kernel gives.
 
 use openmldb_types::{Error, Result, RowView, Value};
 
 use super::field::{
-    request_out_of_bounds, row_out_of_range, str_field, FieldRef, Fixed, FixedSink, KernelClass,
+    binding_out_of_bounds, request_out_of_bounds, row_out_of_range, str_field, FieldRef, Fixed,
+    FixedSink, KernelClass,
 };
+use super::fold::Binding;
 use crate::scratch::RowSource;
 use crate::window::Projection;
 
@@ -28,9 +37,10 @@ use crate::window::Projection;
 pub(super) struct Track {
     /// The wrapping `i64` sum (`sum` over an integer class).
     int_sum: bool,
-    /// The f64 sum and sum of squares (`sum` over a float class, `avg`,
-    /// `stddev`).
+    /// The f64 sum (`sum` over a float class, `avg`, `stddev`).
     float_sums: bool,
+    /// The f64 sum of squares (`stddev` only).
+    sum_sq: bool,
     /// Running extrema (`min`/`max`).
     minmax: bool,
 }
@@ -40,7 +50,8 @@ impl Track {
         match proj {
             Projection::Min | Projection::Max => self.minmax = true,
             Projection::Sum if class.is_int() => self.int_sum = true,
-            Projection::Sum | Projection::Avg | Projection::Stddev => self.float_sums = true,
+            Projection::Sum | Projection::Avg => self.float_sums = true,
+            Projection::Stddev => (self.float_sums, self.sum_sq) = (true, true),
             Projection::Count => {}
         }
     }
@@ -130,6 +141,12 @@ impl KernelSpec {
     /// the count and the wrapping `i64` sum.
     pub(super) fn retracts(&self) -> bool {
         !self.track.float_sums && !self.track.minmax
+    }
+
+    /// Whether this kernel folds in a [`Lane`] of `class`: an f64 sum over
+    /// a FLOAT or DOUBLE column with no extrema.
+    fn laned(&self, class: KernelClass) -> bool {
+        self.field.class == class && self.track.float_sums && !self.track.minmax
     }
 
     /// Take stored row `buf`, stepped earlier, back out of `st`. Exact only
@@ -224,7 +241,9 @@ impl KernelState {
         if track.float_sums {
             let f = v as f64;
             self.sum_f += f;
-            self.sum_sq += f * f;
+            if track.sum_sq {
+                self.sum_sq += f * f;
+            }
         }
         self.count += 1;
         if track.minmax {
@@ -247,7 +266,9 @@ impl KernelState {
     pub(super) fn feed_double(&mut self, v: f64, track: Track) {
         if track.float_sums {
             self.sum_f += v;
-            self.sum_sq += v * v;
+            if track.sum_sq {
+                self.sum_sq += v * v;
+            }
         }
         self.count += 1;
         if track.minmax {
@@ -270,7 +291,9 @@ impl KernelState {
         if track.float_sums {
             let f = v as f64;
             self.sum_f += f;
-            self.sum_sq += f * f;
+            if track.sum_sq {
+                self.sum_sq += f * f;
+            }
         }
         self.count += 1;
         if track.minmax {
@@ -337,36 +360,14 @@ impl KernelState {
         out: &mut Vec<Value>,
     ) -> Result<()> {
         match proj {
-            Projection::Count => out.push(Value::Bigint(self.count as i64)),
-            Projection::Sum => {
-                if self.count == 0 {
-                    out.push(Value::Null)
-                } else if class.is_int() {
-                    // Integral inputs keep the interpreter's `all_int`
-                    // wrapping i64 sum.
-                    out.push(Value::Bigint(self.sum_i))
-                } else {
-                    out.push(Value::Double(self.sum_f))
-                }
-            }
-            Projection::Avg => {
-                if self.count == 0 {
-                    out.push(Value::Null)
-                } else {
-                    out.push(Value::Double(self.sum_f / self.count as f64))
-                }
-            }
-            Projection::Stddev => {
-                if self.count < 2 {
-                    out.push(Value::Null)
-                } else {
-                    let n = self.count as f64;
-                    let var = ((self.sum_sq - self.sum_f * self.sum_f / n) / (n - 1.0)).max(0.0);
-                    out.push(Value::Double(var.sqrt()))
-                }
+            // Integral inputs keep the interpreter's `all_int` wrapping i64
+            // sum.
+            Projection::Sum if class.is_int() && self.count > 0 => {
+                out.push(Value::Bigint(self.sum_i))
             }
             Projection::Min => out.push(self.extremum(class, true, strs)?),
             Projection::Max => out.push(self.extremum(class, false, strs)?),
+            _ => project_sums(self.count, self.sum_f, self.sum_sq, proj, out),
         }
         Ok(())
     }
@@ -389,6 +390,245 @@ impl KernelState {
                     Error::Eval("string extremum was not resolved by its fold".into())
                 })?,
         })
+    }
+}
+
+/// Push `count`/`sum`/`avg`/`stddev` of an f64 running sum
+/// (`SharedNumeric::project`'s float arms). Every arm pushes its own value
+/// (see `WindowProgram::outputs_into`).
+#[inline(always)]
+fn project_sums(count: u64, sum: f64, sum_sq: f64, proj: Projection, out: &mut Vec<Value>) {
+    match proj {
+        Projection::Count => out.push(Value::Bigint(count as i64)),
+        Projection::Stddev if count >= 2 => {
+            let n = count as f64;
+            let var = ((sum_sq - sum * sum / n) / (n - 1.0)).max(0.0);
+            out.push(Value::Double(var.sqrt()))
+        }
+        Projection::Sum if count > 0 => out.push(Value::Double(sum)),
+        Projection::Avg if count > 0 => out.push(Value::Double(sum / count as f64)),
+        _ => out.push(Value::Null),
+    }
+}
+
+/// The float sum-family column kernels of one class (FLOAT or DOUBLE): f64
+/// sums with no extrema, folded as one struct-of-arrays lane. A row where
+/// no member is NULL steps every member in one straight loop over the
+/// row's bytes; any other row steps member by member.
+#[derive(Debug, Clone)]
+pub(super) struct Lane {
+    class: KernelClass,
+    /// Bytes one member's field takes.
+    width: usize,
+    /// The members' fields, ascending by offset.
+    fields: Vec<FieldRef>,
+    /// Runs of members whose fields are adjacent: `(offset, first member,
+    /// end member)`.
+    runs: Vec<(usize, usize, usize)>,
+    /// Where the last member's field ends.
+    end: usize,
+    /// Each NULL-bitmap byte holding a member's bit, and the members' bits.
+    nulls: Vec<(usize, u8)>,
+    /// Whether a member projects `stddev`: the lane then keeps `sum_sq`.
+    sum_sq: bool,
+}
+
+/// A [`Lane`]'s running sums, one slot per member.
+#[derive(Debug, Clone, Default)]
+pub(super) struct LaneState {
+    /// Rows where no member was NULL: counted once for every member.
+    dense: u64,
+    /// Per member, the other rows it read a value from.
+    count: Vec<u64>,
+    sum: Vec<f64>,
+    /// Empty unless the lane keeps it.
+    sum_sq: Vec<f64>,
+}
+
+impl LaneState {
+    pub(super) fn reset(&mut self) {
+        self.dense = 0;
+        self.count.fill(0);
+        self.sum.fill(0.0);
+        self.sum_sq.fill(0.0);
+    }
+
+    /// Step member `m` by `v`.
+    #[inline(always)]
+    fn add(&mut self, m: usize, v: f64) -> Result<()> {
+        match (self.sum.get_mut(m), self.count.get_mut(m)) {
+            (Some(s), Some(c)) => (*s, *c) = (*s + v, *c + 1),
+            _ => return Err(binding_out_of_bounds()),
+        }
+        if let Some(q) = self.sum_sq.get_mut(m) {
+            *q += v * v;
+        }
+        Ok(())
+    }
+}
+
+/// `sums[m] += v`, and `sqs[m] += v * v` when kept, over one run's fields,
+/// `W` bytes each.
+#[inline(always)]
+fn fold_run<const W: usize>(
+    sums: &mut [f64],
+    sqs: Option<&mut [f64]>,
+    bytes: &[u8],
+    le_value: impl Fn([u8; W]) -> f64,
+) {
+    let fields = bytes.as_chunks::<W>().0;
+    // A run of one member (a field gathered by its offset) is one read,
+    // without the loops' set-up, which a one-member lane felt per row.
+    if let ([s], [b]) = (&mut *sums, fields) {
+        let v = le_value(*b);
+        *s += v;
+        if let Some([q]) = sqs {
+            *q += v * v;
+        }
+        return;
+    }
+    for (s, b) in sums.iter_mut().zip(fields) {
+        *s += le_value(*b);
+    }
+    for (q, b) in sqs.into_iter().flatten().zip(fields) {
+        let v = le_value(*b);
+        *q += v * v;
+    }
+}
+
+/// Move `kernels`' float sum-family kernels into one [`Lane`] per class and
+/// re-point their bindings; every other kernel keeps its place, in order.
+pub(super) fn carve_lanes(kernels: &mut Vec<KernelSpec>, bindings: &mut [Binding]) -> Vec<Lane> {
+    let mut lanes = Vec::new();
+    // Per kernel, its `(lane, member)` once moved.
+    let mut moved: Vec<Option<(u8, usize)>> = vec![None; kernels.len()];
+    for class in [KernelClass::Double, KernelClass::Float] {
+        let mut members: Vec<(usize, &KernelSpec)> = (kernels.iter().enumerate())
+            .filter(|(_, s)| s.laned(class))
+            .collect();
+        if members.is_empty() {
+            continue;
+        }
+        members.sort_by_key(|(_, s)| s.field.at);
+        for (m, (k, _)) in members.iter().enumerate() {
+            if let Some(slot) = moved.get_mut(*k) {
+                *slot = Some((lanes.len() as u8, m));
+            }
+        }
+        lanes.push(Lane::of(class, members.iter().map(|(_, s)| *s)));
+    }
+    for b in bindings.iter_mut() {
+        if let Binding::Column { k, proj } = *b {
+            *b = match moved.get(k).copied().flatten() {
+                Some((l, m)) => Binding::Lane { l, m, proj },
+                None => {
+                    let k = moved.iter().take(k).filter(|to| to.is_none()).count();
+                    Binding::Column { k, proj }
+                }
+            };
+        }
+    }
+    let mut moved = moved.into_iter();
+    kernels.retain(|_| moved.next().flatten().is_none());
+    lanes
+}
+
+impl Lane {
+    fn of<'a>(class: KernelClass, members: impl Iterator<Item = &'a KernelSpec>) -> Lane {
+        let width = if class == KernelClass::Float { 4 } else { 8 };
+        let mut lane = Lane {
+            class,
+            width,
+            fields: Vec::new(),
+            runs: Vec::new(),
+            end: 0,
+            nulls: Vec::new(),
+            sum_sq: false,
+        };
+        for spec in members {
+            let (f, m) = (spec.field, lane.fields.len());
+            match lane.runs.last_mut() {
+                Some((at, first, end)) if *at + (m - *first) * width == f.at => *end = m + 1,
+                _ => lane.runs.push((f.at, m, m + 1)),
+            }
+            match lane.nulls.iter_mut().find(|(at, _)| *at == f.null_byte) {
+                Some((_, bits)) => *bits |= f.null_mask,
+                None => lane.nulls.push((f.null_byte, f.null_mask)),
+            }
+            (lane.end, lane.sum_sq) = (f.at + width, lane.sum_sq | spec.track.sum_sq);
+            lane.fields.push(f);
+        }
+        lane
+    }
+
+    pub(super) fn new_state(&self) -> LaneState {
+        let n = self.fields.len();
+        LaneState {
+            dense: 0,
+            count: vec![0; n],
+            sum: vec![0.0; n],
+            sum_sq: vec![0.0; if self.sum_sq { n } else { 0 }],
+        }
+    }
+
+    // HOT: the lane loop — one bitmap test, then per run of adjacent members
+    // one straight `sum[m] += field[m]` loop over the row's bytes. A row with
+    // a NULL member, or too short for the last field (a typed error), steps
+    // member by member. Every member still adds its rows in ascending
+    // `(ts, seq)` order: the sums are bit-identical to one kernel per column.
+    #[inline(never)]
+    pub(super) fn sum_row(&self, st: &mut LaneState, buf: &[u8]) -> Result<()> {
+        let clean =
+            (self.nulls.iter()).all(|&(at, bits)| buf.get(at).is_some_and(|b| b & bits == 0));
+        if !clean || buf.get(..self.end).is_none() {
+            return self.sum_members(st, |f| f.stored(buf));
+        }
+        for &(at, first, end) in &self.runs {
+            let bytes = buf.get(at..at + (end - first) * self.width);
+            let (Some(bytes), Some(sums)) = (bytes, st.sum.get_mut(first..end)) else {
+                return Err(binding_out_of_bounds());
+            };
+            let sqs = st.sum_sq.get_mut(first..end);
+            match self.class {
+                KernelClass::Float => fold_run(sums, sqs, bytes, |b| f32::from_le_bytes(b) as f64),
+                _ => fold_run(sums, sqs, bytes, f64::from_le_bytes),
+            }
+        }
+        st.dense += 1;
+        Ok(())
+    }
+
+    /// Step every member by the value `value_in` reads of its field: a
+    /// stored row's (its NULL bit probed) or the request row's.
+    #[inline(never)]
+    pub(super) fn sum_members(
+        &self,
+        st: &mut LaneState,
+        value_in: impl Fn(&FieldRef) -> Result<Option<Fixed>>,
+    ) -> Result<()> {
+        for (m, f) in self.fields.iter().enumerate() {
+            if let Some(v) = value_in(f)? {
+                st.add(m, v.as_f64())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Push projection `proj` of member `m`.
+    #[inline(always)]
+    pub(super) fn project_member(
+        &self,
+        st: &LaneState,
+        m: usize,
+        proj: Projection,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        let (Some(&count), Some(&sum)) = (st.count.get(m), st.sum.get(m)) else {
+            return Err(binding_out_of_bounds());
+        };
+        let sum_sq = st.sum_sq.get(m).copied().unwrap_or(0.0);
+        project_sums(st.dense + count, sum, sum_sq, proj, out);
+        Ok(())
     }
 }
 
@@ -453,9 +693,12 @@ mod tests {
     use super::*;
     use crate::program::fold::Binding;
     use crate::program::testkit::*;
+    use crate::program::EntryOrder;
     use crate::program::WindowProgram;
+    use crate::scratch::ScanEntry;
+    use crate::window::WindowAggSet;
     use openmldb_sql::plan::BoundAggregate;
-    use openmldb_types::{CompactCodec, Row};
+    use openmldb_types::{ColumnDef, CompactCodec, DataType, Row, Schema};
     use proptest::prelude::{any, prop_oneof, Just, ProptestConfig, Strategy};
 
     /// A BIGINT from the edges of the wrapping sum, or a small one.
@@ -501,13 +744,12 @@ mod tests {
     #[test]
     fn retract_contract_covers_only_count_and_integer_sums() {
         let codec = CompactCodec::new(schema());
+        // Per aggregate, whether it slides: bound to a kernel that retracts
+        // (a float sum's lane never does).
         let retracts = |aggs: &[BoundAggregate]| {
             let refs: Vec<&BoundAggregate> = aggs.iter().collect();
             let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
-            wp.kernels
-                .iter()
-                .map(KernelSpec::retracts)
-                .collect::<Vec<_>>()
+            wp.split(false).slid
         };
         assert!(retracts(&exact()).iter().all(|r| *r));
         for inexact in [
@@ -519,7 +761,7 @@ mod tests {
             ("max", 6),
         ] {
             let aggs = [agg("count", inexact.1, 0), agg(inexact.0, inexact.1, 0)];
-            assert_eq!(retracts(&aggs), [false], "{inexact:?}");
+            assert_eq!(retracts(&aggs), [false, false], "{inexact:?}");
         }
     }
 
@@ -589,5 +831,169 @@ mod tests {
         ]);
         let (expected, got) = fold_both(&aggs, &rows, Some(&request));
         assert_bit_identical(&expected, &got);
+    }
+
+    /// Runs of DOUBLE and FLOAT columns broken by INT, BIGINT and STRING
+    /// columns, 17 columns in all, so the members' NULL bits span three
+    /// bitmap bytes. `d6` carries a `max` in [`lane_aggs`], so it is no
+    /// lane member and splits the DOUBLE run around it.
+    fn lane_schema() -> Schema {
+        let cols = [
+            ("k", DataType::String),
+            ("ts", DataType::Timestamp),
+            ("d0", DataType::Double),
+            ("d1", DataType::Double),
+            ("d2", DataType::Double),
+            ("i", DataType::Int),
+            ("f0", DataType::Float),
+            ("f1", DataType::Float),
+            ("s", DataType::String),
+            ("d3", DataType::Double),
+            ("d4", DataType::Double),
+            ("b", DataType::Bigint),
+            ("f2", DataType::Float),
+            ("d5", DataType::Double),
+            ("d6", DataType::Double),
+            ("f3", DataType::Float),
+            ("d7", DataType::Double),
+        ];
+        Schema::new(cols.map(|(name, t)| ColumnDef::new(name, t)).to_vec()).expect("schema")
+    }
+
+    /// Sums, averages, a `stddev` and counts over every float column but
+    /// `d6` (14 lane bindings), and kernels that stay per column: `d6`'s
+    /// extremum and sum, integer sums and extrema, a STRING count.
+    fn lane_aggs() -> Vec<BoundAggregate> {
+        let mut aggs: Vec<_> = [
+            ("sum", 2),
+            ("avg", 3),
+            ("stddev", 4),
+            ("count", 4),
+            ("sum", 9),
+            ("avg", 10),
+            ("sum", 13),
+            ("avg", 13),
+            ("max", 14),
+            ("sum", 14),
+            ("sum", 16),
+            ("sum", 6),
+            ("avg", 7),
+            ("stddev", 12),
+            ("sum", 15),
+            ("count", 15),
+            ("sum", 5),
+            ("max", 5),
+            ("sum", 11),
+            ("count", 8),
+        ]
+        .map(|(f, c)| agg(f, c, 0))
+        .to_vec();
+        aggs.rotate_left(7);
+        aggs
+    }
+
+    /// One float of every kind the sums meet: NaN, infinities, -0.0,
+    /// subnormals, and round and arbitrary values.
+    fn lane_float(bits: u64) -> f64 {
+        match bits % 8 {
+            0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][(bits >> 3) as usize % 4],
+            1 => f64::from_bits((bits >> 12) & 0x000f_ffff_ffff_ffff),
+            2 => -f64::MIN_POSITIVE / (1u64 << (bits >> 58)) as f64,
+            3 => f64::from_bits(bits),
+            _ => ((bits >> 8) % 4_001) as f64 * 0.125 - 250.0 + (bits >> 40) as f64 * 1e-7,
+        }
+    }
+
+    /// Row `ts` of `lane_schema()`, drawn from `bits`: `density` 0 has no
+    /// NULL, 1 a NULL in 5% of the nullable columns, 2 in half of them.
+    fn lane_row(ts: i64, bits: u64, density: u8) -> Row {
+        let values = (0..17u64).map(|c| {
+            let v =
+                (bits ^ c.wrapping_mul(0x9e37_79b9_7f4a_7c15)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let v = v ^ (v >> 31);
+            let null = match density {
+                0 => false,
+                1 => v.is_multiple_of(20),
+                _ => v.is_multiple_of(2),
+            };
+            match (c, lane_schema().columns()[c as usize].data_type) {
+                (0, _) => Value::string("k1"),
+                (1, _) => Value::Timestamp(ts),
+                _ if null => Value::Null,
+                (_, DataType::Double) => Value::Double(lane_float(v >> 1)),
+                (_, DataType::Float) => Value::Float(lane_float(v >> 1) as f32),
+                (_, DataType::Int) => Value::Int((v >> 3) as i32),
+                (_, DataType::Bigint) => Value::Bigint((v >> 5) as i64 - (1 << 57)),
+                _ => Value::string(["a", "bb", ""][(v >> 7) as usize % 3]),
+            }
+        });
+        Row::new(values.collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig { cases: 96 })]
+
+        /// The float sum lanes fold every row where its bytes lie: windows
+        /// of 0–300 rows (so an extended window's fold crosses blocks), all
+        /// dense, 5%- or 50%-NULL rows mixed, every float edge value, both
+        /// entry orders, a column-only and an extended window, the request
+        /// row in or out of frame. The answer equals the interpreter's fold
+        /// of the same rows, in Debug form.
+        #[test]
+        fn lane_fold_equals_interpreter(
+            stored in proptest::collection::vec((any::<i64>(), 0u8..3), 0..301),
+            keep in 0usize..150,
+            request in (any::<bool>(), any::<i64>(), 0u8..3),
+        ) {
+            use openmldb_sql::BinaryOp::{Add, Mul};
+            let codec = CompactCodec::new(lane_schema());
+            let rows: Vec<Row> = (stored.iter().enumerate())
+                .map(|(ts, &(bits, density))| lane_row(ts as i64, bits as u64, density))
+                .collect();
+            let request = match request {
+                (true, bits, density) => Some(lane_row(rows.len() as i64, bits as u64, density)),
+                (false, ..) => None,
+            };
+            let req = request.as_ref().map(|r| r.values());
+            let (entries, arena) = arena_of(&rows, &codec);
+            let newest_first: Vec<ScanEntry> = entries.iter().rev().copied().collect();
+            let first = rows.len() - rows.len() * keep.min(100) / 100;
+
+            let column = lane_aggs();
+            let mut extended = lane_aggs();
+            extended.push(agg("distinct_count", 5, 0));
+            extended.push(agg_of("avg", vec![bin(Add, bin(Mul, col(2), lit(Value::Double(2.0))), lit(Value::Double(1.0)))]));
+            for aggs in [&column, &extended] {
+                let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+                let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
+                let laned = wp.bindings.iter().filter(|b| matches!(b, Binding::Lane { .. }));
+                proptest::prop_assert_eq!((wp.lanes.len(), laned.count()), (2, 14));
+                proptest::prop_assert_eq!(wp.extended, aggs.len() > column.len());
+                let oracle = (|| -> Result<Vec<Value>> {
+                    let mut set = WindowAggSet::new(&refs)?;
+                    for e in &entries[first..] {
+                        set.update_view(&codec.view(e.bytes(&arena))?)?;
+                    }
+                    if let Some(r) = req {
+                        set.update(r)?;
+                    }
+                    Ok(set.outputs())
+                })();
+                for (order, entries) in [
+                    (EntryOrder::Ascending, &entries),
+                    (EntryOrder::ReversedScan, &newest_first),
+                ] {
+                    let (mut state, mut out) = (wp.new_state(), Vec::new());
+                    let got = wp
+                        .run(&mut state, entries, first, order, &arena, req, &codec, &mut || Ok(()))
+                        .and_then(|()| wp.outputs_into(&state, &arena, req, &mut out));
+                    proptest::prop_assert_eq!(
+                        format!("{:?}", got.map(|()| out)),
+                        format!("{:?}", oracle),
+                        "{:?}", order
+                    );
+                }
+            }
+        }
     }
 }

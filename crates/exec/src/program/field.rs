@@ -51,6 +51,16 @@ impl Fixed {
         }
     }
 
+    /// The value as f64: a FLOAT widened, an integer converted.
+    #[inline(always)]
+    pub(super) fn as_f64(self) -> f64 {
+        match self {
+            Fixed::Int(v) => v as f64,
+            Fixed::Float(v) => v as f64,
+            Fixed::Double(v) => v,
+        }
+    }
+
     /// The canonical [`KeyValue`](openmldb_types::KeyValue) payload of this
     /// field as a `u64`: integers by value, floats by their f64 bit pattern
     /// (FLOAT promotes first, exactly like `KeyValue::from`).
@@ -98,9 +108,9 @@ pub(super) struct FieldRef {
     pub(super) class: KernelClass,
     /// Absolute byte offset of the fixed-width field in the compact
     /// encoding (header + NULL bitmap included). Unused for `Str`.
-    at: usize,
-    null_byte: usize,
-    null_mask: u8,
+    pub(super) at: usize,
+    pub(super) null_byte: usize,
+    pub(super) null_mask: u8,
 }
 
 impl FieldRef {

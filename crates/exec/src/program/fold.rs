@@ -4,7 +4,8 @@
 //! under its pin, or an arena).
 //!
 //! Each aggregate binds to a kernel of one family — column, expression,
-//! count map, generic — and the fold calls each family's contract: step a
+//! count map, generic; a column's float sums fold in one struct-of-arrays
+//! lane per class — and the fold calls each family's contract: step a
 //! stored row, step the request row (always last), project the values. The
 //! serve loop is `feed_entries`: a column-only window runs it row by row
 //! (`feed_row` / `feed_row_view`); any other window gathers up to [`BLOCK`]
@@ -16,7 +17,7 @@
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
 use openmldb_types::{CompactCodec, Result, RowView, Value};
 
-use super::column::{KernelSpec, KernelState};
+use super::column::{carve_lanes, KernelSpec, KernelState, Lane, LaneState};
 use super::countmap::{CountMap, TopnSpec, TopnState};
 use super::expression::{ExprKernel, Reg, NULL_REG};
 use super::field::{
@@ -36,6 +37,7 @@ pub(super) const BLOCK: usize = 64;
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Binding {
     Column { k: usize, proj: Projection },
+    Lane { l: u8, m: usize, proj: Projection },
     Expr { k: usize, proj: Projection },
     Distinct { map: usize },
     TopN { t: usize },
@@ -46,6 +48,7 @@ pub(super) enum Binding {
 /// scratch so warm requests never allocate).
 pub struct WindowState {
     kernels: Vec<KernelState>,
+    lanes: Vec<LaneState>,
     exprs: Vec<KernelState>,
     /// Register file shared by the expression kernels, op-major: register
     /// `r`'s [`BLOCK`] rows at `r * BLOCK` (sized to the longest program).
@@ -65,6 +68,7 @@ impl WindowState {
         for k in self.kernels.iter_mut().chain(self.exprs.iter_mut()) {
             *k = KernelState::default();
         }
+        self.lanes.iter_mut().for_each(LaneState::reset);
         for m in &mut self.maps {
             m.clear();
         }
@@ -113,8 +117,10 @@ pub enum EntryOrder {
 /// frame guards hoisted out of the per-request path.
 #[derive(Debug)]
 pub struct WindowProgram {
-    /// Family 1: bare-column kernels.
+    /// Family 1: bare-column kernels, and the float sum-family ones folded
+    /// as one lane per class.
     pub(super) kernels: Vec<KernelSpec>,
+    pub(super) lanes: Vec<Lane>,
     /// Family 2: expression kernels.
     pub(super) exprs: Vec<ExprKernel>,
     /// Family 3: count maps, one per distinct column.
@@ -278,7 +284,8 @@ impl WindowProgram {
             topn: Vec::new(),
             generic: Vec::new(),
         };
-        let bindings = aggs.iter().map(|agg| c.bind_agg(agg)).collect();
+        let mut bindings: Vec<Binding> = aggs.iter().map(|agg| c.bind_agg(agg)).collect();
+        let lanes = carve_lanes(&mut c.kernels, &mut bindings);
         let is_str = |f: &FieldRef| f.class == KernelClass::Str;
         WindowProgram {
             needs_view: c.kernels.iter().any(|k| is_str(&k.field))
@@ -287,6 +294,7 @@ impl WindowProgram {
             extended: !(c.exprs.is_empty() && c.maps.is_empty() && c.generic.is_empty()),
             max_regs: c.exprs.iter().map(|k| k.ops.len()).max().unwrap_or(0),
             kernels: c.kernels,
+            lanes,
             exprs: c.exprs,
             maps: c.maps,
             topn: c.topn,
@@ -315,7 +323,7 @@ impl WindowProgram {
             .map(|b| match *b {
                 Binding::Column { k, .. } => self.kernels.get(k).is_some_and(KernelSpec::retracts),
                 Binding::Distinct { .. } | Binding::TopN { .. } => true,
-                Binding::Expr { .. } | Binding::Generic { .. } => false,
+                Binding::Lane { .. } | Binding::Expr { .. } | Binding::Generic { .. } => false,
             } && !recompute)
             .collect();
         let part = |slides: bool| {
@@ -335,6 +343,7 @@ impl WindowProgram {
     pub fn new_state(&self) -> WindowState {
         WindowState {
             kernels: vec![KernelState::default(); self.kernels.len()],
+            lanes: self.lanes.iter().map(Lane::new_state).collect(),
             exprs: vec![KernelState::default(); self.exprs.len()],
             regs: vec![NULL_REG; self.max_regs * BLOCK],
             maps: self.maps.iter().map(|_| CountMap::new()).collect(),
@@ -406,13 +415,7 @@ impl WindowProgram {
             return Err(generic_state_mismatch());
         }
         state.reset();
-        // Column-only windows run a loop with the other families compiled
-        // out.
-        let mut fed = if self.extended {
-            self.feed_entries(true, state, rows, first, order, codec, probe)?
-        } else {
-            self.feed_entries(false, state, rows, first, order, codec, probe)?
-        };
+        let mut fed = self.feed_entries(self.extended, state, rows, first, order, codec, probe)?;
         if let Some(req) = request {
             self.feed_request(state, req, rows)?;
             // The request row counts toward the probe cadence.
@@ -453,12 +456,9 @@ impl WindowProgram {
     }
 
     /// Feed the in-frame stored rows in ascending `(ts, seq)` order; returns
-    /// how many were fed. `ext` is [`Self::extended`] passed as a literal at
-    /// both call sites, so inlining folds it: an extended window folds a
-    /// block at a time ([`feed_blocks`](Self::feed_blocks)), a column-only
-    /// one runs the row loop below. Row indices are positions in `rows`: an
-    /// ascending source feeds `first..`, a reversed scan its newest rows
-    /// backwards.
+    /// how many were fed. `ext` is [`Self::extended`]: an extended window
+    /// folds a block at a time ([`feed_blocks`](Self::feed_blocks)), a
+    /// column-only one runs the row loop ([`feed_rows`](Self::feed_rows)).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     pub(super) fn feed_entries<R: RowSource>(
@@ -471,16 +471,33 @@ impl WindowProgram {
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<u32> {
-        if ext {
-            return self.feed_blocks(state, rows, first, order, codec, probe);
+        match (ext, self.lanes.is_empty()) {
+            (true, _) => self.feed_blocks(state, rows, first, order, codec, probe),
+            (false, true) => self.feed_rows::<false, R>(state, rows, first, order, codec, probe),
+            (false, false) => self.feed_rows::<true, R>(state, rows, first, order, codec, probe),
         }
+    }
+
+    /// A column-only window's row loop (`LANES` false compiles the float sum
+    /// lanes out). Row indices are positions in `rows`: an ascending source
+    /// feeds `first..`, a reversed scan its newest rows backwards.
+    #[inline(always)]
+    fn feed_rows<const LANES: bool, R: RowSource>(
+        &self,
+        state: &mut WindowState,
+        rows: &R,
+        first: usize,
+        order: EntryOrder,
+        codec: &CompactCodec,
+        probe: &mut dyn FnMut() -> Result<()>,
+    ) -> Result<u32> {
         let n = rows.n_rows();
         let take = n.saturating_sub(first);
         let mut fed = 0u32;
         match order {
             EntryOrder::Ascending => {
                 for i in n - take..n {
-                    self.feed_row(state, (i, rows.row_at(i)?), rows, codec)?;
+                    self.feed_row::<LANES>(state, (i, rows.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -489,7 +506,7 @@ impl WindowProgram {
             }
             EntryOrder::ReversedScan => {
                 for i in (0..take).rev() {
-                    self.feed_row(state, (i, rows.row_at(i)?), rows, codec)?;
+                    self.feed_row::<LANES>(state, (i, rows.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -524,7 +541,7 @@ impl WindowProgram {
     // `Value` construction, no parse beyond the 3-field header check for
     // fixed-only programs.
     #[inline(always)]
-    fn feed_row(
+    fn feed_row<const LANES: bool>(
         &self,
         state: &mut WindowState,
         (i, buf): (usize, &[u8]),
@@ -532,11 +549,17 @@ impl WindowProgram {
         codec: &CompactCodec,
     ) -> Result<()> {
         if self.needs_view {
-            return self.feed_row_view(state, (i, buf), rows, codec);
+            self.feed_row_view(state, (i, buf), rows, codec)?;
+        } else {
+            self.check_header(buf)?;
+            for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
+                spec.step_row(st, buf, None, (i, buf), rows)?;
+            }
         }
-        self.check_header(buf)?;
-        for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
-            spec.step_row(st, buf, None, (i, buf), rows)?;
+        if LANES {
+            for (lane, st) in self.lanes.iter().zip(state.lanes.iter_mut()) {
+                lane.sum_row(st, buf)?;
+            }
         }
         Ok(())
     }
@@ -620,8 +643,8 @@ impl WindowProgram {
     }
 
     // HOT: one block of an extended window, family by family, each in the
-    // loop order that suits it: column kernels row by row (their float
-    // chains interleave), expression kernels op by op
+    // loop order that suits it: column kernels row by row (a float sum lane
+    // first, one straight loop per row), expression kernels op by op
     // ([`ExprKernel::eval_block`]), count maps map by map, generic
     // aggregates row by row over the views. The error reported is the one
     // the row-at-a-time fold meets first — the earliest row, then family
@@ -638,6 +661,7 @@ impl WindowProgram {
     ) -> Result<()> {
         let WindowState {
             kernels,
+            lanes,
             exprs,
             regs,
             maps,
@@ -646,6 +670,11 @@ impl WindowProgram {
         } = state;
         let (mut end, mut failed) = (block.len, None);
         'rows: for (j, (i, buf, view)) in block.rows(end) {
+            let mut laned = self.lanes.iter().zip(lanes.iter_mut());
+            if let Err(e) = laned.try_for_each(|(l, st)| l.sum_row(st, buf)) {
+                (end, failed) = (j, Some((e, None)));
+                break 'rows;
+            }
             for (spec, st) in self.kernels.iter().zip(kernels.iter_mut()) {
                 if let Err(e) = spec.step_row(st, buf, view, (i, buf), rows) {
                     (end, failed) = (j, Some((e, None)));
@@ -699,12 +728,16 @@ impl WindowProgram {
     ) -> Result<()> {
         let WindowState {
             kernels,
+            lanes,
             exprs,
             regs,
             maps,
             generic,
             ..
         } = state;
+        for (lane, st) in self.lanes.iter().zip(lanes.iter_mut()) {
+            lane.sum_members(st, |f| f.requested(req))?;
+        }
         for (spec, st) in self.kernels.iter().zip(kernels.iter_mut()) {
             spec.step_request(st, req, rows)?;
         }
@@ -788,6 +821,11 @@ impl WindowProgram {
                     }
                     _ => return Err(binding_out_of_bounds()),
                 },
+                Binding::Lane { l, m, proj } => {
+                    let lane = self.lanes.get(l as usize).zip(state.lanes.get(l as usize));
+                    let (lane, st) = lane.ok_or_else(binding_out_of_bounds)?;
+                    lane.project_member(st, m, proj, out)?
+                }
                 Binding::Expr { k, proj } => match (self.exprs.get(k), state.exprs.get(k)) {
                     (Some(spec), Some(st)) => spec.project_into(st, proj, out)?,
                     _ => return Err(binding_out_of_bounds()),
@@ -967,9 +1005,10 @@ mod tests {
         /// Hostile stored bytes through the only reader a served window has:
         /// a truncated, bit-flipped or length-patched encoded row, sitting in
         /// the arena between two intact ones (an over-read would land in a
-        /// neighbour), through one program per kernel family. `run` answers
-        /// with a value or a typed error — a truncated or mis-declared
-        /// length always with the error — and never panics.
+        /// neighbour), through one program per kernel family and one of
+        /// float sum lanes (a row short of a lane's span is an error). `run`
+        /// answers with a value or a typed error — a truncated or
+        /// mis-declared length always with the error — and never panics.
         #[test]
         fn hostile_row_bytes_are_a_typed_error_or_a_value(
             seed in 0i64..40,
@@ -1008,6 +1047,7 @@ mod tests {
                 vec![agg("distinct_count", 6, 0), agg_of("topn_frequency", vec![col(3), lit(Value::Int(2))])],
                 vec![agg_of("median", vec![col(5)]), agg_of("count_where", vec![col(6), bin(Gt, col(2), lit(Value::Int(0)))])],
                 vec![agg("min", 6, 0), agg("max", 6, 0)],
+                vec![agg("sum", 5, 0), agg("avg", 4, 0), agg("stddev", 5, 0), agg("count", 4, 0)],
             ];
             let w = window();
             for aggs in &families {

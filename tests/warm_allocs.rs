@@ -5,7 +5,9 @@
 //! off one pooled scan. (One request in 64 is the span tracer's sample, and
 //! hands it one retained `Vec` more.) The same holds for a window mixing every
 //! kernel family: expression registers, count-map tables and the generic
-//! unit's aggregators are pooled state, cleared and never freed.
+//! unit's aggregators are pooled state, cleared and never freed. And for a
+//! window of 100 DOUBLE sums and averages: its float sum lane's arrays are
+//! pooled state too.
 //!
 //! A binary of its own with a single test: the counting allocator is
 //! process-wide, and only the serving thread's allocations are counted.
@@ -54,6 +56,17 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let value = f();
     (value, ALLOCS.with(Cell::get) - before)
+}
+
+/// A row of the `wide` table: key, timestamp, 100 DOUBLEs (one NULL in
+/// seven rows, so the lane meets sparse rows too).
+fn wide_row(i: i64, k: i64, ts: i64) -> Row {
+    let mut values = vec![Value::Bigint(k), Value::Timestamp(ts)];
+    values.extend((0..100).map(|c| match (i + c) % 7 == 0 && i % 3 == 0 {
+        true => Value::Null,
+        false => Value::Double(((i * 31 + c) % 64) as f64 * 0.25),
+    }));
+    Row::new(values)
 }
 
 fn t1_row(id: i64, k: i64, v: f64, ts: i64) -> Row {
@@ -109,17 +122,44 @@ fn a_warm_request_allocates_only_its_output_row() {
          WINDOW w AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 10s PRECEDING AND CURRENT ROW)",
     )
     .unwrap();
+    // 100 sums on one window and 100 averages on another: two float sum
+    // lanes of 100 members each.
+    let columns: Vec<String> = (0..100).map(|c| format!("v{c} DOUBLE")).collect();
+    db.execute(&format!(
+        "CREATE TABLE wide (k BIGINT, ts TIMESTAMP, {}, INDEX(KEY=k, TS=ts))",
+        columns.join(", ")
+    ))
+    .unwrap();
+    for i in 0..2_000i64 {
+        db.insert_row("wide", &wide_row(i, i % 8, i * 20)).unwrap();
+    }
+    let sums = (0..100).map(|c| format!("sum(v{c}) OVER w AS s{c}, avg(v{c}) OVER w2 AS a{c}"));
+    db.deploy(&format!(
+        "DEPLOY wide AS SELECT {} FROM wide \
+         WINDOW w AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 2s PRECEDING AND CURRENT ROW), \
+         w2 AS (PARTITION BY k ORDER BY ts ROWS BETWEEN 20 PRECEDING AND CURRENT ROW)",
+        sums.collect::<Vec<_>>().join(", ")
+    ))
+    .unwrap();
     // A latency spike must not dump a (heap-allocated) post-mortem mid-count.
     openmldb::obs::flight::set_slow_query_threshold_ns(u64::MAX);
-    for name in ["short", "mixed"] {
-        assert_warm_requests_allocate_only_their_output_row(&db, name);
-    }
-}
-
-fn assert_warm_requests_allocate_only_their_output_row(db: &Database, name: &str) {
-    let requests: Vec<Row> = (0..512i64)
+    let t1_requests: Vec<Row> = (0..512i64)
         .map(|i| t1_row(900_000 + i, i % 9, 1.5, 30_000 + i * 17))
         .collect();
+    for name in ["short", "mixed"] {
+        assert_warm_requests_allocate_only_their_output_row(&db, name, &t1_requests);
+    }
+    let wide_requests: Vec<Row> = (0..512i64)
+        .map(|i| wide_row(i, i % 9, 38_000 + i * 3))
+        .collect();
+    assert_warm_requests_allocate_only_their_output_row(&db, "wide", &wide_requests);
+}
+
+fn assert_warm_requests_allocate_only_their_output_row(
+    db: &Database,
+    name: &str,
+    requests: &[Row],
+) {
     // Warm-up: the scratch pool, the scan arena, the sampled-key sketch.
     // Every 64th request offers its key to the sketch; a round one request
     // longer than a multiple of 64 shifts which ones, so nine rounds offer
