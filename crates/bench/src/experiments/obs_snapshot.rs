@@ -25,6 +25,10 @@ pub const REL_TOLERANCE: f64 = 0.10 + 1.0 / 16.0;
 /// dominates any relative comparison.
 pub const ABS_FLOOR_MS: f64 = 0.02;
 
+/// Requests the measured loop runs past its highest compared percentile
+/// (p999), so no percentile of either clock rests on a single request.
+const TAIL_REQUESTS: usize = 10;
+
 #[derive(Debug, Clone)]
 pub struct ObsComparison {
     /// Requests issued in the measured loop.
@@ -60,7 +64,9 @@ pub fn run() -> ObsComparison {
     // publication, which the engine's one end-of-request reading leaves out;
     // that fixed part must stay small beside the interval both clocks share.
     let keys = 2usize;
-    let requests = scaled(2_000);
+    // At least `TAIL_REQUESTS` requests beyond the p999 both clocks report:
+    // fewer, and each p999 is one request's latency.
+    let requests = scaled(2_000).max(TAIL_REQUESTS * 1_000);
 
     let db = micro_db(rows, keys, 0.0, 1);
     db.deploy(&format!(
@@ -198,7 +204,12 @@ pub fn run() -> ObsComparison {
 
 #[cfg(test)]
 mod tests {
+    /// Runs alone (its own CI step and `scripts/analysis.sh` step): the
+    /// harness clock also covers code outside the engine's interval, so
+    /// under the parallel suite one preemption there in a thousand
+    /// requests moves the harness p999 and not the engine's.
     #[test]
+    #[ignore = "timing cross-check: runs alone in its own CI step, not in the parallel suite"]
     fn obs_and_harness_percentiles_agree() {
         let result = crate::harness::with_scale(0.1, super::run);
         assert!(!result.diverged, "{}", result.json);

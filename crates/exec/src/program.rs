@@ -21,11 +21,13 @@
 //!   4. `generic` — everything else the function registry accepts, run by
 //!      the interpreter's own aggregate slots fed from the row view.
 //!
-//!   Each family module owns one contract — step a stored row, step the
-//!   request row, retract a stored row where its fold is exactly
-//!   invertible (the module decides: count and wrapping `i64` sums, count
-//!   maps), project its values — and every engine calls it: the serve loop,
-//!   the offline sweep and the window union's stream ([`Sweep`], `sweep`).
+//!   Each family module owns one contract — step a row, retract a stored
+//!   row where its fold is exactly invertible (the module decides: count
+//!   and wrapping `i64` sums, count maps), project its values — and every
+//!   engine calls it: the serve loop, the offline sweep and the window
+//!   union's stream ([`Sweep`], `sweep`). The request row is one more row
+//!   in the same format: encoded once, it is stepped last, as row `n` of
+//!   the fold's rows, by the code that steps a stored row.
 //!   DESIGN.md §16.2 tabulates the families. Frame bounds (`ROWS n
 //!   PRECEDING`, `MAXSIZE`) and the `EXCLUDE CURRENT_ROW` check are hoisted
 //!   into precomputed guards ([`WindowProgram::first_in_frame`]).

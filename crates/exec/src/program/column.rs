@@ -4,10 +4,10 @@
 //! each row's field at its baked offset; strings are byte ranges of the row
 //! they were read from.
 //!
-//! The contract every caller uses: [`KernelSpec::step_row`] a stored row,
-//! [`KernelSpec::step_request`] the request row (always last),
-//! [`KernelSpec::retract_row`] a stored row where [`KernelSpec::retracts`] says
-//! the fold is exactly invertible, and the bound projections
+//! The contract every caller uses: [`KernelSpec::step_row`] a row — a stored
+//! one, or the encoded request row, which the fold steps last —
+//! [`KernelSpec::retract_row`] a stored row where [`KernelSpec::retracts`]
+//! says the fold is exactly invertible, and the bound projections
 //! ([`KernelState::project`]). A kernel retracts when it keeps only the count and
 //! the wrapping `i64` sum: both are groups under addition, so taking a row
 //! out lands on exactly the state that never saw it. f64 sums, averages and
@@ -24,8 +24,7 @@
 use openmldb_types::{Error, Result, RowView, Value};
 
 use super::field::{
-    binding_out_of_bounds, request_out_of_bounds, row_out_of_range, str_field, FieldRef, Fixed,
-    FixedSink, KernelClass,
+    binding_out_of_bounds, row_out_of_range, str_field, FieldRef, Fixed, FixedSink, KernelClass,
 };
 use super::fold::Binding;
 use crate::scratch::RowSource;
@@ -86,10 +85,10 @@ impl KernelSpec {
         }
     }
 
-    /// Step stored row `buf` into `st`. A fixed-width field is read at its
-    /// baked offset; a STRING field through `view` (`None` only for
-    /// fixed-only programs), its extrema addressed as a slice of row
-    /// `home.0` of `rows`, whose bytes `home.1` contain it.
+    /// Step row `buf` into `st`. A fixed-width field is read at its baked
+    /// offset; a STRING field through `view` (`None` only for fixed-only
+    /// programs), its extrema addressed as a slice of row `home.0` of
+    /// `rows`, whose bytes `home.1` contain it.
     #[inline(always)]
     pub(super) fn step_row(
         &self,
@@ -105,35 +104,11 @@ impl KernelSpec {
         match view {
             Some(view) if self.field.class == KernelClass::Str => {
                 if let Some(s) = str_field(view, self.field.col)? {
-                    let (row, buf) = home;
-                    let slot = || StrSlot::of(row, s.as_bytes(), buf);
-                    st.feed_str(s, slot, rows, self.track)?;
+                    st.feed_str(s.as_bytes(), home, rows, self.track)?;
                 }
                 Ok(())
             }
             _ => self.field.visit_fixed(buf, self.feed(st)),
-        }
-    }
-
-    /// Step the request row's value of this column (always the last row
-    /// stepped).
-    #[inline]
-    pub(super) fn step_request(
-        &self,
-        st: &mut KernelState,
-        req: &[Value],
-        rows: &dyn RowSource,
-    ) -> Result<()> {
-        if self.field.class != KernelClass::Str {
-            if let Some(v) = self.field.requested(req)? {
-                v.into_sink(self.feed(st));
-            }
-            return Ok(());
-        }
-        match req.get(self.field.col) {
-            Some(Value::Null) => Ok(()),
-            Some(v) => st.feed_str(v.as_str()?, || Ok(StrSlot::Request), rows, self.track),
-            None => Err(request_out_of_bounds(self.field.col)),
         }
     }
 
@@ -165,7 +140,7 @@ impl KernelSpec {
     }
 
     /// Once the last row is stepped, resolve the STRING extremum `proj`
-    /// reads into `resolved` (`[min, max]`), from `rows` or the request.
+    /// reads into `resolved` (`[min, max]`), from `rows`.
     #[inline(always)]
     pub(super) fn resolve_str(
         &self,
@@ -173,7 +148,6 @@ impl KernelSpec {
         proj: Projection,
         [min, max]: &mut [Value; 2],
         rows: &dyn RowSource,
-        request: Option<&[Value]>,
     ) -> Result<()> {
         let (slot, v) = match proj {
             _ if self.field.class != KernelClass::Str || st.count == 0 => return Ok(()),
@@ -181,21 +155,15 @@ impl KernelSpec {
             Projection::Max => (st.max_str, max),
             _ => return Ok(()),
         };
-        *v = match slot {
-            StrSlot::Request => request.and_then(|r| r.get(self.field.col)).cloned(),
-            slot => std::str::from_utf8(StrSlot::resolve(slot, rows)?)
-                .ok()
-                .map(Value::string),
-        }
-        .ok_or_else(|| Error::Eval("string extremum is not a request or UTF-8 string".into()))?;
+        let s = std::str::from_utf8(StrSlot::resolve(slot, rows)?);
+        *v = Value::string(s.map_err(|_| Error::Eval("string extremum is not UTF-8".into()))?);
         Ok(())
     }
 }
 
-/// Where a running string extremum lives. A stored row's is a byte range of
-/// that row, addressed by its index in the fold's [`RowSource`] (no copy
-/// until the fold finishes); the request row is fed last, so a `Request`
-/// slot can only be set after every stored candidate was compared.
+/// Where a running string extremum lives: a byte range of the row it was
+/// read from, addressed by that row's index in the fold's [`RowSource`] (no
+/// copy until the fold finishes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(super) enum StrSlot {
     #[default]
@@ -206,7 +174,6 @@ pub(super) enum StrSlot {
         off: u32,
         len: u32,
     },
-    Request,
 }
 
 /// Running fold state for one column or expression kernel — plain machine
@@ -315,13 +282,13 @@ impl KernelState {
         }
     }
 
-    /// Feed `s`, a string whose extremum slot `slot` makes: a stored row's
-    /// range, or the request row's.
+    /// Feed `bytes`, a string of row `home.0` of `rows` (whose bytes are
+    /// `home.1`), kept as a range of that row when it is an extremum.
     #[inline(always)]
     fn feed_str(
         &mut self,
-        s: &str,
-        slot: impl Fn() -> Result<StrSlot>,
+        bytes: &[u8],
+        (row, buf): (usize, &[u8]),
         rows: &dyn RowSource,
         track: Track,
     ) -> Result<()> {
@@ -329,7 +296,7 @@ impl KernelState {
         if !track.minmax {
             return Ok(());
         }
-        let bytes = s.as_bytes();
+        let slot = || StrSlot::of(row, bytes, buf);
         if self.count == 1 {
             let slot = slot()?;
             self.min_str = slot;
@@ -581,7 +548,7 @@ impl Lane {
         let clean =
             (self.nulls.iter()).all(|&(at, bits)| buf.get(at).is_some_and(|b| b & bits == 0));
         if !clean || buf.get(..self.end).is_none() {
-            return self.sum_members(st, |f| f.stored(buf));
+            return self.sum_members(st, buf);
         }
         for &(at, first, end) in &self.runs {
             let bytes = buf.get(at..at + (end - first) * self.width);
@@ -598,16 +565,11 @@ impl Lane {
         Ok(())
     }
 
-    /// Step every member by the value `value_in` reads of its field: a
-    /// stored row's (its NULL bit probed) or the request row's.
+    /// Step every member by its field of row `buf`, its NULL bit probed.
     #[inline(never)]
-    pub(super) fn sum_members(
-        &self,
-        st: &mut LaneState,
-        value_in: impl Fn(&FieldRef) -> Result<Option<Fixed>>,
-    ) -> Result<()> {
+    fn sum_members(&self, st: &mut LaneState, buf: &[u8]) -> Result<()> {
         for (m, f) in self.fields.iter().enumerate() {
-            if let Some(v) = value_in(f)? {
+            if let Some(v) = f.stored(buf)? {
                 st.add(m, v.as_f64())?;
             }
         }
@@ -670,9 +632,8 @@ impl StrSlot {
         Ok(StrSlot::Row { row, off, len })
     }
 
-    /// The bytes a slot refers to, among `rows`. `Request` (set last) and
-    /// `None` (count >= 1) cannot occur while stored rows are being fed;
-    /// the fold's finish resolves `Request` itself.
+    /// The bytes a slot refers to, among `rows`. `None` cannot occur once
+    /// a row was counted.
     #[inline(always)]
     pub(super) fn resolve(self, rows: &dyn RowSource) -> Result<&[u8]> {
         match self {
@@ -681,7 +642,7 @@ impl StrSlot {
                 let bytes = rows.row_at(row as usize).ok().and_then(|r| r.get(off..end));
                 bytes.ok_or_else(|| Error::Eval("string extremum range outside its row".into()))
             }
-            StrSlot::None | StrSlot::Request => Err(Error::Eval(
+            StrSlot::None => Err(Error::Eval(
                 "string extremum slot resolved out of order".into(),
             )),
         }

@@ -3,9 +3,10 @@
 //! for strings) in a pooled open-addressing table ([`CountMap`]), one map
 //! per column shared by every projection of it.
 //!
-//! The contract: [`CountMap::tally_row`] a stored row, [`CountMap::tally_request`]
-//! the request row, [`CountMap::untally_row`] a stored row, and project —
-//! [`CountMap::distinct`], or [`TopnState::render`] for `topn_frequency`.
+//! The contract: [`CountMap::tally_row`] a row — a stored one, or the
+//! encoded request row, which the fold steps last — [`CountMap::untally_row`]
+//! a stored row, and project — [`CountMap::distinct`], or
+//! [`TopnState::render`] for `topn_frequency`.
 //! Retract is always exact: a key's entry goes when its count reaches zero
 //! and the probe run behind it shifts back (no tombstones), so the map
 //! holds exactly the keys of the rows stepped and not retracted.
@@ -13,19 +14,13 @@
 use openmldb_types::{Error, Result, RowView, Value};
 
 use super::column::StrSlot;
-use super::field::{
-    binding_out_of_bounds, str_field, str_without_view, FieldRef, Fixed, KernelClass,
-};
+use super::field::{str_field, str_without_view, FieldRef, Fixed, KernelClass};
 use crate::scratch::RowSource;
 
-/// `key` of the count-map entry holding the request row's string (which
-/// lives in the decoded request row, not in a stored one).
-const REQUEST_KEY: u64 = u64::MAX;
-
 /// One distinct key and its multiplicity. Fixed-width columns key by their
-/// canonical `KeyValue` bits; STRING columns by a byte range of a stored
-/// row (`row` = its index in the fold's [`RowSource`], `key` = the offset
-/// in it, `len` = byte length).
+/// canonical `KeyValue` bits; STRING columns by a byte range of a row
+/// (`row` = its index in the fold's [`RowSource`], `key` = the offset in
+/// it, `len` = byte length).
 #[derive(Debug, Clone, Copy)]
 struct CountEntry {
     key: u64,
@@ -161,9 +156,8 @@ impl CountMap {
         self.bump(self.mix(key), (key, 0, 0), |e| e.key == key);
     }
 
-    /// Count a string under entry key `at` (`(offset, row, len)` of a
-    /// stored row among `rows`, or [`REQUEST_KEY`]). Every entry it can
-    /// collide with is a stored row's (the request row is fed last).
+    /// Count a string under entry key `at`: `(offset, row, len)` of a row
+    /// among `rows`.
     // analysis:allow(panic-freedom): checked slice accessors only (see
     // `bump`).
     #[inline(always)]
@@ -172,9 +166,9 @@ impl CountMap {
         self.bump(hash, at, |e| stored_key(e, rows) == Some(bytes));
     }
 
-    /// Step stored row `buf`'s value of `field` into the map. A STRING key
-    /// is read through `view` and kept as a slice of row `home.0` of `rows`,
-    /// whose bytes `home.1` contain it.
+    /// Step row `buf`'s value of `field` into the map. A STRING key is read
+    /// through `view` and kept as a slice of row `home.0` of `rows`, whose
+    /// bytes `home.1` contain it.
     // analysis:allow(panic-freedom): `StrSlot::of` is checked offset
     // arithmetic; the rest is `bump_bytes`.
     #[inline(always)]
@@ -198,29 +192,6 @@ impl CountMap {
         let bytes = s.as_bytes();
         if let StrSlot::Row { row, off, len } = StrSlot::of(row, bytes, home)? {
             self.bump_bytes(bytes, rows, (u64::from(off), row, len));
-        }
-        Ok(())
-    }
-
-    /// Step the decoded request row's value of `field` (always the last
-    /// row stepped).
-    #[inline]
-    pub(super) fn tally_request(
-        &mut self,
-        field: &FieldRef,
-        req: &[Value],
-        rows: &dyn RowSource,
-    ) -> Result<()> {
-        if field.class != KernelClass::Str {
-            if let Some(v) = field.requested(req)? {
-                self.bump_fixed(v);
-            }
-            return Ok(());
-        }
-        match req.get(field.col) {
-            Some(Value::Null) => {}
-            Some(v) => self.bump_bytes(v.as_str()?.as_bytes(), rows, (REQUEST_KEY, 0, 0)),
-            None => return Err(binding_out_of_bounds()),
         }
         Ok(())
     }
@@ -320,30 +291,12 @@ impl CountMap {
     }
 }
 
-/// The bytes of a stored row's STRING count-map entry (`None` for the
-/// request row's).
+/// The bytes of a STRING count-map entry, among `rows`.
 #[inline]
 fn stored_key<'a>(e: &CountEntry, rows: &'a dyn RowSource) -> Option<&'a [u8]> {
     let off = usize::try_from(e.key).ok()?;
     let end = off.checked_add(e.len as usize)?;
     rows.row_at(e.row as usize).ok()?.get(off..end)
-}
-
-/// The bytes of a STRING count-map entry.
-#[inline]
-fn entry_bytes<'a>(
-    e: &CountEntry,
-    col: usize,
-    rows: &'a dyn RowSource,
-    request: Option<&'a [Value]>,
-) -> &'a [u8] {
-    if e.key == REQUEST_KEY {
-        return request
-            .and_then(|r| r.get(col))
-            .and_then(|v| v.as_str().ok())
-            .map_or(&[], str::as_bytes);
-    }
-    stored_key(e, rows).unwrap_or(&[])
 }
 
 /// One `topn_frequency(col, n)` projection of a count map.
@@ -373,18 +326,17 @@ impl TopnState {
         map: &CountMap,
         n: usize,
         rows: &dyn RowSource,
-        request: Option<&[Value]>,
     ) -> Result<()> {
         use std::cmp::Ordering;
         use std::fmt::Write;
+        let key = |e: &CountEntry| stored_key(e, rows).unwrap_or(&[]);
         let cmp = |a: &u32, b: &u32| {
             let (Some(x), Some(y)) = (map.entries.get(*a as usize), map.entries.get(*b as usize))
             else {
                 return Ordering::Equal;
             };
             y.count.cmp(&x.count).then_with(|| match field.class {
-                KernelClass::Str => entry_bytes(x, field.col, rows, request)
-                    .cmp(entry_bytes(y, field.col, rows, request)),
+                KernelClass::Str => key(x).cmp(key(y)),
                 c if c.is_int() => (x.key as i64).cmp(&(y.key as i64)),
                 _ => x.key.cmp(&y.key),
             })
@@ -411,7 +363,7 @@ impl TopnState {
             // Writing into a `String` cannot fail.
             let _ = match field.class {
                 KernelClass::Str => {
-                    let s = std::str::from_utf8(entry_bytes(e, field.col, rows, request))
+                    let s = std::str::from_utf8(key(e))
                         .map_err(|e| Error::Eval(format!("non-UTF-8 count-map key: {e}")))?;
                     self.rendered.write_str(s)
                 }
@@ -542,7 +494,7 @@ mod tests {
                     Binding::Distinct { map } => out.push(maps[map].distinct()),
                     Binding::TopN { t } => {
                         let (mut top, spec) = (TopnState::default(), wp.topn[t]);
-                        top.render(&wp.maps[spec.map], &maps[spec.map], spec.n, &source, None).expect("render");
+                        top.render(&wp.maps[spec.map], &maps[spec.map], spec.n, &source).expect("render");
                         out.push(top.topn());
                     }
                     _ => unreachable!("count maps only"),

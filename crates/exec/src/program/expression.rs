@@ -4,9 +4,9 @@
 //! encoded bytes. Its result feeds the same [`KernelState`] fold a column
 //! kernel keeps.
 //!
-//! The contract: [`ExprKernel::eval_block`] a block of stored rows, op by
-//! op (the request row is a block of one), and [`ExprKernel::project_into`]
-//! the bound projections. There is no retract:
+//! The contract: [`ExprKernel::eval_block`] a block of rows, op by op (the
+//! encoded request row is the last row of the last block), and
+//! [`ExprKernel::project_into`] the bound projections. There is no retract:
 //! an argument can fail on a row with the interpreter's typed overflow
 //! error, and the sweep re-folds every expression kernel.
 

@@ -5,7 +5,7 @@
 
 use openmldb_sql::BinaryOp;
 use openmldb_types::codec::compact::HEADER_SIZE;
-use openmldb_types::{CompactCodec, DataType, Error, Result, RowView, Value, ValueRef};
+use openmldb_types::{CompactCodec, DataType, Error, Result, RowView, ValueRef};
 
 /// Column class a kernel is monomorphized for. Decides the byte-level read,
 /// the running-state fields used, and the output `Value` constructor.
@@ -29,9 +29,8 @@ impl KernelClass {
     }
 }
 
-/// One fixed-width field, read from raw row bytes or from a decoded
-/// request-row value — the common currency of the column, expression and
-/// count-map families.
+/// One fixed-width field, read from a row's bytes — the common currency of
+/// the column, expression and count-map families.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Fixed {
     Int(i64),
@@ -40,17 +39,6 @@ pub(super) enum Fixed {
 }
 
 impl Fixed {
-    /// Hand this value to `sink`, as [`FieldRef::visit_fixed`] hands a
-    /// stored row's field.
-    #[inline(always)]
-    pub(super) fn into_sink(self, sink: impl FixedSink) {
-        match self {
-            Fixed::Int(v) => sink.int(v),
-            Fixed::Float(v) => sink.float(v),
-            Fixed::Double(v) => sink.double(v),
-        }
-    }
-
     /// The value as f64: a FLOAT widened, an integer converted.
     #[inline(always)]
     pub(super) fn as_f64(self) -> f64 {
@@ -103,7 +91,7 @@ impl FixedSink for &mut Fixed {
 /// `(byte, mask)` pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) struct FieldRef {
-    /// Base-schema column index (also the request-row slot).
+    /// Base-schema column index.
     pub(super) col: usize,
     pub(super) class: KernelClass,
     /// Absolute byte offset of the fixed-width field in the compact
@@ -187,21 +175,6 @@ impl FieldRef {
         self.visit_fixed(buf, &mut v)?;
         Ok(Some(v))
     }
-
-    /// NULL-aware read out of the decoded request row.
-    #[inline]
-    pub(super) fn requested(&self, row: &[Value]) -> Result<Option<Fixed>> {
-        let v = row
-            .get(self.col)
-            .ok_or_else(|| request_out_of_bounds(self.col))?;
-        Ok(Some(match self.class {
-            _ if v.is_null() => return Ok(None),
-            KernelClass::Float => Fixed::Float(v.as_f64()? as f32),
-            KernelClass::Double => Fixed::Double(v.as_f64()?),
-            KernelClass::Str => return Err(str_without_view()),
-            _ => Fixed::Int(v.as_i64()?),
-        }))
-    }
 }
 
 /// The STRING field `col` of a validated row (`None` for NULL).
@@ -266,11 +239,6 @@ fn str_class_mismatch() -> Error {
 #[cold]
 pub(super) fn integer_overflow(op: BinaryOp) -> Error {
     Error::Eval(format!("integer overflow in {}", op.symbol()))
-}
-
-#[cold]
-pub(super) fn request_out_of_bounds(col: usize) -> Error {
-    Error::Eval(format!("request column {col} out of bounds"))
 }
 
 #[cold]

@@ -5,14 +5,16 @@
 //!
 //! Each aggregate binds to a kernel of one family — column, expression,
 //! count map, generic; a column's float sums fold in one struct-of-arrays
-//! lane per class — and the fold calls each family's contract: step a
-//! stored row, step the request row (always last), project the values. The
-//! serve loop is `feed_entries`: a column-only window runs it row by row
-//! (`feed_row` / `feed_row_view`); any other window gathers up to [`BLOCK`]
-//! validated rows and steps each family over the whole block
-//! (`feed_blocks` → `step_block`). The offline sweep calls the same
-//! contract through [`WindowProgram::slide_row`] for the kernels whose fold
-//! retracts exactly, and re-folds the rest through this loop.
+//! lane per class — and the fold calls each family's contract: step a row,
+//! project the values. There is one row format: the request row, encoded
+//! once, is row `n` of the fold's rows ([`FoldRows`]), stepped after every
+//! stored row by the same code. The serve loop is `feed_entries`: a
+//! column-only window runs it row by row (`feed_row` / `feed_row_view`);
+//! any other window gathers up to [`BLOCK`] validated rows and steps each
+//! family over the whole block (`feed_blocks` → `step_block`). The offline
+//! sweep calls the same contract through [`WindowProgram::slide_row`] for
+//! the kernels whose fold retracts exactly, and re-folds the rest through
+//! this loop.
 
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
 use openmldb_types::{CompactCodec, Result, RowView, Value};
@@ -61,6 +63,8 @@ pub struct WindowState {
     /// Per column kernel, its STRING `[min, max]`, resolved from the rows
     /// once per fold (the rows need not outlive it).
     strs: Vec<[Value; 2]>,
+    /// The request row [`WindowProgram::run`] encodes.
+    request: Vec<u8>,
 }
 
 impl WindowState {
@@ -76,6 +80,29 @@ impl WindowState {
             g.reset();
         }
         self.generic_out.clear();
+    }
+}
+
+/// The rows one fold reads: the stored rows, then — when it joins the
+/// frame — the encoded request row as row `n`, after every stored row in
+/// either [`EntryOrder`].
+pub(super) struct FoldRows<'a, R> {
+    pub(super) stored: &'a R,
+    pub(super) request: Option<&'a [u8]>,
+}
+
+impl<R: RowSource> RowSource for FoldRows<'_, R> {
+    #[inline(always)]
+    fn n_rows(&self) -> usize {
+        self.stored.n_rows() + usize::from(self.request.is_some())
+    }
+
+    #[inline(always)]
+    fn row_at(&self, i: usize) -> Result<&[u8]> {
+        match self.request {
+            Some(row) if i == self.stored.n_rows() => Ok(row),
+            _ => self.stored.row_at(i),
+        }
     }
 }
 
@@ -353,6 +380,7 @@ impl WindowProgram {
             generic: generic::build_generic(&self.generic).ok().flatten(),
             generic_out: Vec::with_capacity(self.generic.len()),
             strs: vec![[Value::Null, Value::Null]; self.kernels.len()],
+            request: Vec::new(),
         }
     }
 
@@ -372,7 +400,8 @@ impl WindowProgram {
     }
 
     /// Run the fold over the scanned entries, rows of `arena`: the fold of
-    /// [`fold_rows`](Self::fold_rows) over that source.
+    /// [`fold_rows`](Self::fold_rows) over that source, `request` encoded
+    /// into a buffer `state` keeps.
     // One flat call per window per request: the executor hands over its
     // borrowed scan state piecewise, and bundling it into a struct would
     // just add a construction step on the hot path.
@@ -389,17 +418,26 @@ impl WindowProgram {
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<()> {
         let rows = (entries, arena);
-        self.fold_rows(state, &rows, first, order, request, codec, probe)
+        let Some(values) = request else {
+            return self.fold_rows(state, &rows, first, order, None, codec, probe);
+        };
+        let mut row = std::mem::take(&mut state.request);
+        let folded = codec
+            .encode_into(values, &mut row)
+            .and_then(|()| self.fold_rows(state, &rows, first, order, Some(&row), codec, probe));
+        state.request = row;
+        folded
     }
 
     /// Run the fold over `rows`, wherever they lie. `first` is the in-frame
     /// start from [`first_in_frame`](Self::first_in_frame) (over stored
-    /// rows + request), `request` is the decoded request row iff it joins
-    /// the frame at or past `first` — it is always fed last, matching its
-    /// position in the reference's stable ts sort (its `ts` is the anchor,
-    /// `>=` every stored row, and it is pushed last). `probe` runs every 64
-    /// fed rows so a deadline can interrupt long folds. Every value the
-    /// fold returns is resolved before it ends: `rows` need not outlive it.
+    /// rows + request), `request` is the encoded request row iff it joins
+    /// the frame at or past `first` — it is stepped last, as row `n`,
+    /// matching its position in the reference's stable ts sort (its `ts` is
+    /// the anchor, `>=` every stored row, and it is pushed last). `probe`
+    /// runs every 64 fed rows, the request row included, so a deadline can
+    /// interrupt long folds. Every value the fold returns is resolved before
+    /// it ends: `rows` and `request` need not outlive it.
     #[allow(clippy::too_many_arguments)]
     pub fn fold_rows<R: RowSource>(
         &self,
@@ -407,7 +445,7 @@ impl WindowProgram {
         rows: &R,
         first: usize,
         order: EntryOrder,
-        request: Option<&[Value]>,
+        request: Option<&[u8]>,
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<()> {
@@ -415,16 +453,12 @@ impl WindowProgram {
             return Err(generic_state_mismatch());
         }
         state.reset();
-        let mut fed = self.feed_entries(self.extended, state, rows, first, order, codec, probe)?;
-        if let Some(req) = request {
-            self.feed_request(state, req, rows)?;
-            // The request row counts toward the probe cadence.
-            fed += 1;
-            if fed & 63 == 0 {
-                probe()?;
-            }
-        }
-        self.finish(state, rows, request)
+        let rows = FoldRows {
+            stored: rows,
+            request,
+        };
+        self.feed_entries(self.extended, state, &rows, first, order, codec, probe)?;
+        self.finish(state, &rows)
     }
 
     /// Step stored row `buf` into a sliding program's state, or (`add`
@@ -455,8 +489,8 @@ impl WindowProgram {
         Ok(())
     }
 
-    /// Feed the in-frame stored rows in ascending `(ts, seq)` order; returns
-    /// how many were fed. `ext` is [`Self::extended`]: an extended window
+    /// Feed the in-frame stored rows in ascending `(ts, seq)` order, then
+    /// the request row. `ext` is [`Self::extended`]: an extended window
     /// folds a block at a time ([`feed_blocks`](Self::feed_blocks)), a
     /// column-only one runs the row loop ([`feed_rows`](Self::feed_rows)).
     #[allow(clippy::too_many_arguments)]
@@ -465,12 +499,12 @@ impl WindowProgram {
         &self,
         ext: bool,
         state: &mut WindowState,
-        rows: &R,
+        rows: &FoldRows<'_, R>,
         first: usize,
         order: EntryOrder,
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<u32> {
+    ) -> Result<()> {
         match (ext, self.lanes.is_empty()) {
             (true, _) => self.feed_blocks(state, rows, first, order, codec, probe),
             (false, true) => self.feed_rows::<false, R>(state, rows, first, order, codec, probe),
@@ -480,24 +514,25 @@ impl WindowProgram {
 
     /// A column-only window's row loop (`LANES` false compiles the float sum
     /// lanes out). Row indices are positions in `rows`: an ascending source
-    /// feeds `first..`, a reversed scan its newest rows backwards.
+    /// feeds `first..`, a reversed scan its newest rows backwards; the
+    /// request row, row `n`, comes last in either.
     #[inline(always)]
     fn feed_rows<const LANES: bool, R: RowSource>(
         &self,
         state: &mut WindowState,
-        rows: &R,
+        rows: &FoldRows<'_, R>,
         first: usize,
         order: EntryOrder,
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<u32> {
-        let n = rows.n_rows();
+    ) -> Result<()> {
+        let (stored, n) = (rows.stored, rows.stored.n_rows());
         let take = n.saturating_sub(first);
         let mut fed = 0u32;
         match order {
             EntryOrder::Ascending => {
                 for i in n - take..n {
-                    self.feed_row::<LANES>(state, (i, rows.row_at(i)?), rows, codec)?;
+                    self.feed_row::<LANES>(state, (i, stored.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -506,7 +541,7 @@ impl WindowProgram {
             }
             EntryOrder::ReversedScan => {
                 for i in (0..take).rev() {
-                    self.feed_row::<LANES>(state, (i, rows.row_at(i)?), rows, codec)?;
+                    self.feed_row::<LANES>(state, (i, stored.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -514,7 +549,13 @@ impl WindowProgram {
                 }
             }
         }
-        Ok(fed)
+        if let Some(row) = rows.request {
+            self.feed_row::<LANES>(state, (n, row), rows, codec)?;
+            if (fed + 1) & 63 == 0 {
+                probe()?;
+            }
+        }
+        Ok(())
     }
 
     /// The 3-field header check that validates a row for a fixed-only
@@ -582,9 +623,10 @@ impl WindowProgram {
     }
 
     /// The fold of an extended window: the in-frame rows, in the order
-    /// [`feed_entries`](Self::feed_entries) feeds them, gathered [`BLOCK`]
-    /// at a time — each validated once (one [`RowView`] when the program
-    /// reads through one) — and stepped by [`step_block`](Self::step_block).
+    /// [`feed_entries`](Self::feed_entries) feeds them (the request row in
+    /// the last block), gathered [`BLOCK`] at a time — each validated once
+    /// (one [`RowView`] when the program reads through one) — and stepped by
+    /// [`step_block`](Self::step_block).
     /// A row that fails validation ends its block: the rows before it are
     /// stepped first, so an error they raise still wins. `probe` runs after
     /// every full block, i.e. every [`BLOCK`] fed rows, as the row loop's.
@@ -592,14 +634,15 @@ impl WindowProgram {
     fn feed_blocks<R: RowSource>(
         &self,
         state: &mut WindowState,
-        rows: &R,
+        rows: &FoldRows<'_, R>,
         first: usize,
         order: EntryOrder,
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<u32> {
-        let n = rows.n_rows();
+    ) -> Result<()> {
+        let n = rows.stored.n_rows();
         let take = n.saturating_sub(first);
+        let total = take + usize::from(rows.request.is_some());
         let mut block = Block {
             len: 0,
             at: [0; BLOCK],
@@ -607,16 +650,17 @@ impl WindowProgram {
             views: [const { None }; BLOCK],
         };
         let mut fed = 0;
-        while fed < take {
+        while fed < total {
             let mut gathered = Ok(());
             block.len = 0;
             for (j, ((at, buf), view)) in (block.at.iter_mut())
                 .zip(block.bufs.iter_mut())
                 .zip(block.views.iter_mut())
-                .take(take - fed)
+                .take(total - fed)
                 .enumerate()
             {
                 *at = match order {
+                    _ if fed + j == take => n,
                     EntryOrder::Ascending => n - take + fed + j,
                     EntryOrder::ReversedScan => take - 1 - fed - j,
                 };
@@ -639,7 +683,7 @@ impl WindowProgram {
                 probe()?;
             }
         }
-        Ok(fed as u32)
+        Ok(())
     }
 
     // HOT: one block of an extended window, family by family, each in the
@@ -713,45 +757,8 @@ impl WindowProgram {
             Some((e, None)) => Err(e),
             Some((e, Some(spec))) => {
                 let view = block.views.get(end).and_then(Option::as_ref);
-                Err(generic::first_error(e, spec, generic, view, None))
+                Err(generic::first_error(e, spec, generic, view))
             }
-        }
-    }
-
-    /// Feed the request row (always last) to every family; the expression
-    /// kernels evaluate it as a block of one.
-    fn feed_request(
-        &self,
-        state: &mut WindowState,
-        req: &[Value],
-        rows: &dyn RowSource,
-    ) -> Result<()> {
-        let WindowState {
-            kernels,
-            lanes,
-            exprs,
-            regs,
-            maps,
-            generic,
-            ..
-        } = state;
-        for (lane, st) in self.lanes.iter().zip(lanes.iter_mut()) {
-            lane.sum_members(st, |f| f.requested(req))?;
-        }
-        for (spec, st) in self.kernels.iter().zip(kernels.iter_mut()) {
-            spec.step_request(st, req, rows)?;
-        }
-        for (spec, st) in self.exprs.iter().zip(exprs.iter_mut()) {
-            if let Err((_, e)) = spec.eval_block(st, regs, 1, |f, _| f.requested(req)) {
-                return Err(generic::first_error(e, spec, generic, None, Some(req)));
-            }
-        }
-        for (field, map) in self.maps.iter().zip(maps.iter_mut()) {
-            map.tally_request(field, req, rows)?;
-        }
-        match generic {
-            Some(set) => set.update(req),
-            None => Ok(()),
         }
     }
 
@@ -759,12 +766,7 @@ impl WindowProgram {
     /// string extremum and `topn_frequency` selection resolved from `rows`
     /// (the rendered selection into its pooled buffer), and the generic
     /// aggregates' outputs.
-    pub(super) fn finish(
-        &self,
-        state: &mut WindowState,
-        rows: &dyn RowSource,
-        request: Option<&[Value]>,
-    ) -> Result<()> {
+    pub(super) fn finish(&self, state: &mut WindowState, rows: &dyn RowSource) -> Result<()> {
         let WindowState {
             kernels,
             maps,
@@ -781,14 +783,14 @@ impl WindowProgram {
             };
             match (self.kernels.get(k), kernels.get(k), strs.get_mut(k)) {
                 (Some(spec), Some(st), Some(resolved)) => {
-                    spec.resolve_str(st, proj, resolved, rows, request)?
+                    spec.resolve_str(st, proj, resolved, rows)?
                 }
                 _ => return Err(binding_out_of_bounds()),
             }
         }
         for (spec, out) in self.topn.iter().zip(topn.iter_mut()) {
             match (self.maps.get(spec.map), maps.get(spec.map)) {
-                (Some(field), Some(map)) => out.render(field, map, spec.n, rows, request)?,
+                (Some(field), Some(map)) => out.render(field, map, spec.n, rows)?,
                 _ => return Err(binding_out_of_bounds()),
             }
         }
@@ -1192,6 +1194,7 @@ mod tests {
             let entries = &mut entries[..n];
             let first = skip.min(n);
             let req = request.as_ref().map(|r| r.values());
+            let encoded = request.as_ref().map(|r| codec.encode(r).expect("encode"));
 
             let topn = |c: usize, n: i64| agg_of("topn_frequency", vec![col(c), lit(Value::Bigint(n))]);
             let positive = bin(Gt, col(2), lit(Value::Int(0)));
@@ -1240,7 +1243,7 @@ mod tests {
                     let probe = &mut || Ok(());
                     let pinned = answer(
                         wp,
-                        |st| wp.fold_rows(st, &scan.prefix(n), first, order, req, &codec, probe),
+                        |st| wp.fold_rows(st, &scan.prefix(n), first, order, encoded.as_deref(), &codec, probe),
                         |st, out| wp.outputs_into(st, &[], None, out),
                     );
                     let copied = answer(

@@ -7,13 +7,14 @@
 //! the program — sharing the scan, the sort skip, the frame guard and the
 //! deadline cadence with the other families.
 //!
-//! The contract is the set's own: [`step_view`] a stored row through its
-//! view, `update` the request row, `outputs_into` the values. There is no
-//! retract: the interpreter's aggregators cannot forget a row, and the
-//! sweep re-folds every generic aggregate.
+//! The contract is the set's own: [`step_view`] a row through its view — a
+//! stored one, or the encoded request row, which the fold steps last —
+//! `outputs_into` the values. There is no retract: the interpreter's
+//! aggregators cannot forget a row, and the sweep re-folds every generic
+//! aggregate.
 
 use openmldb_sql::plan::BoundAggregate;
-use openmldb_types::{Error, Result, RowView, Value};
+use openmldb_types::{Error, Result, RowView};
 
 use super::expression::ExprKernel;
 use super::field::str_without_view;
@@ -28,7 +29,7 @@ pub(super) fn build_generic(aggs: &[BoundAggregate]) -> Result<Option<WindowAggS
         .transpose()
 }
 
-/// Step a stored row, through its validated `view`.
+/// Step a row, through its validated `view`.
 // analysis:allow(panic-freedom): delegates to `WindowAggSet::update_view`,
 // itself a `// HOT:` root — the aggregators' panic sites are tracked once,
 // under that root.
@@ -43,11 +44,11 @@ pub(super) fn step_view(
     }
 }
 
-/// The expression kernel `spec` failed on this row (a stored row's `view`, or
-/// the request row). The interpreter walks slots in aggregate order, so a
-/// generic aggregate bound *earlier* that also fails on this row owns the
-/// error; expression kernels run first here, so feed those aggregates now
-/// (the fold is being abandoned either way).
+/// The expression kernel `spec` failed on the row `view` reads. The
+/// interpreter walks slots in aggregate order, so a generic aggregate bound
+/// *earlier* that also fails on this row owns the error; expression kernels
+/// run first here, so feed those aggregates now (the fold is being
+/// abandoned either way).
 // analysis:allow(panic-freedom): cold error path into the `WindowAggSet`
 // feed, whose panic sites are tracked under its own `// HOT:` root.
 #[cold]
@@ -56,11 +57,9 @@ pub(super) fn first_error(
     spec: &ExprKernel,
     generic: &mut Option<WindowAggSet>,
     view: Option<&RowView<'_>>,
-    request: Option<&[Value]>,
 ) -> Error {
-    let fed = match (generic, view, request) {
-        (Some(set), Some(v), _) => set.update_first(spec.generic_before, v),
-        (Some(set), None, Some(r)) => set.update_first(spec.generic_before, r),
+    let fed = match (generic, view) {
+        (Some(set), Some(v)) => set.update_first(spec.generic_before, v),
         _ => Ok(()),
     };
     fed.err().unwrap_or(err)
@@ -74,7 +73,7 @@ mod tests {
     use openmldb_sql::functions::lookup;
     use openmldb_sql::plan::PhysExpr;
     use openmldb_sql::BinaryOp;
-    use openmldb_types::{CompactCodec, Row};
+    use openmldb_types::{CompactCodec, Row, Value};
 
     #[test]
     fn generic_kernels_run_everything_else_inside_the_program() {

@@ -40,7 +40,7 @@ use openmldb_sql::plan::BoundWindow;
 use openmldb_types::{CompactCodec, Result, Value};
 
 use super::field::binding_out_of_bounds;
-use super::fold::{EntryOrder, WindowProgram, WindowState};
+use super::fold::{EntryOrder, FoldRows, WindowProgram, WindowState};
 use crate::scratch::ScanEntry;
 
 /// A window program split into the kernels that slide and a re-fold program
@@ -207,15 +207,27 @@ impl Split {
                 }
                 // `state` holds the fold of `frame[..folded]`: go on.
                 _ => {
-                    let (rows, ext) = (&(frame, arena), program.extended);
-                    program.feed_entries(ext, state, rows, folded, order, codec, &mut || Ok(()))?;
-                    program.finish(state, rows, None)?;
+                    let (stored, ext) = (&(frame, arena), program.extended);
+                    let rows = FoldRows {
+                        stored,
+                        request: None,
+                    };
+                    program.feed_entries(
+                        ext,
+                        state,
+                        &rows,
+                        folded,
+                        order,
+                        codec,
+                        &mut || Ok(()),
+                    )?;
+                    program.finish(state, &rows)?;
                 }
             }
             program.outputs_into(state, arena, None, refolded)?;
         }
         if let (Some(program), Some(state)) = (&self.slide, slide.as_mut()) {
-            program.finish(state, &arena, None)?;
+            program.finish(state, &arena)?;
             program.outputs_into(state, arena, None, slid)?;
         }
         let (mut slid, mut refold) = (slid.drain(..), refolded.drain(..));

@@ -117,6 +117,9 @@ impl RowSource for PinnedRows<'_> {
 /// requests so the warm path never allocates.
 #[derive(Default)]
 pub struct RequestScratch {
+    /// The request row, encoded once — the last row every window fold
+    /// reads. Empty until the request encodes it.
+    pub request_row: Vec<u8>,
     /// Request row + join match, concatenated (the combined input row).
     pub combined: Vec<Value>,
     /// Join residual probe buffer — truncated back to the base row and
@@ -163,6 +166,7 @@ impl RequestScratch {
     /// Clear everything for the next request, keeping capacity and warm
     /// window kernel states (which are `reset`, not rebuilt).
     pub fn reset(&mut self) {
+        self.request_row.clear();
         self.combined.clear();
         self.probe.clear();
         self.agg_values.clear();

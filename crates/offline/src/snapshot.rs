@@ -143,7 +143,7 @@ impl Snapshot {
             };
             let (mut rows, mut buf) = (Vec::with_capacity(input.len()), Vec::new());
             for row in input {
-                codec.encode_into(row, &mut buf)?;
+                codec.encode_into(row.values(), &mut buf)?;
                 rows.push((snap.arena.len(), buf.len()));
                 snap.arena.extend_from_slice(&buf);
             }

@@ -6,6 +6,8 @@
 //!
 //! * window scans read the pre-ranked two-level skiplist (Section 7.2) —
 //!   no sorting at request time, one scan for all windows of a partition;
+//! * the request row is encoded once, into the pooled scratch, and every
+//!   window folds it as its last row with the code that folds stored rows;
 //! * LAST JOINs are head reads on the join key's time list;
 //! * long windows route through the pre-aggregation hierarchy when one is
 //!   deployed (Section 5.1);
@@ -87,8 +89,9 @@ pub struct Deployment {
     /// Aggregate indices per window (`aggregates_by_window`, hoisted).
     by_window: Vec<Vec<usize>>,
     /// Base-schema codec: the streaming scan reads stored rows in place
-    /// through [`RowView`](openmldb_types::RowView) instead of decoding;
-    /// the sentinel re-encodes request rows into its capture buffers.
+    /// through [`RowView`](openmldb_types::RowView) instead of decoding,
+    /// and the request row is encoded with it once per request — the last
+    /// row of every window fold, and the sentinel's capture.
     pub(crate) codec: CompactCodec,
     /// Every table this deployment reads (base + joins + window unions),
     /// deduped — what the database matches a replaced table against.
@@ -518,9 +521,9 @@ fn execute_streaming(
 ) -> Result<Row> {
     let q = &dep.query;
     ctx.check("validate")?;
-    q.base_schema.validate_row(request.values())?;
 
     let RequestScratch {
+        request_row,
         combined,
         probe,
         agg_values,
@@ -536,6 +539,15 @@ fn execute_streaming(
         key_repr: _,
         audit,
     } = scratch;
+    // Encoding validates the request row. A plan with a scan group that is
+    // not pre-aggregated encodes it here, once: the last row of its folds.
+    // One whose every group may be bucket-served only validates it; a group
+    // that falls back to its scan encodes it then.
+    if dep.reads.groups.iter().any(|g| dep.preaggs[g[0]].is_none()) {
+        dep.codec.encode_into(request.values(), request_row)?;
+    } else {
+        q.base_schema.validate_row(request.values())?;
+    }
 
     // 1. LAST JOINs: build the combined row in the warm scratch buffer.
     combined.extend_from_slice(request.values());
@@ -637,6 +649,9 @@ fn execute_streaming(
                     |lo, hi| raw_window_rows(provider, &dep.reads.windows[lead], key, lo, hi, ctx);
                 if tier.serve(agg_values, edges)? {
                     return Ok(());
+                }
+                if request_row.is_empty() {
+                    dep.codec.encode_into(request.values(), request_row)?;
                 }
 
                 // Scan path (streaming): keep the group's rows where the
@@ -765,7 +780,7 @@ fn execute_streaming(
                     ctx.check("aggregate")?;
                     let fold = GroupFold {
                         dep,
-                        request,
+                        request: request_row,
                         ctx,
                         descending,
                     };
@@ -819,7 +834,8 @@ fn scan_visitor<'g, F: FnMut(i64, ScanRow<'g, '_>) -> bool>(f: F) -> F {
 /// What every member of a scan group folds against.
 struct GroupFold<'a> {
     dep: &'a Deployment,
-    request: &'a Row,
+    /// The encoded request row.
+    request: &'a [u8],
     ctx: &'a Ctx<'a>,
     /// The scan arrived strictly newest-first: members replay it in
     /// reverse instead of sorting.
@@ -875,10 +891,10 @@ impl GroupFold<'_> {
         let state = state.get_or_insert_with(|| wp.new_state());
         // The request row sorts last (anchor ts, max seq); it joins the
         // fold only when the frame reaches it.
-        let req = (wp.include_request && first < total).then(|| request.values());
+        let req = (wp.include_request && first < total).then_some(request);
         let codec = &dep.codec;
         wp.fold_rows(state, &rows, first.min(n), order, req, codec, &mut probe)?;
-        wp.outputs_into(state, &[], req, out)?;
+        wp.outputs_into(state, &[], None, out)?;
         // Chaos: a kill at `compiled_kernel` models a miscompiled program
         // — aggregate values silently perturbed (types and nulls kept) so
         // the consistency sentinel has a real fault to catch.
@@ -1126,7 +1142,7 @@ fn collect_window_rows(
             let codec = CompactCodec::new(read.table.schema().clone());
             let mut bytes = Vec::new();
             for (ts, row) in &rows {
-                codec.encode_into(row, &mut bytes)?;
+                codec.encode_into(row.values(), &mut bytes)?;
                 digest.write_u64(*ts as u64);
                 digest.write(&bytes);
             }

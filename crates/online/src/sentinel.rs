@@ -211,7 +211,16 @@ pub(crate) fn capture(
     };
     sample.deployment.clear();
     sample.deployment.push_str(&dep.name);
-    if dep.codec.encode_into(request, &mut sample.request).is_err() {
+    // The serve's own encoding, when it made one (a bucket-served request
+    // encodes nothing).
+    if !scratch.request_row.is_empty() {
+        sample.request.clear();
+        sample.request.extend_from_slice(&scratch.request_row);
+    } else if dep
+        .codec
+        .encode_into(request.values(), &mut sample.request)
+        .is_err()
+    {
         // The serve validated this row already; an encode failure here is
         // unreachable in practice but must not panic the serving path.
         recycle(sample);

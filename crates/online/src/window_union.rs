@@ -143,7 +143,7 @@ impl WindowUnion {
                             let KeyState { window, latest } = &mut *guard;
                             latest.clear();
                             let folded = codec
-                                .encode_into(&row, &mut bytes)
+                                .encode_into(row.values(), &mut bytes)
                                 .and_then(|()| sweep.push(window, ts, &bytes, &codec, latest));
                             if let Err(e) = folded {
                                 latest.clear();

@@ -129,13 +129,13 @@ impl CompactCodec {
     }
 
     /// Total byte length of string data in `row` (NULLs contribute zero).
-    fn var_bytes(&self, row: &Row) -> Result<usize> {
+    fn var_bytes(&self, row: &[Value]) -> Result<usize> {
         let mut total = 0;
         for &ci in self.var_columns.iter() {
-            match &row[ci] {
-                Value::Null => {}
-                Value::Str(s) => total += s.len(),
-                other => {
+            match row.get(ci) {
+                None | Some(Value::Null) => {}
+                Some(Value::Str(s)) => total += s.len(),
+                Some(other) => {
                     return Err(Error::Codec(format!(
                         "column {ci} expects STRING, row has {other:?}"
                     )))
@@ -145,7 +145,7 @@ impl CompactCodec {
         Ok(total)
     }
 
-    fn layout(&self, row: &Row) -> Result<(usize, usize)> {
+    fn layout(&self, row: &[Value]) -> Result<(usize, usize)> {
         let var_bytes = self.var_bytes(row)?;
         let ow = Self::offset_width(var_bytes);
         let total = HEADER_SIZE
@@ -157,15 +157,32 @@ impl CompactCodec {
     }
 }
 
+#[cold]
+fn row_too_long(len: usize) -> Error {
+    Error::Codec(format!(
+        "encoded row of {len} bytes past the 32-bit length field"
+    ))
+}
+
+/// Write `bytes` at `at` of `buf`, an encoded row sized by its layout.
+fn put(buf: &mut [u8], at: usize, bytes: &[u8]) -> Result<()> {
+    let dst = at
+        .checked_add(bytes.len())
+        .and_then(|end| buf.get_mut(at..end));
+    let dst = dst.ok_or_else(|| Error::Codec(format!("encoded field at {at} outside its row")))?;
+    dst.copy_from_slice(bytes);
+    Ok(())
+}
+
 impl RowCodec for CompactCodec {
     fn encoded_size(&self, row: &Row) -> Result<usize> {
         self.schema.validate_row(row.values())?;
-        Ok(self.layout(row)?.0)
+        Ok(self.layout(row.values())?.0)
     }
 
     fn encode(&self, row: &Row) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
-        self.encode_into(row, &mut buf)?;
+        self.encode_into(row.values(), &mut buf)?;
         Ok(buf)
     }
 
@@ -178,62 +195,53 @@ impl CompactCodec {
     /// Encode into a caller-owned buffer, clearing it first — the pooled
     /// variant of [`RowCodec::encode`]: the buffer's capacity is reused
     /// across calls, so a warm caller encodes without allocating.
-    pub fn encode_into(&self, row: &Row, buf: &mut Vec<u8>) -> Result<()> {
-        self.schema.validate_row(row.values())?;
+    pub fn encode_into(&self, row: &[Value], buf: &mut Vec<u8>) -> Result<()> {
+        self.schema.validate_row(row)?;
         let (total, ow) = self.layout(row)?;
         buf.clear();
         buf.resize(total, 0);
 
         // Header.
-        buf[0] = self.field_version;
-        buf[1] = self.schema_version;
-        buf[2..6].copy_from_slice(&(total as u32).to_le_bytes());
+        put(buf, 0, &[self.field_version, self.schema_version])?;
+        let declared = u32::try_from(total).map_err(|_| row_too_long(total))?;
+        put(buf, 2, &declared.to_le_bytes())?;
 
-        // Null bitmap.
-        let bitmap_start = HEADER_SIZE;
-        for (i, v) in row.values().iter().enumerate() {
+        // Null bitmap and fixed-width fields.
+        let fixed_start = HEADER_SIZE + self.bitmap_len;
+        for (i, (v, &off)) in row.iter().zip(self.fixed_offsets.iter()).enumerate() {
             if v.is_null() {
-                buf[bitmap_start + i / 8] |= 1 << (i % 8);
-            }
-        }
-
-        // Fixed-width fields.
-        let fixed_start = bitmap_start + self.bitmap_len;
-        for (i, v) in row.values().iter().enumerate() {
-            let off = self.fixed_offsets[i];
-            if off == usize::MAX || v.is_null() {
+                if let Some(bits) = buf.get_mut(HEADER_SIZE + i / 8) {
+                    *bits |= 1 << (i % 8);
+                }
                 continue;
             }
-            let at = fixed_start + off;
+            // A var-width column's offset is `usize::MAX`: no fixed field.
+            let Some(at) = off.checked_add(fixed_start) else {
+                continue;
+            };
             match v {
-                Value::Bool(b) => buf[at] = *b as u8,
-                Value::Int(x) => buf[at..at + 4].copy_from_slice(&x.to_le_bytes()),
-                Value::Float(x) => buf[at..at + 4].copy_from_slice(&x.to_le_bytes()),
-                Value::Bigint(x) | Value::Timestamp(x) => {
-                    buf[at..at + 8].copy_from_slice(&x.to_le_bytes())
-                }
-                Value::Double(x) => buf[at..at + 8].copy_from_slice(&x.to_le_bytes()),
-                Value::Null | Value::Str(_) => unreachable!("filtered above"),
+                Value::Bool(b) => put(buf, at, &[u8::from(*b)])?,
+                Value::Int(x) => put(buf, at, &x.to_le_bytes())?,
+                Value::Float(x) => put(buf, at, &x.to_le_bytes())?,
+                Value::Bigint(x) | Value::Timestamp(x) => put(buf, at, &x.to_le_bytes())?,
+                Value::Double(x) => put(buf, at, &x.to_le_bytes())?,
+                Value::Null | Value::Str(_) => {}
             }
         }
 
         // Var-length offsets + data. Offsets are *end* positions within the
-        // string area so length(i) = offset(i) - offset(i-1).
+        // string area so length(i) = offset(i) - offset(i-1), each `ow`
+        // little-endian bytes (`offset_width` makes the cursor fit).
         let offsets_start = fixed_start + self.fixed_area;
         let data_start = offsets_start + self.var_columns.len() * ow;
         let mut cursor = 0usize;
         for (vi, &ci) in self.var_columns.iter().enumerate() {
-            if let Value::Str(s) = &row[ci] {
-                buf[data_start + cursor..data_start + cursor + s.len()]
-                    .copy_from_slice(s.as_bytes());
+            if let Some(Value::Str(s)) = row.get(ci) {
+                put(buf, data_start + cursor, s.as_bytes())?;
                 cursor += s.len();
             }
-            let at = offsets_start + vi * ow;
-            match ow {
-                1 => buf[at] = cursor as u8,
-                2 => buf[at..at + 2].copy_from_slice(&(cursor as u16).to_le_bytes()),
-                _ => buf[at..at + 4].copy_from_slice(&(cursor as u32).to_le_bytes()),
-            }
+            let end = u32::try_from(cursor).unwrap_or(declared).to_le_bytes();
+            put(buf, offsets_start + vi * ow, end.get(..ow).unwrap_or(&end))?;
         }
         Ok(())
     }

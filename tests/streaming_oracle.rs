@@ -4,7 +4,7 @@
 //! (`execute_request_materialized`) — same schemas, same frames, same
 //! float-fold order. Fuzzed across random schemas (numeric and var-length
 //! string columns, random null bitmaps), ROWS / ROWS_RANGE frames,
-//! MAXSIZE caps and EXCLUDE CURRENT_ROW.
+//! MAXSIZE caps and EXCLUDE CURRENT_ROW, over a memory or a disk table.
 //!
 //! Plans compile into bytecode programs at deploy time and nothing else
 //! serves, so the oracle runs **two-way**: the compiled streaming path
@@ -109,20 +109,19 @@ fn expr_feature(n: usize, spec: ExprSpec, cols: &[u8]) -> String {
 }
 
 /// Aggregates chosen so every kernel family lands in the one window: bare
-/// columns (sum/min/max/count by type), count maps (`distinct_count`,
-/// `topn_frequency` over every type), generated arithmetic arguments, and
-/// generic-family aggregates (`count_where`, `avg_cate_where`, `median`).
+/// columns (sum by numeric type, min/max/count over every type, string
+/// extrema included), count maps (`distinct_count`, `topn_frequency` over
+/// every type), generated arithmetic arguments, and generic-family
+/// aggregates (`count_where`, `avg_cate_where`, `median`).
 fn select_list(cols: &[u8], exprs: &[ExprSpec]) -> String {
     let mut out = String::from("id");
     for (j, &t) in cols.iter().enumerate() {
         if is_numeric(t) {
-            out.push_str(&format!(
-                ", sum(c{j}) OVER w AS s{j}, min(c{j}) OVER w AS mn{j}, \
-                 max(c{j}) OVER w AS mx{j}"
-            ));
+            out.push_str(&format!(", sum(c{j}) OVER w AS s{j}"));
         }
         out.push_str(&format!(
-            ", count(c{j}) OVER w AS ct{j}, distinct_count(c{j}) OVER w AS dc{j}, \
+            ", min(c{j}) OVER w AS mn{j}, max(c{j}) OVER w AS mx{j}, \
+             count(c{j}) OVER w AS ct{j}, distinct_count(c{j}) OVER w AS dc{j}, \
              topn_frequency(c{j}, 2) OVER w AS tf{j}"
         ));
     }
@@ -163,6 +162,7 @@ proptest! {
         rows_frame in any::<bool>(),
         maxsize in 0usize..8,
         exclude in any::<bool>(),
+        disk in any::<bool>(),
     ) {
         let db = Database::new();
         let col_defs: String = cols
@@ -170,11 +170,16 @@ proptest! {
             .enumerate()
             .map(|(j, &t)| format!("c{j} {}, ", type_name(t)))
             .collect();
-        db.execute(&format!(
+        let create = format!(
             "CREATE TABLE t (id BIGINT, k BIGINT, {col_defs}ts TIMESTAMP, \
              INDEX(KEY=k, TS=ts))"
-        ))
-        .unwrap();
+        );
+        // A memory table lends its rows for the request's pin; a disk
+        // table's arrive as per-visit copies in the scan arena.
+        match disk {
+            true => db.create_disk_table(&create).unwrap(),
+            false => db.execute(&create).map(drop).unwrap(),
+        }
         for (i, (k, ts, seed, nulls)) in rows.iter().enumerate() {
             db.insert_row("t", &make_row(i as i64, *k, *ts, &cols, *seed, *nulls))
                 .unwrap();
