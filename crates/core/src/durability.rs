@@ -375,11 +375,6 @@ impl Database {
         Ok(rows)
     }
 
-    /// The durable directory this database mirrors into, if any.
-    pub fn durable_path(&self) -> Option<PathBuf> {
-        self.durability.read().as_ref().map(|c| c.dir.clone())
-    }
-
     /// Force every table's WAL group-commit buffer to disk. After this
     /// returns `Ok`, every accepted write survives a crash. A WAL that
     /// failed once (I/O error or out-of-order append) makes every later

@@ -8,14 +8,15 @@
 //!   satisfy, paper Section 7.2);
 //! * `partial_state` / `merge_state` expose mergeable partial aggregates for
 //!   the long-window pre-aggregation of Section 5.1 — only decomposable
-//!   aggregates support them.
+//!   aggregates support them. The simple statistics (`sum` … `stddev`)
+//!   merge through their shared slot instead ([`crate::WindowAggSet`]).
 
 mod categorical;
 mod numeric;
 mod timeseries;
 
 pub use categorical::{AvgCateAgg, CateVariant, FrequencyAgg, TopAgg};
-pub use numeric::{AvgAgg, CountAgg, MedianAgg, MinMaxAgg, StddevAgg, SumAgg, WhereAgg};
+pub use numeric::{MedianAgg, StatsAgg, WhereAgg};
 pub use timeseries::{DrawdownAgg, EwAvgAgg, FirstValueAgg, LagAgg};
 
 use std::cmp::Ordering;
@@ -24,6 +25,8 @@ use std::collections::HashMap;
 use openmldb_sql::plan::PhysExpr;
 use openmldb_sql::FunctionDef;
 use openmldb_types::{Error, KeyValue, Result, Value};
+
+use crate::window::projection_for;
 
 /// A window aggregate's running state.
 pub trait Aggregator: Send + Sync {
@@ -50,25 +53,18 @@ pub trait Aggregator: Send + Sync {
     fn reset(&mut self);
 }
 
-/// Serializable partial aggregate, stored in pre-aggregation buckets.
+/// A boxed aggregator's partial state, merged into another's when
+/// pre-aggregation buckets combine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AggState {
-    /// count / sum / sumsq summary, integer-preserving.
-    Numeric {
-        count: u64,
-        sum_i: i64,
-        sum_f: f64,
-        sum_sq: f64,
-        all_int: bool,
-    },
-    /// Value → multiplicity, for min/max/median/distinct/top-n.
+    /// Value → multiplicity, for distinct count / top-n frequency.
     Counts(HashMap<KeyValue, u64>),
-    /// Ordered value multiset (min/max/median keep real values).
+    /// Ordered value multiset (median and top keep real values).
     ValueCounts(Vec<(Value, u64)>),
 }
 
 /// `Value` wrapper ordered by [`Value::total_cmp`], for multiset-backed
-/// aggregates (min/max/median/top).
+/// aggregates (median/top).
 #[derive(Debug, Clone)]
 pub struct OrdVal(pub Value);
 
@@ -106,19 +102,14 @@ pub fn create_aggregator(
     func: &'static FunctionDef,
     args: &[PhysExpr],
 ) -> Result<Box<dyn Aggregator>> {
+    if let Some(proj) = projection_for(func.name) {
+        return Ok(Box::new(StatsAgg::new(proj)));
+    }
+    if let Some(proj) = func.name.strip_suffix("_where").and_then(projection_for) {
+        return Ok(Box::new(WhereAgg(StatsAgg::new(proj))));
+    }
     Ok(match func.name {
-        "sum" => Box::new(SumAgg::default()),
-        "count" => Box::new(CountAgg::default()),
-        "avg" => Box::new(AvgAgg::default()),
-        "min" => Box::new(MinMaxAgg::min()),
-        "max" => Box::new(MinMaxAgg::max()),
-        "stddev" => Box::new(StddevAgg::default()),
         "median" => Box::new(MedianAgg::default()),
-        "sum_where" => Box::new(WhereAgg::new(Box::new(SumAgg::default()))),
-        "count_where" => Box::new(WhereAgg::new(Box::new(CountAgg::default()))),
-        "avg_where" => Box::new(WhereAgg::new(Box::new(AvgAgg::default()))),
-        "min_where" => Box::new(WhereAgg::new(Box::new(MinMaxAgg::min()))),
-        "max_where" => Box::new(WhereAgg::new(Box::new(MinMaxAgg::max()))),
         "distinct_count" => Box::new(FrequencyAgg::default()),
         "topn_frequency" => {
             let n = const_arg(args, 1, func.name)?.as_i64()?.max(0) as usize;

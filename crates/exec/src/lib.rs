@@ -28,7 +28,7 @@ pub use program::{
     specialize, EntryOrder, ExprProgram, Program, Sweep, SweepState, WindowProgram, WindowState,
 };
 pub use scratch::{RequestScratch, RowSource, ScanEntry, REQUEST_ROW};
-pub use window::WindowAggSet;
+pub use window::{AggStates, WindowAggSet};
 
 #[cfg(test)]
 mod proptests {
@@ -37,6 +37,17 @@ mod proptests {
     use openmldb_sql::plan::{BoundAggregate, PhysExpr};
     use openmldb_types::{DataType, Value};
     use proptest::prelude::*;
+
+    const FUNCS: [&str; 8] = [
+        "sum",
+        "count",
+        "avg",
+        "min",
+        "max",
+        "distinct_count",
+        "median",
+        "stddev",
+    ];
 
     fn bound(func: &str) -> BoundAggregate {
         BoundAggregate {
@@ -47,60 +58,80 @@ mod proptests {
         }
     }
 
-    /// A double from a pool that holds both zeros and NaN, so extrema meet
-    /// values `total_cmp` orders but `==` does not.
-    fn double() -> impl Strategy<Value = Value> {
+    /// One column of values of `kind`, NULLs mixed in.
+    fn column(kind: impl Strategy<Value = Value> + 'static) -> BoxedStrategy<Vec<Value>> {
+        let cell = prop_oneof![9 => kind, 1 => Just(Value::Null)];
+        proptest::collection::vec(cell, 0..60).boxed()
+    }
+
+    /// Columns whose every kind sums exactly in any order — small integers,
+    /// quarter-step doubles, or integers next to `i64::MAX` / `i64::MIN`,
+    /// which all read as `±2^63` in f64 (so extrema tie under `total_cmp`
+    /// while their debug forms differ) — which makes a bucketed fold
+    /// comparable to the single pass bit for bit. Doubles include both
+    /// zeros and NaN; strings exercise `count`/`min`/`max` and the errors
+    /// of the sums.
+    fn values() -> impl Strategy<Value = Vec<Value>> {
         prop_oneof![
-            Just(Value::Double(-0.0)),
-            Just(Value::Double(0.0)),
-            Just(Value::Double(f64::NAN)),
-            (-100i64..100).prop_map(|v| Value::Double(v as f64 / 4.0)),
+            column((-100i64..100).prop_map(Value::Bigint)),
+            column(prop_oneof![
+                Just(Value::Double(-0.0)),
+                Just(Value::Double(0.0)),
+                Just(Value::Double(f64::NAN)),
+                (-100i64..100).prop_map(|v| Value::Double(v as f64 / 4.0)),
+            ]),
+            column((0i64..4, any::<bool>()).prop_map(|(d, top)| {
+                Value::Bigint(if top { i64::MAX - d } else { i64::MIN + d })
+            })),
+            column(prop_oneof![Just(""), Just("a"), Just("b"), Just("ab")].prop_map(Value::string)),
         ]
     }
 
-    fn values() -> impl Strategy<Value = Vec<Value>> {
-        prop_oneof![
-            proptest::collection::vec((-100i64..100).prop_map(Value::Bigint), 0..40),
-            proptest::collection::vec(double(), 0..40),
-        ]
+    /// Outputs (or the first error) of `set` fed `rows` one by one.
+    fn single_pass(set: &mut WindowAggSet, rows: &[Value]) -> String {
+        let fed = rows
+            .iter()
+            .try_for_each(|v| set.update(std::slice::from_ref(v)));
+        format!("{:?}", fed.map(|()| set.outputs()))
+    }
+
+    /// Outputs (or the first error) of `set`'s layout over `rows` cut into
+    /// buckets at `cuts`, each folded alone, then merged in order.
+    fn bucketed(set: &WindowAggSet, rows: &[Value], cuts: &[usize]) -> String {
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (rows.len() + 1)).collect();
+        bounds.extend([0, rows.len()]);
+        bounds.sort_unstable();
+        let merged = (|| {
+            let mut acc = set.fresh_states()?;
+            for w in bounds.windows(2) {
+                let mut bucket = set.fresh_states()?;
+                for v in &rows[w[0]..w[1]] {
+                    set.update_states(&mut bucket, std::slice::from_ref(v))?;
+                }
+                acc.merge(&bucket)?;
+            }
+            Ok::<_, openmldb_types::Error>(set.outputs_of(&acc))
+        })();
+        format!("{merged:?}")
     }
 
     proptest! {
-        /// Merging partial states must equal feeding all rows into one
-        /// aggregator (the pre-aggregation correctness invariant). Extrema
-        /// compare by their debug form: the same instance wins a tie, `-0.0`
-        /// and `0.0` included.
+        /// Merging bucket states must equal feeding all rows through one
+        /// set (the pre-aggregation correctness invariant), for each
+        /// function alone and for all of them sharing one layout. Outputs
+        /// compare by their debug form: the same instance wins an extremum
+        /// tie, `-0.0` and `0.0` and `Int` and `Bigint` told apart.
         #[test]
-        fn merge_equals_single_pass(left in values(), right in values()) {
-            for func in ["sum", "count", "avg", "min", "max", "distinct_count", "median", "stddev"] {
-                let spec = bound(func);
-                let mk = || agg::create_aggregator(spec.func, &spec.args).unwrap();
-                let mut whole = mk();
-                let mut a = mk();
-                let mut b = mk();
-                for v in &left {
-                    whole.update(std::slice::from_ref(v)).unwrap();
-                    a.update(std::slice::from_ref(v)).unwrap();
-                }
-                for v in &right {
-                    whole.update(std::slice::from_ref(v)).unwrap();
-                    b.update(std::slice::from_ref(v)).unwrap();
-                }
-                let mut merged = mk();
-                merged.merge_state(&a.partial_state().unwrap()).unwrap();
-                merged.merge_state(&b.partial_state().unwrap()).unwrap();
-                let (w, m) = (whole.output(), merged.output());
-                match (&w, &m) {
-                    _ if matches!(func, "min" | "max") => {
-                        prop_assert_eq!(format!("{w:?}"), format!("{m:?}"), "func={}", func)
-                    }
-                    // Float-valued outputs tolerate rounding differences.
-                    (Value::Double(x), Value::Double(y)) => prop_assert!(
-                        (x.is_nan() && y.is_nan()) || (x - y).abs() < 1e-9,
-                        "func={} {} vs {}", func, x, y
-                    ),
-                    _ => prop_assert_eq!(&w, &m, "func={}", func),
-                }
+        fn merge_equals_single_pass(
+            rows in values(),
+            cuts in proptest::collection::vec(0usize..64, 0..6),
+        ) {
+            for funcs in FUNCS.iter().map(std::slice::from_ref).chain([&FUNCS[..]]) {
+                let specs: Vec<BoundAggregate> = funcs.iter().map(|f| bound(f)).collect();
+                let refs: Vec<&BoundAggregate> = specs.iter().collect();
+                let mut set = WindowAggSet::new(&refs).unwrap();
+                let merged = bucketed(&set, &rows, &cuts);
+                prop_assert_eq!(single_pass(&mut set, &rows), merged, "funcs={:?}", funcs);
             }
         }
     }

@@ -6,16 +6,27 @@
 //! each output is a projection of it — `avg` literally reuses the `sum` and
 //! `count` intermediates, and the argument expression is evaluated once per
 //! row instead of once per call.
+//!
+//! A set's slot layout (argument expressions and bindings, built once) is
+//! kept apart from its per-slot [`AggStates`]: a long-window
+//! pre-aggregation bucket (Section 5.1) holds only states, feeds its rows
+//! through the set's layout and merges into another bucket slot by slot.
+
+use std::cmp::Ordering;
 
 use openmldb_sql::plan::{BoundAggregate, PhysExpr};
-use openmldb_types::{Result, RowView, Value};
+use openmldb_sql::FunctionDef;
+use openmldb_types::{Error, Result, RowView, Value};
 
 use crate::agg::{create_aggregator, Aggregator};
 use crate::eval::{evaluate_with, ColumnSource};
 
-/// Shared numeric statistics state for one distinct argument expression.
-#[derive(Debug, Default)]
-struct SharedNumeric {
+/// Shared numeric statistics state for one distinct argument expression:
+/// the one fold of `sum` / `count` / `avg` / `min` / `max` / `stddev`, run
+/// by a window's slot, a pre-aggregation bucket and
+/// [`crate::agg::StatsAgg`] alike.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct SharedNumeric {
     count: u64,
     sum_i: i64,
     sum_f: f64,
@@ -32,8 +43,25 @@ struct SharedNumeric {
     max: Option<Value>,
 }
 
+/// Keep `v` as the extremum if it beats `best` strictly (`wins`), so the
+/// first-seen instance keeps a tie.
+fn keep_extreme(best: &mut Option<Value>, v: &Value, wins: Ordering) {
+    if best.as_ref().is_none_or(|b| v.total_cmp(b) == wins) {
+        *best = Some(v.clone());
+    }
+}
+
 impl SharedNumeric {
-    fn update(&mut self, v: &Value) -> Result<()> {
+    /// Maintain what `proj` reads.
+    pub(crate) fn track(&mut self, proj: Projection) {
+        match proj {
+            Projection::Min | Projection::Max => self.track_minmax = true,
+            Projection::Sum | Projection::Avg | Projection::Stddev => self.track_sums = true,
+            Projection::Count => {}
+        }
+    }
+
+    pub(crate) fn update(&mut self, v: &Value) -> Result<()> {
         if v.is_null() {
             return Ok(());
         }
@@ -53,18 +81,37 @@ impl SharedNumeric {
         }
         self.count += 1;
         if self.track_minmax {
-            // Strict comparisons keep the first-seen instance on ties.
-            if self.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
-                self.min = Some(v.clone());
-            }
-            if self.max.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
-                self.max = Some(v.clone());
-            }
+            keep_extreme(&mut self.min, v, Ordering::Less);
+            keep_extreme(&mut self.max, v, Ordering::Greater);
         }
         Ok(())
     }
 
-    fn project(&self, proj: Projection) -> Value {
+    /// Fold in `later` — the same statistics over rows that follow this
+    /// state's — as if its rows had been fed here: counts and the wrapping
+    /// integer sum add exactly, float sums add in merge order, and extrema
+    /// compare strictly, so this state's value keeps a tie.
+    pub(crate) fn merge(&mut self, later: &SharedNumeric) {
+        if later.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            self.all_int = true;
+        }
+        self.all_int &= later.all_int;
+        self.count += later.count;
+        self.sum_i = self.sum_i.wrapping_add(later.sum_i);
+        self.sum_f += later.sum_f;
+        self.sum_sq += later.sum_sq;
+        if let Some(min) = &later.min {
+            keep_extreme(&mut self.min, min, Ordering::Less);
+        }
+        if let Some(max) = &later.max {
+            keep_extreme(&mut self.max, max, Ordering::Greater);
+        }
+    }
+
+    pub(crate) fn project(&self, proj: Projection) -> Value {
         match proj {
             Projection::Count => Value::Bigint(self.count as i64),
             Projection::Sum => {
@@ -96,7 +143,7 @@ impl SharedNumeric {
         }
     }
 
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         let (sums, minmax) = (self.track_sums, self.track_minmax);
         *self = SharedNumeric::default();
         self.track_sums = sums;
@@ -129,20 +176,87 @@ pub(crate) fn projection_for(func: &str) -> Option<Projection> {
     })
 }
 
+/// One slot of a set's layout: what its state is fed from.
 enum Slot {
-    Shared {
-        args: Vec<PhysExpr>,
-        state: SharedNumeric,
-    },
+    /// A [`SharedNumeric`] over one argument; `empty` is its initial state,
+    /// tracking what the slot's bindings project.
+    Shared { arg: PhysExpr, empty: SharedNumeric },
+    /// A boxed aggregator of `func` over its arguments.
     Single {
+        func: &'static FunctionDef,
         args: Vec<PhysExpr>,
-        agg: Box<dyn Aggregator>,
     },
 }
 
-enum Binding {
-    Shared { slot: usize, proj: Projection },
-    Single { slot: usize },
+/// One slot's running state.
+enum SlotState {
+    Shared(SharedNumeric),
+    Single(Box<dyn Aggregator>),
+}
+
+/// One output: the slot it reads, through `proj` for a shared slot or as
+/// the aggregator's own output for a single one.
+struct Binding {
+    slot: usize,
+    proj: Option<Projection>,
+}
+
+/// The per-slot states of a [`WindowAggSet`]'s layout, without its
+/// argument expressions or bindings — all a pre-aggregation bucket keeps.
+/// Make them with [`WindowAggSet::fresh_states`].
+pub struct AggStates(Box<[SlotState]>);
+
+impl AggStates {
+    /// Fold in `later`, states of the same layout over rows that follow
+    /// these, slot by slot: shared slots through their exact merge, single
+    /// ones through the aggregator's partial state.
+    pub fn merge(&mut self, later: &AggStates) -> Result<()> {
+        for (state, later) in self.0.iter_mut().zip(&later.0) {
+            match (state, later) {
+                (SlotState::Shared(s), SlotState::Shared(l)) => s.merge(l),
+                (SlotState::Single(agg), SlotState::Single(l)) => {
+                    let partial = l.partial_state().ok_or_else(|| {
+                        Error::Eval("aggregate does not support partial-state merging".into())
+                    })?;
+                    agg.merge_state(&partial)?;
+                }
+                _ => return Err(foreign_states()),
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cold]
+fn foreign_states() -> Error {
+    Error::Eval("aggregate states belong to another window's layout".into())
+}
+
+/// Feed `row` to the first `n` slots of `states`, each slot's arguments
+/// evaluated once; `args` is the reusable argument buffer of single slots.
+fn feed<S: ColumnSource + ?Sized>(
+    slots: &[Slot],
+    states: &mut [SlotState],
+    n: usize,
+    row: &S,
+    args: &mut Vec<Value>,
+) -> Result<()> {
+    for (slot, state) in slots.iter().zip(states).take(n) {
+        match (slot, state) {
+            (Slot::Shared { arg, .. }, SlotState::Shared(s)) => {
+                s.update(&evaluate_with(arg, row, &[])?)?;
+            }
+            (Slot::Single { args: exprs, .. }, SlotState::Single(agg)) => {
+                args.clear();
+                for a in exprs {
+                    args.push(evaluate_with(a, row, &[])?);
+                }
+                agg.update(args)?;
+            }
+            _ => return Err(foreign_states()),
+        }
+    }
+    Ok(())
 }
 
 /// Evaluates a group of aggregates over one window in a single pass, with
@@ -150,6 +264,7 @@ enum Binding {
 pub struct WindowAggSet {
     slots: Vec<Slot>,
     bindings: Vec<Binding>,
+    states: AggStates,
     /// Reusable argument buffer for `Single` slots — cleared per row, never
     /// reallocated once warm.
     scratch_args: Vec<Value>,
@@ -161,51 +276,64 @@ impl WindowAggSet {
     pub fn new(aggs: &[&BoundAggregate]) -> Result<Self> {
         let mut slots: Vec<Slot> = Vec::new();
         let mut bindings = Vec::with_capacity(aggs.len());
-        // (args) -> shared slot index, for shareable functions.
-        let mut shared_index: Vec<(Vec<PhysExpr>, usize)> = Vec::new();
-
         for agg in aggs {
-            if let Some(proj) = projection_for(agg.func.name) {
-                let existing = shared_index
-                    .iter()
-                    .find(|(a, _)| a == &agg.args)
-                    .map(|(_, i)| *i);
-                let slot = match existing {
-                    Some(i) => i,
-                    None => {
-                        let i = slots.len();
-                        slots.push(Slot::Shared {
-                            args: agg.args.clone(),
-                            state: SharedNumeric::default(),
-                        });
-                        shared_index.push((agg.args.clone(), i));
-                        i
-                    }
-                };
-                if let Slot::Shared { state, .. } = &mut slots[slot] {
-                    match proj {
-                        Projection::Min | Projection::Max => state.track_minmax = true,
-                        Projection::Sum | Projection::Avg | Projection::Stddev => {
-                            state.track_sums = true
-                        }
-                        Projection::Count => {}
-                    }
-                }
-                bindings.push(Binding::Shared { slot, proj });
-            } else {
-                let i = slots.len();
-                slots.push(Slot::Single {
-                    args: agg.args.clone(),
-                    agg: create_aggregator(agg.func, &agg.args)?,
+            let Some(proj) = projection_for(agg.func.name) else {
+                bindings.push(Binding {
+                    slot: slots.len(),
+                    proj: None,
                 });
-                bindings.push(Binding::Single { slot: i });
+                slots.push(Slot::Single {
+                    func: agg.func,
+                    args: agg.args.clone(),
+                });
+                continue;
+            };
+            let [arg] = agg.args.as_slice() else {
+                return Err(Error::Plan(format!(
+                    "`{}` takes one argument",
+                    agg.func.name
+                )));
+            };
+            let slot = slots
+                .iter()
+                .position(|s| matches!(s, Slot::Shared { arg: a, .. } if a == arg))
+                .unwrap_or_else(|| {
+                    slots.push(Slot::Shared {
+                        arg: arg.clone(),
+                        empty: SharedNumeric::default(),
+                    });
+                    slots.len() - 1
+                });
+            if let Some(Slot::Shared { empty, .. }) = slots.get_mut(slot) {
+                empty.track(proj);
             }
+            bindings.push(Binding {
+                slot,
+                proj: Some(proj),
+            });
         }
-        Ok(WindowAggSet {
+        let mut set = WindowAggSet {
             slots,
             bindings,
+            states: AggStates(Box::default()),
             scratch_args: Vec::new(),
-        })
+        };
+        set.states = set.fresh_states()?;
+        Ok(set)
+    }
+
+    /// Empty states of this set's layout (a new pre-aggregation bucket).
+    pub fn fresh_states(&self) -> Result<AggStates> {
+        // Sized exactly: a bucket is one allocation of its slots (a collect
+        // through `Result` would reserve room for four).
+        let mut states = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            states.push(match slot {
+                Slot::Shared { empty, .. } => SlotState::Shared(empty.clone()),
+                Slot::Single { func, args } => SlotState::Single(create_aggregator(func, args)?),
+            });
+        }
+        Ok(AggStates(states.into_boxed_slice()))
     }
 
     /// Feed one window row (oldest → newest).
@@ -221,6 +349,19 @@ impl WindowAggSet {
         self.update_src(self.slots.len(), row)
     }
 
+    /// Feed one row to `states` (made by [`WindowAggSet::fresh_states`])
+    /// through this set's layout, exactly as [`WindowAggSet::update`] feeds
+    /// the set's own.
+    pub fn update_states(&self, states: &mut AggStates, row: &[Value]) -> Result<()> {
+        feed(
+            &self.slots,
+            &mut states.0,
+            self.slots.len(),
+            row,
+            &mut Vec::new(),
+        )
+    }
+
     /// Feed `row` to the slots of the first `aggs` aggregates only (slots are
     /// created in aggregate order, so those form a prefix). The compiled
     /// program's cold error path uses this to find the error the interpreter
@@ -234,9 +375,7 @@ impl WindowAggSet {
             .bindings
             .iter()
             .take(aggs)
-            .map(|b| match b {
-                Binding::Shared { slot, .. } | Binding::Single { slot } => slot + 1,
-            })
+            .map(|b| b.slot + 1)
             .max()
             .unwrap_or(0);
         self.update_src(slots, row)
@@ -246,56 +385,49 @@ impl WindowAggSet {
     fn update_src<S: ColumnSource + ?Sized>(&mut self, n: usize, row: &S) -> Result<()> {
         let Self {
             slots,
+            states,
             scratch_args,
             ..
         } = self;
-        for slot in slots.iter_mut().take(n) {
-            match slot {
-                Slot::Shared { args, state } => {
-                    let v = evaluate_with(&args[0], row, &[])?;
-                    state.update(&v)?;
-                }
-                Slot::Single { args, agg } => {
-                    scratch_args.clear();
-                    for a in args.iter() {
-                        scratch_args.push(evaluate_with(a, row, &[])?);
-                    }
-                    agg.update(scratch_args)?;
-                }
-            }
-        }
-        Ok(())
+        feed(slots, &mut states.0, n, row, scratch_args)
     }
 
     /// Current outputs, one per input aggregate, in input order.
     pub fn outputs(&self) -> Vec<Value> {
+        self.outputs_of(&self.states)
+    }
+
+    /// The outputs `states` project to, one per input aggregate, in input
+    /// order.
+    pub fn outputs_of(&self, states: &AggStates) -> Vec<Value> {
         let mut out = Vec::with_capacity(self.bindings.len());
-        self.outputs_into(&mut out);
+        self.project_into(states, &mut out);
         out
     }
 
     /// Append the current outputs to `out`, reusing its capacity.
     pub fn outputs_into(&self, out: &mut Vec<Value>) {
+        self.project_into(&self.states, out);
+    }
+
+    /// Append `states`' outputs to `out`. States of another layout project
+    /// to NULL.
+    fn project_into(&self, states: &AggStates, out: &mut Vec<Value>) {
         for b in &self.bindings {
-            out.push(match b {
-                Binding::Shared { slot, proj } => match &self.slots[*slot] {
-                    Slot::Shared { state, .. } => state.project(*proj),
-                    Slot::Single { .. } => unreachable!("binding/slot mismatch"),
-                },
-                Binding::Single { slot } => match &self.slots[*slot] {
-                    Slot::Single { agg, .. } => agg.output(),
-                    Slot::Shared { .. } => unreachable!("binding/slot mismatch"),
-                },
+            out.push(match (states.0.get(b.slot), b.proj) {
+                (Some(SlotState::Shared(s)), Some(proj)) => s.project(proj),
+                (Some(SlotState::Single(agg)), None) => agg.output(),
+                _ => Value::Null,
             });
         }
     }
 
     /// Clear all state for the next request.
     pub fn reset(&mut self) {
-        for slot in &mut self.slots {
-            match slot {
-                Slot::Shared { state, .. } => state.reset(),
-                Slot::Single { agg, .. } => agg.reset(),
+        for state in &mut self.states.0 {
+            match state {
+                SlotState::Shared(s) => s.reset(),
+                SlotState::Single(agg) => agg.reset(),
             }
         }
     }
@@ -380,6 +512,33 @@ mod tests {
         // Still usable after reset.
         set.update(&[Value::Bigint(7)]).unwrap();
         assert_eq!(set.outputs()[0], Value::Bigint(7));
+    }
+
+    #[test]
+    fn merged_states_wrap_the_sum_and_keep_the_earlier_extremum() {
+        let aggs = [
+            bound("sum", vec![PhysExpr::Column(0)]),
+            bound("max", vec![PhysExpr::Column(0)]),
+            bound("median", vec![PhysExpr::Column(0)]),
+        ];
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let mut set = WindowAggSet::new(&refs).unwrap();
+        // `i64::MAX - 1` ties `i64::MAX` under `total_cmp` (both read 2^63).
+        let (early, late) = ([i64::MAX], [i64::MAX - 1, 5]);
+        let mut merged = set.fresh_states().unwrap();
+        for rows in [&early[..], &late[..]] {
+            let mut bucket = set.fresh_states().unwrap();
+            for &v in rows {
+                set.update_states(&mut bucket, &[Value::Bigint(v)]).unwrap();
+                set.update(&[Value::Bigint(v)]).unwrap();
+            }
+            merged.merge(&bucket).unwrap();
+        }
+        let out = set.outputs_of(&merged);
+        assert_eq!(format!("{:?}", out), format!("{:?}", set.outputs()));
+        let sum = i64::MAX.wrapping_add(i64::MAX - 1).wrapping_add(5);
+        assert_eq!(out[0], Value::Bigint(sum));
+        assert_eq!(format!("{:?}", out[1]), format!("Bigint({})", i64::MAX));
     }
 
     #[test]

@@ -45,17 +45,6 @@ pub fn bucket_index(v: u64) -> usize {
     LINEAR_MAX as usize + (exp - SUB_SHIFT) as usize * SUB_BUCKETS + sub
 }
 
-/// Inclusive lower bound of a bucket.
-pub fn bucket_lower_bound(idx: usize) -> u64 {
-    if idx < LINEAR_MAX as usize {
-        return idx as u64;
-    }
-    let group = (idx - LINEAR_MAX as usize) / SUB_BUCKETS;
-    let sub = (idx - LINEAR_MAX as usize) % SUB_BUCKETS;
-    let exp = group as u32 + SUB_SHIFT;
-    (1u64 << exp) + sub as u64 * (1u64 << (exp - SUB_SHIFT))
-}
-
 /// Representative value reported for a bucket (its midpoint).
 pub fn bucket_value(idx: usize) -> u64 {
     if idx < LINEAR_MAX as usize {

@@ -62,10 +62,6 @@ impl MapProvider {
         self.tables
             .insert(DataTable::name(&*table).to_string(), table);
     }
-
-    pub fn insert_dyn(&mut self, table: Arc<dyn DataTable>) {
-        self.tables.insert(table.name().to_string(), table);
-    }
 }
 
 impl TableProvider for MapProvider {

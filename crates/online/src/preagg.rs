@@ -5,7 +5,9 @@
 //!
 //! * **Aggregator initialization** — a [`PreAggregator`] maintains one or
 //!   more *levels* of time buckets (e.g. hourly → daily → monthly), each
-//!   holding mergeable partial states per key.
+//!   holding mergeable partial states per key: the per-slot states of the
+//!   window's cyclic-binding layout ([`WindowAggSet`]), so a window's
+//!   `sum`/`count`/`avg` of one column share one slot per bucket.
 //! * **Aggregator update** — updates arrive through the table's binlog
 //!   (monotone offsets, asynchronous closures — Section 5.1's
 //!   `replicator->AppendEntry(entry, &closure)` design), decoupling
@@ -19,36 +21,33 @@
 //! frequency tracker per level records usage so the hierarchy can be
 //! adapted (levels that are rarely useful can be dropped).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use openmldb_exec::agg::{create_aggregator, Aggregator};
-use openmldb_exec::evaluate;
+use openmldb_exec::{AggStates, WindowAggSet};
 use openmldb_sql::plan::{BoundAggregate, BoundWindow};
 use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, RowCodec, Value};
 
 use openmldb_storage::Replicator;
 
-/// One bucket: a partial aggregator per aggregate spec.
-struct Bucket {
-    aggs: Vec<Box<dyn Aggregator>>,
-}
-
 /// One granularity level.
 struct Level {
     bucket_ms: i64,
-    /// key → bucket start → partial states.
-    buckets: RwLock<HashMap<Vec<KeyValue>, BTreeMap<i64, Bucket>>>,
+    /// key → bucket start → the bucket's slot states.
+    buckets: RwLock<HashMap<Vec<KeyValue>, BTreeMap<i64, AggStates>>>,
     /// Buckets consumed by queries (hierarchy adaptation signal).
     hits: AtomicU64,
 }
 
 /// Pre-aggregation maintainer for one deployed window.
 pub struct PreAggregator {
-    specs: Vec<BoundAggregate>,
+    /// The window's aggregates as one slot layout: buckets hold its states,
+    /// and stored rows, raw edges and the request row feed through it.
+    set: WindowAggSet,
     partition_cols: Vec<usize>,
     order_col: usize,
     /// Ascending bucket sizes (finest first).
@@ -81,8 +80,9 @@ impl PreAggregator {
         }
         bucket_sizes_ms.sort_unstable();
         bucket_sizes_ms.dedup();
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
         Ok(Arc::new(PreAggregator {
-            specs: aggs.to_vec(),
+            set: WindowAggSet::new(&refs)?,
             partition_cols: window.partition_cols.clone(),
             order_col: window.order_col,
             levels: bucket_sizes_ms
@@ -135,25 +135,18 @@ impl PreAggregator {
             let Some(start) = ts.div_euclid(level.bucket_ms).checked_mul(level.bucket_ms) else {
                 continue;
             };
-            let mut buckets = level.buckets.write();
-            let per_key = buckets.entry(key.clone()).or_default();
-            let bucket = match per_key.entry(start) {
-                std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    let aggs = self
-                        .specs
-                        .iter()
-                        .map(|s| create_aggregator(s.func, &s.args))
-                        .collect::<Result<Vec<_>>>()?;
-                    e.insert(Bucket { aggs })
-                }
+            let fold = |per_key: &mut BTreeMap<i64, AggStates>| {
+                let bucket = match per_key.entry(start) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => e.insert(self.set.fresh_states()?),
+                };
+                self.set.update_states(bucket, row.values())
             };
-            for (agg, spec) in bucket.aggs.iter_mut().zip(&self.specs) {
-                let mut vals = Vec::with_capacity(spec.args.len());
-                for a in &spec.args {
-                    vals.push(evaluate(a, row.values(), &[])?);
-                }
-                agg.update(&vals)?;
+            // The key is cloned only when it is new to the level.
+            let mut buckets = level.buckets.write();
+            match buckets.get_mut(key.as_slice()) {
+                Some(per_key) => fold(per_key)?,
+                None => fold(buckets.entry(key.clone()).or_default())?,
             }
         }
         Ok(())
@@ -186,18 +179,14 @@ impl PreAggregator {
         // the engine retries and, if it persists, takes the raw scan path.
         openmldb_chaos::inject(openmldb_chaos::InjectionPoint::PreaggLookup)?;
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut outputs = self
-            .specs
-            .iter()
-            .map(|s| create_aggregator(s.func, &s.args))
-            .collect::<Result<Vec<_>>>()?;
+        let mut acc = self.set.fresh_states()?;
 
         // Cover segments coarsest-level-first.
         let mut segments = vec![(lower_ts, upper_ts)];
         for level in self.levels.iter().rev() {
             let mut next_segments = Vec::new();
             let buckets = level.buckets.read();
-            let per_key = buckets.get(&key.to_vec());
+            let per_key = buckets.get(key);
             for (lo, hi) in segments {
                 if lo > hi {
                     continue;
@@ -216,11 +205,7 @@ impl PreAggregator {
                 {
                     let start = end - (width - 1);
                     if let Some(bucket) = per_key.and_then(|m| m.get(&start)) {
-                        for (out, src) in outputs.iter_mut().zip(&bucket.aggs) {
-                            if let Some(state) = src.partial_state() {
-                                out.merge_state(&state)?;
-                            }
-                        }
+                        acc.merge(bucket)?;
                         level.hits.fetch_add(1, Ordering::Relaxed);
                         crate::metrics::preagg_bucket_hits().inc();
                     }
@@ -251,14 +236,8 @@ impl PreAggregator {
             let rows = raw_fetch(lo, hi)?;
             self.raw_rows_scanned
                 .fetch_add(rows.len() as u64, Ordering::Relaxed);
-            for row in rows {
-                for (out, spec) in outputs.iter_mut().zip(&self.specs) {
-                    let mut vals = Vec::with_capacity(spec.args.len());
-                    for a in &spec.args {
-                        vals.push(evaluate(a, row.values(), &[])?);
-                    }
-                    out.update(&vals)?;
-                }
+            for row in &rows {
+                self.set.update_states(&mut acc, row.values())?;
             }
         }
 
@@ -266,17 +245,11 @@ impl PreAggregator {
         if let Some(row) = extra_row {
             let ts = row.ts_at(self.order_col);
             if (lower_ts..=upper_ts).contains(&ts) {
-                for (out, spec) in outputs.iter_mut().zip(&self.specs) {
-                    let mut vals = Vec::with_capacity(spec.args.len());
-                    for a in &spec.args {
-                        vals.push(evaluate(a, row.values(), &[])?);
-                    }
-                    out.update(&vals)?;
-                }
+                self.set.update_states(&mut acc, row.values())?;
             }
         }
 
-        Ok(outputs.iter().map(|a| a.output()).collect())
+        Ok(self.set.outputs_of(&acc))
     }
 
     /// Raw rows scanned across all queries (lower is better).

@@ -180,10 +180,6 @@ impl DiskEngine {
         })
     }
 
-    pub fn cf_count(&self) -> usize {
-        self.cfs.len()
-    }
-
     fn check_cf(&self, cf: u32) -> Result<&ColumnFamily> {
         self.cfs
             .get(cf as usize)

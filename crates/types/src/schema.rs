@@ -148,14 +148,6 @@ impl Schema {
         }
         Schema::new(cols)
     }
-
-    /// Schema extended with one extra column (e.g. the offline engine's
-    /// synthetic index column of Section 6.1).
-    pub fn with_column(&self, col: ColumnDef) -> Result<Schema> {
-        let mut cols = self.columns.to_vec();
-        cols.push(col);
-        Schema::new(cols)
-    }
 }
 
 impl fmt::Display for Schema {

@@ -116,6 +116,8 @@ cargo run -q -p openmldb-bench --bin obs_report -- --json | grep -q '"slow_queri
 if [ "$QUICK" -eq 0 ]; then
     step "property tests, raised case count"
     OPENMLDB_PROPTEST_CASES=512 cargo test -q -p openmldb-storage -p openmldb-types
+    # Bucket states merged == one pass: pre-aggregation's invariant.
+    OPENMLDB_PROPTEST_CASES=512 cargo test -q -p openmldb-exec --lib merge_equals_single_pass
 fi
 
 step "miri (optional)"

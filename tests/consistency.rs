@@ -4,6 +4,7 @@
 //! window unions — equal bit for bit (rows compare by their debug form,
 //! which tells `Int(3)` from `Bigint(3)` and `-0.0` from `0.0`).
 
+use openmldb::online::{execute_request_materialized, TableProvider};
 use openmldb::{Database, ExecResult, Row, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -395,6 +396,58 @@ fn null_order_column_through_preaggregated_ingest() {
         let b = db.request_readonly("fast_n", &p).unwrap();
         assert_preagg_agrees(&a, &b, &format!("probe {i}"));
     }
+}
+
+/// A BIGINT sum that overflows wraps in the pre-aggregation buckets as it
+/// does in a scan. The rows reach the buckets through the binlog after
+/// DEPLOY, and the bucket-served request answers as the reference pipeline
+/// does over a deployment without `long_windows`.
+#[test]
+fn overflowing_integer_sums_wrap_in_buckets_as_in_a_scan() {
+    let db = Database::new();
+    db.execute(
+        "CREATE TABLE big (id BIGINT, k BIGINT, v BIGINT, ts TIMESTAMP, INDEX(KEY=k, TS=ts))",
+    )
+    .unwrap();
+    let sql = "SELECT id, sum(v) OVER w AS s, count(v) OVER w AS c, avg(v) OVER w AS a \
+               FROM big WINDOW w AS (PARTITION BY k ORDER BY ts \
+               ROWS_RANGE BETWEEN 8s PRECEDING AND CURRENT ROW)";
+    db.deploy(&format!("DEPLOY plain_o AS {sql}")).unwrap();
+    db.deploy(&format!(
+        "DEPLOY fast_o OPTIONS(long_windows=\"w:500\") AS {sql}"
+    ))
+    .unwrap();
+    let row = |id: i64, v: i64, ts: i64| {
+        Row::new(vec![
+            Value::Bigint(id),
+            Value::Bigint(1),
+            Value::Bigint(v),
+            Value::Timestamp(ts),
+        ])
+    };
+    for (id, v) in [i64::MAX, 1, 5, i64::MAX / 2].into_iter().enumerate() {
+        let id = id as i64;
+        db.insert_row("big", &row(id, v, 1_000 * id)).unwrap();
+    }
+    db.table("big").unwrap().replicator().flush();
+
+    let probe = row(99, 7, 6_000);
+    let plain = db.deployment("plain_o").unwrap();
+    let expected = execute_request_materialized(&db, &plain, &probe).unwrap();
+    assert_eq!(
+        format!("{:?}", &expected.values()[1..3]),
+        format!(
+            "[Bigint({}), Bigint(5)]",
+            i64::MAX.wrapping_add(13).wrapping_add(i64::MAX / 2)
+        )
+    );
+    let served = db.request_readonly("fast_o", &probe).unwrap();
+    assert_eq!(format!("{served:?}"), format!("{expected:?}"));
+    let preagg = db.deployment("fast_o").unwrap().preaggs[0].clone().unwrap();
+    assert!(
+        preagg.level_hits().iter().sum::<u64>() >= 4,
+        "served from buckets"
+    );
 }
 
 /// A window index's TTL does not narrow the offline snapshot: every row of

@@ -342,6 +342,42 @@ fn integer_overflow_is_one_typed_error_on_both_paths() {
     }
 }
 
+/// An overflowing integer `sum_where` / `avg_where` wraps as `sum` does, on
+/// both paths: the conditional statistics run the same fold.
+#[test]
+fn conditional_sums_wrap_like_sum_on_both_paths() {
+    let db = counted_table();
+    db.insert_row(
+        "t",
+        &Row::new(vec![
+            Value::Bigint(77),
+            Value::Bigint(7),
+            Value::Bigint(i64::MAX),
+            Value::Timestamp(1_500),
+        ]),
+    )
+    .unwrap();
+    db.deploy(
+        "DEPLOY cw AS SELECT id, sum_where(v, v > 0) OVER w AS sw, \
+         avg_where(v, v > 0) OVER w AS aw, sum(v) OVER w AS s \
+         FROM t WINDOW w AS (PARTITION BY k ORDER BY ts \
+         ROWS BETWEEN 10 PRECEDING AND CURRENT ROW)",
+    )
+    .unwrap();
+    let dep = db.deployment("cw").unwrap();
+    let probe = Row::new(vec![
+        Value::Bigint(900_000),
+        Value::Bigint(7),
+        Value::Bigint(1),
+        Value::Timestamp(2_000),
+    ]);
+    let served = execute_request(&db, &dep, &probe).unwrap();
+    assert_eq!(format!("{:?}", served[1]), "Bigint(-9223372036854775808)");
+    assert_eq!(format!("{:?}", served[1]), format!("{:?}", served[3]));
+    let oracle = execute_request_materialized(&db, &dep, &probe).unwrap();
+    assert_eq!(format!("{served:?}"), format!("{oracle:?}"));
+}
+
 /// Plans inside the column-kernel subset compile end to end and serve
 /// through the kernels.
 #[test]
