@@ -9,9 +9,9 @@
 //!   time) sliced from the labeled metric series;
 //! * an EXPLAIN ANALYZE-style cost profile per deployment;
 //! * the hot deployments (exact, read off the per-deployment store) and the
-//!   SpaceSaving top-K hot partition keys (fed from sampled requests — the
-//!   report samples every request so the sketch is populated
-//!   deterministically);
+//!   SpaceSaving top-K hot partition keys (fed from the one request in
+//!   `flight::SAMPLE_EVERY` each thread samples — the report serves enough
+//!   rounds that every key pattern is sampled);
 //! * request-rate trends from the labeled-metric sample rings;
 //! * the slow-query post-mortem log (threshold dropped to zero so it is
 //!   populated deterministically);
@@ -32,7 +32,7 @@
 use openmldb_bench::harness::scaled;
 use openmldb_bench::scenarios::{micro_db, micro_request, micro_sql};
 use openmldb_core::Database;
-use openmldb_obs::{flight, ProfileStore, Registry, SpaceSaving, Tracer};
+use openmldb_obs::{flight, ProfileStore, Registry, SpaceSaving};
 use openmldb_online::sentinel;
 
 /// A small durable write → crash → recover roundtrip so the durability
@@ -169,8 +169,6 @@ fn main() {
     // Threshold 0: every request (even a fast clean one) is "slow", so the
     // post-mortem report below is populated deterministically.
     flight::set_slow_query_threshold_ns(0);
-    // Sample every request: the hot-keys sketch is fed from sampled requests.
-    Tracer::global().set_sample_every(1);
 
     let rows = scaled(2_000);
     let keys = 10usize;
@@ -194,8 +192,11 @@ fn main() {
     let max_ts = rows as i64 * 10;
     // Skewed interleave: f_short serves 4x the requests of f_long, and
     // partition key 0 is hit far more than the rest — the top-K sections
-    // should surface both.
-    for i in 0..48i64 {
+    // should surface both. The hot-keys sketch sees one request in
+    // `SAMPLE_EVERY`, so the workload is 48 of those intervals long: 48
+    // sampled requests, and a tick every eight of them.
+    let every = flight::SAMPLE_EVERY as i64;
+    for i in 0..48 * every {
         let dep = match i % 6 {
             0..=3 => "f_short",
             4 => "f_long",
@@ -206,7 +207,7 @@ fn main() {
             .expect("request");
         // Sample the labeled series every few requests so the trend rings
         // hold a visible ramp by the end of the run.
-        if i % 8 == 7 {
+        if i % (8 * every) == 8 * every - 1 {
             Registry::global().tick();
         }
     }

@@ -10,14 +10,27 @@
 //! [`FlightScope::finish`] closes the record into a fixed-size
 //! [`FlightSummary`]; everything else is a *view* over that one record:
 //!
-//! * the sampled span trace ([`crate::trace::Tracer`], 1 request in N per
-//!   thread) is rebuilt from the ring's stage events;
+//! * the engine's global counters and latency histograms, and the
+//!   per-deployment store ([`crate::profile::ProfileStore`]) the labeled
+//!   series and EXPLAIN ANALYZE read, are fed from the summary, once, when
+//!   the request ends;
 //! * a request that times out, degrades, fails over, errors, or exceeds the
 //!   slow-query threshold is *dumped* as a [`PostMortem`] into the bounded
-//!   slow-query log ([`slow_log`], [`render_report`]);
-//! * histogram exemplars, the per-deployment store
-//!   ([`crate::profile::ProfileStore`]) and the engine's global counters are
-//!   fed from the summary, once, when the request ends.
+//!   slow-query log ([`slow_log`], [`render_report`]) — the one view that
+//!   retains a request's events.
+//!
+//! One request in [`SAMPLE_EVERY`] per thread is marked sampled
+//! ([`FlightSummary::sampled`]); the engine offers only those to the
+//! hot-keys sketch, each weighted by the interval.
+//!
+//! # Stages
+//!
+//! [`span`] runs a closure as one pipeline [`Stage`] (plan → cache lookup →
+//! window dispatch → storage seek → aggregate → encode), marking the stage
+//! boundary on either side of it in the thread's record. Deeply nested code
+//! (the SQL cache, the storage layer) calls it without threading a context
+//! handle through every signature: outside a request scope it runs the
+//! closure after one thread-local check.
 //!
 //! # One clock
 //!
@@ -40,12 +53,70 @@
 //! an inlined no-op and [`Recorder`] carries no state.
 
 use crate::profile::CostProfile;
-use crate::trace::Stage;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 #[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
+
+/// Pipeline stages a request moves through. Mirrors the execution order in
+/// `online::engine::execute_request`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Stage {
+    /// SQL parsing and physical-plan construction.
+    Plan,
+    /// Plan-cache probe (hit or miss).
+    CacheLookup,
+    /// Choosing the window path (pre-aggregated vs. raw scan) and routing.
+    WindowDispatch,
+    /// Skiplist / disk seeks and row collection.
+    StorageSeek,
+    /// Window aggregate evaluation.
+    Aggregate,
+    /// Projecting and encoding the output row.
+    Encode,
+}
+
+impl Stage {
+    /// All stages in pipeline order; `ALL[s.index()] == s`.
+    pub const ALL: [Stage; 6] = [
+        Stage::Plan,
+        Stage::CacheLookup,
+        Stage::WindowDispatch,
+        Stage::StorageSeek,
+        Stage::Aggregate,
+        Stage::Encode,
+    ];
+
+    /// Dense index of this stage, `0..Stage::ALL.len()` — the record's
+    /// attribution slot.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Plan => "plan",
+            Stage::CacheLookup => "cache_lookup",
+            Stage::WindowDispatch => "window_dispatch",
+            Stage::StorageSeek => "storage_seek",
+            Stage::Aggregate => "aggregate",
+            Stage::Encode => "encode",
+        }
+    }
+}
+
+/// Run `f` as `stage`: mark the stage boundary on either side of it in the
+/// thread's per-request record. Outside a request scope this is two
+/// thread-local checks and nothing else.
+#[inline]
+pub fn span<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
+    event(FlightEventKind::StageEnter, stage.index() as u32, 0);
+    let out = f();
+    event(FlightEventKind::StageExit, stage.index() as u32, 0);
+    out
+}
 
 /// Events retained per request. The ring keeps the **last** `RING_EVENTS`
 /// events (older ones are overwritten and counted in `dropped_events`), since
@@ -61,6 +132,10 @@ pub const NUM_STAGES: usize = Stage::ALL.len();
 
 /// Default slow-query threshold: the paper's 20 ms decision-serving budget.
 pub const DEFAULT_SLOW_QUERY_THRESHOLD_NS: u64 = 20_000_000;
+
+/// Sampling interval: each thread marks one request in this many as
+/// sampled ([`FlightSummary::sampled`]).
+pub const SAMPLE_EVERY: u64 = 64;
 
 /// What happened inside a request, one event per record call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,8 +237,7 @@ const STACK_DEPTH: usize = 8;
 struct Inner {
     t0: Instant,
     trace_id: u64,
-    /// The tracer's sampling interval when this request is the sampled one
-    /// in N, else 0.
+    /// [`SAMPLE_EVERY`] when this request is its thread's sampled one, else 0.
     sampled: u64,
     ring: [FlightEvent; RING_EVENTS],
     /// Events currently held (`<= RING_EVENTS`).
@@ -298,39 +372,6 @@ impl Inner {
         };
         (0..self.len).map(move |i| self.ring[(start + i) % RING_EVENTS])
     }
-
-    /// The sampled-trace view: stage spans rebuilt from the retained
-    /// enter/exit events, in completion order. A span whose enter event was
-    /// overwritten (more than [`RING_EVENTS`] events) is not reported.
-    fn spans(&self) -> Vec<crate::trace::SpanRecord> {
-        let mut open = [0u64; STACK_DEPTH];
-        let mut depth = 0usize;
-        let mut spans = Vec::with_capacity(self.len / 2);
-        for e in self.events() {
-            match e.kind {
-                FlightEventKind::StageEnter => {
-                    if depth < STACK_DEPTH {
-                        open[depth] = e.t_ns;
-                    }
-                    depth += 1;
-                }
-                FlightEventKind::StageExit if depth > 0 => {
-                    depth -= 1;
-                    if let (Some(&start_ns), Some(&stage)) =
-                        (open.get(depth), Stage::ALL.get(e.a as usize))
-                    {
-                        spans.push(crate::trace::SpanRecord {
-                            stage,
-                            start_ns,
-                            dur_ns: e.t_ns.saturating_sub(start_ns),
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-        spans
-    }
 }
 
 #[cfg(not(feature = "obs-off"))]
@@ -339,7 +380,7 @@ thread_local! {
     /// serving, if any.
     static FLIGHT: std::cell::RefCell<Option<Box<Inner>>> =
         const { std::cell::RefCell::new(None) };
-    /// Requests this thread has started. Trace ids, the tracer's 1-in-N
+    /// Requests this thread has started. Trace ids, the record's 1-in-N
     /// sampling and the consistency sentinel's sampling all derive from this
     /// one sequence, so no request touches a process-wide sequence atomic.
     static THREAD_SEQ: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -427,11 +468,11 @@ pub struct FlightSummary {
     /// False when this scope was nested inside another (or under `obs-off`);
     /// all other fields are zero then.
     pub active: bool,
-    /// Request id, unique in the process: joins the response to histogram
-    /// exemplars, sampled traces and post-mortems.
+    /// Request id, unique in the process: joins the response to its
+    /// post-mortem.
     pub trace_id: u64,
-    /// How many requests this one stands for in sampled views: the tracer's
-    /// interval N when this was its thread's 1-in-N sampled request, else 0.
+    /// How many requests this one stands for in the hot-keys sketch:
+    /// [`SAMPLE_EVERY`] when this was its thread's sampled request, else 0.
     pub sampled: u64,
     /// What the request did and where its time went: `cost.stage_ns` is the
     /// exact per-stage self time, `cost.total_ns` the one end-of-request
@@ -491,8 +532,11 @@ impl<'a> FlightScope<'a> {
                     return false;
                 }
                 let seq = THREAD_SEQ.with(|s| s.replace(s.get() + 1));
-                let every = crate::trace::Tracer::global().sample_every();
-                let sampled = if seq.is_multiple_of(every) { every } else { 0 };
+                let sampled = if seq.is_multiple_of(SAMPLE_EVERY) {
+                    SAMPLE_EVERY
+                } else {
+                    0
+                };
                 let mut inner = rec.inner.take().unwrap_or_else(Inner::new);
                 // Unique and non-zero: the thread's ordinal above a sequence
                 // that starts at 1.
@@ -517,9 +561,9 @@ impl<'a> FlightScope<'a> {
     /// Stop recording: the one end-of-request clock reading closes the
     /// ledger and becomes `cost.total_ns` (a request declared to end where
     /// its last stage did — [`abut`] — reuses that stage's closing reading).
-    /// A sampled request also pushes its span trace into the tracer's ring.
-    /// The events stay inside the recorder (for [`Recorder::post_mortem`])
-    /// until the next [`enter`](Self::enter) resets it.
+    /// Takes no lock and allocates nothing. The events stay inside the
+    /// recorder (for [`Recorder::post_mortem`]) until the next
+    /// [`enter`](Self::enter) resets it.
     #[inline]
     #[cfg_attr(feature = "obs-off", allow(unused_mut))]
     pub fn finish(mut self) -> FlightSummary {
@@ -549,13 +593,6 @@ impl<'a> FlightScope<'a> {
                 faults: inner.faults,
                 dropped_events: inner.dropped,
             };
-            if inner.sampled > 0 {
-                crate::trace::Tracer::global().push(crate::trace::Trace {
-                    trace_id: inner.trace_id,
-                    total_ns: inner.cost.total_ns,
-                    spans: inner.spans(),
-                });
-            }
             self.rec.inner = Some(inner);
             summary
         }
@@ -792,9 +829,6 @@ fn slow_log_ring() -> &'static Mutex<VecDeque<PostMortem>> {
     RING.get_or_init(|| Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAPACITY)))
 }
 
-static PUBLISHED: AtomicU64 = AtomicU64::new(0);
-
-#[cfg(not(feature = "obs-off"))]
 fn postmortems_counter() -> &'static std::sync::Arc<crate::Counter> {
     static C: OnceLock<std::sync::Arc<crate::Counter>> = OnceLock::new();
     C.get_or_init(|| {
@@ -810,7 +844,6 @@ pub fn publish(pm: PostMortem) {
     #[cfg(not(feature = "obs-off"))]
     {
         postmortems_counter().inc();
-        PUBLISHED.fetch_add(1, Ordering::Relaxed);
         let mut ring = slow_log_ring().lock().unwrap_or_else(|p| p.into_inner());
         if ring.len() == SLOW_LOG_CAPACITY {
             ring.pop_front();
@@ -829,7 +862,7 @@ pub fn slow_log() -> Vec<PostMortem> {
 
 /// Total post-mortems ever published (survives ring eviction).
 pub fn published_total() -> u64 {
-    PUBLISHED.load(Ordering::Relaxed)
+    postmortems_counter().value()
 }
 
 /// Drop all retained post-mortems (tests and bench harnesses).
@@ -891,12 +924,12 @@ mod tests {
     fn attribution_sums_to_total_and_survives_ring_wrap() {
         let mut rec = Recorder::new();
         let scope = FlightScope::enter(&mut rec);
-        crate::trace::span(Stage::Plan, || sleep_us(200));
+        span(Stage::Plan, || sleep_us(200));
         // Flood the ring well past capacity: attribution must stay exact.
         for i in 0..(RING_EVENTS as u64 * 3) {
             event(FlightEventKind::PlanCacheHit, 0, i);
         }
-        crate::trace::span(Stage::StorageSeek, || {
+        span(Stage::StorageSeek, || {
             event(FlightEventKind::ScanRows, 0, 123);
             sleep_us(200)
         });
@@ -944,7 +977,7 @@ mod tests {
             event(kind, 0, 1);
         }
         assert_eq!(clock_reads(), 1, "count-only events are free of the clock");
-        crate::trace::span(Stage::StorageSeek, || {
+        span(Stage::StorageSeek, || {
             sleep_us(20);
             event(StorageSeek, 3, 0);
             event(ScanRows, 3, 16);
@@ -954,9 +987,9 @@ mod tests {
         assert_eq!(clock_reads(), 4, "anomaly events are timed");
         // Two stages back to back, declared adjacent: exit and enter share
         // one reading, and the declaration is spent on the first boundary.
-        crate::trace::span(Stage::Aggregate, || sleep_us(20));
+        span(Stage::Aggregate, || sleep_us(20));
         abut();
-        crate::trace::span(Stage::Encode, || sleep_us(20));
+        span(Stage::Encode, || sleep_us(20));
         assert_eq!(clock_reads(), 7, "an abutting boundary reuses the cursor");
         abut();
         let summary = scope.finish();
@@ -995,9 +1028,9 @@ mod tests {
     fn nested_stages_attribute_self_time_only() {
         let mut rec = Recorder::new();
         let scope = FlightScope::enter(&mut rec);
-        crate::trace::span(Stage::WindowDispatch, || {
+        span(Stage::WindowDispatch, || {
             sleep_us(150);
-            crate::trace::span(Stage::Aggregate, || sleep_us(150));
+            span(Stage::Aggregate, || sleep_us(150));
         });
         let summary = scope.finish();
         let dispatch = summary.cost.stage_ns[Stage::WindowDispatch.index()];
@@ -1043,22 +1076,21 @@ mod tests {
     #[test]
     #[cfg(not(feature = "obs-off"))]
     fn ids_and_sampling_derive_from_the_thread_sequence() {
-        let every = crate::trace::Tracer::global().sample_every();
         let mut rec = Recorder::new();
         let mut ids = Vec::new();
         let mut sampled = 0;
-        for _ in 0..every * 2 {
+        for _ in 0..SAMPLE_EVERY * 2 {
             let seq = thread_seq();
             let summary = FlightScope::enter(&mut rec).finish();
             assert_eq!(thread_seq(), seq + 1);
-            assert_eq!(summary.sampled > 0, seq.is_multiple_of(every));
+            assert_eq!(summary.sampled > 0, seq.is_multiple_of(SAMPLE_EVERY));
             sampled += u64::from(summary.sampled > 0);
             ids.push(summary.trace_id);
         }
         assert_eq!(sampled, 2);
         assert!(ids.iter().all(|&id| id > 0));
         ids.dedup();
-        assert_eq!(ids.len() as u64, every * 2);
+        assert_eq!(ids.len() as u64, SAMPLE_EVERY * 2);
         let other = std::thread::spawn(|| FlightScope::enter(&mut Recorder::new()).finish())
             .join()
             .unwrap();
@@ -1081,6 +1113,11 @@ mod tests {
         let mut rec2 = Recorder::new();
         let scope = FlightScope::enter(&mut rec2);
         assert!(scope.finish().active);
+    }
+
+    #[test]
+    fn spans_outside_scope_are_noops() {
+        assert_eq!(span(Stage::Plan, || 7), 7);
     }
 
     #[test]

@@ -13,14 +13,11 @@
 //! therefore the same percentiles) as if every sample had gone into a single
 //! shard. The proptest in this module pins that property down.
 
-use crate::flight::NUM_STAGES;
 #[cfg(not(feature = "obs-off"))]
 use crate::PaddedU64;
 use crate::SHARDS;
 #[cfg(not(feature = "obs-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "obs-off"))]
-use std::sync::{Mutex, OnceLock};
 
 /// Values below this are bucketed exactly (bucket index == value).
 pub const LINEAR_MAX: u64 = 16;
@@ -75,61 +72,11 @@ impl Shard {
     }
 }
 
-/// A tail exemplar: the most recent request that landed in a bucket at or
-/// above the exemplar threshold, carrying enough context (flight-recorder
-/// trace id + per-stage self-times) to attribute that bucket's latency.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Exemplar {
-    /// Flight-recorder trace id of the exemplified request.
-    pub trace_id: u64,
-    /// The exact recorded value (not the bucket representative).
-    pub value: u64,
-    /// Global insertion stamp; larger is newer. Shard merging keeps the
-    /// maximum stamp per bucket, so the merge is exactly "newest wins" —
-    /// the same answer a single unsharded store would give.
-    pub stamp: u64,
-    /// Per-stage self-times of the exemplified request, indexed like
-    /// [`crate::trace::Stage::ALL`].
-    pub stage_self_ns: [u64; NUM_STAGES],
-}
-
-/// Per-histogram exemplar slots: one `(shard, bucket)` grid, populated only
-/// for values at or above the threshold (the tail — a cold path, so a slot
-/// mutex is fine; the warm record path never touches this).
-#[cfg(not(feature = "obs-off"))]
-struct ExemplarStore {
-    threshold: AtomicU64,
-    stamp: AtomicU64,
-    slots: Vec<Mutex<Option<Exemplar>>>,
-}
-
-#[cfg(not(feature = "obs-off"))]
-impl ExemplarStore {
-    fn attach(&self, shard: usize, v: u64, trace_id: u64, stage_self_ns: &[u64; NUM_STAGES]) {
-        if v < self.threshold.load(Ordering::Relaxed) {
-            return;
-        }
-        let stamp = self.stamp.fetch_add(1, Ordering::Relaxed) + 1;
-        let slot = &self.slots[shard * NUM_BUCKETS + bucket_index(v)];
-        let mut guard = slot.lock().unwrap_or_else(|p| p.into_inner());
-        if guard.as_ref().is_none_or(|e| e.stamp < stamp) {
-            *guard = Some(Exemplar {
-                trace_id,
-                value: v,
-                stamp,
-                stage_self_ns: *stage_self_ns,
-            });
-        }
-    }
-}
-
 /// Sharded log-linear histogram. See the module docs for the bucket layout.
 #[derive(Default)]
 pub struct Histogram {
     #[cfg(not(feature = "obs-off"))]
     shards: Vec<Shard>,
-    #[cfg(not(feature = "obs-off"))]
-    exemplars: OnceLock<ExemplarStore>,
 }
 
 impl Histogram {
@@ -138,95 +85,10 @@ impl Histogram {
         {
             Histogram {
                 shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-                exemplars: OnceLock::new(),
             }
         }
         #[cfg(feature = "obs-off")]
         Histogram {}
-    }
-
-    /// Turn on exemplar capture for values `>= threshold` (calling again
-    /// just updates the threshold). Allocates the slot grid once; recording
-    /// below the threshold stays a pure atomic path.
-    pub fn enable_exemplars(&self, threshold: u64) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let store = self.exemplars.get_or_init(|| ExemplarStore {
-                threshold: AtomicU64::new(threshold),
-                stamp: AtomicU64::new(0),
-                slots: (0..SHARDS * NUM_BUCKETS)
-                    .map(|_| Mutex::new(None))
-                    .collect(),
-            });
-            store.threshold.store(threshold, Ordering::Relaxed);
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = threshold;
-    }
-
-    /// Record one sample and, when exemplars are enabled and `v` clears the
-    /// threshold, retain it as the bucket's newest exemplar.
-    #[inline]
-    pub fn record_with_exemplar(&self, v: u64, trace_id: u64, stage_self_ns: &[u64; NUM_STAGES]) {
-        self.record(v);
-        #[cfg(not(feature = "obs-off"))]
-        if let Some(store) = self.exemplars.get() {
-            store.attach(crate::shard_idx(), v, trace_id, stage_self_ns);
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = (trace_id, stage_self_ns);
-    }
-
-    /// Exemplar-capturing twin of [`record_in_shard`](Self::record_in_shard)
-    /// — test hook for exercising the exemplar merge deterministically.
-    #[doc(hidden)]
-    pub fn record_exemplar_in_shard(
-        &self,
-        shard: usize,
-        v: u64,
-        trace_id: u64,
-        stage_self_ns: &[u64; NUM_STAGES],
-    ) {
-        self.record_in_shard(shard, v);
-        #[cfg(not(feature = "obs-off"))]
-        if let Some(store) = self.exemplars.get() {
-            store.attach(shard % SHARDS, v, trace_id, stage_self_ns);
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = (shard, trace_id, stage_self_ns);
-    }
-
-    /// Merge exemplars across shards: for every bucket with at least one
-    /// exemplar, the newest (maximum stamp) wins — exactly what a single
-    /// unsharded store would hold. Returns `(bucket_index, exemplar)` pairs
-    /// in bucket order.
-    pub fn exemplars(&self) -> Vec<(usize, Exemplar)> {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let Some(store) = self.exemplars.get() else {
-                return Vec::new();
-            };
-            let mut out = Vec::new();
-            for bucket in 0..NUM_BUCKETS {
-                let mut best: Option<Exemplar> = None;
-                for shard in 0..SHARDS {
-                    let guard = store.slots[shard * NUM_BUCKETS + bucket]
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner());
-                    if let Some(e) = *guard {
-                        if best.as_ref().is_none_or(|b| b.stamp < e.stamp) {
-                            best = Some(e);
-                        }
-                    }
-                }
-                if let Some(e) = best {
-                    out.push((bucket, e));
-                }
-            }
-            out
-        }
-        #[cfg(feature = "obs-off")]
-        Vec::new()
     }
 
     /// Record one sample. Two relaxed atomic adds on the caller's home shard.
@@ -420,27 +282,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exemplars_respect_threshold_and_newest_wins() {
-        let h = Histogram::new();
-        assert!(h.exemplars().is_empty(), "no exemplars before enabling");
-        h.enable_exemplars(100);
-        h.record_with_exemplar(50, 1, &[0; NUM_STAGES]); // below threshold
-        h.record_with_exemplar(5_000, 2, &[7; NUM_STAGES]);
-        h.record_with_exemplar(5_001, 3, &[9; NUM_STAGES]); // same bucket, newer
-        let ex = h.exemplars();
-        if !crate::enabled() {
-            assert!(ex.is_empty());
-            return;
-        }
-        assert_eq!(ex.len(), 1);
-        let (bucket, e) = ex[0];
-        assert_eq!(bucket, bucket_index(5_001));
-        assert_eq!(e.trace_id, 3);
-        assert_eq!(e.value, 5_001);
-        assert_eq!(e.stage_self_ns, [9; NUM_STAGES]);
-    }
-
     proptest! {
         /// Satellite: merged per-thread shards must report the same p50/p99
         /// as a single-shard oracle within one bucket's relative error.
@@ -481,44 +322,6 @@ mod tests {
                     err <= 1.0 / SUB_BUCKETS as f64 + 1e-9,
                     "q={} truth={} got={} err={}", q, truth, got, err
                 );
-            }
-        }
-
-        /// Satellite: exemplars merged across shards must equal a
-        /// single-shard oracle — newest (max stamp) wins per bucket, and
-        /// both must agree with a sequential last-writer-wins model.
-        #[test]
-        fn merged_exemplars_match_single_shard_oracle(
-            samples in proptest::collection::vec(1u64..1_000_000, 1..300),
-        ) {
-            if !crate::enabled() {
-                return Ok(());
-            }
-            let sharded = Histogram::new();
-            let oracle = Histogram::new();
-            sharded.enable_exemplars(0);
-            oracle.enable_exemplars(0);
-            let mut model = std::collections::BTreeMap::new();
-            for (i, &v) in samples.iter().enumerate() {
-                let trace_id = i as u64 + 1;
-                let stages = [v; NUM_STAGES];
-                sharded.record_exemplar_in_shard(i % SHARDS, v, trace_id, &stages);
-                oracle.record_exemplar_in_shard(0, v, trace_id, &stages);
-                model.insert(bucket_index(v), (trace_id, v));
-            }
-            let a = sharded.exemplars();
-            let b = oracle.exemplars();
-            prop_assert_eq!(a.len(), b.len());
-            prop_assert_eq!(a.len(), model.len());
-            for (((ba, ea), (bb, eb)), (bm, (tid, v))) in
-                a.iter().zip(b.iter()).zip(model.iter())
-            {
-                prop_assert_eq!(ba, bb);
-                prop_assert_eq!(ba, bm);
-                prop_assert_eq!(ea.trace_id, eb.trace_id);
-                prop_assert_eq!(ea.trace_id, *tid);
-                prop_assert_eq!(ea.value, *v);
-                prop_assert_eq!(ea.stamp, eb.stamp);
             }
         }
     }

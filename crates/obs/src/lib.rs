@@ -10,10 +10,11 @@
 //!
 //! Plus one pooled per-request record ([`flight`]): an event ring, an exact
 //! per-stage ledger (plan → cache lookup → window dispatch → storage seek →
-//! aggregate → encode) and the request's cost counters, written once per
-//! request. The sampled span trace ([`trace`]), slow-query post-mortems,
-//! histogram exemplars and the per-deployment store ([`profile`]) are views
-//! published from it when the request ends.
+//! aggregate → encode, marked by [`span`]) and the request's cost counters,
+//! written once per request. The global counters and histograms and the
+//! per-deployment store ([`profile`]) are fed from it when the request ends;
+//! the slow-query log keeps the events of the requests that are anomalous or
+//! slow, as post-mortems.
 //!
 //! All metrics live in the process-wide [`Registry`] and are exposed through
 //! [`Registry::render`] (Prometheus text format) and
@@ -43,20 +44,19 @@ pub mod labels;
 pub mod ops;
 pub mod profile;
 pub mod topk;
-pub mod trace;
 
 pub use audit::{DivergenceKind, DivergenceReport, Fnv, ScanDigest};
 pub use flight::{
-    FlightEvent, FlightEventKind, FlightScope, FlightSummary, Outcome, PostMortem, Recorder,
+    span, FlightEvent, FlightEventKind, FlightScope, FlightSummary, Outcome, PostMortem, Recorder,
+    Stage,
 };
-pub use hist::{Exemplar, Histogram, HistogramSnapshot};
+pub use hist::{Histogram, HistogramSnapshot};
 pub use labels::{
     LabelId, LabelRegistry, LabeledCounter, LabeledHistogram, MAX_LABEL_SLOTS, OVERFLOW_LABEL,
 };
 pub use ops::{OpsHandler, OpsResponse, OpsServer};
 pub use profile::{CostProfile, ProfileStore};
 pub use topk::{SpaceSaving, TopEntry};
-pub use trace::{span, SpanRecord, Stage, Trace, Tracer};
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -16,10 +16,10 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use crate::flight::Stage;
 use crate::flight::NUM_STAGES;
 use crate::labels::{LabelId, LabelRegistry, MAX_LABEL_SLOTS};
 use crate::topk::TopEntry;
-use crate::trace::Stage;
 use crate::SHARDS;
 
 /// What one request did, in fixed-size counters. The `stage_ns` slots are

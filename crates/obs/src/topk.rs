@@ -17,7 +17,8 @@
 //! An offer takes a mutex and a string-keyed HashMap probe; offering on
 //! every request (two sketches plus the key's format) measured 0.18 µs of a
 //! 3.4 µs short-window request (EXPERIMENTS.md, "Observability overhead"),
-//! so the serving path offers only its sampled requests (one in N per thread), each with weight N
+//! so the serving path offers only its sampled requests (one in
+//! [`crate::flight::SAMPLE_EVERY`] per thread), each with that weight
 //! ([`SpaceSaving::offer_weighted`]); the estimates stay unbiased. The
 //! sketch allocates only when a *new* key enters the monitored set. Under
 //! `obs-off`, [`SpaceSaving::offer`] compiles to a no-op.

@@ -20,10 +20,9 @@ use std::sync::{Arc, Mutex};
 use openmldb_exec::{
     evaluate, EntryOrder, Program, RequestScratch, RowSource, WindowAggSet, WindowState,
 };
-use openmldb_obs::trace as obs;
 use openmldb_obs::{
-    flight, FlightEventKind, FlightScope, FlightSummary, Fnv, LabelId, LabelRegistry, Outcome,
-    ProfileStore, Recorder, ScanDigest, SpaceSaving,
+    flight, span, FlightEventKind, FlightScope, FlightSummary, Fnv, LabelId, LabelRegistry,
+    Outcome, ProfileStore, Recorder, ScanDigest, SpaceSaving, Stage,
 };
 use openmldb_sql::ast::Frame;
 use openmldb_sql::plan::{BoundWindow, CompiledQuery};
@@ -300,10 +299,10 @@ pub fn execute_request_with(
 /// reading — into every surface fed from it: the exact global counters, the
 /// latency histograms (`cost.total_ns` is the one value the duration
 /// histogram, `openmldb_online_request_time_ns` and the per-deployment
-/// totals all receive), the exemplar of a slow bucket, the per-deployment
-/// store the labeled series and EXPLAIN ANALYZE read (so per-deployment sums
-/// — `__other` included — reconcile exactly with the globals), and, for an
-/// anomalous or slow request, its post-mortem. A passive (nested) scope has
+/// totals all receive), the per-deployment store the labeled series and
+/// EXPLAIN ANALYZE read (so per-deployment sums — `__other` included —
+/// reconcile exactly with the globals), and, for an anomalous or slow
+/// request, its post-mortem. A passive (nested) scope has
 /// no record of its own and publishes nothing.
 fn publish_request(
     dep: &Deployment,
@@ -333,7 +332,7 @@ fn publish_request(
     m::scan_rows().add(cost.rows_scanned);
     m::request_time_ns().add(cost.total_ns);
     m::stage_time_ns().add(cost.stage_sum_ns());
-    m::request_duration().record_with_exemplar(cost.total_ns, summary.trace_id, &cost.stage_ns);
+    m::request_duration().record(cost.total_ns);
     m::deployment_duration().record(dep.label, cost.total_ns);
     ProfileStore::global().fold(dep.label, cost);
 
@@ -467,7 +466,7 @@ impl BucketTier<'_> {
             return Ok(false);
         }
         let served = self.buckets().map(|buckets| {
-            obs::span(obs::Stage::Aggregate, || {
+            span(Stage::Aggregate, || {
                 retry_transient(self.ctx, || self.answer(buckets, &mut edges))
             })
         });
@@ -549,7 +548,7 @@ fn execute_streaming(
     combined.extend_from_slice(request.values());
     // (A plan without joins has no seek stage here: nothing to time.)
     if !q.joins.is_empty() {
-        obs::span(obs::Stage::StorageSeek, || -> Result<()> {
+        span(Stage::StorageSeek, || -> Result<()> {
             for (j, (join, bound)) in q.joins.iter().zip(&dep.reads.joins).enumerate() {
                 key.clear();
                 for &(l, _) in &join.eq_pairs {
@@ -639,7 +638,7 @@ fn execute_streaming(
         let full = if ctx.degraded() && ctx.deadline_expired() {
             Err(timed_out(ctx, "window_dispatch"))
         } else {
-            obs::span(obs::Stage::WindowDispatch, || -> Result<()> {
+            span(Stage::WindowDispatch, || -> Result<()> {
                 ctx.check("window_dispatch")?;
                 let edges =
                     |lo, hi| raw_window_rows(provider, &dep.reads.windows[lead], key, lo, hi, ctx);
@@ -671,7 +670,7 @@ fn execute_streaming(
                 // Whether every timestamp so far arrived strictly below the
                 // one before it, across tables — decides the fold order.
                 let mut descending = true;
-                obs::span(obs::Stage::StorageSeek, || -> Result<()> {
+                span(Stage::StorageSeek, || -> Result<()> {
                     for read in &dep.reads.windows[lead] {
                         // Retries re-run this table's scan from the top: rewind
                         // so a fault mid-scan cannot duplicate entries.
@@ -772,7 +771,7 @@ fn execute_streaming(
                     flight::abut();
                 }
 
-                obs::span(obs::Stage::Aggregate, || -> Result<()> {
+                span(Stage::Aggregate, || -> Result<()> {
                     ctx.check("aggregate")?;
                     let fold = GroupFold {
                         dep,
@@ -806,7 +805,7 @@ fn execute_streaming(
     // 4. Project the select list (the output row is the one owned
     // allocation a warm request makes — `Row` owns its values): the
     // flattened expression programs over the pooled stack.
-    let row = obs::span(obs::Stage::Encode, || -> Result<Row> {
+    let row = span(Stage::Encode, || -> Result<Row> {
         ctx.check("encode")?;
         let programs = dep.program.select_programs();
         let programs = programs.ok_or_else(|| not_compiled(dep, "select list"))?;
@@ -951,7 +950,7 @@ pub(crate) fn materialized(
 
     // 1. LAST JOINs: build the combined row.
     let mut combined: Vec<Value> = request.values().to_vec();
-    obs::span(obs::Stage::StorageSeek, || -> Result<()> {
+    span(Stage::StorageSeek, || -> Result<()> {
         for join in &q.joins {
             let key: Vec<KeyValue> = join
                 .eq_pairs
@@ -1012,7 +1011,7 @@ pub(crate) fn materialized(
         let full = if ctx.degraded() && ctx.deadline_expired() {
             Err(timed_out(ctx, "window_dispatch"))
         } else {
-            obs::span(obs::Stage::WindowDispatch, || -> Result<()> {
+            span(Stage::WindowDispatch, || -> Result<()> {
                 ctx.check("window_dispatch")?;
                 let edges = |lo, hi| {
                     let reads = window_reads_by_name(provider, q, window, true)?;
@@ -1023,11 +1022,11 @@ pub(crate) fn materialized(
                 }
 
                 // Scan path: gather window rows (request row is the anchor).
-                let rows = obs::span(obs::Stage::StorageSeek, || {
+                let rows = span(Stage::StorageSeek, || {
                     let audit = audit.as_deref_mut();
                     collect_window_rows(provider, q, wid, request, ctx, audit)
                 })?;
-                obs::span(obs::Stage::Aggregate, || -> Result<()> {
+                span(Stage::Aggregate, || -> Result<()> {
                     ctx.check("aggregate")?;
                     let agg_refs: Vec<_> =
                         by_window[wid].iter().map(|&i| &q.aggregates[i]).collect();
@@ -1047,7 +1046,7 @@ pub(crate) fn materialized(
     }
 
     // 4. Project the select list.
-    obs::span(obs::Stage::Encode, || -> Result<Row> {
+    span(Stage::Encode, || -> Result<Row> {
         ctx.check("encode")?;
         let mut out = Vec::with_capacity(q.select.len());
         for col in &q.select {

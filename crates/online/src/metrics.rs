@@ -28,14 +28,10 @@ pub fn requests() -> &'static Counter {
 pub fn request_duration() -> &'static Histogram {
     static M: OnceLock<Arc<Histogram>> = OnceLock::new();
     M.get_or_init(|| {
-        let h = Registry::global().histogram(
+        Registry::global().histogram(
             "openmldb_online_request_duration_ns",
             "End-to-end online request latency",
-        );
-        // Buckets at or above the slow-query threshold keep the most recent
-        // offending request's trace id + stage breakdown as an exemplar.
-        h.enable_exemplars(openmldb_obs::flight::slow_query_threshold_ns());
-        h
+        )
     })
 }
 

@@ -17,9 +17,8 @@
 //!   the uncovered edges fall back to raw-row scans (the paper's
 //!   `agg1/agg5` edges in Figure 4).
 //!
-//! Only decomposable aggregates are eligible (`supports_preagg`); a query
-//! frequency tracker per level records usage so the hierarchy can be
-//! adapted (levels that are rarely useful can be dropped).
+//! Only decomposable aggregates are eligible (`supports_preagg`); each
+//! level counts the buckets queries consume from it ([`PreAggregator::level_hits`]).
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -39,7 +38,7 @@ struct Level {
     bucket_ms: i64,
     /// key → bucket start → the bucket's slot states.
     buckets: RwLock<HashMap<Vec<KeyValue>, BTreeMap<i64, AggStates>>>,
-    /// Buckets consumed by queries (hierarchy adaptation signal).
+    /// Buckets consumed by queries.
     hits: AtomicU64,
 }
 
@@ -52,8 +51,6 @@ pub struct PreAggregator {
     order_col: usize,
     /// Ascending bucket sizes (finest first).
     levels: Vec<Level>,
-    /// Raw rows scanned on query edges (the cost pre-aggregation saves).
-    raw_rows_scanned: AtomicU64,
     queries: AtomicU64,
 }
 
@@ -93,7 +90,6 @@ impl PreAggregator {
                     hits: AtomicU64::new(0),
                 })
                 .collect(),
-            raw_rows_scanned: AtomicU64::new(0),
             queries: AtomicU64::new(0),
         }))
     }
@@ -233,10 +229,7 @@ impl PreAggregator {
             if lo > hi {
                 continue;
             }
-            let rows = raw_fetch(lo, hi)?;
-            self.raw_rows_scanned
-                .fetch_add(rows.len() as u64, Ordering::Relaxed);
-            for row in &rows {
+            for row in &raw_fetch(lo, hi)? {
                 self.set.update_states(&mut acc, row.values())?;
             }
         }
@@ -252,12 +245,7 @@ impl PreAggregator {
         Ok(self.set.outputs_of(&acc))
     }
 
-    /// Raw rows scanned across all queries (lower is better).
-    pub fn raw_rows_scanned(&self) -> u64 {
-        self.raw_rows_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Bucket hits per level (finest first) — the adaptation signal.
+    /// Bucket hits per level (finest first).
     pub fn level_hits(&self) -> Vec<u64> {
         self.levels
             .iter()
@@ -268,23 +256,6 @@ impl PreAggregator {
     /// Queries served.
     pub fn queries(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Suggest levels to drop: any level whose buckets were hit in fewer
-    /// than `min_share` of bucket hits overall (hierarchy adaptation,
-    /// Section 5.1's "remove aggregation levels" knob).
-    pub fn underused_levels(&self, min_share: f64) -> Vec<i64> {
-        let hits = self.level_hits();
-        let total: u64 = hits.iter().sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        self.levels
-            .iter()
-            .zip(&hits)
-            .filter(|(_, &h)| (h as f64) / (total as f64) < min_share)
-            .map(|(l, _)| l.bucket_ms)
-            .collect()
     }
 }
 
@@ -361,14 +332,17 @@ mod tests {
         // Window [50, 820]: buckets 100..800 fully covered; edges [50,99] and
         // [800,820].
         let raw_calls = std::cell::RefCell::new(Vec::new());
+        let raw_rows = std::cell::Cell::new(0);
         let out = p
             .query(&[KeyValue::Int(1)], 50, 820, |lo, hi| {
                 raw_calls.borrow_mut().push((lo, hi));
-                Ok(all
+                let rows: Vec<Row> = all
                     .iter()
                     .filter(|r| (lo..=hi).contains(&r.ts_at(2)))
                     .cloned()
-                    .collect())
+                    .collect();
+                raw_rows.set(raw_rows.get() + rows.len());
+                Ok(rows)
             })
             .unwrap();
         // Expected: values at ts 100..800 step 100 → sum = 3600, count 8.
@@ -376,11 +350,7 @@ mod tests {
         assert_eq!(out[1], Value::Bigint(8));
         let calls = raw_calls.borrow();
         assert_eq!(calls.as_slice(), &[(50, 99), (800, 820)]);
-        assert_eq!(
-            p.raw_rows_scanned(),
-            1,
-            "only the ts=800 row came from raw data"
-        );
+        assert_eq!(raw_rows.get(), 1, "only the ts=800 row came from raw data");
     }
 
     #[test]
@@ -397,11 +367,6 @@ mod tests {
         // Coarse level (100ms) covers [0,999] in 10 buckets; fine level unused.
         assert_eq!(hits[1], 10);
         assert_eq!(hits[0], 0);
-        assert_eq!(
-            p.underused_levels(0.05),
-            vec![10],
-            "fine level is dead weight"
-        );
     }
 
     #[test]

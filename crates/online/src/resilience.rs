@@ -111,8 +111,7 @@ pub struct RequestOutput {
     /// Reads that failed over from the primary table to its replica.
     pub failovers: u32,
     /// Flight-recorder trace id for this request — the key joining the
-    /// response to histogram exemplars and slow-query post-mortems. Zero
-    /// under `obs-off`.
+    /// response to its slow-query post-mortem. Zero under `obs-off`.
     pub trace_id: u64,
 }
 

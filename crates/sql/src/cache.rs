@@ -21,7 +21,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use openmldb_obs::trace as obs;
+use openmldb_obs::{span, Stage};
 use openmldb_types::Result;
 
 use crate::ast::SelectStatement;
@@ -117,7 +117,7 @@ impl PlanCache {
         sql: &str,
         catalog: &dyn Catalog,
     ) -> Result<(Arc<CompiledQuery>, bool)> {
-        let cached = obs::span(obs::Stage::CacheLookup, || -> Result<_> {
+        let cached = span(Stage::CacheLookup, || -> Result<_> {
             let normalized = normalize_sql(sql)?;
             let mut h = DefaultHasher::new();
             normalized.hash(&mut h);
@@ -140,7 +140,7 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         crate::metrics::plan_cache_misses().inc();
         openmldb_obs::flight::event(openmldb_obs::FlightEventKind::PlanCacheMiss, 0, key);
-        let plan = obs::span(obs::Stage::Plan, || -> Result<_> {
+        let plan = span(Stage::Plan, || -> Result<_> {
             let stmt = parse_select(sql)?;
             Ok(Arc::new(compile_select(&stmt, catalog)?))
         })?;
@@ -162,7 +162,7 @@ impl PlanCache {
         stmt: &SelectStatement,
         catalog: &dyn Catalog,
     ) -> Result<(Arc<CompiledQuery>, bool)> {
-        let key = obs::span(obs::Stage::CacheLookup, || {
+        let key = span(Stage::CacheLookup, || {
             let mut repr = String::new();
             let _ = std::fmt::Write::write_fmt(&mut repr, format_args!("{stmt:?}"));
             let mut h = DefaultHasher::new();
@@ -182,7 +182,7 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         crate::metrics::plan_cache_misses().inc();
         openmldb_obs::flight::event(openmldb_obs::FlightEventKind::PlanCacheMiss, 0, key);
-        let plan = obs::span(obs::Stage::Plan, || -> Result<_> {
+        let plan = span(Stage::Plan, || -> Result<_> {
             Ok(Arc::new(compile_select(stmt, catalog)?))
         })?;
         self.plans

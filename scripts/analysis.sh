@@ -43,6 +43,7 @@ step "observability compiled out (obs-off build + tests)"
 cargo build -q -p openmldb --features obs-off
 cargo test -q -p openmldb-obs --features obs-off
 cargo test -q -p openmldb --features obs-off --test observability
+cargo test -q -p openmldb --features obs-off --test warm_allocs
 
 step "schedule explorer (model-check feature)"
 cargo test -q -p openmldb-storage --features model-check

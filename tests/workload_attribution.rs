@@ -1,6 +1,8 @@
 //! Property-based checks for the workload-attribution primitives: the
 //! SpaceSaving heavy-hitter sketch against an exact-count oracle, and the
-//! bounded-cardinality label registry under fuzzed deployment churn.
+//! bounded-cardinality label registry under fuzzed deployment churn. Plus the
+//! serving path's feed into the process-wide hot-keys sketch — the only test
+//! in this binary that serves requests, so the sketch holds its offers alone.
 
 use std::collections::HashMap;
 
@@ -126,4 +128,55 @@ fn ten_thousand_names_stay_bounded() {
         assert_eq!(counter.total(), 10_000);
         assert!(reg.overflow_resolutions() >= 10_000 - MAX_LABEL_SLOTS as u64);
     }
+}
+
+/// Serving feeds the process-wide hot-keys sketch with the one request in
+/// `SAMPLE_EVERY` each thread samples, weighted by the interval: 2 × 64
+/// requests on one partition key leave one entry for that deployment whose
+/// count is a non-zero multiple of 64. Under `obs-off` nothing is offered.
+#[test]
+fn serving_feeds_the_hot_keys_sketch() {
+    use openmldb::{Database, Row, Value};
+    use openmldb_obs::flight::SAMPLE_EVERY;
+
+    let db = Database::new();
+    db.execute("CREATE TABLE hk (k BIGINT, v DOUBLE, ts TIMESTAMP, INDEX(KEY=k, TS=ts))")
+        .unwrap();
+    for i in 0..16i64 {
+        let row = Row::new(vec![
+            Value::Bigint(7),
+            Value::Double(i as f64),
+            Value::Timestamp(i * 10),
+        ]);
+        db.insert_row("hk", &row).unwrap();
+    }
+    db.deploy(
+        "DEPLOY hot_keys_probe AS SELECT k, sum(v) OVER w AS s FROM hk \
+         WINDOW w AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 1s PRECEDING AND CURRENT ROW)",
+    )
+    .unwrap();
+    for i in 0..2 * SAMPLE_EVERY as i64 {
+        let request = Row::new(vec![
+            Value::Bigint(7),
+            Value::Double(1.0),
+            Value::Timestamp(200 + i),
+        ]);
+        db.request_readonly("hot_keys_probe", &request).unwrap();
+    }
+
+    let entries: Vec<_> = SpaceSaving::hot_keys()
+        .top(usize::MAX)
+        .into_iter()
+        .filter(|e| e.key.starts_with("hot_keys_probe:"))
+        .collect();
+    if !openmldb_obs::enabled() {
+        assert!(entries.is_empty(), "obs-off offers nothing: {entries:?}");
+        return;
+    }
+    assert_eq!(entries.len(), 1, "one partition key served: {entries:?}");
+    let e = &entries[0];
+    assert!(
+        e.count > 0 && e.count % SAMPLE_EVERY == 0 && e.err == 0,
+        "sampled offers weigh {SAMPLE_EVERY} each: {e:?}"
+    );
 }
