@@ -800,9 +800,9 @@ mod tests {
             "openmldb__total",
             "openmldb_",
             "requests_total",
-            // Tail-latency attribution names: the obs and chaos crates now
-            // register their own metrics, and the bench harness publishes
-            // tailtrace gate tallies.
+            // Tail-latency attribution names: the obs and chaos crates
+            // register their own metrics; the bench-layer names check the
+            // `openmldb_bench_` prefix.
             "openmldb_obs_postmortems_total",
             "openmldb_chaos_injected_faults_total",
             "openmldb_bench_tailtrace_anomalies_total",

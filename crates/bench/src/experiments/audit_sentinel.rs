@@ -1,26 +1,13 @@
-//! **Audit sentinel** — cost and efficacy of the consistency sentinel.
+//! **Audit sentinel** — the serving cost of the consistency sentinel.
 //!
 //! Runs the fig06-scale request loop (one window + one LAST JOIN) twice,
 //! interleaved: sampling off versus sampling 1-in-[`SAMPLE_EVERY`], and
-//! gates on the p50 regression of the sampled configuration — the sentinel
-//! must be effectively free on the warm path. Afterwards the queued
-//! samples are drained through both oracle replays and the run asserts a
-//! fully clean audit: every sample replayed, **zero divergences**.
-//!
-//! When the `chaos` feature is compiled in, a second phase installs a
-//! `compiled_kernel` fault (the specialized bytecode silently perturbs
-//! aggregate outputs) and asserts the sentinel *catches* it: at least one
-//! confirmed divergence, attributed to the right deployment in the labeled
-//! counter and the divergence log, surfaced in `/healthz` and as a
-//! `consistency_divergence` flight-recorder post-mortem.
-//!
-//! The snapshot is written to `target/BENCH_audit.json` (override with
-//! `BENCH_AUDIT_JSON`).
+//! reports the p50 regression of the sampled configuration — the sentinel
+//! must be effectively free on the warm path. That bound is this module's
+//! test. What the sentinel catches is asserted by `tests/sentinel.rs`:
+//! `clean_serving_audits_with_zero_divergences` and
+//! `corrupted_compiled_kernel_divergence_is_detected`.
 
-use std::fmt::Write as _;
-
-use openmldb_chaos::{InjectionPoint, Plan};
-use openmldb_obs::Registry;
 use openmldb_online::sentinel;
 
 use crate::harness::{fmt, print_table, scale, scaled, time_each, LatencyStats};
@@ -30,7 +17,7 @@ use crate::scenarios::{micro_db, micro_request, micro_sql};
 pub const MAX_P50_OVERHEAD: f64 = 0.01;
 
 /// Reduced-scale bar: microsecond-class requests make a 1 % delta
-/// unmeasurable, so smoke runs gate on "no gross regression" instead.
+/// unmeasurable, so smoke runs bound "no gross regression" instead.
 pub const MAX_P50_OVERHEAD_REDUCED: f64 = 0.25;
 
 /// Production-shaped sampling rate used for the overhead measurement.
@@ -41,23 +28,12 @@ const TRIALS: usize = 5;
 
 #[derive(Debug, Clone)]
 pub struct AuditSentinelResult {
-    pub requests: usize,
     /// Best-of-trials p50 with sampling off / on.
     pub off_p50_ms: f64,
     pub on_p50_ms: f64,
     /// `(on - off) / off`, clamped at 0 (faster-with-sampling is noise).
     pub overhead: f64,
     pub max_overhead: f64,
-    /// Clean-phase audit outcome.
-    pub audited: u64,
-    pub divergences: u64,
-    pub errors: u64,
-    /// Chaos phase (zeros when the feature is compiled out).
-    pub chaos_enabled: bool,
-    pub chaos_divergences: u64,
-    pub chaos_attributed: bool,
-    pub gate_failed: bool,
-    pub json: String,
 }
 
 pub fn run() -> AuditSentinelResult {
@@ -101,7 +77,9 @@ pub fn run() -> AuditSentinelResult {
         }));
         on_p50 = on_p50.min(on.p50_ms);
     }
+    // The queued samples are not audited here: drop them.
     sentinel::set_sample_every(0);
+    sentinel::reset();
     let overhead = ((on_p50 - off_p50) / off_p50.max(1e-9)).max(0.0);
     let max_overhead = if scale() >= 1.0 {
         MAX_P50_OVERHEAD
@@ -109,106 +87,10 @@ pub fn run() -> AuditSentinelResult {
         MAX_P50_OVERHEAD_REDUCED
     };
 
-    // Clean audit: every queued sample replays through both oracles with
-    // zero divergences. Loop until the queue is dry (bounded: nothing
-    // enqueues with sampling off).
-    let mut audited = 0u64;
-    let mut divergences = 0u64;
-    let mut errors = 0u64;
-    loop {
-        let s = db.sentinel_drain(sentinel::MAX_QUEUE);
-        audited += s.audited;
-        divergences += s.divergences;
-        errors += s.errors;
-        if s.remaining == 0 {
-            break;
-        }
-    }
-
-    // Chaos phase: corrupt the compiled kernel and require detection +
-    // attribution. Runtime no-op unless the `chaos` feature is built in.
-    let chaos_enabled = openmldb_chaos::enabled();
-    let mut chaos_divergences = 0u64;
-    let mut chaos_attributed = true;
-    if chaos_enabled && openmldb_obs::enabled() {
-        let labeled_before = deployment_divergences("audit_f");
-        sentinel::set_sample_every(1);
-        openmldb_chaos::install(Plan::new(0xA11CE).kill_rate(InjectionPoint::CompiledKernel, 1.0));
-        for i in 0..64 {
-            db.request_readonly("audit_f", &request_at(i)).unwrap();
-        }
-        openmldb_chaos::reset();
-        sentinel::set_sample_every(0);
-        loop {
-            let s = db.sentinel_drain(sentinel::MAX_QUEUE);
-            chaos_divergences += s.divergences;
-            if s.remaining == 0 {
-                break;
-            }
-        }
-        chaos_attributed = deployment_divergences("audit_f") > labeled_before
-            && openmldb_obs::audit::divergences()
-                .iter()
-                .any(|d| d.deployment == "audit_f")
-            && db.healthz_json().contains("\"ok\":false")
-            && Registry::global()
-                .slow_queries()
-                .iter()
-                .any(|pm| pm.outcome.name() == "consistency_divergence");
-    }
-    sentinel::reset();
-
-    // Under obs-off the sentinel is compiled out: nothing samples and
-    // nothing can be audited, so only the overhead bound applies.
-    let audit_gate_failed = if openmldb_obs::enabled() {
-        audited == 0 || divergences > 0 || errors > 0
-    } else {
-        false
-    };
-    let chaos_gate_failed = chaos_enabled && (chaos_divergences == 0 || !chaos_attributed);
-    let gate_failed = overhead > max_overhead || audit_gate_failed || chaos_gate_failed;
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"audit_sentinel\",");
-    let _ = writeln!(json, "  \"rows\": {rows},");
-    let _ = writeln!(json, "  \"requests\": {requests},");
-    let _ = writeln!(json, "  \"sample_every\": {SAMPLE_EVERY},");
-    let _ = writeln!(json, "  \"p50_off_ms\": {off_p50:.6},");
-    let _ = writeln!(json, "  \"p50_on_ms\": {on_p50:.6},");
-    let _ = writeln!(json, "  \"p50_overhead_pct\": {:.3},", overhead * 100.0);
-    let _ = writeln!(
-        json,
-        "  \"clean\": {{\"audited\": {audited}, \"divergences\": {divergences}, \
-         \"errors\": {errors}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"chaos\": {{\"enabled\": {chaos_enabled}, \"divergences\": {chaos_divergences}, \
-         \"attributed\": {chaos_attributed}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"max_p50_overhead_pct\": {:.2}, \"passed\": {}}}",
-        max_overhead * 100.0,
-        !gate_failed
-    );
-    json.push_str("}\n");
-
-    let path =
-        std::env::var("BENCH_AUDIT_JSON").unwrap_or_else(|_| "target/BENCH_audit.json".into());
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("audit sentinel snapshot written to {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-
     print_table(
         &format!(
-            "Audit sentinel: 1-in-{SAMPLE_EVERY} sampling overhead + oracle audit \
-             ({requests} requests/trial, overhead {:.2}%, audited {audited}, \
-             divergences {divergences}, chaos caught {chaos_divergences})",
+            "Audit sentinel: 1-in-{SAMPLE_EVERY} sampling overhead \
+             ({requests} requests/trial, overhead {:.2}%)",
             overhead * 100.0
         ),
         &["config", "p50 ms"],
@@ -219,53 +101,25 @@ pub fn run() -> AuditSentinelResult {
     );
 
     AuditSentinelResult {
-        requests,
         off_p50_ms: off_p50,
         on_p50_ms: on_p50,
         overhead,
         max_overhead,
-        audited,
-        divergences,
-        errors,
-        chaos_enabled,
-        chaos_divergences,
-        chaos_attributed,
-        gate_failed,
-        json,
     }
-}
-
-/// Current value of the per-deployment divergence counter for `name`.
-fn deployment_divergences(name: &str) -> u64 {
-    Registry::global()
-        .labeled_series("openmldb_online_deployment_divergences_total")
-        .into_iter()
-        .find(|(label, _)| label == name)
-        .map(|(_, v)| v)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn sentinel_audit_is_clean_and_cheap_at_smoke_scale() {
-        let result = crate::harness::with_scale(0.1, super::run);
+    fn sampled_p50_overhead_stays_within_bound() {
+        let r = crate::harness::with_scale(0.1, super::run);
         assert!(
-            !result.gate_failed,
-            "overhead {:.2}% (max {:.2}%), audited {}, divergences {}, errors {}, \
-             chaos caught {} attributed {}",
-            result.overhead * 100.0,
-            result.max_overhead * 100.0,
-            result.audited,
-            result.divergences,
-            result.errors,
-            result.chaos_divergences,
-            result.chaos_attributed
+            r.overhead <= r.max_overhead,
+            "p50 overhead {:.2}% (max {:.2}%): off {} ms, on {} ms",
+            r.overhead * 100.0,
+            r.max_overhead * 100.0,
+            r.off_p50_ms,
+            r.on_p50_ms
         );
-        if openmldb_obs::enabled() {
-            assert!(result.audited > 0);
-            assert_eq!(result.divergences, 0);
-        }
-        assert!(result.json.contains("\"experiment\": \"audit_sentinel\""));
     }
 }

@@ -1,7 +1,7 @@
 //! **Obs cross-check** — the harness measures the fig06-style request loop
 //! with wall-clock timers while `openmldb-obs` measures the same requests
 //! from inside the engine; this experiment runs one loop, extracts both
-//! sets of percentiles, and fails the run when they diverge.
+//! sets of percentiles, and its test fails when they diverge.
 //!
 //! Two independent clocks around the same code path agreeing within the
 //! histogram's bucket error is the end-to-end proof that the metrics layer

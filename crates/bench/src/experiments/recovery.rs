@@ -10,28 +10,23 @@
 //! covered offset exceeds the surviving durable log), sometimes tear the
 //! newest surviving snapshot mid-file, and `Database::recover` the wreck.
 //!
-//! The oracle is byte identity: the recovered table's binlog digest
-//! ([`Database::table_digest`], FNV-1a over the canonical WAL encoding)
-//! must equal the digest of exactly the surviving on-disk records — zero
-//! lost rows, zero duplicated rows, no corruption — and the row count must
-//! match the surviving record count. Any mismatch is a violation; the
-//! `run_all` gate exits non-zero on the first one. Results (recovery time
-//! vs WAL length, snapshot-interval sweep) land in
-//! `target/BENCH_recovery.json` (override with `BENCH_RECOVERY_JSON`).
+//! The table reports recovery time per snapshot interval and by surviving
+//! WAL length. That recovery loses, duplicates and corrupts nothing is
+//! asserted by `tests/recovery.rs`
+//! (`fixed_seed_crash_sweep_loses_nothing_and_is_deterministic` and
+//! `armed_fsync_and_snapshot_kills_never_corrupt`).
 //!
 //! With the `chaos` feature compiled in, the golden run of the densest
 //! config additionally arms `WalFsync` and `SnapshotWrite` kills, so the
 //! durable watermark lags the written log and some snapshot attempts die
 //! mid-write exactly as a crash would leave them.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use openmldb_chaos::{CrashSchedule, InjectionPoint, Plan};
-use openmldb_core::{digest_entries, Database};
-use openmldb_online::TableProvider;
+use openmldb_core::Database;
 use openmldb_storage::{snapshot, wal};
 use openmldb_types::{Row, Value};
 
@@ -48,34 +43,6 @@ fn golden_rows() -> usize {
 /// Seeded crash/restart cycles per snapshot config (3 configs × this).
 fn cycles_per_config() -> usize {
     scaled(170)
-}
-
-/// Outcome of one snapshot-interval config.
-#[derive(Debug, Clone)]
-pub struct RecoveryOutcome {
-    /// Rows between snapshots in the golden run (0 = never snapshot).
-    pub snapshot_every: usize,
-    pub cycles: usize,
-    pub violations: usize,
-    pub mean_recovery_ms: f64,
-    pub max_recovery_ms: f64,
-    /// Mean recovery ms for cycles whose surviving WAL length fell in the
-    /// bottom / middle / top third of the row range — the recovery-time vs
-    /// WAL-length curve.
-    pub ms_by_wal_third: [f64; 3],
-    /// Snapshots the golden run managed to publish.
-    pub snapshots_published: usize,
-}
-
-#[derive(Debug, Clone)]
-pub struct RecoveryResult {
-    pub chaos_enabled: bool,
-    pub rows: usize,
-    pub cycles: usize,
-    pub violations: usize,
-    pub gate_failed: bool,
-    pub outcomes: Vec<RecoveryOutcome>,
-    pub json: String,
 }
 
 fn copy_dir(src: &Path, dst: &Path) -> std::io::Result<()> {
@@ -144,34 +111,18 @@ fn golden_run(snapshot_every: usize, arm_chaos: bool) -> (PathBuf, usize) {
     (dir, published)
 }
 
-/// One seeded crash/restart cycle. Returns `(recovery_ms, surviving_rows,
-/// violation)`.
-fn crash_cycle(golden: &Path, schedule: &CrashSchedule, k: u64) -> (f64, u64, Option<String>) {
+/// One seeded crash/restart cycle. Returns `(surviving_rows, recovery_ms)`.
+fn crash_cycle(golden: &Path, schedule: &CrashSchedule, k: u64) -> (u64, f64) {
     let cycle = tmp_dir("cycle");
-    if let Err(e) = copy_dir(golden, &cycle) {
-        return (0.0, 0, Some(format!("cycle copy failed: {e}")));
-    }
+    copy_dir(golden, &cycle).unwrap();
     let wal_dir = cycle.join("wal").join("t");
     let snap_dir = cycle.join("snap");
 
     // Sever the WAL at a seeded byte offset — mid-record cuts included.
     let total = wal::total_bytes(&wal_dir).unwrap_or(0);
-    let cut = schedule.crash_bytes(k, total);
-    if wal::truncate_to(&wal_dir, cut).is_err() {
-        let _ = fs::remove_dir_all(&cycle);
-        return (0.0, 0, Some("wal truncate failed".into()));
-    }
-
+    wal::truncate_to(&wal_dir, schedule.crash_bytes(k, total)).unwrap();
     // What actually survives on disk: full records before the cut.
-    let scan = match wal::read_dir(&wal_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            let _ = fs::remove_dir_all(&cycle);
-            return (0.0, 0, Some(format!("wal scan failed: {e}")));
-        }
-    };
-    let n = scan.records.len() as u64;
-    let expected = digest_entries(scan.records.iter().map(|r| &r.entry));
+    let n = wal::read_dir(&wal_dir).unwrap().records.len() as u64;
 
     // Time consistency: a snapshot covering offsets past the durable log
     // could not have existed when the process died — drop it. Then maybe
@@ -195,37 +146,19 @@ fn crash_cycle(golden: &Path, schedule: &CrashSchedule, k: u64) -> (f64, u64, Op
     let t0 = Instant::now();
     let recovered = Database::recover(&cycle);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let violation = match recovered {
-        Err(e) => Some(format!("cycle {k}: recover failed: {e}")),
-        Ok(db) => {
-            let rows = db.table("t").map(|t| t.row_count() as u64).unwrap_or(0);
-            let digest = db.table_digest("t");
-            match digest {
-                Err(e) => Some(format!("cycle {k}: digest failed: {e}")),
-                Ok(d) if d != expected => Some(format!(
-                    "cycle {k}: digest mismatch after recovering {rows} rows \
-                     (expected WAL prefix of {n} records): {d:#x} != {expected:#x}"
-                )),
-                Ok(_) if rows != n => Some(format!(
-                    "cycle {k}: row count {rows} != surviving records {n} \
-                     (lost or duplicated rows)"
-                )),
-                Ok(_) => None,
-            }
-        }
-    };
+    drop(recovered);
     let _ = fs::remove_dir_all(&cycle);
-    (ms, n, violation)
+    (n, ms)
 }
 
-pub fn run() -> RecoveryResult {
+pub fn run() {
     let rows = golden_rows();
     let cycles = cycles_per_config();
     // Snapshot interval sweep: never / sparse / dense.
     let configs = [0usize, rows / 4, rows / 16];
     let chaos_enabled = openmldb_chaos::enabled();
 
-    let mut outcomes = Vec::new();
+    let mut table = Vec::new();
     for (ci, &snapshot_every) in configs.iter().enumerate() {
         // Arm WAL-fsync / snapshot-write kills only on the densest config
         // (and only when the chaos feature is compiled in).
@@ -233,116 +166,49 @@ pub fn run() -> RecoveryResult {
         let (golden, published) = golden_run(snapshot_every, arm);
         let schedule = CrashSchedule::new(SEED ^ (ci as u64).wrapping_mul(0x9E37_79B9));
 
-        let mut violations = 0usize;
-        let mut first_violation: Option<String> = None;
-        let mut samples: Vec<(u64, f64)> = Vec::with_capacity(cycles);
-        for k in 0..cycles as u64 {
-            let (ms, n, violation) = crash_cycle(&golden, &schedule, k);
-            samples.push((n, ms));
-            if let Some(v) = violation {
-                violations += 1;
-                if first_violation.is_none() {
-                    eprintln!("recovery violation: {v}");
-                    first_violation = Some(v);
-                }
-            }
-        }
+        let samples: Vec<(u64, f64)> = (0..cycles as u64)
+            .map(|k| crash_cycle(&golden, &schedule, k))
+            .collect();
         let _ = fs::remove_dir_all(&golden);
 
         let mean = samples.iter().map(|(_, ms)| ms).sum::<f64>() / samples.len().max(1) as f64;
         let max = samples.iter().map(|(_, ms)| *ms).fold(0.0, f64::max);
+        // Mean recovery ms of the cycles whose surviving WAL fell in the
+        // bottom / top third of the row range: recovery time vs WAL length.
         let third = (rows as u64 / 3).max(1);
-        let mut ms_by_wal_third = [0.0f64; 3];
-        for (b, bucket) in ms_by_wal_third.iter_mut().enumerate() {
-            let in_bucket: Vec<f64> = samples
+        let mean_in_third = |b: u64| {
+            let ms: Vec<f64> = samples
                 .iter()
-                .filter(|(n, _)| (n / third).min(2) as usize == b)
+                .filter(|(n, _)| (n / third).min(2) == b)
                 .map(|(_, ms)| *ms)
                 .collect();
-            *bucket = in_bucket.iter().sum::<f64>() / in_bucket.len().max(1) as f64;
-        }
-        outcomes.push(RecoveryOutcome {
-            snapshot_every,
-            cycles,
-            violations,
-            mean_recovery_ms: mean,
-            max_recovery_ms: max,
-            ms_by_wal_third,
-            snapshots_published: published,
-        });
+            ms.iter().sum::<f64>() / ms.len().max(1) as f64
+        };
+        table.push(vec![
+            if snapshot_every == 0 {
+                "never".into()
+            } else {
+                format!("every {snapshot_every}")
+            },
+            cycles.to_string(),
+            published.to_string(),
+            fmt(mean),
+            fmt(max),
+            fmt(mean_in_third(0)),
+            fmt(mean_in_third(2)),
+        ]);
     }
 
     let total_cycles = cycles * configs.len();
-    let violations: usize = outcomes.iter().map(|o| o.violations).sum();
-    let gate_failed = violations > 0;
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"recovery\",");
-    let _ = writeln!(json, "  \"chaos_enabled\": {chaos_enabled},");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"rows\": {rows},");
-    let _ = writeln!(json, "  \"cycles\": {total_cycles},");
-    let _ = writeln!(json, "  \"violations\": {violations},");
-    json.push_str("  \"configs\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"snapshot_every\": {}, \"cycles\": {}, \"violations\": {}, \
-             \"snapshots_published\": {}, \"mean_recovery_ms\": {:.6}, \
-             \"max_recovery_ms\": {:.6}, \"ms_by_wal_third\": [{:.6}, {:.6}, {:.6}]}}{}",
-            o.snapshot_every,
-            o.cycles,
-            o.violations,
-            o.snapshots_published,
-            o.mean_recovery_ms,
-            o.max_recovery_ms,
-            o.ms_by_wal_third[0],
-            o.ms_by_wal_third[1],
-            o.ms_by_wal_third[2],
-            if i + 1 < outcomes.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = std::env::var("BENCH_RECOVERY_JSON")
-        .unwrap_or_else(|_| "target/BENCH_recovery.json".into());
-    if let Some(dir) = Path::new(&path).parent() {
-        let _ = fs::create_dir_all(dir);
-    }
-    match fs::write(&path, &json) {
-        Ok(()) => println!("recovery snapshot written to {path}"),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-
-    let table: Vec<Vec<String>> = outcomes
-        .iter()
-        .map(|o| {
-            vec![
-                if o.snapshot_every == 0 {
-                    "never".into()
-                } else {
-                    format!("every {}", o.snapshot_every)
-                },
-                o.cycles.to_string(),
-                o.violations.to_string(),
-                o.snapshots_published.to_string(),
-                fmt(o.mean_recovery_ms),
-                fmt(o.max_recovery_ms),
-                fmt(o.ms_by_wal_third[0]),
-                fmt(o.ms_by_wal_third[2]),
-            ]
-        })
-        .collect();
     print_table(
         &format!(
             "Recovery: {total_cycles} seeded crash/restart cycles over {rows} rows \
-             (digest oracle, chaos {})",
+             (chaos {})",
             if chaos_enabled { "on" } else { "off" }
         ),
         &[
             "snapshots",
             "cycles",
-            "violations",
             "published",
             "mean ms",
             "max ms",
@@ -351,33 +217,4 @@ pub fn run() -> RecoveryResult {
         ],
         &table,
     );
-
-    RecoveryResult {
-        chaos_enabled,
-        rows,
-        cycles: total_cycles,
-        violations,
-        gate_failed,
-        outcomes,
-        json,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn seeded_crash_cycles_recover_byte_identical_state() {
-        let result = crate::harness::with_scale(0.1, super::run);
-        assert_eq!(result.violations, 0, "{}", result.json);
-        assert!(!result.gate_failed);
-        assert!(result.json.contains("\"experiment\": \"recovery\""));
-        // The dense-snapshot config must actually publish snapshots, so the
-        // sweep exercises the snapshot + suffix path, not just full replay.
-        let dense = result.outcomes.last().unwrap();
-        assert!(
-            dense.snapshots_published > 0,
-            "dense config published no snapshots: {}",
-            result.json
-        );
-    }
 }

@@ -82,7 +82,12 @@ pub fn run_window_size() -> Vec<SweepPoint> {
     };
     let requests = scaled(200);
     let mut out = Vec::new();
-    for rows_in_window in [100usize, 1_000, 10_000, max_rows] {
+    // Below `BENCH_SCALE` 1 the table can hold fewer rows than the larger
+    // fixed sizes; each size is deployed once (the name carries it).
+    let sizes = [100usize, 1_000, 10_000]
+        .into_iter()
+        .filter(|&n| n < max_rows);
+    for rows_in_window in sizes.chain([max_rows]) {
         let name = format!("f16_{rows_in_window}");
         db.deploy(&format!(
             "DEPLOY {name} AS {}",

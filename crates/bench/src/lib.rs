@@ -8,5 +8,4 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod metrics;
 pub mod scenarios;

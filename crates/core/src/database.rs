@@ -407,22 +407,15 @@ impl Database {
     /// persist the request tuple into its table (it becomes history for the
     /// next request).
     pub fn request(&self, deployment: &str, request: &Row) -> Result<Row> {
-        let out = self.request_readonly(deployment, request)?;
-        let dep = self
-            .deployment(deployment)
-            // analysis:allow(panic-path): the deployment was looked up two
-            // lines above; a concurrent undeploy API does not exist.
-            .expect("checked in request_readonly");
-        self.insert_row(&dep.query.base_table.clone(), request)?;
+        let dep = self.serving(deployment)?;
+        let out = execute_request(self, &dep, request)?;
+        self.insert_row(&dep.query.base_table, request)?;
         Ok(out)
     }
 
     /// Online request mode without persisting the request tuple.
     pub fn request_readonly(&self, deployment: &str, request: &Row) -> Result<Row> {
-        let dep = self
-            .deployment(deployment)
-            .ok_or_else(|| Error::Deployment(format!("unknown deployment `{deployment}`")))?;
-        execute_request(self, &dep, request)
+        execute_request(self, &*self.serving(deployment)?, request)
     }
 
     /// [`Database::request_readonly`] with explicit resilience options:
@@ -435,10 +428,14 @@ impl Database {
         request: &Row,
         opts: &RequestOptions,
     ) -> Result<RequestOutput> {
-        let dep = self
-            .deployment(deployment)
-            .ok_or_else(|| Error::Deployment(format!("unknown deployment `{deployment}`")))?;
-        execute_request_with(self, &dep, request, opts)
+        execute_request_with(self, &*self.serving(deployment)?, request, opts)
+    }
+
+    /// The deployment a request names, or the typed error for an unknown
+    /// name.
+    fn serving(&self, deployment: &str) -> Result<Arc<Deployment>> {
+        self.deployment(deployment)
+            .ok_or_else(|| Error::Deployment(format!("unknown deployment `{deployment}`")))
     }
 
     /// Offline execution mode: run a feature script over full historical

@@ -47,6 +47,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use openmldb_obs::Fnv;
 use openmldb_online::TableProvider;
 use openmldb_storage::{
     snapshot, wal, Backend, DataTable, DiskTable, IndexSpec, LogEntry, MemTable, Ttl, Wal,
@@ -264,21 +265,6 @@ fn parse_manifest(text: &str, path: &Path) -> Result<Manifest> {
 
 // ---------------------------------------------------------- digest oracle ---
 
-/// FNV-1a 64-bit fold.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// Digest a sequence of binlog entries: FNV-1a over each entry's canonical
 /// WAL encoding (offset, timestamp, table, key, payload). Two logs digest
 /// equal iff they are byte-identical entry for entry — the oracle the crash
@@ -286,11 +272,11 @@ impl Fnv64 {
 /// durable WAL prefix and compares it against the recovered process's
 /// [`Database::table_digest`].
 pub fn digest_entries<'a>(entries: impl IntoIterator<Item = &'a LogEntry>) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Fnv::new();
     for e in entries {
-        h.eat(&wal::encode_entry(e));
+        h.write(&wal::encode_entry(e));
     }
-    h.0
+    h.finish()
 }
 
 // ------------------------------------------------------------- database ---
@@ -436,9 +422,9 @@ impl Database {
         let t = self
             .table(table)
             .ok_or_else(|| Error::Storage(format!("unknown table `{table}`")))?;
-        let mut h = Fnv64::new();
-        t.replicator().replay(0, |e| h.eat(&wal::encode_entry(e)));
-        Ok(h.0)
+        let mut h = Fnv::new();
+        t.replicator().replay(0, |e| h.write(&wal::encode_entry(e)));
+        Ok(h.finish())
     }
 
     /// Durable re-wire after a catalog swap (index rebuild, replica

@@ -5,6 +5,7 @@
 
 use std::sync::OnceLock;
 
+use openmldb_obs::Fnv;
 use openmldb_sql::functions::{FunctionDef, BUILTINS};
 use openmldb_types::{Error, Result, Value};
 
@@ -424,17 +425,9 @@ pub fn hash_value(v: &Value) -> u64 {
         Value::Str(s) => s.to_string(),
         other => other.to_string(),
     };
-    fnv1a(rendered.as_bytes())
-}
-
-/// Stable FNV-1a hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write(rendered.as_bytes());
+    h.finish()
 }
 
 /// Great-circle distance in meters.
@@ -611,12 +604,6 @@ mod tests {
             geo_hash(31.0001, 121.0001, 3),
             geo_hash(31.0002, 121.0002, 3)
         );
-    }
-
-    #[test]
-    fn stable_hash_is_stable() {
-        assert_eq!(fnv1a(b"hello"), fnv1a(b"hello"));
-        assert_ne!(fnv1a(b"hello"), fnv1a(b"hellp"));
     }
 
     #[test]

@@ -22,8 +22,10 @@ use openmldb_types::{Error, KeyValue, Result, Value};
 
 use crate::program::WindowState;
 
-/// Length sentinel marking the request row itself inside the entry list —
-/// the request row lives as decoded `Value`s, not in the byte arena.
+/// Length sentinel marking a request-row entry in an entry list. The
+/// engine builds no such entry: it encodes the request row and folds it as
+/// the window's last row. This and [`ScanEntry::is_request_row`] stay only
+/// because `benchmark/src/replay.rs` imports them.
 pub const REQUEST_ROW: usize = usize::MAX;
 
 /// One scanned window row: a `(ts, arrival index)` sort key plus a byte
@@ -42,8 +44,9 @@ pub struct ScanEntry {
 }
 
 impl ScanEntry {
-    /// Whether this entry is the request-row marker rather than a scanned,
-    /// encoded row.
+    /// Whether this entry is the [`REQUEST_ROW`] marker rather than a
+    /// scanned, encoded row. Kept for `benchmark/src/replay.rs`; the engine
+    /// only asserts it in debug builds.
     pub fn is_request_row(&self) -> bool {
         self.len == REQUEST_ROW
     }

@@ -6,8 +6,8 @@
 //! `openmldb-online`, next to the execution paths it compares; this module
 //! holds only the dependency-free pieces every layer shares:
 //!
-//! * [`Fnv`] — the FNV-1a folder, the same oracle idiom the durability
-//!   layer uses to digest recovered WAL entries;
+//! * [`Fnv`] — the FNV-1a folder, which the durability layer also uses to
+//!   digest recovered WAL entries;
 //! * [`ScanDigest`] — a fixed-size per-window digest of the raw bytes a
 //!   request's window scans consumed, armed only for sampled requests so
 //!   the unsampled warm path pays a single `bool` test per window;
@@ -18,7 +18,8 @@ use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
 /// FNV-1a, 64-bit. Deterministic, allocation-free, order-sensitive — the
-/// same digest idiom the durability oracle uses for WAL entries.
+/// one implementation behind the sentinel's scan digests, the durability
+/// oracle's WAL digest and the SQL `hash` function.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv(u64);
 
@@ -256,6 +257,16 @@ mod tests {
         let mut e = Fnv::new();
         e.write(&7u64.to_le_bytes());
         assert_eq!(d.finish(), e.finish());
+    }
+
+    /// The published FNV-1a 64 test vector: the WAL digest
+    /// (`table_digest`, the crash harness) and the SQL `hash` keep their
+    /// bits only while this holds.
+    #[test]
+    fn fnv_matches_the_known_answer() {
+        let mut h = Fnv::new();
+        h.write(b"hello");
+        assert_eq!(h.finish(), 0xa430_d846_80aa_bd0b);
     }
 
     #[test]

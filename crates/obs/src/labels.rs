@@ -197,8 +197,8 @@ impl LabeledCounter {
     }
 
     /// Sum over every slot — must equal the matching global counter when
-    /// both are fed the same increments (the reconciliation invariant the
-    /// `workload_profile` gate checks).
+    /// both are fed the same increments (the reconciliation invariant
+    /// `tests/request_record.rs` asserts).
     pub fn total(&self) -> u64 {
         self.slots
             .iter()

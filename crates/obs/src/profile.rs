@@ -202,8 +202,8 @@ impl ProfileStore {
         (requests, total)
     }
 
-    /// Sum `aggregate` over every slot (the reconciliation side of the
-    /// `workload_profile` gate: must match the global counters).
+    /// Sum `aggregate` over every slot (the reconciliation side of
+    /// `tests/request_record.rs`: must match the global counters).
     pub fn aggregate_all(&self) -> (u64, CostProfile) {
         let mut requests = 0u64;
         let mut total = CostProfile::default();

@@ -117,38 +117,15 @@ impl PlanCache {
         sql: &str,
         catalog: &dyn Catalog,
     ) -> Result<(Arc<CompiledQuery>, bool)> {
-        let cached = span(Stage::CacheLookup, || -> Result<_> {
-            let normalized = normalize_sql(sql)?;
-            let mut h = DefaultHasher::new();
-            normalized.hash(&mut h);
-            let key = h.finish();
-            let plan = self
-                .plans
-                .lock()
-                .expect("cache poisoned")
-                .get(&key)
-                .cloned();
-            Ok((key, plan))
-        });
-        let (key, hit) = cached?;
-        if let Some(plan) = hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            crate::metrics::plan_cache_hits().inc();
-            openmldb_obs::flight::event(openmldb_obs::FlightEventKind::PlanCacheHit, 0, key);
-            return Ok((plan, true));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        crate::metrics::plan_cache_misses().inc();
-        openmldb_obs::flight::event(openmldb_obs::FlightEventKind::PlanCacheMiss, 0, key);
-        let plan = span(Stage::Plan, || -> Result<_> {
-            let stmt = parse_select(sql)?;
-            Ok(Arc::new(compile_select(&stmt, catalog)?))
-        })?;
-        self.plans
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, plan.clone());
-        Ok((plan, false))
+        self.probe(
+            || {
+                let normalized = normalize_sql(sql)?;
+                let mut h = DefaultHasher::new();
+                normalized.hash(&mut h);
+                Ok(h.finish())
+            },
+            || compile_select(&parse_select(sql)?, catalog),
+        )
     }
 
     /// Compile an already-parsed SELECT (the DEPLOY path carries an AST,
@@ -162,17 +139,37 @@ impl PlanCache {
         stmt: &SelectStatement,
         catalog: &dyn Catalog,
     ) -> Result<(Arc<CompiledQuery>, bool)> {
-        let key = span(Stage::CacheLookup, || {
-            let mut repr = String::new();
-            let _ = std::fmt::Write::write_fmt(&mut repr, format_args!("{stmt:?}"));
-            let mut h = DefaultHasher::new();
-            repr.hash(&mut h);
-            h.finish()
-        });
-        let hit = {
-            let plans = self.plans.lock().expect("cache poisoned");
-            plans.get(&key).cloned()
-        };
+        self.probe(
+            || {
+                let mut repr = String::new();
+                let _ = std::fmt::Write::write_fmt(&mut repr, format_args!("{stmt:?}"));
+                let mut h = DefaultHasher::new();
+                repr.hash(&mut h);
+                Ok(h.finish())
+            },
+            || compile_select(stmt, catalog),
+        )
+    }
+
+    /// The one cache probe both key spaces share: derive the key and look
+    /// it up (the `CacheLookup` stage), count the hit or miss and record it
+    /// in the request's flight record, and on a miss compile (the `Plan`
+    /// stage) and insert.
+    fn probe(
+        &self,
+        key: impl FnOnce() -> Result<u64>,
+        compile: impl FnOnce() -> Result<CompiledQuery>,
+    ) -> Result<(Arc<CompiledQuery>, bool)> {
+        let (key, hit) = span(Stage::CacheLookup, || -> Result<_> {
+            let key = key()?;
+            let plan = self
+                .plans
+                .lock()
+                .expect("cache poisoned")
+                .get(&key)
+                .cloned();
+            Ok((key, plan))
+        })?;
         if let Some(plan) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             crate::metrics::plan_cache_hits().inc();
@@ -182,9 +179,7 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         crate::metrics::plan_cache_misses().inc();
         openmldb_obs::flight::event(openmldb_obs::FlightEventKind::PlanCacheMiss, 0, key);
-        let plan = span(Stage::Plan, || -> Result<_> {
-            Ok(Arc::new(compile_select(stmt, catalog)?))
-        })?;
+        let plan = span(Stage::Plan, || compile().map(Arc::new))?;
         self.plans
             .lock()
             .expect("cache poisoned")

@@ -70,9 +70,6 @@ cargo test -q --test wal_failures --features chaos
 cargo test -q -p openmldb-storage --features chaos --test binlog_kills --test wal_format
 cargo test -q -p openmldb-storage --features chaos --lib binlog::
 
-step "recovery experiment gate (reduced-scale seeded crash sweep)"
-cargo test -q -p openmldb-bench --features chaos seeded_crash_cycles
-
 step "scan path under chaos + obs-off (feature-matrix corner)"
 cargo test -q -p openmldb-storage -p openmldb-online --features chaos,obs-off
 
@@ -104,9 +101,6 @@ if [ "$QUICK" -eq 0 ]; then
     step "observability budget (serve_short, obs on / obs-off latency ratio <= 1.50)"
     ./scripts/obs_overhead.sh
 fi
-
-step "tail-latency attribution contract (tailtrace gate, chaos on)"
-BENCH_SCALE=0.1 cargo test -q -p openmldb-bench --features chaos tailtrace
 
 step "slow-query report smoke (obs_report, text + json + durability section)"
 cargo run -q -p openmldb-bench --bin obs_report > target/obs_report.txt

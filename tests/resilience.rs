@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use openmldb::chaos::{InjectionPoint, Plan};
+use openmldb::obs::{flight, FlightScope, Outcome, Recorder};
 use openmldb::online::{
     execute_request_materialized, execute_request_with, Deployment, PreAggregator, TableProvider,
 };
@@ -206,6 +207,10 @@ fn serve_loop(db: &Database, requests: usize) -> (usize, usize, usize, u64, u64,
     )
 }
 
+/// Also checks, request by request, that every anomaly the seeded faults
+/// cause — a timeout, a failed, degraded or failed-over request — leaves a
+/// post-mortem of that outcome whose stage self-times plus unattributed
+/// time equal its total exactly.
 fn serve_loop_with(
     db: &Database,
     requests: usize,
@@ -213,9 +218,42 @@ fn serve_loop_with(
 ) -> (usize, usize, usize, u64, u64, usize) {
     let (mut ok, mut timeouts, mut degraded, mut lost) = (0usize, 0usize, 0usize, 0usize);
     let (mut retries, mut failovers) = (0u64, 0u64);
+    // A trace id is the serving thread's ordinal above its request
+    // sequence, and `last` is this thread's newest. An error returns no id:
+    // its post-mortem is the one above `last` with the same thread bits,
+    // which tests serving in parallel on other threads cannot publish.
+    let mut last = FlightScope::enter(&mut Recorder::new()).finish().trace_id;
     for i in 0..requests {
         let req = row((i % 8) as i64, 1.0, 10_000 + i as i64);
-        match db.request_readonly_with("f", &req, opts) {
+        let out = db.request_readonly_with("f", &req, opts);
+        let owed = match &out {
+            Ok(o) if o.degraded => Some(Outcome::Degraded),
+            Ok(o) if o.failovers > 0 => Some(Outcome::Failover),
+            Ok(_) => None,
+            Err(Error::Timeout { .. }) => Some(Outcome::Timeout),
+            Err(_) => Some(Outcome::Failed),
+        };
+        let id = out.as_ref().map(|o| o.trace_id).ok();
+        if let Some(want) = owed.filter(|_| openmldb::obs::enabled()) {
+            let log = flight::slow_log();
+            let pm = log
+                .iter()
+                .find(|pm| match id {
+                    Some(id) => pm.trace_id == id,
+                    None => pm.trace_id > last && pm.trace_id >> 40 == last >> 40,
+                })
+                .unwrap_or_else(|| panic!("request {i}: {want:?} left no post-mortem"));
+            assert_eq!(pm.outcome, want, "request {i}: {pm:?}");
+            let staged: u64 = pm.stage_self_ns.iter().sum();
+            assert_eq!(
+                staged + pm.other_ns,
+                pm.total_ns,
+                "ledger not exact: {pm:?}"
+            );
+            last = pm.trace_id;
+        }
+        last = id.unwrap_or(last);
+        match out {
             Ok(o) => {
                 ok += 1;
                 if o.degraded {
