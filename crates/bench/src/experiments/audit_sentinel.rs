@@ -3,21 +3,20 @@
 //! Runs the fig06-scale request loop (one window + one LAST JOIN) twice,
 //! interleaved: sampling off versus sampling 1-in-[`SAMPLE_EVERY`], and
 //! reports the p50 regression of the sampled configuration — the sentinel
-//! must be effectively free on the warm path. That bound is this module's
-//! test. What the sentinel catches is asserted by `tests/sentinel.rs`:
+//! must be effectively free on the warm path. This module's test bounds
+//! that regression at reduced scale; at full scale it is reported, not
+//! asserted. What the sentinel catches is asserted by `tests/sentinel.rs`:
 //! `clean_serving_audits_with_zero_divergences` and
 //! `corrupted_compiled_kernel_divergence_is_detected`.
 
 use openmldb_online::sentinel;
 
-use crate::harness::{fmt, print_table, scale, scaled, time_each, LatencyStats};
+use crate::harness::{fmt, print_table, scaled, time_each, LatencyStats};
 use crate::scenarios::{micro_db, micro_request, micro_sql};
 
-/// Maximum allowed p50 regression with sampling on, at full (fig06) scale.
-pub const MAX_P50_OVERHEAD: f64 = 0.01;
-
-/// Reduced-scale bar: microsecond-class requests make a 1 % delta
-/// unmeasurable, so smoke runs bound "no gross regression" instead.
+/// Maximum p50 regression with sampling on, at the test's reduced scale:
+/// microsecond-class requests make a 1 % delta unmeasurable, so the bound
+/// is "no gross regression".
 pub const MAX_P50_OVERHEAD_REDUCED: f64 = 0.25;
 
 /// Production-shaped sampling rate used for the overhead measurement.
@@ -33,7 +32,6 @@ pub struct AuditSentinelResult {
     pub on_p50_ms: f64,
     /// `(on - off) / off`, clamped at 0 (faster-with-sampling is noise).
     pub overhead: f64,
-    pub max_overhead: f64,
 }
 
 pub fn run() -> AuditSentinelResult {
@@ -81,11 +79,6 @@ pub fn run() -> AuditSentinelResult {
     sentinel::set_sample_every(0);
     sentinel::reset();
     let overhead = ((on_p50 - off_p50) / off_p50.max(1e-9)).max(0.0);
-    let max_overhead = if scale() >= 1.0 {
-        MAX_P50_OVERHEAD
-    } else {
-        MAX_P50_OVERHEAD_REDUCED
-    };
 
     print_table(
         &format!(
@@ -104,20 +97,21 @@ pub fn run() -> AuditSentinelResult {
         off_p50_ms: off_p50,
         on_p50_ms: on_p50,
         overhead,
-        max_overhead,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::MAX_P50_OVERHEAD_REDUCED;
+
     #[test]
     fn sampled_p50_overhead_stays_within_bound() {
         let r = crate::harness::with_scale(0.1, super::run);
         assert!(
-            r.overhead <= r.max_overhead,
+            r.overhead <= MAX_P50_OVERHEAD_REDUCED,
             "p50 overhead {:.2}% (max {:.2}%): off {} ms, on {} ms",
             r.overhead * 100.0,
-            r.max_overhead * 100.0,
+            MAX_P50_OVERHEAD_REDUCED * 100.0,
             r.off_p50_ms,
             r.on_p50_ms
         );

@@ -2,10 +2,10 @@
 //! fault injection at rates {0, 0.1%, 1%} on the storage seek path, with a
 //! deadline budget, bounded retries, and replica failover enabled. The
 //! table counts each rate's outcomes (ok, degraded, typed `Timeout`, any
-//! other error) and its latency percentiles. The contract that no request
-//! is lost is asserted by `tests/resilience.rs`
-//! (`fixed_seeds_one_percent_faults_zero_lost`), and the budget bound by
-//! `deadline_budget_is_honored_never_hangs`.
+//! other error) and its latency percentiles. `tests/resilience.rs` asserts
+//! the contracts: no request is lost
+//! (`fixed_seeds_one_percent_faults_zero_lost`), and each request of its
+//! seeded fault loop resolves within budget + slack (`serve_loop_with`).
 //! Without the `chaos` cargo feature the injector is compiled out; the
 //! loop still runs (all rates behave like 0).
 

@@ -144,7 +144,7 @@ fn crash_cycle(golden: &Path, schedule: &CrashSchedule, k: u64) -> (u64, f64) {
     }
 
     let t0 = Instant::now();
-    let recovered = Database::recover(&cycle);
+    let recovered = Database::recover(&cycle).expect("recover");
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     drop(recovered);
     let _ = fs::remove_dir_all(&cycle);

@@ -15,6 +15,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
 use openmldb::chaos::{CrashSchedule, InjectionPoint, Plan};
 use openmldb::online::TableProvider;
@@ -24,6 +25,22 @@ use proptest::prelude::*;
 
 /// The CI seed triple, same as `tests/resilience.rs`.
 const SEEDS: [u64; 3] = [0xA11CE, 0xB0B, 0xC0FFEE];
+
+/// Goldens are written one at a time: a chaos plan is global, so one
+/// golden's armed kills must not land on another's writes.
+fn golden_lock() -> MutexGuard<'static, ()> {
+    static L: Mutex<()> = Mutex::new(());
+    L.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The kills a golden run arms (no-op without the `chaos` feature): WAL
+/// fsyncs die (the durable watermark lags the written log, so snapshots
+/// cover less of it) and snapshot writes die mid-file (tmp orphans).
+fn kill_plan(seed: u64) -> Plan {
+    Plan::new(seed)
+        .kill_rate(InjectionPoint::WalFsync, 0.5)
+        .kill_rate(InjectionPoint::SnapshotWrite, 0.5)
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -59,9 +76,16 @@ fn mk_row(i: i64) -> Row {
 }
 
 /// Build a durable golden directory: `rows` inserts into `events`, a
-/// snapshot attempt after each index in `snapshot_at`, final sync. Returns
-/// the still-open database.
-fn golden(dir: &Path, rows: i64, snapshot_at: &[i64]) -> Database {
+/// snapshot attempt after each index in `snapshot_at`, final sync. With a
+/// [`kill_plan`] armed while it is written, both kill points must fire
+/// (under `chaos`), and a sync after the plan is removed makes the whole
+/// log durable. Returns the still-open database.
+fn golden(dir: &Path, rows: i64, snapshot_at: &[i64], kills: Option<Plan>) -> Database {
+    let _golden = golden_lock();
+    let armed = kills.is_some();
+    if let Some(plan) = kills {
+        openmldb::chaos::install(plan);
+    }
     let db = Database::recover(dir).expect("durable open");
     db.execute("CREATE TABLE events (k BIGINT, v DOUBLE, ts TIMESTAMP, INDEX(KEY=k, TS=ts))")
         .expect("create");
@@ -75,6 +99,16 @@ fn golden(dir: &Path, rows: i64, snapshot_at: &[i64]) -> Database {
         }
     }
     db.sync_durable().expect("sync");
+    if armed {
+        if openmldb::chaos::enabled() {
+            for point in [InjectionPoint::WalFsync, InjectionPoint::SnapshotWrite] {
+                let fired = openmldb::chaos::stats(point).kills;
+                assert!(fired > 0, "armed golden killed no {}", point.name());
+            }
+        }
+        openmldb::chaos::reset();
+        db.sync_durable().expect("sync after reset");
+    }
     db
 }
 
@@ -135,7 +169,7 @@ fn crash_and_recover(golden_dir: &Path, cut: u64, tear: bool) -> CrashOutcome {
 #[test]
 fn clean_restart_is_byte_identical_and_still_serves() {
     let dir = tmp_dir("clean");
-    let db = golden(&dir, 100, &[50]);
+    let db = golden(&dir, 100, &[50], None);
     db.deploy(
         "DEPLOY f AS SELECT k, sum(v) OVER w AS s FROM events \
          WINDOW w AS (PARTITION BY k ORDER BY ts \
@@ -162,58 +196,64 @@ fn clean_restart_is_byte_identical_and_still_serves() {
 /// (arbitrary byte offsets — mid-record cuts included, snapshots sometimes
 /// torn) always recovers exactly the surviving record prefix, and the
 /// whole sweep is a pure function of the seed (two runs, identical
-/// outcomes).
+/// outcomes). Two goldens are swept: a clean one, and one written with
+/// WAL-fsync and snapshot-write kills armed, so the cuts also land on a
+/// log whose durable watermark lags and next to orphaned partial
+/// snapshots (without the `chaos` feature both goldens are clean).
 #[test]
 fn fixed_seed_crash_sweep_loses_nothing_and_is_deterministic() {
-    let dir = tmp_dir("sweep");
-    let db = golden(&dir, 120, &[40, 80]);
-    drop(db);
-    let total = wal::total_bytes(&dir.join("wal").join("events")).unwrap();
+    let clean = tmp_dir("sweep");
+    drop(golden(&clean, 120, &[40, 80], None));
+    let armed = tmp_dir("sweep_armed");
+    drop(golden(
+        &armed,
+        120,
+        &[20, 40, 60, 80, 100],
+        Some(kill_plan(SEEDS[0])),
+    ));
+    let published = snapshot::list(&armed.join("snap"), "events").unwrap();
+    assert!(!published.is_empty(), "armed golden published no snapshot");
 
-    for seed in SEEDS {
-        let schedule = CrashSchedule::new(seed);
-        let sweep = |cycles: u64| -> Vec<(u64, u64)> {
-            (0..cycles)
-                .map(|k| {
-                    let cut = schedule.crash_bytes(k, total);
-                    let out = crash_and_recover(&dir, cut, schedule.tear_snapshot(k));
-                    assert_eq!(
-                        out.recovered_digest, out.expected_digest,
-                        "seed {seed:#x} cycle {k}: digest mismatch (cut {cut} of {total})"
-                    );
-                    assert_eq!(
-                        out.recovered_rows, out.surviving,
-                        "seed {seed:#x} cycle {k}: lost or duplicated rows"
-                    );
-                    (out.surviving, out.recovered_digest)
-                })
-                .collect()
-        };
-        let first = sweep(20);
-        let second = sweep(20);
-        assert_eq!(first, second, "seed {seed:#x}: sweep is deterministic");
+    for (name, dir) in [("clean", &clean), ("armed", &armed)] {
+        let total = wal::total_bytes(&dir.join("wal").join("events")).unwrap();
+        for seed in SEEDS {
+            let schedule = CrashSchedule::new(seed);
+            let sweep = |cycles: u64| -> Vec<(u64, u64)> {
+                (0..cycles)
+                    .map(|k| {
+                        let cut = schedule.crash_bytes(k, total);
+                        let out = crash_and_recover(dir, cut, schedule.tear_snapshot(k));
+                        assert_eq!(
+                            out.recovered_digest, out.expected_digest,
+                            "{name} seed {seed:#x} cycle {k}: digest mismatch \
+                             (cut {cut} of {total})"
+                        );
+                        assert_eq!(
+                            out.recovered_rows, out.surviving,
+                            "{name} seed {seed:#x} cycle {k}: lost or duplicated rows"
+                        );
+                        (out.surviving, out.recovered_digest)
+                    })
+                    .collect()
+            };
+            let first = sweep(20);
+            let second = sweep(20);
+            assert_eq!(
+                first, second,
+                "{name} seed {seed:#x}: sweep is deterministic"
+            );
+        }
+        let _ = fs::remove_dir_all(dir);
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
-/// Kill points armed (no-op without the `chaos` feature): WAL fsyncs die
-/// randomly (the durable watermark lags) and snapshot writes die mid-file
-/// (tmp orphans). Recovery must still reconstruct everything the log
-/// holds, and the orphaned partials must be invisible.
+/// Kill points armed (see [`kill_plan`]): recovery must still reconstruct
+/// everything the log holds, and the orphaned partials must be invisible.
 #[test]
 fn armed_fsync_and_snapshot_kills_never_corrupt() {
     for seed in SEEDS {
-        openmldb::chaos::install(
-            Plan::new(seed)
-                .kill_rate(InjectionPoint::WalFsync, 0.3)
-                .kill_rate(InjectionPoint::SnapshotWrite, 0.5),
-        );
         let dir = tmp_dir("kills");
-        let db = golden(&dir, 90, &[20, 40, 60, 80]);
-        openmldb::chaos::reset();
-        // Post-reset barrier: a killed final fsync must not hide rows from
-        // the comparison below.
-        db.sync_durable().expect("sync after reset");
+        let db = golden(&dir, 90, &[20, 40, 60, 80], Some(kill_plan(seed)));
         let before = db.table_digest("events").unwrap();
         drop(db);
 
@@ -244,7 +284,7 @@ proptest! {
         rows in 20i64..70,
     ) {
         let dir = tmp_dir("torn");
-        let db = golden(&dir, rows, &[]);
+        let db = golden(&dir, rows, &[], None);
         drop(db);
         let total = wal::total_bytes(&dir.join("wal").join("events")).unwrap();
         let cut = ((total as f64) * cut_fraction) as u64;
@@ -264,7 +304,7 @@ proptest! {
         rows in 30i64..70,
     ) {
         let dir = tmp_dir("snaptear");
-        let db = golden(&dir, rows, &[rows / 2]);
+        let db = golden(&dir, rows, &[rows / 2], None);
         drop(db);
         let snap_dir = dir.join("snap");
         let list = snapshot::list(&snap_dir, "events").unwrap();

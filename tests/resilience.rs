@@ -197,24 +197,35 @@ fn serving_db() -> Database {
     db
 }
 
+/// Scheduling slack allowed on top of a request's budget: the deadline is
+/// checked between stages and retry backoffs, so one storage access may
+/// overshoot before the check fires, and under a fully loaded test machine
+/// a descheduled thread can stall well past the access itself. Sized so
+/// the bound still catches a hang without flaking on scheduler noise.
+const SLACK: Duration = Duration::from_millis(750);
+
 /// One serving loop under an installed plan; returns
 /// (ok, timeouts, degraded, retries, failovers, lost).
 fn serve_loop(db: &Database, requests: usize) -> (usize, usize, usize, u64, u64, usize) {
     serve_loop_with(
         db,
         requests,
-        &RequestOptions::with_deadline(Duration::from_millis(500)),
+        Duration::from_millis(500),
+        openmldb::RetryPolicy::default(),
     )
 }
 
-/// Also checks, request by request, that every anomaly the seeded faults
+/// Each request gets its own deadline of `budget`. Also checks, request by
+/// request, that the seeded faults' retries, backoffs and failovers never
+/// keep a request past `budget` + [`SLACK`], and that every anomaly they
 /// cause — a timeout, a failed, degraded or failed-over request — leaves a
 /// post-mortem of that outcome whose stage self-times plus unattributed
 /// time equal its total exactly.
 fn serve_loop_with(
     db: &Database,
     requests: usize,
-    opts: &RequestOptions,
+    budget: Duration,
+    retry: openmldb::RetryPolicy,
 ) -> (usize, usize, usize, u64, u64, usize) {
     let (mut ok, mut timeouts, mut degraded, mut lost) = (0usize, 0usize, 0usize, 0usize);
     let (mut retries, mut failovers) = (0u64, 0u64);
@@ -225,7 +236,19 @@ fn serve_loop_with(
     let mut last = FlightScope::enter(&mut Recorder::new()).finish().trace_id;
     for i in 0..requests {
         let req = row((i % 8) as i64, 1.0, 10_000 + i as i64);
-        let out = db.request_readonly_with("f", &req, opts);
+        // A deadline anchors when it is built: one budget per request.
+        let opts = RequestOptions {
+            deadline: Deadline::within(budget),
+            retry,
+            ..RequestOptions::default()
+        };
+        let t0 = Instant::now();
+        let out = db.request_readonly_with("f", &req, &opts);
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed <= budget + SLACK,
+            "request {i}: took {elapsed:?} against budget {budget:?}"
+        );
         let owed = match &out {
             Ok(o) if o.degraded => Some(Outcome::Degraded),
             Ok(o) if o.failovers > 0 => Some(Outcome::Failover),
@@ -360,15 +383,12 @@ fn heavy_faulting_fails_over_and_loses_nothing() {
     let db = serving_db();
     db.enable_failover("events").unwrap();
     openmldb::chaos::install(Plan::new(SEEDS[0]).error_rate(InjectionPoint::SkiplistSeek, 0.6));
-    let opts = RequestOptions {
-        deadline: Deadline::within_ms(2_000),
-        retry: openmldb::RetryPolicy {
-            max_retries: 7,
-            ..openmldb::RetryPolicy::default()
-        },
-        ..RequestOptions::default()
+    let retry = openmldb::RetryPolicy {
+        max_retries: 7,
+        ..openmldb::RetryPolicy::default()
     };
-    let (ok, timeouts, _degraded, retries, failovers, lost) = serve_loop_with(&db, 200, &opts);
+    let (ok, timeouts, _degraded, retries, failovers, lost) =
+        serve_loop_with(&db, 200, Duration::from_millis(2_000), retry);
     openmldb::chaos::reset();
     assert_eq!(
         lost, 0,
