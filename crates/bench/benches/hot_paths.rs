@@ -24,7 +24,7 @@ use openmldb_online::PreAggregator;
 use openmldb_sql::ast::Frame;
 use openmldb_sql::functions::lookup;
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
-use openmldb_sql::{Catalog, PlanCache};
+use openmldb_sql::{BinaryOp, Catalog, PlanCache};
 use openmldb_storage::sync::epoch;
 use openmldb_storage::TimeList;
 use openmldb_types::{
@@ -192,7 +192,8 @@ fn sliding_windows(c: &mut Criterion) {
         let refs: Vec<&BoundAggregate> = specs.iter().collect();
         let sweep = WindowProgram::compile(&window, &refs, &codec)
             .unwrap()
-            .sweep(&window, recompute);
+            .sweep(&window, recompute)
+            .unwrap();
         g.bench_function(name, |b| {
             b.iter(|| {
                 let (mut st, mut out) = (sweep.new_state(), Vec::new());
@@ -572,6 +573,55 @@ fn compiled_eval(c: &mut Criterion) {
             out.len()
         })
     });
+
+    // serve_wide's computed averages over the same rows: 50 `v * 2.0 + 1.0`
+    // fold as one expression lane; one alone stays an expression kernel (a
+    // shape of one member is never a lane).
+    let affine = |c: usize| {
+        let times_two = PhysExpr::Binary {
+            op: BinaryOp::Mul,
+            left: Box::new(PhysExpr::Column(c)),
+            right: Box::new(PhysExpr::Literal(Value::Double(2.0))),
+        };
+        let plus_one = PhysExpr::Binary {
+            op: BinaryOp::Add,
+            left: Box::new(times_two),
+            right: Box::new(PhysExpr::Literal(Value::Double(1.0))),
+        };
+        BoundAggregate {
+            args: vec![plus_one],
+            ..spec("avg", c)
+        }
+    };
+    for (name, members) in [("window_fold_expr_50", 50), ("window_fold_expr_1", 1)] {
+        let aggs: Vec<BoundAggregate> = (2..2 + members).map(affine).collect();
+        let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let expr_wp = WindowProgram::compile(&window, &refs, &wide).unwrap();
+        let mut expr_state = expr_wp.new_state();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let order = EntryOrder::Ascending;
+                let (entries, arena) = (&wide_entries, &wide_arena);
+                expr_wp
+                    .run(
+                        &mut expr_state,
+                        entries,
+                        0,
+                        order,
+                        arena,
+                        None,
+                        &wide,
+                        &mut || Ok(()),
+                    )
+                    .unwrap();
+                out.clear();
+                expr_wp
+                    .outputs_into(&expr_state, arena, None, &mut out)
+                    .unwrap();
+                out.len()
+            })
+        });
+    }
 
     let mut i = 0i64;
     g.bench_function("request_compiled", |b| {

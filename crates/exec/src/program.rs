@@ -262,6 +262,7 @@ mod testkit {
             ColumnDef::new("f", DataType::Float),
             ColumnDef::new("d", DataType::Double),
             ColumnDef::new("s", DataType::String),
+            ColumnDef::new("e", DataType::Double),
         ])
         .expect("valid schema")
     }
@@ -316,6 +317,7 @@ mod testkit {
                 Value::Double((i as f64) * 1.25 - 10.0)
             },
             s,
+            Value::Double(0.5 - (i % 11) as f64 * 0.75),
         ])
     }
 
@@ -458,6 +460,7 @@ mod testkit {
                         Value::Double(doubles[i as usize])
                     },
                     Value::string(["b", "a", "b", "", "c", "a", "b", "d"][i as usize]),
+                    Value::Double(doubles[7 - i as usize]),
                 ])
             })
             .collect()

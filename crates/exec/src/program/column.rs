@@ -19,14 +19,18 @@
 //! [`KernelSpec`] at compile time ([`carve_lanes`]) for one [`Lane`] per
 //! class: their running sums as arrays in the pooled state, stepped by one
 //! straight loop per row ([`Lane::sum_row`]). Each member still adds its rows
-//! in order, so every answer is the one its own kernel gives.
+//! in order, so every answer is the one its own kernel gives. The expression
+//! family's lanes reuse both halves: a [`Lane`] per load gathers the
+//! members' fields ([`Lane::read_into`]), and their sums are a
+//! [`LaneState`]. A window numbers its float sum lanes, then its expression
+//! lanes, with a `u32` binding index.
 
 use openmldb_types::{Error, Result, RowView, Value};
 
 use super::field::{
     binding_out_of_bounds, row_out_of_range, str_field, FieldRef, Fixed, FixedSink, KernelClass,
 };
-use super::fold::Binding;
+use super::fold::{carve, Binding};
 use crate::scratch::RowSource;
 use crate::window::Projection;
 
@@ -39,9 +43,9 @@ pub(super) struct Track {
     /// The f64 sum (`sum` over a float class, `avg`, `stddev`).
     float_sums: bool,
     /// The f64 sum of squares (`stddev` only).
-    sum_sq: bool,
+    pub(super) sum_sq: bool,
     /// Running extrema (`min`/`max`).
-    minmax: bool,
+    pub(super) minmax: bool,
 }
 
 impl Track {
@@ -381,18 +385,19 @@ fn project_sums(count: u64, sum: f64, sum_sq: f64, proj: Projection, out: &mut V
 /// The float sum-family column kernels of one class (FLOAT or DOUBLE): f64
 /// sums with no extrema, folded as one struct-of-arrays lane. A row where
 /// no member is NULL steps every member in one straight loop over the
-/// row's bytes; any other row steps member by member.
+/// row's bytes; any other row steps member by member. An expression lane
+/// keeps one per load, for its members' fields.
 #[derive(Debug, Clone)]
 pub(super) struct Lane {
     class: KernelClass,
     /// Bytes one member's field takes.
     width: usize,
-    /// The members' fields, ascending by offset.
-    fields: Vec<FieldRef>,
+    /// The members' fields (a float sum lane's ascending by offset).
+    pub(super) fields: Vec<FieldRef>,
     /// Runs of members whose fields are adjacent: `(offset, first member,
     /// end member)`.
     runs: Vec<(usize, usize, usize)>,
-    /// Where the last member's field ends.
+    /// Where the members' fields end.
     end: usize,
     /// Each NULL-bitmap byte holding a member's bit, and the members' bits.
     nulls: Vec<(usize, u8)>,
@@ -400,7 +405,8 @@ pub(super) struct Lane {
     sum_sq: bool,
 }
 
-/// A [`Lane`]'s running sums, one slot per member.
+/// A lane's running sums, one slot per member: a [`Lane`]'s or an
+/// expression lane's.
 #[derive(Debug, Clone, Default)]
 pub(super) struct LaneState {
     /// Rows where no member was NULL: counted once for every member.
@@ -413,6 +419,16 @@ pub(super) struct LaneState {
 }
 
 impl LaneState {
+    /// A fresh state of `members` slots.
+    pub(super) fn new(members: usize, sum_sq: bool) -> LaneState {
+        LaneState {
+            dense: 0,
+            count: vec![0; members],
+            sum: vec![0.0; members],
+            sum_sq: vec![0.0; if sum_sq { members } else { 0 }],
+        }
+    }
+
     pub(super) fn reset(&mut self) {
         self.dense = 0;
         self.count.fill(0);
@@ -422,7 +438,7 @@ impl LaneState {
 
     /// Step member `m` by `v`.
     #[inline(always)]
-    fn add(&mut self, m: usize, v: f64) -> Result<()> {
+    pub(super) fn add(&mut self, m: usize, v: f64) -> Result<()> {
         match (self.sum.get_mut(m), self.count.get_mut(m)) {
             (Some(s), Some(c)) => (*s, *c) = (*s + v, *c + 1),
             _ => return Err(binding_out_of_bounds()),
@@ -432,22 +448,45 @@ impl LaneState {
         }
         Ok(())
     }
+
+    /// Step every member by its value in `values`: a row where no member's
+    /// input was NULL.
+    #[inline(always)]
+    pub(super) fn add_row(&mut self, values: &[f64]) {
+        fold_run(&mut self.sum, Some(&mut self.sum_sq), values, |v| v);
+        self.dense += 1;
+    }
+
+    /// Push projection `proj` of member `m`.
+    #[inline(always)]
+    pub(super) fn project_member(
+        &self,
+        m: usize,
+        proj: Projection,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        let (Some(&count), Some(&sum)) = (self.count.get(m), self.sum.get(m)) else {
+            return Err(binding_out_of_bounds());
+        };
+        let sum_sq = self.sum_sq.get(m).copied().unwrap_or(0.0);
+        project_sums(self.dense + count, sum, sum_sq, proj, out);
+        Ok(())
+    }
 }
 
-/// `sums[m] += v`, and `sqs[m] += v * v` when kept, over one run's fields,
-/// `W` bytes each.
+/// `sums[m] += v`, and `sqs[m] += v * v` when kept, over one run's fields
+/// (or an expression lane's results), `v` the `value` of each.
 #[inline(always)]
-fn fold_run<const W: usize>(
+fn fold_run<T: Copy>(
     sums: &mut [f64],
     sqs: Option<&mut [f64]>,
-    bytes: &[u8],
-    le_value: impl Fn([u8; W]) -> f64,
+    fields: &[T],
+    value: impl Fn(T) -> f64,
 ) {
-    let fields = bytes.as_chunks::<W>().0;
     // A run of one member (a field gathered by its offset) is one read,
     // without the loops' set-up, which a one-member lane felt per row.
     if let ([s], [b]) = (&mut *sums, fields) {
-        let v = le_value(*b);
+        let v = value(*b);
         *s += v;
         if let Some([q]) = sqs {
             *q += v * v;
@@ -455,20 +494,29 @@ fn fold_run<const W: usize>(
         return;
     }
     for (s, b) in sums.iter_mut().zip(fields) {
-        *s += le_value(*b);
+        *s += value(*b);
     }
     for (q, b) in sqs.into_iter().flatten().zip(fields) {
-        let v = le_value(*b);
+        let v = value(*b);
         *q += v * v;
+    }
+}
+
+/// `out[m] = field[m]` over one run's fields, `W` bytes each.
+#[inline(always)]
+fn load_run<const W: usize>(out: &mut [f64], bytes: &[u8], le_value: impl Fn([u8; W]) -> f64) {
+    for (o, b) in out.iter_mut().zip(bytes.as_chunks::<W>().0) {
+        *o = le_value(*b);
     }
 }
 
 /// Move `kernels`' float sum-family kernels into one [`Lane`] per class and
 /// re-point their bindings; every other kernel keeps its place, in order.
-pub(super) fn carve_lanes(kernels: &mut Vec<KernelSpec>, bindings: &mut [Binding]) -> Vec<Lane> {
-    let mut lanes = Vec::new();
-    // Per kernel, its `(lane, member)` once moved.
-    let mut moved: Vec<Option<(u8, usize)>> = vec![None; kernels.len()];
+pub(super) fn carve_lanes(
+    kernels: &mut Vec<KernelSpec>,
+    bindings: &mut [Binding],
+) -> Result<Vec<Lane>> {
+    let (mut lanes, mut groups) = (Vec::new(), Vec::new());
     for class in [KernelClass::Double, KernelClass::Float] {
         let mut members: Vec<(usize, &KernelSpec)> = (kernels.iter().enumerate())
             .filter(|(_, s)| s.laned(class))
@@ -477,31 +525,21 @@ pub(super) fn carve_lanes(kernels: &mut Vec<KernelSpec>, bindings: &mut [Binding
             continue;
         }
         members.sort_by_key(|(_, s)| s.field.at);
-        for (m, (k, _)) in members.iter().enumerate() {
-            if let Some(slot) = moved.get_mut(*k) {
-                *slot = Some((lanes.len() as u8, m));
-            }
-        }
-        lanes.push(Lane::of(class, members.iter().map(|(_, s)| *s)));
+        let fields = members.iter().map(|(_, s)| (s.field, s.track.sum_sq));
+        lanes.push(Lane::of(class, fields));
+        groups.push(members.iter().map(|(k, _)| *k).collect());
     }
-    for b in bindings.iter_mut() {
-        if let Binding::Column { k, proj } = *b {
-            *b = match moved.get(k).copied().flatten() {
-                Some((l, m)) => Binding::Lane { l, m, proj },
-                None => {
-                    let k = moved.iter().take(k).filter(|to| to.is_none()).count();
-                    Binding::Column { k, proj }
-                }
-            };
-        }
-    }
-    let mut moved = moved.into_iter();
-    kernels.retain(|_| moved.next().flatten().is_none());
-    lanes
+    carve(kernels, &groups, 0, bindings, |b| match b {
+        Binding::Column { k, proj } => Some((k, *proj)),
+        _ => None,
+    })?;
+    Ok(lanes)
 }
 
 impl Lane {
-    fn of<'a>(class: KernelClass, members: impl Iterator<Item = &'a KernelSpec>) -> Lane {
+    /// The lane over `members`' fields, all of `class`, keeping `sum_sq`
+    /// when one of them projects `stddev`.
+    pub(super) fn of(class: KernelClass, members: impl Iterator<Item = (FieldRef, bool)>) -> Lane {
         let width = if class == KernelClass::Float { 4 } else { 8 };
         let mut lane = Lane {
             class,
@@ -512,8 +550,8 @@ impl Lane {
             nulls: Vec::new(),
             sum_sq: false,
         };
-        for spec in members {
-            let (f, m) = (spec.field, lane.fields.len());
+        for (f, sum_sq) in members {
+            let m = lane.fields.len();
             match lane.runs.last_mut() {
                 Some((at, first, end)) if *at + (m - *first) * width == f.at => *end = m + 1,
                 _ => lane.runs.push((f.at, m, m + 1)),
@@ -522,20 +560,38 @@ impl Lane {
                 Some((_, bits)) => *bits |= f.null_mask,
                 None => lane.nulls.push((f.null_byte, f.null_mask)),
             }
-            (lane.end, lane.sum_sq) = (f.at + width, lane.sum_sq | spec.track.sum_sq);
+            (lane.end, lane.sum_sq) = (lane.end.max(f.at + width), lane.sum_sq | sum_sq);
             lane.fields.push(f);
         }
         lane
     }
 
     pub(super) fn new_state(&self) -> LaneState {
-        let n = self.fields.len();
-        LaneState {
-            dense: 0,
-            count: vec![0; n],
-            sum: vec![0.0; n],
-            sum_sq: vec![0.0; if self.sum_sq { n } else { 0 }],
+        LaneState::new(self.fields.len(), self.sum_sq)
+    }
+
+    /// Whether no member is NULL in row `buf` and every field lies in it.
+    #[inline(always)]
+    pub(super) fn clean(&self, buf: &[u8]) -> bool {
+        (self.nulls.iter()).all(|&(at, bits)| buf.get(at).is_some_and(|b| b & bits == 0))
+            && buf.get(..self.end).is_some()
+    }
+
+    /// Each member's field of row `buf`, widened to f64, into `out`: one
+    /// straight loop per run of a [`clean`](Self::clean) row.
+    #[inline(always)]
+    pub(super) fn read_into(&self, buf: &[u8], out: &mut [f64]) -> Result<()> {
+        for &(at, first, end) in &self.runs {
+            let bytes = buf.get(at..at + (end - first) * self.width);
+            let (Some(bytes), Some(out)) = (bytes, out.get_mut(first..end)) else {
+                return Err(binding_out_of_bounds());
+            };
+            match self.class {
+                KernelClass::Float => load_run(out, bytes, |b| f32::from_le_bytes(b) as f64),
+                _ => load_run(out, bytes, f64::from_le_bytes),
+            }
         }
+        Ok(())
     }
 
     // HOT: the lane loop — one bitmap test, then per run of adjacent members
@@ -545,9 +601,7 @@ impl Lane {
     // `(ts, seq)` order: the sums are bit-identical to one kernel per column.
     #[inline(never)]
     pub(super) fn sum_row(&self, st: &mut LaneState, buf: &[u8]) -> Result<()> {
-        let clean =
-            (self.nulls.iter()).all(|&(at, bits)| buf.get(at).is_some_and(|b| b & bits == 0));
-        if !clean || buf.get(..self.end).is_none() {
+        if !self.clean(buf) {
             return self.sum_members(st, buf);
         }
         for &(at, first, end) in &self.runs {
@@ -557,8 +611,10 @@ impl Lane {
             };
             let sqs = st.sum_sq.get_mut(first..end);
             match self.class {
-                KernelClass::Float => fold_run(sums, sqs, bytes, |b| f32::from_le_bytes(b) as f64),
-                _ => fold_run(sums, sqs, bytes, f64::from_le_bytes),
+                KernelClass::Float => fold_run(sums, sqs, bytes.as_chunks().0, |b| {
+                    f32::from_le_bytes(b) as f64
+                }),
+                _ => fold_run(sums, sqs, bytes.as_chunks().0, f64::from_le_bytes),
             }
         }
         st.dense += 1;
@@ -573,23 +629,6 @@ impl Lane {
                 st.add(m, v.as_f64())?;
             }
         }
-        Ok(())
-    }
-
-    /// Push projection `proj` of member `m`.
-    #[inline(always)]
-    pub(super) fn project_member(
-        &self,
-        st: &LaneState,
-        m: usize,
-        proj: Projection,
-        out: &mut Vec<Value>,
-    ) -> Result<()> {
-        let (Some(&count), Some(&sum)) = (st.count.get(m), st.sum.get(m)) else {
-            return Err(binding_out_of_bounds());
-        };
-        let sum_sq = st.sum_sq.get(m).copied().unwrap_or(0.0);
-        project_sums(st.dense + count, sum, sum_sq, proj, out);
         Ok(())
     }
 }
@@ -687,8 +726,9 @@ mod tests {
             (rows.into_iter().enumerate())
                 .map(|(ts, (i, b, d, s))| {
                     let ts = Value::Timestamp(ts as i64);
+                    let e = Value::Double(-d);
                     let (f, d) = (Value::Float(d as f32), Value::Double(d));
-                    Row::new(vec![Value::string("k1"), ts, i, b, f, d, s])
+                    Row::new(vec![Value::string("k1"), ts, i, b, f, d, s, e])
                 })
                 .collect()
         })
@@ -710,7 +750,7 @@ mod tests {
         let retracts = |aggs: &[BoundAggregate]| {
             let refs: Vec<&BoundAggregate> = aggs.iter().collect();
             let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
-            wp.split(false).slid
+            wp.split(false).expect("splits").slid
         };
         assert!(retracts(&exact()).iter().all(|r| *r));
         for inexact in [
@@ -780,6 +820,7 @@ mod tests {
             Value::Float(1.0),
             Value::Double(1.0),
             Value::Null,
+            Value::Double(1.0),
         ])];
         let request = Row::new(vec![
             Value::string("k1"),
@@ -789,6 +830,7 @@ mod tests {
             Value::Float(2.0),
             Value::Double(2.0),
             Value::string("middle"),
+            Value::Null,
         ]);
         let (expected, got) = fold_both(&aggs, &rows, Some(&request));
         assert_bit_identical(&expected, &got);
@@ -853,6 +895,53 @@ mod tests {
         aggs
     }
 
+    /// Expression lane members over `lane_schema()`, five shapes: DOUBLE
+    /// `v * 2.0 + 1.0` (runs `d0..d2` and `d3, d4`, a `stddev` member, and
+    /// `d6`, whose column kernel carries a `max`), the same ops over FLOAT
+    /// (another load class, so another lane), FLOAT × DOUBLE, DOUBLE ×
+    /// DOUBLE and `1.5 - v`, with sum, avg, stddev and count-only members.
+    fn expr_lane_aggs() -> Vec<BoundAggregate> {
+        use openmldb_sql::BinaryOp::{Add, Mul, Sub};
+        let affine = |c| {
+            bin(
+                Add,
+                bin(Mul, col(c), lit(Value::Double(2.0))),
+                lit(Value::Double(1.0)),
+            )
+        };
+        let mut aggs = Vec::new();
+        let affines = [
+            ("avg", 2),
+            ("sum", 3),
+            ("avg", 4),
+            ("stddev", 10),
+            ("count", 10),
+            ("avg", 9),
+            ("sum", 14),
+            ("sum", 6),
+            ("avg", 7),
+            ("sum", 15),
+        ];
+        for (f, c) in affines {
+            aggs.push(agg_of(f, vec![affine(c)]));
+        }
+        for (f, a, b) in [
+            ("sum", 6, 2),
+            ("avg", 12, 13),
+            ("count", 7, 3),
+            ("stddev", 15, 16),
+        ] {
+            aggs.push(agg_of(f, vec![bin(Mul, col(a), col(b))]));
+        }
+        for (f, a, b) in [("sum", 2, 3), ("avg", 9, 10), ("sum", 16, 16)] {
+            aggs.push(agg_of(f, vec![bin(Mul, col(a), col(b))]));
+        }
+        for (f, c) in [("sum", 4), ("avg", 13), ("stddev", 16)] {
+            aggs.push(agg_of(f, vec![bin(Sub, lit(Value::Double(1.5)), col(c))]));
+        }
+        aggs
+    }
+
     /// One float of every kind the sums meet: NaN, infinities, -0.0,
     /// subnormals, and round and arbitrary values.
     fn lane_float(bits: u64) -> f64 {
@@ -894,12 +983,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(ProptestConfig { cases: 96 })]
 
-        /// The float sum lanes fold every row where its bytes lie: windows
-        /// of 0–300 rows (so an extended window's fold crosses blocks), all
-        /// dense, 5%- or 50%-NULL rows mixed, every float edge value, both
-        /// entry orders, a column-only and an extended window, the request
-        /// row in or out of frame. The answer equals the interpreter's fold
-        /// of the same rows, in Debug form.
+        /// The float sum lanes and the expression lanes fold every row where
+        /// its bytes lie: windows of 0–300 rows (so an extended window's
+        /// fold crosses blocks), all dense, 5%- or 50%-NULL rows mixed,
+        /// every float edge value, both entry orders, a column-only and an
+        /// extended window, the request row in or out of frame. The answer
+        /// equals the interpreter's fold of the same rows, in Debug form.
         #[test]
         fn lane_fold_equals_interpreter(
             stored in proptest::collection::vec((any::<i64>(), 0u8..3), 0..301),
@@ -920,15 +1009,23 @@ mod tests {
             let newest_first: Vec<ScanEntry> = entries.iter().rev().copied().collect();
             let first = rows.len() - rows.len() * keep.min(100) / 100;
 
-            let column = lane_aggs();
-            let mut extended = lane_aggs();
+            let mut column = lane_aggs();
+            column.extend(expr_lane_aggs());
+            column.rotate_left(11);
+            // A one-member shape keeps its kernel, and so does a shape's
+            // member that a `max` binds too (`d1 * 2.0 + 1.0`).
+            let mut extended = column.clone();
             extended.push(agg("distinct_count", 5, 0));
-            extended.push(agg_of("avg", vec![bin(Add, bin(Mul, col(2), lit(Value::Double(2.0))), lit(Value::Double(1.0)))]));
-            for aggs in [&column, &extended] {
+            extended.push(agg_of("avg", vec![bin(Mul, col(2), lit(Value::Double(3.0)))]));
+            extended.push(agg_of("max", vec![bin(Add, bin(Mul, col(3), lit(Value::Double(2.0))), lit(Value::Double(1.0)))]));
+            for (aggs, kernels, laned) in [(&column, 0, 34), (&extended, 2, 33)] {
                 let refs: Vec<&BoundAggregate> = aggs.iter().collect();
                 let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
-                let laned = wp.bindings.iter().filter(|b| matches!(b, Binding::Lane { .. }));
-                proptest::prop_assert_eq!((wp.lanes.len(), laned.count()), (2, 14));
+                let bound = wp.bindings.iter().filter(|b| matches!(b, Binding::Lane { .. }));
+                proptest::prop_assert_eq!(
+                    (wp.lanes.len(), wp.expr_lanes.len(), wp.exprs.len(), bound.count()),
+                    (2, 5, kernels, laned)
+                );
                 proptest::prop_assert_eq!(wp.extended, aggs.len() > column.len());
                 let oracle = (|| -> Result<Vec<Value>> {
                     let mut set = WindowAggSet::new(&refs)?;

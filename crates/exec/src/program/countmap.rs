@@ -459,7 +459,7 @@ mod tests {
                     let (b, d) = (null_or(b, Value::Bigint(bigints[b])), null_or(d, Value::Double(doubles[d])));
                     let w = if w == 4 { Value::Null } else { Value::string(words[w]) };
                     let ts = Value::Timestamp(ts as i64);
-                    Row::new(vec![Value::string("k"), ts, Value::Int(1), b, Value::Float(0.0), d, w])
+                    Row::new(vec![Value::string("k"), ts, Value::Int(1), b, Value::Float(0.0), d, w, Value::Null])
                 })
                 .collect();
             let topn = |c: usize, n: i64| agg_of("topn_frequency", vec![col(c), lit(Value::Bigint(n))]);

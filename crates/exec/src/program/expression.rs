@@ -9,14 +9,26 @@
 //! [`ExprKernel::project_into`] the bound projections. There is no retract:
 //! an argument can fail on a row with the interpreter's typed overflow
 //! error, and the sweep re-folds every expression kernel.
+//!
+//! Kernels whose programs cannot fail or yield NULL on a validated row —
+//! FLOAT/DOUBLE loads, f64 constants, `+ - *`, an f64 sum-family fold with
+//! no `min`/`max` — leave [`ExprKernel`] at compile time
+//! ([`carve_expr_lanes`], after the float sum lanes are carved) for one
+//! [`ExprLane`] per shape: the same ops, constant bits and load classes,
+//! whatever columns they load. A lane steps a row op by op over its members
+//! ([`ExprLane::eval_row`]) and sums into the column lanes' [`LaneState`].
+//! A shape of one member stays a kernel: the lane spreads an op's dispatch
+//! over its members, the kernel over a block of rows. Each member runs its
+//! kernel's IEEE ops in the same order on the same rows, so every answer is
+//! the one its own kernel gives.
 
 use openmldb_sql::plan::PhysExpr;
 use openmldb_sql::BinaryOp;
 use openmldb_types::{CompactCodec, Error, Result, Value};
 
-use super::column::{KernelState, Track};
-use super::field::{integer_overflow, FieldRef, Fixed, KernelClass};
-use super::fold::BLOCK;
+use super::column::{KernelState, Lane, LaneState, Track};
+use super::field::{binding_out_of_bounds, integer_overflow, FieldRef, Fixed, KernelClass};
+use super::fold::{carve, Binding, BLOCK};
 use crate::window::Projection;
 
 /// One typed register of an expression kernel: raw `i64`/`f64` bits plus
@@ -430,6 +442,209 @@ impl ExprKernel {
     }
 }
 
+/// Whether two programs are one shape: the same ops, constants (by bits)
+/// and load classes, whatever columns they load.
+fn same_shape(a: &[ArithOp], b: &[ArithOp]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|pair| match pair {
+            (ArithOp::Load(f), ArithOp::Load(g)) => f.class == g.class,
+            (ArithOp::ConstF(x), ArithOp::ConstF(y)) => x.to_bits() == y.to_bits(),
+            (x, y) => x == y,
+        })
+}
+
+/// Expression kernels of one shape that cannot fail or yield NULL on a
+/// validated row, folded as one struct-of-arrays lane: each op runs over
+/// every member at once, its loads read run by run from the row's bytes,
+/// and the results sum into a [`LaneState`]. A row where some member's
+/// input is NULL is evaluated the same way and summed member by member.
+#[derive(Debug, Clone)]
+pub(super) struct ExprLane {
+    /// The shape's program: op `i` writes register `i`, of member `m` at
+    /// `i * members + m`; a constant is read as a scalar, never a register.
+    ops: Vec<ArithOp>,
+    /// Per load of the program, its op and the members' fields.
+    loads: Vec<(usize, Lane)>,
+    /// The register holding the argument's value.
+    result: usize,
+    members: usize,
+    /// Whether a member projects `stddev`.
+    sum_sq: bool,
+}
+
+impl ExprKernel {
+    /// Whether this kernel folds in an [`ExprLane`]: its program only loads
+    /// FLOAT/DOUBLE columns, reads f64 constants and adds, subtracts or
+    /// multiplies, and no extremum is bound to it.
+    fn laned(&self) -> bool {
+        use ArithOp::{AddF, ConstF, Load, MulF, SubF};
+        let float = |f: &FieldRef| matches!(f.class, KernelClass::Float | KernelClass::Double);
+        let infallible = |op: &ArithOp| match op {
+            Load(f) => float(f),
+            op => matches!(op, ConstF(_) | AddF(..) | SubF(..) | MulF(..)),
+        };
+        !self.track.minmax && self.ops.iter().all(infallible)
+    }
+}
+
+/// Move every group of at least two laned `exprs` of one shape, in kernel
+/// order (aggregates over adjacent columns form runs), into one
+/// [`ExprLane`], the lanes numbered from `first`, and re-point their
+/// bindings; every other kernel keeps its place, in order. A shape with one
+/// member stays a kernel: the lane spreads an op's dispatch over its
+/// members, the kernel over a block of rows.
+pub(super) fn carve_expr_lanes(
+    exprs: &mut Vec<ExprKernel>,
+    bindings: &mut [Binding],
+    first: usize,
+) -> Result<Vec<ExprLane>> {
+    let mut groups: Vec<Vec<(usize, &ExprKernel)>> = Vec::new();
+    for (k, spec) in exprs.iter().enumerate().filter(|(_, s)| s.laned()) {
+        let shape = |(_, h): &(usize, &ExprKernel)| same_shape(&h.ops, &spec.ops);
+        match groups.iter_mut().find(|g| g.first().is_some_and(shape)) {
+            Some(group) => group.push((k, spec)),
+            None => groups.push(vec![(k, spec)]),
+        }
+    }
+    groups.retain(|g| g.len() > 1);
+    let lanes = groups.iter().map(|g| ExprLane::of(g)).collect();
+    let kernels = |g: &Vec<(usize, &ExprKernel)>| g.iter().map(|m| m.0).collect();
+    let groups: Vec<Vec<usize>> = groups.iter().map(kernels).collect();
+    carve(exprs, &groups, first, bindings, |b| match b {
+        Binding::Expr { k, proj } => Some((k, *proj)),
+        _ => None,
+    })?;
+    Ok(lanes)
+}
+
+impl ExprLane {
+    /// The lane of `members`, all of one laned shape.
+    fn of(members: &[(usize, &ExprKernel)]) -> ExprLane {
+        let head = (members.first()).map_or(Default::default(), |(_, k)| k.ops.as_slice());
+        let field = |ops: &[ArithOp], i: usize| match ops.get(i) {
+            Some(ArithOp::Load(f)) => Some((*f, false)),
+            _ => None,
+        };
+        let loads = (0..head.len()).filter_map(|i| {
+            let fields = members.iter().filter_map(|(_, k)| field(&k.ops, i));
+            Some((i, Lane::of(field(head, i)?.0.class, fields)))
+        });
+        ExprLane {
+            ops: head.to_vec(),
+            loads: loads.collect(),
+            result: members.first().map_or(0, |(_, k)| usize::from(k.result)),
+            members: members.len(),
+            sum_sq: members.iter().any(|(_, k)| k.track.sum_sq),
+        }
+    }
+
+    pub(super) fn new_state(&self) -> LaneState {
+        LaneState::new(self.members, self.sum_sq)
+    }
+
+    /// Registers the lane evaluates in: one per op per member.
+    pub(super) fn regs(&self) -> usize {
+        self.ops.len() * self.members
+    }
+
+    // HOT: the expression lane loop — one bitmap test, each load one
+    // straight read per run of adjacent fields, each op one straight loop
+    // over the members (a constant operand a scalar), then `sum[m] += r[m]`.
+    // A row with a NULL input reads field by field and sums the members
+    // whose inputs are all set. Every member runs the IEEE ops of its own
+    // kernel in the same order on the same rows, so its sums are that
+    // kernel's, bit for bit.
+    #[inline(never)]
+    pub(super) fn eval_row(&self, st: &mut LaneState, regs: &mut [f64], buf: &[u8]) -> Result<()> {
+        let (n, clean) = (self.members, self.loads.iter().all(|(_, l)| l.clean(buf)));
+        for (i, load) in &self.loads {
+            let out = (regs.get_mut(i * n..i * n + n)).ok_or_else(binding_out_of_bounds)?;
+            if clean {
+                load.read_into(buf, out)?;
+                continue;
+            }
+            // A NULL field reads as 0.0: its member is not summed.
+            for (r, f) in out.iter_mut().zip(&load.fields) {
+                *r = f.stored(buf)?.map_or(0.0, Fixed::as_f64);
+            }
+        }
+        self.run_ops(regs)?;
+        let values = regs.get(self.result * n..self.result * n + n);
+        let values = values.ok_or_else(binding_out_of_bounds)?;
+        if clean {
+            st.add_row(values);
+            return Ok(());
+        }
+        for m in 0..n {
+            let set = |(_, l): &(usize, Lane)| l.fields.get(m).is_some_and(|f| !f.null_in(buf));
+            if let Some(&v) = values.get(m).filter(|_| self.loads.iter().all(set)) {
+                st.add(m, v)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Run the arithmetic ops over every member, op by op.
+    #[inline(always)]
+    fn run_ops(&self, regs: &mut [f64]) -> Result<()> {
+        let n = self.members;
+        for (i, op) in self.ops.iter().enumerate() {
+            let (ArithOp::AddF(a, b) | ArithOp::SubF(a, b) | ArithOp::MulF(a, b)) = *op else {
+                continue;
+            };
+            let Some((done, rest)) = regs.split_at_mut_checked(i * n) else {
+                return Err(binding_out_of_bounds());
+            };
+            let arg = |r: u16| match (self.ops.get(usize::from(r)), usize::from(r) * n) {
+                (Some(ArithOp::ConstF(c)), _) => Some(Arg::Const(*c)),
+                (_, at) => done.get(at..at + n).map(Arg::Regs),
+            };
+            let (Some(out), Some(a), Some(b)) = (rest.get_mut(..n), arg(a), arg(b)) else {
+                return Err(binding_out_of_bounds());
+            };
+            match op {
+                ArithOp::AddF(..) => apply(out, a, b, |x, y| x + y),
+                ArithOp::SubF(..) => apply(out, a, b, |x, y| x - y),
+                _ => apply(out, a, b, |x, y| x * y),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// An op's operand over the members.
+#[derive(Clone, Copy)]
+enum Arg<'a> {
+    Regs(&'a [f64]),
+    Const(f64),
+}
+
+/// `out[m] = f(a[m], b[m])`: one straight loop, a constant operand read
+/// once.
+#[inline(always)]
+fn apply(out: &mut [f64], a: Arg<'_>, b: Arg<'_>, f: impl Fn(f64, f64) -> f64) {
+    use std::iter::repeat;
+    match (a, b) {
+        (Arg::Regs(a), Arg::Regs(b)) => each(out, a.iter().copied(), b.iter().copied(), f),
+        (Arg::Regs(a), Arg::Const(c)) => each(out, a.iter().copied(), repeat(c), f),
+        (Arg::Const(c), Arg::Regs(b)) => each(out, repeat(c), b.iter().copied(), f),
+        (Arg::Const(x), Arg::Const(y)) => each(out, repeat(x), repeat(y), f),
+    }
+}
+
+/// `out[m] = f(a[m], b[m])` over the members' operands.
+#[inline(always)]
+fn each(
+    out: &mut [f64],
+    a: impl Iterator<Item = f64>,
+    b: impl Iterator<Item = f64>,
+    f: impl Fn(f64, f64) -> f64,
+) {
+    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,6 +712,7 @@ mod tests {
                 Value::Float(0.0),
                 Value::Double(0.0),
                 Value::Null,
+                Value::Double(0.0),
             ])
         };
         for (op, rhs) in [

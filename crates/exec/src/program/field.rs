@@ -255,3 +255,9 @@ pub(super) fn binding_out_of_bounds() -> Error {
 pub(super) fn generic_state_mismatch() -> Error {
     Error::Eval("window state does not match its program's generic aggregates".into())
 }
+
+/// Lane `n` of a window as a [`Binding`](super::fold::Binding) indexes it,
+/// or the typed error of a window with more lanes than that index reaches.
+pub(super) fn lane_index(n: usize) -> Result<u32> {
+    u32::try_from(n).map_err(|_| Error::Plan(format!("window lane {n} is past a binding's index")))
+}

@@ -5,7 +5,8 @@
 //!
 //! Each aggregate binds to a kernel of one family — column, expression,
 //! count map, generic; a column's float sums fold in one struct-of-arrays
-//! lane per class — and the fold calls each family's contract: step a row,
+//! lane per class, and expressions of one infallible f64 shape in one lane
+//! per shape — and the fold calls each family's contract: step a row,
 //! project the values. There is one row format: the request row, encoded
 //! once, is row `n` of the fold's rows ([`FoldRows`]), stepped after every
 //! stored row by the same code. The serve loop is `feed_entries`: a
@@ -21,9 +22,9 @@ use openmldb_types::{CompactCodec, Result, RowView, Value};
 
 use super::column::{carve_lanes, KernelSpec, KernelState, Lane, LaneState};
 use super::countmap::{CountMap, TopnSpec, TopnState};
-use super::expression::{ExprKernel, Reg, NULL_REG};
+use super::expression::{carve_expr_lanes, ExprKernel, ExprLane, Reg, NULL_REG};
 use super::field::{
-    binding_out_of_bounds, generic_state_mismatch, length_mismatch, row_out_of_range,
+    binding_out_of_bounds, generic_state_mismatch, lane_index, length_mismatch, row_out_of_range,
     truncated_row, version_mismatch, FieldRef, KernelClass,
 };
 use super::generic;
@@ -35,15 +36,46 @@ use crate::window::{projection_for, Projection, WindowAggSet};
 /// deadline-probe cadence, so a block ends where a probe is due.
 pub(super) const BLOCK: usize = 64;
 
-/// Where one aggregate's output comes from, in aggregate order.
+/// Where one aggregate's output comes from, in aggregate order. `Lane` is
+/// member `m` of lane `l`: the float sum lanes, then the expression lanes.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Binding {
     Column { k: usize, proj: Projection },
-    Lane { l: u8, m: usize, proj: Projection },
+    Lane { l: u32, m: usize, proj: Projection },
     Expr { k: usize, proj: Projection },
     Distinct { map: usize },
     TopN { t: usize },
     Generic { pos: usize },
+}
+
+/// Move each group of `kernels` — its members' indices, in member order —
+/// into lane `first + g` and re-point the bindings: one whose kernel index
+/// `kernel` lends goes to its `(lane, member)` or, unmoved, to the kernel's
+/// index among the kernels that stay.
+pub(super) fn carve<T>(
+    kernels: &mut Vec<T>,
+    groups: &[Vec<usize>],
+    first: usize,
+    bindings: &mut [Binding],
+    kernel: impl Fn(&mut Binding) -> Option<(&mut usize, Projection)>,
+) -> Result<()> {
+    let lane_of = |k: usize| {
+        let mut lanes = groups.iter().zip(first..);
+        lanes.find_map(|(g, l)| Some((l, g.iter().position(|&j| j == k)?)))
+    };
+    for b in bindings.iter_mut() {
+        if let Some((k, proj)) = kernel(b) {
+            let lane = lane_of(*k);
+            *k -= groups.iter().flatten().filter(|&&j| j < *k).count();
+            if let Some((l, m)) = lane {
+                let l = lane_index(l)?;
+                *b = Binding::Lane { l, m, proj };
+            }
+        }
+    }
+    let mut k = 0..;
+    kernels.retain(|_| k.next().is_some_and(|k| lane_of(k).is_none()));
+    Ok(())
 }
 
 /// Pooled per-window fold state of every family (lives in the request
@@ -51,6 +83,10 @@ pub(super) enum Binding {
 pub struct WindowState {
     kernels: Vec<KernelState>,
     lanes: Vec<LaneState>,
+    /// The expression lanes' sums, and one register file they share (sized
+    /// to the largest lane).
+    expr_lanes: Vec<LaneState>,
+    lane_regs: Vec<f64>,
     exprs: Vec<KernelState>,
     /// Register file shared by the expression kernels, op-major: register
     /// `r`'s [`BLOCK`] rows at `r * BLOCK` (sized to the longest program).
@@ -72,7 +108,7 @@ impl WindowState {
         for k in self.kernels.iter_mut().chain(self.exprs.iter_mut()) {
             *k = KernelState::default();
         }
-        self.lanes.iter_mut().for_each(LaneState::reset);
+        (self.lanes.iter_mut().chain(&mut self.expr_lanes)).for_each(LaneState::reset);
         for m in &mut self.maps {
             m.clear();
         }
@@ -148,8 +184,10 @@ pub struct WindowProgram {
     /// as one lane per class.
     pub(super) kernels: Vec<KernelSpec>,
     pub(super) lanes: Vec<Lane>,
-    /// Family 2: expression kernels.
+    /// Family 2: expression kernels, and the ones of a shared infallible
+    /// shape folded as one lane per shape.
     pub(super) exprs: Vec<ExprKernel>,
+    pub(super) expr_lanes: Vec<ExprLane>,
     /// Family 3: count maps, one per distinct column.
     pub(super) maps: Vec<FieldRef>,
     pub(super) topn: Vec<TopnSpec>,
@@ -157,10 +195,11 @@ pub struct WindowProgram {
     pub(super) generic: Vec<BoundAggregate>,
     /// Output bindings in aggregate order.
     pub(super) bindings: Vec<Binding>,
-    /// Whether any of families 2–4 is present: such a window folds a block
-    /// at a time; a column-only window runs the row loop.
+    /// Whether any of families 2–4 is present once the lanes are carved:
+    /// such a window folds a block at a time; a column-only window (its
+    /// expressions all in lanes included) runs the row loop.
     pub(super) extended: bool,
-    /// Longest expression program (register-file size).
+    /// Longest expression kernel program (register-file size).
     max_regs: usize,
     /// Whether any kernel reads a var-width field or evaluates through a
     /// [`RowView`](openmldb_types::RowView) (strings, generic aggregates) — those
@@ -292,17 +331,18 @@ impl WindowProgram {
         aggs: &[&BoundAggregate],
         codec: &CompactCodec,
     ) -> Result<WindowProgram> {
-        let wp = Self::lower(window, aggs, codec);
+        let wp = Self::lower(window, aggs, codec)?;
         generic::build_generic(&wp.generic)?;
         Ok(wp)
     }
 
-    /// Lower `aggs`, each to a kernel of its family.
+    /// Lower `aggs`, each to a kernel of its family, then carve the lanes.
+    /// Fails only when a lane's index would not fit its binding.
     fn lower(
         window: &BoundWindow,
         aggs: &[&BoundAggregate],
         codec: &CompactCodec,
-    ) -> WindowProgram {
+    ) -> Result<WindowProgram> {
         let mut c = WindowCompiler {
             codec,
             kernels: Vec::new(),
@@ -312,9 +352,10 @@ impl WindowProgram {
             generic: Vec::new(),
         };
         let mut bindings: Vec<Binding> = aggs.iter().map(|agg| c.bind_agg(agg)).collect();
-        let lanes = carve_lanes(&mut c.kernels, &mut bindings);
+        let lanes = carve_lanes(&mut c.kernels, &mut bindings)?;
+        let expr_lanes = carve_expr_lanes(&mut c.exprs, &mut bindings, lanes.len())?;
         let is_str = |f: &FieldRef| f.class == KernelClass::Str;
-        WindowProgram {
+        Ok(WindowProgram {
             needs_view: c.kernels.iter().any(|k| is_str(&k.field))
                 || c.maps.iter().any(is_str)
                 || !c.generic.is_empty(),
@@ -323,6 +364,7 @@ impl WindowProgram {
             kernels: c.kernels,
             lanes,
             exprs: c.exprs,
+            expr_lanes,
             maps: c.maps,
             topn: c.topn,
             generic: c.generic,
@@ -338,14 +380,14 @@ impl WindowProgram {
             window: window.clone(),
             aggs: aggs.iter().map(|agg| (*agg).clone()).collect(),
             codec: codec.clone(),
-        }
+        })
     }
 
     /// This program's aggregates parted in two programs: the ones that
     /// slide — bound to a column kernel whose fold retracts exactly
     /// ([`KernelSpec::retracts`]) or, unless `recompute`, to a count map —
     /// and the ones that re-fold.
-    pub(super) fn split(&self, recompute: bool) -> Split {
+    pub(super) fn split(&self, recompute: bool) -> Result<Split> {
         let slid: Vec<bool> = (self.bindings.iter())
             .map(|b| match *b {
                 Binding::Column { k, .. } => self.kernels.get(k).is_some_and(KernelSpec::retracts),
@@ -357,20 +399,25 @@ impl WindowProgram {
             let aggs: Vec<&BoundAggregate> = (self.aggs.iter().zip(&slid))
                 .filter_map(|(agg, s)| (*s == slides).then_some(agg))
                 .collect();
-            (!aggs.is_empty()).then(|| Self::lower(&self.window, &aggs, &self.codec))
+            let lower = || Self::lower(&self.window, &aggs, &self.codec);
+            (!aggs.is_empty()).then(lower).transpose()
         };
-        Split {
-            slide: part(true),
-            refold: part(false),
+        Ok(Split {
+            slide: part(true)?,
+            refold: part(false)?,
             slid,
-        }
+        })
     }
 
     /// Fresh (pool-able) fold state sized for this program.
     pub fn new_state(&self) -> WindowState {
+        let lane_regs = self.expr_lanes.iter().map(ExprLane::regs).max();
+        let lane_regs = lane_regs.unwrap_or(0);
         WindowState {
             kernels: vec![KernelState::default(); self.kernels.len()],
             lanes: self.lanes.iter().map(Lane::new_state).collect(),
+            expr_lanes: self.expr_lanes.iter().map(ExprLane::new_state).collect(),
+            lane_regs: vec![0.0; lane_regs],
             exprs: vec![KernelState::default(); self.exprs.len()],
             regs: vec![NULL_REG; self.max_regs * BLOCK],
             maps: self.maps.iter().map(|_| CountMap::new()).collect(),
@@ -505,19 +552,28 @@ impl WindowProgram {
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<()> {
-        match (ext, self.lanes.is_empty()) {
-            (true, _) => self.feed_blocks(state, rows, first, order, codec, probe),
-            (false, true) => self.feed_rows::<false, R>(state, rows, first, order, codec, probe),
-            (false, false) => self.feed_rows::<true, R>(state, rows, first, order, codec, probe),
+        let (sums, exprs) = (!self.lanes.is_empty(), !self.expr_lanes.is_empty());
+        match (ext, sums, exprs) {
+            (true, ..) => self.feed_blocks(state, rows, first, order, codec, probe),
+            (false, false, false) => {
+                self.feed_rows::<false, false, R>(state, rows, first, order, codec, probe)
+            }
+            (false, true, false) => {
+                self.feed_rows::<true, false, R>(state, rows, first, order, codec, probe)
+            }
+            (false, _, true) => {
+                self.feed_rows::<true, true, R>(state, rows, first, order, codec, probe)
+            }
         }
     }
 
     /// A column-only window's row loop (`LANES` false compiles the float sum
-    /// lanes out). Row indices are positions in `rows`: an ascending source
-    /// feeds `first..`, a reversed scan its newest rows backwards; the
-    /// request row, row `n`, comes last in either.
+    /// lanes out, `EXPRS` false the expression lanes). Row indices are
+    /// positions in `rows`: an ascending source feeds `first..`, a reversed
+    /// scan its newest rows backwards; the request row, row `n`, comes last
+    /// in either.
     #[inline(always)]
-    fn feed_rows<const LANES: bool, R: RowSource>(
+    fn feed_rows<const LANES: bool, const EXPRS: bool, R: RowSource>(
         &self,
         state: &mut WindowState,
         rows: &FoldRows<'_, R>,
@@ -532,7 +588,7 @@ impl WindowProgram {
         match order {
             EntryOrder::Ascending => {
                 for i in n - take..n {
-                    self.feed_row::<LANES>(state, (i, stored.row_at(i)?), rows, codec)?;
+                    self.feed_row::<LANES, EXPRS>(state, (i, stored.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -541,7 +597,7 @@ impl WindowProgram {
             }
             EntryOrder::ReversedScan => {
                 for i in (0..take).rev() {
-                    self.feed_row::<LANES>(state, (i, stored.row_at(i)?), rows, codec)?;
+                    self.feed_row::<LANES, EXPRS>(state, (i, stored.row_at(i)?), rows, codec)?;
                     fed += 1;
                     if fed & 63 == 0 {
                         probe()?;
@@ -550,7 +606,7 @@ impl WindowProgram {
             }
         }
         if let Some(row) = rows.request {
-            self.feed_row::<LANES>(state, (n, row), rows, codec)?;
+            self.feed_row::<LANES, EXPRS>(state, (n, row), rows, codec)?;
             if (fed + 1) & 63 == 0 {
                 probe()?;
             }
@@ -582,7 +638,7 @@ impl WindowProgram {
     // `Value` construction, no parse beyond the 3-field header check for
     // fixed-only programs.
     #[inline(always)]
-    fn feed_row<const LANES: bool>(
+    fn feed_row<const LANES: bool, const EXPRS: bool>(
         &self,
         state: &mut WindowState,
         (i, buf): (usize, &[u8]),
@@ -600,6 +656,11 @@ impl WindowProgram {
         if LANES {
             for (lane, st) in self.lanes.iter().zip(state.lanes.iter_mut()) {
                 lane.sum_row(st, buf)?;
+            }
+        }
+        if EXPRS {
+            for (lane, st) in self.expr_lanes.iter().zip(state.expr_lanes.iter_mut()) {
+                lane.eval_row(st, &mut state.lane_regs, buf)?;
             }
         }
         Ok(())
@@ -687,10 +748,11 @@ impl WindowProgram {
     }
 
     // HOT: one block of an extended window, family by family, each in the
-    // loop order that suits it: column kernels row by row (a float sum lane
-    // first, one straight loop per row), expression kernels op by op
-    // ([`ExprKernel::eval_block`]), count maps map by map, generic
-    // aggregates row by row over the views. The error reported is the one
+    // loop order that suits it: column kernels row by row (the float sum
+    // lanes, then the expression lanes, first: one straight loop per run or
+    // op per row), expression kernels op by op ([`ExprKernel::eval_block`]),
+    // count maps map by map, generic aggregates row by row over the views.
+    // A lane cannot fail on a validated row. The error reported is the one
     // the row-at-a-time fold meets first — the earliest row, then family
     // order, then kernel order: once a kernel fails on row `end`, every
     // later one steps only the rows before it. An expression kernel's error
@@ -706,6 +768,8 @@ impl WindowProgram {
         let WindowState {
             kernels,
             lanes,
+            expr_lanes,
+            lane_regs,
             exprs,
             regs,
             maps,
@@ -715,7 +779,10 @@ impl WindowProgram {
         let (mut end, mut failed) = (block.len, None);
         'rows: for (j, (i, buf, view)) in block.rows(end) {
             let mut laned = self.lanes.iter().zip(lanes.iter_mut());
-            if let Err(e) = laned.try_for_each(|(l, st)| l.sum_row(st, buf)) {
+            let mut exprs = self.expr_lanes.iter().zip(expr_lanes.iter_mut());
+            let stepped = (laned.try_for_each(|(l, st)| l.sum_row(st, buf)))
+                .and_then(|()| exprs.try_for_each(|(l, st)| l.eval_row(st, lane_regs, buf)));
+            if let Err(e) = stepped {
                 (end, failed) = (j, Some((e, None)));
                 break 'rows;
             }
@@ -824,9 +891,12 @@ impl WindowProgram {
                     _ => return Err(binding_out_of_bounds()),
                 },
                 Binding::Lane { l, m, proj } => {
-                    let lane = self.lanes.get(l as usize).zip(state.lanes.get(l as usize));
-                    let (lane, st) = lane.ok_or_else(binding_out_of_bounds)?;
-                    lane.project_member(st, m, proj, out)?
+                    let (l, sums) = (l as usize, &state.lanes);
+                    let st = sums
+                        .get(l)
+                        .or_else(|| state.expr_lanes.get(l.checked_sub(sums.len())?));
+                    st.ok_or_else(binding_out_of_bounds)?
+                        .project_member(m, proj, out)?
                 }
                 Binding::Expr { k, proj } => match (self.exprs.get(k), state.exprs.get(k)) {
                     (Some(spec), Some(st)) => spec.project_into(st, proj, out)?,
@@ -910,6 +980,7 @@ mod tests {
                 Value::Null,
                 Value::Bigint(i),
                 Value::Float(0.0),
+                Value::Null,
                 Value::Null,
                 Value::Null,
             ]));
@@ -1008,7 +1079,8 @@ mod tests {
         /// a truncated, bit-flipped or length-patched encoded row, sitting in
         /// the arena between two intact ones (an over-read would land in a
         /// neighbour), through one program per kernel family and one of
-        /// float sum lanes (a row short of a lane's span is an error). `run`
+        /// float sum lanes and one of an expression lane (a row short of a
+        /// lane's span is an error). `run`
         /// answers with a value or a typed error — a truncated or
         /// mis-declared length always with the error — and never panics.
         #[test]
@@ -1043,6 +1115,7 @@ mod tests {
                 arena.extend_from_slice(bytes);
             }
             let newest_first: Vec<ScanEntry> = entries.iter().rev().copied().collect();
+            let affine = |c| bin(Add, bin(Mul, col(c), lit(Value::Double(2.0))), lit(Value::Double(1.0)));
             let families = [
                 vec![agg("sum", 3, 0), agg("min", 2, 0), agg("avg", 5, 0), agg("max", 4, 0)],
                 vec![agg_of("sum", vec![bin(Mul, col(3), col(2))]), agg_of("avg", vec![bin(Div, col(5), col(4))])],
@@ -1050,11 +1123,13 @@ mod tests {
                 vec![agg_of("median", vec![col(5)]), agg_of("count_where", vec![col(6), bin(Gt, col(2), lit(Value::Int(0)))])],
                 vec![agg("min", 6, 0), agg("max", 6, 0)],
                 vec![agg("sum", 5, 0), agg("avg", 4, 0), agg("stddev", 5, 0), agg("count", 4, 0)],
+                vec![agg_of("sum", vec![affine(5)]), agg_of("stddev", vec![affine(5)]), agg_of("avg", vec![affine(7)])],
             ];
             let w = window();
-            for aggs in &families {
+            for (aggs, expr_lanes) in families.iter().zip([0, 0, 0, 0, 0, 0, 1]) {
                 let refs: Vec<&BoundAggregate> = aggs.iter().collect();
                 let wp = WindowProgram::compile(&w, &refs, &codec).expect("compiles");
+                proptest::prop_assert_eq!(wp.expr_lanes.len(), expr_lanes);
                 let orders = [
                     (EntryOrder::Ascending, &entries),
                     (EntryOrder::ReversedScan, &newest_first),
@@ -1109,6 +1184,10 @@ mod tests {
                 _ => Value::Double(pick(44, 4001) as f64 * 0.125 - 250.0),
             },
             s,
+            match pick(60, 4) {
+                0 => Value::Null,
+                _ => Value::Double(d * 0.5),
+            },
         ])
     }
 
@@ -1300,6 +1379,10 @@ mod tests {
                 4 => Value::Null,
                 w => Value::string(words[w as usize]),
             },
+            match pick(30, 7) {
+                0 => Value::Null,
+                e => Value::Double(pick(36, 64) as f64 * 0.75 - e as f64),
+            },
         ])
     }
 
@@ -1308,9 +1391,10 @@ mod tests {
 
         /// Extended windows fold a block at a time: windows of 0–300 rows
         /// cross several blocks (and the request row may open a new one),
-        /// in both entry orders, with every family in one window and
-        /// expression and generic errors at random rows, in random
-        /// aggregate order. The answer — or the error — equals the
+        /// in both entry orders, with every family and an expression lane in
+        /// one window and expression and generic errors at random rows, in
+        /// random aggregate order: the lane, stepped first, cannot fail, so
+        /// it changes no error. The answer — or the error — equals the
         /// interpreter's fold of the same rows, in Debug form, and `probe`
         /// runs once per 64 rows fed before the first failing row, the
         /// request row included: as often as the row-at-a-time fold ran it.
@@ -1362,6 +1446,9 @@ mod tests {
                 agg_of("sum", vec![bin(Mul, col(3), lit(Value::Bigint(3)))]),
                 agg_of("avg", vec![bin(Add, bin(Mul, col(5), lit(Value::Double(2.0))), lit(Value::Double(1.0)))]),
                 agg_of("max", vec![bin(Div, col(2), col(4))]),
+                // With the `avg` above, one expression lane between the
+                // fallible expression and generic kernels.
+                agg_of("stddev", vec![bin(Add, bin(Mul, col(7), lit(Value::Double(2.0))), lit(Value::Double(1.0)))]),
                 agg("distinct_count", 5, 0), agg("distinct_count", 3, 0),
                 agg_of("topn_frequency", vec![col(6), lit(Value::Bigint(3))]),
                 agg_of("median", vec![col(5)]),
@@ -1373,6 +1460,7 @@ mod tests {
             let refs: Vec<&BoundAggregate> = aggs.iter().collect();
             let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
             proptest::prop_assert!(wp.extended && wp.needs_view);
+            proptest::prop_assert_eq!((wp.expr_lanes.len(), wp.exprs.len()), (1, 2));
 
             // The interpreter over the in-frame rows, ascending, then the
             // request row; `clean` counts the rows it took before the first

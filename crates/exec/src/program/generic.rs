@@ -140,6 +140,7 @@ mod tests {
             Value::Float(0.0),
             Value::Double(0.0),
             Value::string("not-a-bool"),
+            Value::Null,
         ])];
         // A generic aggregate that does not fail, bound before both.
         let fine = agg_of("median", vec![col(5)]);

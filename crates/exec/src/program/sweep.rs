@@ -115,8 +115,8 @@ struct Retained {
 impl WindowProgram {
     /// This program as the offline sweep of `window`. With `recompute`
     /// nothing slides and every frame is gathered and re-folded whole: the
-    /// naive oracle.
-    pub fn sweep(&self, window: &BoundWindow, recompute: bool) -> Sweep {
+    /// naive oracle. Fails only as [`compile`](WindowProgram::compile) can.
+    pub fn sweep(&self, window: &BoundWindow, recompute: bool) -> Result<Sweep> {
         let slide = !recompute && window.maxsize.is_none();
         // A `ROWS` frame over tied timestamps is gathered too, and so is a
         // streamed frame that is not every row `push` retains.
@@ -124,13 +124,13 @@ impl WindowProgram {
             || matches!(window.frame, Frame::Rows { .. })
             || window.exclude_current_row
             || window.instance_not_in_window;
-        Sweep {
-            slide: slide.then(|| self.split(false)),
-            gather: gather.then(|| self.split(true)),
+        Ok(Sweep {
+            slide: slide.then(|| self.split(false)).transpose()?,
+            gather: gather.then(|| self.split(true)).transpose()?,
             frame: window.frame,
             include: !window.exclude_current_row,
             union_only: window.instance_not_in_window,
-        }
+        })
     }
 }
 
@@ -734,7 +734,10 @@ mod tests {
             });
             arena.extend_from_slice(&bytes);
         }
-        let (fast, naive) = (wp.split(false), wp.split(true));
+        let (fast, naive) = (
+            wp.split(false).expect("splits"),
+            wp.split(true).expect("splits"),
+        );
         assert!(fast.slides() && fast.refolds() && !naive.slides());
         let (mut fs, mut ns) = (fast.new_state(), naive.new_state());
         let (mut lo, mut hi) = (0usize, 0usize);
@@ -800,7 +803,8 @@ mod tests {
         let w = window(frame);
         let sweep = WindowProgram::compile(&w, &refs, &codec)
             .expect("compiles")
-            .sweep(&w, recompute);
+            .sweep(&w, recompute)
+            .expect("sweeps");
         let fold = |entries: &[ScanEntry], arena: &[u8]| {
             let mut folded = Vec::new();
             let emit = &mut |_: u32, values: &mut Vec<Value>| folded.append(values);
@@ -908,7 +912,8 @@ mod tests {
         let w = window(Frame::RowsRange { preceding_ms: 10 });
         let sweep = WindowProgram::compile(&w, &refs, &codec)
             .expect("compiles")
-            .sweep(&w, false);
+            .sweep(&w, false)
+            .expect("sweeps");
         let mut st = sweep.new_state();
         let counts: Vec<String> = rows
             .iter()

@@ -52,7 +52,7 @@ pub(crate) fn compute(
         }
         let units = units(w, &shapes[&shape], opts.skew.as_ref());
         queue.extend(units.into_iter().map(|(p, range)| (sweeps.len(), p, range)));
-        sweeps.push((&by_window[wid], shape, wp.sweep(w, recompute)));
+        sweeps.push((&by_window[wid], shape, wp.sweep(w, recompute)?));
     }
     // A value's slot: its base row's id (the index column) times the row
     // width, plus its aggregate's position in the plan.

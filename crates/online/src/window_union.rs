@@ -117,7 +117,7 @@ impl WindowUnion {
         };
         let refs: Vec<&BoundAggregate> = specs.iter().collect();
         let program = WindowProgram::compile(&window, &refs, &codec)?;
-        let sweep: Arc<Sweep> = Arc::new(program.sweep(&window, !config.incremental));
+        let sweep: Arc<Sweep> = Arc::new(program.sweep(&window, !config.incremental)?);
         let states: Arc<States> = Arc::new(SkipMap::new());
         let error = Arc::new(Mutex::new(None));
         let loads: Arc<Vec<AtomicU64>> =

@@ -300,6 +300,45 @@ fn every_kernel_family_compiles_into_one_window_and_serves_the_reference() {
     assert_eq!(bits(&served), bits(&oracle));
 }
 
+/// 257 expression shapes (`a * c` and `b * c`, one constant `c` per shape)
+/// in one window: one lane per shape, so lane indices run past 256, and
+/// every feature serves the reference's answer — a binding whose lane index
+/// wrapped would read another shape's lane.
+#[test]
+fn more_than_256_lanes_in_one_window_serve_the_reference() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (k BIGINT, a DOUBLE, b DOUBLE, ts TIMESTAMP, INDEX(KEY=k, TS=ts))")
+        .unwrap();
+    let row = |i: i64| {
+        let (a, b) = (i as f64 * 0.5 - 3.0, (i * 7 % 13) as f64 * 0.25);
+        Row::new(vec![
+            Value::Bigint(i % 3),
+            Value::Double(a),
+            Value::Double(b),
+            Value::Timestamp(1_000 + i),
+        ])
+    };
+    for i in 0..40 {
+        db.insert_row("t", &row(i)).unwrap();
+    }
+    let features: Vec<String> = (0..257)
+        .map(|c| format!("sum(a * {c}.5) OVER w AS a{c}, avg(b * {c}.5) OVER w AS b{c}"))
+        .collect();
+    db.deploy(&format!(
+        "DEPLOY lanes AS SELECT {} FROM t WINDOW w AS (PARTITION BY k ORDER BY ts \
+         ROWS BETWEEN 10 PRECEDING AND CURRENT ROW)",
+        features.join(", ")
+    ))
+    .unwrap();
+    let dep = db.deployment("lanes").unwrap();
+    for probe in [row(40), row(41)] {
+        let served = execute_request(&db, &dep, &probe);
+        let oracle = execute_request_materialized(&db, &dep, &probe);
+        assert_eq!(oracle.as_ref().map(Row::len), Ok(514));
+        assert_eq!(bits(&served), bits(&oracle));
+    }
+}
+
 /// An overflowing integer expression is the same typed error whichever
 /// path folds it — stored row or request row.
 #[test]

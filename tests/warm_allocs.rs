@@ -6,8 +6,9 @@
 //! its key goes to the hot-keys sketch through a pooled string, and the
 //! record keeps no copy of its events. The same holds for a window mixing every
 //! kernel family: expression registers, count-map tables and the generic
-//! unit's aggregators are pooled state, cleared and never freed. And for a
-//! window of 100 DOUBLE sums and averages: its float sum lane's arrays are
+//! unit's aggregators are pooled state, cleared and never freed. And for
+//! windows of 100 DOUBLE sums, 100 averages and 50 `avg(v * 2.0 + 1.0)`: the
+//! float sum lanes' arrays and the expression lane's member registers are
 //! pooled state too.
 //!
 //! A binary of its own with a single test: the counting allocator is
@@ -123,8 +124,9 @@ fn a_warm_request_allocates_only_its_output_row() {
          WINDOW w AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 10s PRECEDING AND CURRENT ROW)",
     )
     .unwrap();
-    // 100 sums on one window and 100 averages on another: two float sum
-    // lanes of 100 members each.
+    // 100 sums on one window, 100 averages and 50 computed averages on
+    // another (`serve_wide`'s shape): two float sum lanes of 100 members
+    // each and an expression lane of 50.
     let columns: Vec<String> = (0..100).map(|c| format!("v{c} DOUBLE")).collect();
     db.execute(&format!(
         "CREATE TABLE wide (k BIGINT, ts TIMESTAMP, {}, INDEX(KEY=k, TS=ts))",
@@ -135,11 +137,12 @@ fn a_warm_request_allocates_only_its_output_row() {
         db.insert_row("wide", &wide_row(i, i % 8, i * 20)).unwrap();
     }
     let sums = (0..100).map(|c| format!("sum(v{c}) OVER w AS s{c}, avg(v{c}) OVER w2 AS a{c}"));
+    let exprs = (50..100).map(|c| format!("avg(v{c} * 2.0 + 1.0) OVER w2 AS e{c}"));
     db.deploy(&format!(
         "DEPLOY wide AS SELECT {} FROM wide \
          WINDOW w AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 2s PRECEDING AND CURRENT ROW), \
          w2 AS (PARTITION BY k ORDER BY ts ROWS BETWEEN 20 PRECEDING AND CURRENT ROW)",
-        sums.collect::<Vec<_>>().join(", ")
+        sums.chain(exprs).collect::<Vec<_>>().join(", ")
     ))
     .unwrap();
     // A latency spike must not dump a (heap-allocated) post-mortem mid-count.
