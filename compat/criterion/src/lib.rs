@@ -3,6 +3,10 @@
 //! iter_batched}`, `BatchSize`, and the `criterion_group!` /
 //! `criterion_main!` macros.
 //!
+//! Like criterion, the first command-line argument that is not a flag
+//! (`cargo bench --bench hot_paths -- sliding_window`) filters: only the
+//! benchmarks whose `group/id` (or bare `id`) contains it run.
+//!
 //! Methodology is deliberately simple (no statistical analysis or HTML
 //! reports): each benchmark warms up briefly, then runs batches until a
 //! fixed measurement budget elapses and reports the median batch's
@@ -86,11 +90,20 @@ impl Bencher {
 /// Named group of related benchmarks.
 pub struct BenchmarkGroup<'a> {
     name: String,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
+    /// Whether the group's header is printed: before its first benchmark
+    /// that runs.
+    headed: bool,
 }
 
 impl BenchmarkGroup<'_> {
     pub fn bench_function(&mut self, id: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
+        if !self.criterion.selects(&format!("{}/{id}", self.name)) {
+            return self;
+        }
+        if !std::mem::replace(&mut self.headed, true) {
+            println!("== group {} ==", self.name);
+        }
         let mut b = Bencher { ns_per_iter: 0.0 };
         f(&mut b);
         println!("{}/{:<28} {:>14.1} ns/iter", self.name, id, b.ns_per_iter);
@@ -101,19 +114,38 @@ impl BenchmarkGroup<'_> {
 }
 
 /// Top-level benchmark context.
-#[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Run only the benchmarks whose name contains this.
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    /// The filter is the first argument that is not a flag (cargo passes
+    /// `--bench`).
+    fn default() -> Self {
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with("--"));
+        Criterion { filter }
+    }
+}
 
 impl Criterion {
+    /// Whether the benchmark `name` (`group/id` or a bare `id`) runs.
+    fn selects(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
+    }
+
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        println!("== group {name} ==");
         BenchmarkGroup {
             name: name.to_string(),
-            _criterion: self,
+            criterion: self,
+            headed: false,
         }
     }
 
     pub fn bench_function(&mut self, id: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
+        if !self.selects(id) {
+            return self;
+        }
         let mut b = Bencher { ns_per_iter: 0.0 };
         f(&mut b);
         println!("{:<36} {:>14.1} ns/iter", id, b.ns_per_iter);
@@ -151,6 +183,26 @@ mod tests {
         let mut b = Bencher { ns_per_iter: 0.0 };
         b.iter(|| (0..100u64).sum::<u64>());
         assert!(b.ns_per_iter > 0.0);
+    }
+
+    #[test]
+    fn filter_selects_names_that_contain_it() {
+        let filtered = |f: Option<&str>| Criterion {
+            filter: f.map(String::from),
+        };
+        let c = filtered(Some("sliding_window"));
+        assert!(c.selects("sliding_window/slide_2k_rows"));
+        assert!(!c.selects("compiled_eval/window_fold_expr_50"));
+        let c = filtered(Some("fold_expr_5"));
+        assert!(c.selects("compiled_eval/window_fold_expr_50"));
+        assert!(c.selects("window_fold_expr_50"));
+        assert!(!c.selects("compiled_eval/window_fold_expr_1"));
+        assert!(filtered(None).selects("anything"));
+        // A group whose benchmarks are all filtered out runs none.
+        let (mut c, mut ran) = (filtered(Some("other")), false);
+        c.benchmark_group("g").bench_function("id", |_| ran = true);
+        c.bench_function("id", |_| ran = true);
+        assert!(!ran);
     }
 
     #[test]

@@ -161,7 +161,8 @@ fn skiplist(c: &mut Criterion) {
 /// One key of the window union: a 2k-tuple stream pushed through the
 /// window's sweep, 200 ms frame. The union's aggregates slide (`count`,
 /// BIGINT `sum`, INT `distinct_count`) or re-fold every frame
-/// (`recompute`); f64 `sum` and `max` re-fold per tuple even when sliding.
+/// (`recompute`); with sliding, f64 `max` slides as a monotone deque and
+/// f64 `sum` folds each tuple's frame from the key's column ring.
 fn sliding_windows(c: &mut Criterion) {
     let codec = CompactCodec::new(bench_schema());
     let rows: Vec<Vec<u8>> = (0..2_000)

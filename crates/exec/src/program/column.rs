@@ -6,13 +6,16 @@
 //!
 //! The contract every caller uses: [`KernelSpec::step_row`] a row — a stored
 //! one, or the encoded request row, which the fold steps last —
-//! [`KernelSpec::retract_row`] a stored row where [`KernelSpec::retracts`]
-//! says the fold is exactly invertible, and the bound projections
-//! ([`KernelState::project`]). A kernel retracts when it keeps only the count and
-//! the wrapping `i64` sum: both are groups under addition, so taking a row
-//! out lands on exactly the state that never saw it. f64 sums, averages and
-//! deviations depend on the order of addition, and extrema cannot forget a
-//! row; those kernels re-fold.
+//! [`KernelSpec::retract_row`] a stored row, and the bound projections
+//! ([`KernelState::project`]). Retraction is exact for the count and the
+//! wrapping `i64` sum: both are groups under addition, so taking a row out
+//! lands on exactly the state that never saw it. f64 sums, averages and
+//! deviations depend on the order of addition, so the offline sweep
+//! re-folds them per frame — from a column of their values ([`ColumnFold`]),
+//! each frame still its ascending left fold from 0.0. An extremum forgets a
+//! row through a monotone deque ([`Monotone`]): a frame's `min`/`max` is the
+//! front of the rows no later row strictly beats, compared as the fold
+//! compares them, so the first-seen tie wins as in the fold.
 //!
 //! The float sum-family kernels — `sum`/`avg`/`stddev` (with any `count`)
 //! over a FLOAT or DOUBLE column that carries no `min`/`max` — leave
@@ -25,13 +28,16 @@
 //! [`LaneState`]. A window numbers its float sum lanes, then its expression
 //! lanes, with a `u32` binding index.
 
-use openmldb_types::{Error, Result, RowView, Value};
+use std::cmp::Ordering::{self, Greater, Less};
+use std::collections::VecDeque;
+
+use openmldb_types::{CompactCodec, Error, Result, RowView, Value};
 
 use super::field::{
     binding_out_of_bounds, row_out_of_range, str_field, FieldRef, Fixed, FixedSink, KernelClass,
 };
-use super::fold::{carve, Binding};
-use crate::scratch::RowSource;
+use super::fold::{carve, Binding, WindowState};
+use crate::scratch::{RowSource, ScanEntry};
 use crate::window::Projection;
 
 /// Which running statistics a kernel maintains — the union of what its
@@ -116,20 +122,14 @@ impl KernelSpec {
         }
     }
 
-    /// Whether [`retract_row`](Self::retract_row) is exact: the kernel keeps only
-    /// the count and the wrapping `i64` sum.
-    pub(super) fn retracts(&self) -> bool {
-        !self.track.float_sums && !self.track.minmax
-    }
-
     /// Whether this kernel folds in a [`Lane`] of `class`: an f64 sum over
     /// a FLOAT or DOUBLE column with no extrema.
     fn laned(&self, class: KernelClass) -> bool {
         self.field.class == class && self.track.float_sums && !self.track.minmax
     }
 
-    /// Take stored row `buf`, stepped earlier, back out of `st`. Exact only
-    /// for a kernel that [`retracts`](Self::retracts).
+    /// Take stored row `buf`, stepped earlier, back out of `st`: exact for
+    /// the count and the wrapping `i64` sum.
     pub(super) fn retract_row(&self, st: &mut KernelState, buf: &[u8]) -> Result<()> {
         if self.field.null_in(buf) {
             return Ok(());
@@ -688,6 +688,335 @@ impl StrSlot {
     }
 }
 
+/// One `min` or `max` of a column kernel over a sliding frame, as a
+/// monotone deque (Lemire 2006): the frame's rows that no later row
+/// strictly beats, by their position in the fold order. Values compare as
+/// [`KernelState`]'s fold compares them — `total_cmp` with integers and
+/// FLOATs promoted to f64, strings by bytes — and only a strictly beaten row
+/// leaves, so among tied values (distinct BIGINTs past 2^53 tie when
+/// promoted) the earliest stays in front: the one the fold keeps. Rows
+/// leave the frame oldest first.
+#[derive(Debug)]
+pub(super) struct Monotone {
+    field: FieldRef,
+    min: bool,
+    /// Position, the value as compared, and its bits (a STRING's arena
+    /// range as `offset << 32 | length`).
+    held: VecDeque<(usize, f64, u64)>,
+}
+
+impl Monotone {
+    /// The `min` (or max) deque of `field`'s kernel.
+    pub(super) fn new(field: FieldRef, min: bool) -> Monotone {
+        let held = VecDeque::new();
+        Monotone { field, min, held }
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.held.clear();
+    }
+
+    /// Add row `buf` of `arena`, at position `at`, the newest in the frame.
+    pub(super) fn add(
+        &mut self,
+        at: usize,
+        buf: &[u8],
+        arena: &[u8],
+        codec: &CompactCodec,
+    ) -> Result<()> {
+        let field = &self.field;
+        let v = match field.class {
+            KernelClass::Str => match str_field(&codec.view(buf)?, field.col)? {
+                Some(s) => match StrSlot::of(0, s.as_bytes(), arena)? {
+                    StrSlot::Row { off, len, .. } => (0.0, u64::from(off) << 32 | u64::from(len)),
+                    StrSlot::None => return Err(binding_out_of_bounds()),
+                },
+                None => return Ok(()),
+            },
+            _ => match field.stored(buf)? {
+                Some(Fixed::Int(v)) => (v as f64, v as u64),
+                Some(Fixed::Float(v)) => (f64::from(v), u64::from(v.to_bits())),
+                Some(Fixed::Double(v)) => (v, v.to_bits()),
+                None => return Ok(()),
+            },
+        };
+        let beats = if self.min { Less } else { Greater };
+        while let Some(&(_, key, bits)) = self.held.back() {
+            if self.order(v, (key, bits), arena)? != beats {
+                break;
+            }
+            self.held.pop_back();
+        }
+        self.held.push_back((at, v.0, v.1));
+        Ok(())
+    }
+
+    /// Take row `at`, the oldest in the frame, out.
+    pub(super) fn retract(&mut self, at: usize) {
+        if self.held.front().is_some_and(|&(front, ..)| front == at) {
+            self.held.pop_front();
+        }
+    }
+
+    /// Set the frame's extremum in `st`, the sliding state of the kernel,
+    /// as its fold over the frame leaves it (a STRING as a range of the
+    /// arena, row 0 of a one-row source). The fold takes row `last`, if
+    /// any, after every other: a tie behind it in the deque wins over it.
+    pub(super) fn load(
+        &self,
+        st: &mut KernelState,
+        last: Option<usize>,
+        arena: &[u8],
+    ) -> Result<()> {
+        let mut held = self.held.iter().map(|&(at, key, bits)| (at, (key, bits)));
+        let Some((at, mut v)) = held.next() else {
+            return Ok(());
+        };
+        if let Some((_, next)) = held.next().filter(|_| Some(at) == last) {
+            if self.order(next, v, arena)?.is_eq() {
+                v = next;
+            }
+        }
+        // Each class's projection reads only its own field: set them all.
+        let (off, len) = ((v.1 >> 32) as u32, v.1 as u32);
+        let slot = StrSlot::Row { row: 0, off, len };
+        let all = (v.1 as i64, f32::from_bits(len), f64::from_bits(v.1), slot);
+        match self.min {
+            true => (st.min_i, st.min_f32, st.min_f, st.min_str) = all,
+            false => (st.max_i, st.max_f32, st.max_f, st.max_str) = all,
+        }
+        Ok(())
+    }
+
+    /// How the kernel's fold orders two of its values.
+    fn order(&self, (a, x): (f64, u64), (b, y): (f64, u64), arena: &[u8]) -> Result<Ordering> {
+        let str_at = |bits: u64| {
+            let (off, len) = ((bits >> 32) as usize, bits as u32 as usize);
+            let bytes = arena.get(off..off + len);
+            bytes.ok_or_else(|| Error::Eval("string extremum range outside its row".into()))
+        };
+        match self.field.class {
+            KernelClass::Str => Ok(str_at(x)?.cmp(str_at(y)?)),
+            _ => Ok(a.total_cmp(&b)),
+        }
+    }
+}
+
+/// Anchors whose frames the offline sweep folds from its columns at once,
+/// each a chain of its own: independent additions the core overlaps.
+pub(super) const K: usize = 4;
+
+/// One frame's f64 fold over a sweep's columns: rows `from..to` but
+/// `skip`, then the anchor row `tail` — ascending, the anchor last.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Chain<'a> {
+    pub(super) from: usize,
+    pub(super) to: usize,
+    pub(super) skip: Option<usize>,
+    pub(super) tail: Option<&'a [u8]>,
+}
+
+impl Chain<'_> {
+    /// Whether the frame is the plain run `from..to`.
+    pub(super) fn plain(&self) -> bool {
+        self.skip.is_none() && self.tail.is_none()
+    }
+}
+
+/// One member's sums over one frame.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Sums {
+    count: u64,
+    sum: f64,
+    sq: f64,
+}
+
+impl Sums {
+    /// Add `vals` in order (and their squares when `sq`).
+    #[inline(always)]
+    fn add(&mut self, vals: &[f64], sq: bool) {
+        for v in vals {
+            self.sum += v;
+        }
+        if sq {
+            for v in vals {
+                self.sq += v * v;
+            }
+        }
+    }
+}
+
+/// The f64 sum-family kernels the offline sweep folds from columns: every
+/// float sum lane member of its sliding program, then every column kernel
+/// that keeps an f64 sum, with where its sums go. The sliding steps leave
+/// their sums alone (a lane) or let them drift (a kernel, which retracts
+/// only its count and integer sum): each output sets them first.
+#[derive(Debug)]
+pub(super) struct ColumnFold {
+    /// Each member's field, whether it keeps the sum of squares, and its
+    /// lane (`None`: a column kernel) and index there.
+    members: Vec<(FieldRef, bool, Option<usize>, usize)>,
+}
+
+/// A [`ColumnFold`]'s columns over the first rows of a partition or of a
+/// streamed key, and its last sums — pooled sweep scratch.
+#[derive(Debug, Default)]
+pub(super) struct ColumnCache {
+    /// Per member, its values (0.0 where NULL: a fold from +0.0 never holds
+    /// -0.0, so adding +0.0 changes no bit).
+    vals: Vec<Vec<f64>>,
+    /// Per member, `seen[i]`: its non-NULL values among the first `i` rows.
+    seen: Vec<Vec<u64>>,
+    /// Per member, the sums of the chain the last fold went on from, then
+    /// one block per chain it folded.
+    sums: Vec<Sums>,
+    /// The last fold's last chain, when plain: the next may go on from it.
+    carry: Option<(usize, usize)>,
+}
+
+impl ColumnFold {
+    /// The fold of `lanes` (a program's float sum lanes) and of the f64
+    /// sums `kernels` keep, or `None` when there is none.
+    pub(super) fn of(kernels: &[KernelSpec], lanes: &[Lane]) -> Option<ColumnFold> {
+        let lanes = lanes.iter().enumerate().flat_map(|(l, lane)| {
+            let fields = lane.fields.iter().enumerate();
+            fields.map(move |(m, f)| (*f, lane.sum_sq, Some(l), m))
+        });
+        let kernels = (kernels.iter().enumerate()).filter(|(_, s)| s.track.float_sums);
+        let kernels = kernels.map(|(k, s)| (s.field, s.track.sum_sq, None, k));
+        let members: Vec<_> = lanes.chain(kernels).collect();
+        (!members.is_empty()).then_some(ColumnFold { members })
+    }
+
+    /// Keep the first `end` rows of `cache` (0: a fresh partition); a carry
+    /// reaching past them goes.
+    pub(super) fn truncate(&self, cache: &mut ColumnCache, end: usize) {
+        cache.vals.iter_mut().for_each(|v| v.truncate(end));
+        cache.seen.iter_mut().for_each(|s| s.truncate(end + 1));
+        cache.carry = cache.carry.filter(|&(_, to)| to <= end);
+    }
+
+    /// Fold `chains` — consecutive anchors' frames, at most [`K`] — over
+    /// the columns of `rows` (slices of `arena`), extracted as far as the
+    /// chains reach, each an ascending left fold from 0.0. A chain that
+    /// starts where the one before it started (the last fold's last, for
+    /// the first) and reaches at least as far goes on from its sums: the
+    /// same fold. [`K`] chains that all start afresh fold in lockstep up to
+    /// the shortest one's first gap.
+    pub(super) fn fold(
+        &self,
+        cache: &mut ColumnCache,
+        rows: (&[ScanEntry], &[u8]),
+        chains: &[Chain],
+    ) -> Result<()> {
+        let (n, (rows, arena)) = (self.members.len(), rows);
+        let end = chains.iter().map(|c| c.to).max().unwrap_or(0);
+        cache.vals.resize_with(n, Vec::new);
+        cache.seen.resize_with(n, || vec![0]);
+        let held = cache.vals.first().map_or(0, Vec::len);
+        for e in rows.get(held..end).unwrap_or_default() {
+            let cols = cache.vals.iter_mut().zip(&mut cache.seen);
+            for (m, (v, s)) in self.members.iter().zip(cols) {
+                let x = m.0.stored(e.bytes(arena))?;
+                v.push(x.map_or(0.0, Fixed::as_f64));
+                s.push(s.last().copied().unwrap_or(0) + u64::from(x.is_some()));
+            }
+        }
+        let (vals, seen) = (&cache.vals, &cache.seen);
+        let (sums, carry) = (&mut cache.sums, &mut cache.carry);
+        sums.drain(..sums.len().saturating_sub(n));
+        sums.resize(n * (chains.len() + 1), Sums::default());
+        let gap = |c: &Chain| c.skip.unwrap_or(c.to).min(c.to);
+        // Where each chain's fold starts, and whether it goes on.
+        let mut start = [(0, false); K];
+        for (s, c) in start.iter_mut().zip(chains) {
+            let on = carry.filter(|&(from, to)| from == c.from && to <= gap(c));
+            *s = (on.map_or(c.from, |p| p.1), on.is_some());
+            *carry = c.plain().then_some((c.from, c.to));
+        }
+        let fresh = chains.len() == K && start.iter().all(|s| !s.1);
+        let shortest = chains
+            .iter()
+            .zip(&start)
+            .map(|(c, s)| gap(c).saturating_sub(s.0));
+        let head = shortest.min().filter(|_| fresh).unwrap_or(0);
+        let members = self.members.iter().zip(vals.iter().zip(seen.iter()));
+        for (m, (&(field, sq, ..), (vals, seen))) in members.enumerate() {
+            let rows =
+                |from: usize, to: usize| vals.get(from..to).ok_or_else(binding_out_of_bounds);
+            let count = |from: usize, to: usize| Some(seen.get(to)? - seen.get(from)?);
+            let mut acc = [Sums::default(); K];
+            if head > 0 {
+                let [r0, r1, r2, r3] = start.map(|s| rows(s.0, s.0 + head));
+                lockstep([r0?, r1?, r2?, r3?], sq, &mut acc);
+            }
+            for (j, ((c, &(from, on)), a)) in chains.iter().zip(&start).zip(&mut acc).enumerate() {
+                if on {
+                    *a = *sums.get(j * n + m).ok_or_else(binding_out_of_bounds)?;
+                }
+                a.add(rows(from + head, gap(c))?, sq);
+                let mut total = count(c.from, c.to);
+                if let Some(k) = c.skip.filter(|&k| k < c.to) {
+                    a.add(rows(k + 1, c.to)?, sq);
+                    total = total.zip(count(k, k + 1)).map(|(t, k)| t - k);
+                }
+                a.count = total.ok_or_else(binding_out_of_bounds)?;
+                if let Some(v) = c.tail.map(|t| field.stored(t)).transpose()?.flatten() {
+                    a.add(&[v.as_f64()], sq);
+                    a.count += 1;
+                }
+                *sums
+                    .get_mut((j + 1) * n + m)
+                    .ok_or_else(binding_out_of_bounds)? = *a;
+            }
+        }
+        Ok(())
+    }
+
+    /// Set chain `j` of the last fold into a state of the program this was
+    /// made of: the counts and sums its lanes and kernels project.
+    pub(super) fn fill(&self, cache: &ColumnCache, j: usize, st: &mut WindowState) -> Result<()> {
+        let n = self.members.len();
+        let sums = cache.sums.get((j + 1) * n..(j + 2) * n);
+        for (&(_, _, lane, i), s) in self
+            .members
+            .iter()
+            .zip(sums.ok_or_else(binding_out_of_bounds)?)
+        {
+            let Some(l) = lane else {
+                let k = st.kernels.get_mut(i).ok_or_else(binding_out_of_bounds)?;
+                (k.count, k.sum_f, k.sum_sq) = (s.count, s.sum, s.sq);
+                continue;
+            };
+            let lane = st.lanes.get_mut(l).ok_or_else(binding_out_of_bounds)?;
+            match (lane.count.get_mut(i), lane.sum.get_mut(i)) {
+                (Some(c), Some(v)) => (*c, *v) = (s.count, s.sum),
+                _ => return Err(binding_out_of_bounds()),
+            }
+            if let Some(q) = lane.sum_sq.get_mut(i) {
+                *q = s.sq;
+            }
+        }
+        Ok(())
+    }
+}
+
+// HOT: the offline sweep's float sums — [`K`] frames' left folds advance
+// one row each per step, so their dependent additions overlap instead of
+// each waiting on the one before. Each chain adds exactly its own rows in
+// order: its bits are its serial fold's.
+#[inline(always)]
+fn lockstep([r0, r1, r2, r3]: [&[f64]; K], sq: bool, acc: &mut [Sums; K]) {
+    let [a0, a1, a2, a3] = acc;
+    for (((v0, v1), v2), v3) in r0.iter().zip(r1).zip(r2).zip(r3) {
+        (a0.sum, a1.sum, a2.sum, a3.sum) = (a0.sum + v0, a1.sum + v1, a2.sum + v2, a3.sum + v3);
+        if sq {
+            (a0.sq, a1.sq) = (a0.sq + v0 * v0, a1.sq + v1 * v1);
+            (a2.sq, a3.sq) = (a2.sq + v2 * v2, a3.sq + v3 * v3);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,28 +1071,65 @@ mod tests {
         aggs
     }
 
+    /// The offline sweep's split: counts, integer sums and extrema slide
+    /// (extrema re-fold where the sweep steps the anchor row out of turn),
+    /// and the f64 sum family folds from columns into the same sliding
+    /// program; the naive oracle re-folds everything.
     #[test]
-    fn retract_contract_covers_only_count_and_integer_sums() {
+    fn retract_contract_slides_counts_integer_sums_and_extrema() {
         let codec = CompactCodec::new(schema());
-        // Per aggregate, whether it slides: bound to a kernel that retracts
-        // (a float sum's lane never does).
-        let retracts = |aggs: &[BoundAggregate]| {
+        let split = |aggs: &[BoundAggregate], exclude: bool, recompute: bool| {
+            let mut w = window();
+            w.exclude_current_row = exclude;
             let refs: Vec<&BoundAggregate> = aggs.iter().collect();
-            let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
-            wp.split(false).expect("splits").slid
+            let wp = WindowProgram::compile(&w, &refs, &codec).expect("compiles");
+            wp.split(recompute).expect("splits")
         };
-        assert!(retracts(&exact()).iter().all(|r| *r));
-        for inexact in [
-            ("sum", 5),
-            ("sum", 4),
-            ("avg", 3),
-            ("stddev", 2),
-            ("min", 3),
-            ("max", 6),
+        let exact = split(&exact(), false, false);
+        assert!(exact.slid.iter().all(|s| *s) && exact.columns.is_none());
+        // Per case, whether the sliding program folds f64 sums from columns.
+        for (f, c, columns) in [
+            ("sum", 5, true),
+            ("sum", 4, true),
+            ("avg", 3, true),
+            ("stddev", 2, true),
+            ("min", 3, false),
+            ("max", 6, false),
+            ("max", 5, false),
         ] {
-            let aggs = [agg("count", inexact.1, 0), agg(inexact.0, inexact.1, 0)];
-            assert_eq!(retracts(&aggs), [false, false], "{inexact:?}");
+            let aggs = [agg("count", c, 0), agg(f, c, 0)];
+            let slid = split(&aggs, false, false);
+            assert_eq!(
+                (slid.slid.as_slice(), slid.columns.is_some()),
+                (&[true, true][..], columns)
+            );
+            let extremum = matches!(f, "min" | "max");
+            assert_eq!(
+                split(&aggs, true, false).slid,
+                [true, !extremum],
+                "{f}({c})"
+            );
+            assert_eq!(split(&aggs, false, true).slid, [false, false], "{f}({c})");
         }
+        // Both extrema of a column slide as deques off its kernel, whose f64
+        // sums, like another column's lane, fold from columns into the
+        // sliding program's state: nothing re-folds.
+        let aggs = [
+            agg("max", 5, 0),
+            agg("avg", 5, 0),
+            agg("min", 5, 0),
+            agg("sum", 7, 0),
+        ];
+        let split = split(&aggs, false, false);
+        assert_eq!(split.slid, [true; 4]);
+        let extrema: Vec<_> = split.extrema.iter().map(|e| (e.0, e.2)).collect();
+        assert_eq!(extrema, [(0, false), (0, true)]);
+        let slide = split
+            .slide
+            .as_ref()
+            .map(|p| (p.kernels.len(), p.lanes.len()));
+        assert_eq!(slide, Some((1, 1)));
+        assert!(split.columns.is_some() && split.refold.is_none());
     }
 
     proptest::proptest! {

@@ -20,7 +20,7 @@
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
 use openmldb_types::{CompactCodec, Result, RowView, Value};
 
-use super::column::{carve_lanes, KernelSpec, KernelState, Lane, LaneState};
+use super::column::{carve_lanes, ColumnFold, KernelSpec, KernelState, Lane, LaneState};
 use super::countmap::{CountMap, TopnSpec, TopnState};
 use super::expression::{carve_expr_lanes, ExprKernel, ExprLane, Reg, NULL_REG};
 use super::field::{
@@ -81,8 +81,8 @@ pub(super) fn carve<T>(
 /// Pooled per-window fold state of every family (lives in the request
 /// scratch so warm requests never allocate).
 pub struct WindowState {
-    kernels: Vec<KernelState>,
-    lanes: Vec<LaneState>,
+    pub(super) kernels: Vec<KernelState>,
+    pub(super) lanes: Vec<LaneState>,
     /// The expression lanes' sums, and one register file they share (sized
     /// to the largest lane).
     expr_lanes: Vec<LaneState>,
@@ -384,16 +384,28 @@ impl WindowProgram {
     }
 
     /// This program's aggregates parted in two programs: the ones that
-    /// slide — bound to a column kernel whose fold retracts exactly
-    /// ([`KernelSpec::retracts`]) or, unless `recompute`, to a count map —
-    /// and the ones that re-fold.
+    /// slide — a count map's, or a column kernel's count, integer sum or
+    /// extremum (a [`Monotone`](super::column::Monotone) deque) — with the
+    /// f64 sum family of column
+    /// kernels and float sum lanes, which fold from columns
+    /// ([`ColumnFold`]) into the same program's state; and the rest, which
+    /// re-fold. A window whose sweep steps the anchor row out of turn
+    /// (`EXCLUDE CURRENT_ROW`, `INSTANCE_NOT_IN_WINDOW`) re-folds its
+    /// extrema; with `recompute` every aggregate re-folds.
     pub(super) fn split(&self, recompute: bool) -> Result<Split> {
+        use Projection::{Max, Min};
+        let w = &self.window;
+        let out_of_turn = w.exclude_current_row || w.instance_not_in_window;
         let slid: Vec<bool> = (self.bindings.iter())
             .map(|b| match *b {
-                Binding::Column { k, .. } => self.kernels.get(k).is_some_and(KernelSpec::retracts),
-                Binding::Distinct { .. } | Binding::TopN { .. } => true,
-                Binding::Lane { .. } | Binding::Expr { .. } | Binding::Generic { .. } => false,
-            } && !recompute)
+                _ if recompute => false,
+                Binding::Column {
+                    proj: Min | Max, ..
+                } => !out_of_turn,
+                Binding::Column { .. } | Binding::Distinct { .. } | Binding::TopN { .. } => true,
+                Binding::Lane { l, .. } => (l as usize) < self.lanes.len(),
+                Binding::Expr { .. } | Binding::Generic { .. } => false,
+            })
             .collect();
         let part = |slides: bool| {
             let aggs: Vec<&BoundAggregate> = (self.aggs.iter().zip(&slid))
@@ -402,8 +414,23 @@ impl WindowProgram {
             let lower = || Self::lower(&self.window, &aggs, &self.codec);
             (!aggs.is_empty()).then(lower).transpose()
         };
+        let slide = part(true)?;
+        let extrema = (slide.iter()).flat_map(|p| {
+            p.bindings.iter().filter_map(|b| match *b {
+                Binding::Column {
+                    k,
+                    proj: m @ (Min | Max),
+                } => Some((k, p.kernels.get(k)?.field, m == Min)),
+                _ => None,
+            })
+        });
+        let columns = slide
+            .as_ref()
+            .and_then(|p| ColumnFold::of(&p.kernels, &p.lanes));
         Ok(Split {
-            slide: part(true)?,
+            extrema: extrema.collect(),
+            columns,
+            slide,
             refold: part(false)?,
             slid,
         })

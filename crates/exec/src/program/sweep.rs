@@ -8,30 +8,46 @@
 //! and `MAXSIZE`; the row itself is fed last unless `EXCLUDE CURRENT_ROW`.
 //! Where every frame is a contiguous run of the fold order — range and
 //! unbounded frames, `ROWS` frames over distinct timestamps — two pointers
-//! walk the partition. A kernel whose fold is exactly invertible *slides*:
-//! a row is added when it enters the frame and retracted when it leaves.
-//! Each family module decides which of its kernels retract: `count` and the
-//! wrapping `i64` sum of an integer column (`column`), and the count map
-//! behind `distinct_count` / `topn_frequency` (`countmap`). Every other kernel
-//! — f64 sums, averages and deviations, extrema, expression and generic
-//! kernels — *re-folds* the frame through [`WindowProgram::run`], ascending
-//! with the anchor row last, as a request folds (a frame whose start did
-//! not move continues the previous fold instead: the same left fold). The
-//! re-fold runs a program holding only the kernels that do not slide, so a
-//! string count map is viewed once when a row enters and once when it
-//! leaves, not once per frame visit. Otherwise — `MAXSIZE`, `ROWS` over
-//! ties, and the naive oracle — each frame is gathered per source the way a
-//! request scans it (newest first, the `ROWS` count per source), cut by the
-//! program's frame guard and re-folded whole, every kernel included.
+//! walk the partition, and the window's aggregates part three ways
+//! ([`Half`]; each family module decides which of its kernels go where):
+//!
+//! * A kernel whose fold forgets a row exactly *slides*: a row is added
+//!   when it enters the frame and retracted when it leaves. `count` and the
+//!   wrapping `i64` sum of an integer column retract (`column`), so does
+//!   the count map behind `distinct_count` / `topn_frequency` (`countmap`),
+//!   and a column's `min` / `max` slides as a monotone deque (`column`'s
+//!   `Monotone`), keyed by row position and popping only strictly beaten
+//!   rows, so the first-seen tie wins as in the fold.
+//! * The f64 sum family — `sum`/`avg`/`stddev` of column kernels and float
+//!   sum lanes — folds from columns: each member's values are extracted
+//!   once per partition into pooled scratch (`column`'s `ColumnFold`), and
+//!   [`K`] consecutive anchors' frames fold in lockstep, each chain still
+//!   its frame's ascending left fold from 0.0 with the anchor last. The
+//!   sums fill the kernels' and lanes' states in the sliding program,
+//!   which projects them as a request's fold would.
+//! * Every other kernel — expression and generic kernels — *re-folds* the
+//!   frame through [`WindowProgram::run`], as a request folds.
+//!
+//! A frame whose start did not move continues the previous fold instead
+//! (the same left fold). A window whose anchor row is stepped out of turn
+//! (`EXCLUDE CURRENT_ROW`, `INSTANCE_NOT_IN_WINDOW`) re-folds its extrema.
+//! Otherwise — `MAXSIZE`, `ROWS` over ties, and the naive oracle — each
+//! frame is gathered per source the way a request scans it (newest first,
+//! the `ROWS` count per source), cut by the program's frame guard and
+//! re-folded whole, every kernel included: the oracle shares none of the
+//! sliding or column code.
 //!
 //! [`Sweep::push`] runs the same split over a stream, one row at a time:
 //! the window union's per-key state is a [`SweepState`] holding the rows a
-//! frame can still reach, and each push answers for the key's newest row.
+//! frame can still reach (and their columns), and each push answers for the
+//! key's newest row, one chain per push.
 //!
-//! Both halves of the split are [`WindowProgram`]s of their own, and both
-//! run their families' contract: the sliding half steps and retracts rows
-//! ([`WindowProgram::slide_row`]), the re-fold half folds through the serve
-//! loop. This module holds no kernel code.
+//! The sliding and column halves are one [`WindowProgram`], the re-fold
+//! half another, and each runs its families' contract: the sliding
+//! program steps and retracts rows ([`WindowProgram::slide_row`]), has its
+//! extrema and f64 sums set, and projects; the re-fold program folds
+//! through the serve loop. When nothing re-folds, the sliding program
+//! projects straight into the output row.
 
 use std::cmp::Reverse;
 
@@ -39,28 +55,38 @@ use openmldb_sql::ast::Frame;
 use openmldb_sql::plan::BoundWindow;
 use openmldb_types::{CompactCodec, Result, Value};
 
-use super::field::binding_out_of_bounds;
+use super::column::{Chain, ColumnCache, ColumnFold, Monotone, K};
+use super::field::{binding_out_of_bounds, FieldRef};
 use super::fold::{EntryOrder, FoldRows, WindowProgram, WindowState};
 use crate::scratch::ScanEntry;
 
-/// A window program split into the kernels that slide and a re-fold program
-/// of the rest, each a program of its own.
+/// A window program split in two programs: the aggregates that slide or
+/// fold from columns, and the ones that re-fold.
 #[derive(Debug)]
 pub(super) struct Split {
-    /// The kernels whose fold retracts exactly, stepped into and out of one
-    /// running state as frames move (`None`: nothing slides).
+    /// The kernels that slide, and the f64 sum-family kernels and lanes
+    /// that fold from columns (`None`: every aggregate re-folds).
     pub(super) slide: Option<WindowProgram>,
-    /// The kernels that do not slide (`None`: every aggregate slides).
+    /// Each extremum `slide` projects: its kernel, its field and whether it
+    /// is the minimum — one deque each.
+    pub(super) extrema: Vec<(usize, FieldRef, bool)>,
+    /// How `slide`'s f64 sums fold from columns (`None`: it has none).
+    pub(super) columns: Option<ColumnFold>,
+    /// The kernels that re-fold (`None`: none does).
     pub(super) refold: Option<WindowProgram>,
     /// Per aggregate, in aggregate order, whether its value comes from
     /// `slide`.
     pub(super) slid: Vec<bool>,
 }
 
-/// A [`Split`]'s running state: each program's pooled [`WindowState`], and
-/// their values staged for one output row.
+/// A [`Split`]'s running state: each program's pooled [`WindowState`], the
+/// deques and columns, and the values of both programs staged for one
+/// output row.
+#[derive(Default)]
 struct SplitState {
     slide: Option<WindowState>,
+    deques: Vec<Monotone>,
+    cols: ColumnCache,
     refold: Option<WindowState>,
     slid: Vec<Value>,
     refolded: Vec<Value>,
@@ -69,8 +95,8 @@ struct SplitState {
 /// A window program as the offline sweep of its window.
 #[derive(Debug)]
 pub struct Sweep {
-    /// Slides the exact kernels and re-folds the rest over runs of the fold
-    /// order (`None`: every frame is gathered — `MAXSIZE`, the naive oracle).
+    /// Slides, folds from columns and re-folds over runs of the fold order
+    /// (`None`: every frame is gathered — `MAXSIZE`, the naive oracle).
     slide: Option<Split>,
     /// Re-folds every kernel over gathered frames; its program carries the
     /// frame guards (`None`: no frame is gathered — a range or unbounded
@@ -138,15 +164,17 @@ impl Split {
     fn new_state(&self) -> SplitState {
         SplitState {
             slide: self.slide.as_ref().map(WindowProgram::new_state),
+            deques: (self.extrema.iter())
+                .map(|&(_, f, min)| Monotone::new(f, min))
+                .collect(),
             refold: self.refold.as_ref().map(WindowProgram::new_state),
-            slid: Vec::new(),
-            refolded: Vec::new(),
+            ..SplitState::default()
         }
     }
 
     /// Whether any kernel slides ([`Split::step`] is a no-op otherwise).
     fn slides(&self) -> bool {
-        self.slide.is_some()
+        (self.slide.as_ref()).is_some_and(|p| !(p.kernels.is_empty() && p.maps.is_empty()))
     }
 
     /// Whether any kernel re-folds (the frame passed to [`Split::output`]
@@ -155,80 +183,102 @@ impl Split {
         self.refold.is_some()
     }
 
-    /// Empty the sliding state for the next partition.
+    /// Empty the sliding state and the columns for the next partition.
     fn clear(&self, st: &mut SplitState) {
         if let Some(state) = &mut st.slide {
             state.reset();
         }
+        st.deques.iter_mut().for_each(Monotone::clear);
+        if let Some(fold) = &self.columns {
+            fold.truncate(&mut st.cols, 0);
+        }
     }
 
-    /// Add the encoded row `buf` (a slice of `arena`) to the sliding
-    /// state, or retract it (`add` false).
+    /// Add row `rows[at]` (a slice of `arena`) to the sliding state, the
+    /// newest, or retract it (`add` false), the oldest.
     fn step(
         &self,
         st: &mut SplitState,
-        buf: &[u8],
+        rows: &[ScanEntry],
+        at: usize,
         arena: &[u8],
         codec: &CompactCodec,
         add: bool,
     ) -> Result<()> {
-        match (&self.slide, st.slide.as_mut()) {
-            (Some(program), Some(state)) => program.slide_row(state, buf, arena, codec, add),
-            _ => Ok(()),
+        let (Some(program), Some(state)) = (&self.slide, st.slide.as_mut()) else {
+            return Ok(());
+        };
+        let buf = rows.get(at).ok_or_else(binding_out_of_bounds)?.bytes(arena);
+        program.slide_row(state, buf, arena, codec, add)?;
+        for deque in &mut st.deques {
+            match add {
+                true => deque.add(at, buf, arena, codec)?,
+                false => deque.retract(at),
+            }
         }
+        Ok(())
     }
 
-    /// One output row: re-fold the kernels that do not slide over `frame`
-    /// (ascending, the anchor row last when it joins), then push one value
-    /// per aggregate, in aggregate order, into `out`. When the first
-    /// `folded` rows of `frame` are exactly the frame of the previous output
-    /// (its start did not move), the fold continues from there instead —
-    /// the same left fold, so the same bits.
+    /// One output row: re-fold the kernels that re-fold over `frame`
+    /// (ascending, the anchor row last when it joins), set chain `chain.0`
+    /// of the last column fold and the deques' extrema into the sliding
+    /// state — whose row `chain.1`, if any, the fold takes last, out of
+    /// turn — and project it, then push one value per aggregate, in
+    /// aggregate order, into `out`. When the first `folded` rows of `frame`
+    /// are exactly the frame of the previous output (its start did not
+    /// move), the re-fold continues from there instead — the same left
+    /// fold, so the same bits.
+    #[allow(clippy::too_many_arguments)]
     fn output(
         &self,
         st: &mut SplitState,
         frame: &[ScanEntry],
         folded: usize,
+        chain: (usize, Option<usize>),
         arena: &[u8],
         codec: &CompactCodec,
         out: &mut Vec<Value>,
     ) -> Result<()> {
         let SplitState {
             slide,
+            deques,
+            cols,
             refold,
             slid,
             refolded,
         } = st;
+        let refolds = self.refolds();
         if let (Some(program), Some(state)) = (&self.refold, refold.as_mut()) {
-            let order = EntryOrder::Ascending;
-            match folded {
-                f if f == 0 || f > frame.len() => {
-                    program.run(state, frame, 0, order, arena, None, codec, &mut || Ok(()))?
-                }
-                // `state` holds the fold of `frame[..folded]`: go on.
-                _ => {
-                    let (stored, ext) = (&(frame, arena), program.extended);
-                    let rows = FoldRows {
-                        stored,
-                        request: None,
-                    };
-                    program.feed_entries(
-                        ext,
-                        state,
-                        &rows,
-                        folded,
-                        order,
-                        codec,
-                        &mut || Ok(()),
-                    )?;
-                    program.finish(state, &rows)?;
-                }
+            // `state` holds the fold of `frame[..folded]`: go on, or start
+            // afresh.
+            let go_on = folded > 0 && folded <= frame.len();
+            if !go_on {
+                state.reset();
             }
+            let folded = if go_on { folded } else { 0 };
+            let rows = FoldRows {
+                stored: &(frame, arena),
+                request: None,
+            };
+            let (ext, order) = (program.extended, EntryOrder::Ascending);
+            program.feed_entries(ext, state, &rows, folded, order, codec, &mut || Ok(()))?;
+            program.finish(state, &rows)?;
             program.outputs_into(state, arena, None, refolded)?;
         }
         if let (Some(program), Some(state)) = (&self.slide, slide.as_mut()) {
+            if let Some(fold) = &self.columns {
+                fold.fill(cols, chain.0, state)?;
+            }
+            for ((k, ..), deque) in self.extrema.iter().zip(deques.iter()) {
+                let st = state.kernels.get_mut(*k);
+                deque.load(st.ok_or_else(binding_out_of_bounds)?, chain.1, arena)?;
+            }
             program.finish(state, &arena)?;
-            program.outputs_into(state, arena, None, slid)?;
+            // Nothing re-folds: the sliding program's values are the row's.
+            program.outputs_into(state, arena, None, if refolds { slid } else { out })?;
+        }
+        if !refolds {
+            return Ok(());
         }
         let (mut slid, mut refold) = (slid.drain(..), refolded.drain(..));
         for &slides in &self.slid {
@@ -303,17 +353,29 @@ impl Sweep {
         let at = rows.get(*first..).unwrap_or_default();
         let at = at.partition_point(|e| e.ts <= ts);
         rows.insert(*first + at, entry);
-        let slide = self.slide.as_ref().zip(st.slide.as_mut());
-        if let Some((sweep, fast)) = slide {
-            sweep.step(fast, entry.bytes(arena), arena, codec, true)?;
+        if let Some((sweep, fast)) = self.slide.as_ref().zip(st.slide.as_mut()) {
+            sweep.step(fast, rows, *first + at, arena, codec, true)?;
+            // A row that lands before the newest re-steps the deques; the
+            // columns from its place on are extracted again when folded.
+            if *first + at + 1 < rows.len() {
+                for deque in &mut fast.deques {
+                    deque.clear();
+                    for (i, e) in rows.iter().enumerate().skip(*first) {
+                        deque.add(i, e.bytes(arena), arena, codec)?;
+                    }
+                }
+            }
+            if let Some(fold) = &sweep.columns {
+                fold.truncate(&mut fast.cols, *first + at);
+            }
         }
         // Drop what no frame from this anchor on reaches.
         let gone = self.below_frame(rows.get(*first..).unwrap_or_default());
-        for e in rows.get(*first..*first + gone).unwrap_or_default() {
+        for i in *first..*first + gone {
             if let Some((sweep, fast)) = self.slide.as_ref().zip(st.slide.as_mut()) {
-                sweep.step(fast, e.bytes(arena), arena, codec, false)?;
+                sweep.step(fast, rows, i, arena, codec, false)?;
             }
-            *live -= e.len;
+            *live -= rows.get(i).map_or(0, |e| e.len);
         }
         *first += gone;
         if gone > 0 || at < *held {
@@ -330,7 +392,16 @@ impl Sweep {
         let folded = std::mem::take(held);
         match self.slide.as_ref().zip(st.slide.as_mut()) {
             Some((sweep, fast)) if whole => {
-                sweep.output(fast, frame, folded, arena, codec, out)?;
+                if let Some(fold) = &sweep.columns {
+                    let (from, to) = (*first, rows.len());
+                    let chain = Chain {
+                        from,
+                        to,
+                        ..Chain::default()
+                    };
+                    fold.fold(&mut fast.cols, (rows, arena), &[chain])?;
+                }
+                sweep.output(fast, frame, folded, (0, None), arena, codec, out)?;
                 *held = frame.len();
             }
             _ => {
@@ -377,9 +448,10 @@ impl Sweep {
             .saturating_add(1 + usize::from(!self.include))
     }
 
-    /// Copy the retained rows into a fresh arena in fold order and re-step
-    /// them into fresh sliding state: count-map string keys, and the
-    /// re-fold state's string extrema, are offsets into the old arena.
+    /// Copy the retained rows into a fresh arena in fold order, re-step
+    /// them into fresh sliding state and re-extract their columns:
+    /// count-map string keys and string extrema are offsets into the old
+    /// arena.
     fn compact(
         &self,
         fast: Option<&mut SplitState>,
@@ -396,8 +468,8 @@ impl Sweep {
         (kept.arena, kept.first, kept.held) = (arena, 0, 0);
         if let Some((sweep, fast)) = self.slide.as_ref().zip(fast) {
             sweep.clear(fast);
-            for e in &kept.rows {
-                sweep.step(fast, e.bytes(&kept.arena), &kept.arena, codec, true)?;
+            for i in 0..kept.rows.len() {
+                sweep.step(fast, &kept.rows, i, &kept.arena, codec, true)?;
             }
         }
         Ok(())
@@ -444,7 +516,9 @@ impl Sweep {
     }
 
     /// Two pointers over the eligible rows `e`: the sliding kernels hold
-    /// `e[x..y)`, the anchor moves to the end of its frame.
+    /// `e[x..y)`, the anchor moves to the end of its frame. The anchors go
+    /// [`K`] at a time: their frames first, folded from the columns at
+    /// once, then each one's output.
     fn slide_frames(
         &self,
         sweep: &Split,
@@ -464,83 +538,105 @@ impl Sweep {
         let mut span: Option<(usize, usize)> = None;
         // The slice of `e` the re-fold state holds, when it holds one.
         let mut held: Option<(usize, usize)> = None;
-        for &(g, row) in anchors {
-            let Some(&r) = entries.get(g) else {
-                continue;
-            };
-            // The anchor's position among the eligible rows, if it is one.
-            let own = (!self.union_only).then_some(g);
-            // Both frame edges only move forward: walk them from the last.
-            let (px, py) = span.unwrap_or_default();
-            let mut hi = py;
-            while e.get(hi).is_some_and(|v| v.ts <= r.ts) {
-                hi += 1;
-            }
-            let lo = match self.frame {
-                Frame::Unbounded => 0,
-                Frame::RowsRange { preceding_ms } => {
-                    let from = r.ts.saturating_sub(preceding_ms);
-                    let mut lo = px;
-                    while lo < hi && e.get(lo).is_some_and(|v| v.ts < from) {
-                        lo += 1;
+        for batch in anchors.chunks(K) {
+            // Each anchor's frame, both edges walked forward from the last
+            // anchor's: the run `e[x..y)`, less the anchor's own row when it
+            // is an eligible row (`own`) but not the run's last, then the
+            // anchor — a request folds it last, if at all.
+            let (mut spans, mut chains, mut walk) = ([(0, 0); K], [Chain::default(); K], span);
+            for ((&(g, _), s), c) in batch.iter().zip(&mut spans).zip(&mut chains) {
+                let r = entries.get(g).ok_or_else(binding_out_of_bounds)?;
+                let own = (!self.union_only).then_some(g);
+                let (px, py) = walk.unwrap_or_default();
+                let mut hi = py;
+                while e.get(hi).is_some_and(|v| v.ts <= r.ts) {
+                    hi += 1;
+                }
+                let lo = match self.frame {
+                    Frame::Unbounded => 0,
+                    Frame::RowsRange { preceding_ms } => {
+                        let from = r.ts.saturating_sub(preceding_ms);
+                        let mut lo = px;
+                        while lo < hi && e.get(lo).is_some_and(|v| v.ts < from) {
+                            lo += 1;
+                        }
+                        lo
                     }
-                    lo
-                }
-                Frame::Rows { preceding } => {
-                    let rows =
-                        preceding as usize + usize::from(!include) + usize::from(own.is_some());
-                    hi.saturating_sub(rows)
-                }
-            };
-            let (mut x, mut y) = span.unwrap_or((lo, lo));
-            if sweep.slides() {
-                for v in e.get(y..hi).unwrap_or_default() {
-                    sweep.step(fast, v.bytes(arena), arena, codec, true)?;
-                }
-                for v in e.get(x..lo).unwrap_or_default() {
-                    sweep.step(fast, v.bytes(arena), arena, codec, false)?;
-                }
-            }
-            (x, y) = (x.max(lo), y.max(hi));
-            span = Some((x, y));
-            // The request folds the anchor last, if at all: the sliding
-            // state holds it exactly when the frame does.
-            let adjust = match (own.is_some(), include) {
-                (true, false) => Some(false),
-                (false, true) => Some(true),
-                _ => None,
-            };
-            let adjust = adjust.filter(|_| sweep.slides());
-            if let Some(add) = adjust {
-                sweep.step(fast, r.bytes(arena), arena, codec, add)?;
-            }
-            let (rows, direct) = match own {
-                _ if !sweep.refolds() => (&[][..], None),
-                Some(k) if k + 1 == y => {
-                    let end = if include { y } else { k };
-                    (e.get(x..end).unwrap_or_default(), Some((x, end)))
-                }
-                _ => {
-                    frame.clear();
-                    let others = e.get(x..y).unwrap_or_default().iter().enumerate();
-                    frame.extend(others.filter(|&(i, _)| Some(x + i) != own).map(|(_, v)| *v));
-                    if include {
-                        frame.push(r);
+                    Frame::Rows { preceding } => {
+                        let rows =
+                            preceding as usize + usize::from(!include) + usize::from(own.is_some());
+                        hi.saturating_sub(rows)
                     }
-                    (&frame[..], None)
-                }
-            };
-            // A frame whose start did not move extends the one folded last.
-            let folded = match (held, direct) {
-                (Some((a, b)), Some((a2, b2))) if a == a2 && b <= b2 => b - a,
-                _ => 0,
-            };
-            held = direct;
-            sweep.output(fast, rows, folded, arena, codec, out)?;
-            if let Some(add) = adjust {
-                sweep.step(fast, r.bytes(arena), arena, codec, !add)?;
+                };
+                let (x, y) = walk.map_or((lo, hi), |(x, y)| (x.max(lo), y.max(hi)));
+                (*s, walk) = ((x, y), Some((x, y)));
+                *c = match own {
+                    Some(k) if k + 1 == y => Chain {
+                        from: x,
+                        to: if include { y } else { k },
+                        ..Chain::default()
+                    },
+                    _ => Chain {
+                        from: x,
+                        to: y,
+                        skip: own,
+                        tail: include.then(|| r.bytes(arena)),
+                    },
+                };
             }
-            emit(row, out);
+            let chains = chains.get(..batch.len()).unwrap_or_default();
+            if let Some(fold) = &sweep.columns {
+                fold.fold(&mut fast.cols, (e, arena), chains)?;
+            }
+            let frames = batch.iter().zip(&spans).zip(chains);
+            for (j, ((&(g, row), &(x, y)), c)) in frames.enumerate() {
+                let r = *entries.get(g).ok_or_else(binding_out_of_bounds)?;
+                let (px, py) = span.unwrap_or((x, x));
+                if sweep.slides() {
+                    for i in py..y {
+                        sweep.step(fast, e, i, arena, codec, true)?;
+                    }
+                    for i in px..x {
+                        sweep.step(fast, e, i, arena, codec, false)?;
+                    }
+                }
+                span = Some((x, y));
+                // The sliding state holds the anchor exactly when the
+                // frame does.
+                let adjust = match (!self.union_only, include) {
+                    (true, false) => Some(false),
+                    (false, true) => Some(true),
+                    _ => None,
+                };
+                let adjust = adjust.filter(|_| sweep.slides());
+                if let Some(add) = adjust {
+                    sweep.step(fast, entries, g, arena, codec, add)?;
+                }
+                let run = e.get(c.from..c.to).unwrap_or_default();
+                let rows = match () {
+                    _ if !sweep.refolds() || c.plain() => run,
+                    _ => {
+                        frame.clear();
+                        let others = run.iter().enumerate();
+                        let others = others.filter(|&(i, _)| Some(c.from + i) != c.skip);
+                        frame.extend(others.map(|(_, v)| *v));
+                        frame.extend(c.tail.map(|_| r));
+                        &frame[..]
+                    }
+                };
+                // A frame whose start did not move extends the one folded last.
+                let direct = c.plain().then_some((c.from, c.to));
+                let folded = match (held, direct) {
+                    (Some((a, b)), Some((a2, b2))) if a == a2 && b <= b2 => b - a,
+                    _ => 0,
+                };
+                held = direct;
+                sweep.output(fast, rows, folded, (j, c.skip), arena, codec, out)?;
+                if let Some(add) = adjust {
+                    sweep.step(fast, entries, g, arena, codec, !add)?;
+                }
+                emit(row, out);
+            }
         }
         Ok(())
     }
@@ -621,7 +717,7 @@ impl Sweep {
             if include && first < total {
                 frame.push(r);
             }
-            naive.output(state, frame, 0, arena, codec, out)?;
+            naive.output(state, frame, 0, (0, None), arena, codec, out)?;
             emit(row, out);
         }
         Ok(())
@@ -650,6 +746,8 @@ mod tests {
             ColumnDef::new("i", DataType::Int),
             ColumnDef::new("d", DataType::Double),
             ColumnDef::new("s", DataType::String),
+            ColumnDef::new("b", DataType::Bigint),
+            ColumnDef::new("f", DataType::Float),
         ])
         .expect("valid schema")
     }
@@ -684,18 +782,72 @@ mod tests {
         WindowProgram::compile(&window(Frame::Unbounded), &refs, &codec).expect("compiles")
     }
 
+    /// A BIGINT near `i64::MAX` or `i64::MIN`: distinct values that tie
+    /// once promoted to f64, where the extremum is the first seen.
+    fn edge_bigint(i: i32) -> i64 {
+        let k = i64::from(i.unsigned_abs());
+        if i % 2 == 0 {
+            i64::MAX - k
+        } else {
+            i64::MIN + k
+        }
+    }
+
+    /// A DOUBLE from `n`, `d` in most draws: NULL, ±0.0, NaN or a run of
+    /// equal values in the rest.
+    fn edge_double(n: u64, d: f64) -> Option<f64> {
+        match n % 10 {
+            0 => None,
+            1 => Some(-0.0),
+            2 => Some(0.0),
+            3 => Some(f64::NAN),
+            4 => Some(7.5),
+            _ => Some(d),
+        }
+    }
+
+    /// A row of `schema()`: BIGINT and FLOAT follow INT and DOUBLE.
+    fn edge_row(ts: i64, i: Option<i32>, d: Option<f64>, s: Option<&str>) -> Row {
+        Row::new(vec![
+            Value::Timestamp(ts),
+            i.map_or(Value::Null, Value::Int),
+            d.map_or(Value::Null, Value::Double),
+            s.map_or(Value::Null, Value::string),
+            i.map_or(Value::Null, |i| Value::Bigint(edge_bigint(i))),
+            d.map_or(Value::Null, |d| Value::Float(d as f32)),
+        ])
+    }
+
+    /// Extrema of every class — INT, BIGINT ties past 2^53, FLOAT, DOUBLE
+    /// and STRING — and the f64 sum family over a DOUBLE lane (a `stddev`
+    /// member) and an INT kernel (`avg`).
+    fn extrema_and_sums() -> Vec<BoundAggregate> {
+        let col = PhysExpr::Column;
+        let mut aggs = Vec::new();
+        for c in [1, 2, 3, 4, 5] {
+            aggs.extend([agg("min", vec![col(c)]), agg("max", vec![col(c)])]);
+        }
+        aggs.extend([
+            agg("stddev", vec![col(2)]),
+            agg("avg", vec![col(1)]),
+            agg("stddev", vec![col(1)]),
+            agg("avg", vec![col(5)]),
+        ]);
+        aggs
+    }
+
     /// Frames sliding over a row stream give what re-folding each frame
-    /// gives, for every family: sliding counts, integer sums and count maps
-    /// (string and fixed), re-folded f64 sums, extrema, expressions and a
-    /// generic aggregate.
+    /// gives, for every family: sliding counts, integer sums, count maps
+    /// (string and fixed) and extrema of every class, f64 sums folded from
+    /// columns, re-folded expressions and a generic aggregate — frame by
+    /// frame, and over whole partitions every row answers, sliding or not.
     #[test]
     fn sliding_frames_equal_refolded_frames() {
         let col = PhysExpr::Column;
-        let aggs = vec![
+        let mut aggs = vec![
             agg("count", vec![col(1)]),
             agg("sum", vec![col(1)]),
             agg("sum", vec![col(2)]),
-            agg("min", vec![col(3)]),
             agg("distinct_count", vec![col(3)]),
             agg(
                 "topn_frequency",
@@ -705,26 +857,20 @@ mod tests {
             agg("count", vec![col(3)]),
             agg("drawdown", vec![col(2)]),
         ];
+        aggs.extend(extrema_and_sums());
         let wp = program(&aggs);
         let codec = CompactCodec::new(schema());
         let words = ["a", "bb", "a", "c", "bb", "a", "dd"];
         let mut arena = Vec::new();
         let mut entries = Vec::new();
         for i in 0..240i64 {
-            let row = Row::new(vec![
-                Value::Timestamp(i),
-                if i % 5 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int((i * 37 % 97) as i32 - 40)
-                },
-                Value::Double((i as f64 * 0.37).sin() * 100.0),
-                if i % 6 == 0 {
-                    Value::Null
-                } else {
-                    Value::string(words[(i * 5 % 7) as usize])
-                },
-            ]);
+            let n = i as u64 * 7 % 23;
+            let row = edge_row(
+                i,
+                (i % 5 != 0).then_some((i * 37 % 97) as i32 - 40),
+                edge_double(n, (i as f64 * 0.37).sin() * 100.0),
+                (i % 6 != 0).then(|| words[(i * 5 % 7) as usize]),
+            );
             let bytes = codec.encode(&row).expect("encode");
             entries.push(ScanEntry {
                 ts: i,
@@ -738,28 +884,79 @@ mod tests {
             wp.split(false).expect("splits"),
             wp.split(true).expect("splits"),
         );
-        assert!(fast.slides() && fast.refolds() && !naive.slides());
+        assert!(fast.slides() && fast.refolds() && fast.columns.is_some() && !naive.slides());
+        assert_eq!(fast.extrema.len(), 10);
         let (mut fs, mut ns) = (fast.new_state(), naive.new_state());
         let (mut lo, mut hi) = (0usize, 0usize);
         for (end, width) in (1..=240).zip([3usize, 9, 1, 14, 6, 60].into_iter().cycle()) {
             while hi < end {
-                fast.step(&mut fs, entries[hi].bytes(&arena), &arena, &codec, true)
+                fast.step(&mut fs, &entries, hi, &arena, &codec, true)
                     .unwrap();
                 hi += 1;
             }
             while lo < end.saturating_sub(width) {
-                fast.step(&mut fs, entries[lo].bytes(&arena), &arena, &codec, false)
+                fast.step(&mut fs, &entries, lo, &arena, &codec, false)
                     .unwrap();
                 lo += 1;
             }
             let frame = &entries[lo..hi];
+            let chain = Chain {
+                from: lo,
+                to: hi,
+                ..Chain::default()
+            };
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            fast.output(&mut fs, frame, 0, &arena, &codec, &mut a)
+            (fast.columns.as_ref().expect("columns"))
+                .fold(&mut fs.cols, (&entries, &arena), &[chain])
+                .unwrap();
+            fast.output(&mut fs, frame, 0, (0, None), &arena, &codec, &mut a)
                 .unwrap();
             naive
-                .output(&mut ns, frame, 0, &arena, &codec, &mut b)
+                .output(&mut ns, frame, 0, (0, None), &arena, &codec, &mut b)
                 .unwrap();
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "frame {lo}..{hi}");
+        }
+        // Whole partitions, every row an anchor, K frames at a time, over
+        // distinct timestamps and over ties (the anchor then folds after
+        // rows that follow it in the partition; a 0 ms range frame is its
+        // ts's rows alone, where a BIGINT tie behind the anchor must win).
+        let aggs: Vec<&BoundAggregate> = aggs.iter().collect();
+        let anchors: Vec<(usize, u32)> = (0..entries.len()).map(|g| (g, g as u32)).collect();
+        let tied: Vec<ScanEntry> = (entries.iter().enumerate())
+            .map(|(i, e)| ScanEntry {
+                ts: e.ts / 3,
+                seq: i,
+                ..*e
+            })
+            .collect();
+        for (entries, frame) in [&entries, &tied].into_iter().flat_map(|e| {
+            [
+                Frame::RowsRange { preceding_ms: 17 },
+                Frame::RowsRange { preceding_ms: 0 },
+                Frame::Rows { preceding: 6 },
+                Frame::Unbounded,
+            ]
+            .map(|f| (e, f))
+        }) {
+            for exclude in [false, true] {
+                let mut w = window(frame);
+                w.exclude_current_row = exclude;
+                let wp = WindowProgram::compile(&w, &aggs, &codec).expect("compiles");
+                let [a, b] = [false, true].map(|recompute| {
+                    let sweep = wp.sweep(&w, recompute).expect("sweeps");
+                    let mut folded = Vec::new();
+                    let emit = &mut |row: u32, values: &mut Vec<Value>| {
+                        folded.push(format!("{row} {values:?}"));
+                        values.clear();
+                    };
+                    let mut st = sweep.new_state();
+                    sweep
+                        .fold_partition(&mut st, entries, &anchors, &arena, &codec, emit)
+                        .expect("fold");
+                    folded
+                });
+                assert_eq!(a, b, "{frame:?} exclude={exclude}");
+            }
         }
     }
 
@@ -787,6 +984,9 @@ mod tests {
             agg("sum", vec![twice]),
             agg("drawdown", vec![col(2)]),
         ]
+        .into_iter()
+        .chain(extrema_and_sums())
+        .collect()
     }
 
     /// `(ts, i, d, s)`, NULL as `None`.
@@ -819,12 +1019,7 @@ mod tests {
         let (mut pushed, mut compactions) = (Vec::new(), 0);
         let (mut all, mut all_arena) = (Vec::<ScanEntry>::new(), Vec::new());
         for (n, &(ts, i, d, s)) in rows.iter().enumerate() {
-            let row = Row::new(vec![
-                Value::Timestamp(ts),
-                i.map_or(Value::Null, Value::Int),
-                d.map_or(Value::Null, Value::Double),
-                s.map_or(Value::Null, Value::string),
-            ]);
+            let row = edge_row(ts, i, d, s);
             let bytes = codec.encode(&row).expect("encode");
             let before = st.kept.arena.len();
             pushed.clear();
@@ -855,13 +1050,15 @@ mod tests {
 
         /// `push` over a stream answers what `fold_partition` answers over
         /// the retained rows anchored at the newest, bit for bit, for every
-        /// kernel family, with rows out of order and tied, NULLs and random
-        /// doubles, sliding or recomputing; a stream long enough to leave
-        /// rows behind compacts the arena on the way.
+        /// kernel family and extrema of every class, with rows out of order
+        /// and tied, NULLs, random doubles, ±0.0, NaN, runs of equal values
+        /// and BIGINTs that tie once promoted, sliding or recomputing; a
+        /// stream long enough to leave rows behind compacts the arena on
+        /// the way.
         #[test]
         fn push_equals_fold_partition_over_retained_rows(
             raw in proptest::collection::vec(
-                (-5i64..5, -60i32..50, -1e6f64..1e6, 0u8..6, 0usize..6),
+                (-5i64..5, -60i32..50, -1e6f64..1e6, 0u64..10, 0usize..6),
                 100..180,
             ),
             frame in proptest::prop_oneof![
@@ -877,7 +1074,7 @@ mod tests {
                 .enumerate()
                 .map(|(n, &(jitter, i, d, null_d, s))| {
                     let ts = n as i64 * 2 + jitter;
-                    (ts, (i >= -50).then_some(i), (null_d > 0).then_some(d), words.get(s).copied())
+                    (ts, (i >= -50).then_some(i), edge_double(null_d, d), words.get(s).copied())
                 })
                 .collect();
             for recompute in [false, true] {
@@ -918,12 +1115,7 @@ mod tests {
         let counts: Vec<String> = rows
             .iter()
             .map(|&(ts, i, ..)| {
-                let row = Row::new(vec![
-                    Value::Timestamp(ts),
-                    i.map_or(Value::Null, Value::Int),
-                    Value::Null,
-                    Value::Null,
-                ]);
+                let row = edge_row(ts, i, None, None);
                 let bytes = codec.encode(&row).expect("encode");
                 let mut out = Vec::new();
                 sweep

@@ -221,6 +221,10 @@ mod tests {
             ("k", DataType::Bigint),
             ("v", DataType::Double),
             ("ts", DataType::Timestamp),
+            ("i", DataType::Int),
+            ("b", DataType::Bigint),
+            ("f", DataType::Float),
+            ("s", DataType::String),
         ])
         .unwrap()
     }
@@ -243,11 +247,9 @@ mod tests {
     }
 
     fn row(k: i64, v: f64, ts: i64) -> Row {
-        Row::new(vec![
-            Value::Bigint(k),
-            Value::Double(v),
-            Value::Timestamp(ts),
-        ])
+        let mut values = vec![Value::Bigint(k), Value::Double(v), Value::Timestamp(ts)];
+        values.resize(7, Value::Null);
+        Row::new(values)
     }
 
     fn compile(sql: &str) -> CompiledQuery {
@@ -294,23 +296,41 @@ mod tests {
     }
 
     /// The sliding sweep and the naive oracle are one program: equal bit for
-    /// bit on random doubles (f64 sums re-fold in request order), over every
-    /// frame kind, ties, NULLs, union and window attributes.
+    /// bit on random doubles (f64 sums fold in request order), ±0.0, NaN and
+    /// runs of equal values, over every frame kind, ties, NULLs, union and
+    /// window attributes — extrema of every class included, BIGINTs that
+    /// tie once promoted among them.
     #[test]
     fn incremental_and_recompute_agree_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(21);
         let mut gen = |n: usize| -> Vec<Row> {
             (0..n)
                 .map(|_| {
-                    let v = match rng.gen_range(0..8) {
-                        0 => Value::Null,
-                        _ => Value::Double(rng.gen_range(-1e3..1e3)),
+                    let v = match rng.gen_range(0..12) {
+                        0 => None,
+                        1 => Some(-0.0),
+                        2 => Some(0.0),
+                        3 => Some(f64::NAN),
+                        4 | 5 => Some(2.5),
+                        _ => Some(rng.gen_range(-1e3..1e3)),
                     };
                     let ts = rng.gen_range(0..60i64) * 7;
+                    let edge = rng.gen_range(0..64i64);
+                    let b = [i64::MAX - edge, i64::MIN + edge][rng.gen_range(0..2usize)];
+                    let s = ["", "a", "ab", "b"][rng.gen_range(0..4usize)];
+                    let null = rng.gen_range(0..6) == 0;
                     Row::new(vec![
                         Value::Bigint(rng.gen_range(0..4)),
-                        v,
+                        v.map_or(Value::Null, Value::Double),
                         Value::Timestamp(ts),
+                        if null {
+                            Value::Null
+                        } else {
+                            Value::Int(rng.gen_range(-9..9))
+                        },
+                        if null { Value::Null } else { Value::Bigint(b) },
+                        v.map_or(Value::Null, |v| Value::Float(v as f32)),
+                        if null { Value::Null } else { Value::string(s) },
                     ])
                 })
                 .collect()
@@ -320,7 +340,10 @@ mod tests {
         tables.insert("u".to_string(), gen(120));
         let aggs = "sum(v) OVER w AS s, count(v) OVER w AS c, max(v) OVER w AS m, \
                     avg(v * 2.0 + 1.0) OVER w AS a, distinct_count(k) OVER w AS d, \
-                    drawdown(v) OVER w AS dd, stddev(v) OVER w AS sd";
+                    drawdown(v) OVER w AS dd, stddev(v) OVER w AS sd, min(v) OVER w AS mv, \
+                    min(i) OVER w AS mi, max(i) OVER w AS xi, avg(i) OVER w AS ai, \
+                    min(b) OVER w AS mb, max(b) OVER w AS xb, min(f) OVER w AS mf, \
+                    max(f) OVER w AS xf, min(s) OVER w AS ms, max(s) OVER w AS xs";
         for frame in [
             "ROWS_RANGE BETWEEN 70 PRECEDING AND CURRENT ROW",
             "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW",

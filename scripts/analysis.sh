@@ -81,7 +81,7 @@ if [ "$QUICK" -eq 0 ]; then
     cargo test -q --release --test consistency --test proptest_consistency
     cargo test -q --release -p openmldb-offline
 
-    step "streamed sweep: every push == fold_partition, union slide == re-fold, block and lane folds == interpreter (release)"
+    step "streamed sweep: every push == fold_partition, slide (extrema deques, column-folded f64 sums) == re-fold, block and lane folds == interpreter (release)"
     cargo test -q --release -p openmldb-exec sweep
     cargo test -q --release -p openmldb-exec retract_contract
     cargo test -q --release -p openmldb-exec block_fold
