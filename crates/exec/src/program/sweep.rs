@@ -8,8 +8,8 @@
 //! and `MAXSIZE`; the row itself is fed last unless `EXCLUDE CURRENT_ROW`.
 //! Where every frame is a contiguous run of the fold order — range and
 //! unbounded frames, `ROWS` frames over distinct timestamps — two pointers
-//! walk the partition, and the window's aggregates part three ways
-//! ([`Half`]; each family module decides which of its kernels go where):
+//! walk the partition, and the window's aggregates part three ways (each
+//! family module decides which of its kernels go where):
 //!
 //! * A kernel whose fold forgets a row exactly *slides*: a row is added
 //!   when it enters the frame and retracted when it leaves. `count` and the
@@ -26,7 +26,7 @@
 //!   sums fill the kernels' and lanes' states in the sliding program,
 //!   which projects them as a request's fold would.
 //! * Every other kernel — expression and generic kernels — *re-folds* the
-//!   frame through [`WindowProgram::run`], as a request folds.
+//!   frame through the serve loop, as a request folds.
 //!
 //! A frame whose start did not move continues the previous fold instead
 //! (the same left fold). A window whose anchor row is stepped out of turn
