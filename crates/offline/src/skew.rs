@@ -90,7 +90,7 @@ mod tests {
     fn query(frame: &str) -> CompiledQuery {
         compile_select(
             &parse_select(&format!(
-                "SELECT k, sum(v) OVER w AS s, count(v) OVER w AS c FROM t \
+                "SELECT k, sum(v) OVER w AS s, count(v) OVER w AS c, max(v) OVER w AS m FROM t \
                  WINDOW w AS (PARTITION BY k ORDER BY ts {frame})"
             ))
             .unwrap(),
