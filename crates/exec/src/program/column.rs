@@ -31,10 +31,11 @@
 use std::cmp::Ordering::{self, Greater, Less};
 use std::collections::VecDeque;
 
-use openmldb_types::{CompactCodec, Error, Result, RowView, Value};
+use openmldb_types::{Error, Result, RowView, Value};
 
 use super::field::{
-    binding_out_of_bounds, row_out_of_range, str_field, FieldRef, Fixed, FixedSink, KernelClass,
+    binding_out_of_bounds, row_out_of_range, str_field, str_without_view, FieldRef, Fixed,
+    FixedSink, KernelClass,
 };
 use super::fold::{carve, Binding, WindowState};
 use crate::scratch::{RowSource, ScanEntry};
@@ -126,6 +127,16 @@ impl KernelSpec {
     /// a FLOAT or DOUBLE column with no extrema.
     fn laned(&self, class: KernelClass) -> bool {
         self.field.class == class && self.track.float_sums && !self.track.minmax
+    }
+
+    /// Keep only the count and the wrapping `i64` sum: the offline sweep's
+    /// deques and column folds own the kernel's extrema and f64 sums.
+    pub(super) fn keep_retractable(&mut self) {
+        let int_sum = self.track.int_sum;
+        self.track = Track {
+            int_sum,
+            ..Track::default()
+        };
     }
 
     /// Take stored row `buf`, stepped earlier, back out of `st`: exact for
@@ -700,8 +711,8 @@ impl StrSlot {
 pub(super) struct Monotone {
     field: FieldRef,
     min: bool,
-    /// Position, the value as compared, and its bits (a STRING's arena
-    /// range as `offset << 32 | length`).
+    /// Position, the value as compared, and its bits (a STRING's range of
+    /// its own row as `offset << 32 | length`).
     held: VecDeque<(usize, f64, u64)>,
 }
 
@@ -716,18 +727,18 @@ impl Monotone {
         self.held.clear();
     }
 
-    /// Add row `buf` of `arena`, at position `at`, the newest in the frame.
+    /// Add row `at` of `rows`, the newest in the frame: its bytes `buf`,
+    /// viewed as `view` (needed for a STRING).
     pub(super) fn add(
         &mut self,
-        at: usize,
-        buf: &[u8],
-        arena: &[u8],
-        codec: &CompactCodec,
+        (at, buf): (usize, &[u8]),
+        view: Option<&RowView<'_>>,
+        rows: &dyn RowSource,
     ) -> Result<()> {
         let field = &self.field;
         let v = match field.class {
-            KernelClass::Str => match str_field(&codec.view(buf)?, field.col)? {
-                Some(s) => match StrSlot::of(0, s.as_bytes(), arena)? {
+            KernelClass::Str => match str_field(view.ok_or_else(str_without_view)?, field.col)? {
+                Some(s) => match StrSlot::of(at, s.as_bytes(), buf)? {
                     StrSlot::Row { off, len, .. } => (0.0, u64::from(off) << 32 | u64::from(len)),
                     StrSlot::None => return Err(binding_out_of_bounds()),
                 },
@@ -741,8 +752,8 @@ impl Monotone {
             },
         };
         let beats = if self.min { Less } else { Greater };
-        while let Some(&(_, key, bits)) = self.held.back() {
-            if self.order(v, (key, bits), arena)? != beats {
+        while let Some(&(back, key, bits)) = self.held.back() {
+            if self.order((at, v.0, v.1), (back, key, bits), rows)? != beats {
                 break;
             }
             self.held.pop_back();
@@ -759,28 +770,36 @@ impl Monotone {
     }
 
     /// Set the frame's extremum in `st`, the sliding state of the kernel,
-    /// as its fold over the frame leaves it (a STRING as a range of the
-    /// arena, row 0 of a one-row source). The fold takes row `last`, if
-    /// any, after every other: a tie behind it in the deque wins over it.
+    /// as its fold over the frame leaves it (a STRING as a range of its row
+    /// among `rows`). The fold takes row `last`, if any, after every other:
+    /// a tie behind it in the deque wins over it.
     pub(super) fn load(
         &self,
         st: &mut KernelState,
         last: Option<usize>,
-        arena: &[u8],
+        rows: &dyn RowSource,
     ) -> Result<()> {
-        let mut held = self.held.iter().map(|&(at, key, bits)| (at, (key, bits)));
-        let Some((at, mut v)) = held.next() else {
+        let mut held = self.held.iter();
+        let Some(mut v) = held.next().copied() else {
             return Ok(());
         };
-        if let Some((_, next)) = held.next().filter(|_| Some(at) == last) {
-            if self.order(next, v, arena)?.is_eq() {
+        if let Some(&next) = held.next().filter(|_| Some(v.0) == last) {
+            if self.order(next, v, rows)?.is_eq() {
                 v = next;
             }
         }
         // Each class's projection reads only its own field: set them all.
-        let (off, len) = ((v.1 >> 32) as u32, v.1 as u32);
-        let slot = StrSlot::Row { row: 0, off, len };
-        let all = (v.1 as i64, f32::from_bits(len), f64::from_bits(v.1), slot);
+        let (at, _, bits) = v;
+        let slot = match self.field.class {
+            KernelClass::Str => held_str(at, bits)?,
+            _ => StrSlot::None,
+        };
+        let all = (
+            bits as i64,
+            f32::from_bits(bits as u32),
+            f64::from_bits(bits),
+            slot,
+        );
         match self.min {
             true => (st.min_i, st.min_f32, st.min_f, st.min_str) = all,
             false => (st.max_i, st.max_f32, st.max_f, st.max_str) = all,
@@ -788,18 +807,26 @@ impl Monotone {
         Ok(())
     }
 
-    /// How the kernel's fold orders two of its values.
-    fn order(&self, (a, x): (f64, u64), (b, y): (f64, u64), arena: &[u8]) -> Result<Ordering> {
-        let str_at = |bits: u64| {
-            let (off, len) = ((bits >> 32) as usize, bits as u32 as usize);
-            let bytes = arena.get(off..off + len);
-            bytes.ok_or_else(|| Error::Eval("string extremum range outside its row".into()))
-        };
+    /// How the kernel's fold orders two of its held values.
+    fn order(
+        &self,
+        (i, a, x): (usize, f64, u64),
+        (j, b, y): (usize, f64, u64),
+        rows: &dyn RowSource,
+    ) -> Result<Ordering> {
+        let str_at = |at: usize, bits: u64| StrSlot::resolve(held_str(at, bits)?, rows);
         match self.field.class {
-            KernelClass::Str => Ok(str_at(x)?.cmp(str_at(y)?)),
+            KernelClass::Str => Ok(str_at(i, x)?.cmp(str_at(j, y)?)),
             _ => Ok(a.total_cmp(&b)),
         }
     }
+}
+
+/// A held STRING: the range `bits` of row `at`.
+fn held_str(at: usize, bits: u64) -> Result<StrSlot> {
+    let row = u32::try_from(at).map_err(|_| row_out_of_range())?;
+    let (off, len) = ((bits >> 32) as u32, bits as u32);
+    Ok(StrSlot::Row { row, off, len })
 }
 
 /// Anchors whose frames the offline sweep folds from its columns at once,
@@ -849,8 +876,9 @@ impl Sums {
 /// The f64 sum-family kernels the offline sweep folds from columns: every
 /// float sum lane member of its sliding program, then every column kernel
 /// that keeps an f64 sum, with where its sums go. The sliding steps leave
-/// their sums alone (a lane) or let them drift (a kernel, which retracts
-/// only its count and integer sum): each output sets them first.
+/// their sums alone — a lane is not stepped, a kernel keeps only its count
+/// and integer sum there ([`KernelSpec::keep_retractable`]) — and each
+/// output sets them first.
 #[derive(Debug)]
 pub(super) struct ColumnFold {
     /// Each member's field, whether it keeps the sum of squares, and its

@@ -414,7 +414,7 @@ impl WindowProgram {
             let lower = || Self::lower(&self.window, &aggs, &self.codec);
             (!aggs.is_empty()).then(lower).transpose()
         };
-        let slide = part(true)?;
+        let mut slide = part(true)?;
         let extrema = (slide.iter()).flat_map(|p| {
             p.bindings.iter().filter_map(|b| match *b {
                 Binding::Column {
@@ -424,11 +424,17 @@ impl WindowProgram {
                 _ => None,
             })
         });
+        let extrema = extrema.collect();
         let columns = slide
             .as_ref()
             .and_then(|p| ColumnFold::of(&p.kernels, &p.lanes));
+        // The deques and the column fold own the extrema and f64 sums: the
+        // sliding steps keep only counts and integer sums.
+        for spec in slide.iter_mut().flat_map(|p| &mut p.kernels) {
+            spec.keep_retractable();
+        }
         Ok(Split {
-            extrema: extrema.collect(),
+            extrema,
             columns,
             slide,
             refold: part(false)?,
@@ -535,28 +541,27 @@ impl WindowProgram {
         self.finish(state, &rows)
     }
 
-    /// Step stored row `buf` into a sliding program's state, or (`add`
+    /// Step row `at` of `rows` into a sliding program's state, or (`add`
     /// false) retract it: the kernels [`split`](Self::split) slides, with
-    /// STRING keys kept as offsets of `arena` — one row of it.
+    /// STRING keys kept as slices of that row. `buf` is its bytes, `view`
+    /// their view when [`needs_view`](Self::needs_view).
     pub(super) fn slide_row(
         &self,
         state: &mut WindowState,
-        buf: &[u8],
-        arena: &[u8],
-        codec: &CompactCodec,
+        (at, buf): (usize, &[u8]),
+        view: Option<&RowView<'_>>,
+        rows: &dyn RowSource,
         add: bool,
     ) -> Result<()> {
-        let view = self.needs_view.then(|| codec.view(buf)).transpose()?;
-        let (view, home, rows) = (view.as_ref(), (0, arena), &arena as &dyn RowSource);
         for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
             match add {
-                true => spec.step_row(st, buf, view, home, rows)?,
+                true => spec.step_row(st, buf, view, (at, buf), rows)?,
                 false => spec.retract_row(st, buf)?,
             }
         }
         for (field, map) in self.maps.iter().zip(state.maps.iter_mut()) {
             match add {
-                true => map.tally_row(field, buf, view, home, rows)?,
+                true => map.tally_row(field, buf, view, (at, buf), rows)?,
                 false => map.untally_row(field, buf, view, rows)?,
             }
         }

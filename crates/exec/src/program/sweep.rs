@@ -58,7 +58,7 @@ use openmldb_types::{CompactCodec, Result, Value};
 use super::column::{Chain, ColumnCache, ColumnFold, Monotone, K};
 use super::field::{binding_out_of_bounds, FieldRef};
 use super::fold::{EntryOrder, FoldRows, WindowProgram, WindowState};
-use crate::scratch::ScanEntry;
+use crate::scratch::{RowSource, ScanEntry};
 
 /// A window program split in two programs: the aggregates that slide or
 /// fold from columns, and the ones that re-fold.
@@ -194,25 +194,26 @@ impl Split {
         }
     }
 
-    /// Add row `rows[at]` (a slice of `arena`) to the sliding state, the
-    /// newest, or retract it (`add` false), the oldest.
+    /// Add row `at` of `rows` to the sliding state, the newest, or
+    /// retract it (`add` false), the oldest. The state keeps its strings by
+    /// row position: later steps and the output read the same `rows`.
     fn step(
         &self,
         st: &mut SplitState,
-        rows: &[ScanEntry],
+        rows: &dyn RowSource,
         at: usize,
-        arena: &[u8],
         codec: &CompactCodec,
         add: bool,
     ) -> Result<()> {
         let (Some(program), Some(state)) = (&self.slide, st.slide.as_mut()) else {
             return Ok(());
         };
-        let buf = rows.get(at).ok_or_else(binding_out_of_bounds)?.bytes(arena);
-        program.slide_row(state, buf, arena, codec, add)?;
+        let buf = rows.row_at(at)?;
+        let view = program.needs_view.then(|| codec.view(buf)).transpose()?;
+        program.slide_row(state, (at, buf), view.as_ref(), rows, add)?;
         for deque in &mut st.deques {
             match add {
-                true => deque.add(at, buf, arena, codec)?,
+                true => deque.add((at, buf), view.as_ref(), rows)?,
                 false => deque.retract(at),
             }
         }
@@ -220,11 +221,11 @@ impl Split {
     }
 
     /// One output row: re-fold the kernels that re-fold over `frame`
-    /// (ascending, the anchor row last when it joins), set chain `chain.0`
+    /// (ascending, the anchor row last when it joins), set chain `slid.0`
     /// of the last column fold and the deques' extrema into the sliding
-    /// state — whose row `chain.1`, if any, the fold takes last, out of
-    /// turn — and project it, then push one value per aggregate, in
-    /// aggregate order, into `out`. When the first `folded` rows of `frame`
+    /// state — whose row `slid.1`, if any, the fold takes last, out of
+    /// turn, and whose rows are `slid.2` — and project it, then push one
+    /// value per aggregate, in aggregate order, into `out`. When the first `folded` rows of `frame`
     /// are exactly the frame of the previous output (its start did not
     /// move), the re-fold continues from there instead — the same left
     /// fold, so the same bits.
@@ -234,7 +235,7 @@ impl Split {
         st: &mut SplitState,
         frame: &[ScanEntry],
         folded: usize,
-        chain: (usize, Option<usize>),
+        (chain, last, rows): (usize, Option<usize>, &dyn RowSource),
         arena: &[u8],
         codec: &CompactCodec,
         out: &mut Vec<Value>,
@@ -256,24 +257,24 @@ impl Split {
                 state.reset();
             }
             let folded = if go_on { folded } else { 0 };
-            let rows = FoldRows {
+            let frame = FoldRows {
                 stored: &(frame, arena),
                 request: None,
             };
             let (ext, order) = (program.extended, EntryOrder::Ascending);
-            program.feed_entries(ext, state, &rows, folded, order, codec, &mut || Ok(()))?;
-            program.finish(state, &rows)?;
+            program.feed_entries(ext, state, &frame, folded, order, codec, &mut || Ok(()))?;
+            program.finish(state, &frame)?;
             program.outputs_into(state, arena, None, refolded)?;
         }
         if let (Some(program), Some(state)) = (&self.slide, slide.as_mut()) {
             if let Some(fold) = &self.columns {
-                fold.fill(cols, chain.0, state)?;
+                fold.fill(cols, chain, state)?;
             }
             for ((k, ..), deque) in self.extrema.iter().zip(deques.iter()) {
                 let st = state.kernels.get_mut(*k);
-                deque.load(st.ok_or_else(binding_out_of_bounds)?, chain.1, arena)?;
+                deque.load(st.ok_or_else(binding_out_of_bounds)?, last, rows)?;
             }
-            program.finish(state, &arena)?;
+            program.finish(state, rows)?;
             // Nothing re-folds: the sliding program's values are the row's.
             program.outputs_into(state, arena, None, if refolds { slid } else { out })?;
         }
@@ -353,27 +354,26 @@ impl Sweep {
         let at = rows.get(*first..).unwrap_or_default();
         let at = at.partition_point(|e| e.ts <= ts);
         rows.insert(*first + at, entry);
+        let src = (rows.as_slice(), arena.as_slice());
+        let (rows, arena) = src;
         if let Some((sweep, fast)) = self.slide.as_ref().zip(st.slide.as_mut()) {
-            sweep.step(fast, rows, *first + at, arena, codec, true)?;
-            // A row that lands before the newest re-steps the deques; the
-            // columns from its place on are extracted again when folded.
-            if *first + at + 1 < rows.len() {
-                for deque in &mut fast.deques {
-                    deque.clear();
-                    for (i, e) in rows.iter().enumerate().skip(*first) {
-                        deque.add(i, e.bytes(arena), arena, codec)?;
-                    }
-                }
+            // A row that lands before the newest moves the rows after it,
+            // which the sliding state keeps by position: the retained rows
+            // step into fresh state, their columns extracted again.
+            let mut from = *first + at;
+            if from + 1 < rows.len() {
+                sweep.clear(fast);
+                from = *first;
             }
-            if let Some(fold) = &sweep.columns {
-                fold.truncate(&mut fast.cols, *first + at);
+            for i in from..rows.len() {
+                sweep.step(fast, &src, i, codec, true)?;
             }
         }
         // Drop what no frame from this anchor on reaches.
         let gone = self.below_frame(rows.get(*first..).unwrap_or_default());
         for i in *first..*first + gone {
             if let Some((sweep, fast)) = self.slide.as_ref().zip(st.slide.as_mut()) {
-                sweep.step(fast, rows, i, arena, codec, false)?;
+                sweep.step(fast, &src, i, codec, false)?;
             }
             *live -= rows.get(i).map_or(0, |e| e.len);
         }
@@ -393,25 +393,20 @@ impl Sweep {
         match self.slide.as_ref().zip(st.slide.as_mut()) {
             Some((sweep, fast)) if whole => {
                 if let Some(fold) = &sweep.columns {
-                    let (from, to) = (*first, rows.len());
                     let chain = Chain {
-                        from,
-                        to,
+                        from: *first,
+                        to: rows.len(),
                         ..Chain::default()
                     };
-                    fold.fold(&mut fast.cols, (rows, arena), &[chain])?;
+                    fold.fold(&mut fast.cols, src, &[chain])?;
                 }
-                sweep.output(fast, frame, folded, (0, None), arena, codec, out)?;
+                sweep.output(fast, frame, folded, (0, None, &src), arena, codec, out)?;
                 *held = frame.len();
             }
             _ => {
                 let anchor = [(frame.len().saturating_sub(1), 0)];
                 let emit = &mut |_: u32, values: &mut Vec<Value>| out.append(values);
-                let io = Io {
-                    arena: arena.as_slice(),
-                    codec,
-                    emit,
-                };
+                let io = Io { arena, codec, emit };
                 self.gather_frames(st, frame, &anchor, io)?;
             }
         }
@@ -449,9 +444,8 @@ impl Sweep {
     }
 
     /// Copy the retained rows into a fresh arena in fold order, re-step
-    /// them into fresh sliding state and re-extract their columns:
-    /// count-map string keys and string extrema are offsets into the old
-    /// arena.
+    /// them into fresh sliding state and re-extract their columns: the
+    /// sliding state keeps rows by position, and the positions move.
     fn compact(
         &self,
         fast: Option<&mut SplitState>,
@@ -468,8 +462,9 @@ impl Sweep {
         (kept.arena, kept.first, kept.held) = (arena, 0, 0);
         if let Some((sweep, fast)) = self.slide.as_ref().zip(fast) {
             sweep.clear(fast);
+            let src = (kept.rows.as_slice(), kept.arena.as_slice());
             for i in 0..kept.rows.len() {
-                sweep.step(fast, &kept.rows, i, &kept.arena, codec, true)?;
+                sweep.step(fast, &src, i, codec, true)?;
             }
         }
         Ok(())
@@ -533,7 +528,7 @@ impl Sweep {
             slide, frame, out, ..
         } = st;
         let fast = slide.as_mut().ok_or_else(binding_out_of_bounds)?;
-        let include = self.include;
+        let (include, src) = (self.include, (e, arena));
         sweep.clear(fast);
         let mut span: Option<(usize, usize)> = None;
         // The slice of `e` the re-fold state holds, when it holds one.
@@ -594,10 +589,10 @@ impl Sweep {
                 let (px, py) = span.unwrap_or((x, x));
                 if sweep.slides() {
                     for i in py..y {
-                        sweep.step(fast, e, i, arena, codec, true)?;
+                        sweep.step(fast, &src, i, codec, true)?;
                     }
                     for i in px..x {
-                        sweep.step(fast, e, i, arena, codec, false)?;
+                        sweep.step(fast, &src, i, codec, false)?;
                     }
                 }
                 span = Some((x, y));
@@ -609,8 +604,15 @@ impl Sweep {
                     _ => None,
                 };
                 let adjust = adjust.filter(|_| sweep.slides());
+                // A union-only frame takes the anchor after its rows, as
+                // row `e.len()`; an excluding one leaves it at its place.
+                let slid = FoldRows {
+                    stored: &src,
+                    request: (adjust == Some(true)).then(|| r.bytes(arena)),
+                };
+                let at = if self.union_only { e.len() } else { g };
                 if let Some(add) = adjust {
-                    sweep.step(fast, entries, g, arena, codec, add)?;
+                    sweep.step(fast, &slid, at, codec, add)?;
                 }
                 let run = e.get(c.from..c.to).unwrap_or_default();
                 let rows = match () {
@@ -631,9 +633,9 @@ impl Sweep {
                     _ => 0,
                 };
                 held = direct;
-                sweep.output(fast, rows, folded, (j, c.skip), arena, codec, out)?;
+                sweep.output(fast, rows, folded, (j, c.skip, &slid), arena, codec, out)?;
                 if let Some(add) = adjust {
-                    sweep.step(fast, entries, g, arena, codec, !add)?;
+                    sweep.step(fast, &slid, at, codec, !add)?;
                 }
                 emit(row, out);
             }
@@ -717,7 +719,7 @@ impl Sweep {
             if include && first < total {
                 frame.push(r);
             }
-            naive.output(state, frame, 0, (0, None), arena, codec, out)?;
+            naive.output(state, frame, 0, (0, None, &arena), arena, codec, out)?;
             emit(row, out);
         }
         Ok(())
@@ -888,15 +890,14 @@ mod tests {
         assert_eq!(fast.extrema.len(), 10);
         let (mut fs, mut ns) = (fast.new_state(), naive.new_state());
         let (mut lo, mut hi) = (0usize, 0usize);
+        let src = (entries.as_slice(), arena.as_slice());
         for (end, width) in (1..=240).zip([3usize, 9, 1, 14, 6, 60].into_iter().cycle()) {
             while hi < end {
-                fast.step(&mut fs, &entries, hi, &arena, &codec, true)
-                    .unwrap();
+                fast.step(&mut fs, &src, hi, &codec, true).unwrap();
                 hi += 1;
             }
             while lo < end.saturating_sub(width) {
-                fast.step(&mut fs, &entries, lo, &arena, &codec, false)
-                    .unwrap();
+                fast.step(&mut fs, &src, lo, &codec, false).unwrap();
                 lo += 1;
             }
             let frame = &entries[lo..hi];
@@ -909,10 +910,10 @@ mod tests {
             (fast.columns.as_ref().expect("columns"))
                 .fold(&mut fs.cols, (&entries, &arena), &[chain])
                 .unwrap();
-            fast.output(&mut fs, frame, 0, (0, None), &arena, &codec, &mut a)
+            fast.output(&mut fs, frame, 0, (0, None, &src), &arena, &codec, &mut a)
                 .unwrap();
             naive
-                .output(&mut ns, frame, 0, (0, None), &arena, &codec, &mut b)
+                .output(&mut ns, frame, 0, (0, None, &src), &arena, &codec, &mut b)
                 .unwrap();
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "frame {lo}..{hi}");
         }
@@ -957,6 +958,78 @@ mod tests {
                 });
                 assert_eq!(a, b, "{frame:?} exclude={exclude}");
             }
+        }
+    }
+
+    /// Rows each in an allocation of their own, far apart or not.
+    struct Apart(Vec<Vec<u8>>);
+
+    impl RowSource for Apart {
+        fn n_rows(&self) -> usize {
+            self.0.len()
+        }
+
+        fn row_at(&self, i: usize) -> Result<&[u8]> {
+            let row = self.0.get(i).map(Vec::as_slice);
+            row.ok_or_else(binding_out_of_bounds)
+        }
+    }
+
+    /// The sliding state keeps a STRING — an extremum, a count-map key — as
+    /// a range of its own row, by position, never as an offset into an
+    /// arena (which passes 32 bits once a partition's rows pass 4 GiB):
+    /// rows that share no arena slide as one arena's rows re-fold.
+    #[test]
+    fn sliding_strings_are_ranges_of_their_own_rows() {
+        let col = PhysExpr::Column;
+        let aggs = [
+            agg("min", vec![col(3)]),
+            agg("max", vec![col(3)]),
+            agg("distinct_count", vec![col(3)]),
+            agg(
+                "topn_frequency",
+                vec![col(3), PhysExpr::Literal(Value::Int(2))],
+            ),
+            agg("count", vec![col(3)]),
+        ];
+        let wp = program(&aggs);
+        let codec = CompactCodec::new(schema());
+        let words = ["kiwi", "fig", "kiwi", "apple", "fig", "plum", "fig"];
+        let (mut arena, mut entries, mut apart) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..90i64 {
+            let s = (i % 8 != 0).then(|| words[(i * 3 % 7) as usize]);
+            let bytes = codec.encode(&edge_row(i, None, None, s)).expect("encode");
+            entries.push(ScanEntry {
+                ts: i,
+                seq: 0,
+                start: arena.len(),
+                len: bytes.len(),
+            });
+            arena.extend_from_slice(&bytes);
+            apart.push(bytes);
+        }
+        let apart = Apart(apart);
+        let (fast, naive) = (
+            wp.split(false).expect("splits"),
+            wp.split(true).expect("splits"),
+        );
+        assert!(fast.slides() && !fast.refolds() && fast.extrema.len() == 2);
+        let (mut fs, mut ns) = (fast.new_state(), naive.new_state());
+        for hi in 0..entries.len() {
+            fast.step(&mut fs, &apart, hi, &codec, true).unwrap();
+            let lo = hi.saturating_sub(6);
+            if hi >= 7 {
+                fast.step(&mut fs, &apart, lo - 1, &codec, false).unwrap();
+            }
+            let frame = &entries[lo..=hi];
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            fast.output(&mut fs, frame, 0, (0, None, &apart), &arena, &codec, &mut a)
+                .unwrap();
+            let src = (entries.as_slice(), arena.as_slice());
+            naive
+                .output(&mut ns, frame, 0, (0, None, &src), &arena, &codec, &mut b)
+                .unwrap();
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "frame {lo}..={hi}");
         }
     }
 
