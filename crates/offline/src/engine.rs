@@ -343,7 +343,8 @@ mod tests {
                     drawdown(v) OVER w AS dd, stddev(v) OVER w AS sd, min(v) OVER w AS mv, \
                     min(i) OVER w AS mi, max(i) OVER w AS xi, avg(i) OVER w AS ai, \
                     min(b) OVER w AS mb, max(b) OVER w AS xb, min(f) OVER w AS mf, \
-                    max(f) OVER w AS xf, min(s) OVER w AS ms, max(s) OVER w AS xs";
+                    max(f) OVER w AS xf, min(s) OVER w AS ms, max(s) OVER w AS xs, \
+                    distinct_count(s) OVER w AS ds, topn_frequency(s, 2) OVER w AS ts";
         for frame in [
             "ROWS_RANGE BETWEEN 70 PRECEDING AND CURRENT ROW",
             "ROWS BETWEEN 5 PRECEDING AND CURRENT ROW",
