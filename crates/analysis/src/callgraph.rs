@@ -6,9 +6,8 @@
 //! whole workspace), and qualified paths (`storage::Table::open`) must
 //! additionally match the candidate's self type, module, or crate. The
 //! rules built on top treat an edge as "may call" — good enough to prove
-//! absence (no reachable panic, no deadline-dropping scan, no lock-order
-//! cycle) at the cost of occasional false positives that the
-//! `analysis:allow` annotations absorb.
+//! absence (no deadline-dropping scan, no lock-order cycle) at the cost of
+//! occasional false positives that the `analysis:allow` annotations absorb.
 
 use crate::parse::{FnItem, ParsedFile};
 use std::collections::{HashMap, VecDeque};
@@ -19,9 +18,6 @@ pub struct CallGraph {
     /// `edges[i]` = indices of functions that `fns[i]` may call, in call
     /// order, deduplicated.
     pub edges: Vec<Vec<usize>>,
-    /// For each edge `(i, j)` the index into `fns[i].calls` that produced
-    /// it (first occurrence), for line/held-lock lookups.
-    pub edge_call: HashMap<(usize, usize), usize>,
     by_name: HashMap<String, Vec<usize>>,
 }
 
@@ -35,7 +31,6 @@ impl CallGraph {
         }
         let mut g = CallGraph {
             edges: vec![Vec::new(); fns.len()],
-            edge_call: HashMap::new(),
             fns,
             by_name,
         };
@@ -121,13 +116,11 @@ impl CallGraph {
     }
 
     fn resolve_edges(&mut self, i: usize) {
-        let n_calls = self.fns[i].calls.len();
         let mut out = Vec::new();
-        for c in 0..n_calls {
+        for c in 0..self.fns[i].calls.len() {
             for j in self.resolve(i, c) {
                 if !out.contains(&j) {
                     out.push(j);
-                    self.edge_call.insert((i, j), c);
                 }
             }
         }

@@ -264,7 +264,7 @@ pub fn preprocess(src: &str) -> Vec<LineInfo> {
 
 /// True when the comment channel of `line_idx` or the contiguous
 /// comment/attribute block directly above it contains `needle`.
-pub fn comment_block_contains(lines: &[LineInfo], line_idx: usize, needles: &[&str]) -> bool {
+fn comment_block_contains(lines: &[LineInfo], line_idx: usize, needles: &[&str]) -> bool {
     let hit = |s: &str| needles.iter().any(|n| s.contains(n));
     if hit(&lines[line_idx].comment) {
         return true;

@@ -1,52 +1,44 @@
-//! Source-level lints for the concurrency-sensitive parts of the workspace.
+//! Source-level lints for the project conventions that neither the
+//! compiler nor clippy can see. Type-level rules are clippy's (root
+//! `Cargo.toml`, `clippy.toml` and the crate-level attributes):
+//! `undocumented_unsafe_blocks` and `missing_safety_doc` for `unsafe`,
+//! `unwrap_used` / `expect_used` in storage, online and exec, and
+//! `cast_possible_truncation` in `types::codec`. This crate keeps five rules:
 //!
-//! The compiler enforces memory safety; these lints enforce the *project
-//! conventions* that keep the unsafe and atomic-heavy code reviewable:
-//!
-//! * `safety-comment` — every `unsafe` token in non-test code must carry a
-//!   `// SAFETY:` (or `# Safety` doc section) justification in the comment
-//!   block directly above it or on the same line.
 //! * `relaxed-ordering` — `Ordering::Relaxed` in `crates/storage/src` is
 //!   suspect by default: relaxed loads/stores on skiplist link pointers are
 //!   exactly the bug class the schedule explorer hunts. Counters, RNG seeds
 //!   and pre-publication stores opt out with an
 //!   `// analysis:allow(relaxed-ordering): <reason>` annotation.
-//! * `panic-path` — no `.unwrap()` / `.expect(` in non-test code of the
-//!   hot-path crates (`storage`, `online`, `exec`); a panic inside a request
-//!   path tears down a worker thread. Provably-unreachable sites opt out
-//!   with `// analysis:allow(panic-path): <reason>`.
-//! * `lossy-cast` — narrowing `as` casts in the type codec
-//!   (`crates/types/src/codec`) silently truncate row data; use `try_from`
-//!   or annotate with `// analysis:allow(lossy-cast): <reason>`.
 //! * `hot-path-alloc` — a `// HOT:` comment directly above an item marks it
 //!   as steady-state request-path code; inside the item's brace span,
-//!   `.clone()`, `.to_vec()` and `Vec::new()` are flagged in the hot-path
-//!   crates (`storage`, `online`, `exec`). The streaming scan→aggregate
-//!   pipeline's zero-allocation contract is enforced by the bench gate at
-//!   runtime; this rule stops allocating idioms from creeping back in at
-//!   review time. Deliberate cold branches (cold-start growth, error paths)
-//!   opt out with `// analysis:allow(hot-path-alloc): <reason>`.
-//! * `metric-name` — string literals registering observability metrics must
-//!   follow `openmldb_<crate>_<name>_<unit>` (the convention documented in
-//!   `crates/obs`); a malformed name silently fragments dashboards. Applies
-//!   to every engine crate; `crates/obs` (defines the convention) and this
-//!   crate (quotes prefixes) are exempt. Opt out with
+//!   allocating idioms (`.clone()`, `.to_vec()`, `Vec::new()`, `format!`,
+//!   ...) are flagged in the hot-path crates (`storage`, `online`, `exec`).
+//!   The warm-request allocation contract is held at runtime by
+//!   `tests/warm_allocs.rs`; this rule names the line at review time.
+//!   Deliberate cold branches opt out with
+//!   `// analysis:allow(hot-path-alloc): <reason>`.
+//! * `metric-name` — string literals claiming the `openmldb_` metric
+//!   namespace must pass [`openmldb_obs::validate_metric_name`]
+//!   (`openmldb_<crate>_<name>_<unit>` plus an optional label suffix over a
+//!   closed key vocabulary); a malformed name silently fragments
+//!   dashboards. Applies to every engine crate but `crates/obs`, which
+//!   defines the convention, and this one. Opt out with
 //!   `// analysis:allow(metric-name): <reason>`.
+//! * `deadline-reachability` and `lock-order` — the call-graph rules of
+//!   [`rules`].
 //!
-//! Existing, reviewed debt lives in a baseline file keyed by a
-//! line-content fingerprint (not line numbers, so code motion does not
-//! churn it). The lint fails only when a fingerprint's violation count
-//! *grows* beyond the baseline; shrinkage is reported as stale-baseline
-//! info so the file can be re-curated.
+//! There is no baseline: the root integration test `tests/lint.rs` runs
+//! [`analyze_repo`] and fails on any violation, so a finding is fixed or
+//! annotated at its site with the reason it is safe.
 //!
 //! The scanner is a line-oriented lexer, not a full parser: it strips
 //! strings, char literals and comments (tracking multi-line block comments
 //! and raw strings across lines), tracks `#[cfg(test)]` regions by brace
-//! depth, and keeps the comment text separately so the SAFETY / allow
-//! annotations can be matched against the comment channel only.
+//! depth, and keeps the comment text separately so the allow annotations
+//! can be matched against the comment channel only.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -54,21 +46,16 @@ pub mod callgraph;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
-pub mod sarif;
 
-use lexer::{allowed, comment_block_contains, is_ident_char, preprocess};
+use lexer::{allowed, preprocess};
 
-/// Rule identifiers, in report order. The first six are line rules; the
-/// last three are the call-graph rules implemented in [`rules`].
-pub const RULES: [&str; 9] = [
-    "safety-comment",
+/// Rule identifiers, in report order. The first three are line rules; the
+/// last two are the call-graph rules implemented in [`rules`].
+pub const RULES: [&str; 5] = [
     "relaxed-ordering",
-    "panic-path",
-    "lossy-cast",
     "metric-name",
     "hot-path-alloc",
     "deadline-reachability",
-    "panic-freedom",
     "lock-order",
 ];
 
@@ -81,89 +68,26 @@ pub struct Violation {
     /// 1-based line number.
     pub line: usize,
     /// The offending code line, trimmed (for `metric-name`: the offending
-    /// literal itself, so each bad name fingerprints separately; for graph
-    /// rules: a stable description of the finding, line-number free).
+    /// literal itself; for graph rules: a description of the finding).
     pub excerpt: String,
     /// For call-graph rules: the root → … → sink call chain (qualified
-    /// function names). Excluded from the fingerprint so intermediate
-    /// refactors do not churn the baseline.
+    /// function names).
     pub chain: Vec<String>,
 }
 
-impl Violation {
-    /// Baseline key: content-addressed, line-number free, whitespace
-    /// collapsed so reformatting does not churn the baseline.
-    pub fn fingerprint(&self) -> String {
-        format!("{}|{}|{}", self.rule, self.path, normalize(&self.excerpt))
-    }
-}
-
-fn normalize(code: &str) -> String {
-    let mut out = String::with_capacity(code.len());
-    let mut last_space = true;
-    for ch in code.trim().chars() {
-        if ch.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-            }
-            last_space = true;
-        } else {
-            out.push(ch);
-            last_space = false;
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} {}:{}: {}",
+            self.rule, self.path, self.line, self.excerpt
+        )?;
+        for hop in &self.chain {
+            write!(f, "\n    -> {hop}")?;
         }
+        Ok(())
     }
-    out
 }
-
-/// Word-boundary search for `word` in `code`.
-fn contains_word(code: &str, word: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(word) {
-        let abs = start + pos;
-        let before_ok =
-            abs == 0 || !is_ident_char(code[..abs].chars().next_back().expect("abs > 0"));
-        let after = abs + word.len();
-        let after_ok =
-            after >= code.len() || !is_ident_char(code[after..].chars().next().expect("in range"));
-        if before_ok && after_ok {
-            return true;
-        }
-        start = abs + word.len();
-    }
-    false
-}
-
-/// Cast targets that can drop value bits. Widening targets (`u64`, `i64`,
-/// `f64`) are deliberately absent; `usize`/`isize` are included because
-/// their width is platform-dependent.
-const LOSSY_CAST_TARGETS: [&str; 9] = [
-    "u8", "i8", "u16", "i16", "u32", "i32", "f32", "usize", "isize",
-];
-
-fn has_lossy_cast(code: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(" as ") {
-        let abs = start + pos;
-        let tail = code[abs + 4..].trim_start();
-        let ty: String = tail.chars().take_while(|c| is_ident_char(*c)).collect();
-        if LOSSY_CAST_TARGETS.contains(&ty.as_str()) {
-            return true;
-        }
-        start = abs + 4;
-    }
-    false
-}
-
-/// Metric naming convention, mirrored from `crates/obs`: the lint must not
-/// depend on the crate it audits, so the lists are duplicated here and the
-/// obs unit tests pin both sides to the same convention.
-const METRIC_CRATES: [&str; 8] = [
-    "online", "core", "storage", "exec", "sql", "bench", "obs", "chaos",
-];
-const METRIC_UNITS: [&str; 9] = [
-    "total", "bytes", "ns", "ms", "seconds", "ratio", "rows", "count", "records",
-];
-const METRIC_LABEL_KEYS: [&str; 5] = ["deployment", "worker", "key", "quantile", "stage"];
 
 /// Undo source-literal artifacts before validating a metric-name literal:
 /// the lexer keeps `\"` escapes verbatim, and literals destined for
@@ -184,73 +108,13 @@ fn normalize_metric_literal(lit: &str) -> String {
     out
 }
 
-/// Checks `openmldb_<crate>_<name>_<unit>` plus an optional
-/// `{key="value",...}` label suffix whose keys must come from the closed
-/// [`METRIC_LABEL_KEYS`] vocabulary. Mirrors
-/// `openmldb_obs::validate_metric_name` after normalizing source-literal
-/// escapes.
-fn valid_metric_name(name: &str) -> bool {
-    let name = normalize_metric_literal(name);
-    let base = name.split('{').next().unwrap_or(&name);
-    let Some(rest) = base.strip_prefix("openmldb_") else {
-        return false;
-    };
-    let Some((crate_seg, tail)) = rest.split_once('_') else {
-        return false;
-    };
-    if !METRIC_CRATES.contains(&crate_seg) {
-        return false;
-    }
-    let Some((stem, unit)) = tail.rsplit_once('_') else {
-        return false;
-    };
-    if stem.is_empty() || !METRIC_UNITS.contains(&unit) {
-        return false;
-    }
-    if !base
-        .chars()
-        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-    {
-        return false;
-    }
-    valid_label_suffix(&name[base.len()..])
-}
-
-/// Mirrors `openmldb_obs::validate_label_suffix`: empty is fine, otherwise
-/// every `key="value"` pair needs a vocabulary key and a double-quoted
-/// value with no embedded `"`.
-fn valid_label_suffix(suffix: &str) -> bool {
-    if suffix.is_empty() {
-        return true;
-    }
-    let Some(inner) = suffix.strip_prefix('{').and_then(|s| s.strip_suffix('}')) else {
-        return false;
-    };
-    if inner.is_empty() {
-        return false;
-    }
-    inner.split(',').all(|pair| {
-        let Some((k, v)) = pair.split_once('=') else {
-            return false;
-        };
-        METRIC_LABEL_KEYS.contains(&k)
-            && v.len() >= 2
-            && v.starts_with('"')
-            && v.ends_with('"')
-            && !v[1..v.len() - 1].contains('"')
-    })
-}
-
 /// Which rules apply to a repo-relative path.
 fn rules_for(path: &str) -> Vec<&'static str> {
     let mut rules = Vec::new();
-    if path.starts_with("crates/") && path.contains("/src/") {
-        rules.push("safety-comment");
-    }
     if path.starts_with("crates/")
         && path.contains("/src/")
-        // obs defines the convention (its validator quotes the bare prefix);
-        // this crate mirrors it. Both would self-flag.
+        // obs defines the convention and this crate matches on it: both
+        // quote the bare `openmldb_` prefix and would self-flag.
         && !path.starts_with("crates/obs/src/")
         && !path.starts_with("crates/analysis/src/")
     {
@@ -258,20 +122,6 @@ fn rules_for(path: &str) -> Vec<&'static str> {
     }
     if path.starts_with("crates/storage/src/") {
         rules.push("relaxed-ordering");
-    }
-    if path.starts_with("crates/storage/src/")
-        || path.starts_with("crates/online/src/")
-        || path.starts_with("crates/exec/src/")
-        // The serving path now spans core (request dispatch, failover
-        // registry) and chaos (inlined into every injection site): a panic
-        // there takes down the same requests a storage panic would.
-        || path.starts_with("crates/core/src/")
-        || path.starts_with("crates/chaos/src/")
-    {
-        rules.push("panic-path");
-    }
-    if path.starts_with("crates/types/src/codec") {
-        rules.push("lossy-cast");
     }
     if path.starts_with("crates/storage/src/")
         || path.starts_with("crates/online/src/")
@@ -330,30 +180,11 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Violation> {
         if code.trim().is_empty() {
             continue;
         }
-        if rules.contains(&"safety-comment")
-            && contains_word(code, "unsafe")
-            && !comment_block_contains(&lines, idx, &["SAFETY", "# Safety"])
-            && !allowed(&lines, idx, "safety-comment")
-        {
-            violate("safety-comment", idx, code);
-        }
         if rules.contains(&"relaxed-ordering")
             && code.contains("Ordering::Relaxed")
             && !allowed(&lines, idx, "relaxed-ordering")
         {
             violate("relaxed-ordering", idx, code);
-        }
-        if rules.contains(&"panic-path")
-            && (code.contains(".unwrap()") || code.contains(".expect("))
-            && !allowed(&lines, idx, "panic-path")
-        {
-            violate("panic-path", idx, code);
-        }
-        if rules.contains(&"lossy-cast")
-            && has_lossy_cast(code)
-            && !allowed(&lines, idx, "lossy-cast")
-        {
-            violate("lossy-cast", idx, code);
         }
         if rules.contains(&"hot-path-alloc")
             && li.in_hot
@@ -365,10 +196,9 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Violation> {
         if rules.contains(&"metric-name") {
             for lit in &li.strings {
                 // Only literals claiming the metric namespace are checked;
-                // the excerpt is the offending name so distinct names get
-                // distinct baseline fingerprints.
+                // the excerpt is the offending name.
                 if lit.starts_with("openmldb_")
-                    && !valid_metric_name(lit)
+                    && !openmldb_obs::validate_metric_name(&normalize_metric_literal(lit))
                     && !allowed(&lines, idx, "metric-name")
                 {
                     violate("metric-name", idx, lit);
@@ -416,15 +246,6 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Scan the whole repository rooted at `root` with the line rules only.
-pub fn scan_repo(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let mut all = Vec::new();
-    for (rel, src) in read_sources(root)? {
-        all.extend(scan_source(&rel, &src));
-    }
-    Ok(all)
-}
-
 /// Read every workspace source as `(repo-relative path, contents)`.
 pub fn read_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
@@ -442,8 +263,8 @@ pub fn read_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// Full analysis: line rules plus the three call-graph rules
-/// (deadline-reachability, panic-freedom, lock-order).
+/// Full analysis: the line rules plus the two call-graph rules
+/// (deadline-reachability, lock-order).
 pub fn analyze_repo(root: &Path) -> std::io::Result<Vec<Violation>> {
     let sources = read_sources(root)?;
     let mut all = Vec::new();
@@ -454,202 +275,11 @@ pub fn analyze_repo(root: &Path) -> std::io::Result<Vec<Violation>> {
     Ok(all)
 }
 
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-/// Outcome of comparing a scan against the curated baseline.
-#[derive(Debug, Default)]
-pub struct BaselineOutcome {
-    /// Violations covered by the baseline (accepted debt).
-    pub baselined: Vec<Violation>,
-    /// Violations beyond the baseline: these fail the run.
-    pub new: Vec<Violation>,
-    /// Baseline fingerprints whose count shrank (or vanished): stale debt
-    /// entries, reported so the baseline can be re-curated. `(fingerprint,
-    /// baseline_count, current_count)`.
-    pub stale: Vec<(String, usize, usize)>,
-}
-
-/// Parse the baseline text: `<count>\t<fingerprint>` per line, `#` comments.
-pub fn parse_baseline(text: &str) -> HashMap<String, usize> {
-    let mut map = HashMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((count, fp)) = line.split_once('\t') {
-            if let Ok(count) = count.trim().parse::<usize>() {
-                *map.entry(fp.to_string()).or_insert(0) += count;
-            }
-        }
-    }
-    map
-}
-
-/// Serialize the violation set as a fresh baseline (sorted, deduplicated).
-pub fn render_baseline(violations: &[Violation]) -> String {
-    let mut counts: HashMap<String, usize> = HashMap::new();
-    for v in violations {
-        *counts.entry(v.fingerprint()).or_insert(0) += 1;
-    }
-    let mut entries: Vec<(String, usize)> = counts.into_iter().collect();
-    entries.sort();
-    let mut out = String::from(
-        "# Curated lint debt. One entry per accepted violation:\n\
-         # <count>\\t<rule>|<path>|<normalized line>\n\
-         # Regenerate with: cargo run -p openmldb-analysis -- lint --write-baseline\n",
-    );
-    for (fp, count) in entries {
-        let _ = writeln!(out, "{count}\t{fp}");
-    }
-    out
-}
-
-/// Split violations into baselined vs new, and find stale baseline entries.
-pub fn apply_baseline(
-    violations: &[Violation],
-    baseline: &HashMap<String, usize>,
-) -> BaselineOutcome {
-    let mut seen: HashMap<String, usize> = HashMap::new();
-    let mut out = BaselineOutcome::default();
-    for v in violations {
-        let fp = v.fingerprint();
-        let n = seen.entry(fp.clone()).or_insert(0);
-        *n += 1;
-        if *n <= baseline.get(&fp).copied().unwrap_or(0) {
-            out.baselined.push(v.clone());
-        } else {
-            out.new.push(v.clone());
-        }
-    }
-    let mut stale: Vec<(String, usize, usize)> = baseline
-        .iter()
-        .filter_map(|(fp, b)| {
-            let cur = seen.get(fp).copied().unwrap_or(0);
-            (cur < *b).then(|| (fp.clone(), *b, cur))
-        })
-        .collect();
-    stale.sort();
-    out.stale = stale;
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Report
-// ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Machine-readable report (hand-rolled JSON; the workspace is offline and
-/// carries no serialization dependency).
-pub fn render_report(outcome: &BaselineOutcome) -> String {
-    let mut out = String::from("{\n  \"tool\": \"openmldb-analysis\",\n  \"rules\": [");
-    for (i, r) in RULES.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{r}\"");
-    }
-    let total = outcome.baselined.len() + outcome.new.len();
-    let _ = write!(
-        out,
-        "],\n  \"total\": {}, \"baselined\": {}, \"new\": {}, \"stale_baseline_entries\": {},\n",
-        total,
-        outcome.baselined.len(),
-        outcome.new.len(),
-        outcome.stale.len()
-    );
-    out.push_str("  \"violations\": [\n");
-    let mut first = true;
-    for (status, v) in outcome
-        .new
-        .iter()
-        .map(|v| ("new", v))
-        .chain(outcome.baselined.iter().map(|v| ("baselined", v)))
-    {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"status\": \"{}\", \"excerpt\": \"{}\"",
-            v.rule,
-            json_escape(&v.path),
-            v.line,
-            status,
-            json_escape(&v.excerpt)
-        );
-        if !v.chain.is_empty() {
-            out.push_str(", \"chain\": [");
-            for (i, hop) in v.chain.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{}\"", json_escape(hop));
-            }
-            out.push(']');
-        }
-        out.push('}');
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const STORAGE: &str = "crates/storage/src/x.rs";
-
-    #[test]
-    fn unsafe_without_safety_comment_is_flagged() {
-        let src = "fn f() {\n    unsafe { danger() };\n}\n";
-        let v = scan_source(STORAGE, src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "safety-comment");
-        assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn safety_comment_above_or_inline_satisfies() {
-        let above = "fn f() {\n    // SAFETY: pointer is pinned.\n    unsafe { danger() };\n}\n";
-        assert!(scan_source(STORAGE, above).is_empty());
-        let inline = "fn f() {\n    unsafe { danger() }; // SAFETY: pinned.\n}\n";
-        assert!(scan_source(STORAGE, inline).is_empty());
-        let doc = "/// Frees the node.\n///\n/// # Safety\n/// Caller holds the guard.\npub unsafe fn free() {}\n";
-        assert!(scan_source(STORAGE, doc).is_empty());
-    }
-
-    #[test]
-    fn safety_comment_survives_interleaved_attributes() {
-        let src = "// SAFETY: single-threaded registry.\n#[inline]\nunsafe fn g() {}\n";
-        assert!(scan_source(STORAGE, src).is_empty());
-    }
-
-    #[test]
-    fn unsafe_inside_strings_and_comments_is_ignored() {
-        let src = "fn f() {\n    let s = \"unsafe\";\n    // unsafe in prose\n    /* unsafe block comment */\n}\n";
-        assert!(scan_source(STORAGE, src).is_empty());
-    }
 
     #[test]
     fn relaxed_ordering_needs_annotation() {
@@ -669,53 +299,23 @@ mod tests {
     }
 
     #[test]
-    fn panic_path_flags_unwrap_and_expect_in_hot_crates() {
-        let src = "fn f(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\nfn g(o: Option<u32>) -> u32 {\n    o.expect(\"set\")\n}\n";
-        for path in [
-            "crates/storage/src/x.rs",
-            "crates/online/src/x.rs",
-            "crates/exec/src/x.rs",
-            "crates/core/src/x.rs",
-            "crates/chaos/src/x.rs",
-        ] {
-            let v = scan_source(path, src);
-            assert_eq!(v.len(), 2, "{path}");
-            assert!(v.iter().all(|v| v.rule == "panic-path"));
-        }
-        // Out-of-scope crate: no rule.
-        assert!(scan_source("crates/sql/src/x.rs", src).is_empty());
-        // unwrap_or / expect_err are not panic paths.
-        let fine = "fn f(o: Option<u32>) -> u32 {\n    o.unwrap_or(0)\n}\n";
-        assert!(scan_source(STORAGE, fine).is_empty());
+    fn relaxed_ordering_in_strings_and_comments_is_ignored() {
+        let src = "fn f() {\n    let s = \"Ordering::Relaxed\";\n    // Ordering::Relaxed in prose\n    /* Ordering::Relaxed block comment */\n}\n";
+        assert!(scan_source(STORAGE, src).is_empty());
     }
 
     #[test]
     fn cfg_test_regions_are_exempt() {
-        let src = "fn hot() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let x: Option<u32> = Some(1);\n        x.unwrap();\n        unsafe { core::hint::unreachable_unchecked() };\n    }\n}\n";
+        let src = "fn hot() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t(c: &AtomicU64) {\n        c.fetch_add(1, Ordering::Relaxed);\n    }\n}\n";
         assert!(scan_source(STORAGE, src).is_empty());
     }
 
     #[test]
     fn code_after_test_region_is_scanned_again() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n\nfn hot(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n\nfn hot(c: &AtomicU64) {\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
         let v = scan_source(STORAGE, src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 7);
-    }
-
-    #[test]
-    fn lossy_cast_in_codec_only() {
-        let src = "fn f(x: u64) -> u32 {\n    x as u32\n}\n";
-        let v = scan_source("crates/types/src/codec/mod.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "lossy-cast");
-        assert!(scan_source(STORAGE, src).is_empty());
-
-        let widening = "fn f(x: u32) -> u64 {\n    x as u64\n}\n";
-        assert!(scan_source("crates/types/src/codec/mod.rs", widening).is_empty());
-
-        let annotated = "fn f(x: u64) -> u32 {\n    // analysis:allow(lossy-cast): bounded by header check above.\n    x as u32\n}\n";
-        assert!(scan_source("crates/types/src/codec/mod.rs", annotated).is_empty());
     }
 
     #[test]
@@ -724,8 +324,8 @@ mod tests {
         let good = "fn f(r: &Registry) {\n    r.counter(\"openmldb_storage_seeks_total\", \"h\");\n    r.gauge(\"openmldb_core_memory_used_bytes\", \"h\");\n}\n";
         assert!(scan_source(STORAGE, good).is_empty());
 
-        // A `{label="..."}` suffix (format-string escaped) is ignored when
-        // validating the base name.
+        // A `{label="..."}` suffix (format-string escaped) is validated
+        // after the source escapes are undone.
         let labeled = r#"fn f(r: &Registry) {
     r.gauge(&format!("openmldb_online_union_worker_load_rows{{worker=\"{w}\"}}"), "h");
 }
@@ -783,128 +383,6 @@ mod tests {
         // Multi-label series with vocabulary keys pass.
         let multi = "fn f(r: &Registry) {\n    r.counter(\"openmldb_online_x_total{deployment=\\\"d\\\",stage=\\\"plan\\\"}\", \"h\");\n}\n";
         assert!(scan_source("crates/online/src/x.rs", multi).is_empty());
-    }
-
-    #[test]
-    fn metric_name_validator_mirrors_obs() {
-        // The lint must not depend on the crate it audits, so the validator
-        // is duplicated; this pins both copies to the same convention.
-        let corpus = [
-            "openmldb_online_requests_total",
-            "openmldb_storage_scan_len_rows",
-            "openmldb_online_union_worker_load_rows{worker=\"3\"}",
-            "openmldb_bench_p99_ms",
-            "openmldb_storage_seeks",
-            "openmldb_web_requests_total",
-            "openmldb_storage_Seeks_total",
-            "openmldb__total",
-            "openmldb_",
-            "requests_total",
-            // Tail-latency attribution names: the obs and chaos crates
-            // register their own metrics; the bench-layer names check the
-            // `openmldb_bench_` prefix.
-            "openmldb_obs_postmortems_total",
-            "openmldb_chaos_injected_faults_total",
-            "openmldb_bench_tailtrace_anomalies_total",
-            "openmldb_bench_tailtrace_postmortems_total",
-            // Workload-attribution names: labeled series keep the bare-name
-            // convention; suffixes must use vocabulary keys + quoted values.
-            "openmldb_online_deployment_requests_total",
-            "openmldb_online_deployment_requests_total{deployment=\"d1\"}",
-            "openmldb_online_deployment_duration_ns{deployment=\"d1\",quantile=\"0.99\"}",
-            "openmldb_online_x_total{tenant=\"d1\"}",
-            "openmldb_online_x_total{deployment=d1}",
-            "openmldb_online_x_total{deployment=\"a\"b\"}",
-            "openmldb_online_x_total{}",
-            // Durability names: the WAL/snapshot layer lives in storage and
-            // recovery accounting in core.
-            "openmldb_storage_wal_appends_total",
-            "openmldb_storage_wal_bytes_total",
-            "openmldb_storage_wal_fsyncs_total",
-            "openmldb_storage_wal_torn_tails_total",
-            "openmldb_storage_wal_fsync_ns",
-            "openmldb_storage_wal_group_records",
-            "openmldb_storage_snapshots_total",
-            "openmldb_storage_snapshot_bytes_total",
-            "openmldb_storage_snapshots_invalid_total",
-            "openmldb_core_recoveries_total",
-            "openmldb_core_recovered_rows_total",
-            "openmldb_core_recovery_duration_ms",
-            // Compiled-program names: deploy-time specialization in exec,
-            // per-request compiled-window attribution in online.
-            "openmldb_exec_program_plans_total",
-            "openmldb_exec_program_windows_total",
-            "openmldb_online_compiled_windows_total",
-            // Consistency-sentinel names: warm-path sampling and the
-            // background audit live in online; the HTTP exposition counter
-            // in obs.
-            "openmldb_online_sentinel_samples_total",
-            "openmldb_online_sentinel_audits_total",
-            "openmldb_online_sentinel_divergences_total",
-            "openmldb_online_sentinel_stale_skips_total",
-            "openmldb_online_sentinel_bucket_skips_total",
-            "openmldb_online_sentinel_dropped_total",
-            "openmldb_online_sentinel_errors_total",
-            "openmldb_online_sentinel_lag_count",
-            "openmldb_online_deployment_divergences_total",
-            "openmldb_online_deployment_divergences_total{deployment=\"d1\"}",
-            "openmldb_obs_ops_requests_total",
-        ];
-        for name in [
-            "openmldb_obs_postmortems_total",
-            "openmldb_chaos_injected_faults_total",
-            "openmldb_bench_tailtrace_anomalies_total",
-            "openmldb_bench_tailtrace_postmortems_total",
-            "openmldb_storage_wal_appends_total",
-            "openmldb_storage_wal_bytes_total",
-            "openmldb_storage_wal_fsyncs_total",
-            "openmldb_storage_wal_torn_tails_total",
-            "openmldb_storage_wal_fsync_ns",
-            "openmldb_storage_wal_group_records",
-            "openmldb_storage_snapshots_total",
-            "openmldb_storage_snapshot_bytes_total",
-            "openmldb_storage_snapshots_invalid_total",
-            "openmldb_core_recoveries_total",
-            "openmldb_core_recovered_rows_total",
-            "openmldb_core_recovery_duration_ms",
-            "openmldb_exec_program_plans_total",
-            "openmldb_exec_program_windows_total",
-            "openmldb_online_compiled_windows_total",
-            "openmldb_online_sentinel_samples_total",
-            "openmldb_online_sentinel_audits_total",
-            "openmldb_online_sentinel_divergences_total",
-            "openmldb_online_sentinel_stale_skips_total",
-            "openmldb_online_sentinel_bucket_skips_total",
-            "openmldb_online_sentinel_dropped_total",
-            "openmldb_online_sentinel_errors_total",
-            "openmldb_online_sentinel_lag_count",
-            "openmldb_online_deployment_divergences_total",
-            "openmldb_obs_ops_requests_total",
-        ] {
-            assert!(valid_metric_name(name), "{name} must satisfy the lint");
-        }
-        for name in corpus {
-            assert_eq!(
-                valid_metric_name(name),
-                openmldb_obs::validate_metric_name(name),
-                "validators diverge on {name:?}"
-            );
-        }
-        for crate_seg in METRIC_CRATES {
-            assert!(openmldb_obs::METRIC_CRATES.contains(&crate_seg));
-        }
-        for unit in METRIC_UNITS {
-            assert!(openmldb_obs::METRIC_UNITS.contains(&unit));
-        }
-        for key in METRIC_LABEL_KEYS {
-            assert!(openmldb_obs::METRIC_LABEL_KEYS.contains(&key));
-        }
-        assert_eq!(METRIC_CRATES.len(), openmldb_obs::METRIC_CRATES.len());
-        assert_eq!(METRIC_UNITS.len(), openmldb_obs::METRIC_UNITS.len());
-        assert_eq!(
-            METRIC_LABEL_KEYS.len(),
-            openmldb_obs::METRIC_LABEL_KEYS.len()
-        );
     }
 
     #[test]
@@ -982,102 +460,22 @@ mod tests {
 
     #[test]
     fn raw_strings_are_stripped() {
-        let src = "fn f() -> &'static str {\n    r#\"unsafe .unwrap() Ordering::Relaxed\"#\n}\n";
+        let src = "fn f() -> &'static str {\n    r#\"Ordering::Relaxed\"#\n}\n";
         assert!(scan_source(STORAGE, src).is_empty());
     }
 
     #[test]
-    fn baseline_absorbs_existing_debt_but_flags_growth() {
-        let debt = Violation {
-            rule: "panic-path",
-            path: STORAGE.into(),
-            line: 10,
-            excerpt: "o.unwrap()".into(),
-            chain: Vec::new(),
-        };
-        let baseline = parse_baseline(&render_baseline(std::slice::from_ref(&debt)));
-        // Same debt: fully baselined.
-        let ok = apply_baseline(std::slice::from_ref(&debt), &baseline);
-        assert!(ok.new.is_empty());
-        assert_eq!(ok.baselined.len(), 1);
-        // Same line moved: still baselined (fingerprint has no line number).
-        let moved = Violation {
-            line: 99,
-            ..debt.clone()
-        };
-        assert!(apply_baseline(&[moved], &baseline).new.is_empty());
-        // Duplicate of the same fingerprint: growth ⇒ one new.
-        let grown = apply_baseline(&[debt.clone(), debt.clone()], &baseline);
-        assert_eq!(grown.new.len(), 1);
-        assert_eq!(grown.baselined.len(), 1);
-        // Debt paid down: stale entry reported, nothing fails.
-        let paid = apply_baseline(&[], &baseline);
-        assert!(paid.new.is_empty());
-        assert_eq!(paid.stale.len(), 1);
-    }
-
-    #[test]
-    fn baseline_is_stable_under_function_motion_and_sibling_renames() {
-        // A flagged function near the top of the file, plus an unrelated
-        // sibling.
-        let before = "\
-fn sibling_one() {}
-
-// HOT: per-row inner loop.
-fn hot_step(data: &[u8]) -> Vec<u8> {
-    data.to_vec()
-}
-";
-        // The same flagged function moved to the bottom, the sibling
-        // renamed, and extra padding shifting every line number.
-        let after = "\
-fn renamed_sibling() {}
-
-fn extra_padding() {}
-
-fn more_padding() {}
-
-// HOT: per-row inner loop.
-fn hot_step(data: &[u8]) -> Vec<u8> {
-    data.to_vec()
-}
-";
-        let baseline = parse_baseline(&render_baseline(&scan_source(STORAGE, before)));
-        let outcome = apply_baseline(&scan_source(STORAGE, after), &baseline);
-        assert!(outcome.new.is_empty(), "motion churned: {:#?}", outcome.new);
-        assert!(
-            outcome.stale.is_empty(),
-            "motion went stale: {:#?}",
-            outcome.stale
-        );
-
-        // A *second* violation with identical content is still growth: the
-        // baseline is count-based, not a blanket pardon for the content.
-        let grown = format!(
-            "{after}
-// HOT: another inner loop.
-fn hot_step_two(data: &[u8]) -> Vec<u8> {{
-    data.to_vec()
-}}
-"
-        );
-        let outcome = apply_baseline(&scan_source(STORAGE, &grown), &baseline);
-        assert_eq!(outcome.new.len(), 1, "{:#?}", outcome.new);
-    }
-
-    #[test]
-    fn report_is_valid_enough_json() {
+    fn violations_print_their_site_and_chain() {
         let v = Violation {
-            rule: "safety-comment",
-            path: "crates/storage/src/a\"b.rs".into(),
+            rule: "lock-order",
+            path: STORAGE.into(),
             line: 3,
-            excerpt: "unsafe { \"x\\y\" }".into(),
-            chain: Vec::new(),
+            excerpt: "lock-order cycle: A.x -> B.y -> A.x".into(),
+            chain: vec!["first hop".into(), "second hop".into()],
         };
-        let outcome = apply_baseline(&[v], &HashMap::new());
-        let report = render_report(&outcome);
-        assert!(report.contains("\\\"b.rs"));
-        assert!(report.contains("\\\\y"));
-        assert!(report.contains("\"new\": 1"));
+        assert_eq!(
+            v.to_string(),
+            "lock-order crates/storage/src/x.rs:3: lock-order cycle: A.x -> B.y -> A.x\n    -> first hop\n    -> second hop"
+        );
     }
 }

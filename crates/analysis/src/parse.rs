@@ -1,8 +1,7 @@
 //! Syntax layer: a single-pass recursive-descent parser over the lexer's
 //! code channel that extracts the facts the call-graph rules need —
 //! function items (with module path, `impl` self type, parameter types),
-//! call sites, panic-capable expressions, and lock acquisitions with their
-//! lexical guard spans.
+//! call sites, and lock acquisitions with their lexical guard spans.
 //!
 //! This is deliberately *not* a full Rust parser (the build environment is
 //! offline, so `syn` is unavailable; see DESIGN.md §13 for the
@@ -12,8 +11,6 @@
 //! * items: `mod`/`impl`/`trait`/`fn`/`struct`/`static`, brace-balanced;
 //! * calls: `foo(..)`, `path::to::foo(..)`, `recv.foo(..)`, with argument
 //!   counts (closure parameter commas are excluded);
-//! * panic sites: `.unwrap()`, `.expect(..)`, `panic!`-family macros, and
-//!   slice/array indexing `recv[..]`;
 //! * lock sites: `.lock()` / `.read()` / `.write()` with the receiver's
 //!   final field segment, plus which other candidate locks were lexically
 //!   held at that point (`let`-bound guards live to the end of their
@@ -72,19 +69,6 @@ pub struct LockSite {
     pub allowed: bool,
 }
 
-/// A potentially panicking expression inside a function body.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// 1-based source line.
-    pub line: usize,
-    /// `unwrap()`, `expect()`, `panic!`, `unreachable!`, `todo!`,
-    /// `unimplemented!` or `index[]`.
-    pub idiom: &'static str,
-    /// Site carries `analysis:allow(panic-freedom)` or the line-rule's
-    /// `analysis:allow(panic-path)`.
-    pub allowed: bool,
-}
-
 /// One call site.
 #[derive(Debug, Clone)]
 pub struct Call {
@@ -102,8 +86,7 @@ pub struct Call {
     pub held: Vec<usize>,
 }
 
-/// A parsed function (or trait-method declaration, when `has_body` is
-/// false).
+/// A parsed function or trait-method declaration.
 #[derive(Debug, Clone, Default)]
 pub struct FnItem {
     /// Repo-relative path of the defining file.
@@ -120,12 +103,8 @@ pub struct FnItem {
     pub has_self: bool,
     /// Type text of each non-self parameter, whitespace-normalized.
     pub params: Vec<String>,
-    pub has_body: bool,
     pub is_test: bool,
-    /// Leading comment block carries `// HOT:`.
-    pub is_hot: bool,
     pub calls: Vec<Call>,
-    pub panics: Vec<PanicSite>,
     pub locks: Vec<LockSite>,
     /// `(held, acquired)` pairs of indices into `locks`: `acquired` was
     /// taken while `held` was lexically live.
@@ -173,7 +152,7 @@ pub struct ParsedFile {
 }
 
 /// Graph rules that honor item-level allow annotations.
-pub const GRAPH_RULES: [&str; 3] = ["deadline-reachability", "panic-freedom", "lock-order"];
+pub const GRAPH_RULES: [&str; 2] = ["deadline-reachability", "lock-order"];
 
 const KEYWORDS: [&str; 28] = [
     "let", "in", "if", "else", "while", "for", "loop", "match", "return", "break", "continue",
@@ -696,7 +675,6 @@ impl Parser<'_> {
         };
         item.is_test = self.lines.get(fn_line).is_some_and(|li| li.in_test)
             || attr_block_has_test(self.lines, fn_line);
-        item.is_hot = lexer::comment_block_contains(self.lines, fn_line, &["HOT:"]);
         for rule in GRAPH_RULES {
             if lexer::allowed(self.lines, fn_line, rule) {
                 item.allows.push(rule);
@@ -707,10 +685,8 @@ impl Parser<'_> {
             self.parse_params(&mut item);
         }
         // Return type / where clause: skip to the body or `;`.
-        let has_brace = self.skip_to_semi_or_brace();
-        if has_brace {
+        if self.skip_to_semi_or_brace() {
             self.bump(); // `{`
-            item.has_body = true;
             self.parse_body(&mut item);
         }
         self.out.fns.push(item);
@@ -776,8 +752,8 @@ impl Parser<'_> {
         finish_param(item, &mut cur, &mut seen_colon);
     }
 
-    /// Function body: extract calls, panic sites and lock spans until the
-    /// matching `}` (consumed).
+    /// Function body: extract calls and lock spans until the matching `}`
+    /// (consumed).
     fn parse_body(&mut self, item: &mut FnItem) {
         // One entry per open block: candidate-lock indices `let`-bound in
         // that block.
@@ -815,19 +791,6 @@ impl Parser<'_> {
                     stmt_has_let = false;
                 }
                 Tok::Punct('#') => self.skip_attribute(),
-                Tok::Punct('[') => {
-                    // Indexing when the previous significant token can end
-                    // an expression.
-                    let line = self.line();
-                    if self.prev_ends_expr() {
-                        item.panics.push(PanicSite {
-                            line: line + 1,
-                            idiom: "index[]",
-                            allowed: panic_site_allowed(self.lines, line),
-                        });
-                    }
-                    self.bump();
-                }
                 Tok::Ident(kw) if kw == "fn" => {
                     // Nested function: a sibling item, not part of this body.
                     let module = item.module.clone();
@@ -843,13 +806,6 @@ impl Parser<'_> {
                     let line = self.line();
                     // `name!` — macro invocation.
                     if self.is_punct(1, '!') {
-                        if let Some(idiom) = panic_macro(&w) {
-                            item.panics.push(PanicSite {
-                                line: line + 1,
-                                idiom,
-                                allowed: panic_site_allowed(self.lines, line),
-                            });
-                        }
                         self.bump();
                         self.bump();
                         continue;
@@ -887,19 +843,6 @@ impl Parser<'_> {
                             .copied()
                             .chain(stmt_locks.iter().copied())
                             .collect();
-                        if name == "unwrap" && method && args == 0 {
-                            item.panics.push(PanicSite {
-                                line: line + 1,
-                                idiom: "unwrap()",
-                                allowed: panic_site_allowed(self.lines, line),
-                            });
-                        } else if name == "expect" && method && args == 1 {
-                            item.panics.push(PanicSite {
-                                line: line + 1,
-                                idiom: "expect()",
-                                allowed: panic_site_allowed(self.lines, line),
-                            });
-                        }
                         if method && args == 0 {
                             if let Some(kind) = lock_method(&name) {
                                 let recv = self.receiver_field();
@@ -1017,20 +960,6 @@ impl Parser<'_> {
         self.pos > 0 && matches!(self.toks[self.pos - 1].tok, Tok::Punct('.'))
     }
 
-    /// True when the previous token can end an expression (for indexing
-    /// detection): identifier (non-keyword), literal, `)`, `]`.
-    fn prev_ends_expr(&self) -> bool {
-        if self.pos == 0 {
-            return false;
-        }
-        match &self.toks[self.pos - 1].tok {
-            Tok::Ident(w) => !is_keyword(w),
-            Tok::Lit => true,
-            Tok::Punct(')') | Tok::Punct(']') => true,
-            _ => false,
-        }
-    }
-
     /// Walking back from the `.` before the current method name: the final
     /// field/variable segment of the receiver chain
     /// (`self.pool.lock()` → `pool`, `POOL.lock()` → `POOL`).
@@ -1082,21 +1011,6 @@ fn lock_method(name: &str) -> Option<LockKind> {
         "write" => Some(LockKind::Write),
         _ => None,
     }
-}
-
-fn panic_macro(name: &str) -> Option<&'static str> {
-    match name {
-        "panic" => Some("panic!"),
-        "unreachable" => Some("unreachable!"),
-        "todo" => Some("todo!"),
-        "unimplemented" => Some("unimplemented!"),
-        _ => None,
-    }
-}
-
-fn panic_site_allowed(lines: &[LineInfo], line_idx: usize) -> bool {
-    lexer::allowed(lines, line_idx, "panic-freedom")
-        || lexer::allowed(lines, line_idx, "panic-path")
 }
 
 /// `#[test]` / `#[cfg(test)]` in the attribute block directly above.
@@ -1201,40 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_sites_are_collected_with_allows() {
-        let src = "fn f(o: Option<u32>, v: &[u32]) -> u32 {\n    let a = o.unwrap();\n    let b = o.expect(\"set\");\n    if v.is_empty() { panic!(\"empty\") }\n    // analysis:allow(panic-freedom): bounds checked above.\n    let c = v[0];\n    a + b + c\n}\n";
-        let pf = fns(src);
-        let p = &pf.fns[0].panics;
-        assert_eq!(p.len(), 4, "{p:#?}");
-        assert_eq!(p[0].idiom, "unwrap()");
-        assert!(!p[0].allowed);
-        assert_eq!(p[1].idiom, "expect()");
-        assert_eq!(p[2].idiom, "panic!");
-        assert_eq!(p[3].idiom, "index[]");
-        assert!(p[3].allowed);
-    }
-
-    #[test]
-    fn indexing_heuristics_skip_types_attributes_and_patterns() {
-        let src = "fn f(v: &[u32]) -> u32 {\n    let _t: [u8; 4] = [0; 4];\n    let w = &v[..];\n    v[0] + w.len() as u32\n}\n";
-        let pf = fns(src);
-        let idx: Vec<_> = pf.fns[0]
-            .panics
-            .iter()
-            .filter(|p| p.idiom == "index[]")
-            .collect();
-        // `v[..]` and `v[0]` are real indexing; the array type annotation
-        // and array literal are not.
-        assert_eq!(idx.len(), 2, "{:#?}", pf.fns[0].panics);
-    }
-
-    #[test]
-    fn unwrap_or_is_not_a_panic_site() {
-        let src = "fn f(o: Option<u32>) -> u32 { o.unwrap_or(0) }\n";
-        assert!(fns(src).fns[0].panics.is_empty());
-    }
-
-    #[test]
     fn let_bound_guards_nest_until_block_end() {
         let src = "struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    fn f(&self) {\n        let g = self.a.lock();\n        let h = self.b.lock();\n        drop((g, h));\n    }\n}\n";
         let pf = fns(src);
@@ -1269,10 +1149,9 @@ mod tests {
     }
 
     #[test]
-    fn hot_marker_test_regions_and_fn_allows() {
-        let src = "// HOT: request path.\nfn hot() { cold() }\n\n// analysis:allow(deadline-reachability): scan is bounded.\nfn cold() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::hot() }\n}\n";
+    fn test_regions_and_fn_allows() {
+        let src = "fn hot() { cold() }\n\n// analysis:allow(deadline-reachability): scan is bounded.\nfn cold() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::hot() }\n}\n";
         let pf = fns(src);
-        assert!(pf.fns[0].is_hot);
         assert!(!pf.fns[0].is_test);
         assert_eq!(pf.fns[1].allows, vec!["deadline-reachability"]);
         assert!(pf.fns[2].is_test);
@@ -1285,8 +1164,8 @@ mod tests {
         assert_eq!(pf.fns.len(), 2);
         let inner = pf.fns.iter().find(|f| f.name == "inner").unwrap();
         let outer = pf.fns.iter().find(|f| f.name == "outer").unwrap();
-        assert_eq!(inner.panics.len(), 1);
-        assert!(outer.panics.is_empty());
+        assert!(inner.calls.iter().any(|c| c.path[0] == "unwrap"));
+        assert!(!outer.calls.iter().any(|c| c.path[0] == "unwrap"));
         assert!(outer.calls.iter().any(|c| c.path[0] == "inner"));
     }
 
@@ -1306,8 +1185,8 @@ mod tests {
         let src = "trait Provider {\n    fn fetch(&self, k: u64) -> u32;\n    fn double(&self, k: u64) -> u32 { self.fetch(k) * 2 }\n}\n";
         let pf = fns(src);
         assert_eq!(pf.fns.len(), 2);
-        assert!(!pf.fns[0].has_body);
+        assert!(pf.fns[0].calls.is_empty());
         assert_eq!(pf.fns[0].self_ty.as_deref(), Some("Provider"));
-        assert!(pf.fns[1].has_body);
+        assert_eq!(pf.fns[1].calls[0].path, vec!["fetch".to_string()]);
     }
 }

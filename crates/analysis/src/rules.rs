@@ -1,11 +1,9 @@
-//! The three call-graph rules: deadline-reachability, transitive
-//! panic-freedom, and lock-order acyclicity.
+//! The two call-graph rules: deadline-reachability and lock-order
+//! acyclicity.
 //!
-//! All three work on the "may call" graph from [`crate::callgraph`] and
-//! emit [`Violation`]s whose excerpts are line-number free so the
-//! content-fingerprint baseline stays stable under refactors; the full
-//! call chain (with line numbers) rides along in `Violation::chain` for
-//! the report only.
+//! Both work on the "may call" graph from [`crate::callgraph`] and emit
+//! [`Violation`]s that carry the call chain (with line numbers) that
+//! produced them in `Violation::chain`.
 
 use crate::callgraph::CallGraph;
 use crate::parse::{parse_source, FnItem, LockField, LockKind, LockSite, ParsedFile};
@@ -18,8 +16,8 @@ const REQUEST_ROOTS: [&str; 2] = ["execute_request", "execute_request_with"];
 /// Parameter-type fragments that count as "threads a deadline".
 const DEADLINE_TYPES: [&str; 3] = ["Deadline", "RequestOptions", "Ctx"];
 
-/// Run all three graph rules over the given `(repo-relative path, source)`
-/// pairs and return the combined findings.
+/// Run both graph rules over the given `(repo-relative path, source)` pairs
+/// and return the combined findings.
 pub fn graph_scan(sources: &[(String, String)]) -> Vec<Violation> {
     let parsed: Vec<ParsedFile> = sources.iter().map(|(p, s)| parse_source(p, s)).collect();
     let lock_fields: Vec<LockField> = parsed
@@ -28,7 +26,6 @@ pub fn graph_scan(sources: &[(String, String)]) -> Vec<Violation> {
         .collect();
     let g = CallGraph::build(&parsed);
     let mut out = deadline_reachability(&g);
-    out.extend(panic_freedom(&g));
     out.extend(lock_order(&g, &lock_fields));
     out
 }
@@ -97,53 +94,6 @@ fn deadline_reachability(g: &CallGraph) -> Vec<Violation> {
             ),
             chain,
         });
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule: panic-freedom (transitive)
-// ---------------------------------------------------------------------------
-
-/// A `// HOT:` function is flagged if any workspace function reachable
-/// from it contains an un-allowed panic-capable expression. An
-/// `analysis:allow(panic-freedom)` on an intermediate function vouches for
-/// it *and* everything reached only through it.
-fn panic_freedom(g: &CallGraph) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for h in 0..g.fns.len() {
-        let hot = &g.fns[h];
-        if !hot.is_hot || hot.is_test || !hot.has_body || hot.allows.contains(&"panic-freedom") {
-            continue;
-        }
-        let parent = g.reach(&[h], |i| {
-            !g.fns[i].is_test && !g.fns[i].allows.contains(&"panic-freedom")
-        });
-        let mut reached: Vec<usize> = parent.keys().copied().collect();
-        reached.sort_unstable();
-        let mut seen: HashSet<(usize, &str)> = HashSet::new();
-        for i in reached {
-            let f = &g.fns[i];
-            for p in &f.panics {
-                if p.allowed || !seen.insert((i, p.idiom)) {
-                    continue;
-                }
-                let mut chain = g.chain(&parent, i);
-                chain.push(format!("{} at {}:{}", p.idiom, f.file, p.line));
-                out.push(Violation {
-                    rule: "panic-freedom",
-                    path: hot.file.clone(),
-                    line: hot.line,
-                    excerpt: format!(
-                        "HOT {} reaches {}: {}",
-                        hot.qualified(),
-                        f.qualified(),
-                        p.idiom
-                    ),
-                    chain,
-                });
-            }
-        }
     }
     out
 }
@@ -331,7 +281,7 @@ fn lock_order(g: &CallGraph, fields: &[LockField]) -> Vec<Violation> {
     // Cycle detection over the order graph. For each edge u → v, look for
     // a path v → … → u; the pair closes a cycle. Cycles are deduplicated
     // by node set and rotated to start at the smallest id so the excerpt
-    // (and hence the fingerprint) is stable.
+    // is stable.
     let mut adj: BTreeMap<&String, Vec<&String>> = BTreeMap::new();
     for (u, v) in edges.keys() {
         adj.entry(u).or_default().push(v);
@@ -496,54 +446,6 @@ mod tests {
         assert!(rule(&vs, "deadline-reachability").is_empty(), "{vs:#?}");
     }
 
-    // -- panic-freedom ---------------------------------------------------
-
-    #[test]
-    fn planted_transitive_unwrap_under_hot_is_flagged_with_chain() {
-        let vs = scan(&[(
-            "crates/exec/src/run.rs",
-            "// HOT: per-row inner loop.\npub fn step(n: u32) -> u32 { mid(n) }\nfn mid(n: u32) -> u32 { leaf(n) }\nfn leaf(n: u32) -> u32 { Some(n).unwrap() }\n",
-        )]);
-        let hits = rule(&vs, "panic-freedom");
-        assert_eq!(hits.len(), 1, "{vs:#?}");
-        let v = hits[0];
-        // Anchored at the HOT function, chain down to the panic site.
-        assert_eq!(v.line, 2);
-        assert!(v.excerpt.contains("HOT exec::step"), "{}", v.excerpt);
-        assert!(v.excerpt.contains("unwrap()"));
-        assert_eq!(v.chain.len(), 4, "{:#?}", v.chain);
-        assert_eq!(v.chain[0], "exec::step");
-        assert_eq!(v.chain[2], "exec::leaf");
-        assert!(v.chain[3].contains("crates/exec/src/run.rs:4"));
-    }
-
-    #[test]
-    fn allow_on_the_panic_site_silences_the_transitive_finding() {
-        let vs = scan(&[(
-            "crates/exec/src/run.rs",
-            "// HOT: per-row inner loop.\npub fn step(n: u32) -> u32 { mid(n) }\nfn mid(n: u32) -> u32 { leaf(n) }\n// analysis:allow(panic-freedom): input validated at the boundary.\nfn leaf(n: u32) -> u32 { Some(n).unwrap() }\n",
-        )]);
-        assert!(rule(&vs, "panic-freedom").is_empty(), "{vs:#?}");
-    }
-
-    #[test]
-    fn panics_in_test_functions_do_not_taint_hot_paths() {
-        let vs = scan(&[(
-            "crates/exec/src/run.rs",
-            "// HOT: per-row inner loop.\npub fn step(n: u32) -> u32 { n }\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { assert_eq!(super::step(1), Some(1).unwrap()) }\n}\n",
-        )]);
-        assert!(rule(&vs, "panic-freedom").is_empty(), "{vs:#?}");
-    }
-
-    #[test]
-    fn cold_functions_may_unwrap_without_findings() {
-        let vs = scan(&[(
-            "crates/exec/src/run.rs",
-            "pub fn cold(n: u32) -> u32 { Some(n).unwrap() }\n",
-        )]);
-        assert!(rule(&vs, "panic-freedom").is_empty(), "{vs:#?}");
-    }
-
     // -- lock-order ------------------------------------------------------
 
     const TWO_LOCKS: &str = "pub struct Shard { rows: Mutex<u32>, index: Mutex<u32> }\n";
@@ -605,26 +507,6 @@ mod tests {
             ),
         )]);
         assert!(rule(&vs, "lock-order").is_empty(), "{vs:#?}");
-    }
-
-    #[test]
-    fn graph_rule_fingerprints_are_stable_under_motion() {
-        use crate::{apply_baseline, parse_baseline, render_baseline};
-        let before = scan(&[(
-            "crates/exec/src/run.rs",
-            "// HOT: per-row inner loop.\npub fn step(n: u32) -> u32 { mid(n) }\nfn mid(n: u32) -> u32 { leaf(n) }\nfn leaf(n: u32) -> u32 { Some(n).unwrap() }\nfn sibling() {}\n",
-        )]);
-        let baseline = parse_baseline(&render_baseline(&before));
-        // Reorder the functions, rename the sibling, shift every line: the
-        // transitive finding keeps its fingerprint (anchored on qualified
-        // names, never line numbers).
-        let after = scan(&[(
-            "crates/exec/src/run.rs",
-            "fn renamed_sibling() {}\n\nfn leaf(n: u32) -> u32 { Some(n).unwrap() }\n\nfn mid(n: u32) -> u32 { leaf(n) }\n\n// HOT: per-row inner loop.\npub fn step(n: u32) -> u32 { mid(n) }\n",
-        )]);
-        let outcome = apply_baseline(&after, &baseline);
-        assert!(outcome.new.is_empty(), "{:#?}", outcome.new);
-        assert!(outcome.stale.is_empty(), "{:#?}", outcome.stale);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! into exactly these functions, so a feature value computed offline is
 //! bit-identical to the one computed online.
 
+// A panic inside a request tears down the worker serving it: non-test code
+// returns typed errors, and a provably unreachable `expect` says why in an
+// `#[expect(clippy::expect_used, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod agg;
 pub mod eval;
 pub mod export;

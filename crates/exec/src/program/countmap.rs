@@ -108,9 +108,7 @@ impl CountMap {
     // HOT: one probe sequence per fed row and count-map kernel — linear
     // probing over a pooled slot table; grows (cold) only past the largest
     // window this state has seen.
-    // analysis:allow(panic-freedom): slots and entries are reached through
-    // checked slice accessors only; the `get`/`len` callees the
-    // name-resolved graph lists here belong to other types.
+    // Slots and entries are reached through checked slice accessors only.
     #[inline(always)]
     fn bump(
         &mut self,
@@ -158,8 +156,7 @@ impl CountMap {
 
     /// Count a string under entry key `at`: `(offset, row, len)` of a row
     /// among `rows`.
-    // analysis:allow(panic-freedom): checked slice accessors only (see
-    // `bump`).
+    // Checked slice accessors only (see `bump`).
     #[inline(always)]
     fn bump_bytes(&mut self, bytes: &[u8], rows: &dyn RowSource, at: (u64, u32, u32)) {
         let hash = self.hash_bytes(bytes);
@@ -169,8 +166,7 @@ impl CountMap {
     /// Step row `buf`'s value of `field` into the map. A STRING key is read
     /// through `view` and kept as a slice of row `home.0` of `rows`, whose
     /// bytes `home.1` contain it.
-    // analysis:allow(panic-freedom): `StrSlot::of` is checked offset
-    // arithmetic; the rest is `bump_bytes`.
+    // `StrSlot::of` is checked offset arithmetic; the rest is `bump_bytes`.
     #[inline(always)]
     pub(super) fn tally_row(
         &mut self,

@@ -177,9 +177,8 @@ fn zip_rows(
 // ops run only the rows before it, so an earlier row's error — from any op —
 // still wins. Returns how many leading rows evaluated, and the error of the
 // next.
-// analysis:allow(panic-freedom): registers are reached through checked
-// slice accessors only and integer arithmetic is `checked_*`; the `get`
-// callees the name-resolved graph lists here belong to other types.
+// Registers are reached through checked slice accessors only and integer
+// arithmetic is `checked_*`.
 #[inline(always)]
 fn eval_ops(
     ops: &[ArithOp],

@@ -127,7 +127,7 @@ impl FieldRef {
         })
     }
 
-    // analysis:allow(panic-freedom): one checked `slice::get`.
+    // One checked `slice::get`.
     #[inline(always)]
     pub(super) fn null_in(&self, buf: &[u8]) -> bool {
         buf.get(self.null_byte)
@@ -138,8 +138,8 @@ impl FieldRef {
     /// little-endian load at the baked offset, handed to `sink` —
     /// monomorphized per consumer, so the column kernels' fold sits directly
     /// in each arm.
-    // analysis:allow(panic-freedom): reads go through `read4`/`read8`
-    // (checked `slice::get`); a short row is a typed error.
+    // Reads go through `read4`/`read8` (checked `slice::get`); a short row
+    // is a typed error.
     #[inline(always)]
     pub(super) fn visit_fixed(&self, buf: &[u8], sink: impl FixedSink) -> Result<()> {
         match self.class {
@@ -178,8 +178,7 @@ impl FieldRef {
 }
 
 /// The STRING field `col` of a validated row (`None` for NULL).
-// analysis:allow(panic-freedom): `RowView::get` is itself a `// HOT:` root;
-// its view-validated index sites are tracked once, under that root.
+// `RowView::get` indexes only offsets its view validated.
 #[inline(always)]
 pub(super) fn str_field<'a>(view: &RowView<'a>, col: usize) -> Result<Option<&'a str>> {
     match view.get(col)? {

@@ -30,9 +30,6 @@ pub(super) fn build_generic(aggs: &[BoundAggregate]) -> Result<Option<WindowAggS
 }
 
 /// Step a row, through its validated `view`.
-// analysis:allow(panic-freedom): delegates to `WindowAggSet::update_view`,
-// itself a `// HOT:` root — the aggregators' panic sites are tracked once,
-// under that root.
 #[inline]
 pub(super) fn step_view(
     generic: &mut Option<WindowAggSet>,
@@ -49,8 +46,6 @@ pub(super) fn step_view(
 /// *earlier* that also fails on this row owns the error; expression kernels
 /// run first here, so feed those aggregates now (the fold is being
 /// abandoned either way).
-// analysis:allow(panic-freedom): cold error path into the `WindowAggSet`
-// feed, whose panic sites are tracked under its own `// HOT:` root.
 #[cold]
 pub(super) fn first_error(
     err: Error,

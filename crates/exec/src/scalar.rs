@@ -178,8 +178,8 @@ pub fn call(name: &str, args: &[Value]) -> Result<Value> {
     }
 }
 
-// HOT: per-row scalar dispatch — an integer match, no string comparison.
-/// Dispatch a scalar builtin by its pre-resolved id.
+/// Dispatch a scalar builtin by its pre-resolved id: per row, an integer
+/// match, no string comparison.
 pub fn call_id(id: ScalarFuncId, args: &[Value]) -> Result<Value> {
     use ScalarFuncId::*;
     // Functions with explicit NULL semantics first.

@@ -180,12 +180,9 @@ impl LabeledCounter {
     }
 
     /// Add `n` to `id`'s slot.
-    // analysis:allow(panic-freedom): `LabelId` is only constructed through
-    // `resolve`/`from_index`, both of which bound `index()` below
-    // `MAX_LABEL_SLOTS` (overflow clamps to slot 0), so the slot index
-    // cannot be out of range. (The call-graph rule also reaches this
-    // function spuriously: trait-dispatch over-approximation links
-    // aggregator `update`/`add` method calls here by name + arity.)
+    // `LabelId` is only constructed through `resolve`/`from_index`, both of
+    // which bound `index()` below `MAX_LABEL_SLOTS` (overflow clamps to slot
+    // 0), so the slot index cannot be out of range.
     #[inline]
     pub fn add(&self, id: LabelId, n: u64) {
         self.slots[id.index()].get_or_init(Counter::new).add(n);

@@ -28,8 +28,8 @@
 //! is one of the instrumented crates (`online`, `core`, `storage`, `exec`,
 //! `sql`, `bench`, `obs`, `chaos`) and `<unit>` is a unit suffix (`total`, `bytes`, `ns`,
 //! `ms`, `seconds`, `ratio`, `rows`, `count`). [`validate_metric_name`]
-//! enforces this at registration time and the `openmldb-analysis` lint
-//! enforces it statically.
+//! enforces this at registration time, and the `openmldb-analysis` lint
+//! calls it on every `openmldb_` string literal of the engine crates.
 //!
 //! # Feature gating
 //!
@@ -218,7 +218,7 @@ pub const METRIC_UNITS: &[&str] = &[
 /// Label keys accepted in a metric's `{key="value",...}` suffix. A fixed
 /// vocabulary — like crate segments and units — so dashboards can rely on
 /// a closed key set and the cardinality registry stays the only way to
-/// mint label values. Mirrored by the `openmldb-analysis` lint.
+/// mint label values.
 pub const METRIC_LABEL_KEYS: &[&str] = &["deployment", "worker", "key", "quantile", "stage"];
 
 /// Checks a metric name against the `openmldb_<crate>_<name>_<unit>`

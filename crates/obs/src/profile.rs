@@ -146,10 +146,9 @@ impl ProfileStore {
     pub fn fold(&self, id: LabelId, p: &CostProfile) {
         #[cfg(not(feature = "obs-off"))]
         {
-            // analysis:allow(panic-freedom): `index()` is clamped below
-            // `MAX_LABEL_SLOTS` and `shard_idx()` is taken modulo `SHARDS`,
-            // so the cell index is below the `MAX_LABEL_SLOTS * SHARDS` cells
-            // `new` allocates.
+            // `index()` is clamped below `MAX_LABEL_SLOTS` and `shard_idx()`
+            // is taken modulo `SHARDS`, so the cell index is below the
+            // `MAX_LABEL_SLOTS * SHARDS` cells `new` allocates.
             let s = &self.slots[id.index() * SHARDS + crate::shard_idx()];
             s.requests.fetch_add(1, Ordering::Relaxed);
             add(&s.rows_scanned, p.rows_scanned);

@@ -22,6 +22,11 @@
 //!   bit-for-bit, turning the differential-test oracle into a continuous
 //!   production audit.
 
+// A panic inside a request tears down the worker serving it: non-test code
+// returns typed errors, and a provably unreachable `expect` says why in an
+// `#[expect(clippy::expect_used, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod engine;
 pub mod metrics;
 pub mod preagg;

@@ -224,17 +224,17 @@ impl WindowUnion {
                 per_worker[w] += count;
             }
         }
+        #[expect(clippy::expect_used, reason = "workers_n is clamped to >= 1")]
         let (hot, _) = per_worker
             .iter()
             .enumerate()
             .max_by_key(|(_, &l)| l)
-            // analysis:allow(panic-path): workers_n is clamped to >= 1.
             .expect("non-empty workers");
+        #[expect(clippy::expect_used, reason = "workers_n is clamped to >= 1")]
         let (cold, _) = per_worker
             .iter()
             .enumerate()
             .min_by_key(|(_, &l)| l)
-            // analysis:allow(panic-path): workers_n is clamped to >= 1.
             .expect("non-empty workers");
         if hot == cold || per_worker[hot] == 0 {
             return;

@@ -328,8 +328,10 @@ impl DataTable for DiskTable {
         }
         // analysis:allow(relaxed-ordering): statistics counter.
         self.rows.fetch_add(1, Ordering::Relaxed);
-        // analysis:allow(panic-path): DiskTable::new rejects empty index
-        // lists, and the loop above visits every index.
+        #[expect(
+            clippy::expect_used,
+            reason = "DiskTable::new rejects empty index lists, and the loop above visits every index"
+        )]
         let (key, ts) = primary.expect("at least one index");
         Ok(self.replicator.append_entry(
             self.name.clone(),

@@ -18,6 +18,11 @@
 //! * [`snapshot`] — atomically-published per-table snapshots of the compact
 //!   row encoding plus the binlog offset they cover;
 
+// A panic inside a request tears down the worker serving it: non-test code
+// returns typed errors, and a provably unreachable `expect` says why in an
+// `#[expect(clippy::expect_used, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod binlog;
 pub mod disk;
 pub mod disk_table;

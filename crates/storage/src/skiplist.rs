@@ -96,9 +96,12 @@ impl<E> Node<E> {
     }
 
     /// Layout of a node with `height` links.
+    #[expect(
+        clippy::expect_used,
+        reason = "sizes are bounded by MAX_HEIGHT links behind a fixed header; \
+                  the layout cannot overflow `isize`"
+    )]
     fn layout(height: usize) -> Layout {
-        // analysis:allow(panic-path): sizes are bounded by MAX_HEIGHT links
-        // behind a fixed header; the layout cannot overflow `isize`.
         Layout::from_size_align(Self::size(height), mem::align_of::<Self>()).expect("node layout")
     }
 
@@ -334,9 +337,9 @@ impl<K: Ord, V> SkipMap<K, V> {
     /// `level_done` on the way down. Generic over a borrowed form of the
     /// key, so callers can seek with `&[KeyValue]` against `Vec<KeyValue>`
     /// keys without materializing an owned key first.
-    // analysis:allow(panic-freedom): every index is `level < MAX_HEIGHT`
-    // against the MAX_HEIGHT-sized head or the tower of a node reached at
-    // `level`, whose height is > level (see pred_links below).
+    // Every index is `level < MAX_HEIGHT` against the MAX_HEIGHT-sized head
+    // or the tower of a node reached at `level`, whose height is > level
+    // (see pred_links below).
     #[inline(always)]
     fn descend_by<'g, Q>(
         &'g self,
@@ -475,10 +478,12 @@ impl<K: Ord, V> SkipMap<K, V> {
                 Err(e) => new = e.new,
             }
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "unreachable — a just-installed node pointer cannot be null"
+        )]
         // SAFETY: the successful CAS installed our non-null node; it stays
         // alive for the map's lifetime.
-        // analysis:allow(panic-path): unreachable — a just-installed node
-        // pointer cannot be null.
         let node = unsafe { NodeRef::new(shared) }.expect("just inserted");
         // Link the upper levels from the search already done; only a lost
         // CAS pays for another one.
@@ -658,9 +663,8 @@ impl TimeList {
     /// past it to `level_done` on the way down. A successor that is retired
     /// (or an edge tagged mid-walk) is reported as the end of that level —
     /// the retired region is always the expired suffix.
-    // analysis:allow(panic-freedom): every index is `level < MAX_HEIGHT`
-    // against the MAX_HEIGHT-sized head or the tower of a node reached at
-    // `level`, whose height is > level.
+    // Every index is `level < MAX_HEIGHT` against the MAX_HEIGHT-sized head
+    // or the tower of a node reached at `level`, whose height is > level.
     #[inline(always)]
     fn descend<'g>(
         &'g self,
@@ -778,11 +782,13 @@ impl TimeList {
         mut succs: [Shared<'g, TimeNode>; MAX_HEIGHT],
         guard: &'g Guard,
     ) {
+        #[expect(
+            clippy::expect_used,
+            reason = "unreachable — a just-installed node pointer cannot be null"
+        )]
         // SAFETY: the caller's CAS installed this non-null node and the
         // caller's pin, taken before, keeps it allocated even if a
         // truncation detached it since.
-        // analysis:allow(panic-path): unreachable — a just-installed node
-        // pointer cannot be null.
         let node = unsafe { NodeRef::new(shared) }.expect("just inserted");
         if retired(node, guard) {
             // Truncated between the level-0 CAS and the gate: stays out.
@@ -977,8 +983,7 @@ impl TimeList {
                     pred.store(Shared::null(), Ordering::Release);
                     break;
                 }
-                // analysis:allow(panic-freedom): a node reached at `level`
-                // has a link there.
+                // A node reached at `level` has a link there.
                 pred = &node.tower()[level];
                 edge = pred.load(Ordering::Acquire, &guard);
             }

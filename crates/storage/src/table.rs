@@ -240,10 +240,12 @@ impl MemTable {
             // analysis:allow(relaxed-ordering): statistics counter.
             index.entries.fetch_add(1, Ordering::Relaxed);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "MemTable::new rejects empty index lists, and the loop above visits every index"
+        )]
         let offset = self.replicator.append_entry(
             self.name.clone(),
-            // analysis:allow(panic-path): MemTable::new rejects empty index
-            // lists, and the loop above visits every index.
             primary_key.expect("at least one index"),
             primary_ts,
             encoded,

@@ -398,9 +398,9 @@ struct BufLayout {
 
 impl BufLayout {
     /// End offset of var field `vi` within the string area.
-    // analysis:allow(panic-freedom): the layout is produced by
-    // `CompactCodec::view`, which validates that the offsets section lies
-    // inside `buf` for every var field before a view exists.
+    // The layout is produced by `CompactCodec::view`, which validates that
+    // the offsets section lies inside `buf` for every var field before a
+    // view exists.
     fn read_offset(&self, buf: &[u8], vi: usize) -> usize {
         let at = self.offsets_start + vi * self.ow;
         match self.ow {
@@ -468,8 +468,8 @@ impl<'a> RowView<'a> {
     }
 
     /// Whether column `i` is NULL (out-of-range columns read as NULL).
-    // analysis:allow(panic-freedom): `i < schema.len()` is checked above
-    // the read, and view construction validated the header + bitmap span.
+    // `i < schema.len()` is checked above the read, and view construction
+    // validated the header + bitmap span.
     pub fn is_null(&self, i: usize) -> bool {
         if i >= self.codec.schema.len() {
             return true;

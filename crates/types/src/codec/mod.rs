@@ -15,12 +15,13 @@
 //!
 //! Despite the `unsafe_row` name (inherited from Spark's `UnsafeRow`),
 //! neither codec contains any `unsafe` code: both work on plain byte
-//! slices with bounds-checked indexing. The remaining sharp edge is the
-//! deliberate set of width-limited `as` casts (offsets and header fields
-//! whose width is chosen from the encoded size), which the workspace lint
-//! (`cargo run -p openmldb-analysis -- lint`) tracks under its
-//! `lossy-cast` rule with a curated baseline — any *new* narrowing cast
-//! fails the lint.
+//! slices with bounds-checked indexing. The remaining sharp edge is an `as`
+//! cast that drops bits of row data: clippy's `cast_possible_truncation` is
+//! denied here, so a narrowing cast uses `try_from`, or states in an
+//! `#[expect(.., reason = "...")]` why the dropped bits are not data (the
+//! two 32-bit slot reads of `unsafe_row`).
+
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod compact;
 pub mod unsafe_row;

@@ -105,9 +105,17 @@ impl RowCodec for UnsafeRowCodec {
             let word = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
             values.push(match col.data_type {
                 DataType::Bool => Value::Bool(word != 0),
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "an INT slot holds its 32 bits in the low half of the word"
+                )]
                 DataType::Int => Value::Int(word as u32 as i32),
                 DataType::Bigint => Value::Bigint(word as i64),
                 DataType::Timestamp => Value::Timestamp(word as i64),
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a FLOAT slot holds its 32 bits in the low half of the word"
+                )]
                 DataType::Float => Value::Float(f32::from_bits(word as u32)),
                 DataType::Double => Value::Double(f64::from_bits(word)),
                 DataType::String => {

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Full local analysis gauntlet: formatting, clippy, the workspace lint,
-# tests, the deterministic schedule explorer, and (when installed) miri.
+# Full local analysis gauntlet: formatting, clippy, the tests (the workspace
+# lint is one of them, `tests/lint.rs`), the feature-armed suites of
+# .github/workflows/ci.yml command for command, the deterministic schedule
+# explorer, and (when installed) miri.
 # Optional tools are detected at runtime and skipped with a notice — this
 # script must pass on a box that has only stable rustc + cargo.
 #
@@ -18,19 +20,15 @@ step() { printf '\n==> %s\n' "$*"; }
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
-step "cargo clippy (deny warnings, incl. undocumented_unsafe_blocks)"
+step "cargo clippy (deny warnings: unsafe docs, unwrap/expect in storage, online, exec, truncating casts in types::codec)"
 cargo clippy --workspace --all-targets -- -D warnings
-
-step "workspace lint (line rules + call-graph rules, SARIF emitted)"
-cargo run -q -p openmldb-analysis -- lint
-[ -s target/analysis.sarif ] || { echo "missing target/analysis.sarif"; exit 1; }
 
 if [ "$QUICK" -eq 0 ]; then
     step "release build"
     cargo build --workspace --release
 fi
 
-step "workspace tests"
+step "workspace tests (the workspace lint included)"
 cargo test --workspace -q
 
 # Two clocks around the same requests: the harness's also covers code
@@ -43,7 +41,13 @@ step "observability compiled out (obs-off build + tests)"
 cargo build -q -p openmldb --features obs-off
 cargo test -q -p openmldb-obs --features obs-off
 cargo test -q -p openmldb --features obs-off --test observability
+cargo test -q -p openmldb --features obs-off --test request_record
+cargo test -q -p openmldb --features obs-off --test workload_attribution
+cargo test -q -p openmldb --features obs-off --test streaming_oracle
+cargo test -q -p openmldb --features obs-off --test sentinel
+cargo test -q -p openmldb --features obs-off --test scan_groups
 cargo test -q -p openmldb --features obs-off --test warm_allocs
+cargo run -q -p openmldb-bench --features obs-off --bin ops_smoke
 
 step "schedule explorer (model-check feature)"
 cargo test -q -p openmldb-storage --features model-check
@@ -52,26 +56,38 @@ cargo test -q -p openmldb-storage --features model-check --test schedule_explore
     pinned_scan_borrows_outlive_a_concurrent_truncation
 
 step "fault injection armed (chaos build + seeded resilience suite)"
-cargo build -q -p openmldb --features chaos
+cargo build -q --workspace --features chaos
 cargo test -q --test resilience --features chaos
+cargo test -q -p openmldb-storage --features chaos
+cargo test -q -p openmldb-online --features chaos
+cargo test -q -p openmldb-core --features chaos
+
+step "compiled-vs-materialized oracle and consistency sentinel under chaos"
+cargo test -q --test streaming_oracle --features chaos
 cargo test -q --test scan_groups --features chaos
-cargo test -q -p openmldb-storage -p openmldb-online -p openmldb-core --features chaos
+cargo test -q --test sentinel --features chaos
 
 step "fault injection compiled out (resilience suite, clean path)"
 cargo test -q --test resilience
 
-step "crash recovery suite (clean path, then WalFsync/SnapshotWrite kills armed)"
-cargo test -q --test recovery
-cargo test -q --test recovery --features chaos
-
-step "sticky WAL failures, WAL bytes and batched delivery (clean path, then chaos armed)"
-cargo test -q --test wal_failures
-cargo test -q --test wal_failures --features chaos
+step "batched delivery + WAL bytes under kills"
 cargo test -q -p openmldb-storage --features chaos --test binlog_kills --test wal_format
 cargo test -q -p openmldb-storage --features chaos --lib binlog::
 
 step "scan path under chaos + obs-off (feature-matrix corner)"
-cargo test -q -p openmldb-storage -p openmldb-online --features chaos,obs-off
+cargo test -q -p openmldb-storage --features chaos,obs-off
+cargo test -q -p openmldb-online --features chaos,obs-off
+cargo test -q -p openmldb --features chaos,obs-off --test request_record
+cargo test -q -p openmldb --features chaos,obs-off --test streaming_oracle
+cargo test -q -p openmldb --features chaos,obs-off --test sentinel
+
+step "crash recovery suite (clean path, then WalFsync/SnapshotWrite kills armed; release)"
+cargo test -q --release --test recovery
+cargo test -q --release --test recovery --features chaos
+
+step "sticky WAL failures (clean path, then WalFsync errors armed; release)"
+cargo test -q --release --test wal_failures
+cargo test -q --release --test wal_failures --features chaos
 
 if [ "$QUICK" -eq 0 ]; then
     step "scan groups + warm allocations of the serve_short shape (release)"
