@@ -516,6 +516,67 @@ fn compiled_eval(c: &mut Criterion) {
         })
     });
 
+    // serve_scan's window over 500 rows, newest first as the scan lends
+    // them: sum, count, max and avg over a DOUBLE and min over an INT — two
+    // column kernels, one keeping its maximum and one its minimum.
+    let scan_codec = CompactCodec::new(bench_schema());
+    let (mut scan_arena, mut scan_entries) = (Vec::new(), Vec::new());
+    for r in (0..500i64).rev() {
+        let bytes = scan_codec.encode(&bench_row(r * 7_919 % 1_009)).unwrap();
+        let (start, len) = (scan_arena.len(), bytes.len());
+        scan_entries.push(ScanEntry {
+            ts: r,
+            seq: r as usize,
+            start,
+            len,
+        });
+        scan_arena.extend_from_slice(&bytes);
+    }
+    let scan_aggs = [
+        spec("sum", 2),
+        spec("count", 2),
+        spec("max", 2),
+        spec("avg", 2),
+        spec("min", 4),
+    ];
+    let scan_window = BoundWindow {
+        name: "w".into(),
+        merged_names: vec!["w".into()],
+        partition_cols: vec![1],
+        order_col: 5,
+        order_desc: false,
+        frame: Frame::Unbounded,
+        maxsize: None,
+        exclude_current_row: false,
+        instance_not_in_window: false,
+        union_tables: vec![],
+    };
+    let scan_refs: Vec<&BoundAggregate> = scan_aggs.iter().collect();
+    let scan_wp = WindowProgram::compile(&scan_window, &scan_refs, &scan_codec).unwrap();
+    let mut scan_state = scan_wp.new_state();
+    g.bench_function("window_fold_scan_500", |b| {
+        b.iter(|| {
+            let (entries, arena) = (&scan_entries, &scan_arena);
+            scan_wp
+                .run(
+                    &mut scan_state,
+                    entries,
+                    0,
+                    EntryOrder::ReversedScan,
+                    arena,
+                    None,
+                    &scan_codec,
+                    &mut || Ok(()),
+                )
+                .unwrap();
+            out.clear();
+            scan_wp
+                .outputs_into(&scan_state, arena, None, &mut out)
+                .unwrap();
+            out.len()
+        })
+    });
+
     // 100 DOUBLE sums over 40 rows, serve_wide's first window: one float
     // sum lane of 100 members, one straight loop per row.
     let names: Vec<String> = (0..100).map(|c| format!("v{c}")).collect();

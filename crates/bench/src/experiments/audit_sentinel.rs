@@ -104,7 +104,11 @@ pub fn run() -> AuditSentinelResult {
 mod tests {
     use super::MAX_P50_OVERHEAD_REDUCED;
 
+    /// Runs alone (its own CI step and `scripts/analysis.sh` step): it
+    /// compares two p50s of microsecond requests, and the parallel suite's
+    /// other tests moved them past the bound in one run of five.
     #[test]
+    #[ignore = "timing bound: runs alone in its own CI step, not in the parallel suite"]
     fn sampled_p50_overhead_stays_within_bound() {
         let r = crate::harness::with_scale(0.1, super::run);
         assert!(

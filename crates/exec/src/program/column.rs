@@ -2,10 +2,18 @@
 //! column, monomorphized by column type. The fold runs on `i64`/`f64`
 //! running sums and extrema in plain machine words ([`KernelState`]), reading
 //! each row's field at its baked offset; strings are byte ranges of the row
-//! they were read from.
+//! they were read from. A kernel keeps only the statistics its projections
+//! bind ([`Track`]): the minimum and the maximum each only when bound.
 //!
-//! The contract every caller uses: [`KernelSpec::step_row`] a row — a stored
-//! one, or the encoded request row, which the fold steps last —
+//! The fold steps a kernel over a block of rows in one loop
+//! ([`KernelSpec::fold_block`]) — the request row, which the fold steps
+//! last, included — specialised by the column's class ([`Elem`]) and by the
+//! extrema kept, its running words in locals, written back once per block.
+//! An INT extremum compares as an integer, which is exact: every i32 is an
+//! f64, so the promoted `total_cmp` the interpreter uses is integer order.
+//! BIGINT and TIMESTAMP compare promoted, where distinct values past 2^53
+//! tie and the first seen stays. The rest of the contract:
+//! [`KernelSpec::step_row`] one row (the offline sweep's sliding program),
 //! [`KernelSpec::retract_row`] a stored row, and the bound projections
 //! ([`KernelState::project`]). Retraction is exact for the count and the
 //! wrapping `i64` sum: both are groups under addition, so taking a row out
@@ -34,10 +42,10 @@ use std::collections::VecDeque;
 use openmldb_types::{Error, Result, RowView, Value};
 
 use super::field::{
-    binding_out_of_bounds, row_out_of_range, str_field, str_without_view, FieldRef, Fixed,
-    FixedSink, KernelClass,
+    binding_out_of_bounds, read4, read8, row_out_of_range, str_field, str_without_view,
+    truncated_row, FieldRef, Fixed, FixedSink, KernelClass,
 };
-use super::fold::{carve, Binding, WindowState};
+use super::fold::{carve, Binding, Block, Views, WindowState};
 use crate::scratch::{RowSource, ScanEntry};
 use crate::window::Projection;
 
@@ -51,19 +59,26 @@ pub(super) struct Track {
     float_sums: bool,
     /// The f64 sum of squares (`stddev` only).
     pub(super) sum_sq: bool,
-    /// Running extrema (`min`/`max`).
-    pub(super) minmax: bool,
+    /// The running minimum and maximum, each kept only when bound.
+    min: bool,
+    max: bool,
 }
 
 impl Track {
     pub(super) fn note(&mut self, class: KernelClass, proj: Projection) {
         match proj {
-            Projection::Min | Projection::Max => self.minmax = true,
+            Projection::Min => self.min = true,
+            Projection::Max => self.max = true,
             Projection::Sum if class.is_int() => self.int_sum = true,
             Projection::Sum | Projection::Avg => self.float_sums = true,
             Projection::Stddev => (self.float_sums, self.sum_sq) = (true, true),
             Projection::Count => {}
         }
+    }
+
+    /// Whether an extremum is bound.
+    pub(super) fn extrema(&self) -> bool {
+        self.min || self.max
     }
 }
 
@@ -123,10 +138,108 @@ impl KernelSpec {
         }
     }
 
+    // HOT: the column family's fold — one loop per kernel over a block of
+    // rows, specialised by the column's class and by the extrema it keeps,
+    // its running state in locals, written back once per block. It steps
+    // the block's first `end` rows in fold order, so the f64 sums are the
+    // row-at-a-time fold's, bit for bit. A failing row is `Err` with its
+    // index; the rows before it are folded.
+    #[inline(always)]
+    pub(super) fn fold_block<'a, V: Views<'a>>(
+        &self,
+        st: &mut KernelState,
+        block: &Block<'a, V>,
+        end: usize,
+        rows: &dyn RowSource,
+    ) -> std::result::Result<(), (usize, Error)> {
+        match self.field.class {
+            KernelClass::Int => self.fold_as::<i32>(st, block.bufs(end)),
+            KernelClass::Bigint | KernelClass::Timestamp => {
+                self.fold_as::<i64>(st, block.bufs(end))
+            }
+            KernelClass::Float => self.fold_as::<f32>(st, block.bufs(end)),
+            KernelClass::Double => self.fold_as::<f64>(st, block.bufs(end)),
+            KernelClass::Str => {
+                for (j, (i, buf, view)) in block.rows(end) {
+                    let s = match self.field.null_in(buf) {
+                        true => continue,
+                        false => view.ok_or_else(str_without_view),
+                    };
+                    let s = s.and_then(|view| str_field(view, self.field.col));
+                    let fed = s.and_then(|s| match s {
+                        Some(s) => st.feed_str(s.as_bytes(), (i, buf), rows, self.track),
+                        None => Ok(()),
+                    });
+                    fed.map_err(|e| (j, e))?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn fold_as<E: Elem>(
+        &self,
+        st: &mut KernelState,
+        bufs: &[&[u8]],
+    ) -> std::result::Result<(), (usize, Error)> {
+        match (self.track.min, self.track.max) {
+            (false, false) => self.fold_fixed::<E, false, false>(st, bufs),
+            (true, false) => self.fold_fixed::<E, true, false>(st, bufs),
+            (false, true) => self.fold_fixed::<E, false, true>(st, bufs),
+            (true, true) => self.fold_fixed::<E, true, true>(st, bufs),
+        }
+    }
+
+    /// Step `bufs`, a fixed-width column's rows, into `st`, keeping the
+    /// minimum iff `MIN` and the maximum iff `MAX`.
+    // Out of line, each loop gets the registers to itself.
+    #[inline(never)]
+    fn fold_fixed<E: Elem, const MIN: bool, const MAX: bool>(
+        &self,
+        st: &mut KernelState,
+        bufs: &[&[u8]],
+    ) -> std::result::Result<(), (usize, Error)> {
+        let (f, t) = (&self.field, self.track);
+        let (mut count, mut sum_i, mut sum_f, mut sum_sq) =
+            (st.count, st.sum_i, st.sum_f, st.sum_sq);
+        let [mut min, mut max] = E::extrema(st);
+        let mut failed = Ok(());
+        for (j, buf) in bufs.iter().enumerate() {
+            if f.null_in(buf) {
+                continue;
+            }
+            let Some(v) = E::read(buf, f.at) else {
+                failed = Err((j, truncated_row(buf.len(), f.at + E::WIDTH)));
+                break;
+            };
+            if E::INT && t.int_sum {
+                sum_i = sum_i.wrapping_add(v.as_i64());
+            }
+            if t.float_sums {
+                let x = v.as_f64();
+                sum_f += x;
+                if t.sum_sq {
+                    sum_sq += x * x;
+                }
+            }
+            count += 1;
+            if MIN && (count == 1 || v.before(min)) {
+                min = v;
+            }
+            if MAX && (count == 1 || max.before(v)) {
+                max = v;
+            }
+        }
+        (st.count, st.sum_i, st.sum_f, st.sum_sq) = (count, sum_i, sum_f, sum_sq);
+        E::store(st, [min, max]);
+        failed
+    }
+
     /// Whether this kernel folds in a [`Lane`] of `class`: an f64 sum over
     /// a FLOAT or DOUBLE column with no extrema.
     fn laned(&self, class: KernelClass) -> bool {
-        self.field.class == class && self.track.float_sums && !self.track.minmax
+        self.field.class == class && self.track.float_sums && !self.track.extrema()
     }
 
     /// Keep only the count and the wrapping `i64` sum: the offline sweep's
@@ -228,19 +341,12 @@ impl KernelState {
             }
         }
         self.count += 1;
-        if track.minmax {
-            if self.count == 1 {
-                self.min_i = v;
-                self.max_i = v;
-            } else {
-                let f = v as f64;
-                if f.total_cmp(&(self.min_i as f64)).is_lt() {
-                    self.min_i = v;
-                }
-                if f.total_cmp(&(self.max_i as f64)).is_gt() {
-                    self.max_i = v;
-                }
-            }
+        let first = self.count == 1;
+        if track.min && (first || i64::before(v, self.min_i)) {
+            self.min_i = v;
+        }
+        if track.max && (first || i64::before(self.max_i, v)) {
+            self.max_i = v;
         }
     }
 
@@ -253,18 +359,12 @@ impl KernelState {
             }
         }
         self.count += 1;
-        if track.minmax {
-            if self.count == 1 {
-                self.min_f = v;
-                self.max_f = v;
-            } else {
-                if v.total_cmp(&self.min_f).is_lt() {
-                    self.min_f = v;
-                }
-                if v.total_cmp(&self.max_f).is_gt() {
-                    self.max_f = v;
-                }
-            }
+        let first = self.count == 1;
+        if track.min && (first || f64::before(v, self.min_f)) {
+            self.min_f = v;
+        }
+        if track.max && (first || f64::before(self.max_f, v)) {
+            self.max_f = v;
         }
     }
 
@@ -278,22 +378,12 @@ impl KernelState {
             }
         }
         self.count += 1;
-        if track.minmax {
-            if self.count == 1 {
-                self.min_f32 = v;
-                self.max_f32 = v;
-            } else {
-                // Compare in promoted f64 space (what the interpreter's
-                // `total_cmp` does) but keep the raw f32 so the output
-                // round-trips bit-exactly.
-                let f = v as f64;
-                if f.total_cmp(&(self.min_f32 as f64)).is_lt() {
-                    self.min_f32 = v;
-                }
-                if f.total_cmp(&(self.max_f32 as f64)).is_gt() {
-                    self.max_f32 = v;
-                }
-            }
+        let first = self.count == 1;
+        if track.min && (first || f32::before(v, self.min_f32)) {
+            self.min_f32 = v;
+        }
+        if track.max && (first || f32::before(self.max_f32, v)) {
+            self.max_f32 = v;
         }
     }
 
@@ -308,23 +398,14 @@ impl KernelState {
         track: Track,
     ) -> Result<()> {
         self.count += 1;
-        if !track.minmax {
-            return Ok(());
-        }
-        let slot = || StrSlot::of(row, bytes, buf);
-        if self.count == 1 {
-            let slot = slot()?;
-            self.min_str = slot;
-            self.max_str = slot;
-            return Ok(());
-        }
+        let (first, slot) = (self.count == 1, || StrSlot::of(row, bytes, buf));
         // `&str` ordering is byte-lexicographic, so comparing raw bytes
         // reproduces `Value::total_cmp` on strings; strict comparisons keep
         // the first-seen instance on ties.
-        if bytes < StrSlot::resolve(self.min_str, rows)? {
+        if track.min && (first || bytes < StrSlot::resolve(self.min_str, rows)?) {
             self.min_str = slot()?;
         }
-        if bytes > StrSlot::resolve(self.max_str, rows)? {
+        if track.max && (first || bytes > StrSlot::resolve(self.max_str, rows)?) {
             self.max_str = slot()?;
         }
         Ok(())
@@ -372,6 +453,164 @@ impl KernelState {
                     Error::Eval("string extremum was not resolved by its fold".into())
                 })?,
         })
+    }
+}
+
+/// A fixed-width class as the block loop reads, orders and sums it.
+trait Elem: Copy {
+    /// Bytes its field takes.
+    const WIDTH: usize;
+    /// Whether it is an integer class, the only ones with an `i64` sum.
+    const INT: bool;
+    /// Its field at `at` of `buf`, or `None` past the row's end.
+    fn read(buf: &[u8], at: usize) -> Option<Self>;
+    /// Whether `self` comes strictly before `other` in the order the fold
+    /// compares values in.
+    fn before(self, other: Self) -> bool;
+    fn as_f64(self) -> f64;
+    /// The value in the wrapping `i64` sum, which only an [`INT`](Self::INT)
+    /// class keeps.
+    fn as_i64(self) -> i64 {
+        0
+    }
+    /// The running `[min, max]` of `st`.
+    fn extrema(st: &KernelState) -> [Self; 2];
+    fn store(st: &mut KernelState, extrema: [Self; 2]);
+}
+
+impl Elem for i32 {
+    const WIDTH: usize = 4;
+    const INT: bool = true;
+
+    #[inline(always)]
+    fn read(buf: &[u8], at: usize) -> Option<i32> {
+        read4(buf, at).map(i32::from_le_bytes)
+    }
+
+    // Every i32 is exactly an f64, so the promoted `total_cmp` is integer
+    // order.
+    #[inline(always)]
+    fn before(self, other: i32) -> bool {
+        self < other
+    }
+
+    #[inline(always)]
+    fn as_f64(self) -> f64 {
+        f64::from(self)
+    }
+
+    #[inline(always)]
+    fn as_i64(self) -> i64 {
+        i64::from(self)
+    }
+
+    #[inline(always)]
+    fn extrema(st: &KernelState) -> [i32; 2] {
+        // An INT kernel's extrema are i32 values.
+        [st.min_i as i32, st.max_i as i32]
+    }
+
+    #[inline(always)]
+    fn store(st: &mut KernelState, [min, max]: [i32; 2]) {
+        (st.min_i, st.max_i) = (min.into(), max.into());
+    }
+}
+
+impl Elem for i64 {
+    const WIDTH: usize = 8;
+    const INT: bool = true;
+
+    #[inline(always)]
+    fn read(buf: &[u8], at: usize) -> Option<i64> {
+        read8(buf, at).map(i64::from_le_bytes)
+    }
+
+    // Promoted, as `Value::total_cmp` compares: distinct values past 2^53
+    // tie, and the first seen stays.
+    #[inline(always)]
+    fn before(self, other: i64) -> bool {
+        (self as f64).total_cmp(&(other as f64)).is_lt()
+    }
+
+    #[inline(always)]
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+
+    #[inline(always)]
+    fn as_i64(self) -> i64 {
+        self
+    }
+
+    #[inline(always)]
+    fn extrema(st: &KernelState) -> [i64; 2] {
+        [st.min_i, st.max_i]
+    }
+
+    #[inline(always)]
+    fn store(st: &mut KernelState, [min, max]: [i64; 2]) {
+        (st.min_i, st.max_i) = (min, max);
+    }
+}
+
+impl Elem for f32 {
+    const WIDTH: usize = 4;
+    const INT: bool = false;
+
+    #[inline(always)]
+    fn read(buf: &[u8], at: usize) -> Option<f32> {
+        read4(buf, at).map(f32::from_le_bytes)
+    }
+
+    // Promoted, keeping the raw f32 so the output round-trips bit-exactly.
+    #[inline(always)]
+    fn before(self, other: f32) -> bool {
+        f64::from(self).total_cmp(&f64::from(other)).is_lt()
+    }
+
+    #[inline(always)]
+    fn as_f64(self) -> f64 {
+        f64::from(self)
+    }
+
+    #[inline(always)]
+    fn extrema(st: &KernelState) -> [f32; 2] {
+        [st.min_f32, st.max_f32]
+    }
+
+    #[inline(always)]
+    fn store(st: &mut KernelState, [min, max]: [f32; 2]) {
+        (st.min_f32, st.max_f32) = (min, max);
+    }
+}
+
+impl Elem for f64 {
+    const WIDTH: usize = 8;
+    const INT: bool = false;
+
+    #[inline(always)]
+    fn read(buf: &[u8], at: usize) -> Option<f64> {
+        read8(buf, at).map(f64::from_le_bytes)
+    }
+
+    #[inline(always)]
+    fn before(self, other: f64) -> bool {
+        self.total_cmp(&other).is_lt()
+    }
+
+    #[inline(always)]
+    fn as_f64(self) -> f64 {
+        self
+    }
+
+    #[inline(always)]
+    fn extrema(st: &KernelState) -> [f64; 2] {
+        [st.min_f, st.max_f]
+    }
+
+    #[inline(always)]
+    fn store(st: &mut KernelState, [min, max]: [f64; 2]) {
+        (st.min_f, st.max_f) = (min, max);
     }
 }
 
@@ -1420,7 +1659,7 @@ mod tests {
                     (wp.lanes.len(), wp.expr_lanes.len(), wp.exprs.len(), bound.count()),
                     (2, 5, kernels, laned)
                 );
-                proptest::prop_assert_eq!(wp.extended, aggs.len() > column.len());
+                proptest::prop_assert_eq!(wp.maps.len(), usize::from(aggs.len() > column.len()));
                 let oracle = (|| -> Result<Vec<Value>> {
                     let mut set = WindowAggSet::new(&refs)?;
                     for e in &entries[first..] {

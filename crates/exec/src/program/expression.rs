@@ -482,7 +482,7 @@ impl ExprKernel {
             Load(f) => float(f),
             op => matches!(op, ConstF(_) | AddF(..) | SubF(..) | MulF(..)),
         };
-        !self.track.minmax && self.ops.iter().all(infallible)
+        !self.track.extrema() && self.ops.iter().all(infallible)
     }
 }
 

@@ -191,7 +191,7 @@ pub(super) fn str_field<'a>(view: &RowView<'a>, col: usize) -> Result<Option<&'a
 /// Bounds-checked fixed-width little-endian reads — `None` instead of a
 /// panic path when the row is shorter than the baked offset promises.
 #[inline(always)]
-fn read4(buf: &[u8], at: usize) -> Option<[u8; 4]> {
+pub(super) fn read4(buf: &[u8], at: usize) -> Option<[u8; 4]> {
     let s = buf.get(at..at.checked_add(4)?)?;
     let mut b = [0u8; 4];
     b.copy_from_slice(s);
@@ -199,7 +199,7 @@ fn read4(buf: &[u8], at: usize) -> Option<[u8; 4]> {
 }
 
 #[inline(always)]
-fn read8(buf: &[u8], at: usize) -> Option<[u8; 8]> {
+pub(super) fn read8(buf: &[u8], at: usize) -> Option<[u8; 8]> {
     let s = buf.get(at..at.checked_add(8)?)?;
     let mut b = [0u8; 8];
     b.copy_from_slice(s);

@@ -9,13 +9,14 @@
 //! per shape — and the fold calls each family's contract: step a row,
 //! project the values. There is one row format: the request row, encoded
 //! once, is row `n` of the fold's rows ([`FoldRows`]), stepped after every
-//! stored row by the same code. The serve loop is `feed_entries`: a
-//! column-only window runs it row by row (`feed_row` / `feed_row_view`);
-//! any other window gathers up to [`BLOCK`] validated rows and steps each
-//! family over the whole block (`feed_blocks` → `step_block`). The offline
-//! sweep calls the same contract through [`WindowProgram::slide_row`] for
-//! the kernels whose fold retracts exactly, and re-folds the rest through
-//! this loop.
+//! stored row by the same code. The serve loop is `feed_entries`: every
+//! window gathers up to [`BLOCK`] rows in fold order, each validated once
+//! (the 3-field header check, or one [`RowView`] when a kernel reads
+//! through one), and steps each family over the whole block
+//! (`feed_blocks` → `step_block`) — a column kernel in one loop of its own
+//! over the block ([`KernelSpec::fold_block`]). The offline sweep calls the
+//! row contract through [`WindowProgram::slide_row`] for the kernels whose
+//! fold retracts exactly, and re-folds the rest through this loop.
 
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
 use openmldb_types::{CompactCodec, Result, RowView, Value};
@@ -32,8 +33,8 @@ use super::sweep::Split;
 use crate::scratch::{RowSource, ScanEntry};
 use crate::window::{projection_for, Projection, WindowAggSet};
 
-/// Rows an extended window's fold gathers and steps at a time — also the
-/// deadline-probe cadence, so a block ends where a probe is due.
+/// Rows a fold gathers and steps at a time — also the deadline-probe
+/// cadence, so a block ends where a probe is due.
 pub(super) const BLOCK: usize = 64;
 
 /// Where one aggregate's output comes from, in aggregate order. `Lane` is
@@ -142,27 +143,104 @@ impl<R: RowSource> RowSource for FoldRows<'_, R> {
     }
 }
 
-/// One block of an extended window's fold: up to [`BLOCK`] in-frame rows,
-/// each validated once — its index in the fold's [`RowSource`], its bytes,
-/// and its view when the program reads through one.
-struct Block<'a> {
-    len: usize,
-    at: [usize; BLOCK],
-    bufs: [&'a [u8]; BLOCK],
-    views: [Option<RowView<'a>>; BLOCK],
+/// Where the `k`th row a fold feeds lies in its [`FoldRows`]: the `take`
+/// in-frame stored rows of `n` in ascending `(ts, seq)` order — an
+/// ascending source's last ones, a reversed scan's first ones backwards —
+/// then the request row, row `n`.
+#[derive(Clone, Copy)]
+struct FeedOrder {
+    n: usize,
+    take: usize,
+    order: EntryOrder,
 }
 
-impl<'a> Block<'a> {
+impl FeedOrder {
+    #[inline(always)]
+    fn index(self, k: usize) -> usize {
+        match self.order {
+            _ if k == self.take => self.n,
+            EntryOrder::Ascending => self.n - self.take + k,
+            EntryOrder::ReversedScan => self.take - 1 - k,
+        }
+    }
+}
+
+/// What a [`Block`] keeps of each row besides its bytes: nothing for a
+/// fixed-only program, whose rows the 3-field header check validates
+/// (`()`), or each row's validated view.
+pub(super) trait Views<'a> {
+    /// Validate `row`, row `j` of the block, for `wp`.
+    fn check(
+        &mut self,
+        j: usize,
+        row: &'a [u8],
+        wp: &WindowProgram,
+        codec: &'a CompactCodec,
+    ) -> Result<()>;
+    /// Row `j`'s view, if kept.
+    fn view(&self, j: usize) -> Option<&RowView<'a>>;
+}
+
+impl<'a> Views<'a> for () {
+    #[inline(always)]
+    fn check(&mut self, _: usize, row: &[u8], wp: &WindowProgram, _: &CompactCodec) -> Result<()> {
+        wp.check_header(row)
+    }
+
+    #[inline(always)]
+    fn view(&self, _: usize) -> Option<&RowView<'a>> {
+        None
+    }
+}
+
+impl<'a> Views<'a> for [Option<RowView<'a>>; BLOCK] {
+    fn check(
+        &mut self,
+        j: usize,
+        row: &'a [u8],
+        _: &WindowProgram,
+        codec: &'a CompactCodec,
+    ) -> Result<()> {
+        let view = codec.view(row)?;
+        *self.get_mut(j).ok_or_else(row_out_of_range)? = Some(view);
+        Ok(())
+    }
+
+    fn view(&self, j: usize) -> Option<&RowView<'a>> {
+        self.get(j)?.as_ref()
+    }
+}
+
+/// One block of a fold: up to [`BLOCK`] in-frame rows, each validated once
+/// — its bytes, and its view when the program reads through one. Row `j`
+/// is the `start + j`th row fed.
+pub(super) struct Block<'a, V> {
+    len: usize,
+    start: usize,
+    feed: FeedOrder,
+    bufs: [&'a [u8]; BLOCK],
+    views: V,
+}
+
+impl<'a, V: Views<'a>> Block<'a, V> {
+    /// The bytes of the first `end` rows.
+    #[inline(always)]
+    pub(super) fn bufs(&self, end: usize) -> &[&'a [u8]] {
+        self.bufs.get(..end.min(self.len)).unwrap_or_default()
+    }
+
     /// The first `end` rows as `(j, (index, bytes, view))`.
     #[inline(always)]
-    fn rows(
+    pub(super) fn rows(
         &self,
         end: usize,
     ) -> impl Iterator<Item = (usize, (usize, &'a [u8], Option<&RowView<'a>>))> + '_ {
-        (self.at.iter().zip(&self.bufs).zip(&self.views))
-            .take(end.min(self.len))
-            .map(|((&i, &buf), view)| (i, buf, view.as_ref()))
-            .enumerate()
+        (self.bufs(end).iter().enumerate()).map(|(j, &buf)| {
+            (
+                j,
+                (self.feed.index(self.start + j), buf, self.views.view(j)),
+            )
+        })
     }
 }
 
@@ -195,10 +273,6 @@ pub struct WindowProgram {
     pub(super) generic: Vec<BoundAggregate>,
     /// Output bindings in aggregate order.
     pub(super) bindings: Vec<Binding>,
-    /// Whether any of families 2–4 is present once the lanes are carved:
-    /// such a window folds a block at a time; a column-only window (its
-    /// expressions all in lanes included) runs the row loop.
-    pub(super) extended: bool,
     /// Longest expression kernel program (register-file size).
     max_regs: usize,
     /// Whether any kernel reads a var-width field or evaluates through a
@@ -359,7 +433,6 @@ impl WindowProgram {
             needs_view: c.kernels.iter().any(|k| is_str(&k.field))
                 || c.maps.iter().any(is_str)
                 || !c.generic.is_empty(),
-            extended: !(c.exprs.is_empty() && c.maps.is_empty() && c.generic.is_empty()),
             max_regs: c.exprs.iter().map(|k| k.ops.len()).max().unwrap_or(0),
             kernels: c.kernels,
             lanes,
@@ -537,7 +610,7 @@ impl WindowProgram {
             stored: rows,
             request,
         };
-        self.feed_entries(self.extended, state, &rows, first, order, codec, probe)?;
+        self.feed_entries(state, &rows, first, order, codec, probe)?;
         self.finish(state, &rows)
     }
 
@@ -569,14 +642,15 @@ impl WindowProgram {
     }
 
     /// Feed the in-frame stored rows in ascending `(ts, seq)` order, then
-    /// the request row. `ext` is [`Self::extended`]: an extended window
-    /// folds a block at a time ([`feed_blocks`](Self::feed_blocks)), a
-    /// column-only one runs the row loop ([`feed_rows`](Self::feed_rows)).
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
+    /// the request row, [`BLOCK`] at a time: each row validated once (one
+    /// [`RowView`] when the program reads through one) as its block is
+    /// gathered, then each family stepped over the block
+    /// ([`step_block`](Self::step_block)). A row that fails validation ends
+    /// its block: the rows before it are stepped first, so an error they
+    /// raise still wins. `probe` runs after every full block, i.e. every
+    /// [`BLOCK`] fed rows, the request row included.
     pub(super) fn feed_entries<R: RowSource>(
         &self,
-        ext: bool,
         state: &mut WindowState,
         rows: &FoldRows<'_, R>,
         first: usize,
@@ -584,62 +658,61 @@ impl WindowProgram {
         codec: &CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
     ) -> Result<()> {
-        let (sums, exprs) = (!self.lanes.is_empty(), !self.expr_lanes.is_empty());
-        match (ext, sums, exprs) {
-            (true, ..) => self.feed_blocks(state, rows, first, order, codec, probe),
-            (false, false, false) => {
-                self.feed_rows::<false, false, R>(state, rows, first, order, codec, probe)
-            }
-            (false, true, false) => {
-                self.feed_rows::<true, false, R>(state, rows, first, order, codec, probe)
-            }
-            (false, _, true) => {
-                self.feed_rows::<true, true, R>(state, rows, first, order, codec, probe)
-            }
+        let n = rows.stored.n_rows();
+        let take = n.saturating_sub(first);
+        let feed = FeedOrder { n, take, order };
+        let total = take + usize::from(rows.request.is_some());
+        match self.needs_view {
+            true => self.feed_blocks(
+                state,
+                rows,
+                feed,
+                total,
+                codec,
+                probe,
+                [const { None }; BLOCK],
+            ),
+            false => self.feed_blocks(state, rows, feed, total, codec, probe, ()),
         }
     }
 
-    /// A column-only window's row loop (`LANES` false compiles the float sum
-    /// lanes out, `EXPRS` false the expression lanes). Row indices are
-    /// positions in `rows`: an ascending source feeds `first..`, a reversed
-    /// scan its newest rows backwards; the request row, row `n`, comes last
-    /// in either.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn feed_rows<const LANES: bool, const EXPRS: bool, R: RowSource>(
+    fn feed_blocks<'a, R: RowSource, V: Views<'a>>(
         &self,
         state: &mut WindowState,
-        rows: &FoldRows<'_, R>,
-        first: usize,
-        order: EntryOrder,
-        codec: &CompactCodec,
+        rows: &'a FoldRows<'_, R>,
+        feed: FeedOrder,
+        total: usize,
+        codec: &'a CompactCodec,
         probe: &mut dyn FnMut() -> Result<()>,
+        views: V,
     ) -> Result<()> {
-        let (stored, n) = (rows.stored, rows.stored.n_rows());
-        let take = n.saturating_sub(first);
-        let mut fed = 0u32;
-        match order {
-            EntryOrder::Ascending => {
-                for i in n - take..n {
-                    self.feed_row::<LANES, EXPRS>(state, (i, stored.row_at(i)?), rows, codec)?;
-                    fed += 1;
-                    if fed & 63 == 0 {
-                        probe()?;
+        let mut block = Block {
+            len: 0,
+            start: 0,
+            feed,
+            bufs: [&[]; BLOCK],
+            views,
+        };
+        while block.start < total {
+            let mut gathered = Ok(());
+            block.len = 0;
+            let slots = block.bufs.iter_mut().take(total - block.start);
+            for (j, buf) in slots.enumerate() {
+                let row = rows.row_at(feed.index(block.start + j));
+                match row.and_then(|row| block.views.check(j, row, self, codec).map(|()| row)) {
+                    Ok(row) => (*buf, block.len) = (row, j + 1),
+                    Err(e) => {
+                        gathered = Err(e);
+                        break;
                     }
                 }
             }
-            EntryOrder::ReversedScan => {
-                for i in (0..take).rev() {
-                    self.feed_row::<LANES, EXPRS>(state, (i, stored.row_at(i)?), rows, codec)?;
-                    fed += 1;
-                    if fed & 63 == 0 {
-                        probe()?;
-                    }
-                }
-            }
-        }
-        if let Some(row) = rows.request {
-            self.feed_row::<LANES, EXPRS>(state, (n, row), rows, codec)?;
-            if (fed + 1) & 63 == 0 {
+            self.step_block(state, &block, rows)?;
+            gathered?;
+            block.start += block.len;
+            if block.start.is_multiple_of(BLOCK) {
                 probe()?;
             }
         }
@@ -665,136 +738,23 @@ impl WindowProgram {
         Ok(())
     }
 
-    // HOT: the compiled per-row dispatch loop of column-only windows — one
-    // NULL-bit probe plus one fixed-offset little-endian read per kernel, no
-    // `Value` construction, no parse beyond the 3-field header check for
-    // fixed-only programs.
-    #[inline(always)]
-    fn feed_row<const LANES: bool, const EXPRS: bool>(
-        &self,
-        state: &mut WindowState,
-        (i, buf): (usize, &[u8]),
-        rows: &dyn RowSource,
-        codec: &CompactCodec,
-    ) -> Result<()> {
-        if self.needs_view {
-            self.feed_row_view(state, (i, buf), rows, codec)?;
-        } else {
-            self.check_header(buf)?;
-            for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
-                spec.step_row(st, buf, None, (i, buf), rows)?;
-            }
-        }
-        if LANES {
-            for (lane, st) in self.lanes.iter().zip(state.lanes.iter_mut()) {
-                lane.sum_row(st, buf)?;
-            }
-        }
-        if EXPRS {
-            for (lane, st) in self.expr_lanes.iter().zip(state.expr_lanes.iter_mut()) {
-                lane.eval_row(st, &mut state.lane_regs, buf)?;
-            }
-        }
-        Ok(())
-    }
-
-    // HOT: per-row loop of view-bearing column-only programs — fixed fields
-    // still read at baked offsets; only string kernels go through the
-    // validated view, borrowing the row (no copy until the fold finishes).
-    fn feed_row_view(
-        &self,
-        state: &mut WindowState,
-        (i, buf): (usize, &[u8]),
-        rows: &dyn RowSource,
-        codec: &CompactCodec,
-    ) -> Result<()> {
-        let view = codec.view(buf)?;
-        for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
-            spec.step_row(st, buf, Some(&view), (i, buf), rows)?;
-        }
-        Ok(())
-    }
-
-    /// The fold of an extended window: the in-frame rows, in the order
-    /// [`feed_entries`](Self::feed_entries) feeds them (the request row in
-    /// the last block), gathered [`BLOCK`] at a time — each validated once
-    /// (one [`RowView`] when the program reads through one) — and stepped by
-    /// [`step_block`](Self::step_block).
-    /// A row that fails validation ends its block: the rows before it are
-    /// stepped first, so an error they raise still wins. `probe` runs after
-    /// every full block, i.e. every [`BLOCK`] fed rows, as the row loop's.
-    #[allow(clippy::too_many_arguments)]
-    fn feed_blocks<R: RowSource>(
-        &self,
-        state: &mut WindowState,
-        rows: &FoldRows<'_, R>,
-        first: usize,
-        order: EntryOrder,
-        codec: &CompactCodec,
-        probe: &mut dyn FnMut() -> Result<()>,
-    ) -> Result<()> {
-        let n = rows.stored.n_rows();
-        let take = n.saturating_sub(first);
-        let total = take + usize::from(rows.request.is_some());
-        let mut block = Block {
-            len: 0,
-            at: [0; BLOCK],
-            bufs: [&[]; BLOCK],
-            views: [const { None }; BLOCK],
-        };
-        let mut fed = 0;
-        while fed < total {
-            let mut gathered = Ok(());
-            block.len = 0;
-            for (j, ((at, buf), view)) in (block.at.iter_mut())
-                .zip(block.bufs.iter_mut())
-                .zip(block.views.iter_mut())
-                .take(total - fed)
-                .enumerate()
-            {
-                *at = match order {
-                    _ if fed + j == take => n,
-                    EntryOrder::Ascending => n - take + fed + j,
-                    EntryOrder::ReversedScan => take - 1 - fed - j,
-                };
-                let checked = rows.row_at(*at).and_then(|row| match self.needs_view {
-                    true => Ok((row, Some(codec.view(row)?))),
-                    false => self.check_header(row).map(|()| (row, None)),
-                });
-                match checked {
-                    Ok((row, v)) => (*buf, *view, block.len) = (row, v, j + 1),
-                    Err(e) => {
-                        gathered = Err(e);
-                        break;
-                    }
-                }
-            }
-            self.step_block(state, &block, rows)?;
-            gathered?;
-            fed += block.len;
-            if fed % BLOCK == 0 {
-                probe()?;
-            }
-        }
-        Ok(())
-    }
-
-    // HOT: one block of an extended window, family by family, each in the
-    // loop order that suits it: column kernels row by row (the float sum
-    // lanes, then the expression lanes, first: one straight loop per run or
-    // op per row), expression kernels op by op ([`ExprKernel::eval_block`]),
-    // count maps map by map, generic aggregates row by row over the views.
-    // A lane cannot fail on a validated row. The error reported is the one
-    // the row-at-a-time fold meets first — the earliest row, then family
-    // order, then kernel order: once a kernel fails on row `end`, every
-    // later one steps only the rows before it. An expression kernel's error
-    // still yields to a generic aggregate bound before it that fails on the
-    // same row (`generic::first_error`), after the generic family has
+    // HOT: one block, family by family, each in the loop order that suits
+    // it: the float sum lanes and the expression lanes row by row (one
+    // straight loop per run or op per row), column kernels kernel by kernel
+    // ([`KernelSpec::fold_block`]), expression kernels op by op
+    // ([`ExprKernel::eval_block`]), count maps map by map, generic
+    // aggregates row by row over the views. A lane cannot fail on a
+    // validated row, nor a fixed-width column kernel. The error reported is
+    // the one the row-at-a-time fold meets first — the earliest row, then
+    // family order, then kernel order: once a kernel fails on row `end`,
+    // every later one steps only the rows before it. An expression kernel's
+    // error still yields to a generic aggregate bound before it that fails
+    // on the same row (`generic::first_error`), after the generic family has
     // stepped exactly the rows before it.
-    fn step_block(
+    fn step_block<'a, V: Views<'a>>(
         &self,
         state: &mut WindowState,
-        block: &Block<'_>,
+        block: &Block<'a, V>,
         rows: &dyn RowSource,
     ) -> Result<()> {
         let WindowState {
@@ -809,23 +769,24 @@ impl WindowProgram {
             ..
         } = state;
         let (mut end, mut failed) = (block.len, None);
-        'rows: for (j, (i, buf, view)) in block.rows(end) {
-            let mut laned = self.lanes.iter().zip(lanes.iter_mut());
-            let mut exprs = self.expr_lanes.iter().zip(expr_lanes.iter_mut());
-            let stepped = (laned.try_for_each(|(l, st)| l.sum_row(st, buf)))
-                .and_then(|()| exprs.try_for_each(|(l, st)| l.eval_row(st, lane_regs, buf)));
-            if let Err(e) = stepped {
-                (end, failed) = (j, Some((e, None)));
-                break 'rows;
-            }
-            for (spec, st) in self.kernels.iter().zip(kernels.iter_mut()) {
-                if let Err(e) = spec.step_row(st, buf, view, (i, buf), rows) {
+        if !(self.lanes.is_empty() && self.expr_lanes.is_empty()) {
+            for (j, buf) in block.bufs(end).iter().enumerate() {
+                let mut laned = self.lanes.iter().zip(lanes.iter_mut());
+                let mut exprs = self.expr_lanes.iter().zip(expr_lanes.iter_mut());
+                let stepped = (laned.try_for_each(|(l, st)| l.sum_row(st, buf)))
+                    .and_then(|()| exprs.try_for_each(|(l, st)| l.eval_row(st, lane_regs, buf)));
+                if let Err(e) = stepped {
                     (end, failed) = (j, Some((e, None)));
-                    break 'rows;
+                    break;
                 }
             }
         }
-        let bufs = &block.bufs;
+        for (spec, st) in self.kernels.iter().zip(kernels.iter_mut()) {
+            if let Err((j, e)) = spec.fold_block(st, block, end, rows) {
+                (end, failed) = (j, Some((e, None)));
+            }
+        }
+        let bufs = block.bufs(end);
         for (spec, st) in self.exprs.iter().zip(exprs.iter_mut()) {
             let load = |f: &FieldRef, j: usize| match bufs.get(j) {
                 Some(buf) => f.stored(buf),
@@ -854,10 +815,12 @@ impl WindowProgram {
         match failed {
             None => Ok(()),
             Some((e, None)) => Err(e),
-            Some((e, Some(spec))) => {
-                let view = block.views.get(end).and_then(Option::as_ref);
-                Err(generic::first_error(e, spec, generic, view))
-            }
+            Some((e, Some(spec))) => Err(generic::first_error(
+                e,
+                spec,
+                generic,
+                block.views.view(end),
+            )),
         }
     }
 
@@ -1491,7 +1454,7 @@ mod tests {
             aggs.rotate_left(turn);
             let refs: Vec<&BoundAggregate> = aggs.iter().collect();
             let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
-            proptest::prop_assert!(wp.extended && wp.needs_view);
+            proptest::prop_assert!(wp.needs_view);
             proptest::prop_assert_eq!((wp.expr_lanes.len(), wp.exprs.len()), (1, 2));
 
             // The interpreter over the in-frame rows, ascending, then the
@@ -1529,6 +1492,241 @@ mod tests {
                 );
                 proptest::prop_assert_eq!(&got, &oracle);
                 proptest::prop_assert_eq!(probes, clean / BLOCK, "{:?} over {} rows", order, clean);
+            }
+        }
+    }
+
+    /// Each value class's palettes for the kernel-major fold's oracle, by
+    /// column of [`class_schema`]: values that tie, NaNs of both signs and
+    /// payloads, signed zeros, infinities, the integer extremes, BIGINTs
+    /// that tie once promoted past ±2^53, and NULL. The first palette
+    /// mixes them all.
+    fn class_palettes(col: usize) -> Vec<Vec<Value>> {
+        use Value::{Bigint, Double, Float, Int, Null, Timestamp};
+        let p53 = 1i64 << 53;
+        let wide = |make: fn(i64) -> Value| {
+            let mut palettes: Vec<Vec<Value>> = [
+                vec![p53, p53 + 1, p53 - 1],
+                vec![-p53, -p53 - 1, -p53 + 1],
+                vec![i64::MAX, i64::MAX - 1, i64::MIN, i64::MIN + 1],
+                vec![0, -3, 7],
+            ]
+            .into_iter()
+            .map(|p| p.into_iter().map(make).collect())
+            .collect();
+            palettes.push(vec![Null]);
+            palettes
+        };
+        let nan = |bits: u64| Double(f64::from_bits(bits));
+        let nan32 = |bits: u32| Float(f32::from_bits(bits));
+        let mut palettes = match col {
+            2 => vec![
+                vec![Int(i32::MIN), Int(i32::MAX), Int(0), Int(-1)],
+                vec![Int(i32::MAX), Null],
+                vec![Int(5), Int(-5)],
+                vec![Null],
+            ],
+            3 => wide(Bigint),
+            4 => wide(Timestamp),
+            5 => vec![
+                vec![Float(0.0), Float(-0.0)],
+                vec![Float(-f32::NAN)],
+                vec![Float(f32::NAN), nan32(0x7f80_0001), nan32(0xff80_0001)],
+                vec![
+                    Float(f32::INFINITY),
+                    Float(f32::NEG_INFINITY),
+                    Float(f32::MAX),
+                    Float(f32::MIN),
+                    Null,
+                ],
+            ],
+            6 => vec![
+                vec![Double(0.0), Double(-0.0), Null],
+                vec![Double(-f64::NAN)],
+                vec![Double(f64::NAN)],
+                vec![
+                    Double(f64::NAN),
+                    Double(-f64::NAN),
+                    nan(0x7ff0_0000_0000_0001),
+                    nan(0xfff8_0000_0000_0001),
+                ],
+                vec![
+                    Double(f64::INFINITY),
+                    Double(f64::NEG_INFINITY),
+                    Double(f64::MAX),
+                    Double(f64::MIN),
+                ],
+                vec![
+                    Double(f64::MIN_POSITIVE),
+                    Double(5e-324),
+                    Double(1.25),
+                    Null,
+                ],
+                vec![Null],
+            ],
+            _ => vec![
+                vec![
+                    Value::string(""),
+                    Value::string("a"),
+                    Value::string("ab"),
+                    Null,
+                ],
+                vec![Value::string("b"), Value::string("a")],
+                vec![Value::string("zz")],
+                vec![Null],
+            ],
+        };
+        let all = palettes.concat();
+        palettes.insert(0, all);
+        palettes
+    }
+
+    /// `k, ts`, then a nullable column of every value class: INT, BIGINT,
+    /// TIMESTAMP, FLOAT, DOUBLE, STRING.
+    fn class_schema() -> openmldb_types::Schema {
+        use openmldb_types::{ColumnDef, DataType};
+        let cols = [
+            ("i", DataType::Int),
+            ("b", DataType::Bigint),
+            ("t", DataType::Timestamp),
+            ("f", DataType::Float),
+            ("d", DataType::Double),
+            ("s", DataType::String),
+        ];
+        let mut defs = vec![
+            ColumnDef::new("k", DataType::String).not_null(),
+            ColumnDef::new("ts", DataType::Timestamp).not_null(),
+        ];
+        defs.extend(cols.into_iter().map(|(name, ty)| ColumnDef::new(name, ty)));
+        openmldb_types::Schema::new(defs).expect("valid schema")
+    }
+
+    /// An answer of `aggs` type for type and bit for bit: floats by their
+    /// bits (the Debug form prints every NaN alike) — but for a NaN that
+    /// arithmetic made, whose sign and payload Rust leaves unspecified (the
+    /// compiler may commute an addition), only that it is a NaN. An
+    /// extremum is one of the values read, so its NaN keeps its bits.
+    fn exact(answer: &Result<Vec<Value>>, aggs: &[BoundAggregate]) -> String {
+        let bits = |(v, agg): (&Value, &BoundAggregate)| match v {
+            Value::Double(d) if d.is_nan() && !matches!(agg.func.name, "min" | "max") => {
+                "Double(NaN)".to_string()
+            }
+            Value::Double(d) => format!("Double({:#x})", d.to_bits()),
+            Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+            v => format!("{v:?}"),
+        };
+        let answer = answer
+            .as_ref()
+            .map(|vs| vs.iter().zip(aggs).map(bits).collect::<Vec<_>>());
+        format!("{answer:?}")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 32 })]
+
+        /// Column-only windows fold a block at a time, kernel by kernel:
+        /// frames of 130–200 rows (three or four blocks) cut by `ROWS` or
+        /// `MAXSIZE` (so the fold starts past row 0), both entry orders,
+        /// the request row in or out of frame. Each case binds all 64
+        /// subsets of {min, max, sum, count, avg, stddev} to every numeric
+        /// class (a STRING column its {min, max, count} part), over every
+        /// palette of [`class_palettes`]. The answer equals the
+        /// interpreter's, type for type and bit for bit. In one program of
+        /// four, a row of the second block has a bad header: the answer is
+        /// the error its validation gives.
+        #[test]
+        fn column_block_fold_equals_interpreter(
+            stored in proptest::collection::vec(proptest::prelude::any::<i64>(), 210..261),
+            request in (proptest::prelude::any::<bool>(), proptest::prelude::any::<i64>()),
+            frame in (proptest::prelude::any::<bool>(), 130usize..201),
+            bad in 0usize..64,
+            seed in 0usize..64,
+        ) {
+            let codec = CompactCodec::new(class_schema());
+            let palettes: Vec<Vec<Vec<Value>>> = (2..8).map(class_palettes).collect();
+            let (rows_frame, size) = frame;
+            let mut w = window();
+            match rows_frame {
+                true => w.frame = openmldb_sql::ast::Frame::Rows { preceding: size as u64 - 1 },
+                false => w.maxsize = Some(size),
+            }
+            const STATS: [&str; 6] = ["min", "max", "sum", "count", "avg", "stddev"];
+            for t in 0..64 {
+                let value = |c: usize, bits: u64| {
+                    let pal = &palettes[c][(t + seed + c) % palettes[c].len()];
+                    pal[(bits >> (8 * c)) as usize % pal.len()].clone()
+                };
+                let row = |ts: usize, bits: u64| {
+                    let mut values = vec![Value::string("k1"), Value::Timestamp(ts as i64)];
+                    values.extend((0..6).map(|c| value(c, bits)));
+                    Row::new(values)
+                };
+                let rows: Vec<Row> = stored.iter().enumerate().map(|(ts, &bits)| row(ts, bits as u64)).collect();
+                let req = (request.0).then(|| row(rows.len(), request.1 as u64));
+                let req = req.as_ref().map(|r| r.values());
+                let mut aggs = Vec::new();
+                for c in 0..6 {
+                    let subset = ((t + 13 * c) % 64) & if c == 5 { 0b1011 } else { 0b11_1111 };
+                    let bound = (0..6).filter(|s| subset >> s & 1 != 0);
+                    aggs.extend(bound.map(|s| agg(STATS[s], c + 2, 0)));
+                }
+                let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+                let wp = WindowProgram::compile(&w, &refs, &codec).expect("compiles");
+                proptest::prop_assert!(wp.exprs.is_empty() && wp.maps.is_empty() && wp.generic.is_empty());
+
+                let (mut entries, mut arena) = arena_of(&rows, &codec);
+                let first = wp.first_in_frame(rows.len() + usize::from(req.is_some()));
+                proptest::prop_assert!(first > 0 && rows.len() - first >= 129);
+                // Every fourth program meets the second block's row `bad`
+                // with its version, declared length or length broken.
+                let (at, broken) = (first + BLOCK + bad, t % 4 == 3);
+                let header = entries[at].start;
+                match (broken, t / 4 % 3) {
+                    (false, _) => {}
+                    (true, 0) => arena[header + 1] ^= 0x5a,
+                    (true, 1) => arena[header + 2] = arena[header + 2].wrapping_add(1),
+                    (true, _) => entries[at].len = 5,
+                }
+                let broken = broken.then(|| {
+                    let bytes = entries[at].bytes(&arena);
+                    match wp.needs_view {
+                        true => codec.view(bytes).map(|_| ()),
+                        false => wp.check_header(bytes),
+                    }
+                });
+                let newest_first: Vec<ScanEntry> = entries.iter().rev().copied().collect();
+                let oracle = (|| -> Result<Vec<Value>> {
+                    let mut set = WindowAggSet::new(&refs)?;
+                    for e in &entries[first..] {
+                        set.update_view(&codec.view(e.bytes(&arena))?)?;
+                    }
+                    if let Some(r) = req {
+                        set.update(r)?;
+                    }
+                    Ok(set.outputs())
+                })();
+                let want = match &broken {
+                    Some(err) => {
+                        proptest::prop_assert!(err.is_err() && oracle.is_err(), "{:?}", err);
+                        format!("{:?}", err.clone().map(|()| Vec::<String>::new()))
+                    }
+                    None => exact(&oracle, &aggs),
+                };
+                for (order, entries) in [
+                    (EntryOrder::Ascending, &entries),
+                    (EntryOrder::ReversedScan, &newest_first),
+                ] {
+                    let (mut state, mut out) = (wp.new_state(), Vec::new());
+                    let got = wp
+                        .run(&mut state, entries, first, order, &arena, req, &codec, &mut || Ok(()))
+                        .and_then(|()| wp.outputs_into(&state, &arena, req, &mut out))
+                        .map(|()| out);
+                    let got = match &broken {
+                        Some(_) => format!("{:?}", got.map(|_| Vec::<String>::new())),
+                        None => exact(&got, &aggs),
+                    };
+                    proptest::prop_assert_eq!(&got, &want, "{:?}, {:?}", order, aggs.iter().map(|a| (a.func.name, &a.args)).collect::<Vec<_>>());
+                }
             }
         }
     }

@@ -116,7 +116,7 @@ mod tests {
         let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
         assert_eq!(wp.generic.len(), 10);
         assert_eq!((wp.kernels.len(), wp.exprs.len(), wp.maps.len()), (1, 1, 1));
-        assert!(wp.needs_view && wp.extended);
+        assert!(wp.needs_view);
     }
 
     #[test]

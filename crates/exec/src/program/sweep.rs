@@ -261,8 +261,8 @@ impl Split {
                 stored: &(frame, arena),
                 request: None,
             };
-            let (ext, order) = (program.extended, EntryOrder::Ascending);
-            program.feed_entries(ext, state, &frame, folded, order, codec, &mut || Ok(()))?;
+            let order = EntryOrder::Ascending;
+            program.feed_entries(state, &frame, folded, order, codec, &mut || Ok(()))?;
             program.finish(state, &frame)?;
             program.outputs_into(state, arena, None, refolded)?;
         }

@@ -37,6 +37,11 @@ cargo test --workspace -q
 step "obs cross-check: harness vs engine percentiles (alone)"
 cargo test -q -p openmldb-bench --lib obs_and_harness_percentiles_agree -- --ignored
 
+# Two microsecond p50s, sampling off and on: the parallel suite's load moves
+# them apart. The overhead bound runs by itself.
+step "sentinel sampling overhead (alone)"
+cargo test -q -p openmldb-bench --lib sampled_p50_overhead_stays_within_bound -- --ignored
+
 step "observability compiled out (obs-off build + tests)"
 cargo build -q -p openmldb --features obs-off
 cargo test -q -p openmldb-obs --features obs-off
