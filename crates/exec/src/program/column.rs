@@ -145,10 +145,10 @@ impl KernelSpec {
     // row-at-a-time fold's, bit for bit. A failing row is `Err` with its
     // index; the rows before it are folded.
     #[inline(always)]
-    pub(super) fn fold_block<'a, V: Views<'a>>(
+    pub(super) fn fold_block<'a, V: Views<'a>, const N: usize>(
         &self,
         st: &mut KernelState,
-        block: &Block<'a, V>,
+        block: &Block<'a, V, N>,
         end: usize,
         rows: &dyn RowSource,
     ) -> std::result::Result<(), (usize, Error)> {

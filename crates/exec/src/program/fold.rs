@@ -33,9 +33,16 @@ use super::sweep::Split;
 use crate::scratch::{RowSource, ScanEntry};
 use crate::window::{projection_for, Projection, WindowAggSet};
 
-/// Rows a fold gathers and steps at a time — also the deadline-probe
-/// cadence, so a block ends where a probe is due.
+/// Rows an extended window's fold gathers and steps at a time — also the
+/// deadline-probe cadence, so a block ends where a probe is due.
 pub(super) const BLOCK: usize = 64;
+
+/// Rows a column-only window's fold gathers at a time, a quarter of
+/// [`BLOCK`], so a probe still falls where a block ends. Its kernel loops
+/// gain nothing from longer blocks, and a 64-row gather array cost
+/// `serve_short`'s two short windows more than their fold (EXPERIMENTS.md,
+/// *Kernel-major column fold*).
+const COLUMN_BLOCK: usize = BLOCK / 4;
 
 /// Where one aggregate's output comes from, in aggregate order. `Lane` is
 /// member `m` of lane `l`: the float sum lanes, then the expression lanes.
@@ -193,7 +200,7 @@ impl<'a> Views<'a> for () {
     }
 }
 
-impl<'a> Views<'a> for [Option<RowView<'a>>; BLOCK] {
+impl<'a, const N: usize> Views<'a> for [Option<RowView<'a>>; N] {
     fn check(
         &mut self,
         j: usize,
@@ -211,18 +218,18 @@ impl<'a> Views<'a> for [Option<RowView<'a>>; BLOCK] {
     }
 }
 
-/// One block of a fold: up to [`BLOCK`] in-frame rows, each validated once
-/// — its bytes, and its view when the program reads through one. Row `j`
-/// is the `start + j`th row fed.
-pub(super) struct Block<'a, V> {
+/// One block of a fold: up to `N` in-frame rows, each validated once — its
+/// bytes, and its view when the program reads through one. Row `j` is the
+/// `start + j`th row fed.
+pub(super) struct Block<'a, V, const N: usize> {
     len: usize,
     start: usize,
     feed: FeedOrder,
-    bufs: [&'a [u8]; BLOCK],
+    bufs: [&'a [u8]; N],
     views: V,
 }
 
-impl<'a, V: Views<'a>> Block<'a, V> {
+impl<'a, V: Views<'a>, const N: usize> Block<'a, V, N> {
     /// The bytes of the first `end` rows.
     #[inline(always)]
     pub(super) fn bufs(&self, end: usize) -> &[&'a [u8]] {
@@ -243,6 +250,9 @@ impl<'a, V: Views<'a>> Block<'a, V> {
         })
     }
 }
+
+/// The deadline check a fold runs every [`BLOCK`] fed rows.
+type Probe<'p> = &'p mut dyn FnMut() -> Result<()>;
 
 /// Iteration order [`WindowProgram::run`] uses over the scan entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -642,13 +652,14 @@ impl WindowProgram {
     }
 
     /// Feed the in-frame stored rows in ascending `(ts, seq)` order, then
-    /// the request row, [`BLOCK`] at a time: each row validated once (one
-    /// [`RowView`] when the program reads through one) as its block is
-    /// gathered, then each family stepped over the block
-    /// ([`step_block`](Self::step_block)). A row that fails validation ends
-    /// its block: the rows before it are stepped first, so an error they
-    /// raise still wins. `probe` runs after every full block, i.e. every
-    /// [`BLOCK`] fed rows, the request row included.
+    /// the request row, a block at a time ([`BLOCK`] rows, or
+    /// [`COLUMN_BLOCK`] in a window of column kernels and lanes only): each
+    /// row validated once (one [`RowView`] when the program reads through
+    /// one) as its block is gathered, then each family stepped over the
+    /// block ([`step_block`](Self::step_block)). A row that fails
+    /// validation ends its block: the rows before it are stepped first, so
+    /// an error they raise still wins. `probe` runs every [`BLOCK`] fed
+    /// rows, the request row included.
     pub(super) fn feed_entries<R: RowSource>(
         &self,
         state: &mut WindowState,
@@ -662,37 +673,35 @@ impl WindowProgram {
         let take = n.saturating_sub(first);
         let feed = FeedOrder { n, take, order };
         let total = take + usize::from(rows.request.is_some());
-        match self.needs_view {
-            true => self.feed_blocks(
-                state,
-                rows,
-                feed,
-                total,
-                codec,
-                probe,
-                [const { None }; BLOCK],
-            ),
-            false => self.feed_blocks(state, rows, feed, total, codec, probe, ()),
+        let args = (feed, total, codec, probe);
+        let columns = self.exprs.is_empty() && self.maps.is_empty() && self.generic.is_empty();
+        match (self.needs_view, columns) {
+            (false, true) => self.feed_blocks::<_, _, COLUMN_BLOCK>(state, rows, args, ()),
+            (false, false) => self.feed_blocks::<_, _, BLOCK>(state, rows, args, ()),
+            (true, true) => {
+                let views = [const { None }; COLUMN_BLOCK];
+                self.feed_blocks::<_, _, COLUMN_BLOCK>(state, rows, args, views)
+            }
+            (true, false) => {
+                let views = [const { None }; BLOCK];
+                self.feed_blocks::<_, _, BLOCK>(state, rows, args, views)
+            }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn feed_blocks<'a, R: RowSource, V: Views<'a>>(
+    fn feed_blocks<'a, R: RowSource, V: Views<'a>, const N: usize>(
         &self,
         state: &mut WindowState,
         rows: &'a FoldRows<'_, R>,
-        feed: FeedOrder,
-        total: usize,
-        codec: &'a CompactCodec,
-        probe: &mut dyn FnMut() -> Result<()>,
+        (feed, total, codec, probe): (FeedOrder, usize, &'a CompactCodec, Probe<'_>),
         views: V,
     ) -> Result<()> {
         let mut block = Block {
             len: 0,
             start: 0,
             feed,
-            bufs: [&[]; BLOCK],
+            bufs: [&[]; N],
             views,
         };
         while block.start < total {
@@ -751,10 +760,10 @@ impl WindowProgram {
     // error still yields to a generic aggregate bound before it that fails
     // on the same row (`generic::first_error`), after the generic family has
     // stepped exactly the rows before it.
-    fn step_block<'a, V: Views<'a>>(
+    fn step_block<'a, V: Views<'a>, const N: usize>(
         &self,
         state: &mut WindowState,
-        block: &Block<'a, V>,
+        block: &Block<'a, V, N>,
         rows: &dyn RowSource,
     ) -> Result<()> {
         let WindowState {
@@ -1625,7 +1634,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 32 })]
 
         /// Column-only windows fold a block at a time, kernel by kernel:
-        /// frames of 130–200 rows (three or four blocks) cut by `ROWS` or
+        /// frames of 130–200 rows (nine to thirteen blocks) cut by `ROWS` or
         /// `MAXSIZE` (so the fold starts past row 0), both entry orders,
         /// the request row in or out of frame. Each case binds all 64
         /// subsets of {min, max, sum, count, avg, stddev} to every numeric
@@ -1639,7 +1648,7 @@ mod tests {
             stored in proptest::collection::vec(proptest::prelude::any::<i64>(), 210..261),
             request in (proptest::prelude::any::<bool>(), proptest::prelude::any::<i64>()),
             frame in (proptest::prelude::any::<bool>(), 130usize..201),
-            bad in 0usize..64,
+            bad in 0..COLUMN_BLOCK,
             seed in 0usize..64,
         ) {
             let codec = CompactCodec::new(class_schema());
@@ -1679,7 +1688,7 @@ mod tests {
                 proptest::prop_assert!(first > 0 && rows.len() - first >= 129);
                 // Every fourth program meets the second block's row `bad`
                 // with its version, declared length or length broken.
-                let (at, broken) = (first + BLOCK + bad, t % 4 == 3);
+                let (at, broken) = (first + COLUMN_BLOCK + bad, t % 4 == 3);
                 let header = entries[at].start;
                 match (broken, t / 4 % 3) {
                     (false, _) => {}
