@@ -1725,9 +1725,13 @@ mod tests {
                     (EntryOrder::Ascending, &entries),
                     (EntryOrder::ReversedScan, &newest_first),
                 ] {
-                    let (mut state, mut out) = (wp.new_state(), Vec::new());
+                    let (mut state, mut out, mut probes) = (wp.new_state(), Vec::new(), 0);
+                    let mut probe = || {
+                        probes += 1;
+                        Ok(())
+                    };
                     let got = wp
-                        .run(&mut state, entries, first, order, &arena, req, &codec, &mut || Ok(()))
+                        .run(&mut state, entries, first, order, &arena, req, &codec, &mut probe)
                         .and_then(|()| wp.outputs_into(&state, &arena, req, &mut out))
                         .map(|()| out);
                     let got = match &broken {
@@ -1735,6 +1739,10 @@ mod tests {
                         None => exact(&got, &aggs),
                     };
                     proptest::prop_assert_eq!(&got, &want, "{:?}, {:?}", order, aggs.iter().map(|a| (a.func.name, &a.args)).collect::<Vec<_>>());
+                    // The deadline probe runs every `BLOCK` fed rows, the
+                    // request row included, whatever the gather's size.
+                    let fed = rows.len() - first + usize::from(req.is_some());
+                    proptest::prop_assert!(broken.is_some() || probes == fed / BLOCK, "{probes} probes over {fed} rows");
                 }
             }
         }
