@@ -82,7 +82,7 @@ impl Track {
     }
 }
 
-/// One compiled per-column fold: everything the per-row loop needs,
+/// One compiled per-column fold: everything the fold loop needs,
 /// resolved at deploy time.
 #[derive(Debug, Clone)]
 pub(super) struct KernelSpec {
