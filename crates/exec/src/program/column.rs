@@ -5,47 +5,45 @@
 //! they were read from. A kernel keeps only the statistics its projections
 //! bind ([`Track`]): the minimum and the maximum each only when bound.
 //!
-//! The fold steps a kernel over a block of rows in one loop
-//! ([`KernelSpec::fold_block`]) — the request row, which the fold steps
-//! last, included — specialised by the column's class ([`Elem`]) and by the
-//! extrema kept, its running words in locals, written back once per block.
-//! An INT extremum compares as an integer, which is exact: every i32 is an
-//! f64, so the promoted `total_cmp` the interpreter uses is integer order.
-//! BIGINT and TIMESTAMP compare promoted, where distinct values past 2^53
-//! tie and the first seen stays. The rest of the contract:
-//! [`KernelSpec::step_row`] one row (the offline sweep's sliding program),
-//! [`KernelSpec::retract_row`] a stored row, and the bound projections
-//! ([`KernelState::project`]). Retraction is exact for the count and the
-//! wrapping `i64` sum: both are groups under addition, so taking a row out
-//! lands on exactly the state that never saw it. f64 sums, averages and
-//! deviations depend on the order of addition, so the offline sweep
-//! re-folds them per frame — from a column of their values ([`ColumnFold`]),
-//! each frame still its ascending left fold from 0.0. An extremum forgets a
-//! row through a monotone deque ([`Monotone`]): a frame's `min`/`max` is the
-//! front of the rows no later row strictly beats, compared as the fold
-//! compares them, so the first-seen tie wins as in the fold.
+//! One loop steps a [`KernelState`] ([`Track::fold`]): a run of values of
+//! one class, specialised by that class ([`Elem`]) and by the extrema kept,
+//! its running words in locals, written back once per run. Its values come
+//! from a [`Source`]: a column kernel's field of each row of a block
+//! ([`KernelSpec::fold_block`] — the request row, which the fold steps
+//! last, included — or of the one row the offline sweep's sliding program
+//! adds), or an expression kernel's result registers. A STRING kernel steps
+//! its rows through their views in the same call. An INT extremum compares
+//! as an integer, which is exact: every i32 is an f64, so the promoted
+//! `total_cmp` the interpreter uses is integer order. BIGINT and TIMESTAMP
+//! compare promoted, where distinct values past 2^53 tie and the first seen
+//! stays. The rest of the contract: [`KernelSpec::retract_row`] a stored
+//! row, and the bound projections ([`KernelState::project`]). Retraction is
+//! exact for the count and the wrapping `i64` sum: both are groups under
+//! addition, so taking a row out lands on exactly the state that never saw
+//! it. f64 sums, averages and deviations depend on the order of addition, so
+//! the offline sweep re-folds them per frame — from a column of their values
+//! ([`ColumnFold`]), each frame still its ascending left fold from 0.0. An
+//! extremum forgets a row through a monotone deque ([`Monotone`]): a frame's
+//! `min`/`max` is the front of the rows no later row strictly beats,
+//! compared as the fold compares them, so the first-seen tie wins as in the
+//! fold.
 //!
-//! The float sum-family kernels — `sum`/`avg`/`stddev` (with any `count`)
-//! over a FLOAT or DOUBLE column that carries no `min`/`max` — leave
-//! [`KernelSpec`] at compile time ([`carve_lanes`]) for one [`Lane`] per
-//! class: their running sums as arrays in the pooled state, stepped by one
-//! straight loop per row ([`Lane::sum_row`]). Each member still adds its rows
-//! in order, so every answer is the one its own kernel gives. The expression
-//! family's lanes reuse both halves: a [`Lane`] per load gathers the
-//! members' fields ([`Lane::read_into`]), and their sums are a
-//! [`LaneState`]. A window numbers its float sum lanes, then its expression
-//! lanes, with a `u32` binding index.
+//! A FLOAT or DOUBLE kernel that keeps an f64 sum and no extremum has a
+//! one-load expression shape (`expression`'s `ExprKernel::of_column`): two
+//! or more of one class fold as one expression lane, a row at a time
+//! (`expression`'s `ExprLane`); one alone stays a kernel.
 
 use std::cmp::Ordering::{self, Greater, Less};
 use std::collections::VecDeque;
 
 use openmldb_types::{Error, Result, RowView, Value};
 
+use super::expression::ExprLane;
 use super::field::{
     binding_out_of_bounds, read4, read8, row_out_of_range, str_field, str_without_view,
-    truncated_row, FieldRef, Fixed, FixedSink, KernelClass,
+    truncated_row, FieldRef, Fixed, KernelClass,
 };
-use super::fold::{carve, Binding, Block, Views, WindowState};
+use super::fold::{Block, Views, WindowState};
 use crate::scratch::{RowSource, ScanEntry};
 use crate::window::Projection;
 
@@ -56,7 +54,7 @@ pub(super) struct Track {
     /// The wrapping `i64` sum (`sum` over an integer class).
     int_sum: bool,
     /// The f64 sum (`sum` over a float class, `avg`, `stddev`).
-    float_sums: bool,
+    pub(super) float_sums: bool,
     /// The f64 sum of squares (`stddev` only).
     pub(super) sum_sq: bool,
     /// The running minimum and maximum, each kept only when bound.
@@ -80,137 +78,47 @@ impl Track {
     pub(super) fn extrema(&self) -> bool {
         self.min || self.max
     }
-}
 
-/// One compiled per-column fold: everything the fold loop needs,
-/// resolved at deploy time.
-#[derive(Debug, Clone)]
-pub(super) struct KernelSpec {
-    pub(super) field: FieldRef,
-    track: Track,
-}
-
-impl KernelSpec {
-    pub(super) fn new(field: FieldRef) -> KernelSpec {
-        KernelSpec {
-            field,
-            track: Track::default(),
-        }
-    }
-
-    /// Bind one more projection of this column to the kernel.
-    pub(super) fn note(&mut self, proj: Projection) {
-        self.track.note(self.field.class, proj);
-    }
-
+    /// Step `src`'s values into `st`: the one loop that steps a
+    /// [`KernelState`], keeping the minimum iff bound and the maximum iff
+    /// bound. A failing value is `Err` with its index; the values before it
+    /// are folded.
     #[inline(always)]
-    fn feed<'a>(&self, st: &'a mut KernelState) -> Feed<'a> {
-        Feed {
-            st,
-            track: self.track,
-        }
-    }
-
-    /// Step row `buf` into `st`. A fixed-width field is read at its baked
-    /// offset; a STRING field through `view` (`None` only for fixed-only
-    /// programs), its extrema addressed as a slice of row `home.0` of
-    /// `rows`, whose bytes `home.1` contain it.
-    #[inline(always)]
-    pub(super) fn step_row(
+    pub(super) fn fold<E: Elem, S: Source<E>>(
         &self,
         st: &mut KernelState,
-        buf: &[u8],
-        view: Option<&RowView<'_>>,
-        home: (usize, &[u8]),
-        rows: &dyn RowSource,
-    ) -> Result<()> {
-        if self.field.null_in(buf) {
-            return Ok(());
-        }
-        match view {
-            Some(view) if self.field.class == KernelClass::Str => {
-                if let Some(s) = str_field(view, self.field.col)? {
-                    st.feed_str(s.as_bytes(), home, rows, self.track)?;
-                }
-                Ok(())
-            }
-            _ => self.field.visit_fixed(buf, self.feed(st)),
-        }
-    }
-
-    // HOT: the column family's fold — one loop per kernel over a block of
-    // rows, specialised by the column's class and by the extrema it keeps,
-    // its running state in locals, written back once per block. It steps
-    // the block's first `end` rows in fold order, so the f64 sums are the
-    // row-at-a-time fold's, bit for bit. A failing row is `Err` with its
-    // index; the rows before it are folded.
-    #[inline(always)]
-    pub(super) fn fold_block<'a, V: Views<'a>, const N: usize>(
-        &self,
-        st: &mut KernelState,
-        block: &Block<'a, V, N>,
-        end: usize,
-        rows: &dyn RowSource,
+        src: &S,
     ) -> std::result::Result<(), (usize, Error)> {
-        match self.field.class {
-            KernelClass::Int => self.fold_as::<i32>(st, block.bufs(end)),
-            KernelClass::Bigint | KernelClass::Timestamp => {
-                self.fold_as::<i64>(st, block.bufs(end))
-            }
-            KernelClass::Float => self.fold_as::<f32>(st, block.bufs(end)),
-            KernelClass::Double => self.fold_as::<f64>(st, block.bufs(end)),
-            KernelClass::Str => {
-                for (j, (i, buf, view)) in block.rows(end) {
-                    let s = match self.field.null_in(buf) {
-                        true => continue,
-                        false => view.ok_or_else(str_without_view),
-                    };
-                    let s = s.and_then(|view| str_field(view, self.field.col));
-                    let fed = s.and_then(|s| match s {
-                        Some(s) => st.feed_str(s.as_bytes(), (i, buf), rows, self.track),
-                        None => Ok(()),
-                    });
-                    fed.map_err(|e| (j, e))?;
-                }
-                Ok(())
-            }
+        match (self.min, self.max) {
+            (false, false) => self.fold_fixed::<E, S, false, false>(st, src),
+            (true, false) => self.fold_fixed::<E, S, true, false>(st, src),
+            (false, true) => self.fold_fixed::<E, S, false, true>(st, src),
+            (true, true) => self.fold_fixed::<E, S, true, true>(st, src),
         }
     }
 
-    #[inline(always)]
-    fn fold_as<E: Elem>(
-        &self,
-        st: &mut KernelState,
-        bufs: &[&[u8]],
-    ) -> std::result::Result<(), (usize, Error)> {
-        match (self.track.min, self.track.max) {
-            (false, false) => self.fold_fixed::<E, false, false>(st, bufs),
-            (true, false) => self.fold_fixed::<E, true, false>(st, bufs),
-            (false, true) => self.fold_fixed::<E, false, true>(st, bufs),
-            (true, true) => self.fold_fixed::<E, true, true>(st, bufs),
-        }
-    }
-
-    /// Step `bufs`, a fixed-width column's rows, into `st`, keeping the
-    /// minimum iff `MIN` and the maximum iff `MAX`.
+    // HOT: the kernel-state fold — one loop per class and bound extrema, its
+    // running state in locals, written back once per run. It steps the
+    // values in fold order, so the f64 sums are the row-at-a-time fold's,
+    // bit for bit; a tie keeps the first value seen.
     // Out of line, each loop gets the registers to itself.
     #[inline(never)]
-    fn fold_fixed<E: Elem, const MIN: bool, const MAX: bool>(
+    fn fold_fixed<E: Elem, S: Source<E>, const MIN: bool, const MAX: bool>(
         &self,
         st: &mut KernelState,
-        bufs: &[&[u8]],
+        src: &S,
     ) -> std::result::Result<(), (usize, Error)> {
-        let (f, t) = (&self.field, self.track);
+        let t = *self;
         let (mut count, mut sum_i, mut sum_f, mut sum_sq) =
             (st.count, st.sum_i, st.sum_f, st.sum_sq);
         let [mut min, mut max] = E::extrema(st);
         let mut failed = Ok(());
-        for (j, buf) in bufs.iter().enumerate() {
-            if f.null_in(buf) {
+        for (j, &row) in src.rows().iter().enumerate() {
+            if src.null(row) {
                 continue;
             }
-            let Some(v) = E::read(buf, f.at) else {
-                failed = Err((j, truncated_row(buf.len(), f.at + E::WIDTH)));
+            let Some(v) = src.value(row) else {
+                failed = Err((j, src.short(row)));
                 break;
             };
             if E::INT && t.int_sum {
@@ -235,11 +143,108 @@ impl KernelSpec {
         E::store(st, [min, max]);
         failed
     }
+}
 
-    /// Whether this kernel folds in a [`Lane`] of `class`: an f64 sum over
-    /// a FLOAT or DOUBLE column with no extrema.
-    fn laned(&self, class: KernelClass) -> bool {
-        self.field.class == class && self.track.float_sums && !self.track.extrema()
+/// The values a [`Track::fold`] steps: one per row, each of class `E` or
+/// NULL.
+pub(super) trait Source<E> {
+    type Row: Copy;
+    fn rows(&self) -> &[Self::Row];
+    fn null(&self, row: Self::Row) -> bool;
+    /// A non-NULL row's value, `None` when the row ends before it.
+    fn value(&self, row: Self::Row) -> Option<E>;
+    /// The typed error of a row that ends before its value; a source whose
+    /// rows hold their values never meets one.
+    fn short(&self, _: Self::Row) -> Error {
+        binding_out_of_bounds()
+    }
+}
+
+/// One fixed-width field of each of some rows' bytes.
+// The field is a copy: read through the `&Fields` the loop is handed, its
+// offset and NULL probe are loop-invariant loads; behind a second reference
+// they were reloaded on every row.
+struct Fields<'r>(FieldRef, &'r [&'r [u8]]);
+
+impl<'r, E: Elem> Source<E> for Fields<'r> {
+    type Row = &'r [u8];
+
+    #[inline(always)]
+    fn rows(&self) -> &[&'r [u8]] {
+        self.1
+    }
+
+    #[inline(always)]
+    fn null(&self, buf: &'r [u8]) -> bool {
+        self.0.null_in(buf)
+    }
+
+    #[inline(always)]
+    fn value(&self, buf: &'r [u8]) -> Option<E> {
+        E::read(buf, self.0.at)
+    }
+
+    fn short(&self, buf: &'r [u8]) -> Error {
+        truncated_row(buf.len(), self.0.at + E::WIDTH)
+    }
+}
+
+/// One compiled per-column fold: everything the fold loop needs,
+/// resolved at deploy time.
+#[derive(Debug, Clone)]
+pub(super) struct KernelSpec {
+    pub(super) field: FieldRef,
+    pub(super) track: Track,
+}
+
+impl KernelSpec {
+    pub(super) fn new(field: FieldRef) -> KernelSpec {
+        KernelSpec {
+            field,
+            track: Track::default(),
+        }
+    }
+
+    /// Bind one more projection of this column to the kernel.
+    pub(super) fn note(&mut self, proj: Projection) {
+        self.track.note(self.field.class, proj);
+    }
+
+    /// Step the first `end` rows of `block` into `st`, in fold order — a
+    /// block of the serve loop, or the one row a sliding program adds. A
+    /// STRING kernel steps them through their views (`None` only in
+    /// fixed-only programs), its extrema kept as slices of those rows. A
+    /// failing row is `Err` with its index; the rows before it are folded.
+    #[inline(always)]
+    pub(super) fn fold_block<'a, V: Views<'a>, const N: usize>(
+        &self,
+        st: &mut KernelState,
+        block: &Block<'a, V, N>,
+        end: usize,
+        rows: &dyn RowSource,
+    ) -> std::result::Result<(), (usize, Error)> {
+        let (t, src) = (&self.track, Fields(self.field, block.bufs(end)));
+        match self.field.class {
+            KernelClass::Int => t.fold::<i32, _>(st, &src),
+            KernelClass::Bigint | KernelClass::Timestamp => t.fold::<i64, _>(st, &src),
+            KernelClass::Float => t.fold::<f32, _>(st, &src),
+            KernelClass::Double => t.fold::<f64, _>(st, &src),
+            KernelClass::Str => {
+                for (j, (i, buf, view)) in block.rows(end) {
+                    let s = match self.field.null_in(buf) {
+                        true => continue,
+                        false => view.ok_or_else(str_without_view),
+                    };
+                    let s = s.and_then(|view| str_field(view, self.field.col));
+                    let fed = s.and_then(|s| match s {
+                        Some(s) => st.feed_str(s.as_bytes(), (i, buf), rows, self.track),
+                        None => Ok(()),
+                    });
+                    fed.map_err(|e| (j, e))?;
+                }
+                Ok(())
+            }
+        }
     }
 
     /// Keep only the count and the wrapping `i64` sum: the offline sweep's
@@ -322,71 +327,7 @@ pub(super) struct KernelState {
     max_str: StrSlot,
 }
 
-// The per-row integer fold. Mirrors `SharedNumeric::update` bit for bit:
-// sums wrap (`wrapping_add`) with an f64 shadow for avg/stddev, and the
-// extrema comparison runs in f64-promoted space exactly like
-// `Value::total_cmp` does for every numeric pair — with the first-seen raw
-// value kept on promotion ties (e.g. distinct i64s beyond 2^53).
 impl KernelState {
-    #[inline(always)]
-    pub(super) fn feed_int(&mut self, v: i64, track: Track) {
-        if track.int_sum {
-            self.sum_i = self.sum_i.wrapping_add(v);
-        }
-        if track.float_sums {
-            let f = v as f64;
-            self.sum_f += f;
-            if track.sum_sq {
-                self.sum_sq += f * f;
-            }
-        }
-        self.count += 1;
-        let first = self.count == 1;
-        if track.min && (first || i64::before(v, self.min_i)) {
-            self.min_i = v;
-        }
-        if track.max && (first || i64::before(self.max_i, v)) {
-            self.max_i = v;
-        }
-    }
-
-    #[inline(always)]
-    pub(super) fn feed_double(&mut self, v: f64, track: Track) {
-        if track.float_sums {
-            self.sum_f += v;
-            if track.sum_sq {
-                self.sum_sq += v * v;
-            }
-        }
-        self.count += 1;
-        let first = self.count == 1;
-        if track.min && (first || f64::before(v, self.min_f)) {
-            self.min_f = v;
-        }
-        if track.max && (first || f64::before(self.max_f, v)) {
-            self.max_f = v;
-        }
-    }
-
-    #[inline(always)]
-    fn feed_float(&mut self, v: f32, track: Track) {
-        if track.float_sums {
-            let f = v as f64;
-            self.sum_f += f;
-            if track.sum_sq {
-                self.sum_sq += f * f;
-            }
-        }
-        self.count += 1;
-        let first = self.count == 1;
-        if track.min && (first || f32::before(v, self.min_f32)) {
-            self.min_f32 = v;
-        }
-        if track.max && (first || f32::before(self.max_f32, v)) {
-            self.max_f32 = v;
-        }
-    }
-
     /// Feed `bytes`, a string of row `home.0` of `rows` (whose bytes are
     /// `home.1`), kept as a range of that row when it is an extremum.
     #[inline(always)]
@@ -456,8 +397,8 @@ impl KernelState {
     }
 }
 
-/// A fixed-width class as the block loop reads, orders and sums it.
-trait Elem: Copy {
+/// A fixed-width class as the kernel-state fold reads, orders and sums it.
+pub(super) trait Elem: Copy {
     /// Bytes its field takes.
     const WIDTH: usize;
     /// Whether it is an integer class, the only ones with an `i64` sum.
@@ -618,7 +559,13 @@ impl Elem for f64 {
 /// (`SharedNumeric::project`'s float arms). Every arm pushes its own value
 /// (see `WindowProgram::outputs_into`).
 #[inline(always)]
-fn project_sums(count: u64, sum: f64, sum_sq: f64, proj: Projection, out: &mut Vec<Value>) {
+pub(super) fn project_sums(
+    count: u64,
+    sum: f64,
+    sum_sq: f64,
+    proj: Projection,
+    out: &mut Vec<Value>,
+) {
     match proj {
         Projection::Count => out.push(Value::Bigint(count as i64)),
         Projection::Stddev if count >= 2 => {
@@ -629,281 +576,6 @@ fn project_sums(count: u64, sum: f64, sum_sq: f64, proj: Projection, out: &mut V
         Projection::Sum if count > 0 => out.push(Value::Double(sum)),
         Projection::Avg if count > 0 => out.push(Value::Double(sum / count as f64)),
         _ => out.push(Value::Null),
-    }
-}
-
-/// The float sum-family column kernels of one class (FLOAT or DOUBLE): f64
-/// sums with no extrema, folded as one struct-of-arrays lane. A row where
-/// no member is NULL steps every member in one straight loop over the
-/// row's bytes; any other row steps member by member. An expression lane
-/// keeps one per load, for its members' fields.
-#[derive(Debug, Clone)]
-pub(super) struct Lane {
-    class: KernelClass,
-    /// Bytes one member's field takes.
-    width: usize,
-    /// The members' fields (a float sum lane's ascending by offset).
-    pub(super) fields: Vec<FieldRef>,
-    /// Runs of members whose fields are adjacent: `(offset, first member,
-    /// end member)`.
-    runs: Vec<(usize, usize, usize)>,
-    /// Where the members' fields end.
-    end: usize,
-    /// Each NULL-bitmap byte holding a member's bit, and the members' bits.
-    nulls: Vec<(usize, u8)>,
-    /// Whether a member projects `stddev`: the lane then keeps `sum_sq`.
-    sum_sq: bool,
-}
-
-/// A lane's running sums, one slot per member: a [`Lane`]'s or an
-/// expression lane's.
-#[derive(Debug, Clone, Default)]
-pub(super) struct LaneState {
-    /// Rows where no member was NULL: counted once for every member.
-    dense: u64,
-    /// Per member, the other rows it read a value from.
-    count: Vec<u64>,
-    sum: Vec<f64>,
-    /// Empty unless the lane keeps it.
-    sum_sq: Vec<f64>,
-}
-
-impl LaneState {
-    /// A fresh state of `members` slots.
-    pub(super) fn new(members: usize, sum_sq: bool) -> LaneState {
-        LaneState {
-            dense: 0,
-            count: vec![0; members],
-            sum: vec![0.0; members],
-            sum_sq: vec![0.0; if sum_sq { members } else { 0 }],
-        }
-    }
-
-    pub(super) fn reset(&mut self) {
-        self.dense = 0;
-        self.count.fill(0);
-        self.sum.fill(0.0);
-        self.sum_sq.fill(0.0);
-    }
-
-    /// Step member `m` by `v`.
-    #[inline(always)]
-    pub(super) fn add(&mut self, m: usize, v: f64) -> Result<()> {
-        match (self.sum.get_mut(m), self.count.get_mut(m)) {
-            (Some(s), Some(c)) => (*s, *c) = (*s + v, *c + 1),
-            _ => return Err(binding_out_of_bounds()),
-        }
-        if let Some(q) = self.sum_sq.get_mut(m) {
-            *q += v * v;
-        }
-        Ok(())
-    }
-
-    /// Step every member by its value in `values`: a row where no member's
-    /// input was NULL.
-    #[inline(always)]
-    pub(super) fn add_row(&mut self, values: &[f64]) {
-        fold_run(&mut self.sum, Some(&mut self.sum_sq), values, |v| v);
-        self.dense += 1;
-    }
-
-    /// Push projection `proj` of member `m`.
-    #[inline(always)]
-    pub(super) fn project_member(
-        &self,
-        m: usize,
-        proj: Projection,
-        out: &mut Vec<Value>,
-    ) -> Result<()> {
-        let (Some(&count), Some(&sum)) = (self.count.get(m), self.sum.get(m)) else {
-            return Err(binding_out_of_bounds());
-        };
-        let sum_sq = self.sum_sq.get(m).copied().unwrap_or(0.0);
-        project_sums(self.dense + count, sum, sum_sq, proj, out);
-        Ok(())
-    }
-}
-
-/// `sums[m] += v`, and `sqs[m] += v * v` when kept, over one run's fields
-/// (or an expression lane's results), `v` the `value` of each.
-#[inline(always)]
-fn fold_run<T: Copy>(
-    sums: &mut [f64],
-    sqs: Option<&mut [f64]>,
-    fields: &[T],
-    value: impl Fn(T) -> f64,
-) {
-    // A run of one member (a field gathered by its offset) is one read,
-    // without the loops' set-up, which a one-member lane felt per row.
-    if let ([s], [b]) = (&mut *sums, fields) {
-        let v = value(*b);
-        *s += v;
-        if let Some([q]) = sqs {
-            *q += v * v;
-        }
-        return;
-    }
-    for (s, b) in sums.iter_mut().zip(fields) {
-        *s += value(*b);
-    }
-    for (q, b) in sqs.into_iter().flatten().zip(fields) {
-        let v = value(*b);
-        *q += v * v;
-    }
-}
-
-/// `out[m] = field[m]` over one run's fields, `W` bytes each.
-#[inline(always)]
-fn load_run<const W: usize>(out: &mut [f64], bytes: &[u8], le_value: impl Fn([u8; W]) -> f64) {
-    for (o, b) in out.iter_mut().zip(bytes.as_chunks::<W>().0) {
-        *o = le_value(*b);
-    }
-}
-
-/// Move `kernels`' float sum-family kernels into one [`Lane`] per class and
-/// re-point their bindings; every other kernel keeps its place, in order.
-pub(super) fn carve_lanes(
-    kernels: &mut Vec<KernelSpec>,
-    bindings: &mut [Binding],
-) -> Result<Vec<Lane>> {
-    let (mut lanes, mut groups) = (Vec::new(), Vec::new());
-    for class in [KernelClass::Double, KernelClass::Float] {
-        let mut members: Vec<(usize, &KernelSpec)> = (kernels.iter().enumerate())
-            .filter(|(_, s)| s.laned(class))
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        members.sort_by_key(|(_, s)| s.field.at);
-        let fields = members.iter().map(|(_, s)| (s.field, s.track.sum_sq));
-        lanes.push(Lane::of(class, fields));
-        groups.push(members.iter().map(|(k, _)| *k).collect());
-    }
-    carve(kernels, &groups, 0, bindings, |b| match b {
-        Binding::Column { k, proj } => Some((k, *proj)),
-        _ => None,
-    })?;
-    Ok(lanes)
-}
-
-impl Lane {
-    /// The lane over `members`' fields, all of `class`, keeping `sum_sq`
-    /// when one of them projects `stddev`.
-    pub(super) fn of(class: KernelClass, members: impl Iterator<Item = (FieldRef, bool)>) -> Lane {
-        let width = if class == KernelClass::Float { 4 } else { 8 };
-        let mut lane = Lane {
-            class,
-            width,
-            fields: Vec::new(),
-            runs: Vec::new(),
-            end: 0,
-            nulls: Vec::new(),
-            sum_sq: false,
-        };
-        for (f, sum_sq) in members {
-            let m = lane.fields.len();
-            match lane.runs.last_mut() {
-                Some((at, first, end)) if *at + (m - *first) * width == f.at => *end = m + 1,
-                _ => lane.runs.push((f.at, m, m + 1)),
-            }
-            match lane.nulls.iter_mut().find(|(at, _)| *at == f.null_byte) {
-                Some((_, bits)) => *bits |= f.null_mask,
-                None => lane.nulls.push((f.null_byte, f.null_mask)),
-            }
-            (lane.end, lane.sum_sq) = (lane.end.max(f.at + width), lane.sum_sq | sum_sq);
-            lane.fields.push(f);
-        }
-        lane
-    }
-
-    pub(super) fn new_state(&self) -> LaneState {
-        LaneState::new(self.fields.len(), self.sum_sq)
-    }
-
-    /// Whether no member is NULL in row `buf` and every field lies in it.
-    #[inline(always)]
-    pub(super) fn clean(&self, buf: &[u8]) -> bool {
-        (self.nulls.iter()).all(|&(at, bits)| buf.get(at).is_some_and(|b| b & bits == 0))
-            && buf.get(..self.end).is_some()
-    }
-
-    /// Each member's field of row `buf`, widened to f64, into `out`: one
-    /// straight loop per run of a [`clean`](Self::clean) row.
-    #[inline(always)]
-    pub(super) fn read_into(&self, buf: &[u8], out: &mut [f64]) -> Result<()> {
-        for &(at, first, end) in &self.runs {
-            let bytes = buf.get(at..at + (end - first) * self.width);
-            let (Some(bytes), Some(out)) = (bytes, out.get_mut(first..end)) else {
-                return Err(binding_out_of_bounds());
-            };
-            match self.class {
-                KernelClass::Float => load_run(out, bytes, |b| f32::from_le_bytes(b) as f64),
-                _ => load_run(out, bytes, f64::from_le_bytes),
-            }
-        }
-        Ok(())
-    }
-
-    // HOT: the lane loop — one bitmap test, then per run of adjacent members
-    // one straight `sum[m] += field[m]` loop over the row's bytes. A row with
-    // a NULL member, or too short for the last field (a typed error), steps
-    // member by member. Every member still adds its rows in ascending
-    // `(ts, seq)` order: the sums are bit-identical to one kernel per column.
-    #[inline(never)]
-    pub(super) fn sum_row(&self, st: &mut LaneState, buf: &[u8]) -> Result<()> {
-        if !self.clean(buf) {
-            return self.sum_members(st, buf);
-        }
-        for &(at, first, end) in &self.runs {
-            let bytes = buf.get(at..at + (end - first) * self.width);
-            let (Some(bytes), Some(sums)) = (bytes, st.sum.get_mut(first..end)) else {
-                return Err(binding_out_of_bounds());
-            };
-            let sqs = st.sum_sq.get_mut(first..end);
-            match self.class {
-                KernelClass::Float => fold_run(sums, sqs, bytes.as_chunks().0, |b| {
-                    f32::from_le_bytes(b) as f64
-                }),
-                _ => fold_run(sums, sqs, bytes.as_chunks().0, f64::from_le_bytes),
-            }
-        }
-        st.dense += 1;
-        Ok(())
-    }
-
-    /// Step every member by its field of row `buf`, its NULL bit probed.
-    #[inline(never)]
-    fn sum_members(&self, st: &mut LaneState, buf: &[u8]) -> Result<()> {
-        for (m, f) in self.fields.iter().enumerate() {
-            if let Some(v) = f.stored(buf)? {
-                st.add(m, v.as_f64())?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A column kernel as the sink of its field's read: the fold runs inside
-/// the read ladder's arm, with no intermediate value.
-struct Feed<'a> {
-    st: &'a mut KernelState,
-    track: Track,
-}
-
-impl FixedSink for Feed<'_> {
-    #[inline(always)]
-    fn int(self, v: i64) {
-        self.st.feed_int(v, self.track);
-    }
-
-    #[inline(always)]
-    fn float(self, v: f32) {
-        self.st.feed_float(v, self.track);
-    }
-
-    #[inline(always)]
-    fn double(self, v: f64) {
-        self.st.feed_double(v, self.track);
     }
 }
 
@@ -1113,7 +785,7 @@ impl Sums {
 }
 
 /// The f64 sum-family kernels the offline sweep folds from columns: every
-/// float sum lane member of its sliding program, then every column kernel
+/// member of a one-load lane of its sliding program, then every column kernel
 /// that keeps an f64 sum, with where its sums go. The sliding steps leave
 /// their sums alone — a lane is not stepped, a kernel keeps only its count
 /// and integer sum there ([`KernelSpec::keep_retractable`]) — and each
@@ -1142,12 +814,12 @@ pub(super) struct ColumnCache {
 }
 
 impl ColumnFold {
-    /// The fold of `lanes` (a program's float sum lanes) and of the f64
-    /// sums `kernels` keep, or `None` when there is none.
-    pub(super) fn of(kernels: &[KernelSpec], lanes: &[Lane]) -> Option<ColumnFold> {
+    /// The fold of the one-load lanes among `lanes` and of the f64 sums
+    /// `kernels` keep, or `None` when there is none.
+    pub(super) fn of(kernels: &[KernelSpec], lanes: &[ExprLane]) -> Option<ColumnFold> {
         let lanes = lanes.iter().enumerate().flat_map(|(l, lane)| {
-            let fields = lane.fields.iter().enumerate();
-            fields.map(move |(m, f)| (*f, lane.sum_sq, Some(l), m))
+            let (fields, sq) = lane.column().unwrap_or_default();
+            (fields.iter().enumerate()).map(move |(m, f)| (*f, sq, Some(l), m))
         });
         let kernels = (kernels.iter().enumerate()).filter(|(_, s)| s.track.float_sums);
         let kernels = kernels.map(|(k, s)| (s.field, s.track.sum_sq, None, k));
@@ -1255,6 +927,7 @@ impl ColumnFold {
                 (k.count, k.sum_f, k.sum_sq) = (s.count, s.sum, s.sq);
                 continue;
             };
+            // A lane the sliding program never steps: its dense count is 0.
             let lane = st.lanes.get_mut(l).ok_or_else(binding_out_of_bounds)?;
             match (lane.count.get_mut(i), lane.sum.get_mut(i)) {
                 (Some(c), Some(v)) => (*c, *v) = (s.count, s.sum),
@@ -1379,8 +1052,8 @@ mod tests {
             assert_eq!(split(&aggs, false, true).slid, [false, false], "{f}({c})");
         }
         // Both extrema of a column slide as deques off its kernel, whose f64
-        // sums, like another column's lane, fold from columns into the
-        // sliding program's state: nothing re-folds.
+        // sums, like another column's one-member sum kernel, fold from
+        // columns into the sliding program's state: nothing re-folds.
         let aggs = [
             agg("max", 5, 0),
             agg("avg", 5, 0),
@@ -1395,7 +1068,7 @@ mod tests {
             .slide
             .as_ref()
             .map(|p| (p.kernels.len(), p.lanes.len()));
-        assert_eq!(slide, Some((1, 1)));
+        assert_eq!(slide, Some((2, 0)));
         assert!(split.columns.is_some() && split.refold.is_none());
     }
 
@@ -1420,7 +1093,8 @@ mod tests {
                 let view = codec.view(buf).expect("view");
                 for (spec, st) in wp.kernels.iter().zip(states.iter_mut()) {
                     match add {
-                        true => spec.step_row(st, buf, Some(&view), (i, buf), &source),
+                        true => (spec.fold_block(st, &Block::one(i, buf, Some(view)), 1, &source))
+                            .map_err(|(_, e)| e),
                         false => spec.retract_row(st, buf),
                     }
                     .expect("step");
@@ -1616,12 +1290,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(ProptestConfig { cases: 96 })]
 
-        /// The float sum lanes and the expression lanes fold every row where
-        /// its bytes lie: windows of 0–300 rows (so an extended window's
-        /// fold crosses blocks), all dense, 5%- or 50%-NULL rows mixed,
-        /// every float edge value, both entry orders, a column-only and an
-        /// extended window, the request row in or out of frame. The answer
-        /// equals the interpreter's fold of the same rows, in Debug form.
+        /// The one-load lanes (bare float columns' sums) and the expression
+        /// lanes fold every row where its bytes lie: windows of 0–300 rows
+        /// (so an extended window's fold crosses blocks), all dense, 5%- or
+        /// 50%-NULL rows mixed, every float edge value, both entry orders, a
+        /// column-only and an extended window, and one whose lone FLOAT and
+        /// DOUBLE sums stay column kernels beside expression lanes, the
+        /// request row in or out of frame. The answer equals the
+        /// interpreter's fold of the same rows, in Debug form.
         #[test]
         fn lane_fold_equals_interpreter(
             stored in proptest::collection::vec((any::<i64>(), 0u8..3), 0..301),
@@ -1651,15 +1327,25 @@ mod tests {
             extended.push(agg("distinct_count", 5, 0));
             extended.push(agg_of("avg", vec![bin(Mul, col(2), lit(Value::Double(3.0)))]));
             extended.push(agg_of("max", vec![bin(Add, bin(Mul, col(3), lit(Value::Double(2.0))), lit(Value::Double(1.0)))]));
-            for (aggs, kernels, laned) in [(&column, 0, 34), (&extended, 2, 33)] {
+            // One sum-family kernel per float class: no one-load lane.
+            let mut single = expr_lane_aggs();
+            single.extend([agg("stddev", 6, 0), agg("sum", 9, 0), agg("avg", 9, 0)]);
+            single.rotate_left(5);
+            // Per program: its one-load lanes, all its lanes, column and
+            // expression kernels, lane bindings and count maps.
+            for (aggs, shape) in [
+                (&column, (2, 7, 4, 0, 34, 0)),
+                (&extended, (2, 7, 4, 2, 33, 1)),
+                (&single, (0, 5, 2, 0, 20, 0)),
+            ] {
                 let refs: Vec<&BoundAggregate> = aggs.iter().collect();
                 let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
                 let bound = wp.bindings.iter().filter(|b| matches!(b, Binding::Lane { .. }));
+                let one_load = wp.lanes.iter().filter(|l| l.column().is_some()).count();
                 proptest::prop_assert_eq!(
-                    (wp.lanes.len(), wp.expr_lanes.len(), wp.exprs.len(), bound.count()),
-                    (2, 5, kernels, laned)
+                    (one_load, wp.lanes.len(), wp.kernels.len(), wp.exprs.len(), bound.count(), wp.maps.len()),
+                    shape
                 );
-                proptest::prop_assert_eq!(wp.maps.len(), usize::from(aggs.len() > column.len()));
                 let oracle = (|| -> Result<Vec<Value>> {
                     let mut set = WindowAggSet::new(&refs)?;
                     for e in &entries[first..] {

@@ -1,8 +1,8 @@
 //! Family 2 — expression kernels: the column kernels' functions over
 //! `+ - * / %` trees of fixed-width numeric columns and literals, lowered to
 //! a small typed register program ([`ArithOp`]) read straight from the
-//! encoded bytes. Its result feeds the same [`KernelState`] fold a column
-//! kernel keeps.
+//! encoded bytes. Its result registers feed the one loop that steps a
+//! [`KernelState`] ([`Track::fold`]), as a column kernel's fields do.
 //!
 //! The contract: [`ExprKernel::eval_block`] a block of rows, op by op (the
 //! encoded request row is the last row of the last block), and
@@ -12,23 +12,28 @@
 //!
 //! Kernels whose programs cannot fail or yield NULL on a validated row —
 //! FLOAT/DOUBLE loads, f64 constants, `+ - *`, an f64 sum-family fold with
-//! no `min`/`max` — leave [`ExprKernel`] at compile time
-//! ([`carve_expr_lanes`], after the float sum lanes are carved) for one
-//! [`ExprLane`] per shape: the same ops, constant bits and load classes,
-//! whatever columns they load. A lane steps a row op by op over its members
-//! ([`ExprLane::eval_row`]) and sums into the column lanes' [`LaneState`].
-//! A shape of one member stays a kernel: the lane spreads an op's dispatch
-//! over its members, the kernel over a block of rows. Each member runs its
-//! kernel's IEEE ops in the same order on the same rows, so every answer is
-//! the one its own kernel gives.
+//! no `min`/`max` — fold as lanes. A bare FLOAT or DOUBLE column kernel of
+//! that kind has the one-load shape `[Load(class)]`
+//! ([`ExprKernel::of_column`]). One carve at compile time ([`carve`])
+//! groups them by shape — the same ops, constant bits and load classes,
+//! whatever columns they load — and every shape of two or more members
+//! becomes one [`ExprLane`]. A lane steps a row over all its members
+//! ([`ExprLane::eval_row`]): a clean row of a one-load shape adds its
+//! fields straight from the row's bytes, any other runs the ops
+//! member-wise. A shape of one member stays a kernel: the lane spreads an
+//! op's dispatch over its members, the kernel over a block of rows. Each
+//! member runs its kernel's IEEE ops in the same order on the same rows, so
+//! every answer is the one its own kernel gives.
 
 use openmldb_sql::plan::PhysExpr;
 use openmldb_sql::BinaryOp;
 use openmldb_types::{CompactCodec, Error, Result, Value};
 
-use super::column::{KernelState, Lane, LaneState, Track};
-use super::field::{binding_out_of_bounds, integer_overflow, FieldRef, Fixed, KernelClass};
-use super::fold::{carve, Binding, BLOCK};
+use super::column::{project_sums, KernelSpec, KernelState, Source, Track};
+use super::field::{
+    binding_out_of_bounds, integer_overflow, lane_index, FieldRef, Fixed, KernelClass,
+};
+use super::fold::{Binding, BLOCK};
 use crate::window::Projection;
 
 /// One typed register of an expression kernel: raw `i64`/`f64` bits plus
@@ -338,12 +343,12 @@ impl ArithCompiler<'_> {
 }
 
 /// One expression kernel: an aggregate argument lowered to a register
-/// program whose result feeds the same [`KernelState`] fold the column
-/// kernels use.
+/// program whose result the column kernels' fold steps ([`Track::fold`]).
 #[derive(Debug, Clone)]
 pub(super) struct ExprKernel {
     /// The argument expression: kernel identity, so aggregates over the
-    /// same expression share one evaluation per row (cyclic binding).
+    /// same computation ([`PhysExpr::same_computation`]) share one
+    /// evaluation per row (cyclic binding).
     pub(super) expr: PhysExpr,
     pub(super) ops: Vec<ArithOp>,
     /// The register holding the argument's value.
@@ -395,22 +400,11 @@ impl ExprKernel {
         }
     }
 
-    #[inline(always)]
-    fn feed(&self, st: &mut KernelState, r: Reg) {
-        if r.null {
-            return;
-        }
-        if self.int {
-            st.feed_int(r.i(), self.track);
-        } else {
-            st.feed_double(r.f(), self.track);
-        }
-    }
-
     /// Step `n` rows (at most [`BLOCK`]) into `st`: evaluate the program
     /// op by op over the op-major register file `regs`, `load(field, j)`
-    /// reading row `j`'s field, then fold the results in row order. A
-    /// failing row is `Err` with its index; the rows before it are folded.
+    /// reading row `j`'s field, then fold the result register's rows in row
+    /// order. A failing row is `Err` with its index; the rows before it are
+    /// folded.
     #[inline(always)]
     pub(super) fn eval_block(
         &self,
@@ -420,8 +414,10 @@ impl ExprKernel {
         load: impl Fn(&FieldRef, usize) -> Result<Option<Fixed>>,
     ) -> std::result::Result<(), (usize, Error)> {
         let (end, err) = eval_ops(&self.ops, regs, n, load);
-        for &v in rows_of(regs, self.result, end) {
-            self.feed(st, v);
+        let results = rows_of(regs, self.result, end);
+        match self.int {
+            true => self.track.fold(st, &Results(results, Reg::i))?,
+            false => self.track.fold(st, &Results(results, Reg::f))?,
         }
         match err {
             Some(e) => Err((end, e)),
@@ -439,6 +435,59 @@ impl ExprKernel {
     ) -> Result<()> {
         st.project(self.class(), proj, None, out)
     }
+
+    /// Whether this kernel may fold in an [`ExprLane`]: its program only
+    /// loads FLOAT/DOUBLE columns, reads f64 constants and adds, subtracts
+    /// or multiplies, and no extremum is bound to it.
+    fn laned(&self) -> bool {
+        use ArithOp::{AddF, ConstF, Load, MulF, SubF};
+        let float = |f: &FieldRef| matches!(f.class, KernelClass::Float | KernelClass::Double);
+        let infallible = |op: &ArithOp| match op {
+            Load(f) => float(f),
+            op => matches!(op, ConstF(_) | AddF(..) | SubF(..) | MulF(..)),
+        };
+        !self.track.extrema() && self.ops.iter().all(infallible)
+    }
+
+    /// Column kernel `spec` as an expression kernel of the one-load shape
+    /// `[Load(class)]`, when it may fold in a lane: an f64 sum over a FLOAT
+    /// or DOUBLE column, with no extrema.
+    fn of_column(spec: &KernelSpec) -> Option<ExprKernel> {
+        let (field, track) = (spec.field, spec.track);
+        let float = matches!(field.class, KernelClass::Float | KernelClass::Double);
+        (float && track.float_sums && !track.extrema()).then(|| ExprKernel {
+            expr: PhysExpr::Column(field.col),
+            ops: vec![ArithOp::Load(field)],
+            result: 0,
+            int: false,
+            track,
+            generic_before: 0,
+        })
+    }
+}
+
+/// An expression kernel's result register over a block's rows, as the
+/// kernel-state fold reads it: NULL, or its bits as `E` (`Reg::i` or
+/// `Reg::f`).
+struct Results<'a, F>(&'a [Reg], F);
+
+impl<E, F: Fn(Reg) -> E> Source<E> for Results<'_, F> {
+    type Row = Reg;
+
+    #[inline(always)]
+    fn rows(&self) -> &[Reg] {
+        self.0
+    }
+
+    #[inline(always)]
+    fn null(&self, r: Reg) -> bool {
+        r.null
+    }
+
+    #[inline(always)]
+    fn value(&self, r: Reg) -> Option<E> {
+        Some((self.1)(r))
+    }
 }
 
 /// Whether two programs are one shape: the same ops, constants (by bits)
@@ -452,110 +501,259 @@ fn same_shape(a: &[ArithOp], b: &[ArithOp]) -> bool {
         })
 }
 
-/// Expression kernels of one shape that cannot fail or yield NULL on a
-/// validated row, folded as one struct-of-arrays lane: each op runs over
-/// every member at once, its loads read run by run from the row's bytes,
-/// and the results sum into a [`LaneState`]. A row where some member's
-/// input is NULL is evaluated the same way and summed member by member.
+/// Kernels of one shape that cannot fail or yield NULL on a validated row,
+/// folded as one struct-of-arrays lane: each op runs over every member at
+/// once, its loads read run by run from the row's bytes, and the results
+/// sum into a [`LaneState`] — a one-load shape's fields straight from the
+/// row. A row where some member's input is NULL is evaluated the same way
+/// and summed member by member.
 #[derive(Debug, Clone)]
 pub(super) struct ExprLane {
     /// The shape's program: op `i` writes register `i`, of member `m` at
     /// `i * members + m`; a constant is read as a scalar, never a register.
-    ops: Vec<ArithOp>,
+    pub(super) ops: Vec<ArithOp>,
     /// Per load of the program, its op and the members' fields.
-    loads: Vec<(usize, Lane)>,
+    loads: Vec<(usize, LaneLoad)>,
     /// The register holding the argument's value.
     result: usize,
-    members: usize,
+    pub(super) members: usize,
     /// Whether a member projects `stddev`.
     sum_sq: bool,
 }
 
-impl ExprKernel {
-    /// Whether this kernel folds in an [`ExprLane`]: its program only loads
-    /// FLOAT/DOUBLE columns, reads f64 constants and adds, subtracts or
-    /// multiplies, and no extremum is bound to it.
-    fn laned(&self) -> bool {
-        use ArithOp::{AddF, ConstF, Load, MulF, SubF};
-        let float = |f: &FieldRef| matches!(f.class, KernelClass::Float | KernelClass::Double);
-        let infallible = |op: &ArithOp| match op {
-            Load(f) => float(f),
-            op => matches!(op, ConstF(_) | AddF(..) | SubF(..) | MulF(..)),
+/// One load of an [`ExprLane`]'s program over its members' fields, all of
+/// one class (FLOAT or DOUBLE).
+#[derive(Debug, Clone)]
+struct LaneLoad {
+    class: KernelClass,
+    /// Bytes one member's field takes.
+    width: usize,
+    /// The members' fields (a one-load lane's ascending by offset).
+    fields: Vec<FieldRef>,
+    /// Runs of members whose fields are adjacent: `(offset, first member,
+    /// end member)`.
+    runs: Vec<(usize, usize, usize)>,
+    /// Where the members' fields end.
+    end: usize,
+    /// Each NULL-bitmap byte holding a member's bit, and the members' bits.
+    nulls: Vec<(usize, u8)>,
+}
+
+/// A lane's running sums, one slot per member.
+#[derive(Debug, Clone, Default)]
+pub(super) struct LaneState {
+    /// Rows where no member was NULL: counted once for every member.
+    dense: u64,
+    /// Per member, the other rows it read a value from.
+    pub(super) count: Vec<u64>,
+    pub(super) sum: Vec<f64>,
+    /// Empty unless the lane keeps it.
+    pub(super) sum_sq: Vec<f64>,
+}
+
+impl LaneState {
+    pub(super) fn reset(&mut self) {
+        self.dense = 0;
+        self.count.fill(0);
+        self.sum.fill(0.0);
+        self.sum_sq.fill(0.0);
+    }
+
+    /// Step member `m` by `v`.
+    #[inline(always)]
+    fn add(&mut self, m: usize, v: f64) -> Result<()> {
+        match (self.sum.get_mut(m), self.count.get_mut(m)) {
+            (Some(s), Some(c)) => (*s, *c) = (*s + v, *c + 1),
+            _ => return Err(binding_out_of_bounds()),
+        }
+        if let Some(q) = self.sum_sq.get_mut(m) {
+            *q += v * v;
+        }
+        Ok(())
+    }
+
+    /// Push projection `proj` of member `m`.
+    #[inline(always)]
+    pub(super) fn project_member(
+        &self,
+        m: usize,
+        proj: Projection,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        let (Some(&count), Some(&sum)) = (self.count.get(m), self.sum.get(m)) else {
+            return Err(binding_out_of_bounds());
         };
-        !self.track.extrema() && self.ops.iter().all(infallible)
+        let sum_sq = self.sum_sq.get(m).copied().unwrap_or(0.0);
+        project_sums(self.dense + count, sum, sum_sq, proj, out);
+        Ok(())
     }
 }
 
-/// Move every group of at least two laned `exprs` of one shape, in kernel
-/// order (aggregates over adjacent columns form runs), into one
-/// [`ExprLane`], the lanes numbered from `first`, and re-point their
+/// `sums[m] += v`, and `sqs[m] += v * v` when kept, over one run's fields
+/// (or a lane's results), `v` the `value` of each.
+#[inline(always)]
+fn fold_run<T: Copy>(
+    sums: &mut [f64],
+    sqs: Option<&mut [f64]>,
+    fields: &[T],
+    value: impl Fn(T) -> f64,
+) {
+    // A run of one member (a field gathered by its offset) is one read,
+    // without the loops' set-up.
+    if let ([s], [b]) = (&mut *sums, fields) {
+        let v = value(*b);
+        *s += v;
+        if let Some([q]) = sqs {
+            *q += v * v;
+        }
+        return;
+    }
+    for (s, b) in sums.iter_mut().zip(fields) {
+        *s += value(*b);
+    }
+    for (q, b) in sqs.into_iter().flatten().zip(fields) {
+        let v = value(*b);
+        *q += v * v;
+    }
+}
+
+/// `out[m] = field[m]` over one run's fields, `W` bytes each.
+#[inline(always)]
+fn load_run<const W: usize>(out: &mut [f64], bytes: &[u8], le_value: impl Fn([u8; W]) -> f64) {
+    for (o, b) in out.iter_mut().zip(bytes.as_chunks::<W>().0) {
+        *o = le_value(*b);
+    }
+}
+
+/// A kernel a lane may take, as an expression kernel: column kernel `k`
+/// (`expr` false) of the one-load shape, or expression kernel `k`.
+type Laned = (bool, usize, ExprKernel);
+
+/// Group the kernels a lane may take by shape — the column kernels of the
+/// one-load shape ([`ExprKernel::of_column`]) in field order, so adjacent
+/// columns form runs, then the expression kernels in kernel order — and
+/// move every group of two or more into one [`ExprLane`], re-pointing their
 /// bindings; every other kernel keeps its place, in order. A shape with one
-/// member stays a kernel: the lane spreads an op's dispatch over its
-/// members, the kernel over a block of rows.
-pub(super) fn carve_expr_lanes(
+/// member stays a kernel: the kernel spreads an op's dispatch over a block
+/// of rows, the lane over its members.
+pub(super) fn carve(
+    kernels: &mut Vec<KernelSpec>,
     exprs: &mut Vec<ExprKernel>,
     bindings: &mut [Binding],
-    first: usize,
 ) -> Result<Vec<ExprLane>> {
-    let mut groups: Vec<Vec<(usize, &ExprKernel)>> = Vec::new();
-    for (k, spec) in exprs.iter().enumerate().filter(|(_, s)| s.laned()) {
-        let shape = |(_, h): &(usize, &ExprKernel)| same_shape(&h.ops, &spec.ops);
-        match groups.iter_mut().find(|g| g.first().is_some_and(shape)) {
-            Some(group) => group.push((k, spec)),
-            None => groups.push(vec![(k, spec)]),
+    let mut columns: Vec<_> = kernels.iter().enumerate().collect();
+    columns.sort_by_key(|(_, spec)| spec.field.at);
+    let columns = columns.into_iter();
+    let columns = columns.filter_map(|(k, spec)| Some((false, k, ExprKernel::of_column(spec)?)));
+    let laned = exprs.iter().enumerate().filter(|(_, e)| e.laned());
+    let laned = laned.map(|(k, e)| (true, k, e.clone()));
+    let mut groups: Vec<Vec<Laned>> = Vec::new();
+    for s in columns.chain(laned) {
+        let shape = |h: &Laned| same_shape(&h.2.ops, &s.2.ops);
+        match (groups.iter_mut()).find(|g| g.first().is_some_and(shape)) {
+            Some(group) => group.push(s),
+            None => groups.push(vec![s]),
         }
     }
     groups.retain(|g| g.len() > 1);
-    let lanes = groups.iter().map(|g| ExprLane::of(g)).collect();
-    let kernels = |g: &Vec<(usize, &ExprKernel)>| g.iter().map(|m| m.0).collect();
-    let groups: Vec<Vec<usize>> = groups.iter().map(kernels).collect();
-    carve(exprs, &groups, first, bindings, |b| match b {
-        Binding::Expr { k, proj } => Some((k, *proj)),
-        _ => None,
-    })?;
-    Ok(lanes)
+    let lane_of = |expr: bool, k: usize| {
+        let mut lanes = groups.iter().enumerate();
+        lanes.find_map(|(l, g)| Some((l, g.iter().position(|s| (s.0, s.1) == (expr, k))?)))
+    };
+    for b in bindings.iter_mut() {
+        let (expr, k, proj) = match b {
+            Binding::Column { k, proj } => (false, k, *proj),
+            Binding::Expr { k, proj } => (true, k, *proj),
+            _ => continue,
+        };
+        match lane_of(expr, *k) {
+            Some((l, m)) => {
+                let l = lane_index(l)?;
+                *b = Binding::Lane { l, m, proj };
+            }
+            None => {
+                let before = |s: &&Laned| s.0 == expr && s.1 < *k;
+                *k -= groups.iter().flatten().filter(before).count();
+            }
+        }
+    }
+    let mut k = 0..;
+    kernels.retain(|_| k.next().is_some_and(|k| lane_of(false, k).is_none()));
+    let mut k = 0..;
+    exprs.retain(|_| k.next().is_some_and(|k| lane_of(true, k).is_none()));
+    Ok(groups.iter().map(|g| ExprLane::of(g)).collect())
 }
 
 impl ExprLane {
-    /// The lane of `members`, all of one laned shape.
-    fn of(members: &[(usize, &ExprKernel)]) -> ExprLane {
-        let head = (members.first()).map_or(Default::default(), |(_, k)| k.ops.as_slice());
+    /// The lane of `members`, all of one shape.
+    fn of(members: &[Laned]) -> ExprLane {
+        let head = members.first().map_or(&[][..], |s| s.2.ops.as_slice());
         let field = |ops: &[ArithOp], i: usize| match ops.get(i) {
-            Some(ArithOp::Load(f)) => Some((*f, false)),
+            Some(ArithOp::Load(f)) => Some(*f),
             _ => None,
         };
         let loads = (0..head.len()).filter_map(|i| {
-            let fields = members.iter().filter_map(|(_, k)| field(&k.ops, i));
-            Some((i, Lane::of(field(head, i)?.0.class, fields)))
+            let fields = members.iter().filter_map(|s| field(&s.2.ops, i));
+            Some((i, LaneLoad::of(field(head, i)?.class, fields)))
         });
         ExprLane {
             ops: head.to_vec(),
             loads: loads.collect(),
-            result: members.first().map_or(0, |(_, k)| usize::from(k.result)),
+            result: members.first().map_or(0, |s| usize::from(s.2.result)),
             members: members.len(),
-            sum_sq: members.iter().any(|(_, k)| k.track.sum_sq),
+            sum_sq: members.iter().any(|s| s.2.track.sum_sq),
         }
     }
 
     pub(super) fn new_state(&self) -> LaneState {
-        LaneState::new(self.members, self.sum_sq)
+        let n = self.members;
+        LaneState {
+            dense: 0,
+            count: vec![0; n],
+            sum: vec![0.0; n],
+            sum_sq: vec![0.0; if self.sum_sq { n } else { 0 }],
+        }
     }
 
-    /// Registers the lane evaluates in: one per op per member.
-    pub(super) fn regs(&self) -> usize {
-        self.ops.len() * self.members
+    /// The members' fields, and whether the lane keeps the sum of squares,
+    /// when the lane has a one-load shape: bare columns, which the offline
+    /// sweep folds from columns.
+    pub(super) fn column(&self) -> Option<(&[FieldRef], bool)> {
+        match (self.ops.as_slice(), self.loads.as_slice()) {
+            ([_], [(_, load)]) => Some((&load.fields, self.sum_sq)),
+            _ => None,
+        }
     }
 
-    // HOT: the expression lane loop — one bitmap test, each load one
-    // straight read per run of adjacent fields, each op one straight loop
-    // over the members (a constant operand a scalar), then `sum[m] += r[m]`.
-    // A row with a NULL input reads field by field and sums the members
-    // whose inputs are all set. Every member runs the IEEE ops of its own
-    // kernel in the same order on the same rows, so its sums are that
-    // kernel's, bit for bit.
+    // HOT: the lane loop — one bitmap test; a one-load shape then adds each
+    // run of adjacent fields straight from the row's bytes (`sum[m] +=
+    // field[m]`), and any other shape reads each load with one straight
+    // loop per run, runs each op as one straight loop over the members (a
+    // constant operand a scalar), then adds `sum[m] += r[m]`. A row with a
+    // NULL input, or too short for a field (a typed error), reads field by
+    // field and sums the members whose inputs are all set. Every member
+    // runs the IEEE ops of its own kernel in the same order on the same
+    // rows, so its sums are that kernel's, bit for bit.
     #[inline(never)]
     pub(super) fn eval_row(&self, st: &mut LaneState, regs: &mut [f64], buf: &[u8]) -> Result<()> {
         let (n, clean) = (self.members, self.loads.iter().all(|(_, l)| l.clean(buf)));
+        if let ([_], [(_, load)], true) = (self.ops.as_slice(), self.loads.as_slice(), clean) {
+            for &(at, first, end) in &load.runs {
+                let bytes = buf.get(at..at + (end - first) * load.width);
+                let (Some(bytes), Some(sums)) = (bytes, st.sum.get_mut(first..end)) else {
+                    return Err(binding_out_of_bounds());
+                };
+                let sqs = st.sum_sq.get_mut(first..end);
+                match load.class {
+                    KernelClass::Float => fold_run(sums, sqs, bytes.as_chunks().0, |b| {
+                        f32::from_le_bytes(b) as f64
+                    }),
+                    _ => fold_run(sums, sqs, bytes.as_chunks().0, f64::from_le_bytes),
+                }
+            }
+            st.dense += 1;
+            return Ok(());
+        }
         for (i, load) in &self.loads {
             let out = (regs.get_mut(i * n..i * n + n)).ok_or_else(binding_out_of_bounds)?;
             if clean {
@@ -571,11 +769,12 @@ impl ExprLane {
         let values = regs.get(self.result * n..self.result * n + n);
         let values = values.ok_or_else(binding_out_of_bounds)?;
         if clean {
-            st.add_row(values);
+            fold_run(&mut st.sum, Some(&mut st.sum_sq), values, |v| v);
+            st.dense += 1;
             return Ok(());
         }
         for m in 0..n {
-            let set = |(_, l): &(usize, Lane)| l.fields.get(m).is_some_and(|f| !f.null_in(buf));
+            let set = |(_, l): &(usize, LaneLoad)| l.fields.get(m).is_some_and(|f| !f.null_in(buf));
             if let Some(&v) = values.get(m).filter(|_| self.loads.iter().all(set)) {
                 st.add(m, v)?;
             }
@@ -641,6 +840,59 @@ fn each(
 ) {
     for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
         *o = f(x, y);
+    }
+}
+
+impl LaneLoad {
+    /// The load of `fields`, all of `class`.
+    fn of(class: KernelClass, fields: impl Iterator<Item = FieldRef>) -> LaneLoad {
+        let width = if class == KernelClass::Float { 4 } else { 8 };
+        let mut load = LaneLoad {
+            class,
+            width,
+            fields: Vec::new(),
+            runs: Vec::new(),
+            end: 0,
+            nulls: Vec::new(),
+        };
+        for f in fields {
+            let m = load.fields.len();
+            match load.runs.last_mut() {
+                Some((at, first, end)) if *at + (m - *first) * width == f.at => *end = m + 1,
+                _ => load.runs.push((f.at, m, m + 1)),
+            }
+            match load.nulls.iter_mut().find(|(at, _)| *at == f.null_byte) {
+                Some((_, bits)) => *bits |= f.null_mask,
+                None => load.nulls.push((f.null_byte, f.null_mask)),
+            }
+            load.end = load.end.max(f.at + width);
+            load.fields.push(f);
+        }
+        load
+    }
+
+    /// Whether no member is NULL in row `buf` and every field lies in it.
+    #[inline(always)]
+    fn clean(&self, buf: &[u8]) -> bool {
+        (self.nulls.iter()).all(|&(at, bits)| buf.get(at).is_some_and(|b| b & bits == 0))
+            && buf.get(..self.end).is_some()
+    }
+
+    /// Each member's field of row `buf`, widened to f64, into `out`: one
+    /// straight loop per run of a [`clean`](Self::clean) row.
+    #[inline(always)]
+    fn read_into(&self, buf: &[u8], out: &mut [f64]) -> Result<()> {
+        for &(at, first, end) in &self.runs {
+            let bytes = buf.get(at..at + (end - first) * self.width);
+            let (Some(bytes), Some(out)) = (bytes, out.get_mut(first..end)) else {
+                return Err(binding_out_of_bounds());
+            };
+            match self.class {
+                KernelClass::Float => load_run(out, bytes, |b| f32::from_le_bytes(b) as f64),
+                _ => load_run(out, bytes, f64::from_le_bytes),
+            }
+        }
+        Ok(())
     }
 }
 

@@ -1,7 +1,7 @@
 //! The field reader every kernel family shares: a column resolved against
 //! the compact encoding at deploy time ([`FieldRef`]), its bounds-checked
-//! fixed-width read ([`FieldRef::visit_fixed`]) handed to a monomorphized
-//! consumer ([`FixedSink`]), and the typed errors a hostile row meets.
+//! fixed-width read ([`FieldRef::stored`]), and the typed errors a hostile
+//! row meets.
 
 use openmldb_sql::BinaryOp;
 use openmldb_types::codec::compact::HEADER_SIZE;
@@ -62,30 +62,6 @@ impl Fixed {
     }
 }
 
-/// Consumer of one decoded fixed-width field ([`FieldRef::visit_fixed`]).
-pub(super) trait FixedSink {
-    fn int(self, v: i64);
-    fn float(self, v: f32);
-    fn double(self, v: f64);
-}
-
-impl FixedSink for &mut Fixed {
-    #[inline(always)]
-    fn int(self, v: i64) {
-        *self = Fixed::Int(v);
-    }
-
-    #[inline(always)]
-    fn float(self, v: f32) {
-        *self = Fixed::Float(v);
-    }
-
-    #[inline(always)]
-    fn double(self, v: f64) {
-        *self = Fixed::Double(v);
-    }
-}
-
 /// A column resolved against the compact encoding at deploy time: the byte
 /// offset of its fixed-width field and its NULL-bitmap probe baked to a
 /// `(byte, mask)` pair.
@@ -134,46 +110,37 @@ impl FieldRef {
             .is_none_or(|b| b & self.null_mask != 0)
     }
 
-    /// The one fixed-width read ladder every family shares: a bounds-checked
-    /// little-endian load at the baked offset, handed to `sink` —
-    /// monomorphized per consumer, so the column kernels' fold sits directly
-    /// in each arm.
+    /// The one fixed-width read every family shares, NULL-aware: a
+    /// bounds-checked little-endian load at the baked offset.
     // Reads go through `read4`/`read8` (checked `slice::get`); a short row
     // is a typed error.
-    #[inline(always)]
-    pub(super) fn visit_fixed(&self, buf: &[u8], sink: impl FixedSink) -> Result<()> {
-        match self.class {
-            KernelClass::Int => match read4(buf, self.at) {
-                Some(b) => sink.int(i32::from_le_bytes(b) as i64),
-                None => return Err(truncated_row(buf.len(), self.at + 4)),
-            },
-            KernelClass::Bigint | KernelClass::Timestamp => match read8(buf, self.at) {
-                Some(b) => sink.int(i64::from_le_bytes(b)),
-                None => return Err(truncated_row(buf.len(), self.at + 8)),
-            },
-            KernelClass::Float => match read4(buf, self.at) {
-                Some(b) => sink.float(f32::from_le_bytes(b)),
-                None => return Err(truncated_row(buf.len(), self.at + 4)),
-            },
-            KernelClass::Double => match read8(buf, self.at) {
-                Some(b) => sink.double(f64::from_le_bytes(b)),
-                None => return Err(truncated_row(buf.len(), self.at + 8)),
-            },
-            // Unreachable: string fields are read through the row view.
-            KernelClass::Str => return Err(str_without_view()),
-        }
-        Ok(())
-    }
-
-    /// NULL-aware read out of a stored row's bytes.
     #[inline(always)]
     pub(super) fn stored(&self, buf: &[u8]) -> Result<Option<Fixed>> {
         if self.null_in(buf) {
             return Ok(None);
         }
-        let mut v = Fixed::Int(0);
-        self.visit_fixed(buf, &mut v)?;
-        Ok(Some(v))
+        let (v, width) = match self.class {
+            KernelClass::Int => (
+                read4(buf, self.at).map(|b| Fixed::Int(i32::from_le_bytes(b).into())),
+                4,
+            ),
+            KernelClass::Bigint | KernelClass::Timestamp => (
+                read8(buf, self.at).map(|b| Fixed::Int(i64::from_le_bytes(b))),
+                8,
+            ),
+            KernelClass::Float => (
+                read4(buf, self.at).map(|b| Fixed::Float(f32::from_le_bytes(b))),
+                4,
+            ),
+            KernelClass::Double => (
+                read8(buf, self.at).map(|b| Fixed::Double(f64::from_le_bytes(b))),
+                8,
+            ),
+            // Unreachable: string fields are read through the row view.
+            KernelClass::Str => return Err(str_without_view()),
+        };
+        v.map(Some)
+            .ok_or_else(|| truncated_row(buf.len(), self.at + width))
     }
 }
 

@@ -4,28 +4,29 @@
 //! under its pin, or an arena).
 //!
 //! Each aggregate binds to a kernel of one family — column, expression,
-//! count map, generic; a column's float sums fold in one struct-of-arrays
-//! lane per class, and expressions of one infallible f64 shape in one lane
-//! per shape — and the fold calls each family's contract: step a row,
-//! project the values. There is one row format: the request row, encoded
-//! once, is row `n` of the fold's rows ([`FoldRows`]), stepped after every
-//! stored row by the same code. The serve loop is `feed_entries`: every
+//! count map, generic; two or more kernels of one infallible f64 shape, bare
+//! float columns' sums included, fold as one struct-of-arrays lane — and
+//! the fold calls each family's contract: step rows, project the values.
+//! There is one row format: the request row, encoded once, is row `n` of
+//! the fold's rows ([`FoldRows`]), stepped after every stored row by the
+//! same code. The serve loop is `feed_entries`: every
 //! window gathers up to [`BLOCK`] rows in fold order, each validated once
 //! (the 3-field header check, or one [`RowView`] when a kernel reads
 //! through one), and steps each family over the whole block
 //! (`feed_blocks` → `step_block`) — a column kernel in one loop of its own
-//! over the block ([`KernelSpec::fold_block`]). The offline sweep calls the
-//! row contract through [`WindowProgram::slide_row`] for the kernels whose
-//! fold retracts exactly, and re-folds the rest through this loop.
+//! over the block ([`KernelSpec::fold_block`]). The offline sweep steps the
+//! kernels whose fold retracts exactly through the same loops, one row at a
+//! time ([`WindowProgram::slide_row`]), and re-folds the rest through the
+//! serve loop.
 
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, PhysExpr};
 use openmldb_types::{CompactCodec, Result, RowView, Value};
 
-use super::column::{carve_lanes, ColumnFold, KernelSpec, KernelState, Lane, LaneState};
+use super::column::{ColumnFold, KernelSpec, KernelState};
 use super::countmap::{CountMap, TopnSpec, TopnState};
-use super::expression::{carve_expr_lanes, ExprKernel, ExprLane, Reg, NULL_REG};
+use super::expression::{carve, ExprKernel, ExprLane, LaneState, Reg, NULL_REG};
 use super::field::{
-    binding_out_of_bounds, generic_state_mismatch, lane_index, length_mismatch, row_out_of_range,
+    binding_out_of_bounds, generic_state_mismatch, length_mismatch, row_out_of_range,
     truncated_row, version_mismatch, FieldRef, KernelClass,
 };
 use super::generic;
@@ -45,7 +46,7 @@ pub(super) const BLOCK: usize = 64;
 const COLUMN_BLOCK: usize = BLOCK / 4;
 
 /// Where one aggregate's output comes from, in aggregate order. `Lane` is
-/// member `m` of lane `l`: the float sum lanes, then the expression lanes.
+/// member `m` of lane `l`.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Binding {
     Column { k: usize, proj: Projection },
@@ -56,44 +57,13 @@ pub(super) enum Binding {
     Generic { pos: usize },
 }
 
-/// Move each group of `kernels` — its members' indices, in member order —
-/// into lane `first + g` and re-point the bindings: one whose kernel index
-/// `kernel` lends goes to its `(lane, member)` or, unmoved, to the kernel's
-/// index among the kernels that stay.
-pub(super) fn carve<T>(
-    kernels: &mut Vec<T>,
-    groups: &[Vec<usize>],
-    first: usize,
-    bindings: &mut [Binding],
-    kernel: impl Fn(&mut Binding) -> Option<(&mut usize, Projection)>,
-) -> Result<()> {
-    let lane_of = |k: usize| {
-        let mut lanes = groups.iter().zip(first..);
-        lanes.find_map(|(g, l)| Some((l, g.iter().position(|&j| j == k)?)))
-    };
-    for b in bindings.iter_mut() {
-        if let Some((k, proj)) = kernel(b) {
-            let lane = lane_of(*k);
-            *k -= groups.iter().flatten().filter(|&&j| j < *k).count();
-            if let Some((l, m)) = lane {
-                let l = lane_index(l)?;
-                *b = Binding::Lane { l, m, proj };
-            }
-        }
-    }
-    let mut k = 0..;
-    kernels.retain(|_| k.next().is_some_and(|k| lane_of(k).is_none()));
-    Ok(())
-}
-
 /// Pooled per-window fold state of every family (lives in the request
 /// scratch so warm requests never allocate).
 pub struct WindowState {
     pub(super) kernels: Vec<KernelState>,
+    /// The lanes' sums, and one register file they share (sized to the
+    /// largest lane).
     pub(super) lanes: Vec<LaneState>,
-    /// The expression lanes' sums, and one register file they share (sized
-    /// to the largest lane).
-    expr_lanes: Vec<LaneState>,
     lane_regs: Vec<f64>,
     exprs: Vec<KernelState>,
     /// Register file shared by the expression kernels, op-major: register
@@ -116,7 +86,7 @@ impl WindowState {
         for k in self.kernels.iter_mut().chain(self.exprs.iter_mut()) {
             *k = KernelState::default();
         }
-        (self.lanes.iter_mut().chain(&mut self.expr_lanes)).for_each(LaneState::reset);
+        self.lanes.iter_mut().for_each(LaneState::reset);
         for m in &mut self.maps {
             m.clear();
         }
@@ -229,7 +199,27 @@ pub(super) struct Block<'a, V, const N: usize> {
     views: V,
 }
 
+impl<'a> Block<'a, [Option<RowView<'a>>; 1], 1> {
+    /// Row `at` of a fold's rows, its bytes `buf` and its view, as a block
+    /// of one: the row a sliding program adds.
+    pub(super) fn one(at: usize, buf: &'a [u8], view: Option<RowView<'a>>) -> Self {
+        // The first row fed past `take` = 0 stored rows is row `n`.
+        let (n, take, order) = (at, 0, EntryOrder::Ascending);
+        Block::new(FeedOrder { n, take, order }, [buf], [view], 1)
+    }
+}
+
 impl<'a, V: Views<'a>, const N: usize> Block<'a, V, N> {
+    fn new(feed: FeedOrder, bufs: [&'a [u8]; N], views: V, len: usize) -> Self {
+        Block {
+            len,
+            start: 0,
+            feed,
+            bufs,
+            views,
+        }
+    }
+
     /// The bytes of the first `end` rows.
     #[inline(always)]
     pub(super) fn bufs(&self, end: usize) -> &[&'a [u8]] {
@@ -268,14 +258,12 @@ pub enum EntryOrder {
 /// frame guards hoisted out of the per-request path.
 #[derive(Debug)]
 pub struct WindowProgram {
-    /// Family 1: bare-column kernels, and the float sum-family ones folded
-    /// as one lane per class.
+    /// Family 1: bare-column kernels.
     pub(super) kernels: Vec<KernelSpec>,
-    pub(super) lanes: Vec<Lane>,
-    /// Family 2: expression kernels, and the ones of a shared infallible
-    /// shape folded as one lane per shape.
+    /// Family 2: expression kernels, and the lanes: one per infallible f64
+    /// shape of two or more kernels, bare float columns' sums included.
     pub(super) exprs: Vec<ExprKernel>,
-    pub(super) expr_lanes: Vec<ExprLane>,
+    pub(super) lanes: Vec<ExprLane>,
     /// Family 3: count maps, one per distinct column.
     pub(super) maps: Vec<FieldRef>,
     pub(super) topn: Vec<TopnSpec>,
@@ -342,7 +330,7 @@ impl WindowCompiler<'_> {
     fn expr_kernel(&mut self, e: &PhysExpr, proj: Projection) -> Option<Binding> {
         let (codec, before) = (self.codec, self.generic.len());
         let lower = || ExprKernel::lower(codec, e, before);
-        let k = find_or_push(&mut self.exprs, |k| &k.expr == e, lower)?;
+        let k = find_or_push(&mut self.exprs, |k| k.expr.same_computation(e), lower)?;
         self.exprs.get_mut(k)?.note(proj);
         Some(Binding::Expr { k, proj })
     }
@@ -436,8 +424,7 @@ impl WindowProgram {
             generic: Vec::new(),
         };
         let mut bindings: Vec<Binding> = aggs.iter().map(|agg| c.bind_agg(agg)).collect();
-        let lanes = carve_lanes(&mut c.kernels, &mut bindings)?;
-        let expr_lanes = carve_expr_lanes(&mut c.exprs, &mut bindings, lanes.len())?;
+        let lanes = carve(&mut c.kernels, &mut c.exprs, &mut bindings)?;
         let is_str = |f: &FieldRef| f.class == KernelClass::Str;
         Ok(WindowProgram {
             needs_view: c.kernels.iter().any(|k| is_str(&k.field))
@@ -445,9 +432,8 @@ impl WindowProgram {
                 || !c.generic.is_empty(),
             max_regs: c.exprs.iter().map(|k| k.ops.len()).max().unwrap_or(0),
             kernels: c.kernels,
-            lanes,
             exprs: c.exprs,
-            expr_lanes,
+            lanes,
             maps: c.maps,
             topn: c.topn,
             generic: c.generic,
@@ -469,10 +455,9 @@ impl WindowProgram {
     /// This program's aggregates parted in two programs: the ones that
     /// slide — a count map's, or a column kernel's count, integer sum or
     /// extremum (a [`Monotone`](super::column::Monotone) deque) — with the
-    /// f64 sum family of column
-    /// kernels and float sum lanes, which fold from columns
-    /// ([`ColumnFold`]) into the same program's state; and the rest, which
-    /// re-fold. A window whose sweep steps the anchor row out of turn
+    /// f64 sum family of column kernels and one-load lanes, which fold from
+    /// columns ([`ColumnFold`]) into the same program's state; and the rest,
+    /// which re-fold. A window whose sweep steps the anchor row out of turn
     /// (`EXCLUDE CURRENT_ROW`, `INSTANCE_NOT_IN_WINDOW`) re-folds its
     /// extrema; with `recompute` every aggregate re-folds.
     pub(super) fn split(&self, recompute: bool) -> Result<Split> {
@@ -486,7 +471,9 @@ impl WindowProgram {
                     proj: Min | Max, ..
                 } => !out_of_turn,
                 Binding::Column { .. } | Binding::Distinct { .. } | Binding::TopN { .. } => true,
-                Binding::Lane { l, .. } => (l as usize) < self.lanes.len(),
+                Binding::Lane { l, .. } => {
+                    (self.lanes.get(l as usize)).is_some_and(|l| l.column().is_some())
+                }
                 Binding::Expr { .. } | Binding::Generic { .. } => false,
             })
             .collect();
@@ -527,13 +514,11 @@ impl WindowProgram {
 
     /// Fresh (pool-able) fold state sized for this program.
     pub fn new_state(&self) -> WindowState {
-        let lane_regs = self.expr_lanes.iter().map(ExprLane::regs).max();
-        let lane_regs = lane_regs.unwrap_or(0);
+        let lane_regs = self.lanes.iter().map(|l| l.ops.len() * l.members).max();
         WindowState {
             kernels: vec![KernelState::default(); self.kernels.len()],
-            lanes: self.lanes.iter().map(Lane::new_state).collect(),
-            expr_lanes: self.expr_lanes.iter().map(ExprLane::new_state).collect(),
-            lane_regs: vec![0.0; lane_regs],
+            lanes: self.lanes.iter().map(ExprLane::new_state).collect(),
+            lane_regs: vec![0.0; lane_regs.unwrap_or(0)],
             exprs: vec![KernelState::default(); self.exprs.len()],
             regs: vec![NULL_REG; self.max_regs * BLOCK],
             maps: self.maps.iter().map(|_| CountMap::new()).collect(),
@@ -625,9 +610,10 @@ impl WindowProgram {
     }
 
     /// Step row `at` of `rows` into a sliding program's state, or (`add`
-    /// false) retract it: the kernels [`split`](Self::split) slides, with
-    /// STRING keys kept as slices of that row. `buf` is its bytes, `view`
-    /// their view when [`needs_view`](Self::needs_view).
+    /// false) retract it: the kernels [`split`](Self::split) slides — the
+    /// column kernels through the loops a block folds in, over this one row
+    /// — with STRING keys kept as slices of that row. `buf` is its bytes,
+    /// `view` their view when [`needs_view`](Self::needs_view).
     pub(super) fn slide_row(
         &self,
         state: &mut WindowState,
@@ -638,7 +624,8 @@ impl WindowProgram {
     ) -> Result<()> {
         for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
             match add {
-                true => spec.step_row(st, buf, view, (at, buf), rows)?,
+                true => (spec.fold_block(st, &Block::one(at, buf, view.copied()), 1, rows))
+                    .map_err(|(_, e)| e)?,
                 false => spec.retract_row(st, buf)?,
             }
         }
@@ -697,13 +684,7 @@ impl WindowProgram {
         (feed, total, codec, probe): (FeedOrder, usize, &'a CompactCodec, Probe<'_>),
         views: V,
     ) -> Result<()> {
-        let mut block = Block {
-            len: 0,
-            start: 0,
-            feed,
-            bufs: [&[]; N],
-            views,
-        };
+        let mut block = Block::new(feed, [&[]; N], views, 0);
         while block.start < total {
             let mut gathered = Ok(());
             block.len = 0;
@@ -748,18 +729,17 @@ impl WindowProgram {
     }
 
     // HOT: one block, family by family, each in the loop order that suits
-    // it: the float sum lanes and the expression lanes row by row (one
-    // straight loop per run or op per row), column kernels kernel by kernel
-    // ([`KernelSpec::fold_block`]), expression kernels op by op
-    // ([`ExprKernel::eval_block`]), count maps map by map, generic
-    // aggregates row by row over the views. A lane cannot fail on a
-    // validated row, nor a fixed-width column kernel. The error reported is
-    // the one the row-at-a-time fold meets first — the earliest row, then
-    // family order, then kernel order: once a kernel fails on row `end`,
-    // every later one steps only the rows before it. An expression kernel's
-    // error still yields to a generic aggregate bound before it that fails
-    // on the same row (`generic::first_error`), after the generic family has
-    // stepped exactly the rows before it.
+    // it: the lanes row by row (one straight loop per run or op per row),
+    // column kernels kernel by kernel ([`KernelSpec::fold_block`]),
+    // expression kernels op by op ([`ExprKernel::eval_block`]), count maps
+    // map by map, generic aggregates row by row over the views. A lane
+    // cannot fail on a validated row, nor a fixed-width column kernel. The
+    // error reported is the one the row-at-a-time fold meets first — the
+    // earliest row, then family order, then kernel order: once a kernel
+    // fails on row `end`, every later one steps only the rows before it. An
+    // expression kernel's error still yields to a generic aggregate bound
+    // before it that fails on the same row (`generic::first_error`), after
+    // the generic family has stepped exactly the rows before it.
     fn step_block<'a, V: Views<'a>, const N: usize>(
         &self,
         state: &mut WindowState,
@@ -769,7 +749,6 @@ impl WindowProgram {
         let WindowState {
             kernels,
             lanes,
-            expr_lanes,
             lane_regs,
             exprs,
             regs,
@@ -778,13 +757,10 @@ impl WindowProgram {
             ..
         } = state;
         let (mut end, mut failed) = (block.len, None);
-        if !(self.lanes.is_empty() && self.expr_lanes.is_empty()) {
+        if !self.lanes.is_empty() {
             for (j, buf) in block.bufs(end).iter().enumerate() {
                 let mut laned = self.lanes.iter().zip(lanes.iter_mut());
-                let mut exprs = self.expr_lanes.iter().zip(expr_lanes.iter_mut());
-                let stepped = (laned.try_for_each(|(l, st)| l.sum_row(st, buf)))
-                    .and_then(|()| exprs.try_for_each(|(l, st)| l.eval_row(st, lane_regs, buf)));
-                if let Err(e) = stepped {
+                if let Err(e) = laned.try_for_each(|(l, st)| l.eval_row(st, lane_regs, buf)) {
                     (end, failed) = (j, Some((e, None)));
                     break;
                 }
@@ -894,14 +870,10 @@ impl WindowProgram {
                     }
                     _ => return Err(binding_out_of_bounds()),
                 },
-                Binding::Lane { l, m, proj } => {
-                    let (l, sums) = (l as usize, &state.lanes);
-                    let st = sums
-                        .get(l)
-                        .or_else(|| state.expr_lanes.get(l.checked_sub(sums.len())?));
-                    st.ok_or_else(binding_out_of_bounds)?
-                        .project_member(m, proj, out)?
-                }
+                Binding::Lane { l, m, proj } => match state.lanes.get(l as usize) {
+                    Some(st) => st.project_member(m, proj, out)?,
+                    None => return Err(binding_out_of_bounds()),
+                },
                 Binding::Expr { k, proj } => match (self.exprs.get(k), state.exprs.get(k)) {
                     (Some(spec), Some(st)) => spec.project_into(st, proj, out)?,
                     _ => return Err(binding_out_of_bounds()),
@@ -1082,11 +1054,11 @@ mod tests {
         /// Hostile stored bytes through the only reader a served window has:
         /// a truncated, bit-flipped or length-patched encoded row, sitting in
         /// the arena between two intact ones (an over-read would land in a
-        /// neighbour), through one program per kernel family and one of
-        /// float sum lanes and one of an expression lane (a row short of a
-        /// lane's span is an error). `run`
-        /// answers with a value or a typed error — a truncated or
-        /// mis-declared length always with the error — and never panics.
+        /// neighbour), through one program per kernel family, one with a
+        /// one-load lane and one with an expression lane (a row short of a
+        /// lane's span is an error). `run` answers with a value or a typed
+        /// error — a truncated or mis-declared length always with the error
+        /// — and never panics.
         #[test]
         fn hostile_row_bytes_are_a_typed_error_or_a_value(
             seed in 0i64..40,
@@ -1126,14 +1098,18 @@ mod tests {
                 vec![agg("distinct_count", 6, 0), agg_of("topn_frequency", vec![col(3), lit(Value::Int(2))])],
                 vec![agg_of("median", vec![col(5)]), agg_of("count_where", vec![col(6), bin(Gt, col(2), lit(Value::Int(0)))])],
                 vec![agg("min", 6, 0), agg("max", 6, 0)],
-                vec![agg("sum", 5, 0), agg("avg", 4, 0), agg("stddev", 5, 0), agg("count", 4, 0)],
+                vec![agg("sum", 5, 0), agg("avg", 7, 0), agg("stddev", 5, 0), agg("count", 4, 0), agg("avg", 4, 0)],
                 vec![agg_of("sum", vec![affine(5)]), agg_of("stddev", vec![affine(5)]), agg_of("avg", vec![affine(7)])],
             ];
             let w = window();
-            for (aggs, expr_lanes) in families.iter().zip([0, 0, 0, 0, 0, 0, 1]) {
+            // Per family, its lanes and its one-load lanes: two DOUBLE sums
+            // (a lone FLOAT one stays a kernel), and two affine expressions.
+            let lanes = [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 1), (1, 0)];
+            for (aggs, lanes) in families.iter().zip(lanes) {
                 let refs: Vec<&BoundAggregate> = aggs.iter().collect();
                 let wp = WindowProgram::compile(&w, &refs, &codec).expect("compiles");
-                proptest::prop_assert_eq!(wp.expr_lanes.len(), expr_lanes);
+                let one_load = wp.lanes.iter().filter(|l| l.column().is_some()).count();
+                proptest::prop_assert_eq!((wp.lanes.len(), one_load), lanes);
                 let orders = [
                     (EntryOrder::Ascending, &entries),
                     (EntryOrder::ReversedScan, &newest_first),
@@ -1464,7 +1440,7 @@ mod tests {
             let refs: Vec<&BoundAggregate> = aggs.iter().collect();
             let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
             proptest::prop_assert!(wp.needs_view);
-            proptest::prop_assert_eq!((wp.expr_lanes.len(), wp.exprs.len()), (1, 2));
+            proptest::prop_assert_eq!((wp.lanes.len(), wp.exprs.len()), (1, 2));
 
             // The interpreter over the in-frame rows, ascending, then the
             // request row; `clean` counts the rows it took before the first
@@ -1628,6 +1604,87 @@ mod tests {
             .as_ref()
             .map(|vs| vs.iter().zip(aggs).map(bits).collect::<Vec<_>>());
         format!("{answer:?}")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 48 })]
+
+        /// Expression kernels' extrema fold through the kernel-state loop a
+        /// block at a time, from their result registers: `min`, `max` (one
+        /// or both) and `count` of integer and f64 expressions over NULL,
+        /// NaNs of both signs, ±0.0, ±inf and BIGINTs that tie past ±2^53,
+        /// 0–200 rows, both entry orders, the request row in or out. The
+        /// answer equals the interpreter's, type for type and bit for bit;
+        /// a NaN, which arithmetic made here, only as a NaN.
+        #[test]
+        fn expression_extrema_block_fold_equals_interpreter(
+            stored in proptest::collection::vec(proptest::prelude::any::<i64>(), 0..201),
+            request in (proptest::prelude::any::<bool>(), proptest::prelude::any::<i64>()),
+            seed in 0usize..64,
+        ) {
+            use BinaryOp::{Add, Mul, Sub};
+            let codec = CompactCodec::new(class_schema());
+            let palettes: Vec<Vec<Vec<Value>>> = (2..8).map(class_palettes).collect();
+            let row = |ts: usize, bits: u64| {
+                let mut values = vec![Value::string("k1"), Value::Timestamp(ts as i64)];
+                values.extend((0..6).map(|c| {
+                    let pal = &palettes[c][(seed + c) % palettes[c].len()];
+                    pal[(bits >> (8 * c)) as usize % pal.len()].clone()
+                }));
+                Row::new(values)
+            };
+            let rows: Vec<Row> = stored.iter().enumerate().map(|(ts, &b)| row(ts, b as u64)).collect();
+            let req = (request.0).then(|| row(rows.len(), request.1 as u64));
+            let req = req.as_ref().map(|r| r.values());
+            let exprs = [
+                bin(Add, col(3), lit(Value::Bigint(0))),
+                bin(Sub, col(4), lit(Value::Int(0))),
+                bin(Mul, col(2), lit(Value::Int(1))),
+                bin(Mul, col(6), lit(Value::Double(1.0))),
+                bin(Mul, col(5), lit(Value::Double(1.0))),
+            ];
+            let mut aggs = Vec::new();
+            for (e, expr) in exprs.into_iter().enumerate() {
+                let bound = [["min"].as_slice(), &["max"], &["min", "max"]][(seed + e) % 3];
+                for f in bound.iter().chain(&["count"]) {
+                    aggs.push(agg_of(f, vec![expr.clone()]));
+                }
+            }
+            let refs: Vec<&BoundAggregate> = aggs.iter().collect();
+            let wp = WindowProgram::compile(&window(), &refs, &codec).expect("compiles");
+            proptest::prop_assert_eq!((wp.exprs.len(), wp.lanes.len(), wp.kernels.len()), (5, 0, 0));
+            let (entries, arena) = arena_of(&rows, &codec);
+            let newest_first: Vec<ScanEntry> = entries.iter().rev().copied().collect();
+            let bits = |answer: Result<Vec<Value>>| {
+                let bits = |v: &Value| match v {
+                    Value::Double(d) if d.is_nan() => "Double(NaN)".to_string(),
+                    Value::Double(d) => format!("Double({:#x})", d.to_bits()),
+                    v => format!("{v:?}"),
+                };
+                format!("{:?}", answer.map(|vs| vs.iter().map(bits).collect::<Vec<_>>()))
+            };
+            let oracle = bits((|| {
+                let mut set = WindowAggSet::new(&refs)?;
+                for e in &entries {
+                    set.update_view(&codec.view(e.bytes(&arena))?)?;
+                }
+                if let Some(r) = req {
+                    set.update(r)?;
+                }
+                Ok(set.outputs())
+            })());
+            for (order, entries) in [
+                (EntryOrder::Ascending, &entries),
+                (EntryOrder::ReversedScan, &newest_first),
+            ] {
+                let (mut state, mut out) = (wp.new_state(), Vec::new());
+                let got = wp
+                    .run(&mut state, entries, 0, order, &arena, req, &codec, &mut || Ok(()))
+                    .and_then(|()| wp.outputs_into(&state, &arena, req, &mut out))
+                    .map(|()| out);
+                proptest::prop_assert_eq!(&bits(got), &oracle, "{:?}", order);
+            }
+        }
     }
 
     proptest::proptest! {

@@ -296,7 +296,7 @@ impl WindowAggSet {
             };
             let slot = slots
                 .iter()
-                .position(|s| matches!(s, Slot::Shared { arg: a, .. } if a == arg))
+                .position(|s| matches!(s, Slot::Shared { arg: a, .. } if a.same_computation(arg)))
                 .unwrap_or_else(|| {
                     slots.push(Slot::Shared {
                         arg: arg.clone(),

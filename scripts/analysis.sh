@@ -28,8 +28,8 @@ if [ "$QUICK" -eq 0 ]; then
     cargo build --workspace --release
 fi
 
-step "workspace tests (the workspace lint included)"
-cargo test --workspace -q
+step "workspace tests (the workspace lint included; every crate runs even when one fails)"
+cargo test --workspace -q --no-fail-fast
 
 # Two clocks around the same requests: the harness's also covers code
 # outside the engine's interval, so one preemption there under the parallel
