@@ -577,8 +577,8 @@ fn compiled_eval(c: &mut Criterion) {
         })
     });
 
-    // 100 DOUBLE sums over 40 rows, serve_wide's first window: one float
-    // sum lane of 100 members, one straight loop per row.
+    // 100 DOUBLE sums over 40 rows, serve_wide's first window: one
+    // one-load lane of 100 members, one straight loop per row.
     let names: Vec<String> = (0..100).map(|c| format!("v{c}")).collect();
     let mut pairs = vec![("k", DataType::Bigint), ("ts", DataType::Timestamp)];
     pairs.extend(names.iter().map(|n| (n.as_str(), DataType::Double)));

@@ -18,8 +18,8 @@
 //!   and a column's `min` / `max` slides as a monotone deque (`column`'s
 //!   `Monotone`), keyed by row position and popping only strictly beaten
 //!   rows, so the first-seen tie wins as in the fold.
-//! * The f64 sum family — `sum`/`avg`/`stddev` of column kernels and float
-//!   sum lanes — folds from columns: each member's values are extracted
+//! * The f64 sum family — `sum`/`avg`/`stddev` of column kernels and
+//!   one-load lanes — folds from columns: each member's values are extracted
 //!   once per partition into pooled scratch (`column`'s `ColumnFold`), and
 //!   [`K`] consecutive anchors' frames fold in lockstep, each chain still
 //!   its frame's ascending left fold from 0.0 with the anchor last. The

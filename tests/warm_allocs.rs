@@ -8,7 +8,7 @@
 //! kernel family: expression registers, count-map tables and the generic
 //! unit's aggregators are pooled state, cleared and never freed. And for
 //! windows of 100 DOUBLE sums, 100 averages and 50 `avg(v * 2.0 + 1.0)`: the
-//! float sum lanes' arrays and the expression lane's member registers are
+//! one-load lanes' arrays and the expression lane's member registers are
 //! pooled state too.
 //!
 //! A binary of its own with a single test: the counting allocator is
@@ -125,7 +125,7 @@ fn a_warm_request_allocates_only_its_output_row() {
     )
     .unwrap();
     // 100 sums on one window, 100 averages and 50 computed averages on
-    // another (`serve_wide`'s shape): two float sum lanes of 100 members
+    // another (`serve_wide`'s shape): two one-load lanes of 100 members
     // each and an expression lane of 50.
     let columns: Vec<String> = (0..100).map(|c| format!("v{c} DOUBLE")).collect();
     db.execute(&format!(
