@@ -249,12 +249,20 @@ impl KernelSpec {
 
     /// Keep only the count and the wrapping `i64` sum: the offline sweep's
     /// deques and column folds own the kernel's extrema and f64 sums.
-    pub(super) fn keep_retractable(&mut self) {
-        let int_sum = self.track.int_sum;
+    /// Returns whether the sweep still steps the kernel: one with f64 sums
+    /// and no integer sum is set whole (count and sums) by the column fold
+    /// before every output ([`ColumnFold::fill`]), so its steps are not.
+    pub(super) fn keep_retractable(&mut self) -> bool {
+        let Track {
+            int_sum,
+            float_sums,
+            ..
+        } = self.track;
         self.track = Track {
             int_sum,
             ..Track::default()
         };
+        int_sum || !float_sums
     }
 
     /// Take stored row `buf`, stepped earlier, back out of `st`: exact for

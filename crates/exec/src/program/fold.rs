@@ -500,12 +500,13 @@ impl WindowProgram {
             .and_then(|p| ColumnFold::of(&p.kernels, &p.lanes));
         // The deques and the column fold own the extrema and f64 sums: the
         // sliding steps keep only counts and integer sums.
-        for spec in slide.iter_mut().flat_map(|p| &mut p.kernels) {
-            spec.keep_retractable();
-        }
+        let stepped = (slide.iter_mut().flat_map(|p| &mut p.kernels))
+            .map(KernelSpec::keep_retractable)
+            .collect();
         Ok(Split {
             extrema,
             columns,
+            stepped,
             slide,
             refold: part(false)?,
             slid,
@@ -611,18 +612,20 @@ impl WindowProgram {
 
     /// Step row `at` of `rows` into a sliding program's state, or (`add`
     /// false) retract it: the kernels [`split`](Self::split) slides — the
-    /// column kernels through the loops a block folds in, over this one row
-    /// — with STRING keys kept as slices of that row. `buf` is its bytes,
-    /// `view` their view when [`needs_view`](Self::needs_view).
+    /// column kernels marked in `stepped`, through the loops a block folds
+    /// in, over this one row — with STRING keys kept as slices of that row.
+    /// `buf` is its bytes, `view` their view when
+    /// [`needs_view`](Self::needs_view).
     pub(super) fn slide_row(
         &self,
         state: &mut WindowState,
         (at, buf): (usize, &[u8]),
         view: Option<&RowView<'_>>,
-        rows: &dyn RowSource,
+        (rows, stepped): (&dyn RowSource, &[bool]),
         add: bool,
     ) -> Result<()> {
-        for (spec, st) in self.kernels.iter().zip(state.kernels.iter_mut()) {
+        let kernels = self.kernels.iter().zip(state.kernels.iter_mut());
+        for ((spec, st), _) in kernels.zip(stepped).filter(|(_, &step)| step) {
             match add {
                 true => (spec.fold_block(st, &Block::one(at, buf, view.copied()), 1, rows))
                     .map_err(|(_, e)| e)?,

@@ -72,6 +72,9 @@ pub(super) struct Split {
     pub(super) extrema: Vec<(usize, FieldRef, bool)>,
     /// How `slide`'s f64 sums fold from columns (`None`: it has none).
     pub(super) columns: Option<ColumnFold>,
+    /// Per kernel of `slide`, whether a row it adds or retracts is stepped
+    /// into it (a kernel `columns` sets whole is not).
+    pub(super) stepped: Vec<bool>,
     /// The kernels that re-fold (`None`: none does).
     pub(super) refold: Option<WindowProgram>,
     /// Per aggregate, in aggregate order, whether its value comes from
@@ -210,7 +213,8 @@ impl Split {
         };
         let buf = rows.row_at(at)?;
         let view = program.needs_view.then(|| codec.view(buf)).transpose()?;
-        program.slide_row(state, (at, buf), view.as_ref(), rows, add)?;
+        let rows_stepped = (rows, self.stepped.as_slice());
+        program.slide_row(state, (at, buf), view.as_ref(), rows_stepped, add)?;
         for deque in &mut st.deques {
             match add {
                 true => deque.add((at, buf), view.as_ref(), rows)?,

@@ -10,10 +10,11 @@
 //! [`FlightScope::finish`] closes the record into a fixed-size
 //! [`FlightSummary`]; everything else is a *view* over that one record:
 //!
-//! * the engine's global counters and latency histograms, and the
-//!   per-deployment store ([`crate::profile::ProfileStore`]) the labeled
-//!   series and EXPLAIN ANALYZE read, are fed from the summary, once, when
-//!   the request ends;
+//! * the per-deployment store ([`crate::profile::ProfileStore`]) and the
+//!   engine's per-deployment latency histogram are fed from the summary,
+//!   once, when the request ends; the labeled series, EXPLAIN ANALYZE and
+//!   the engine's global request counters and latency histogram are read
+//!   from those two;
 //! * a request that times out, degrades, fails over, errors, or exceeds the
 //!   slow-query threshold is *dumped* as a [`PostMortem`] into the bounded
 //!   slow-query log ([`slow_log`], [`render_report`]) — the one view that
@@ -345,7 +346,10 @@ impl Inner {
             FlightEventKind::ScanRows => self.cost.rows_scanned += b,
             FlightEventKind::PreaggHit => self.cost.preagg_hits += 1,
             FlightEventKind::PreaggSkip => self.cost.preagg_skips += 1,
-            FlightEventKind::CompiledWindow => self.cost.bytes_decoded += b,
+            FlightEventKind::CompiledWindow => {
+                self.cost.compiled_windows += 1;
+                self.cost.bytes_decoded += b;
+            }
             FlightEventKind::Retry => self.cost.retries += 1,
             FlightEventKind::Failover => self.cost.failovers += 1,
             FlightEventKind::Degraded => self.cost.degraded = 1,
@@ -615,12 +619,14 @@ impl Drop for FlightScope<'_> {
 }
 
 /// Declare that the next stage boundary on this thread — or the end of the
-/// request — happens where the last timed event did: it takes that event's
-/// timestamp instead of reading the clock (an exit directly followed by an
-/// enter, two nested stages ending together, a last stage that ends the
-/// request). Only for two boundaries with no work worth timing
-/// between them — whatever does run there is charged to the stage that is
-/// innermost *after* the second boundary, and the ledger stays exact.
+/// request — happens where the last timed event (or the request's start)
+/// did: it takes that timestamp instead of reading the clock (a first stage
+/// opening on the start, an exit directly followed by an enter, a stage
+/// opening where its parent did, two nested stages ending together, a last
+/// stage that ends the request). Only for two boundaries with no work worth
+/// timing between them — whatever does run there is charged to the stage
+/// that is innermost *after* the second boundary, and the ledger stays
+/// exact.
 #[inline]
 pub fn abut() {
     #[cfg(not(feature = "obs-off"))]

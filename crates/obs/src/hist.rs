@@ -18,6 +18,7 @@ use crate::PaddedU64;
 use crate::SHARDS;
 #[cfg(not(feature = "obs-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Values below this are bucketed exactly (bucket index == value).
 pub const LINEAR_MAX: u64 = 16;
@@ -73,10 +74,13 @@ impl Shard {
 }
 
 /// Sharded log-linear histogram. See the module docs for the bucket layout.
+/// One registered as a view ([`crate::Registry::histogram_view`]) records
+/// nothing itself: [`snapshot`](Self::snapshot) reads the store it views.
 #[derive(Default)]
 pub struct Histogram {
     #[cfg(not(feature = "obs-off"))]
     shards: Vec<Shard>,
+    view: OnceLock<fn() -> HistogramSnapshot>,
 }
 
 impl Histogram {
@@ -85,10 +89,19 @@ impl Histogram {
         {
             Histogram {
                 shards: (0..SHARDS).map(|_| Shard::new()).collect(),
+                view: OnceLock::new(),
             }
         }
         #[cfg(feature = "obs-off")]
-        Histogram {}
+        Histogram {
+            view: OnceLock::new(),
+        }
+    }
+
+    /// Make this histogram a view: [`snapshot`](Self::snapshot) returns
+    /// `read()` from now on. The first reader set stays.
+    pub(crate) fn set_view(&self, read: fn() -> HistogramSnapshot) {
+        let _ = self.view.set(read);
     }
 
     /// Record one sample. Two relaxed atomic adds on the caller's home shard.
@@ -125,8 +138,11 @@ impl Histogram {
         let _ = (shard, v);
     }
 
-    /// Merge all shards into an owned snapshot.
+    /// Merge all shards into an owned snapshot (or read the viewed store).
     pub fn snapshot(&self) -> HistogramSnapshot {
+        if let Some(read) = self.view.get() {
+            return read();
+        }
         #[cfg(not(feature = "obs-off"))]
         {
             let mut counts = vec![0u64; NUM_BUCKETS];
@@ -143,11 +159,7 @@ impl Histogram {
             HistogramSnapshot { counts, total, sum }
         }
         #[cfg(feature = "obs-off")]
-        HistogramSnapshot {
-            counts: vec![0u64; NUM_BUCKETS],
-            total: 0,
-            sum: 0,
-        }
+        HistogramSnapshot::default()
     }
 }
 
@@ -159,7 +171,28 @@ pub struct HistogramSnapshot {
     sum: u64,
 }
 
+impl Default for HistogramSnapshot {
+    /// The snapshot of a histogram that recorded nothing.
+    fn default() -> Self {
+        HistogramSnapshot {
+            counts: vec![0u64; NUM_BUCKETS],
+            total: 0,
+            sum: 0,
+        }
+    }
+}
+
 impl HistogramSnapshot {
+    /// Add `other`'s samples to this snapshot: the snapshot of one
+    /// histogram that recorded both.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *a += *b;
+        }
+        self.total += other.total;
+        self.sum += other.sum;
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.total

@@ -266,6 +266,16 @@ impl LabeledHistogram {
             .sum()
     }
 
+    /// Every slot merged into one snapshot: what a single histogram fed
+    /// every sample would hold.
+    pub fn merged(&self) -> HistogramSnapshot {
+        let mut all = HistogramSnapshot::default();
+        for h in self.slots.iter().filter_map(|s| s.get()) {
+            all.merge(&h.snapshot());
+        }
+        all
+    }
+
     /// `(slot index, snapshot)` for every slot that has recorded.
     pub fn per_slot(&self) -> Vec<(usize, HistogramSnapshot)> {
         self.slots

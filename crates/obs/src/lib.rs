@@ -11,9 +11,10 @@
 //! Plus one pooled per-request record ([`flight`]): an event ring, an exact
 //! per-stage ledger (plan → cache lookup → window dispatch → storage seek →
 //! aggregate → encode, marked by [`span`]) and the request's cost counters,
-//! written once per request. The global counters and histograms and the
-//! per-deployment store ([`profile`]) are fed from it when the request ends;
-//! the slow-query log keeps the events of the requests that are anomalous or
+//! written once per request. The per-deployment store ([`profile`]) is fed
+//! from it when the request ends, and the request series are views over the
+//! store ([`Registry::counter_view`], [`Registry::labeled_view`]); the
+//! slow-query log keeps the events of the requests that are anomalous or
 //! slow, as post-mortems.
 //!
 //! All metrics live in the process-wide [`Registry`] and are exposed through
@@ -101,11 +102,13 @@ pub(crate) fn shard_idx() -> usize {
 ///
 /// `inc`/`add` touch exactly one relaxed atomic on the caller's home shard;
 /// `value` sums all shards (read path only, may race with writers — fine for
-/// statistics).
+/// statistics). A counter registered as a view ([`Registry::counter_view`])
+/// is written by nobody: `value` reads it from the store it views.
 #[derive(Default)]
 pub struct Counter {
     #[cfg(not(feature = "obs-off"))]
     shards: [PaddedU64; SHARDS],
+    view: OnceLock<fn() -> u64>,
 }
 
 impl Counter {
@@ -128,8 +131,11 @@ impl Counter {
         let _ = n;
     }
 
-    /// Current total across all shards.
+    /// Current total across all shards, or the viewed store's value.
     pub fn value(&self) -> u64 {
+        if let Some(read) = self.view.get() {
+            return read();
+        }
         #[cfg(not(feature = "obs-off"))]
         {
             self.shards
@@ -409,6 +415,21 @@ impl Registry {
             Metric::Counter(c) => Arc::clone(c),
             other => panic!("metric {name:?} already registered as {}", other.kind()),
         }
+    }
+
+    /// Register a counter that is *read* from another store when it is
+    /// rendered or its [`Counter::value`] is taken, instead of being written
+    /// on the record path. A handle taken earlier through
+    /// [`Registry::counter`] reads the view too; registering a name twice
+    /// keeps the first reader. Same name rules as [`Registry::counter`].
+    pub fn counter_view(&self, name: &str, help: &str, read: fn() -> u64) {
+        let _ = self.counter(name, help).view.set(read);
+    }
+
+    /// Register a histogram read from another store, like
+    /// [`Registry::counter_view`]: [`Histogram::snapshot`] returns `read()`.
+    pub fn histogram_view(&self, name: &str, help: &str, read: fn() -> HistogramSnapshot) {
+        self.histogram(name, help).set_view(read);
     }
 
     /// Get or register a gauge. Panics on invalid name or kind mismatch.

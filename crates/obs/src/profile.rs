@@ -31,6 +31,8 @@ pub struct CostProfile {
     pub rows_scanned: u64,
     /// Encoded bytes copied into the scan arena and folded by a window.
     pub bytes_decoded: u64,
+    /// Windows folded by their compiled program.
+    pub compiled_windows: u64,
     /// Storage index seeks.
     pub storage_seeks: u64,
     /// Windows served by the pre-aggregation fast path.
@@ -61,6 +63,7 @@ impl CostProfile {
     pub fn merge(&mut self, other: &CostProfile) {
         self.rows_scanned += other.rows_scanned;
         self.bytes_decoded += other.bytes_decoded;
+        self.compiled_windows += other.compiled_windows;
         self.storage_seeks += other.storage_seeks;
         self.preagg_hits += other.preagg_hits;
         self.preagg_skips += other.preagg_skips;
@@ -90,6 +93,7 @@ struct SlotAgg {
     requests: AtomicU64,
     rows_scanned: AtomicU64,
     bytes_decoded: AtomicU64,
+    compiled_windows: AtomicU64,
     storage_seeks: AtomicU64,
     preagg_hits: AtomicU64,
     preagg_skips: AtomicU64,
@@ -153,6 +157,7 @@ impl ProfileStore {
             s.requests.fetch_add(1, Ordering::Relaxed);
             add(&s.rows_scanned, p.rows_scanned);
             add(&s.bytes_decoded, p.bytes_decoded);
+            add(&s.compiled_windows, p.compiled_windows);
             add(&s.storage_seeks, p.storage_seeks);
             add(&s.preagg_hits, p.preagg_hits);
             add(&s.preagg_skips, p.preagg_skips);
@@ -182,6 +187,7 @@ impl ProfileStore {
             let mut p = CostProfile {
                 rows_scanned: s.rows_scanned.load(Ordering::Relaxed),
                 bytes_decoded: s.bytes_decoded.load(Ordering::Relaxed),
+                compiled_windows: s.compiled_windows.load(Ordering::Relaxed),
                 storage_seeks: s.storage_seeks.load(Ordering::Relaxed),
                 preagg_hits: s.preagg_hits.load(Ordering::Relaxed),
                 preagg_skips: s.preagg_skips.load(Ordering::Relaxed),
@@ -303,6 +309,12 @@ impl ProfileStore {
             "  bytes decoded     {}  ({:.1}/req)",
             p.bytes_decoded,
             p.bytes_decoded as f64 / requests as f64
+        );
+        let _ = writeln!(
+            out,
+            "  compiled windows  {}  ({:.1}/req)",
+            p.compiled_windows,
+            p.compiled_windows as f64 / requests as f64
         );
         let _ = writeln!(
             out,

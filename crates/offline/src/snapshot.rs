@@ -16,6 +16,7 @@
 //! order. Nothing is decoded here but the key and ts columns of a grouping.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::iter::once;
 use std::sync::Arc;
@@ -31,6 +32,8 @@ use crate::engine::{program, Tables};
 type Read = (String, Vec<usize>, Option<usize>);
 /// A read's rows: per key, newest first, `(row id, ts)`.
 pub(crate) type Runs = HashMap<Vec<KeyValue>, Vec<(u32, i64)>>;
+/// One key's rows as a scan visits them together.
+type Run = (Vec<KeyValue>, Vec<(u32, i64)>);
 /// The live tables a snapshot was captured from (none for decoded rows).
 type Live = HashMap<String, Arc<dyn DataTable>>;
 
@@ -84,6 +87,15 @@ fn names(query: &CompiledQuery) -> Vec<String> {
     names
 }
 
+/// Append one key's run of rows to its rows in `runs` (a key the scan
+/// visits twice keeps both runs, in visit order).
+fn merge_run(runs: &mut Runs, key: Vec<KeyValue>, ids: Vec<(u32, i64)>) {
+    match runs.entry(key) {
+        Entry::Occupied(mut rows) => rows.get_mut().extend(ids),
+        Entry::Vacant(slot) => drop(slot.insert(ids)),
+    }
+}
+
 fn right_keys(join: &BoundJoin) -> Vec<usize> {
     join.eq_pairs.iter().map(|&(_, r)| r).collect()
 }
@@ -101,17 +113,24 @@ impl Snapshot {
             let t = table(&name)?;
             let codec = CompactCodec::new(t.schema().clone());
             let (mut rows, mut runs, arena) = (Vec::new(), Runs::new(), &mut snap.arena);
+            // The scan yields each key's rows together: they gather in one
+            // run, looked up in `runs` once, when the key changes.
+            let mut run: Option<Run> = None;
             t.scan_rows(0, &mut |key, ts, data| {
                 codec.view(data)?;
                 let id = (rows.len() as u32, ts);
-                match runs.get_mut(key) {
-                    Some(run) => run.push(id),
-                    None => drop(runs.insert(key.to_vec(), vec![id])),
+                if let Some((_, ids)) = run.as_mut().filter(|(k, _)| k.as_slice() == key) {
+                    ids.push(id);
+                } else if let Some((k, ids)) = run.replace((key.to_vec(), vec![id])) {
+                    merge_run(&mut runs, k, ids);
                 }
                 rows.push((arena.len(), data.len()));
                 arena.extend_from_slice(data);
                 Ok(())
             })?;
+            if let Some((k, ids)) = run {
+                merge_run(&mut runs, k, ids);
+            }
             // This scan is the visit a read of the first index gets.
             if let Some(first) = t.index_specs().into_iter().next() {
                 snap.visits

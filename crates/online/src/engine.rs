@@ -97,9 +97,13 @@ pub struct Deployment {
     /// kernels plus flattened select/WHERE expressions. Shared across
     /// deployments of the same cached plan.
     program: Arc<Program>,
-    /// Warm [`RequestScratch`] buffers — steady-state requests pop one,
-    /// serve allocation-free, and push it back.
-    scratch_pool: Mutex<Vec<RequestScratch>>,
+    /// Warm [`RequestScratch`] buffers of this deployment. A thread keeps
+    /// the scratch of the deployment it served last in [`LAST_SCRATCH`];
+    /// the pool holds the rest (from threads that switched deployments, or
+    /// requests nested on one thread). The `Arc`'s address is the
+    /// deployment's identity there: each bind (and so each rebind) makes a
+    /// new one, and a scratch only ever serves the program it was warmed on.
+    scratch_pool: Arc<ScratchPool>,
     /// Slot in the process-wide deployment label registry, resolved once at
     /// deployment time. All per-deployment attribution (the profile store
     /// and the labeled series read from it) keys off this fixed-cardinality
@@ -173,7 +177,7 @@ impl Deployment {
             by_window,
             read_tables,
             program,
-            scratch_pool: Mutex::new(Vec::new()),
+            scratch_pool: Arc::default(),
             label,
         })
     }
@@ -208,29 +212,80 @@ impl Deployment {
         self
     }
 
-    fn take_scratch(&self) -> RequestScratch {
+    /// Run `serve` with this thread's scratch for this deployment. A thread
+    /// keeps the scratch of the deployment it served last in place, so the
+    /// steady state takes no lock and moves nothing. Serving another
+    /// deployment hands that scratch back to its own deployment's pool and
+    /// takes one from this one's; a request nested in another on the same
+    /// thread serves from the pool.
+    fn with_scratch<R>(&self, serve: impl FnOnce(&mut RequestScratch) -> R) -> R {
+        LAST_SCRATCH.with(|cell| {
+            let Ok(mut last) = cell.try_borrow_mut() else {
+                let mut scratch = self.pooled();
+                let out = serve(&mut scratch);
+                pool_put(&self.scratch_pool, scratch);
+                return out;
+            };
+            let last = &mut *last;
+            if !last
+                .pool
+                .as_ref()
+                .is_some_and(|p| Arc::ptr_eq(p, &self.scratch_pool))
+            {
+                let own = self.pooled();
+                let pool = last.pool.replace(Arc::clone(&self.scratch_pool));
+                if let (Some(pool), Some(theirs)) = (pool, last.scratch.replace(own)) {
+                    pool_put(&pool, theirs);
+                }
+            }
+            serve(last.scratch.get_or_insert_with(RequestScratch::default))
+        })
+    }
+
+    /// A scratch from this deployment's pool, or a new one.
+    fn pooled(&self) -> RequestScratch {
         self.scratch_pool
             .lock()
             .map(|mut pool| pool.pop().unwrap_or_default())
             .unwrap_or_default()
     }
+}
 
-    fn put_scratch(&self, scratch: RequestScratch) {
-        if let Ok(mut pool) = self.scratch_pool.lock() {
-            pool.push(scratch);
-        }
+/// A deployment's pooled request scratches.
+type ScratchPool = Mutex<Vec<RequestScratch>>;
+
+fn pool_put(pool: &ScratchPool, scratch: RequestScratch) {
+    if let Ok(mut pool) = pool.lock() {
+        pool.push(scratch);
     }
+}
+
+/// The scratch a thread served its last request with, and the pool of the
+/// deployment it belongs to.
+struct LastScratch {
+    pool: Option<Arc<ScratchPool>>,
+    scratch: Option<RequestScratch>,
+}
+
+thread_local! {
+    /// One [`LastScratch`] per serving thread.
+    static LAST_SCRATCH: std::cell::RefCell<LastScratch> = const {
+        std::cell::RefCell::new(LastScratch {
+            pool: None,
+            scratch: None,
+        })
+    };
 }
 
 /// Execute one request tuple through a deployment, producing one feature
 /// row (online request mode).
 ///
 /// Each call is one per-request record (`openmldb_obs::flight`), published
-/// into the `openmldb_online_requests_total` /
-/// `openmldb_online_request_duration_ns` metrics and the per-deployment
-/// store when the request ends. Runs with [`RequestOptions::default()`]: no
-/// deadline, default transient-fault retries — see [`execute_request_with`]
-/// for budgeted serving.
+/// into the per-deployment store and latency histogram when the request
+/// ends (the `openmldb_online_requests_total` /
+/// `openmldb_online_request_duration_ns` metrics are read from those). Runs
+/// with [`RequestOptions::default()`]: no deadline, default transient-fault
+/// retries — see [`execute_request_with`] for budgeted serving.
 pub fn execute_request(
     provider: &dyn TableProvider,
     dep: &Deployment,
@@ -257,7 +312,18 @@ pub fn execute_request_with(
     // again, but nested pins are counter bumps — the fences run once, here.
     // The window scans borrow the rows they fold under it.
     let pin = epoch::pin();
-    let mut scratch = dep.take_scratch();
+    dep.with_scratch(|scratch| serve(provider, dep, request, opts, &pin, scratch))
+}
+
+/// One request through `scratch`, this thread's for `dep`.
+fn serve(
+    provider: &dyn TableProvider,
+    dep: &Deployment,
+    request: &Row,
+    opts: &RequestOptions,
+    pin: &Guard,
+    scratch: &mut RequestScratch,
+) -> Result<RequestOutput> {
     scratch.reset();
     // Consistency sentinel: 1-in-N sampling decision, taken before the
     // pipeline runs so the scan pass can fold per-window input digests.
@@ -273,7 +339,7 @@ pub fn execute_request_with(
     let mut flight = std::mem::take(&mut scratch.flight);
     let ctx = Ctx::new(opts);
     let scope = FlightScope::enter(&mut flight);
-    let out = execute_streaming(provider, dep, request, &ctx, &pin, &mut scratch);
+    let out = execute_streaming(provider, dep, request, &ctx, pin, scratch);
     let mut summary = scope.finish();
     summary.cost.scratch_high_water_bytes = scratch.scan.retained_bytes() as u64;
     let result = publish_request(dep, &flight, &summary, &ctx, out);
@@ -288,22 +354,21 @@ pub fn execute_request_with(
     }
     if let Some(pre_sig) = audit_sig {
         let bucketed = summary.cost.preagg_hits > 0;
-        crate::sentinel::capture(dep, request, &scratch, &result, pre_sig, bucketed);
+        crate::sentinel::capture(dep, request, scratch, &result, pre_sig, bucketed);
     }
     scratch.flight = flight;
-    dep.put_scratch(scratch);
     result
 }
 
 /// Publish one closed request record — once, after its end-of-request clock
-/// reading — into every surface fed from it: the exact global counters, the
-/// latency histograms (`cost.total_ns` is the one value the duration
-/// histogram, `openmldb_online_request_time_ns` and the per-deployment
-/// totals all receive), the per-deployment store the labeled series and
-/// EXPLAIN ANALYZE read (so per-deployment sums — `__other` included —
-/// reconcile exactly with the globals), and, for an anomalous or slow
-/// request, its post-mortem. A passive (nested) scope has
-/// no record of its own and publishes nothing.
+/// reading — with one write per signal: its profile into the per-deployment
+/// store, its `cost.total_ns` into the per-deployment latency histogram, and,
+/// for an anomalous or slow request, its post-mortem. The labeled series,
+/// EXPLAIN ANALYZE, and the global request counters and duration histogram
+/// are all read from those two at exposition time
+/// ([`crate::metrics::register_deployment_views`]), so the globals equal the
+/// per-deployment sums — `__other` included — by construction. A passive
+/// (nested) scope has no record of its own and publishes nothing.
 fn publish_request(
     dep: &Deployment,
     flight: &Recorder,
@@ -322,17 +387,10 @@ fn publish_request(
     if matches!(result, Err(Error::Timeout { .. })) {
         m::timeouts().inc();
     }
-    // (Under `obs-off` every call below is a no-op that still registers its
-    // metric, so the exposition keeps its names.)
-    if openmldb_obs::enabled() && !summary.active {
+    if !summary.active {
         return result;
     }
     let cost = &summary.cost;
-    m::requests().inc();
-    m::scan_rows().add(cost.rows_scanned);
-    m::request_time_ns().add(cost.total_ns);
-    m::stage_time_ns().add(cost.stage_sum_ns());
-    m::request_duration().record(cost.total_ns);
     m::deployment_duration().record(dep.label, cost.total_ns);
     ProfileStore::global().fold(dep.label, cost);
 
@@ -548,6 +606,9 @@ fn execute_streaming(
     combined.extend_from_slice(request.values());
     // (A plan without joins has no seek stage here: nothing to time.)
     if !q.joins.is_empty() {
+        // A request's first stage opens on its start reading: the
+        // validation and encode above are charged to it.
+        flight::abut();
         span(Stage::StorageSeek, || -> Result<()> {
             for (j, (join, bound)) in q.joins.iter().zip(&dep.reads.joins).enumerate() {
                 key.clear();
@@ -612,6 +673,13 @@ fn execute_streaming(
     if compiled.len() < q.windows.len() {
         compiled.resize_with(q.windows.len(), || None);
     }
+    // Whether a stage closed before the next dispatch opens. A dispatch
+    // opens on the reading before it — the start, or the previous stage's
+    // closing one — and so does its scan, unless the dispatch is the
+    // request's first stage: then the validation and encode lie between
+    // the two, and the scan's enter reads the clock so that they stay the
+    // dispatch's.
+    let mut after_stage = !q.joins.is_empty();
     for members in &dep.reads.groups {
         // What a group shares — partition key, anchor, sources — is read
         // off its first member; a pre-aggregated window is a group of one.
@@ -638,6 +706,8 @@ fn execute_streaming(
         let full = if ctx.degraded() && ctx.deadline_expired() {
             Err(timed_out(ctx, "window_dispatch"))
         } else {
+            let scan_abuts = std::mem::replace(&mut after_stage, true);
+            flight::abut();
             span(Stage::WindowDispatch, || -> Result<()> {
                 ctx.check("window_dispatch")?;
                 let edges =
@@ -670,6 +740,10 @@ fn execute_streaming(
                 // Whether every timestamp so far arrived strictly below the
                 // one before it, across tables — decides the fold order.
                 let mut descending = true;
+                if scan_abuts {
+                    // Only routing ran since the dispatch opened.
+                    flight::abut();
+                }
                 span(Stage::StorageSeek, || -> Result<()> {
                     for read in &dep.reads.windows[lead] {
                         // Retries re-run this table's scan from the top: rewind
@@ -876,7 +950,6 @@ impl GroupFold<'_> {
             scan.sort_prefix(n);
             EntryOrder::Ascending
         };
-        crate::metrics::compiled_windows().inc();
         let bytes = scan.prefix_bytes(n);
         flight::event(FlightEventKind::CompiledWindow, wid as u32, bytes);
         let rows = scan.prefix(n);

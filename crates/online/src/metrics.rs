@@ -2,11 +2,12 @@
 //!
 //! Accessors lazily register in the process-wide
 //! [`Registry`](openmldb_obs::Registry) and cache the handle in a
-//! `OnceLock`; a request's numbers are published once, when its record
-//! closes, as a handful of sharded relaxed atomics.
+//! `OnceLock`. A request's numbers are published once, when its record
+//! closes, into the per-deployment store and latency histogram; the request
+//! series are views over those ([`register_deployment_views`]).
 
 use openmldb_obs::{
-    Counter, Gauge, Histogram, LabeledCounter, LabeledHistogram, ProfileStore, Registry,
+    CostProfile, Counter, Gauge, LabeledCounter, LabeledHistogram, ProfileStore, Registry,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -14,71 +15,53 @@ fn counter(cell: &'static OnceLock<Arc<Counter>>, name: &str, help: &str) -> &'s
     cell.get_or_init(|| Registry::global().counter(name, help))
 }
 
-/// Requests executed through `execute_request`.
-pub fn requests() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_requests_total",
-        "Request-mode executions through the online engine",
-    )
-}
-
-/// End-to-end request latency distribution.
-pub fn request_duration() -> &'static Histogram {
-    static M: OnceLock<Arc<Histogram>> = OnceLock::new();
-    M.get_or_init(|| {
-        Registry::global().histogram(
-            "openmldb_online_request_duration_ns",
-            "End-to-end online request latency",
-        )
-    })
-}
-
-/// Rows scanned out of storage by request executions, summed across all
-/// deployments. The labeled `openmldb_online_deployment_scan_rows` series
-/// slices this same number per deployment; both come from the identical
-/// [`CostProfile`](openmldb_obs::CostProfile), so the per-deployment sums
-/// (including `__other`) reconcile exactly with this global.
-pub fn scan_rows() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_scan_rows",
-        "Storage rows scanned by online request executions",
-    )
-}
-
-/// Wall-clock nanoseconds spent serving requests (sum over requests).
-pub fn request_time_ns() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_request_time_ns",
-        "Total wall-clock time spent serving online requests",
-    )
-}
-
-/// Nanoseconds attributed to named pipeline stages (sum of per-stage self
-/// time over requests; excludes un-staged "other" time).
-pub fn stage_time_ns() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_stage_time_ns",
-        "Request time attributed to named pipeline stages",
-    )
-}
-
-/// Register the per-deployment counter series. Nothing writes them on the
-/// request path: each is a read of the per-deployment
-/// [`ProfileStore`](openmldb_obs::ProfileStore) taken at exposition time, so
-/// a request's numbers are stored once and the series sum exactly to the
-/// globals above. Called at deployment time; idempotent.
+/// Register the request series. Nothing writes them on the request path:
+/// a request's numbers are stored once, in the per-deployment
+/// [`ProfileStore`](openmldb_obs::ProfileStore) and the
+/// [`deployment_duration`] histogram, and every series below is a read of
+/// those taken at exposition time — the per-deployment counters one slot at
+/// a time, the process-wide counters and the `request_duration` histogram
+/// merged over every slot (`__other` included), so each global equals the
+/// sum of its per-deployment series by construction. Called at deployment
+/// time; idempotent.
 pub fn register_deployment_views() {
+    fn all() -> (u64, CostProfile) {
+        ProfileStore::global().aggregate_all()
+    }
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let reg = Registry::global();
+        deployment_duration();
+        reg.counter_view(
+            "openmldb_online_requests_total",
+            "Request-mode executions through the online engine",
+            || all().0,
+        );
+        reg.counter_view(
+            "openmldb_online_scan_rows",
+            "Storage rows scanned by online request executions",
+            || all().1.rows_scanned,
+        );
+        reg.counter_view(
+            "openmldb_online_request_time_ns",
+            "Total wall-clock time spent serving online requests",
+            || all().1.total_ns,
+        );
+        reg.counter_view(
+            "openmldb_online_stage_time_ns",
+            "Request time attributed to named pipeline stages",
+            || all().1.stage_sum_ns(),
+        );
+        reg.counter_view(
+            "openmldb_online_compiled_windows_total",
+            "Windows served by compiled bytecode programs",
+            || all().1.compiled_windows,
+        );
+        reg.histogram_view(
+            "openmldb_online_request_duration_ns",
+            "End-to-end online request latency",
+            || deployment_duration().merged(),
+        );
         reg.labeled_view(
             "openmldb_online_deployment_requests_total",
             "Request-mode executions per deployment",
@@ -142,16 +125,6 @@ pub fn preagg_bucket_hits() -> &'static Counter {
         &M,
         "openmldb_online_preagg_bucket_hits_total",
         "Pre-aggregated buckets merged into window answers",
-    )
-}
-
-/// Windows served by the compiled bytecode fast path.
-pub fn compiled_windows() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_compiled_windows_total",
-        "Windows served by compiled bytecode programs",
     )
 }
 

@@ -119,7 +119,7 @@ if [ "$QUICK" -eq 0 ]; then
     step "benchmark-api (omlbench builds and its tests pass against the engine API)"
     ./scripts/benchmark_api.sh
 
-    step "observability budget (serve_short, obs on / obs-off latency ratio <= 1.50)"
+    step "observability budget (serve_short, obs on / obs-off latency ratio <= 1.40)"
     ./scripts/obs_overhead.sh
 fi
 

@@ -7,9 +7,11 @@
 # `--workload serve_short --trace 0` in alternating pairs, and prints the
 # on/off ratio of the median `latency_norm_p50_us`.
 #
-# The ratio was 1.84 before the one-record rewrite (3.48 µs on / 1.89 µs off)
-# and reads 1.40–1.43 after it (EXPERIMENTS.md, "Observability overhead"); the
-# gate fails above 1.50.
+# The ratio was 1.84 before the one-record rewrite (3.48 µs on / 1.89 µs off),
+# 1.40–1.46 after it, and 1.34 since `serve_short`'s request takes five clock
+# readings, keeps its scratch in a thread-local and writes each signal once
+# (EXPERIMENTS.md, "Observability overhead" and "The fixed cost of a served
+# request"); the gate fails above 1.40.
 #
 # Usage: scripts/obs_overhead.sh [pairs] [seconds]   (default: 3 pairs of 10 s)
 set -euo pipefail
@@ -17,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 PAIRS=${1:-3}
 SECONDS_PER_RUN=${2:-10}
-MAX_RATIO=1.50
+MAX_RATIO=1.40
 ON_DIR=${CARGO_TARGET_DIR:-$PWD/.bench_build}/obs-on
 OFF_DIR=${CARGO_TARGET_DIR:-$PWD/.bench_build}/obs-off
 

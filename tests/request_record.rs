@@ -38,10 +38,23 @@ fn row(k: i64, v: f64, ts: i64) -> Row {
     ])
 }
 
+fn dims_schema() -> Schema {
+    Schema::from_pairs(&[
+        ("dk", openmldb::DataType::Bigint),
+        ("w", openmldb::DataType::Double),
+        ("updated", openmldb::DataType::Timestamp),
+    ])
+    .unwrap()
+}
+
 struct Cat;
 impl Catalog for Cat {
     fn table_schema(&self, name: &str) -> Option<Schema> {
-        (name == "events").then(schema)
+        match name {
+            "events" => Some(schema()),
+            "dims" => Some(dims_schema()),
+            _ => None,
+        }
     }
 }
 
@@ -168,8 +181,35 @@ fn assert_record_invariants(pm: &PostMortem) {
     }
 }
 
-/// Compiled windows, a pre-aggregation hit, a timeout, a degraded answer and
-/// a failover, each published as a post-mortem (threshold 0).
+/// The record's clock readings: the start, and every timed event whose
+/// timestamp differs from the one before it (a boundary that shares a
+/// reading carries its timestamp), ending on the end reading.
+fn readings(pm: &PostMortem) -> Vec<u64> {
+    let mut t: Vec<u64> = std::iter::once(0)
+        .chain(
+            pm.events
+                .iter()
+                .filter(|e| e.kind.is_timed())
+                .map(|e| e.t_ns),
+        )
+        .chain(std::iter::once(pm.total_ns))
+        .collect();
+    t.dedup();
+    t
+}
+
+/// The timed events of a post-mortem: `(kind, stage, t_ns)`.
+fn stamps(pm: &PostMortem) -> Vec<(&'static str, u32, u64)> {
+    pm.events
+        .iter()
+        .filter(|e| e.kind.is_timed())
+        .map(|e| (e.kind.name(), e.a, e.t_ns))
+        .collect()
+}
+
+/// Compiled windows, a pre-aggregation hit, a timeout, a degraded answer, a
+/// failover and `serve_short`'s shape (a LAST JOIN and two windows folded
+/// off one scan), each published as a post-mortem (threshold 0).
 fn mixed_loop() {
     let events = Arc::new(
         MemTable::new(
@@ -203,7 +243,42 @@ fn mixed_loop() {
     preagg.attach(events.replicator(), openmldb::CompactCodec::new(schema()));
     events.replicator().flush();
 
-    let healthy = provider(&events, false, Duration::ZERO);
+    let dims = Arc::new(
+        MemTable::new(
+            "dims",
+            dims_schema(),
+            vec![IndexSpec {
+                name: "by_dk".into(),
+                key_cols: vec![0],
+                ts_col: Some(2),
+                ttl: Ttl::Unlimited,
+            }],
+        )
+        .unwrap(),
+    );
+    dims.put(&Row::new(vec![
+        Value::Bigint(1),
+        Value::Double(0.5),
+        Value::Timestamp(1),
+    ]))
+    .unwrap();
+    let short_q = Arc::new(
+        compile_select(
+            &parse_select(
+                "SELECT events.k, sum(v) OVER w AS s, count(v) OVER w2 AS c, dims.w \
+                 FROM events LAST JOIN dims ORDER BY dims.updated ON events.k = dims.dk \
+                 WINDOW w AS (PARTITION BY k ORDER BY ts \
+                 ROWS_RANGE BETWEEN 2500 PRECEDING AND CURRENT ROW), \
+                 w2 AS (PARTITION BY k ORDER BY ts ROWS BETWEEN 10 PRECEDING AND CURRENT ROW)",
+            )
+            .unwrap(),
+            &Cat,
+        )
+        .unwrap(),
+    );
+
+    let mut healthy = provider(&events, false, Duration::ZERO);
+    healthy.tables.insert("dims".into(), dims.clone());
     let flaky = provider(&events, true, Duration::ZERO);
     let slow = provider(&events, false, Duration::from_millis(40));
     // A deployment reads the tables it was bound to at DEPLOY: one per
@@ -216,6 +291,8 @@ fn mixed_loop() {
     };
     let (scan_dep, flaky_dep) = (scan_on(&healthy), scan_on(&flaky));
     let (preagg_dep, slow_dep) = (preagg_on(&healthy), preagg_on(&slow));
+    let short_dep = Deployment::new("rec_short", short_q, &healthy).unwrap();
+    assert_eq!(short_dep.scan_groups(), [vec![0, 1]]);
     let request = row(1, 7.0, 5_250);
     let unbounded = RequestOptions::default();
 
@@ -259,6 +336,10 @@ fn mixed_loop() {
         let out = execute_request_with(&flaky, &flaky_dep, &request, &unbounded).unwrap();
         assert!(out.failovers > 0 && out.retries > 0);
         expected.push(Outcome::Failover);
+        // serve_short's shape
+        let out = execute_request_with(&healthy, &short_dep, &request, &unbounded).unwrap();
+        assert_eq!(out.row.values()[3], Value::Double(0.5), "the join matched");
+        expected.push(Outcome::Slow);
     }
 
     let log = flight::slow_log();
@@ -276,37 +357,56 @@ fn mixed_loop() {
     assert!(kinds(&log[3]).contains(&"degraded"), "{:?}", log[3]);
     assert!(kinds(&log[4]).contains(&"failover"), "{:?}", log[4]);
     assert!(log[4].retries > 0 && log[4].failovers > 0);
-    // One clock: a no-join, one-window request takes a reading at request
-    // start and at five of its eight stage boundaries — the boundaries the
-    // engine declares adjacent, and the end of the request, share one.
-    let stamps: Vec<(&str, u32, u64)> = log[0]
-        .events
-        .iter()
-        .filter(|e| e.kind.is_timed())
-        .map(|e| (e.kind.name(), e.a, e.t_ns))
-        .collect();
+    // One clock. A stage opens on the reading before it — the request's
+    // start, or the previous stage's closing one — and a stage that closes
+    // where its last inner stage (or the request where its last stage)
+    // closed shares that reading, so only a stage's closing does work worth
+    // timing end on a reading of its own.
     let stage = |s: openmldb::obs::Stage| s.index() as u32;
     use openmldb::obs::Stage::{Aggregate, Encode, StorageSeek, WindowDispatch};
-    let order: Vec<(&str, u32)> = stamps.iter().map(|&(k, a, _)| (k, a)).collect();
-    assert_eq!(
-        order,
-        vec![
-            ("stage_enter", stage(WindowDispatch)),
-            ("stage_enter", stage(StorageSeek)),
-            ("stage_exit", stage(StorageSeek)),
-            ("stage_enter", stage(Aggregate)),
-            ("stage_exit", stage(Aggregate)),
-            ("stage_exit", stage(WindowDispatch)),
-            ("stage_enter", stage(Encode)),
-            ("stage_exit", stage(Encode)),
-        ]
-    );
-    let t: Vec<u64> = stamps.iter().map(|&(_, _, t)| t).collect();
-    assert!(t.windows(2).all(|w| w[0] <= w[1]) && t[0] < t[7], "{t:?}");
+    let order = |pm: &PostMortem| -> Vec<(&str, u32)> {
+        stamps(pm).iter().map(|&(k, a, _)| (k, a)).collect()
+    };
+    let window = [
+        ("stage_enter", stage(WindowDispatch)),
+        ("stage_enter", stage(StorageSeek)),
+        ("stage_exit", stage(StorageSeek)),
+        ("stage_enter", stage(Aggregate)),
+        ("stage_exit", stage(Aggregate)),
+        ("stage_exit", stage(WindowDispatch)),
+        ("stage_enter", stage(Encode)),
+        ("stage_exit", stage(Encode)),
+    ];
+    // A no-join, one-window request: the dispatch is its first stage and
+    // opens on the start reading; its scan reads the clock on entry so the
+    // validation and request-row encode stay the dispatch's.
+    let scan = &log[0];
+    assert_eq!(order(scan), window);
+    let t: Vec<u64> = stamps(scan).iter().map(|&(_, _, t)| t).collect();
+    assert_eq!(t[0], 0, "the first stage opens on the start reading: {t:?}");
     assert_eq!((t[2], t[4], t[5]), (t[3], t[5], t[6]), "{t:?}");
-    assert_eq!(
-        log[0].total_ns, t[7],
-        "the request ends on its last reading"
+    assert_eq!(scan.total_ns, t[7], "the request ends on its last reading");
+    assert_eq!(readings(scan), vec![0, t[1], t[2], t[4], t[7]], "{scan:?}");
+    // serve_short's shape: the join opens on the start reading, the
+    // dispatch on the join's closing one and its scan on the dispatch's —
+    // five readings in all.
+    let short = &log[5];
+    let join = [
+        ("stage_enter", stage(StorageSeek)),
+        ("stage_exit", stage(StorageSeek)),
+    ];
+    assert_eq!(order(short), [&join[..], &window[..]].concat(), "{short:?}");
+    let t: Vec<u64> = stamps(short).iter().map(|&(_, _, t)| t).collect();
+    assert_eq!(t[0], 0, "{t:?}");
+    assert_eq!((t[1], t[2]), (t[2], t[3]), "{t:?}");
+    assert_eq!((t[4], t[6], t[7]), (t[5], t[7], t[8]), "{t:?}");
+    assert_eq!(short.total_ns, t[9], "{t:?}");
+    let r = readings(short);
+    assert_eq!(r, vec![0, t[1], t[4], t[6], t[9]], "{short:?}");
+    assert!(r.windows(2).all(|w| w[0] < w[1]), "{r:?}");
+    assert!(
+        r.len() <= 5,
+        "serve_short's shape takes at most five readings"
     );
 
     let mut ids: Vec<u64> = log.iter().map(|pm| pm.trace_id).collect();

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use openmldb::online::{
     execute_request, execute_request_materialized, execute_request_materialized_with,
-    execute_request_with,
+    execute_request_with, Deployment,
 };
 use openmldb::{Database, Error, RequestOptions, Row, Value};
 use proptest::prelude::*;
@@ -146,6 +146,31 @@ fn bits(answer: &Result<Row, Error>) -> Result<Vec<String>, Error> {
     Ok(row.values().iter().map(|v| format!("{v:?}")).collect())
 }
 
+/// The output-type invariant: every value of an answer is NULL or of its
+/// output column's declared type (an error answers nothing).
+fn typed(dep: &Deployment, answer: &Result<Row, Error>) -> Result<(), String> {
+    let Ok(row) = answer else {
+        return Ok(());
+    };
+    let columns = dep.query.output_schema.columns();
+    if row.len() != columns.len() {
+        return Err(format!(
+            "{} values for {} columns",
+            row.len(),
+            columns.len()
+        ));
+    }
+    for (v, c) in row.values().iter().zip(columns) {
+        if v.data_type().is_some_and(|t| t != c.data_type) {
+            return Err(format!(
+                "`{}` is {:?}, declared {:?}",
+                c.name, v, c.data_type
+            ));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
@@ -223,6 +248,16 @@ proptest! {
                 n,
                 sql
             );
+            for answer in [&streaming, &materialized] {
+                prop_assert_eq!(typed(&dep, answer), Ok(()), "probe {} under {}", n, sql);
+            }
+        }
+        // The offline batch over every stored row keeps the declared types
+        // too.
+        if let Ok(batch) = db.offline_query(&sql) {
+            for row in batch.rows {
+                prop_assert_eq!(typed(&dep, &Ok(row)), Ok(()), "offline under {}", sql);
+            }
         }
 
         // Typed timeout parity: an exhausted deadline must surface the same
@@ -298,6 +333,9 @@ fn every_kernel_family_compiles_into_one_window_and_serves_the_reference() {
     let oracle = execute_request_materialized(&db, &dep, &probe);
     assert!(oracle.is_ok());
     assert_eq!(bits(&served), bits(&oracle));
+    for answer in [&served, &oracle] {
+        assert_eq!(typed(&dep, answer), Ok(()));
+    }
 }
 
 /// 257 expression shapes (`a * c` and `b * c`, one constant `c` per shape)
@@ -336,6 +374,9 @@ fn more_than_256_lanes_in_one_window_serve_the_reference() {
         let oracle = execute_request_materialized(&db, &dep, &probe);
         assert_eq!(oracle.as_ref().map(Row::len), Ok(514));
         assert_eq!(bits(&served), bits(&oracle));
+        for answer in [&served, &oracle] {
+            assert_eq!(typed(&dep, answer), Ok(()));
+        }
     }
 }
 
@@ -459,4 +500,7 @@ fn specialized_plans_serve_through_compiled_kernels() {
     let oracle = execute_request_materialized(&db, &dep, &probe);
     assert!(oracle.is_ok());
     assert_eq!(bits(&served), bits(&oracle));
+    for answer in [&served, &oracle] {
+        assert_eq!(typed(&dep, answer), Ok(()));
+    }
 }
