@@ -98,6 +98,16 @@ impl Histogram {
         }
     }
 
+    /// A view with no buckets of its own: [`snapshot`](Self::snapshot)
+    /// returns `read()`, and a [`record`](Self::record) into it is dropped.
+    pub(crate) fn view_of(read: fn() -> HistogramSnapshot) -> Self {
+        Histogram {
+            #[cfg(not(feature = "obs-off"))]
+            shards: Vec::new(),
+            view: OnceLock::from(read),
+        }
+    }
+
     /// Make this histogram a view: [`snapshot`](Self::snapshot) returns
     /// `read()` from now on. The first reader set stays.
     pub(crate) fn set_view(&self, read: fn() -> HistogramSnapshot) {
@@ -129,8 +139,7 @@ impl Histogram {
     pub fn record_in_shard(&self, shard: usize, v: u64) {
         let shard = shard % SHARDS;
         #[cfg(not(feature = "obs-off"))]
-        {
-            let shard = &self.shards[shard];
+        if let Some(shard) = self.shards.get(shard) {
             shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
             shard.sum.0.fetch_add(v, Ordering::Relaxed);
         }

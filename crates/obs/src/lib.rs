@@ -428,8 +428,21 @@ impl Registry {
 
     /// Register a histogram read from another store, like
     /// [`Registry::counter_view`]: [`Histogram::snapshot`] returns `read()`.
+    /// A view registered first holds no buckets of its own.
     pub fn histogram_view(&self, name: &str, help: &str, read: fn() -> HistogramSnapshot) {
-        self.histogram(name, help).set_view(read);
+        assert!(
+            validate_metric_name(name),
+            "invalid metric name {name:?}: expected openmldb_<crate>_<name>_<unit>"
+        );
+        let mut map = registry_lock(&self.metrics);
+        let entry = map.entry(name.to_string()).or_insert_with(|| {
+            let view = Metric::Histogram(Arc::new(Histogram::view_of(read)));
+            (help.to_string(), view)
+        });
+        match &entry.1 {
+            Metric::Histogram(h) => h.set_view(read),
+            other => panic!("metric {name:?} already registered as {}", other.kind()),
+        }
     }
 
     /// Get or register a gauge. Panics on invalid name or kind mismatch.
@@ -1102,6 +1115,40 @@ mod tests {
                 "openmldb_online_deployment_requests_total".to_string(),
             ]
         );
+    }
+
+    /// A view is written by nobody: its value, its snapshot and its render
+    /// are reads of the store it views, through any handle to it.
+    #[test]
+    fn counter_and_histogram_views_read_their_store() {
+        fn seven() -> u64 {
+            7
+        }
+        fn two_samples() -> HistogramSnapshot {
+            let h = Histogram::new();
+            h.record(10);
+            h.record(30);
+            h.snapshot()
+        }
+        let r = Registry::new();
+        let early = r.counter("openmldb_online_requests_total", "");
+        r.counter_view("openmldb_online_requests_total", "requests", seven);
+        r.histogram_view(
+            "openmldb_online_request_duration_ns",
+            "latency",
+            two_samples,
+        );
+        assert_eq!(early.value(), 7, "a handle taken before the view reads it");
+        let h = r.histogram("openmldb_online_request_duration_ns", "");
+        h.record(1_000);
+        let text = r.render();
+        assert!(text.contains("openmldb_online_requests_total 7"), "{text}");
+        if enabled() {
+            assert_eq!((h.snapshot().count(), h.snapshot().sum()), (2, 40));
+            assert!(text.contains("openmldb_online_request_duration_ns_count 2"));
+        } else {
+            assert_eq!(h.snapshot().count(), 0);
+        }
     }
 
     #[test]
