@@ -61,7 +61,9 @@ impl DuckDbLikeTable {
         if key_col >= self.columns.len() || ts_col >= self.columns.len() {
             return Err(Error::Plan("column out of range".into()));
         }
-        // Pass 1: key filter over the whole column (no index).
+        // Pass 1: key filter over the whole column (no index). Exact `==`,
+        // as the engine's index keys: a row is validated to its column's
+        // type, and DOUBLE keys match by bits.
         let mut selection: Vec<usize> = Vec::new();
         for (i, v) in self.columns[key_col].iter().enumerate() {
             self.values_scanned += 1;

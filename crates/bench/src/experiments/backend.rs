@@ -111,6 +111,7 @@ pub fn run() -> Vec<BackendResult> {
 #[cfg(test)]
 mod tests {
     #[test]
+    #[ignore = "wall-clock paper shape: runs alone in its own CI step, not in the parallel suite"]
     fn both_backends_serve_and_memory_is_leaner_on_disk() {
         let results = crate::harness::with_scale(0.1, super::run);
         let mem = &results[0];

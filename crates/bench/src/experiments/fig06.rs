@@ -144,6 +144,7 @@ pub fn run() -> Vec<(String, LatencyStats)> {
 #[cfg(test)]
 mod tests {
     #[test]
+    #[ignore = "wall-clock paper shape: runs alone in its own CI step, not in the parallel suite"]
     fn openmldb_wins_fig06() {
         // Large enough that DuckDB's O(table) scan loses to our O(window)
         // path in debug builds too (tiny tables make flat scans free).

@@ -160,6 +160,7 @@ pub fn run() -> Vec<OfflineResult> {
 #[cfg(test)]
 mod tests {
     #[test]
+    #[ignore = "wall-clock paper shape: runs alone in its own CI step, not in the parallel suite"]
     fn openmldb_faster_than_spark_fig08() {
         for r in crate::harness::with_scale(0.05, super::run) {
             assert!(

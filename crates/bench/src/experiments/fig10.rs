@@ -152,6 +152,7 @@ fn assert_agree(a: &Row, b: &Row) {
 #[cfg(test)]
 mod tests {
     #[test]
+    #[ignore = "wall-clock paper shape: runs alone in its own CI step, not in the parallel suite"]
     fn preagg_wins_and_stays_flat() {
         let points = crate::harness::with_scale(0.05, super::run);
         let last = points.last().unwrap();

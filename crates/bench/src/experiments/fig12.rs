@@ -92,6 +92,7 @@ pub fn run() -> Vec<MultiWindowResult> {
 #[cfg(test)]
 mod tests {
     #[test]
+    #[ignore = "wall-clock paper shape: runs alone in its own CI step, not in the parallel suite"]
     fn parallel_windows_beat_serial() {
         let results = crate::harness::with_scale(0.2, super::run);
         let cores = std::thread::available_parallelism()

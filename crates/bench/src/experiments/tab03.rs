@@ -138,6 +138,7 @@ pub fn run() -> Vec<FeatureCountRow> {
 #[cfg(test)]
 mod tests {
     #[test]
+    #[ignore = "wall-clock paper shape: runs alone in its own CI step, not in the parallel suite"]
     fn latency_grows_with_feature_count_but_stays_bounded() {
         let rows = crate::harness::with_scale(0.05, super::run);
         assert!(

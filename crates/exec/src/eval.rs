@@ -123,8 +123,8 @@ pub fn binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
         return Ok(Value::Null);
     }
     Ok(match op {
-        Eq => Value::Bool(l == r),
-        NotEq => Value::Bool(l != r),
+        Eq => Value::Bool(l.sql_eq(r)),
+        NotEq => Value::Bool(!l.sql_eq(r)),
         Lt => Value::Bool(l.total_cmp(r).is_lt()),
         LtEq => Value::Bool(l.total_cmp(r).is_le()),
         Gt => Value::Bool(l.total_cmp(r).is_gt()),

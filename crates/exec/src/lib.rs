@@ -40,7 +40,7 @@ mod proptests {
     use super::*;
     use openmldb_sql::functions::lookup;
     use openmldb_sql::plan::{BoundAggregate, PhysExpr};
-    use openmldb_types::{DataType, Value};
+    use openmldb_types::{DataType, Result, Value};
     use proptest::prelude::*;
 
     const FUNCS: [&str; 8] = [
@@ -72,7 +72,7 @@ mod proptests {
     /// Columns whose every kind sums exactly in any order — small integers,
     /// quarter-step doubles, or integers next to `i64::MAX` / `i64::MIN`,
     /// which all read as `±2^63` in f64 (so extrema tie under `total_cmp`
-    /// while their debug forms differ) — which makes a bucketed fold
+    /// while their types differ) — which makes a bucketed fold
     /// comparable to the single pass bit for bit. Doubles include both
     /// zeros and NaN; strings exercise `count`/`min`/`max` and the errors
     /// of the sums.
@@ -93,39 +93,36 @@ mod proptests {
     }
 
     /// Outputs (or the first error) of `set` fed `rows` one by one.
-    fn single_pass(set: &mut WindowAggSet, rows: &[Value]) -> String {
+    fn single_pass(set: &mut WindowAggSet, rows: &[Value]) -> Result<Vec<Value>> {
         let fed = rows
             .iter()
             .try_for_each(|v| set.update(std::slice::from_ref(v)));
-        format!("{:?}", fed.map(|()| set.outputs()))
+        fed.map(|()| set.outputs())
     }
 
     /// Outputs (or the first error) of `set`'s layout over `rows` cut into
     /// buckets at `cuts`, each folded alone, then merged in order.
-    fn bucketed(set: &WindowAggSet, rows: &[Value], cuts: &[usize]) -> String {
+    fn bucketed(set: &WindowAggSet, rows: &[Value], cuts: &[usize]) -> Result<Vec<Value>> {
         let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (rows.len() + 1)).collect();
         bounds.extend([0, rows.len()]);
         bounds.sort_unstable();
-        let merged = (|| {
-            let mut acc = set.fresh_states()?;
-            for w in bounds.windows(2) {
-                let mut bucket = set.fresh_states()?;
-                for v in &rows[w[0]..w[1]] {
-                    set.update_states(&mut bucket, std::slice::from_ref(v))?;
-                }
-                acc.merge(&bucket)?;
+        let mut acc = set.fresh_states()?;
+        for w in bounds.windows(2) {
+            let mut bucket = set.fresh_states()?;
+            for v in &rows[w[0]..w[1]] {
+                set.update_states(&mut bucket, std::slice::from_ref(v))?;
             }
-            Ok::<_, openmldb_types::Error>(set.outputs_of(&acc))
-        })();
-        format!("{merged:?}")
+            acc.merge(&bucket)?;
+        }
+        Ok(set.outputs_of(&acc))
     }
 
     proptest! {
         /// Merging bucket states must equal feeding all rows through one
         /// set (the pre-aggregation correctness invariant), for each
         /// function alone and for all of them sharing one layout. Outputs
-        /// compare by their debug form: the same instance wins an extremum
-        /// tie, `-0.0` and `0.0` and `Int` and `Bigint` told apart.
+        /// compare with `Value`'s exact `==`: the same instance wins an
+        /// extremum tie, `-0.0` and `0.0` and `Int` and `Bigint` told apart.
         #[test]
         fn merge_equals_single_pass(
             rows in values(),

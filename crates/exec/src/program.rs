@@ -398,17 +398,6 @@ mod testkit {
         )
     }
 
-    pub(super) fn assert_bit_identical(expected: &[Value], got: &[Value]) {
-        assert_eq!(expected.len(), got.len());
-        for (e, g) in expected.iter().zip(got) {
-            // `Value: PartialEq` promotes numerics and rejects NaN == NaN;
-            // the rendered form tells Int(3) from Bigint(3), -0.0 from 0.0,
-            // and accepts NaN.
-            assert_eq!(e.data_type(), g.data_type(), "{e:?} vs {g:?}");
-            assert_eq!(format!("{e:?}"), format!("{g:?}"));
-        }
-    }
-
     pub(super) fn agg_of(name: &str, args: Vec<PhysExpr>) -> BoundAggregate {
         BoundAggregate {
             window_id: 0,
@@ -487,18 +476,18 @@ mod testkit {
         (entries, arena)
     }
 
-    /// What `fold_rows` answers over all of `rows`, in Debug form.
+    /// What `fold_rows` answers over all of `rows`.
     pub(super) fn folded(
         wp: &WindowProgram,
         rows: &(&[ScanEntry], &[u8]),
         codec: &CompactCodec,
-    ) -> String {
+    ) -> Result<Vec<Value>> {
         let (mut state, mut out) = (wp.new_state(), Vec::new());
         let order = EntryOrder::Ascending;
         let got = wp
             .fold_rows(&mut state, rows, 0, order, None, codec, &mut || Ok(()))
             .and_then(|()| wp.outputs_into(&state, &[], None, &mut out));
-        format!("{:?}", got.map(|()| out))
+        got.map(|()| out)
     }
 }
 

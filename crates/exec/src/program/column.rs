@@ -1118,7 +1118,7 @@ mod tests {
                 let Binding::Column { k, proj } = *b else { unreachable!("column kernels only") };
                 states[k].project(wp.kernels[k].field.class, proj, None, &mut out).expect("project");
             }
-            let projected = format!("{:?}", Ok::<_, openmldb_types::Error>(out));
+            let projected = Ok::<_, openmldb_types::Error>(out);
             proptest::prop_assert_eq!(projected, folded(&wp, &source, &codec));
         }
     }
@@ -1148,7 +1148,7 @@ mod tests {
             Value::Null,
         ]);
         let (expected, got) = fold_both(&aggs, &rows, Some(&request));
-        assert_bit_identical(&expected, &got);
+        assert_eq!(expected, got);
     }
 
     /// Runs of DOUBLE and FLOAT columns broken by INT, BIGINT and STRING
@@ -1372,6 +1372,11 @@ mod tests {
                     let got = wp
                         .run(&mut state, entries, first, order, &arena, req, &codec, &mut || Ok(()))
                         .and_then(|()| wp.outputs_into(&state, &arena, req, &mut out));
+                    // By Debug form, which prints every NaN alike: the lanes
+                    // and the interpreter add NaNs of different payloads in
+                    // orders the compiler may commute, so a sum's NaN bits
+                    // differ in release builds (ROADMAP item 2, canonical
+                    // NaN at the output).
                     proptest::prop_assert_eq!(
                         format!("{:?}", got.map(|()| out)),
                         format!("{:?}", oracle),

@@ -346,9 +346,8 @@ impl ArithCompiler<'_> {
 /// program whose result the column kernels' fold steps ([`Track::fold`]).
 #[derive(Debug, Clone)]
 pub(super) struct ExprKernel {
-    /// The argument expression: kernel identity, so aggregates over the
-    /// same computation ([`PhysExpr::same_computation`]) share one
-    /// evaluation per row (cyclic binding).
+    /// The argument expression: kernel identity, so aggregates over equal
+    /// arguments share one evaluation per row (cyclic binding).
     pub(super) expr: PhysExpr,
     pub(super) ops: Vec<ArithOp>,
     /// The register holding the argument's value.
@@ -939,7 +938,7 @@ mod tests {
         rows.extend((8..40).map(row));
         let request = row(41);
         let (expected, got) = fold_both(&aggs, &rows, Some(&request));
-        assert_bit_identical(&expected, &got);
+        assert_eq!(expected, got);
 
         // The whole window is one expression family: three column reads
         // shared across kernels, no generic aggregate.

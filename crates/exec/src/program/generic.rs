@@ -109,7 +109,7 @@ mod tests {
         ];
         let rows: Vec<Row> = (0..50).map(row).collect();
         let (expected, got) = fold_both(&aggs, &rows, Some(&row(51)));
-        assert_bit_identical(&expected, &got);
+        assert_eq!(expected, got);
 
         let codec = CompactCodec::new(schema());
         let refs: Vec<&BoundAggregate> = aggs.iter().collect();

@@ -102,11 +102,7 @@ impl ExprCompiler {
     fn push_const(&mut self, v: Value) -> std::result::Result<u16, String> {
         // Small pools: linear dedup is cheaper than a map and keeps `Value`
         // hashing out of the picture.
-        if let Some(i) = self.consts.iter().position(|c| {
-            // Bit-faithful dedup: `Value: PartialEq` compares numerics via
-            // f64 promotion, which would merge e.g. Int(1) and Double(1.0).
-            c.data_type() == v.data_type() && c == &v || (c.is_null() && v.is_null())
-        }) {
+        if let Some(i) = self.consts.iter().position(|c| *c == v) {
             return Ok(i as u16);
         }
         let i = u16::try_from(self.consts.len()).map_err(|_| "constant pool too large")?;

@@ -132,6 +132,9 @@ pub enum DivergenceKind {
     /// serve time and replay with the table versions unchanged —
     /// nondeterministic scan behavior.
     ScanInput,
+    /// A served value is neither NULL nor of its output column's declared
+    /// type.
+    OutputType,
 }
 
 impl DivergenceKind {
@@ -139,6 +142,7 @@ impl DivergenceKind {
         match self {
             DivergenceKind::OutputMaterialized => "output_materialized",
             DivergenceKind::ScanInput => "scan_input",
+            DivergenceKind::OutputType => "output_type",
         }
     }
 }

@@ -13,9 +13,11 @@
 //! the materializing reference pipeline — name-resolved reads, decoded rows,
 //! tree-walked expressions, no pre-aggregators, nothing shared with the
 //! compiled program or the bound read plan — and compares bit-for-bit: the
-//! output value digest, and per window the digest of the `(ts, bytes)` the
-//! reference read against the one the served scan took. Compiled serves,
-//! materialized checks. Divergences at an unchanged table version are
+//! served row against the replay's (`Value`'s exact `==`), and per window
+//! the digest of the `(ts, bytes)` the reference read against the one the
+//! served scan took. Before either, every served value must be NULL or of
+//! its output column's declared type. Compiled serves, materialized checks.
+//! Divergences at an unchanged table version are
 //! confirmed faults: they increment per-deployment labeled counters, publish
 //! a `consistency_divergence` flight-recorder post-mortem carrying both row
 //! encodings, and land in the bounded divergence log
@@ -32,7 +34,7 @@ use openmldb_obs::audit::{publish_divergence, DivergenceKind, DivergenceReport};
 use openmldb_obs::flight::{self, PostMortem, NUM_STAGES};
 use openmldb_obs::{Fnv, Outcome, ScanDigest};
 use openmldb_types::codec::RowCodec;
-use openmldb_types::{Result, Row, Value};
+use openmldb_types::{Result, Row, Schema};
 
 use crate::engine::{materialized, Deployment, TableProvider};
 use crate::resilience::{Ctx, RequestOptions, RequestOutput};
@@ -50,10 +52,8 @@ struct AuditSample {
     deployment: String,
     /// Request row, compact-encoded with the deployment's base codec.
     request: Vec<u8>,
-    /// FNV digest of the served output row's values.
-    row_digest: u64,
-    /// Debug render of the served output row (for the divergence report).
-    row_repr: String,
+    /// The served output row (shares the answer's values).
+    served: Option<Row>,
     /// Per-window digests of the raw rows the serve actually scanned.
     scan: ScanDigest,
     /// Version signature of every read table at capture time.
@@ -136,47 +136,6 @@ pub(crate) fn version_signature(dep: &Deployment) -> u64 {
     f.finish()
 }
 
-/// FNV digest over a row's values: type discriminant plus exact bit
-/// pattern per value, so any served/oracle difference — including a float
-/// ULP or a NULL flip — changes the digest.
-fn digest_row(values: &[Value]) -> u64 {
-    let mut f = Fnv::new();
-    for v in values {
-        match v {
-            Value::Null => f.write_u64(0),
-            Value::Bool(b) => {
-                f.write_u64(1);
-                f.write_u64(u64::from(*b));
-            }
-            Value::Int(x) => {
-                f.write_u64(2);
-                f.write_u64(*x as u64);
-            }
-            Value::Bigint(x) => {
-                f.write_u64(3);
-                f.write_u64(*x as u64);
-            }
-            Value::Float(x) => {
-                f.write_u64(4);
-                f.write_u64(u64::from(x.to_bits()));
-            }
-            Value::Double(x) => {
-                f.write_u64(5);
-                f.write_u64(x.to_bits());
-            }
-            Value::Timestamp(x) => {
-                f.write_u64(6);
-                f.write_u64(*x as u64);
-            }
-            Value::Str(s) => {
-                f.write_u64(7);
-                f.write(s.as_bytes());
-            }
-        }
-    }
-    f.finish()
-}
-
 /// Capture one sampled serve onto the audit queue. Called by the engine
 /// after the request finished, outside the latency measurement; only
 /// clean (non-degraded, non-error) serves are auditable. `bucketed`: the
@@ -226,9 +185,7 @@ pub(crate) fn capture(
         recycle(sample);
         return;
     }
-    sample.row_digest = digest_row(out.row.values());
-    sample.row_repr.clear();
-    let _ = write!(sample.row_repr, "{:?}", out.row.values());
+    sample.served = Some(out.row.clone());
     sample.scan = scratch.audit;
     sample.version_sig = pre_sig;
     sample.trace_id = out.trace_id;
@@ -259,6 +216,7 @@ pub(crate) fn capture(
 
 fn recycle(mut sample: AuditSample) {
     sample.scan.clear();
+    sample.served = None;
     if let Ok(mut pool) = sentinel().pool.lock() {
         if pool.len() < 64 {
             pool.push(sample);
@@ -386,7 +344,16 @@ fn audit_one(
         stats.bucket_skips += 1;
     }
 
-    let mismatch = first_mismatch(sample, &oracle, &replay_scan);
+    let Some(served) = &sample.served else {
+        return;
+    };
+    let mismatch = first_mismatch(
+        &dep.query.output_schema,
+        sample,
+        served,
+        &oracle,
+        &replay_scan,
+    );
     let Some((kind, window, oracle)) = mismatch else {
         return;
     };
@@ -405,7 +372,7 @@ fn audit_one(
         trace_id: sample.trace_id,
         kind,
         window,
-        served: sample.row_repr.clone(),
+        served: format!("{:?}", served.values()),
         oracle,
     };
     let mut note = String::new();
@@ -434,15 +401,21 @@ fn audit_one(
 }
 
 /// Compare the served sample against the oracle replay; the first
-/// disagreement wins (the output mismatch before a scan-input mismatch). A
-/// bucket-served sample skips the output compare only: its raw-scanned
-/// windows' digests still compare.
+/// disagreement wins: a served value not of its output column's declared
+/// type, then the output mismatch, then a scan-input mismatch. A
+/// bucket-served sample skips the output compare only: its type check and
+/// its raw-scanned windows' digests still run.
 fn first_mismatch(
+    outputs: &Schema,
     sample: &AuditSample,
+    served: &Row,
     oracle: &Row,
     replay_scan: &ScanDigest,
 ) -> Option<(DivergenceKind, Option<usize>, String)> {
-    if !sample.bucketed && digest_row(oracle.values()) != sample.row_digest {
+    if let Err(e) = outputs.validate_row(served.values()) {
+        return Some((DivergenceKind::OutputType, None, e.to_string()));
+    }
+    if !sample.bucketed && oracle != served {
         return Some((
             DivergenceKind::OutputMaterialized,
             None,
@@ -461,4 +434,49 @@ fn first_mismatch(
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use openmldb_types::{ColumnDef, DataType, Value};
+
+    fn sample(served: &Row) -> AuditSample {
+        AuditSample {
+            served: Some(served.clone()),
+            ..AuditSample::default()
+        }
+    }
+
+    #[test]
+    fn a_served_value_of_another_type_is_a_divergence() {
+        let outputs = Schema::new(vec![
+            ColumnDef::new("id", DataType::Bigint),
+            ColumnDef::new("total", DataType::Double),
+        ])
+        .unwrap();
+        let scan = ScanDigest::default();
+        // Served and replay agree, and a NULL is of every type.
+        let ok = Row::new(vec![Value::Bigint(1), Value::Null]);
+        assert!(first_mismatch(&outputs, &sample(&ok), &ok, &ok, &scan).is_none());
+        // Served and replay agree on a BIGINT where DOUBLE is declared.
+        let wrong = Row::new(vec![Value::Bigint(1), Value::Bigint(20)]);
+        let mut bucketed = sample(&wrong);
+        bucketed.bucketed = true;
+        for s in [sample(&wrong), bucketed] {
+            let found = first_mismatch(&outputs, &s, &wrong, &wrong, &scan);
+            assert!(
+                matches!(found, Some((DivergenceKind::OutputType, None, _))),
+                "{found:?}"
+            );
+        }
+        // Of the declared type but a different bit pattern: an output mismatch.
+        let served = Row::new(vec![Value::Bigint(1), Value::Double(-0.0)]);
+        let oracle = Row::new(vec![Value::Bigint(1), Value::Double(0.0)]);
+        let found = first_mismatch(&outputs, &sample(&served), &served, &oracle, &scan);
+        assert!(
+            matches!(found, Some((DivergenceKind::OutputMaterialized, None, _))),
+            "{found:?}"
+        );
+    }
 }

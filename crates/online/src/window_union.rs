@@ -453,7 +453,7 @@ mod tests {
                 refold.flush().unwrap();
                 let (a, b) = (slide.latest(&key), refold.latest(&key));
                 assert!(a.is_some(), "{frame:?}: tuple {i} has an answer");
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{frame:?}: tuple {i}");
+                assert_eq!(a, b, "{frame:?}: tuple {i}");
             }
         }
     }

@@ -29,7 +29,10 @@ pub trait Catalog {
 }
 
 /// A compiled, position-resolved expression.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equal expressions compute the same thing on every row: `==` compares
+/// literals exactly (`Value`'s equality), operators, columns and functions.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PhysExpr {
     Literal(Value),
     /// Index into the row the expression is evaluated against.
@@ -58,71 +61,6 @@ pub enum PhysExpr {
 }
 
 impl PhysExpr {
-    /// Whether `self` and `other` compute the same thing on every row: the
-    /// identity under which two aggregates share one state. Exact — the same
-    /// variant, operator, column and function at every node, and literals
-    /// of the same type and bits — so `2` and `2.0`, or `0.0` and `-0.0`,
-    /// are different computations (the derived `PartialEq` compares
-    /// literals by SQL value, which has `2 == 2.0` and `-0.0 == 0.0`).
-    pub fn same_computation(&self, other: &PhysExpr) -> bool {
-        use PhysExpr::*;
-        let all = |a: &[PhysExpr], b: &[PhysExpr]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_computation(y))
-        };
-        match (self, other) {
-            (Literal(a), Literal(b)) => match (a, b) {
-                (Value::Null, Value::Null) => true,
-                (Value::Bool(x), Value::Bool(y)) => x == y,
-                (Value::Int(x), Value::Int(y)) => x == y,
-                (Value::Bigint(x), Value::Bigint(y)) => x == y,
-                (Value::Timestamp(x), Value::Timestamp(y)) => x == y,
-                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-                (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
-                (Value::Str(x), Value::Str(y)) => x == y,
-                _ => false,
-            },
-            (Column(a), Column(b)) | (AggRef(a), AggRef(b)) => a == b,
-            (
-                Binary { op, left, right },
-                Binary {
-                    op: o,
-                    left: l,
-                    right: r,
-                },
-            ) => op == o && left.same_computation(l) && right.same_computation(r),
-            (Not(a), Not(b)) => a.same_computation(b),
-            (
-                IsNull { expr, negated },
-                IsNull {
-                    expr: e,
-                    negated: n,
-                },
-            ) => negated == n && expr.same_computation(e),
-            (ScalarCall { func, args }, ScalarCall { func: f, args: a }) => {
-                std::ptr::eq(*func, *f) && all(args, a)
-            }
-            (
-                Case {
-                    branches,
-                    else_expr,
-                },
-                Case {
-                    branches: b,
-                    else_expr: e,
-                },
-            ) => {
-                branches.len() == b.len()
-                    && (branches.iter().zip(b))
-                        .all(|((c, v), (d, w))| c.same_computation(d) && v.same_computation(w))
-                    && match (else_expr, e) {
-                        (Some(x), Some(y)) => x.same_computation(y),
-                        (x, y) => x.is_none() && y.is_none(),
-                    }
-            }
-            _ => false,
-        }
-    }
-
     /// Append every column index referenced by this expression to `out`.
     pub fn collect_columns(&self, out: &mut Vec<usize>) {
         match self {
@@ -193,26 +131,19 @@ pub struct BoundWindow {
 }
 
 /// One bound aggregate call, evaluated over a window's rows.
-#[derive(Debug, Clone)]
+///
+/// Two bound aggregates are equal when they are the same computation: one
+/// function over the same window, of one output type, over equal arguments
+/// (`Value`'s `==` is exact, so `2` and `2.0`, or `0.0` and `-0.0`, are
+/// different arguments). Cyclic binding shares one state only between
+/// equal aggregates.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundAggregate {
     pub window_id: usize,
     pub func: &'static FunctionDef,
     /// Argument expressions over the *base table* schema.
     pub args: Vec<PhysExpr>,
     pub output_type: DataType,
-}
-
-/// Two bound aggregates are equal when they are the same computation: one
-/// function over the same window, of one output type, over arguments that
-/// are [`PhysExpr::same_computation`]s.
-impl PartialEq for BoundAggregate {
-    fn eq(&self, other: &Self) -> bool {
-        self.window_id == other.window_id
-            && std::ptr::eq(self.func, other.func)
-            && self.output_type == other.output_type
-            && self.args.len() == other.args.len()
-            && (self.args.iter().zip(&other.args)).all(|(a, b)| a.same_computation(b))
-    }
 }
 
 /// Plan-level statistics exposed for tests and EXPLAIN output.

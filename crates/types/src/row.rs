@@ -12,7 +12,7 @@ use crate::value::{KeyValue, Value};
 
 /// A decoded tuple. Cloning is cheap: values are shared via `Arc` internally
 /// (strings) and the vector is reference-counted.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     values: Arc<[Value]>,
 }

@@ -73,6 +73,12 @@ impl fmt::Display for DataType {
 /// A runtime scalar value.
 ///
 /// `Null` is untyped; the schema supplies the column type where needed.
+///
+/// `==` is exact: the same variant and the same payload, with FLOAT and
+/// DOUBLE compared by their bits, so `Int(2) != Double(2.0)` and
+/// `Double(0.0) != Double(-0.0)`. It is the identity DEPLOY shares state
+/// under and the one the oracles compare answers with. SQL's `=`, which
+/// compares numbers across types, is [`Value::sql_eq`].
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
@@ -216,6 +222,18 @@ impl Value {
             }
         }
     }
+
+    /// SQL's `=`: numbers compare across types through `f64` (`2 = 2.0`,
+    /// `-0.0 = 0.0`, a NaN equals nothing); strings and booleans compare
+    /// only with their own kind. SQL's NULL propagation is the caller's
+    /// (`eval::binary` answers NULL first); here `Null` equals only `Null`.
+    pub fn sql_eq(&self, other: &Value) -> bool {
+        use Value::*;
+        match (self, other) {
+            (Null | Bool(_) | Str(_), _) | (_, Null | Bool(_) | Str(_)) => self == other,
+            (a, b) => matches!((a.as_f64(), b.as_f64()), (Ok(x), Ok(y)) if x == y),
+        }
+    }
 }
 
 impl PartialEq for Value {
@@ -223,18 +241,18 @@ impl PartialEq for Value {
         use Value::*;
         match (self, other) {
             (Null, Null) => true,
-            (Str(a), Str(b)) => a == b,
             (Bool(a), Bool(b)) => a == b,
-            (Null, _) | (_, Null) | (Str(_), _) | (_, Str(_)) | (Bool(_), _) | (_, Bool(_)) => {
-                false
-            }
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Ok(x), Ok(y)) => x == y,
-                _ => false,
-            },
+            (Int(a), Int(b)) => a == b,
+            (Bigint(a), Bigint(b)) | (Timestamp(a), Timestamp(b)) => a == b,
+            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (Double(a), Double(b)) => a.to_bits() == b.to_bits(),
+            (Str(a), Str(b)) => a == b,
+            _ => false,
         }
     }
 }
+
+impl Eq for Value {}
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -316,8 +334,10 @@ mod tests {
 
     #[test]
     fn numeric_cross_type_equality() {
-        assert_eq!(Value::Int(3), Value::Double(3.0));
-        assert_ne!(Value::Int(3), Value::Double(3.5));
+        assert!(Value::Int(3).sql_eq(&Value::Double(3.0)));
+        assert!(!Value::Int(3).sql_eq(&Value::Double(3.5)));
+        assert!(Value::Double(0.0).sql_eq(&Value::Double(-0.0)));
+        assert!(!Value::Double(f64::NAN).sql_eq(&Value::Double(f64::NAN)));
         assert_ne!(
             Value::Null,
             Value::Null
@@ -325,6 +345,18 @@ mod tests {
                 .map(|_| Value::Int(0))
                 .unwrap_or(Value::Int(0))
         );
+    }
+
+    #[test]
+    fn equality_is_exact_in_type_and_bits() {
+        assert_ne!(Value::Int(2), Value::Double(2.0));
+        assert_ne!(Value::Int(2), Value::Bigint(2));
+        assert_ne!(Value::Bigint(2), Value::Timestamp(2));
+        assert_ne!(Value::Double(0.0), Value::Double(-0.0));
+        assert_ne!(Value::Float(2.0), Value::Double(2.0));
+        assert_eq!(Value::Double(f64::NAN), Value::Double(f64::NAN));
+        assert_eq!(Value::Null, Value::Null);
+        assert_eq!(Value::string("a"), Value::string("a"));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Non-test lines of code per crate: in every `.rs` file under a crate's
-# `src/`, the lines before the file's first `#[cfg(test)]` that are neither
-# blank nor a `//` comment (`///` and `//!` docs included).
+# `src/`, the lines that are neither blank nor a `//` comment (`///` and
+# `//!` docs included), up to the file's first `#[cfg(test)]` that gates an
+# inline `mod` (the attribute, then only attributes, comments or blank lines,
+# then `mod name {`). A `#[cfg(test)]` on a `use`, a field or a `fn` does not
+# end the count.
 #
 # Usage: scripts/loc.sh [crate ...]   (default: every crate under crates/,
 #                                      then the root package's src/)
@@ -12,13 +15,28 @@ cd "$(dirname "$0")/.."
 
 count() {
     find "$1" -name '*.rs' -print0 | sort -z | xargs -0 -r awk '
-        FNR == 1 { in_test = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        function is_mod(line) {
+            return line ~ /^[[:space:]]*(#\[cfg\(test\)\][[:space:]]*)?(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z_0-9]+[[:space:]]*\{/
+        }
+        FNR == 1 { n += held; in_test = 0; pending = 0; held = 0 }
         in_test { next }
+        /^[[:space:]]*#\[cfg\(test\)\]/ {
+            if (is_mod($0)) { in_test = 1; next }
+            pending = 1; held = 1; next
+        }
+        pending && (/^[[:space:]]*$/ || /^[[:space:]]*\/\// || /^[[:space:]]*#\[/) {
+            if ($0 !~ /^[[:space:]]*$/ && $0 !~ /^[[:space:]]*\/\//) held++
+            next
+        }
+        pending {
+            pending = 0
+            if (is_mod($0)) { in_test = 1; held = 0; next }
+            n += held; held = 0
+        }
         /^[[:space:]]*$/ { next }
         /^[[:space:]]*\/\// { next }
         { n++ }
-        END { print n + 0 }
+        END { print n + held }
     '
 }
 

@@ -64,11 +64,7 @@ fn assert_consistent(db: &Database, name: &str, sql: &str, probe: Row) {
         .iter()
         .find(|r| r[0] == id)
         .unwrap_or_else(|| panic!("probe id {id:?} missing from batch output"));
-    assert_eq!(
-        format!("{online:?}"),
-        format!("{offline:?}"),
-        "online vs offline for `{name}`"
-    );
+    assert_eq!(&online, offline, "online vs offline for `{name}`");
 }
 
 fn probe(id: i64, k: i64, ts: i64) -> Row {
@@ -272,7 +268,7 @@ fn many_random_probes_agree() {
             .iter()
             .find(|r| r[0] == p[0])
             .expect("probe present");
-        assert_eq!(format!("{online:?}"), format!("{offline:?}"), "probe {i}");
+        assert_eq!(&online, offline, "probe {i}");
     }
 }
 
@@ -352,11 +348,7 @@ fn tie_heavy_streams_stay_consistent() {
             .iter()
             .find(|r| r[0] == p[0])
             .expect("probe present");
-        assert_eq!(
-            format!("{online:?}"),
-            format!("{offline:?}"),
-            "tie probe {i}"
-        );
+        assert_eq!(&online, offline, "tie probe {i}");
     }
 }
 
@@ -434,15 +426,13 @@ fn overflowing_integer_sums_wrap_in_buckets_as_in_a_scan() {
     let probe = row(99, 7, 6_000);
     let plain = db.deployment("plain_o").unwrap();
     let expected = execute_request_materialized(&db, &plain, &probe).unwrap();
+    let sum = i64::MAX.wrapping_add(13).wrapping_add(i64::MAX / 2);
     assert_eq!(
-        format!("{:?}", &expected.values()[1..3]),
-        format!(
-            "[Bigint({}), Bigint(5)]",
-            i64::MAX.wrapping_add(13).wrapping_add(i64::MAX / 2)
-        )
+        expected.values()[1..3],
+        [Value::Bigint(sum), Value::Bigint(5)]
     );
     let served = db.request_readonly("fast_o", &probe).unwrap();
-    assert_eq!(format!("{served:?}"), format!("{expected:?}"));
+    assert_eq!(served, expected);
     let preagg = db.deployment("fast_o").unwrap().preaggs[0].clone().unwrap();
     assert!(
         preagg.level_hits().iter().sum::<u64>() >= 4,
@@ -476,7 +466,7 @@ fn rows_expired_from_the_window_index_keep_their_features() {
             Value::Double(rng.gen_range(-10.0..10.0)),
             Value::Timestamp(i * 1_000),
         ]);
-        online.push(format!("{:?}", db.request("ttl", &row).unwrap()));
+        online.push(db.request("ttl", &row).unwrap());
     }
     assert!(
         db.gc(60_000) >= 50,
@@ -485,8 +475,7 @@ fn rows_expired_from_the_window_index_keep_their_features() {
     let ExecResult::Batch(batch) = db.execute(sql).unwrap() else {
         panic!()
     };
-    let mut offline: Vec<&Row> = batch.rows.iter().collect();
+    let mut offline = batch.rows;
     offline.sort_by_key(|r| r[0].as_i64().unwrap());
-    let offline: Vec<String> = offline.iter().map(|r| format!("{r:?}")).collect();
     assert_eq!(online, offline);
 }

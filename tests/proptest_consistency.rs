@@ -91,9 +91,9 @@ proptest! {
                 .iter()
                 .find(|r| r[0] == probe[0])
                 .expect("probe row present in batch");
-            // The debug form compares bits: it tells Int(3) from Bigint(3)
-            // and -0.0 from 0.0, which `Value`'s `==` does not.
-            prop_assert_eq!(format!("{online:?}"), format!("{offline:?}"), "probe {}", n);
+            // `Value`'s `==` compares bits: it tells Int(3) from Bigint(3)
+            // and -0.0 from 0.0.
+            prop_assert_eq!(&online, offline, "probe {}", n);
         }
     }
 }

@@ -78,16 +78,11 @@ fn alternating_deployments_and_rebinds_serve_the_reference() {
         for dep in [&one, &three, &one] {
             let served = execute_request(&db, dep, &request).unwrap();
             let reference = execute_request_materialized(&db, dep, &request).unwrap();
-            assert_eq!(
-                format!("{served:?}"),
-                format!("{reference:?}"),
-                "request {i} through `{}`",
-                dep.name
-            );
+            assert_eq!(served, reference, "request {i} through `{}`", dep.name);
         }
         // The database's own handle serves the reference too.
         let served = db.request_readonly("three", &request).unwrap();
         let reference = execute_request_materialized(&db, &three, &request).unwrap();
-        assert_eq!(format!("{served:?}"), format!("{reference:?}"));
+        assert_eq!(served, reference);
     }
 }

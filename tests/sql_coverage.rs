@@ -57,11 +57,7 @@ fn assert_fully_compiled(db: &Database, name: &str, probe: &Row) {
     assert!(dep.program().select_programs().is_some(), "`{name}`");
     let served = db.request_readonly(name, probe).unwrap();
     let oracle = execute_request_materialized(db, &dep, probe).unwrap();
-    assert_eq!(
-        format!("{:?}", served.values()),
-        format!("{:?}", oracle.values()),
-        "`{name}` compiled vs materialized"
-    );
+    assert_eq!(served, oracle, "`{name}` compiled vs materialized");
 }
 
 /// Run one single-feature script in request mode for a probe at ts=6000
@@ -246,7 +242,7 @@ fn offline_mode_agrees_on_the_catalogue() {
         .find(|r| r[0] == Value::Bigint(99))
         .unwrap();
     // Both modes run the deployed program: equal bit for bit.
-    assert_eq!(format!("{online:?}"), format!("{offline:?}"));
+    assert_eq!(&online, offline);
 }
 
 /// DEPLOY is the only place a plan is refused: a construct that does not
