@@ -5,20 +5,22 @@
 //! guarantee of Section 4).
 //!
 //! [`execute`] sweeps every window per partition ([`crate::parallel`],
-//! [`crate::skew`]) into one row-major buffer of aggregates, then runs each
-//! base row's LAST JOINs, WHERE and select list — the online scalar VM's
-//! programs — over just the columns they read, decoded straight from the
-//! snapshot's bytes; a LAST JOIN residual runs as the compiled
-//! [`Program::join_residual`], the same program a request runs. The entry
+//! [`crate::skew`]), each into a column of its own, then runs each base
+//! row's LAST JOINs, WHERE and select list — the online scalar VM's
+//! programs, the snapshot's one [`Program`](openmldb_exec::Program) — over
+//! just the columns they read, each read in place through a
+//! [`Field`](openmldb_types::Field) resolved once (capture validated the
+//! row). A LAST JOIN residual runs as the compiled `join_residual`, the
+//! same program a request runs. A bare aggregate in the select list moves
+//! its value into the output row; any other read of it evaluates. The entry
 //! points over decoded [`Tables`] ([`execute_batch`], [`sweep_window`],
 //! [`crate::compute_windows`]) encode their input once and run the same
 //! path.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use openmldb_exec::{specialize, ExprProgram, Program};
-use openmldb_sql::plan::{BoundWindow, CompiledQuery};
+use openmldb_exec::ExprProgram;
+use openmldb_sql::plan::{BoundWindow, CompiledQuery, PhysExpr};
 use openmldb_types::{Error, KeyValue, Result, Row, RowBatch, Value};
 
 use crate::parallel::compute;
@@ -60,59 +62,67 @@ impl Default for OfflineOptions {
 /// The decoded input relation set: table name → rows.
 pub type Tables = HashMap<String, Vec<Row>>;
 
-/// The program a deployment of `query` serves with — or DEPLOY's refusal.
-pub(crate) fn program(query: &CompiledQuery) -> Result<Arc<Program>> {
-    let program = specialize(query);
-    program.accept("offline query")?;
-    Ok(program)
-}
-
-/// Execute a compiled feature query over `snap`: one output row per base
-/// row, in the snapshot's row order (WHERE drops rows, LIMIT stops).
+/// Execute a compiled feature query over `snap`, a snapshot captured for
+/// it: one output row per base row, in the snapshot's row order (WHERE
+/// drops rows, LIMIT stops).
 pub fn execute(query: &CompiledQuery, snap: &Snapshot, opts: &OfflineOptions) -> Result<RowBatch> {
-    let program = program(query)?;
+    let program = &*snap.program;
     let wids: Vec<usize> = (0..query.windows.len()).collect();
-    let aggs = compute(query, &program, snap, opts, &wids)?;
-    let joins: Vec<_> = query
-        .joins
-        .iter()
-        .map(|j| snap.lookup(j))
-        .collect::<Result<_>>()?;
-    // Decode only the columns the select list, WHERE and the joins read.
+    let mut swept = compute(query, program, snap, opts, &wids)?;
+    // Read only the columns the joins, the select list and WHERE read.
     let mut cols = Vec::new();
-    let select = query.select.iter().map(|c| &c.expr);
-    let residuals = query.joins.iter().flat_map(|j| &j.residual);
-    for e in select.chain(&query.where_clause).chain(residuals) {
-        e.collect_columns(&mut cols);
-    }
     for j in &query.joins {
         cols.extend(j.eq_pairs.iter().map(|p| p.0));
+        j.residual.iter().for_each(|e| e.collect_columns(&mut cols));
     }
-    let mut wanted = vec![false; query.combined_schema.len()];
-    cols.into_iter().for_each(|c| wanted[c] = true);
-
+    for e in query
+        .select
+        .iter()
+        .map(|c| &c.expr)
+        .chain(&query.where_clause)
+    {
+        e.collect_columns(&mut cols);
+    }
+    cols.sort_unstable();
+    cols.dedup();
     let base = snap.table(&query.base_table)?;
+    let (fields, mut joins) = (base.fields(&cols, 0), Vec::new());
+    for join in &query.joins {
+        let (table, lookup) = snap.lookup(join)?;
+        joins.push((join, table, lookup, table.fields(&cols, join.offset)));
+    }
+    // A bare aggregate's last reader in the select list moves it into the
+    // output row; every other item evaluates first, as a request does.
     let selects = program.select_programs().unwrap_or_default();
-    let (mut combined, mut stack, mut out) = (Vec::new(), Vec::new(), Vec::new());
-    for id in 0..base.rows.len() as u32 {
-        combined.clear();
-        combined.resize(wanted.len(), Value::Null);
-        snap.decode(base, id, &wanted, &mut combined[..query.base_schema.len()])?;
-        for (j, (join, (table, lookup))) in query.joins.iter().zip(&joins).enumerate() {
-            let key: Vec<KeyValue> = join
-                .eq_pairs
-                .iter()
-                .map(|p| (&combined[p.0]).into())
-                .collect();
-            let span = join.offset..join.offset + join.schema.len();
-            let residual = program.join_residual(j);
+    let mut bare = Vec::with_capacity(selects.len());
+    for (i, c) in query.select.iter().enumerate() {
+        let later = query.select.get(i + 1..).unwrap_or_default();
+        let last = !later.iter().any(|d| d.expr == c.expr);
+        bare.push(match c.expr {
+            PhysExpr::AggRef(a) if a < query.aggregates.len() => Some((a, last)),
+            _ => None,
+        });
+    }
+    let n = base.rows.len();
+    let mut out = Vec::with_capacity(query.limit.map_or(n, |l| l.min(n)));
+    let mut combined = vec![Value::Null; query.combined_schema.len()];
+    let mut aggs = vec![Value::Null; query.aggregates.len()];
+    let (mut stack, mut evals, mut key) = (Vec::new(), Vec::new(), Vec::<KeyValue>::new());
+    for id in 0..n {
+        for &(c, f) in &fields {
+            combined[c] = f.read(&base.codec, snap.row(base, id as u32))?.to_value();
+        }
+        for (j, &(join, table, lookup, ref fields)) in joins.iter().enumerate() {
+            key.clear();
+            key.extend(join.eq_pairs.iter().map(|p| KeyValue::from(&combined[p.0])));
             // The newest candidate the residual accepts — tried on the row
             // so far, its errors counting as no match, as a request does.
-            let mut hit = false;
+            let (mut hit, residual) = (false, program.join_residual(j));
             for &(cand, _) in lookup.get(&key).into_iter().flatten() {
-                let (want, dest) = (&wanted[span.clone()], &mut combined[span.clone()]);
-                snap.decode(table, cand, want, dest)?;
-                let probe = &combined[..span.end];
+                for &(c, f) in fields {
+                    combined[c] = f.read(&table.codec, snap.row(table, cand))?.to_value();
+                }
+                let probe = &combined[..join.offset + join.schema.len()];
                 let accepts = |p: &ExprProgram| p.eval(probe, &[], &mut stack)?.as_bool();
                 hit = residual.map_or(Ok(true), accepts).unwrap_or(false);
                 if hit {
@@ -120,7 +130,7 @@ pub fn execute(query: &CompiledQuery, snap: &Snapshot, opts: &OfflineOptions) ->
                 }
             }
             if !hit {
-                combined[span].fill(Value::Null);
+                fields.iter().for_each(|&(c, _)| combined[c] = Value::Null);
             }
         }
         if let Some(pred) = program.where_program() {
@@ -128,14 +138,18 @@ pub fn execute(query: &CompiledQuery, snap: &Snapshot, opts: &OfflineOptions) ->
                 continue;
             }
         }
-        let aggs = aggs
-            .get(id as usize * query.aggregates.len()..)
-            .unwrap_or_default();
-        let mut row = Vec::with_capacity(selects.len());
-        for p in selects {
-            row.push(p.eval(&combined, aggs, &mut stack)?);
+        swept.take(id, &mut aggs);
+        evals.clear();
+        for (p, _) in selects.iter().zip(&bare).filter(|(_, b)| b.is_none()) {
+            evals.push(p.eval(&combined, &aggs, &mut stack)?);
         }
-        out.push(Row::new(row));
+        let mut evals = evals.drain(..);
+        let mut value = |b: &Option<(usize, bool)>| match (*b, b.and_then(|b| aggs.get_mut(b.0))) {
+            (Some((_, true)), Some(v)) => std::mem::replace(v, Value::Null),
+            (_, Some(v)) => v.clone(),
+            _ => evals.next().unwrap_or(Value::Null),
+        };
+        out.push(bare.iter().map(&mut value).collect());
         if query.limit.is_some_and(|l| out.len() >= l) {
             break;
         }
@@ -191,13 +205,16 @@ pub(crate) fn decoded(
 ) -> Result<Vec<Vec<Vec<Value>>>> {
     let snap = Snapshot::from_rows(query, base, tables)?;
     let wids: Vec<usize> = windows.iter().map(|w| w.0).collect();
-    let aggs = compute(query, &*program(query)?, &snap, opts, &wids)?;
-    let rows = aggs.chunks(query.aggregates.len().max(1));
-    let pick = |ids: &[usize]| -> Vec<Vec<Value>> {
-        let row = |r: &[Value]| ids.iter().filter_map(|&a| r.get(a).cloned()).collect();
-        rows.clone().map(row).collect()
-    };
-    Ok(windows.iter().map(|(_, ids)| pick(ids)).collect())
+    let mut swept = compute(query, &snap.program, &snap, opts, &wids)?;
+    let mut aggs = vec![Value::Null; query.aggregates.len()];
+    let mut out = vec![Vec::with_capacity(base.len()); windows.len()];
+    for id in 0..base.len() {
+        swept.take(id, &mut aggs);
+        for ((_, ids), rows) in windows.iter().zip(&mut out) {
+            rows.push(ids.iter().filter_map(|&a| aggs.get(a).cloned()).collect());
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -208,6 +225,7 @@ mod tests {
     use openmldb_types::{DataType, Schema};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     struct Cat(HashMap<String, Schema>);
     impl Catalog for Cat {

@@ -6,87 +6,139 @@
 //! grouping of the snapshot, and every window's work units (whole
 //! partitions, or the time slices of hot ones, [`crate::skew`]) go to one
 //! queue that the workers pull from. A unit is swept by its window's
-//! [`Sweep`](openmldb_exec::Sweep). Every value stays addressed by its base
-//! row's id — the synthetic **index column** — so the **Concat Join**
-//! stitches the windows back onto each row whatever order their partitions
-//! were swept in (`SimpleProject` marks the segment start, `ConcatJoin` the
-//! end, in the paper's plan vocabulary): here that is one row-major buffer
-//! of every aggregate for every base row.
+//! [`Sweep`](openmldb_exec::Sweep), which writes each anchor's values
+//! straight into that window's own column: a row per base row, in the order
+//! the shape's partitions list their anchors, so every unit owns one
+//! contiguous run of rows and no two workers write one place. The synthetic
+//! **index column** is each base row's place in that order, and the
+//! **Concat Join** reads every window's row of a base row by it, whatever
+//! order the partitions were swept in (`SimpleProject` marks the segment
+//! start, `ConcatJoin` the end, in the paper's plan vocabulary).
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use openmldb_exec::Program;
 use openmldb_sql::plan::CompiledQuery;
-use openmldb_types::{Result, Row, Value};
+use openmldb_types::{Error, Result, Row, Value};
 
 use crate::engine::{decoded, OfflineOptions, Tables, WindowExecMode};
 use crate::skew::units;
-use crate::snapshot::{Partition, Snapshot};
+use crate::snapshot::Snapshot;
 
-/// Sweep the windows `wids` into one buffer of every aggregate for every
-/// base row, row-major in plan order — what the select list reads a row's
-/// slice of. The queue has `opts.threads` workers when windows run in
-/// parallel or skew slicing is on, else one.
+/// The windows' values for every base row, one column per window in one
+/// buffer.
+pub(crate) struct Swept {
+    /// Base rows: the rows of each column.
+    n: usize,
+    /// Per window swept, in column order: its aggregates (plan ids) and its
+    /// shape. A base row's values are at its place times their count.
+    windows: Vec<(Vec<usize>, usize)>,
+    values: Vec<Value>,
+    /// Per shape, each base row's place (`u32::MAX`: none).
+    places: Vec<Vec<u32>>,
+}
+
+impl Swept {
+    /// Move base row `id`'s values into `aggs`, at their plan positions.
+    pub(crate) fn take(&mut self, id: usize, aggs: &mut [Value]) {
+        let mut start = 0;
+        for (ids, shape) in &self.windows {
+            let place = self.places.get(*shape).and_then(|p| p.get(id));
+            let at = place.map_or(usize::MAX, |&o| start + o as usize * ids.len());
+            let mut row = self.values.get_mut(at..).unwrap_or_default().iter_mut();
+            for &a in ids {
+                let v = row
+                    .next()
+                    .map_or(Value::Null, |v| std::mem::replace(v, Value::Null));
+                if let Some(slot) = aggs.get_mut(a) {
+                    *slot = v;
+                }
+            }
+            start += self.n * ids.len();
+        }
+    }
+}
+
+/// Sweep the windows `wids`, each into a column of its own. The queue has
+/// `opts.threads` workers when windows run in parallel or skew slicing is
+/// on, else one.
 pub(crate) fn compute(
     query: &CompiledQuery,
     program: &Program,
     snap: &Snapshot,
     opts: &OfflineOptions,
     wids: &[usize],
-) -> Result<Vec<Value>> {
-    let by_window = query.aggregates_by_window();
+) -> Result<Swept> {
+    let mut by_window = query.aggregates_by_window();
     let recompute = opts.mode == WindowExecMode::RecomputePerRow;
-    let mut shapes: HashMap<_, Vec<Partition>> = HashMap::new();
-    let (mut sweeps, mut queue) = (Vec::new(), Vec::new());
+    let base = snap.table(&query.base_table)?;
+    let (n, mut shapes, mut groups, mut sweeps) = (base.rows.len(), HashMap::new(), vec![], vec![]);
+    let (mut windows, mut places) = (Vec::new(), Vec::new());
     for &wid in wids {
         let (w, Some(wp)) = (&query.windows[wid], program.window(wid)) else {
             continue; // no aggregates
         };
         // The windows of one shape share one grouping.
-        let shape = (&w.partition_cols, w.order_col, &w.union_tables);
-        if let Entry::Vacant(e) = shapes.entry(shape) {
-            e.insert(snap.partitions(query, w)?);
-        }
-        let units = units(w, &shapes[&shape], opts.skew.as_ref());
-        queue.extend(units.into_iter().map(|(p, range)| (sweeps.len(), p, range)));
-        sweeps.push((&by_window[wid], shape, wp.sweep(w, recompute)?));
-    }
-    // A value's slot: its base row's id (the index column) times the row
-    // width, plus its aggregate's position in the plan.
-    let (base, next) = (snap.table(&query.base_table)?, AtomicUsize::new(0));
-    let stride = query.aggregates.len();
-    let aggs = Mutex::new(vec![Value::Null; base.rows.len() * stride]);
-    // Each worker pulls units off the queue, sweeps one into its own
-    // buffers, then stores it into the shared one: one lock per unit.
-    let worker = || -> Result<()> {
-        let mut states: Vec<_> = sweeps.iter().map(|(_, _, s)| s.new_state()).collect();
-        let (mut rows, mut values) = (Vec::new(), Vec::new());
-        while let Some((i, p, range)) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let ((ids, s, sweep), st) = (&sweeps[*i], &mut states[*i]);
-            let part = &shapes[s][*p];
-            let anchors = part.anchors.get(range.clone()).unwrap_or_default();
-            let emit = &mut |row, out: &mut Vec<Value>| {
-                rows.push(row);
-                values.append(out);
-            };
-            sweep.fold_partition(st, &part.entries, anchors, &snap.arena, &base.codec, emit)?;
-            let (mut aggs, mut values) = (aggs.lock(), values.drain(..));
-            for row in rows.drain(..) {
-                let slots = ids.iter().map(|&a| row as usize * stride + a);
-                for (slot, v) in slots.zip(values.by_ref().take(ids.len())) {
-                    if let Some(d) = aggs.get_mut(slot) {
-                        *d = v;
+        let shape = match shapes.entry((&w.partition_cols, w.order_col, &w.union_tables)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let parts = snap.partitions(query, w)?;
+                let mut place = vec![u32::MAX; n];
+                for (o, &(_, id)) in parts.iter().flat_map(|p| &p.anchors).enumerate() {
+                    if let Some(slot) = place.get_mut(id as usize) {
+                        *slot = o as u32;
                     }
                 }
+                groups.push(parts);
+                places.push(place);
+                *e.insert(groups.len() - 1)
             }
+        };
+        sweeps.push((w, wp.sweep(w, recompute)?));
+        windows.push((std::mem::take(&mut by_window[wid]), shape));
+    }
+    let mut values = vec![Value::Null; n * windows.iter().map(|w| w.0.len()).sum::<usize>()];
+    // Each unit owns its anchors' rows of its window's column, split off in
+    // the order the units list them: `(window, partition, anchors, rows)`.
+    let (mut queue, mut rest) = (Vec::new(), values.as_mut_slice());
+    let short = || Error::Eval("more anchors than base rows".into());
+    for (i, (ids, shape)) in windows.iter().enumerate() {
+        let (mut column, tail) = std::mem::take(&mut rest).split_at_mut(n * ids.len());
+        for (p, range) in units(sweeps[i].0, &groups[*shape], opts.skew.as_ref()) {
+            let split = std::mem::take(&mut column).split_at_mut_checked(range.len() * ids.len());
+            let (rows, more) = split.ok_or_else(short)?;
+            queue.push((i, p, range, rows));
+            column = more;
         }
-        Ok(())
-    };
+        rest = tail;
+    }
     let parallel = opts.parallel_windows || opts.skew.is_some();
-    match opts.threads.min(queue.len()) {
+    let workers = opts.threads.min(queue.len());
+    let queue = Mutex::new(queue.into_iter());
+    // Each worker takes units off the queue — holding the lock only to take
+    // one — and sweeps each into its rows, by the anchors' places.
+    let worker = || -> Result<()> {
+        let mut states: Vec<_> = sweeps.iter().map(|(_, s)| s.new_state()).collect();
+        loop {
+            let Some((i, p, range, rows)) = queue.lock().next() else {
+                return Ok(());
+            };
+            let ((ids, shape), (_, sweep), st) = (&windows[i], &sweeps[i], &mut states[i]);
+            let (part, place) = (&groups[*shape][p], &places[*shape]);
+            let anchors = part.anchors.get(range).unwrap_or_default();
+            let place = |row: u32| place.get(row as usize).map_or(usize::MAX, |&o| o as usize);
+            let first = anchors.first().map_or(0, |a| place(a.1));
+            let emit = &mut |row: u32, out: &mut Vec<Value>| {
+                let at = place(row).wrapping_sub(first).saturating_mul(ids.len());
+                let slots = rows.get_mut(at..).unwrap_or_default().iter_mut();
+                slots.zip(out.drain(..)).for_each(|(d, v)| *d = v);
+            };
+            sweep.fold_partition(st, &part.entries, anchors, &snap.arena, &base.codec, emit)?;
+        }
+    };
+    match workers {
         workers if parallel && workers > 1 => std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
             let joined = handles
@@ -96,7 +148,13 @@ pub(crate) fn compute(
         })?,
         _ => worker()?,
     }
-    Ok(aggs.into_inner())
+    drop(queue);
+    Ok(Swept {
+        n,
+        windows,
+        values,
+        places,
+    })
 }
 
 /// Compute every window's aggregates over decoded `base` rows (union tables
@@ -115,7 +173,7 @@ pub fn compute_windows(
 
 /// Concat-join per-window results onto base rows by the index column.
 /// Exposed for the multi-window benchmark; `execute` performs the same
-/// stitch through one buffer.
+/// stitch through each window's column.
 pub fn concat_join(base: &[Row], window_results: &[Vec<Vec<Value>>]) -> Vec<Row> {
     let per_row = |(idx, row): (usize, &Row)| {
         let mut values = row.values().to_vec();

@@ -14,6 +14,13 @@
 //! still an anchor. A read no index serves, and every read of
 //! [`Snapshot::from_rows`] (the decoded-rows adapter), keeps ties in row
 //! order. Nothing is decoded here but the key and ts columns of a grouping.
+//!
+//! Capture is the one check of a row's bytes ([`CompactCodec::check`]: the
+//! header, the length, every string's offsets). Every later read — a
+//! grouping's key and ts, the output loop's columns, a join candidate's —
+//! goes through a [`Field`] resolved once, bounds-checked, with no second
+//! view of the row. The snapshot also holds the one [`Program`] of its
+//! query, specialized before any table is read.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -21,12 +28,12 @@ use std::collections::HashMap;
 use std::iter::once;
 use std::sync::Arc;
 
-use openmldb_exec::ScanEntry;
+use openmldb_exec::{specialize, Program, ScanEntry};
 use openmldb_sql::plan::{BoundJoin, BoundWindow, CompiledQuery};
 use openmldb_storage::DataTable;
-use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, Value};
+use openmldb_types::{CompactCodec, Error, Field, KeyValue, Result, Row};
 
-use crate::engine::{program, Tables};
+use crate::engine::Tables;
 
 /// A read: `(table, key columns, ts column)`.
 type Read = (String, Vec<usize>, Option<usize>);
@@ -37,9 +44,10 @@ type Run = (Vec<KeyValue>, Vec<(u32, i64)>);
 /// The live tables a snapshot was captured from (none for decoded rows).
 type Live = HashMap<String, Arc<dyn DataTable>>;
 
-/// An encoded snapshot of the tables one query reads.
-#[derive(Default)]
+/// An encoded snapshot of the tables one query reads, and the program
+/// that query runs.
 pub struct Snapshot {
+    pub(crate) program: Arc<Program>,
     pub(crate) arena: Vec<u8>,
     tables: HashMap<String, Table>,
     visits: HashMap<Read, Runs>,
@@ -100,15 +108,38 @@ fn right_keys(join: &BoundJoin) -> Vec<usize> {
     join.eq_pairs.iter().map(|&(_, r)| r).collect()
 }
 
+impl Table {
+    /// `(c, reader of column c - at)` of each of `cols` that is a column of
+    /// this table when its columns start at `at`.
+    pub(crate) fn fields(&self, cols: &[usize], at: usize) -> Vec<(usize, Field)> {
+        let field = |&c: &usize| Some((c, self.codec.field(c.checked_sub(at)?)?));
+        cols.iter().filter_map(field).collect()
+    }
+}
+
 impl Snapshot {
+    /// An empty snapshot for `query` with its program — or DEPLOY's
+    /// refusal.
+    fn new(query: &CompiledQuery) -> Result<Snapshot> {
+        let program = specialize(query);
+        program.accept("offline query")?;
+        let (arena, tables, visits) = Default::default();
+        Ok(Snapshot {
+            program,
+            arena,
+            tables,
+            visits,
+        })
+    }
+
     /// Read every table `query` reads through `table`. A plan DEPLOY would
-    /// refuse is refused here, before any table is read.
+    /// refuse is refused here, before any table is read; a row whose bytes
+    /// do not decode is a typed [`Error::Codec`].
     pub fn capture(
         query: &CompiledQuery,
         table: impl Fn(&str) -> Result<Arc<dyn DataTable>>,
     ) -> Result<Snapshot> {
-        program(query)?;
-        let (mut snap, mut live) = (Snapshot::default(), Live::new());
+        let (mut snap, mut live) = (Snapshot::new(query)?, Live::new());
         for name in names(query) {
             let t = table(&name)?;
             let codec = CompactCodec::new(t.schema().clone());
@@ -117,7 +148,7 @@ impl Snapshot {
             // run, looked up in `runs` once, when the key changes.
             let mut run: Option<Run> = None;
             t.scan_rows(0, &mut |key, ts, data| {
-                codec.view(data)?;
+                codec.check(data)?;
                 let id = (rows.len() as u32, ts);
                 if let Some((_, ids)) = run.as_mut().filter(|(k, _)| k.as_slice() == key) {
                     ids.push(id);
@@ -144,14 +175,14 @@ impl Snapshot {
 
     /// The decoded-rows adapter: `base` is the base table, every other
     /// table comes from `tables`; rows are encoded once, base and union
-    /// tables with the base codec, joined tables with their own. (Its
-    /// callers refuse an undeployable plan: [`crate::execute`] does.)
+    /// tables with the base codec, joined tables with their own. An
+    /// undeployable plan is refused before any row is encoded.
     pub(crate) fn from_rows(
         query: &CompiledQuery,
         base: &[Row],
         tables: &Tables,
     ) -> Result<Snapshot> {
-        let mut snap = Snapshot::default();
+        let mut snap = Snapshot::new(query)?;
         for name in names(query) {
             let join = query.joins.iter().find(|j| j.table == name);
             let join = join.filter(|_| name != query.base_table);
@@ -219,13 +250,16 @@ impl Snapshot {
     /// `rank`, or in row order where `rank` is empty.
     fn grouped(&self, name: &str, keys: &[usize], ts: Option<usize>, rank: &[u32]) -> Result<Runs> {
         let (table, mut runs) = (self.table(name)?, Runs::new());
-        for (id, &row) in table.rows.iter().enumerate() {
-            let view = table.codec.view(self.bytes(row))?;
-            let key = keys.iter().map(|&c| Ok((&view.get_value(c)?).into()));
-            let t = ts.map(|c| view.get_value(c)).transpose()?;
+        let (keys, ts) = (table.fields(keys, 0), table.fields(ts.as_slice(), 0));
+        for id in 0..table.rows.len() as u32 {
+            let read =
+                |(_, f): &(_, Field)| Ok(f.read(&table.codec, self.row(table, id))?.to_value());
+            let key = keys.iter().map(|f| Ok((&read(f)?).into()));
+            let t = ts.iter().map(read).next().transpose()?;
             let t = t.map_or(0, |v| v.as_i64().unwrap_or(i64::MIN));
-            let run = runs.entry(key.collect::<Result<_>>()?).or_default();
-            run.push((id as u32, t));
+            runs.entry(key.collect::<Result<_>>()?)
+                .or_default()
+                .push((id, t));
         }
         let tie = |id: u32| rank.get(id as usize).copied().unwrap_or(id);
         for run in runs.values_mut() {
@@ -240,6 +274,11 @@ impl Snapshot {
 
     fn bytes(&self, (start, len): (usize, usize)) -> &[u8] {
         self.arena.get(start..start + len).unwrap_or_default()
+    }
+
+    /// The bytes of row `id` of `table`.
+    pub(crate) fn row(&self, table: &Table, id: u32) -> &[u8] {
+        self.bytes(table.rows.get(id as usize).copied().unwrap_or_default())
     }
 
     fn visit(&self, name: &str, keys: &[usize], ts: Option<usize>) -> Result<&Runs> {
@@ -263,9 +302,10 @@ impl Snapshot {
         let mut parts = Vec::new();
         for (key, rows) in visit(&query.base_table)? {
             let others = unions.iter().filter_map(|(t, m)| Some((*t, m.get(key)?)));
-            let mut entries = Vec::new();
+            let mut entries = Vec::with_capacity(rows.len());
             for (src, (table, run)) in once((base, rows)).chain(others).enumerate() {
-                for (pos, &(id, ts)) in run.iter().enumerate() {
+                // Oldest first: the order the sort below puts them in.
+                for (pos, &(id, ts)) in run.iter().enumerate().rev() {
                     let (start, len) = table.rows.get(id as usize).copied().unwrap_or_default();
                     let seq = (src << 32) | pos;
                     entries.push(ScanEntry {
@@ -290,24 +330,6 @@ impl Snapshot {
     pub(crate) fn lookup(&self, join: &BoundJoin) -> Result<(&Table, &Runs)> {
         let runs = self.visit(&join.table, &right_keys(join), join.order_col)?;
         Ok((self.table(&join.table)?, runs))
-    }
-
-    /// Decode the `wanted` columns of row `id` of `table` into `dest`.
-    pub(crate) fn decode(
-        &self,
-        table: &Table,
-        id: u32,
-        wanted: &[bool],
-        dest: &mut [Value],
-    ) -> Result<()> {
-        let row = table.rows.get(id as usize).copied().unwrap_or_default();
-        let view = table.codec.view(self.bytes(row))?;
-        for (col, slot) in dest.iter_mut().enumerate() {
-            if wanted.get(col) == Some(&true) {
-                *slot = view.get_value(col)?;
-            }
-        }
-        Ok(())
     }
 }
 

@@ -340,34 +340,58 @@ impl CompactCodec {
             )));
         }
 
+        self.sections(buf.len())
+            .ok_or_else(|| Error::Codec("cannot infer var offset width".into()))
+    }
+
+    /// The section starts of a row `len` bytes long: the layout is
+    /// deterministic in the length, the var-offset width the one that fits
+    /// (`None` when none does).
+    #[inline]
+    fn sections(&self, len: usize) -> Option<BufLayout> {
         let fixed_start = HEADER_SIZE + self.bitmap_len;
         let offsets_start = fixed_start + self.fixed_area;
-
-        // Infer offset width from total size (the layout is deterministic).
-        let remaining = buf.len() - offsets_start;
-        let ow = if self.var_columns.is_empty() {
-            1
-        } else {
-            let mut found = None;
-            for cand in [1usize, 2, 4] {
-                if remaining < self.var_columns.len() * cand {
-                    continue;
-                }
-                let data_len = remaining - self.var_columns.len() * cand;
-                if Self::offset_width(data_len) == cand {
-                    found = Some(cand);
-                    break;
-                }
-            }
-            found.ok_or_else(|| Error::Codec("cannot infer var offset width".into()))?
+        let remaining = len.checked_sub(offsets_start)?;
+        let n = self.var_columns.len();
+        let fits =
+            |ow: &usize| remaining >= n * ow && Self::offset_width(remaining - n * ow) == *ow;
+        let ow = match n {
+            0 => 1,
+            _ => [1, 2, 4].into_iter().find(fits)?,
         };
-        let data_start = offsets_start + self.var_columns.len() * ow;
-        Ok(BufLayout {
+        Some(BufLayout {
             fixed_start,
             offsets_start,
-            data_start,
+            data_start: offsets_start + n * ow,
             ow,
         })
+    }
+
+    /// Validate `buf` whole: [`Self::view`]'s checks, and every string's
+    /// end offset in order and inside the string area. A row that passes
+    /// reads any column through a [`Field`] with no codec error but a
+    /// string's invalid UTF-8.
+    pub fn check(&self, buf: &[u8]) -> Result<()> {
+        let layout = self.parse_layout(buf)?;
+        let area = buf.len().saturating_sub(layout.data_start);
+        let mut start = 0;
+        for vi in 0..self.var_columns.len() {
+            let end = layout.read_offset(buf, vi);
+            if end < start || end > area {
+                return Err(Error::Codec(format!(
+                    "string offset {end} outside {start}..={area}"
+                )));
+            }
+            start = end;
+        }
+        Ok(())
+    }
+
+    /// The reader of column `i` (`None` past the schema).
+    pub fn field(&self, i: usize) -> Option<Field> {
+        let ty = self.schema.columns().get(i)?.data_type;
+        let at = self.fixed_field_offset(i);
+        Some(Field { col: i, ty, at })
     }
 
     /// Borrow `buf` as a [`RowView`]: header/version/offset-width validation
@@ -506,24 +530,59 @@ impl<'a> RowView<'a> {
             return Ok(ValueRef::Str(s));
         }
         let at = layout.fixed_start + self.codec.fixed_offsets.get(i).ok_or_else(outside)?;
-        let field = buf.get(at..).ok_or_else(outside)?;
-        let b4 = || field.first_chunk::<4>().copied().ok_or_else(outside);
-        let b8 = || field.first_chunk::<8>().copied().ok_or_else(outside);
-        Ok(match col.data_type {
-            DataType::Bool => ValueRef::Bool(*field.first().ok_or_else(outside)? != 0),
-            DataType::Int => ValueRef::Int(i32::from_le_bytes(b4()?)),
-            DataType::Float => ValueRef::Float(f32::from_le_bytes(b4()?)),
-            DataType::Bigint => ValueRef::Bigint(i64::from_le_bytes(b8()?)),
-            DataType::Timestamp => ValueRef::Timestamp(i64::from_le_bytes(b8()?)),
-            DataType::Double => ValueRef::Double(f64::from_le_bytes(b8()?)),
-            DataType::String => return Err(outside()),
-        })
+        fixed(col.data_type, buf.get(at..).unwrap_or_default()).ok_or_else(outside)
     }
 
     /// Owned read of column `i` (allocates only for strings). Matches what
     /// [`CompactCodec::decode_projected`] would produce for that column.
     pub fn get_value(&self, i: usize) -> Result<Value> {
         Ok(self.get(i)?.to_value())
+    }
+}
+
+/// The fixed-width field of type `ty` that `field` starts with (`None`: it
+/// is shorter, or `ty` is not fixed-width).
+#[inline]
+fn fixed(ty: DataType, field: &[u8]) -> Option<ValueRef<'_>> {
+    let b4 = || field.first_chunk::<4>().copied();
+    let b8 = || field.first_chunk::<8>().copied();
+    Some(match ty {
+        DataType::Bool => ValueRef::Bool(*field.first()? != 0),
+        DataType::Int => ValueRef::Int(i32::from_le_bytes(b4()?)),
+        DataType::Float => ValueRef::Float(f32::from_le_bytes(b4()?)),
+        DataType::Bigint => ValueRef::Bigint(i64::from_le_bytes(b8()?)),
+        DataType::Timestamp => ValueRef::Timestamp(i64::from_le_bytes(b8()?)),
+        DataType::Double => ValueRef::Double(f64::from_le_bytes(b8()?)),
+        DataType::String => return None,
+    })
+}
+
+/// One column of a codec's rows, resolved once ([`CompactCodec::field`]):
+/// read as a NULL-bit probe, then a fixed-width load at its offset or a
+/// string through the offsets its row's length places — every access
+/// bounds-checked, the row itself not validated again. For rows
+/// [`CompactCodec::check`] (or a view) validated.
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    col: usize,
+    ty: DataType,
+    /// Absolute offset of a fixed-width field (`None`: a string).
+    at: Option<usize>,
+}
+
+impl Field {
+    /// This column of `buf`, a row of `codec` (the codec that resolved it).
+    pub fn read<'a>(&self, codec: &'a CompactCodec, buf: &'a [u8]) -> Result<ValueRef<'a>> {
+        let outside = || Error::Codec(format!("column {} outside the row", self.col));
+        let bits = buf.get(HEADER_SIZE + self.col / 8).ok_or_else(outside)?;
+        if bits & (1 << (self.col % 8)) != 0 {
+            return Ok(ValueRef::Null);
+        }
+        let Some(at) = self.at else {
+            let layout = codec.sections(buf.len()).ok_or_else(outside)?;
+            return RowView { codec, buf, layout }.get(self.col);
+        };
+        fixed(self.ty, buf.get(at..).unwrap_or_default()).ok_or_else(outside)
     }
 }
 

@@ -26,7 +26,7 @@
 pub mod compact;
 pub mod unsafe_row;
 
-pub use compact::{CompactCodec, RowView, ValueRef};
+pub use compact::{CompactCodec, Field, RowView, ValueRef};
 pub use unsafe_row::UnsafeRowCodec;
 
 use crate::error::Result;

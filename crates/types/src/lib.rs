@@ -16,7 +16,7 @@ pub mod row;
 pub mod schema;
 pub mod value;
 
-pub use codec::{CompactCodec, RowCodec, RowView, UnsafeRowCodec, ValueRef};
+pub use codec::{CompactCodec, Field, RowCodec, RowView, UnsafeRowCodec, ValueRef};
 pub use deadline::Deadline;
 pub use error::{Error, Result};
 pub use row::{Row, RowBatch};

@@ -91,9 +91,12 @@ impl From<Vec<Value>> for Row {
     }
 }
 
+/// One allocation where the iterator knows its length exactly (`Vec::drain`).
 impl FromIterator<Value> for Row {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Row::new(iter.into_iter().collect())
+        Row {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 
