@@ -468,7 +468,7 @@ impl Database {
         }
         let key = (
             openmldb_sql::normalize_sql(sql)?,
-            self.table_version_signature(&query),
+            openmldb_online::version_signature(&query, |name| self.table(name)),
         );
         if let Some(cached) = self.preview_cache.read().get(&key) {
             self.preview_hits
@@ -494,26 +494,6 @@ impl Database {
     /// Preview cache hits served so far.
     pub fn preview_cache_hits(&self) -> u64 {
         self.preview_hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// A signature of the current versions of every table `query` reads
-    /// (their binlog lengths — any write bumps it).
-    fn table_version_signature(&self, query: &CompiledQuery) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        let tables = self.tables.read();
-        let mut names: Vec<&String> = tables.keys().collect();
-        names.sort();
-        for name in names {
-            if name == &query.base_table
-                || query.joins.iter().any(|j| &j.table == name)
-                || query.windows.iter().any(|w| w.union_tables.contains(name))
-            {
-                name.hash(&mut h);
-                tables[name.as_str()].replicator().len().hash(&mut h);
-            }
-        }
-        h.finish()
     }
 
     /// Snapshot the tables a query reads as the batch engine's encoded

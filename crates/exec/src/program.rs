@@ -74,7 +74,9 @@ pub use vm::ExprProgram;
 /// Per-window compilation outcome.
 #[derive(Debug)]
 enum WindowUnit {
-    Compiled(Box<WindowProgram>),
+    /// The window's kernels and their incremental offline sweep, both
+    /// lowered once with the plan.
+    Compiled(Box<(WindowProgram, Sweep)>),
     /// The window did not lower — its plan holds an aggregate
     /// [`WindowAggSet::new`](crate::WindowAggSet::new) rejects. DEPLOY refuses the plan with this
     /// reason (which names the window).
@@ -118,8 +120,10 @@ impl Program {
                 if aggs.is_empty() {
                     return WindowUnit::NoAggs;
                 }
-                match WindowProgram::compile(w, &aggs, &codec) {
-                    Ok(wp) => WindowUnit::Compiled(Box::new(wp)),
+                let lowered = WindowProgram::compile(w, &aggs, &codec)
+                    .and_then(|wp| Ok((wp.sweep(w, false)?, wp)));
+                match lowered {
+                    Ok((sweep, wp)) => WindowUnit::Compiled(Box::new((wp, sweep))),
                     Err(reason) => WindowUnit::Refused(format!("window `{}`: {reason}", w.name)),
                 }
             })
@@ -157,7 +161,18 @@ impl Program {
     /// aggregate-free).
     pub fn window(&self, wid: usize) -> Option<&WindowProgram> {
         match self.windows.get(wid) {
-            Some(WindowUnit::Compiled(wp)) => Some(wp),
+            Some(WindowUnit::Compiled(both)) => Some(&both.0),
+            _ => None,
+        }
+    }
+
+    /// Window `wid`'s incremental offline sweep, lowered with the plan
+    /// (`None`: refused or aggregate-free). The naive oracle's
+    /// re-fold-every-frame sweep is lowered on demand
+    /// ([`WindowProgram::sweep`]).
+    pub fn sweep(&self, wid: usize) -> Option<&Sweep> {
+        match self.windows.get(wid) {
+            Some(WindowUnit::Compiled(both)) => Some(&both.1),
             _ => None,
         }
     }
@@ -196,7 +211,7 @@ impl Program {
     pub fn compiled_windows(&self) -> usize {
         self.windows
             .iter()
-            .filter(|w| matches!(w, WindowUnit::Compiled(_)))
+            .filter(|w| matches!(w, WindowUnit::Compiled(..)))
             .count()
     }
 

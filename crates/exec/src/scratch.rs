@@ -1,7 +1,7 @@
 //! Per-request reusable scratch state for the streaming request path.
 //!
 //! A warm [`RequestScratch`] owns every buffer the online engine touches
-//! while serving one request — the scan entries, the join probe row, the
+//! while serving one request — the scan entries, the combined row, the
 //! aggregate argument/output vectors, and the per-window kernel states — so
 //! a steady-state request performs zero heap allocations: everything is
 //! `clear()`ed between requests, never dropped.
@@ -123,11 +123,9 @@ pub struct RequestScratch {
     /// The request row, encoded once — the last row every window fold
     /// reads. Empty until the request encodes it.
     pub request_row: Vec<u8>,
-    /// Request row + join match, concatenated (the combined input row).
+    /// The combined input row — the request's columns, then each LAST
+    /// JOIN's — holding only the columns the plan reads, the rest NULL.
     pub combined: Vec<Value>,
-    /// Join residual probe buffer — truncated back to the base row and
-    /// re-extended per candidate instead of cloning `combined`.
-    pub probe: Vec<Value>,
     /// Aggregate outputs across all windows, in plan order.
     pub agg_values: Vec<Value>,
     /// Partition key under evaluation.
@@ -171,7 +169,6 @@ impl RequestScratch {
     pub fn reset(&mut self) {
         self.request_row.clear();
         self.combined.clear();
-        self.probe.clear();
         self.agg_values.clear();
         self.key.clear();
         self.prefixes.clear();

@@ -69,27 +69,12 @@ pub fn execute(query: &CompiledQuery, snap: &Snapshot, opts: &OfflineOptions) ->
     let program = &*snap.program;
     let wids: Vec<usize> = (0..query.windows.len()).collect();
     let mut swept = compute(query, program, snap, opts, &wids)?;
-    // Read only the columns the joins, the select list and WHERE read.
-    let mut cols = Vec::new();
-    for j in &query.joins {
-        cols.extend(j.eq_pairs.iter().map(|p| p.0));
-        j.residual.iter().for_each(|e| e.collect_columns(&mut cols));
-    }
-    for e in query
-        .select
-        .iter()
-        .map(|c| &c.expr)
-        .chain(&query.where_clause)
-    {
-        e.collect_columns(&mut cols);
-    }
-    cols.sort_unstable();
-    cols.dedup();
-    let base = snap.table(&query.base_table)?;
-    let (fields, mut joins) = (base.fields(&cols, 0), Vec::new());
+    // Read only the columns the plan reads.
+    let (cols, base) = (query.read_columns(), snap.table(&query.base_table)?);
+    let (fields, mut joins) = (base.codec.fields(cols, 0), Vec::new());
     for join in &query.joins {
         let (table, lookup) = snap.lookup(join)?;
-        joins.push((join, table, lookup, table.fields(&cols, join.offset)));
+        joins.push((join, table, lookup, table.codec.fields(cols, join.offset)));
     }
     // A bare aggregate's last reader in the select list moves it into the
     // output row; every other item evaluates first, as a request does.

@@ -75,11 +75,18 @@ pub(crate) fn compute(
     let recompute = opts.mode == WindowExecMode::RecomputePerRow;
     let base = snap.table(&query.base_table)?;
     let (n, mut shapes, mut groups, mut sweeps) = (base.rows.len(), HashMap::new(), vec![], vec![]);
-    let (mut windows, mut places) = (Vec::new(), Vec::new());
+    let (mut windows, mut places, mut refolds) = (Vec::new(), Vec::new(), Vec::new());
     for &wid in wids {
-        let (w, Some(wp)) = (&query.windows[wid], program.window(wid)) else {
+        let (w, Some(wp), Some(sweep)) =
+            (&query.windows[wid], program.window(wid), program.sweep(wid))
+        else {
             continue; // no aggregates
         };
+        // The plan's sweep was lowered with it; the naive oracle's is
+        // lowered here.
+        if recompute {
+            refolds.push(wp.sweep(w, true)?);
+        }
         // The windows of one shape share one grouping.
         let shape = match shapes.entry((&w.partition_cols, w.order_col, &w.union_tables)) {
             Entry::Occupied(e) => *e.get(),
@@ -96,8 +103,11 @@ pub(crate) fn compute(
                 *e.insert(groups.len() - 1)
             }
         };
-        sweeps.push((w, wp.sweep(w, recompute)?));
+        sweeps.push((w, sweep));
         windows.push((std::mem::take(&mut by_window[wid]), shape));
+    }
+    if recompute {
+        sweeps.iter_mut().zip(&refolds).for_each(|(s, r)| s.1 = r);
     }
     let mut values = vec![Value::Null; n * windows.iter().map(|w| w.0.len()).sum::<usize>()];
     // Each unit owns its anchors' rows of its window's column, split off in

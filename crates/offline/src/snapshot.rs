@@ -84,17 +84,6 @@ fn reads(query: &CompiledQuery) -> impl Iterator<Item = (Read, bool)> + '_ {
     windows.chain(joins)
 }
 
-/// The tables `query` reads, base table first, each once.
-fn names(query: &CompiledQuery) -> Vec<String> {
-    let mut names = vec![query.base_table.clone()];
-    for ((name, ..), _) in reads(query) {
-        if !names.contains(&name) {
-            names.push(name);
-        }
-    }
-    names
-}
-
 /// Append one key's run of rows to its rows in `runs` (a key the scan
 /// visits twice keeps both runs, in visit order).
 fn merge_run(runs: &mut Runs, key: Vec<KeyValue>, ids: Vec<(u32, i64)>) {
@@ -106,15 +95,6 @@ fn merge_run(runs: &mut Runs, key: Vec<KeyValue>, ids: Vec<(u32, i64)>) {
 
 fn right_keys(join: &BoundJoin) -> Vec<usize> {
     join.eq_pairs.iter().map(|&(_, r)| r).collect()
-}
-
-impl Table {
-    /// `(c, reader of column c - at)` of each of `cols` that is a column of
-    /// this table when its columns start at `at`.
-    pub(crate) fn fields(&self, cols: &[usize], at: usize) -> Vec<(usize, Field)> {
-        let field = |&c: &usize| Some((c, self.codec.field(c.checked_sub(at)?)?));
-        cols.iter().filter_map(field).collect()
-    }
 }
 
 impl Snapshot {
@@ -140,7 +120,7 @@ impl Snapshot {
         table: impl Fn(&str) -> Result<Arc<dyn DataTable>>,
     ) -> Result<Snapshot> {
         let (mut snap, mut live) = (Snapshot::new(query)?, Live::new());
-        for name in names(query) {
+        for name in query.read_tables().iter().cloned() {
             let t = table(&name)?;
             let codec = CompactCodec::new(t.schema().clone());
             let (mut rows, mut runs, arena) = (Vec::new(), Runs::new(), &mut snap.arena);
@@ -183,7 +163,7 @@ impl Snapshot {
         tables: &Tables,
     ) -> Result<Snapshot> {
         let mut snap = Snapshot::new(query)?;
-        for name in names(query) {
+        for name in query.read_tables().iter().cloned() {
             let join = query.joins.iter().find(|j| j.table == name);
             let join = join.filter(|_| name != query.base_table);
             let codec = CompactCodec::new(join.map_or(&query.base_schema, |j| &j.schema).clone());
@@ -250,7 +230,10 @@ impl Snapshot {
     /// `rank`, or in row order where `rank` is empty.
     fn grouped(&self, name: &str, keys: &[usize], ts: Option<usize>, rank: &[u32]) -> Result<Runs> {
         let (table, mut runs) = (self.table(name)?, Runs::new());
-        let (keys, ts) = (table.fields(keys, 0), table.fields(ts.as_slice(), 0));
+        let (keys, ts) = (
+            table.codec.fields(keys, 0),
+            table.codec.fields(ts.as_slice(), 0),
+        );
         for id in 0..table.rows.len() as u32 {
             let read =
                 |(_, f): &(_, Field)| Ok(f.read(&table.codec, self.row(table, id))?.to_value());

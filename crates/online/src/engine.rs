@@ -18,7 +18,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use openmldb_exec::{
-    evaluate, EntryOrder, Program, RequestScratch, RowSource, WindowAggSet, WindowState,
+    evaluate, EntryOrder, ExprProgram, Program, RequestScratch, RowSource, WindowAggSet,
+    WindowState,
 };
 use openmldb_obs::{
     flight, span, FlightEventKind, FlightScope, FlightSummary, Fnv, LabelId, LabelRegistry,
@@ -26,6 +27,7 @@ use openmldb_obs::{
 };
 use openmldb_sql::ast::Frame;
 use openmldb_sql::plan::{BoundWindow, CompiledQuery};
+use openmldb_types::codec::RowCodec;
 use openmldb_types::{CompactCodec, Error, KeyValue, Result, Row, Value};
 
 use openmldb_storage::sync::epoch::{self, Guard};
@@ -88,10 +90,8 @@ pub struct Deployment {
     /// and the request row is encoded with it once per request — the last
     /// row of every window fold, and the sentinel's capture.
     pub(crate) codec: CompactCodec,
-    /// Every table this deployment reads (base + joins + window unions),
-    /// deduped — what the database matches a replaced table against.
-    read_tables: Vec<String>,
-    /// The bound handles behind those names, and the scan groups.
+    /// The bound handles behind every table the plan reads, and the scan
+    /// groups.
     pub(crate) reads: ReadPlan,
     /// The deploy-time specialized bytecode program — per-window aggregate
     /// kernels plus flattened select/WHERE expressions. Shared across
@@ -160,14 +160,6 @@ impl Deployment {
         let label = LabelRegistry::deployments().resolve(&name);
         crate::metrics::register_deployment_views();
         let by_window = query.aggregates_by_window();
-        let union_tables = query.windows.iter().flat_map(|w| &w.union_tables);
-        let mut read_tables: Vec<String> = std::iter::once(&query.base_table)
-            .chain(query.joins.iter().map(|j| &j.table))
-            .chain(union_tables)
-            .cloned()
-            .collect();
-        read_tables.sort();
-        read_tables.dedup();
         Ok(Deployment {
             reads: ReadPlan::bind(&query, &by_window, &preaggs, provider)?,
             codec: CompactCodec::new(query.base_schema.clone()),
@@ -175,7 +167,6 @@ impl Deployment {
             query,
             preaggs,
             by_window,
-            read_tables,
             program,
             scratch_pool: Arc::default(),
             label,
@@ -193,10 +184,11 @@ impl Deployment {
         self.label
     }
 
-    /// Every table this deployment reads, sorted and deduped (base table,
-    /// join tables, window union tables).
+    /// Every table this deployment reads, each once
+    /// ([`CompiledQuery::read_tables`]) — what the database matches a
+    /// replaced table against.
     pub fn read_tables(&self) -> &[String] {
-        &self.read_tables
+        self.query.read_tables()
     }
 
     /// The scan groups: window ids that are folded off one scan per request
@@ -330,7 +322,7 @@ fn serve(
     // HOT: unsampled requests pay two loads and a branch.
     let audit_sig = crate::sentinel::should_sample().then(|| {
         scratch.audit.arm();
-        crate::sentinel::version_signature(dep)
+        crate::sentinel::deployment_signature(dep)
     });
     // The record moves out of the scratch for the duration of the scope so
     // the pipeline below can borrow the scratch mutably. `Recorder` is a
@@ -578,7 +570,6 @@ fn execute_streaming(
     let RequestScratch {
         request_row,
         combined,
-        probe,
         agg_values,
         key,
         scan,
@@ -602,8 +593,13 @@ fn execute_streaming(
         q.base_schema.validate_row(request.values())?;
     }
 
-    // 1. LAST JOINs: build the combined row in the warm scratch buffer.
-    combined.extend_from_slice(request.values());
+    // 1. LAST JOINs: build the combined row in the warm scratch buffer —
+    // only the columns the plan reads, the rest NULL, as offline does.
+    combined.resize(q.combined_schema.len(), Value::Null);
+    let base = q.base_schema.len();
+    for &c in q.read_columns().iter().take_while(|&&c| c < base) {
+        combined[c].clone_from(&request.values()[c]);
+    }
     // (A plan without joins has no seek stage here: nothing to time.)
     if !q.joins.is_empty() {
         // A request's first stage opens on its start reading: the
@@ -612,44 +608,30 @@ fn execute_streaming(
         span(Stage::StorageSeek, || -> Result<()> {
             for (j, (join, bound)) in q.joins.iter().zip(&dep.reads.joins).enumerate() {
                 key.clear();
-                for &(l, _) in &join.eq_pairs {
-                    key.push(KeyValue::from(&combined[l]));
-                }
-                let base_len = combined.len();
+                let pairs = join.eq_pairs.iter();
+                key.extend(pairs.map(|&(l, _)| KeyValue::from(&combined[l])));
+                // The newest candidate the residual accepts: its bytes
+                // checked once, as capture checks each row offline, then
+                // its columns read in place; the residual reads the row up
+                // to this join's last column, its errors counting as no
+                // match.
+                let residual = dep.program.join_residual(j);
+                let end = join.offset + join.schema.len();
                 let matched = resilient_read(ctx, provider, &bound.read, |table, index| {
-                    // A retry re-runs the read from the top.
-                    combined.truncate(base_len);
-                    if join.residual.is_none() {
-                        // The head row, decoded from its stored bytes
-                        // straight into the combined row.
-                        return table.latest_visit(index, key, &mut |data| {
-                            let view = bound.codec.view(data)?;
-                            for col in 0..view.len() {
-                                combined.push(view.get_value(col)?);
-                            }
-                            Ok(())
-                        });
-                    }
-                    let pred = dep.program.join_residual(j);
-                    let pred = pred.ok_or_else(|| not_compiled(dep, "LAST JOIN residual"))?;
-                    // One probe buffer per request, truncated and re-extended
-                    // per candidate instead of a `combined` clone for each;
-                    // a candidate the predicate errors on is rejected.
-                    probe.clear();
-                    probe.extend_from_slice(combined);
-                    let mut check = |row: &Row| {
-                        probe.truncate(base_len);
-                        probe.extend(row.values().iter().cloned());
-                        pred.eval(probe, &[], vm_stack)
-                            .and_then(|v| v.as_bool())
-                            .unwrap_or(false)
-                    };
-                    let row = table.latest_where(index, key, None, &mut check)?;
-                    combined.extend(row.iter().flat_map(|r| r.values().iter().cloned()));
-                    Ok(row.is_some())
+                    table.latest_visit(index, key, &mut |data| {
+                        bound.codec.check(data)?;
+                        for &(c, f) in &bound.fields {
+                            combined[c] = f.read(&bound.codec, data)?.to_value();
+                        }
+                        let probe = &combined[..end];
+                        let accepts = |p: &ExprProgram| p.eval(probe, &[], vm_stack)?.as_bool();
+                        Ok(residual.map_or(Ok(true), accepts).unwrap_or(false))
+                    })
                 })?;
                 if !matched {
-                    combined.extend((0..join.schema.len()).map(|_| Value::Null));
+                    for &(c, _) in &bound.fields {
+                        combined[c] = Value::Null;
+                    }
                 }
             }
             Ok(())
@@ -1032,20 +1014,22 @@ pub(crate) fn materialized(
                 .collect();
             let right_keys: Vec<usize> = join.eq_pairs.iter().map(|&(_, r)| r).collect();
             let read = BoundRead::resolve(provider, &join.table, &right_keys, join.order_col)?;
-            let matched =
-                resilient_read(ctx, provider, &read, |table, index| match &join.residual {
-                    None => table.latest(index, &key),
-                    Some(pred) => {
-                        let mut check = |row: &Row| {
-                            let mut probe = combined.clone();
-                            probe.extend(row.values().iter().cloned());
-                            evaluate(pred, &probe, &[])
-                                .and_then(|v| v.as_bool())
-                                .unwrap_or(false)
-                        };
-                        table.latest_where(index, &key, None, &mut check)
-                    }
+            // The newest candidate, decoded whole, whose residual accepts
+            // the combined row so far extended by a clone of it.
+            let matched = resilient_read(ctx, provider, &read, |table, index| {
+                let mut hit = None;
+                table.latest_visit(index, &key, &mut |data| {
+                    let row = table.codec().decode(data)?;
+                    let mut probe = combined.clone();
+                    probe.extend(row.values().iter().cloned());
+                    let accepts = join.residual.as_ref().map_or(Ok(true), |pred| {
+                        evaluate(pred, &probe, &[]).and_then(|v| v.as_bool())
+                    });
+                    hit = Some(row).filter(|_| accepts.unwrap_or(false));
+                    Ok(hit.is_some())
                 })?;
+                Ok(hit)
+            })?;
             match matched {
                 Some(row) => combined.extend(row.values().iter().cloned()),
                 None => combined.extend((0..join.schema.len()).map(|_| Value::Null)),

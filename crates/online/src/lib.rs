@@ -41,5 +41,5 @@ pub use engine::{
 };
 pub use preagg::PreAggregator;
 pub use resilience::{RequestOptions, RequestOutput, RetryPolicy};
-pub use sentinel::{AuditStats, SentinelStats};
+pub use sentinel::{version_signature, AuditStats, SentinelStats};
 pub use window_union::{Scheduling, UnionConfig, WindowUnion};

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use openmldb_sql::plan::{BoundWindow, CompiledQuery};
 use openmldb_storage::DataTable;
-use openmldb_types::{CompactCodec, Error, Result};
+use openmldb_types::{CompactCodec, Error, Field, Result};
 
 use crate::engine::TableProvider;
 use crate::preagg::PreAggregator;
@@ -67,11 +67,13 @@ impl BoundRead {
     }
 }
 
-/// A LAST JOIN's bound read plus the right table's codec: the head row is
-/// decoded from its stored bytes straight into the combined row.
+/// A LAST JOIN's bound read, the right table's codec and a reader of each
+/// joined column the plan reads: `(combined column, field)`. A candidate's
+/// columns are read from its stored bytes straight into the combined row.
 pub(crate) struct JoinRead {
     pub(crate) read: BoundRead,
     pub(crate) codec: CompactCodec,
+    pub(crate) fields: Vec<(usize, Field)>,
 }
 
 /// What one deployment reads, bound (see the module docs).
@@ -106,7 +108,12 @@ impl ReadPlan {
                 let right_keys: Vec<usize> = j.eq_pairs.iter().map(|&(_, r)| r).collect();
                 let read = BoundRead::resolve(provider, &j.table, &right_keys, j.order_col)?;
                 let codec = CompactCodec::new(read.table.schema().clone());
-                Ok(JoinRead { read, codec })
+                let fields = codec.fields(query.read_columns(), j.offset);
+                Ok(JoinRead {
+                    read,
+                    codec,
+                    fields,
+                })
             })
             .collect::<Result<Vec<_>>>()?;
         let windows = query
@@ -168,12 +175,5 @@ impl ReadPlan {
                 None => self.groups.push(vec![wid]),
             }
         }
-    }
-
-    /// Every bound read, in plan order (a table read by several windows
-    /// appears once per window).
-    pub(crate) fn all(&self) -> impl Iterator<Item = &BoundRead> {
-        let joins = self.joins.iter().map(|j| &j.read);
-        joins.chain(self.windows.iter().flatten())
     }
 }

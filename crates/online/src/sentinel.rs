@@ -33,6 +33,8 @@ use openmldb_exec::RequestScratch;
 use openmldb_obs::audit::{publish_divergence, DivergenceKind, DivergenceReport};
 use openmldb_obs::flight::{self, PostMortem, NUM_STAGES};
 use openmldb_obs::{Fnv, Outcome, ScanDigest};
+use openmldb_sql::plan::CompiledQuery;
+use openmldb_storage::DataTable;
 use openmldb_types::codec::RowCodec;
 use openmldb_types::{Result, Row, Schema};
 
@@ -123,17 +125,31 @@ pub(crate) fn should_sample() -> bool {
     every != 0 && openmldb_obs::flight::thread_seq().is_multiple_of(u64::from(every))
 }
 
-/// Hash the replication offset of every table the deployment is bound to
-/// into one signature. Two equal signatures mean no write landed in any
-/// table the deployment reads between the two observations, so a replay
-/// must reproduce the serve bit-for-bit.
-pub(crate) fn version_signature(dep: &Deployment) -> u64 {
+/// Hash the replication offset of every table `query` reads, as `table`
+/// resolves it, into one signature. Equal signatures: no write landed in
+/// any of them between the two observations (a replay reproduces the
+/// serve, a cached preview is current).
+pub fn version_signature(
+    query: &CompiledQuery,
+    table: impl Fn(&str) -> Option<Arc<dyn DataTable>>,
+) -> u64 {
     let mut f = Fnv::new();
-    for read in dep.reads.all() {
-        f.write(read.name.as_bytes());
-        f.write_u64(read.table.replicator().len());
+    for name in query.read_tables() {
+        f.write(name.as_bytes());
+        f.write_u64(table(name).map_or(u64::MAX, |t| t.replicator().len()));
     }
     f.finish()
+}
+
+/// [`version_signature`] of the tables `dep` is bound to.
+pub(crate) fn deployment_signature(dep: &Deployment) -> u64 {
+    let joins = dep.reads.joins.iter().map(|j| &j.read);
+    let reads = joins.chain(dep.reads.windows.iter().flatten());
+    version_signature(&dep.query, |name| {
+        (reads.clone())
+            .find(|r| r.name == name)
+            .map(|r| Arc::clone(&r.table))
+    })
 }
 
 /// Capture one sampled serve onto the audit queue. Called by the engine
@@ -156,7 +172,7 @@ pub(crate) fn capture(
     };
     // A write landed mid-serve: the scan digests describe a state no
     // replay can reproduce. Skip, counted.
-    if version_signature(dep) != pre_sig {
+    if deployment_signature(dep) != pre_sig {
         crate::metrics::sentinel_stale_skips().inc();
         return;
     }
@@ -305,7 +321,7 @@ fn audit_one(
         return;
     };
     // The table moved since capture: replays would legitimately differ.
-    if version_signature(&dep) != sample.version_sig {
+    if deployment_signature(&dep) != sample.version_sig {
         crate::metrics::sentinel_stale_skips().inc();
         stats.stale_skips += 1;
         return;
@@ -359,7 +375,7 @@ fn audit_one(
     };
     // Confirm before reporting: a write that landed during the replay
     // makes the disagreement stale, not wrong.
-    if version_signature(&dep) != sample.version_sig {
+    if deployment_signature(&dep) != sample.version_sig {
         crate::metrics::sentinel_stale_skips().inc();
         stats.stale_skips += 1;
         return;

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use openmldb_exec::{Sweep, SweepState, WindowProgram};
 use openmldb_sql::ast::Frame;
@@ -81,9 +81,9 @@ pub struct WindowUnion {
     /// Per-worker tuples processed (load metric).
     loads: Arc<Vec<AtomicU64>>,
     /// Dynamic routing table (None for static hashing).
-    routes: Option<Arc<RwLock<HashMap<KeyValue, usize>>>>,
+    routes: Option<HashMap<KeyValue, usize>>,
     /// Per-key traffic since the last rebalance.
-    key_traffic: Arc<Mutex<HashMap<KeyValue, u64>>>,
+    key_traffic: HashMap<KeyValue, u64>,
     config: UnionConfig,
     pushed: u64,
     rebalances: u64,
@@ -161,7 +161,7 @@ impl WindowUnion {
             senders.push(tx);
         }
         let routes = match config.scheduling {
-            Scheduling::SelfAdjusting { .. } => Some(Arc::new(RwLock::new(HashMap::new()))),
+            Scheduling::SelfAdjusting { .. } => Some(HashMap::new()),
             Scheduling::StaticHash => None,
         };
         Ok(WindowUnion {
@@ -171,7 +171,7 @@ impl WindowUnion {
             error,
             loads,
             routes,
-            key_traffic: Arc::new(Mutex::new(HashMap::new())),
+            key_traffic: HashMap::new(),
             config,
             pushed: 0,
             rebalances: 0,
@@ -185,21 +185,12 @@ impl WindowUnion {
         // flush barrier, which is a different failure class than this
         // crate's bounded-latency contract covers.
         let _ = openmldb_chaos::inject(openmldb_chaos::InjectionPoint::UnionDispatch);
-        let worker = match &self.routes {
-            None => (hash_key(&key) % self.senders.len() as u64) as usize,
-            Some(routes) => {
-                let assigned = routes.read().get(&key).copied();
-                match assigned {
-                    Some(w) => w,
-                    None => {
-                        let w = (hash_key(&key) % self.senders.len() as u64) as usize;
-                        routes.write().insert(key.clone(), w);
-                        w
-                    }
-                }
-            }
+        let hashed = (hash_key(&key) % self.senders.len() as u64) as usize;
+        let worker = match &mut self.routes {
+            None => hashed,
+            Some(routes) => *routes.entry(key.clone()).or_insert(hashed),
         };
-        *self.key_traffic.lock().entry(key.clone()).or_insert(0) += 1;
+        *self.key_traffic.entry(key.clone()).or_insert(0) += 1;
         let _ = self.senders[worker].send(Task::Tuple { key, ts, row });
         self.pushed += 1;
         crate::metrics::union_tuples().inc();
@@ -211,31 +202,24 @@ impl WindowUnion {
     }
 
     /// Periodic load balancing: move the hottest keys off the most-loaded
-    /// worker onto the least-loaded one.
+    /// worker onto the least-loaded one. A key is folded by one worker at a
+    /// time: the hot worker drains its queue before any route changes.
     fn rebalance(&mut self) {
-        let Some(routes) = &self.routes else { return };
+        let Some(routing) = &mut self.routes else {
+            return;
+        };
         self.rebalances += 1;
         // Estimate per-worker load from key traffic × current routing.
         let mut per_worker = vec![0u64; self.senders.len()];
-        let traffic = std::mem::take(&mut *self.key_traffic.lock());
-        let mut routing = routes.write();
+        let traffic = std::mem::take(&mut self.key_traffic);
         for (key, count) in &traffic {
             if let Some(&w) = routing.get(key) {
                 per_worker[w] += count;
             }
         }
-        #[expect(clippy::expect_used, reason = "workers_n is clamped to >= 1")]
-        let (hot, _) = per_worker
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &l)| l)
-            .expect("non-empty workers");
-        #[expect(clippy::expect_used, reason = "workers_n is clamped to >= 1")]
-        let (cold, _) = per_worker
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &l)| l)
-            .expect("non-empty workers");
+        let workers = 0..per_worker.len();
+        let hot = workers.clone().max_by_key(|&w| per_worker[w]).unwrap_or(0);
+        let cold = workers.min_by_key(|&w| per_worker[w]).unwrap_or(0);
         if hot == cold || per_worker[hot] == 0 {
             return;
         }
@@ -246,14 +230,23 @@ impl WindowUnion {
             .filter(|(k, _)| routing.get(k) == Some(&hot))
             .collect();
         hot_keys.sort_by(|a, b| b.1.cmp(a.1));
-        let mut moved = 0u64;
         let target = (per_worker[hot] - per_worker[cold]) / 2;
+        let (mut moved, mut moves) = (0u64, Vec::new());
         for (key, count) in hot_keys {
             if moved >= target {
                 break;
             }
-            routing.insert(key.clone(), cold);
+            moves.push(key.clone());
             moved += count;
+        }
+        if moves.is_empty() {
+            return;
+        }
+        let (ack_tx, ack_rx) = bounded(1);
+        let _ = self.senders[hot].send(Task::Barrier(ack_tx));
+        let _ = ack_rx.recv();
+        for key in moves {
+            routing.insert(key, cold);
         }
     }
 
@@ -456,6 +449,47 @@ mod tests {
                 assert_eq!(a, b, "{frame:?}: tuple {i}");
             }
         }
+    }
+
+    /// A rebalance moves a key only once its old worker has drained it, so
+    /// one worker folds a key at a time and every key's tuples fold in push
+    /// order: over one Zipf stream the self-adjusting union answers every
+    /// key as static hashing does, after each flush.
+    #[test]
+    fn rebalanced_keys_answer_as_static_hashing() {
+        let schema = schema(&[("v", DataType::Bigint)]);
+        let v = PhysExpr::Column(0);
+        let specs = vec![spec("sum", v.clone()), spec("max", v)];
+        let union = |scheduling| {
+            let config = UnionConfig {
+                workers: 4,
+                frame: Frame::Rows { preceding: 20 },
+                scheduling,
+                incremental: true,
+            };
+            WindowUnion::new(config, schema.clone(), specs.clone()).unwrap()
+        };
+        let adjusting = Scheduling::SelfAdjusting {
+            rebalance_every: 64,
+        };
+        let (mut fixed, mut moving) = (union(Scheduling::StaticHash), union(adjusting));
+        let mut rng = StdRng::seed_from_u64(7);
+        for i in 0..6_000i64 {
+            // Zipf-like: key `k` has weight ~1/(k+1) over 40 keys.
+            let key = KeyValue::Int((40f64.powf(rng.gen::<f64>()) - 1.0) as i64);
+            let row = Row::new(vec![Value::Bigint(i)]);
+            fixed.push(key.clone(), i, row.clone());
+            moving.push(key, i, row);
+            if i % 500 == 499 {
+                fixed.flush().unwrap();
+                moving.flush().unwrap();
+                for k in 0..40 {
+                    let k = KeyValue::Int(k);
+                    assert_eq!(fixed.latest(&k), moving.latest(&k), "key {k:?} after {i}");
+                }
+            }
+        }
+        assert!(moving.rebalances() > 0);
     }
 
     /// A fold error is no longer dropped by the worker: `flush` returns the

@@ -224,9 +224,29 @@ pub struct CompiledQuery {
     /// layer and shared across every clone of this plan (including the
     /// cached `Arc` in [`crate::cache::PlanCache`]).
     pub specialized: SpecializationSlot,
+    /// [`CompiledQuery::read_tables`], derived once by the planner.
+    read_tables: Vec<String>,
+    /// [`CompiledQuery::read_columns`], derived once by the planner.
+    read_columns: Vec<usize>,
 }
 
 impl CompiledQuery {
+    /// Every table this plan reads, each once: the base table first, then
+    /// the join tables and the window union tables in plan order. What a
+    /// deployment is re-bound for, what the offline snapshot copies and
+    /// what a version signature covers.
+    pub fn read_tables(&self) -> &[String] {
+        &self.read_tables
+    }
+
+    /// The combined-row columns the plan reads, ascending: the join keys'
+    /// left sides, the join residuals, WHERE and the select list. Both
+    /// engines fill only these columns of a combined row; the rest stay
+    /// NULL.
+    pub fn read_columns(&self) -> &[usize] {
+        &self.read_columns
+    }
+
     /// Aggregate ids grouped per window, in window order — the unit the
     /// engines evaluate in a single pass (cyclic binding).
     pub fn aggregates_by_window(&self) -> Vec<Vec<usize>> {
@@ -496,6 +516,26 @@ pub fn compile_select(stmt: &SelectStatement, catalog: &dyn Catalog) -> Result<C
             .collect(),
     )?;
 
+    let mut read_tables = vec![stmt.from.name.clone()];
+    let unions = windows.iter().flat_map(|w| &w.union_tables);
+    for t in bound_joins.iter().map(|j| &j.table).chain(unions) {
+        if !read_tables.contains(t) {
+            read_tables.push(t.clone());
+        }
+    }
+    let mut read_columns = Vec::new();
+    for j in &bound_joins {
+        read_columns.extend(j.eq_pairs.iter().map(|p| p.0));
+        j.residual
+            .iter()
+            .for_each(|e| e.collect_columns(&mut read_columns));
+    }
+    for e in select.iter().map(|c| &c.expr).chain(&where_clause) {
+        e.collect_columns(&mut read_columns);
+    }
+    read_columns.sort_unstable();
+    read_columns.dedup();
+
     Ok(CompiledQuery {
         base_table: stmt.from.name.clone(),
         base_schema,
@@ -512,6 +552,8 @@ pub fn compile_select(stmt: &SelectStatement, catalog: &dyn Catalog) -> Result<C
         output_schema,
         limit: stmt.limit,
         specialized: SpecializationSlot::default(),
+        read_tables,
+        read_columns,
     })
 }
 
@@ -652,6 +694,16 @@ fn bind_join(j: &LastJoin, schema: Schema, offset: usize, scope: &Scope) -> Resu
             left: Box::new(a),
             right: Box::new(b),
         });
+    // The ON condition reads the tables joined so far: a later join's
+    // columns are not filled yet when this one picks its candidate.
+    let mut read: Vec<usize> = eq_pairs.iter().map(|p| p.0).collect();
+    residual.iter().for_each(|e| e.collect_columns(&mut read));
+    if read.iter().any(|&c| c >= right_range.end) {
+        return Err(Error::Plan(format!(
+            "LAST JOIN {} reads a column of a table joined after it",
+            j.right.name
+        )));
+    }
     Ok(BoundJoin {
         table: j.right.name.clone(),
         schema,
@@ -997,6 +1049,34 @@ mod tests {
         );
         assert!(q.joins[0].residual.is_some());
         assert_eq!(q.joins[0].eq_pairs.len(), 1);
+    }
+
+    #[test]
+    fn read_set_names_each_table_once_and_only_the_columns_read() {
+        // Combined row: actions 0..5, profiles 5..8.
+        let q = compile(
+            "SELECT actions.category, sum(price) OVER w AS s FROM actions \
+             LAST JOIN profiles ON actions.userid = profiles.userid AND profiles.age > 18 \
+             WHERE actions.quantity > 1 \
+             WINDOW w AS (UNION orders PARTITION BY userid ORDER BY ts \
+             ROWS BETWEEN 5 PRECEDING AND CURRENT ROW)",
+        );
+        assert_eq!(q.read_tables(), ["actions", "profiles", "orders"]);
+        // The window's argument is read by the window, not from the
+        // combined row; `profiles.updated` is read by nothing.
+        assert_eq!(q.read_columns(), [0, 1, 3, 6]);
+    }
+
+    #[test]
+    fn a_join_condition_on_a_later_join_is_refused() {
+        let stmt = parse_select(
+            "SELECT a.userid FROM actions a \
+             LAST JOIN profiles p ON a.userid = p.userid AND o.quantity > 1 \
+             LAST JOIN orders o ON a.userid = o.userid",
+        )
+        .unwrap();
+        let err = compile_select(&stmt, &catalog()).unwrap_err();
+        assert!(err.to_string().contains("joined after it"), "{err}");
     }
 
     #[test]

@@ -89,46 +89,29 @@ pub trait DataTable: Send + Sync {
         let mut row = None;
         self.latest_visit(index_id, key, &mut |data| {
             row = Some(self.codec().decode(data)?);
-            Ok(())
+            Ok(true)
         })?;
         Ok(row)
     }
-    /// [`DataTable::latest`] without the decode: hand the newest entry's
-    /// encoded bytes for `key` to `visitor` and report whether there was
-    /// one. The LAST JOIN head read of the streaming request path.
+    /// The head read without the decode: hand `key`'s encoded rows to
+    /// `visitor`, newest first, until it accepts one (`Ok(true)`) or has
+    /// passed them all (`Ok(false)` each); report whether it accepted one.
+    /// Its error stops the read and is returned. The LAST JOIN of both
+    /// request paths: the newest candidate its residual accepts.
     fn latest_visit(
         &self,
         index_id: usize,
         key: &[KeyValue],
-        visitor: &mut dyn FnMut(&[u8]) -> Result<()>,
+        visitor: &mut dyn FnMut(&[u8]) -> Result<bool>,
     ) -> Result<bool> {
-        let mut visited = Ok(());
+        let mut visited = Ok(false);
         let mut head = |_, row: ScanRow<'_, '_>| {
             visited = visitor(row.bytes());
-            false
+            matches!(visited, Ok(false))
         };
         let pin = epoch::pin();
-        let found = self.walk_rows(&pin, index_id, key, i64::MIN, i64::MAX, None, &mut head)?;
-        visited.map(|()| found > 0)
-    }
-    /// The newest row for `key` with ts ≤ `upper_ts` (when given) that
-    /// satisfies `pred`.
-    fn latest_where(
-        &self,
-        index_id: usize,
-        key: &[KeyValue],
-        upper_ts: Option<i64>,
-        pred: &mut dyn FnMut(&Row) -> bool,
-    ) -> Result<Option<Row>> {
-        let mut found = Ok(None);
-        let mut matching = |_, row: ScanRow<'_, '_>| {
-            let decoded = self.codec().decode(row.bytes());
-            found = decoded.map(|r| pred(&r).then_some(r));
-            matches!(found, Ok(None))
-        };
-        let (pin, upper) = (epoch::pin(), upper_ts.unwrap_or(i64::MAX));
-        self.walk_rows(&pin, index_id, key, i64::MIN, upper, None, &mut matching)?;
-        found
+        self.walk_rows(&pin, index_id, key, i64::MIN, i64::MAX, None, &mut head)?;
+        visited
     }
     /// Rows for `key` with `lower_ts <= ts <= upper_ts`, newest first,
     /// decoding only the columns marked in `wanted` (all when `None`) —
@@ -533,23 +516,18 @@ mod tests {
             for k in 0..4 {
                 let key = [KeyValue::Int(k)];
                 same_on_both(&tables, |t| t.latest(0, &key), None);
+                // The newest row the visitor accepts, and every row it saw.
                 same_on_both(&tables, |t| {
-                    let mut seen = None;
+                    let mut seen = Vec::new();
                     let hit = t.latest_visit(0, &key, &mut |data| {
-                        seen = Some(data.to_vec());
-                        Ok(())
+                        seen.push(data.to_vec());
+                        Ok(codec.decode(data)?[1].as_f64()? as i64 % 3 == residue)
                     });
                     (hit, seen)
                 }, None);
                 let refuse = |_: &[u8]| Err(Error::Storage("refused".into()));
                 same_on_both(&tables, |t| t.latest_visit(0, &key, &mut { refuse }), None);
                 for &(lo, hi) in &bounds {
-                    for upper in [None, Some(hi)] {
-                        same_on_both(&tables, |t| {
-                            let mut pred = |r: &Row| r[1].as_f64().unwrap() as i64 % 3 == residue;
-                            t.latest_where(0, &key, upper, &mut pred)
-                        }, None);
-                    }
                     for wanted in [None, Some(&v_only[..])] {
                         let range = |t: &dyn DataTable| t.range_projected(0, &key, lo, hi, wanted);
                         same_on_both(&tables, range, Some(&len));
@@ -605,16 +583,18 @@ mod tests {
     }
 
     #[test]
-    fn latest_where_scans_newest_first() {
+    fn latest_visit_scans_newest_first() {
         let t = table();
         for i in 0..10 {
             DataTable::put(&t, &row(1, i as f64, i * 10)).unwrap();
         }
-        let mut pred = |r: &Row| r[1].as_f64().unwrap() < 4.0;
-        let hit = DataTable::latest_where(&t, 0, &[KeyValue::Int(1)], None, &mut pred)
-            .unwrap()
-            .unwrap();
-        assert_eq!(hit[1], Value::Double(3.0));
+        let (codec, mut hit) = (DataTable::codec(&t).clone(), None);
+        let found = DataTable::latest_visit(&t, 0, &[KeyValue::Int(1)], &mut |data| {
+            hit = Some(codec.decode(data)?);
+            Ok(hit.as_ref().is_some_and(|r| r[1].as_f64().unwrap() < 4.0))
+        });
+        assert_eq!(found, Ok(true));
+        assert_eq!(hit.unwrap()[1], Value::Double(3.0));
     }
 
     #[test]

@@ -472,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn latest_n_and_latest_where() {
+    fn latest_n_and_latest_visit() {
         let t = table();
         for i in 0..5 {
             t.put(&row(1, "a", i as f64, i * 10)).unwrap();
@@ -484,13 +484,13 @@ mod tests {
             top2.iter().map(|(ts, _)| *ts).collect::<Vec<_>>(),
             vec![30, 20]
         );
-        let found = t
-            .latest_where(0, &[KeyValue::Int(1)], None, &mut |r| {
-                r[2].as_f64().unwrap() < 2.5
-            })
-            .unwrap()
-            .unwrap();
-        assert_eq!(found[2], Value::Double(2.0));
+        let (codec, mut found) = (t.codec().clone(), None);
+        let hit = t.latest_visit(0, &[KeyValue::Int(1)], &mut |data| {
+            found = Some(codec.decode(data)?);
+            Ok(found.as_ref().is_some_and(|r| r[2].as_f64().unwrap() < 2.5))
+        });
+        assert_eq!(hit, Ok(true));
+        assert_eq!(found.unwrap()[2], Value::Double(2.0));
     }
 
     #[test]

@@ -254,64 +254,13 @@ impl CompactCodec {
     /// the rest of the row, so a window scan evaluating `sum(price)` never
     /// pays for decoding (or allocating) the row's strings.
     pub fn decode_projected(&self, buf: &[u8], wanted: Option<&[bool]>) -> Result<Row> {
-        let layout = self.parse_layout(buf)?;
-        let fixed_start = layout.fixed_start;
-        let data_start = layout.data_start;
-
-        let bitmap = &buf[HEADER_SIZE..HEADER_SIZE + self.bitmap_len];
-        let is_null = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
-        let read_offset = |vi: usize| layout.read_offset(buf, vi);
-
-        let mut values = Vec::with_capacity(self.schema.len());
-        let mut var_seen = 0usize;
-        for (i, col) in self.schema.columns().iter().enumerate() {
-            let skip = wanted.is_some_and(|w| !w.get(i).copied().unwrap_or(false));
-            if col.data_type == DataType::String {
-                let end = read_offset(var_seen);
-                let start = if var_seen == 0 {
-                    0
-                } else {
-                    read_offset(var_seen - 1)
-                };
-                var_seen += 1;
-                if skip || is_null(i) {
-                    values.push(Value::Null);
-                    continue;
-                }
-                let bytes = buf
-                    .get(data_start + start..data_start + end)
-                    .ok_or_else(|| Error::Codec("string offset out of bounds".into()))?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|e| Error::Codec(format!("invalid UTF-8: {e}")))?;
-                values.push(Value::string(s));
-                continue;
-            }
-            if skip || is_null(i) {
-                values.push(Value::Null);
-                continue;
-            }
-            let at = fixed_start + self.fixed_offsets[i];
-            values.push(match col.data_type {
-                DataType::Bool => Value::Bool(buf[at] != 0),
-                DataType::Int => {
-                    Value::Int(i32::from_le_bytes(buf[at..at + 4].try_into().unwrap()))
-                }
-                DataType::Float => {
-                    Value::Float(f32::from_le_bytes(buf[at..at + 4].try_into().unwrap()))
-                }
-                DataType::Bigint => {
-                    Value::Bigint(i64::from_le_bytes(buf[at..at + 8].try_into().unwrap()))
-                }
-                DataType::Timestamp => {
-                    Value::Timestamp(i64::from_le_bytes(buf[at..at + 8].try_into().unwrap()))
-                }
-                DataType::Double => {
-                    Value::Double(f64::from_le_bytes(buf[at..at + 8].try_into().unwrap()))
-                }
-                DataType::String => unreachable!("handled above"),
-            });
-        }
-        Ok(Row::new(values))
+        let view = self.view(buf)?;
+        let skip = |i: usize| wanted.is_some_and(|w| !w.get(i).copied().unwrap_or(false));
+        let read = |i| if skip(i) { Ok(Value::Null) } else { view.get_value(i) };
+        (0..self.schema.len())
+            .map(read)
+            .collect::<Result<_>>()
+            .map(Row::new)
     }
 
     /// Validate `buf` against this codec and resolve the section starts.
@@ -392,6 +341,13 @@ impl CompactCodec {
         let ty = self.schema.columns().get(i)?.data_type;
         let at = self.fixed_field_offset(i);
         Some(Field { col: i, ty, at })
+    }
+
+    /// `(c, reader of column c - at)` of each of `cols` that is a column of
+    /// this codec's rows when their columns start at `at` in a wider row.
+    pub fn fields(&self, cols: &[usize], at: usize) -> Vec<(usize, Field)> {
+        let field = |&c: &usize| Some((c, self.field(c.checked_sub(at)?)?));
+        cols.iter().filter_map(field).collect()
     }
 
     /// Borrow `buf` as a [`RowView`]: header/version/offset-width validation

@@ -31,7 +31,11 @@ cd "$(dirname "$0")/.."
 pin='layer("serve_wide", "online.compiled_window_share"), 0.0'
 pin_line=$(grep -nF "$pin" benchmark/tests/smoke.rs | cut -d: -f1)
 log=$(mktemp)
-trap 'rm -f "$log"' EXIT
+# Building `benchmark/` re-resolves its tracked `Cargo.lock`: keep a copy and
+# put it back on exit, so the run leaves the tree as it found it.
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
+trap 'cp "$lock" benchmark/Cargo.lock; rm -f "$log" "$lock"' EXIT
 
 cargo test --release --offline --no-fail-fast --manifest-path benchmark/Cargo.toml 2>&1 | tee "$log"
 status=${PIPESTATUS[0]}

@@ -23,6 +23,12 @@ MAX_RATIO=1.40
 ON_DIR=${CARGO_TARGET_DIR:-$PWD/.bench_build}/obs-on
 OFF_DIR=${CARGO_TARGET_DIR:-$PWD/.bench_build}/obs-off
 
+# Building `benchmark/` re-resolves its tracked `Cargo.lock`: keep a copy and
+# put it back on exit, so the run leaves the tree as it found it.
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
+trap 'cp "$lock" benchmark/Cargo.lock; rm -f "$lock"' EXIT
+
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml \
     --target-dir "$ON_DIR"
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml \

@@ -295,6 +295,128 @@ proptest! {
     }
 }
 
+/// A joined table `name(k BIGINT, x BIGINT, y DOUBLE, s STRING, ts
+/// TIMESTAMP)` keyed on `k` by `ts`, holding `rows` as `(k, x, ts, seed)`.
+/// Timestamps span a few values, so candidates tie on the ORDER BY column;
+/// the seed blanks `x`, `y` or `s` now and then.
+fn join_table(db: &Database, name: &str, rows: &[(i64, i64, i64, u64)], disk: bool) {
+    let create = format!(
+        "CREATE TABLE {name} (k BIGINT, x BIGINT, y DOUBLE, s STRING, ts TIMESTAMP, \
+         INDEX(KEY=k, TS=ts))"
+    );
+    match disk {
+        true => db.create_disk_table(&create).unwrap(),
+        false => db.execute(&create).map(drop).unwrap(),
+    }
+    for &(k, x, ts, seed) in rows {
+        let or_null = |blank: bool, v: Value| if blank { Value::Null } else { v };
+        let row = Row::new(vec![
+            Value::Bigint(k),
+            or_null(seed % 13 == 0, Value::Bigint(x)),
+            or_null(
+                seed % 7 == 1,
+                Value::Double((seed % 200) as f64 / 4.0 - 25.0),
+            ),
+            or_null(
+                seed % 11 == 2,
+                Value::string("ab".repeat((seed % 4) as usize)),
+            ),
+            Value::Timestamp(ts),
+        ]);
+        db.insert_row(name, &row).unwrap();
+    }
+}
+
+/// A plan over `t` with `joins` (0–2) LAST JOINs: `d1` on `t.k`, `d2` on
+/// `d1.x` (a column of the first join). `residuals[j]` picks join `j`'s
+/// extra ON condition (none, one over its own columns, one that also reads
+/// the row joined so far) and `filter` a WHERE clause over joined columns.
+/// The select list reads joined columns bare and in expressions beside a
+/// window's aggregates; `d1.s` and `d2.y` are read by nothing when `wide`
+/// is off.
+fn join_query(joins: u8, residuals: (u8, u8), filter: u8, wide: bool) -> String {
+    let mut select = vec!["t.id", "count(t.id) OVER w AS n", "sum(t.k) OVER w AS sk"];
+    let mut from = "t".to_string();
+    if joins >= 1 {
+        let on = ["", " AND d1.y > 0.0", " AND d1.x <> t.k"][residuals.0 as usize % 3];
+        from += &format!(" LAST JOIN d1 ORDER BY d1.ts ON t.k = d1.k{on}");
+        select.extend(["d1.x", "d1.x + t.k AS xk"]);
+        if wide {
+            select.extend(["d1.s", "d1.ts AS t1"]);
+        }
+    }
+    if joins >= 2 {
+        let on = ["", " AND d2.y < d1.y", " AND d2.x > 1"][residuals.1 as usize % 3];
+        from += &format!(" LAST JOIN d2 ORDER BY d2.ts ON d1.x = d2.k{on}");
+        select.push("d2.k AS k2");
+        if wide {
+            select.extend(["d2.y", "d2.s AS s2"]);
+        }
+    }
+    let filter = match (filter % 3, joins) {
+        (1, 1..) => " WHERE d1.x > 1",
+        (2, 2..) => " WHERE d2.y > -10.0 OR d1.y IS NULL",
+        (2, _) => " WHERE t.k > 0",
+        _ => "",
+    };
+    format!(
+        "SELECT {} FROM {from}{filter} WINDOW w AS (PARTITION BY k ORDER BY ts \
+         ROWS_RANGE BETWEEN 100 PRECEDING AND CURRENT ROW)",
+        select.join(", ")
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24 })]
+
+    /// Generated LAST JOINs: the served row `==` the materializing
+    /// reference for every probe (keys with no match, ties on the ORDER BY
+    /// column, residuals and WHERE over joined columns included), and the
+    /// offline batch answers each probe as its request did.
+    #[test]
+    fn last_joins_match_the_reference_and_the_offline_batch(
+        cols in proptest::collection::vec(0u8..5, 1..3),
+        rows in proptest::collection::vec((0i64..4, 0i64..300, 0u64..u64::MAX, 0u8..255), 5..40),
+        d1 in proptest::collection::vec((0i64..4, 0i64..6, 0i64..4, 0u64..u64::MAX), 0..24),
+        d2 in proptest::collection::vec((0i64..5, 0i64..4, 0i64..4, 0u64..u64::MAX), 0..24),
+        probes in proptest::collection::vec((0i64..6, 0u64..u64::MAX, 0u8..255), 1..6),
+        joins in 0u8..3,
+        residuals in (0u8..3, 0u8..3),
+        filter in 0u8..3,
+        wide in any::<bool>(),
+        disk in any::<bool>(),
+    ) {
+        let db = table(&cols, &rows, disk);
+        join_table(&db, "d1", &d1, disk);
+        join_table(&db, "d2", &d2, disk);
+        let sql = join_query(joins, residuals, filter, wide);
+        db.deploy(&format!("DEPLOY j AS {sql}")).unwrap();
+        let dep = db.deployment("j").unwrap();
+        // Probes are newer than every stored row and than each other; each
+        // is stored once answered, so the batch below anchors one row at
+        // each and reads what its request read.
+        let mut answers = Vec::new();
+        for (n, &(k, seed, nulls)) in probes.iter().enumerate() {
+            let probe = make_row(900_000 + n as i64, k, 400 + 10 * n as i64, &cols, seed, nulls);
+            let served = execute_request(&db, &dep, &probe);
+            let reference = execute_request_materialized(&db, &dep, &probe);
+            prop_assert_eq!(&served, &reference, "probe {} under {}", n, sql);
+            prop_assert_eq!(db.request("j", &probe), served, "probe {} stored under {}", n, sql);
+            answers.push((probe, reference.unwrap()));
+        }
+        let batch = db.offline_query(&sql).unwrap().rows;
+        for (probe, answer) in &answers {
+            match batch.iter().find(|r| r[0] == probe[0]) {
+                Some(row) => prop_assert_eq!(row, answer, "offline {:?} under {}", probe[0], sql),
+                None => prop_assert!(
+                    sql.contains("WHERE") && answer.values().iter().all(Value::is_null),
+                    "offline dropped {:?} under {}", probe[0], sql
+                ),
+            }
+        }
+    }
+}
+
 /// Literals the identity oracle draws, as (SQL text, the plan's literal).
 /// BIGINT and DOUBLE literals, `-0.0` included, are SQL's own. SQL spells
 /// no INT or FLOAT literal, so those are placeholders of the same class

@@ -1,8 +1,9 @@
 //! Zero warm allocations on the `serve_short` shape: two windows on one key
-//! plus a LAST JOIN. Once a deployment's scratch is warm, the only heap a
-//! request may touch is its output row — the joined row is decoded from its
-//! stored bytes straight into the pooled combined row, the two windows fold
-//! off one pooled scan. A sampled request (one in 64) allocates nothing more:
+//! plus a LAST JOIN, with and without a residual condition. Once a
+//! deployment's scratch is warm, the only heap a request may touch is its
+//! output row — each candidate's joined columns are read from its stored
+//! bytes straight into the pooled combined row, the residual runs over that
+//! row, the two windows fold off one pooled scan. A sampled request (one in 64) allocates nothing more:
 //! its key goes to the hot-keys sketch through a pooled string, and the
 //! record keeps no copy of its events. The same holds for a window mixing every
 //! kernel family: expression registers, count-map tables and the generic
@@ -113,6 +114,13 @@ fn a_warm_request_allocates_only_its_output_row() {
          w1 AS (PARTITION BY k ORDER BY ts ROWS BETWEEN 10 PRECEDING AND CURRENT ROW)",
     )
     .unwrap();
+    // The residual rejects the candidate of every key but 0 here.
+    db.deploy(
+        "DEPLOY residual AS SELECT t1.id, sum(v) OVER w0 AS s0, dim0.w0 \
+         FROM t1 LAST JOIN dim0 ORDER BY dim0.updated ON t1.k = dim0.k AND dim0.w0 < t1.v \
+         WINDOW w0 AS (PARTITION BY k ORDER BY ts ROWS_RANGE BETWEEN 10s PRECEDING AND CURRENT ROW)",
+    )
+    .unwrap();
     let dep = db.deployment("short").unwrap();
     assert_eq!(dep.scan_groups(), [vec![0, 1]], "one scan for both windows");
     drop(dep);
@@ -150,7 +158,7 @@ fn a_warm_request_allocates_only_its_output_row() {
     let t1_requests: Vec<Row> = (0..512i64)
         .map(|i| t1_row(900_000 + i, i % 9, 1.5, 30_000 + i * 17))
         .collect();
-    for name in ["short", "mixed"] {
+    for name in ["short", "residual", "mixed"] {
         assert_warm_requests_allocate_only_their_output_row(&db, name, &t1_requests);
     }
     let wide_requests: Vec<Row> = (0..512i64)
