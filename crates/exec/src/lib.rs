@@ -30,7 +30,8 @@ pub use agg::{create_aggregator, supports_preagg, AggState, Aggregator};
 pub use eval::{evaluate, evaluate_with, ColumnSource};
 pub use export::{infer_feature_kinds, to_csv, to_libsvm, FeatureKind};
 pub use program::{
-    specialize, EntryOrder, ExprProgram, Program, Sweep, SweepState, WindowProgram, WindowState,
+    specialize, BaseRow, Candidates, EntryOrder, ExprProgram, Program, RowBuffers, RowStage, Sweep,
+    SweepState, WindowProgram, WindowState,
 };
 pub use scratch::{RequestScratch, RowSource, ScanEntry, REQUEST_ROW};
 pub use window::{AggStates, WindowAggSet};

@@ -35,6 +35,10 @@
 //!   expressions flattened into a register-machine program over a reusable
 //!   value stack, with constant subtrees folded at compile time and scalar
 //!   calls dispatched through a function id (no per-row name lookup).
+//! * **The row stage** ([`RowStage`], `stage`) — per output row, the LAST
+//!   JOINs over a candidate visitor, WHERE, and the select list as a copy
+//!   plan (bare columns cloned, bare aggregates moved, the rest on the VM),
+//!   one allocation per row, NaNs canonical. Both engines run it.
 //!
 //! The fold replicates [`WindowAggSet`](crate::WindowAggSet)'s *bit for bit* — including
 //! `total_cmp`'s f64-promoted comparisons for integer extrema, the
@@ -64,10 +68,12 @@ mod expression;
 mod field;
 mod fold;
 mod generic;
+mod stage;
 mod sweep;
 mod vm;
 
 pub use fold::{EntryOrder, WindowProgram, WindowState};
+pub use stage::{BaseRow, Candidates, RowBuffers, RowStage};
 pub use sweep::{Sweep, SweepState};
 pub use vm::ExprProgram;
 
@@ -85,21 +91,17 @@ enum WindowUnit {
     NoAggs,
 }
 
-/// A deployed plan lowered to bytecode: per-window kernels plus flattened
-/// select/WHERE expression programs. A window or expression that does not
+/// A deployed plan lowered to bytecode: per-window kernels plus the row
+/// stage. A window or expression that does not
 /// lower is recorded as a refusal ([`Program::refusal`]); a deployment is
 /// only ever built from a program without one, so serving never meets an
 /// uncompiled window or expression.
 #[derive(Debug)]
 pub struct Program {
     windows: Vec<WindowUnit>,
-    /// Select-list programs, one per output column, or why one did not lower.
-    select: std::result::Result<Vec<ExprProgram>, String>,
-    /// The WHERE program (`None`: the plan has no WHERE clause).
-    where_program: std::result::Result<Option<ExprProgram>, String>,
-    /// Per LAST JOIN, its residual predicate's program (`None`: an
-    /// equality-only join), or why one did not lower.
-    joins: std::result::Result<Vec<Option<ExprProgram>>, String>,
+    /// The row stage — LAST JOINs, WHERE and the select list — or why a
+    /// piece of it did not lower.
+    stage: std::result::Result<RowStage, String>,
 }
 
 impl Program {
@@ -128,32 +130,9 @@ impl Program {
                 }
             })
             .collect();
-        let select = query
-            .select
-            .iter()
-            .map(|c| {
-                ExprProgram::compile(&c.expr)
-                    .map_err(|reason| format!("select column `{}`: {reason}", c.name))
-            })
-            .collect();
-        let where_program = query
-            .where_clause
-            .as_ref()
-            .map(|p| ExprProgram::compile(p).map_err(|reason| format!("WHERE clause: {reason}")))
-            .transpose();
-        let joins = query
-            .joins
-            .iter()
-            .map(|j| {
-                let residual = j.residual.as_ref().map(ExprProgram::compile).transpose();
-                residual.map_err(|reason| format!("LAST JOIN `{}` condition: {reason}", j.table))
-            })
-            .collect();
         Program {
             windows,
-            select,
-            where_program,
-            joins,
+            stage: RowStage::compile(query),
         }
     }
 
@@ -192,9 +171,7 @@ impl Program {
     pub fn refusal(&self) -> Option<&str> {
         (0..self.windows.len())
             .find_map(|wid| self.fallback_reason(wid))
-            .or(self.select.as_ref().err().map(String::as_str))
-            .or(self.where_program.as_ref().err().map(String::as_str))
-            .or(self.joins.as_ref().err().map(String::as_str))
+            .or(self.stage.as_ref().err().map(String::as_str))
     }
 
     /// [`Program::refusal`] as the typed error every engine raises for it:
@@ -215,21 +192,16 @@ impl Program {
             .count()
     }
 
-    /// Compiled select-list programs, one per output column (`None`: one
-    /// was refused).
+    /// The row stage every engine runs per output row (`None`: a piece of
+    /// it was refused).
+    pub fn stage(&self) -> Option<&RowStage> {
+        self.stage.as_ref().ok()
+    }
+
+    /// The select list's programs, one per output column (`None`: a piece
+    /// of the row stage was refused).
     pub fn select_programs(&self) -> Option<&[ExprProgram]> {
-        self.select.as_deref().ok()
-    }
-
-    /// Compiled WHERE program (`None`: no WHERE clause, or it was refused).
-    pub fn where_program(&self) -> Option<&ExprProgram> {
-        self.where_program.as_ref().ok()?.as_ref()
-    }
-
-    /// Compiled residual condition of LAST JOIN `join` (`None`: an
-    /// equality-only join, or a refused one).
-    pub fn join_residual(&self, join: usize) -> Option<&ExprProgram> {
-        self.joins.as_ref().ok()?.get(join)?.as_ref()
+        self.stage().map(RowStage::programs)
     }
 }
 
@@ -489,6 +461,13 @@ mod testkit {
             arena.extend_from_slice(&bytes);
         }
         (entries, arena)
+    }
+
+    /// `answer` with every NaN canonical, as an output row holds it: which
+    /// NaN arithmetic makes is left open, so folds that add the same NaNs
+    /// in different orders agree only on this.
+    pub(super) fn canonical(answer: Result<Vec<Value>>) -> Result<Vec<Value>> {
+        answer.map(|values| values.into_iter().map(Value::canonical_nan).collect())
     }
 
     /// What `fold_rows` answers over all of `rows`.

@@ -1305,7 +1305,7 @@ mod tests {
         /// column-only and an extended window, and one whose lone FLOAT and
         /// DOUBLE sums stay column kernels beside expression lanes, the
         /// request row in or out of frame. The answer equals the
-        /// interpreter's fold of the same rows, in Debug form.
+        /// interpreter's fold of the same rows, NaNs canonical.
         #[test]
         fn lane_fold_equals_interpreter(
             stored in proptest::collection::vec((any::<i64>(), 0u8..3), 0..301),
@@ -1372,14 +1372,12 @@ mod tests {
                     let got = wp
                         .run(&mut state, entries, first, order, &arena, req, &codec, &mut || Ok(()))
                         .and_then(|()| wp.outputs_into(&state, &arena, req, &mut out));
-                    // By Debug form, which prints every NaN alike: the lanes
-                    // and the interpreter add NaNs of different payloads in
-                    // orders the compiler may commute, so a sum's NaN bits
-                    // differ in release builds (ROADMAP item 2, canonical
-                    // NaN at the output).
+                    // With NaNs canonical, as an output row holds them: the
+                    // lanes and the interpreter add NaNs of different
+                    // payloads in orders the compiler may commute.
                     proptest::prop_assert_eq!(
-                        format!("{:?}", got.map(|()| out)),
-                        format!("{:?}", oracle),
+                        canonical(got.map(|()| out)),
+                        canonical(oracle.clone()),
                         "{:?}", order
                     );
                 }

@@ -1587,27 +1587,6 @@ mod tests {
         openmldb_types::Schema::new(defs).expect("valid schema")
     }
 
-    /// An answer of `aggs` type for type and bit for bit: floats by their
-    /// bits — but for a DOUBLE NaN that arithmetic made, whose sign and
-    /// payload Rust leaves unspecified (the compiler may commute an
-    /// addition, and release builds do), only that it is a NaN. An extremum
-    /// is one of the values read, so its NaN keeps its bits. `Value`'s `==`
-    /// takes over once every output NaN is canonical (ROADMAP item 2).
-    fn exact(answer: &Result<Vec<Value>>, aggs: &[BoundAggregate]) -> String {
-        let bits = |(v, agg): (&Value, &BoundAggregate)| match v {
-            Value::Double(d) if d.is_nan() && !matches!(agg.func.name, "min" | "max") => {
-                "Double(NaN)".to_string()
-            }
-            Value::Double(d) => format!("Double({:#x})", d.to_bits()),
-            Value::Float(f) => format!("Float({:#x})", f.to_bits()),
-            v => format!("{v:?}"),
-        };
-        let answer = answer
-            .as_ref()
-            .map(|vs| vs.iter().zip(aggs).map(bits).collect::<Vec<_>>());
-        format!("{answer:?}")
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 48 })]
 
@@ -1691,7 +1670,8 @@ mod tests {
         /// subsets of {min, max, sum, count, avg, stddev} to every numeric
         /// class (a STRING column its {min, max, count} part), over every
         /// palette of [`class_palettes`]. The answer equals the
-        /// interpreter's, type for type and bit for bit. In one program of
+        /// interpreter's, type for type and bit for bit, NaNs canonical as
+        /// an output row holds them. In one program of
         /// four, a row of the second block has a bad header: the answer is
         /// the error its validation gives.
         #[test]
@@ -1768,9 +1748,9 @@ mod tests {
                 let want = match &broken {
                     Some(err) => {
                         proptest::prop_assert!(err.is_err() && oracle.is_err(), "{:?}", err);
-                        format!("{:?}", err.clone().map(|()| Vec::<String>::new()))
+                        err.clone().map(|()| Vec::new())
                     }
-                    None => exact(&oracle, &aggs),
+                    None => canonical(oracle),
                 };
                 for (order, entries) in [
                     (EntryOrder::Ascending, &entries),
@@ -1786,8 +1766,8 @@ mod tests {
                         .and_then(|()| wp.outputs_into(&state, &arena, req, &mut out))
                         .map(|()| out);
                     let got = match &broken {
-                        Some(_) => format!("{:?}", got.map(|_| Vec::<String>::new())),
-                        None => exact(&got, &aggs),
+                        Some(_) => got.map(|_| Vec::new()),
+                        None => canonical(got),
                     };
                     proptest::prop_assert_eq!(&got, &want, "{:?}, {:?}", order, aggs.iter().map(|a| (a.func.name, &a.args)).collect::<Vec<_>>());
                     // The deadline probe runs every `BLOCK` fed rows, the

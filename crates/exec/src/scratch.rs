@@ -3,7 +3,7 @@
 //! A warm [`RequestScratch`] owns every buffer the online engine touches
 //! while serving one request — the scan entries, the combined row, the
 //! aggregate argument/output vectors, and the per-window kernel states — so
-//! a steady-state request performs zero heap allocations: everything is
+//! a steady-state request allocates nothing but its output row: everything is
 //! `clear()`ed between requests, never dropped.
 //!
 //! A window scan copies no row an in-memory table holds: its entries
@@ -20,7 +20,7 @@
 use openmldb_storage::{PinnedRows, ScanBuffers};
 use openmldb_types::{Error, KeyValue, Result, Value};
 
-use crate::program::WindowState;
+use crate::program::{RowBuffers, WindowState};
 
 /// Length sentinel marking a request-row entry in an entry list. The
 /// engine builds no such entry: it encodes the request row and folds it as
@@ -123,9 +123,9 @@ pub struct RequestScratch {
     /// The request row, encoded once — the last row every window fold
     /// reads. Empty until the request encodes it.
     pub request_row: Vec<u8>,
-    /// The combined input row — the request's columns, then each LAST
-    /// JOIN's — holding only the columns the plan reads, the rest NULL.
-    pub combined: Vec<Value>,
+    /// The row stage's buffers: the combined row, the VM stack and the
+    /// computed select items.
+    pub row: RowBuffers,
     /// Aggregate outputs across all windows, in plan order.
     pub agg_values: Vec<Value>,
     /// Partition key under evaluation.
@@ -136,14 +136,11 @@ pub struct RequestScratch {
     /// id)` — how long a newest-first prefix of `entries` the window's
     /// frame covers.
     pub prefixes: Vec<(usize, usize)>,
-    /// The projected output row.
+    /// One window's aggregate values, as its fold projects them.
     pub out: Vec<Value>,
     /// Warm per-window compiled-kernel states, indexed by window id. `None`
     /// until the window first runs through its compiled program.
     pub compiled: Vec<Option<WindowState>>,
-    /// Reusable value stack for compiled expression programs
-    /// ([`crate::program::ExprProgram::eval`]) — grown once, reused per row.
-    pub vm_stack: Vec<Value>,
     /// The pooled per-request record: event ring, stage ledger and cost
     /// counters (see `openmldb_obs::flight`). Its allocation survives across
     /// requests; [`reset`](Self::reset) leaves it alone so the warm path
@@ -168,13 +165,11 @@ impl RequestScratch {
     /// window kernel states (which are `reset`, not rebuilt).
     pub fn reset(&mut self) {
         self.request_row.clear();
-        self.combined.clear();
         self.agg_values.clear();
         self.key.clear();
         self.prefixes.clear();
         self.out.clear();
         self.key_repr.clear();
-        self.vm_stack.clear();
         self.audit.clear();
         for w in self.compiled.iter_mut().flatten() {
             w.reset();

@@ -19,8 +19,8 @@
 
 use std::collections::HashMap;
 
-use openmldb_exec::ExprProgram;
-use openmldb_sql::plan::{BoundWindow, CompiledQuery, PhysExpr};
+use openmldb_exec::{BaseRow, RowBuffers};
+use openmldb_sql::plan::{BoundWindow, CompiledQuery};
 use openmldb_types::{Error, KeyValue, Result, Row, RowBatch, Value};
 
 use crate::parallel::compute;
@@ -69,72 +69,34 @@ pub fn execute(query: &CompiledQuery, snap: &Snapshot, opts: &OfflineOptions) ->
     let program = &*snap.program;
     let wids: Vec<usize> = (0..query.windows.len()).collect();
     let mut swept = compute(query, program, snap, opts, &wids)?;
-    // Read only the columns the plan reads.
-    let (cols, base) = (query.read_columns(), snap.table(&query.base_table)?);
-    let (fields, mut joins) = (base.codec.fields(cols, 0), Vec::new());
-    for join in &query.joins {
-        let (table, lookup) = snap.lookup(join)?;
-        joins.push((join, table, lookup, table.codec.fields(cols, join.offset)));
-    }
-    // A bare aggregate's last reader in the select list moves it into the
-    // output row; every other item evaluates first, as a request does.
-    let selects = program.select_programs().unwrap_or_default();
-    let mut bare = Vec::with_capacity(selects.len());
-    for (i, c) in query.select.iter().enumerate() {
-        let later = query.select.get(i + 1..).unwrap_or_default();
-        let last = !later.iter().any(|d| d.expr == c.expr);
-        bare.push(match c.expr {
-            PhysExpr::AggRef(a) if a < query.aggregates.len() => Some((a, last)),
-            _ => None,
-        });
-    }
+    let stage = program.stage();
+    let stage = stage.ok_or_else(|| Error::Deployment("offline query: no row stage".into()))?;
+    let base = snap.table(&query.base_table)?;
+    let lookups = query.joins.iter().map(|j| snap.lookup(j));
+    let lookups = lookups.collect::<Result<Vec<_>>>()?;
+    // A join's candidates: its snapshot lookup's rows for the key, newest
+    // first, up to the first the stage accepts or the first error.
+    let mut candidates =
+        |j: usize, key: &[KeyValue], accept: &mut dyn FnMut(&[u8]) -> Result<bool>| {
+            let (table, runs) = lookups[j];
+            let mut tried =
+                (runs.get(key).into_iter().flatten()).map(|&(id, _)| accept(snap.row(table, id)));
+            tried
+                .find(|hit| !matches!(hit, Ok(false)))
+                .unwrap_or(Ok(false))
+        };
     let n = base.rows.len();
     let mut out = Vec::with_capacity(query.limit.map_or(n, |l| l.min(n)));
-    let mut combined = vec![Value::Null; query.combined_schema.len()];
+    let (mut bufs, mut key) = (RowBuffers::default(), Vec::new());
     let mut aggs = vec![Value::Null; query.aggregates.len()];
-    let (mut stack, mut evals, mut key) = (Vec::new(), Vec::new(), Vec::<KeyValue>::new());
     for id in 0..n {
-        for &(c, f) in &fields {
-            combined[c] = f.read(&base.codec, snap.row(base, id as u32))?.to_value();
-        }
-        for (j, &(join, table, lookup, ref fields)) in joins.iter().enumerate() {
-            key.clear();
-            key.extend(join.eq_pairs.iter().map(|p| KeyValue::from(&combined[p.0])));
-            // The newest candidate the residual accepts — tried on the row
-            // so far, its errors counting as no match, as a request does.
-            let (mut hit, residual) = (false, program.join_residual(j));
-            for &(cand, _) in lookup.get(&key).into_iter().flatten() {
-                for &(c, f) in fields {
-                    combined[c] = f.read(&table.codec, snap.row(table, cand))?.to_value();
-                }
-                let probe = &combined[..join.offset + join.schema.len()];
-                let accepts = |p: &ExprProgram| p.eval(probe, &[], &mut stack)?.as_bool();
-                hit = residual.map_or(Ok(true), accepts).unwrap_or(false);
-                if hit {
-                    break;
-                }
-            }
-            if !hit {
-                fields.iter().for_each(|&(c, _)| combined[c] = Value::Null);
-            }
-        }
-        if let Some(pred) = program.where_program() {
-            if !pred.eval(&combined, &[], &mut stack)?.as_bool()? {
-                continue;
-            }
+        stage.base(BaseRow::Bytes(snap.row(base, id as u32)), &mut bufs)?;
+        stage.join(&mut bufs, &mut key, &mut candidates)?;
+        if !stage.filter(&mut bufs)? {
+            continue;
         }
         swept.take(id, &mut aggs);
-        evals.clear();
-        for (p, _) in selects.iter().zip(&bare).filter(|(_, b)| b.is_none()) {
-            evals.push(p.eval(&combined, &aggs, &mut stack)?);
-        }
-        let mut evals = evals.drain(..);
-        let mut value = |b: &Option<(usize, bool)>| match (*b, b.and_then(|b| aggs.get_mut(b.0))) {
-            (Some((_, true)), Some(v)) => std::mem::replace(v, Value::Null),
-            (_, Some(v)) => v.clone(),
-            _ => evals.next().unwrap_or(Value::Null),
-        };
-        out.push(bare.iter().map(&mut value).collect());
+        out.push(stage.project(&mut bufs, &mut aggs)?);
         if query.limit.is_some_and(|l| out.len() >= l) {
             break;
         }

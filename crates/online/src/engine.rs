@@ -18,8 +18,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use openmldb_exec::{
-    evaluate, EntryOrder, ExprProgram, Program, RequestScratch, RowSource, WindowAggSet,
-    WindowState,
+    evaluate, BaseRow, EntryOrder, Program, RequestScratch, RowSource, WindowAggSet, WindowState,
 };
 use openmldb_obs::{
     flight, span, FlightEventKind, FlightScope, FlightSummary, Fnv, LabelId, LabelRegistry,
@@ -566,17 +565,18 @@ fn execute_streaming(
 ) -> Result<Row> {
     let q = &dep.query;
     ctx.check("validate")?;
+    let stage = dep.program.stage();
+    let stage = stage.ok_or_else(|| not_compiled(dep, "row stage"))?;
 
     let RequestScratch {
         request_row,
-        combined,
+        row,
         agg_values,
         key,
         scan,
         prefixes,
         out,
         compiled,
-        vm_stack,
         // The record was moved out by `execute_request_with` before this
         // borrow; the field is empty here.
         flight: _,
@@ -593,61 +593,32 @@ fn execute_streaming(
         q.base_schema.validate_row(request.values())?;
     }
 
-    // 1. LAST JOINs: build the combined row in the warm scratch buffer —
-    // only the columns the plan reads, the rest NULL, as offline does.
-    combined.resize(q.combined_schema.len(), Value::Null);
-    let base = q.base_schema.len();
-    for &c in q.read_columns().iter().take_while(|&&c| c < base) {
-        combined[c].clone_from(&request.values()[c]);
-    }
+    // 1. LAST JOINs, through the row stage: each candidate the join's index
+    // offers newest first, its bytes checked once, as capture checks each
+    // row offline.
+    stage.base(BaseRow::Values(request.values()), row)?;
     // (A plan without joins has no seek stage here: nothing to time.)
-    if !q.joins.is_empty() {
+    if stage.has_joins() {
         // A request's first stage opens on its start reading: the
         // validation and encode above are charged to it.
         flight::abut();
-        span(Stage::StorageSeek, || -> Result<()> {
-            for (j, (join, bound)) in q.joins.iter().zip(&dep.reads.joins).enumerate() {
-                key.clear();
-                let pairs = join.eq_pairs.iter();
-                key.extend(pairs.map(|&(l, _)| KeyValue::from(&combined[l])));
-                // The newest candidate the residual accepts: its bytes
-                // checked once, as capture checks each row offline, then
-                // its columns read in place; the residual reads the row up
-                // to this join's last column, its errors counting as no
-                // match.
-                let residual = dep.program.join_residual(j);
-                let end = join.offset + join.schema.len();
-                let matched = resilient_read(ctx, provider, &bound.read, |table, index| {
+        span(Stage::StorageSeek, || {
+            stage.join(row, key, &mut |j, key, accept| {
+                let bound = &dep.reads.joins[j];
+                resilient_read(ctx, provider, &bound.read, |table, index| {
                     table.latest_visit(index, key, &mut |data| {
                         bound.codec.check(data)?;
-                        for &(c, f) in &bound.fields {
-                            combined[c] = f.read(&bound.codec, data)?.to_value();
-                        }
-                        let probe = &combined[..end];
-                        let accepts = |p: &ExprProgram| p.eval(probe, &[], vm_stack)?.as_bool();
-                        Ok(residual.map_or(Ok(true), accepts).unwrap_or(false))
+                        accept(data)
                     })
-                })?;
-                if !matched {
-                    for &(c, _) in &bound.fields {
-                        combined[c] = Value::Null;
-                    }
-                }
-            }
-            Ok(())
+                })
+            })
         })?;
     }
 
     // 2. WHERE filter (a request failing the predicate yields an all-NULL
-    // feature row rather than an error): the flattened program over the
-    // pooled stack.
-    if let Some(pred) = dep.program.where_program() {
-        if !pred.eval(combined, &[], vm_stack)?.as_bool()? {
-            // analysis:allow(hot-path-alloc): this *is* the final output
-            // row — the one allocation the zero-alloc contract permits.
-            let nulls = vec![Value::Null; q.output_schema.len()];
-            return Ok(Row::new(nulls));
-        }
+    // feature row rather than an error).
+    if !stage.filter(row)? {
+        return Ok(stage.nulls());
     }
 
     // 3. Windows: one scan per group, one streaming fold per member.
@@ -858,18 +829,11 @@ fn execute_streaming(
         flight::abut();
     }
 
-    // 4. Project the select list (the output row is the one owned
-    // allocation a warm request makes — `Row` owns its values): the
-    // flattened expression programs over the pooled stack.
+    // 4. Project the select list through the row stage's copy plan: the
+    // output row is the one allocation a warm request makes.
     let row = span(Stage::Encode, || -> Result<Row> {
         ctx.check("encode")?;
-        let programs = dep.program.select_programs();
-        let programs = programs.ok_or_else(|| not_compiled(dep, "select list"))?;
-        let mut projected = Vec::with_capacity(programs.len());
-        for p in programs {
-            projected.push(p.eval(combined, agg_values, vm_stack)?);
-        }
-        Ok(Row::new(projected))
+        stage.project(row, agg_values)
     })?;
     // The request ends where its projection stage did.
     flight::abut();
@@ -1102,12 +1066,12 @@ pub(crate) fn materialized(
         }
     }
 
-    // 4. Project the select list.
+    // 4. Project the select list, every NaN canonical as a served row's.
     span(Stage::Encode, || -> Result<Row> {
         ctx.check("encode")?;
         let mut out = Vec::with_capacity(q.select.len());
         for col in &q.select {
-            out.push(evaluate(&col.expr, &combined, &agg_values)?);
+            out.push(evaluate(&col.expr, &combined, &agg_values)?.canonical_nan());
         }
         Ok(Row::new(out))
     })

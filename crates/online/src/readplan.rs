@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use openmldb_sql::plan::{BoundWindow, CompiledQuery};
 use openmldb_storage::DataTable;
-use openmldb_types::{CompactCodec, Error, Field, Result};
+use openmldb_types::{CompactCodec, Error, Result};
 
 use crate::engine::TableProvider;
 use crate::preagg::PreAggregator;
@@ -67,13 +67,11 @@ impl BoundRead {
     }
 }
 
-/// A LAST JOIN's bound read, the right table's codec and a reader of each
-/// joined column the plan reads: `(combined column, field)`. A candidate's
-/// columns are read from its stored bytes straight into the combined row.
+/// A LAST JOIN's bound read and the right table's codec, which checks
+/// each candidate's bytes before the row stage reads its columns in place.
 pub(crate) struct JoinRead {
     pub(crate) read: BoundRead,
     pub(crate) codec: CompactCodec,
-    pub(crate) fields: Vec<(usize, Field)>,
 }
 
 /// What one deployment reads, bound (see the module docs).
@@ -108,12 +106,7 @@ impl ReadPlan {
                 let right_keys: Vec<usize> = j.eq_pairs.iter().map(|&(_, r)| r).collect();
                 let read = BoundRead::resolve(provider, &j.table, &right_keys, j.order_col)?;
                 let codec = CompactCodec::new(read.table.schema().clone());
-                let fields = codec.fields(query.read_columns(), j.offset);
-                Ok(JoinRead {
-                    read,
-                    codec,
-                    fields,
-                })
+                Ok(JoinRead { read, codec })
             })
             .collect::<Result<Vec<_>>>()?;
         let windows = query

@@ -115,6 +115,21 @@ impl Value {
         matches!(self, Value::Null)
     }
 
+    /// This value with a FLOAT or DOUBLE NaN replaced by the canonical
+    /// quiet NaN (sign clear, payload empty: `0x7fc0_0000` /
+    /// `0x7ff8_0000_0000_0000`). Which NaN arithmetic answers is left open
+    /// (the sign and payload of `NaN + NaN` depend on operand order, which
+    /// a compiler may commute), so every output row passes its float
+    /// columns through this; stored rows keep the bits they were given.
+    #[inline]
+    pub fn canonical_nan(self) -> Value {
+        match self {
+            Value::Double(d) if d.is_nan() => Value::Double(f64::from_bits(0x7ff8_0000_0000_0000)),
+            Value::Float(f) if f.is_nan() => Value::Float(f32::from_bits(0x7fc0_0000)),
+            v => v,
+        }
+    }
+
     /// Numeric view as `f64`, used by aggregate functions.
     pub fn as_f64(&self) -> Result<f64> {
         match self {

@@ -131,6 +131,9 @@ if [ "$QUICK" -eq 0 ]; then
     OPENMLDB_PROPTEST_CASES=512 cargo test -q -p openmldb-storage -p openmldb-types
     # Bucket states merged == one pass: pre-aggregation's invariant.
     OPENMLDB_PROPTEST_CASES=512 cargo test -q -p openmldb-exec --lib merge_equals_single_pass
+    # Served == reference == offline by `Value`'s exact `==`, NaN bits
+    # included: at this case count a NaN-payload divergence shows.
+    OPENMLDB_PROPTEST_CASES=2000 cargo test -q --release --test streaming_oracle
 fi
 
 step "miri (optional)"

@@ -155,6 +155,28 @@ fn select_list(cols: &[u8], exprs: &[ExprSpec]) -> Vec<String> {
     out
 }
 
+/// Items that read again what [`select_list`] reads bare, by the bits of
+/// `rereads`: an aggregate bare a second time (bit 0), an aggregate read
+/// bare before inside an expression (bit 1), base columns bare a second
+/// time (bit 2). The row stage clones every bare read but an aggregate's
+/// last, which it moves, and evaluates the expressions before either.
+fn rereads(rereads: u8) -> Vec<String> {
+    let mut out = Vec::new();
+    if rereads & 1 != 0 {
+        out.extend([
+            "max(c0) OVER w AS mx0_again",
+            "median(k) OVER w AS gm_again",
+        ]);
+    }
+    if rereads & 2 != 0 {
+        out.push("count(c0) OVER w + id AS ct0_plus");
+    }
+    if rereads & 4 != 0 {
+        out.extend(["c0 AS c0_bare", "id AS id_again", "c0 AS c0_again"]);
+    }
+    out.into_iter().map(String::from).collect()
+}
+
 /// `t(id, k, c0.., ts)` with payload columns of `cols`' types, holding
 /// `rows` as `(k, ts, seed, nulls)`. A memory table lends its rows for the
 /// request's pin; a disk table's arrive as per-visit copies in the scan
@@ -193,16 +215,6 @@ fn window_clause(frame: i64, rows_frame: bool, maxsize: usize, exclude: bool) ->
     )
 }
 
-/// An answer by its `Debug` form, which tells `Int(3)` from `Bigint(3)` and
-/// `-0.0` from `0.0` and round-trips every other float, but prints every NaN
-/// alike. Which operand of `NaN + NaN` survives is the code generator's
-/// choice per call site, so two folds of the same NaNs may answer different
-/// NaN bits; `Value`'s exact `==` takes over once every output NaN is
-/// canonical (ROADMAP item 2).
-fn nan_blind(answer: &Result<Row, Error>) -> String {
-    format!("{answer:?}")
-}
-
 /// The output-type invariant: every value of an answer is NULL or of its
 /// output column's declared type (an error answers nothing).
 fn typed(dep: &Deployment, answer: &Result<Row, Error>) -> Result<(), Error> {
@@ -228,12 +240,15 @@ proptest! {
         maxsize in 0usize..8,
         exclude in any::<bool>(),
         disk in any::<bool>(),
+        again in 0u8..8,
     ) {
         let db = table(&cols, &rows, disk);
 
+        let mut items = select_list(&cols, &exprs);
+        items.extend(rereads(again));
         let sql = format!(
             "SELECT {} FROM t {}",
-            select_list(&cols, &exprs).join(", "),
+            items.join(", "),
             window_clause(frame, rows_frame, maxsize, exclude)
         );
         db.deploy(&format!("DEPLOY p AS {sql}")).unwrap();
@@ -248,13 +263,13 @@ proptest! {
             let probe = make_row(900_000 + n as i64, *k, *ts, &cols, *seed, *nulls);
             let streaming = execute_request(&db, &dep, &probe);
             let materialized = execute_request_materialized(&db, &dep, &probe);
-            // Bit-identical but for NaN payloads: both paths fold the same
-            // values in the same order, so even float aggregates must match
-            // exactly — and an overflowing integer expression is the same
-            // typed error.
+            // Bit-identical: both paths fold the same values in the same
+            // order, so even float aggregates must match exactly, and both
+            // answer a NaN as the canonical one — and an overflowing integer
+            // expression is the same typed error.
             prop_assert_eq!(
-                nan_blind(&streaming),
-                nan_blind(&materialized),
+                &streaming,
+                &materialized,
                 "probe {} diverged (compiled vs materialized) under {}",
                 n,
                 sql
@@ -333,14 +348,25 @@ fn join_table(db: &Database, name: &str, rows: &[(i64, i64, i64, u64)], disk: bo
 /// the row joined so far) and `filter` a WHERE clause over joined columns.
 /// The select list reads joined columns bare and in expressions beside a
 /// window's aggregates; `d1.s` and `d2.y` are read by nothing when `wide`
-/// is off.
-fn join_query(joins: u8, residuals: (u8, u8), filter: u8, wide: bool) -> String {
+/// is off. With `again`, it reads `t.id`, `d1.x` and an aggregate bare a
+/// second time, and that aggregate once more inside an expression.
+fn join_query(joins: u8, residuals: (u8, u8), filter: u8, wide: bool, again: bool) -> String {
     let mut select = vec!["t.id", "count(t.id) OVER w AS n", "sum(t.k) OVER w AS sk"];
+    if again {
+        select.extend([
+            "t.id AS id2",
+            "count(t.id) OVER w AS n2",
+            "count(t.id) OVER w * 2 AS nn",
+        ]);
+    }
     let mut from = "t".to_string();
     if joins >= 1 {
         let on = ["", " AND d1.y > 0.0", " AND d1.x <> t.k"][residuals.0 as usize % 3];
         from += &format!(" LAST JOIN d1 ORDER BY d1.ts ON t.k = d1.k{on}");
         select.extend(["d1.x", "d1.x + t.k AS xk"]);
+        if again {
+            select.push("d1.x AS x2");
+        }
         if wide {
             select.extend(["d1.s", "d1.ts AS t1"]);
         }
@@ -385,11 +411,12 @@ proptest! {
         filter in 0u8..3,
         wide in any::<bool>(),
         disk in any::<bool>(),
+        again in any::<bool>(),
     ) {
         let db = table(&cols, &rows, disk);
         join_table(&db, "d1", &d1, disk);
         join_table(&db, "d2", &d2, disk);
-        let sql = join_query(joins, residuals, filter, wide);
+        let sql = join_query(joins, residuals, filter, wide, again);
         db.deploy(&format!("DEPLOY j AS {sql}")).unwrap();
         let dep = db.deployment("j").unwrap();
         // Probes are newer than every stored row and than each other; each
@@ -556,7 +583,7 @@ proptest! {
             let probe = make_row(900_000 + n as i64, *k, *ts, &cols, *seed, *nulls);
             let served = execute_request(&db, &full, &probe);
             let reference = execute_request_materialized(&db, &full, &probe);
-            prop_assert_eq!(nan_blind(&served), nan_blind(&reference), "probe {} under {}", n, sql);
+            prop_assert_eq!(&served, &reference, "probe {} under {}", n, sql);
             prop_assert_eq!(typed(&full, &served), Ok(()), "probe {} under {}", n, sql);
             let answers: Vec<Result<Row, Error>> =
                 alone.iter().map(|dep| execute_request(&db, dep, &probe)).collect();
