@@ -35,10 +35,8 @@
 //!   expressions flattened into a register-machine program over a reusable
 //!   value stack, with constant subtrees folded at compile time and scalar
 //!   calls dispatched through a function id (no per-row name lookup).
-//! * **The row stage** ([`RowStage`], `stage`) — per output row, the LAST
-//!   JOINs over a candidate visitor, WHERE, and the select list as a copy
-//!   plan (bare columns cloned, bare aggregates moved, the rest on the VM),
-//!   one allocation per row, NaNs canonical. Both engines run it.
+//! * **The row stage** ([`RowStage`], `stage`) — per output row of both
+//!   engines, the LAST JOINs, WHERE and the select list as a copy plan.
 //!
 //! The fold replicates [`WindowAggSet`](crate::WindowAggSet)'s *bit for bit* — including
 //! `total_cmp`'s f64-promoted comparisons for integer extrema, the
@@ -192,16 +190,17 @@ impl Program {
             .count()
     }
 
-    /// The row stage every engine runs per output row (`None`: a piece of
-    /// it was refused).
-    pub fn stage(&self) -> Option<&RowStage> {
-        self.stage.as_ref().ok()
+    /// The row stage every engine runs per output row, or the refusal of
+    /// a piece of it (which DEPLOY and capture report first).
+    pub fn stage(&self) -> Result<&RowStage> {
+        let refused = |reason: &String| Error::Deployment(reason.clone());
+        self.stage.as_ref().map_err(refused)
     }
 
     /// The select list's programs, one per output column (`None`: a piece
     /// of the row stage was refused).
     pub fn select_programs(&self) -> Option<&[ExprProgram]> {
-        self.stage().map(RowStage::programs)
+        self.stage.as_ref().ok().map(RowStage::programs)
     }
 }
 

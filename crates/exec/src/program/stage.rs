@@ -8,16 +8,18 @@
 //! row, and a candidate visitor for each join (a request's
 //! `DataTable::latest_visit`, the snapshot's lookup). Every join reads its
 //! candidates' columns in place through a [`Field`] resolved here, and its
-//! residual decides each one, its errors counting as no match. The select
-//! list is a copy plan: a bare column is a clone from the combined row, a
-//! bare aggregate a move at its last bare reader (a clone before that),
-//! and any other item runs on the scalar VM — before the row is built, so
-//! the first error in select order still wins. The row is collected in
-//! one exact-size allocation, and every FLOAT or DOUBLE output column
-//! leaves as [`Value::canonical_nan`] makes it.
+//! residual decides each one, its errors counting as no match. One codec
+//! per join both reads a candidate and, on a request, checks its bytes
+//! first ([`RowStage::check`]; a snapshot checked its rows at capture).
+//! The select list is a copy plan: a bare column is a clone from the
+//! combined row, a bare aggregate a move at its last bare reader (a clone
+//! before that), and any other item runs on the scalar VM — before the row
+//! is built, so the first error in select order still wins. The row is
+//! collected in one exact-size allocation, and every NaN in it leaves as
+//! [`Value::canonical_nan`] makes it.
 
 use openmldb_sql::plan::{CompiledQuery, PhysExpr};
-use openmldb_types::{CompactCodec, DataType, Field, KeyValue, Result, Row, Value};
+use openmldb_types::{CompactCodec, Field, KeyValue, Result, Row, Value};
 
 use super::vm::ExprProgram;
 
@@ -55,8 +57,9 @@ pub type Candidates<'a> =
 struct JoinStage {
     /// The combined columns the equality's left sides read: the lookup key.
     keys: Vec<usize>,
-    /// The right table's codec and a reader per column of it the plan
-    /// reads: `(combined column, field)`.
+    /// The right table's codec — which checks a request's candidates and
+    /// reads them — and a reader per column of it the plan reads:
+    /// `(combined column, field)`.
     codec: CompactCodec,
     fields: Vec<(usize, Field)>,
     /// The residual condition, over the combined row up to this join's
@@ -87,9 +90,8 @@ pub struct RowStage {
     base: Vec<(usize, Field)>,
     joins: Vec<JoinStage>,
     filter: Option<ExprProgram>,
-    /// The copy plan: per output column, its source and whether it is a
-    /// FLOAT or DOUBLE (whose NaNs leave canonical).
-    copies: Vec<(Source, bool)>,
+    /// The copy plan: per output column, its source.
+    copies: Vec<Source>,
     /// One program per output column; the computed ones run.
     programs: Vec<ExprProgram>,
 }
@@ -105,23 +107,18 @@ impl RowStage {
             let program = ExprProgram::compile(&c.expr);
             programs.push(program.map_err(|r| format!("select column `{}`: {r}", c.name))?);
             let later = query.select.get(i + 1..).unwrap_or_default();
-            let source = match c.expr {
+            copies.push(match c.expr {
                 PhysExpr::Column(col) if col < width => Source::Column(col),
                 PhysExpr::AggRef(slot) if slot < aggs => Source::Agg {
                     slot,
                     last: !later.iter().any(|d| d.expr == c.expr),
                 },
                 _ => Source::Computed,
-            };
-            copies.push((
-                source,
-                matches!(c.data_type, DataType::Float | DataType::Double),
-            ));
+            });
         }
-        let filter = query.where_clause.as_ref().map(ExprProgram::compile);
-        let filter = filter
-            .transpose()
-            .map_err(|r| format!("WHERE clause: {r}"))?;
+        let filter = query.where_clause.as_ref();
+        let filter = filter.map(ExprProgram::compile).transpose();
+        let filter = filter.map_err(|r| format!("WHERE clause: {r}"))?;
         let mut joins = Vec::with_capacity(query.joins.len());
         for j in &query.joins {
             let residual = j.residual.as_ref().map(ExprProgram::compile).transpose();
@@ -152,9 +149,10 @@ impl RowStage {
         &self.programs
     }
 
-    /// Whether the plan has a LAST JOIN.
-    pub fn has_joins(&self) -> bool {
-        !self.joins.is_empty()
+    /// Check candidate `data` of LAST JOIN `join` against the right
+    /// table's codec — a request's one check of a row's bytes.
+    pub fn check(&self, join: usize, data: &[u8]) -> Result<()> {
+        self.joins.get(join).map_or(Ok(()), |j| j.codec.check(data))
     }
 
     /// Start a row: the base row's columns the plan reads, every other
@@ -180,9 +178,7 @@ impl RowStage {
         key: &mut Vec<KeyValue>,
         candidates: &mut Candidates<'_>,
     ) -> Result<()> {
-        let RowBuffers {
-            combined, stack, ..
-        } = bufs;
+        let (combined, stack) = (&mut bufs.combined, &mut bufs.stack);
         for (j, join) in self.joins.iter().enumerate() {
             key.clear();
             key.extend(join.keys.iter().map(|&c| KeyValue::from(&combined[c])));
@@ -192,11 +188,8 @@ impl RowStage {
                 }
                 let probe = &combined[..join.end];
                 let accepts = |p: &ExprProgram| p.eval(probe, &[], stack)?.as_bool();
-                Ok(join
-                    .residual
-                    .as_ref()
-                    .map_or(Ok(true), accepts)
-                    .unwrap_or(false))
+                let hit = join.residual.as_ref().map_or(Ok(true), accepts);
+                Ok(hit.unwrap_or(false))
             };
             if !candidates(j, key, &mut accept)? {
                 for &(c, _) in &join.fields {
@@ -209,10 +202,8 @@ impl RowStage {
 
     /// Whether the row passes WHERE (a plan without one passes all).
     pub fn filter(&self, bufs: &mut RowBuffers) -> Result<bool> {
-        match &self.filter {
-            Some(p) => p.eval(&bufs.combined, &[], &mut bufs.stack)?.as_bool(),
-            None => Ok(true),
-        }
+        let passes = |p: &ExprProgram| p.eval(&bufs.combined, &[], &mut bufs.stack)?.as_bool();
+        self.filter.as_ref().map_or(Ok(true), passes)
     }
 
     /// The output row of the combined row and `aggs`, the aggregate values
@@ -224,13 +215,13 @@ impl RowStage {
             evals,
         } = bufs;
         evals.clear();
-        for (copy, p) in self.copies.iter().zip(&self.programs) {
-            if copy.0 == Source::Computed {
+        for (&source, p) in self.copies.iter().zip(&self.programs) {
+            if source == Source::Computed {
                 evals.push(p.eval(combined, aggs, stack)?);
             }
         }
         let mut evals = evals.drain(..);
-        let row = self.copies.iter().map(|&(source, float)| {
+        let row = self.copies.iter().map(|&source| {
             let value = match source {
                 Source::Column(c) => combined.get(c).cloned(),
                 Source::Agg { slot, last: true } => aggs
@@ -239,12 +230,7 @@ impl RowStage {
                 Source::Agg { slot, .. } => aggs.get(slot).cloned(),
                 Source::Computed => evals.next(),
             };
-            let value = value.unwrap_or(Value::Null);
-            if float {
-                value.canonical_nan()
-            } else {
-                value
-            }
+            value.map_or(Value::Null, Value::canonical_nan)
         });
         Ok(row.collect())
     }

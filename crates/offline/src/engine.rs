@@ -5,17 +5,12 @@
 //! guarantee of Section 4).
 //!
 //! [`execute`] sweeps every window per partition ([`crate::parallel`],
-//! [`crate::skew`]), each into a column of its own, then runs each base
-//! row's LAST JOINs, WHERE and select list — the online scalar VM's
-//! programs, the snapshot's one [`Program`](openmldb_exec::Program) — over
-//! just the columns they read, each read in place through a
-//! [`Field`](openmldb_types::Field) resolved once (capture validated the
-//! row). A LAST JOIN residual runs as the compiled `join_residual`, the
-//! same program a request runs. A bare aggregate in the select list moves
-//! its value into the output row; any other read of it evaluates. The entry
-//! points over decoded [`Tables`] ([`execute_batch`], [`sweep_window`],
-//! [`crate::compute_windows`]) encode their input once and run the same
-//! path.
+//! [`crate::skew`]), each into a column of its own, then runs each base row
+//! through the row stage a request runs ([`openmldb_exec::RowStage`]), its
+//! LAST JOINs offered the snapshot's lookups (capture checked every row).
+//! The entry points over decoded [`Tables`] ([`execute_batch`],
+//! [`sweep_window`], [`crate::compute_windows`]) encode their input once
+//! and run the same path.
 
 use std::collections::HashMap;
 
@@ -69,8 +64,7 @@ pub fn execute(query: &CompiledQuery, snap: &Snapshot, opts: &OfflineOptions) ->
     let program = &*snap.program;
     let wids: Vec<usize> = (0..query.windows.len()).collect();
     let mut swept = compute(query, program, snap, opts, &wids)?;
-    let stage = program.stage();
-    let stage = stage.ok_or_else(|| Error::Deployment("offline query: no row stage".into()))?;
+    let stage = program.stage()?;
     let base = snap.table(&query.base_table)?;
     let lookups = query.joins.iter().map(|j| snap.lookup(j));
     let lookups = lookups.collect::<Result<Vec<_>>>()?;

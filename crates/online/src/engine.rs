@@ -93,8 +93,8 @@ pub struct Deployment {
     /// groups.
     pub(crate) reads: ReadPlan,
     /// The deploy-time specialized bytecode program — per-window aggregate
-    /// kernels plus flattened select/WHERE expressions. Shared across
-    /// deployments of the same cached plan.
+    /// kernels plus the row stage. Shared across deployments of the same
+    /// cached plan.
     program: Arc<Program>,
     /// Warm [`RequestScratch`] buffers of this deployment. A thread keeps
     /// the scratch of the deployment it served last in [`LAST_SCRATCH`];
@@ -565,8 +565,7 @@ fn execute_streaming(
 ) -> Result<Row> {
     let q = &dep.query;
     ctx.check("validate")?;
-    let stage = dep.program.stage();
-    let stage = stage.ok_or_else(|| not_compiled(dep, "row stage"))?;
+    let stage = dep.program.stage()?;
 
     let RequestScratch {
         request_row,
@@ -598,16 +597,15 @@ fn execute_streaming(
     // row offline.
     stage.base(BaseRow::Values(request.values()), row)?;
     // (A plan without joins has no seek stage here: nothing to time.)
-    if stage.has_joins() {
+    if !q.joins.is_empty() {
         // A request's first stage opens on its start reading: the
         // validation and encode above are charged to it.
         flight::abut();
         span(Stage::StorageSeek, || {
             stage.join(row, key, &mut |j, key, accept| {
-                let bound = &dep.reads.joins[j];
-                resilient_read(ctx, provider, &bound.read, |table, index| {
+                resilient_read(ctx, provider, &dep.reads.joins[j], |table, index| {
                     table.latest_visit(index, key, &mut |data| {
-                        bound.codec.check(data)?;
+                        stage.check(j, data)?;
                         accept(data)
                     })
                 })

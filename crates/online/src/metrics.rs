@@ -11,8 +11,16 @@ use openmldb_obs::{
 };
 use std::sync::{Arc, OnceLock};
 
-fn counter(cell: &'static OnceLock<Arc<Counter>>, name: &str, help: &str) -> &'static Counter {
-    cell.get_or_init(|| Registry::global().counter(name, help))
+/// One lazily registered counter accessor per entry:
+/// `accessor => "metric_name", "help";`, each entry's docs its accessor's.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $name:ident => $metric:literal, $help:literal;)*) => {$(
+        $(#[doc = $doc])*
+        pub fn $name() -> &'static Counter {
+            static M: OnceLock<Arc<Counter>> = OnceLock::new();
+            M.get_or_init(|| Registry::global().counter($metric, $help))
+        }
+    )*};
 }
 
 /// Register the request series. Nothing writes them on the request path:
@@ -97,85 +105,57 @@ pub fn deployment_duration() -> &'static LabeledHistogram {
     })
 }
 
-/// Windows served by the pre-aggregation fast path.
-pub fn preagg_hits() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_preagg_hits_total",
-        "Windows served by the pre-aggregation fast path",
-    )
-}
-
-/// Windows that had a pre-aggregator attached but fell back to a raw scan
-/// (frame shape or window attributes made the fast path inapplicable).
-pub fn preagg_skips() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_preagg_skips_total",
-        "Windows with a pre-aggregator that still took the raw scan path",
-    )
-}
-
-/// Pre-aggregated buckets merged into answers.
-pub fn preagg_bucket_hits() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_preagg_bucket_hits_total",
-        "Pre-aggregated buckets merged into window answers",
-    )
-}
-
-/// Transient-fault retries performed by the resilient request path.
-pub fn retries() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_retries_total",
-        "Transient storage faults absorbed by request-path retries",
-    )
-}
-
-/// Reads that failed over from the primary table to its replica.
-pub fn failovers() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_failovers_total",
-        "Reads failed over from a faulting primary to a replica",
-    )
-}
-
-/// Requests answered from pre-agg buckets alone after budget exhaustion.
-pub fn degraded() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_degraded_total",
-        "Windows answered buckets-only after the deadline budget ran out",
-    )
-}
-
-/// Requests that surfaced a typed deadline timeout.
-pub fn timeouts() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_timeouts_total",
-        "Requests that exceeded their deadline budget",
-    )
-}
-
-/// Tuples pushed through window-union workers.
-pub fn union_tuples() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_union_tuples_total",
-        "Tuples routed through self-adjusting window-union workers",
-    )
+counters! {
+    /// Windows served by the pre-aggregation fast path.
+    preagg_hits => "openmldb_online_preagg_hits_total",
+        "Windows served by the pre-aggregation fast path";
+    /// Windows that had a pre-aggregator attached but fell back to a raw scan
+    /// (frame shape or window attributes made the fast path inapplicable).
+    preagg_skips => "openmldb_online_preagg_skips_total",
+        "Windows with a pre-aggregator that still took the raw scan path";
+    /// Pre-aggregated buckets merged into answers.
+    preagg_bucket_hits => "openmldb_online_preagg_bucket_hits_total",
+        "Pre-aggregated buckets merged into window answers";
+    /// Transient-fault retries performed by the resilient request path.
+    retries => "openmldb_online_retries_total",
+        "Transient storage faults absorbed by request-path retries";
+    /// Reads that failed over from the primary table to its replica.
+    failovers => "openmldb_online_failovers_total",
+        "Reads failed over from a faulting primary to a replica";
+    /// Requests answered from pre-agg buckets alone after budget exhaustion.
+    degraded => "openmldb_online_degraded_total",
+        "Windows answered buckets-only after the deadline budget ran out";
+    /// Requests that surfaced a typed deadline timeout.
+    timeouts => "openmldb_online_timeouts_total",
+        "Requests that exceeded their deadline budget";
+    /// Tuples pushed through window-union workers.
+    union_tuples => "openmldb_online_union_tuples_total",
+        "Tuples routed through self-adjusting window-union workers";
+    /// Requests sampled onto the consistency-sentinel audit queue.
+    sentinel_samples => "openmldb_online_sentinel_samples_total",
+        "Served requests captured for consistency auditing";
+    /// Sampled requests the auditor actually replayed through the oracle.
+    sentinel_audits => "openmldb_online_sentinel_audits_total",
+        "Sampled requests re-executed through the materializing oracle";
+    /// Confirmed online/offline divergences (served output or scan inputs
+    /// disagreed with an oracle replay at an unchanged table version).
+    sentinel_divergences => "openmldb_online_sentinel_divergences_total",
+        "Confirmed consistency divergences between served and oracle results";
+    /// Audits skipped because the table version changed between capture and
+    /// replay (a concurrent write makes the comparison meaningless, not wrong).
+    sentinel_stale_skips => "openmldb_online_sentinel_stale_skips_total",
+        "Audits skipped because the table version moved under the sample";
+    /// Audits whose output compare was skipped because the serve answered a
+    /// window from pre-aggregated buckets (bucket merges add f64 partials in
+    /// another order than the raw replay folds them).
+    sentinel_bucket_skips => "openmldb_online_sentinel_bucket_skips_total",
+        "Audits whose output compare was skipped for a bucket-served window";
+    /// Samples dropped because the bounded audit queue was full.
+    sentinel_dropped => "openmldb_online_sentinel_dropped_total",
+        "Sentinel samples dropped on a full audit queue";
+    /// Oracle replays that errored (deployment vanished, replay failure).
+    sentinel_errors => "openmldb_online_sentinel_errors_total",
+        "Sentinel oracle replays that failed outright";
 }
 
 /// Worker imbalance of the most recently flushed window union
@@ -195,80 +175,6 @@ pub fn union_worker_load(worker: usize) -> Arc<Gauge> {
     Registry::global().gauge(
         &format!("openmldb_online_union_worker_load_rows{{worker=\"{worker}\"}}"),
         "Tuples processed per window-union worker",
-    )
-}
-
-/// Requests sampled onto the consistency-sentinel audit queue.
-pub fn sentinel_samples() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_sentinel_samples_total",
-        "Served requests captured for consistency auditing",
-    )
-}
-
-/// Sampled requests the auditor actually replayed through the oracle.
-pub fn sentinel_audits() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_sentinel_audits_total",
-        "Sampled requests re-executed through the materializing oracle",
-    )
-}
-
-/// Confirmed online/offline divergences (served output or scan inputs
-/// disagreed with an oracle replay at an unchanged table version).
-pub fn sentinel_divergences() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_sentinel_divergences_total",
-        "Confirmed consistency divergences between served and oracle results",
-    )
-}
-
-/// Audits skipped because the table version changed between capture and
-/// replay (a concurrent write makes the comparison meaningless, not wrong).
-pub fn sentinel_stale_skips() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_sentinel_stale_skips_total",
-        "Audits skipped because the table version moved under the sample",
-    )
-}
-
-/// Audits whose output compare was skipped because the serve answered a
-/// window from pre-aggregated buckets (bucket merges add f64 partials in
-/// another order than the raw replay folds them).
-pub fn sentinel_bucket_skips() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_sentinel_bucket_skips_total",
-        "Audits whose output compare was skipped for a bucket-served window",
-    )
-}
-
-/// Samples dropped because the bounded audit queue was full.
-pub fn sentinel_dropped() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_sentinel_dropped_total",
-        "Sentinel samples dropped on a full audit queue",
-    )
-}
-
-/// Oracle replays that errored (deployment vanished, replay failure).
-pub fn sentinel_errors() -> &'static Counter {
-    static M: OnceLock<Arc<Counter>> = OnceLock::new();
-    counter(
-        &M,
-        "openmldb_online_sentinel_errors_total",
-        "Sentinel oracle replays that failed outright",
     )
 }
 

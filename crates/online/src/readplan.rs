@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use openmldb_sql::plan::{BoundWindow, CompiledQuery};
 use openmldb_storage::DataTable;
-use openmldb_types::{CompactCodec, Error, Result};
+use openmldb_types::{Error, Result};
 
 use crate::engine::TableProvider;
 use crate::preagg::PreAggregator;
@@ -67,17 +67,10 @@ impl BoundRead {
     }
 }
 
-/// A LAST JOIN's bound read and the right table's codec, which checks
-/// each candidate's bytes before the row stage reads its columns in place.
-pub(crate) struct JoinRead {
-    pub(crate) read: BoundRead,
-    pub(crate) codec: CompactCodec,
-}
-
 /// What one deployment reads, bound (see the module docs).
 pub(crate) struct ReadPlan {
     /// One bound read per LAST JOIN, in plan order.
-    pub(crate) joins: Vec<JoinRead>,
+    pub(crate) joins: Vec<BoundRead>,
     /// Per window, its bound sources in scan order: the base table (unless
     /// INSTANCE_NOT_IN_WINDOW), then the union tables. Empty for a window
     /// without aggregates, which is never read.
@@ -104,9 +97,7 @@ impl ReadPlan {
             .iter()
             .map(|j| {
                 let right_keys: Vec<usize> = j.eq_pairs.iter().map(|&(_, r)| r).collect();
-                let read = BoundRead::resolve(provider, &j.table, &right_keys, j.order_col)?;
-                let codec = CompactCodec::new(read.table.schema().clone());
-                Ok(JoinRead { read, codec })
+                BoundRead::resolve(provider, &j.table, &right_keys, j.order_col)
             })
             .collect::<Result<Vec<_>>>()?;
         let windows = query

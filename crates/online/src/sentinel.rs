@@ -143,7 +143,7 @@ pub fn version_signature(
 
 /// [`version_signature`] of the tables `dep` is bound to.
 pub(crate) fn deployment_signature(dep: &Deployment) -> u64 {
-    let joins = dep.reads.joins.iter().map(|j| &j.read);
+    let joins = dep.reads.joins.iter();
     let reads = joins.chain(dep.reads.windows.iter().flatten());
     version_signature(&dep.query, |name| {
         (reads.clone())

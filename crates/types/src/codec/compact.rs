@@ -256,7 +256,13 @@ impl CompactCodec {
     pub fn decode_projected(&self, buf: &[u8], wanted: Option<&[bool]>) -> Result<Row> {
         let view = self.view(buf)?;
         let skip = |i: usize| wanted.is_some_and(|w| !w.get(i).copied().unwrap_or(false));
-        let read = |i| if skip(i) { Ok(Value::Null) } else { view.get_value(i) };
+        let read = |i| {
+            if skip(i) {
+                Ok(Value::Null)
+            } else {
+                view.get_value(i)
+            }
+        };
         (0..self.schema.len())
             .map(read)
             .collect::<Result<_>>()
